@@ -188,14 +188,23 @@ impl EjectContext {
         self.stop.store(true, Ordering::Release);
     }
 
+    /// Join this Eject's worker processes. They may need other Ejects
+    /// (hence the pool) to make progress before they exit, so a pool
+    /// worker reaping the Eject counts as blocked meanwhile — but only
+    /// when there is somebody to join: most Ejects have no processes, and
+    /// a death that waits for nothing asks the pool for nothing.
     pub(crate) fn join_workers(&self) {
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.workers.lock());
-        for handle in handles {
-            // A worker that panicked already printed its message; the
-            // coordinator should still reap the rest.
-            // eden-lint: nonblocking(every worker-context caller wraps the whole join in sched::blocking)
-            let _ = handle.join();
+        if handles.is_empty() {
+            return;
         }
+        crate::sched::blocking(|| {
+            for handle in handles {
+                // A worker that panicked already printed its message; the
+                // coordinator should still reap the rest.
+                let _ = handle.join();
+            }
+        });
     }
 }
 

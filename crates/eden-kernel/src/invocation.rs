@@ -19,9 +19,12 @@
 //! depend only on its parameters, and not on the identity of the invoker",
 //! since consulting the sender would prohibit dynamic redirection.
 
-use std::time::Duration;
+use std::cell::UnsafeCell;
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::Arc;
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use eden_core::{EdenError, Metrics, OpName, Result, Uid, Value};
 
 /// The default deadline used by synchronous waits. Generous enough that it
@@ -47,6 +50,182 @@ impl Invocation {
     }
 }
 
+/// States of a [`ReplyCell`]. `SETTLED` and `ABANDONED` are terminal, and
+/// only the settling half writes them.
+mod cell {
+    /// No reply yet and nobody asleep on the cell.
+    pub const EMPTY: u8 = 0;
+    /// No reply yet; the awaiting half published its thread handle and is
+    /// asleep (or about to be).
+    pub const WAITING: u8 = 1;
+    /// The reply is in the value slot.
+    pub const SETTLED: u8 = 2;
+    /// The settling half was dropped without replying.
+    pub const ABANDONED: u8 = 3;
+}
+
+/// The one-shot rendezvous behind a reply pair: one allocation shared by
+/// a [`Settler`] and an [`Awaiter`], a state word, the value slot, and the
+/// waiter's thread handle — published, and unparked, only when the waiter
+/// actually went to sleep. A reply that is already there when the waiter
+/// looks costs one swap and one load.
+struct ReplyCell {
+    state: AtomicU8,
+    /// The Eject the invocation went to: what an abandoned cell reports as
+    /// crashed, and the task a waiting worker may run in place.
+    responder: Uid,
+    /// Written once by the settler before it publishes `SETTLED`; taken by
+    /// the awaiter after it observes `SETTLED`.
+    value: UnsafeCell<Option<Result<Value>>>,
+    /// Written by the awaiter before it publishes `WAITING`; taken by the
+    /// settler after its terminal swap observed `WAITING`.
+    waiter: UnsafeCell<Option<Thread>>,
+}
+
+// SAFETY: the two `UnsafeCell`s are handed over through `state`. `value` is
+// the settler's until its Release swap to `SETTLED` and the awaiter's after
+// an Acquire read of `SETTLED`; `waiter` is the awaiter's except between
+// its Release CAS `EMPTY -> WAITING` and either its own CAS back to `EMPTY`
+// or the settler's Acquire swap that observed `WAITING`, after which it is
+// the settler's. Each half is a unique, non-`Clone` owner (`Settler` is
+// consumed by settling, `Awaiter` is reached only through `&mut`/by value),
+// so neither slot ever has two accessors.
+unsafe impl Send for ReplyCell {}
+unsafe impl Sync for ReplyCell {}
+
+/// The settling half of a [`ReplyCell`]. Dropping it unsettled abandons
+/// the cell, so the waiter can never be left asleep on a reply nobody is
+/// going to send — not even when the replying side panics mid-reply.
+struct Settler(Arc<ReplyCell>);
+
+impl Settler {
+    fn settle(self, result: Result<Value>) {
+        // SAFETY: `self` is the only settler and no terminal state is
+        // published yet, so the awaiter does not read the slot.
+        unsafe { *self.0.value.get() = Some(result) };
+        self.finish(cell::SETTLED);
+    }
+
+    /// Publish a terminal state and wake the waiter if it is asleep.
+    fn finish(&self, terminal: u8) {
+        // eden-lint: ordering(reply-cell)
+        if self.0.state.swap(terminal, Ordering::AcqRel) == cell::WAITING {
+            // SAFETY: the swap observed `WAITING`, so the awaiter's write
+            // of the handle happened-before and it will not touch the slot
+            // again (its deregistering CAS now fails).
+            if let Some(thread) = unsafe { (*self.0.waiter.get()).take() } {
+                thread.unpark();
+            }
+        }
+        crate::sched::note_settled(self.id());
+    }
+
+    /// The cell's identity while it is alive: its address.
+    fn id(&self) -> usize {
+        Arc::as_ptr(&self.0) as usize
+    }
+}
+
+impl Drop for Settler {
+    fn drop(&mut self) {
+        // Only this half writes terminal states, so a relaxed read of our
+        // own earlier swap is exact.
+        if self.0.state.load(Ordering::Relaxed) < cell::SETTLED {
+            self.finish(cell::ABANDONED);
+        }
+    }
+}
+
+impl std::fmt::Debug for Settler {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Settler").finish_non_exhaustive()
+    }
+}
+
+/// The awaiting half of a [`ReplyCell`] (the payload of
+/// [`PendingReply::Waiting`]).
+pub struct Awaiter(Arc<ReplyCell>);
+
+impl Awaiter {
+    /// Whether the outcome is known (replied or abandoned).
+    fn is_terminal(&self) -> bool {
+        // eden-lint: ordering(reply-cell)
+        self.0.state.load(Ordering::Acquire) >= cell::SETTLED
+    }
+
+    /// The outcome, if it is known. Yields it once.
+    fn try_take(&mut self) -> Option<Result<Value>> {
+        // eden-lint: ordering(reply-cell)
+        match self.0.state.load(Ordering::Acquire) {
+            // SAFETY: `SETTLED` was read with Acquire, so the settler's
+            // write is visible and the slot is ours.
+            cell::SETTLED => Some(
+                unsafe { (*self.0.value.get()).take() }.unwrap_or(Err(EdenError::Timeout)),
+            ),
+            cell::ABANDONED => Some(Err(EdenError::EjectCrashed(self.0.responder))),
+            _ => None,
+        }
+    }
+
+    /// Sleep until the outcome is known or `budget` elapses (`None`).
+    fn wait_for(&mut self, budget: Duration) -> Option<Result<Value>> {
+        if let Some(outcome) = self.try_take() {
+            return Some(outcome);
+        }
+        if budget.is_zero() {
+            return None;
+        }
+        // A budget too large to add to the clock is no deadline at all.
+        let deadline = Instant::now().checked_add(budget);
+        // SAFETY: the state is `EMPTY` as far as this half knows, and the
+        // settler reads the slot only after observing `WAITING`.
+        unsafe { *self.0.waiter.get() = Some(std::thread::current()) };
+        // eden-lint: ordering(reply-cell)
+        let registered = self.0.state.compare_exchange(
+            cell::EMPTY,
+            cell::WAITING,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        );
+        if registered.is_err() {
+            return self.try_take();
+        }
+        // A rendezvous point: a scheduler worker asleep here counts as
+        // blocked so the pool can compensate with a spare. `unpark` leaves
+        // a token if it wins the race with `park`, so no wake-up is lost; a
+        // stale token from an earlier cell only costs one more loop.
+        crate::sched::blocking(|| {
+            while !self.is_terminal() {
+                match deadline.map(|at| at.saturating_duration_since(Instant::now())) {
+                    Some(Duration::ZERO) => break,
+                    Some(left) => std::thread::park_timeout(left),
+                    None => std::thread::park(),
+                }
+            }
+        });
+        // Deregister. Losing this CAS means the settler got there first:
+        // the outcome is in, however late.
+        // eden-lint: ordering(reply-cell)
+        match self.0.state.compare_exchange(
+            cell::WAITING,
+            cell::EMPTY,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        ) {
+            Ok(_) => None,
+            Err(_) => self.try_take(),
+        }
+    }
+}
+
+impl std::fmt::Debug for Awaiter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Awaiter")
+            .field("responder", &self.0.responder)
+            .finish_non_exhaustive()
+    }
+}
+
 /// The replying half of an invocation. Consumed by [`ReplyHandle::reply`].
 ///
 /// If the handle is dropped without replying — the Eject crashed, was shut
@@ -54,7 +233,7 @@ impl Invocation {
 /// [`EdenError::EjectCrashed`] rather than hanging.
 #[derive(Debug)]
 pub struct ReplyHandle {
-    tx: Option<Sender<Result<Value>>>,
+    tx: Option<Settler>,
     responder: Uid,
     metrics: Metrics,
     /// Observability tag attached by the kernel dispatch path when the
@@ -86,8 +265,8 @@ impl ReplyHandle {
             self.metrics.record_reply(bytes);
             self.settle(result.is_ok());
             // The waiter may have given up (timeout); that is not an error
-            // on the replying side.
-            let _ = tx.send(result);
+            // on the replying side — the value dies with the cell.
+            tx.settle(result);
         }
     }
 
@@ -184,6 +363,13 @@ impl ReplyHandle {
         self.responder
     }
 
+    /// What the scheduler knows this handle's reply cell by (never 0 for an
+    /// unanswered handle): it watches for the handler it is dispatching to
+    /// settle exactly this cell.
+    pub(crate) fn cell_id(&self) -> usize {
+        self.tx.as_ref().map_or(0, Settler::id)
+    }
+
     /// Resolve the waiting side with `err` without metering a reply and
     /// without `Drop`'s crash default. The cached invocation path uses this
     /// when a stale route's target no longer exists anywhere: the uncached
@@ -193,7 +379,7 @@ impl ReplyHandle {
     pub(crate) fn resolve_silent(mut self, err: EdenError) {
         if let Some(tx) = self.tx.take() {
             self.settle(false);
-            let _ = tx.send(Err(err));
+            tx.settle(Err(err));
         }
     }
 }
@@ -202,7 +388,8 @@ impl Drop for ReplyHandle {
     fn drop(&mut self) {
         if let Some(tx) = self.tx.take() {
             self.settle(false);
-            let _ = tx.send(Err(EdenError::EjectCrashed(self.responder)));
+            // Abandons the cell: the waiter reads `EjectCrashed(responder)`.
+            drop(tx);
         }
     }
 }
@@ -214,8 +401,8 @@ impl Drop for ReplyHandle {
 /// of the sending Eject", §1).
 #[derive(Debug)]
 pub enum PendingReply {
-    /// The reply will arrive on this channel.
-    Waiting(Receiver<Result<Value>>),
+    /// The reply will arrive in this cell.
+    Waiting(Awaiter),
     /// The outcome was known at send time (e.g. no such Eject).
     Ready(Option<Result<Value>>),
     /// A reply governed by a retry policy or deadline (see
@@ -232,7 +419,27 @@ impl PendingReply {
     }
 
     /// Block until the reply arrives, with the default deadline.
+    ///
+    /// A send immediately followed by this wait is a call, and on a pool
+    /// worker it may be executed as one: if the responder is the task this
+    /// worker just woke, and its last handler ended with its reply, it is
+    /// resumed right here on the caller's stack (`sched::handoff`; counted
+    /// in [`SchedSnapshot::inline_handoffs`](crate::SchedSnapshot)) rather
+    /// than handed to a sibling thread while this one sleeps. Whatever that
+    /// leaves unsettled — a deferred reply, a callee running elsewhere — is
+    /// waited for as before. Only this budget-less wait elects the handoff:
+    /// the waits that carry a caller-set deadline never lend their thread
+    /// to a callee that might overrun it. A callee that replies and then
+    /// keeps working is not resumed inline either, since this wait would
+    /// then return when its handler does rather than when it replied; it
+    /// is told apart by what its earlier handlers did, so one that starts
+    /// doing so holds up the one call on which it is found out.
     pub fn wait(self) -> Result<Value> {
+        if let PendingReply::Waiting(rx) = &self {
+            if !rx.is_terminal() {
+                crate::sched::handoff(rx.0.responder, &|| rx.is_terminal());
+            }
+        }
         self.wait_timeout(DEFAULT_REPLY_TIMEOUT)
     }
 
@@ -242,16 +449,15 @@ impl PendingReply {
     pub fn wait_timeout(self, deadline: Duration) -> Result<Value> {
         match self {
             PendingReply::Ready(mut r) => r.take().unwrap_or(Err(EdenError::Timeout)),
-            // A rendezvous point: a scheduler worker waiting here counts as
-            // blocked so the pool can compensate with a spare.
-            PendingReply::Waiting(rx) => {
-                match crate::sched::blocking(|| rx.recv_timeout(deadline)) {
-                    Ok(result) => result,
-                    Err(RecvTimeoutError::Timeout) => Err(EdenError::Timeout),
-                    // Sender dropped without replying and without the Drop
-                    // impl running (only possible on panic mid-reply).
-                    Err(RecvTimeoutError::Disconnected) => Err(EdenError::KernelShutdown),
-                }
+            PendingReply::Waiting(mut rx) => {
+                // A reply this thread's own stack keeps from being sent is
+                // not worth sleeping for.
+                let deadline = if crate::sched::strands_responder(rx.0.responder) {
+                    Duration::ZERO
+                } else {
+                    deadline
+                };
+                rx.wait_for(deadline).unwrap_or(Err(EdenError::Timeout))
             }
             PendingReply::Retrying(state) => state.wait_timeout(deadline),
         }
@@ -266,13 +472,7 @@ impl PendingReply {
     pub fn poll_timeout(&mut self, deadline: Duration) -> Option<Result<Value>> {
         match self {
             PendingReply::Ready(r) => Some(r.take().unwrap_or(Err(EdenError::Timeout))),
-            PendingReply::Waiting(rx) => {
-                match crate::sched::blocking(|| rx.recv_timeout(deadline)) {
-                    Ok(result) => Some(result),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => Some(Err(EdenError::KernelShutdown)),
-                }
-            }
+            PendingReply::Waiting(rx) => rx.wait_for(deadline),
             PendingReply::Retrying(state) => state.poll_timeout(deadline),
         }
     }
@@ -282,14 +482,9 @@ impl PendingReply {
     pub fn try_wait(self) -> std::result::Result<Result<Value>, PendingReply> {
         match self {
             PendingReply::Ready(mut r) => Ok(r.take().unwrap_or(Err(EdenError::Timeout))),
-            PendingReply::Waiting(rx) => match rx.try_recv() {
-                Ok(result) => Ok(result),
-                Err(crossbeam::channel::TryRecvError::Empty) => {
-                    Err(PendingReply::Waiting(rx))
-                }
-                Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                    Ok(Err(EdenError::KernelShutdown))
-                }
+            PendingReply::Waiting(mut rx) => match rx.try_take() {
+                Some(result) => Ok(result),
+                None => Err(PendingReply::Waiting(rx)),
             },
             PendingReply::Retrying(state) => state.try_wait().map_err(PendingReply::Retrying),
         }
@@ -298,17 +493,22 @@ impl PendingReply {
 
 /// Create a connected reply pair for an invocation of `responder`.
 pub fn reply_pair(responder: Uid, metrics: Metrics) -> (ReplyHandle, PendingReply) {
-    let (tx, rx) = bounded(1);
+    let cell = Arc::new(ReplyCell {
+        state: AtomicU8::new(cell::EMPTY),
+        responder,
+        value: UnsafeCell::new(None),
+        waiter: UnsafeCell::new(None),
+    });
     (
         ReplyHandle {
-            tx: Some(tx),
+            tx: Some(Settler(Arc::clone(&cell))),
             responder,
             metrics,
             obs: None,
             meter_outcome: false,
             admit_by: None,
         },
-        PendingReply::Waiting(rx),
+        PendingReply::Waiting(Awaiter(cell)),
     )
 }
 
@@ -338,13 +538,44 @@ mod tests {
         let m = Metrics::new();
         let (h, p) = reply_pair(Uid::fresh(), m.clone());
         h.mark_deferred();
+        // The replier goes only once it is told to, and it is told to only
+        // after a first wait came back empty: the reply is late by
+        // construction, not by a sleep.
+        let (go, gone) = std::sync::mpsc::channel::<()>();
         let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
+            gone.recv().unwrap();
             h.reply(Ok(Value::str("late")));
         });
+        let mut p = p;
+        assert!(p.poll_timeout(Duration::from_millis(1)).is_none());
+        go.send(()).unwrap();
         assert_eq!(p.wait().unwrap().as_str().unwrap(), "late");
         t.join().unwrap();
         assert_eq!(m.snapshot().deferred_replies, 1);
+    }
+
+    #[test]
+    fn handle_dropped_while_the_waiter_is_registered_reads_as_crash() {
+        let u = Uid::fresh();
+        let (h, mut p) = reply_pair(u, Metrics::new());
+        let (go, gone) = std::sync::mpsc::channel::<()>();
+        let t = std::thread::spawn(move || {
+            gone.recv().unwrap();
+            drop(h);
+        });
+        assert!(p.poll_timeout(Duration::from_millis(1)).is_none());
+        go.send(()).unwrap();
+        assert_eq!(p.wait().unwrap_err(), EdenError::EjectCrashed(u));
+        t.join().unwrap();
+    }
+
+    #[test]
+    fn reply_after_a_timed_out_poll_is_delivered_once() {
+        let (h, mut p) = reply_pair(Uid::fresh(), Metrics::new());
+        assert!(p.poll_timeout(Duration::from_millis(1)).is_none());
+        h.reply(Ok(Value::from(7)));
+        assert_eq!(p.poll_timeout(Duration::ZERO), Some(Ok(Value::Int(7))));
+        assert_eq!(p.poll_timeout(Duration::ZERO), Some(Err(EdenError::Timeout)));
     }
 
     #[test]

@@ -1250,10 +1250,11 @@ impl Kernel {
             }
             CrashWait::Join(None) => {}
             CrashWait::Task(task) => {
-                // A worker crashing the very task it is resuming cannot
-                // wait for that task to die — it dies when this dispatch
-                // returns. Every other caller gets the blocking semantics.
-                if crate::sched::current_task() != Some(uid) {
+                // A worker crashing a task it is resuming — its own, or a
+                // caller further up its inline frame stack — cannot wait
+                // for that task to die: it dies when this dispatch returns.
+                // Every other caller gets the blocking semantics.
+                if !crate::sched::is_resuming(uid) {
                     task.wait_dead();
                 }
             }

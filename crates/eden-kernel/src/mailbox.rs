@@ -650,6 +650,15 @@ impl MailboxCore {
         Some(envelope)
     }
 
+    /// Put back the envelope [`pop`](Self::pop) just handed out, at the
+    /// front, for the task's next resume. Only the task's own runner calls
+    /// this, and only it closes the mailbox, so the ring is still open; a
+    /// bounded ring whose freed place a parked sender took meanwhile holds
+    /// one envelope over its capacity until the next pop.
+    pub(crate) fn unpop(&self, envelope: Envelope) {
+        self.mailq.lock().q.push_front(envelope);
+    }
+
     /// Close the mailbox and return everything still queued. Dropping the
     /// returned envelopes resolves their replies with `EjectCrashed` —
     /// the fail-fast the old drain loop provided. Atomic under the ring
@@ -877,27 +886,31 @@ mod tests {
                         }
                         let prev = core.park_state.swap(park::RUNNING, Ordering::AcqRel);
                         spec::assert_transition(prev, park::RUNNING);
-                        while core.pop().is_some() {
-                            drained += 1;
-                        }
-                        // Park attempt: RUNNING -> PARKED unless dirty.
-                        match core.park_state.compare_exchange(
-                            park::RUNNING,
-                            park::PARKED,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        ) {
-                            Ok(_) => {
-                                if drained >= 3 {
-                                    return drained;
+                        // One resume, shaped like `Scheduler::resume`: drain,
+                        // try to park, and after a dirty reclaim drain and
+                        // try again — still RUNNING, so without a second
+                        // pickup.
+                        loop {
+                            while core.pop().is_some() {
+                                drained += 1;
+                            }
+                            match core.park_state.compare_exchange(
+                                park::RUNNING,
+                                park::PARKED,
+                                Ordering::AcqRel,
+                                Ordering::Acquire,
+                            ) {
+                                Ok(_) => break,
+                                Err(seen) => {
+                                    spec::assert_transition(park::RUNNING, seen);
+                                    let dirty =
+                                        core.park_state.swap(park::RUNNING, Ordering::AcqRel);
+                                    spec::assert_transition(dirty, park::RUNNING);
                                 }
                             }
-                            Err(seen) => {
-                                spec::assert_transition(park::RUNNING, seen);
-                                // Dirty reclaim: DIRTY -> RUNNING, drain
-                                // again on the next loop.
-                                core.park_state.store(park::RUNNING, Ordering::Release);
-                            }
+                        }
+                        if drained >= 3 {
+                            return drained;
                         }
                     }
                 })

@@ -606,6 +606,7 @@ fn counter_rows(snap: &KernelSnapshot) -> Vec<(&'static str, &'static str, u64)>
         ("eden_trace_events_dropped_total", "Events evicted from the kernel trace ring", snap.trace_dropped),
         ("eden_spans_dropped_total", "Spans evicted from the span store", snap.spans_dropped),
         ("eden_sched_steals_total", "Tasks stolen from another worker's run-queue shard", snap.sched.sched_steals),
+        ("eden_sched_inline_handoffs_total", "Callees resumed on their waiting caller's stack", snap.sched.inline_handoffs),
         ("eden_stable_compactions_total", "Completed stable-log compaction passes", snap.stable.compactions),
         ("eden_stable_fsyncs_total", "fsync calls issued by the stable-log committer", snap.stable.fsyncs),
     ]

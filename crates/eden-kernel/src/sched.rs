@@ -62,15 +62,40 @@
 //! the old model — while the common case (parked Ejects, non-blocking
 //! handlers) costs `workers` threads total.
 //!
+//! # Direct handoff
+//!
+//! The commonest rendezvous of all needs no compensation, because it need
+//! not be a rendezvous: a handler that sends an invocation and immediately
+//! `wait()`s on the reply has made a call. The callee it just woke sits in
+//! this worker's LIFO slot, so [`handoff`] takes it out and resumes it
+//! right there, nested on the caller's stack, until the awaited reply
+//! settles; no slot flush, no sibling wake, no sleep, no steal. A lazy
+//! depth-4 pipeline then crosses its stages as four nested calls on one
+//! worker. Only what the handoff declines or leaves unsettled (a deferred
+//! reply, a callee running elsewhere, a chain deeper than
+//! [`HANDOFF_DEPTH_CAP`], a non-worker caller) sleeps inside [`blocking`].
+//!
+//! A call returns when the callee's handler *returns*; a wait returns when
+//! it *replies*. The two differ for a handler that replies and then keeps
+//! working, and on one stack the difference cannot be undone once the
+//! callee runs: its caller is in the frame beneath. So only a callee whose
+//! last handler ended with its reply is resumed inline, one seen waiting
+//! for anything after a reply never is, and a fresh task's first
+//! invocation is always served the old way (see [`Habit`]). What remains is
+//! a callee that changes its habit: that one call returns to its caller at
+//! handler-return, and if the callee waits for a reply from a task further
+//! down its own stack the wait fails at once instead of sleeping out a
+//! deadlock ([`strands_responder`]).
+//!
 //! The scheduler is deliberately kernel-agnostic: tasks hold a
 //! [`WeakKernel`] and workers hold only the scheduler, so a dropped
 //! kernel tears down through the normal shutdown path with no reference
 //! cycles.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::sync::atomic::{
-    fence, AtomicBool, AtomicI64, AtomicPtr, AtomicU64, AtomicUsize, Ordering,
+    fence, AtomicBool, AtomicI64, AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Ordering,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -83,6 +108,7 @@ use crate::behavior::EjectBehavior;
 use crate::context::EjectContext;
 use crate::deque::{WorkDeque, DEQUE_CAP};
 use crate::kernel::WeakKernel;
+use crate::mailbox::spec::{self, Op};
 use crate::mailbox::{park, MailboxCore};
 use crate::runtime::{dispatch, Envelope};
 
@@ -137,6 +163,21 @@ const COUNTER_SHARDS: usize = 16;
 /// cache-hot task to a cold core is exactly what the slot exists to
 /// prevent.
 const LIFO_STALE: Duration = Duration::from_millis(1);
+
+/// Most tasks one thread resumes nested inside one another: the worker's
+/// own pickup plus the inline handoffs stacked on it (see [`handoff`]). A
+/// wait at the cap sleeps like any other, so a call chain of any depth
+/// still completes — on more threads — and the stack a chain can take
+/// from one worker is bounded.
+const HANDOFF_DEPTH_CAP: usize = 16;
+
+/// How long after its reply a handler may take to return and still count as
+/// having ended with it ([`Habit::EndsWithReply`]). Dropping its locals
+/// takes a few microseconds at most, an interrupt or a wake-up preemption
+/// landing in between tens, the shortest sleep or a piece of work worth
+/// overlapping with the caller more than this. It is also the most an
+/// inline callee that keeps its habit can add to its caller's wait.
+const PROMPT_RETURN: Duration = Duration::from_micros(100);
 
 /// Pads a hot field to its own cache-line pair (128 bytes covers x86's
 /// adjacent-line prefetcher and 128-byte Apple/POWER lines), so one
@@ -347,6 +388,8 @@ struct WorkerSlot {
     lifo_since_ns: AtomicU64,
     parker: Arc<Parker>,
     steals: AtomicU64,
+    /// Callees this worker resumed on a waiting caller's stack.
+    handoffs: AtomicU64,
     /// Task pickups by this worker; folded into the stall monitor's
     /// progress signal.
     progress: AtomicU64,
@@ -410,6 +453,9 @@ pub struct SchedSnapshot {
     pub parked_ejects: u64,
     /// Tasks a worker claimed from another worker's deque or LIFO slot.
     pub sched_steals: u64,
+    /// Callees resumed on their waiting caller's stack instead of being
+    /// handed to another thread (see [`PendingReply::wait`](crate::PendingReply::wait)).
+    pub inline_handoffs: u64,
     /// Current worker-pool size (target plus live spares).
     pub workers: u64,
     /// Workers currently inside a blocking section.
@@ -455,6 +501,31 @@ struct TaskBody {
     /// The ambient span at spawn time, re-entered for every resume (a
     /// coordinator thread inherited it once at thread start).
     ambient: Option<SpanContext>,
+    habit: Habit,
+}
+
+/// What a task's handlers have shown about when they end relative to the
+/// reply they send — the one thing [`handoff`] must know before it runs a
+/// callee on its caller's stack, because there the caller cannot go on until
+/// the callee's handler *returns*, whenever it replied. A callee that ends
+/// with its reply makes the two the same moment; one that replies and keeps
+/// working (or calls its caller back) would hold its caller up, so it is
+/// never resumed inline. The future is not observable, so this goes by the
+/// past: every dispatch on a pool worker, inline or not, is watched.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Habit {
+    /// Nothing to go by: a fresh task, or the last handler parked its
+    /// `ReplyHandle`, had it answered from another thread, or took longer
+    /// than [`PROMPT_RETURN`] to return after replying. Not resumed inline;
+    /// the next handler that ends with its reply earns it (back).
+    Unproven,
+    /// The last handler replied and returned at once. Resumed inline.
+    EndsWithReply,
+    /// Some handler waited for something — a reply, a sleep, mailbox
+    /// space — after it had replied. Never resumed inline again: unlike a
+    /// slow return, which a preempted thread can fake, this cannot be
+    /// noise, and it is what deadlocks when the wait is for the caller.
+    OutlivesReply,
 }
 
 impl Task {
@@ -470,13 +541,20 @@ impl Task {
         *self.body.lock() = Some(body);
     }
 
+    /// Whether this task may be resumed inline (see [`Habit`]). Asked of a
+    /// task that sits in a run queue, so its body is in place.
+    fn ends_with_reply(&self) -> bool {
+        let body = self.body.lock();
+        body.as_ref().is_some_and(|body| body.habit == Habit::EndsWithReply)
+    }
+
     fn mark_died(&self) {
         *self.died.lock() = true;
         self.died_cv.notify_all();
     }
 
     /// Block until this task's death latch trips. Must not be called from
-    /// the worker currently running the task (see [`current_task`]).
+    /// a worker currently running the task (see [`is_resuming`]).
     pub(crate) fn wait_dead(&self) {
         blocking(|| {
             let mut died = self.died.lock();
@@ -515,17 +593,144 @@ struct WorkerTls {
 }
 
 thread_local! {
-    static WORKER: std::cell::RefCell<Option<WorkerTls>> =
-        const { std::cell::RefCell::new(None) };
-    /// The task this worker is currently resuming. Lets crash/shutdown
-    /// recognise "waiting on myself" and skip the self-deadlock.
-    static CURRENT_TASK: Cell<Option<Uid>> = const { Cell::new(None) };
+    static WORKER: RefCell<Option<WorkerTls>> = const { RefCell::new(None) };
+    /// The tasks this thread is resuming right now, outermost first: the
+    /// worker's own pickup, then one frame per inline handoff. None of
+    /// them can die before the innermost frame returns, which is what
+    /// lets crash/shutdown recognise "waiting on myself" and skip the
+    /// self-deadlock.
+    static RESUMING: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The UID of the task the calling thread is currently resuming, if the
-/// calling thread is a scheduler worker mid-resume.
-pub(crate) fn current_task() -> Option<Uid> {
-    CURRENT_TASK.with(|c| c.get())
+/// One resume on this thread's stack, and what the handler it is running
+/// has done about the reply it owes.
+struct Frame {
+    uid: Uid,
+    /// The reply cell of the invocation being dispatched
+    /// ([`ReplyHandle::cell_id`](crate::ReplyHandle)); 0 between dispatches.
+    serving: usize,
+    /// When the handler settled that cell, if it has.
+    replied_at: Option<Instant>,
+    /// The handler went on to wait for something after it had replied.
+    waited_since: bool,
+}
+
+/// Whether the calling thread is resuming `uid` right now, at any depth of
+/// its inline frame stack.
+pub(crate) fn is_resuming(uid: Uid) -> bool {
+    RESUMING.with(|frames| frames.borrow().iter().any(|frame| frame.uid == uid))
+}
+
+fn resuming_depth() -> usize {
+    RESUMING.with(|frames| frames.borrow().len())
+}
+
+/// The innermost frame starts dispatching the invocation that `cell` answers.
+fn begin_service(cell: usize) {
+    RESUMING.with(|frames| {
+        if let Some(frame) = frames.borrow_mut().last_mut() {
+            frame.serving = cell;
+            frame.replied_at = None;
+            frame.waited_since = false;
+        }
+    });
+}
+
+/// Reply cell `cell` was just settled on this thread (by a reply or by its
+/// handle being dropped). If it answers the invocation the innermost frame
+/// is dispatching, that handler has replied: whatever it does from here on
+/// it does after its caller may go on. `try_with`: handles are dropped
+/// from thread-exit destructors too.
+pub(crate) fn note_settled(cell: usize) {
+    let _ = RESUMING.try_with(|frames| {
+        if let Some(frame) = frames.borrow_mut().last_mut() {
+            if frame.serving == cell && frame.replied_at.is_none() {
+                frame.replied_at = Some(Instant::now());
+            }
+        }
+    });
+}
+
+/// The calling thread is about to wait for something. Noted against the
+/// innermost frame if its handler has already replied.
+fn note_wait() {
+    RESUMING.with(|frames| {
+        if let Some(frame) = frames.borrow_mut().last_mut() {
+            frame.waited_since |= frame.replied_at.is_some();
+        }
+    });
+}
+
+/// The dispatch [`begin_service`] opened is over: what did the handler show?
+fn end_service() -> Habit {
+    RESUMING.with(|frames| {
+        let mut frames = frames.borrow_mut();
+        let Some(frame) = frames.last_mut() else {
+            return Habit::Unproven;
+        };
+        frame.serving = 0;
+        match frame.replied_at.take() {
+            Some(_) if frame.waited_since => Habit::OutlivesReply,
+            Some(at) if at.elapsed() <= PROMPT_RETURN => Habit::EndsWithReply,
+            // Deferred its reply, or took its time after it.
+            _ => Habit::Unproven,
+        }
+    })
+}
+
+/// Whether a wait for a reply from `responder` cannot succeed because the
+/// wait itself is in the way: `responder` is suspended further down this
+/// thread's stack and a handler above it has already replied, so its caller
+/// could go on — and `responder` could come to serve this invocation — if
+/// only this thread's stack unwound, which is what the wait prevents. Only a
+/// callee whose habit changed under it gets here (see [`Habit`]); it is told
+/// at once what a sleep could only tell it later.
+pub(crate) fn strands_responder(responder: Uid) -> bool {
+    let stranded = RESUMING.with(|frames| {
+        let frames = frames.borrow();
+        frames
+            .iter()
+            .position(|frame| frame.uid == responder)
+            .is_some_and(|at| frames[at + 1..].iter().any(|frame| frame.replied_at.is_some()))
+    });
+    if stranded {
+        // The wait that is about to be called off was still a wait.
+        note_wait();
+    }
+    stranded
+}
+
+/// Every write of a park state in this file. `from` is the set of states
+/// the bit can hold when the write lands and `op` how it is written; both
+/// must be what [`spec::TRANSITIONS`] says of the edge. An [`Op::Cas`]
+/// proves its one from-state and reports whether it won. An [`Op::Store`]
+/// is unconditional: the caller is the only actor that can take the bit
+/// out of `from` (a sender can at most move it from one state of `from` to
+/// another), so debug builds check that claim with a load just before the
+/// store.
+fn transition(bit: &AtomicU8, op: Op, from: &[u8], to: u8) -> bool {
+    debug_assert!(
+        from.iter().all(|&state| spec::allows_op(state, to, op)),
+        "no {op:?} edge {from:?} -> {} in mailbox::spec",
+        spec::state_name(to),
+    );
+    match op {
+        Op::Cas => {
+            // eden-lint: ordering(park-state-machine)
+            bit.compare_exchange(from[0], to, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+        }
+        Op::Store => {
+            debug_assert!(
+                from.contains(&bit.load(Ordering::Relaxed)),
+                "illegal parking-bit transition {} -> {}",
+                spec::state_name(bit.load(Ordering::Relaxed)),
+                spec::state_name(to),
+            );
+            bit.store(to, Ordering::Release);
+            true
+        }
+    }
 }
 
 /// Run `f` as an explicit yield point: a rendezvous that may block the
@@ -540,6 +745,7 @@ pub(crate) fn current_task() -> Option<Uid> {
 /// `eden-lint --blocking` requires exactly that of any blocking call
 /// reachable from worker context.
 pub fn blocking<R>(f: impl FnOnce() -> R) -> R {
+    note_wait();
     let outermost = WORKER.with(|w| {
         let mut tls = w.borrow_mut();
         match tls.as_mut() {
@@ -569,6 +775,58 @@ pub fn blocking<R>(f: impl FnOnce() -> R) -> R {
         }
     });
     out
+}
+
+/// Caller-runs-callee: resume `responder` on the calling thread's stack if
+/// the calling worker is the one that just woke it, so that a send followed
+/// by a wait costs a call instead of two thread hand-offs (flush the slot,
+/// wake a sibling, sleep, be woken). `settled` is the caller's probe of the
+/// reply it is about to wait for; the inline resume ends once it reads
+/// true.
+///
+/// The election reads only what the call looks like from here. It takes
+/// the task when the caller is a slotted pool worker outside any blocking
+/// section, fewer than [`HANDOFF_DEPTH_CAP`] resumes are stacked on this
+/// thread, the worker's own LIFO slot holds the responder's task — the
+/// slot is where [`Scheduler::enqueue`] put it when this handler's send
+/// flipped it `PARKED -> QUEUED` — and that task's last handler ended with
+/// its reply ([`Habit::EndsWithReply`]), so that running it as a call
+/// returns when waiting for it would. A responder that is running, queued
+/// elsewhere, displaced to the deque by a later wake, or stolen is not in
+/// the slot, and a task on this thread's frame stack is `RUNNING` and so
+/// never is: re-entrant chains cannot nest a task inside itself. Whatever
+/// this declines, or leaves unsettled (the callee parked the
+/// [`ReplyHandle`](crate::ReplyHandle)), the caller then waits for inside
+/// [`blocking`] as it always has.
+pub(crate) fn handoff(responder: Uid, settled: &dyn Fn() -> bool) {
+    // A wait, whichever way it is served.
+    note_wait();
+    if resuming_depth() >= HANDOFF_DEPTH_CAP {
+        return;
+    }
+    // Decide under the borrow, run outside it: the nested resume re-enters
+    // this thread-local (`blocking`, `local_slot`).
+    let Some((sched, me, task)) = WORKER.with(|w| {
+        let tls = w.borrow();
+        let worker = tls.as_ref().filter(|worker| worker.block_depth == 0)?;
+        let me = worker.slot?;
+        let slot = &worker.sched.slots[me];
+        let task = slot.lifo.take()?;
+        if task.uid() != responder || !task.ends_with_reply() {
+            // Somebody else's wake, or a callee that has not shown it ends
+            // with its reply: back where the dispatch loop expects it.
+            if let Some(displaced) = slot.lifo.put(task) {
+                worker.sched.push_local_deque(me, displaced);
+            }
+            return None;
+        }
+        Some((Arc::clone(&worker.sched), me, task))
+    }) else {
+        return;
+    };
+    sched.slots[me].handoffs.fetch_add(1, Ordering::Relaxed);
+    sched.note_progress(Some(me));
+    sched.run_task(task, Some(settled));
 }
 
 /// The worker pool and its lock-free dispatch state. One per
@@ -633,6 +891,7 @@ impl Scheduler {
                 lifo_since_ns: AtomicU64::new(0),
                 parker: Arc::new(Parker::new()),
                 steals: AtomicU64::new(0),
+                handoffs: AtomicU64::new(0),
                 progress: AtomicU64::new(0),
             })
             .collect();
@@ -703,6 +962,11 @@ impl Scheduler {
             resident_ejects: self.tasks_alive.sum(),
             parked_ejects: self.parked.sum(),
             sched_steals: slot_steals + self.spare_steals.0.load(Ordering::Relaxed),
+            inline_handoffs: self
+                .slots
+                .iter()
+                .map(|slot| slot.handoffs.load(Ordering::Relaxed))
+                .sum(),
             workers: self.live_workers.load(Ordering::Relaxed) as u64,
             workers_blocked: self.blocked_workers.load(Ordering::Relaxed) as u64,
             workers_idle: self.idle_count.0.load(Ordering::Relaxed) as u64,
@@ -732,6 +996,7 @@ impl Scheduler {
                 behavior,
                 activated: false,
                 ambient,
+                habit: Habit::Unproven,
             })),
             rq_enq_ns: AtomicU64::new(0),
             died: Mutex::new(false),
@@ -741,8 +1006,7 @@ impl Scheduler {
         self.tasks_alive.add(1);
         // A fresh task's bit is PARKED and nobody else can see it yet, so
         // a plain store (not a CAS) is enough for the spawn enqueue.
-        // eden-lint: transition(PARKED -> QUEUED)
-        core.park_bit().store(park::QUEUED, Ordering::Release);
+        transition(core.park_bit(), Op::Store, &[park::PARKED], park::QUEUED);
         // Spawns go FIFO through the injector, never the LIFO slot: a
         // spawn burst must fan out across workers, and activation order
         // should follow spawn order.
@@ -1118,15 +1382,22 @@ impl Scheduler {
 
     /// Resume one task: drain up to the fairness budget, then park or
     /// requeue; run the death path if an exit envelope (or a panic in the
-    /// behaviour) ends it.
-    fn run_task(&self, task: Arc<Task>) {
-        let bit = task.core.park_bit();
-        // eden-lint: transition(QUEUED -> RUNNING)
-        bit.store(park::RUNNING, Ordering::Release);
-        CURRENT_TASK.with(|c| c.set(Some(task.uid())));
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.resume(&task)));
-        CURRENT_TASK.with(|c| c.set(None));
+    /// behaviour) ends it. An inline resume (see [`handoff`]) passes the
+    /// waiting caller's `settled` probe and ends as soon as it reads true.
+    fn run_task(&self, task: Arc<Task>, settled: Option<&dyn Fn() -> bool>) {
+        transition(task.core.park_bit(), Op::Store, &[park::QUEUED], park::RUNNING);
+        RESUMING.with(|frames| {
+            frames.borrow_mut().push(Frame {
+                uid: task.uid(),
+                serving: 0,
+                replied_at: None,
+                waited_since: false,
+            })
+        });
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.resume(&task, settled)
+        }));
+        RESUMING.with(|frames| frames.borrow_mut().pop());
         match outcome {
             Ok(Resume::Yield) => {}
             Ok(Resume::Dead(crashed)) => self.reap(&task, crashed),
@@ -1142,13 +1413,15 @@ impl Scheduler {
         }
     }
 
-    fn resume(&self, task: &Arc<Task>) -> Resume {
+    fn resume(&self, task: &Arc<Task>, settled: Option<&dyn Fn() -> bool>) -> Resume {
         let Some(mut body) = task.take_body() else {
             // Only reachable if a stale queue entry outlived the death
             // path; nothing to run.
             return Resume::Yield;
         };
-        let _span = body.ambient.map(|ctx| eden_core::span::enter(Some(ctx)));
+        // Entered even when there is nothing to enter: an inline resume
+        // must not run under its caller's invocation span.
+        let _span = eden_core::span::enter(body.ambient);
         let pickup = Instant::now();
         let rq_enq = self.epoch + Duration::from_nanos(task.rq_enq_ns.load(Ordering::Relaxed));
         if !body.activated {
@@ -1164,19 +1437,27 @@ impl Scheduler {
             if budget == 0 {
                 // Budget exhausted: go to the back of the line so other
                 // runnable tasks (a million parked streams' worth) get a
-                // worker before this pipeline's next batch. FIFO through
-                // the injector — the LIFO slot would run us right back.
-                // eden-lint: transition(RUNNING|DIRTY -> QUEUED)
-                bit.store(park::QUEUED, Ordering::Release);
-                task.put_body(body);
-                self.push_fifo(Arc::clone(task));
-                return Resume::Yield;
+                // worker before this pipeline's next batch.
+                return self.requeue(task, body);
             }
             match task.core.pop() {
+                Some(envelope) if settled.is_some_and(|settled| settled()) => {
+                    // An inline resume is over once the caller has its
+                    // reply. With the mailbox empty that is the ordinary
+                    // park below; mail from other senders goes back and
+                    // waits its turn like a spent budget.
+                    task.core.unpop(envelope);
+                    return self.requeue(task, body);
+                }
                 Some(Envelope::Invocation(inv, mut reply)) => {
                     budget -= 1;
                     let _guard = reply.begin_service_at(Some((rq_enq, pickup)));
+                    begin_service(reply.cell_id());
                     dispatch(body.behavior.as_mut(), &task.ctx, &task.kernel, inv, reply);
+                    let shown = end_service();
+                    if body.habit != Habit::OutlivesReply {
+                        body.habit = shown;
+                    }
                 }
                 Some(Envelope::Internal(event)) => {
                     budget -= 1;
@@ -1193,32 +1474,36 @@ impl Scheduler {
                     // race ahead of the state machine and be lost.
                     task.put_body(body);
                     self.parked.add(1);
-                    // eden-lint: ordering(park-state-machine)
-                    match bit.compare_exchange(
-                        park::RUNNING,
-                        park::PARKED,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    ) {
-                        Ok(_) => return Resume::Yield,
-                        Err(_) => {
-                            // A sender marked us dirty between the empty
-                            // pop and the park attempt; reclaim the body
-                            // and keep draining.
-                            self.parked.add(-1);
-                            // eden-lint: transition(DIRTY -> RUNNING)
-                            bit.store(park::RUNNING, Ordering::Release);
-                            body = match task.take_body() {
-                                Some(reclaimed) => reclaimed,
-                                // Unreachable: the task is in no run queue
-                                // while RUNNING, so nobody else takes it.
-                                None => return Resume::Yield,
-                            };
-                        }
+                    if transition(bit, Op::Cas, &[park::RUNNING], park::PARKED) {
+                        return Resume::Yield;
                     }
+                    // A sender marked us dirty between the empty pop and
+                    // the park attempt; reclaim the body and keep draining.
+                    self.parked.add(-1);
+                    transition(bit, Op::Store, &[park::DIRTY], park::RUNNING);
+                    body = match task.take_body() {
+                        Some(reclaimed) => reclaimed,
+                        // Unreachable: the task is in no run queue while
+                        // RUNNING, so nobody else takes it.
+                        None => return Resume::Yield,
+                    };
                 }
             }
         }
+    }
+
+    /// End a resume with mail still queued: FIFO through the injector — the
+    /// LIFO slot would run the task right back.
+    fn requeue(&self, task: &Arc<Task>, body: TaskBody) -> Resume {
+        transition(
+            task.core.park_bit(),
+            Op::Store,
+            &[park::RUNNING, park::DIRTY],
+            park::QUEUED,
+        );
+        task.put_body(body);
+        self.push_fifo(Arc::clone(task));
+        Resume::Yield
     }
 
     /// The in-resume half of the death path: mirror of the coordinator
@@ -1237,12 +1522,14 @@ impl Scheduler {
     /// queued invocations fail fast and later sends bounce), reap worker
     /// processes, and tell the kernel.
     fn reap(&self, task: &Arc<Task>, crashed: bool) {
-        // eden-lint: transition(RUNNING|DIRTY -> DEAD)
-        task.core.park_bit().store(park::DEAD, Ordering::Release);
+        transition(
+            task.core.park_bit(),
+            Op::Store,
+            &[park::RUNNING, park::DIRTY],
+            park::DEAD,
+        );
         drop(task.core.close());
-        // The Eject's worker threads may need other Ejects (hence this
-        // pool) to make progress before they exit.
-        blocking(|| task.ctx.join_workers());
+        task.ctx.join_workers();
         if let Some(kernel) = task.kernel.upgrade() {
             kernel.on_eject_exit(task.uid(), task.incarnation, crashed);
         }
@@ -1253,10 +1540,10 @@ impl Scheduler {
     }
 
     /// Block until every task has died, excluding (when called from a
-    /// worker mid-resume) the task this thread is currently running —
+    /// worker mid-resume) the tasks this thread is currently running —
     /// which cannot die before this call returns.
     pub(crate) fn wait_all_dead(&self) {
-        let allow = u64::from(current_task().is_some());
+        let allow = resuming_depth() as u64;
         blocking(|| {
             let mut death = self.death_mx.lock();
             while self.tasks_alive.sum() > allow {
@@ -1334,7 +1621,7 @@ fn worker_main(sched: Arc<Scheduler>, idx: usize) {
                 sched.consume_wake_token();
             }
             sched.note_progress(me);
-            sched.run_task(task);
+            sched.run_task(task, None);
             continue;
         }
         if sched.stopping.load(Ordering::Acquire) {

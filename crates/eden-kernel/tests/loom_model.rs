@@ -5,205 +5,354 @@
 //! These tests do not drive the real [`Kernel`]: loom-style checking
 //! works on a distilled copy of the algorithm whose state space is small
 //! enough to explore. The distilled object here is the one-shot reply
-//! cell behind `PendingReply::Retrying` (`crates/eden-kernel/src/
-//! invocation.rs` / `options.rs`), whose contract under concurrency is:
+//! cell behind `PendingReply::Waiting` (`crates/eden-kernel/src/
+//! invocation.rs`): the same state word (`EMPTY -> WAITING -> SETTLED`,
+//! or `ABANDONED`), the same swap/CAS orderings, and the two plain slots
+//! it hands between the halves modelled as `Relaxed` atomics, so a missing
+//! happens-before edge shows as a stale read. Its contract:
 //!
-//! 1. the caller observes exactly one terminal outcome — a reply or a
-//!    deadline error, never both, never neither;
-//! 2. a reply landing after the deadline was consumed is discarded, not
-//!    delivered twice or panicked on;
-//! 3. no re-send is issued once expiry has been observed, and the
-//!    attempt count never exceeds the policy budget.
+//! 1. the waiter observes exactly one outcome — the reply, a crash
+//!    (settling half dropped unanswered) or its own deadline — never two,
+//!    never none;
+//! 2. no wake-up is lost: a settle that replaces `WAITING` finds the
+//!    waiter's handle and unparks it, one that replaces `EMPTY` needs to
+//!    wake nobody because the waiter will look before it sleeps;
+//! 3. a reply landing after the waiter deregistered on its deadline wakes
+//!    nobody and is never delivered to that wait;
+//! 4. (`options.rs`, on top of the cell) no re-send is issued once expiry
+//!    has been observed, and the attempt count never exceeds the policy
+//!    budget.
 #![cfg(loom)]
 
-use loom::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use loom::sync::{Arc, Mutex};
+use loom::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU8, AtomicUsize, Ordering};
+use loom::sync::{Arc, Condvar, Mutex};
 use loom::thread;
 
-/// The distilled reply cell. `Waiting` can move to exactly one of the
-/// terminal states; `Retryable` hands the caller a re-send decision.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Slot {
-    Waiting,
-    Retryable,
-    Replied(u32),
-    Expired,
+/// The distilled reply cell.
+mod rc {
+    use super::*;
+
+    pub const EMPTY: u8 = 0;
+    pub const WAITING: u8 = 1;
+    pub const SETTLED: u8 = 2;
+    pub const ABANDONED: u8 = 3;
+
+    /// What one wait came back with.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum Outcome {
+        Replied(u32),
+        Crashed,
+        TimedOut,
+    }
+
+    /// `std::thread::park`/`unpark`: a one-token latch. An unpark that
+    /// wins the race with the park leaves the token behind.
+    struct Token {
+        set: Mutex<bool>,
+        cv: Condvar,
+    }
+
+    pub struct Cell {
+        state: AtomicU8,
+        /// The value slot (0 = nothing written). Plain memory in the real
+        /// cell, hence `Relaxed` here.
+        value: AtomicU32,
+        /// The waiter's thread handle (0 = none published). Plain memory
+        /// in the real cell, hence `Relaxed` here.
+        handle: AtomicUsize,
+        token: Token,
+        /// Unparks the settling half issued.
+        pub wakes: AtomicU32,
+    }
+
+    /// The waiter's published handle.
+    const WAITER: usize = 1;
+
+    impl Cell {
+        pub fn new() -> Cell {
+            Cell {
+                state: AtomicU8::new(EMPTY),
+                value: AtomicU32::new(0),
+                handle: AtomicUsize::new(0),
+                token: Token {
+                    set: Mutex::new(false),
+                    cv: Condvar::new(),
+                },
+                wakes: AtomicU32::new(0),
+            }
+        }
+
+        fn unpark(&self) {
+            *self.token.set.lock().unwrap() = true;
+            self.token.cv.notify_one();
+        }
+
+        fn park(&self) {
+            let mut set = self.token.set.lock().unwrap();
+            while !*set {
+                set = self.token.cv.wait(set).unwrap();
+            }
+            *set = false;
+        }
+
+        /// Settling half: `Some` replies, `None` is the half being dropped
+        /// unanswered. Returns whether a sleeping waiter was woken.
+        pub fn finish(&self, reply: Option<u32>) -> bool {
+            let terminal = match reply {
+                Some(v) => {
+                    self.value.store(v, Ordering::Relaxed);
+                    SETTLED
+                }
+                None => ABANDONED,
+            };
+            if self.state.swap(terminal, Ordering::AcqRel) != WAITING {
+                return false;
+            }
+            // The swap's Acquire must make the waiter's handle visible.
+            assert_eq!(self.handle.swap(0, Ordering::Relaxed), WAITER, "handle not published");
+            self.wakes.fetch_add(1, Ordering::SeqCst);
+            self.unpark();
+            true
+        }
+
+        pub fn state(&self) -> u8 {
+            self.state.load(Ordering::Acquire)
+        }
+
+        /// Awaiting half: the outcome if it is known.
+        pub fn try_take(&self) -> Option<Outcome> {
+            match self.state.load(Ordering::Acquire) {
+                SETTLED => {
+                    // The Acquire above must make the value visible.
+                    let v = self.value.load(Ordering::Relaxed);
+                    assert_ne!(v, 0, "SETTLED observed before the value");
+                    Some(Outcome::Replied(v))
+                }
+                ABANDONED => Some(Outcome::Crashed),
+                _ => None,
+            }
+        }
+
+        /// Awaiting half: publish the handle, then `EMPTY -> WAITING`.
+        pub fn register(&self) -> bool {
+            self.handle.store(WAITER, Ordering::Relaxed);
+            self.state
+                .compare_exchange(EMPTY, WAITING, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+        }
+
+        /// Awaiting half, on its deadline: `WAITING -> EMPTY`. Losing
+        /// means the outcome is in.
+        pub fn deregister(&self) -> bool {
+            self.state
+                .compare_exchange(WAITING, EMPTY, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+        }
+
+        /// The timer behind `park_timeout`: the deadline passes and the
+        /// sleeping waiter comes back on its own.
+        pub fn deadline_passes(&self, expired: &AtomicBool) {
+            expired.store(true, Ordering::SeqCst);
+            self.unpark();
+        }
+
+        /// `Awaiter::wait_for`, with the clock as a flag.
+        pub fn wait(&self, expired: &AtomicBool) -> Outcome {
+            if let Some(outcome) = self.try_take() {
+                return outcome;
+            }
+            if !self.register() {
+                return self.try_take().expect("registration lost to a terminal state");
+            }
+            while self.state() < SETTLED && !expired.load(Ordering::SeqCst) {
+                self.park();
+            }
+            if self.deregister() {
+                Outcome::TimedOut
+            } else {
+                self.try_take().expect("deregistration lost to a terminal state")
+            }
+        }
+    }
 }
 
-struct ReplyCell {
-    slot: Mutex<Slot>,
-    discarded: AtomicU32,
+use rc::Outcome;
+
+/// Settle, register-waiter and timeout all racing: the wait comes back
+/// with exactly one outcome, a reply that lost to the deadline is still in
+/// the cell (late, not lost) but was never handed to that wait, and the
+/// settling half woke the waiter at most once — only if it found it asleep.
+#[test]
+fn reply_cell_settle_register_and_timeout_race_to_one_outcome() {
+    loom::model(|| {
+        let cell = Arc::new(rc::Cell::new());
+        let expired = Arc::new(AtomicBool::new(false));
+
+        let settler = {
+            let cell = cell.clone();
+            thread::spawn(move || cell.finish(Some(7)))
+        };
+        let clock = {
+            let (cell, expired) = (cell.clone(), expired.clone());
+            thread::spawn(move || cell.deadline_passes(&expired))
+        };
+
+        let outcome = cell.wait(&expired);
+        let woke = settler.join().unwrap();
+        clock.join().unwrap();
+
+        match outcome {
+            Outcome::Replied(v) => assert_eq!(v, 7),
+            Outcome::TimedOut => {
+                // The wait deregistered first, so the settle replaced
+                // `EMPTY` and woke nobody.
+                assert!(!woke, "a wait that timed out was also woken with the reply");
+            }
+            Outcome::Crashed => panic!("nobody dropped the settling half"),
+        }
+        assert_eq!(cell.state(), rc::SETTLED);
+        assert_eq!(cell.wakes.load(Ordering::SeqCst), u32::from(woke));
+    });
 }
 
-impl ReplyCell {
-    fn new() -> Self {
-        ReplyCell {
-            slot: Mutex::new(Slot::Waiting),
-            discarded: AtomicU32::new(0),
+/// No deadline at all: if the settle could slip between the waiter's last
+/// look and its sleep, this model would hang. Dropping the settling half
+/// unanswered is a settle like any other and reads as a crash.
+#[test]
+fn reply_cell_loses_no_wakeup_and_drop_reads_as_crash() {
+    loom::model(|| {
+        for reply in [Some(5), None] {
+            let cell = Arc::new(rc::Cell::new());
+            let never = AtomicBool::new(false);
+            let settler = {
+                let cell = cell.clone();
+                thread::spawn(move || cell.finish(reply))
+            };
+            let outcome = cell.wait(&never);
+            settler.join().unwrap();
+            assert_eq!(outcome, reply.map_or(Outcome::Crashed, Outcome::Replied));
         }
-    }
-
-    /// Responder side: deliver `outcome`. A delivery that loses the race
-    /// with expiry is counted as discarded — mirroring `ReplyHandle`
-    /// sending into a channel nobody will drain — never double-stored.
-    fn complete(&self, outcome: Slot) -> bool {
-        let mut slot = self.slot.lock().unwrap();
-        if *slot == Slot::Waiting {
-            *slot = outcome;
-            true
-        } else {
-            self.discarded.fetch_add(1, Ordering::SeqCst);
-            false
-        }
-    }
-
-    /// Caller side: give up on the deadline. Only a still-waiting cell
-    /// can expire; a reply that already landed wins.
-    fn expire(&self) -> bool {
-        let mut slot = self.slot.lock().unwrap();
-        if *slot == Slot::Waiting {
-            *slot = Slot::Expired;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Caller side: observe a retryable failure and atomically re-arm
-    /// for the next attempt. In `RetryState::resend` the re-send happens
-    /// on the caller's own thread *after* the deadline check, under the
-    /// same observation that saw the failure — so re-arming must be
-    /// atomic with the deadline-not-expired check.
-    fn rearm_if_retryable(&self, expired_observed: bool) -> bool {
-        let mut slot = self.slot.lock().unwrap();
-        if *slot == Slot::Retryable && !expired_observed {
-            *slot = Slot::Waiting;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn read(&self) -> Slot {
-        *self.slot.lock().unwrap()
-    }
+    });
 }
 
 #[test]
 fn reply_and_deadline_race_yields_exactly_one_terminal() {
     loom::model(|| {
-        let cell = Arc::new(ReplyCell::new());
+        // The waiter is registered and asleep; its deadline (the
+        // deregistering CAS) races the responder's terminal swap.
+        let cell = Arc::new(rc::Cell::new());
+        assert!(cell.register());
 
         let responder = {
             let cell = cell.clone();
-            thread::spawn(move || cell.complete(Slot::Replied(7)))
+            thread::spawn(move || cell.finish(Some(7)))
         };
         let deadline = {
             let cell = cell.clone();
-            thread::spawn(move || cell.expire())
+            thread::spawn(move || cell.deregister())
         };
 
         let replied = responder.join().unwrap();
         let expired = deadline.join().unwrap();
 
-        // Exactly one side won, and the cell holds that side's terminal.
+        // Exactly one side won the state word: either the deadline took
+        // the cell back to EMPTY first (and the reply then woke nobody),
+        // or the reply replaced WAITING (and the deadline's CAS failed).
         assert!(replied ^ expired, "both or neither terminal won");
-        match cell.read() {
-            Slot::Replied(v) => {
-                assert!(replied);
-                assert_eq!(v, 7);
-            }
-            Slot::Expired => assert!(expired),
-            other => panic!("non-terminal final state {other:?}"),
-        }
-        // A losing reply is discarded exactly once, never redelivered.
-        let discarded = cell.discarded.load(Ordering::SeqCst);
-        assert_eq!(discarded, u32::from(expired));
+        assert_eq!(cell.try_take(), Some(Outcome::Replied(7)));
+        // A losing reply is discarded with the cell: no wake-up for it.
+        assert_eq!(cell.wakes.load(Ordering::SeqCst), u32::from(replied));
     });
 }
 
 #[test]
 fn late_reply_after_expiry_is_discarded_not_redelivered() {
     loom::model(|| {
-        let cell = Arc::new(ReplyCell::new());
-        assert!(cell.expire());
+        let cell = Arc::new(rc::Cell::new());
+        assert!(cell.register());
+        assert!(cell.deregister(), "nothing raced the deadline");
 
         let late = {
             let cell = cell.clone();
-            thread::spawn(move || cell.complete(Slot::Replied(9)))
+            thread::spawn(move || cell.finish(Some(9)))
         };
+        // The wait already returned `TimedOut`; the late reply wakes
+        // nobody and dies with the cell.
         assert!(!late.join().unwrap());
-        assert_eq!(cell.read(), Slot::Expired);
-        assert_eq!(cell.discarded.load(Ordering::SeqCst), 1);
+        assert_eq!(cell.wakes.load(Ordering::SeqCst), 0);
+        assert_eq!(cell.state(), rc::SETTLED);
     });
 }
 
 #[test]
 fn no_resend_after_expiry_and_attempts_stay_bounded() {
-    const MAX_ATTEMPTS: u32 = 3;
+    const MAX_ATTEMPTS: usize = 3;
+    /// A reply value standing for a retryable failure.
+    const RETRYABLE: u32 = 1;
+    const ANSWER: u32 = 2;
     loom::model(|| {
-        let cell = Arc::new(ReplyCell::new());
+        // `RetryState` on top of the cell: every attempt is a fresh reply
+        // pair, `sent` is how many the caller has issued.
+        let cells: Arc<Vec<rc::Cell>> = Arc::new((0..MAX_ATTEMPTS).map(|_| rc::Cell::new()).collect());
+        let sent = Arc::new(AtomicUsize::new(1));
+        let expired = Arc::new(AtomicBool::new(false));
+        let done = Arc::new(AtomicBool::new(false));
 
-        // The responder fails retryably once, then (if re-armed in time)
-        // replies for real. The deadline races the whole affair.
+        // The responder fails the first attempt retryably, then (if the
+        // caller re-sends in time) answers the second for real.
         let responder = {
-            let cell = cell.clone();
+            let (cells, sent, done) = (cells.clone(), sent.clone(), done.clone());
             thread::spawn(move || {
-                cell.complete(Slot::Retryable);
-                // Wait for the caller's re-arm or a terminal verdict.
-                loop {
-                    match cell.read() {
-                        Slot::Waiting => {
-                            cell.complete(Slot::Replied(1));
-                            break;
-                        }
-                        Slot::Retryable => thread::yield_now(),
-                        Slot::Replied(_) | Slot::Expired => break,
+                cells[0].finish(Some(RETRYABLE));
+                while sent.load(Ordering::SeqCst) < 2 {
+                    if done.load(Ordering::SeqCst) {
+                        return;
                     }
+                    thread::yield_now();
+                }
+                cells[1].finish(Some(ANSWER));
+            })
+        };
+        let clock = {
+            let (cells, expired) = (cells.clone(), expired.clone());
+            thread::spawn(move || {
+                // The timer wakes whichever attempt the caller sleeps on.
+                for cell in cells.iter() {
+                    cell.deadline_passes(&expired);
                 }
             })
         };
-        let deadline = {
-            let cell = cell.clone();
-            thread::spawn(move || cell.expire())
-        };
 
-        // Caller loop: poll; on a retryable failure, check the deadline
-        // and re-send; stop on any terminal.
-        let mut attempts = 0u32;
+        // Caller loop (`RetryState::wait_timeout`): wait; on a retryable
+        // failure check the deadline, then re-send; stop on any terminal.
+        let mut attempt = 0usize;
         let outcome = loop {
-            match cell.read() {
-                Slot::Retryable => {
-                    if attempts + 1 >= MAX_ATTEMPTS {
-                        break Slot::Expired;
+            match cells[attempt].wait(&expired) {
+                Outcome::Replied(RETRYABLE) => {
+                    if expired.load(Ordering::SeqCst) || attempt + 1 >= MAX_ATTEMPTS {
+                        break Outcome::TimedOut;
                     }
-                    // `expired_observed` stands for deadline_remaining()
-                    // == 0 having been seen by this caller.
-                    if cell.rearm_if_retryable(false) {
-                        attempts += 1;
-                    }
+                    attempt += 1;
+                    sent.store(attempt + 1, Ordering::SeqCst);
                 }
-                Slot::Waiting => thread::yield_now(),
                 terminal => break terminal,
             }
         };
-
+        let sent_at_verdict = sent.load(Ordering::SeqCst);
+        done.store(true, Ordering::SeqCst);
         responder.join().unwrap();
-        let expired = deadline.join().unwrap();
+        clock.join().unwrap();
 
-        assert!(attempts < MAX_ATTEMPTS, "attempt budget exceeded");
+        assert!(attempt < MAX_ATTEMPTS, "attempt budget exceeded");
+        assert_eq!(
+            sent.load(Ordering::SeqCst),
+            sent_at_verdict,
+            "a re-send was issued after the verdict"
+        );
         match outcome {
-            Slot::Replied(_) => {
-                // The reply beat the deadline; expiry must have lost.
-                assert!(!expired, "caller saw a reply after expiry won");
-            }
-            Slot::Expired => {
-                // Once expiry is terminal, the cell can never leave it:
-                // re-arming checks state under the same lock.
-                assert!(!cell.rearm_if_retryable(false));
-                assert_eq!(cell.read(), Slot::Expired);
-            }
-            other => panic!("caller stopped on non-terminal {other:?}"),
+            Outcome::Replied(v) => assert_eq!(v, ANSWER),
+            Outcome::TimedOut => {}
+            Outcome::Crashed => panic!("nobody dropped a settling half"),
         }
     });
 }

@@ -27,7 +27,7 @@ use crate::scan::{self, FileScan};
 
 /// Substrings that mark a rendezvous call — the callee can sleep until
 /// another thread acts.
-const RENDEZVOUS: [(&str, &str); 8] = [
+const RENDEZVOUS: [(&str, &str); 9] = [
     (".wait(&mut", "condvar wait"),
     (".wait_for(&mut", "condvar wait_for"),
     (".wait_while(&mut", "condvar wait_while"),
@@ -35,6 +35,7 @@ const RENDEZVOUS: [(&str, &str); 8] = [
     (".recv_timeout(", "channel recv_timeout"),
     (".join()", "thread join"),
     ("thread::sleep", "sleep"),
+    ("thread::park", "thread park"),
     (".sync(", "fsync"),
 ];
 

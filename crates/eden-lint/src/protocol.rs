@@ -8,12 +8,14 @@
 //!
 //! * every `compare_exchange(park::A, park::B, ..)` must be a blessed
 //!   CAS edge `A -> B`;
-//! * every `.store(park::X, ..)` / `.swap(park::X, ..)` must carry a
-//!   `// eden-lint: transition(FROM[|FROM2] -> X)` annotation, and every
-//!   `FROM -> X` pair it claims must be a blessed store edge (a plain
-//!   store proves nothing about the prior state, so the annotation is
-//!   the proof obligation — it documents why no other state is possible
+//! * every `transition(bit, Op::K, &[park::A, ..], park::X)` call — the
+//!   scheduler's one park-state writer, which debug-asserts the same
+//!   table at run time — must name blessed `K` edges `A -> X`: the from
+//!   list is the call's proof obligation (a plain store proves nothing
+//!   about the prior state, so the list says which states are possible
 //!   at that site);
+//! * a raw `.store(park::X, ..)` / `.swap(park::X, ..)` is a finding: it
+//!   bypasses that writer and its run-time check;
 //! * every edge in the spec table must be witnessed by at least one code
 //!   site with the matching op — a spec entry nothing implements is as
 //!   wrong as a code transition the spec omits.
@@ -34,7 +36,7 @@ pub struct CodeTransition {
     /// 1-based line of the call.
     pub line: usize,
     /// States the machine may be in before the edge (CAS: exactly one;
-    /// store/swap: the annotation's claim).
+    /// `transition(..)`: the call's from list).
     pub from: Vec<u8>,
     /// State the edge moves the bit to.
     pub to: u8,
@@ -85,15 +87,24 @@ impl ProtocolReport {
     }
 }
 
-/// Parse `FROM[|FROM2] -> TO` from a `transition(..)` annotation body.
-fn parse_claim(body: &str) -> Option<(Vec<u8>, u8)> {
-    let (left, right) = body.split_once("->")?;
-    let to = spec::state_by_name(right.trim())?;
+/// Parse the arguments of a `transition(bit, Op::K, &[park::A, ..],
+/// park::X)` call from `Op::` on (the bit expression may be anything).
+fn parse_transition_args(args: &str) -> Option<(Op, Vec<u8>, u8)> {
+    let rest = &args[args.find("Op::")?..];
+    let (op, rest) = if let Some(rest) = rest.strip_prefix("Op::Cas") {
+        (Op::Cas, rest)
+    } else {
+        (Op::Store, rest.strip_prefix("Op::Store")?)
+    };
+    let rest = rest.trim_start().strip_prefix(',')?;
+    let rest = rest.trim_start().strip_prefix("&[")?;
+    let (list, rest) = rest.split_once(']')?;
     let mut from = Vec::new();
-    for name in left.split('|') {
-        from.push(spec::state_by_name(name.trim())?);
+    for item in list.split(',').filter(|item| !item.trim().is_empty()) {
+        from.push(park_arg(item)?.0);
     }
-    Some((from, to))
+    let (to, _) = park_arg(rest.trim_start().strip_prefix(',')?)?;
+    (!from.is_empty()).then_some((op, from, to))
 }
 
 /// Pull the park state out of `park::NAME` at the start of an arg list.
@@ -111,7 +122,6 @@ pub fn extract_sites(scan: &FileScan) -> (Vec<CodeTransition>, Vec<String>) {
     let bytes = joined.as_bytes();
     let mut sites = Vec::new();
     let mut errors = Vec::new();
-    let annotations = scan.annotations_of("transition");
 
     // CAS sites: the from-state is proven by the exchange itself.
     let mut search = 0usize;
@@ -143,7 +153,38 @@ pub fn extract_sites(scan: &FileScan) -> (Vec<CodeTransition>, Vec<String>) {
         });
     }
 
-    // Store/swap sites: the annotation carries the from-state claim.
+    // Calls of the scheduler's one park-state writer: the from list is
+    // the claim.
+    let mut search = 0usize;
+    while let Some(rel) = joined[search..].find("transition(") {
+        let at = search + rel;
+        let open = at + "transition".len();
+        search = open + 1;
+        let longer_name = joined[..at].ends_with(|c: char| c.is_ascii_alphanumeric() || c == '_');
+        if longer_name || joined[..at].trim_end().ends_with("fn") {
+            continue; // `assert_transition(`, or the writer's own definition
+        }
+        let Some(close) = scan::matching_paren(bytes, open) else {
+            continue;
+        };
+        let line = scan.line_of(&joined, at);
+        let Some((op, from, to)) = parse_transition_args(&joined[open + 1..close]) else {
+            errors.push(format!(
+                "{}:{line}: transition(..) call is not `(bit, Op::K, &[park::A, ..], park::X)`",
+                scan.path
+            ));
+            continue;
+        };
+        sites.push(CodeTransition {
+            file: scan.path.clone(),
+            line,
+            from,
+            to,
+            op,
+        });
+    }
+
+    // Raw stores and swaps of a park state bypass the writer.
     for pat in [".store(", ".swap("] {
         let mut search = 0usize;
         while let Some(rel) = joined[search..].find(pat) {
@@ -156,41 +197,12 @@ pub fn extract_sites(scan: &FileScan) -> (Vec<CodeTransition>, Vec<String>) {
             let Some((to, _)) = park_arg(&joined[open + 1..close]) else {
                 continue; // a store to something other than a parking bit
             };
-            let line = scan.line_of(&joined, at);
-            let claim = annotations
-                .iter()
-                .rfind(|a| a.line <= line && line <= a.line + 3);
-            let Some(ann) = claim else {
-                errors.push(format!(
-                    "{}:{line}: store of park::{} without a transition(FROM -> TO) annotation",
-                    scan.path,
-                    spec::state_name(to)
-                ));
-                continue;
-            };
-            let Some((from, claimed_to)) = parse_claim(&ann.body) else {
-                errors.push(format!(
-                    "{}:{}: unparseable transition({}) annotation",
-                    scan.path, ann.line, ann.body
-                ));
-                continue;
-            };
-            if claimed_to != to {
-                errors.push(format!(
-                    "{}:{line}: annotation claims `-> {}` but the store writes park::{}",
-                    scan.path,
-                    spec::state_name(claimed_to),
-                    spec::state_name(to)
-                ));
-                continue;
-            }
-            sites.push(CodeTransition {
-                file: scan.path.clone(),
-                line,
-                from,
-                to,
-                op: Op::Store,
-            });
+            errors.push(format!(
+                "{}:{}: raw store of park::{} — write the bit through `transition(..)`",
+                scan.path,
+                scan.line_of(&joined, at),
+                spec::state_name(to)
+            ));
         }
     }
     sites.sort_by_key(|s| s.line);
@@ -277,35 +289,48 @@ mod tests {
     }
 
     #[test]
-    fn store_without_annotation_is_an_error() {
+    fn raw_store_is_an_error() {
         let scan = scan_text("m.rs", "fn f(&self) {\n    bit.store(park::DEAD, Ordering::Release);\n}\n");
         let (sites, errors) = extract_sites(&scan);
         assert!(sites.is_empty());
         assert_eq!(errors.len(), 1);
-        assert!(errors[0].contains("without a transition"), "{errors:?}");
+        assert!(errors[0].contains("raw store of park::DEAD"), "{errors:?}");
     }
 
     #[test]
-    fn annotated_store_parses_multi_from() {
+    fn transition_call_parses_op_and_multi_from() {
         let scan = scan_text(
             "m.rs",
-            "fn f(&self) {\n    // eden-lint: transition(RUNNING|DIRTY -> QUEUED)\n    bit.store(park::QUEUED, Ordering::Release);\n}\n",
+            "fn f(&self) {\n    transition(\n        task.core.park_bit(),\n        Op::Store,\n        &[park::RUNNING, park::DIRTY],\n        park::QUEUED,\n    );\n    if transition(bit, Op::Cas, &[park::RUNNING], park::PARKED) {}\n}\n",
         );
         let (sites, errors) = extract_sites(&scan);
         assert!(errors.is_empty(), "{errors:?}");
-        assert_eq!(sites.len(), 1);
+        assert_eq!(sites.len(), 2);
+        assert_eq!(sites[0].op, Op::Store);
         assert_eq!(sites[0].from.len(), 2);
+        assert_eq!(sites[0].to, eden_kernel::mailbox::park::QUEUED);
+        assert_eq!(sites[1].op, Op::Cas);
+        assert_eq!(sites[1].to, eden_kernel::mailbox::park::PARKED);
     }
 
     #[test]
-    fn annotation_to_mismatch_is_an_error() {
+    fn the_writers_definition_and_assert_transition_are_not_sites() {
         let scan = scan_text(
             "m.rs",
-            "fn f(&self) {\n    // eden-lint: transition(QUEUED -> RUNNING)\n    bit.store(park::DEAD, Ordering::Release);\n}\n",
+            "fn transition(bit: &AtomicU8, op: Op, from: &[u8], to: u8) -> bool {\n    spec::assert_transition(a, b);\n    true\n}\n",
         );
-        let (_, errors) = extract_sites(&scan);
+        let (sites, errors) = extract_sites(&scan);
+        assert!(sites.is_empty(), "{sites:?}");
+        assert!(errors.is_empty(), "{errors:?}");
+    }
+
+    #[test]
+    fn malformed_transition_call_is_an_error() {
+        let scan = scan_text("m.rs", "fn f(&self) {\n    transition(bit, park::QUEUED);\n}\n");
+        let (sites, errors) = extract_sites(&scan);
+        assert!(sites.is_empty());
         assert_eq!(errors.len(), 1);
-        assert!(errors[0].contains("annotation claims"), "{errors:?}");
+        assert!(errors[0].contains("is not `(bit, Op::K"), "{errors:?}");
     }
 
     #[test]

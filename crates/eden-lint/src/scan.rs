@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 /// One `// eden-lint: kind(body)` marker found in a comment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Annotation {
-    /// The marker kind: `holds`, `ordering`, `nonblocking`, `transition`.
+    /// The marker kind: `holds`, `ordering`, `nonblocking`.
     pub kind: String,
     /// The text between the parentheses (must itself be paren-free).
     pub body: String,
@@ -379,13 +379,13 @@ mod tests {
     fn annotations_parse_kind_and_body() {
         let scan = scan_text(
             "mem.rs",
-            "// eden-lint: nonblocking(dedicated thread)\nx.wait();\n// eden-lint: transition(PARKED -> QUEUED)\n",
+            "// eden-lint: nonblocking(dedicated thread)\nx.wait();\n// eden-lint: holds(registry-shard, mailbox-queue)\n",
         );
         assert_eq!(scan.annotations.len(), 2);
         assert_eq!(scan.annotations[0].kind, "nonblocking");
         assert_eq!(scan.annotations[0].body, "dedicated thread");
         assert_eq!(scan.annotations[0].line, 1);
-        assert_eq!(scan.annotations[1].body, "PARKED -> QUEUED");
+        assert_eq!(scan.annotations[1].body, "registry-shard, mailbox-queue");
     }
 
     #[test]

@@ -188,7 +188,7 @@ fn protocol_fixture_offspec_transitions_fail() {
         report
             .findings
             .iter()
-            .any(|f| f.contains("without a transition")),
+            .any(|f| f.contains("raw store of park::QUEUED")),
         "{}",
         report.render()
     );

@@ -227,7 +227,8 @@ impl Session {
             }
             None => {}
         }
-        let s = self.kernel.metrics().snapshot();
+        let snap = self.kernel.metrics_snapshot();
+        let s = &snap.metrics;
         Ok(vec![
             format!(
                 "invocations: {} ({} remote), replies: {} ({} deferred)",
@@ -264,22 +265,29 @@ impl Session {
                     st.streams_active()
                 )
             },
-            {
-                let snap = self.kernel.metrics_snapshot();
-                let m = &snap.metrics;
-                format!(
-                    "sheds: {} (newest {}, oldest {}, expired {}, park-timeout {}), \
-                     mailboxes: {} queued {} (deepest {})",
-                    m.sheds_newest + m.sheds_oldest + m.sheds_expired + m.sheds_park_timeout,
-                    m.sheds_newest,
-                    m.sheds_oldest,
-                    m.sheds_expired,
-                    m.sheds_park_timeout,
-                    snap.mailbox.mailboxes,
-                    snap.mailbox.queued_total,
-                    snap.mailbox.queued_max,
-                )
-            },
+            format!(
+                "sheds: {} (newest {}, oldest {}, expired {}, park-timeout {}), \
+                 mailboxes: {} queued {} (deepest {})",
+                s.sheds_newest + s.sheds_oldest + s.sheds_expired + s.sheds_park_timeout,
+                s.sheds_newest,
+                s.sheds_oldest,
+                s.sheds_expired,
+                s.sheds_park_timeout,
+                snap.mailbox.mailboxes,
+                snap.mailbox.queued_total,
+                snap.mailbox.queued_max,
+            ),
+            format!(
+                "sched: workers {} (blocked {}, idle {}), steals: {}, inline handoffs: {}, \
+                 ejects parked {} of {}",
+                snap.sched.workers,
+                snap.sched.workers_blocked,
+                snap.sched.workers_idle,
+                snap.sched.sched_steals,
+                snap.sched.inline_handoffs,
+                snap.sched.parked_ejects,
+                snap.sched.resident_ejects,
+            ),
         ])
     }
 
@@ -499,6 +507,9 @@ mod tests {
         assert!(stats
             .iter()
             .any(|l| l.contains("sheds:") && l.contains("park-timeout") && l.contains("mailboxes:")));
+        assert!(stats
+            .iter()
+            .any(|l| l.starts_with("sched:") && l.contains("inline handoffs:")));
         kernel.shutdown();
     }
 

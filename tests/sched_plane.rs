@@ -351,3 +351,591 @@ fn threads_and_scheduler_modes_produce_identical_output() {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// Caller-runs-callee handoff: a worker that sends and then `wait()`s
+// resumes the callee it just woke on its own stack — if the callee's last
+// handler ended with its reply, so that the call returns when the wait
+// would have. Everything it declines, or leaves unsettled, takes the
+// blocking wait it always took.
+
+fn one_worker_kernel() -> Kernel {
+    Kernel::builder()
+        .scheduler(SchedulerConfig {
+            workers: 1,
+            ..SchedulerConfig::default()
+        })
+        .build()
+}
+
+/// Repeat `run` until it reports that the pool's own workers ran it.
+///
+/// Only a slotted worker hands off. On an oversubscribed host (this
+/// binary's 10k-Eject tests run beside these) the stall monitor sees a
+/// worker that was merely descheduled for 2 ms and adds a slotless spare,
+/// which takes tasks from the injector and — rightly — runs none of them
+/// inline. Such a run is correct, and `run` asserts that itself every time;
+/// it just says nothing about the inline path, so it is repeated.
+fn until_undisturbed(what: &str, mut run: impl FnMut() -> bool) {
+    const ATTEMPTS: usize = 50;
+    for _ in 0..ATTEMPTS {
+        if run() {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    panic!("{what}: a spare disturbed each of {ATTEMPTS} runs");
+}
+
+fn inline_handoffs(kernel: &Kernel) -> u64 {
+    kernel.metrics_snapshot().sched.inline_handoffs
+}
+
+/// Have `uid` serve one invocation that ends with its reply, which is what
+/// earns a task inline resumes (a fresh one has shown nothing yet and its
+/// first invocation is always served on the blocking path). `Describe` is
+/// answered by the runtime on the Eject's behalf, from this thread, so it
+/// costs the pool no rendezvous and no spare.
+fn show_it_ends_with_its_reply(kernel: &Kernel, uid: Uid) {
+    kernel
+        .invoke(uid, ops::DESCRIBE, Value::Unit)
+        .wait()
+        .expect("every Eject describes itself");
+}
+
+/// Forwards `Relay` to `next` with a budget-less `wait()` and answers one
+/// more than it was told; anything that goes wrong downstream comes back
+/// as the error's text.
+struct Relay {
+    next: Uid,
+}
+
+impl EjectBehavior for Relay {
+    fn type_name(&self) -> &'static str {
+        "Relay"
+    }
+
+    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
+        match ctx.invoke(self.next, inv.op.clone(), inv.arg).wait() {
+            Ok(Value::Int(hops)) => reply.reply(Ok(Value::Int(hops + 1))),
+            Ok(other) => reply.reply(Ok(other)),
+            Err(e) => reply.reply(Ok(Value::str(format!("{e:?}")))),
+        }
+    }
+}
+
+/// The end of a relay chain: answers zero hops.
+struct Echo;
+
+impl EjectBehavior for Echo {
+    fn type_name(&self) -> &'static str {
+        "Echo"
+    }
+
+    fn handle(&mut self, _ctx: &EjectContext, _inv: Invocation, reply: ReplyHandle) {
+        reply.reply(Ok(Value::Int(0)));
+    }
+}
+
+/// The paper's lazy pipeline is a chain of calls, and on one worker it now
+/// runs as one: every stage's `Transfer` resumes its upstream inline, so
+/// nothing is flushed to the deque for a thief and no rendezvous of the
+/// data phase asks the pool for a spare. (Teardown has one real rendezvous,
+/// the join of the sink's pump process, and gets one spare for it.)
+#[test]
+fn lazy_pipeline_on_one_worker_runs_as_calls_without_spares_or_steals() {
+    const RECORDS: i64 = 200;
+    let kernel = one_worker_kernel();
+    until_undisturbed("lazy depth-4 pipeline", || {
+        let before = kernel.metrics_snapshot().sched;
+        if before.workers != 1 {
+            return false; // the previous run's teardown spare has yet to retire
+        }
+        let mut builder = PipelineSpec::new(Discipline::ReadOnly { read_ahead: 0 })
+            .source_vec((0..RECORDS).map(Value::Int).collect())
+            .batch(1)
+            .policy(ChannelPolicy::Integer);
+        for _ in 0..4 {
+            builder = builder.stage(Box::new(eden::transput::transform::Identity));
+        }
+        let pipeline = builder.build(&kernel).expect("lazy pipeline builds");
+        for &stage in pipeline.ejects() {
+            show_it_ends_with_its_reply(&kernel, stage);
+        }
+        let run = pipeline
+            .run(Duration::from_secs(60))
+            .expect("lazy pipeline completes");
+        assert_eq!(run.output, (0..RECORDS).map(Value::Int).collect::<Vec<_>>());
+        let after = kernel.metrics_snapshot().sched;
+        // Four stage-to-stage transfers a record, every one a call: nothing
+        // was ever left on a deque to steal, and no thread was needed beyond
+        // the worker and teardown's joiner. (A stage that a preemption made
+        // look slow to return serves its next transfer the old way; such a
+        // run is repeated like a disturbed one.)
+        after.inline_handoffs - before.inline_handoffs == 4 * RECORDS as u64
+            && after.sched_steals == before.sched_steals
+            && after.workers <= 2
+    });
+    kernel.shutdown();
+}
+
+/// Passive output: parks the `ReplyHandle` of `Ask` and answers it when
+/// `Release` arrives.
+struct Deferrer {
+    parked: Option<ReplyHandle>,
+    asked: Arc<AtomicBool>,
+}
+
+impl EjectBehavior for Deferrer {
+    fn type_name(&self) -> &'static str {
+        "Deferrer"
+    }
+
+    fn handle(&mut self, _ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
+        match inv.op.as_str() {
+            "Release" => {
+                if let Some(parked) = self.parked.take() {
+                    parked.reply(Ok(Value::Int(41)));
+                }
+                reply.reply(Ok(Value::Unit));
+            }
+            _ => {
+                reply.mark_deferred();
+                self.parked = Some(reply);
+                self.asked.store(true, Ordering::Release);
+            }
+        }
+    }
+}
+
+/// A callee that defers its reply hands the worker back unsettled: the
+/// caller falls through to the blocking wait, the pool compensates, and the
+/// late reply still arrives.
+#[test]
+fn deferred_reply_sends_the_caller_down_the_blocking_path() {
+    let kernel = one_worker_kernel();
+    until_undisturbed("deferred reply", || {
+        let before = inline_handoffs(&kernel);
+        let asked = Arc::new(AtomicBool::new(false));
+        let deferrer = kernel
+            .spawn(Box::new(Deferrer {
+                parked: None,
+                asked: Arc::clone(&asked),
+            }))
+            .expect("spawn deferrer");
+        let relay = kernel.spawn(Box::new(Relay { next: deferrer })).expect("spawn relay");
+        // A `Release` with nothing parked is answered on the spot.
+        assert_eq!(kernel.invoke(deferrer, "Release", Value::Unit).wait(), Ok(Value::Unit));
+        let pending = kernel.invoke(relay, "Ask", Value::Unit);
+        while !asked.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        // The worker is asleep in the relay's wait; `Release` needs the
+        // spare that blocking compensation provides.
+        assert_eq!(kernel.invoke(deferrer, "Release", Value::Unit).wait(), Ok(Value::Unit));
+        assert_eq!(pending.wait(), Ok(Value::Int(42)));
+        inline_handoffs(&kernel) - before == 1
+    });
+    kernel.shutdown();
+}
+
+/// Answers `Arm`; anything else sets it off.
+struct Bomb;
+
+impl EjectBehavior for Bomb {
+    fn type_name(&self) -> &'static str {
+        "Bomb"
+    }
+
+    fn handle(&mut self, _ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
+        if inv.op.as_str() != "Arm" {
+            panic!("bomb went off (expected by inline_callee_panic_is_a_crash_of_the_callee_alone)");
+        }
+        reply.reply(Ok(Value::Unit));
+    }
+}
+
+/// A callee that panics while running on its caller's stack dies alone: the
+/// caller reads `EjectCrashed`, finishes its own handler, and both it and
+/// the worker keep serving.
+#[test]
+fn inline_callee_panic_is_a_crash_of_the_callee_alone() {
+    let kernel = one_worker_kernel();
+    until_undisturbed("inline panic", || {
+        let before = inline_handoffs(&kernel);
+        let bomb = kernel.spawn(Box::new(Bomb)).expect("spawn bomb");
+        let relay = kernel.spawn(Box::new(Relay { next: bomb })).expect("spawn relay");
+        assert_eq!(kernel.invoke(bomb, "Arm", Value::Unit).wait(), Ok(Value::Unit));
+        let crashed = format!("{:?}", eden_core::EdenError::EjectCrashed(bomb));
+        assert_eq!(
+            kernel.invoke(relay, "Relay", Value::Unit).wait(),
+            Ok(Value::str(crashed)),
+        );
+        let inline = inline_handoffs(&kernel) - before == 1;
+        // The relay's Eject survived: it answers again (not with a hop
+        // count — the bomb is gone).
+        let again = kernel.invoke(relay, "Relay", Value::Unit).wait().expect("relay survived");
+        assert!(again.as_str().is_ok(), "the bomb cannot have answered: {again:?}");
+        inline
+    });
+    // So did the worker: only the pool's one slotted worker hands off, and
+    // it still does.
+    until_undisturbed("handoff after the panic", || {
+        let before = inline_handoffs(&kernel);
+        let echo = kernel.spawn(Box::new(Echo)).expect("spawn echo");
+        let relay = kernel.spawn(Box::new(Relay { next: echo })).expect("spawn relay");
+        show_it_ends_with_its_reply(&kernel, echo);
+        assert_eq!(kernel.invoke(relay, "Relay", Value::Unit).wait(), Ok(Value::Int(1)));
+        inline_handoffs(&kernel) - before == 1
+    });
+    kernel.shutdown();
+}
+
+/// `Start` calls the peer and waits; `Ping` is what the peer sends back
+/// while `Start` is still on the stack. `depth` counts handler frames of
+/// this Eject and `nested` latches if two ever overlap.
+struct Reentrant {
+    peer: Arc<std::sync::OnceLock<Uid>>,
+    depth: Arc<std::sync::atomic::AtomicUsize>,
+    nested: Arc<AtomicBool>,
+}
+
+impl EjectBehavior for Reentrant {
+    fn type_name(&self) -> &'static str {
+        "Reentrant"
+    }
+
+    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
+        if self.depth.fetch_add(1, Ordering::AcqRel) != 0 {
+            self.nested.store(true, Ordering::Release);
+        }
+        let out = match inv.op.as_str() {
+            "Start" => ctx
+                .invoke(*self.peer.get().expect("peer wired"), "Bounce", Value::Unit)
+                .wait(),
+            _ => Ok(Value::str("pong")),
+        };
+        self.depth.fetch_sub(1, Ordering::AcqRel);
+        reply.reply(out);
+    }
+}
+
+/// `Bounce` invokes the caller back without waiting; `Collect` waits for
+/// that reply.
+struct Bouncer {
+    back: Uid,
+    pending: Option<eden::kernel::PendingReply>,
+}
+
+impl EjectBehavior for Bouncer {
+    fn type_name(&self) -> &'static str {
+        "Bouncer"
+    }
+
+    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
+        match inv.op.as_str() {
+            "Bounce" => {
+                self.pending = Some(ctx.invoke(self.back, "Ping", Value::Unit));
+                reply.reply(Ok(Value::Unit));
+            }
+            _ => reply.reply(self.pending.take().expect("bounced first").wait()),
+        }
+    }
+}
+
+/// A -> B -> A: B runs on A's stack and invokes A back. A is `RUNNING`, so
+/// the send only marks it dirty — it is in no LIFO slot to be taken, and
+/// its `Ping` is served after `Start` returns, never inside it.
+#[test]
+fn reentrant_chain_never_runs_a_task_nested_in_itself() {
+    let kernel = one_worker_kernel();
+    until_undisturbed("re-entrant chain", || {
+        let before = inline_handoffs(&kernel);
+        let peer = Arc::new(std::sync::OnceLock::new());
+        let depth = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let nested = Arc::new(AtomicBool::new(false));
+        let a = kernel
+            .spawn(Box::new(Reentrant {
+                peer: Arc::clone(&peer),
+                depth,
+                nested: Arc::clone(&nested),
+            }))
+            .expect("spawn a");
+        let b = kernel
+            .spawn(Box::new(Bouncer {
+                back: a,
+                pending: None,
+            }))
+            .expect("spawn b");
+        peer.set(b).expect("wire once");
+        show_it_ends_with_its_reply(&kernel, b);
+        assert_eq!(kernel.invoke(a, "Start", Value::Unit).wait(), Ok(Value::Unit));
+        // B ran inline under A iff the worker handed off.
+        let inline = inline_handoffs(&kernel) - before == 1;
+        assert_eq!(kernel.invoke(b, "Collect", Value::Unit).wait(), Ok(Value::str("pong")));
+        assert!(!nested.load(Ordering::Acquire), "A's handler was entered while it was running");
+        inline
+    });
+    kernel.shutdown();
+}
+
+/// Answers `Ack` and only then takes its nap — a bare sleep, which the
+/// kernel cannot see.
+struct Lingerer {
+    naps: Arc<std::sync::atomic::AtomicUsize>,
+}
+
+impl EjectBehavior for Lingerer {
+    fn type_name(&self) -> &'static str {
+        "Lingerer"
+    }
+
+    fn handle(&mut self, _ctx: &EjectContext, _inv: Invocation, reply: ReplyHandle) {
+        reply.reply(Ok(Value::Unit));
+        std::thread::sleep(Duration::from_millis(150));
+        self.naps.fetch_add(1, Ordering::Release);
+    }
+}
+
+/// Calls `next` with a budget-less `wait()` and answers how many
+/// milliseconds the wait took.
+struct TimedCall {
+    next: Uid,
+}
+
+impl EjectBehavior for TimedCall {
+    fn type_name(&self) -> &'static str {
+        "TimedCall"
+    }
+
+    fn handle(&mut self, ctx: &EjectContext, _inv: Invocation, reply: ReplyHandle) {
+        let from = Instant::now();
+        let outcome = ctx.invoke(self.next, "Ack", Value::Unit).wait();
+        let waited_ms = from.elapsed().as_millis() as i64;
+        reply.reply(outcome.map(|_| Value::Int(waited_ms)));
+    }
+}
+
+/// A wait returns when the callee replies, not when its handler returns,
+/// and a call cannot tell the two apart. So a callee that keeps going after
+/// its reply is never run as a call: not the first time (nothing is known
+/// of it yet), and not later (it was seen taking its time).
+#[test]
+fn callee_that_replies_and_lingers_does_not_hold_its_caller() {
+    let kernel = one_worker_kernel();
+    let naps = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let lingerer = kernel
+        .spawn(Box::new(Lingerer {
+            naps: Arc::clone(&naps),
+        }))
+        .expect("spawn lingerer");
+    let caller = kernel.spawn(Box::new(TimedCall { next: lingerer })).expect("spawn caller");
+    for round in 1..=3 {
+        match kernel.invoke(caller, "Go", Value::Unit).wait() {
+            Ok(Value::Int(waited_ms)) => assert!(
+                waited_ms < 100,
+                "round {round}: the wait took {waited_ms} ms of the callee's 150 ms nap"
+            ),
+            other => panic!("round {round}: {other:?}"),
+        }
+        // The next round's `Ack` must not queue behind this round's nap.
+        while naps.load(Ordering::Acquire) < round {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+    assert_eq!(inline_handoffs(&kernel), 0);
+    kernel.shutdown();
+}
+
+/// Answers `Bounce` and then calls `back` — its own caller — keeping what
+/// came of it.
+struct Boomerang {
+    back: Uid,
+    outcomes: Arc<std::sync::Mutex<Vec<Result<Value, eden_core::EdenError>>>>,
+}
+
+impl EjectBehavior for Boomerang {
+    fn type_name(&self) -> &'static str {
+        "Boomerang"
+    }
+
+    fn handle(&mut self, ctx: &EjectContext, _inv: Invocation, reply: ReplyHandle) {
+        reply.reply(Ok(Value::Unit));
+        let outcome = ctx
+            .invoke(self.back, "Ping", Value::Unit)
+            .wait_timeout(Duration::from_secs(3));
+        self.outcomes.lock().expect("outcomes").push(outcome);
+    }
+}
+
+/// One A (a [`Reentrant`]) and one B (a [`Boomerang`]) wired to each other.
+struct BoomerangPair {
+    a: Uid,
+    b: Uid,
+    outcomes: Arc<std::sync::Mutex<Vec<Result<Value, eden_core::EdenError>>>>,
+}
+
+impl BoomerangPair {
+    fn spawn(kernel: &Kernel) -> BoomerangPair {
+        let peer = Arc::new(std::sync::OnceLock::new());
+        let a = kernel
+            .spawn(Box::new(Reentrant {
+                peer: Arc::clone(&peer),
+                depth: Arc::new(std::sync::atomic::AtomicUsize::new(0)),
+                nested: Arc::new(AtomicBool::new(false)),
+            }))
+            .expect("spawn a");
+        let outcomes = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let b = kernel
+            .spawn(Box::new(Boomerang {
+                back: a,
+                outcomes: Arc::clone(&outcomes),
+            }))
+            .expect("spawn b");
+        peer.set(b).expect("wire once");
+        BoomerangPair { a, b, outcomes }
+    }
+
+    /// Run `A.Start` (which calls `B.Bounce` and waits); return how long A
+    /// took to answer and what B's call back to A came to.
+    fn start(&self, kernel: &Kernel, round: usize) -> (Duration, Result<Value, eden_core::EdenError>) {
+        let from = Instant::now();
+        assert_eq!(kernel.invoke(self.a, "Start", Value::Unit).wait(), Ok(Value::Unit));
+        let took = from.elapsed();
+        loop {
+            if let Some(outcome) = self.outcomes.lock().expect("outcomes").get(round) {
+                return (took, outcome.clone());
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+}
+
+/// A callee that replies and then calls its caller back is the case a call
+/// would deadlock: the caller is in the frame beneath, unable to serve
+/// anything until the callee returns. Waiting for B's reply does not have
+/// that problem, and B is never run as a call, so A goes on at B's reply,
+/// serves the `Ping`, and B's call back succeeds — every time.
+#[test]
+fn callee_that_replies_and_calls_its_caller_back_succeeds() {
+    let kernel = one_worker_kernel();
+    let pair = BoomerangPair::spawn(&kernel);
+    for round in 0..3 {
+        let (took, outcome) = pair.start(&kernel, round);
+        assert_eq!(outcome, Ok(Value::str("pong")), "round {round}");
+        assert!(took < Duration::from_secs(1), "round {round}: A answered after {took:?}");
+    }
+    assert_eq!(inline_handoffs(&kernel), 0);
+    kernel.shutdown();
+}
+
+/// What past handlers did is all there is to go by, so a callee that has
+/// only ever ended with its reply, and then does not, is found out on the
+/// call where it changes: that one `Bounce` runs on A's stack, its call back
+/// to A cannot be served from there, and it is told so at once rather than
+/// after its 3 s budget — while A, which got its reply, goes on as soon as
+/// B's handler returns. From then on B is never run as a call again.
+#[test]
+fn callee_that_stops_ending_with_its_reply_is_found_out_on_one_call() {
+    let kernel = one_worker_kernel();
+    until_undisturbed("habit change", || {
+        let pair = BoomerangPair::spawn(&kernel);
+        show_it_ends_with_its_reply(&kernel, pair.b);
+        let before = inline_handoffs(&kernel);
+        let (took, outcome) = pair.start(&kernel, 0);
+        assert!(took < Duration::from_secs(1), "A was held for {took:?}");
+        if inline_handoffs(&kernel) - before != 1 {
+            assert_eq!(outcome, Ok(Value::str("pong")));
+            return false;
+        }
+        assert_eq!(outcome, Err(eden_core::EdenError::Timeout));
+        for round in 1..3 {
+            let (_, outcome) = pair.start(&kernel, round);
+            assert_eq!(outcome, Ok(Value::str("pong")), "round {round}");
+        }
+        inline_handoffs(&kernel) - before == 1
+    });
+    kernel.shutdown();
+}
+
+/// A call chain longer than the scheduler's nesting cap (16 resumes on one
+/// stack) still completes: the wait at the cap sleeps like any other and
+/// the rest of the chain runs on other threads.
+#[test]
+fn call_chain_deeper_than_the_nesting_cap_completes() {
+    const CHAIN: i64 = 24;
+    let kernel = two_worker_kernel();
+    until_undisturbed("24-deep call chain", || {
+        let before = inline_handoffs(&kernel);
+        let mut head = kernel.spawn(Box::new(Echo)).expect("spawn echo");
+        show_it_ends_with_its_reply(&kernel, head);
+        for _ in 0..CHAIN {
+            head = kernel.spawn(Box::new(Relay { next: head })).expect("spawn relay");
+            show_it_ends_with_its_reply(&kernel, head);
+        }
+        assert_eq!(kernel.invoke(head, "Relay", Value::Unit).wait(), Ok(Value::Int(CHAIN)));
+        // One stack holds the pickup and 15 handoffs; the wait at the cap
+        // declines, so even if a slotted sibling carries the rest inline
+        // the chain's 24 sends cannot all have been calls.
+        let handoffs = inline_handoffs(&kernel) - before;
+        assert!(handoffs < CHAIN as u64, "{handoffs} handoffs: the cap never declined");
+        handoffs >= 15
+    });
+    kernel.shutdown();
+}
+
+/// Sleeps through `Nap` before answering.
+struct Sleeper;
+
+impl EjectBehavior for Sleeper {
+    fn type_name(&self) -> &'static str {
+        "Sleeper"
+    }
+
+    fn handle(&mut self, _ctx: &EjectContext, _inv: Invocation, reply: ReplyHandle) {
+        eden::kernel::blocking(|| std::thread::sleep(Duration::from_millis(200)));
+        reply.reply(Ok(Value::Unit));
+    }
+}
+
+/// Waits for `Nap` with a 10 ms budget and reports how long that took.
+struct Impatient {
+    sleeper: Uid,
+}
+
+impl EjectBehavior for Impatient {
+    fn type_name(&self) -> &'static str {
+        "Impatient"
+    }
+
+    fn handle(&mut self, ctx: &EjectContext, _inv: Invocation, reply: ReplyHandle) {
+        let from = Instant::now();
+        let outcome = ctx
+            .invoke(self.sleeper, "Nap", Value::Unit)
+            .wait_timeout(Duration::from_millis(10));
+        let waited_ms = from.elapsed().as_millis() as i64;
+        reply.reply(match outcome {
+            Err(eden_core::EdenError::Timeout) => Ok(Value::Int(waited_ms)),
+            other => Ok(Value::str(format!("expected Timeout, got {other:?}"))),
+        });
+    }
+}
+
+/// A caller-set deadline is a property of the call that rules the handoff
+/// out: `wait_timeout(10 ms)` against a 200 ms handler comes back in about
+/// 10 ms, because the caller slept beside the callee instead of running it.
+#[test]
+fn wait_timeout_from_a_worker_does_not_lend_its_thread_to_a_slow_callee() {
+    let kernel = two_worker_kernel();
+    let sleeper = kernel.spawn(Box::new(Sleeper)).expect("spawn sleeper");
+    let impatient = kernel.spawn(Box::new(Impatient { sleeper })).expect("spawn impatient");
+    match kernel.invoke(impatient, "Go", Value::Unit).wait() {
+        Ok(Value::Int(waited_ms)) => assert!(
+            (10..180).contains(&waited_ms),
+            "a 10 ms budget took {waited_ms} ms against a 200 ms handler"
+        ),
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(inline_handoffs(&kernel), 0);
+    kernel.shutdown();
+}
