@@ -85,13 +85,6 @@ impl EjectContext {
         }
     }
 
-    /// Deprecated synchronous shim; exactly `invoke(..).wait()`.
-    #[cfg(feature = "legacy-shims")]
-    #[deprecated(since = "0.3.0", note = "use `invoke(..).wait()`")]
-    pub fn invoke_sync(&self, target: Uid, op: impl Into<OpName>, arg: Value) -> Result<Value> {
-        self.invoke(target, op, arg).wait()
-    }
-
     /// As [`invoke`](Self::invoke), but through a caller-owned
     /// [`RouteCache`]: repeat invocations of the same target skip the
     /// kernel registry. Semantically identical to `invoke` — stale routes
@@ -272,13 +265,6 @@ impl ProcessContext {
         }
     }
 
-    /// Deprecated synchronous shim; exactly `invoke(..).wait()`.
-    #[cfg(feature = "legacy-shims")]
-    #[deprecated(since = "0.3.0", note = "use `invoke(..).wait()`")]
-    pub fn invoke_sync(&self, target: Uid, op: impl Into<OpName>, arg: Value) -> Result<Value> {
-        self.invoke(target, op, arg).wait()
-    }
-
     /// As [`invoke`](Self::invoke), but through a caller-owned
     /// [`RouteCache`]: repeat invocations of the same target skip the
     /// kernel registry. This is the hot path for stream connections, which
@@ -307,19 +293,6 @@ impl ProcessContext {
         kernel.store_checkpoint(self.eject, self.type_name, wire::encode(representation).into())?;
         self.metrics.record_checkpoint();
         Ok(())
-    }
-
-    /// Deprecated synchronous shim; exactly `invoke(..).wait_timeout(d)`.
-    #[cfg(feature = "legacy-shims")]
-    #[deprecated(since = "0.3.0", note = "use `invoke(..).wait_timeout(deadline)`")]
-    pub fn invoke_sync_timeout(
-        &self,
-        target: Uid,
-        op: impl Into<OpName>,
-        arg: Value,
-        deadline: Duration,
-    ) -> Result<Value> {
-        self.invoke(target, op, arg).wait_timeout(deadline)
     }
 
     /// Post an internal event to the owning Eject's coordinator.

@@ -681,33 +681,6 @@ impl Kernel {
         self.invoke_with_from(NodeId::default(), target, op.into(), arg, opts)
     }
 
-    /// Deprecated synchronous shim. `invoke_sync(t, op, a)` is exactly
-    /// `invoke(t, op, a).wait()`.
-    #[cfg(feature = "legacy-shims")]
-    #[deprecated(since = "0.3.0", note = "use `invoke(..).wait()`")]
-    pub fn invoke_sync(
-        &self,
-        target: Uid,
-        op: impl Into<OpName>,
-        arg: Value,
-    ) -> Result<Value> {
-        self.invoke(target, op, arg).wait()
-    }
-
-    /// Deprecated cached-route shim. Equivalent to [`Kernel::invoke_with`]
-    /// with [`InvokeOptions::route_cache`].
-    #[cfg(feature = "legacy-shims")]
-    #[deprecated(since = "0.3.0", note = "use `invoke_with(.., InvokeOptions::new().route_cache(cache))`")]
-    pub fn invoke_with_cache(
-        &self,
-        cache: &mut RouteCache,
-        target: Uid,
-        op: impl Into<OpName>,
-        arg: Value,
-    ) -> PendingReply {
-        self.invoke_with(target, op, arg, InvokeOptions::new().route_cache(cache))
-    }
-
     /// The options-bearing invocation path, with an explicit originating
     /// node (Eject contexts pass their own placement).
     pub(crate) fn invoke_with_from(

@@ -138,7 +138,10 @@ pub fn catalog() -> Result<Vec<(String, WiringGraph)>> {
         .map(|(name, spec)| spec.graph().map(|g| (name, g)))
         .collect::<Result<_>>()?;
 
-    // The recovery plane's chains (crates/eden-transput/src/recovery.rs).
+    // The recovery plane's chains (crates/eden-transput/src/recovery.rs),
+    // derived from its table of stage faces: a two-filter chain, and the
+    // zero-transform chain, where conventional is left with its single
+    // identity pump and no buffer.
     for (label, discipline) in [
         ("recovery/read-only", RecoveryDiscipline::ReadOnly),
         ("recovery/write-only", RecoveryDiscipline::WriteOnly),
@@ -148,6 +151,7 @@ pub fn catalog() -> Result<Vec<(String, WiringGraph)>> {
             label.to_owned(),
             recovery_graph(discipline, &["upcase", "grep"]),
         ));
+        graphs.push((format!("{label}/empty"), recovery_graph(discipline, &[])));
     }
     Ok(graphs)
 }

@@ -4,19 +4,53 @@
 //! §7 of the paper observes that an Eject which has checkpointed survives a
 //! crash as its passive representation and is "automatically reactivated by
 //! the Eden kernel when it is next invoked". This module turns that
-//! mechanism into an end-to-end guarantee for streams, in all three
-//! disciplines, by combining three ingredients:
+//! mechanism into an end-to-end guarantee for streams with **one stage, two
+//! faces and one step** — the paper's {active, passive} × {input, output}
+//! is one construction seen from two sides, so it is written once.
+//!
+//! ## Two faces
+//!
+//! A stage's input and its output are each *active* or *passive*:
+//!
+//! * an **active input** holds the upstream's UID and pulls: a `Transfer`
+//!   at `consumed`, the number of input records taken so far;
+//! * a **passive input** accepts sequenced `Write`s, skipping the overlap
+//!   of a re-sent batch and refusing one that would leave a gap;
+//! * an **active output** holds the downstream's UID and pushes: a `Write`
+//!   at `base`, the number of output records acknowledged so far;
+//! * a **passive output** serves positional `Transfer`s out of the buffer
+//!   of produced-but-unacknowledged records, which starts at `base`.
+//!
+//! Every role a pipeline needs is a choice of faces. A read-only filter is
+//! (active, passive), a write-only filter (passive, active), the
+//! conventional pump (active, active) and the passive buffer between two
+//! pumps (passive, passive). A source is a stage whose buffer is pre-loaded
+//! and whose input is already closed; the acceptor is a (passive, passive)
+//! stage nobody reads positionally, so it retains everything and hands it
+//! over whole on [`READ_ALL`]. A discipline is then a table of face pairs,
+//! and that one table yields both the wiring [`recovery_graph`] checks and
+//! the Ejects [`run_recoverable_pipeline`] spawns.
+//!
+//! ## One step
+//!
+//! Take input, run the transform, deliver output, checkpoint, acknowledge.
+//! The invocation that arrives on a passive face drives the step; a stage
+//! with nobody to invoke it (both faces active, or the head of a pushed
+//! chain) is `Start`ed and steps on a worker process instead. Three
+//! ingredients make the step exactly-once:
 //!
 //! 1. **Positions on the wire.** Every `Transfer` carries the reader's
 //!    absolute stream position ([`TransferRequest::pos`]) and every `Write`
 //!    the absolute position of its first record ([`WriteRequest::seq`]).
-//!    The position doubles as a cumulative acknowledgement: a producer may
-//!    discard records below the highest position it has served, and a
-//!    receiver skips the overlap of a re-sent batch.
-//! 2. **Checkpoint before reply.** Every recoverable stage writes its
-//!    passive representation to the [`StableStore`] *before* acknowledging
-//!    an invocation, so the stable state never claims more progress than
-//!    the peers have observed.
+//!    The position doubles as a cumulative acknowledgement — a producer
+//!    discards what lies below the highest position it has been asked for,
+//!    a receiver skips what lies below what it has accepted — so no second
+//!    message, and no second crash window, is needed to acknowledge.
+//! 2. **Checkpoint before acknowledge.** A stage writes its passive
+//!    representation to the [`StableStore`] *before* it replies, and before
+//!    it sends a position that acknowledges its upstream, so the stable
+//!    state never claims less than a peer has been told and a peer never
+//!    discards what the stable state still needs.
 //! 3. **Retry against a reactivating kernel.** Stream invocations travel
 //!    with a [`RetryPolicy`]; a retry of an invocation whose target crashed
 //!    reactivates the target from its checkpoint (activation on invocation,
@@ -28,29 +62,34 @@
 //! crashes too, provided the mounted [`Transform`]s are **deterministic
 //! and per-record** (a re-run of an unacknowledged input must reproduce
 //! byte-identical output; sorters and other whole-stream buffers are out of
-//! scope). Secondary emission channels are not forwarded by the recovery
-//! adapters.
+//! scope). Secondary emission channels are not forwarded.
 //!
-//! Active stages (the write-only pump, the conventional pumps) receive no
-//! stream invocations, so a crashed one would stay passive forever; the
-//! driving loop in [`run_recoverable_pipeline`] "nudges" every active stage
-//! with a fault-immune `Describe` while it waits, which reactivates any
-//! that have crashed.
+//! Two consequences of recovering from positions alone:
+//!
+//! * A worker-driven stage receives no stream invocations, so a crashed one
+//!   would stay passive forever; the driving loop "nudges" every stage with
+//!   a fault-immune `Describe` while it waits, which reactivates any that
+//!   have crashed, and `activate` restarts the worker from the checkpoint.
+//! * A passive output never parks a reader. An empty buffer replies with an
+//!   empty non-final batch and the pump polls, because a parked reply would
+//!   die with a crash anyway; polling against the checkpointed position is
+//!   what recovery can prove correct.
 //!
 //! [`StableStore`]: eden_kernel::StableStore
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use eden_core::op::ops;
 use eden_core::{EdenError, Result, Uid, Value};
 use eden_kernel::{
-    EjectBehavior, EjectContext, Invocation, InvokeOptions, Kernel, ReplyHandle, RetryPolicy,
+    EjectBehavior, EjectContext, Invocation, InvokeOptions, Kernel, ProcessContext, ReplyHandle,
+    RetryPolicy,
 };
 
 use crate::conform::{DisciplineKind, EdgeMode, NodeRole, WiringGraph};
-use crate::protocol::{Batch, TransferRequest, WriteRequest};
+use crate::protocol::{Batch, TransferRequest, WriteRequest, OUTPUT_NAME};
 use crate::transform::{Emitter, Transform};
 
 /// The operation a [`run_recoverable_pipeline`] driver uses to read the
@@ -61,7 +100,13 @@ use crate::transform::{Emitter, Transform};
 /// and the position that acknowledges them are one atomic state.
 pub const READ_ALL: &str = "ReadAll";
 
-/// How often a polling worker re-asks an empty buffer.
+/// Starts the worker of a stage no stream invocation will ever drive.
+const START: &str = "Start";
+
+/// The one Eden type every recoverable stage is registered under.
+const STAGE_TYPE: &str = "RecoverableStage";
+
+/// How long a worker pauses before it retries a step that made no progress.
 const POLL: Duration = Duration::from_millis(1);
 
 /// The retry policy stream invocations travel with: patient enough to ride
@@ -77,7 +122,7 @@ fn stream_opts() -> InvokeOptions<'static> {
         .deadline(Duration::from_secs(20))
 }
 
-/// Options for control-plane traffic (starting pumps, polling the
+/// Options for control-plane traffic (starting workers, polling the
 /// acceptor, nudging crashed stages): immune to the fault plan, so chaos
 /// experiments perturb the stream itself, not the experiment's harness.
 fn control_opts() -> InvokeOptions<'static> {
@@ -92,8 +137,7 @@ pub type TransformFactory = fn() -> Box<dyn Transform>;
 /// A named catalogue of transform constructors, used to rebuild a stage's
 /// [`Transform`] on reactivation (function state is not checkpointable;
 /// determinism makes rebuilding equivalent).
-#[derive(Clone, Default)]
-#[derive(Debug)]
+#[derive(Clone, Default, Debug)]
 pub struct TransformRegistry {
     map: Arc<HashMap<String, TransformFactory>>,
 }
@@ -102,12 +146,7 @@ impl TransformRegistry {
     /// Build a registry from `(name, constructor)` pairs.
     pub fn new(entries: &[(&str, TransformFactory)]) -> TransformRegistry {
         TransformRegistry {
-            map: Arc::new(
-                entries
-                    .iter()
-                    .map(|(n, f)| ((*n).to_owned(), *f))
-                    .collect(),
-            ),
+            map: Arc::new(entries.iter().map(|(n, f)| ((*n).to_owned(), *f)).collect()),
         }
     }
 
@@ -126,1007 +165,426 @@ impl TransformRegistry {
     }
 }
 
-/// Feed `items` through an optional transform, collecting primary output.
-fn apply(transform: &mut Option<Box<dyn Transform>>, items: Vec<Value>) -> Vec<Value> {
-    match transform {
-        None => items,
-        Some(t) => {
-            let mut out = Emitter::new();
-            for item in items {
-                t.push(item, &mut out);
-            }
-            out.take_primary()
-        }
-    }
-}
-
-/// Flush an optional transform (input ended), collecting primary output.
-fn flush(transform: &mut Option<Box<dyn Transform>>) -> Vec<Value> {
-    match transform {
-        None => Vec::new(),
-        Some(t) => {
-            let mut out = Emitter::new();
-            t.flush(&mut out);
-            out.take_primary()
-        }
-    }
-}
-
-fn items_field(v: &Value, name: &str) -> Result<Vec<Value>> {
-    v.field(name)?.as_list().map(<[Value]>::to_vec)
-}
-
 fn uint_field(v: &Value, name: &str) -> Result<u64> {
     Ok(v.field(name)?.as_int()?.max(0) as u64)
 }
 
+/// Decode a face from a checkpoint: a UID is an active face's peer, unit a
+/// passive face.
+fn peer_field(v: &Value, name: &str) -> Result<Option<Uid>> {
+    match v.field(name)? {
+        Value::Unit => Ok(None),
+        peer => peer.as_uid().map(Some),
+    }
+}
+
 // ---------------------------------------------------------------------------
-// RecoverableSource — positional passive output over a fixed record list.
+// The stage.
 // ---------------------------------------------------------------------------
 
-/// A source whose whole record list lives in its checkpoint. Serving is
-/// pure position arithmetic, so a reactivated source re-serves any
-/// unacknowledged suffix byte-for-byte.
+/// What a step needs from whoever runs it: the Eject's own coordinator for
+/// a step an invocation drives, its worker process for a `Start`ed stage —
+/// and a recording fake in the face tests below.
+trait Host {
+    /// Invoke a stream operation on a peer and wait for its reply.
+    fn call(&self, target: Uid, op: &'static str, arg: Value) -> Result<Value>;
+    /// Write the stage's passive representation to stable storage.
+    fn checkpoint(&self, state: &Value) -> Result<()>;
+}
+
+impl Host for EjectContext {
+    fn call(&self, target: Uid, op: &'static str, arg: Value) -> Result<Value> {
+        self.invoke_with(target, op, arg, stream_opts())
+            .wait_timeout(Duration::from_secs(20))
+    }
+
+    fn checkpoint(&self, state: &Value) -> Result<()> {
+        EjectContext::checkpoint(self, state)
+    }
+}
+
+impl Host for ProcessContext {
+    fn call(&self, target: Uid, op: &'static str, arg: Value) -> Result<Value> {
+        self.wait_or_stop(self.invoke_with(target, op, arg, stream_opts()))
+    }
+
+    fn checkpoint(&self, state: &Value) -> Result<()> {
+        ProcessContext::checkpoint(self, state)
+    }
+}
+
+/// One recoverable stream stage over {active, passive}² (module docs).
 #[derive(Debug)]
-pub struct RecoverableSource {
-    items: Vec<Value>,
-    /// Fallback cursor for non-positional readers.
-    cursor: u64,
-    recovered: bool,
-}
-
-impl RecoverableSource {
-    /// A fresh source over `items`.
-    pub fn new(items: Vec<Value>) -> RecoverableSource {
-        RecoverableSource {
-            items,
-            cursor: 0,
-            recovered: false,
-        }
-    }
-
-    fn state(&self) -> Value {
-        Value::record([
-            ("items", Value::list(self.items.clone())),
-            ("cursor", Value::Int(self.cursor as i64)),
-        ])
-    }
-
-    fn from_state(v: Value) -> Result<RecoverableSource> {
-        Ok(RecoverableSource {
-            items: items_field(&v, "items")?,
-            cursor: uint_field(&v, "cursor")?,
-            recovered: true,
-        })
-    }
-}
-
-impl EjectBehavior for RecoverableSource {
-    fn type_name(&self) -> &'static str {
-        "RecoverableSource"
-    }
-
-    fn activate(&mut self, ctx: &EjectContext) {
-        if self.recovered {
-            ctx.metrics().record_recovered_stream();
-        }
-        // Durable from birth: a crash before the first Transfer must leave
-        // a reactivatable Eject, not a vanished one.
-        let _ = ctx.checkpoint(&self.state());
-    }
-
-    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
-        match inv.op.as_str() {
-            ops::TRANSFER => {
-                let req = match TransferRequest::from_value(&inv.arg) {
-                    Ok(req) => req,
-                    Err(e) => return reply.reply(Err(e)),
-                };
-                let pos = (req.pos.unwrap_or(self.cursor) as usize).min(self.items.len());
-                let n = req.max.min(self.items.len() - pos);
-                let batch = Batch {
-                    items: self.items[pos..pos + n].to_vec(),
-                    end: pos + n == self.items.len(),
-                };
-                self.cursor = (pos + n) as u64;
-                if let Err(e) = ctx.checkpoint(&self.state()) {
-                    return reply.reply(Err(e));
-                }
-                reply.reply(Ok(batch.to_value()));
-            }
-            _ => reply.reply(Err(EdenError::NoSuchOperation {
-                target: ctx.uid(),
-                op: inv.op,
-            })),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// RecoverablePullFilter — read-only discipline (active input, passive
-// output), with positional replay.
-// ---------------------------------------------------------------------------
-
-/// A read-only filter that checkpoints `{input consumed, output buffer}`
-/// before every reply. Its output buffer retains records until the
-/// downstream position acknowledges them, so a reader retrying after a
-/// crash (its own, or this filter's) re-reads exactly what it missed.
-#[derive(Debug)]
-pub struct RecoverablePullFilter {
+struct RecoverableStage {
     transform_name: String,
     transform: Option<Box<dyn Transform>>,
-    upstream: Uid,
-    /// Input records consumed from upstream (doubles as our pull position).
+    registry: TransformRegistry,
+    /// `Some`: the input is active and pulls this Eject at `consumed`.
+    /// `None`: the input is passive and accepts `Write`s.
+    upstream: Option<Uid>,
+    /// `Some`: the output is active and pushes to this Eject at `base`.
+    /// `None`: the output is passive and serves `Transfer`s.
+    downstream: Option<Uid>,
+    /// Input records taken: the pull position of an active input, the next
+    /// sequence number a passive one accepts.
     consumed: u64,
-    /// Upstream ended and the transform has flushed.
+    /// The input has ended and the transform has flushed.
     in_end: bool,
-    /// Stream position of `buf[0]`.
+    /// Output records the downstream has acknowledged — by reading past
+    /// them (passive output) or by replying to the `Write` that carried
+    /// them (active output). The stream position of `buf[0]`.
     base: u64,
-    /// Produced but not yet acknowledged output.
-    buf: Vec<Value>,
-    pull_batch: usize,
+    /// Output produced and not yet acknowledged.
+    buf: VecDeque<Value>,
+    /// An active output has delivered end-of-stream and had it acknowledged.
+    out_end: bool,
+    /// Records per pull and per push.
+    batch: usize,
+    /// A worker drives this stage (it was `Start`ed).
+    started: bool,
+    /// The in-memory state is ahead of the last checkpoint.
+    dirty: bool,
     recovered: bool,
 }
 
-impl RecoverablePullFilter {
-    /// A fresh filter running `transform_name` (from `registry`) over
-    /// `upstream`, pulling `pull_batch` records per upstream Transfer.
-    pub fn new(
+impl RecoverableStage {
+    /// A fresh stage running `transform_name` (empty = identity) between an
+    /// active face for each peer given and a passive one for each `None`.
+    fn new(
         transform_name: &str,
         registry: &TransformRegistry,
-        upstream: Uid,
-        pull_batch: usize,
-    ) -> Result<RecoverablePullFilter> {
-        Ok(RecoverablePullFilter {
+        upstream: Option<Uid>,
+        downstream: Option<Uid>,
+        batch: usize,
+    ) -> Result<RecoverableStage> {
+        Ok(RecoverableStage {
             transform_name: transform_name.to_owned(),
+            // Built now so a typo fails at build, not mid-stream.
             transform: registry.build(transform_name)?,
+            registry: registry.clone(),
             upstream,
+            downstream,
             consumed: 0,
             in_end: false,
             base: 0,
-            buf: Vec::new(),
-            pull_batch: pull_batch.max(1),
+            buf: VecDeque::new(),
+            out_end: false,
+            batch: batch.max(1),
+            started: false,
+            dirty: false,
             recovered: false,
         })
     }
 
+    /// Make this stage a source: `items` are its whole output and its
+    /// input is closed. The record list lives in the checkpoint, so a
+    /// reactivated source re-serves any unacknowledged suffix
+    /// byte-for-byte.
+    fn preloaded(mut self, items: Vec<Value>) -> RecoverableStage {
+        self.buf = items.into();
+        self.in_end = true;
+        self
+    }
+
     fn state(&self) -> Value {
+        let peer = |p: Option<Uid>| p.map_or(Value::Unit, Value::Uid);
         Value::record([
             ("transform", Value::str(self.transform_name.clone())),
-            ("upstream", Value::Uid(self.upstream)),
+            ("upstream", peer(self.upstream)),
+            ("downstream", peer(self.downstream)),
             ("consumed", Value::Int(self.consumed as i64)),
             ("in_end", Value::Bool(self.in_end)),
             ("base", Value::Int(self.base as i64)),
-            ("buf", Value::list(self.buf.clone())),
-            ("batch", Value::Int(self.pull_batch as i64)),
+            (
+                "buf",
+                Value::list(self.buf.iter().cloned().collect::<Vec<_>>()),
+            ),
+            ("out_end", Value::Bool(self.out_end)),
+            ("batch", Value::Int(self.batch as i64)),
+            ("started", Value::Bool(self.started)),
         ])
     }
 
-    fn from_state(v: Value, registry: &TransformRegistry) -> Result<RecoverablePullFilter> {
+    fn from_state(v: Value, registry: &TransformRegistry) -> Result<RecoverableStage> {
         let name = v.field("transform")?.as_str()?.to_owned();
-        Ok(RecoverablePullFilter {
+        Ok(RecoverableStage {
+            // Rebuilt fresh: recovery replays any unacknowledged input
+            // through it, so a deterministic per-record transform lands in
+            // the state it crashed in.
             transform: registry.build(&name)?,
             transform_name: name,
-            upstream: v.field("upstream")?.as_uid()?,
+            registry: registry.clone(),
+            upstream: peer_field(&v, "upstream")?,
+            downstream: peer_field(&v, "downstream")?,
             consumed: uint_field(&v, "consumed")?,
             in_end: v.field("in_end")?.as_bool()?,
             base: uint_field(&v, "base")?,
-            buf: items_field(&v, "buf")?,
-            pull_batch: uint_field(&v, "batch")?.max(1) as usize,
+            buf: v.field("buf")?.as_list()?.iter().cloned().collect(),
+            out_end: v.field("out_end")?.as_bool()?,
+            batch: uint_field(&v, "batch")?.max(1) as usize,
+            started: v.field("started")?.as_bool()?,
+            dirty: false,
             recovered: true,
         })
     }
 
-    /// Pull upstream until `want` output records are buffered or the input
-    /// ends. Upstream crashes are ridden out by the retry policy; the
-    /// retried Transfer carries `consumed`, so the reactivated upstream
-    /// re-serves from exactly where this filter left off.
-    fn fill(&mut self, ctx: &EjectContext, want: usize) -> Result<()> {
-        while !self.in_end && self.buf.len() < want {
-            let req = TransferRequest::primary(self.pull_batch).at(self.consumed);
-            let reply = ctx
-                .invoke_with(self.upstream, ops::TRANSFER, req.to_value(), stream_opts())
-                .wait_timeout(Duration::from_secs(20))?;
-            let pulled = Batch::from_value(reply)?;
-            self.consumed += pulled.items.len() as u64;
-            let mut produced = apply(&mut self.transform, pulled.items);
-            if pulled.end {
-                produced.extend(flush(&mut self.transform));
-                self.in_end = true;
-            }
-            self.buf.extend(produced);
+    /// Checkpoint if anything changed since the last one.
+    fn save(&mut self, host: &impl Host) -> Result<()> {
+        if self.dirty {
+            host.checkpoint(&self.state())?;
+            self.dirty = false;
         }
         Ok(())
     }
-}
 
-impl EjectBehavior for RecoverablePullFilter {
-    fn type_name(&self) -> &'static str {
-        "RecoverablePullFilter"
-    }
-
-    fn activate(&mut self, ctx: &EjectContext) {
-        if self.recovered {
-            ctx.metrics().record_recovered_stream();
-        }
-        let _ = ctx.checkpoint(&self.state());
-    }
-
-    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
-        match inv.op.as_str() {
-            ops::TRANSFER => {
-                let req = match TransferRequest::from_value(&inv.arg) {
-                    Ok(req) => req,
-                    Err(e) => return reply.reply(Err(e)),
-                };
-                let pos = req.pos.unwrap_or(self.base);
-                if pos < self.base {
-                    // The acknowledged prefix is gone; a position below it
-                    // means the reader rewound further than we retained.
-                    return reply.reply(Err(EdenError::BadParameter(format!(
-                        "position {pos} below retained base {}",
-                        self.base
-                    ))));
+    /// Take `items` as input: run them through the transform (flushing it
+    /// if they end the stream) and buffer what comes out.
+    fn absorb(&mut self, items: Vec<Value>, end: bool) {
+        let end = end && !self.in_end;
+        self.dirty |= end || !items.is_empty();
+        self.consumed += items.len() as u64;
+        match &mut self.transform {
+            None => self.buf.extend(items),
+            Some(t) => {
+                let mut out = Emitter::new();
+                for item in items {
+                    t.push(item, &mut out);
                 }
-                // The position acknowledges everything before it.
-                let acked = ((pos - self.base) as usize).min(self.buf.len());
-                self.buf.drain(..acked);
-                self.base = pos;
-                if let Err(e) = self.fill(ctx, req.max) {
-                    return reply.reply(Err(e));
+                if end {
+                    t.flush(&mut out);
                 }
-                let n = req.max.min(self.buf.len());
-                let batch = Batch {
-                    items: self.buf[..n].to_vec(),
-                    end: self.in_end && n == self.buf.len(),
-                };
-                // Checkpoint before reply: the stable state must not claim
-                // more progress than the reader has seen.
-                if let Err(e) = ctx.checkpoint(&self.state()) {
-                    return reply.reply(Err(e));
-                }
-                reply.reply(Ok(batch.to_value()));
+                self.buf.extend(out.take_primary());
             }
-            _ => reply.reply(Err(EdenError::NoSuchOperation {
-                target: ctx.uid(),
-                op: inv.op,
-            })),
         }
+        self.in_end |= end;
     }
-}
 
-// ---------------------------------------------------------------------------
-// Write-only discipline: RecoverablePushSource, RecoverablePushFilter,
-// RecoverableAcceptor.
-// ---------------------------------------------------------------------------
+    /// The active input face: one `Transfer` at `consumed`. Upstream
+    /// crashes are ridden out by the retry policy; the retried Transfer
+    /// carries the same position, so the reactivated upstream re-serves
+    /// from exactly where this stage left off. Returns the records taken.
+    fn pull(&mut self, host: &impl Host, upstream: Uid) -> Result<usize> {
+        let req = TransferRequest::primary(self.batch).at(self.consumed);
+        let pulled = Batch::from_value(host.call(upstream, ops::TRANSFER, req.to_value())?)?;
+        let n = pulled.items.len();
+        self.absorb(pulled.items, pulled.end);
+        Ok(n)
+    }
 
-/// The write-only pump with a durable write position: a worker drains the
-/// record list into sequenced `Write`s, checkpointing after each
-/// acknowledgement. Reactivation resumes the pump from the checkpointed
-/// position; the receiver's sequence arithmetic absorbs any overlap.
-#[derive(Debug)]
-pub struct RecoverablePushSource {
-    items: Vec<Value>,
-    downstream: Uid,
-    w: u64,
-    started: bool,
-    done: bool,
-    batch: usize,
-    recovered: bool,
-}
-
-impl RecoverablePushSource {
-    /// A fresh pump of `items` into `downstream`, `batch` records per
-    /// write.
-    pub fn new(items: Vec<Value>, downstream: Uid, batch: usize) -> RecoverablePushSource {
-        RecoverablePushSource {
-            items,
-            downstream,
-            w: 0,
-            started: false,
-            done: false,
-            batch: batch.max(1),
-            recovered: false,
+    /// The active output face: `Write`s at `base`, a batch at a time, until
+    /// everything produced (and the end of the stream, once the input has
+    /// closed) is acknowledged. Each acknowledgement is checkpointed before
+    /// the next write, so a crash resumes from the last acknowledged
+    /// position and the receiver's sequence arithmetic absorbs the one
+    /// batch that may be re-sent. A passive output has nothing to push: it
+    /// delivers by retaining, and its reader will come.
+    fn push(&mut self, host: &impl Host) -> Result<()> {
+        let Some(downstream) = self.downstream else {
+            return Ok(());
+        };
+        while !self.buf.is_empty() || (self.in_end && !self.out_end) {
+            let n = self.batch.min(self.buf.len());
+            let end = self.in_end && n == self.buf.len();
+            let req = WriteRequest {
+                channel: Default::default(),
+                items: self.buf.iter().take(n).cloned().collect(),
+                end,
+                seq: Some(self.base),
+            };
+            host.call(downstream, ops::WRITE, req.to_value())?;
+            self.buf.drain(..n);
+            self.base += n as u64;
+            self.out_end = end;
+            self.dirty = true;
+            self.save(host)?;
         }
+        Ok(())
     }
 
-    fn state_value(items: &[Value], downstream: Uid, w: u64, started: bool, done: bool, batch: usize) -> Value {
-        Value::record([
-            ("items", Value::list(items.to_vec())),
-            ("downstream", Value::Uid(downstream)),
-            ("w", Value::Int(w as i64)),
-            ("started", Value::Bool(started)),
-            ("done", Value::Bool(done)),
-            ("batch", Value::Int(batch as i64)),
-        ])
+    /// The passive input face: a sequenced `Write`. Whatever the step
+    /// produces is pushed on (active output) or retained (passive output)
+    /// and the whole step checkpointed before the write is acknowledged, so
+    /// every crash window resolves to a re-send the sequence arithmetic
+    /// deduplicates.
+    fn accept(&mut self, host: &impl Host, req: WriteRequest) -> Result<Value> {
+        let seq = req.seq.unwrap_or(self.consumed);
+        if seq > self.consumed {
+            return Err(EdenError::BadParameter(format!(
+                "write at {seq} leaves a gap after {}",
+                self.consumed
+            )));
+        }
+        // Skip the overlap of a re-sent batch (sequence arithmetic is the
+        // dedupe).
+        let skip = ((self.consumed - seq) as usize).min(req.items.len());
+        let mut fresh = req.items;
+        fresh.drain(..skip);
+        // A retried final write is all overlap and stays a no-op; a record
+        // beyond the closed stream's end is a sender's bug.
+        if self.in_end && !fresh.is_empty() {
+            return Err(EdenError::Application("write after end of stream".into()));
+        }
+        self.absorb(fresh, req.end);
+        self.push(host)?;
+        self.save(host)?;
+        Ok(Value::Unit)
     }
 
-    fn state(&self) -> Value {
-        Self::state_value(&self.items, self.downstream, self.w, self.started, self.done, self.batch)
+    /// The passive output face: a positional `Transfer`. The buffer retains
+    /// records until the reader's position acknowledges them, so a reader
+    /// retrying after a crash (its own, or this stage's) re-reads exactly
+    /// what it missed.
+    fn serve(&mut self, host: &impl Host, req: TransferRequest) -> Result<Value> {
+        let pos = req.pos.unwrap_or(self.base);
+        if pos < self.base {
+            // The acknowledged prefix is gone; a position below it means
+            // the reader rewound further than we retained.
+            return Err(EdenError::BadParameter(format!(
+                "position {pos} below retained base {}",
+                self.base
+            )));
+        }
+        // The position acknowledges everything before it.
+        let acked = ((pos - self.base) as usize).min(self.buf.len());
+        self.buf.drain(..acked);
+        self.base += acked as u64;
+        self.dirty |= acked > 0;
+        if let Some(upstream) = self.upstream {
+            // `consumed` is durable as the step begins; once a pull has
+            // moved it, checkpoint before pulling again — the next position
+            // tells the upstream to discard what only memory has so far.
+            let durable = self.consumed;
+            while !self.in_end && self.buf.len() < req.max {
+                if self.consumed != durable {
+                    self.save(host)?;
+                }
+                self.pull(host, upstream)?;
+            }
+        }
+        // Checkpoint before reply: the stable state must not claim less
+        // progress than the reader has seen.
+        self.save(host)?;
+        let n = req.max.min(self.buf.len());
+        let batch = Batch {
+            items: self.buf.iter().take(n).cloned().collect(),
+            end: self.in_end && n == self.buf.len(),
+        };
+        Ok(batch.to_value())
     }
 
-    fn from_state(v: Value) -> Result<RecoverablePushSource> {
-        Ok(RecoverablePushSource {
-            items: items_field(&v, "items")?,
-            downstream: v.field("downstream")?.as_uid()?,
-            w: uint_field(&v, "w")?,
-            started: v.field("started")?.as_bool()?,
-            done: v.field("done")?.as_bool()?,
-            batch: uint_field(&v, "batch")?.max(1) as usize,
-            recovered: true,
-        })
+    /// One worker-driven step: pull if there is nothing to deliver, then
+    /// deliver. `Ok(false)` means the upstream buffer was dry but the
+    /// stream is still open.
+    fn work(&mut self, host: &impl Host) -> Result<bool> {
+        if let Some(upstream) = self.upstream {
+            if self.buf.is_empty() && !self.in_end {
+                let taken = self.pull(host, upstream)?;
+                if taken == 0 && !self.in_end {
+                    return Ok(false);
+                }
+            }
+        }
+        self.push(host)?;
+        self.save(host)?;
+        Ok(true)
     }
 
-    fn spawn_pump(&self, ctx: &EjectContext) {
-        let items = self.items.clone();
-        let downstream = self.downstream;
-        let batch = self.batch;
-        let mut w = self.w;
-        ctx.spawn_process("push-pump", move |pctx| {
-            while !pctx.should_stop() {
-                let end = w as usize + batch >= items.len();
-                let slice = items[(w as usize).min(items.len())..(w as usize + batch).min(items.len())].to_vec();
-                let n = slice.len() as u64;
-                let req = WriteRequest {
-                    channel: Default::default(),
-                    items: slice,
-                    end,
-                    seq: Some(w),
-                };
-                let pending =
-                    pctx.invoke_with(downstream, ops::WRITE, req.to_value(), stream_opts());
-                match pctx.wait_or_stop(pending) {
-                    Ok(_) => {
-                        w += n;
-                        let _ = pctx.checkpoint(&RecoverablePushSource::state_value(
-                            &items, downstream, w, true, end, batch,
-                        ));
-                        if end {
-                            return;
-                        }
-                    }
+    /// Become worker-driven, durably, so a reactivation knows to restart
+    /// the worker. A retried `Start` finds it done.
+    fn start(&mut self, ctx: &EjectContext) -> Result<Value> {
+        if !self.started {
+            self.started = true;
+            self.dirty = true;
+            self.save(ctx)?;
+            self.spawn_worker(ctx);
+        }
+        Ok(Value::Unit)
+    }
+
+    /// Run [`work`](Self::work) on a worker process until the stream has
+    /// been delivered whole. The worker steps a copy of this stage and
+    /// checkpoints it under this Eject's UID; a reactivation starts a new
+    /// worker from whatever that copy last saved.
+    fn spawn_worker(&self, ctx: &EjectContext) {
+        let mut stage = RecoverableStage::from_state(self.state(), &self.registry)
+            .expect("a state this stage rendered, a transform it already built");
+        ctx.spawn_process("stage", move |pctx| {
+            // Done once the end of the stream is delivered and that is durable.
+            while !pctx.should_stop() && (!stage.out_end || stage.dirty) {
+                match stage.work(&pctx) {
+                    Ok(true) => {}
                     Err(EdenError::KernelShutdown) => return,
-                    // Retries exhausted under heavy fault load: pause and
-                    // keep pumping from the same position rather than
-                    // stranding the stream.
+                    // A dry upstream buffer, or retries exhausted under
+                    // heavy fault load: pause and carry on from the same
+                    // positions rather than stranding the stream (a write
+                    // that may or may not have landed is re-sent with the
+                    // same sequence; the receiver deduplicates).
                     // eden-lint: nonblocking(spawn_process worker thread, not a pool worker)
-                    Err(_) => std::thread::sleep(POLL),
+                    Ok(false) | Err(_) => std::thread::sleep(POLL),
                 }
             }
         });
     }
 }
 
-impl EjectBehavior for RecoverablePushSource {
+impl EjectBehavior for RecoverableStage {
     fn type_name(&self) -> &'static str {
-        "RecoverablePushSource"
+        STAGE_TYPE
     }
 
     fn activate(&mut self, ctx: &EjectContext) {
         if self.recovered {
             ctx.metrics().record_recovered_stream();
         }
+        // Durable from birth: a crash before the first stream operation
+        // must leave a reactivatable Eject, not a vanished one.
         let _ = ctx.checkpoint(&self.state());
-        if self.started && !self.done {
-            self.spawn_pump(ctx);
+        if self.started && !self.out_end {
+            self.spawn_worker(ctx);
         }
     }
 
     fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
-        match inv.op.as_str() {
-            "Start" => {
-                if !self.started {
-                    self.started = true;
-                    if let Err(e) = ctx.checkpoint(&self.state()) {
-                        return reply.reply(Err(e));
-                    }
-                    self.spawn_pump(ctx);
-                }
-                reply.reply(Ok(Value::Unit));
+        // A face answers only the operations of its mode.
+        let result = match inv.op.as_str() {
+            ops::WRITE if self.upstream.is_none() => {
+                WriteRequest::from_value(inv.arg).and_then(|req| self.accept(ctx, req))
             }
-            _ => reply.reply(Err(EdenError::NoSuchOperation {
+            ops::TRANSFER if self.downstream.is_none() => {
+                TransferRequest::from_value(&inv.arg).and_then(|req| self.serve(ctx, req))
+            }
+            READ_ALL if self.downstream.is_none() => Ok(Batch {
+                items: self.buf.iter().cloned().collect(),
+                end: self.in_end,
+            }
+            .to_value()),
+            START if self.downstream.is_some() => self.start(ctx),
+            _ => Err(EdenError::NoSuchOperation {
                 target: ctx.uid(),
                 op: inv.op,
-            })),
-        }
+            }),
+        };
+        reply.reply(result);
     }
 }
 
-/// A write-only filter: passive, sequenced input; active, sequenced
-/// output. The checkpoint records `{input accepted, output forwarded}`;
-/// forwarding happens *before* the checkpoint, and the checkpoint before
-/// the acknowledgement, so every crash window resolves to a re-send that
-/// the sequence arithmetic deduplicates.
-#[derive(Debug)]
-pub struct RecoverablePushFilter {
-    transform_name: String,
-    transform: Option<Box<dyn Transform>>,
-    downstream: Uid,
-    /// Input records accepted.
-    r: u64,
-    /// Output records forwarded and acknowledged.
-    w: u64,
-    ended: bool,
-    recovered: bool,
-}
-
-impl RecoverablePushFilter {
-    /// A fresh filter running `transform_name` over writes, forwarding to
-    /// `downstream`.
-    pub fn new(
-        transform_name: &str,
-        registry: &TransformRegistry,
-        downstream: Uid,
-    ) -> Result<RecoverablePushFilter> {
-        Ok(RecoverablePushFilter {
-            transform_name: transform_name.to_owned(),
-            transform: registry.build(transform_name)?,
-            downstream,
-            r: 0,
-            w: 0,
-            ended: false,
-            recovered: false,
-        })
-    }
-
-    fn state(&self) -> Value {
-        Value::record([
-            ("transform", Value::str(self.transform_name.clone())),
-            ("downstream", Value::Uid(self.downstream)),
-            ("r", Value::Int(self.r as i64)),
-            ("w", Value::Int(self.w as i64)),
-            ("ended", Value::Bool(self.ended)),
-        ])
-    }
-
-    fn from_state(v: Value, registry: &TransformRegistry) -> Result<RecoverablePushFilter> {
-        let name = v.field("transform")?.as_str()?.to_owned();
-        Ok(RecoverablePushFilter {
-            transform: registry.build(&name)?,
-            transform_name: name,
-            downstream: v.field("downstream")?.as_uid()?,
-            r: uint_field(&v, "r")?,
-            w: uint_field(&v, "w")?,
-            ended: v.field("ended")?.as_bool()?,
-            recovered: true,
-        })
-    }
-}
-
-impl EjectBehavior for RecoverablePushFilter {
-    fn type_name(&self) -> &'static str {
-        "RecoverablePushFilter"
-    }
-
-    fn activate(&mut self, ctx: &EjectContext) {
-        if self.recovered {
-            ctx.metrics().record_recovered_stream();
-        }
-        let _ = ctx.checkpoint(&self.state());
-    }
-
-    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
-        match inv.op.as_str() {
-            ops::WRITE => {
-                let req = match WriteRequest::from_value(inv.arg) {
-                    Ok(req) => req,
-                    Err(e) => return reply.reply(Err(e)),
-                };
-                let seq = req.seq.unwrap_or(self.r);
-                if seq > self.r {
-                    return reply.reply(Err(EdenError::BadParameter(format!(
-                        "write at {seq} leaves a gap after {}",
-                        self.r
-                    ))));
-                }
-                // Skip the overlap of a re-sent batch (sequence arithmetic
-                // is the dedupe).
-                let skip = ((self.r - seq) as usize).min(req.items.len());
-                let accepted = req.items.len() - skip;
-                let fresh: Vec<Value> = req.items[skip..].to_vec();
-                let mut out = apply(&mut self.transform, fresh);
-                let end_now = req.end && !self.ended;
-                if end_now {
-                    out.extend(flush(&mut self.transform));
-                }
-                if !out.is_empty() || req.end {
-                    let fwd = WriteRequest {
-                        channel: Default::default(),
-                        items: out.clone(),
-                        end: req.end,
-                        seq: Some(self.w),
-                    };
-                    let forwarded = ctx
-                        .invoke_with(self.downstream, ops::WRITE, fwd.to_value(), stream_opts())
-                        .wait_timeout(Duration::from_secs(20));
-                    if let Err(e) = forwarded {
-                        return reply.reply(Err(e));
-                    }
-                }
-                self.r += accepted as u64;
-                self.w += out.len() as u64;
-                self.ended |= req.end;
-                if let Err(e) = ctx.checkpoint(&self.state()) {
-                    return reply.reply(Err(e));
-                }
-                reply.reply(Ok(Value::Unit));
-            }
-            _ => reply.reply(Err(EdenError::NoSuchOperation {
-                target: ctx.uid(),
-                op: inv.op,
-            })),
-        }
-    }
-}
-
-/// The terminal stage: accepts sequenced writes, keeps every record inside
-/// its checkpoint, and serves the whole stream back via [`READ_ALL`]. The
-/// records and the position acknowledging them live in one atomic passive
-/// representation, so the output itself survives the acceptor crashing.
-#[derive(Debug)]
-pub struct RecoverableAcceptor {
-    items: Vec<Value>,
-    ended: bool,
-    recovered: bool,
-}
-
-impl RecoverableAcceptor {
-    /// A fresh, empty acceptor.
-    #[allow(clippy::new_without_default)]
-    pub fn new() -> RecoverableAcceptor {
-        RecoverableAcceptor {
-            items: Vec::new(),
-            ended: false,
-            recovered: false,
-        }
-    }
-
-    fn state(&self) -> Value {
-        Value::record([
-            ("items", Value::list(self.items.clone())),
-            ("ended", Value::Bool(self.ended)),
-        ])
-    }
-
-    fn from_state(v: Value) -> Result<RecoverableAcceptor> {
-        Ok(RecoverableAcceptor {
-            items: items_field(&v, "items")?,
-            ended: v.field("ended")?.as_bool()?,
-            recovered: true,
-        })
-    }
-}
-
-impl EjectBehavior for RecoverableAcceptor {
-    fn type_name(&self) -> &'static str {
-        "RecoverableAcceptor"
-    }
-
-    fn activate(&mut self, ctx: &EjectContext) {
-        if self.recovered {
-            ctx.metrics().record_recovered_stream();
-        }
-        let _ = ctx.checkpoint(&self.state());
-    }
-
-    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
-        match inv.op.as_str() {
-            ops::WRITE => {
-                let req = match WriteRequest::from_value(inv.arg) {
-                    Ok(req) => req,
-                    Err(e) => return reply.reply(Err(e)),
-                };
-                let r = self.items.len() as u64;
-                let seq = req.seq.unwrap_or(r);
-                if seq > r {
-                    return reply.reply(Err(EdenError::BadParameter(format!(
-                        "write at {seq} leaves a gap after {r}"
-                    ))));
-                }
-                let skip = ((r - seq) as usize).min(req.items.len());
-                self.items.extend_from_slice(&req.items[skip..]);
-                self.ended |= req.end;
-                if let Err(e) = ctx.checkpoint(&self.state()) {
-                    return reply.reply(Err(e));
-                }
-                reply.reply(Ok(Value::Unit));
-            }
-            READ_ALL => {
-                let batch = Batch {
-                    items: self.items.clone(),
-                    end: self.ended,
-                };
-                reply.reply(Ok(batch.to_value()));
-            }
-            _ => reply.reply(Err(EdenError::NoSuchOperation {
-                target: ctx.uid(),
-                op: inv.op,
-            })),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Conventional discipline: RecoverableBuffer and RecoverablePump.
-// ---------------------------------------------------------------------------
-
-/// The conventional discipline's passive buffer, with both faces
-/// positional: sequenced `Write`s in, positional `Transfer`s out. Reads
-/// never park — an empty buffer replies with an empty non-final batch and
-/// the pump polls — because a parked reply would die with a crash anyway;
-/// polling against the checkpointed position is what recovery can prove
-/// correct.
-#[derive(Debug)]
-pub struct RecoverableBuffer {
-    /// Stream position of `buf[0]`.
-    base: u64,
-    buf: Vec<Value>,
-    /// Input records accepted (`base + buf.len()`).
-    r: u64,
-    ended: bool,
-    recovered: bool,
-}
-
-impl RecoverableBuffer {
-    /// A fresh, empty buffer.
-    #[allow(clippy::new_without_default)]
-    pub fn new() -> RecoverableBuffer {
-        RecoverableBuffer {
-            base: 0,
-            buf: Vec::new(),
-            r: 0,
-            ended: false,
-            recovered: false,
-        }
-    }
-
-    fn state(&self) -> Value {
-        Value::record([
-            ("base", Value::Int(self.base as i64)),
-            ("buf", Value::list(self.buf.clone())),
-            ("r", Value::Int(self.r as i64)),
-            ("ended", Value::Bool(self.ended)),
-        ])
-    }
-
-    fn from_state(v: Value) -> Result<RecoverableBuffer> {
-        Ok(RecoverableBuffer {
-            base: uint_field(&v, "base")?,
-            buf: items_field(&v, "buf")?,
-            r: uint_field(&v, "r")?,
-            ended: v.field("ended")?.as_bool()?,
-            recovered: true,
-        })
-    }
-}
-
-impl EjectBehavior for RecoverableBuffer {
-    fn type_name(&self) -> &'static str {
-        "RecoverableBuffer"
-    }
-
-    fn activate(&mut self, ctx: &EjectContext) {
-        if self.recovered {
-            ctx.metrics().record_recovered_stream();
-        }
-        let _ = ctx.checkpoint(&self.state());
-    }
-
-    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
-        match inv.op.as_str() {
-            ops::WRITE => {
-                let req = match WriteRequest::from_value(inv.arg) {
-                    Ok(req) => req,
-                    Err(e) => return reply.reply(Err(e)),
-                };
-                let seq = req.seq.unwrap_or(self.r);
-                if seq > self.r {
-                    return reply.reply(Err(EdenError::BadParameter(format!(
-                        "write at {seq} leaves a gap after {}",
-                        self.r
-                    ))));
-                }
-                let skip = ((self.r - seq) as usize).min(req.items.len());
-                self.buf.extend_from_slice(&req.items[skip..]);
-                self.r += (req.items.len() - skip) as u64;
-                self.ended |= req.end;
-                if let Err(e) = ctx.checkpoint(&self.state()) {
-                    return reply.reply(Err(e));
-                }
-                reply.reply(Ok(Value::Unit));
-            }
-            ops::TRANSFER => {
-                let req = match TransferRequest::from_value(&inv.arg) {
-                    Ok(req) => req,
-                    Err(e) => return reply.reply(Err(e)),
-                };
-                let pos = req.pos.unwrap_or(self.base);
-                if pos < self.base {
-                    return reply.reply(Err(EdenError::BadParameter(format!(
-                        "position {pos} below retained base {}",
-                        self.base
-                    ))));
-                }
-                // The position acknowledges everything before it; drop the
-                // acknowledged prefix and persist the trim.
-                let acked = ((pos - self.base) as usize).min(self.buf.len());
-                if acked > 0 {
-                    self.buf.drain(..acked);
-                    self.base = pos;
-                    if let Err(e) = ctx.checkpoint(&self.state()) {
-                        return reply.reply(Err(e));
-                    }
-                }
-                let offset = ((pos - self.base) as usize).min(self.buf.len());
-                let n = req.max.min(self.buf.len() - offset);
-                let batch = Batch {
-                    items: self.buf[offset..offset + n].to_vec(),
-                    end: self.ended && pos + n as u64 == self.r,
-                };
-                reply.reply(Ok(batch.to_value()));
-            }
-            _ => reply.reply(Err(EdenError::NoSuchOperation {
-                target: ctx.uid(),
-                op: inv.op,
-            })),
-        }
-    }
-}
-
-/// The conventional discipline's pump: a worker actively pulls from one
-/// Eject and actively writes to the next, checkpointing its `{consumed,
-/// written}` pair (via [`eden_kernel::ProcessContext::checkpoint`]) only
-/// after the
-/// downstream acknowledgement. A crashed pump resumes from that pair; both
-/// neighbours' position arithmetic absorbs the replayed window.
-#[derive(Debug)]
-pub struct RecoverablePump {
-    transform_name: String,
-    upstream: Uid,
-    downstream: Uid,
-    c: u64,
-    w: u64,
-    started: bool,
-    done: bool,
-    batch: usize,
-    registry: TransformRegistry,
-    recovered: bool,
-}
-
-impl RecoverablePump {
-    /// A fresh pump from `upstream` to `downstream` running
-    /// `transform_name` (empty = identity).
-    pub fn new(
-        transform_name: &str,
-        registry: &TransformRegistry,
-        upstream: Uid,
-        downstream: Uid,
-        batch: usize,
-    ) -> Result<RecoverablePump> {
-        // Validate the name now so a typo fails at build, not mid-stream.
-        registry.build(transform_name)?;
-        Ok(RecoverablePump {
-            transform_name: transform_name.to_owned(),
-            upstream,
-            downstream,
-            c: 0,
-            w: 0,
-            started: false,
-            done: false,
-            batch: batch.max(1),
-            registry: registry.clone(),
-            recovered: false,
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn state_value(
-        transform: &str,
-        upstream: Uid,
-        downstream: Uid,
-        c: u64,
-        w: u64,
-        started: bool,
-        done: bool,
-        batch: usize,
-    ) -> Value {
-        Value::record([
-            ("transform", Value::str(transform.to_owned())),
-            ("upstream", Value::Uid(upstream)),
-            ("downstream", Value::Uid(downstream)),
-            ("c", Value::Int(c as i64)),
-            ("w", Value::Int(w as i64)),
-            ("started", Value::Bool(started)),
-            ("done", Value::Bool(done)),
-            ("batch", Value::Int(batch as i64)),
-        ])
-    }
-
-    fn state(&self) -> Value {
-        Self::state_value(
-            &self.transform_name,
-            self.upstream,
-            self.downstream,
-            self.c,
-            self.w,
-            self.started,
-            self.done,
-            self.batch,
-        )
-    }
-
-    fn from_state(v: Value, registry: &TransformRegistry) -> Result<RecoverablePump> {
-        Ok(RecoverablePump {
-            transform_name: v.field("transform")?.as_str()?.to_owned(),
-            upstream: v.field("upstream")?.as_uid()?,
-            downstream: v.field("downstream")?.as_uid()?,
-            c: uint_field(&v, "c")?,
-            w: uint_field(&v, "w")?,
-            started: v.field("started")?.as_bool()?,
-            done: v.field("done")?.as_bool()?,
-            batch: uint_field(&v, "batch")?.max(1) as usize,
-            registry: registry.clone(),
-            recovered: true,
-        })
-    }
-
-    fn spawn_pump(&self, ctx: &EjectContext) {
-        let name = self.transform_name.clone();
-        let registry = self.registry.clone();
-        let (upstream, downstream, batch) = (self.upstream, self.downstream, self.batch);
-        let (mut c, mut w) = (self.c, self.w);
-        ctx.spawn_process("pump", move |pctx| {
-            // Rebuilt fresh: recovery replays any unacknowledged inputs
-            // through it, so a deterministic per-record transform lands in
-            // the same state it crashed in.
-            let mut transform = registry.build(&name).expect("validated at build");
-            // Replay the unacknowledged window [w_in_inputs..c) — for a
-            // per-record transform nothing needs replaying; the positions
-            // already agree.
-            loop {
-                if pctx.should_stop() {
-                    return;
-                }
-                let req = TransferRequest::primary(batch).at(c);
-                let pending =
-                    pctx.invoke_with(upstream, ops::TRANSFER, req.to_value(), stream_opts());
-                let pulled = match pctx.wait_or_stop(pending).and_then(Batch::from_value) {
-                    Ok(b) => b,
-                    Err(EdenError::KernelShutdown) => return,
-                    Err(_) => {
-                        // eden-lint: nonblocking(spawn_process worker thread, not a pool worker)
-                        std::thread::sleep(POLL);
-                        continue;
-                    }
-                };
-                if pulled.items.is_empty() && !pulled.end {
-                    // Empty non-final read: the upstream buffer is dry but
-                    // the stream is still open. Poll.
-                    // eden-lint: nonblocking(spawn_process worker thread, not a pool worker)
-                    std::thread::sleep(POLL);
-                    continue;
-                }
-                let n = pulled.items.len() as u64;
-                let mut out = apply(&mut transform, pulled.items);
-                if pulled.end {
-                    out.extend(flush(&mut transform));
-                }
-                let m = out.len() as u64;
-                if !out.is_empty() || pulled.end {
-                    let fwd = WriteRequest {
-                        channel: Default::default(),
-                        items: out,
-                        end: pulled.end,
-                        seq: Some(w),
-                    };
-                    let pending =
-                        pctx.invoke_with(downstream, ops::WRITE, fwd.to_value(), stream_opts());
-                    match pctx.wait_or_stop(pending) {
-                        Ok(_) => {}
-                        Err(EdenError::KernelShutdown) => return,
-                        Err(_) => {
-                            // The write may or may not have landed; re-pull
-                            // from the unadvanced position and re-send with
-                            // the same sequence — the receiver deduplicates.
-                            // eden-lint: nonblocking(spawn_process worker thread, not a pool worker)
-                            std::thread::sleep(POLL);
-                            continue;
-                        }
-                    }
-                }
-                c += n;
-                w += m;
-                let _ = pctx.checkpoint(&RecoverablePump::state_value(
-                    &name, upstream, downstream, c, w, true, pulled.end, batch,
-                ));
-                if pulled.end {
-                    return;
-                }
-            }
-        });
-    }
-}
-
-impl EjectBehavior for RecoverablePump {
-    fn type_name(&self) -> &'static str {
-        "RecoverablePump"
-    }
-
-    fn activate(&mut self, ctx: &EjectContext) {
-        if self.recovered {
-            ctx.metrics().record_recovered_stream();
-        }
-        let _ = ctx.checkpoint(&self.state());
-        if self.started && !self.done {
-            self.spawn_pump(ctx);
-        }
-    }
-
-    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
-        match inv.op.as_str() {
-            "Start" => {
-                if !self.started {
-                    self.started = true;
-                    if let Err(e) = ctx.checkpoint(&self.state()) {
-                        return reply.reply(Err(e));
-                    }
-                    self.spawn_pump(ctx);
-                }
-                reply.reply(Ok(Value::Unit));
-            }
-            _ => reply.reply(Err(EdenError::NoSuchOperation {
-                target: ctx.uid(),
-                op: inv.op,
-            })),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Registration and the pipeline driver.
-// ---------------------------------------------------------------------------
-
-/// Register the reactivation constructors for every recoverable stage
-/// type. Must be called (once per kernel) before any recoverable stage can
-/// come back from a crash; `registry` must contain every transform the
-/// pipelines will mount.
+/// Register the reactivation constructor for recoverable stages. Must be
+/// called (once per kernel) before any recoverable stage can come back from
+/// a crash; `registry` must contain every transform the pipelines will
+/// mount.
 pub fn install_recovery(kernel: &Kernel, registry: &TransformRegistry) {
-    let reg = registry.clone();
-    kernel.register_type("RecoverableSource", move |state| {
-        let _ = &reg;
-        match state {
-            Some(v) => Ok(Box::new(RecoverableSource::from_state(v)?)),
-            None => Err(EdenError::Application("source needs a checkpoint".into())),
-        }
-    });
-    let reg = registry.clone();
-    kernel.register_type("RecoverablePullFilter", move |state| match state {
-        Some(v) => Ok(Box::new(RecoverablePullFilter::from_state(v, &reg)?)),
-        None => Err(EdenError::Application("filter needs a checkpoint".into())),
-    });
-    kernel.register_type("RecoverablePushSource", move |state| match state {
-        Some(v) => Ok(Box::new(RecoverablePushSource::from_state(v)?)),
-        None => Err(EdenError::Application("source needs a checkpoint".into())),
-    });
-    let reg = registry.clone();
-    kernel.register_type("RecoverablePushFilter", move |state| match state {
-        Some(v) => Ok(Box::new(RecoverablePushFilter::from_state(v, &reg)?)),
-        None => Err(EdenError::Application("filter needs a checkpoint".into())),
-    });
-    kernel.register_type("RecoverableAcceptor", move |state| match state {
-        Some(v) => Ok(Box::new(RecoverableAcceptor::from_state(v)?)),
-        None => Err(EdenError::Application("acceptor needs a checkpoint".into())),
-    });
-    kernel.register_type("RecoverableBuffer", move |state| match state {
-        Some(v) => Ok(Box::new(RecoverableBuffer::from_state(v)?)),
-        None => Err(EdenError::Application("buffer needs a checkpoint".into())),
-    });
-    let reg = registry.clone();
-    kernel.register_type("RecoverablePump", move |state| match state {
-        Some(v) => Ok(Box::new(RecoverablePump::from_state(v, &reg)?)),
-        None => Err(EdenError::Application("pump needs a checkpoint".into())),
+    let registry = registry.clone();
+    kernel.register_type(STAGE_TYPE, move |state| match state {
+        Some(v) => Ok(Box::new(RecoverableStage::from_state(v, &registry)?)),
+        None => Err(EdenError::Application(
+            "a recoverable stage needs a checkpoint".into(),
+        )),
     });
 }
+
+// ---------------------------------------------------------------------------
+// Disciplines as tables of faces, and the pipeline driver.
+// ---------------------------------------------------------------------------
 
 /// Which communication discipline a recoverable pipeline uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1152,74 +610,119 @@ impl RecoveryDiscipline {
     }
 }
 
+/// Which side of a stream connection does the invoking.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    Active,
+    Passive,
+}
+
+/// One row of a discipline's table: a stage, its faces and its place in
+/// the wiring graph.
+#[derive(Debug)]
+struct StageSpec {
+    label: String,
+    role: NodeRole,
+    transform: String,
+    input: Mode,
+    output: Mode,
+}
+
+/// The head-first table of stages `discipline` needs to run `transforms`.
+///
+/// A discipline is its filters' faces; the rest follows from joining each
+/// active face to a passive one. A source is pulled where the filters pull
+/// and pumps where they do not; filters that push need an acceptor to push
+/// into; and where both faces are active a passive buffer sits between
+/// consecutive filters — and a single identity pump still has to move the
+/// records when there is no filter at all.
+fn stage_specs(discipline: RecoveryDiscipline, transforms: &[&str]) -> Vec<StageSpec> {
+    use Mode::{Active, Passive};
+    use NodeRole::{Buffer, Filter, Sink, Source};
+    let (input, output) = match discipline {
+        RecoveryDiscipline::ReadOnly => (Active, Passive),
+        RecoveryDiscipline::WriteOnly => (Passive, Active),
+        RecoveryDiscipline::Conventional => (Active, Active),
+    };
+    let pumps = (input, output) == (Active, Active);
+    let mut specs = Vec::new();
+    let mut add = |label: String, role, transform: &str, input, output| {
+        let transform = transform.to_owned();
+        specs.push(StageSpec {
+            label,
+            role,
+            transform,
+            input,
+            output,
+        });
+    };
+    let source_output = if input == Active { Passive } else { Active };
+    add("source".into(), Source, "", Passive, source_output);
+    let filters = if pumps && transforms.is_empty() {
+        &[""][..]
+    } else {
+        transforms
+    };
+    for (i, name) in filters.iter().enumerate() {
+        if pumps && i > 0 {
+            add(format!("buf{}", i - 1), Buffer, "", Passive, Passive);
+        }
+        let kind = if pumps { "pump" } else { "stage" };
+        let shown = if name.is_empty() { "copy" } else { name };
+        add(format!("{kind}{i}:{shown}"), Filter, name, input, output);
+    }
+    if output == Active {
+        add("acceptor".into(), Sink, "", Passive, Passive);
+    }
+    specs
+}
+
+/// The tail of a table with no acceptor: the driver is then the chain's
+/// active sink and pulls it.
+fn driver_pulled(specs: &[StageSpec]) -> Option<&StageSpec> {
+    specs.last().filter(|tail| tail.role != NodeRole::Sink)
+}
+
+/// The wiring of a table: one node per stage, one edge per joint, its mode
+/// read off the two faces that meet there.
+fn wiring(discipline: RecoveryDiscipline, specs: &[StageSpec]) -> WiringGraph {
+    let edge_mode = |output: Mode, input: Mode| match (output, input) {
+        (Mode::Passive, Mode::Active) => EdgeMode::Pull,
+        (Mode::Active, Mode::Passive) => EdgeMode::Push,
+        // Sound only through a passive buffer, which `conform` insists on.
+        (Mode::Active, Mode::Active) => EdgeMode::Rendezvous,
+        (Mode::Passive, Mode::Passive) => {
+            unreachable!("no discipline joins two passive faces: nothing would move the records")
+        }
+    };
+    let mut graph = WiringGraph::new(discipline.kind());
+    for spec in specs {
+        graph.node(spec.label.clone(), spec.role);
+    }
+    for joint in specs.windows(2) {
+        let mode = edge_mode(joint[0].output, joint[1].input);
+        graph.edge_mode(
+            joint[0].label.clone(),
+            OUTPUT_NAME,
+            joint[1].label.clone(),
+            mode,
+        );
+    }
+    if let Some(tail) = driver_pulled(specs) {
+        graph.node("driver", NodeRole::Sink);
+        let mode = edge_mode(tail.output, Mode::Active);
+        graph.edge_mode(tail.label.clone(), OUTPUT_NAME, "driver", mode);
+    }
+    graph
+}
+
 /// Render the wiring [`run_recoverable_pipeline`] would spawn for this
 /// discipline and transform chain, in the same [`WiringGraph`] form the
 /// non-recoverable [`crate::pipeline::PipelineSpec`] uses. The driver
 /// checks this graph before spawning anything, so a recoverable pipeline
 /// that would violate its discipline's shape rules fails statically.
 pub fn recovery_graph(discipline: RecoveryDiscipline, transforms: &[&str]) -> WiringGraph {
-    let mut graph = WiringGraph::new(discipline.kind());
-    match discipline {
-        RecoveryDiscipline::ReadOnly => {
-            // Source ← pull filters ← driver: every hop is a positional
-            // Transfer issued by the consumer.
-            graph.node("source", NodeRole::Source);
-            let mut prev = "source".to_owned();
-            for (i, name) in transforms.iter().enumerate() {
-                let stage = stage_name(i, name);
-                graph.node(stage.clone(), NodeRole::Filter);
-                graph.edge(prev, "Output", stage.clone());
-                prev = stage;
-            }
-            graph.node("driver", NodeRole::Sink);
-            graph.edge(prev, "Output", "driver");
-        }
-        RecoveryDiscipline::WriteOnly => {
-            // Source → push filters → acceptor: every hop is a sequenced
-            // Write issued by the producer.
-            graph.node("source", NodeRole::Source);
-            let mut prev = "source".to_owned();
-            for (i, name) in transforms.iter().enumerate() {
-                let stage = stage_name(i, name);
-                graph.node(stage.clone(), NodeRole::Filter);
-                graph.edge(prev, "Output", stage.clone());
-                prev = stage;
-            }
-            graph.node("acceptor", NodeRole::Sink);
-            graph.edge(prev, "Output", "acceptor");
-        }
-        RecoveryDiscipline::Conventional => {
-            // Pumps pull from the passive stage behind them and push into
-            // the one ahead; a buffer sits between consecutive pumps.
-            graph.node("source", NodeRole::Source);
-            graph.node("acceptor", NodeRole::Sink);
-            let names: Vec<&str> = if transforms.is_empty() {
-                vec![""]
-            } else {
-                transforms.to_vec()
-            };
-            let mut prev = "source".to_owned();
-            for (i, name) in names.iter().enumerate() {
-                let pump = format!("pump{i}:{}", if name.is_empty() { "copy" } else { name });
-                graph.node(pump.clone(), NodeRole::Filter);
-                graph.edge_mode(prev, "Output", pump.clone(), EdgeMode::Pull);
-                let next = if i + 1 == names.len() {
-                    "acceptor".to_owned()
-                } else {
-                    let buf = format!("buf{i}");
-                    graph.node(buf.clone(), NodeRole::Buffer);
-                    buf
-                };
-                graph.edge_mode(pump, "Output", next.clone(), EdgeMode::Push);
-                prev = next;
-            }
-        }
-    }
-    graph
-}
-
-fn stage_name(i: usize, name: &str) -> String {
-    format!("stage{i}:{}", if name.is_empty() { "copy" } else { name })
+    wiring(discipline, &stage_specs(discipline, transforms))
 }
 
 /// The result of a recoverable pipeline run.
@@ -1252,13 +755,13 @@ pub fn run_recoverable_pipeline(
     batch: usize,
     timeout: Duration,
 ) -> Result<RecoveryRun> {
-    let violations = recovery_graph(discipline, transforms).check();
+    let specs = stage_specs(discipline, transforms);
+    let violations = wiring(discipline, &specs).check();
     if !violations.is_empty() {
         let msgs: Vec<String> = violations.iter().map(ToString::to_string).collect();
         return Err(EdenError::Discipline(msgs.join("; ")));
     }
     let deadline = Instant::now() + timeout;
-    let batch = batch.max(1);
     // One trace for the whole recoverable affair. Retries re-send under the
     // span captured at first issue, and a reactivated stage's coordinator
     // inherits the ambient of the invocation that woke it, so the trace id
@@ -1266,107 +769,51 @@ pub fn run_recoverable_pipeline(
     // attempt reconstruct as one tree.
     let root = eden_core::span::SpanContext::root();
     let _ambient = eden_core::span::enter(Some(root));
-    let trace = root.trace;
-    match discipline {
-        RecoveryDiscipline::ReadOnly => {
-            let mut stages = vec![kernel.spawn(Box::new(RecoverableSource::new(items)))?];
-            let mut upstream = stages[0];
-            for name in transforms {
-                upstream = kernel.spawn(Box::new(RecoverablePullFilter::new(
-                    name, registry, upstream, batch,
-                )?))?;
-                stages.push(upstream);
+
+    // An active face holds its peer's UID, so the peer is spawned first.
+    // Sweeping tail to head spawns every stage whose peers exist; checked
+    // wiring never joins two active faces, so each sweep places at least
+    // one stage. (The table gives the head a passive input and the tail a
+    // passive output, so a neighbour asked for is a neighbour there is.)
+    let mut uids: Vec<Option<Uid>> = vec![None; specs.len()];
+    let mut items = Some(items);
+    for _ in 0..specs.len() {
+        for (i, spec) in specs.iter().enumerate().rev() {
+            // `None`: a passive face. `Some(None)`: a peer not spawned yet.
+            let upstream = (spec.input == Mode::Active).then(|| uids[i - 1]);
+            let downstream = (spec.output == Mode::Active).then(|| uids[i + 1]);
+            if uids[i].is_some() || upstream == Some(None) || downstream == Some(None) {
+                continue;
             }
-            let mut output = Vec::new();
-            let mut pos = 0u64;
-            loop {
-                let remaining = deadline
-                    .checked_duration_since(Instant::now())
-                    .ok_or(EdenError::Timeout)?;
-                let req = TransferRequest::primary(batch).at(pos);
-                let reply = kernel
-                    .invoke_with(upstream, ops::TRANSFER, req.to_value(), stream_opts())
-                    .wait_timeout(remaining)?;
-                let b = Batch::from_value(reply)?;
-                pos += b.items.len() as u64;
-                output.extend(b.items);
-                if b.end {
-                    return Ok(RecoveryRun {
-                        output,
-                        stages,
-                        trace,
-                    });
-                }
+            let (upstream, downstream) = (upstream.flatten(), downstream.flatten());
+            let mut stage =
+                RecoverableStage::new(&spec.transform, registry, upstream, downstream, batch)?;
+            if let Some(items) = items.take_if(|_| i == 0) {
+                stage = stage.preloaded(items);
             }
-        }
-        RecoveryDiscipline::WriteOnly => {
-            let acceptor = kernel.spawn(Box::new(RecoverableAcceptor::new()))?;
-            let mut downstream = acceptor;
-            let mut stages = vec![acceptor];
-            for name in transforms.iter().rev() {
-                downstream = kernel.spawn(Box::new(RecoverablePushFilter::new(
-                    name, registry, downstream,
-                )?))?;
-                stages.push(downstream);
-            }
-            let source = kernel.spawn(Box::new(RecoverablePushSource::new(
-                items, downstream, batch,
-            )))?;
-            stages.push(source);
-            stages.reverse(); // head first
-            kernel
-                .invoke_with(source, "Start", Value::Unit, control_opts())
-                .wait()?;
-            let active: Vec<Uid> = stages[..stages.len() - 1].to_vec();
-            drive_to_end(kernel, acceptor, &active, deadline).map(|output| RecoveryRun {
-                output,
-                stages,
-                trace,
-            })
-        }
-        RecoveryDiscipline::Conventional => {
-            let source = kernel.spawn(Box::new(RecoverableSource::new(items)))?;
-            let acceptor = kernel.spawn(Box::new(RecoverableAcceptor::new()))?;
-            // With no transforms a single identity pump still has to move
-            // the records.
-            let names: Vec<&str> = if transforms.is_empty() {
-                vec![""]
-            } else {
-                transforms.to_vec()
-            };
-            let mut stages = vec![source];
-            let mut pumps = Vec::new();
-            let mut prev = source;
-            for (i, name) in names.iter().enumerate() {
-                let next = if i + 1 == names.len() {
-                    acceptor
-                } else {
-                    kernel.spawn(Box::new(RecoverableBuffer::new()))?
-                };
-                let pump = kernel.spawn(Box::new(RecoverablePump::new(
-                    name, registry, prev, next, batch,
-                )?))?;
-                pumps.push(pump);
-                stages.push(pump);
-                if next != acceptor {
-                    stages.push(next);
-                }
-                prev = next;
-            }
-            stages.push(acceptor);
-            for pump in &pumps {
-                kernel
-                    .invoke_with(*pump, "Start", Value::Unit, control_opts())
-                    .wait()?;
-            }
-            let nudge: Vec<Uid> = stages[..stages.len() - 1].to_vec();
-            drive_to_end(kernel, acceptor, &nudge, deadline).map(|output| RecoveryRun {
-                output,
-                stages,
-                trace,
-            })
+            uids[i] = Some(kernel.spawn(Box::new(stage))?);
         }
     }
+    let stages: Vec<Uid> = uids
+        .into_iter()
+        .collect::<Option<_>>()
+        .expect("checked wiring leaves every stage a peer to hold");
+
+    // No stream invocation ever reaches a stage whose faces are both active
+    // or the head of a pushed chain: those step on a worker.
+    for (i, (spec, stage)) in specs.iter().zip(&stages).enumerate() {
+        if spec.output == Mode::Active && (spec.input == Mode::Active || i == 0) {
+            kernel
+                .invoke_with(*stage, START, Value::Unit, control_opts())
+                .wait_timeout(time_left(deadline)?)?;
+        }
+    }
+    let pull = driver_pulled(&specs).map(|_| batch.max(1));
+    drive(kernel, &stages, pull, deadline).map(|output| RecoveryRun {
+        output,
+        stages,
+        trace: root.trace,
+    })
 }
 
 /// Resume a write-only or conventional pipeline on a **rebuilt kernel** —
@@ -1376,9 +823,9 @@ pub fn run_recoverable_pipeline(
 /// out of the durable store the new kernel was built over.
 ///
 /// Nothing is respawned: the driver simply invokes the old UIDs.
-/// Activation-on-invocation rebuilds each stage from its checkpoint, the
-/// push source's and pumps' `activate` restart their worker processes from
-/// the checkpointed positions, and the sequence arithmetic absorbs the
+/// Activation-on-invocation rebuilds each stage from its checkpoint, a
+/// `Start`ed stage's `activate` restarts its worker process from the
+/// checkpointed positions, and the sequence arithmetic absorbs the
 /// replayed window — the same machinery that rides out a single-stage
 /// crash rides out losing the whole kernel.
 ///
@@ -1388,53 +835,81 @@ pub fn resume_recoverable_pipeline(
     stages: &[Uid],
     timeout: Duration,
 ) -> Result<Vec<Value>> {
-    let (&acceptor, nudge) = stages
-        .split_last()
-        .ok_or_else(|| EdenError::Application("no stages to resume".into()))?;
-    drive_to_end(kernel, acceptor, nudge, Instant::now() + timeout)
+    drive(kernel, stages, None, Instant::now() + timeout)
 }
 
-/// Poll the acceptor until the stream closes, nudging every other stage
-/// with a fault-immune `Describe` each round so a crashed *active* stage
-/// (which nobody else invokes) gets reactivated.
-fn drive_to_end(
+/// What is left until `deadline`: the bound on every wait the driver makes.
+fn time_left(deadline: Instant) -> Result<Duration> {
+    deadline
+        .checked_duration_since(Instant::now())
+        .ok_or(EdenError::Timeout)
+}
+
+/// Collect the stream from the last of `stages` until it closes.
+///
+/// With `pull` (records per read) the chain has no acceptor and the driver
+/// is its active sink: positional `Transfer`s, which are stream traffic and
+/// ride out faults like any stage's. Otherwise the tail is the acceptor:
+/// poll it with [`READ_ALL`], and each round nudge every other stage with a
+/// fault-immune `Describe` so a crashed worker-driven stage (which nobody
+/// else invokes) gets reactivated.
+fn drive(
     kernel: &Kernel,
-    acceptor: Uid,
-    nudge: &[Uid],
+    stages: &[Uid],
+    pull: Option<usize>,
     deadline: Instant,
 ) -> Result<Vec<Value>> {
+    let (&tail, nudge) = stages
+        .split_last()
+        .ok_or_else(|| EdenError::Application("no stages to drive".into()))?;
+    let mut output = Vec::new();
     loop {
-        if Instant::now() >= deadline {
-            return Err(EdenError::Timeout);
+        let pending = match pull {
+            Some(max) => {
+                let req = TransferRequest::primary(max).at(output.len() as u64);
+                kernel.invoke_with(tail, ops::TRANSFER, req.to_value(), stream_opts())
+            }
+            None => kernel.invoke_with(tail, READ_ALL, Value::Unit, control_opts()),
+        };
+        let batch = Batch::from_value(pending.wait_timeout(time_left(deadline)?)?)?;
+        if pull.is_some() {
+            output.extend(batch.items);
+        } else {
+            output = batch.items;
         }
-        let reply = kernel
-            .invoke_with(acceptor, READ_ALL, Value::Unit, control_opts())
-            .wait_timeout(Duration::from_secs(5))?;
-        let b = Batch::from_value(reply)?;
-        if b.end {
-            return Ok(b.items);
+        if batch.end {
+            return Ok(output);
         }
-        for stage in nudge {
-            // Reactivation-on-invocation is the point; the reply is not.
-            let _ = kernel
-                .invoke_with(*stage, ops::DESCRIBE, Value::Unit, control_opts())
-                .wait_timeout(Duration::from_secs(5));
+        if pull.is_none() {
+            for stage in nudge {
+                // Reactivation-on-invocation is the point; the reply is not.
+                let _ = kernel
+                    .invoke_with(*stage, ops::DESCRIBE, Value::Unit, control_opts())
+                    .wait_timeout(time_left(deadline)?);
+            }
+            eden_kernel::blocking(|| std::thread::sleep(Duration::from_millis(2)));
         }
-        eden_kernel::blocking(|| std::thread::sleep(Duration::from_millis(2)));
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+
+    use eden_core::wire;
+
     use super::*;
+    use crate::transform::{filter_fn, map_fn};
+
+    const DISCIPLINES: [RecoveryDiscipline; 3] = [
+        RecoveryDiscipline::ReadOnly,
+        RecoveryDiscipline::WriteOnly,
+        RecoveryDiscipline::Conventional,
+    ];
 
     #[test]
     fn recovery_wiring_conforms_in_every_discipline() {
-        for discipline in [
-            RecoveryDiscipline::ReadOnly,
-            RecoveryDiscipline::WriteOnly,
-            RecoveryDiscipline::Conventional,
-        ] {
+        for discipline in DISCIPLINES {
             for chain in [&[][..], &["upcase"][..], &["upcase", "grep"][..]] {
                 let violations = recovery_graph(discipline, chain).check();
                 assert!(
@@ -1448,17 +923,310 @@ mod tests {
     #[test]
     fn conventional_recovery_graph_pairs_pumps_with_buffers() {
         let graph = recovery_graph(RecoveryDiscipline::Conventional, &["a", "b", "c"]);
-        let buffers = graph
-            .nodes
-            .values()
-            .filter(|r| **r == NodeRole::Buffer)
-            .count();
-        let pumps = graph
-            .nodes
-            .values()
-            .filter(|r| **r == NodeRole::Filter)
-            .count();
-        assert_eq!(pumps, 3);
-        assert_eq!(buffers, 2); // between consecutive pumps only
+        let count = |role| graph.nodes.values().filter(|r| **r == role).count();
+        assert_eq!(count(NodeRole::Filter), 3);
+        assert_eq!(count(NodeRole::Buffer), 2); // between consecutive pumps only
+    }
+
+    #[test]
+    fn edge_modes_are_read_off_the_faces_that_meet() {
+        let modes = |discipline| -> Vec<EdgeMode> {
+            let graph = recovery_graph(discipline, &["a", "b"]);
+            graph.edges.iter().map(|e| e.mode).collect()
+        };
+        use EdgeMode::{Pull, Push};
+        assert_eq!(modes(RecoveryDiscipline::ReadOnly), [Pull, Pull, Pull]);
+        assert_eq!(modes(RecoveryDiscipline::WriteOnly), [Push, Push, Push]);
+        assert_eq!(
+            modes(RecoveryDiscipline::Conventional),
+            [Pull, Push, Pull, Push]
+        );
+    }
+
+    /// What a stage asked of its host, in order.
+    #[derive(Debug, PartialEq)]
+    enum Event {
+        Pull {
+            pos: u64,
+        },
+        Push {
+            seq: u64,
+            items: Vec<Value>,
+            end: bool,
+        },
+        Checkpoint {
+            consumed: u64,
+            base: u64,
+        },
+    }
+
+    /// Stands in for the kernel: serves pulls out of `upstream`,
+    /// acknowledges every push, keeps the last checkpoint as the bytes the
+    /// stable store would hold, and logs it all.
+    #[derive(Default)]
+    struct Fake {
+        upstream: Vec<Value>,
+        log: RefCell<Vec<Event>>,
+        stored: RefCell<Vec<u8>>,
+    }
+
+    impl Host for Fake {
+        fn call(&self, _target: Uid, op: &'static str, arg: Value) -> Result<Value> {
+            if op == ops::TRANSFER {
+                let req = TransferRequest::from_value(&arg)?;
+                let pos = req.pos.expect("stages pull positionally");
+                self.log.borrow_mut().push(Event::Pull { pos });
+                let from = (pos as usize).min(self.upstream.len());
+                let to = (from + req.max).min(self.upstream.len());
+                let items = self.upstream[from..to].to_vec();
+                return Ok(Batch {
+                    items,
+                    end: to == self.upstream.len(),
+                }
+                .to_value());
+            }
+            assert_eq!(op, ops::WRITE);
+            let req = WriteRequest::from_value(arg)?;
+            let seq = req.seq.expect("stages push in sequence");
+            self.log.borrow_mut().push(Event::Push {
+                seq,
+                items: req.items,
+                end: req.end,
+            });
+            Ok(Value::Unit)
+        }
+
+        fn checkpoint(&self, state: &Value) -> Result<()> {
+            let (consumed, base) = (uint_field(state, "consumed")?, uint_field(state, "base")?);
+            self.log
+                .borrow_mut()
+                .push(Event::Checkpoint { consumed, base });
+            *self.stored.borrow_mut() = wire::encode(state);
+            Ok(())
+        }
+    }
+
+    impl Fake {
+        fn pushes(&self) -> Vec<(u64, Vec<Value>, bool)> {
+            let log = self.log.borrow();
+            let pushes = log.iter().filter_map(|e| match e {
+                Event::Push { seq, items, end } => Some((*seq, items.clone(), *end)),
+                _ => None,
+            });
+            pushes.collect()
+        }
+
+        fn checkpoints(&self) -> usize {
+            let log = self.log.borrow();
+            log.iter()
+                .filter(|e| matches!(e, Event::Checkpoint { .. }))
+                .count()
+        }
+    }
+
+    fn registry() -> TransformRegistry {
+        TransformRegistry::new(&[
+            ("double", || {
+                Box::new(map_fn("double", |v| {
+                    Value::Int(v.as_int().unwrap_or(0) * 2)
+                }))
+            }),
+            ("odd", || {
+                Box::new(filter_fn("odd", |v| v.as_int().unwrap_or(0) % 2 == 1))
+            }),
+        ])
+    }
+
+    fn ints(range: std::ops::Range<i64>) -> Vec<Value> {
+        range.map(Value::Int).collect()
+    }
+
+    fn doubled(range: std::ops::Range<i64>) -> Vec<Value> {
+        range.map(|i| Value::Int(2 * i)).collect()
+    }
+
+    /// A `double` stage of batch 3 with the given faces active.
+    fn stage(active_in: bool, active_out: bool) -> RecoverableStage {
+        let peer = |active: bool| active.then(Uid::fresh);
+        RecoverableStage::new("double", &registry(), peer(active_in), peer(active_out), 3).unwrap()
+    }
+
+    fn write(seq: u64, items: std::ops::Range<i64>, end: bool) -> WriteRequest {
+        WriteRequest {
+            channel: Default::default(),
+            items: ints(items),
+            end,
+            seq: Some(seq),
+        }
+    }
+
+    /// The stage a crash would bring back: the stored bytes, decoded and
+    /// rebuilt the way the kernel's reactivation does it.
+    fn reactivated(host: &Fake) -> RecoverableStage {
+        let state = wire::decode(&host.stored.borrow()).unwrap();
+        RecoverableStage::from_state(state, &registry()).unwrap()
+    }
+
+    #[test]
+    fn passive_input_face_dedupes_rejects_gaps_and_closes() {
+        for active_out in [false, true] {
+            let case = format!("output active: {active_out}");
+            let host = Fake::default();
+            let mut s = stage(false, active_out);
+            // Everything the stage has let out, by whichever face it has.
+            let produced = |s: &RecoverableStage, host: &Fake| -> Vec<Value> {
+                let pushed = host.pushes().into_iter().flat_map(|(_, items, _)| items);
+                pushed.chain(s.buf.iter().cloned()).collect()
+            };
+
+            let gap = s.accept(&host, write(2, 2..4, false)).unwrap_err();
+            assert!(matches!(gap, EdenError::BadParameter(_)), "{case}: {gap}");
+            assert_eq!((s.consumed, host.checkpoints()), (0, 0), "{case}");
+
+            s.accept(&host, write(0, 0..3, false)).unwrap();
+            assert_eq!(s.consumed, 3, "{case}");
+            // A re-send that overlaps two accepted records and carries two
+            // fresh ones: only the fresh ones go through the transform, and
+            // the output position moves once.
+            s.accept(&host, write(1, 1..5, false)).unwrap();
+            assert_eq!(s.consumed, 5, "{case}");
+            assert_eq!(produced(&s, &host), doubled(0..5), "{case}");
+            if active_out {
+                let seqs: Vec<u64> = host.pushes().iter().map(|(seq, ..)| *seq).collect();
+                assert_eq!((seqs, s.base), (vec![0, 3], 5), "{case}");
+            }
+            // Checkpoint precedes acknowledge: what the store holds when
+            // the write returns is the state that was acknowledged.
+            assert_eq!(reactivated(&host).state(), s.state(), "{case}");
+
+            s.accept(&host, write(5, 5..6, true)).unwrap();
+            assert!(s.in_end, "{case}");
+            let closed = (s.state(), host.checkpoints(), host.pushes());
+
+            // After the end: a record beyond the accepted position is
+            // refused, alone or behind an overlap ...
+            for late in [write(6, 6..7, false), write(5, 5..7, true)] {
+                let err = s.accept(&host, late).unwrap_err();
+                let want = EdenError::Application("write after end of stream".into());
+                assert_eq!(err, want, "{case}");
+            }
+            // ... and a retry of the final write is acknowledged and
+            // changes nothing.
+            s.accept(&host, write(5, 5..6, true)).unwrap();
+            assert_eq!(
+                (s.state(), host.checkpoints(), host.pushes()),
+                closed,
+                "{case}"
+            );
+            assert_eq!(produced(&s, &host), doubled(0..6), "{case}");
+            if active_out {
+                let (.., end) = host.pushes().pop().unwrap();
+                assert!(end, "{case}: the end of the stream was pushed on");
+            }
+        }
+    }
+
+    #[test]
+    fn passive_output_face_acks_trims_and_reserves_byte_identically() {
+        for active_in in [false, true] {
+            let case = format!("input active: {active_in}");
+            let host = Fake {
+                upstream: ints(0..8),
+                ..Fake::default()
+            };
+            let mut s = stage(active_in, false);
+            if !active_in {
+                s.accept(&host, write(0, 0..8, true)).unwrap();
+            }
+            let read = |s: &mut RecoverableStage, pos: u64| {
+                let reply = s.serve(&host, TransferRequest::primary(3).at(pos))?;
+                let bytes = wire::encode(&reply);
+                Batch::from_value(reply).map(|batch| (batch, bytes))
+            };
+
+            let (first, first_bytes) = read(&mut s, 0).unwrap();
+            assert_eq!((first.items, first.end), (doubled(0..3), false), "{case}");
+            // Unacknowledged, so a retry reads the same bytes again.
+            assert_eq!(read(&mut s, 0).unwrap().1, first_bytes, "{case}");
+
+            // Position 2 acknowledges exactly records 0 and 1.
+            let (second, second_bytes) = read(&mut s, 2).unwrap();
+            assert_eq!(second.items, doubled(2..5), "{case}");
+            assert_eq!((s.base, s.buf.front()), (2, Some(&Value::Int(4))), "{case}");
+            assert_eq!(reactivated(&host).base, 2, "{case}: the trim is durable");
+            assert_eq!(read(&mut s, 2).unwrap().1, second_bytes, "{case}");
+
+            let below = read(&mut s, 1).unwrap_err();
+            assert!(
+                matches!(below, EdenError::BadParameter(_)),
+                "{case}: {below}"
+            );
+            assert_eq!(s.base, 2, "{case}");
+
+            let (third, _) = read(&mut s, 5).unwrap();
+            assert_eq!((third.items, third.end), (doubled(5..8), true), "{case}");
+            // A reactivated stage serves the unacknowledged suffix as the
+            // crashed one would have.
+            let mut back = reactivated(&host);
+            let (again, _) = read(&mut back, 5).unwrap();
+            assert_eq!((again.items, again.end), (doubled(5..8), true), "{case}");
+        }
+    }
+
+    #[test]
+    fn a_pull_position_is_durable_before_it_is_sent() {
+        // `odd` drops half its input, so filling one read takes two pulls.
+        // The second pull's position acknowledges the first pull's records
+        // upstream; the stage must hold them durably by then.
+        let host = Fake {
+            upstream: ints(0..12),
+            ..Fake::default()
+        };
+        let mut s = RecoverableStage::new("odd", &registry(), Some(Uid::fresh()), None, 3).unwrap();
+        s.serve(&host, TransferRequest::primary(3).at(0)).unwrap();
+        use Event::{Checkpoint, Pull};
+        assert_eq!(
+            *host.log.borrow(),
+            [
+                Pull { pos: 0 },
+                Checkpoint {
+                    consumed: 3,
+                    base: 0
+                },
+                Pull { pos: 3 },
+                Checkpoint {
+                    consumed: 6,
+                    base: 0
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn state_round_trips_through_a_checkpoint_for_every_pair_of_faces() {
+        for (active_in, active_out) in [(false, false), (false, true), (true, false), (true, true)]
+        {
+            let case = format!("({active_in}, {active_out})");
+            let host = Fake {
+                upstream: ints(0..7),
+                ..Fake::default()
+            };
+            let mut s = stage(active_in, active_out);
+            // Put the stage mid-stream by whichever face drives it.
+            match (active_in, active_out) {
+                (false, _) => drop(s.accept(&host, write(0, 0..4, false)).unwrap()),
+                (true, false) => drop(s.serve(&host, TransferRequest::primary(3).at(0)).unwrap()),
+                (true, true) => assert!(s.work(&host).unwrap(), "{case}"),
+            }
+            assert!(s.consumed > 0 && !s.dirty, "{case}");
+            let back = reactivated(&host);
+            assert_eq!(back.state(), s.state(), "{case}");
+            assert_eq!(
+                (back.upstream, back.downstream),
+                (s.upstream, s.downstream),
+                "{case}"
+            );
+            assert!(back.recovered && !back.dirty, "{case}");
+        }
     }
 }

@@ -257,6 +257,39 @@ fn recoverable_pipelines_run_fault_free() {
 }
 
 #[test]
+fn recoverable_runs_keep_their_invocation_and_entity_counts() {
+    let run_on_fresh_kernel = |discipline, chain: &[&str]| {
+        let kernel = Kernel::new();
+        let reg = registry();
+        install_recovery(&kernel, &reg);
+        let items: Vec<Value> = (0..40).map(Value::Int).collect();
+        let timeout = Duration::from_secs(30);
+        let run = run_recoverable_pipeline(&kernel, discipline, items, chain, &reg, 7, timeout)
+            .unwrap();
+        let invocations = kernel.metrics().snapshot().invocations;
+        kernel.shutdown();
+        (run, invocations)
+    };
+    // A read-only run has no control-plane traffic, so fault-free its
+    // invocation count is exact: 40 records at batch 7 are 6 batches, and
+    // each crosses n+1 hops (driver, `inc`, `double`, source).
+    let (run, invocations) =
+        run_on_fresh_kernel(RecoveryDiscipline::ReadOnly, &["double", "inc"]);
+    assert_eq!(run.output, expected(40));
+    assert_eq!(invocations, 3 * 6);
+    // Entities for n transforms: source and filters (the driver is no
+    // Eject); those and an acceptor; source, n pumps, the n-1 buffers
+    // between them, acceptor.
+    let chain = ["double", "inc", "double"];
+    for n in 1..=chain.len() {
+        let stages = |discipline| run_on_fresh_kernel(discipline, &chain[..n]).0.stages.len();
+        assert_eq!(stages(RecoveryDiscipline::ReadOnly), n + 1);
+        assert_eq!(stages(RecoveryDiscipline::WriteOnly), n + 2);
+        assert_eq!(stages(RecoveryDiscipline::Conventional), 2 * n + 1);
+    }
+}
+
+#[test]
 fn streams_recover_from_injected_crashes() {
     // A 2% crash-fault rate on the stream ops: every discipline must still
     // deliver the exact output — nothing lost, nothing duplicated.
