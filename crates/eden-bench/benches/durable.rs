@@ -12,8 +12,8 @@ use eden_core::Value;
 use eden_filters::{DurableFilterEject, FilterSpec};
 use eden_kernel::Kernel;
 use eden_transput::protocol::{Batch, TransferRequest};
-use eden_transput::read_only::{InputPort, PullFilterEject};
-use eden_transput::source::{SourceEject, VecSource};
+use eden_transput::source::VecSource;
+use eden_transput::{Input, Output, Stage, StageConfig};
 
 const RECORDS: i64 = 500;
 
@@ -22,7 +22,12 @@ fn drain(kernel: &Kernel, filter: eden_core::Uid, batch: usize) -> usize {
     loop {
         let b = Batch::from_value(
             kernel
-                .invoke(filter, ops::TRANSFER, TransferRequest::primary(batch).to_value()).wait()
+                .invoke(
+                    filter,
+                    ops::TRANSFER,
+                    TransferRequest::primary(batch).to_value(),
+                )
+                .wait()
                 .expect("transfer"),
         )
         .expect("batch");
@@ -36,9 +41,15 @@ fn drain(kernel: &Kernel, filter: eden_core::Uid, batch: usize) -> usize {
 
 fn source(kernel: &Kernel) -> eden_core::Uid {
     kernel
-        .spawn(Box::new(SourceEject::new(Box::new(VecSource::new(
-            (0..RECORDS).map(|i| Value::str(format!("line {i}"))).collect(),
-        )))))
+        .spawn(Box::new(Stage::new(
+            Input::Local(Box::new(VecSource::new(
+                (0..RECORDS)
+                    .map(|i| Value::str(format!("line {i}")))
+                    .collect(),
+            ))),
+            Output::Passive,
+            StageConfig::default(),
+        )))
         .expect("source")
 }
 
@@ -54,9 +65,11 @@ fn durable_vs_volatile(c: &mut Criterion) {
             b.iter(|| {
                 let src = source(&kernel);
                 let filter = kernel
-                    .spawn(Box::new(PullFilterEject::new(
+                    .spawn(Box::new(Stage::filter(
+                        Input::pull(src),
                         Box::new(eden_filters::LineNumber::new()),
-                        InputPort::primary(src),
+                        Output::Passive,
+                        StageConfig::default(),
                     )))
                     .expect("filter");
                 let total = drain(&kernel, filter, batch);

@@ -3,17 +3,17 @@
 
 use std::time::Duration;
 
-use std::time::Duration as BenchDuration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eden_core::Value;
 use eden_kernel::Kernel;
 use eden_transput::collector::Collector;
 use eden_transput::protocol::OUTPUT_NAME;
-use eden_transput::read_only::{FanInMode, InputPort, PullFilterConfig, PullFilterEject};
-use eden_transput::sink::{AcceptorSinkEject, SinkEject};
-use eden_transput::source::{SourceEject, VecSource};
+use eden_transput::source::VecSource;
 use eden_transput::transform::Identity;
-use eden_transput::write_only::{OutputPort, OutputWiring, PushFilterEject, PushSourceEject};
+use eden_transput::{
+    FanInMode, Input, InputPort, Output, OutputPort, OutputWiring, Stage, StageConfig,
+};
+use std::time::Duration as BenchDuration;
 
 const WAIT: Duration = Duration::from_secs(60);
 const PER_SOURCE: i64 = 200;
@@ -22,27 +22,32 @@ fn fan_in(kernel: &Kernel, m: usize) {
     let inputs: Vec<InputPort> = (0..m as i64)
         .map(|i| {
             let src = kernel
-                .spawn(Box::new(SourceEject::new(Box::new(VecSource::new(
-                    (i * 1000..i * 1000 + PER_SOURCE).map(Value::Int).collect(),
-                )))))
+                .spawn(Box::new(Stage::new(
+                    Input::Local(Box::new(VecSource::new(
+                        (i * 1000..i * 1000 + PER_SOURCE).map(Value::Int).collect(),
+                    ))),
+                    Output::Passive,
+                    StageConfig::default(),
+                )))
                 .expect("source");
             InputPort::primary(src)
         })
         .collect();
     let filter = kernel
-        .spawn(Box::new(PullFilterEject::with_config(
+        .spawn(Box::new(Stage::filter(
+            Input::ports(inputs, FanInMode::RoundRobin),
             Box::new(Identity),
-            inputs,
-            PullFilterConfig {
-                fan_in: FanInMode::RoundRobin,
-                batch: 16,
-                ..Default::default()
-            },
+            Output::Passive,
+            StageConfig::batch(16),
         )))
         .expect("filter");
     let c = Collector::null();
     let sink = kernel
-        .spawn(Box::new(SinkEject::new(filter, 16, c.clone())))
+        .spawn(Box::new(Stage::new(
+            Input::pull(filter),
+            Output::Collector(c.clone()),
+            StageConfig::batch(16),
+        )))
         .expect("sink");
     c.wait_done(WAIT).expect("merge");
     assert_eq!(c.records_seen(), (m as i64 * PER_SOURCE) as u64);
@@ -57,23 +62,35 @@ fn fan_out(kernel: &Kernel, m: usize) {
     let mut ejects = Vec::new();
     for c in &collectors {
         let sink = kernel
-            .spawn(Box::new(AcceptorSinkEject::new(c.clone())))
+            .spawn(Box::new(Stage::new(
+                Input::Passive,
+                Output::Collector(c.clone()),
+                StageConfig::default(),
+            )))
             .expect("acceptor");
         wiring.add(OUTPUT_NAME, OutputPort::primary(sink));
         ejects.push(sink);
     }
     let filter = kernel
-        .spawn(Box::new(PushFilterEject::new(Box::new(Identity), wiring)))
+        .spawn(Box::new(Stage::filter(
+            Input::Passive,
+            Box::new(Identity),
+            Output::Active(wiring),
+            StageConfig::default(),
+        )))
         .expect("filter");
     let source = kernel
-        .spawn(Box::new(PushSourceEject::new(
-            Box::new(VecSource::new((0..PER_SOURCE).map(Value::Int).collect())),
-            OutputWiring::primary_to(OutputPort::primary(filter)),
-            16,
+        .spawn(Box::new(Stage::new(
+            Input::Local(Box::new(VecSource::new(
+                (0..PER_SOURCE).map(Value::Int).collect(),
+            ))),
+            Output::push(filter),
+            StageConfig::batch(16),
         )))
         .expect("source");
     kernel
-        .invoke(source, "Start", Value::Unit).wait()
+        .invoke(source, "Start", Value::Unit)
+        .wait()
         .expect("start");
     for c in &collectors {
         c.wait_done(WAIT).expect("copy");

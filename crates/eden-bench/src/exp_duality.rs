@@ -11,12 +11,10 @@ use eden_transput::collector::Collector;
 use eden_transput::protocol::{
     Batch, ChannelId, GetChannelRequest, TransferRequest, REPORT_NAME,
 };
-use eden_transput::read_only::{FanInMode, InputPort, PullFilterConfig, PullFilterEject};
-use eden_transput::sink::{AcceptorSinkEject, SinkEject};
-use eden_transput::source::{SourceEject, VecSource};
-use eden_transput::transform::Identity;
-use eden_transput::write_only::{OutputPort, OutputWiring, PushFilterEject, PushSourceEject};
-use eden_transput::{ChannelPolicy, Discipline};
+use eden_transput::source::VecSource;
+use eden_transput::transform::{Identity, Transform};
+use eden_transput::{ChannelPolicy, Discipline, FanInMode, InputPort, OutputPort, OutputWiring};
+use eden_transput::{Input, Output, Stage, StageConfig};
 
 use crate::runner::run_pipeline;
 use crate::table::Table;
@@ -26,10 +24,38 @@ const WAIT: Duration = Duration::from_secs(60);
 
 fn int_source(kernel: &Kernel, range: std::ops::Range<i64>) -> Uid {
     kernel
-        .spawn(Box::new(SourceEject::new(Box::new(VecSource::new(
-            range.map(Value::Int).collect(),
-        )))))
+        .spawn(Box::new(Stage::new(
+            Input::Local(Box::new(VecSource::new(range.map(Value::Int).collect()))),
+            Output::Passive,
+            StageConfig::default(),
+        )))
         .expect("spawn source")
+}
+
+/// A read-only filter over `source`'s primary channel.
+fn pull_filter(kernel: &Kernel, source: Uid, transform: Box<dyn Transform>) -> Uid {
+    let config = StageConfig::default();
+    let filter = Stage::filter(Input::pull(source), transform, Output::Passive, config);
+    kernel.spawn(Box::new(filter)).expect("filter")
+}
+
+/// Attach a pumping sink to `input`, eight records a read.
+fn sink(kernel: &Kernel, input: Input, collector: &Collector) {
+    let sink = Stage::new(input, Output::Collector(collector.clone()), StageConfig::batch(8));
+    kernel.spawn(Box::new(sink)).expect("sink");
+}
+
+/// A source over `range` that pumps into `to` once `Start`ed.
+fn pump(kernel: &Kernel, range: std::ops::Range<i64>, to: Uid) -> Uid {
+    let supply = VecSource::new(range.map(Value::Int).collect());
+    let pump = Stage::new(Input::Local(Box::new(supply)), Output::push(to), StageConfig::batch(8));
+    kernel.spawn(Box::new(pump)).expect("push source")
+}
+
+fn acceptor(kernel: &Kernel, collector: &Collector) -> Uid {
+    let output = Output::Collector(collector.clone());
+    let acceptor = Stage::new(Input::Passive, output, StageConfig::default());
+    kernel.spawn(Box::new(acceptor)).expect("acceptor")
 }
 
 /// E4 — the duality table of §5, measured.
@@ -49,20 +75,15 @@ pub fn e4() -> Vec<Table> {
             .map(|i| InputPort::primary(int_source(&kernel, (i as i64 * 100)..(i as i64 * 100 + per))))
             .collect();
         let filter = kernel
-            .spawn(Box::new(PullFilterEject::with_config(
+            .spawn(Box::new(Stage::filter(
+                Input::ports(inputs, FanInMode::RoundRobin),
                 Box::new(Identity),
-                inputs,
-                PullFilterConfig {
-                    fan_in: FanInMode::RoundRobin,
-                    batch: 8,
-                    ..Default::default()
-                },
+                Output::Passive,
+                StageConfig::batch(8),
             )))
             .expect("filter");
         let c = Collector::new();
-        kernel
-            .spawn(Box::new(SinkEject::new(filter, 8, c.clone())))
-            .expect("sink");
+        sink(&kernel, Input::pull(filter), &c);
         let merged = c.wait_done(WAIT).expect("merge completes");
         let delta = kernel.metrics().snapshot().since(&before);
         assert_eq!(merged.len(), m * per as usize);
@@ -77,17 +98,10 @@ pub fn e4() -> Vec<Table> {
     // Read-only fan-out attempt without channels: the stream splits.
     {
         let source = int_source(&kernel, 0..(per * m as i64));
-        let filter = kernel
-            .spawn(Box::new(PullFilterEject::new(
-                Box::new(Identity),
-                InputPort::primary(source),
-            )))
-            .expect("filter");
+        let filter = pull_filter(&kernel, source, Box::new(Identity));
         let collectors: Vec<Collector> = (0..m).map(|_| Collector::new()).collect();
         for c in &collectors {
-            kernel
-                .spawn(Box::new(SinkEject::new(filter, 8, c.clone())))
-                .expect("sink");
+            sink(&kernel, Input::pull(filter), c);
         }
         let counts: Vec<usize> = collectors
             .iter()
@@ -106,12 +120,7 @@ pub fn e4() -> Vec<Table> {
     // Read-only fan-out with channel identifiers (Tee).
     {
         let source = int_source(&kernel, 0..per);
-        let filter = kernel
-            .spawn(Box::new(PullFilterEject::new(
-                Box::new(eden_filters::Tee),
-                InputPort::primary(source),
-            )))
-            .expect("filter");
+        let filter = pull_filter(&kernel, source, Box::new(eden_filters::Tee));
         let copy_id = ChannelId::try_from(
             &kernel
                 .invoke(
@@ -127,12 +136,9 @@ pub fn e4() -> Vec<Table> {
         .expect("channel id");
         let main = Collector::new();
         let copy = Collector::new();
-        kernel
-            .spawn(Box::new(SinkEject::on_channel(filter, copy_id, 8, copy.clone())))
-            .expect("copy sink");
-        kernel
-            .spawn(Box::new(SinkEject::new(filter, 8, main.clone())))
-            .expect("main sink");
+        let copy_port = InputPort { uid: filter, channel: copy_id };
+        sink(&kernel, Input::ports(vec![copy_port], FanInMode::Concatenate), &copy);
+        sink(&kernel, Input::pull(filter), &main);
         let a = main.wait_done(WAIT).expect("main").len();
         let b = copy.wait_done(WAIT).expect("copy").len();
         assert_eq!(a, b);
@@ -150,21 +156,18 @@ pub fn e4() -> Vec<Table> {
         let collectors: Vec<Collector> = (0..m).map(|_| Collector::new()).collect();
         let mut wiring = OutputWiring::default();
         for c in &collectors {
-            let sink = kernel
-                .spawn(Box::new(AcceptorSinkEject::new(c.clone())))
-                .expect("acceptor");
+            let sink = acceptor(&kernel, c);
             wiring.add(eden_transput::protocol::OUTPUT_NAME, OutputPort::primary(sink));
         }
         let filter = kernel
-            .spawn(Box::new(PushFilterEject::new(Box::new(Identity), wiring)))
-            .expect("push filter");
-        let source = kernel
-            .spawn(Box::new(PushSourceEject::new(
-                Box::new(VecSource::new((0..per).map(Value::Int).collect())),
-                OutputWiring::primary_to(OutputPort::primary(filter)),
-                8,
+            .spawn(Box::new(Stage::filter(
+                Input::Passive,
+                Box::new(Identity),
+                Output::Active(wiring),
+                StageConfig::default(),
             )))
-            .expect("push source");
+            .expect("push filter");
+        let source = pump(&kernel, 0..per, filter);
         kernel
             .invoke(source, "Start", Value::Unit).wait()
             .expect("start");
@@ -185,20 +188,10 @@ pub fn e4() -> Vec<Table> {
     // Write-only fan-in: indistinguishable writers.
     {
         let c = Collector::new();
-        let sink = kernel
-            .spawn(Box::new(AcceptorSinkEject::new(c.clone())))
-            .expect("acceptor");
+        let sink = acceptor(&kernel, &c);
         let mut pendings = Vec::new();
         for i in 0..m as i64 {
-            let src = kernel
-                .spawn(Box::new(PushSourceEject::new(
-                    Box::new(VecSource::new(
-                        ((i * 100)..(i * 100 + per)).map(Value::Int).collect(),
-                    )),
-                    OutputWiring::primary_to(OutputPort::primary(sink)),
-                    8,
-                )))
-                .expect("push source");
+            let src = pump(&kernel, (i * 100)..(i * 100 + per), sink);
             pendings.push(kernel.invoke(src, "Start", Value::Unit));
         }
         let got = c.wait_done(WAIT).expect("done");
@@ -293,10 +286,11 @@ pub fn e6() -> Vec<Table> {
     for policy in [ChannelPolicy::Integer, ChannelPolicy::Capability] {
         let source = int_source(&kernel, 0..10);
         let filter = kernel
-            .spawn(Box::new(PullFilterEject::with_config(
+            .spawn(Box::new(Stage::filter(
+                Input::pull(source),
                 Box::new(SpellCheck::new(["known"])),
-                vec![InputPort::primary(source)],
-                PullFilterConfig {
+                Output::Passive,
+                StageConfig {
                     policy,
                     ..Default::default()
                 },

@@ -7,7 +7,7 @@ use eden_core::Value;
 use eden_fs::{add_entry, lookup, register_fs_types, DirConcatenatorEject, DirectoryEject, FileEject};
 use eden_kernel::Kernel;
 use eden_transput::collector::Collector;
-use eden_transput::sink::SinkEject;
+use eden_transput::{Input, Output, Stage, StageConfig};
 
 use crate::runner::fmt_f;
 use crate::table::Table;
@@ -101,7 +101,11 @@ pub fn e10() -> Vec<Table> {
         let c = Collector::new();
         let t2 = Instant::now();
         kernel
-            .spawn(Box::new(SinkEject::new(dir, 64, c.clone())))
+            .spawn(Box::new(Stage::new(
+                Input::pull(dir),
+                Output::Collector(c.clone()),
+                StageConfig::batch(64),
+            )))
             .expect("sink");
         let listed = c.wait_done(WAIT).expect("listing").len();
         let stream_krate = listed as f64 / t2.elapsed().as_secs_f64() / 1000.0;

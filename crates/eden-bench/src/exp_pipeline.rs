@@ -2,10 +2,9 @@
 
 use eden_core::{CostModel, Value};
 use eden_kernel::Kernel;
-use eden_transput::read_only::{InputPort, PullFilterConfig, PullFilterEject};
-use eden_transput::source::{CountingSource, SourceEject, VecSource};
+use eden_transput::source::{CountingSource, VecSource};
 use eden_transput::transform::Identity;
-use eden_transput::Discipline;
+use eden_transput::{Discipline, Input, Output, Stage, StageConfig};
 
 use crate::runner::{fmt_f, fmt_krate, run_identity, DEADLINE};
 use crate::table::Table;
@@ -219,14 +218,19 @@ pub fn e3() -> Vec<Table> {
         let (counting, pulled) =
             CountingSource::new(VecSource::new((0..10_000).map(Value::Int).collect()));
         let source = kernel
-            .spawn(Box::new(SourceEject::new(Box::new(counting))))
+            .spawn(Box::new(Stage::new(
+                Input::Local(Box::new(counting)),
+                Output::Passive,
+                StageConfig::default(),
+            )))
             .expect("spawn source");
         let filter = kernel
-            .spawn(Box::new(PullFilterEject::with_config(
+            .spawn(Box::new(Stage::filter(
+                Input::pull(source),
                 Box::new(Identity),
-                vec![InputPort::primary(source)],
-                PullFilterConfig {
-                    read_ahead,
+                Output::Passive,
+                StageConfig {
+                    depth: read_ahead,
                     batch: 8,
                     ..Default::default()
                 },

@@ -29,8 +29,8 @@ use eden_kernel::{EjectBehavior, EjectContext, Invocation, Kernel, ReplyHandle};
 use eden_transput::protocol::OUTPUT_NAME;
 use eden_transput::source::VecSource;
 use eden_transput::transform::{map_fn, Identity};
-use eden_transput::write_only::{OutputPort, OutputWiring, PushFilterEject, PushSourceEject};
 use eden_transput::{Collector, Discipline, PipelineSpec, WriteRequest};
+use eden_transput::{Input, Output, OutputPort, OutputWiring, Stage, StageConfig};
 
 use crate::runner::DEADLINE;
 
@@ -200,13 +200,18 @@ fn fanout_arm(cfg: &PayloadConfig, width: usize, deep_copy: bool) -> ArmStats {
         collectors.push(collector);
     }
     let filter = kernel
-        .spawn(Box::new(PushFilterEject::new(Box::new(Identity), wiring)))
+        .spawn(Box::new(Stage::filter(
+            Input::Passive,
+            Box::new(Identity),
+            Output::Active(wiring),
+            StageConfig::default(),
+        )))
         .expect("filter spawns");
     let source = kernel
-        .spawn(Box::new(PushSourceEject::new(
-            Box::new(VecSource::new(workload(cfg))),
-            OutputWiring::primary_to(OutputPort::primary(filter)),
-            cfg.batch,
+        .spawn(Box::new(Stage::new(
+            Input::Local(Box::new(VecSource::new(workload(cfg)))),
+            Output::push(filter),
+            StageConfig::batch(cfg.batch),
         )))
         .expect("source spawns");
     let records = cfg.records;

@@ -325,13 +325,18 @@ impl EjectBehavior for DurableFilterEject {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eden_transput::source::{SourceEject, VecSource};
+    use eden_transput::source::VecSource;
+    use eden_transput::{Input, Output, Stage, StageConfig};
 
     fn lines_source(kernel: &Kernel, n: i64) -> Uid {
         kernel
-            .spawn(Box::new(SourceEject::new(Box::new(VecSource::new(
-                (0..n).map(|i| Value::str(format!("line {i}"))).collect(),
-            )))))
+            .spawn(Box::new(Stage::new(
+                Input::Local(Box::new(VecSource::new(
+                    (0..n).map(|i| Value::str(format!("line {i}"))).collect(),
+                ))),
+                Output::Passive,
+                StageConfig::default(),
+            )))
             .unwrap()
     }
 

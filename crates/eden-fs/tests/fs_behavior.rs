@@ -12,13 +12,17 @@ use eden_fs::{
 use eden_kernel::{EjectState, Kernel, KernelConfig, StableStore};
 use eden_transput::collector::Collector;
 use eden_transput::protocol::{Batch, TransferRequest};
-use eden_transput::sink::SinkEject;
-use eden_transput::source::{SourceEject, VecSource};
+use eden_transput::source::VecSource;
+use eden_transput::{Input, Output, Stage, StageConfig};
 
 fn read_stream_fully(kernel: &Kernel, stream: eden_core::Uid) -> Vec<Value> {
     let collector = Collector::new();
     kernel
-        .spawn(Box::new(SinkEject::new(stream, 8, collector.clone())))
+        .spawn(Box::new(Stage::new(
+            Input::pull(stream),
+            Output::Collector(collector.clone()),
+            StageConfig::batch(8),
+        )))
         .unwrap();
     collector.wait_done(Duration::from_secs(10)).unwrap()
 }
@@ -31,12 +35,14 @@ fn open_mints_private_reader_streams() {
         .unwrap();
     // Two independent opens read the full contents independently.
     let r1 = kernel
-        .invoke(file, ops::OPEN, Value::Unit).wait()
+        .invoke(file, ops::OPEN, Value::Unit)
+        .wait()
         .unwrap()
         .as_uid()
         .unwrap();
     let r2 = kernel
-        .invoke(file, ops::OPEN, Value::Unit).wait()
+        .invoke(file, ops::OPEN, Value::Unit)
+        .wait()
         .unwrap()
         .as_uid()
         .unwrap();
@@ -55,13 +61,19 @@ fn exhausted_reader_disappears() {
         .spawn(Box::new(FileEject::from_lines(["only"])))
         .unwrap();
     let reader = kernel
-        .invoke(file, ops::OPEN, Value::Unit).wait()
+        .invoke(file, ops::OPEN, Value::Unit)
+        .wait()
         .unwrap()
         .as_uid()
         .unwrap();
     let batch = Batch::from_value(
         kernel
-            .invoke(reader, ops::TRANSFER, TransferRequest::primary(8).to_value()).wait()
+            .invoke(
+                reader,
+                ops::TRANSFER,
+                TransferRequest::primary(8).to_value(),
+            )
+            .wait()
             .unwrap(),
     )
     .unwrap();
@@ -85,11 +97,15 @@ fn close_destroys_reader_early() {
         .spawn(Box::new(FileEject::from_lines(["a", "b"])))
         .unwrap();
     let reader = kernel
-        .invoke(file, ops::OPEN, Value::Unit).wait()
+        .invoke(file, ops::OPEN, Value::Unit)
+        .wait()
         .unwrap()
         .as_uid()
         .unwrap();
-    kernel.invoke(reader, ops::CLOSE, Value::Unit).wait().unwrap();
+    kernel
+        .invoke(reader, ops::CLOSE, Value::Unit)
+        .wait()
+        .unwrap();
     for _ in 0..200 {
         if kernel.eject_state(reader).is_none() {
             break;
@@ -106,23 +122,27 @@ fn write_from_pulls_source_and_checkpoints() {
     register_fs_types(&kernel);
     let file = kernel.spawn(Box::new(FileEject::new())).unwrap();
     let source = kernel
-        .spawn(Box::new(SourceEject::new(Box::new(VecSource::from_lines([
-            "alpha", "beta",
-        ])))))
+        .spawn(Box::new(Stage::new(
+            Input::Local(Box::new(VecSource::from_lines(["alpha", "beta"]))),
+            Output::Passive,
+            StageConfig::default(),
+        )))
         .unwrap();
     let written = kernel
         .invoke(
             file,
             ops::WRITE_FROM,
             Value::record([("source", Value::Uid(source))]),
-        ).wait()
+        )
+        .wait()
         .unwrap();
     assert_eq!(written, Value::Int(2));
     // The write checkpointed: crash the file and read it back.
     kernel.crash(file).unwrap();
     assert_eq!(kernel.eject_state(file), Some(EjectState::Passive));
     let reader = kernel
-        .invoke(file, ops::OPEN, Value::Unit).wait()
+        .invoke(file, ops::OPEN, Value::Unit)
+        .wait()
         .unwrap()
         .as_uid()
         .unwrap();
@@ -139,9 +159,11 @@ fn write_from_append_mode() {
         .spawn(Box::new(FileEject::from_lines(["first"])))
         .unwrap();
     let source = kernel
-        .spawn(Box::new(SourceEject::new(Box::new(VecSource::from_lines([
-            "second",
-        ])))))
+        .spawn(Box::new(Stage::new(
+            Input::Local(Box::new(VecSource::from_lines(["second"]))),
+            Output::Passive,
+            StageConfig::default(),
+        )))
         .unwrap();
     kernel
         .invoke(
@@ -151,11 +173,15 @@ fn write_from_append_mode() {
                 ("source", Value::Uid(source)),
                 ("mode", Value::str("append")),
             ]),
-        ).wait()
+        )
+        .wait()
         .unwrap();
     let len = kernel.invoke(file, "Length", Value::Unit).wait().unwrap();
     assert_eq!(len, Value::Int(2));
-    let generation = kernel.invoke(file, "Generation", Value::Unit).wait().unwrap();
+    let generation = kernel
+        .invoke(file, "Generation", Value::Unit)
+        .wait()
+        .unwrap();
     assert_eq!(generation, Value::Int(1));
     kernel.shutdown();
 }
@@ -170,13 +196,17 @@ fn file_survives_whole_system_restart() {
         file = kernel
             .spawn(Box::new(FileEject::from_lines(["durable"])))
             .unwrap();
-        kernel.invoke(file, ops::CHECKPOINT, Value::Unit).wait().unwrap();
+        kernel
+            .invoke(file, ops::CHECKPOINT, Value::Unit)
+            .wait()
+            .unwrap();
         kernel.shutdown();
     }
     let kernel2 = Kernel::with_stable_store(KernelConfig::default(), store);
     register_fs_types(&kernel2);
     let reader = kernel2
-        .invoke(file, ops::OPEN, Value::Unit).wait()
+        .invoke(file, ops::OPEN, Value::Unit)
+        .wait()
         .unwrap()
         .as_uid()
         .unwrap();
@@ -203,7 +233,8 @@ fn directory_crud_via_invocation() {
             dir,
             ops::DELETE_ENTRY,
             Value::record([("name", Value::str("notes.txt"))]),
-        ).wait()
+        )
+        .wait()
         .unwrap();
     assert!(lookup(&kernel, dir, "notes.txt").is_err());
     kernel.shutdown();
@@ -224,7 +255,14 @@ fn directory_listing_is_a_stream() {
     assert_eq!(lines.len(), 3);
     let names: Vec<String> = lines
         .iter()
-        .map(|l| l.as_str().unwrap().split_whitespace().next().unwrap().to_owned())
+        .map(|l| {
+            l.as_str()
+                .unwrap()
+                .split_whitespace()
+                .next()
+                .unwrap()
+                .to_owned()
+        })
         .collect();
     assert_eq!(names, vec!["alpha", "mike", "zulu"]);
     kernel.shutdown();
@@ -241,7 +279,10 @@ fn directory_survives_restart() {
         dir = kernel.spawn(Box::new(DirectoryEject::new())).unwrap();
         file = eden_core::Uid::fresh();
         add_entry(&kernel, dir, "kept", file).unwrap();
-        kernel.invoke(dir, ops::CHECKPOINT, Value::Unit).wait().unwrap();
+        kernel
+            .invoke(dir, ops::CHECKPOINT, Value::Unit)
+            .wait()
+            .unwrap();
         kernel.shutdown();
     }
     let kernel2 = Kernel::with_stable_store(KernelConfig::default(), store);
@@ -299,11 +340,13 @@ fn move_entry_compensates_on_failure() {
     // the fault window is internal to it.
     add_entry(&kernel, b, "doc", uid).unwrap();
     kernel.crash(a).unwrap();
-    let removed = kernel.invoke(
-        a,
-        ops::DELETE_ENTRY,
-        Value::record([("name", Value::str("doc"))]),
-    ).wait();
+    let removed = kernel
+        .invoke(
+            a,
+            ops::DELETE_ENTRY,
+            Value::record([("name", Value::str("doc"))]),
+        )
+        .wait();
     assert!(removed.is_err());
     // Compensation path: remove from B again.
     kernel
@@ -311,7 +354,8 @@ fn move_entry_compensates_on_failure() {
             b,
             ops::DELETE_ENTRY,
             Value::record([("name", Value::str("doc"))]),
-        ).wait()
+        )
+        .wait()
         .unwrap();
     assert!(lookup(&kernel, b, "doc").is_err());
     kernel.shutdown();
@@ -325,8 +369,14 @@ fn kernel_lists_ejects_with_types() {
     let file = kernel
         .spawn(Box::new(FileEject::from_lines(["x"])))
         .unwrap();
-    kernel.invoke(file, ops::CHECKPOINT, Value::Unit).wait().unwrap();
-    kernel.invoke(file, ops::DEACTIVATE, Value::Unit).wait().unwrap();
+    kernel
+        .invoke(file, ops::CHECKPOINT, Value::Unit)
+        .wait()
+        .unwrap();
+    kernel
+        .invoke(file, ops::DEACTIVATE, Value::Unit)
+        .wait()
+        .unwrap();
     for _ in 0..200 {
         if kernel.eject_state(file) == Some(EjectState::Passive) {
             break;
@@ -388,7 +438,8 @@ fn unixfs_new_stream_reads_host_file() {
     let kernel = Kernel::new();
     let ufs = kernel.spawn(Box::new(UnixFsEject::new(fs))).unwrap();
     let stream = kernel
-        .invoke(ufs, ops::NEW_STREAM, new_stream_arg("motd")).wait()
+        .invoke(ufs, ops::NEW_STREAM, new_stream_arg("motd"))
+        .wait()
         .unwrap()
         .as_uid()
         .unwrap();
@@ -400,9 +451,12 @@ fn unixfs_new_stream_reads_host_file() {
 #[test]
 fn unixfs_new_stream_missing_file_errors() {
     let kernel = Kernel::new();
-    let ufs = kernel.spawn(Box::new(UnixFsEject::new(MemFs::new()))).unwrap();
+    let ufs = kernel
+        .spawn(Box::new(UnixFsEject::new(MemFs::new())))
+        .unwrap();
     let err = kernel
-        .invoke(ufs, ops::NEW_STREAM, new_stream_arg("ghost")).wait()
+        .invoke(ufs, ops::NEW_STREAM, new_stream_arg("ghost"))
+        .wait()
         .unwrap_err();
     assert!(matches!(err, EdenError::HostFs(_)));
     kernel.shutdown();
@@ -416,13 +470,18 @@ fn unixfs_use_stream_writes_host_file() {
         .spawn(Box::new(UnixFsEject::new(fs.clone())))
         .unwrap();
     let source = kernel
-        .spawn(Box::new(SourceEject::new(Box::new(VecSource::from_lines([
-            "out line 1",
-            "out line 2",
-        ])))))
+        .spawn(Box::new(Stage::new(
+            Input::Local(Box::new(VecSource::from_lines([
+                "out line 1",
+                "out line 2",
+            ]))),
+            Output::Passive,
+            StageConfig::default(),
+        )))
         .unwrap();
     let written = kernel
-        .invoke(ufs, ops::USE_STREAM, use_stream_arg("result.txt", source)).wait()
+        .invoke(ufs, ops::USE_STREAM, use_stream_arg("result.txt", source))
+        .wait()
         .unwrap();
     assert_eq!(written, Value::Int(2));
     assert_eq!(
@@ -441,12 +500,14 @@ fn unixfs_roundtrip_copy() {
         .spawn(Box::new(UnixFsEject::new(fs.clone())))
         .unwrap();
     let stream = kernel
-        .invoke(ufs, ops::NEW_STREAM, new_stream_arg("a")).wait()
+        .invoke(ufs, ops::NEW_STREAM, new_stream_arg("a"))
+        .wait()
         .unwrap()
         .as_uid()
         .unwrap();
     kernel
-        .invoke(ufs, ops::USE_STREAM, use_stream_arg("b", stream)).wait()
+        .invoke(ufs, ops::USE_STREAM, use_stream_arg("b", stream))
+        .wait()
         .unwrap();
     assert_eq!(fs.read("a").unwrap(), fs.read("b").unwrap());
     kernel.shutdown();
@@ -461,14 +522,17 @@ fn file_and_program_are_interchangeable_sources() {
         .spawn(Box::new(FileEject::from_lines(["same", "stream"])))
         .unwrap();
     let file_reader = kernel
-        .invoke(file, ops::OPEN, Value::Unit).wait()
+        .invoke(file, ops::OPEN, Value::Unit)
+        .wait()
         .unwrap()
         .as_uid()
         .unwrap();
     let program = kernel
-        .spawn(Box::new(SourceEject::new(Box::new(VecSource::from_lines([
-            "same", "stream",
-        ])))))
+        .spawn(Box::new(Stage::new(
+            Input::Local(Box::new(VecSource::from_lines(["same", "stream"]))),
+            Output::Passive,
+            StageConfig::default(),
+        )))
         .unwrap();
     let from_file = read_stream_fully(&kernel, file_reader);
     let from_program = read_stream_fully(&kernel, program);

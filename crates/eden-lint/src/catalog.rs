@@ -10,11 +10,10 @@
 //! repo ships is unsound under its own discipline.
 
 use eden_core::{Result, Value};
-use eden_transput::read_only::FanInMode;
 use eden_transput::recovery::{recovery_graph, RecoveryDiscipline};
 use eden_transput::source::VecSource;
 use eden_transput::transform::{Emitter, Identity, Transform};
-use eden_transput::{ChannelPolicy, Discipline, PipelineSpec, Violation, WiringGraph};
+use eden_transput::{ChannelPolicy, Discipline, FanInMode, PipelineSpec, Violation, WiringGraph};
 
 /// A transform with a secondary `Report` channel — the shape of
 /// `SpellCheck` in the report-streams example (Figures 3 and 4), without
@@ -45,9 +44,9 @@ fn two_sources() -> Vec<Box<dyn eden_transput::source::PullSource>> {
     ]
 }
 
-/// Every wiring shape the repo builds, as `(name, graph)` pairs. Names are
-/// stable identifiers used in reports and tests.
-pub fn catalog() -> Result<Vec<(String, WiringGraph)>> {
+/// Every pipeline shape the repo builds through [`PipelineSpec`], as
+/// `(name, spec)` pairs: kernel-free until someone calls `build`.
+pub fn shapes() -> Vec<(String, PipelineSpec)> {
     let mut entries: Vec<(String, PipelineSpec)> = Vec::new();
 
     // The plain chains every test, bench, and example builds.
@@ -133,7 +132,13 @@ pub fn catalog() -> Result<Vec<(String, WiringGraph)>> {
             .batch(4),
     ));
 
-    let mut graphs: Vec<(String, WiringGraph)> = entries
+    entries
+}
+
+/// Every wiring shape the repo builds, as `(name, graph)` pairs. Names are
+/// stable identifiers used in reports and tests.
+pub fn catalog() -> Result<Vec<(String, WiringGraph)>> {
+    let mut graphs: Vec<(String, WiringGraph)> = shapes()
         .into_iter()
         .map(|(name, spec)| spec.graph().map(|g| (name, g)))
         .collect::<Result<_>>()?;
@@ -184,5 +189,22 @@ mod tests {
     #[test]
     fn every_shipped_shape_conforms() {
         assert_eq!(check_catalog().unwrap(), Vec::new());
+    }
+
+    #[test]
+    fn every_shape_spawns_the_graph_that_was_checked() {
+        // One plan feeds `graph()` and `build()`: a node per Eject, no more
+        // and no fewer. (No catalog shape reads an Eject it did not spawn;
+        // such a source would be a node and not an entity.)
+        let kernel = eden_kernel::Kernel::new();
+        for ((name, checked), (_, built)) in shapes().into_iter().zip(shapes()) {
+            let nodes = checked.graph().unwrap().nodes.len();
+            let run = built
+                .build(&kernel)
+                .and_then(|pipeline| pipeline.run(std::time::Duration::from_secs(20)))
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(run.entities, nodes, "{name}");
+        }
+        kernel.shutdown();
     }
 }

@@ -16,7 +16,8 @@ use eden_core::{EdenError, Result, Uid, Value};
 use eden_fs::{lookup, new_stream_arg, use_stream_arg};
 use eden_kernel::Kernel;
 use eden_transput::source::VecSource;
-use eden_transput::{ChannelPolicy, Discipline, PipelineRun, PipelineSpec};
+use eden_transput::{ChannelPolicy, Discipline, FanInMode, InputPort, PipelineRun, PipelineSpec};
+use eden_transput::{Input, Output, Stage, StageConfig};
 
 use crate::parse::{parse, CommandSpec, SinkSpec, SourceSpec};
 
@@ -97,11 +98,11 @@ impl ShellEnv {
             SourceSpec::Unix(path) => builder.source_eject(self.unix_stream(path)?),
             SourceSpec::Merge(names) => builder.source_ejects_merged(
                 self.open_ports(names)?,
-                eden_transput::read_only::FanInMode::Concatenate,
+                FanInMode::Concatenate,
             ),
             SourceSpec::Zip(names) => builder.source_ejects_merged(
                 self.open_ports(names)?,
-                eden_transput::read_only::FanInMode::Zip,
+                FanInMode::Zip,
             ),
             SourceSpec::Dir => {
                 // §2/§4: a directory is a source. Prepare the listing,
@@ -182,16 +183,10 @@ impl ShellEnv {
             .as_uid()
     }
 
-    fn open_ports(
-        &self,
-        names: &[String],
-    ) -> Result<Vec<eden_transput::read_only::InputPort>> {
+    fn open_ports(&self, names: &[String]) -> Result<Vec<InputPort>> {
         names
             .iter()
-            .map(|name| {
-                self.open_file(name)
-                    .map(eden_transput::read_only::InputPort::primary)
-            })
+            .map(|name| self.open_file(name).map(InputPort::primary))
             .collect()
     }
 
@@ -210,9 +205,11 @@ impl ShellEnv {
     fn redirect_output(&self, sink: &SinkSpec, output: Vec<Value>) -> Result<()> {
         // The output becomes a fresh source Eject that the target pulls
         // from — read-only transput all the way down.
-        let source = self.kernel.spawn(Box::new(
-            eden_transput::source::SourceEject::new(Box::new(VecSource::new(output))),
-        ))?;
+        let source = self.kernel.spawn(Box::new(Stage::new(
+            Input::Local(Box::new(VecSource::new(output))),
+            Output::Passive,
+            StageConfig::default(),
+        )))?;
         match sink {
             SinkSpec::File(name) => {
                 let directory = self.directory.ok_or_else(|| {

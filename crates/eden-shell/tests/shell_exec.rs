@@ -5,6 +5,7 @@ use eden_core::Value;
 use eden_fs::{add_entry, register_fs_types, DirectoryEject, FileEject, MemFs, UnixFsEject};
 use eden_kernel::Kernel;
 use eden_shell::ShellEnv;
+use eden_transput::{Input, Output, Stage, StageConfig};
 
 fn plain_env(kernel: &Kernel) -> ShellEnv {
     ShellEnv::new(kernel)
@@ -37,9 +38,7 @@ fn all_disciplines_produce_same_output() {
     let env = plain_env(&kernel);
     let base = "lines 'b' 'a' 'b' | sort | uniq";
     let ro = env.run(base).unwrap();
-    let wo = env
-        .run(&format!("@discipline=write-only {base}"))
-        .unwrap();
+    let wo = env.run(&format!("@discipline=write-only {base}")).unwrap();
     let conv = env
         .run(&format!("@discipline=conventional {base}"))
         .unwrap();
@@ -84,9 +83,7 @@ fn file_source_and_sink() {
     add_entry(&kernel, dir, "in.f", input).unwrap();
     add_entry(&kernel, dir, "out.f", output).unwrap();
     let env = plain_env(&kernel).with_directory(dir);
-    let run = env
-        .run("file in.f | strip-comments > file out.f")
-        .unwrap();
+    let run = env.run("file in.f | strip-comments > file out.f").unwrap();
     assert_eq!(run.output_lines(), vec!["keep me"]);
     // The target file received the stream.
     let len = kernel.invoke(output, "Length", Value::Unit).wait().unwrap();
@@ -214,10 +211,10 @@ fn listing_a_directory_through_the_shell() {
     // listing contents arrived via a plain read.
     let collector = eden_transput::Collector::new();
     kernel
-        .spawn(Box::new(eden_transput::sink::SinkEject::new(
-            dir,
-            8,
-            collector.clone(),
+        .spawn(Box::new(Stage::new(
+            Input::pull(dir),
+            Output::Collector(collector.clone()),
+            StageConfig::batch(8),
         )))
         .unwrap();
     let lines = collector

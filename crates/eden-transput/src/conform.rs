@@ -44,11 +44,51 @@ pub enum DisciplineKind {
 
 impl fmt::Display for DisciplineKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+        f.write_str(self.label())
+    }
+}
+
+/// Which side of a stream connection does the invoking. Every stage has an
+/// input face and an output face, each in one of these modes (§2's four
+/// primitives are the four (face, mode) pairs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
+    /// Sends the invocation: `Transfer` to read, `Write` to write.
+    Active,
+    /// Answers it.
+    Passive,
+}
+
+impl Mode {
+    /// The mode of the corresponding face: an active face needs a passive
+    /// one to talk to, and a passive face an active one to be moved by.
+    pub fn peer(self) -> Mode {
+        match self {
+            Mode::Active => Mode::Passive,
+            Mode::Passive => Mode::Active,
+        }
+    }
+}
+
+impl DisciplineKind {
+    /// A short label for tables.
+    pub fn label(self) -> &'static str {
+        match self {
             DisciplineKind::ReadOnly => "read-only",
             DisciplineKind::WriteOnly => "write-only",
             DisciplineKind::Conventional => "conventional",
-        })
+        }
+    }
+
+    /// A discipline is nothing but its filters' `(input, output)` faces;
+    /// which sources, sinks, pumps and buffers a pipeline then needs
+    /// follows from joining each active face to a passive one.
+    pub fn faces(self) -> (Mode, Mode) {
+        match self {
+            DisciplineKind::ReadOnly => (Mode::Active, Mode::Passive),
+            DisciplineKind::WriteOnly => (Mode::Passive, Mode::Active),
+            DisciplineKind::Conventional => (Mode::Active, Mode::Active),
+        }
     }
 }
 
@@ -105,6 +145,20 @@ pub enum EdgeMode {
     /// Both ends are active (conventional wiring) — sound only through a
     /// passive buffer.
     Rendezvous,
+}
+
+impl EdgeMode {
+    /// The mode of the edge on which an `output` face meets an `input` face.
+    /// Panics on two passive faces: no plan joins them.
+    pub fn between(output: Mode, input: Mode) -> EdgeMode {
+        match (output, input) {
+            (Mode::Passive, Mode::Active) => EdgeMode::Pull,
+            (Mode::Active, Mode::Passive) => EdgeMode::Push,
+            // Sound only through a passive buffer, which `check` insists on.
+            (Mode::Active, Mode::Active) => EdgeMode::Rendezvous,
+            (Mode::Passive, Mode::Passive) => unreachable!("nothing would move the records"),
+        }
+    }
 }
 
 /// A directed data-flow edge: `consumer` reads (or is written) records

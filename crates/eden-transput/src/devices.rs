@@ -178,8 +178,8 @@ impl PullSource for TickSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::SinkEject;
-    use crate::source::{SourceEject, VecSource};
+    use crate::source::VecSource;
+    use crate::stage::{Input, Output, Stage, StageConfig};
     use eden_kernel::Kernel;
     use std::time::Duration;
 
@@ -190,9 +190,13 @@ mod tests {
             .into_iter()
             .map(|(label, n)| {
                 let source = kernel
-                    .spawn(Box::new(SourceEject::new(Box::new(VecSource::new(
+                    .spawn(Box::new(Stage::new(
+                        Input::Local(Box::new(VecSource::new(
                         (0..n).map(Value::Int).collect(),
-                    )))))
+                    ))),
+                        Output::Passive,
+                        StageConfig::default(),
+                    )))
                     .unwrap();
                 Subscription {
                     label: label.to_owned(),
@@ -230,11 +234,19 @@ mod tests {
     fn tick_source_is_a_source() {
         let kernel = Kernel::new();
         let clock = kernel
-            .spawn(Box::new(SourceEject::new(Box::new(TickSource::new(5)))))
+            .spawn(Box::new(Stage::new(
+                Input::Local(Box::new(TickSource::new(5))),
+                Output::Passive,
+                StageConfig::default(),
+            )))
             .unwrap();
         let collector = Collector::new();
         kernel
-            .spawn(Box::new(SinkEject::new(clock, 2, collector.clone())))
+            .spawn(Box::new(Stage::new(
+                Input::pull(clock),
+                Output::Collector(collector.clone()),
+                StageConfig::batch(2),
+            )))
             .unwrap();
         let ticks = collector.wait_done(Duration::from_secs(10)).unwrap();
         assert_eq!(ticks.len(), 5);

@@ -5,15 +5,21 @@
 //! input, passive output, active output, passive input — and a stream
 //! system needs only one **corresponding pair** of them:
 //!
-//! | discipline | filter performs | pump | fan-in | fan-out |
+//! | discipline | filter's faces (input, output) | pump | fan-in | fan-out |
 //! |---|---|---|---|---|
-//! | read-only ([`read_only`]) | active input + passive output | the sink | natural | via channels (§5) |
-//! | write-only ([`write_only`]) | passive input + active output | the source | impossible | natural |
-//! | conventional ([`conventional`]) | active input + active output | every filter | natural | natural |
+//! | read-only | active, passive | the sink | natural | via channels (§5) |
+//! | write-only | passive, active | the source | impossible | natural |
+//! | conventional | active, active | every filter | natural | natural |
 //!
 //! The conventional discipline pays for its symmetry with n+1 passive
 //! buffer Ejects and 2n+2 invocations per datum where the asymmetric
 //! disciplines need n+2 Ejects and n+1 invocations (§4).
+//!
+//! The code looks like that observation: one [`Stage`] ([`stage`]) with an
+//! input face and an output face, each active or passive. Sources, sinks,
+//! filters, the Unix pipe and the Unix filter are choices of faces; a
+//! discipline is the choice its filters make ([`DisciplineKind::faces`]),
+//! which [`PipelineSpec`] turns into one plan, checks and spawns.
 //!
 //! # Quick start
 //!
@@ -50,27 +56,27 @@ pub mod bytestream;
 pub mod channels;
 pub mod collector;
 pub mod conform;
-pub mod conventional;
 pub mod devices;
 pub mod pipeline;
+pub mod ports;
 pub mod protocol;
-pub mod read_only;
 pub mod recovery;
-pub mod sink;
 pub mod source;
+pub mod stage;
 pub mod stdio;
 pub mod transform;
-pub mod write_only;
 
 pub use batching::AdaptiveBatch;
 pub use channels::{ChannelPolicy, ChannelSpec, ChannelTable};
 pub use collector::Collector;
-pub use conform::{DisciplineKind, Rule, Violation, WiringGraph};
+pub use conform::{DisciplineKind, Mode, Rule, Violation, WiringGraph};
 pub use pipeline::{Discipline, Pipeline, PipelineRun, PipelineSpec};
+pub use ports::{FanInMode, InputPort, OutputPort, OutputWiring};
 pub use protocol::{Batch, ChannelId, TransferRequest, WriteRequest};
 pub use recovery::{
     install_recovery, recovery_graph, resume_recoverable_pipeline, run_recoverable_pipeline,
     RecoveryDiscipline, RecoveryRun,
     TransformRegistry,
 };
+pub use stage::{Input, Output, Stage, StageConfig};
 pub use transform::{Emitter, Transform};

@@ -9,14 +9,18 @@
 //! * **conventional** (Figure 1): active filters glued with passive buffer
 //!   Ejects, both ends pumping.
 //!
-//! [`PipelineSpec`] is kernel-free: it describes the wiring without
-//! touching a kernel, so the same value can be statically checked
-//! ([`PipelineSpec::graph`] → [`conform::check`]) or instantiated
-//! ([`PipelineSpec::build`], which validates first — a spec that violates
-//! its discipline never spawns an Eject). [`Pipeline::run`] executes to
-//! end-of-stream and returns a [`PipelineRun`] with the output, the
-//! metered event counts for the data phase, and wall-clock time — the raw
-//! material for every experiment in `EXPERIMENTS.md`.
+//! A discipline is nothing but the faces of its filters
+//! ([`DisciplineKind::faces`]); the rest follows from joining each active
+//! face to a passive one, and [`PipelineSpec`] works that out once, as a
+//! *plan*: one row per [`Stage`] with its faces and what it mounts, and the
+//! graph they make. [`PipelineSpec::graph`] hands that graph to the static
+//! predicates ([`conform::check`]); [`PipelineSpec::build`] checks it, then
+//! spawns the rows — a spec that violates its discipline never spawns an
+//! Eject, and the graph that was checked is the wiring that runs.
+//! [`Pipeline::run`] executes to end-of-stream and returns a
+//! [`PipelineRun`] with the output, the metered event counts for the data
+//! phase, and wall-clock time — the raw material for every experiment in
+//! `EXPERIMENTS.md`.
 //!
 //! [`conform::check`]: crate::conform::check
 
@@ -24,18 +28,16 @@ use std::time::{Duration, Instant};
 
 use eden_core::op::ops;
 use eden_core::{EdenError, MetricsSnapshot, Result, Uid, Value};
-use eden_kernel::{EjectState, Kernel, NodeId};
+use eden_kernel::{EjectBehavior, EjectState, Kernel, NodeId};
 
 use crate::channels::ChannelPolicy;
 use crate::collector::Collector;
-use crate::conform::{self, DisciplineKind, GrantPolicy, NodeRole, WiringGraph};
-use crate::conventional::{PassiveBufferEject, PumpFilterEject};
+use crate::conform::{DisciplineKind, EdgeMode, GrantPolicy, Mode, NodeRole, WiringGraph};
+use crate::ports::{FanInMode, InputPort, OutputPort, OutputWiring};
 use crate::protocol::{ChannelId, GetChannelRequest, OUTPUT_NAME};
-use crate::read_only::{FanInMode, InputPort, PullFilterConfig, PullFilterEject};
-use crate::sink::{AcceptorSinkEject, SinkEject};
 use crate::source::{PullSource, VecSource};
+use crate::stage::{Input, Output, Stage, StageConfig};
 use crate::transform::Transform;
-use crate::write_only::{OutputPort, OutputWiring, PushFilterEject, PushSourceEject};
 
 /// Which communication discipline to wire the pipeline in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,11 +62,7 @@ pub enum Discipline {
 impl Discipline {
     /// A short label for tables.
     pub fn label(&self) -> &'static str {
-        match self {
-            Discipline::ReadOnly { .. } => "read-only",
-            Discipline::WriteOnly { .. } => "write-only",
-            Discipline::Conventional { .. } => "conventional",
-        }
+        self.kind().label()
     }
 
     /// The discipline's identity, stripped of tuning knobs — what the
@@ -74,6 +72,18 @@ impl Discipline {
             Discipline::ReadOnly { .. } => DisciplineKind::ReadOnly,
             Discipline::WriteOnly { .. } => DisciplineKind::WriteOnly,
             Discipline::Conventional { .. } => DisciplineKind::Conventional,
+        }
+    }
+
+    /// The tuning knob: the [`StageConfig::depth`] of each filter, or of
+    /// each passive buffer where the filters need those.
+    fn depth(&self) -> usize {
+        match *self {
+            Discipline::ReadOnly { read_ahead: depth }
+            | Discipline::WriteOnly { push_ahead: depth }
+            | Discipline::Conventional {
+                buffer_capacity: depth,
+            } => depth,
         }
     }
 }
@@ -86,36 +96,24 @@ struct ReportTap {
     collector: Collector,
 }
 
-/// Where the pipeline's records come from.
-enum SourceSpec {
+/// One of the places the pipeline's records come from.
+enum Head {
     /// A local record supply; the builder spawns the source Eject.
-    Local(Box<dyn PullSource>),
+    Supply(Box<dyn PullSource>),
     /// An existing Eject that answers `Transfer` (a file reader, a
     /// directory listing, another pipeline's tail...). §4: "any Eject
     /// which responds to *Read* invocations is by definition a source."
-    Eject(Uid),
-    /// Several local supplies merged by a fan-in filter (§5 fan-in).
-    Merge(Vec<Box<dyn PullSource>>, FanInMode),
-    /// Several existing Ejects merged by a fan-in filter.
-    MergeEjects(Vec<InputPort>, FanInMode),
+    Eject(InputPort),
     /// An imperative program writing records (§4's standard IO module).
     Program(Box<dyn FnOnce(crate::stdio::TransputWriter) + Send>),
 }
 
-impl std::fmt::Debug for SourceSpec {
+impl std::fmt::Debug for Head {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SourceSpec::Local(_) => f.write_str("Local"),
-            SourceSpec::Eject(uid) => f.debug_tuple("Eject").field(uid).finish(),
-            SourceSpec::Merge(sources, mode) => f
-                .debug_tuple("Merge")
-                .field(&sources.len())
-                .field(mode)
-                .finish(),
-            SourceSpec::MergeEjects(ports, mode) => {
-                f.debug_tuple("MergeEjects").field(ports).field(mode).finish()
-            }
-            SourceSpec::Program(_) => f.write_str("Program"),
+            Head::Supply(_) => f.write_str("Supply"),
+            Head::Eject(port) => f.debug_tuple("Eject").field(port).finish(),
+            Head::Program(_) => f.write_str("Program"),
         }
     }
 }
@@ -142,7 +140,10 @@ pub struct PipelineSpec {
     batch: usize,
     batch_max: usize,
     policy: ChannelPolicy,
-    source: Option<SourceSpec>,
+    /// Where the records come from; several heads are merged by a fan-in
+    /// filter (§5), in the mode `merge` gives.
+    heads: Vec<Head>,
+    merge: Option<FanInMode>,
     stages: Vec<Box<dyn Transform>>,
     taps: Vec<ReportTap>,
     nodes: Option<u16>,
@@ -158,7 +159,8 @@ impl PipelineSpec {
             batch: 16,
             batch_max: 0,
             policy: ChannelPolicy::Integer,
-            source: None,
+            heads: Vec::new(),
+            merge: None,
             stages: Vec::new(),
             taps: Vec::new(),
             nodes: None,
@@ -167,10 +169,14 @@ impl PipelineSpec {
         }
     }
 
-    /// Use an arbitrary record source.
-    pub fn source(mut self, source: Box<dyn PullSource>) -> Self {
-        self.source = Some(SourceSpec::Local(source));
+    fn heads(mut self, heads: Vec<Head>, merge: Option<FanInMode>) -> Self {
+        (self.heads, self.merge) = (heads, merge);
         self
+    }
+
+    /// Use an arbitrary record source.
+    pub fn source(self, source: Box<dyn PullSource>) -> Self {
+        self.heads(vec![Head::Supply(source)], None)
     }
 
     /// Use a vector of records as the source.
@@ -183,34 +189,30 @@ impl PipelineSpec {
     /// discipline the first filter pulls it directly; in source-pumped
     /// disciplines the builder interposes an identity pump that starts at
     /// spawn (no `Start` invocation).
-    pub fn source_eject(mut self, uid: Uid) -> Self {
-        self.source = Some(SourceSpec::Eject(uid));
-        self
+    pub fn source_eject(self, uid: Uid) -> Self {
+        self.heads(vec![Head::Eject(InputPort::primary(uid))], None)
     }
 
     /// Merge several local supplies through a fan-in filter (§5: "if F
     /// needs n inputs, it maintains n UIDs"). `Concatenate` reads them in
     /// order like `cat a b`; `RoundRobin` interleaves; `Zip` emits tuples.
-    pub fn source_merge(mut self, sources: Vec<Box<dyn PullSource>>, mode: FanInMode) -> Self {
-        self.source = Some(SourceSpec::Merge(sources, mode));
-        self
+    pub fn source_merge(self, sources: Vec<Box<dyn PullSource>>, mode: FanInMode) -> Self {
+        self.heads(sources.into_iter().map(Head::Supply).collect(), Some(mode))
     }
 
     /// Merge several existing Ejects' streams through a fan-in filter.
-    pub fn source_ejects_merged(mut self, ports: Vec<InputPort>, mode: FanInMode) -> Self {
-        self.source = Some(SourceSpec::MergeEjects(ports, mode));
-        self
+    pub fn source_ejects_merged(self, ports: Vec<InputPort>, mode: FanInMode) -> Self {
+        self.heads(ports.into_iter().map(Head::Eject).collect(), Some(mode))
     }
 
     /// Use an ordinary imperative program as the source: §4's "standard IO
     /// module" — the closure writes records conventionally while the Eject
     /// performs passive output.
-    pub fn source_program<F>(mut self, program: F) -> Self
+    pub fn source_program<F>(self, program: F) -> Self
     where
         F: FnOnce(crate::stdio::TransputWriter) + Send + 'static,
     {
-        self.source = Some(SourceSpec::Program(Box::new(program)));
-        self
+        self.heads(vec![Head::Program(Box::new(program))], None)
     }
 
     /// Append a filter stage.
@@ -272,137 +274,121 @@ impl PipelineSpec {
         self
     }
 
-    /// Render the spec as a wiring graph for the conformance predicates.
-    ///
-    /// The graph mirrors the Ejects [`build`](Self::build) would spawn —
-    /// merge filters, identity pumps, and conventional buffers included —
-    /// so a conforming graph here means the instantiated pipeline's actual
-    /// wiring conforms too. Under the capability channel policy every edge
-    /// carries a grant, because the wirer itself performs the §5
-    /// `GetChannel` handshake for each connection it makes.
-    pub fn graph(&self) -> Result<WiringGraph> {
-        let source = self.source.as_ref().ok_or_else(|| {
-            EdenError::BadParameter("pipeline needs a source before graph()".into())
-        })?;
-        let mut g = WiringGraph::new(self.discipline.kind());
+    /// Work out the plan: every stage the pipeline needs, head first,
+    /// from the faces of the discipline's filters. A source answers reads
+    /// where the chain reads and pumps where it does not; merges become a
+    /// fan-in filter; a head that can only answer reads gets an identity
+    /// pump where the chain only answers writes; filters active on both
+    /// faces get a passive buffer on either side (Figure 1: n filters need
+    /// n+1); and the sink takes whichever face corresponds to the tail.
+    /// The plan carries the wiring graph it renders to: one node per row,
+    /// one edge per pair of faces that meet, its mode read off the two.
+    fn plan(&self) -> Result<Plan<'_>> {
+        use Mode::{Active, Passive};
+        use NodeRole::{Buffer, Filter, Sink, Source};
+        if self.heads.is_empty() {
+            let what = match self.merge {
+                Some(_) => "merged source needs at least one input",
+                None => "pipeline needs a source",
+            };
+            return Err(EdenError::BadParameter(what.into()));
+        }
+        let faces = self.discipline.kind().faces();
+        let buffered = faces == (Active, Active);
+        let pipe = (Passive, Passive);
+        // The face the head of the chain has to correspond to.
+        let first = if buffered { Passive } else { faces.0 };
+        let mut graph = WiringGraph::new(self.discipline.kind());
         if self.policy == ChannelPolicy::Capability {
-            g = g.policy(GrantPolicy::Capability);
+            graph = graph.policy(GrantPolicy::Capability);
         }
-
-        // Resolve the source into the node feeding the first stage,
-        // mirroring `build`: merges become a fan-in filter; in the
-        // source-pumped disciplines, external Ejects and programs get an
-        // identity pump; a local supply pumps for itself.
-        let pumped = !matches!(self.discipline, Discipline::ReadOnly { .. });
-        let head = match source {
-            SourceSpec::Local(_) => {
-                g.node("source", NodeRole::Source);
-                "source".to_owned()
-            }
-            SourceSpec::Program(_) => {
-                g.node("source:program", NodeRole::Source);
-                "source:program".to_owned()
-            }
-            SourceSpec::Eject(uid) => {
-                let name = format!("eject:{uid}");
-                g.node(&name, NodeRole::Source);
-                name
-            }
-            SourceSpec::Merge(sources, _) => {
-                // The merge filter *pulls* its inputs whatever the
-                // pipeline's discipline — that pull wiring is the §5
-                // workaround making fan-in legal even in a write-only
-                // pipeline.
-                g.node("merge", NodeRole::Filter);
-                for (i, _) in sources.iter().enumerate() {
-                    let name = format!("source[{i}]");
-                    g.node(&name, NodeRole::Source);
-                    g.edge_mode(&name, OUTPUT_NAME, "merge", conform::EdgeMode::Pull);
-                }
-                "merge".to_owned()
-            }
-            SourceSpec::MergeEjects(ports, _) => {
-                g.node("merge", NodeRole::Filter);
-                for port in ports {
-                    let name = format!("eject:{}", port.uid);
-                    g.node(&name, NodeRole::Source);
-                    g.edge_mode(&name, channel_label(&port.channel), "merge", conform::EdgeMode::Pull);
-                }
-                "merge".to_owned()
-            }
+        let mut plan = Plan {
+            rows: Vec::new(),
+            edges: Vec::new(),
+            taps: &self.taps,
+            graph,
         };
-        // Non-local sources cannot pump themselves: `build` interposes an
-        // identity pump in the source-pumped disciplines. The pump pulls
-        // its upstream and pushes downstream.
-        let head = if pumped && !matches!(source, SourceSpec::Local(_)) {
-            g.node("pump", NodeRole::Filter);
-            g.edge_mode(&head, OUTPUT_NAME, "pump", conform::EdgeMode::Pull);
-            "pump".to_owned()
-        } else {
-            head
-        };
-
-        let mut stage_names = Vec::with_capacity(self.stages.len());
-        for (i, t) in self.stages.iter().enumerate() {
-            let name = format!("stage{i}:{}", t.name());
-            g.node(&name, NodeRole::Filter);
-            stage_names.push(name);
+        let mut heads = Vec::with_capacity(self.heads.len());
+        for (i, head) in self.heads.iter().enumerate() {
+            let (label, mount) = match head {
+                Head::Eject(port) => (format!("eject:{}", port.uid), Mount::Eject(*port)),
+                Head::Program(_) => ("source:program".into(), Mount::Head(i)),
+                Head::Supply(_) if self.merge.is_some() => (format!("source[{i}]"), Mount::Head(i)),
+                Head::Supply(_) => ("source".into(), Mount::Head(i)),
+            };
+            // A lone local supply pumps where the chain does not read.
+            let lone = matches!(head, Head::Supply(_)) && self.merge.is_none();
+            let faces = if lone { (Passive, first.peer()) } else { pipe };
+            heads.push((plan.add(label, Source, faces, mount, &[]), None));
         }
-        g.node("sink", NodeRole::Sink);
-
-        match self.discipline {
-            Discipline::ReadOnly { .. } | Discipline::WriteOnly { .. } => {
-                // A straight chain; taps hang their own sink off the
-                // stage's secondary channel.
-                let mut prev = head;
-                for name in &stage_names {
-                    g.edge(&prev, OUTPUT_NAME, name);
-                    prev = name.clone();
-                }
-                g.edge(&prev, OUTPUT_NAME, "sink");
-                for tap in &self.taps {
-                    if let Some(stage) = stage_names.get(tap.stage) {
-                        let sink = format!("tap{}:{}", tap.stage, tap.channel);
-                        g.node(&sink, NodeRole::Sink);
-                        g.edge(stage, &tap.channel, &sink);
-                    }
-                }
+        let mut prev = heads[0].0;
+        if let Some(mode) = self.merge {
+            // The merge filter *pulls* its inputs whatever the pipeline's
+            // discipline — that pull wiring is the §5 workaround making
+            // fan-in legal even in a write-only pipeline.
+            let lazy = (Active, Passive);
+            prev = plan.add("merge".into(), Filter, lazy, Mount::Merge(mode), &heads);
+        }
+        if plan.rows[prev].output == first {
+            // Two passive faces: nothing would move the records. An
+            // identity pump reads the head and writes the chain. (A
+            // read-only chain pulls such a head directly.)
+            let both = (Active, Active);
+            prev = plan.add("pump".into(), Filter, both, Mount::Copy, &[(prev, None)]);
+        }
+        if buffered {
+            prev = plan.add("buf0".into(), Buffer, pipe, Mount::Copy, &[(prev, None)]);
+        }
+        for (i, transform) in self.stages.iter().enumerate() {
+            let label = format!("stage{i}:{}", transform.name());
+            let stage = plan.add(label, Filter, faces, Mount::Filter(i), &[(prev, None)]);
+            prev = stage;
+            if buffered {
+                let label = format!("buf{}", i + 1);
+                prev = plan.add(label, Buffer, pipe, Mount::Copy, &[(stage, None)]);
             }
-            Discipline::Conventional { .. } => {
-                // Figure 1: n filters need n+1 passive buffers; taps get
-                // their own buffer + reader.
-                g.node("buf0", NodeRole::Buffer);
-                g.edge(&head, OUTPUT_NAME, "buf0");
-                let mut upstream = "buf0".to_owned();
-                for (i, name) in stage_names.iter().enumerate() {
-                    let out_buf = format!("buf{}", i + 1);
-                    g.node(&out_buf, NodeRole::Buffer);
-                    g.edge(&upstream, OUTPUT_NAME, name);
-                    g.edge(name, OUTPUT_NAME, &out_buf);
-                    for tap in self.taps.iter().filter(|t| t.stage == i) {
-                        let buf = format!("tapbuf{}:{}", tap.stage, tap.channel);
-                        let sink = format!("tap{}:{}", tap.stage, tap.channel);
-                        g.node(&buf, NodeRole::Buffer);
-                        g.node(&sink, NodeRole::Sink);
-                        g.edge(name, &tap.channel, &buf);
-                        g.edge(&buf, OUTPUT_NAME, &sink);
-                    }
-                    upstream = out_buf;
+            // A report stream (§5) is one more reader where the stage's
+            // output is passive (Figure 4), one more destination where it
+            // is active (Figure 3) — and needs its own pipe and reader where
+            // the filters need pipes.
+            let taps = self.taps.iter().enumerate();
+            for (t, tap) in taps.filter(|(_, tap)| tap.stage == i) {
+                let mut from = (stage, Some(t));
+                if buffered {
+                    let label = format!("tapbuf{i}:{}", tap.channel);
+                    from = (plan.add(label, Buffer, pipe, Mount::Copy, &[from]), None);
                 }
-                g.edge(&upstream, OUTPUT_NAME, "sink");
+                let faces = (plan.rows[from.0].output.peer(), Passive);
+                let label = format!("tap{i}:{}", tap.channel);
+                plan.add(label, Sink, faces, Mount::Tap(t), &[from]);
             }
         }
-
-        if g.policy == GrantPolicy::Capability {
-            g.grant_all_edges();
+        let faces = (plan.rows[prev].output.peer(), Passive);
+        plan.add("sink".into(), Sink, faces, Mount::Sink, &[(prev, None)]);
+        // Under the capability channel policy every edge carries a grant,
+        // because the wirer itself performs the §5 `GetChannel` handshake
+        // for each connection it makes.
+        if plan.graph.policy == GrantPolicy::Capability {
+            plan.graph.grant_all_edges();
         }
-        Ok(g)
+        Ok(plan)
+    }
+
+    /// Render the spec as a wiring graph for the conformance predicates:
+    /// the graph of the plan [`build`](Self::build) spawns — merge filters,
+    /// identity pumps, tap sinks and conventional buffers included.
+    pub fn graph(&self) -> Result<WiringGraph> {
+        Ok(self.plan()?.graph)
     }
 
     /// Check the spec without touching a kernel: a source is present,
     /// every tap names a declared secondary channel of a real stage, and
     /// the wiring graph satisfies its discipline's predicates.
     pub fn validate(&self) -> Result<()> {
+        self.check(&self.plan()?.graph)
+    }
+
+    fn check(&self, graph: &WiringGraph) -> Result<()> {
         // Validate taps up front: in the source-pumped disciplines an
         // unattached tap would otherwise stall `run` until its deadline.
         for tap in &self.taps {
@@ -423,381 +409,301 @@ impl PipelineSpec {
                 )));
             }
         }
-        if let SourceSpec::Merge(sources, _) = self.source.as_ref().ok_or_else(|| {
-            EdenError::BadParameter("pipeline needs a source before build()".into())
-        })? {
-            if sources.is_empty() {
-                return Err(EdenError::BadParameter(
-                    "merged source needs at least one input".into(),
-                ));
-            }
-        }
-        if let SourceSpec::MergeEjects(ports, _) = self.source.as_ref().expect("checked above") {
-            if ports.is_empty() {
-                return Err(EdenError::BadParameter(
-                    "merged source needs at least one input".into(),
-                ));
-            }
-        }
-        let violations = self.graph()?.check();
+        let violations = graph.check();
         if !violations.is_empty() {
-            let list = violations
-                .iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join("; ");
-            return Err(EdenError::Discipline(list));
+            let list: Vec<String> = violations.iter().map(ToString::to_string).collect();
+            return Err(EdenError::Discipline(list.join("; ")));
         }
         Ok(())
     }
 
-    /// Wire everything up on `kernel`, validating first. Ejects spawn
-    /// now; in the read-only discipline no data flows yet (the sink's
-    /// first Transfer starts the flow as part of `run`).
-    pub fn build(self, kernel: &Kernel) -> Result<Pipeline> {
-        self.validate()?;
+    /// Spawn the plan on `kernel`, once the graph it renders to has been
+    /// checked: what runs is what was validated. Ejects spawn now; in the
+    /// read-only discipline no data flows yet (the sink's first Transfer
+    /// starts the flow as part of `run`).
+    pub fn build(mut self, kernel: &Kernel) -> Result<Pipeline> {
+        use Mode::{Active, Passive};
+        let plan = self.plan()?;
+        self.check(&plan.graph)?;
+        let (rows, edges) = (plan.rows, plan.edges);
         // One trace per pipeline: everything wired or spawned from here on
         // (including pump workers, which inherit the ambient span of the
         // thread that spawned their Eject) parents under this root, so the
         // whole run reconstructs as a single causal tree.
         let trace = eden_core::span::SpanContext::root();
         let _ambient = eden_core::span::enter(Some(trace));
-        let PipelineSpec {
-            discipline,
-            batch,
-            batch_max,
-            policy,
-            source,
-            stages,
-            taps,
-            nodes,
-            keep_output,
-            write_window,
-        } = self;
-        let source = source.expect("validate() checked the source");
-        let collector = if keep_output {
-            Collector::new()
-        } else {
-            Collector::null()
+        let discipline = self.discipline;
+        let buffered = discipline.kind().faces() == (Active, Active);
+        let collector = match self.keep_output {
+            true => Collector::new(),
+            false => Collector::null(),
         };
-        let mut wiring = Wirer {
-            kernel: kernel.clone(),
-            nodes,
-            next_node: 0,
-            ejects: Vec::new(),
-            deferred: Vec::new(),
+        let heads = std::mem::take(&mut self.heads);
+        let mut heads: Vec<_> = heads.into_iter().map(Some).collect();
+        let stages = std::mem::take(&mut self.stages);
+        let mut transforms: Vec<_> = stages.into_iter().map(Some).collect();
+        // Ejects are placed round-robin over the simulated nodes, in the
+        // order they are made; `deferred` ones spawn in `run()`.
+        let (mut ejects, mut deferred, mut made) = (Vec::new(), Vec::new(), 0u16);
+        let mut start_target = None;
+        // An active face holds its peer's UID, so the peer is spawned
+        // first: sweep the plan, head to tail and back, placing every row
+        // whose peers exist. Checked wiring never joins two active faces,
+        // so each sweep places at least one row.
+        let external = |row: &Row| match row.mount {
+            Mount::Eject(port) => Some(port.uid),
+            _ => None,
         };
-        // Resolve merged sources into a single merging Eject up front, so
-        // the discipline builders only ever see Local or Eject sources.
-        let source = match source {
-            SourceSpec::Program(program) => SourceSpec::Eject(
-                wiring.spawn(Box::new(crate::stdio::ProgramSourceEject::new(program)))?,
-            ),
-            SourceSpec::Merge(sources, mode) => {
-                let ports = sources
-                    .into_iter()
-                    .map(|s| {
-                        wiring
-                            .spawn(Box::new(crate::source::SourceEject::new(s)))
-                            .map(InputPort::primary)
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                SourceSpec::MergeEjects(ports, mode)
-            }
-            other => other,
-        };
-        let source = match source {
-            SourceSpec::MergeEjects(ports, mode) => {
-                let merger = PullFilterEject::with_config(
-                    Box::new(crate::transform::Identity),
-                    ports,
-                    PullFilterConfig {
-                        batch,
-                        read_ahead: 0,
-                        fan_in: mode,
-                        policy: ChannelPolicy::Integer,
-                        batch_max,
+        let mut uids: Vec<Option<Uid>> = rows.iter().map(external).collect();
+        let mut placed: Vec<bool> = uids.iter().map(Option::is_some).collect();
+        while placed.contains(&false) {
+            let before = made;
+            for i in (0..rows.len()).chain((0..rows.len()).rev()) {
+                let row = &rows[i];
+                if placed[i] {
+                    continue;
+                }
+                // The peers an active face holds; a missing one puts the
+                // row off to a later sweep.
+                let output = match (row.mount, row.output) {
+                    (Mount::Sink, _) => Output::Collector(collector.clone()),
+                    (Mount::Tap(t), _) => Output::Collector(self.taps[t].collector.clone()),
+                    (_, Passive) => Output::Passive,
+                    (_, Active) => match self.wiring_of(&edges, i, &uids) {
+                        Some(wiring) => Output::Active(wiring),
+                        None => continue,
                     },
-                );
-                SourceSpec::Eject(wiring.spawn(Box::new(merger))?)
+                };
+                let ports = match row.input {
+                    Active => match self.ports_of(&rows, &edges, i, &uids, kernel) {
+                        Some(ports) => Some(ports?),
+                        None => continue,
+                    },
+                    Passive => None,
+                };
+                placed[i] = true;
+                let head = match row.mount {
+                    Mount::Head(h) => heads[h].take(),
+                    _ => None,
+                };
+                let behavior: Box<dyn EjectBehavior> = match (head, ports, row.mount) {
+                    (Some(Head::Program(program)), ..) => {
+                        Box::new(crate::stdio::ProgramSourceEject::new(program))
+                    }
+                    (head, ports, mount) => {
+                        let input = match (head, ports, mount) {
+                            (Some(Head::Supply(supply)), ..) => Input::Local(supply),
+                            (_, None, _) => Input::Passive,
+                            (_, Some(ports), Mount::Merge(mode)) => Input::ports(ports, mode),
+                            (_, Some(ports), _) => Input::ports(ports, FanInMode::Concatenate),
+                        };
+                        let transform = match mount {
+                            Mount::Filter(t) => transforms[t].take(),
+                            _ => None,
+                        };
+                        Box::new(self.mount(row, input, transform, output))
+                    }
+                };
+                let node = self.nodes.map(|n| NodeId(made % n));
+                made = made.wrapping_add(1);
+                let sink = matches!(row.mount, Mount::Sink | Mount::Tap(_));
+                if sink && row.input == Active && !buffered {
+                    // The sink that pumps the pipeline spawns in `run()`:
+                    // attaching it is "starting the pump" (§4), so nothing
+                    // flows at build time — and deferring it past the
+                    // metrics baseline keeps every data-phase invocation
+                    // inside the measured window, so the analytic n+1
+                    // counts hold exactly.
+                    deferred.push((node, behavior));
+                    continue;
+                }
+                let uid = match node {
+                    Some(node) => kernel.spawn_on(node, behavior)?,
+                    None => kernel.spawn(behavior)?,
+                };
+                ejects.push(uid);
+                uids[i] = Some(uid);
+                if matches!(row.mount, Mount::Head(_)) && row.output == Active {
+                    start_target = Some(uid);
+                }
             }
-            other => other,
-        };
-        let start_target = match discipline {
-            Discipline::ReadOnly { read_ahead } => {
-                build_read_only(
-                    &mut wiring, source, stages, &taps, batch, batch_max, read_ahead, policy,
-                    &collector,
-                )?;
-                None
-            }
-            Discipline::WriteOnly { push_ahead } => build_write_only(
-                &mut wiring, source, stages, &taps, batch, batch_max, push_ahead,
-                write_window, &collector,
-            )?,
-            Discipline::Conventional { buffer_capacity } => build_conventional(
-                &mut wiring,
-                source,
-                stages,
-                &taps,
-                batch,
-                batch_max,
-                buffer_capacity,
-                write_window,
-                &collector,
-            )?,
-        };
+            assert!(made != before, "two active faces meet");
+        }
         let baseline = kernel.metrics().snapshot();
         Ok(Pipeline {
             kernel: kernel.clone(),
             discipline,
-            ejects: wiring.ejects,
-            deferred_sinks: wiring.deferred,
+            ejects,
+            deferred_sinks: deferred,
             start_target,
             collector,
-            taps,
+            taps: self.taps,
             baseline,
             trace,
         })
     }
-}
 
-/// Spawning helper that handles node placement and entity accounting.
-struct Wirer {
-    kernel: Kernel,
-    nodes: Option<u16>,
-    next_node: u16,
-    ejects: Vec<Uid>,
-    deferred: Vec<(Option<NodeId>, Box<dyn eden_kernel::EjectBehavior>)>,
-}
-
-impl Wirer {
-    fn place(&mut self) -> Option<NodeId> {
-        self.nodes.map(|n| {
-            let node = NodeId(self.next_node % n);
-            self.next_node = self.next_node.wrapping_add(1);
-            node
-        })
-    }
-
-    fn spawn(&mut self, behavior: Box<dyn eden_kernel::EjectBehavior>) -> Result<Uid> {
-        let uid = match self.place() {
-            Some(node) => self.kernel.spawn_on(node, behavior)?,
-            None => self.kernel.spawn(behavior)?,
-        };
-        self.ejects.push(uid);
-        Ok(uid)
-    }
-
-    /// Queue a behavior to spawn in `run()` instead of now. Used for the
-    /// pull-side sinks, whose pump starts the moment they spawn: deferring
-    /// them past the metrics baseline keeps every data-phase invocation
-    /// inside the measured window, so the analytic n+1 counts hold exactly.
-    fn defer(&mut self, behavior: Box<dyn eden_kernel::EjectBehavior>) {
-        let node = self.place();
-        self.deferred.push((node, behavior));
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn build_read_only(
-    w: &mut Wirer,
-    source: SourceSpec,
-    stages: Vec<Box<dyn Transform>>,
-    taps: &[ReportTap],
-    batch: usize,
-    batch_max: usize,
-    read_ahead: usize,
-    policy: ChannelPolicy,
-    collector: &Collector,
-) -> Result<()> {
-    let source_uid = match source {
-        SourceSpec::Local(s) => w.spawn(Box::new(crate::source::SourceEject::new(s)))?,
-        SourceSpec::Eject(uid) => uid,
-        // Merged sources are resolved to an Eject in `build()`.
-        SourceSpec::Merge(..) | SourceSpec::MergeEjects(..) | SourceSpec::Program(..) => {
-            unreachable!("merge sources resolved before discipline wiring")
-        }
-    };
-    let mut prev = source_uid;
-    // Sources always declare integer channels; under the capability
-    // policy each *filter*'s primary output becomes a capability the
-    // wirer must fetch with GetChannel and hand to the next stage — the
-    // §5 connection protocol.
-    let mut prev_channel = ChannelId::output();
-    let mut filter_uids = Vec::with_capacity(stages.len());
-    for transform in stages {
-        let filter = PullFilterEject::with_config(
-            transform,
-            vec![InputPort {
-                uid: prev,
-                channel: prev_channel,
-            }],
-            PullFilterConfig {
-                batch,
-                read_ahead,
-                fan_in: FanInMode::Concatenate,
-                policy,
-                batch_max,
+    /// The stage row `row` mounts between `input` and `output`.
+    fn mount(
+        &self,
+        row: &Row,
+        input: Input,
+        transform: Option<Box<dyn Transform>>,
+        output: Output,
+    ) -> Stage {
+        let depth = self.discipline.depth();
+        let pumps = (row.input, row.output) == (Mode::Active, Mode::Active);
+        let starts = matches!(row.mount, Mount::Head(_)) && row.output == Mode::Active;
+        // The dial opens where one end of the stage waits on a peer's pace;
+        // report windows and stages that pump on both faces move fixed
+        // batches.
+        let fixed = pumps || matches!(row.mount, Mount::Tap(_));
+        let config = StageConfig {
+            batch_max: if fixed { 0 } else { self.batch_max },
+            depth: match (row.mount, row.role) {
+                (Mount::Filter(_), _) if !pumps => depth,
+                (_, NodeRole::Buffer) => depth,
+                _ => 0,
             },
-        );
-        prev = w.spawn(Box::new(filter))?;
-        filter_uids.push(prev);
-        prev_channel = match policy {
-            ChannelPolicy::Integer => ChannelId::output(),
-            ChannelPolicy::Capability => {
-                let id_value = w.kernel.invoke(
-                    prev,
-                    ops::GET_CHANNEL,
-                    GetChannelRequest {
-                        name: crate::protocol::OUTPUT_NAME.to_owned(),
-                    }
-                    .to_value(),
-                ).wait()?;
-                ChannelId::try_from(&id_value)?
-            }
+            policy: match row.mount {
+                Mount::Filter(_) => self.policy,
+                _ => ChannelPolicy::Integer,
+            },
+            window: if starts { self.write_window } else { 1 },
+            ..StageConfig::batch(self.batch)
         };
+        Stage::assemble(input, transform, output, config)
     }
-    // Report windows: ask each tapped filter for its channel id (the §5
-    // connection protocol — mandatory under the capability policy) and
-    // attach a reader.
-    for tap in taps {
-        let filter = *filter_uids.get(tap.stage).ok_or_else(|| {
-            EdenError::BadParameter(format!("tap names stage {} of {}", tap.stage, filter_uids.len()))
-        })?;
-        let id_value = w.kernel.invoke(
-            filter,
-            ops::GET_CHANNEL,
-            GetChannelRequest {
-                name: tap.channel.clone(),
-            }
-            .to_value(),
-        ).wait()?;
-        let id = ChannelId::try_from(&id_value)?;
-        w.defer(Box::new(SinkEject::on_channel(
-            filter,
-            id,
-            batch,
-            tap.collector.clone(),
-        )));
-    }
-    // The sinks spawn last — and deferred until `run()`: attaching the
-    // sink is "starting the pump" (§4), so nothing flows at build time.
-    w.defer(Box::new(
-        SinkEject::on_channel(prev, prev_channel, batch, collector.clone())
-            .adaptive_batch(batch_max),
-    ));
-    Ok(())
-}
 
-#[allow(clippy::too_many_arguments)]
-fn build_write_only(
-    w: &mut Wirer,
-    source: SourceSpec,
-    stages: Vec<Box<dyn Transform>>,
-    taps: &[ReportTap],
-    batch: usize,
-    batch_max: usize,
-    push_ahead: usize,
-    write_window: usize,
-    collector: &Collector,
-) -> Result<Option<Uid>> {
-    // Build sink-first so each stage knows its destination.
-    let sink = w.spawn(Box::new(AcceptorSinkEject::new(collector.clone())))?;
-    let mut next = sink;
-    let n = stages.len();
-    for (rev_idx, transform) in stages.into_iter().enumerate().rev() {
-        let mut wiring = OutputWiring::primary_to(OutputPort::primary(next));
-        // Reports in write-only are just extra destinations (Figure 3):
-        // each tapped channel writes into its own acceptor sink.
-        for tap in taps.iter().filter(|t| t.stage == rev_idx) {
-            let report_sink = w.spawn(Box::new(AcceptorSinkEject::new(tap.collector.clone())))?;
-            wiring.add(&tap.channel, OutputPort::primary(report_sink));
-        }
-        let filter = PushFilterEject::with_push_ahead(transform, wiring, push_ahead);
-        next = w.spawn(Box::new(filter))?;
-        let _ = n;
+    /// The name of the channel an edge runs on: the primary, or a tap's.
+    fn channel(&self, tap: Option<usize>) -> &str {
+        tap.map_or(OUTPUT_NAME, |t| &self.taps[t].channel)
     }
-    spawn_pump_for(w, source, next, batch, batch_max, write_window)
-}
 
-/// Attach the pump appropriate to the source kind: a `Start`-triggered
-/// push source for local supplies, or an identity pump (starts at spawn)
-/// reading an existing Eject.
-fn spawn_pump_for(
-    w: &mut Wirer,
-    source: SourceSpec,
-    target: Uid,
-    batch: usize,
-    batch_max: usize,
-    write_window: usize,
-) -> Result<Option<Uid>> {
-    let wiring = OutputWiring::primary_to(OutputPort::primary(target));
-    match source {
-        SourceSpec::Local(s) => {
-            let src = w.spawn(Box::new(
-                PushSourceEject::with_window(s, wiring, batch, write_window)
-                    .adaptive_batch(batch_max),
-            ))?;
-            Ok(Some(src))
+    /// The wiring of row `i`'s active output: the rows it feeds, each on
+    /// the channel it feeds it by. `None` while one is yet to be spawned.
+    fn wiring_of(&self, edges: &[Edge], i: usize, uids: &[Option<Uid>]) -> Option<OutputWiring> {
+        let mut wiring = OutputWiring::default();
+        for &(_, to, tap) in edges.iter().filter(|(from, ..)| *from == i) {
+            wiring.add(self.channel(tap), OutputPort::primary(uids[to]?));
         }
-        SourceSpec::Eject(uid) => {
-            w.spawn(Box::new(PumpFilterEject::new(
-                Box::new(crate::transform::Identity),
-                uid,
-                wiring,
-                batch,
-            )))?;
-            Ok(None)
+        Some(wiring)
+    }
+
+    /// The ports of row `i`'s active input: the rows that feed it, each
+    /// with the identifier of the channel it is read on. `None` while one
+    /// is yet to be spawned.
+    fn ports_of(
+        &self,
+        rows: &[Row],
+        edges: &[Edge],
+        i: usize,
+        uids: &[Option<Uid>],
+        kernel: &Kernel,
+    ) -> Option<Result<Vec<InputPort>>> {
+        let feeds = || edges.iter().filter(|(_, to, _)| *to == i);
+        if feeds().any(|(from, ..)| uids[*from].is_none()) {
+            return None;
         }
-        // Merged sources are resolved to an Eject in `build()`.
-        SourceSpec::Merge(..) | SourceSpec::MergeEjects(..) | SourceSpec::Program(..) => {
-            unreachable!("merge sources resolved before discipline wiring")
-        }
+        let port = |&(from, _, tap): &Edge| {
+            let uid = uids[from].expect("checked above");
+            let by_name = self.policy == ChannelPolicy::Capability || tap.is_some();
+            let channel = match rows[from].mount {
+                Mount::Eject(port) => port.channel,
+                // Sources, merges and pipes number their one channel. A
+                // filter may mint capabilities, and only it knows where a
+                // secondary channel sits: ask — the §5 connection protocol.
+                Mount::Filter(_) if by_name => {
+                    let name = self.channel(tap).to_owned();
+                    let ask = GetChannelRequest { name }.to_value();
+                    ChannelId::try_from(&kernel.invoke(uid, ops::GET_CHANNEL, ask).wait()?)?
+                }
+                _ => ChannelId::output(),
+            };
+            Ok(InputPort { uid, channel })
+        };
+        Some(feeds().map(port).collect())
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn build_conventional(
-    w: &mut Wirer,
-    source: SourceSpec,
-    stages: Vec<Box<dyn Transform>>,
-    taps: &[ReportTap],
-    batch: usize,
-    batch_max: usize,
-    buffer_capacity: usize,
-    write_window: usize,
-    collector: &Collector,
-) -> Result<Option<Uid>> {
-    // source →W buf_0 R← F_1 →W buf_1 ... →W buf_n R← sink  (Figure 1:
-    // n filters need n+1 passive buffers).
-    let first_buf = w.spawn(Box::new(PassiveBufferEject::new(buffer_capacity)))?;
-    let mut upstream_buf = first_buf;
-    for (idx, transform) in stages.into_iter().enumerate() {
-        let out_buf = w.spawn(Box::new(PassiveBufferEject::new(buffer_capacity)))?;
-        let mut wiring = OutputWiring::primary_to(OutputPort::primary(out_buf));
-        for tap in taps.iter().filter(|t| t.stage == idx) {
-            // Conventional report streams need their own pipe + reader.
-            let report_buf = w.spawn(Box::new(PassiveBufferEject::new(buffer_capacity)))?;
-            wiring.add(&tap.channel, OutputPort::primary(report_buf));
-            w.spawn(Box::new(SinkEject::new(
-                report_buf,
-                batch,
-                tap.collector.clone(),
-            )))?;
+/// What a row of the plan mounts between its faces.
+#[derive(Debug, Clone, Copy)]
+enum Mount {
+    /// The spec's `i`-th head: a local supply, or the imperative program
+    /// behind §4's standard IO module.
+    Head(usize),
+    /// An Eject that exists already: nothing is spawned, the row stands
+    /// for it.
+    Eject(InputPort),
+    /// Nothing, over several inputs: the fan-in filter of §5.
+    Merge(FanInMode),
+    /// The spec's `i`-th transform.
+    Filter(usize),
+    /// Nothing: an identity pump or a passive buffer.
+    Copy,
+    /// The output collector.
+    Sink,
+    /// The `t`-th tap's collector (a report window).
+    Tap(usize),
+}
+
+/// One row of the plan: a stage's name in the graph, its role, its faces
+/// and what it mounts.
+#[derive(Debug)]
+struct Row {
+    label: String,
+    role: NodeRole,
+    input: Mode,
+    output: Mode,
+    mount: Mount,
+}
+
+/// `(from, to, tap)`: two rows whose faces meet, on a tap's channel or the primary.
+type Edge = (usize, usize, Option<usize>);
+
+/// The plan: rows head first, the edges between them (a row is fed only
+/// by earlier rows), and the wiring graph they render to.
+#[derive(Debug)]
+struct Plan<'a> {
+    rows: Vec<Row>,
+    edges: Vec<Edge>,
+    taps: &'a [ReportTap],
+    graph: WiringGraph,
+}
+
+impl Plan<'_> {
+    /// Append a row fed by `feeds` (row, tap); returns its index.
+    fn add(
+        &mut self,
+        label: String,
+        role: NodeRole,
+        (input, output): (Mode, Mode),
+        mount: Mount,
+        feeds: &[(usize, Option<usize>)],
+    ) -> usize {
+        let to = self.rows.len();
+        self.graph.node(&label, role);
+        for &(from, tap) in feeds {
+            let channel = match (self.rows[from].mount, tap) {
+                (Mount::Eject(port), _) => channel_label(&port.channel),
+                (_, Some(t)) => self.taps[t].channel.clone(),
+                (_, None) => OUTPUT_NAME.to_owned(),
+            };
+            let from = &self.rows[from];
+            let mode = EdgeMode::between(from.output, input);
+            self.graph.edge_mode(&from.label, channel, &label, mode);
         }
-        w.spawn(Box::new(PumpFilterEject::new(
-            transform,
-            upstream_buf,
-            wiring,
-            batch,
-        )))?;
-        upstream_buf = out_buf;
+        self.edges
+            .extend(feeds.iter().map(|&(from, tap)| (from, to, tap)));
+        self.rows.push(Row {
+            label,
+            role,
+            input,
+            output,
+            mount,
+        });
+        to
     }
-    w.spawn(Box::new(
-        SinkEject::new(upstream_buf, batch, collector.clone()).adaptive_batch(batch_max),
-    ))?;
-    spawn_pump_for(w, source, first_buf, batch, batch_max, write_window)
 }
 
 /// A wired pipeline, ready to run.
@@ -808,7 +714,7 @@ pub struct Pipeline {
     ejects: Vec<Uid>,
     /// Pull-side sinks, spawned in `run()` so their pumps start after the
     /// metrics baseline (and so that truly nothing flows at build time).
-    deferred_sinks: Vec<(Option<NodeId>, Box<dyn eden_kernel::EjectBehavior>)>,
+    deferred_sinks: Vec<(Option<NodeId>, Box<dyn EjectBehavior>)>,
     /// `Start` target for source-pumped disciplines.
     start_target: Option<Uid>,
     collector: Collector,
@@ -862,7 +768,9 @@ impl Pipeline {
         // each to observe end-of-stream before reading the windows.
         let mut reports = Vec::with_capacity(self.taps.len());
         for t in &self.taps {
-            let remaining = deadline.saturating_sub(start.elapsed()).max(Duration::from_secs(1));
+            let remaining = deadline
+                .saturating_sub(start.elapsed())
+                .max(Duration::from_secs(1));
             let items = t.collector.wait_done(remaining)?;
             reports.push(((t.stage, t.channel.clone()), items));
         }
@@ -872,15 +780,14 @@ impl Pipeline {
         drop(ambient);
         self.teardown(Duration::from_secs(10));
         Ok(PipelineRun {
+            records_out: output.len() as u64,
             output,
-            records_out: 0,
             metrics,
             wall,
             entities,
             reports,
             trace: self.trace.trace,
-        }
-        .fix_counts())
+        })
     }
 
     /// Deactivate every Eject and wait for them to disappear. Called by
@@ -925,11 +832,6 @@ pub struct PipelineRun {
 }
 
 impl PipelineRun {
-    fn fix_counts(mut self) -> PipelineRun {
-        self.records_out = self.output.len() as u64;
-        self
-    }
-
     /// Invocations per output record — the paper's headline metric
     /// (n+1 read-only vs 2n+2 conventional).
     pub fn invocations_per_record(&self) -> f64 {
@@ -1029,7 +931,9 @@ mod tests {
     #[test]
     fn conventional_needs_more_invocations() {
         let ro = build_and_run(Discipline::ReadOnly { read_ahead: 0 });
-        let conv = build_and_run(Discipline::Conventional { buffer_capacity: 64 });
+        let conv = build_and_run(Discipline::Conventional {
+            buffer_capacity: 64,
+        });
         assert!(
             conv.metrics.invocations > ro.metrics.invocations,
             "conventional {} must exceed read-only {}",
@@ -1089,7 +993,10 @@ mod tests {
         let run = PipelineSpec::new(Discipline::ReadOnly { read_ahead: 0 })
             .source_merge(
                 vec![
-                    Box::new(crate::source::VecSource::new(vec![Value::Int(1), Value::Int(2)])),
+                    Box::new(crate::source::VecSource::new(vec![
+                        Value::Int(1),
+                        Value::Int(2),
+                    ])),
                     Box::new(crate::source::VecSource::new(vec![Value::Int(10)])),
                 ],
                 FanInMode::Concatenate,
@@ -1098,13 +1005,22 @@ mod tests {
             .unwrap()
             .run(Duration::from_secs(10))
             .unwrap();
-        assert_eq!(run.output, vec![Value::Int(1), Value::Int(2), Value::Int(10)]);
+        assert_eq!(
+            run.output,
+            vec![Value::Int(1), Value::Int(2), Value::Int(10)]
+        );
 
         let run = PipelineSpec::new(Discipline::WriteOnly { push_ahead: 0 })
             .source_merge(
                 vec![
-                    Box::new(crate::source::VecSource::new(vec![Value::Int(1), Value::Int(2)])),
-                    Box::new(crate::source::VecSource::new(vec![Value::Int(10), Value::Int(20)])),
+                    Box::new(crate::source::VecSource::new(vec![
+                        Value::Int(1),
+                        Value::Int(2),
+                    ])),
+                    Box::new(crate::source::VecSource::new(vec![
+                        Value::Int(10),
+                        Value::Int(20),
+                    ])),
                 ],
                 FanInMode::Zip,
             )
@@ -1180,7 +1096,12 @@ mod tests {
             .unwrap();
         assert_eq!(
             run.output,
-            vec![Value::Int(11), Value::Int(22), Value::Int(33), Value::Int(44)]
+            vec![
+                Value::Int(11),
+                Value::Int(22),
+                Value::Int(33),
+                Value::Int(44)
+            ]
         );
         // The program Eject is part of the pipeline and torn down with it.
         assert_eq!(kernel.eject_count(), 0);
@@ -1241,11 +1162,7 @@ mod tests {
         let g = spec(Discipline::Conventional { buffer_capacity: 8 })
             .graph()
             .unwrap();
-        let buffers = g
-            .nodes
-            .values()
-            .filter(|r| **r == NodeRole::Buffer)
-            .count();
+        let buffers = g.nodes.values().filter(|r| **r == NodeRole::Buffer).count();
         assert_eq!(buffers, 3);
     }
 

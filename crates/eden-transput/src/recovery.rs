@@ -88,7 +88,7 @@ use eden_kernel::{
     RetryPolicy,
 };
 
-use crate::conform::{DisciplineKind, EdgeMode, NodeRole, WiringGraph};
+use crate::conform::{DisciplineKind, EdgeMode, Mode, NodeRole, WiringGraph};
 use crate::protocol::{Batch, TransferRequest, WriteRequest, OUTPUT_NAME};
 use crate::transform::{Emitter, Transform};
 
@@ -610,13 +610,6 @@ impl RecoveryDiscipline {
     }
 }
 
-/// Which side of a stream connection does the invoking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Active,
-    Passive,
-}
-
 /// One row of a discipline's table: a stage, its faces and its place in
 /// the wiring graph.
 #[derive(Debug)]
@@ -639,11 +632,7 @@ struct StageSpec {
 fn stage_specs(discipline: RecoveryDiscipline, transforms: &[&str]) -> Vec<StageSpec> {
     use Mode::{Active, Passive};
     use NodeRole::{Buffer, Filter, Sink, Source};
-    let (input, output) = match discipline {
-        RecoveryDiscipline::ReadOnly => (Active, Passive),
-        RecoveryDiscipline::WriteOnly => (Passive, Active),
-        RecoveryDiscipline::Conventional => (Active, Active),
-    };
+    let (input, output) = discipline.kind().faces();
     let pumps = (input, output) == (Active, Active);
     let mut specs = Vec::new();
     let mut add = |label: String, role, transform: &str, input, output| {
@@ -656,8 +645,7 @@ fn stage_specs(discipline: RecoveryDiscipline, transforms: &[&str]) -> Vec<Stage
             output,
         });
     };
-    let source_output = if input == Active { Passive } else { Active };
-    add("source".into(), Source, "", Passive, source_output);
+    add("source".into(), Source, "", Passive, input.peer());
     let filters = if pumps && transforms.is_empty() {
         &[""][..]
     } else {
@@ -686,21 +674,12 @@ fn driver_pulled(specs: &[StageSpec]) -> Option<&StageSpec> {
 /// The wiring of a table: one node per stage, one edge per joint, its mode
 /// read off the two faces that meet there.
 fn wiring(discipline: RecoveryDiscipline, specs: &[StageSpec]) -> WiringGraph {
-    let edge_mode = |output: Mode, input: Mode| match (output, input) {
-        (Mode::Passive, Mode::Active) => EdgeMode::Pull,
-        (Mode::Active, Mode::Passive) => EdgeMode::Push,
-        // Sound only through a passive buffer, which `conform` insists on.
-        (Mode::Active, Mode::Active) => EdgeMode::Rendezvous,
-        (Mode::Passive, Mode::Passive) => {
-            unreachable!("no discipline joins two passive faces: nothing would move the records")
-        }
-    };
     let mut graph = WiringGraph::new(discipline.kind());
     for spec in specs {
         graph.node(spec.label.clone(), spec.role);
     }
     for joint in specs.windows(2) {
-        let mode = edge_mode(joint[0].output, joint[1].input);
+        let mode = EdgeMode::between(joint[0].output, joint[1].input);
         graph.edge_mode(
             joint[0].label.clone(),
             OUTPUT_NAME,
@@ -710,7 +689,7 @@ fn wiring(discipline: RecoveryDiscipline, specs: &[StageSpec]) -> WiringGraph {
     }
     if let Some(tail) = driver_pulled(specs) {
         graph.node("driver", NodeRole::Sink);
-        let mode = edge_mode(tail.output, Mode::Active);
+        let mode = EdgeMode::between(tail.output, Mode::Active);
         graph.edge_mode(tail.label.clone(), OUTPUT_NAME, "driver", mode);
     }
     graph

@@ -2,20 +2,18 @@
 //!
 //! "Any Eject which responds to *Read* invocations is by definition a
 //! source" (§4). [`PullSource`] is the local supply of records; a
-//! [`SourceEject`] mounts one behind the stream protocol, performing
-//! passive output only. The paper's examples — a file opened for input, a
-//! date/time server, a directory listing — are all `SourceEject`s over
+//! [`Stage`] with [`Input::Local`] and a passive output mounts one behind
+//! the stream protocol. The paper's examples — a file opened for input, a
+//! date/time server, a directory listing — are all that stage over
 //! different `PullSource`s.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use eden_core::op::ops;
-use eden_core::{EdenError, Value};
-use eden_kernel::{EjectBehavior, EjectContext, Invocation, ReplyHandle};
+use eden_core::Value;
 
-use crate::channels::ChannelTable;
-use crate::protocol::{Batch, GetChannelRequest, TransferRequest};
+use crate::protocol::Batch;
+use crate::stage::{Input, Output, Stage, StageConfig};
 
 /// A local, in-process supply of stream records.
 pub trait PullSource: Send + 'static {
@@ -137,101 +135,18 @@ impl<S: PullSource> PullSource for CountingSource<S> {
     }
 }
 
-/// A source Eject: passive output only.
-///
-/// Responds to `Transfer` with data from its [`PullSource`], and to
-/// `GetChannel` with its channel identifiers. After the underlying source
-/// ends, further `Transfer`s receive empty end batches (reading past end
-/// of file is not an error, just empty).
+/// Kept for `benchmark/`, which no PR may edit and which mounts its supplies
+/// with this name; in-repo code spells a source as the stage it is.
 #[derive(Debug)]
-pub struct SourceEject {
-    source: Box<dyn PullSource>,
-    channels: ChannelTable,
-    ended: bool,
-    /// Records carried over when a pull returned more than one Transfer
-    /// asked for (never happens with well-behaved sources, but be safe).
-    leftover: Vec<Value>,
-}
+pub struct SourceEject;
 
 impl SourceEject {
-    /// Mount `source` behind a single-output channel table.
-    pub fn new(source: Box<dyn PullSource>) -> SourceEject {
-        SourceEject::with_channels(source, ChannelTable::single_output())
-    }
-
-    /// Mount `source` with an explicit channel table (the data is served on
-    /// the primary channel; declared secondary channels read as empty).
-    pub fn with_channels(source: Box<dyn PullSource>, channels: ChannelTable) -> SourceEject {
-        SourceEject {
-            source,
-            channels,
-            ended: false,
-            leftover: Vec::new(),
-        }
-    }
-
-    fn serve_transfer(&mut self, req: TransferRequest) -> eden_core::Result<Batch> {
-        let index = self.channels.index_of(req.channel)?;
-        if index != 0 {
-            // A plain source only ever has primary data; a declared but
-            // dataless secondary channel reads as an ended stream.
-            return Ok(Batch::end());
-        }
-        let mut items = Vec::new();
-        while items.len() < req.max && !self.leftover.is_empty() {
-            items.push(self.leftover.remove(0));
-        }
-        if items.len() == req.max {
-            let end = self.ended && self.leftover.is_empty();
-            return Ok(Batch { items, end });
-        }
-        if self.ended {
-            return Ok(Batch::last(items));
-        }
-        let mut batch = self.source.pull(req.max - items.len());
-        self.ended = batch.end;
-        if batch.items.len() > req.max - items.len() {
-            let excess = batch.items.split_off(req.max - items.len());
-            self.leftover = excess;
-        }
-        items.append(&mut batch.items);
-        Ok(Batch {
-            items,
-            end: self.ended && self.leftover.is_empty(),
-        })
+    /// `Stage::new(Input::Local(source), Output::Passive, StageConfig::default())`.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(source: Box<dyn PullSource>) -> Stage {
+        Stage::new(Input::Local(source), Output::Passive, StageConfig::default())
     }
 }
-
-impl EjectBehavior for SourceEject {
-    fn type_name(&self) -> &'static str {
-        "StreamSource"
-    }
-
-    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
-        match inv.op.as_str() {
-            ops::TRANSFER => {
-                let result = TransferRequest::from_value(&inv.arg)
-                    .and_then(|req| self.serve_transfer(req))
-                    .map(|batch| {
-                        eden_core::stream::note_emitted(batch.len());
-                        batch.to_value()
-                    });
-                reply.reply(result);
-            }
-            ops::GET_CHANNEL => {
-                let result = GetChannelRequest::from_value(&inv.arg)
-                    .and_then(|req| self.channels.id_of(&req.name))
-                    .map(Value::from);
-                reply.reply(result);
-            }
-            _ => reply.reply(Err(EdenError::NoSuchOperation {
-                target: ctx.uid(),
-                op: inv.op,
-            })),
-        }
-    }
-}
-
 
 impl std::fmt::Debug for dyn PullSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -242,7 +157,6 @@ impl std::fmt::Debug for dyn PullSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::ChannelId;
 
     #[test]
     fn vec_source_batches_and_ends() {
@@ -287,29 +201,16 @@ mod tests {
     }
 
     #[test]
-    fn serve_transfer_checks_channel() {
-        let mut e = SourceEject::new(Box::new(VecSource::new(vec![Value::Int(1)])));
-        let bad = TransferRequest {
-            channel: ChannelId::Number(3),
-            max: 1,
-            pos: None,
-        };
-        assert!(e.serve_transfer(bad).is_err());
-    }
-
-    #[test]
-    fn serve_transfer_after_end_is_empty_end() {
-        let mut e = SourceEject::new(Box::new(VecSource::new(vec![Value::Int(1)])));
-        let b = e.serve_transfer(TransferRequest::primary(5)).unwrap();
-        assert!(b.end);
-        let again = e.serve_transfer(TransferRequest::primary(5)).unwrap();
-        assert!(again.end && again.is_empty());
-    }
-
-    #[test]
     fn from_lines_builds_strings() {
         let mut s = VecSource::from_lines(["a", "b"]);
         let b = s.pull(10);
         assert_eq!(b.items, vec![Value::str("a"), Value::str("b")]);
+    }
+
+    #[test]
+    fn vecsource_trait_object_safety() {
+        // PullSource must be usable as a boxed trait object.
+        let mut s: Box<dyn PullSource> = Box::new(VecSource::new(vec![Value::Int(1)]));
+        assert!(s.pull(1).end);
     }
 }

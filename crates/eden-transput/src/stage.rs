@@ -1,0 +1,2008 @@
+//! One stream stage over {active, passive} × {input, output}.
+//!
+//! The paper's four transput primitives are two faces in two modes, and a
+//! stream system needs only one **corresponding pair** of them (§2–§3).
+//! [`Stage`] is that construction written once: an input face, a transform
+//! step, a buffer, an output face. Every role a pipeline needs is a choice
+//! of faces:
+//!
+//! | [`Input`] | [`Output`] | role | `type_name` |
+//! |---|---|---|---|
+//! | local | passive | source: "any Eject which responds to *Read* invocations" (§4) | `StreamSource` |
+//! | active | passive | read-only filter | `PullFilter` |
+//! | active | collector | the sink that pumps a read-only pipeline (§4) | `StreamSink` |
+//! | local | active | the source that pumps a write-only pipeline (§5) | `PushSource` |
+//! | passive | active | write-only filter | `PushFilter` |
+//! | passive | collector | acceptor: "always ready to accept" writes (§5) | `AcceptorSink` |
+//! | passive | passive | the Unix pipe, Figure 1's passive buffer | `PassiveBuffer` |
+//! | active | active | the Unix filter: transforms *and pumps* (§3) | `PumpFilter` |
+//! | passive + one port read actively | active | §5's "secondary inputs, which are actively read" | `ZipPushFilter` |
+//!
+//! ## Faces
+//!
+//! * A **passive input** accepts `Write`. It cannot tell its writers apart
+//!   — one writer making k writes looks like k writers making one each —
+//!   which is exactly why write-only transput has no controlled fan-in
+//!   (§5). The first `end` closes the stream for everyone; a later write is
+//!   refused.
+//! * An **active input** holds [`InputPort`]s and `Transfer`s from them,
+//!   interleaved by a [`FanInMode`](crate::FanInMode): "if F needs n inputs, it maintains n
+//!   UIDs" (§5). A **local** input is no face at all, just a
+//!   [`PullSource`].
+//! * A **passive output** serves `Transfer` from per-channel buffers and
+//!   parks a reader it cannot serve yet (a deferred reply — "it will be sent
+//!   to whatever Eject requests it", §4). Fan-out needs the channel
+//!   identifiers of §5: `GetChannel` hands them out from a [`ChannelTable`].
+//! * An **active output** `Write`s into an [`OutputWiring`]; a **collector**
+//!   output lands the records where a test or a terminal can see them.
+//!
+//! ## Depth: who runs the active face
+//!
+//! [`StageConfig::depth`] is the buffer between the faces, and decides who
+//! runs the active one.
+//!
+//! * **Depth 0** runs it inline, in the passive face's handler, on the same
+//!   thread, and the reply is the handler's last act. A read-only filter is
+//!   then *lazy* — "no computation need be done until the result is
+//!   requested" (§4): it pulls upstream only while serving a `Transfer`, so
+//!   no data moves anywhere until a sink starts reading. A write-only filter
+//!   is a *rendezvous*: it acknowledges a `Write` only after its downstream
+//!   has acknowledged what that write came to.
+//! * **Depth > 0** is §4's "each Eject in a pipeline should read some input
+//!   and buffer-up some output, and then suspend processing pending a
+//!   request for output. In this way all the Ejects in a pipeline can run
+//!   concurrently" — and its dual for writers. One worker process runs the
+//!   active face and meets the coordinator at the buffer: a read-ahead
+//!   worker fills it while fewer than `depth` records wait to be read; a
+//!   push-ahead worker drains it, and a writer that finds `depth` writes
+//!   still undelivered is parked (its reply deferred), so the coordinator
+//!   never blocks. A pipe's depth is its capacity.
+//! * A stage with **no passive face** has nobody to drive it, so the worker
+//!   runs both faces whatever the depth: the sink's pump, the conventional
+//!   filter, and the pushing source, which waits for `Start` and answers it
+//!   when the last write has been acknowledged — `Start` is "run the
+//!   pipeline".
+//!
+//! Worker and coordinator share one [`Shared`] buffer and wake each other
+//! by internal message, metered as language-level IPC rather than as
+//! invocations — the distinction the paper's cost argument rests on.
+
+use std::collections::VecDeque;
+use std::sync::Arc;
+
+use eden_core::op::ops;
+use eden_core::{EdenError, Result, Uid, Value};
+use eden_kernel::{
+    EjectBehavior, EjectContext, Invocation, PendingReply, ProcessContext, ReplyHandle, RouteCache,
+};
+
+use crate::batching::AdaptiveBatch;
+use crate::channels::{ChannelPolicy, ChannelTable};
+use crate::collector::Collector;
+use crate::ports::{deliver, FanInMode, InputPort, InputPuller, OutputPort, OutputWiring};
+use crate::protocol::{Batch, GetChannelRequest, TransferRequest, WriteRequest, OUTPUT_NAME};
+use crate::source::PullSource;
+use crate::stdio::Shared;
+use crate::transform::{Emitter, Transform};
+
+/// Starts the worker of a stage that pumps a local supply.
+const START: &str = "Start";
+
+/// A stage's input face.
+#[derive(Debug)]
+pub enum Input {
+    /// Accept `Write`s.
+    Passive,
+    /// Accept `Write`s, and pair every record written with one actively
+    /// read from a secondary port: `Value::List([written, read])`, padded
+    /// with `Unit` once the port runs dry. How a stream editor's command
+    /// input or a comparator's second file enters a write-only pipeline
+    /// (§5). Built by [`Input::zipped`].
+    Zipped(InputPuller),
+    /// `Transfer` from ports. Built by [`Input::pull`] or [`Input::ports`].
+    Active(InputPuller),
+    /// Draw on a local supply of records.
+    Local(Box<dyn PullSource>),
+}
+
+impl Input {
+    /// Active input from one Eject's primary channel.
+    pub fn pull(uid: Uid) -> Input {
+        Input::ports(vec![InputPort::primary(uid)], FanInMode::Concatenate)
+    }
+
+    /// Active input from several ports, interleaved by `mode`.
+    pub fn ports(ports: Vec<InputPort>, mode: FanInMode) -> Input {
+        Input::Active(InputPuller::new(ports, mode))
+    }
+
+    /// Passive input zipped with `secondary`'s primary channel.
+    pub fn zipped(secondary: Uid) -> Input {
+        let port = InputPort::primary(secondary);
+        Input::Zipped(InputPuller::new(vec![port], FanInMode::Concatenate))
+    }
+}
+
+/// A stage's output face.
+#[derive(Debug)]
+pub enum Output {
+    /// Serve `Transfer`s; the transform's secondary channels are declared
+    /// after the primary in the stage's channel table.
+    Passive,
+    /// `Write` into this wiring.
+    Active(OutputWiring),
+    /// Land the primary stream in a [`Collector`] and finish it at
+    /// end-of-stream (or fail it when the input does).
+    Collector(Collector),
+}
+
+impl Output {
+    /// Active output into one Eject's primary input.
+    pub fn push(uid: Uid) -> Output {
+        Output::Active(OutputWiring::primary_to(OutputPort::primary(uid)))
+    }
+}
+
+/// Tuning for a [`Stage`]. Every field has a neutral default.
+#[derive(Debug, Clone)]
+pub struct StageConfig {
+    /// Records an active face moves per invocation. With `batch_max` at or
+    /// below it this is the fixed batch size; otherwise the floor of an
+    /// adaptive range.
+    pub batch: usize,
+    /// Upper bound for adaptive batch sizing (see [`AdaptiveBatch`]).
+    pub batch_max: usize,
+    /// The buffer between the faces (module docs): records a read-ahead
+    /// worker keeps waiting, writes a push-ahead worker may have in hand,
+    /// records a pipe holds before it parks its writers. 0 = no worker.
+    pub depth: usize,
+    /// How a passive output's channel identifiers are minted.
+    pub policy: ChannelPolicy,
+    /// Writes an active output keeps in flight: "the sending of an
+    /// invocation does not suspend the execution of the sending Eject"
+    /// (§1), exploited for pipelining. Acknowledgements are collected in
+    /// order; 1 is the synchronous rendezvous. Windowing needs a single
+    /// destination — fan-out wiring stays at 1 so every peer is in
+    /// lock-step.
+    pub window: usize,
+}
+
+impl Default for StageConfig {
+    fn default() -> Self {
+        StageConfig::batch(16)
+    }
+}
+
+impl StageConfig {
+    /// The defaults, moving `batch` records per invocation.
+    pub fn batch(batch: usize) -> StageConfig {
+        StageConfig {
+            batch,
+            batch_max: 0,
+            depth: 0,
+            policy: ChannelPolicy::Integer,
+            window: 1,
+        }
+    }
+}
+
+/// What a face needs from whoever runs it — the Eject's coordinator for a
+/// face run inline, its worker process otherwise: send a stream invocation
+/// through the face's route cache, wait for the reply.
+trait Host {
+    fn send(&self, cache: &mut RouteCache, to: Uid, op: &'static str, arg: Value) -> PendingReply;
+    fn wait(&self, pending: PendingReply) -> Result<Value>;
+}
+
+impl Host for EjectContext {
+    fn send(&self, cache: &mut RouteCache, to: Uid, op: &'static str, arg: Value) -> PendingReply {
+        self.invoke_routed(cache, to, op, arg)
+    }
+    fn wait(&self, pending: PendingReply) -> Result<Value> {
+        pending.wait()
+    }
+}
+
+impl Host for ProcessContext {
+    fn send(&self, cache: &mut RouteCache, to: Uid, op: &'static str, arg: Value) -> PendingReply {
+        self.invoke_routed(cache, to, op, arg)
+    }
+    fn wait(&self, pending: PendingReply) -> Result<Value> {
+        self.wait_or_stop(pending)
+    }
+}
+
+/// What one step of input came to, once through the transform.
+#[derive(Debug)]
+struct Chunk {
+    out: Emitter,
+    /// The input has ended and the transform has flushed into `out`.
+    end: bool,
+}
+
+/// The input face and the transform step behind it.
+#[derive(Debug)]
+struct InFace {
+    face: Input,
+    /// `None` copies.
+    transform: Option<Box<dyn Transform>>,
+    /// Upstream routes, learned on first use.
+    cache: RouteCache,
+    dial: AdaptiveBatch,
+    /// The input has ended and the transform has flushed.
+    flushed: bool,
+    /// No passive output sets this stage's pace: it pumps.
+    pumping: bool,
+}
+
+/// One step of an active input: up to `max` records, and whether it ended.
+fn pull(
+    puller: &mut InputPuller,
+    host: &impl Host,
+    cache: &mut RouteCache,
+    max: usize,
+) -> Result<(Vec<Value>, bool)> {
+    puller.pull_next(max, &mut |port: InputPort, max| {
+        let req = TransferRequest {
+            channel: port.channel,
+            max,
+            pos: None,
+        };
+        host.wait(host.send(cache, port.uid, ops::TRANSFER, req.to_value()))
+            .and_then(Batch::from_value)
+    })
+}
+
+impl InFace {
+    /// Run `items` through the transform, flushing it if they end the input.
+    fn absorb(&mut self, items: Vec<Value>, end: bool) -> Chunk {
+        let end = end && !self.flushed;
+        let out = match &mut self.transform {
+            None => Emitter::of(items),
+            Some(transform) => {
+                let mut out = Emitter::new();
+                for item in items {
+                    transform.push(item, &mut out);
+                }
+                if end {
+                    transform.flush(&mut out);
+                }
+                out
+            }
+        };
+        self.flushed |= end;
+        Chunk { out, end }
+    }
+
+    /// The passive face: take what a `Write` carries.
+    fn accept(&mut self, host: &impl Host, mut w: WriteRequest) -> Chunk {
+        if let Input::Zipped(secondary) = &mut self.face {
+            for item in &mut w.items {
+                let (read, _) = pull(secondary, host, &mut self.cache, 1).unwrap_or_else(|_| {
+                    secondary.done = true;
+                    (Vec::new(), true)
+                });
+                let read = read.into_iter().next().unwrap_or(Value::Unit);
+                *item = Value::list(vec![std::mem::replace(item, Value::Unit), read]);
+            }
+        }
+        self.absorb(w.items, w.end)
+    }
+
+    /// The active face: one step of input, `ask` records of it.
+    fn produce(&mut self, host: &impl Host, ask: usize) -> Result<Chunk> {
+        let (items, end) = match &mut self.face {
+            Input::Local(source) => {
+                let pulled = source.pull(ask);
+                eden_core::stream::note_emitted(pulled.items.len());
+                (pulled.items, pulled.end)
+            }
+            Input::Active(puller) => {
+                let (items, end) = pull(puller, host, &mut self.cache, ask)?;
+                // Saturated upstream → fatter batches; a starved reply
+                // (well under what we asked for) → fall back towards the
+                // floor. The shrink threshold is deliberately far below the
+                // grow threshold: partial batches are normal under
+                // concurrency and must not collapse the dial.
+                if self.pumping && items.len() * 2 >= ask {
+                    self.dial.grow();
+                } else if self.pumping && !end && items.len() * 8 < ask {
+                    self.dial.shrink();
+                }
+                (items, end)
+            }
+            Input::Passive | Input::Zipped(_) => unreachable!("a passive input is written to"),
+        };
+        Ok(self.absorb(items, end))
+    }
+
+    /// As [`produce`](Self::produce) for a reader to be served: an upstream
+    /// failure ends the stream here, and the reader sees a short one (the
+    /// error also surfaced in metrics).
+    fn produce_or_end(&mut self, host: &impl Host, ask: usize) -> Chunk {
+        self.produce(host, ask)
+            .unwrap_or_else(|_| self.absorb(Vec::new(), true))
+    }
+}
+
+/// The output face.
+#[derive(Debug)]
+struct OutFace {
+    face: Output,
+    /// Downstream routes, learned on first use.
+    cache: RouteCache,
+    dial: AdaptiveBatch,
+    window: usize,
+    /// Writes sent and not yet acknowledged (`window` > 1).
+    in_flight: VecDeque<PendingReply>,
+}
+
+impl OutFace {
+    /// The active face: deliver a chunk. `end` is forwarded on every wired
+    /// channel so downstream streams close; returns once fewer than
+    /// `window` writes are unacknowledged — none, at the end of the stream.
+    fn consume(&mut self, host: &impl Host, mut chunk: Chunk) -> Result<()> {
+        let wiring = match &self.face {
+            Output::Active(wiring) => wiring,
+            Output::Collector(collector) => {
+                let items = chunk.out.take_primary();
+                if !items.is_empty() {
+                    collector.append(items);
+                }
+                if chunk.end {
+                    collector.finish();
+                }
+                return Ok(());
+            }
+            Output::Passive => unreachable!("a passive output is read from"),
+        };
+        let (window, end) = (self.window, chunk.end);
+        let windowed = window > 1 && wiring.fan_out() == 1;
+        let (cache, in_flight) = (&mut self.cache, &mut self.in_flight);
+        let unsent = in_flight.len();
+        deliver(wiring, &mut chunk.out, end, &mut |port, arg| {
+            let pending = host.send(cache, port.uid, ops::WRITE, arg);
+            if windowed {
+                in_flight.push_back(pending);
+                Ok(())
+            } else {
+                host.wait(pending).map(drop)
+            }
+        })?;
+        if !windowed {
+            return Ok(());
+        }
+        let sent = in_flight.len() > unsent;
+        // Reap acknowledgements that have already arrived without blocking.
+        while let Some(pending) = in_flight.pop_front() {
+            match pending.try_wait() {
+                Ok(result) => drop(result?),
+                Err(still_pending) => {
+                    in_flight.push_front(still_pending);
+                    break;
+                }
+            }
+        }
+        if sent && in_flight.is_empty() && !end {
+            // Even the write just sent was already acknowledged: batching
+            // overshot.
+            self.dial.shrink();
+        } else if in_flight.len() >= window {
+            // Window saturated — downstream is invocation-bound; amortise
+            // with bigger writes, then block.
+            self.dial.grow();
+        }
+        while in_flight.len() >= window || (end && !in_flight.is_empty()) {
+            host.wait(in_flight.pop_front().expect("non-empty checked"))?;
+        }
+        Ok(())
+    }
+}
+
+/// The buffer between the faces, where coordinator and worker meet. What it
+/// holds goes by the output face it feeds: a passive output keeps records,
+/// per channel, until they are read; an active one forwards write for
+/// write, so it keeps what each accepted `Write` came to until the worker
+/// has delivered it.
+#[derive(Debug, Default)]
+struct Buffer {
+    /// A passive output's channels and their queues (else empty).
+    table: ChannelTable,
+    queues: Vec<VecDeque<Value>>,
+    /// An active output's undelivered writes, and whether the worker has
+    /// one more in hand.
+    writes: VecDeque<Chunk>,
+    delivering: bool,
+    /// The final chunk has been put.
+    ended: bool,
+    /// The other side is gone: the coordinator has been dropped, or the
+    /// worker has failed.
+    closed: bool,
+}
+
+impl Buffer {
+    fn put(&mut self, mut chunk: Chunk) -> Result<()> {
+        if self.closed {
+            return Err(EdenError::Application("forwarding worker gone".into()));
+        }
+        self.ended |= chunk.end;
+        if self.queues.is_empty() {
+            self.writes.push_back(chunk);
+            return Ok(());
+        }
+        self.queues[0].extend(chunk.out.take_primary());
+        for (name, items) in chunk.out.take_secondary() {
+            // A transform emitting on an undeclared channel is a bug in the
+            // transform; drop the records rather than poison the stream.
+            let id = self.table.id_of(&name);
+            if let Ok(idx) = id.and_then(|id| self.table.index_of(id)) {
+                self.queues[idx].extend(items);
+            }
+        }
+        Ok(())
+    }
+
+    /// What `depth` bounds: primary records waiting to be read, or writes
+    /// accepted and not yet delivered.
+    fn occupancy(&self) -> usize {
+        match self.queues.first() {
+            Some(primary) => primary.len(),
+            None => self.writes.len() + usize::from(self.delivering),
+        }
+    }
+
+    /// Serve a read of channel `idx`, unless fewer than `fill` records
+    /// wait there and more may come. End is visible only once the channel
+    /// has drained.
+    fn read(&mut self, idx: usize, max: usize, fill: usize) -> Option<Batch> {
+        let queue = &mut self.queues[idx];
+        if queue.len() < fill && !self.ended {
+            return None;
+        }
+        let items: Vec<Value> = queue.drain(..max.min(queue.len())).collect();
+        let end = self.ended && queue.is_empty();
+        Some(Batch { items, end })
+    }
+
+    /// Hand the worker the oldest undelivered write; it counts against the
+    /// depth until the worker reports back.
+    fn take_write(&mut self) -> Option<Chunk> {
+        let chunk = self.writes.pop_front()?;
+        self.delivering = true;
+        Some(chunk)
+    }
+}
+
+/// The coordinator's hold on the buffer: its own until a worker is spawned,
+/// shared from then on. Dropping it — deactivation, crash, a panicking
+/// handler — closes a shared buffer and releases a worker waiting there.
+#[derive(Debug)]
+enum Meet {
+    Own(Buffer),
+    Shared(Arc<Shared<Buffer>>),
+}
+
+impl Meet {
+    fn with<R>(&mut self, f: impl FnOnce(&mut Buffer) -> R) -> R {
+        match self {
+            Meet::Own(buffer) => f(buffer),
+            Meet::Shared(shared) => f(&mut shared.queue.lock()),
+        }
+    }
+
+    /// Share the buffer with a worker (and let it know of every change).
+    fn share(&mut self) -> Arc<Shared<Buffer>> {
+        if let Meet::Own(buffer) = self {
+            *self = Meet::Shared(Shared::new(std::mem::take(buffer)));
+        }
+        let Meet::Shared(shared) = self else {
+            unreachable!("just shared");
+        };
+        Arc::clone(shared)
+    }
+
+    fn changed(&self) {
+        if let Meet::Shared(shared) = self {
+            shared.changed.notify_all();
+        }
+    }
+}
+
+impl Drop for Meet {
+    fn drop(&mut self) {
+        self.with(|buffer| buffer.closed = true);
+        self.changed();
+    }
+}
+
+/// On the worker's own thread: wait at the buffer until `ready` yields.
+fn await_buffer<R>(
+    meet: &Shared<Buffer>,
+    pctx: &ProcessContext,
+    mut ready: impl FnMut(&mut Buffer) -> Option<R>,
+) -> Result<R> {
+    let mut buffer = meet.queue.lock();
+    loop {
+        if buffer.closed || pctx.should_stop() {
+            return Err(EdenError::KernelShutdown);
+        }
+        if let Some(found) = ready(&mut buffer) {
+            return Ok(found);
+        }
+        // eden-lint: nonblocking(spawn_process worker thread, not a pool worker)
+        meet.changed.wait(&mut buffer);
+    }
+}
+
+/// The one worker loop: take a chunk from the input face, or from the
+/// buffer if the coordinator runs that face; give it to the output face, or
+/// to the buffer if the coordinator runs that one.
+fn work(
+    pctx: &ProcessContext,
+    input: &mut Option<InFace>,
+    output: &mut Option<OutFace>,
+    meet: &Shared<Buffer>,
+    depth: usize,
+    dial: &AdaptiveBatch,
+) -> Result<()> {
+    loop {
+        if pctx.should_stop() {
+            return Err(EdenError::KernelShutdown);
+        }
+        let chunk = match input {
+            Some(face) if output.is_some() => face.produce(pctx, dial.current())?,
+            Some(face) => {
+                // The window deepens with the batch dial: pre-pulling less
+                // than one batch's worth would starve the very batches the
+                // dial grew.
+                let room = await_buffer(meet, pctx, |buffer| {
+                    let target = depth.max(dial.current());
+                    target
+                        .checked_sub(buffer.occupancy())
+                        .filter(|room| *room > 0)
+                })?;
+                face.produce_or_end(pctx, dial.current().min(room))
+            }
+            None => await_buffer(meet, pctx, Buffer::take_write)?,
+        };
+        let end = chunk.end;
+        match output {
+            Some(face) => face.consume(pctx, chunk)?,
+            None => meet.queue.lock().put(chunk)?,
+        }
+        if input.is_none() {
+            meet.queue.lock().delivering = false;
+        }
+        if input.is_none() || output.is_none() {
+            // The coordinator may now have a reader to answer or a writer to
+            // admit. Language-level IPC, metered apart from invocation.
+            pctx.post_internal(Value::Unit)?;
+        }
+        if end {
+            return Ok(());
+        }
+    }
+}
+
+/// One stream stage: see the module docs.
+#[derive(Debug)]
+pub struct Stage {
+    name: &'static str,
+    /// The faces; `None` once the worker runs one.
+    input: Option<InFace>,
+    output: Option<OutFace>,
+    /// Their modes (a local input counts as active).
+    in_passive: bool,
+    out_passive: bool,
+    /// The input face holds ports: demand reaches upstream.
+    pulls: bool,
+    /// The records-per-invocation dial, shared with the worker.
+    dial: AdaptiveBatch,
+    depth: usize,
+    meet: Meet,
+    /// Parked `Transfer`s (how many records, whose reply), per channel.
+    readers: Vec<VecDeque<(usize, ReplyHandle)>>,
+    /// Parked `Write`s: a passive input whose buffer is at capacity.
+    writers: VecDeque<(WriteRequest, ReplyHandle)>,
+    /// A collector output, kept for `Progress` and to report a failed pump.
+    collector: Option<Collector>,
+}
+
+impl Stage {
+    /// A stage that copies records from `input` to `output`.
+    pub fn new(input: Input, output: Output, config: StageConfig) -> Stage {
+        Stage::assemble(input, None, output, config)
+    }
+
+    /// A stage that runs `transform` between its faces. The very same
+    /// [`Transform`] mounts between any pair of faces: the filter function
+    /// is separate from the communication discipline.
+    pub fn filter(
+        input: Input,
+        transform: Box<dyn Transform>,
+        output: Output,
+        config: StageConfig,
+    ) -> Stage {
+        Stage::assemble(input, Some(transform), output, config)
+    }
+
+    pub(crate) fn assemble(
+        input: Input,
+        transform: Option<Box<dyn Transform>>,
+        output: Output,
+        config: StageConfig,
+    ) -> Stage {
+        let name = match (&input, &output) {
+            (Input::Local(_), Output::Passive) => "StreamSource",
+            (Input::Local(_), _) => "PushSource",
+            (Input::Active(_), Output::Passive) => "PullFilter",
+            (Input::Active(_), Output::Active(_)) => "PumpFilter",
+            (Input::Active(_), Output::Collector(_)) => "StreamSink",
+            (Input::Zipped(_), _) => "ZipPushFilter",
+            (Input::Passive, Output::Passive) => "PassiveBuffer",
+            (Input::Passive, Output::Active(_)) => "PushFilter",
+            (Input::Passive, Output::Collector(_)) => "AcceptorSink",
+        };
+        let batch = config.batch.max(1);
+        let dial = AdaptiveBatch::new(batch, config.batch_max.max(batch));
+        let out_passive = matches!(output, Output::Passive);
+        let mut names = Vec::new();
+        if out_passive {
+            names.push(OUTPUT_NAME);
+            names.extend(transform.iter().flat_map(|t| t.secondary_channels()));
+        }
+        let collector = match &output {
+            Output::Collector(collector) => Some(collector.clone()),
+            _ => None,
+        };
+        Stage {
+            name,
+            in_passive: matches!(input, Input::Passive | Input::Zipped(_)),
+            out_passive,
+            pulls: matches!(input, Input::Active(_)),
+            input: Some(InFace {
+                face: input,
+                transform,
+                cache: RouteCache::new(),
+                dial: dial.clone(),
+                flushed: false,
+                pumping: !out_passive,
+            }),
+            output: Some(OutFace {
+                face: output,
+                cache: RouteCache::new(),
+                dial: dial.clone(),
+                window: config.window.max(1),
+                in_flight: VecDeque::new(),
+            }),
+            dial,
+            depth: config.depth,
+            readers: names.iter().map(|_| VecDeque::new()).collect(),
+            meet: Meet::Own(Buffer {
+                queues: names.iter().map(|_| VecDeque::new()).collect(),
+                table: ChannelTable::new(config.policy, names),
+                ..Buffer::default()
+            }),
+            writers: VecDeque::new(),
+            collector,
+        }
+    }
+
+    /// An active face runs on the worker when there is a buffer to meet the
+    /// coordinator at, or no passive face whose handler could run it.
+    fn in_worker(&self) -> bool {
+        !self.in_passive && (self.depth > 0 || !self.out_passive)
+    }
+
+    fn out_worker(&self) -> bool {
+        !self.out_passive && (self.depth > 0 || !self.in_passive)
+    }
+
+    /// A pump over a local supply waits to be told to `Start`; every other
+    /// worker starts with its stage.
+    fn awaits_start(&self) -> bool {
+        !self.in_passive && !self.out_passive && !self.pulls
+    }
+
+    /// Move the faces the worker runs into a worker process. `done` is the
+    /// deferred reply to `Start`, answered when the stream has been
+    /// delivered whole.
+    fn spawn_worker(&mut self, ctx: &EjectContext, done: Option<ReplyHandle>) {
+        let (in_worker, out_worker) = (self.in_worker(), self.out_worker());
+        let mut input = self.input.take_if(|_| in_worker);
+        let mut output = self.output.take_if(|_| out_worker);
+        let name = match (&input, &output) {
+            (None, None) => return,
+            (Some(_), Some(_)) => "pump",
+            (Some(_), None) => "read-ahead",
+            (None, Some(_)) => "push-drain",
+        };
+        let meet = self.meet.share();
+        let (depth, dial, collector) = (self.depth, self.dial.clone(), self.collector.clone());
+        ctx.spawn_process(name, move |pctx| {
+            let result = work(&pctx, &mut input, &mut output, &meet, depth, &dial);
+            let failed = !matches!(result, Ok(()) | Err(EdenError::KernelShutdown));
+            if failed {
+                // The worker is giving up with its stage alive: whoever is
+                // parked at the buffer must not wait for what will not come.
+                meet.queue.lock().closed = true;
+                let _ = pctx.post_internal(Value::Unit);
+            }
+            match (result, done, collector) {
+                (result, Some(done), _) => done.reply(result.map(|()| Value::Unit)),
+                (Err(e), None, Some(collector)) if failed => collector.fail(e),
+                _ => {}
+            }
+        });
+    }
+
+    /// The passive input face: a `Write`.
+    fn accept(&mut self, ctx: &EjectContext, w: WriteRequest, reply: ReplyHandle) {
+        // With a buffer between the faces, a writer that finds it full (or
+        // finds others already waiting) is parked: passive input under
+        // backpressure. The reply is deferred; the coordinator never blocks.
+        let buffered = self.out_passive || self.depth > 0;
+        if buffered && (!self.writers.is_empty() || self.full()) {
+            reply.mark_deferred();
+            self.writers.push_back((w, reply));
+        } else {
+            self.admit(ctx, w, reply);
+        }
+        self.settle(ctx);
+    }
+
+    /// The buffer has no room for another write (a closed one takes the
+    /// write and refuses it).
+    fn full(&mut self) -> bool {
+        let depth = self.depth.max(1);
+        self.meet.with(|b| !b.closed && b.occupancy() >= depth)
+    }
+
+    /// Take a `Write`: through the transform, then into the output face if
+    /// it runs here (and the acknowledgement waits for its downstream's),
+    /// else into the buffer.
+    fn admit(&mut self, ctx: &EjectContext, w: WriteRequest, reply: ReplyHandle) {
+        let input = self.input.as_mut().expect("a passive face stays here");
+        if input.flushed {
+            let refused = EdenError::Application("write after end of stream".into());
+            return reply.reply(Err(refused));
+        }
+        let chunk = input.accept(ctx, w);
+        let result = match self.output.as_mut().filter(|_| !self.out_passive) {
+            Some(output) => output.consume(ctx, chunk),
+            None => self.meet.with(|buffer| buffer.put(chunk)),
+        };
+        reply.reply(result.map(|()| Value::Unit));
+    }
+
+    /// The passive output face: a `Transfer`.
+    fn serve(&mut self, ctx: &EjectContext, req: TransferRequest, reply: ReplyHandle) {
+        let idx = match self.meet.with(|b| b.table.index_of(req.channel)) {
+            Ok(idx) => idx,
+            Err(e) => return reply.reply(Err(e)),
+        };
+        if idx == 0 {
+            // Demand propagation: a downstream asking for more per Transfer
+            // than we pull per Transfer cascades the batch dial up the
+            // pipeline — open it until it covers the observed demand (the
+            // dial's own max still caps it).
+            let covers = req.max.min(self.dial.bounds().1);
+            while self.pulls && self.dial.current() < covers {
+                self.dial.grow();
+            }
+            // Secondary channels fill only as a by-product of primary
+            // demand — §4's laziness means reports trail the main stream.
+            self.fill(ctx, req.max);
+        }
+        // Readers are served in the order they came: one that finds others
+        // parked waits behind them, even if the worker has just put enough.
+        let first = self.readers[idx].is_empty();
+        match first.then(|| self.read(idx, req.max)).flatten() {
+            Some(batch) => reply.reply(Ok(batch.to_value())),
+            None => {
+                // Passive output with no data: park the reader — the
+                // "partial vacuum" of §4.
+                reply.mark_deferred();
+                self.readers[idx].push_back((req.max, reply));
+                if idx == 0 && self.in_worker() {
+                    // The prefetch is not keeping up: move more records per
+                    // invocation.
+                    self.dial.grow();
+                }
+            }
+        }
+        self.settle(ctx);
+    }
+
+    /// Depth 0: run the input face here, now, until `want` primary records
+    /// wait or the input ends. (A no-op when the input face is passive or
+    /// the worker runs it.)
+    fn fill(&mut self, ctx: &EjectContext, want: usize) {
+        let Some(input) = self.input.as_mut().filter(|_| !self.in_passive) else {
+            return;
+        };
+        let mut pulls = 0usize;
+        let mut have = self.meet.with(|buffer| buffer.occupancy());
+        while have < want && !input.flushed {
+            // A peer is asked for a batch; a local supply yields exactly
+            // what is asked for.
+            let batch = self.dial.current();
+            let ask = if self.pulls { batch } else { want - have };
+            let chunk = input.produce_or_end(ctx, ask);
+            have = self.meet.with(|buffer| {
+                let _ = buffer.put(chunk);
+                buffer.occupancy()
+            });
+            pulls += 1;
+        }
+        // Adapt: a serve needing several upstream pulls is invocation-bound;
+        // a single pull that left more than a demand's worth buffered
+        // overshot. (No-ops when the batch is fixed.)
+        if pulls >= 2 {
+            self.dial.grow();
+        } else if pulls == 1 && have > want {
+            self.dial.shrink();
+        }
+    }
+
+    fn read(&mut self, idx: usize, max: usize) -> Option<Batch> {
+        // A prefetched primary reader is served whole batches (capped by
+        // the dial's own bound): answering a 64-record ask with the 4
+        // records that happen to be buffered would turn one invocation into
+        // many.
+        let whole = idx == 0 && self.in_worker();
+        let cap = self.dial.bounds().1;
+        let fill = if whole { max.min(cap) } else { 1 };
+        self.meet.with(|buffer| buffer.read(idx, max, fill))
+    }
+
+    /// Move parked writes into the buffer while space allows and answer
+    /// parked reads while data (or end) allows, then let the worker look.
+    fn settle(&mut self, ctx: &EjectContext) {
+        let mut moved = true;
+        while std::mem::take(&mut moved) {
+            while !self.writers.is_empty() && !self.full() {
+                let (w, reply) = self.writers.pop_front().expect("non-empty checked");
+                self.admit(ctx, w, reply);
+                moved = true;
+            }
+            for idx in 0..self.readers.len() {
+                while let Some(&(max, _)) = self.readers[idx].front() {
+                    let Some(batch) = self.read(idx, max) else {
+                        break;
+                    };
+                    let (_, reply) = self.readers[idx].pop_front().expect("front checked");
+                    reply.reply(Ok(batch.to_value()));
+                    moved = true;
+                }
+            }
+        }
+        self.meet.changed();
+    }
+}
+
+impl EjectBehavior for Stage {
+    fn type_name(&self) -> &'static str {
+        self.name
+    }
+
+    fn activate(&mut self, ctx: &EjectContext) {
+        if !self.awaits_start() {
+            self.spawn_worker(ctx, None);
+        }
+    }
+
+    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
+        // A face answers only the operations of its mode.
+        match inv.op.as_str() {
+            ops::WRITE if self.in_passive => match WriteRequest::from_value(inv.arg) {
+                Ok(w) => self.accept(ctx, w, reply),
+                Err(e) => reply.reply(Err(e)),
+            },
+            ops::TRANSFER if self.out_passive => match TransferRequest::from_value(&inv.arg) {
+                Ok(req) => self.serve(ctx, req, reply),
+                Err(e) => reply.reply(Err(e)),
+            },
+            ops::GET_CHANNEL if self.out_passive => reply.reply(
+                GetChannelRequest::from_value(&inv.arg)
+                    .and_then(|req| self.meet.with(|buffer| buffer.table.id_of(&req.name)))
+                    .map(Value::from),
+            ),
+            // The worker has had the faces since the first `Start`.
+            START if self.awaits_start() && self.input.is_none() => {
+                reply.reply(Err(EdenError::Application("already started".into())));
+            }
+            START if self.awaits_start() => {
+                reply.mark_deferred();
+                self.spawn_worker(ctx, Some(reply));
+            }
+            // How many records a collector output has landed so far.
+            "Progress" if self.collector.is_some() => {
+                let seen = self.collector.as_ref().map_or(0, Collector::records_seen);
+                reply.reply(Ok(Value::Int(seen as i64)));
+            }
+            // Primary records waiting to be read (diagnostics).
+            "Occupancy" if self.out_passive => {
+                let waiting = self.meet.with(|buffer| buffer.occupancy());
+                reply.reply(Ok(Value::Int(waiting as i64)));
+            }
+            _ => reply.reply(Err(EdenError::NoSuchOperation {
+                target: ctx.uid(),
+                op: inv.op,
+            })),
+        }
+    }
+
+    fn internal(&mut self, ctx: &EjectContext, _event: Value) {
+        // The worker has put or taken something.
+        self.settle(ctx);
+        if self.out_passive && self.in_worker() {
+            // An amplifying transform can pile output far past the
+            // read-ahead target with nobody reading. Only a backlog far
+            // past the window means batching overshot demand; a transient
+            // pile-up right after a fat delivery is normal and must not
+            // collapse the dial.
+            let window = self.depth.max(self.dial.current()).max(1);
+            let (ended, waiting) = self.meet.with(|buffer| (buffer.ended, buffer.occupancy()));
+            if !ended && self.readers[0].is_empty() && waiting >= 4 * window {
+                self.dial.shrink();
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::ChannelId;
+    use crate::source::{FnSource, VecSource};
+    use crate::transform::{filter_fn, map_fn, Identity};
+    use eden_kernel::Kernel;
+    use std::time::Duration;
+
+    fn int_source(kernel: &Kernel, n: i64) -> Uid {
+        let supply = VecSource::new((0..n).map(Value::Int).collect());
+        let source = Stage::new(
+            Input::Local(Box::new(supply)),
+            Output::Passive,
+            StageConfig::default(),
+        );
+        kernel.spawn(Box::new(source)).unwrap()
+    }
+
+    fn spawn_acceptor(kernel: &Kernel) -> (Uid, Collector) {
+        let collector = Collector::new();
+        let acceptor = Stage::new(
+            Input::Passive,
+            Output::Collector(collector.clone()),
+            StageConfig::default(),
+        );
+        (kernel.spawn(Box::new(acceptor)).unwrap(), collector)
+    }
+
+    fn transfer(kernel: &Kernel, from: Uid, max: usize) -> Batch {
+        let got = kernel.invoke(
+            from,
+            ops::TRANSFER,
+            TransferRequest::primary(max).to_value(),
+        );
+        Batch::from_value(got.wait().unwrap()).unwrap()
+    }
+
+    // ---- local input, passive output: the source ----
+
+    #[test]
+    fn source_checks_the_channel() {
+        let kernel = Kernel::new();
+        let source = int_source(&kernel, 1);
+        let bad = TransferRequest {
+            channel: ChannelId::Number(3),
+            max: 1,
+            pos: None,
+        };
+        assert!(kernel
+            .invoke(source, ops::TRANSFER, bad.to_value())
+            .wait()
+            .is_err());
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn source_read_past_its_end_is_an_empty_end() {
+        let kernel = Kernel::new();
+        let source = int_source(&kernel, 1);
+        assert!(transfer(&kernel, source, 5).end);
+        let again = transfer(&kernel, source, 5);
+        assert!(again.end && again.is_empty());
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn source_that_over_delivers_carries_the_excess_over() {
+        // A supply that hands back more than it was asked for: the excess
+        // waits in the buffer for the next reads, and `end` shows only once
+        // it has drained.
+        struct Generous(bool);
+        impl PullSource for Generous {
+            fn pull(&mut self, _max: usize) -> Batch {
+                assert!(
+                    !std::mem::replace(&mut self.0, true),
+                    "pulled after its end"
+                );
+                Batch::last((0..5).map(Value::Int).collect())
+            }
+        }
+        let kernel = Kernel::new();
+        let source = Stage::new(
+            Input::Local(Box::new(Generous(false))),
+            Output::Passive,
+            StageConfig::default(),
+        );
+        let source = kernel.spawn(Box::new(source)).unwrap();
+        let mut seen = Vec::new();
+        for (asked, end) in [(2, false), (2, false), (2, true)] {
+            let batch = transfer(&kernel, source, asked);
+            assert_eq!(batch.end, end);
+            seen.extend(batch.items);
+        }
+        assert_eq!(seen, (0..5).map(Value::Int).collect::<Vec<_>>());
+        kernel.shutdown();
+    }
+
+    // ---- active input, passive output: the read-only filter ----
+
+    #[test]
+    fn lazy_filter_end_to_end() {
+        let kernel = Kernel::new();
+        let src = int_source(&kernel, 10);
+        let filter = kernel
+            .spawn(Box::new(Stage::filter(
+                Input::pull(src),
+                Box::new(map_fn("double", |v| Value::Int(v.as_int().unwrap() * 2))),
+                Output::Passive,
+                StageConfig::default(),
+            )))
+            .unwrap();
+        let collector = Collector::new();
+        kernel
+            .spawn(Box::new(Stage::new(
+                Input::pull(filter),
+                Output::Collector(collector.clone()),
+                StageConfig::batch(4),
+            )))
+            .unwrap();
+        let items = collector.wait_done(Duration::from_secs(10)).unwrap();
+        assert_eq!(
+            items,
+            (0..10).map(|i| Value::Int(i * 2)).collect::<Vec<_>>()
+        );
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn read_ahead_filter_end_to_end() {
+        let kernel = Kernel::new();
+        let src = int_source(&kernel, 50);
+        let filter = kernel
+            .spawn(Box::new(Stage::filter(
+                Input::pull(src),
+                Box::new(filter_fn("evens", |v| {
+                    v.as_int().map(|i| i % 2 == 0).unwrap_or(false)
+                })),
+                Output::Passive,
+                StageConfig {
+                    depth: 8,
+                    batch: 4,
+                    ..Default::default()
+                },
+            )))
+            .unwrap();
+        let collector = Collector::new();
+        kernel
+            .spawn(Box::new(Stage::new(
+                Input::pull(filter),
+                Output::Collector(collector.clone()),
+                StageConfig::batch(4),
+            )))
+            .unwrap();
+        let items = collector.wait_done(Duration::from_secs(10)).unwrap();
+        assert_eq!(items.len(), 25);
+        assert_eq!(items[0], Value::Int(0));
+        assert_eq!(items[24], Value::Int(48));
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn fan_in_concatenate() {
+        let kernel = Kernel::new();
+        let a = int_source(&kernel, 3);
+        let b = int_source(&kernel, 2);
+        let filter = kernel
+            .spawn(Box::new(Stage::filter(
+                Input::ports(
+                    vec![InputPort::primary(a), InputPort::primary(b)],
+                    FanInMode::Concatenate,
+                ),
+                Box::new(Identity),
+                Output::Passive,
+                StageConfig::default(),
+            )))
+            .unwrap();
+        let collector = Collector::new();
+        kernel
+            .spawn(Box::new(Stage::new(
+                Input::pull(filter),
+                Output::Collector(collector.clone()),
+                StageConfig::batch(8),
+            )))
+            .unwrap();
+        let items = collector.wait_done(Duration::from_secs(10)).unwrap();
+        assert_eq!(
+            items,
+            vec![
+                Value::Int(0),
+                Value::Int(1),
+                Value::Int(2),
+                Value::Int(0),
+                Value::Int(1)
+            ]
+        );
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn fan_in_zip_pairs_until_shorter_ends() {
+        let kernel = Kernel::new();
+        let a = int_source(&kernel, 4);
+        let b = int_source(&kernel, 2);
+        let filter = kernel
+            .spawn(Box::new(Stage::filter(
+                Input::ports(
+                    vec![InputPort::primary(a), InputPort::primary(b)],
+                    FanInMode::Zip,
+                ),
+                Box::new(Identity),
+                Output::Passive,
+                StageConfig::default(),
+            )))
+            .unwrap();
+        let collector = Collector::new();
+        kernel
+            .spawn(Box::new(Stage::new(
+                Input::pull(filter),
+                Output::Collector(collector.clone()),
+                StageConfig::batch(8),
+            )))
+            .unwrap();
+        let items = collector.wait_done(Duration::from_secs(10)).unwrap();
+        assert_eq!(
+            items,
+            vec![
+                Value::list(vec![Value::Int(0), Value::Int(0)]),
+                Value::list(vec![Value::Int(1), Value::Int(1)]),
+            ]
+        );
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn read_ahead_with_fan_in() {
+        // The prefetch worker owns the multi-port puller: fan-in and
+        // read-ahead must compose.
+        let kernel = Kernel::new();
+        let a = int_source(&kernel, 10);
+        let b = int_source(&kernel, 10);
+        let filter = kernel
+            .spawn(Box::new(Stage::filter(
+                Input::ports(
+                    vec![InputPort::primary(a), InputPort::primary(b)],
+                    FanInMode::RoundRobin,
+                ),
+                Box::new(Identity),
+                Output::Passive,
+                StageConfig {
+                    depth: 8,
+                    batch: 4,
+                    ..Default::default()
+                },
+            )))
+            .unwrap();
+        let collector = Collector::new();
+        kernel
+            .spawn(Box::new(Stage::new(
+                Input::pull(filter),
+                Output::Collector(collector.clone()),
+                StageConfig::batch(4),
+            )))
+            .unwrap();
+        let items = collector.wait_done(Duration::from_secs(10)).unwrap();
+        assert_eq!(items.len(), 20);
+        // The merge delivers each source's full stream exactly once.
+        let mut values: Vec<i64> = items.iter().map(|v| v.as_int().unwrap()).collect();
+        values.sort_unstable();
+        let expected: Vec<i64> = (0..10).flat_map(|i| [i, i]).collect();
+        assert_eq!(values, expected);
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn transfer_on_undeclared_channel_fails() {
+        let kernel = Kernel::new();
+        let src = int_source(&kernel, 1);
+        let filter = kernel
+            .spawn(Box::new(Stage::filter(
+                Input::pull(src),
+                Box::new(Identity),
+                Output::Passive,
+                StageConfig::default(),
+            )))
+            .unwrap();
+        let err = kernel
+            .invoke(
+                filter,
+                ops::TRANSFER,
+                TransferRequest {
+                    channel: ChannelId::Number(5),
+                    max: 1,
+                    pos: None,
+                }
+                .to_value(),
+            )
+            .wait()
+            .unwrap_err();
+        assert!(matches!(err, EdenError::NoSuchChannel(_)));
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn empty_source_yields_empty_end() {
+        let kernel = Kernel::new();
+        let src = int_source(&kernel, 0);
+        let filter = kernel
+            .spawn(Box::new(Stage::filter(
+                Input::pull(src),
+                Box::new(Identity),
+                Output::Passive,
+                StageConfig::default(),
+            )))
+            .unwrap();
+        let got = kernel
+            .invoke(
+                filter,
+                ops::TRANSFER,
+                TransferRequest::primary(4).to_value(),
+            )
+            .wait()
+            .unwrap();
+        let batch = Batch::from_value(got).unwrap();
+        assert!(batch.is_empty() && batch.end);
+        kernel.shutdown();
+    }
+
+    // ---- active output: the pushing source, the write-only filter ----
+
+    #[test]
+    fn push_source_pumps_to_sink() {
+        let kernel = Kernel::new();
+        let (sink, collector) = spawn_acceptor(&kernel);
+        let src = kernel
+            .spawn(Box::new(Stage::new(
+                Input::Local(Box::new(VecSource::new((0..10).map(Value::Int).collect()))),
+                Output::push(sink),
+                StageConfig::batch(3),
+            )))
+            .unwrap();
+        kernel.invoke(src, "Start", Value::Unit).wait().unwrap();
+        let items = collector.wait_done(Duration::from_secs(10)).unwrap();
+        assert_eq!(items, (0..10).map(Value::Int).collect::<Vec<_>>());
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn push_filter_transforms_en_route() {
+        let kernel = Kernel::new();
+        let (sink, collector) = spawn_acceptor(&kernel);
+        let filter = kernel
+            .spawn(Box::new(Stage::filter(
+                Input::Passive,
+                Box::new(map_fn("neg", |v| Value::Int(-v.as_int().unwrap()))),
+                Output::push(sink),
+                StageConfig::default(),
+            )))
+            .unwrap();
+        let src = kernel
+            .spawn(Box::new(Stage::new(
+                Input::Local(Box::new(VecSource::new((1..4).map(Value::Int).collect()))),
+                Output::push(filter),
+                StageConfig::batch(2),
+            )))
+            .unwrap();
+        kernel.invoke(src, "Start", Value::Unit).wait().unwrap();
+        let items = collector.wait_done(Duration::from_secs(10)).unwrap();
+        assert_eq!(items, vec![Value::Int(-1), Value::Int(-2), Value::Int(-3)]);
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn fan_out_duplicates_stream() {
+        // §5: "there is arbitrary fan-out" — one filter, two sinks.
+        let kernel = Kernel::new();
+        let (sink_a, col_a) = spawn_acceptor(&kernel);
+        let (sink_b, col_b) = spawn_acceptor(&kernel);
+        let mut wiring = OutputWiring::default();
+        wiring.add(OUTPUT_NAME, OutputPort::primary(sink_a));
+        wiring.add(OUTPUT_NAME, OutputPort::primary(sink_b));
+        assert_eq!(wiring.fan_out(), 2);
+        let filter = kernel
+            .spawn(Box::new(Stage::filter(
+                Input::Passive,
+                Box::new(Identity),
+                Output::Active(wiring),
+                StageConfig::default(),
+            )))
+            .unwrap();
+        let src = kernel
+            .spawn(Box::new(Stage::new(
+                Input::Local(Box::new(VecSource::new((0..5).map(Value::Int).collect()))),
+                Output::push(filter),
+                StageConfig::batch(2),
+            )))
+            .unwrap();
+        kernel.invoke(src, "Start", Value::Unit).wait().unwrap();
+        let a = col_a.wait_done(Duration::from_secs(10)).unwrap();
+        let b = col_b.wait_done(Duration::from_secs(10)).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(a.len(), 5);
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn push_ahead_buffered_filter_works() {
+        let kernel = Kernel::new();
+        let (sink, collector) = spawn_acceptor(&kernel);
+        let filter = kernel
+            .spawn(Box::new(Stage::filter(
+                Input::Passive,
+                Box::new(Identity),
+                Output::push(sink),
+                StageConfig {
+                    depth: 4,
+                    ..Default::default()
+                },
+            )))
+            .unwrap();
+        let src = kernel
+            .spawn(Box::new(Stage::new(
+                Input::Local(Box::new(VecSource::new((0..30).map(Value::Int).collect()))),
+                Output::push(filter),
+                StageConfig::batch(5),
+            )))
+            .unwrap();
+        kernel.invoke(src, "Start", Value::Unit).wait().unwrap();
+        let items = collector.wait_done(Duration::from_secs(10)).unwrap();
+        assert_eq!(items, (0..30).map(Value::Int).collect::<Vec<_>>());
+        kernel.shutdown();
+    }
+
+    /// Accepts `Write`s and answers none of them until told to `Release`.
+    #[derive(Default)]
+    struct HeldAcceptor {
+        held: Vec<ReplyHandle>,
+        released: bool,
+        seen: Vec<Value>,
+    }
+
+    impl EjectBehavior for HeldAcceptor {
+        fn type_name(&self) -> &'static str {
+            "HeldAcceptor"
+        }
+
+        fn handle(&mut self, _ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
+            match inv.op.as_str() {
+                ops::WRITE => {
+                    self.seen
+                        .extend(WriteRequest::from_value(inv.arg).unwrap().items);
+                    if self.released {
+                        return reply.reply(Ok(Value::Unit));
+                    }
+                    reply.mark_deferred();
+                    self.held.push(reply);
+                }
+                _ => {
+                    self.released = true;
+                    self.held
+                        .drain(..)
+                        .for_each(|held| held.reply(Ok(Value::Unit)));
+                    reply.reply(Ok(Value::list(self.seen.clone())));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn push_ahead_parks_the_writer_not_the_coordinator() {
+        // A full forwarding buffer defers the writer's reply; the filter's
+        // coordinator goes on serving. (It used to block in a bounded
+        // channel send, on a pool worker, with the writes and everything
+        // else addressed to the filter stuck behind it.)
+        const K: usize = 2;
+        let kernel = Kernel::new();
+        let held = kernel.spawn(Box::new(HeldAcceptor::default())).unwrap();
+        let filter = kernel
+            .spawn(Box::new(Stage::filter(
+                Input::Passive,
+                Box::new(Identity),
+                Output::push(held),
+                StageConfig {
+                    depth: K,
+                    ..Default::default()
+                },
+            )))
+            .unwrap();
+        let write = |i: usize| WriteRequest::more(vec![Value::Int(i as i64)]).to_value();
+        let mut acks: Vec<_> = (0..K + 2)
+            .map(|i| kernel.invoke(filter, ops::WRITE, write(i)))
+            .collect();
+        let late = acks.split_off(K);
+        for ack in acks {
+            ack.wait_timeout(Duration::from_secs(10))
+                .expect("within the depth");
+        }
+        // Queued behind the writes, so answered only once each has been seen.
+        kernel
+            .invoke(filter, ops::DESCRIBE, Value::Unit)
+            .wait_timeout(Duration::from_secs(10))
+            .expect("the coordinator is not blocked");
+        let late: Vec<_> = late
+            .into_iter()
+            .map(|ack| ack.try_wait().expect_err("beyond the depth: parked"))
+            .collect();
+        kernel.invoke(held, "Release", Value::Unit).wait().unwrap();
+        for ack in late {
+            ack.wait_timeout(Duration::from_secs(10))
+                .expect("admitted in turn");
+        }
+        kernel
+            .invoke(filter, ops::WRITE, WriteRequest::last(vec![]).to_value())
+            .wait()
+            .unwrap();
+        let seen = kernel.invoke(held, "Release", Value::Unit).wait().unwrap();
+        let expected: Vec<Value> = (0..K + 2).map(|i| Value::Int(i as i64)).collect();
+        assert_eq!(seen, Value::list(expected));
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn windowed_source_delivers_in_order() {
+        let kernel = Kernel::new();
+        let (sink, collector) = spawn_acceptor(&kernel);
+        let src = kernel
+            .spawn(Box::new(Stage::new(
+                Input::Local(Box::new(VecSource::new((0..100).map(Value::Int).collect()))),
+                Output::push(sink),
+                StageConfig {
+                    batch: 4,
+                    window: 8,
+                    ..Default::default()
+                },
+            )))
+            .unwrap();
+        kernel.invoke(src, "Start", Value::Unit).wait().unwrap();
+        let items = collector.wait_done(Duration::from_secs(10)).unwrap();
+        assert_eq!(items, (0..100).map(Value::Int).collect::<Vec<_>>());
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn windowed_source_falls_back_on_fan_out() {
+        // Two destinations: the window degrades to lock-step, and both
+        // sinks still get the full stream.
+        let kernel = Kernel::new();
+        let (sink_a, col_a) = spawn_acceptor(&kernel);
+        let (sink_b, col_b) = spawn_acceptor(&kernel);
+        let mut wiring = OutputWiring::default();
+        wiring.add(OUTPUT_NAME, OutputPort::primary(sink_a));
+        wiring.add(OUTPUT_NAME, OutputPort::primary(sink_b));
+        let src = kernel
+            .spawn(Box::new(Stage::new(
+                Input::Local(Box::new(VecSource::new((0..10).map(Value::Int).collect()))),
+                Output::Active(wiring),
+                StageConfig {
+                    batch: 2,
+                    window: 16,
+                    ..Default::default()
+                },
+            )))
+            .unwrap();
+        kernel.invoke(src, "Start", Value::Unit).wait().unwrap();
+        assert_eq!(col_a.wait_done(Duration::from_secs(10)).unwrap().len(), 10);
+        assert_eq!(col_b.wait_done(Duration::from_secs(10)).unwrap().len(), 10);
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn zip_push_filter_pairs_with_actively_read_secondary() {
+        // §5: primary input pushed in, secondary input actively read.
+        let kernel = Kernel::new();
+        let (sink, collector) = spawn_acceptor(&kernel);
+        let secondary = kernel
+            .spawn(Box::new(Stage::new(
+                Input::Local(Box::new(VecSource::from_lines(["s0", "s1"]))),
+                Output::Passive,
+                StageConfig::default(),
+            )))
+            .unwrap();
+        let zipper = kernel
+            .spawn(Box::new(Stage::new(
+                Input::zipped(secondary),
+                Output::push(sink),
+                StageConfig::default(),
+            )))
+            .unwrap();
+        let src = kernel
+            .spawn(Box::new(Stage::new(
+                Input::Local(Box::new(VecSource::from_lines(["p0", "p1", "p2"]))),
+                Output::push(zipper),
+                StageConfig::batch(2),
+            )))
+            .unwrap();
+        kernel.invoke(src, "Start", Value::Unit).wait().unwrap();
+        let items = collector.wait_done(Duration::from_secs(10)).unwrap();
+        assert_eq!(
+            items,
+            vec![
+                Value::list(vec![Value::str("p0"), Value::str("s0")]),
+                Value::list(vec![Value::str("p1"), Value::str("s1")]),
+                // The secondary ran dry: padding with Unit.
+                Value::list(vec![Value::str("p2"), Value::Unit]),
+            ]
+        );
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn start_twice_is_rejected() {
+        let kernel = Kernel::new();
+        let (sink, _collector) = spawn_acceptor(&kernel);
+        let src = kernel
+            .spawn(Box::new(Stage::new(
+                Input::Local(Box::new(VecSource::new(vec![Value::Int(1)]))),
+                Output::push(sink),
+                StageConfig::batch(1),
+            )))
+            .unwrap();
+        kernel.invoke(src, "Start", Value::Unit).wait().unwrap();
+        let err = kernel.invoke(src, "Start", Value::Unit).wait().unwrap_err();
+        assert!(matches!(err, EdenError::Application(_)));
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn write_after_end_is_rejected() {
+        let kernel = Kernel::new();
+        let (sink, _collector) = spawn_acceptor(&kernel);
+        let filter = kernel
+            .spawn(Box::new(Stage::filter(
+                Input::Passive,
+                Box::new(Identity),
+                Output::push(sink),
+                StageConfig::default(),
+            )))
+            .unwrap();
+        kernel
+            .invoke(filter, ops::WRITE, WriteRequest::last(vec![]).to_value())
+            .wait()
+            .unwrap();
+        let err = kernel
+            .invoke(
+                filter,
+                ops::WRITE,
+                WriteRequest::more(vec![Value::Int(1)]).to_value(),
+            )
+            .wait()
+            .unwrap_err();
+        assert!(matches!(err, EdenError::Application(_)));
+        kernel.shutdown();
+    }
+
+    // ---- passive on both faces: the pipe; active on both: the Unix filter ----
+
+    #[test]
+    fn buffer_passive_both_faces() {
+        let kernel = Kernel::new();
+        let buf = kernel
+            .spawn(Box::new(Stage::new(
+                Input::Passive,
+                Output::Passive,
+                StageConfig {
+                    depth: 4,
+                    ..Default::default()
+                },
+            )))
+            .unwrap();
+        // Read first: parks (passive output with no data).
+        let pending = kernel.invoke(buf, ops::TRANSFER, TransferRequest::primary(2).to_value());
+        kernel
+            .invoke(
+                buf,
+                ops::WRITE,
+                WriteRequest::more(vec![Value::Int(1), Value::Int(2)]).to_value(),
+            )
+            .wait()
+            .unwrap();
+        let batch = Batch::from_value(pending.wait().unwrap()).unwrap();
+        assert_eq!(batch.items, vec![Value::Int(1), Value::Int(2)]);
+        assert!(!batch.end);
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn buffer_parks_writers_when_full() {
+        let kernel = Kernel::new();
+        let buf = kernel
+            .spawn(Box::new(Stage::new(
+                Input::Passive,
+                Output::Passive,
+                StageConfig {
+                    depth: 2,
+                    ..Default::default()
+                },
+            )))
+            .unwrap();
+        kernel
+            .invoke(
+                buf,
+                ops::WRITE,
+                WriteRequest::more(vec![Value::Int(1), Value::Int(2)]).to_value(),
+            )
+            .wait()
+            .unwrap();
+        // Buffer is at capacity: the next write parks.
+        let parked = kernel.invoke(
+            buf,
+            ops::WRITE,
+            WriteRequest::more(vec![Value::Int(3)]).to_value(),
+        );
+        std::thread::sleep(Duration::from_millis(20));
+        let occ = kernel.invoke(buf, "Occupancy", Value::Unit).wait().unwrap();
+        assert_eq!(occ, Value::Int(2), "parked write must not be admitted yet");
+        // Draining readmits the parked write and acks its writer.
+        let got = kernel
+            .invoke(buf, ops::TRANSFER, TransferRequest::primary(2).to_value())
+            .wait()
+            .unwrap();
+        assert_eq!(Batch::from_value(got).unwrap().len(), 2);
+        parked.wait().unwrap();
+        let got = kernel
+            .invoke(buf, ops::TRANSFER, TransferRequest::primary(2).to_value())
+            .wait()
+            .unwrap();
+        assert_eq!(Batch::from_value(got).unwrap().items, vec![Value::Int(3)]);
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn buffer_end_visible_after_drain() {
+        let kernel = Kernel::new();
+        let buf = kernel
+            .spawn(Box::new(Stage::new(
+                Input::Passive,
+                Output::Passive,
+                StageConfig {
+                    depth: 8,
+                    ..Default::default()
+                },
+            )))
+            .unwrap();
+        kernel
+            .invoke(
+                buf,
+                ops::WRITE,
+                WriteRequest::last(vec![Value::Int(1)]).to_value(),
+            )
+            .wait()
+            .unwrap();
+        let got = kernel
+            .invoke(buf, ops::TRANSFER, TransferRequest::primary(4).to_value())
+            .wait()
+            .unwrap();
+        let batch = Batch::from_value(got).unwrap();
+        assert_eq!(batch.items, vec![Value::Int(1)]);
+        assert!(batch.end);
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn full_conventional_pipeline() {
+        // source —W→ [pipe] ←R— pump-filter —W→ [pipe] ←R— sink
+        // (Figure 1 with one filter.)
+        let kernel = Kernel::new();
+        let pipe_in = kernel
+            .spawn(Box::new(Stage::new(
+                Input::Passive,
+                Output::Passive,
+                StageConfig {
+                    depth: 8,
+                    ..Default::default()
+                },
+            )))
+            .unwrap();
+        let pipe_out = kernel
+            .spawn(Box::new(Stage::new(
+                Input::Passive,
+                Output::Passive,
+                StageConfig {
+                    depth: 8,
+                    ..Default::default()
+                },
+            )))
+            .unwrap();
+        let _filter = kernel
+            .spawn(Box::new(Stage::filter(
+                Input::pull(pipe_in),
+                Box::new(map_fn("x10", |v| Value::Int(v.as_int().unwrap() * 10))),
+                Output::push(pipe_out),
+                StageConfig::batch(4),
+            )))
+            .unwrap();
+        let src = kernel
+            .spawn(Box::new(Stage::new(
+                Input::Local(Box::new(VecSource::new((0..12).map(Value::Int).collect()))),
+                Output::push(pipe_in),
+                StageConfig::batch(4),
+            )))
+            .unwrap();
+        let collector = Collector::new();
+        kernel
+            .spawn(Box::new(Stage::new(
+                Input::pull(pipe_out),
+                Output::Collector(collector.clone()),
+                StageConfig::batch(4),
+            )))
+            .unwrap();
+        kernel.invoke(src, "Start", Value::Unit).wait().unwrap();
+        let items = collector.wait_done(Duration::from_secs(10)).unwrap();
+        assert_eq!(
+            items,
+            (0..12).map(|i| Value::Int(i * 10)).collect::<Vec<_>>()
+        );
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn small_buffer_still_flows() {
+        // Capacity 1 forces constant parking on both faces; the stream
+        // must still complete (no deadlock).
+        let kernel = Kernel::new();
+        let pipe = kernel
+            .spawn(Box::new(Stage::new(
+                Input::Passive,
+                Output::Passive,
+                StageConfig {
+                    depth: 1,
+                    ..Default::default()
+                },
+            )))
+            .unwrap();
+        let src = kernel
+            .spawn(Box::new(Stage::new(
+                Input::Local(Box::new(VecSource::new((0..20).map(Value::Int).collect()))),
+                Output::push(pipe),
+                StageConfig::batch(1),
+            )))
+            .unwrap();
+        let collector = Collector::new();
+        kernel
+            .spawn(Box::new(Stage::new(
+                Input::pull(pipe),
+                Output::Collector(collector.clone()),
+                StageConfig::batch(1),
+            )))
+            .unwrap();
+        kernel.invoke(src, "Start", Value::Unit).wait().unwrap();
+        let items = collector.wait_done(Duration::from_secs(10)).unwrap();
+        assert_eq!(items.len(), 20);
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn write_after_end_rejected() {
+        let kernel = Kernel::new();
+        let buf = kernel
+            .spawn(Box::new(Stage::new(
+                Input::Passive,
+                Output::Passive,
+                StageConfig {
+                    depth: 4,
+                    ..Default::default()
+                },
+            )))
+            .unwrap();
+        kernel
+            .invoke(buf, ops::WRITE, WriteRequest::last(vec![]).to_value())
+            .wait()
+            .unwrap();
+        let err = kernel
+            .invoke(
+                buf,
+                ops::WRITE,
+                WriteRequest::more(vec![Value::Int(1)]).to_value(),
+            )
+            .wait()
+            .unwrap_err();
+        assert!(matches!(err, EdenError::Application(_)));
+        kernel.shutdown();
+    }
+
+    // ---- collector output: the pumping sink, the acceptor ----
+
+    #[test]
+    fn sink_pumps_source_dry() {
+        let kernel = Kernel::new();
+        let source = kernel
+            .spawn(Box::new(Stage::new(
+                Input::Local(Box::new(VecSource::new((0..20).map(Value::Int).collect()))),
+                Output::Passive,
+                StageConfig::default(),
+            )))
+            .unwrap();
+        let collector = Collector::new();
+        let _sink = kernel
+            .spawn(Box::new(Stage::new(
+                Input::pull(source),
+                Output::Collector(collector.clone()),
+                StageConfig::batch(4),
+            )))
+            .unwrap();
+        let items = collector.wait_done(Duration::from_secs(10)).unwrap();
+        assert_eq!(items, (0..20).map(Value::Int).collect::<Vec<_>>());
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn sink_reports_progress() {
+        let kernel = Kernel::new();
+        let source = kernel
+            .spawn(Box::new(Stage::new(
+                Input::Local(Box::new(VecSource::new((0..5).map(Value::Int).collect()))),
+                Output::Passive,
+                StageConfig::default(),
+            )))
+            .unwrap();
+        let collector = Collector::new();
+        let sink = kernel
+            .spawn(Box::new(Stage::new(
+                Input::pull(source),
+                Output::Collector(collector.clone()),
+                StageConfig::batch(1),
+            )))
+            .unwrap();
+        collector.wait_done(Duration::from_secs(10)).unwrap();
+        let got = kernel.invoke(sink, "Progress", Value::Unit).wait().unwrap();
+        assert_eq!(got, Value::Int(5));
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn sink_observes_source_crash() {
+        // A source that never ends, then crashes: the sink must fail the
+        // collector, not hang.
+        let kernel = Kernel::new();
+        let source = kernel
+            .spawn(Box::new(Stage::new(
+                Input::Local(Box::new(FnSource::new(u64::MAX, |i| Value::Int(i as i64)))),
+                Output::Passive,
+                StageConfig::default(),
+            )))
+            .unwrap();
+        let collector = Collector::null();
+        let _sink = kernel
+            .spawn(Box::new(Stage::new(
+                Input::pull(source),
+                Output::Collector(collector.clone()),
+                StageConfig::batch(2),
+            )))
+            .unwrap();
+        while collector.records_seen() < 4 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        kernel.crash(source).unwrap();
+        let err = collector.wait_done(Duration::from_secs(10)).unwrap_err();
+        // Depending on timing the pump observes the crash of its in-flight
+        // Transfer or the source's subsequent disappearance; both are
+        // correct reports of the fault.
+        assert!(
+            matches!(err, EdenError::EjectCrashed(u) | EdenError::NoSuchEject(u) if u == source),
+            "unexpected error: {err}"
+        );
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn acceptor_accepts_writes_until_end() {
+        let kernel = Kernel::new();
+        let collector = Collector::new();
+        let acceptor = kernel
+            .spawn(Box::new(Stage::new(
+                Input::Passive,
+                Output::Collector(collector.clone()),
+                StageConfig::default(),
+            )))
+            .unwrap();
+        kernel
+            .invoke(
+                acceptor,
+                ops::WRITE,
+                WriteRequest::more(vec![Value::Int(1), Value::Int(2)]).to_value(),
+            )
+            .wait()
+            .unwrap();
+        kernel
+            .invoke(
+                acceptor,
+                ops::WRITE,
+                WriteRequest::last(vec![Value::Int(3)]).to_value(),
+            )
+            .wait()
+            .unwrap();
+        let items = collector.wait_done(Duration::from_secs(5)).unwrap();
+        assert_eq!(items, vec![Value::Int(1), Value::Int(2), Value::Int(3)]);
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn acceptor_cannot_distinguish_writers() {
+        // Two writers interleave; the acceptor sees one merged stream.
+        // This is the §5 "no fan-in" property made concrete.
+        let kernel = Kernel::new();
+        let collector = Collector::new();
+        let acceptor = kernel
+            .spawn(Box::new(Stage::new(
+                Input::Passive,
+                Output::Collector(collector.clone()),
+                StageConfig::default(),
+            )))
+            .unwrap();
+        for writer in 0..2i64 {
+            for i in 0..3i64 {
+                kernel
+                    .invoke(
+                        acceptor,
+                        ops::WRITE,
+                        WriteRequest::more(vec![Value::Int(writer * 10 + i)]).to_value(),
+                    )
+                    .wait()
+                    .unwrap();
+            }
+        }
+        kernel
+            .invoke(acceptor, ops::WRITE, WriteRequest::last(vec![]).to_value())
+            .wait()
+            .unwrap();
+        let items = collector.wait_done(Duration::from_secs(5)).unwrap();
+        assert_eq!(
+            items.len(),
+            6,
+            "all records land in one undifferentiated stream"
+        );
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn acceptor_rejects_malformed_write() {
+        let kernel = Kernel::new();
+        let acceptor = kernel
+            .spawn(Box::new(Stage::new(
+                Input::Passive,
+                Output::Collector(Collector::new()),
+                StageConfig::default(),
+            )))
+            .unwrap();
+        let err = kernel
+            .invoke(acceptor, ops::WRITE, Value::Int(3))
+            .wait()
+            .unwrap_err();
+        assert!(matches!(err, EdenError::BadParameter(_)));
+        kernel.shutdown();
+    }
+}

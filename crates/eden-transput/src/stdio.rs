@@ -31,30 +31,39 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::protocol::{Batch, TransferRequest, WriteRequest};
 
-/// Shared buffer state between the user program and the coordinator.
+/// State shared between a coordinator and one of its worker processes (a
+/// program here, a stream stage's worker in [`crate::stage`]): a mutex and
+/// one condition either side may wait on. The worker wakes the coordinator
+/// by internal message ([`InternalSender`]): metered, language-level IPC.
 #[derive(Debug)]
-struct Shared {
-    queue: Mutex<SharedQueue>,
+pub(crate) struct Shared<Q> {
+    pub(crate) queue: Mutex<Q>,
     /// Signalled when space frees (producer side) or data arrives
     /// (consumer side).
-    changed: Condvar,
-    capacity: usize,
+    pub(crate) changed: Condvar,
+}
+
+impl<Q> Shared<Q> {
+    pub(crate) fn new(queue: Q) -> Arc<Shared<Q>> {
+        Arc::new(Shared {
+            queue: Mutex::new(queue),
+            changed: Condvar::new(),
+        })
+    }
 }
 
 #[derive(Debug)]
 struct SharedQueue {
     items: VecDeque<Value>,
     closed: bool,
+    capacity: usize,
 }
 
-impl Shared {
-    fn new(capacity: usize) -> Arc<Shared> {
-        Arc::new(Shared {
-            queue: Mutex::new(SharedQueue {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            changed: Condvar::new(),
+impl SharedQueue {
+    fn new(capacity: usize) -> Arc<Shared<SharedQueue>> {
+        Shared::new(SharedQueue {
+            items: VecDeque::new(),
+            closed: false,
             capacity: capacity.max(1),
         })
     }
@@ -64,7 +73,7 @@ impl Shared {
 /// inside a [`ProgramSourceEject`].
 #[derive(Debug)]
 pub struct TransputWriter {
-    shared: Arc<Shared>,
+    shared: Arc<Shared<SharedQueue>>,
     /// Wakes the coordinator so it can serve parked readers.
     wake: InternalSender,
 }
@@ -74,7 +83,7 @@ impl TransputWriter {
     /// buffer is full (backpressure from slow readers).
     pub fn write(&self, item: Value) -> Result<()> {
         let mut q = self.shared.queue.lock();
-        while q.items.len() >= self.shared.capacity {
+        while q.items.len() >= q.capacity {
             if q.closed {
                 return Err(EdenError::EndOfStream);
             }
@@ -124,7 +133,7 @@ impl Drop for TransputWriter {
 pub struct ProgramSourceEject {
     program: Option<Box<dyn FnOnce(TransputWriter) + Send>>,
     capacity: usize,
-    shared: Option<Arc<Shared>>,
+    shared: Option<Arc<Shared<SharedQueue>>>,
     waiters: VecDeque<(usize, ReplyHandle)>,
 }
 
@@ -183,7 +192,7 @@ impl EjectBehavior for ProgramSourceEject {
     }
 
     fn activate(&mut self, ctx: &EjectContext) {
-        let shared = Shared::new(self.capacity);
+        let shared = SharedQueue::new(self.capacity);
         self.shared = Some(Arc::clone(&shared));
         let program = match self.program.take() {
             Some(p) => p,
@@ -225,7 +234,7 @@ impl EjectBehavior for ProgramSourceEject {
 /// inside a [`ProgramSinkEject`].
 #[derive(Debug)]
 pub struct TransputReader {
-    shared: Arc<Shared>,
+    shared: Arc<Shared<SharedQueue>>,
     /// Wakes the coordinator so it can admit parked writers after this
     /// reader frees buffer space. `None` only in unit tests.
     wake: Option<InternalSender>,
@@ -281,7 +290,7 @@ impl TransputReader {
 pub struct ProgramSinkEject {
     program: Option<Box<dyn FnOnce(TransputReader) + Send>>,
     capacity: usize,
-    shared: Option<Arc<Shared>>,
+    shared: Option<Arc<Shared<SharedQueue>>>,
     parked_writes: VecDeque<(WriteRequest, ReplyHandle)>,
 }
 
@@ -315,7 +324,7 @@ impl ProgramSinkEject {
         while let Some((w, _)) = self.parked_writes.front() {
             let fits = {
                 let q = shared.queue.lock();
-                q.items.len() + w.items.len() <= shared.capacity || q.items.is_empty()
+                q.items.len() + w.items.len() <= q.capacity || q.items.is_empty()
             };
             if !fits {
                 return;
@@ -339,7 +348,7 @@ impl EjectBehavior for ProgramSinkEject {
     }
 
     fn activate(&mut self, ctx: &EjectContext) {
-        let shared = Shared::new(self.capacity);
+        let shared = SharedQueue::new(self.capacity);
         self.shared = Some(Arc::clone(&shared));
         let program = match self.program.take() {
             Some(p) => p,
@@ -396,9 +405,8 @@ impl std::fmt::Debug for ProgramSinkEject {
 mod tests {
     use super::*;
     use crate::collector::Collector;
-    use crate::sink::SinkEject;
     use crate::source::VecSource;
-    use crate::write_only::{OutputPort, OutputWiring, PushSourceEject};
+    use crate::stage::{Input, Output, Stage, StageConfig};
     use eden_kernel::Kernel;
 
     #[test]
@@ -413,7 +421,11 @@ mod tests {
             .unwrap();
         let collector = Collector::new();
         kernel
-            .spawn(Box::new(SinkEject::new(src, 3, collector.clone())))
+            .spawn(Box::new(Stage::new(
+                Input::pull(src),
+                Output::Collector(collector.clone()),
+                StageConfig::batch(3),
+            )))
             .unwrap();
         let items = collector.wait_done(Duration::from_secs(10)).unwrap();
         assert_eq!(items, (0..10).map(Value::Int).collect::<Vec<_>>());
@@ -436,7 +448,11 @@ mod tests {
             .unwrap();
         let collector = Collector::new();
         kernel
-            .spawn(Box::new(SinkEject::new(src, 5, collector.clone())))
+            .spawn(Box::new(Stage::new(
+                Input::pull(src),
+                Output::Collector(collector.clone()),
+                StageConfig::batch(5),
+            )))
             .unwrap();
         let items = collector.wait_done(Duration::from_secs(10)).unwrap();
         assert_eq!(items.len(), 50);
@@ -460,10 +476,10 @@ mod tests {
             })))
             .unwrap();
         let src = kernel
-            .spawn(Box::new(PushSourceEject::new(
-                Box::new(VecSource::new((0..10).map(Value::Int).collect())),
-                OutputWiring::primary_to(OutputPort::primary(sink)),
-                4,
+            .spawn(Box::new(Stage::new(
+                Input::Local(Box::new(VecSource::new((0..10).map(Value::Int).collect()))),
+                Output::push(sink),
+                StageConfig::batch(4),
             )))
             .unwrap();
         kernel.invoke(src, "Start", Value::Unit).wait().unwrap();
@@ -479,7 +495,7 @@ mod tests {
 
     #[test]
     fn reader_timeout_fires() {
-        let shared = Shared::new(4);
+        let shared = SharedQueue::new(4);
         let reader = TransputReader {
             shared: Arc::clone(&shared),
             wake: None,
@@ -504,7 +520,11 @@ mod tests {
             .unwrap();
         let collector = Collector::new();
         kernel
-            .spawn(Box::new(SinkEject::new(src, 4, collector.clone())))
+            .spawn(Box::new(Stage::new(
+                Input::pull(src),
+                Output::Collector(collector.clone()),
+                StageConfig::batch(4),
+            )))
             .unwrap();
         let items = collector.wait_done(Duration::from_secs(10)).unwrap();
         assert_eq!(items, vec![Value::str("only")]);

@@ -29,6 +29,15 @@ impl Emitter {
         Emitter::default()
     }
 
+    /// An emitter already holding `items` on the primary channel: what a
+    /// step with no transform mounted comes to, without touching a record.
+    pub fn of(items: Vec<Value>) -> Emitter {
+        Emitter {
+            primary: items,
+            secondary: BTreeMap::new(),
+        }
+    }
+
     /// Emit a record on the primary output channel.
     pub fn emit(&mut self, item: Value) {
         self.primary.push(item);

@@ -18,10 +18,9 @@ use std::time::Duration;
 use eden::core::Value;
 use eden::kernel::Kernel;
 use eden::transput::collector::Collector;
-use eden::transput::read_only::{InputPort, PullFilterConfig, PullFilterEject};
-use eden::transput::sink::SinkEject;
-use eden::transput::source::{CountingSource, SourceEject, VecSource};
+use eden::transput::source::{CountingSource, VecSource};
 use eden::transput::transform::map_fn;
+use eden::transput::{Input, Output, Stage, StageConfig};
 
 fn main() {
     let kernel = Kernel::new();
@@ -31,7 +30,11 @@ fn main() {
     let (counting, pulled) =
         CountingSource::new(VecSource::new((0..1000).map(Value::Int).collect()));
     let source = kernel
-        .spawn(Box::new(SourceEject::new(Box::new(counting))))
+        .spawn(Box::new(Stage::new(
+            Input::Local(Box::new(counting)),
+            Output::Passive,
+            StageConfig::default(),
+        )))
         .expect("spawn source");
 
     // A lazy filter chain — active input happens only on demand.
@@ -40,9 +43,11 @@ fn main() {
         Value::Int(i * i)
     });
     let filter = kernel
-        .spawn(Box::new(PullFilterEject::new(
+        .spawn(Box::new(Stage::filter(
+            Input::pull(source),
             Box::new(square),
-            InputPort::primary(source),
+            Output::Passive,
+            StageConfig::default(),
         )))
         .expect("spawn filter");
 
@@ -56,7 +61,11 @@ fn main() {
     // Attach the sink — "rather like starting a pump".
     let collector = Collector::null();
     kernel
-        .spawn(Box::new(SinkEject::new(filter, 64, collector.clone())))
+        .spawn(Box::new(Stage::new(
+            Input::pull(filter),
+            Output::Collector(collector.clone()),
+            StageConfig::batch(64),
+        )))
         .expect("spawn sink");
     collector
         .wait_done(Duration::from_secs(10))
@@ -70,15 +79,20 @@ fn main() {
     let (counting, pulled) =
         CountingSource::new(VecSource::new((0..1000).map(Value::Int).collect()));
     let source = kernel
-        .spawn(Box::new(SourceEject::new(Box::new(counting))))
+        .spawn(Box::new(Stage::new(
+            Input::Local(Box::new(counting)),
+            Output::Passive,
+            StageConfig::default(),
+        )))
         .expect("spawn source");
     let read_ahead = 32;
     let _filter = kernel
-        .spawn(Box::new(PullFilterEject::with_config(
+        .spawn(Box::new(Stage::filter(
+            Input::pull(source),
             Box::new(map_fn("id", |v| v)),
-            vec![InputPort::primary(source)],
-            PullFilterConfig {
-                read_ahead,
+            Output::Passive,
+            StageConfig {
+                depth: read_ahead,
                 batch: 8,
                 ..Default::default()
             },

@@ -19,8 +19,7 @@ use eden::filters::Paginator;
 use eden::fs::{add_entry, lookup, register_fs_types, DirectoryEject, FileEject};
 use eden::kernel::Kernel;
 use eden::transput::collector::Collector;
-use eden::transput::read_only::{InputPort, PullFilterEject};
-use eden::transput::sink::SinkEject;
+use eden::transput::{Input, Output, Stage, StageConfig};
 
 fn main() {
     let kernel = Kernel::new();
@@ -47,16 +46,19 @@ fn main() {
     // Find the document by name — UIDs, not path strings, do the wiring.
     let found = lookup(&kernel, home, "tiger.txt").expect("lookup");
     let reader = kernel
-        .invoke(found, ops::OPEN, Value::Unit).wait()
+        .invoke(found, ops::OPEN, Value::Unit)
+        .wait()
         .expect("open for reading")
         .as_uid()
         .expect("stream capability");
 
     // The paginator reads from the file...
     let paginator = kernel
-        .spawn(Box::new(PullFilterEject::new(
+        .spawn(Box::new(Stage::filter(
+            Input::pull(reader),
             Box::new(Paginator::new("tiger.txt", 4)),
-            InputPort::primary(reader),
+            Output::Passive,
+            StageConfig::default(),
         )))
         .expect("spawn paginator");
 
@@ -64,7 +66,11 @@ fn main() {
     // printer starts the flow: it is the pump.
     let printed = Collector::new();
     kernel
-        .spawn(Box::new(SinkEject::new(paginator, 4, printed.clone())))
+        .spawn(Box::new(Stage::new(
+            Input::pull(paginator),
+            Output::Collector(printed.clone()),
+            StageConfig::batch(4),
+        )))
         .expect("spawn printer server");
 
     let pages = printed
@@ -82,11 +88,16 @@ fn main() {
 
     // The directory listing is itself a stream (§2): print it the same way.
     kernel
-        .invoke(home, ops::LIST, Value::Unit).wait()
+        .invoke(home, ops::LIST, Value::Unit)
+        .wait()
         .expect("prepare listing");
     let listing = Collector::new();
     kernel
-        .spawn(Box::new(SinkEject::new(home, 8, listing.clone())))
+        .spawn(Box::new(Stage::new(
+            Input::pull(home),
+            Output::Collector(listing.clone()),
+            StageConfig::batch(8),
+        )))
         .expect("spawn listing reader");
     println!("\n== directory listing (also read as a stream) ==");
     for line in listing.wait_done(Duration::from_secs(10)).expect("listing") {

@@ -22,8 +22,8 @@ use eden::kernel::Kernel;
 use eden::transput::collector::Collector;
 use eden::transput::devices::{Subscription, TickSource, WindowEject};
 use eden::transput::protocol::ChannelId;
-use eden::transput::source::SourceEject;
 use eden::transput::{Discipline, PipelineSpec};
+use eden::transput::{Input, Output, Stage, StageConfig};
 
 fn employee(name: &str, dept: &str, salary: i64) -> Value {
     Value::record([
@@ -50,29 +50,43 @@ fn main() {
     // Random access (the Map protocol): patch one record in place.
     println!("== Map protocol: random access ==");
     let before = kernel
-        .invoke(payroll, "ReadAt", mapfile::read_at_arg(2, 1)).wait()
+        .invoke(payroll, "ReadAt", mapfile::read_at_arg(2, 1))
+        .wait()
         .expect("ReadAt");
-    println!("record 2 before: {:?}", before.as_list().unwrap()[0].field("name").unwrap());
+    println!(
+        "record 2 before: {:?}",
+        before.as_list().unwrap()[0].field("name").unwrap()
+    );
     kernel
         .invoke(
             payroll,
             "WriteAt",
             mapfile::write_at_arg(2, vec![employee("alan", "eng", 125)]),
-        ).wait()
+        )
+        .wait()
         .expect("WriteAt");
     println!("record 2 patched: alan moves to eng at 125\n");
 
     // Streaming (the transput protocol): a query over the same Eject.
     println!("== record pipeline: eng salaries > 120, projected and rendered ==");
     let reader = kernel
-        .invoke(payroll, ops::OPEN, Value::Unit).wait()
+        .invoke(payroll, ops::OPEN, Value::Unit)
+        .wait()
         .expect("open stream view")
         .as_uid()
         .expect("capability");
     let run = PipelineSpec::new(Discipline::ReadOnly { read_ahead: 0 })
         .source_eject(reader)
-        .stage(Box::new(WhereField::new("dept", FieldCmp::Eq, Value::str("eng"))))
-        .stage(Box::new(WhereField::new("salary", FieldCmp::Gt, Value::Int(120))))
+        .stage(Box::new(WhereField::new(
+            "dept",
+            FieldCmp::Eq,
+            Value::str("eng"),
+        )))
+        .stage(Box::new(WhereField::new(
+            "salary",
+            FieldCmp::Gt,
+            Value::Int(120),
+        )))
         .stage(Box::new(SelectFields::new(["name", "salary"])))
         .stage(Box::new(RenderRecords))
         .build(&kernel)
@@ -85,7 +99,8 @@ fn main() {
 
     println!("\n== aggregation: headcount and payroll by department ==");
     let reader = kernel
-        .invoke(payroll, ops::OPEN, Value::Unit).wait()
+        .invoke(payroll, ops::OPEN, Value::Unit)
+        .wait()
         .expect("open second view")
         .as_uid()
         .expect("capability");
@@ -104,10 +119,15 @@ fn main() {
     // The multi-source report window of Figure 4: one device, two streams.
     println!("\n== report window: two sources, one device (Figure 4) ==");
     let clock = kernel
-        .spawn(Box::new(SourceEject::new(Box::new(TickSource::new(3)))))
+        .spawn(Box::new(Stage::new(
+            Input::Local(Box::new(TickSource::new(3))),
+            Output::Passive,
+            StageConfig::default(),
+        )))
         .expect("spawn clock");
     let reader = kernel
-        .invoke(payroll, ops::OPEN, Value::Unit).wait()
+        .invoke(payroll, ops::OPEN, Value::Unit)
+        .wait()
         .expect("open third view")
         .as_uid()
         .expect("capability");

@@ -19,20 +19,23 @@ use eden::transput::channels::ChannelPolicy;
 use eden::transput::protocol::{
     Batch, ChannelId, GetChannelRequest, TransferRequest, OUTPUT_NAME, REPORT_NAME,
 };
-use eden::transput::read_only::{InputPort, PullFilterConfig, PullFilterEject};
-use eden::transput::source::{SourceEject, VecSource};
+use eden::transput::source::VecSource;
+use eden::transput::{Input, Output, Stage, StageConfig};
 
 fn spawn_spellcheck_filter(kernel: &Kernel, policy: ChannelPolicy) -> Uid {
     let source = kernel
-        .spawn(Box::new(SourceEject::new(Box::new(VecSource::from_lines([
-            "secret xyzzy word",
-        ])))))
+        .spawn(Box::new(Stage::new(
+            Input::Local(Box::new(VecSource::from_lines(["secret xyzzy word"]))),
+            Output::Passive,
+            StageConfig::default(),
+        )))
         .unwrap();
     kernel
-        .spawn(Box::new(PullFilterEject::with_config(
+        .spawn(Box::new(Stage::filter(
+            Input::pull(source),
             Box::new(SpellCheck::new(["secret", "word"])),
-            vec![InputPort::primary(source)],
-            PullFilterConfig {
+            Output::Passive,
+            StageConfig {
                 policy,
                 ..Default::default()
             },
@@ -45,8 +48,14 @@ fn transfer(kernel: &Kernel, target: Uid, channel: ChannelId) -> eden::core::Res
         .invoke(
             target,
             ops::TRANSFER,
-            TransferRequest { channel, max: 8, pos: None }.to_value(),
-        ).wait()
+            TransferRequest {
+                channel,
+                max: 8,
+                pos: None,
+            }
+            .to_value(),
+        )
+        .wait()
         .and_then(Batch::from_value)
 }
 
@@ -62,7 +71,10 @@ fn integer_channels_are_guessable() {
     // ...then snoop the report channel with a guessed identifier.
     let snooped = transfer(&kernel, filter, ChannelId::Number(1)).unwrap();
     assert!(
-        snooped.items.iter().any(|v| v.as_str().unwrap().contains("xyzzy")),
+        snooped
+            .items
+            .iter()
+            .any(|v| v.as_str().unwrap().contains("xyzzy")),
         "integer channels offer no protection: {snooped:?}"
     );
     kernel.shutdown();
@@ -99,7 +111,8 @@ fn capability_channels_work_when_granted() {
                 name: OUTPUT_NAME.to_owned(),
             }
             .to_value(),
-        ).wait()
+        )
+        .wait()
         .unwrap();
     let output_id = ChannelId::try_from(&output_cap).unwrap();
     assert!(matches!(output_id, ChannelId::Cap(_)));
@@ -114,7 +127,8 @@ fn capability_channels_work_when_granted() {
                 name: REPORT_NAME.to_owned(),
             }
             .to_value(),
-        ).wait()
+        )
+        .wait()
         .unwrap();
     let report_id = ChannelId::try_from(&report_cap).unwrap();
     let report = transfer(&kernel, filter, report_id).unwrap();
@@ -136,7 +150,8 @@ fn channel_capabilities_are_per_channel() {
                     name: OUTPUT_NAME.to_owned(),
                 }
                 .to_value(),
-            ).wait()
+            )
+            .wait()
             .unwrap(),
     )
     .unwrap();
@@ -153,7 +168,8 @@ fn channel_capabilities_are_per_channel() {
                     name: REPORT_NAME.to_owned(),
                 }
                 .to_value(),
-            ).wait()
+            )
+            .wait()
             .unwrap(),
     )
     .unwrap();
@@ -173,7 +189,8 @@ fn get_channel_unknown_name_fails() {
                 name: "Backdoor".to_owned(),
             }
             .to_value(),
-        ).wait()
+        )
+        .wait()
         .unwrap_err();
     assert!(matches!(err, EdenError::NoSuchChannel(_)));
     kernel.shutdown();
@@ -187,9 +204,11 @@ fn uid_of_invoker_is_not_visible_to_ejects() {
     // of the same stream — the source cannot tell them apart.
     let kernel = Kernel::new();
     let source = kernel
-        .spawn(Box::new(SourceEject::new(Box::new(VecSource::new(
-            (0..4).map(Value::Int).collect(),
-        )))))
+        .spawn(Box::new(Stage::new(
+            Input::Local(Box::new(VecSource::new((0..4).map(Value::Int).collect()))),
+            Output::Passive,
+            StageConfig::default(),
+        )))
         .unwrap();
     let a = transfer(&kernel, source, ChannelId::output()).map(|b| b.items);
     let kernel2 = kernel.clone();

@@ -12,10 +12,9 @@ use eden::fs::{
 };
 use eden::kernel::{Kernel, KernelConfig, StableStore};
 use eden::transput::collector::Collector;
-use eden::transput::read_only::{FanInMode, InputPort, PullFilterConfig, PullFilterEject};
-use eden::transput::sink::SinkEject;
-use eden::transput::source::{SourceEject, VecSource};
+use eden::transput::source::VecSource;
 use eden::transput::{Discipline, PipelineSpec};
+use eden::transput::{FanInMode, Input, InputPort, Output, Stage, StageConfig};
 
 fn lines(ls: &[&str]) -> Vec<Value> {
     ls.iter().map(|l| Value::str(*l)).collect()
@@ -24,7 +23,11 @@ fn lines(ls: &[&str]) -> Vec<Value> {
 fn drain(kernel: &Kernel, source: eden::core::Uid) -> Vec<Value> {
     let c = Collector::new();
     kernel
-        .spawn(Box::new(SinkEject::new(source, 8, c.clone())))
+        .spawn(Box::new(Stage::new(
+            Input::pull(source),
+            Output::Collector(c.clone()),
+            StageConfig::batch(8),
+        )))
         .unwrap();
     c.wait_done(Duration::from_secs(15)).unwrap()
 }
@@ -50,7 +53,8 @@ fn file_through_filters_into_file() {
 
     let found = lookup(&kernel, home, "draft").unwrap();
     let reader = kernel
-        .invoke(found, ops::OPEN, Value::Unit).wait()
+        .invoke(found, ops::OPEN, Value::Unit)
+        .wait()
         .unwrap()
         .as_uid()
         .unwrap();
@@ -67,20 +71,24 @@ fn file_through_filters_into_file() {
     // Write results into the published file (WriteFrom = active input by
     // the file), then crash it and read it back from its checkpoint.
     let staging = kernel
-        .spawn(Box::new(SourceEject::new(Box::new(VecSource::new(
-            run.output.clone(),
-        )))))
+        .spawn(Box::new(Stage::new(
+            Input::Local(Box::new(VecSource::new(run.output.clone()))),
+            Output::Passive,
+            StageConfig::default(),
+        )))
         .unwrap();
     kernel
         .invoke(
             published,
             ops::WRITE_FROM,
             Value::record([("source", Value::Uid(staging))]),
-        ).wait()
+        )
+        .wait()
         .unwrap();
     kernel.crash(published).unwrap();
     let reader = kernel
-        .invoke(published, ops::OPEN, Value::Unit).wait()
+        .invoke(published, ops::OPEN, Value::Unit)
+        .wait()
         .unwrap()
         .as_uid()
         .unwrap();
@@ -95,10 +103,14 @@ fn editor_command_stream_is_fan_in_at_setup() {
     // in the read-only discipline) and builds the editor with it.
     let kernel = Kernel::new();
     let command_file = kernel
-        .spawn(Box::new(FileEject::from_lines(["s/colour/color/", "d/DRAFT/"])))
+        .spawn(Box::new(FileEject::from_lines([
+            "s/colour/color/",
+            "d/DRAFT/",
+        ])))
         .unwrap();
     let commands_reader = kernel
-        .invoke(command_file, ops::OPEN, Value::Unit).wait()
+        .invoke(command_file, ops::OPEN, Value::Unit)
+        .wait()
         .unwrap()
         .as_uid()
         .unwrap();
@@ -122,23 +134,28 @@ fn compare_two_files_with_zip_fan_in() {
     // §5's file comparison program: one filter, two input UIDs.
     let kernel = Kernel::new();
     let left = kernel
-        .spawn(Box::new(SourceEject::new(Box::new(VecSource::from_lines([
-            "alpha", "beta", "gamma",
-        ])))))
+        .spawn(Box::new(Stage::new(
+            Input::Local(Box::new(VecSource::from_lines(["alpha", "beta", "gamma"]))),
+            Output::Passive,
+            StageConfig::default(),
+        )))
         .unwrap();
     let right = kernel
-        .spawn(Box::new(SourceEject::new(Box::new(VecSource::from_lines([
-            "alpha", "BETA", "gamma",
-        ])))))
+        .spawn(Box::new(Stage::new(
+            Input::Local(Box::new(VecSource::from_lines(["alpha", "BETA", "gamma"]))),
+            Output::Passive,
+            StageConfig::default(),
+        )))
         .unwrap();
     let comparator = kernel
-        .spawn(Box::new(PullFilterEject::with_config(
+        .spawn(Box::new(Stage::filter(
+            Input::ports(
+                vec![InputPort::primary(left), InputPort::primary(right)],
+                FanInMode::Zip,
+            ),
             Box::new(Compare::new()),
-            vec![InputPort::primary(left), InputPort::primary(right)],
-            PullFilterConfig {
-                fan_in: FanInMode::Zip,
-                ..Default::default()
-            },
+            Output::Passive,
+            StageConfig::default(),
         )))
         .unwrap();
     let out = drain(&kernel, comparator);
@@ -152,19 +169,30 @@ fn compare_two_files_with_zip_fan_in() {
 fn crash_mid_pipeline_is_reported_not_hung() {
     let kernel = Kernel::new();
     let source = kernel
-        .spawn(Box::new(SourceEject::new(Box::new(
-            eden::transput::source::FnSource::new(1_000_000, |i| Value::Int(i as i64)),
-        ))))
+        .spawn(Box::new(Stage::new(
+            Input::Local(Box::new(eden::transput::source::FnSource::new(
+                1_000_000,
+                |i| Value::Int(i as i64),
+            ))),
+            Output::Passive,
+            StageConfig::default(),
+        )))
         .unwrap();
     let filter = kernel
-        .spawn(Box::new(PullFilterEject::new(
+        .spawn(Box::new(Stage::filter(
+            Input::pull(source),
             Box::new(eden::transput::transform::Identity),
-            InputPort::primary(source),
+            Output::Passive,
+            StageConfig::default(),
         )))
         .unwrap();
     let collector = Collector::null();
     kernel
-        .spawn(Box::new(SinkEject::new(filter, 16, collector.clone())))
+        .spawn(Box::new(Stage::new(
+            Input::pull(filter),
+            Output::Collector(collector.clone()),
+            StageConfig::batch(16),
+        )))
         .unwrap();
     // Bounded wait: if the stream stalls before the crash is even
     // injected, fail with a diagnosis instead of hanging the suite.
@@ -197,8 +225,14 @@ fn whole_system_restart_preserves_filing_tree() {
             .spawn(Box::new(FileEject::from_lines(["persistent truth"])))
             .unwrap();
         add_entry(&kernel, root, "truth.txt", file).unwrap();
-        kernel.invoke(file, ops::CHECKPOINT, Value::Unit).wait().unwrap();
-        kernel.invoke(root, ops::CHECKPOINT, Value::Unit).wait().unwrap();
+        kernel
+            .invoke(file, ops::CHECKPOINT, Value::Unit)
+            .wait()
+            .unwrap();
+        kernel
+            .invoke(root, ops::CHECKPOINT, Value::Unit)
+            .wait()
+            .unwrap();
         kernel.shutdown();
         (root, file)
     };
@@ -207,7 +241,8 @@ fn whole_system_restart_preserves_filing_tree() {
     register_fs_types(&kernel);
     assert_eq!(lookup(&kernel, root, "truth.txt").unwrap(), file);
     let reader = kernel
-        .invoke(file, ops::OPEN, Value::Unit).wait()
+        .invoke(file, ops::OPEN, Value::Unit)
+        .wait()
         .unwrap()
         .as_uid()
         .unwrap();
@@ -231,7 +266,8 @@ fn unixfs_pipeline_roundtrip_all_disciplines() {
     .enumerate()
     {
         let stream = kernel
-            .invoke(ufs, ops::NEW_STREAM, eden::fs::new_stream_arg("in.txt")).wait()
+            .invoke(ufs, ops::NEW_STREAM, eden::fs::new_stream_arg("in.txt"))
+            .wait()
             .unwrap()
             .as_uid()
             .unwrap();
@@ -262,7 +298,8 @@ fn path_like_lookup_through_concatenator_feeds_pipeline() {
         .unwrap();
     let found = lookup(&kernel, path, "data").unwrap();
     let reader = kernel
-        .invoke(found, ops::OPEN, Value::Unit).wait()
+        .invoke(found, ops::OPEN, Value::Unit)
+        .wait()
         .unwrap()
         .as_uid()
         .unwrap();

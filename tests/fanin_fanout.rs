@@ -14,17 +14,19 @@ use eden::filters::Tee;
 use eden::kernel::Kernel;
 use eden::transput::collector::Collector;
 use eden::transput::protocol::{ChannelId, GetChannelRequest, WriteRequest};
-use eden::transput::read_only::{FanInMode, InputPort, PullFilterConfig, PullFilterEject};
-use eden::transput::sink::{AcceptorSinkEject, SinkEject};
-use eden::transput::source::{SourceEject, VecSource};
+use eden::transput::source::VecSource;
 use eden::transput::transform::Identity;
-use eden::transput::write_only::{OutputPort, OutputWiring, PushFilterEject, PushSourceEject};
+use eden::transput::{
+    FanInMode, Input, InputPort, Output, OutputPort, OutputWiring, Stage, StageConfig,
+};
 
 fn int_source(kernel: &Kernel, values: std::ops::Range<i64>) -> eden::core::Uid {
     kernel
-        .spawn(Box::new(SourceEject::new(Box::new(VecSource::new(
-            values.map(Value::Int).collect(),
-        )))))
+        .spawn(Box::new(Stage::new(
+            Input::Local(Box::new(VecSource::new(values.map(Value::Int).collect()))),
+            Output::Passive,
+            StageConfig::default(),
+        )))
         .unwrap()
 }
 
@@ -43,19 +45,20 @@ fn read_only_fan_in_merges_m_sources() {
             InputPort::primary(int_source(&kernel, 20..23)),
         ];
         let filter = kernel
-            .spawn(Box::new(PullFilterEject::with_config(
+            .spawn(Box::new(Stage::filter(
+                Input::ports(inputs, mode),
                 Box::new(Identity),
-                inputs,
-                PullFilterConfig {
-                    fan_in: mode,
-                    batch: 1,
-                    ..Default::default()
-                },
+                Output::Passive,
+                StageConfig::batch(1),
             )))
             .unwrap();
         let collector = Collector::new();
         kernel
-            .spawn(Box::new(SinkEject::new(filter, 1, collector.clone())))
+            .spawn(Box::new(Stage::new(
+                Input::pull(filter),
+                Output::Collector(collector.clone()),
+                StageConfig::batch(1),
+            )))
             .unwrap();
         let got = collector.wait_done(Duration::from_secs(15)).unwrap();
         assert_eq!(got.len(), 9, "{mode:?}");
@@ -84,18 +87,28 @@ fn read_only_without_channels_cannot_fan_out() {
     let kernel = Kernel::new();
     let source = int_source(&kernel, 0..100);
     let filter = kernel
-        .spawn(Box::new(PullFilterEject::new(
+        .spawn(Box::new(Stage::filter(
+            Input::pull(source),
             Box::new(Identity),
-            InputPort::primary(source),
+            Output::Passive,
+            StageConfig::default(),
         )))
         .unwrap();
     let c1 = Collector::new();
     let c2 = Collector::new();
     kernel
-        .spawn(Box::new(SinkEject::new(filter, 4, c1.clone())))
+        .spawn(Box::new(Stage::new(
+            Input::pull(filter),
+            Output::Collector(c1.clone()),
+            StageConfig::batch(4),
+        )))
         .unwrap();
     kernel
-        .spawn(Box::new(SinkEject::new(filter, 4, c2.clone())))
+        .spawn(Box::new(Stage::new(
+            Input::pull(filter),
+            Output::Collector(c2.clone()),
+            StageConfig::batch(4),
+        )))
         .unwrap();
     let got1 = c1.wait_done(Duration::from_secs(15)).unwrap();
     let got2 = c2.wait_done(Duration::from_secs(15)).unwrap();
@@ -118,9 +131,11 @@ fn read_only_fan_out_via_tee_channels() {
     let kernel = Kernel::new();
     let source = int_source(&kernel, 0..20);
     let filter = kernel
-        .spawn(Box::new(PullFilterEject::new(
+        .spawn(Box::new(Stage::filter(
+            Input::pull(source),
             Box::new(Tee),
-            InputPort::primary(source),
+            Output::Passive,
+            StageConfig::default(),
         )))
         .unwrap();
     let copy_id = ChannelId::try_from(
@@ -132,22 +147,32 @@ fn read_only_fan_out_via_tee_channels() {
                     name: eden::filters::COPY_NAME.to_owned(),
                 }
                 .to_value(),
-            ).wait()
+            )
+            .wait()
             .unwrap(),
     )
     .unwrap();
     let main = Collector::new();
     let copy = Collector::new();
     kernel
-        .spawn(Box::new(SinkEject::on_channel(
-            filter,
-            copy_id,
-            4,
-            copy.clone(),
+        .spawn(Box::new(Stage::new(
+            Input::ports(
+                vec![InputPort {
+                    uid: filter,
+                    channel: copy_id,
+                }],
+                FanInMode::Concatenate,
+            ),
+            Output::Collector(copy.clone()),
+            StageConfig::batch(4),
         )))
         .unwrap();
     kernel
-        .spawn(Box::new(SinkEject::new(filter, 4, main.clone())))
+        .spawn(Box::new(Stage::new(
+            Input::pull(filter),
+            Output::Collector(main.clone()),
+            StageConfig::batch(4),
+        )))
         .unwrap();
     let main_items = main.wait_done(Duration::from_secs(15)).unwrap();
     let copy_items = copy.wait_done(Duration::from_secs(15)).unwrap();
@@ -164,7 +189,11 @@ fn write_only_fan_out_is_natural() {
     for _ in 0..3 {
         let c = Collector::new();
         let sink = kernel
-            .spawn(Box::new(AcceptorSinkEject::new(c.clone())))
+            .spawn(Box::new(Stage::new(
+                Input::Passive,
+                Output::Collector(c.clone()),
+                StageConfig::default(),
+            )))
             .unwrap();
         wiring.add(
             eden::transput::protocol::OUTPUT_NAME,
@@ -173,13 +202,18 @@ fn write_only_fan_out_is_natural() {
         collectors.push(c);
     }
     let filter = kernel
-        .spawn(Box::new(PushFilterEject::new(Box::new(Identity), wiring)))
+        .spawn(Box::new(Stage::filter(
+            Input::Passive,
+            Box::new(Identity),
+            Output::Active(wiring),
+            StageConfig::default(),
+        )))
         .unwrap();
     let source = kernel
-        .spawn(Box::new(PushSourceEject::new(
-            Box::new(VecSource::new((0..10).map(Value::Int).collect())),
-            OutputWiring::primary_to(OutputPort::primary(filter)),
-            4,
+        .spawn(Box::new(Stage::new(
+            Input::Local(Box::new(VecSource::new((0..10).map(Value::Int).collect()))),
+            Output::push(filter),
+            StageConfig::batch(4),
         )))
         .unwrap();
     kernel.invoke(source, "Start", Value::Unit).wait().unwrap();
@@ -198,15 +232,21 @@ fn write_only_fan_in_merges_indistinguishably() {
     let kernel = Kernel::new();
     let collector = Collector::new();
     let sink = kernel
-        .spawn(Box::new(AcceptorSinkEject::new(collector.clone())))
+        .spawn(Box::new(Stage::new(
+            Input::Passive,
+            Output::Collector(collector.clone()),
+            StageConfig::default(),
+        )))
         .unwrap();
     let mut starts = Vec::new();
     for base in [0i64, 100, 200] {
         let src = kernel
-            .spawn(Box::new(PushSourceEject::new(
-                Box::new(VecSource::new((base..base + 5).map(Value::Int).collect())),
-                OutputWiring::primary_to(OutputPort::primary(sink)),
-                1,
+            .spawn(Box::new(Stage::new(
+                Input::Local(Box::new(VecSource::new(
+                    (base..base + 5).map(Value::Int).collect(),
+                ))),
+                Output::push(sink),
+                StageConfig::batch(1),
             )))
             .unwrap();
         starts.push(kernel.invoke(src, "Start", Value::Unit));
@@ -233,20 +273,52 @@ fn write_only_fan_in_merges_indistinguishably() {
 fn conventional_supports_both_directions() {
     // Active reads + active writes: a pump filter reading one pipe can
     // write two pipes, and two pumps can write one pipe.
-    use eden::transput::conventional::{PassiveBufferEject, PumpFilterEject};
     let kernel = Kernel::new();
-    let pipe_in = kernel.spawn(Box::new(PassiveBufferEject::new(16))).unwrap();
-    let pipe_a = kernel.spawn(Box::new(PassiveBufferEject::new(16))).unwrap();
-    let pipe_b = kernel.spawn(Box::new(PassiveBufferEject::new(16))).unwrap();
+    let pipe_in = kernel
+        .spawn(Box::new(Stage::new(
+            Input::Passive,
+            Output::Passive,
+            StageConfig {
+                depth: 16,
+                ..Default::default()
+            },
+        )))
+        .unwrap();
+    let pipe_a = kernel
+        .spawn(Box::new(Stage::new(
+            Input::Passive,
+            Output::Passive,
+            StageConfig {
+                depth: 16,
+                ..Default::default()
+            },
+        )))
+        .unwrap();
+    let pipe_b = kernel
+        .spawn(Box::new(Stage::new(
+            Input::Passive,
+            Output::Passive,
+            StageConfig {
+                depth: 16,
+                ..Default::default()
+            },
+        )))
+        .unwrap();
     let mut wiring = OutputWiring::default();
-    wiring.add(eden::transput::protocol::OUTPUT_NAME, OutputPort::primary(pipe_a));
-    wiring.add(eden::transput::protocol::OUTPUT_NAME, OutputPort::primary(pipe_b));
+    wiring.add(
+        eden::transput::protocol::OUTPUT_NAME,
+        OutputPort::primary(pipe_a),
+    );
+    wiring.add(
+        eden::transput::protocol::OUTPUT_NAME,
+        OutputPort::primary(pipe_b),
+    );
     kernel
-        .spawn(Box::new(PumpFilterEject::new(
+        .spawn(Box::new(Stage::filter(
+            Input::pull(pipe_in),
             Box::new(Identity),
-            pipe_in,
-            wiring,
-            4,
+            Output::Active(wiring),
+            StageConfig::batch(4),
         )))
         .unwrap();
     // Feed the input pipe directly.
@@ -255,15 +327,24 @@ fn conventional_supports_both_directions() {
             pipe_in,
             ops::WRITE,
             WriteRequest::last((0..6).map(Value::Int).collect()).to_value(),
-        ).wait()
+        )
+        .wait()
         .unwrap();
     let ca = Collector::new();
     let cb = Collector::new();
     kernel
-        .spawn(Box::new(SinkEject::new(pipe_a, 4, ca.clone())))
+        .spawn(Box::new(Stage::new(
+            Input::pull(pipe_a),
+            Output::Collector(ca.clone()),
+            StageConfig::batch(4),
+        )))
         .unwrap();
     kernel
-        .spawn(Box::new(SinkEject::new(pipe_b, 4, cb.clone())))
+        .spawn(Box::new(Stage::new(
+            Input::pull(pipe_b),
+            Output::Collector(cb.clone()),
+            StageConfig::batch(4),
+        )))
         .unwrap();
     assert_eq!(
         ca.wait_done(Duration::from_secs(15)).unwrap(),

@@ -12,10 +12,9 @@ use eden::core::{payload, wire, Value};
 use eden::kernel::Kernel;
 use eden::transput::collector::Collector;
 use eden::transput::protocol::OUTPUT_NAME;
-use eden::transput::sink::AcceptorSinkEject;
 use eden::transput::source::VecSource;
 use eden::transput::transform::Identity;
-use eden::transput::write_only::{OutputPort, OutputWiring, PushFilterEject, PushSourceEject};
+use eden::transput::{Input, Output, OutputPort, OutputWiring, Stage, StageConfig};
 
 /// Payload counters are process-wide; serialize the tests in this binary
 /// that assert on counter deltas so they don't see each other's traffic.
@@ -38,19 +37,28 @@ fn fan_out(kernel: &Kernel, data: Vec<Value>, width: usize) -> Vec<Vec<Value>> {
     for _ in 0..width {
         let c = Collector::new();
         let sink = kernel
-            .spawn(Box::new(AcceptorSinkEject::new(c.clone())))
+            .spawn(Box::new(Stage::new(
+                Input::Passive,
+                Output::Collector(c.clone()),
+                StageConfig::default(),
+            )))
             .unwrap();
         wiring.add(OUTPUT_NAME, OutputPort::primary(sink));
         collectors.push(c);
     }
     let filter = kernel
-        .spawn(Box::new(PushFilterEject::new(Box::new(Identity), wiring)))
+        .spawn(Box::new(Stage::filter(
+            Input::Passive,
+            Box::new(Identity),
+            Output::Active(wiring),
+            StageConfig::default(),
+        )))
         .unwrap();
     let source = kernel
-        .spawn(Box::new(PushSourceEject::new(
-            Box::new(VecSource::new(data)),
-            OutputWiring::primary_to(OutputPort::primary(filter)),
-            4,
+        .spawn(Box::new(Stage::new(
+            Input::Local(Box::new(VecSource::new(data))),
+            Output::push(filter),
+            StageConfig::batch(4),
         )))
         .unwrap();
     kernel.invoke(source, "Start", Value::Unit).wait().unwrap();
