@@ -1,17 +1,18 @@
 //! Ablation: what does durability cost?
 //!
-//! A durable filter auto-checkpoints after every Transfer; this bench
-//! compares it against the plain (volatile) lazy filter on the same
-//! stream, and measures the checkpoint-every-operation tax directly.
+//! A recoverable filter checkpoints before it acknowledges every Transfer;
+//! this bench compares it against the plain (volatile) lazy filter over the
+//! same source, and measures the checkpoint-every-operation tax directly.
 
 use std::time::Duration as BenchDuration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eden_core::op::ops;
 use eden_core::Value;
-use eden_filters::{DurableFilterEject, FilterSpec};
+use eden_filters::LineNumber;
 use eden_kernel::Kernel;
 use eden_transput::protocol::{Batch, TransferRequest};
+use eden_transput::recovery::{install_recovery, recoverable_filter, TransformRegistry};
 use eden_transput::source::VecSource;
 use eden_transput::{Input, Output, Stage, StageConfig};
 
@@ -20,12 +21,14 @@ const RECORDS: i64 = 500;
 fn drain(kernel: &Kernel, filter: eden_core::Uid, batch: usize) -> usize {
     let mut total = 0;
     loop {
+        // The volatile stage ignores the position; the recoverable one
+        // needs it.
         let b = Batch::from_value(
             kernel
                 .invoke(
                     filter,
                     ops::TRANSFER,
-                    TransferRequest::primary(batch).to_value(),
+                    TransferRequest::primary(batch).at(total as u64).to_value(),
                 )
                 .wait()
                 .expect("transfer"),
@@ -55,7 +58,8 @@ fn source(kernel: &Kernel) -> eden_core::Uid {
 
 fn durable_vs_volatile(c: &mut Criterion) {
     let kernel = Kernel::new();
-    DurableFilterEject::register(&kernel);
+    let registry = TransformRegistry::new(&[("line-number", || Box::new(LineNumber::new()))]);
+    install_recovery(&kernel, &registry);
     let mut group = c.benchmark_group("durable_filter");
     group.sample_size(10);
     group.warm_up_time(BenchDuration::from_millis(400));
@@ -67,7 +71,7 @@ fn durable_vs_volatile(c: &mut Criterion) {
                 let filter = kernel
                     .spawn(Box::new(Stage::filter(
                         Input::pull(src),
-                        Box::new(eden_filters::LineNumber::new()),
+                        Box::new(LineNumber::new()),
                         Output::Passive,
                         StageConfig::default(),
                     )))
@@ -83,15 +87,15 @@ fn durable_vs_volatile(c: &mut Criterion) {
             b.iter(|| {
                 let src = source(&kernel);
                 let filter = kernel
-                    .spawn(Box::new(
-                        DurableFilterEject::new(FilterSpec::new("line-number"), src, batch)
-                            .expect("durable filter"),
-                    ))
+                    .spawn(
+                        recoverable_filter("line-number", &registry, src, batch)
+                            .expect("recoverable filter"),
+                    )
                     .expect("spawn");
                 let total = drain(&kernel, filter, batch);
                 assert_eq!(total, RECORDS as usize);
-                // Durable filters checkpointed, so deactivation leaves a
-                // passive representation; remove it to keep the store flat.
+                // The recoverable filter checkpointed, so deactivation leaves
+                // a passive representation; remove it to keep the store flat.
                 for uid in [src, filter] {
                     let _ = kernel.invoke(uid, ops::DEACTIVATE, Value::Unit);
                 }

@@ -343,10 +343,7 @@ pub fn density_report(cfg: &DensityConfig, smoke: bool) -> DensityReport {
         };
         for (i, workers) in pass {
             let kernel = Kernel::builder()
-                .scheduler(SchedulerConfig {
-                    workers,
-                    ..SchedulerConfig::default()
-                })
+                .scheduler(SchedulerConfig { workers })
                 .build();
             let s = goodput(&kernel, cfg.goodput_records, cfg.depth);
             let m = multi_goodput(&kernel, cfg.multi_records, cfg.depth, cfg.multi_pipelines);

@@ -17,7 +17,6 @@
 
 pub mod aggregate;
 pub mod compare;
-pub mod durable;
 pub mod editor;
 pub mod paginate;
 pub mod pattern;
@@ -27,7 +26,6 @@ pub mod text;
 
 pub use aggregate::{RleDecode, RleEncode, SortLines, Uniq, WordCount, WordFrequency};
 pub use compare::Compare;
-pub use durable::{DurableFilterEject, FilterSpec, DURABLE_FILTER_TYPE};
 pub use editor::{Command, StreamEditor};
 pub use paginate::{Paginator, FORM_FEED};
 pub use pattern::Pattern;

@@ -18,6 +18,7 @@ use eden_core::op::ops;
 use eden_core::{EdenError, Result, Uid, Value};
 use eden_kernel::{EjectBehavior, EjectContext, Invocation, ReplyHandle};
 use eden_transput::protocol::{Batch, GetChannelRequest, TransferRequest};
+use eden_transput::recovery::recoverable_source;
 use eden_transput::ChannelTable;
 
 /// The Eden type name of [`FileEject`] (used for reactivation).
@@ -109,16 +110,15 @@ impl EjectBehavior for FileEject {
                     Err(e) => reply.reply(Err(e)),
                 }
             }
-            // Open a *durable* read cursor: the reader checkpoints its
-            // position on every Transfer, so a crash (or whole-system
-            // restart) resumes the stream where it left off instead of
-            // disappearing like the plain reader.
+            // Open a *durable* read cursor: a recoverable source over a
+            // snapshot, read by positional Transfers and checkpointed as
+            // they acknowledge, so a crash (or whole-system restart) resumes
+            // the stream where it left off instead of disappearing like the
+            // plain reader. Reactivation needs `install_recovery` on the
+            // kernel.
             "OpenDurable" => {
-                let reader = DurableReaderEject::new(self.records.clone(), 0);
-                match spawn_sibling(ctx, Box::new(reader)) {
-                    Ok(uid) => reply.reply(Ok(Value::Uid(uid))),
-                    Err(e) => reply.reply(Err(e)),
-                }
+                let reader = recoverable_source(self.records.clone());
+                reply.reply(spawn_sibling(ctx, reader).map(Value::Uid));
             }
             // Open for writing, read-only style: pull everything from the
             // given source, then commit by checkpointing. The reply to
@@ -315,95 +315,6 @@ impl EjectBehavior for FileReaderEject {
                 op: inv.op,
             })),
         }
-    }
-}
-
-/// The Eden type name of [`DurableReaderEject`].
-pub const DURABLE_READER_TYPE: &str = "DurableReader";
-
-/// A read cursor that survives crashes: its passive representation is the
-/// remaining records and position, checkpointed after every `Transfer`.
-/// The durable counterpart of [`FileReaderEject`].
-#[derive(Debug)]
-pub struct DurableReaderEject {
-    records: Vec<Value>,
-    pos: usize,
-}
-
-impl DurableReaderEject {
-    /// A durable cursor over `records`, starting at `pos`.
-    pub fn new(records: Vec<Value>, pos: usize) -> DurableReaderEject {
-        DurableReaderEject { records, pos }
-    }
-
-    /// Reactivation constructor.
-    pub fn from_passive(rep: Option<Value>) -> Result<Box<dyn EjectBehavior>> {
-        let rep = rep.ok_or_else(|| {
-            EdenError::CorruptCheckpoint("durable reader needs a representation".into())
-        })?;
-        Ok(Box::new(DurableReaderEject {
-            records: rep.field("records")?.as_list()?.to_vec(),
-            pos: rep.field("pos")?.as_int()?.max(0) as usize,
-        }))
-    }
-
-    /// Register the reactivation constructor on a kernel.
-    pub fn register(kernel: &eden_kernel::Kernel) {
-        kernel.register_type(DURABLE_READER_TYPE, DurableReaderEject::from_passive);
-    }
-}
-
-impl EjectBehavior for DurableReaderEject {
-    fn type_name(&self) -> &'static str {
-        DURABLE_READER_TYPE
-    }
-
-    fn activate(&mut self, ctx: &EjectContext) {
-        // Establish durability from birth: without this first checkpoint a
-        // crash before the first Transfer would destroy the cursor.
-        if let Some(rep) = self.passive_representation() {
-            let _ = ctx.checkpoint(&rep);
-        }
-    }
-
-    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
-        match inv.op.as_str() {
-            ops::TRANSFER => {
-                let req = match TransferRequest::from_value(&inv.arg) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        reply.reply(Err(e));
-                        return;
-                    }
-                };
-                let end_pos = (self.pos + req.max).min(self.records.len());
-                let items = self.records[self.pos..end_pos].to_vec();
-                self.pos = end_pos;
-                let end = self.pos >= self.records.len();
-                // Persist the advanced cursor before replying: a crash
-                // after the reply cannot re-serve these records.
-                if let Some(rep) = self.passive_representation() {
-                    let _ = ctx.checkpoint(&rep);
-                }
-                reply.reply(Ok(Batch { items, end }.to_value()));
-            }
-            "Position" => reply.reply(Ok(Value::Int(self.pos as i64))),
-            ops::CLOSE => {
-                reply.reply(Ok(Value::Unit));
-                ctx.request_deactivate();
-            }
-            _ => reply.reply(Err(EdenError::NoSuchOperation {
-                target: ctx.uid(),
-                op: inv.op,
-            })),
-        }
-    }
-
-    fn passive_representation(&self) -> Option<Value> {
-        Some(Value::record([
-            ("records", Value::list(self.records.clone())),
-            ("pos", Value::Int(self.pos as i64)),
-        ]))
     }
 }
 

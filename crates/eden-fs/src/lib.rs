@@ -26,9 +26,7 @@ pub mod mapfile;
 pub mod unixfs;
 
 pub use directory::{DirConcatenatorEject, DirectoryEject, DIRECTORY_TYPE};
-pub use file::{
-    DurableReaderEject, FileEject, FileReaderEject, WriteMode, DURABLE_READER_TYPE, FILE_TYPE,
-};
+pub use file::{FileEject, FileReaderEject, WriteMode, FILE_TYPE};
 pub use hostfs::{HostFs, HostFsHandle, MemFs, RealFs};
 pub use mapfile::{read_at_arg, write_at_arg, MapFileEject, MAP_FILE_TYPE};
 pub use unixfs::{new_stream_arg, use_stream_arg, UnixFsEject};
@@ -39,11 +37,14 @@ use eden_kernel::Kernel;
 /// Register every checkpointable filing-system type on a kernel. Call this
 /// on any kernel that must reactivate files or directories from passive
 /// representations (including after a simulated whole-system restart).
+/// The cursors `OpenDurable` mints are recoverable stream stages, not a
+/// filing-system type: they come back through
+/// [`eden_transput::recovery::install_recovery`], which the caller makes
+/// with the registry of its own filters.
 pub fn register_fs_types(kernel: &Kernel) {
     FileEject::register(kernel);
     DirectoryEject::register(kernel);
     MapFileEject::register(kernel);
-    DurableReaderEject::register(kernel);
 }
 
 /// Convenience: look `name` up in a directory Eject.

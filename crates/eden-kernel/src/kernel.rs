@@ -70,7 +70,7 @@ pub enum ExecMode {
     Threads,
     /// The density plane (the default): Ejects are state machines parked
     /// on their mailboxes, resumed by a fixed worker pool. Idle Ejects
-    /// cost zero threads; see [`SchedulerConfig`] for the knobs.
+    /// cost zero threads; see [`SchedulerConfig`] for the pool size.
     Scheduler(SchedulerConfig),
 }
 
@@ -139,7 +139,7 @@ impl Default for KernelConfig {
 /// use eden_kernel::{Kernel, SchedulerConfig};
 ///
 /// let kernel = Kernel::builder()
-///     .scheduler(SchedulerConfig { workers: 4, ..SchedulerConfig::default() })
+///     .scheduler(SchedulerConfig { workers: 4 })
 ///     .trace_capacity(256)
 ///     .build();
 /// ```

@@ -25,10 +25,10 @@
 //!   see the deque docs for why a range CAS would be unsound).
 //! * **A one-task LIFO slot** in front of each deque: the mailbox the
 //!   running task just wakened holds the hottest cache lines in the
-//!   system, so it runs next on the same worker. [`SchedulerConfig::
-//!   lifo_budget`] bounds consecutive slot pickups while colder work
-//!   waits, so the slot cannot starve the deque or the injector; slot
-//!   pushes wake no sibling (the owner itself runs the task next).
+//!   system, so it runs next on the same worker. `LIFO_BUDGET` bounds
+//!   consecutive slot pickups while colder work waits, so the slot
+//!   cannot starve the deque or the injector; slot pushes wake no
+//!   sibling (the owner itself runs the task next).
 //! * **A sharded FIFO injector** for everything else: non-worker
 //!   producers (spawns, deliveries from user threads), fairness-budget
 //!   requeues, and deque overflow. Producers pick a shard by a cheap
@@ -405,18 +405,16 @@ pub struct SchedulerConfig {
     /// Defaults to the machine's available parallelism, floored at 2 so
     /// a single-core box still overlaps a blocked handler with progress.
     pub workers: usize,
-    /// Number of injector shards (rounded up to a power of two).
-    /// Defaults to the worker count. The name is a fossil from the
-    /// mutexed run-queue design this knob used to size.
-    pub run_queue_shards: usize,
-    /// Envelopes one task may drain per resume before it is re-enqueued
-    /// behind whatever else is runnable.
-    pub fairness_budget: usize,
-    /// Consecutive LIFO-slot pickups one worker may take while colder
-    /// work waits in its deque or the injector, before the slot must
-    /// yield a turn. Irrelevant when nothing else is runnable locally.
-    pub lifo_budget: u32,
 }
+
+/// Envelopes one task may drain per resume before it is re-enqueued
+/// behind whatever else is runnable.
+const FAIRNESS_BUDGET: usize = 64;
+
+/// Consecutive LIFO-slot pickups one worker may take while colder work
+/// waits in its deque or the injector, before the slot must yield a turn.
+/// Irrelevant when nothing else is runnable locally.
+const LIFO_BUDGET: u32 = 16;
 
 impl Default for SchedulerConfig {
     fn default() -> Self {
@@ -424,22 +422,7 @@ impl Default for SchedulerConfig {
             .map(|n| n.get())
             .unwrap_or(1)
             .max(2);
-        SchedulerConfig {
-            workers,
-            run_queue_shards: workers,
-            fairness_budget: 64,
-            lifo_budget: 16,
-        }
-    }
-}
-
-impl SchedulerConfig {
-    fn normalized(mut self) -> SchedulerConfig {
-        self.workers = self.workers.max(1);
-        self.run_queue_shards = self.run_queue_shards.max(1).next_power_of_two();
-        self.fairness_budget = self.fairness_budget.max(1);
-        self.lifo_budget = self.lifo_budget.max(1);
-        self
+        SchedulerConfig { workers }
     }
 }
 
@@ -839,8 +822,6 @@ pub(crate) struct Scheduler {
     injector: Box<[InjectShard]>,
     inject_mask: usize,
     target_workers: usize,
-    fairness_budget: usize,
-    lifo_budget: u32,
     epoch: Instant,
     /// Workers inside the sleep protocol (announced on `sleepers`, about
     /// to park or parked). The producer side of the Dekker handshake in
@@ -883,8 +864,8 @@ pub(crate) struct Scheduler {
 
 impl Scheduler {
     pub(crate) fn new(config: SchedulerConfig) -> Arc<Scheduler> {
-        let config = config.normalized();
-        let slots: Box<[WorkerSlot]> = (0..config.workers)
+        let workers = config.workers.max(1);
+        let slots: Box<[WorkerSlot]> = (0..workers)
             .map(|_| WorkerSlot {
                 deque: WorkDeque::new(),
                 lifo: LifoSlot::new(),
@@ -895,7 +876,8 @@ impl Scheduler {
                 progress: AtomicU64::new(0),
             })
             .collect();
-        let injector: Box<[InjectShard]> = (0..config.run_queue_shards)
+        // One injector shard a worker, rounded up so a mask picks one.
+        let injector: Box<[InjectShard]> = (0..workers.next_power_of_two())
             .map(|_| InjectShard {
                 injq: Mutex::new(VecDeque::new()),
                 backlog: AtomicUsize::new(0),
@@ -905,14 +887,12 @@ impl Scheduler {
             slots,
             inject_mask: injector.len() - 1,
             injector,
-            target_workers: config.workers,
-            fairness_budget: config.fairness_budget,
-            lifo_budget: config.lifo_budget,
+            target_workers: workers,
             epoch: Instant::now(),
             idle_count: CachePadded(AtomicUsize::new(0)),
             cpu_quota: std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
-                .unwrap_or(config.workers),
+                .unwrap_or(workers),
             wakes_pending: CachePadded(AtomicUsize::new(0)),
             sleepers: Mutex::new(Vec::new()),
             live_workers: AtomicUsize::new(0),
@@ -927,7 +907,7 @@ impl Scheduler {
             death_cv: Condvar::default(),
             threads: Mutex::new(Vec::new()),
         });
-        for _ in 0..config.workers {
+        for _ in 0..workers {
             sched.spawn_worker();
         }
         let mon = Arc::clone(&sched);
@@ -1227,7 +1207,7 @@ impl Scheduler {
         if let Some(i) = me {
             let slot = &self.slots[i];
             let colder_waiting = !slot.deque.is_empty_hint() || self.inject_backlog();
-            if *lifo_streak < self.lifo_budget || !colder_waiting {
+            if *lifo_streak < LIFO_BUDGET || !colder_waiting {
                 if let Some(task) = slot.lifo.take() {
                     *lifo_streak += 1;
                     return Some(task);
@@ -1429,7 +1409,7 @@ impl Scheduler {
             body.behavior.activate(&task.ctx);
         }
         let bit = task.core.park_bit();
-        let mut budget = self.fairness_budget;
+        let mut budget = FAIRNESS_BUDGET;
         loop {
             if task.ctx.deactivate_requested() {
                 return self.die(task, body, false);

@@ -74,8 +74,8 @@ pub use pipeline::{Discipline, Pipeline, PipelineRun, PipelineSpec};
 pub use ports::{FanInMode, InputPort, OutputPort, OutputWiring};
 pub use protocol::{Batch, ChannelId, TransferRequest, WriteRequest};
 pub use recovery::{
-    install_recovery, recovery_graph, resume_recoverable_pipeline, run_recoverable_pipeline,
-    RecoveryDiscipline, RecoveryRun,
+    install_recovery, recoverable_filter, recoverable_source, recovery_graph,
+    resume_recoverable_pipeline, run_recoverable_pipeline, RecoveryDiscipline, RecoveryRun,
     TransformRegistry,
 };
 pub use stage::{Input, Output, Stage, StageConfig};

@@ -59,10 +59,14 @@
 //! Together these give exactly-once delivery across a fail-stop crash of
 //! any single stage — and, because every window between checkpoint and
 //! acknowledgement is closed by the position arithmetic, across repeated
-//! crashes too, provided the mounted [`Transform`]s are **deterministic
-//! and per-record** (a re-run of an unacknowledged input must reproduce
-//! byte-identical output; sorters and other whole-stream buffers are out of
-//! scope). Secondary emission channels are not forwarded.
+//! crashes too, provided the mounted [`Transform`]s are **deterministic**
+//! (a re-run of an unacknowledged input from the same state must reproduce
+//! byte-identical output). A transform may be stateful: what
+//! [`Transform::state`] reports is part of the checkpoint and is
+//! [`restore`](Transform::restore)d into the transform the registry rebuilds
+//! by name, so counters and sorters come back holding what they held — at
+//! the price of a checkpoint that grows with it. Secondary emission channels
+//! are not forwarded.
 //!
 //! Two consequences of recovering from positions alone:
 //!
@@ -74,6 +78,15 @@
 //!   empty non-final batch and the pump polls, because a parked reply would
 //!   die with a crash anyway; polling against the checkpointed position is
 //!   what recovery can prove correct.
+//!
+//! ## The checkpoint
+//!
+//! One record, written whole: the transform's registry name and its state,
+//! the two faces (a peer's UID or unit), the input position `consumed` and
+//! `in_end`, the output position `base`, the unacknowledged output `buf` and
+//! `out_end`, the batch size, and whether a worker drives the stage. The
+//! positions, the buffer and the transform's state describe one instant, so
+//! a reactivated stage is the crashed one as of its last acknowledgement.
 //!
 //! [`StableStore`]: eden_kernel::StableStore
 
@@ -90,7 +103,7 @@ use eden_kernel::{
 
 use crate::conform::{DisciplineKind, EdgeMode, Mode, NodeRole, WiringGraph};
 use crate::protocol::{Batch, TransferRequest, WriteRequest, OUTPUT_NAME};
-use crate::transform::{Emitter, Transform};
+use crate::transform::{self, Transform};
 
 /// The operation a [`run_recoverable_pipeline`] driver uses to read the
 /// terminal acceptor: replies with a [`Batch`] of everything accepted so
@@ -135,8 +148,8 @@ fn control_opts() -> InvokeOptions<'static> {
 pub type TransformFactory = fn() -> Box<dyn Transform>;
 
 /// A named catalogue of transform constructors, used to rebuild a stage's
-/// [`Transform`] on reactivation (function state is not checkpointable;
-/// determinism makes rebuilding equivalent).
+/// [`Transform`] on reactivation (a function is not checkpointable; its
+/// name and its [`Transform::state`] are).
 #[derive(Clone, Default, Debug)]
 pub struct TransformRegistry {
     map: Arc<HashMap<String, TransformFactory>>,
@@ -176,6 +189,15 @@ fn peer_field(v: &Value, name: &str) -> Result<Option<Uid>> {
         Value::Unit => Ok(None),
         peer => peer.as_uid().map(Some),
     }
+}
+
+/// A passive face's refusal of a request that does not say where in the
+/// stream it stands: served anyway, a retried `Write` would be applied twice
+/// and a `Transfer` would acknowledge nothing and read one batch forever.
+fn unpositioned(op: &str, field: &str) -> EdenError {
+    EdenError::BadParameter(format!(
+        "a recoverable stage needs `{field}` on every {op}"
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -288,8 +310,11 @@ impl RecoverableStage {
 
     fn state(&self) -> Value {
         let peer = |p: Option<Uid>| p.map_or(Value::Unit, Value::Uid);
+        // Unit: no transform mounted, or one with nothing worth saving.
+        let transform_state = self.transform.as_ref().and_then(|t| t.state());
         Value::record([
             ("transform", Value::str(self.transform_name.clone())),
+            ("transform_state", transform_state.unwrap_or(Value::Unit)),
             ("upstream", peer(self.upstream)),
             ("downstream", peer(self.downstream)),
             ("consumed", Value::Int(self.consumed as i64)),
@@ -307,11 +332,16 @@ impl RecoverableStage {
 
     fn from_state(v: Value, registry: &TransformRegistry) -> Result<RecoverableStage> {
         let name = v.field("transform")?.as_str()?.to_owned();
+        // Rebuilt by name, then put back in the state it held at `consumed`:
+        // the input replayed from that position lands on the transform that
+        // first saw it.
+        let mut transform = registry.build(&name)?;
+        match (&mut transform, v.field("transform_state")?) {
+            (None, _) | (_, Value::Unit) => {}
+            (Some(t), state) => t.restore(state)?,
+        }
         Ok(RecoverableStage {
-            // Rebuilt fresh: recovery replays any unacknowledged input
-            // through it, so a deterministic per-record transform lands in
-            // the state it crashed in.
-            transform: registry.build(&name)?,
+            transform,
             transform_name: name,
             registry: registry.clone(),
             upstream: peer_field(&v, "upstream")?,
@@ -343,19 +373,8 @@ impl RecoverableStage {
         let end = end && !self.in_end;
         self.dirty |= end || !items.is_empty();
         self.consumed += items.len() as u64;
-        match &mut self.transform {
-            None => self.buf.extend(items),
-            Some(t) => {
-                let mut out = Emitter::new();
-                for item in items {
-                    t.push(item, &mut out);
-                }
-                if end {
-                    t.flush(&mut out);
-                }
-                self.buf.extend(out.take_primary());
-            }
-        }
+        let mut out = transform::step(&mut self.transform, items, end);
+        self.buf.extend(out.take_primary());
         self.in_end |= end;
     }
 
@@ -407,7 +426,7 @@ impl RecoverableStage {
     /// every crash window resolves to a re-send the sequence arithmetic
     /// deduplicates.
     fn accept(&mut self, host: &impl Host, req: WriteRequest) -> Result<Value> {
-        let seq = req.seq.unwrap_or(self.consumed);
+        let seq = req.seq.ok_or_else(|| unpositioned("Write", "seq"))?;
         if seq > self.consumed {
             return Err(EdenError::BadParameter(format!(
                 "write at {seq} leaves a gap after {}",
@@ -435,7 +454,7 @@ impl RecoverableStage {
     /// retrying after a crash (its own, or this stage's) re-reads exactly
     /// what it missed.
     fn serve(&mut self, host: &impl Host, req: TransferRequest) -> Result<Value> {
-        let pos = req.pos.unwrap_or(self.base);
+        let pos = req.pos.ok_or_else(|| unpositioned("Transfer", "pos"))?;
         if pos < self.base {
             // The acknowledged prefix is gone; a position below it means
             // the reader rewound further than we retained.
@@ -580,6 +599,29 @@ pub fn install_recovery(kernel: &Kernel, registry: &TransformRegistry) {
             "a recoverable stage needs a checkpoint".into(),
         )),
     });
+}
+
+/// A recoverable source over `items`, to be spawned by the caller: a stage
+/// whose buffer is pre-loaded, whose input is closed and whose passive
+/// output serves positional `Transfer`s — a read cursor that survives a
+/// crash, or the whole kernel, on a kernel with [`install_recovery`] called.
+pub fn recoverable_source(items: Vec<Value>) -> Box<dyn EjectBehavior> {
+    let stage = RecoverableStage::new("", &TransformRegistry::default(), None, None, 1)
+        .expect("the identity transform is in every registry");
+    Box::new(stage.preloaded(items))
+}
+
+/// A recoverable read-only filter, to be spawned by the caller: an (active,
+/// passive) stage running `registry`'s `transform`, pulling `upstream` — a
+/// recoverable stage's passive output — `batch` records at a time.
+pub fn recoverable_filter(
+    transform: &str,
+    registry: &TransformRegistry,
+    upstream: Uid,
+    batch: usize,
+) -> Result<Box<dyn EjectBehavior>> {
+    let stage = RecoverableStage::new(transform, registry, Some(upstream), None, batch)?;
+    Ok(Box::new(stage))
 }
 
 // ---------------------------------------------------------------------------
@@ -1013,7 +1055,26 @@ mod tests {
             ("odd", || {
                 Box::new(filter_fn("odd", |v| v.as_int().unwrap_or(0) % 2 == 1))
             }),
+            ("sum", || Box::new(RunningSum(0))),
         ])
+    }
+
+    /// Emits the sum of its input so far: what it emits next depends on
+    /// everything it has seen, and it says so through `state`.
+    struct RunningSum(i64);
+
+    impl Transform for RunningSum {
+        fn push(&mut self, item: Value, out: &mut transform::Emitter) {
+            self.0 += item.as_int().unwrap_or(0);
+            out.emit(Value::Int(self.0));
+        }
+        fn state(&self) -> Option<Value> {
+            Some(Value::Int(self.0))
+        }
+        fn restore(&mut self, state: &Value) -> Result<()> {
+            self.0 = state.as_int()?;
+            Ok(())
+        }
     }
 
     fn ints(range: std::ops::Range<i64>) -> Vec<Value> {
@@ -1047,6 +1108,14 @@ mod tests {
     }
 
     #[test]
+    fn a_transform_the_registry_lacks_fails_at_build_not_mid_stream() {
+        let build = |name| recoverable_filter(name, &registry(), Uid::fresh(), 2);
+        assert!(build("double").is_ok());
+        let err = build("bogus").expect_err("no such transform");
+        assert!(matches!(err, EdenError::Application(_)), "{err}");
+    }
+
+    #[test]
     fn passive_input_face_dedupes_rejects_gaps_and_closes() {
         for active_out in [false, true] {
             let case = format!("output active: {active_out}");
@@ -1058,9 +1127,17 @@ mod tests {
                 pushed.chain(s.buf.iter().cloned()).collect()
             };
 
-            let gap = s.accept(&host, write(2, 2..4, false)).unwrap_err();
-            assert!(matches!(gap, EdenError::BadParameter(_)), "{case}: {gap}");
-            assert_eq!((s.consumed, host.checkpoints()), (0, 0), "{case}");
+            // A write that leaves a gap, and one that does not say where it
+            // stands (a retry of it could not be told from a fresh write).
+            let unsequenced = WriteRequest {
+                seq: None,
+                ..write(0, 0..3, false)
+            };
+            for refused in [write(2, 2..4, false), unsequenced] {
+                let err = s.accept(&host, refused).unwrap_err();
+                assert!(matches!(err, EdenError::BadParameter(_)), "{case}: {err}");
+                assert_eq!((s.consumed, host.checkpoints()), (0, 0), "{case}");
+            }
 
             s.accept(&host, write(0, 0..3, false)).unwrap();
             assert_eq!(s.consumed, 3, "{case}");
@@ -1135,12 +1212,14 @@ mod tests {
             assert_eq!(reactivated(&host).base, 2, "{case}: the trim is durable");
             assert_eq!(read(&mut s, 2).unwrap().1, second_bytes, "{case}");
 
+            // A position below what is retained, and no position at all
+            // (it would acknowledge nothing and read this batch forever).
             let below = read(&mut s, 1).unwrap_err();
-            assert!(
-                matches!(below, EdenError::BadParameter(_)),
-                "{case}: {below}"
-            );
-            assert_eq!(s.base, 2, "{case}");
+            let bare = s.serve(&host, TransferRequest::primary(3)).unwrap_err();
+            for err in [below, bare] {
+                assert!(matches!(err, EdenError::BadParameter(_)), "{case}: {err}");
+                assert_eq!(s.base, 2, "{case}");
+            }
 
             let (third, _) = read(&mut s, 5).unwrap();
             assert_eq!((third.items, third.end), (doubled(5..8), true), "{case}");
@@ -1190,7 +1269,10 @@ mod tests {
                 upstream: ints(0..7),
                 ..Fake::default()
             };
-            let mut s = stage(active_in, active_out);
+            // A stateful transform: its state is part of what round-trips.
+            let peer = |active: bool| active.then(Uid::fresh);
+            let (up, down) = (peer(active_in), peer(active_out));
+            let mut s = RecoverableStage::new("sum", &registry(), up, down, 3).unwrap();
             // Put the stage mid-stream by whichever face drives it.
             match (active_in, active_out) {
                 (false, _) => drop(s.accept(&host, write(0, 0..4, false)).unwrap()),
@@ -1198,7 +1280,7 @@ mod tests {
                 (true, true) => assert!(s.work(&host).unwrap(), "{case}"),
             }
             assert!(s.consumed > 0 && !s.dirty, "{case}");
-            let back = reactivated(&host);
+            let mut back = reactivated(&host);
             assert_eq!(back.state(), s.state(), "{case}");
             assert_eq!(
                 (back.upstream, back.downstream),
@@ -1206,6 +1288,11 @@ mod tests {
                 "{case}"
             );
             assert!(back.recovered && !back.dirty, "{case}");
+            // The rebuilt transform carries on from the input consumed so
+            // far, not from zero.
+            let seen: i64 = (0..s.consumed as i64).sum();
+            back.absorb(vec![Value::Int(100)], false);
+            assert_eq!(back.buf.back(), Some(&Value::Int(seen + 100)), "{case}");
         }
     }
 }

@@ -83,7 +83,7 @@ use crate::ports::{deliver, FanInMode, InputPort, InputPuller, OutputPort, Outpu
 use crate::protocol::{Batch, GetChannelRequest, TransferRequest, WriteRequest, OUTPUT_NAME};
 use crate::source::PullSource;
 use crate::stdio::Shared;
-use crate::transform::{Emitter, Transform};
+use crate::transform::{self, Emitter, Transform};
 
 /// Starts the worker of a stage that pumps a local supply.
 const START: &str = "Start";
@@ -257,19 +257,7 @@ impl InFace {
     /// Run `items` through the transform, flushing it if they end the input.
     fn absorb(&mut self, items: Vec<Value>, end: bool) -> Chunk {
         let end = end && !self.flushed;
-        let out = match &mut self.transform {
-            None => Emitter::of(items),
-            Some(transform) => {
-                let mut out = Emitter::new();
-                for item in items {
-                    transform.push(item, &mut out);
-                }
-                if end {
-                    transform.flush(&mut out);
-                }
-                out
-            }
-        };
+        let out = transform::step(&mut self.transform, items, end);
         self.flushed |= end;
         Chunk { out, end }
     }

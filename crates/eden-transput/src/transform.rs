@@ -96,7 +96,7 @@ pub trait Transform: Send + 'static {
     /// `None` means the transform carries no state worth saving (pure
     /// per-record filters). Stateful transforms (counters, sorters,
     /// paginators) should override this *and* [`restore`](Self::restore);
-    /// otherwise a durable filter recovers them freshly reset.
+    /// otherwise a recoverable stage brings them back freshly reset.
     fn state(&self) -> Option<Value> {
         None
     }
@@ -106,6 +106,23 @@ pub trait Transform: Send + 'static {
         let _ = state;
         Ok(())
     }
+}
+
+/// One step of a stage's input through whatever it has mounted: push every
+/// record, in order, and flush if `end` says these were the last. With no
+/// transform the step is a copy, and touches no record.
+pub fn step(transform: &mut Option<Box<dyn Transform>>, items: Vec<Value>, end: bool) -> Emitter {
+    let Some(transform) = transform else {
+        return Emitter::of(items);
+    };
+    let mut out = Emitter::new();
+    for item in items {
+        transform.push(item, &mut out);
+    }
+    if end {
+        transform.flush(&mut out);
+    }
+    out
 }
 
 /// The identity transform: a one-stage pipe.

@@ -5,19 +5,22 @@
 //! — and "if a passive eject is sent an invocation, the Eden kernel will
 //! activate it."
 //!
-//! A durable read cursor feeds a durable line-numbering filter. We
+//! A recoverable read cursor feeds a recoverable line-numbering filter. We
 //! fail-stop both Ejects after *every* transfer; the stream completes
 //! anyway, with no loss, no duplicates, and unbroken numbering — each
-//! crash is healed by reactivation-on-invocation from the auto-checkpoint.
+//! crash is healed by reactivation-on-invocation from the checkpoint the
+//! stage wrote before it acknowledged, and the reader's position says
+//! where to carry on.
 //!
 //! Run with: `cargo run --example durable_pipeline`
 
 use eden::core::op::ops;
 use eden::core::Value;
-use eden::filters::{DurableFilterEject, FilterSpec};
+use eden::filters::LineNumber;
 use eden::fs::{register_fs_types, FileEject};
 use eden::kernel::{Kernel, KernelConfig};
 use eden::transput::protocol::{Batch, TransferRequest};
+use eden::transput::recovery::{install_recovery, recoverable_filter, TransformRegistry};
 
 fn main() {
     let kernel = Kernel::with_config(KernelConfig {
@@ -25,7 +28,8 @@ fn main() {
         ..Default::default()
     });
     register_fs_types(&kernel);
-    DurableFilterEject::register(&kernel);
+    let registry = TransformRegistry::new(&[("line-number", || Box::new(LineNumber::new()))]);
+    install_recovery(&kernel, &registry);
 
     let file = kernel
         .spawn(Box::new(FileEject::from_lines(
@@ -38,24 +42,24 @@ fn main() {
         .as_uid()
         .expect("capability");
     let filter = kernel
-        .spawn(Box::new(
-            DurableFilterEject::new(FilterSpec::new("line-number"), cursor, 2)
-                .expect("durable filter"),
-        ))
+        .spawn(recoverable_filter("line-number", &registry, cursor, 2).expect("filter"))
         .expect("spawn filter");
 
     println!("== reading through crash after crash ==\n");
     let mut crashes = 0;
+    let mut read = 0;
     loop {
+        let req = TransferRequest::primary(2).at(read);
         let batch = Batch::from_value(
             kernel
-                .invoke(filter, ops::TRANSFER, TransferRequest::primary(2).to_value()).wait()
+                .invoke(filter, ops::TRANSFER, req.to_value()).wait()
                 .expect("transfer"),
         )
         .expect("batch");
         for line in &batch.items {
             println!("{}", line.as_str().unwrap_or("?"));
         }
+        read += batch.items.len() as u64;
         if batch.end {
             break;
         }

@@ -1,24 +1,43 @@
 //! Durable pipelines: §1's checkpoint contract applied to an entire
-//! in-flight stream — durable read cursor → durable filter — surviving
-//! Eject crashes and whole-kernel restart, including over an on-disk
-//! stable store.
+//! in-flight stream — recoverable read cursor → recoverable filter —
+//! surviving Eject crashes, between operations and inside them, and
+//! whole-kernel restart, including over an on-disk stable store.
+
+use std::time::Duration;
 
 use eden::core::op::ops;
 use eden::core::{Uid, Value};
-use eden::filters::{DurableFilterEject, FilterSpec};
+use eden::filters::LineNumber;
 use eden::fs::{register_fs_types, FileEject};
-use eden::kernel::{Kernel, KernelConfig, StableStore};
+use eden::kernel::{
+    FaultKind, FaultPlan, FaultRule, InvokeOptions, Kernel, KernelConfig, RetryPolicy, StableStore,
+};
 use eden::transput::protocol::{Batch, TransferRequest};
+use eden::transput::recovery::{install_recovery, recoverable_filter, TransformRegistry};
+
+fn registry() -> TransformRegistry {
+    TransformRegistry::new(&[("line-number", || Box::new(LineNumber::new()))])
+}
 
 fn register_all(kernel: &Kernel) {
     register_fs_types(kernel);
-    DurableFilterEject::register(kernel);
+    install_recovery(kernel, &registry());
 }
 
-fn transfer(kernel: &Kernel, target: Uid, max: usize) -> Batch {
+/// Read up to `max` records at stream position `pos`: the position is what
+/// makes a read repeatable, so it may be retried through a fault.
+fn transfer(kernel: &Kernel, target: Uid, max: usize, pos: usize) -> Batch {
+    let req = TransferRequest::primary(max).at(pos as u64);
+    let retry = RetryPolicy::retries(8).base_delay(Duration::from_millis(1));
     Batch::from_value(
         kernel
-            .invoke(target, ops::TRANSFER, TransferRequest::primary(max).to_value()).wait()
+            .invoke_with(
+                target,
+                ops::TRANSFER,
+                req.to_value(),
+                InvokeOptions::new().retry(retry),
+            )
+            .wait()
             .expect("transfer"),
     )
     .expect("batch")
@@ -36,9 +55,7 @@ fn durable_chain(kernel: &Kernel, lines: i64) -> (Uid, Uid) {
         .as_uid()
         .expect("cursor uid");
     let filter = kernel
-        .spawn(Box::new(
-            DurableFilterEject::new(FilterSpec::new("line-number"), cursor, 2).expect("filter"),
-        ))
+        .spawn(recoverable_filter("line-number", &registry(), cursor, 2).expect("filter"))
         .expect("spawn filter");
     (cursor, filter)
 }
@@ -48,25 +65,31 @@ fn durable_cursor_survives_crash() {
     let kernel = Kernel::new();
     register_all(&kernel);
     let (cursor, _filter) = durable_chain(&kernel, 6);
-    let first = transfer(&kernel, cursor, 2);
+    let first = transfer(&kernel, cursor, 2, 0);
     assert_eq!(first.items.len(), 2);
     kernel.crash(cursor).expect("crash cursor");
-    // Reactivates with its position intact: record 2 comes next.
-    let next = transfer(&kernel, cursor, 1);
+    // Reactivates with its stream intact: record 2 comes next.
+    let next = transfer(&kernel, cursor, 1, 2);
     assert_eq!(next.items[0].as_str().unwrap(), "record 2");
     kernel.shutdown();
 }
 
 #[test]
 fn crashing_every_eject_between_every_operation_loses_nothing() {
-    // The harshest schedule auto-checkpointing promises to survive:
-    // fail-stop both stages after every single Transfer.
+    // The harshest schedule checkpoint-before-acknowledge promises to
+    // survive: fail-stop both stages after every single Transfer, and —
+    // every third Transfer, the reader's or the filter's own pull — crash
+    // its target as it is sent, so the cursor also dies inside the filter's
+    // operation.
     let kernel = Kernel::new();
     register_all(&kernel);
     let (cursor, filter) = durable_chain(&kernel, 9);
+    kernel.install_faults(
+        FaultPlan::new(0xd07a).rule(FaultRule::new(FaultKind::CrashTarget).on_op("Transfer").every(3)),
+    );
     let mut out = Vec::new();
     loop {
-        let batch = transfer(&kernel, filter, 2);
+        let batch = transfer(&kernel, filter, 2, out.len());
         out.extend(batch.items);
         if batch.end {
             break;
@@ -82,6 +105,8 @@ fn crashing_every_eject_between_every_operation_loses_nothing() {
             "row {i} corrupted: {text}"
         );
     }
+    let injected = kernel.metrics().snapshot().faults_injected;
+    assert!(injected >= 3, "the plan crashed only {injected} Transfers");
     kernel.shutdown();
 }
 
@@ -94,7 +119,7 @@ fn mid_stream_pipeline_survives_whole_system_restart() {
         register_all(&kernel);
         let (_cursor, f) = durable_chain(&kernel, 6);
         filter = f;
-        let first = transfer(&kernel, filter, 3);
+        let first = transfer(&kernel, filter, 3, 0);
         assert_eq!(first.items.len(), 3);
         kernel.shutdown();
     }
@@ -103,7 +128,7 @@ fn mid_stream_pipeline_survives_whole_system_restart() {
     register_all(&kernel);
     let mut rest = Vec::new();
     loop {
-        let batch = transfer(&kernel, filter, 2);
+        let batch = transfer(&kernel, filter, 2, 3 + rest.len());
         rest.extend(batch.items);
         if batch.end {
             break;
@@ -130,7 +155,7 @@ fn durable_pipeline_over_disk_backed_store() {
         register_all(&kernel);
         let (_cursor, f) = durable_chain(&kernel, 4);
         filter = f;
-        let first = transfer(&kernel, filter, 2);
+        let first = transfer(&kernel, filter, 2, 0);
         assert_eq!(first.items.len(), 2);
         kernel.shutdown();
     }
@@ -139,7 +164,7 @@ fn durable_pipeline_over_disk_backed_store() {
         let store = StableStore::persistent(&dir).expect("reopen store");
         let kernel = Kernel::with_stable_store(KernelConfig::default(), store);
         register_all(&kernel);
-        let batch = transfer(&kernel, filter, 10);
+        let batch = transfer(&kernel, filter, 10, 2);
         assert_eq!(batch.items.len(), 2);
         assert!(batch.end);
         assert!(batch.items[0].as_str().unwrap().contains("record 2"));
@@ -184,7 +209,7 @@ mod crash_schedules {
             let mut out = Vec::new();
             let mut step = 0;
             loop {
-                let b = transfer(&kernel, filter, batch);
+                let b = transfer(&kernel, filter, batch, out.len());
                 out.extend(b.items);
                 if b.end {
                     break;
@@ -230,8 +255,8 @@ fn plain_reader_dies_where_durable_survives() {
         .expect("open durable")
         .as_uid()
         .expect("uid");
-    transfer(&kernel, plain, 1);
-    transfer(&kernel, durable, 1);
+    transfer(&kernel, plain, 1, 0);
+    transfer(&kernel, durable, 1, 0);
     kernel.crash(plain).expect("crash plain");
     kernel.crash(durable).expect("crash durable");
     assert!(
@@ -240,7 +265,7 @@ fn plain_reader_dies_where_durable_survives() {
             .is_err(),
         "the plain reader disappears"
     );
-    let recovered = transfer(&kernel, durable, 1);
+    let recovered = transfer(&kernel, durable, 1, 1);
     assert_eq!(recovered.items[0].as_str().unwrap(), "b");
     kernel.shutdown();
 }

@@ -12,13 +12,14 @@ use std::time::{Duration, Instant};
 
 use eden::core::op::ops;
 use eden::core::{EdenError, Uid, Value};
-use eden::filters::{DurableFilterEject, FilterSpec};
+use eden::filters::LineNumber;
 use eden::fs::{register_fs_types, FileEject};
 use eden::kernel::{
     EjectBehavior, EjectContext, Invocation, InvokeOptions, Kernel, KernelConfig, ReplyHandle,
     RouteCache,
 };
 use eden::transput::protocol::{Batch, TransferRequest};
+use eden::transput::recovery::{install_recovery, recoverable_filter, TransformRegistry};
 use eden::transput::{Discipline, PipelineSpec};
 
 /// Replies to `Echo` with its argument.
@@ -55,12 +56,16 @@ impl EjectBehavior for SlowEcho {
     }
 }
 
-fn register_all(kernel: &Kernel) {
-    register_fs_types(kernel);
-    DurableFilterEject::register(kernel);
+fn registry() -> TransformRegistry {
+    TransformRegistry::new(&[("line-number", || Box::new(LineNumber::new()))])
 }
 
-/// `FileEject` lines → durable cursor → durable line-number filter.
+fn register_all(kernel: &Kernel) {
+    register_fs_types(kernel);
+    install_recovery(kernel, &registry());
+}
+
+/// `FileEject` lines → recoverable cursor → recoverable line-number filter.
 fn durable_chain(kernel: &Kernel, lines: i64) -> Uid {
     let file = kernel
         .spawn(Box::new(FileEject::from_lines(
@@ -73,19 +78,23 @@ fn durable_chain(kernel: &Kernel, lines: i64) -> Uid {
         .as_uid()
         .expect("cursor uid");
     kernel
-        .spawn(Box::new(
-            DurableFilterEject::new(FilterSpec::new("line-number"), cursor, 2).expect("filter"),
-        ))
+        .spawn(recoverable_filter("line-number", &registry(), cursor, 2).expect("filter"))
         .expect("spawn filter")
 }
 
-fn transfer_cached(kernel: &Kernel, cache: &mut RouteCache, target: Uid, max: usize) -> Batch {
+fn transfer_cached(
+    kernel: &Kernel,
+    cache: &mut RouteCache,
+    target: Uid,
+    max: usize,
+    pos: usize,
+) -> Batch {
     Batch::from_value(
         kernel
             .invoke_with(
                 target,
                 ops::TRANSFER,
-                TransferRequest::primary(max).to_value(),
+                TransferRequest::primary(max).at(pos as u64).to_value(),
                 InvokeOptions::new().route_cache(cache),
             )
             .wait()
@@ -103,7 +112,7 @@ fn drain_with_crashes(kernel: &Kernel, filter: Uid, crash_every: usize) -> Vec<V
     let mut out = Vec::new();
     let mut batches = 0usize;
     loop {
-        let batch = transfer_cached(kernel, &mut cache, filter, 2);
+        let batch = transfer_cached(kernel, &mut cache, filter, 2, out.len());
         batches += 1;
         out.extend(batch.items);
         if batch.end {
@@ -128,7 +137,7 @@ fn stale_cached_route_survives_checkpoint_crash_reactivation() {
     };
     assert_eq!(reference.len(), 11);
 
-    // Crash the (auto-checkpointing) filter after every second batch. The
+    // Crash the (checkpointing) filter after every second batch. The
     // cache still holds the route to the dead incarnation each time;
     // delivery must bounce, re-resolve, reactivate from the checkpoint,
     // and the stream must be byte-identical. The surviving batches in

@@ -11,6 +11,7 @@
 use std::time::Duration;
 
 use eden::core::{EdenError, Value};
+use eden::filters::{LineNumber, SortLines};
 use eden::kernel::{
     EjectBehavior, EjectContext, FaultKind, FaultPlan, FaultRule, Invocation, InvokeOptions,
     Kernel, KernelConfig, ObsConfig, ReplyHandle, RetryPolicy,
@@ -18,7 +19,7 @@ use eden::kernel::{
 use eden::transput::recovery::{
     install_recovery, run_recoverable_pipeline, RecoveryDiscipline, TransformRegistry,
 };
-use eden::transput::transform::map_fn;
+use eden::transput::transform::{apply_chain_offline, map_fn, Transform};
 use proptest::prelude::*;
 
 /// A counter Eject that checkpoints after every bump, so it can be crashed
@@ -325,57 +326,48 @@ fn streams_recover_from_injected_crashes() {
     }
 }
 
-#[test]
-fn direct_crash_of_every_stage_recovers() {
-    // Crash each stage directly (no fault plan) mid-stream — including the
-    // active pumps that receive no stream invocations and are only brought
-    // back by the driver's nudge.
+/// Run `chain` over `items` once per stage and discipline, crashing that
+/// stage directly (no fault plan) once `after` invocations have been made
+/// — including the active pumps that receive no stream invocations and are
+/// only brought back by the driver's nudge.
+fn crash_each_stage_in_turn(
+    reg: &TransformRegistry,
+    chain: &'static [&'static str],
+    items: &[Value],
+    after: u64,
+    expected: &[Value],
+) {
+    let run = |kernel: &Kernel, discipline| {
+        let (kernel, reg, items) = (kernel.clone(), reg.clone(), items.to_vec());
+        let timeout = Duration::from_secs(60);
+        std::thread::spawn(move || {
+            run_recoverable_pipeline(&kernel, discipline, items, chain, &reg, 4, timeout)
+        })
+    };
     for discipline in DISCIPLINES {
         // First run fault-free to learn the stage list length.
         let probe = {
             let kernel = Kernel::new();
-            let reg = registry();
-            install_recovery(&kernel, &reg);
-            let run = run_recoverable_pipeline(
-                &kernel,
-                discipline,
-                (0..30).map(Value::Int).collect(),
-                &["double", "inc"],
-                &reg,
-                4,
-                Duration::from_secs(30),
-            )
-            .unwrap();
+            install_recovery(&kernel, reg);
+            let run = run(&kernel, discipline).join().unwrap().unwrap();
             kernel.shutdown();
             run.stages.len()
         };
         for stage_idx in 0..probe {
             let kernel = Kernel::new();
-            let reg = registry();
-            install_recovery(&kernel, &reg);
-            let items: Vec<Value> = (0..30).map(Value::Int).collect();
+            install_recovery(&kernel, reg);
             // Run the pipeline on a helper thread; crash the chosen stage
             // from here once it exists.
-            let k2 = kernel.clone();
-            let reg2 = reg.clone();
-            let runner = std::thread::spawn(move || {
-                run_recoverable_pipeline(
-                    &k2,
-                    discipline,
-                    items,
-                    &["double", "inc"],
-                    &reg2,
-                    4,
-                    Duration::from_secs(60),
-                )
-            });
+            let runner = run(&kernel, discipline);
             // Wait until the pipeline's stages exist (they all spawn before
-            // any data moves), then crash whatever stage holds `stage_idx`
-            // in UID order of creation. Polling instead of a fixed sleep
-            // keeps the crash aimed mid-stream on fast machines and still
-            // lands it on slow ones.
+            // any data moves) and the stream is `after` invocations in,
+            // then crash whatever stage holds `stage_idx` in UID order of
+            // creation. Polling instead of a fixed sleep keeps the crash
+            // aimed mid-stream on fast machines and still lands it on slow
+            // ones.
             let spawn_deadline = std::time::Instant::now() + Duration::from_secs(2);
-            while kernel.list_ejects().len() < probe
+            while (kernel.list_ejects().len() < probe
+                || kernel.metrics().snapshot().invocations < after)
                 && std::time::Instant::now() < spawn_deadline
             {
                 std::thread::yield_now();
@@ -386,14 +378,72 @@ fn direct_crash_of_every_stage_recovers() {
                 let _ = kernel.crash(info.uid);
             }
             let run = runner.join().unwrap().unwrap();
-            assert_eq!(
-                run.output,
-                (0..30).map(|i| Value::Int(i * 2 + 1)).collect::<Vec<_>>(),
-                "{discipline:?} stage {stage_idx}"
-            );
+            assert_eq!(run.output, expected, "{discipline:?} stage {stage_idx}");
             kernel.shutdown();
         }
     }
+}
+
+#[test]
+fn direct_crash_of_every_stage_recovers() {
+    let items: Vec<Value> = (0..30).map(Value::Int).collect();
+    crash_each_stage_in_turn(&registry(), &["double", "inc"], &items, 0, &expected(30));
+}
+
+/// Transforms whose next output depends on everything they have seen: the
+/// numbering a counter, the sort holding the whole stream until it ends.
+const STATEFUL: &[&str] = &["line-number", "sort"];
+
+fn stateful_registry() -> TransformRegistry {
+    TransformRegistry::new(&[
+        ("line-number", || Box::new(LineNumber::new())),
+        ("sort", || Box::new(SortLines::new())),
+    ])
+}
+
+/// 200 lines, and what [`STATEFUL`] makes of them run in-process, no kernel
+/// anywhere near.
+fn stateful_case() -> (Vec<Value>, Vec<Value>) {
+    let items: Vec<Value> = (0..200).map(|i| Value::str(format!("record {i}"))).collect();
+    let mut chain: Vec<Box<dyn Transform>> =
+        vec![Box::new(LineNumber::new()), Box::new(SortLines::new())];
+    let expected = apply_chain_offline(&mut chain, items.clone());
+    (items, expected)
+}
+
+#[test]
+fn stateful_chain_recovers_exactly_once_under_injected_crashes() {
+    // Heavy fire: three in ten stream operations crash their target or are
+    // lost, so each stage comes back from its checkpoint many times over.
+    // A transform rebuilt without its state renumbers from 1, or sorts
+    // only what it has seen since.
+    let (items, expected) = stateful_case();
+    for discipline in DISCIPLINES {
+        let kernel = Kernel::new();
+        let reg = stateful_registry();
+        install_recovery(&kernel, &reg);
+        let mut plan = FaultPlan::new(0x57a7e + discipline as u64);
+        for op in ["Transfer", "Write"] {
+            for kind in [FaultKind::CrashTarget, FaultKind::Drop] {
+                plan = plan.rule(FaultRule::new(kind).on_op(op).with_probability(0.15));
+            }
+        }
+        kernel.install_faults(plan);
+        let timeout = Duration::from_secs(60);
+        let run =
+            run_recoverable_pipeline(&kernel, discipline, items.clone(), STATEFUL, &reg, 5, timeout)
+                .unwrap();
+        assert_eq!(run.output, expected, "{discipline:?}");
+        let m = kernel.metrics().snapshot();
+        assert!(m.crashes > 0 && m.recovered_streams > 0, "{discipline:?}: {m:?}");
+        kernel.shutdown();
+    }
+}
+
+#[test]
+fn stateful_chain_recovers_from_a_direct_crash_of_every_stage() {
+    let (items, expected) = stateful_case();
+    crash_each_stage_in_turn(&stateful_registry(), STATEFUL, &items, 30, &expected);
 }
 
 #[test]

@@ -12,12 +12,12 @@ use std::time::{Duration, Instant};
 use eden::core::op::ops;
 use eden::core::{Uid, Value};
 use eden::filters;
-use eden::filters::DurableFilterEject;
 use eden::fs::{register_fs_types, FileEject};
 use eden::kernel::{
     EjectBehavior, EjectContext, Invocation, Kernel, ReplyHandle, SchedulerConfig,
 };
 use eden::transput::protocol::{Batch, TransferRequest};
+use eden::transput::recovery::{install_recovery, TransformRegistry};
 use eden::transput::transform::Transform;
 use eden::transput::{ChannelPolicy, Discipline, PipelineSpec};
 
@@ -26,10 +26,7 @@ use eden::transput::{ChannelPolicy, Discipline, PipelineSpec};
 /// or a wrong count rather than hiding behind spare threads.
 fn two_worker_kernel() -> Kernel {
     Kernel::builder()
-        .scheduler(SchedulerConfig {
-            workers: 2,
-            ..SchedulerConfig::default()
-        })
+        .scheduler(SchedulerConfig { workers: 2 })
         .build()
 }
 
@@ -146,10 +143,7 @@ fn forced_stealing_delivers_ten_thousand_ejects_exactly_once() {
     const EJECTS: usize = 10_000;
     const ROUNDS: i64 = 2;
     let kernel = Kernel::builder()
-        .scheduler(SchedulerConfig {
-            workers: 4,
-            ..SchedulerConfig::default()
-        })
+        .scheduler(SchedulerConfig { workers: 4 })
         .build();
     let targets: Vec<Uid> = (0..EJECTS)
         .map(|_| {
@@ -179,10 +173,11 @@ fn forced_stealing_delivers_ten_thousand_ejects_exactly_once() {
     kernel.shutdown();
 }
 
-fn transfer(kernel: &Kernel, target: Uid, max: usize) -> Batch {
+fn transfer(kernel: &Kernel, target: Uid, max: usize, pos: u64) -> Batch {
+    let req = TransferRequest::primary(max).at(pos);
     Batch::from_value(
         kernel
-            .invoke(target, ops::TRANSFER, TransferRequest::primary(max).to_value())
+            .invoke(target, ops::TRANSFER, req.to_value())
             .wait()
             .expect("transfer"),
     )
@@ -196,7 +191,7 @@ fn transfer(kernel: &Kernel, target: Uid, max: usize) -> Batch {
 fn crash_recovery_on_two_worker_pool_is_exactly_once() {
     let kernel = two_worker_kernel();
     register_fs_types(&kernel);
-    DurableFilterEject::register(&kernel);
+    install_recovery(&kernel, &TransformRegistry::default());
     let file = kernel
         .spawn(Box::new(FileEject::from_lines(
             (0..6).map(|i| format!("record {i}")),
@@ -208,10 +203,10 @@ fn crash_recovery_on_two_worker_pool_is_exactly_once() {
         .expect("open durable")
         .as_uid()
         .expect("cursor uid");
-    let first = transfer(&kernel, cursor, 2);
+    let first = transfer(&kernel, cursor, 2, 0);
     assert_eq!(first.items.len(), 2);
     kernel.crash(cursor).expect("crash cursor");
-    let next = transfer(&kernel, cursor, 1);
+    let next = transfer(&kernel, cursor, 1, 2);
     assert_eq!(next.items[0].as_str().unwrap(), "record 2");
     kernel.shutdown();
 }
@@ -227,10 +222,7 @@ fn crash_recovery_on_two_worker_pool_is_exactly_once() {
 fn idle_p99_bounded_under_hot_pipeline(workers: usize) {
     const IDLE: usize = 1_000;
     let kernel = Kernel::builder()
-        .scheduler(SchedulerConfig {
-            workers,
-            ..SchedulerConfig::default()
-        })
+        .scheduler(SchedulerConfig { workers })
         .build();
     let idle: Vec<Uid> = (0..IDLE)
         .map(|_| {
@@ -361,10 +353,7 @@ fn threads_and_scheduler_modes_produce_identical_output() {
 
 fn one_worker_kernel() -> Kernel {
     Kernel::builder()
-        .scheduler(SchedulerConfig {
-            workers: 1,
-            ..SchedulerConfig::default()
-        })
+        .scheduler(SchedulerConfig { workers: 1 })
         .build()
 }
 
