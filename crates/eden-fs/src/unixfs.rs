@@ -154,6 +154,11 @@ impl EjectBehavior for UnixFileReader {
         "UnixFile"
     }
 
+    // Every arm answers and at most asks to be deactivated.
+    fn replies_last(&self) -> bool {
+        true
+    }
+
     fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
         match inv.op.as_str() {
             ops::TRANSFER => {

@@ -10,9 +10,18 @@ use crate::invocation::{Invocation, ReplyHandle};
 ///
 /// An implementation defines the abstract machine of §2: "the inputs are the
 /// invocations it receives, and the outputs are the replies to those
-/// invocations". The kernel runs each behaviour on a dedicated coordinator
-/// thread and dispatches one envelope at a time, so `&mut self` methods need
-/// no internal locking.
+/// invocations". An idle Eject is its behaviour box parked on its mailbox and
+/// costs no thread; a delivery queues it, and a pool worker
+/// ([`SchedulerConfig::workers`](crate::SchedulerConfig)) resumes it and
+/// dispatches its mail one envelope at a time
+/// ([`ExecMode::Threads`](crate::ExecMode) gives each Eject a thread of its
+/// own instead, for differential tests). Successive envelopes may run on
+/// different threads (hence `Send`) but never two at once, so `&mut self`
+/// methods need no internal locking. A handler may block — wrap a wait the
+/// kernel cannot see in [`blocking`](crate::blocking) and the pool lends a
+/// spare thread for its duration — and a handler that sends an invocation and
+/// `wait()`s for the reply may find its callee run as a call on its own stack
+/// (see [`replies_last`](EjectBehavior::replies_last)).
 ///
 /// Three invocations are handled by the runtime itself and never reach
 /// [`handle`](EjectBehavior::handle): `Checkpoint` (serialises
@@ -38,6 +47,34 @@ pub trait EjectBehavior: Send + 'static {
     /// Handle one invocation. Reply inline via `reply.reply(..)`, or park
     /// the handle for a deferred reply (passive output).
     fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle);
+
+    /// Whether this behaviour's reply is its handlers' last act: once
+    /// [`handle`](EjectBehavior::handle) has answered the invocation it was
+    /// given, it waits for nothing more — no reply, no sleep, no lock another
+    /// handler may hold, no room in a full mailbox — before it returns.
+    /// Answering other, parked handles, bookkeeping and sends that are not
+    /// waited for are all fine, and so is not answering at all:
+    /// [`mark_deferred`](ReplyHandle::mark_deferred), park the handle, return.
+    ///
+    /// Asked once, before the Eject starts (and again on reactivation), and
+    /// it is the scheduler's whole test of a callee: when a handler on a pool
+    /// worker sends to a parked Eject that says `true` and `wait()`s, the
+    /// worker runs the callee then and there, nested on the caller's stack,
+    /// instead of handing it to another thread and sleeping — the first
+    /// invocation included. There the caller goes on when the callee's handler
+    /// *returns*, whenever it replied, which is why the promise is what it is.
+    /// An Eject that says `false`, the default, is never run that way; it
+    /// loses nothing but the shortcut.
+    ///
+    /// A behaviour that says `true` and waits after its reply all the same is
+    /// wrong. A debug build crashes that Eject at the wait (its caller already
+    /// has the reply). A release build does not check: the caller is held
+    /// until the handler returns, and a wait for a reply from an Eject
+    /// suspended beneath it on the same stack — its caller, say — fails at
+    /// once with `Timeout` rather than deadlocking.
+    fn replies_last(&self) -> bool {
+        false
+    }
 
     /// Handle an internal event posted by one of this Eject's worker
     /// processes (or by the coordinator to itself). Internal events model

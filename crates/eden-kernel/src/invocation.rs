@@ -422,18 +422,15 @@ impl PendingReply {
     ///
     /// A send immediately followed by this wait is a call, and on a pool
     /// worker it may be executed as one: if the responder is the task this
-    /// worker just woke, and its last handler ended with its reply, it is
-    /// resumed right here on the caller's stack (`sched::handoff`; counted
-    /// in [`SchedSnapshot::inline_handoffs`](crate::SchedSnapshot)) rather
-    /// than handed to a sibling thread while this one sleeps. Whatever that
+    /// worker just woke, and its behaviour declares
+    /// [`replies_last`](crate::EjectBehavior::replies_last), it is resumed
+    /// right here on the caller's stack (`sched::handoff`; counted in
+    /// [`SchedSnapshot::inline_handoffs`](crate::SchedSnapshot)) rather than
+    /// handed to a sibling thread while this one sleeps. Whatever that
     /// leaves unsettled — a deferred reply, a callee running elsewhere — is
     /// waited for as before. Only this budget-less wait elects the handoff:
     /// the waits that carry a caller-set deadline never lend their thread
-    /// to a callee that might overrun it. A callee that replies and then
-    /// keeps working is not resumed inline either, since this wait would
-    /// then return when its handler does rather than when it replied; it
-    /// is told apart by what its earlier handlers did, so one that starts
-    /// doing so holds up the one call on which it is found out.
+    /// to a callee that might overrun it.
     pub fn wait(self) -> Result<Value> {
         if let PendingReply::Waiting(rx) = &self {
             if !rx.is_terminal() {

@@ -649,9 +649,11 @@ impl Kernel {
     pub fn spawn_on(&self, node: NodeId, behavior: Box<dyn EjectBehavior>) -> Result<Uid> {
         let uid = Uid::fresh();
         self.inner.metrics.record_eject_created();
+        // User code, so asked before the shard lock is taken.
+        let replies_last = behavior.replies_last();
         let shard = self.inner.shard(uid);
         let mut slots = shard.slots.write();
-        self.start_coordinator(&mut slots, uid, node, behavior)?;
+        self.start_coordinator(&mut slots, uid, node, behavior, replies_last)?;
         Ok(uid)
     }
 
@@ -1301,9 +1303,10 @@ impl Kernel {
         // checkpoint buffer instead of being copied out of it.
         let state = wire::decode_shared(&record.bytes)?;
         let behavior = factory(Some(state))?;
+        let replies_last = behavior.replies_last();
         let node = slots.get(&uid).map(|slot| slot.node).unwrap_or_default();
         self.inner.metrics.record_reactivation();
-        self.start_coordinator(slots, uid, node, behavior)
+        self.start_coordinator(slots, uid, node, behavior, replies_last)
     }
 
     // Receives the shard guard's map from its caller (spawn or
@@ -1315,6 +1318,7 @@ impl Kernel {
         uid: Uid,
         node: NodeId,
         behavior: Box<dyn EjectBehavior>,
+        replies_last: bool,
     ) -> Result<()> {
         if self.inner.shutting_down.load(Ordering::Acquire) {
             return Err(EdenError::KernelShutdown);
@@ -1349,7 +1353,12 @@ impl Kernel {
         let ambient = eden_core::span::current();
         let exec = match &self.inner.sched {
             Some(sched) => ExecHandle::Task(sched.spawn_task(
-                core, ctx, weak, incarnation, behavior, ambient,
+                core,
+                ctx,
+                incarnation,
+                behavior,
+                replies_last,
+                ambient,
             )),
             None => {
                 let rx = receiver(core);

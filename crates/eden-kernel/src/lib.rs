@@ -8,8 +8,8 @@
 //!
 //! * [`Kernel`] — registry, routing, activation-on-invocation, simulated
 //!   nodes, fault injection, shutdown;
-//! * [`EjectBehavior`] — the "type code" of an Eject, run on a dedicated
-//!   coordinator thread;
+//! * [`EjectBehavior`] — the "type code" of an Eject, parked on its mailbox
+//!   and resumed by a pool worker when mail arrives;
 //! * [`EjectContext`] / [`ProcessContext`] — invocation sending, worker
 //!   processes, internal (language-level) messaging, checkpointing;
 //! * [`ReplyHandle`] / [`PendingReply`] — first-class replies. Parking a

@@ -75,7 +75,7 @@ pub(crate) fn run_coordinator(
                 // dispatch, so invocations sent while handling this one
                 // become its children in the trace tree.
                 let _span = reply.begin_service();
-                dispatch(behavior.as_mut(), &ctx, &kernel, inv, reply);
+                dispatch(behavior.as_mut(), &ctx, inv, reply);
             }
             Ok(Envelope::Internal(event)) => behavior.internal(&ctx, event),
             Ok(Envelope::Crash) => break ExitCause::Crashed,
@@ -107,7 +107,6 @@ pub(crate) fn run_coordinator(
 pub(crate) fn dispatch(
     behavior: &mut dyn EjectBehavior,
     ctx: &EjectContext,
-    kernel: &WeakKernel,
     inv: Invocation,
     reply: ReplyHandle,
 ) {
@@ -130,11 +129,6 @@ pub(crate) fn dispatch(
         ops::DESCRIBE => {
             reply.reply(Ok(Value::str(behavior.type_name())));
         }
-        _ => {
-            // Keep `kernel` threaded through for symmetry with the
-            // intercepted operations; behaviours reach the kernel via ctx.
-            let _ = kernel;
-            behavior.handle(ctx, inv, reply);
-        }
+        _ => behavior.handle(ctx, inv, reply),
     }
 }

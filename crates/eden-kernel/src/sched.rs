@@ -78,19 +78,18 @@
 //! A call returns when the callee's handler *returns*; a wait returns when
 //! it *replies*. The two differ for a handler that replies and then keeps
 //! working, and on one stack the difference cannot be undone once the
-//! callee runs: its caller is in the frame beneath. So only a callee whose
-//! last handler ended with its reply is resumed inline, one seen waiting
-//! for anything after a reply never is, and a fresh task's first
-//! invocation is always served the old way (see [`Habit`]). What remains is
-//! a callee that changes its habit: that one call returns to its caller at
-//! handler-return, and if the callee waits for a reply from a task further
-//! down its own stack the wait fails at once instead of sleeping out a
-//! deadlock ([`strands_responder`]).
+//! callee runs: its caller is in the frame beneath. Which kind a behaviour
+//! is does not change from one invocation to the next, so it says: a task
+//! whose behaviour declares [`replies_last`](EjectBehavior::replies_last) is
+//! resumed inline from its first invocation on, and no other ever is. One
+//! that declares it and then waits after its reply is wrong: a debug build
+//! crashes it there ([`note_wait`]), a release build fails the wait at once
+//! if it is for a task further down its own stack ([`strands_responder`]).
 //!
-//! The scheduler is deliberately kernel-agnostic: tasks hold a
-//! [`WeakKernel`] and workers hold only the scheduler, so a dropped
-//! kernel tears down through the normal shutdown path with no reference
-//! cycles.
+//! The scheduler is deliberately kernel-agnostic: tasks reach the kernel
+//! through the weak handle in their context and workers hold only the
+//! scheduler, so a dropped kernel tears down through the normal shutdown
+//! path with no reference cycles.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -107,7 +106,6 @@ use parking_lot::{Condvar, Mutex};
 use crate::behavior::EjectBehavior;
 use crate::context::EjectContext;
 use crate::deque::{WorkDeque, DEQUE_CAP};
-use crate::kernel::WeakKernel;
 use crate::mailbox::spec::{self, Op};
 use crate::mailbox::{park, MailboxCore};
 use crate::runtime::{dispatch, Envelope};
@@ -170,14 +168,6 @@ const LIFO_STALE: Duration = Duration::from_millis(1);
 /// still completes — on more threads — and the stack a chain can take
 /// from one worker is bounded.
 const HANDOFF_DEPTH_CAP: usize = 16;
-
-/// How long after its reply a handler may take to return and still count as
-/// having ended with it ([`Habit::EndsWithReply`]). Dropping its locals
-/// takes a few microseconds at most, an interrupt or a wake-up preemption
-/// landing in between tens, the shortest sleep or a piece of work worth
-/// overlapping with the caller more than this. It is also the most an
-/// inline callee that keeps its habit can add to its caller's wait.
-const PROMPT_RETURN: Duration = Duration::from_micros(100);
 
 /// Pads a hot field to its own cache-line pair (128 bytes covers x86's
 /// adjacent-line prefetcher and 128-byte Apple/POWER lines), so one
@@ -462,8 +452,11 @@ pub struct SchedSnapshot {
 pub(crate) struct Task {
     core: Arc<MailboxCore>,
     ctx: Arc<EjectContext>,
-    kernel: WeakKernel,
     incarnation: u64,
+    /// What the behaviour said of itself before it was boxed into `body`
+    /// ([`EjectBehavior::replies_last`]): the whole of [`handoff`]'s test of
+    /// a callee.
+    replies_last: bool,
     /// The behaviour and resume bookkeeping, exclusively owned by
     /// whichever worker is running the task. Locked only for the take at
     /// resume start and the put-back at park (`task-body` is a leaf).
@@ -484,31 +477,6 @@ struct TaskBody {
     /// The ambient span at spawn time, re-entered for every resume (a
     /// coordinator thread inherited it once at thread start).
     ambient: Option<SpanContext>,
-    habit: Habit,
-}
-
-/// What a task's handlers have shown about when they end relative to the
-/// reply they send — the one thing [`handoff`] must know before it runs a
-/// callee on its caller's stack, because there the caller cannot go on until
-/// the callee's handler *returns*, whenever it replied. A callee that ends
-/// with its reply makes the two the same moment; one that replies and keeps
-/// working (or calls its caller back) would hold its caller up, so it is
-/// never resumed inline. The future is not observable, so this goes by the
-/// past: every dispatch on a pool worker, inline or not, is watched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Habit {
-    /// Nothing to go by: a fresh task, or the last handler parked its
-    /// `ReplyHandle`, had it answered from another thread, or took longer
-    /// than [`PROMPT_RETURN`] to return after replying. Not resumed inline;
-    /// the next handler that ends with its reply earns it (back).
-    Unproven,
-    /// The last handler replied and returned at once. Resumed inline.
-    EndsWithReply,
-    /// Some handler waited for something — a reply, a sleep, mailbox
-    /// space — after it had replied. Never resumed inline again: unlike a
-    /// slow return, which a preempted thread can fake, this cannot be
-    /// noise, and it is what deadlocks when the wait is for the caller.
-    OutlivesReply,
 }
 
 impl Task {
@@ -522,13 +490,6 @@ impl Task {
 
     fn put_body(&self, body: TaskBody) {
         *self.body.lock() = Some(body);
-    }
-
-    /// Whether this task may be resumed inline (see [`Habit`]). Asked of a
-    /// task that sits in a run queue, so its body is in place.
-    fn ends_with_reply(&self) -> bool {
-        let body = self.body.lock();
-        body.as_ref().is_some_and(|body| body.habit == Habit::EndsWithReply)
     }
 
     fn mark_died(&self) {
@@ -585,17 +546,17 @@ thread_local! {
     static RESUMING: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
 }
 
-/// One resume on this thread's stack, and what the handler it is running
-/// has done about the reply it owes.
+/// One resume on this thread's stack. Only a handler that could have been
+/// run as a call has its reply watched, so `serving` stays 0 and `replied`
+/// false in the frame of a task that does not declare
+/// [`replies_last`](EjectBehavior::replies_last).
 struct Frame {
     uid: Uid,
     /// The reply cell of the invocation being dispatched
     /// ([`ReplyHandle::cell_id`](crate::ReplyHandle)); 0 between dispatches.
     serving: usize,
-    /// When the handler settled that cell, if it has.
-    replied_at: Option<Instant>,
-    /// The handler went on to wait for something after it had replied.
-    waited_since: bool,
+    /// The handler has settled that cell.
+    replied: bool,
 }
 
 /// Whether the calling thread is resuming `uid` right now, at any depth of
@@ -608,57 +569,41 @@ fn resuming_depth() -> usize {
     RESUMING.with(|frames| frames.borrow().len())
 }
 
-/// The innermost frame starts dispatching the invocation that `cell` answers.
-fn begin_service(cell: usize) {
+/// The innermost frame's handler starts dispatching the invocation that
+/// `cell` answers, or (0) has returned from it.
+fn set_serving(cell: usize) {
     RESUMING.with(|frames| {
         if let Some(frame) = frames.borrow_mut().last_mut() {
             frame.serving = cell;
-            frame.replied_at = None;
-            frame.waited_since = false;
+            frame.replied = false;
         }
     });
 }
 
 /// Reply cell `cell` was just settled on this thread (by a reply or by its
 /// handle being dropped). If it answers the invocation the innermost frame
-/// is dispatching, that handler has replied: whatever it does from here on
-/// it does after its caller may go on. `try_with`: handles are dropped
-/// from thread-exit destructors too.
+/// is dispatching, that handler has replied: its caller may go on, and on
+/// this stack cannot until the handler returns. `try_with`: handles are
+/// dropped from thread-exit destructors too.
 pub(crate) fn note_settled(cell: usize) {
     let _ = RESUMING.try_with(|frames| {
         if let Some(frame) = frames.borrow_mut().last_mut() {
-            if frame.serving == cell && frame.replied_at.is_none() {
-                frame.replied_at = Some(Instant::now());
-            }
+            frame.replied |= frame.serving == cell;
         }
     });
 }
 
-/// The calling thread is about to wait for something. Noted against the
-/// innermost frame if its handler has already replied.
+/// The calling thread is about to wait for something. A handler that
+/// declared its reply its last act and has replied is breaking its word: in
+/// a debug build it crashes here, alone — its caller has its reply. (Not
+/// while it is already unwinding: a destructor's wait must not turn one
+/// Eject's crash into the process's abort.)
 fn note_wait() {
-    RESUMING.with(|frames| {
-        if let Some(frame) = frames.borrow_mut().last_mut() {
-            frame.waited_since |= frame.replied_at.is_some();
-        }
-    });
-}
-
-/// The dispatch [`begin_service`] opened is over: what did the handler show?
-fn end_service() -> Habit {
-    RESUMING.with(|frames| {
-        let mut frames = frames.borrow_mut();
-        let Some(frame) = frames.last_mut() else {
-            return Habit::Unproven;
-        };
-        frame.serving = 0;
-        match frame.replied_at.take() {
-            Some(_) if frame.waited_since => Habit::OutlivesReply,
-            Some(at) if at.elapsed() <= PROMPT_RETURN => Habit::EndsWithReply,
-            // Deferred its reply, or took its time after it.
-            _ => Habit::Unproven,
-        }
-    })
+    debug_assert!(
+        std::thread::panicking()
+            || !RESUMING.with(|frames| frames.borrow().last().is_some_and(|frame| frame.replied)),
+        "a behaviour that declares replies_last waited after its reply"
+    );
 }
 
 /// Whether a wait for a reply from `responder` cannot succeed because the
@@ -666,15 +611,15 @@ fn end_service() -> Habit {
 /// thread's stack and a handler above it has already replied, so its caller
 /// could go on — and `responder` could come to serve this invocation — if
 /// only this thread's stack unwound, which is what the wait prevents. Only a
-/// callee whose habit changed under it gets here (see [`Habit`]); it is told
-/// at once what a sleep could only tell it later.
+/// behaviour that declares `replies_last` falsely gets here; a release build
+/// tells it at once what a sleep could only tell it later.
 pub(crate) fn strands_responder(responder: Uid) -> bool {
     let stranded = RESUMING.with(|frames| {
         let frames = frames.borrow();
         frames
             .iter()
             .position(|frame| frame.uid == responder)
-            .is_some_and(|at| frames[at + 1..].iter().any(|frame| frame.replied_at.is_some()))
+            .is_some_and(|at| frames[at + 1..].iter().any(|frame| frame.replied))
     });
     if stranded {
         // The wait that is about to be called off was still a wait.
@@ -772,9 +717,9 @@ pub fn blocking<R>(f: impl FnOnce() -> R) -> R {
 /// section, fewer than [`HANDOFF_DEPTH_CAP`] resumes are stacked on this
 /// thread, the worker's own LIFO slot holds the responder's task — the
 /// slot is where [`Scheduler::enqueue`] put it when this handler's send
-/// flipped it `PARKED -> QUEUED` — and that task's last handler ended with
-/// its reply ([`Habit::EndsWithReply`]), so that running it as a call
-/// returns when waiting for it would. A responder that is running, queued
+/// flipped it `PARKED -> QUEUED` — and that task's behaviour declares
+/// [`replies_last`](EjectBehavior::replies_last), so that running it as a
+/// call returns when waiting for it would. A responder that is running, queued
 /// elsewhere, displaced to the deque by a later wake, or stolen is not in
 /// the slot, and a task on this thread's frame stack is `RUNNING` and so
 /// never is: re-entrant chains cannot nest a task inside itself. Whatever
@@ -795,9 +740,9 @@ pub(crate) fn handoff(responder: Uid, settled: &dyn Fn() -> bool) {
         let me = worker.slot?;
         let slot = &worker.sched.slots[me];
         let task = slot.lifo.take()?;
-        if task.uid() != responder || !task.ends_with_reply() {
-            // Somebody else's wake, or a callee that has not shown it ends
-            // with its reply: back where the dispatch loop expects it.
+        if task.uid() != responder || !task.replies_last {
+            // Somebody else's wake, or a callee that does not say its reply
+            // is its last act: back where the dispatch loop expects it.
             if let Some(displaced) = slot.lifo.put(task) {
                 worker.sched.push_local_deque(me, displaced);
             }
@@ -957,26 +902,26 @@ impl Scheduler {
 
     /// Create the task for a freshly spawned (or reactivated) Eject and
     /// queue its first resume, which runs `activate`. Called with the
-    /// registry shard lock held — the push is lock-ordered under it.
+    /// registry shard lock held — the push is lock-ordered under it, and
+    /// `replies_last` was asked of the behaviour before the lock was taken.
     pub(crate) fn spawn_task(
         self: &Arc<Scheduler>,
         core: Arc<MailboxCore>,
         ctx: Arc<EjectContext>,
-        kernel: WeakKernel,
         incarnation: u64,
         behavior: Box<dyn EjectBehavior>,
+        replies_last: bool,
         ambient: Option<SpanContext>,
     ) -> Arc<Task> {
         let task = Arc::new(Task {
             core: Arc::clone(&core),
             ctx,
-            kernel,
             incarnation,
+            replies_last,
             body: Mutex::new(Some(TaskBody {
                 behavior,
                 activated: false,
                 ambient,
-                habit: Habit::Unproven,
             })),
             rq_enq_ns: AtomicU64::new(0),
             died: Mutex::new(false),
@@ -1370,8 +1315,7 @@ impl Scheduler {
             frames.borrow_mut().push(Frame {
                 uid: task.uid(),
                 serving: 0,
-                replied_at: None,
-                waited_since: false,
+                replied: false,
             })
         });
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1432,11 +1376,12 @@ impl Scheduler {
                 Some(Envelope::Invocation(inv, mut reply)) => {
                     budget -= 1;
                     let _guard = reply.begin_service_at(Some((rq_enq, pickup)));
-                    begin_service(reply.cell_id());
-                    dispatch(body.behavior.as_mut(), &task.ctx, &task.kernel, inv, reply);
-                    let shown = end_service();
-                    if body.habit != Habit::OutlivesReply {
-                        body.habit = shown;
+                    if task.replies_last {
+                        set_serving(reply.cell_id());
+                    }
+                    dispatch(body.behavior.as_mut(), &task.ctx, inv, reply);
+                    if task.replies_last {
+                        set_serving(0);
                     }
                 }
                 Some(Envelope::Internal(event)) => {
@@ -1510,7 +1455,7 @@ impl Scheduler {
         );
         drop(task.core.close());
         task.ctx.join_workers();
-        if let Some(kernel) = task.kernel.upgrade() {
+        if let Some(kernel) = task.ctx.kernel.upgrade() {
             kernel.on_eject_exit(task.uid(), task.incarnation, crashed);
         }
         task.mark_died();

@@ -17,6 +17,14 @@
 //! Plain `Mutex::lock` acquisitions are *not* findings: the lock-order
 //! plane already governs them (bounded critical sections under a proven
 //! acyclic order), so this pass only counts them for the report.
+//!
+//! One rule more, about *where* a wait may sit rather than how it is
+//! wrapped: a behaviour whose `replies_last` does not simply return `false`
+//! has promised that its reply is its handlers' last act (the scheduler runs
+//! it as a call on its caller's stack on the strength of that), so inside its
+//! `impl EjectBehavior` no wait may follow a `.reply(` lexically in the same
+//! `handle` or `internal` body. Debug builds catch the same lie when it
+//! runs; this catches it when it is written.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -37,6 +45,15 @@ const RENDEZVOUS: [(&str, &str); 9] = [
     ("thread::sleep", "sleep"),
     ("thread::park", "thread park"),
     (".sync(", "fsync"),
+];
+
+/// What a behaviour that declares `replies_last` may not do after `.reply(`.
+const WAITS: [&str; 5] = [
+    ".wait(",
+    ".wait_timeout(",
+    "blocking(",
+    "thread::sleep",
+    "thread::park",
 ];
 
 /// One rendezvous call site and how it is excused.
@@ -99,6 +116,12 @@ impl BlockingReport {
     }
 }
 
+/// Whether what starts at `at` does not continue an identifier:
+/// `nonblocking(` contains `blocking(`.
+fn starts_word(code: &[u8], at: usize) -> bool {
+    at == 0 || !(code[at - 1].is_ascii_alphanumeric() || code[at - 1] == b'_')
+}
+
 /// Byte ranges of `blocking(..)` regions in the joined code.
 fn blocking_regions(joined: &str) -> Vec<(usize, usize)> {
     let bytes = joined.as_bytes();
@@ -107,12 +130,8 @@ fn blocking_regions(joined: &str) -> Vec<(usize, usize)> {
     while let Some(rel) = joined[search..].find("blocking(") {
         let at = search + rel;
         search = at + "blocking(".len();
-        // Word boundary: `nonblocking(` contains `blocking(`.
-        if at > 0 {
-            let prev = bytes[at - 1];
-            if prev.is_ascii_alphanumeric() || prev == b'_' {
-                continue;
-            }
+        if !starts_word(bytes, at) {
+            continue;
         }
         let open = at + "blocking".len();
         if let Some(close) = scan::matching_paren(bytes, open) {
@@ -120,6 +139,65 @@ fn blocking_regions(joined: &str) -> Vec<(usize, usize)> {
         }
     }
     regions
+}
+
+/// The `{..}` body of the first `fn name` in `code[from..to]`, as offsets
+/// into `code`.
+fn fn_body(code: &str, from: usize, to: usize, name: &str) -> Option<(usize, usize)> {
+    let at = from + code[from..to].find(&format!("fn {name}("))?;
+    let open = at + code[at..to].find('{')?;
+    let close = scan::matching_brace(code.as_bytes(), open)?;
+    Some((open, close))
+}
+
+/// Waits that lexically follow a reply inside the handlers of a behaviour
+/// that declares `replies_last`: one finding a handler body, at its first
+/// such wait.
+pub fn waits_after_reply(scan: &FileScan) -> Vec<String> {
+    let joined = scan.joined_code();
+    let mut findings = Vec::new();
+    let mut search = 0usize;
+    while let Some(rel) = joined[search..].find("impl EjectBehavior for") {
+        let at = search + rel;
+        search = at + 1;
+        let Some(open) = joined[at..].find('{').map(|rel| at + rel) else {
+            continue;
+        };
+        let Some(close) = scan::matching_brace(joined.as_bytes(), open) else {
+            continue;
+        };
+        let declares = fn_body(&joined, open, close, "replies_last")
+            .is_some_and(|(from, to)| joined[from + 1..to].trim() != "false");
+        if !declares {
+            continue;
+        }
+        for handler in ["handle", "internal"] {
+            let Some((from, to)) = fn_body(&joined, open, close, handler) else {
+                continue;
+            };
+            let Some(replied) = joined[from..to].find(".reply(").map(|rel| from + rel) else {
+                continue;
+            };
+            let wait = WAITS
+                .iter()
+                .filter_map(|pat| {
+                    joined[replied..to]
+                        .match_indices(pat)
+                        .map(|(rel, _)| replied + rel)
+                        .find(|&at| pat.starts_with('.') || starts_word(joined.as_bytes(), at))
+                })
+                .min();
+            if let Some(wait) = wait {
+                findings.push(format!(
+                    "{}:{}: `{handler}` of a behaviour that declares replies_last waits after the reply on line {}",
+                    scan.path,
+                    scan.line_of(&joined, wait),
+                    scan.line_of(&joined, replied),
+                ));
+            }
+        }
+    }
+    findings
 }
 
 /// Extract every rendezvous site from one pre-scanned file.
@@ -179,6 +257,7 @@ pub fn audit(roots: &[PathBuf]) -> Result<BlockingReport> {
             .map_err(|e| EdenError::Application(format!("read {}: {e}", file.display())))?;
         let (sites, governed) = extract_sites(&scan);
         report.governed_locks += governed;
+        report.findings.extend(waits_after_reply(&scan));
         for site in sites {
             report.sites += 1;
             if site.wrapped {
@@ -263,6 +342,22 @@ mod tests {
         let (sites, governed) = extract_sites(&scan);
         assert!(sites.is_empty());
         assert_eq!(governed, 1);
+    }
+
+    #[test]
+    fn wait_after_reply_is_a_finding_only_for_a_declared_behaviour() {
+        let lingers = |declares: &str| {
+            format!(
+                "impl EjectBehavior for L {{\n    fn replies_last(&self) -> bool {{\n        {declares}\n    }}\n    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {{\n        reply.reply(Ok(Value::Unit));\n        let _ = ctx.invoke(self.next, inv.op, inv.arg).wait();\n    }}\n}}\n"
+            )
+        };
+        let findings = waits_after_reply(&scan_text("l.rs", &lingers("true")));
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].starts_with("l.rs:7:"), "{findings:?}");
+        assert!(waits_after_reply(&scan_text("l.rs", &lingers("false"))).is_empty());
+        // A wait before the reply is what a call is.
+        let relay = "impl EjectBehavior for R {\n    fn replies_last(&self) -> bool { true }\n    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {\n        let out = ctx.invoke(self.next, inv.op, inv.arg).wait();\n        reply.reply(out);\n        self.nonblocking(out);\n    }\n}\n";
+        assert!(waits_after_reply(&scan_text("r.rs", relay)).is_empty());
     }
 
     #[test]

@@ -7,15 +7,16 @@
 //!     Discipline conformance: the in-repo wiring catalog, or the given
 //!     fixture file / directory of `.graph` files.
 //! cargo run -p eden-lint -- --lock-order [--root DIR]... [--blessed FILE]
-//!     Lock-order audit over the given roots (default: eden-kernel and
-//!     eden-transput sources) against the blessed partial order.
+//!     Lock-order audit over the given roots (default: eden-kernel,
+//!     eden-transput and eden-fs sources) against the blessed partial order.
 //! cargo run -p eden-lint -- --atomics [--root DIR]... [--blessed FILE]
 //!     Atomics-ordering audit: every `Ordering::` site in the roots
 //!     (default: every crate's src/) must match `docs/ATOMICS.md`.
 //! cargo run -p eden-lint -- --blocking [--root DIR]...
 //!     Blocking-site audit: every rendezvous call in the roots (default:
-//!     eden-kernel and eden-transput sources) must be `blocking(..)`-
-//!     wrapped or `nonblocking(..)`-annotated.
+//!     eden-kernel, eden-transput and eden-fs sources) must be
+//!     `blocking(..)`-wrapped or `nonblocking(..)`-annotated, and no wait
+//!     may follow a reply in a behaviour that declares `replies_last`.
 //! cargo run -p eden-lint -- --protocol [--root PATH]...
 //!     Mailbox protocol conformance: parking-bit transitions in the
 //!     roots (default: mailbox.rs and sched.rs) round-trip against
@@ -113,14 +114,13 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// The default audit roots: eden-kernel and eden-transput sources.
+/// The default audit roots: the crates whose code runs on pool workers.
 fn runtime_roots(args: &Args) -> Vec<PathBuf> {
     if args.roots.is_empty() {
         let root = workspace_root();
-        vec![
-            root.join("crates").join("eden-kernel").join("src"),
-            root.join("crates").join("eden-transput").join("src"),
-        ]
+        ["eden-kernel", "eden-transput", "eden-fs"]
+            .map(|name| root.join("crates").join(name).join("src"))
+            .to_vec()
     } else {
         args.roots.clone()
     }

@@ -329,12 +329,21 @@ pub fn call_chain(code: &[u8], open: usize) -> Option<(String, String)> {
 
 /// The byte index of the `)` matching the `(` at `open`, if balanced.
 pub fn matching_paren(code: &[u8], open: usize) -> Option<usize> {
+    matching(code, open, b'(', b')')
+}
+
+/// The byte index of the `}` matching the `{` at `open`, if balanced.
+pub fn matching_brace(code: &[u8], open: usize) -> Option<usize> {
+    matching(code, open, b'{', b'}')
+}
+
+fn matching(code: &[u8], open: usize, opener: u8, closer: u8) -> Option<usize> {
     let mut depth = 0usize;
     for (i, &b) in code.iter().enumerate().skip(open) {
-        if b == b'(' {
+        if b == opener {
             depth += 1;
-        } else if b == b')' {
-            depth -= 1;
+        } else if b == closer {
+            depth = depth.checked_sub(1)?;
             if depth == 0 {
                 return Some(i);
             }

@@ -157,12 +157,22 @@ fn blocking_fixture_naked_calls_fail_and_wrapped_twin_passes() {
     let report = blocking::audit(&[dir.join("unwrapped")]).unwrap();
     assert_eq!(report.findings.len(), 2, "{}", report.render());
 
-    let status = bin()
-        .args(["--blocking", "--root"])
-        .arg(dir.join("unwrapped"))
-        .status()
-        .unwrap();
-    assert_eq!(status.code(), Some(1));
+    let report = blocking::audit(&[dir.join("lingers")]).unwrap();
+    assert_eq!(report.findings.len(), 2, "{}", report.render());
+    assert!(
+        report.findings.iter().all(|f| f.contains("declares replies_last waits after the reply")),
+        "{}",
+        report.render()
+    );
+
+    for bad in ["unwrapped", "lingers"] {
+        let status = bin()
+            .args(["--blocking", "--root"])
+            .arg(dir.join(bad))
+            .status()
+            .unwrap();
+        assert_eq!(status.code(), Some(1), "{bad}");
+    }
 
     let status = bin()
         .args(["--blocking", "--root"])

@@ -63,6 +63,11 @@ impl EjectBehavior for WindowEject {
         "ReportWindow"
     }
 
+    // The pumps wait, in processes of their own; the handler only answers.
+    fn replies_last(&self) -> bool {
+        true
+    }
+
     fn activate(&mut self, ctx: &EjectContext) {
         let total = self.subscriptions.len();
         if total == 0 {

@@ -874,6 +874,24 @@ impl EjectBehavior for Stage {
         self.name
     }
 
+    // Whatever the depth, a coordinator path (`accept`, `admit`, `serve`,
+    // `settle`) runs its active face first, then answers or parks the
+    // handle, and after that touches only its own buffer: a write admitted
+    // from `settle` goes into the buffer, never downstream. The one pair of
+    // faces that breaks this is a zipped input behind a passive output:
+    // answering a `Transfer` makes room, and admitting the parked write that
+    // takes it reads the secondary port.
+    fn replies_last(&self) -> bool {
+        let zipped = matches!(
+            self.input,
+            Some(InFace {
+                face: Input::Zipped(_),
+                ..
+            })
+        );
+        !(zipped && self.out_passive)
+    }
+
     fn activate(&mut self, ctx: &EjectContext) {
         if !self.awaits_start() {
             self.spawn_worker(ctx, None);
@@ -1790,6 +1808,49 @@ mod tests {
         kernel.invoke(src, "Start", Value::Unit).wait().unwrap();
         let items = collector.wait_done(Duration::from_secs(10)).unwrap();
         assert_eq!(items.len(), 20);
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn zipped_pipe_reads_its_secondary_after_answering_a_transfer() {
+        // The one pair of faces that may wait after a reply: answering a
+        // `Transfer` makes room in a capacity-1 pipe, and admitting the
+        // parked `Write` that takes it reads the secondary port. Such a
+        // stage must not declare `replies_last` (a debug build would crash
+        // it at that read), and must still deliver the zipped stream.
+        let kernel = Kernel::new();
+        let secondary = int_source(&kernel, 20);
+        let pipe = Stage::new(
+            Input::zipped(secondary),
+            Output::Passive,
+            StageConfig {
+                depth: 1,
+                ..Default::default()
+            },
+        );
+        assert!(!pipe.replies_last());
+        let pipe = kernel.spawn(Box::new(pipe)).unwrap();
+        let src = kernel
+            .spawn(Box::new(Stage::new(
+                Input::Local(Box::new(VecSource::new((0..20).map(Value::Int).collect()))),
+                Output::push(pipe),
+                StageConfig::batch(1),
+            )))
+            .unwrap();
+        let collector = Collector::new();
+        kernel
+            .spawn(Box::new(Stage::new(
+                Input::pull(pipe),
+                Output::Collector(collector.clone()),
+                StageConfig::batch(1),
+            )))
+            .unwrap();
+        kernel.invoke(src, "Start", Value::Unit).wait().unwrap();
+        let items = collector.wait_done(Duration::from_secs(10)).unwrap();
+        let pairs: Vec<_> = (0..20)
+            .map(|i| Value::list(vec![Value::Int(i), Value::Int(i)]))
+            .collect();
+        assert_eq!(items, pairs);
         kernel.shutdown();
     }
 

@@ -191,6 +191,12 @@ impl EjectBehavior for ProgramSourceEject {
         "ProgramSource"
     }
 
+    // A `Transfer` is parked and answered from the queue, here or on the
+    // program's next wake; the queue lock is never held across a wait.
+    fn replies_last(&self) -> bool {
+        true
+    }
+
     fn activate(&mut self, ctx: &EjectContext) {
         let shared = SharedQueue::new(self.capacity);
         self.shared = Some(Arc::clone(&shared));
@@ -345,6 +351,12 @@ impl ProgramSinkEject {
 impl EjectBehavior for ProgramSinkEject {
     fn type_name(&self) -> &'static str {
         "ProgramSink"
+    }
+
+    // A `Write` is parked and acknowledged when the queue has room, here or
+    // on the program's next wake; the queue lock is never held across a wait.
+    fn replies_last(&self) -> bool {
+        true
     }
 
     fn activate(&mut self, ctx: &EjectContext) {

@@ -18,6 +18,7 @@ use eden::kernel::{
 };
 use eden::transput::protocol::{Batch, TransferRequest};
 use eden::transput::recovery::{install_recovery, TransformRegistry};
+use eden::transput::source::FnSource;
 use eden::transput::transform::Transform;
 use eden::transput::{ChannelPolicy, Discipline, PipelineSpec};
 
@@ -346,8 +347,8 @@ fn threads_and_scheduler_modes_produce_identical_output() {
 
 // ---------------------------------------------------------------------
 // Caller-runs-callee handoff: a worker that sends and then `wait()`s
-// resumes the callee it just woke on its own stack — if the callee's last
-// handler ended with its reply, so that the call returns when the wait
+// resumes the callee it just woke on its own stack — if the callee's
+// behaviour declares `replies_last`, so that the call returns when the wait
 // would have. Everything it declines, or leaves unsettled, takes the
 // blocking wait it always took.
 
@@ -380,18 +381,6 @@ fn inline_handoffs(kernel: &Kernel) -> u64 {
     kernel.metrics_snapshot().sched.inline_handoffs
 }
 
-/// Have `uid` serve one invocation that ends with its reply, which is what
-/// earns a task inline resumes (a fresh one has shown nothing yet and its
-/// first invocation is always served on the blocking path). `Describe` is
-/// answered by the runtime on the Eject's behalf, from this thread, so it
-/// costs the pool no rendezvous and no spare.
-fn show_it_ends_with_its_reply(kernel: &Kernel, uid: Uid) {
-    kernel
-        .invoke(uid, ops::DESCRIBE, Value::Unit)
-        .wait()
-        .expect("every Eject describes itself");
-}
-
 /// Forwards `Relay` to `next` with a budget-less `wait()` and answers one
 /// more than it was told; anything that goes wrong downstream comes back
 /// as the error's text.
@@ -402,6 +391,10 @@ struct Relay {
 impl EjectBehavior for Relay {
     fn type_name(&self) -> &'static str {
         "Relay"
+    }
+
+    fn replies_last(&self) -> bool {
+        true
     }
 
     fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
@@ -421,48 +414,62 @@ impl EjectBehavior for Echo {
         "Echo"
     }
 
+    fn replies_last(&self) -> bool {
+        true
+    }
+
     fn handle(&mut self, _ctx: &EjectContext, _inv: Invocation, reply: ReplyHandle) {
         reply.reply(Ok(Value::Int(0)));
     }
 }
 
-/// The paper's lazy pipeline is a chain of calls, and on one worker it now
-/// runs as one: every stage's `Transfer` resumes its upstream inline, so
-/// nothing is flushed to the deque for a thief and no rendezvous of the
-/// data phase asks the pool for a spare. (Teardown has one real rendezvous,
-/// the join of the sink's pump process, and gets one spare for it.)
+/// The paper's lazy pipeline is a chain of calls, and on one worker it runs
+/// as one from its first record: every stage's `Transfer` resumes its
+/// upstream inline, fresh as it is, so nothing is flushed to the deque for a
+/// thief and no rendezvous of the data phase asks the pool for a spare — the
+/// source, which runs at the bottom of every chain, sees one live worker
+/// each time it is pulled. (Teardown has one real rendezvous, the join of
+/// the sink's pump process, and gets one spare for it.)
 #[test]
 fn lazy_pipeline_on_one_worker_runs_as_calls_without_spares_or_steals() {
-    const RECORDS: i64 = 200;
+    const RECORDS: u64 = 200;
     let kernel = one_worker_kernel();
     until_undisturbed("lazy depth-4 pipeline", || {
         let before = kernel.metrics_snapshot().sched;
         if before.workers != 1 {
             return false; // the previous run's teardown spare has yet to retire
         }
+        let workers_seen = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let source = {
+            let (kernel, seen) = (kernel.clone(), Arc::clone(&workers_seen));
+            FnSource::new(RECORDS, move |i| {
+                seen.fetch_max(kernel.metrics_snapshot().sched.workers, Ordering::Relaxed);
+                Value::Int(i as i64)
+            })
+        };
         let mut builder = PipelineSpec::new(Discipline::ReadOnly { read_ahead: 0 })
-            .source_vec((0..RECORDS).map(Value::Int).collect())
+            .source(Box::new(source))
             .batch(1)
             .policy(ChannelPolicy::Integer);
         for _ in 0..4 {
             builder = builder.stage(Box::new(eden::transput::transform::Identity));
         }
-        let pipeline = builder.build(&kernel).expect("lazy pipeline builds");
-        for &stage in pipeline.ejects() {
-            show_it_ends_with_its_reply(&kernel, stage);
-        }
-        let run = pipeline
+        let run = builder
+            .build(&kernel)
+            .expect("lazy pipeline builds")
             .run(Duration::from_secs(60))
             .expect("lazy pipeline completes");
-        assert_eq!(run.output, (0..RECORDS).map(Value::Int).collect::<Vec<_>>());
+        let expected: Vec<_> = (0..RECORDS as i64).map(Value::Int).collect();
+        assert_eq!(run.output, expected);
         let after = kernel.metrics_snapshot().sched;
-        // Four stage-to-stage transfers a record, every one a call: nothing
-        // was ever left on a deque to steal, and no thread was needed beyond
-        // the worker and teardown's joiner. (A stage that a preemption made
-        // look slow to return serves its next transfer the old way; such a
-        // run is repeated like a disturbed one.)
-        after.inline_handoffs - before.inline_handoffs == 4 * RECORDS as u64
+        // Four stage-to-stage transfers a record, every one a call, the
+        // first record's too: nothing was ever left on a deque to steal, and
+        // no thread was needed beyond the worker and teardown's joiner. (A
+        // sink activated ahead of a stage finds that stage still queued, not
+        // in the slot; such a run is repeated like a disturbed one.)
+        after.inline_handoffs - before.inline_handoffs == 4 * RECORDS
             && after.sched_steals == before.sched_steals
+            && workers_seen.load(Ordering::Relaxed) == 1
             && after.workers <= 2
     });
     kernel.shutdown();
@@ -478,6 +485,11 @@ struct Deferrer {
 impl EjectBehavior for Deferrer {
     fn type_name(&self) -> &'static str {
         "Deferrer"
+    }
+
+    // Parking the handle and returning is no wait.
+    fn replies_last(&self) -> bool {
+        true
     }
 
     fn handle(&mut self, _ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
@@ -513,8 +525,6 @@ fn deferred_reply_sends_the_caller_down_the_blocking_path() {
             }))
             .expect("spawn deferrer");
         let relay = kernel.spawn(Box::new(Relay { next: deferrer })).expect("spawn relay");
-        // A `Release` with nothing parked is answered on the spot.
-        assert_eq!(kernel.invoke(deferrer, "Release", Value::Unit).wait(), Ok(Value::Unit));
         let pending = kernel.invoke(relay, "Ask", Value::Unit);
         while !asked.load(Ordering::Acquire) {
             std::thread::yield_now();
@@ -528,7 +538,7 @@ fn deferred_reply_sends_the_caller_down_the_blocking_path() {
     kernel.shutdown();
 }
 
-/// Answers `Arm`; anything else sets it off.
+/// Goes off at whatever it is sent.
 struct Bomb;
 
 impl EjectBehavior for Bomb {
@@ -536,11 +546,12 @@ impl EjectBehavior for Bomb {
         "Bomb"
     }
 
-    fn handle(&mut self, _ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
-        if inv.op.as_str() != "Arm" {
-            panic!("bomb went off (expected by inline_callee_panic_is_a_crash_of_the_callee_alone)");
-        }
-        reply.reply(Ok(Value::Unit));
+    fn replies_last(&self) -> bool {
+        true
+    }
+
+    fn handle(&mut self, _ctx: &EjectContext, _inv: Invocation, _reply: ReplyHandle) {
+        panic!("bomb went off (expected by inline_callee_panic_is_a_crash_of_the_callee_alone)");
     }
 }
 
@@ -554,7 +565,6 @@ fn inline_callee_panic_is_a_crash_of_the_callee_alone() {
         let before = inline_handoffs(&kernel);
         let bomb = kernel.spawn(Box::new(Bomb)).expect("spawn bomb");
         let relay = kernel.spawn(Box::new(Relay { next: bomb })).expect("spawn relay");
-        assert_eq!(kernel.invoke(bomb, "Arm", Value::Unit).wait(), Ok(Value::Unit));
         let crashed = format!("{:?}", eden_core::EdenError::EjectCrashed(bomb));
         assert_eq!(
             kernel.invoke(relay, "Relay", Value::Unit).wait(),
@@ -573,7 +583,6 @@ fn inline_callee_panic_is_a_crash_of_the_callee_alone() {
         let before = inline_handoffs(&kernel);
         let echo = kernel.spawn(Box::new(Echo)).expect("spawn echo");
         let relay = kernel.spawn(Box::new(Relay { next: echo })).expect("spawn relay");
-        show_it_ends_with_its_reply(&kernel, echo);
         assert_eq!(kernel.invoke(relay, "Relay", Value::Unit).wait(), Ok(Value::Int(1)));
         inline_handoffs(&kernel) - before == 1
     });
@@ -592,6 +601,10 @@ struct Reentrant {
 impl EjectBehavior for Reentrant {
     fn type_name(&self) -> &'static str {
         "Reentrant"
+    }
+
+    fn replies_last(&self) -> bool {
+        true
     }
 
     fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
@@ -619,6 +632,11 @@ struct Bouncer {
 impl EjectBehavior for Bouncer {
     fn type_name(&self) -> &'static str {
         "Bouncer"
+    }
+
+    // `Bounce` sends without waiting; `Collect` waits before it answers.
+    fn replies_last(&self) -> bool {
+        true
     }
 
     fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
@@ -657,7 +675,6 @@ fn reentrant_chain_never_runs_a_task_nested_in_itself() {
             }))
             .expect("spawn b");
         peer.set(b).expect("wire once");
-        show_it_ends_with_its_reply(&kernel, b);
         assert_eq!(kernel.invoke(a, "Start", Value::Unit).wait(), Ok(Value::Unit));
         // B ran inline under A iff the worker handed off.
         let inline = inline_handoffs(&kernel) - before == 1;
@@ -707,8 +724,7 @@ impl EjectBehavior for TimedCall {
 
 /// A wait returns when the callee replies, not when its handler returns,
 /// and a call cannot tell the two apart. So a callee that keeps going after
-/// its reply is never run as a call: not the first time (nothing is known
-/// of it yet), and not later (it was seen taking its time).
+/// its reply does not declare `replies_last`, and is never run as a call.
 #[test]
 fn callee_that_replies_and_lingers_does_not_hold_its_caller() {
     let kernel = one_worker_kernel();
@@ -737,15 +753,21 @@ fn callee_that_replies_and_lingers_does_not_hold_its_caller() {
 }
 
 /// Answers `Bounce` and then calls `back` — its own caller — keeping what
-/// came of it.
+/// came of it. Which breaks the promise of `replies_last`, whether or not
+/// it `declares` it.
 struct Boomerang {
     back: Uid,
+    declares: bool,
     outcomes: Arc<std::sync::Mutex<Vec<Result<Value, eden_core::EdenError>>>>,
 }
 
 impl EjectBehavior for Boomerang {
     fn type_name(&self) -> &'static str {
         "Boomerang"
+    }
+
+    fn replies_last(&self) -> bool {
+        self.declares
     }
 
     fn handle(&mut self, ctx: &EjectContext, _inv: Invocation, reply: ReplyHandle) {
@@ -765,7 +787,7 @@ struct BoomerangPair {
 }
 
 impl BoomerangPair {
-    fn spawn(kernel: &Kernel) -> BoomerangPair {
+    fn spawn(kernel: &Kernel, b_declares: bool) -> BoomerangPair {
         let peer = Arc::new(std::sync::OnceLock::new());
         let a = kernel
             .spawn(Box::new(Reentrant {
@@ -778,6 +800,7 @@ impl BoomerangPair {
         let b = kernel
             .spawn(Box::new(Boomerang {
                 back: a,
+                declares: b_declares,
                 outcomes: Arc::clone(&outcomes),
             }))
             .expect("spawn b");
@@ -803,12 +826,13 @@ impl BoomerangPair {
 /// A callee that replies and then calls its caller back is the case a call
 /// would deadlock: the caller is in the frame beneath, unable to serve
 /// anything until the callee returns. Waiting for B's reply does not have
-/// that problem, and B is never run as a call, so A goes on at B's reply,
-/// serves the `Ping`, and B's call back succeeds — every time.
+/// that problem, and B, which does not declare `replies_last`, is never run
+/// as a call, so A goes on at B's reply, serves the `Ping`, and B's call back
+/// succeeds — every time.
 #[test]
 fn callee_that_replies_and_calls_its_caller_back_succeeds() {
     let kernel = one_worker_kernel();
-    let pair = BoomerangPair::spawn(&kernel);
+    let pair = BoomerangPair::spawn(&kernel, false);
     for round in 0..3 {
         let (took, outcome) = pair.start(&kernel, round);
         assert_eq!(outcome, Ok(Value::str("pong")), "round {round}");
@@ -818,31 +842,66 @@ fn callee_that_replies_and_calls_its_caller_back_succeeds() {
     kernel.shutdown();
 }
 
-/// What past handlers did is all there is to go by, so a callee that has
-/// only ever ended with its reply, and then does not, is found out on the
-/// call where it changes: that one `Bounce` runs on A's stack, its call back
-/// to A cannot be served from there, and it is told so at once rather than
-/// after its 3 s budget — while A, which got its reply, goes on as soon as
-/// B's handler returns. From then on B is never run as a call again.
+/// A behaviour that declares `replies_last` and then waits after replying has
+/// broken its word, and a debug build says so where it happens: B crashes at
+/// the wait with the assertion's message — on A's stack or, after a
+/// disturbance, on a thread of its own — and crashes alone. A has its reply,
+/// answers `Start`, and goes on serving.
+#[cfg(debug_assertions)]
 #[test]
-fn callee_that_stops_ending_with_its_reply_is_found_out_on_one_call() {
+fn callee_that_declares_and_waits_after_its_reply_crashes_alone() {
+    static PANICS: std::sync::Mutex<Vec<String>> = std::sync::Mutex::new(Vec::new());
+    let print = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        PANICS.lock().expect("panics").push(info.to_string());
+        print(info);
+    }));
     let kernel = one_worker_kernel();
-    until_undisturbed("habit change", || {
-        let pair = BoomerangPair::spawn(&kernel);
-        show_it_ends_with_its_reply(&kernel, pair.b);
-        let before = inline_handoffs(&kernel);
-        let (took, outcome) = pair.start(&kernel, 0);
-        assert!(took < Duration::from_secs(1), "A was held for {took:?}");
-        if inline_handoffs(&kernel) - before != 1 {
-            assert_eq!(outcome, Ok(Value::str("pong")));
-            return false;
+    let pair = BoomerangPair::spawn(&kernel, true);
+    assert_eq!(kernel.invoke(pair.a, "Start", Value::Unit).wait(), Ok(Value::Unit));
+    // Never checkpointed, so the crash removes B.
+    let gone = Err(eden_core::EdenError::NoSuchEject(pair.b));
+    while kernel.invoke(pair.b, "Bounce", Value::Unit).wait() != gone {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(pair.outcomes.lock().expect("outcomes").is_empty(), "B's wait returned");
+    assert!(
+        PANICS
+            .lock()
+            .expect("panics")
+            .iter()
+            .any(|message| message.contains("declares replies_last waited after its reply")),
+        "B did not die of the assertion"
+    );
+    assert_eq!(kernel.invoke(pair.a, "Ping", Value::Unit).wait(), Ok(Value::str("pong")));
+    kernel.shutdown();
+}
+
+/// A release build does not check the promise, so a behaviour that breaks it
+/// is run as a call every time: that `Bounce` runs on A's stack, its call
+/// back to A cannot be served from there, and it is told so at once rather
+/// than after its 3 s budget — while A, which got its reply, goes on as soon
+/// as B's handler returns.
+#[cfg(not(debug_assertions))]
+#[test]
+fn callee_that_declares_and_waits_after_its_reply_is_refused_at_once() {
+    let kernel = one_worker_kernel();
+    until_undisturbed("broken promise", || {
+        let pair = BoomerangPair::spawn(&kernel, true);
+        let mut all_inline = true;
+        for round in 0..3 {
+            let before = inline_handoffs(&kernel);
+            let (took, outcome) = pair.start(&kernel, round);
+            assert!(took < Duration::from_secs(1), "round {round}: A was held for {took:?}");
+            if inline_handoffs(&kernel) - before == 1 {
+                assert_eq!(outcome, Err(eden_core::EdenError::Timeout), "round {round}");
+            } else {
+                assert_eq!(outcome, Ok(Value::str("pong")), "round {round}");
+                all_inline = false;
+            }
         }
-        assert_eq!(outcome, Err(eden_core::EdenError::Timeout));
-        for round in 1..3 {
-            let (_, outcome) = pair.start(&kernel, round);
-            assert_eq!(outcome, Ok(Value::str("pong")), "round {round}");
-        }
-        inline_handoffs(&kernel) - before == 1
+        assert_eq!(kernel.eject_state(pair.b), Some(eden::kernel::EjectState::Active));
+        all_inline
     });
     kernel.shutdown();
 }
@@ -857,10 +916,8 @@ fn call_chain_deeper_than_the_nesting_cap_completes() {
     until_undisturbed("24-deep call chain", || {
         let before = inline_handoffs(&kernel);
         let mut head = kernel.spawn(Box::new(Echo)).expect("spawn echo");
-        show_it_ends_with_its_reply(&kernel, head);
         for _ in 0..CHAIN {
             head = kernel.spawn(Box::new(Relay { next: head })).expect("spawn relay");
-            show_it_ends_with_its_reply(&kernel, head);
         }
         assert_eq!(kernel.invoke(head, "Relay", Value::Unit).wait(), Ok(Value::Int(CHAIN)));
         // One stack holds the pickup and 15 handoffs; the wait at the cap
