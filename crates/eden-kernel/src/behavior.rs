@@ -19,9 +19,9 @@ use crate::invocation::{Invocation, ReplyHandle};
 /// different threads (hence `Send`) but never two at once, so `&mut self`
 /// methods need no internal locking. A handler may block — wrap a wait the
 /// kernel cannot see in [`blocking`](crate::blocking) and the pool lends a
-/// spare thread for its duration — and a handler that sends an invocation and
-/// `wait()`s for the reply may find its callee run as a call on its own stack
-/// (see [`replies_last`](EjectBehavior::replies_last)).
+/// spare thread for its duration — and a handler that
+/// [`call`](EjectContext::call)s another Eject may find its callee run as a
+/// call on its own stack (see [`replies_last`](EjectBehavior::replies_last)).
 ///
 /// Three invocations are handled by the runtime itself and never reach
 /// [`handle`](EjectBehavior::handle): `Checkpoint` (serialises
@@ -57,14 +57,15 @@ pub trait EjectBehavior: Send + 'static {
     /// [`mark_deferred`](ReplyHandle::mark_deferred), park the handle, return.
     ///
     /// Asked once, before the Eject starts (and again on reactivation), and
-    /// it is the scheduler's whole test of a callee: when a handler on a pool
-    /// worker sends to a parked Eject that says `true` and `wait()`s, the
-    /// worker runs the callee then and there, nested on the caller's stack,
-    /// instead of handing it to another thread and sleeping — the first
-    /// invocation included. There the caller goes on when the callee's handler
-    /// *returns*, whenever it replied, which is why the promise is what it is.
-    /// An Eject that says `false`, the default, is never run that way; it
-    /// loses nothing but the shortcut.
+    /// it is the scheduler's whole test of a callee: when anybody — a handler
+    /// on a pool worker, an Eject's process, a user's thread —
+    /// [`call`](crate::Kernel::call)s a parked Eject that says `true`, the
+    /// calling thread runs the callee then and there, nested on the caller's
+    /// stack, instead of queueing it for another thread and sleeping — the
+    /// first invocation included. There the caller goes on when the callee's
+    /// handler *returns*, whenever it replied, which is why the promise is what
+    /// it is. An Eject that says `false`, the default, is never run that way;
+    /// it loses nothing but the shortcut.
     ///
     /// A behaviour that says `true` and waits after its reply all the same is
     /// wrong. A debug build crashes that Eject at the wait (its caller already

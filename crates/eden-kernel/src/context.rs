@@ -99,10 +99,29 @@ impl EjectContext {
     ) -> PendingReply {
         match self.kernel.upgrade() {
             Some(kernel) => {
-                kernel.invoke_cached(self.node, cache, target, op.into(), arg, true, false, None)
+                kernel.invoke_cached(self.node, cache, target, op.into(), arg, true, false, None, None)
             }
             None => PendingReply::ready(Err(EdenError::KernelShutdown)),
         }
+    }
+
+    /// Invoke and wait for the reply, as one act — which lets the kernel run
+    /// the callee as a call on this thread where it can (see
+    /// [`Kernel::call`](crate::kernel::Kernel::call)). Otherwise
+    /// [`invoke`](Self::invoke) followed by [`wait`](PendingReply::wait).
+    pub fn call(&self, target: Uid, op: impl Into<OpName>, arg: Value) -> Result<Value> {
+        self.kernel.call(self.node, None, target, op.into(), arg).wait()
+    }
+
+    /// [`call`](Self::call) through a caller-owned [`RouteCache`].
+    pub fn call_routed(
+        &self,
+        cache: &mut RouteCache,
+        target: Uid,
+        op: impl Into<OpName>,
+        arg: Value,
+    ) -> Result<Value> {
+        self.kernel.call(self.node, Some(cache), target, op.into(), arg).wait()
     }
 
     /// Post an internal event back to this Eject's own coordinator. The
@@ -184,17 +203,29 @@ impl EjectContext {
     /// Join this Eject's worker processes. They may need other Ejects
     /// (hence the pool) to make progress before they exit, so a pool
     /// worker reaping the Eject counts as blocked meanwhile — but only
-    /// when there is somebody to join: most Ejects have no processes, and
-    /// a death that waits for nothing asks the pool for nothing.
+    /// when there is somebody to wait for: most Ejects have no processes,
+    /// a stream's pumps have returned by the time it is torn down, and a
+    /// death that waits for nothing asks the pool for nothing. Never the
+    /// calling thread: a process that calls its own Eject (directly or down
+    /// a chain of calls) may be the thread that runs it, and so the one
+    /// that reaps it. It exits on its own once this returns.
     pub(crate) fn join_workers(&self) {
-        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.workers.lock());
-        if handles.is_empty() {
+        let current = std::thread::current().id();
+        let mut handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.workers.lock());
+        handles.retain(|handle| handle.thread().id() != current);
+        // A worker that panicked already printed its message; the
+        // coordinator should still reap the rest.
+        let (finished, running): (Vec<_>, Vec<_>) =
+            handles.into_iter().partition(JoinHandle::is_finished);
+        for handle in finished {
+            // eden-lint: nonblocking(the thread has returned; the join only collects it)
+            let _ = handle.join();
+        }
+        if running.is_empty() {
             return;
         }
         crate::sched::blocking(|| {
-            for handle in handles {
-                // A worker that panicked already printed its message; the
-                // coordinator should still reap the rest.
+            for handle in running {
                 let _ = handle.join();
             }
         });
@@ -278,10 +309,31 @@ impl ProcessContext {
     ) -> PendingReply {
         match self.kernel.upgrade() {
             Some(kernel) => {
-                kernel.invoke_cached(self.node, cache, target, op.into(), arg, true, false, None)
+                kernel.invoke_cached(self.node, cache, target, op.into(), arg, true, false, None, None)
             }
             None => PendingReply::ready(Err(EdenError::KernelShutdown)),
         }
+    }
+
+    /// Invoke and wait for the reply, as one act — which lets the kernel run
+    /// the callee as a call on this process's own thread where it can (see
+    /// [`Kernel::call`](crate::kernel::Kernel::call)). Otherwise
+    /// [`invoke`](Self::invoke) followed by
+    /// [`wait_or_stop`](Self::wait_or_stop).
+    pub fn call(&self, target: Uid, op: impl Into<OpName>, arg: Value) -> Result<Value> {
+        self.wait_or_stop(self.kernel.call(self.node, None, target, op.into(), arg))
+    }
+
+    /// [`call`](Self::call) through a caller-owned [`RouteCache`]: the hot
+    /// path of a stream pump, which calls one peer thousands of times.
+    pub fn call_routed(
+        &self,
+        cache: &mut RouteCache,
+        target: Uid,
+        op: impl Into<OpName>,
+        arg: Value,
+    ) -> Result<Value> {
+        self.wait_or_stop(self.kernel.call(self.node, Some(cache), target, op.into(), arg))
     }
 
     /// Write `representation` to stable storage as the owning Eject's

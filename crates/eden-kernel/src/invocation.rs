@@ -72,7 +72,7 @@ mod cell {
 struct ReplyCell {
     state: AtomicU8,
     /// The Eject the invocation went to: what an abandoned cell reports as
-    /// crashed, and the task a waiting worker may run in place.
+    /// crashed.
     responder: Uid,
     /// Written once by the settler before it publishes `SETTLED`; taken by
     /// the awaiter after it observes `SETTLED`.
@@ -418,26 +418,21 @@ impl PendingReply {
         PendingReply::Ready(Some(result))
     }
 
-    /// Block until the reply arrives, with the default deadline.
-    ///
-    /// A send immediately followed by this wait is a call, and on a pool
-    /// worker it may be executed as one: if the responder is the task this
-    /// worker just woke, and its behaviour declares
-    /// [`replies_last`](crate::EjectBehavior::replies_last), it is resumed
-    /// right here on the caller's stack (`sched::handoff`; counted in
-    /// [`SchedSnapshot::inline_handoffs`](crate::SchedSnapshot)) rather than
-    /// handed to a sibling thread while this one sleeps. Whatever that
-    /// leaves unsettled — a deferred reply, a callee running elsewhere — is
-    /// waited for as before. Only this budget-less wait elects the handoff:
-    /// the waits that carry a caller-set deadline never lend their thread
-    /// to a callee that might overrun it.
+    /// Block until the reply arrives, with the default deadline. A plain
+    /// wait: it runs nobody. A sender that means "send, then wait" and wants
+    /// it executed as the call it is says [`Kernel::call`](crate::Kernel::call)
+    /// (or its context's `call`), where that is decided at the send.
     pub fn wait(self) -> Result<Value> {
-        if let PendingReply::Waiting(rx) = &self {
-            if !rx.is_terminal() {
-                crate::sched::handoff(rx.0.responder, &|| rx.is_terminal());
-            }
-        }
         self.wait_timeout(DEFAULT_REPLY_TIMEOUT)
+    }
+
+    /// Whether the outcome is known. The probe a call hands the scheduler:
+    /// its callee's inline resume ends once this reads true.
+    pub(crate) fn is_settled(&self) -> bool {
+        match self {
+            PendingReply::Waiting(rx) => rx.is_terminal(),
+            PendingReply::Ready(_) | PendingReply::Retrying(_) => true,
+        }
     }
 
     /// Block until the reply arrives or `deadline` elapses. For a retrying

@@ -49,7 +49,7 @@ use crate::obs::{
 use crate::options::{InvokeOptions, RetryState};
 use crate::routes::{Route, RouteCache};
 use crate::runtime::{run_coordinator, Envelope};
-use crate::sched::{Scheduler, SchedulerConfig, Task};
+use crate::sched::{Scheduler, SchedulerConfig, Task, Woken};
 use crate::stable::StableStore;
 use crate::trace::TraceDump;
 
@@ -404,6 +404,37 @@ impl WeakKernel {
     pub fn upgrade(&self) -> Option<Kernel> {
         self.0.upgrade().map(|inner| Kernel { inner })
     }
+
+    /// A call on behalf of an Eject, up to the wait (its contexts differ in
+    /// how they wait). The kernel is held for the send only: the callee may
+    /// then run on this thread for as long as its handler takes, and a
+    /// handle kept that long would stand in the way of the shutdown that
+    /// dropping the last user handle means.
+    pub(crate) fn call(
+        &self,
+        from: NodeId,
+        cache: Option<&mut RouteCache>,
+        target: Uid,
+        op: OpName,
+        arg: Value,
+    ) -> PendingReply {
+        match self.upgrade().map(|kernel| kernel.send_call(from, cache, target, op, arg)) {
+            Some(sent) => finish_call(sent),
+            None => PendingReply::ready(Err(EdenError::KernelShutdown)),
+        }
+    }
+}
+
+/// The second half of a call, between the send and the wait: if the send
+/// woke its target, run it here or enqueue it ([`Woken::run_as_call`]). Only
+/// then is it checked that the caller may wait at all: the wake must not be
+/// lost to the panic that tells a behaviour it may not.
+fn finish_call((pending, woken): (PendingReply, Option<Woken>)) -> PendingReply {
+    if let Some(woken) = woken {
+        woken.run_as_call(&|| pending.is_settled());
+    }
+    crate::sched::note_wait();
+    pending
 }
 
 /// Handle to a simulated Eden kernel.
@@ -660,13 +691,61 @@ impl Kernel {
     /// Send an invocation from outside the Eden system (a "user
     /// terminal"). External callers originate on node 0.
     ///
-    /// This is the single invocation verb. It returns a [`PendingReply`]
-    /// ("the sending of an invocation does not suspend the execution of
-    /// the sending Eject", §1); recover synchronous RPC by waiting on it.
-    /// Deadlines, retry policy, route caching, and fault immunity are
-    /// configured through [`Kernel::invoke_with`].
+    /// This is the invocation verb. It returns a [`PendingReply`] ("the
+    /// sending of an invocation does not suspend the execution of the
+    /// sending Eject", §1), which the sender may hold while it does other
+    /// work. A sender with nothing else to do says [`call`](Kernel::call)
+    /// instead — the same send, fused with the wait. Deadlines, retry
+    /// policy, route caching, and fault immunity are configured through
+    /// [`Kernel::invoke_with`].
     pub fn invoke(&self, target: Uid, op: impl Into<OpName>, arg: Value) -> PendingReply {
-        self.invoke_inner(NodeId::default(), target, op.into(), arg, true, true, false, None)
+        self.invoke_inner(NodeId::default(), target, op.into(), arg, true, true, false, None, None)
+    }
+
+    /// Invoke and wait for the reply: "a kind of remote procedure call"
+    /// (§1), and where it can be, executed as one. A sender that says it
+    /// will wait is the one sender that may run its callee itself: if this
+    /// send is what wakes `target` from its park, and `target`'s behaviour
+    /// declares [`replies_last`](EjectBehavior::replies_last), it is resumed
+    /// right here on the calling thread's stack — whatever thread that is —
+    /// until the reply is in (counted in
+    /// [`SchedSnapshot::inline_handoffs`](crate::SchedSnapshot)), rather than
+    /// queued for a pool worker while this thread sleeps. Every other case —
+    /// an undeclared target, one that is running or already queued, a reply
+    /// it defers — is [`invoke`](Kernel::invoke) followed by
+    /// [`wait`](PendingReply::wait), which is what `call` always means.
+    pub fn call(&self, target: Uid, op: impl Into<OpName>, arg: Value) -> Result<Value> {
+        finish_call(self.send_call(NodeId::default(), None, target, op.into(), arg)).wait()
+    }
+
+    /// [`call`](Kernel::call) through a caller-owned [`RouteCache`].
+    pub fn call_routed(
+        &self,
+        cache: &mut RouteCache,
+        target: Uid,
+        op: impl Into<OpName>,
+        arg: Value,
+    ) -> Result<Value> {
+        finish_call(self.send_call(NodeId::default(), Some(cache), target, op.into(), arg)).wait()
+    }
+
+    /// The send half of a call: an ordinary first-attempt send, except that
+    /// a wake it wins comes back with the reply instead of being enqueued.
+    fn send_call(
+        &self,
+        from: NodeId,
+        cache: Option<&mut RouteCache>,
+        target: Uid,
+        op: OpName,
+        arg: Value,
+    ) -> (PendingReply, Option<Woken>) {
+        let mut woken = None;
+        let wake = Some(&mut woken);
+        let pending = match cache {
+            Some(cache) => self.invoke_cached(from, cache, target, op, arg, true, false, None, wake),
+            None => self.invoke_inner(from, target, op, arg, true, true, false, None, wake),
+        };
+        (pending, woken)
     }
 
     /// [`Kernel::invoke`] with explicit [`InvokeOptions`]: an overall
@@ -701,9 +780,9 @@ impl Kernel {
         if !opts.needs_driver() {
             return match opts.route_cache {
                 Some(cache) => {
-                    self.invoke_cached(from, cache, target, op, arg, subject, false, None)
+                    self.invoke_cached(from, cache, target, op, arg, subject, false, None, None)
                 }
-                None => self.invoke_inner(from, target, op, arg, subject, true, false, None),
+                None => self.invoke_inner(from, target, op, arg, subject, true, false, None, None),
             };
         }
         // Deadline or retries requested: keep the request around so the
@@ -712,9 +791,9 @@ impl Kernel {
         let (op_kept, arg_kept) = (op.clone(), arg.clone());
         let inner = match opts.route_cache {
             Some(cache) => {
-                self.invoke_cached(from, cache, target, op, arg, subject, true, admit_by)
+                self.invoke_cached(from, cache, target, op, arg, subject, true, admit_by, None)
             }
-            None => self.invoke_inner(from, target, op, arg, subject, true, true, admit_by),
+            None => self.invoke_inner(from, target, op, arg, subject, true, true, admit_by, None),
         };
         PendingReply::Retrying(Box::new(RetryState::new(
             self.downgrade(),
@@ -739,7 +818,7 @@ impl Kernel {
         op: OpName,
         arg: Value,
     ) -> PendingReply {
-        self.invoke_inner(from, target, op, arg, true, true, false, None)
+        self.invoke_inner(from, target, op, arg, true, true, false, None, None)
     }
 
     /// The uncached delivery path: meter, shutdown check, fault decision,
@@ -751,7 +830,8 @@ impl Kernel {
     /// many times it is re-sent. `driver_owned` marks invocations whose
     /// terminal outcome is settled by a [`RetryState`] — every failure
     /// here is per-attempt, not terminal, so the ledger's outcome side is
-    /// left to the driver.
+    /// left to the driver. `wake` is a call's (see
+    /// [`dispatch_route`](Self::dispatch_route)).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn invoke_inner(
         &self,
@@ -763,6 +843,7 @@ impl Kernel {
         first_attempt: bool,
         driver_owned: bool,
         admit_by: Option<std::time::Instant>,
+        wake: Option<&mut Option<Woken>>,
     ) -> PendingReply {
         let metrics = &self.inner.metrics;
         if first_attempt {
@@ -791,7 +872,11 @@ impl Kernel {
         if let Some(admit_by) = admit_by {
             handle.set_admit_by(admit_by);
         }
-        self.dispatch_route(from, &route, Invocation { op, arg }, handle);
+        // A bounce here means the coordinator exited since the route was
+        // resolved; dropping the bounced envelope drops `handle`, which
+        // resolves the pending reply with EjectCrashed — the correct
+        // observation for the caller.
+        let _ = self.dispatch_route(from, &route, Invocation { op, arg }, handle, wake);
         pending
     }
 
@@ -899,7 +984,7 @@ impl Kernel {
     /// counters. This path is always a first attempt (retry re-sends never
     /// carry a cache), so it opens the ledger entry unconditionally; a
     /// stale-route fallback redelivers the same logical invocation and
-    /// meters nothing extra.
+    /// meters nothing extra — and is a plain send even for a call.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn invoke_cached(
         &self,
@@ -911,6 +996,7 @@ impl Kernel {
         subject_to_faults: bool,
         driver_owned: bool,
         admit_by: Option<std::time::Instant>,
+        wake: Option<&mut Option<Woken>>,
     ) -> PendingReply {
         let metrics = &self.inner.metrics;
         // Meter BEFORE the send: the receiver may handle the envelope (and
@@ -933,29 +1019,13 @@ impl Kernel {
             }
         }
         if let Some(route) = cache.lookup(target) {
-            if let Some(trace) = &self.inner.trace {
-                trace.record_invoke(target, &op, from, route.node);
-            }
-            if route.node != from {
-                metrics.record_remote_invocation();
-                if let Some(latency) = self.inner.config.remote_latency {
-                    crate::sched::blocking(|| std::thread::sleep(latency));
-                }
-            }
-            if let Some(latency) = self.inner.config.invocation_latency {
-                crate::sched::blocking(|| std::thread::sleep(latency));
-            }
             let (mut handle, pending) = self.reply_pair_for(target, &op, from, &route, driver_owned);
             if let Some(admit_by) = admit_by {
                 handle.set_admit_by(admit_by);
             }
-            match route
-                .tx
-                .send(Envelope::Invocation(Invocation { op, arg }, handle))
-            {
-                Ok(outcome) => {
+            match self.dispatch_route(from, &route, Invocation { op, arg }, handle, wake) {
+                Ok(()) => {
                     metrics.record_route_cache_hit();
-                    self.settle_send_outcome(outcome);
                     pending
                 }
                 Err(SendError(envelope)) => {
@@ -1004,7 +1074,7 @@ impl Kernel {
             if let Some(admit_by) = admit_by {
                 handle.set_admit_by(admit_by);
             }
-            self.dispatch_route(from, &route, Invocation { op, arg }, handle);
+            let _ = self.dispatch_route(from, &route, Invocation { op, arg }, handle, wake);
             pending
         }
     }
@@ -1089,19 +1159,29 @@ impl Kernel {
         }
     }
 
-    /// Deliver a resolved invocation: trace, inject latency, send. (The
-    /// ledger entry was opened by the caller — once per logical
-    /// invocation, not per delivery attempt.) Runs with no kernel lock
-    /// held — the route owns clones of everything it needs — so injected
-    /// latency delays only this sender and can never serialise unrelated
-    /// invocations.
+    /// Deliver a resolved invocation: trace, inject latency, send — the one
+    /// place an invocation enters a mailbox by a fresh route. (The ledger
+    /// entry was opened by the caller — once per logical invocation, not per
+    /// delivery attempt.) Runs with no kernel lock held — the route owns
+    /// clones of everything it needs — so injected latency delays only this
+    /// sender and can never serialise unrelated invocations.
+    ///
+    /// A call passes `wake`: if this push is what wakes the target, the wake
+    /// is left there, un-enqueued, for the caller to spend
+    /// ([`finish_call`]). `Err` hands back the envelope of a route whose
+    /// coordinator has exited. A successful send may still have shed
+    /// envelopes (admission control at a full bounded mailbox); those
+    /// resolve with `Overloaded`.
+    // The bounce is the mailbox's: the whole envelope, for redelivery.
+    #[allow(clippy::result_large_err)]
     fn dispatch_route(
         &self,
         from: NodeId,
         route: &Route,
         invocation: Invocation,
         handle: ReplyHandle,
-    ) {
+        wake: Option<&mut Option<Woken>>,
+    ) -> std::result::Result<(), SendError> {
         let metrics = &self.inner.metrics;
         if let Some(trace) = &self.inner.trace {
             trace.record_invoke(route.target, &invocation.op, from, route.node);
@@ -1115,14 +1195,17 @@ impl Kernel {
         if let Some(latency) = self.inner.config.invocation_latency {
             crate::sched::blocking(|| std::thread::sleep(latency));
         }
-        // A send failure means the coordinator already exited; dropping
-        // `handle` resolves the pending reply with EjectCrashed, which is
-        // the correct observation for the caller. A successful send may
-        // still have shed envelopes (admission control at a full bounded
-        // mailbox); those resolve with `Overloaded`.
-        if let Ok(outcome) = route.tx.send(Envelope::Invocation(invocation, handle)) {
-            self.settle_send_outcome(outcome);
-        }
+        let envelope = Envelope::Invocation(invocation, handle);
+        let outcome = match wake {
+            Some(wake) => {
+                let (outcome, woken) = route.tx.send_calling(envelope)?;
+                *wake = woken;
+                outcome
+            }
+            None => route.tx.send(envelope)?,
+        };
+        self.settle_send_outcome(outcome);
+        Ok(())
     }
 
     /// The node an Eject is placed on (node 0 if never placed).

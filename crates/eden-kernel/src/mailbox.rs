@@ -65,7 +65,7 @@ use std::time::Instant;
 use parking_lot::{Condvar, Mutex};
 
 use crate::runtime::Envelope;
-use crate::sched::{Scheduler, Task};
+use crate::sched::{Scheduler, Task, Woken};
 
 /// What a bounded mailbox does when a plain `send` arrives at a full ring.
 /// Configured kernel-wide through
@@ -146,11 +146,12 @@ pub mod park {
     /// Not queued, not running; the next delivery must enqueue the task.
     pub const PARKED: u8 = 0;
     /// Queued for dispatch (a LIFO slot, a worker's deque, or the
-    /// injector) awaiting a worker.
+    /// injector) awaiting a worker, or in the hands of the calling sender
+    /// that woke it and is about to run it itself.
     pub const QUEUED: u8 = 1;
-    /// A worker is draining the mailbox right now.
+    /// A thread is draining the mailbox right now.
     pub const RUNNING: u8 = 2;
-    /// Running, and mail arrived since the worker last checked the ring.
+    /// Running, and mail arrived since the runner last checked the ring.
     pub const DIRTY: u8 = 3;
     /// The Eject exited; deliveries fail and wake nobody.
     pub const DEAD: u8 = 4;
@@ -181,7 +182,8 @@ pub mod spec {
     pub enum Actor {
         /// A thread delivering mail (`MailboxCore::wake_after_push`).
         Sender,
-        /// A pool worker resuming or reaping the task (`sched.rs`).
+        /// Whoever resumes or reaps the task (`sched.rs`): a pool worker,
+        /// or a sender running as a call the task its own push woke.
         Worker,
         /// The spawn path queueing a task's first resume.
         Spawner,
@@ -366,15 +368,6 @@ pub(crate) enum SendOutcome {
     Rejected(Envelope, ShedCause),
 }
 
-/// What a sender must do after landing an envelope.
-enum Wake {
-    /// Nothing: the task is already queued, running was marked dirty, or
-    /// the mailbox is threads-mode (the condvar was notified instead).
-    None,
-    /// The push transitioned `PARKED -> QUEUED`: enqueue the task.
-    Enqueue(Arc<Scheduler>, Arc<Task>),
-}
-
 /// The scheduler-mode wiring of a mailbox, installed once when the owning
 /// task is created. Weak on both ends: a parked task is kept alive by its
 /// registry slot, never by its own mailbox (which the task itself owns).
@@ -443,16 +436,19 @@ impl MailboxCore {
         &self.park_state
     }
 
-    /// Run the sender side of the parking protocol after a push. Must be
-    /// called with the ring mutex *released*: the enqueue it may trigger
-    /// lands the task on the dispatch path (LIFO slot, deque, or an
-    /// injector shard plus a sleeper wake), and `mailbox-queue` stays a
-    /// leaf on the delivery path.
-    fn wake_after_push(&self) -> Wake {
+    /// Run the sender side of the parking protocol after a push. `Some` if
+    /// this push flipped `PARKED -> QUEUED` and so owes the task a run;
+    /// `None` if the task is already queued, was running and is now marked
+    /// dirty, or the mailbox is threads-mode (the condvar was notified
+    /// instead). Must be called with the ring mutex *released*: spending the
+    /// wake lands the task on the dispatch path (LIFO slot, deque, an
+    /// injector shard plus a sleeper wake, or the sender's own stack), and
+    /// `mailbox-queue` stays a leaf on the delivery path.
+    fn wake_after_push(&self) -> Option<Woken> {
         let Some(wake) = self.wake.get() else {
             // Threads mode: the coordinator waits on the condvar.
             self.not_empty.notify_one();
-            return Wake::None;
+            return None;
         };
         loop {
             // eden-lint: ordering(park-state-machine)
@@ -469,12 +465,10 @@ impl MailboxCore {
                         )
                         .is_ok()
                     {
-                        match (wake.sched.upgrade(), wake.task.upgrade()) {
-                            (Some(sched), Some(task)) => return Wake::Enqueue(sched, task),
-                            // Scheduler or task gone: teardown won the
-                            // race; nobody is left to run the mail.
-                            _ => return Wake::None,
-                        }
+                        // Scheduler or task gone: teardown won the race;
+                        // nobody is left to run the mail.
+                        let (sched, task) = (wake.sched.upgrade()?, wake.task.upgrade()?);
+                        return Some(Woken { sched, task });
                     }
                 }
                 park::RUNNING => {
@@ -489,16 +483,21 @@ impl MailboxCore {
                         )
                         .is_ok()
                     {
-                        return Wake::None;
+                        return None;
                     }
                 }
                 // Already queued/dirty (someone else's push won), or dead.
-                _ => return Wake::None,
+                _ => return None,
             }
         }
     }
 
-    fn push(&self, envelope: Envelope, respect_bound: bool) -> Result<SendOutcome, SendError> {
+    /// Land an envelope and hand the caller the wake it won, if it won one.
+    fn push(
+        &self,
+        envelope: Envelope,
+        respect_bound: bool,
+    ) -> Result<(SendOutcome, Option<Woken>), SendError> {
         let mut evicted: Vec<(Envelope, ShedCause)> = Vec::new();
         {
             let mut ring = self.mailq.lock();
@@ -521,7 +520,7 @@ impl MailboxCore {
                                 }
                                 Admit::Shed(env, cause) => {
                                     drop(ring);
-                                    return Ok(SendOutcome::Rejected(env, cause));
+                                    return Ok((SendOutcome::Rejected(env, cause), None));
                                 }
                             }
                         }
@@ -531,15 +530,21 @@ impl MailboxCore {
                 break;
             }
         }
-        match self.wake_after_push() {
-            Wake::None => {}
-            Wake::Enqueue(sched, task) => sched.enqueue(task),
-        }
-        if evicted.is_empty() {
-            Ok(SendOutcome::Delivered)
+        let outcome = if evicted.is_empty() {
+            SendOutcome::Delivered
         } else {
-            Ok(SendOutcome::DeliveredEvicting(evicted))
+            SendOutcome::DeliveredEvicting(evicted)
+        };
+        Ok((outcome, self.wake_after_push()))
+    }
+
+    /// [`push`](Self::push) for a sender that will not run anybody itself.
+    fn deliver(&self, envelope: Envelope, respect_bound: bool) -> Result<SendOutcome, SendError> {
+        let (outcome, woken) = self.push(envelope, respect_bound)?;
+        if let Some(Woken { sched, task }) = woken {
+            sched.enqueue(task);
         }
+        Ok(outcome)
     }
 
     /// One admission decision at a full ring, under the ring lock. Either
@@ -708,6 +713,16 @@ impl MailboxSender {
     /// `Ok` carries what admission control did, including any shed
     /// envelopes the caller must resolve.
     pub(crate) fn send(&self, envelope: Envelope) -> Result<SendOutcome, SendError> {
+        self.core.deliver(envelope, true)
+    }
+
+    /// As [`send`](Self::send), for a sender that is about to wait for the
+    /// reply: a wake its push won comes back un-enqueued, the sender's to
+    /// spend ([`Woken::run_as_call`]).
+    pub(crate) fn send_calling(
+        &self,
+        envelope: Envelope,
+    ) -> Result<(SendOutcome, Option<Woken>), SendError> {
         self.core.push(envelope, true)
     }
 
@@ -715,7 +730,7 @@ impl MailboxSender {
     /// messages (crash, shutdown) use this so a full mailbox can never
     /// wedge teardown.
     pub(crate) fn force_send(&self, envelope: Envelope) -> Result<(), SendError> {
-        self.core.push(envelope, false).map(|_| ())
+        self.core.deliver(envelope, false).map(|_| ())
     }
 
     /// How many envelopes are queued right now (the obs plane's

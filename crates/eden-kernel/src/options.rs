@@ -304,6 +304,7 @@ impl RetryState {
             // DeadlineDrop eviction) sees the overall budget, not a fresh
             // one per attempt.
             self.deadline.map(|d| self.started + d),
+            None,
         );
         Ok(())
     }

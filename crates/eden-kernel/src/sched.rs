@@ -65,26 +65,30 @@
 //! # Direct handoff
 //!
 //! The commonest rendezvous of all needs no compensation, because it need
-//! not be a rendezvous: a handler that sends an invocation and immediately
-//! `wait()`s on the reply has made a call. The callee it just woke sits in
-//! this worker's LIFO slot, so [`handoff`] takes it out and resumes it
-//! right there, nested on the caller's stack, until the awaited reply
-//! settles; no slot flush, no sibling wake, no sleep, no steal. A lazy
-//! depth-4 pipeline then crosses its stages as four nested calls on one
-//! worker. Only what the handoff declines or leaves unsettled (a deferred
-//! reply, a callee running elsewhere, a chain deeper than
-//! [`HANDOFF_DEPTH_CAP`], a non-worker caller) sleeps inside [`blocking`].
+//! not be a rendezvous: a sender that will wait for the reply at once has
+//! made a call, and says so (`Kernel::call`, `EjectContext::call`,
+//! `ProcessContext::call`). If its push is the one that flips the callee
+//! `PARKED -> QUEUED`, the mailbox hands it that wake back as a [`Woken`]
+//! instead of enqueueing it, and [`Woken::run_as_call`] — the one election
+//! point — resumes the task right there, nested on the caller's stack, until
+//! the awaited reply settles: no queue, no sibling wake, no sleep, no steal,
+//! on whatever thread the caller is. A lazy depth-4 pipeline crosses its
+//! stages as five nested calls on its sink's pump thread, no pool worker at
+//! all. What the election declines it enqueues like any other wake; what a
+//! resume leaves unsettled (a deferred reply), and a call that woke nobody
+//! (a callee running or queued elsewhere), wait inside [`blocking`].
 //!
 //! A call returns when the callee's handler *returns*; a wait returns when
 //! it *replies*. The two differ for a handler that replies and then keeps
 //! working, and on one stack the difference cannot be undone once the
 //! callee runs: its caller is in the frame beneath. Which kind a behaviour
-//! is does not change from one invocation to the next, so it says: a task
-//! whose behaviour declares [`replies_last`](EjectBehavior::replies_last) is
-//! resumed inline from its first invocation on, and no other ever is. One
-//! that declares it and then waits after its reply is wrong: a debug build
-//! crashes it there ([`note_wait`]), a release build fails the wait at once
-//! if it is for a task further down its own stack ([`strands_responder`]).
+//! is does not change from one invocation to the next, so it says: only a
+//! task whose behaviour declares
+//! [`replies_last`](EjectBehavior::replies_last) is ever resumed inline, and
+//! it is from its first invocation on. One that declares it and then waits
+//! after its reply is wrong: a debug build crashes it there ([`note_wait`]),
+//! a release build fails the wait at once if it is for a task further down
+//! its own stack ([`strands_responder`]).
 //!
 //! The scheduler is deliberately kernel-agnostic: tasks reach the kernel
 //! through the weak handle in their context and workers hold only the
@@ -162,11 +166,11 @@ const COUNTER_SHARDS: usize = 16;
 /// prevent.
 const LIFO_STALE: Duration = Duration::from_millis(1);
 
-/// Most tasks one thread resumes nested inside one another: the worker's
-/// own pickup plus the inline handoffs stacked on it (see [`handoff`]). A
-/// wait at the cap sleeps like any other, so a call chain of any depth
-/// still completes — on more threads — and the stack a chain can take
-/// from one worker is bounded.
+/// Most tasks one thread resumes nested inside one another: a worker's own
+/// pickup plus the calls stacked on it (see [`Woken::run_as_call`]). A call
+/// at the cap enqueues its callee and waits like any other, so a call chain
+/// of any depth still completes — on more threads — and the stack a chain
+/// can take from one thread is bounded.
 const HANDOFF_DEPTH_CAP: usize = 16;
 
 /// Pads a hot field to its own cache-line pair (128 bytes covers x86's
@@ -378,8 +382,6 @@ struct WorkerSlot {
     lifo_since_ns: AtomicU64,
     parker: Arc<Parker>,
     steals: AtomicU64,
-    /// Callees this worker resumed on a waiting caller's stack.
-    handoffs: AtomicU64,
     /// Task pickups by this worker; folded into the stall monitor's
     /// progress signal.
     progress: AtomicU64,
@@ -426,8 +428,9 @@ pub struct SchedSnapshot {
     pub parked_ejects: u64,
     /// Tasks a worker claimed from another worker's deque or LIFO slot.
     pub sched_steals: u64,
-    /// Callees resumed on their waiting caller's stack instead of being
-    /// handed to another thread (see [`PendingReply::wait`](crate::PendingReply::wait)).
+    /// Callees resumed on their caller's stack — a pool worker's or any other
+    /// thread's — instead of being queued for another thread (see
+    /// [`Kernel::call`](crate::Kernel::call)).
     pub inline_handoffs: u64,
     /// Current worker-pool size (target plus live spares).
     pub workers: u64,
@@ -454,8 +457,8 @@ pub(crate) struct Task {
     ctx: Arc<EjectContext>,
     incarnation: u64,
     /// What the behaviour said of itself before it was boxed into `body`
-    /// ([`EjectBehavior::replies_last`]): the whole of [`handoff`]'s test of
-    /// a callee.
+    /// ([`EjectBehavior::replies_last`]): the whole of
+    /// [`Woken::run_as_call`]'s test of a callee.
     replies_last: bool,
     /// The behaviour and resume bookkeeping, exclusively owned by
     /// whichever worker is running the task. Locked only for the take at
@@ -538,11 +541,11 @@ struct WorkerTls {
 
 thread_local! {
     static WORKER: RefCell<Option<WorkerTls>> = const { RefCell::new(None) };
-    /// The tasks this thread is resuming right now, outermost first: the
-    /// worker's own pickup, then one frame per inline handoff. None of
-    /// them can die before the innermost frame returns, which is what
-    /// lets crash/shutdown recognise "waiting on myself" and skip the
-    /// self-deadlock.
+    /// The tasks this thread is resuming right now, outermost first: a
+    /// worker's own pickup, then — on any thread — one frame per call it
+    /// runs inline. None of them can die before the innermost frame
+    /// returns, which is what lets crash/shutdown recognise "waiting on
+    /// myself" and skip the self-deadlock.
     static RESUMING: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -598,7 +601,7 @@ pub(crate) fn note_settled(cell: usize) {
 /// a debug build it crashes here, alone — its caller has its reply. (Not
 /// while it is already unwinding: a destructor's wait must not turn one
 /// Eject's crash into the process's abort.)
-fn note_wait() {
+pub(crate) fn note_wait() {
     debug_assert!(
         std::thread::panicking()
             || !RESUMING.with(|frames| frames.borrow().last().is_some_and(|frame| frame.replied)),
@@ -705,56 +708,50 @@ pub fn blocking<R>(f: impl FnOnce() -> R) -> R {
     out
 }
 
-/// Caller-runs-callee: resume `responder` on the calling thread's stack if
-/// the calling worker is the one that just woke it, so that a send followed
-/// by a wait costs a call instead of two thread hand-offs (flush the slot,
-/// wake a sibling, sleep, be woken). `settled` is the caller's probe of the
-/// reply it is about to wait for; the inline resume ends once it reads
-/// true.
-///
-/// The election reads only what the call looks like from here. It takes
-/// the task when the caller is a slotted pool worker outside any blocking
-/// section, fewer than [`HANDOFF_DEPTH_CAP`] resumes are stacked on this
-/// thread, the worker's own LIFO slot holds the responder's task — the
-/// slot is where [`Scheduler::enqueue`] put it when this handler's send
-/// flipped it `PARKED -> QUEUED` — and that task's behaviour declares
-/// [`replies_last`](EjectBehavior::replies_last), so that running it as a
-/// call returns when waiting for it would. A responder that is running, queued
-/// elsewhere, displaced to the deque by a later wake, or stolen is not in
-/// the slot, and a task on this thread's frame stack is `RUNNING` and so
-/// never is: re-entrant chains cannot nest a task inside itself. Whatever
-/// this declines, or leaves unsettled (the callee parked the
-/// [`ReplyHandle`](crate::ReplyHandle)), the caller then waits for inside
-/// [`blocking`] as it always has.
-pub(crate) fn handoff(responder: Uid, settled: &dyn Fn() -> bool) {
-    // A wait, whichever way it is served.
-    note_wait();
-    if resuming_depth() >= HANDOFF_DEPTH_CAP {
-        return;
-    }
-    // Decide under the borrow, run outside it: the nested resume re-enters
-    // this thread-local (`blocking`, `local_slot`).
-    let Some((sched, me, task)) = WORKER.with(|w| {
-        let tls = w.borrow();
-        let worker = tls.as_ref().filter(|worker| worker.block_depth == 0)?;
-        let me = worker.slot?;
-        let slot = &worker.sched.slots[me];
-        let task = slot.lifo.take()?;
-        if task.uid() != responder || !task.replies_last {
-            // Somebody else's wake, or a callee that does not say its reply
-            // is its last act: back where the dispatch loop expects it.
-            if let Some(displaced) = slot.lifo.put(task) {
-                worker.sched.push_local_deque(me, displaced);
-            }
-            return None;
+/// A `PARKED -> QUEUED` wake in the hands of the sender whose push won it:
+/// the task is `QUEUED` and in no queue, so nobody else can make it run and
+/// this sender must. A plain send hands it to [`Scheduler::enqueue`] at once;
+/// a call gets it back from the mailbox and spends it in
+/// [`run_as_call`](Woken::run_as_call).
+#[must_use = "dropping a wake strands its task"]
+pub(crate) struct Woken {
+    pub(crate) sched: Arc<Scheduler>,
+    pub(crate) task: Arc<Task>,
+}
+
+impl Woken {
+    /// Caller-runs-callee, and the only place it is decided: resume the
+    /// task on the calling thread's stack, so that a send followed by a wait
+    /// costs a call instead of two thread hand-offs (queue, wake a sleeper,
+    /// sleep, be woken). `settled` is the caller's probe of the reply it is
+    /// about to wait for; the inline resume ends once it reads true.
+    ///
+    /// The election reads only what the call looks like from here, and
+    /// whose thread this is — a pool worker's, an Eject's process, a user's
+    /// — is no part of it. It runs the task when its behaviour declares
+    /// [`replies_last`](EjectBehavior::replies_last), so that running it as
+    /// a call returns when waiting for it would, fewer than
+    /// [`HANDOFF_DEPTH_CAP`] resumes are stacked on this thread, and the
+    /// thread is not a worker inside a [`blocking`] section. Holding the
+    /// wake is what makes this a pickup like a worker's, the same store from
+    /// the same `QUEUED`; and a task on this thread's frame stack is
+    /// `RUNNING` and yields no wake, so re-entrant chains cannot nest a task
+    /// inside itself. Anything declined goes where every wake goes, and
+    /// whatever the resume leaves unsettled (the callee parked the
+    /// [`ReplyHandle`](crate::ReplyHandle)) the caller then waits for inside
+    /// [`blocking`] as it always has.
+    pub(crate) fn run_as_call(self, settled: &dyn Fn() -> bool) {
+        let Woken { sched, task } = self;
+        let blocked =
+            WORKER.with(|w| w.borrow().as_ref().is_some_and(|worker| worker.block_depth > 0));
+        if !task.replies_last || blocked || resuming_depth() >= HANDOFF_DEPTH_CAP {
+            return sched.enqueue(task);
         }
-        Some((Arc::clone(&worker.sched), me, task))
-    }) else {
-        return;
-    };
-    sched.slots[me].handoffs.fetch_add(1, Ordering::Relaxed);
-    sched.note_progress(Some(me));
-    sched.run_task(task, Some(settled));
+        // The run-queue wait this stamps the start of is over at once.
+        sched.note_wake(&task);
+        sched.handoffs.add(1);
+        sched.run_task(task, Some(settled));
+    }
 }
 
 /// The worker pool and its lock-free dispatch state. One per
@@ -795,6 +792,8 @@ pub(crate) struct Scheduler {
     blocked_workers: AtomicUsize,
     tasks_alive: ShardedGauge,
     parked: ShardedGauge,
+    /// Calls run inline, by whichever thread made them.
+    handoffs: ShardedGauge,
     /// Steal/pickup counts of slotless spare workers (slotted workers
     /// count on their own padded lines).
     spare_steals: CachePadded<AtomicU64>,
@@ -817,7 +816,6 @@ impl Scheduler {
                 lifo_since_ns: AtomicU64::new(0),
                 parker: Arc::new(Parker::new()),
                 steals: AtomicU64::new(0),
-                handoffs: AtomicU64::new(0),
                 progress: AtomicU64::new(0),
             })
             .collect();
@@ -844,6 +842,7 @@ impl Scheduler {
             blocked_workers: AtomicUsize::new(0),
             tasks_alive: ShardedGauge::new(),
             parked: ShardedGauge::new(),
+            handoffs: ShardedGauge::new(),
             spare_steals: CachePadded(AtomicU64::new(0)),
             spare_progress: CachePadded(AtomicU64::new(0)),
             worker_seq: AtomicUsize::new(0),
@@ -887,11 +886,7 @@ impl Scheduler {
             resident_ejects: self.tasks_alive.sum(),
             parked_ejects: self.parked.sum(),
             sched_steals: slot_steals + self.spare_steals.0.load(Ordering::Relaxed),
-            inline_handoffs: self
-                .slots
-                .iter()
-                .map(|slot| slot.handoffs.load(Ordering::Relaxed))
-                .sum(),
+            inline_handoffs: self.handoffs.sum(),
             workers: self.live_workers.load(Ordering::Relaxed) as u64,
             workers_blocked: self.blocked_workers.load(Ordering::Relaxed) as u64,
             workers_idle: self.idle_count.0.load(Ordering::Relaxed) as u64,
@@ -942,8 +937,7 @@ impl Scheduler {
     /// Queue a task whose parking bit just flipped `PARKED -> QUEUED`
     /// (the mailbox wake path).
     pub(crate) fn enqueue(self: &Arc<Scheduler>, task: Arc<Task>) {
-        self.parked.add(-1);
-        self.stamp_enqueue(&task);
+        self.note_wake(&task);
         match self.local_slot() {
             Some(i) => {
                 // Hot path: a worker delivering mid-resume. The wakened
@@ -967,6 +961,12 @@ impl Scheduler {
 
     fn stamp_enqueue(&self, task: &Task) {
         task.rq_enq_ns.store(self.now_ns(), Ordering::Relaxed);
+    }
+
+    /// What every `PARKED -> QUEUED` wake is owed, wherever it is spent.
+    fn note_wake(&self, task: &Task) {
+        self.parked.add(-1);
+        self.stamp_enqueue(task);
     }
 
     /// The calling thread's worker slot on *this* scheduler, if any.
@@ -1307,8 +1307,8 @@ impl Scheduler {
 
     /// Resume one task: drain up to the fairness budget, then park or
     /// requeue; run the death path if an exit envelope (or a panic in the
-    /// behaviour) ends it. An inline resume (see [`handoff`]) passes the
-    /// waiting caller's `settled` probe and ends as soon as it reads true.
+    /// behaviour) ends it. An inline resume (see [`Woken::run_as_call`]) passes
+    /// the caller's `settled` probe and ends as soon as it reads true.
     fn run_task(&self, task: Arc<Task>, settled: Option<&dyn Fn() -> bool>) {
         transition(task.core.park_bit(), Op::Store, &[park::QUEUED], park::RUNNING);
         RESUMING.with(|frames| {

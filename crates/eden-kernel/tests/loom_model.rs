@@ -365,45 +365,67 @@ fn no_resend_after_expiry_and_attempts_stay_bounded() {
 // 1. every delivered message is eventually processed — a sender racing
 //    the consumer's park transition can never strand mail behind a
 //    PARKED bit with no run-queue entry (the lost-wakeup);
-// 2. whenever a run-queue entry is claimed, the behaviour body is in its
-//    slot — the consumer publishes the body *before* advertising PARKED,
-//    so a racing wake always finds something to resume;
-// 3. the bit ends PARKED with the mailbox and run queue both empty;
+// 2. whenever a wake is spent — a run-queue entry claimed by a worker, or
+//    the wake a calling sender's own push won, run by that sender — the
+//    behaviour body is in its slot: the consumer publishes the body
+//    *before* advertising PARKED, so a racing wake always finds something
+//    to resume;
+// 3. the bit ends PARKED with the mailbox and run queue both empty, and
+//    mail was served in the order it was pushed;
 // 4. every bit transition the model performs is an edge of
 //    `mailbox::spec::TRANSITIONS` — the same declarative table
 //    `eden-lint --protocol` checks the real code against. Stores learn
 //    their from-state via `swap`, so an off-spec edge (a pickup from
 //    PARKED, a reclaim from RUNNING) panics here instead of hiding.
 
+use std::collections::VecDeque;
+
 use eden_kernel::mailbox::park as pk;
 use eden_kernel::mailbox::spec;
 
 struct ParkModel {
     bit: loom::sync::atomic::AtomicU8,
-    /// Pending mail (the ring, reduced to a count).
-    mailq: Mutex<u32>,
+    /// Pending mail (the ring, reduced to envelope ids) and, beside it,
+    /// every id ever pushed, in push order.
+    mailq: Mutex<(VecDeque<u32>, Vec<u32>)>,
     /// The behaviour body: present iff the task is parked or queued.
     body: Mutex<Option<()>>,
     /// Run-queue entries naming this task.
     runq: Mutex<u32>,
-    processed: AtomicU32,
+    /// Envelope ids in the order they were served.
+    served: Mutex<Vec<u32>>,
+    /// `PARKED -> QUEUED` edges taken, and `RUNNING -> PARKED` ones.
+    wakes: AtomicU32,
+    parks: AtomicU32,
 }
 
 impl ParkModel {
     fn new() -> Self {
         ParkModel {
             bit: loom::sync::atomic::AtomicU8::new(pk::PARKED),
-            mailq: Mutex::new(0),
+            mailq: Mutex::new((VecDeque::new(), Vec::new())),
             body: Mutex::new(Some(())),
             runq: Mutex::new(0),
-            processed: AtomicU32::new(0),
+            served: Mutex::new(Vec::new()),
+            wakes: AtomicU32::new(0),
+            parks: AtomicU32::new(0),
         }
     }
 
-    /// Sender side: push, then run the wake protocol exactly as
-    /// `wake_after_push` does.
-    fn send(&self) {
-        *self.mailq.lock().unwrap() += 1;
+    fn served(&self) -> usize {
+        self.served.lock().unwrap().len()
+    }
+
+    /// `MailboxCore::push`: land the envelope, then run the wake protocol
+    /// exactly as `wake_after_push` does. True if this push flipped
+    /// `PARKED -> QUEUED` — the pusher then holds the wake, and owes the
+    /// task a run.
+    fn push(&self, id: u32) -> bool {
+        {
+            let mut ring = self.mailq.lock().unwrap();
+            ring.0.push_back(id);
+            ring.1.push(id);
+        }
         loop {
             match self.bit.load(Ordering::Acquire) {
                 pk::PARKED => {
@@ -418,8 +440,8 @@ impl ParkModel {
                         .is_ok()
                     {
                         spec::assert_transition(pk::PARKED, pk::QUEUED);
-                        *self.runq.lock().unwrap() += 1;
-                        return;
+                        self.wakes.fetch_add(1, Ordering::SeqCst);
+                        return true;
                     }
                 }
                 pk::RUNNING => {
@@ -434,17 +456,23 @@ impl ParkModel {
                         .is_ok()
                     {
                         spec::assert_transition(pk::RUNNING, pk::DIRTY);
-                        return;
+                        return false;
                     }
                 }
-                _ => return, // QUEUED or DIRTY: someone else's wake covers us.
+                _ => return false, // QUEUED or DIRTY: someone else's wake covers us.
             }
         }
     }
 
-    /// Worker side: claim one run-queue entry and resume, exactly as
-    /// `Scheduler::resume` orders its park attempt. Returns false when
-    /// no entry was claimable.
+    /// A plain send (`MailboxSender::send`): a wake won is enqueued at once.
+    fn send(&self, id: u32) {
+        if self.push(id) {
+            *self.runq.lock().unwrap() += 1;
+        }
+    }
+
+    /// Worker side: claim one run-queue entry and resume. Returns false
+    /// when no entry was claimable.
     fn try_resume(&self) -> bool {
         {
             let mut q = self.runq.lock().unwrap();
@@ -453,28 +481,40 @@ impl ParkModel {
             }
             *q -= 1;
         }
+        self.resume(None);
+        true
+    }
+
+    /// Spend a wake: the pickup store, then drain exactly as
+    /// `Scheduler::resume` orders its park attempt. An inline resume
+    /// (`awaited`: the envelope whose service settles the caller's reply)
+    /// ends as soon as that envelope has been served, requeueing FIFO
+    /// whatever mail is behind it.
+    fn resume(&self, awaited: Option<u32>) {
         let prev = self.bit.swap(pk::RUNNING, Ordering::AcqRel);
         spec::assert_transition(prev, pk::RUNNING);
-        // Invariant 2: a claimed entry always finds the body in place.
-        let body = self
+        // Invariant 2: a spent wake always finds the body in place.
+        let mut held = self
             .body
             .lock()
             .unwrap()
             .take()
-            .expect("run-queue entry with no body: park published too early");
-        let mut held = body;
+            .expect("wake with no body: park published too early, or a wake spent twice");
         loop {
-            let popped = {
-                let mut m = self.mailq.lock().unwrap();
-                if *m > 0 {
-                    *m -= 1;
-                    true
-                } else {
-                    false
+            let popped = self.mailq.lock().unwrap().0.pop_front();
+            if let Some(id) = popped {
+                let settled =
+                    awaited.is_some_and(|mine| self.served.lock().unwrap().contains(&mine));
+                if settled {
+                    // `unpop` + `requeue`: state, body, then the queue.
+                    self.mailq.lock().unwrap().0.push_front(id);
+                    let prev = self.bit.swap(pk::QUEUED, Ordering::AcqRel);
+                    spec::assert_transition(prev, pk::QUEUED);
+                    *self.body.lock().unwrap() = Some(held);
+                    *self.runq.lock().unwrap() += 1;
+                    return;
                 }
-            };
-            if popped {
-                self.processed.fetch_add(1, Ordering::SeqCst);
+                self.served.lock().unwrap().push(id);
                 continue;
             }
             // Publish the body BEFORE the CAS advertises PARKED; the
@@ -489,7 +529,8 @@ impl ParkModel {
             ) {
                 Ok(_) => {
                     spec::assert_transition(pk::RUNNING, pk::PARKED);
-                    return true;
+                    self.parks.fetch_add(1, Ordering::SeqCst);
+                    return;
                 }
                 Err(_) => {
                     // A sender dirtied us: reclaim the body and drain on.
@@ -502,6 +543,42 @@ impl ParkModel {
             }
         }
     }
+
+    /// A pool worker: drains until `total` envelopes have been served. The
+    /// spin bound converts a lost wakeup into a visible assertion instead
+    /// of a hang.
+    fn work_until_served(&self, total: usize) {
+        let mut spins = 0u32;
+        while self.served() < total {
+            if !self.try_resume() {
+                spins += 1;
+                assert!(spins < 100_000, "mail stranded: wakeup lost");
+                thread::yield_now();
+            }
+        }
+    }
+
+    /// Invariants 1 and 3, once every thread is done.
+    fn assert_quiet(&self, total: usize) {
+        // A sender whose wake lost the race to the worker's drain may
+        // leave one stale run-queue entry (bit QUEUED, mailbox empty);
+        // the real scheduler resumes it into an immediate re-park, so
+        // the model does the same before judging quiescence.
+        while self.try_resume() {}
+        let ring = self.mailq.lock().unwrap();
+        assert!(ring.0.is_empty(), "mail left in the ring: {:?}", ring.0);
+        assert_eq!(ring.1.len(), total);
+        assert_eq!(*self.served.lock().unwrap(), ring.1, "served out of push order");
+        assert_eq!(*self.runq.lock().unwrap(), 0);
+        assert_eq!(self.bit.load(Ordering::Acquire), pk::PARKED);
+        assert!(self.body.lock().unwrap().is_some());
+        // Every park was ended by exactly one wake: no two senders ever
+        // won the same one.
+        assert_eq!(
+            self.wakes.load(Ordering::SeqCst),
+            self.parks.load(Ordering::SeqCst)
+        );
+    }
 }
 
 #[test]
@@ -512,53 +589,101 @@ fn park_vs_deliver_loses_no_wakeups() {
         let model = Arc::new(ParkModel::new());
 
         let senders: Vec<_> = (0..SENDERS)
-            .map(|_| {
+            .map(|sender| {
                 let model = model.clone();
                 thread::spawn(move || {
-                    for _ in 0..PER_SENDER {
-                        model.send();
+                    for i in 0..PER_SENDER {
+                        model.send(sender * PER_SENDER + i);
                     }
                 })
             })
             .collect();
         let worker = {
             let model = model.clone();
-            thread::spawn(move || {
-                // A single worker drains until the protocol says quiet;
-                // the spin bound converts a lost wakeup into a visible
-                // assertion instead of a hang.
-                let mut spins = 0u32;
-                while model.processed.load(Ordering::SeqCst) < SENDERS * PER_SENDER {
-                    if !model.try_resume() {
-                        spins += 1;
-                        assert!(spins < 100_000, "mail stranded: wakeup lost");
-                        thread::yield_now();
-                    }
-                }
-            })
+            thread::spawn(move || model.work_until_served((SENDERS * PER_SENDER) as usize))
         };
 
         for s in senders {
             s.join().unwrap();
         }
         worker.join().unwrap();
-
-        // A sender whose wake lost the race to the worker's drain may
-        // leave one stale run-queue entry (bit QUEUED, mailbox empty);
-        // the real scheduler resumes it into an immediate re-park, so
-        // the model does the same before judging quiescence.
-        while model.try_resume() {}
-
-        // Invariants 1 and 3: everything delivered, everything quiet.
-        assert_eq!(
-            model.processed.load(Ordering::SeqCst),
-            SENDERS * PER_SENDER
-        );
-        assert_eq!(*model.mailq.lock().unwrap(), 0);
-        assert_eq!(*model.runq.lock().unwrap(), 0);
-        assert_eq!(model.bit.load(Ordering::Acquire), pk::PARKED);
-        assert!(model.body.lock().unwrap().is_some());
+        model.assert_quiet((SENDERS * PER_SENDER) as usize);
     });
+}
+
+// ---------------------------------------------------------------------
+// Call-vs-second-sender: the one election point (`mailbox.rs::push` hands
+// the wake it won back to a calling sender, `sched.rs::Woken::run_as_call`
+// spends it). A calling sender and a plain sender race on one PARKED
+// mailbox while a pool worker stands by. On top of the contract above:
+//
+// 5. exactly one of the two wins the wake; the caller runs the task itself
+//    only if it is the one — holding the wake is what makes its pickup the
+//    same `QUEUED -> RUNNING` store a worker's is, with nobody else able to
+//    take it;
+// 6. the loser's envelope is not stranded: ahead of the caller's in the
+//    ring it is served by the inline resume, behind it it goes back to the
+//    front and the task is requeued for the worker;
+// 7. a caller that lost the wake runs nothing and is served by whoever
+//    holds it.
+
+/// `elects_anyway` seeds the bug: the caller runs the task inline whether
+/// or not its push won the wake. `in_turn` takes the race out: the plain
+/// send is over (its wake queued) before the caller pushes, and the worker
+/// starts only once the caller is done — the one order in which the caller
+/// cannot have won, whatever the host's scheduler feels like.
+fn call_vs_second_sender_model(elects_anyway: bool, in_turn: bool) {
+    const CALL: u32 = 1;
+    const PLAIN: u32 = 2;
+    fn started<T>(in_turn: bool, handle: thread::JoinHandle<T>) -> Option<thread::JoinHandle<T>> {
+        if in_turn {
+            handle.join().unwrap();
+            return None;
+        }
+        Some(handle)
+    }
+    loom::model(move || {
+        let model = Arc::new(ParkModel::new());
+
+        let sender = {
+            let model = model.clone();
+            started(in_turn, thread::spawn(move || model.send(PLAIN)))
+        };
+        let caller = {
+            let model = model.clone();
+            let spawned = thread::spawn(move || {
+                if model.push(CALL) || elects_anyway {
+                    model.resume(Some(CALL));
+                }
+            });
+            started(in_turn, spawned)
+        };
+        let worker = {
+            let model = model.clone();
+            thread::spawn(move || model.work_until_served(2))
+        };
+
+        for racing in [sender, caller].into_iter().flatten() {
+            racing.join().unwrap();
+        }
+        worker.join().unwrap();
+        model.assert_quiet(2);
+    });
+}
+
+#[test]
+fn call_vs_second_sender() {
+    call_vs_second_sender_model(false, false);
+    call_vs_second_sender_model(false, true);
+}
+
+/// The seeded bug must be found, every time: a task run by a sender that
+/// holds no wake has been run on a wake somebody else still holds, and the
+/// worker that spends that one finds the bit where no wake leaves it.
+#[test]
+#[should_panic(expected = "illegal parking-bit transition PARKED -> RUNNING")]
+fn call_vs_second_sender_catches_an_election_without_the_wake() {
+    call_vs_second_sender_model(true, true);
 }
 
 // ---------------------------------------------------------------------

@@ -23,8 +23,9 @@
 //! has promised that its reply is its handlers' last act (the scheduler runs
 //! it as a call on its caller's stack on the strength of that), so inside its
 //! `impl EjectBehavior` no wait may follow a `.reply(` lexically in the same
-//! `handle` or `internal` body. Debug builds catch the same lie when it
-//! runs; this catches it when it is written.
+//! `handle` or `internal` body — and a `call` is a wait, with a send in
+//! front. Debug builds catch the same lie when it runs; this catches it
+//! when it is written.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -48,9 +49,11 @@ const RENDEZVOUS: [(&str, &str); 9] = [
 ];
 
 /// What a behaviour that declares `replies_last` may not do after `.reply(`.
-const WAITS: [&str; 5] = [
+const WAITS: [&str; 7] = [
     ".wait(",
     ".wait_timeout(",
+    ".call(",
+    ".call_routed(",
     "blocking(",
     "thread::sleep",
     "thread::park",
@@ -355,6 +358,13 @@ mod tests {
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].starts_with("l.rs:7:"), "{findings:?}");
         assert!(waits_after_reply(&scan_text("l.rs", &lingers("false"))).is_empty());
+        // A call is a wait, whichever way it is spelled.
+        for call in ["ctx.call(self.next, inv.op, inv.arg)", "ctx.call_routed(&mut self.cache, self.next, inv.op, inv.arg)"] {
+            let calls = lingers("true").replace("ctx.invoke(self.next, inv.op, inv.arg).wait()", call);
+            let findings = waits_after_reply(&scan_text("c.rs", &calls));
+            assert_eq!(findings.len(), 1, "{call}: {findings:?}");
+            assert!(findings[0].starts_with("c.rs:7:"), "{findings:?}");
+        }
         // A wait before the reply is what a call is.
         let relay = "impl EjectBehavior for R {\n    fn replies_last(&self) -> bool { true }\n    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {\n        let out = ctx.invoke(self.next, inv.op, inv.arg).wait();\n        reply.reply(out);\n        self.nonblocking(out);\n    }\n}\n";
         assert!(waits_after_reply(&scan_text("r.rs", relay)).is_empty());

@@ -16,7 +16,8 @@
 //!     Blocking-site audit: every rendezvous call in the roots (default:
 //!     eden-kernel, eden-transput and eden-fs sources) must be
 //!     `blocking(..)`-wrapped or `nonblocking(..)`-annotated, and no wait
-//!     may follow a reply in a behaviour that declares `replies_last`.
+//!     (a `call` is one) may follow a reply in a behaviour that declares
+//!     `replies_last`.
 //! cargo run -p eden-lint -- --protocol [--root PATH]...
 //!     Mailbox protocol conformance: parking-bit transitions in the
 //!     roots (default: mailbox.rs and sched.rs) round-trip against

@@ -157,8 +157,9 @@ fn blocking_fixture_naked_calls_fail_and_wrapped_twin_passes() {
     let report = blocking::audit(&[dir.join("unwrapped")]).unwrap();
     assert_eq!(report.findings.len(), 2, "{}", report.render());
 
+    // Two handlers that wait after their reply, and two that `call` after it.
     let report = blocking::audit(&[dir.join("lingers")]).unwrap();
-    assert_eq!(report.findings.len(), 2, "{}", report.render());
+    assert_eq!(report.findings.len(), 4, "{}", report.render());
     assert!(
         report.findings.iter().all(|f| f.contains("declares replies_last waits after the reply")),
         "{}",

@@ -187,14 +187,19 @@ impl StageConfig {
 }
 
 /// What a face needs from whoever runs it — the Eject's coordinator for a
-/// face run inline, its worker process otherwise: send a stream invocation
-/// through the face's route cache, wait for the reply.
+/// face run inline, its worker process otherwise: call a peer through the
+/// face's route cache, which is all a synchronous face ever does, or, to keep
+/// a window of writes in flight, send now and wait later.
 trait Host {
+    fn call(&self, cache: &mut RouteCache, to: Uid, op: &'static str, arg: Value) -> Result<Value>;
     fn send(&self, cache: &mut RouteCache, to: Uid, op: &'static str, arg: Value) -> PendingReply;
     fn wait(&self, pending: PendingReply) -> Result<Value>;
 }
 
 impl Host for EjectContext {
+    fn call(&self, cache: &mut RouteCache, to: Uid, op: &'static str, arg: Value) -> Result<Value> {
+        self.call_routed(cache, to, op, arg)
+    }
     fn send(&self, cache: &mut RouteCache, to: Uid, op: &'static str, arg: Value) -> PendingReply {
         self.invoke_routed(cache, to, op, arg)
     }
@@ -204,6 +209,9 @@ impl Host for EjectContext {
 }
 
 impl Host for ProcessContext {
+    fn call(&self, cache: &mut RouteCache, to: Uid, op: &'static str, arg: Value) -> Result<Value> {
+        self.call_routed(cache, to, op, arg)
+    }
     fn send(&self, cache: &mut RouteCache, to: Uid, op: &'static str, arg: Value) -> PendingReply {
         self.invoke_routed(cache, to, op, arg)
     }
@@ -248,7 +256,7 @@ fn pull(
             max,
             pos: None,
         };
-        host.wait(host.send(cache, port.uid, ops::TRANSFER, req.to_value()))
+        host.call(cache, port.uid, ops::TRANSFER, req.to_value())
             .and_then(Batch::from_value)
     })
 }
@@ -349,12 +357,11 @@ impl OutFace {
         let (cache, in_flight) = (&mut self.cache, &mut self.in_flight);
         let unsent = in_flight.len();
         deliver(wiring, &mut chunk.out, end, &mut |port, arg| {
-            let pending = host.send(cache, port.uid, ops::WRITE, arg);
             if windowed {
-                in_flight.push_back(pending);
+                in_flight.push_back(host.send(cache, port.uid, ops::WRITE, arg));
                 Ok(())
             } else {
-                host.wait(pending).map(drop)
+                host.call(cache, port.uid, ops::WRITE, arg).map(drop)
             }
         })?;
         if !windowed {

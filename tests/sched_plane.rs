@@ -346,11 +346,12 @@ fn threads_and_scheduler_modes_produce_identical_output() {
 }
 
 // ---------------------------------------------------------------------
-// Caller-runs-callee handoff: a worker that sends and then `wait()`s
-// resumes the callee it just woke on its own stack — if the callee's
-// behaviour declares `replies_last`, so that the call returns when the wait
-// would have. Everything it declines, or leaves unsettled, takes the
-// blocking wait it always took.
+// Caller-runs-callee handoff: a sender that `call`s — sends and waits in
+// one act — and whose send is what wakes the callee from its park resumes
+// it on its own stack, whatever thread that is, if the callee's behaviour
+// declares `replies_last`, so that the call returns when a wait would have.
+// Everything the election declines it enqueues, and everything a resume
+// leaves unsettled takes the blocking wait it always took.
 
 fn one_worker_kernel() -> Kernel {
     Kernel::builder()
@@ -358,14 +359,17 @@ fn one_worker_kernel() -> Kernel {
         .build()
 }
 
-/// Repeat `run` until it reports that the pool's own workers ran it.
+/// Repeat `run` until it reports that its calls ran inline.
 ///
-/// Only a slotted worker hands off. On an oversubscribed host (this
-/// binary's 10k-Eject tests run beside these) the stall monitor sees a
-/// worker that was merely descheduled for 2 ms and adds a slotless spare,
-/// which takes tasks from the injector and — rightly — runs none of them
-/// inline. Such a run is correct, and `run` asserts that itself every time;
-/// it just says nothing about the inline path, so it is repeated.
+/// A call runs its callee only if its own send is what wakes it, so the
+/// callee has to be parked when the send arrives — and a fresh Eject is
+/// queued, not parked, until its first resume (its `activate`) is over. On
+/// an oversubscribed host (this binary's 10k-Eject tests run beside these)
+/// that resume can be late: the one worker is descheduled, the stall monitor
+/// adds a spare after 2 ms, and the spare runs the caller before the worker
+/// has parked the callee. Such a run is correct, and `run` asserts that
+/// itself every time; it just says nothing about the inline path, so it is
+/// repeated.
 fn until_undisturbed(what: &str, mut run: impl FnMut() -> bool) {
     const ATTEMPTS: usize = 50;
     for _ in 0..ATTEMPTS {
@@ -374,16 +378,30 @@ fn until_undisturbed(what: &str, mut run: impl FnMut() -> bool) {
         }
         std::thread::sleep(Duration::from_millis(20));
     }
-    panic!("{what}: a spare disturbed each of {ATTEMPTS} runs");
+    panic!("{what}: something disturbed each of {ATTEMPTS} runs");
+}
+
+/// Wait until every resident Eject is parked: a callee has to be, for a call
+/// to be what wakes it, and a caller that is still queued for its own first
+/// resume would find its invocation — and make its call — before its callee's
+/// turn to be activated had come. (The gauge moves an instant before the park
+/// itself; `until_undisturbed` repeats the run that falls in between.)
+fn all_parked(kernel: &Kernel) {
+    loop {
+        let sched = kernel.metrics_snapshot().sched;
+        if sched.parked_ejects == sched.resident_ejects {
+            return;
+        }
+        std::thread::yield_now();
+    }
 }
 
 fn inline_handoffs(kernel: &Kernel) -> u64 {
     kernel.metrics_snapshot().sched.inline_handoffs
 }
 
-/// Forwards `Relay` to `next` with a budget-less `wait()` and answers one
-/// more than it was told; anything that goes wrong downstream comes back
-/// as the error's text.
+/// Forwards `Relay` to `next` as a call and answers one more than it was
+/// told; anything that goes wrong downstream comes back as the error's text.
 struct Relay {
     next: Uid,
 }
@@ -398,7 +416,7 @@ impl EjectBehavior for Relay {
     }
 
     fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
-        match ctx.invoke(self.next, inv.op.clone(), inv.arg).wait() {
+        match ctx.call(self.next, inv.op.clone(), inv.arg) {
             Ok(Value::Int(hops)) => reply.reply(Ok(Value::Int(hops + 1))),
             Ok(other) => reply.reply(Ok(other)),
             Err(e) => reply.reply(Ok(Value::str(format!("{e:?}")))),
@@ -423,54 +441,107 @@ impl EjectBehavior for Echo {
     }
 }
 
-/// The paper's lazy pipeline is a chain of calls, and on one worker it runs
-/// as one from its first record: every stage's `Transfer` resumes its
-/// upstream inline, fresh as it is, so nothing is flushed to the deque for a
-/// thief and no rendezvous of the data phase asks the pool for a spare — the
-/// source, which runs at the bottom of every chain, sees one live worker
-/// each time it is pulled. (Teardown has one real rendezvous, the join of
-/// the sink's pump process, and gets one spare for it.)
+/// What the scheduler did while one pipeline ran.
+struct PipelineCalls {
+    inline_handoffs: u64,
+    steals: u64,
+    /// Most live workers the source saw, sampled every time it was pulled.
+    workers_seen: u64,
+    workers_after: u64,
+}
+
+/// Run a fresh depth-4 identity pipeline of `RECORDS` records at batch 1 on
+/// `kernel` (one worker) and check its output. `None`: the previous run's
+/// teardown spare had yet to retire.
+fn depth_4_pipeline_calls(kernel: &Kernel, discipline: Discipline) -> Option<PipelineCalls> {
+    let before = kernel.metrics_snapshot().sched;
+    if before.workers != 1 {
+        return None;
+    }
+    let workers_seen = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let source = {
+        let (kernel, seen) = (kernel.clone(), Arc::clone(&workers_seen));
+        FnSource::new(RECORDS, move |i| {
+            seen.fetch_max(kernel.metrics_snapshot().sched.workers, Ordering::Relaxed);
+            Value::Int(i as i64)
+        })
+    };
+    let mut builder = PipelineSpec::new(discipline)
+        .source(Box::new(source))
+        .batch(1)
+        .policy(ChannelPolicy::Integer);
+    for _ in 0..4 {
+        builder = builder.stage(Box::new(eden::transput::transform::Identity));
+    }
+    let run = builder
+        .build(kernel)
+        .expect("pipeline builds")
+        .run(Duration::from_secs(60))
+        .expect("pipeline completes");
+    let expected: Vec<_> = (0..RECORDS as i64).map(Value::Int).collect();
+    assert_eq!(run.output, expected);
+    let after = kernel.metrics_snapshot().sched;
+    Some(PipelineCalls {
+        inline_handoffs: after.inline_handoffs - before.inline_handoffs,
+        steals: after.sched_steals - before.sched_steals,
+        workers_seen: workers_seen.load(Ordering::Relaxed),
+        workers_after: after.workers,
+    })
+}
+
+const RECORDS: u64 = 200;
+
+/// The paper's lazy pipeline is a chain of calls, and it runs as one from its
+/// first record: the sink's pump calls the last stage, every stage's
+/// `Transfer` calls its upstream, fresh as it is, and the source answers at
+/// the bottom of the stack — n+1 = 5 invocations a record and every one of
+/// them a call on the pump's own thread. Nothing is queued for a worker, so
+/// nothing is there to steal, and no rendezvous of the data phase asks the
+/// pool for a spare: the source sees one live worker each time it is pulled.
+/// (Teardown has one real rendezvous, the join of the sink's pump process,
+/// and gets one spare for it.)
 #[test]
 fn lazy_pipeline_on_one_worker_runs_as_calls_without_spares_or_steals() {
-    const RECORDS: u64 = 200;
     let kernel = one_worker_kernel();
     until_undisturbed("lazy depth-4 pipeline", || {
-        let before = kernel.metrics_snapshot().sched;
-        if before.workers != 1 {
-            return false; // the previous run's teardown spare has yet to retire
-        }
-        let workers_seen = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let source = {
-            let (kernel, seen) = (kernel.clone(), Arc::clone(&workers_seen));
-            FnSource::new(RECORDS, move |i| {
-                seen.fetch_max(kernel.metrics_snapshot().sched.workers, Ordering::Relaxed);
-                Value::Int(i as i64)
-            })
-        };
-        let mut builder = PipelineSpec::new(Discipline::ReadOnly { read_ahead: 0 })
-            .source(Box::new(source))
-            .batch(1)
-            .policy(ChannelPolicy::Integer);
-        for _ in 0..4 {
-            builder = builder.stage(Box::new(eden::transput::transform::Identity));
-        }
-        let run = builder
-            .build(&kernel)
-            .expect("lazy pipeline builds")
-            .run(Duration::from_secs(60))
-            .expect("lazy pipeline completes");
-        let expected: Vec<_> = (0..RECORDS as i64).map(Value::Int).collect();
-        assert_eq!(run.output, expected);
-        let after = kernel.metrics_snapshot().sched;
-        // Four stage-to-stage transfers a record, every one a call, the
-        // first record's too: nothing was ever left on a deque to steal, and
-        // no thread was needed beyond the worker and teardown's joiner. (A
-        // sink activated ahead of a stage finds that stage still queued, not
-        // in the slot; such a run is repeated like a disturbed one.)
-        after.inline_handoffs - before.inline_handoffs == 4 * RECORDS
-            && after.sched_steals == before.sched_steals
-            && workers_seen.load(Ordering::Relaxed) == 1
-            && after.workers <= 2
+        // (A sink whose pump starts ahead of a stage's `activate` finds that
+        // stage still queued, not parked; such a run is repeated like a
+        // disturbed one.)
+        depth_4_pipeline_calls(&kernel, Discipline::ReadOnly { read_ahead: 0 }).is_some_and(|ran| {
+            ran.inline_handoffs == 5 * RECORDS
+                && ran.steals == 0
+                && ran.workers_seen == 1
+                && ran.workers_after <= 2
+        })
+    });
+    kernel.shutdown();
+}
+
+/// Its dual: the source's pump calls the first filter, every filter's `Write`
+/// calls its downstream, and the acceptor answers at the bottom — the same
+/// n+1 calls a record, on the source pump's thread.
+#[test]
+fn pushing_pipeline_on_one_worker_runs_as_calls_from_the_source_pump() {
+    let kernel = one_worker_kernel();
+    until_undisturbed("pushing depth-4 pipeline", || {
+        depth_4_pipeline_calls(&kernel, Discipline::WriteOnly { push_ahead: 0 }).is_some_and(|ran| {
+            ran.inline_handoffs == 5 * RECORDS && ran.steals == 0 && ran.workers_seen == 1
+        })
+    });
+    kernel.shutdown();
+}
+
+/// The conventional pipeline's pumps call passive buffers. A buffer that is
+/// parked runs on the pump's thread; one that cannot answer yet defers, and
+/// that pump waits the ordinary way. How many of each is the host's
+/// business; that the output is right, that some ran as calls and that no
+/// thread stole from another is not.
+#[test]
+fn conventional_pipeline_on_one_worker_calls_its_buffers_and_steals_nothing() {
+    let kernel = one_worker_kernel();
+    until_undisturbed("conventional depth-4 pipeline", || {
+        depth_4_pipeline_calls(&kernel, Discipline::Conventional { buffer_capacity: 64 })
+            .is_some_and(|ran| ran.inline_handoffs > 0 && ran.steals == 0)
     });
     kernel.shutdown();
 }
@@ -525,6 +596,7 @@ fn deferred_reply_sends_the_caller_down_the_blocking_path() {
             }))
             .expect("spawn deferrer");
         let relay = kernel.spawn(Box::new(Relay { next: deferrer })).expect("spawn relay");
+        all_parked(&kernel);
         let pending = kernel.invoke(relay, "Ask", Value::Unit);
         while !asked.load(Ordering::Acquire) {
             std::thread::yield_now();
@@ -551,7 +623,7 @@ impl EjectBehavior for Bomb {
     }
 
     fn handle(&mut self, _ctx: &EjectContext, _inv: Invocation, _reply: ReplyHandle) {
-        panic!("bomb went off (expected by inline_callee_panic_is_a_crash_of_the_callee_alone)");
+        panic!("bomb went off (expected by the *_panic_* tests of sched_plane)");
     }
 }
 
@@ -565,6 +637,7 @@ fn inline_callee_panic_is_a_crash_of_the_callee_alone() {
         let before = inline_handoffs(&kernel);
         let bomb = kernel.spawn(Box::new(Bomb)).expect("spawn bomb");
         let relay = kernel.spawn(Box::new(Relay { next: bomb })).expect("spawn relay");
+        all_parked(&kernel);
         let crashed = format!("{:?}", eden_core::EdenError::EjectCrashed(bomb));
         assert_eq!(
             kernel.invoke(relay, "Relay", Value::Unit).wait(),
@@ -577,12 +650,12 @@ fn inline_callee_panic_is_a_crash_of_the_callee_alone() {
         assert!(again.as_str().is_ok(), "the bomb cannot have answered: {again:?}");
         inline
     });
-    // So did the worker: only the pool's one slotted worker hands off, and
-    // it still does.
+    // So did the worker: it still runs a callee as a call.
     until_undisturbed("handoff after the panic", || {
         let before = inline_handoffs(&kernel);
         let echo = kernel.spawn(Box::new(Echo)).expect("spawn echo");
         let relay = kernel.spawn(Box::new(Relay { next: echo })).expect("spawn relay");
+        all_parked(&kernel);
         assert_eq!(kernel.invoke(relay, "Relay", Value::Unit).wait(), Ok(Value::Int(1)));
         inline_handoffs(&kernel) - before == 1
     });
@@ -612,9 +685,7 @@ impl EjectBehavior for Reentrant {
             self.nested.store(true, Ordering::Release);
         }
         let out = match inv.op.as_str() {
-            "Start" => ctx
-                .invoke(*self.peer.get().expect("peer wired"), "Bounce", Value::Unit)
-                .wait(),
+            "Start" => ctx.call(*self.peer.get().expect("peer wired"), "Bounce", Value::Unit),
             _ => Ok(Value::str("pong")),
         };
         self.depth.fetch_sub(1, Ordering::AcqRel);
@@ -651,8 +722,8 @@ impl EjectBehavior for Bouncer {
 }
 
 /// A -> B -> A: B runs on A's stack and invokes A back. A is `RUNNING`, so
-/// the send only marks it dirty — it is in no LIFO slot to be taken, and
-/// its `Ping` is served after `Start` returns, never inside it.
+/// the send only marks it dirty — it wins no wake, there is nothing to run —
+/// and its `Ping` is served after `Start` returns, never inside it.
 #[test]
 fn reentrant_chain_never_runs_a_task_nested_in_itself() {
     let kernel = one_worker_kernel();
@@ -675,8 +746,9 @@ fn reentrant_chain_never_runs_a_task_nested_in_itself() {
             }))
             .expect("spawn b");
         peer.set(b).expect("wire once");
+        all_parked(&kernel);
         assert_eq!(kernel.invoke(a, "Start", Value::Unit).wait(), Ok(Value::Unit));
-        // B ran inline under A iff the worker handed off.
+        // B ran inline under A iff A's call was what woke it.
         let inline = inline_handoffs(&kernel) - before == 1;
         assert_eq!(kernel.invoke(b, "Collect", Value::Unit).wait(), Ok(Value::str("pong")));
         assert!(!nested.load(Ordering::Acquire), "A's handler was entered while it was running");
@@ -703,8 +775,7 @@ impl EjectBehavior for Lingerer {
     }
 }
 
-/// Calls `next` with a budget-less `wait()` and answers how many
-/// milliseconds the wait took.
+/// Calls `next` and answers how many milliseconds the call took.
 struct TimedCall {
     next: Uid,
 }
@@ -716,7 +787,7 @@ impl EjectBehavior for TimedCall {
 
     fn handle(&mut self, ctx: &EjectContext, _inv: Invocation, reply: ReplyHandle) {
         let from = Instant::now();
-        let outcome = ctx.invoke(self.next, "Ack", Value::Unit).wait();
+        let outcome = ctx.call(self.next, "Ack", Value::Unit);
         let waited_ms = from.elapsed().as_millis() as i64;
         reply.reply(outcome.map(|_| Value::Int(waited_ms)));
     }
@@ -811,6 +882,7 @@ impl BoomerangPair {
     /// Run `A.Start` (which calls `B.Bounce` and waits); return how long A
     /// took to answer and what B's call back to A came to.
     fn start(&self, kernel: &Kernel, round: usize) -> (Duration, Result<Value, eden_core::EdenError>) {
+        all_parked(kernel);
         let from = Instant::now();
         assert_eq!(kernel.invoke(self.a, "Start", Value::Unit).wait(), Ok(Value::Unit));
         let took = from.elapsed();
@@ -877,6 +949,53 @@ fn callee_that_declares_and_waits_after_its_reply_crashes_alone() {
     kernel.shutdown();
 }
 
+/// Answers and then calls `next`: the same broken promise, spelled `call`.
+#[cfg(debug_assertions)]
+struct Forwarder {
+    next: Uid,
+}
+
+#[cfg(debug_assertions)]
+impl EjectBehavior for Forwarder {
+    fn type_name(&self) -> &'static str {
+        "Forwarder"
+    }
+
+    fn replies_last(&self) -> bool {
+        true
+    }
+
+    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
+        reply.reply(Ok(Value::Unit));
+        let _ = ctx.call(self.next, inv.op, inv.arg);
+    }
+}
+
+/// A `call` is a wait with a send in front, and the send has happened — may
+/// have woken its target — by the time a debug build finds the caller out.
+/// The liar crashes alone all the same; the Eject it woke on its way out is
+/// run or queued, never dropped with the panic.
+#[cfg(debug_assertions)]
+#[test]
+fn callee_that_declares_and_calls_after_its_reply_strands_nobody() {
+    // Never dropped: a stranded Eject would turn the failure into a hang.
+    let kernel = std::mem::ManuallyDrop::new(one_worker_kernel());
+    let echo = kernel.spawn(Box::new(Echo)).expect("spawn echo");
+    let liar = kernel.spawn(Box::new(Forwarder { next: echo })).expect("spawn liar");
+    all_parked(&kernel);
+    assert_eq!(kernel.invoke(liar, "Relay", Value::Unit).wait(), Ok(Value::Unit));
+    // Never checkpointed, so the crash removes it.
+    while kernel.eject_state(liar).is_some() {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(
+        kernel.invoke(echo, "Relay", Value::Unit).wait_timeout(Duration::from_secs(5)),
+        Ok(Value::Int(0)),
+        "the Eject the liar woke was left queued nowhere",
+    );
+    kernel.shutdown();
+}
+
 /// A release build does not check the promise, so a behaviour that breaks it
 /// is run as a call every time: that `Bounce` runs on A's stack, its call
 /// back to A cannot be served from there, and it is told so at once rather
@@ -907,8 +1026,9 @@ fn callee_that_declares_and_waits_after_its_reply_is_refused_at_once() {
 }
 
 /// A call chain longer than the scheduler's nesting cap (16 resumes on one
-/// stack) still completes: the wait at the cap sleeps like any other and
-/// the rest of the chain runs on other threads.
+/// stack) still completes: the call at the cap enqueues its callee and
+/// sleeps like any other wait, and the rest of the chain runs on other
+/// threads.
 #[test]
 fn call_chain_deeper_than_the_nesting_cap_completes() {
     const CHAIN: i64 = 24;
@@ -919,15 +1039,235 @@ fn call_chain_deeper_than_the_nesting_cap_completes() {
         for _ in 0..CHAIN {
             head = kernel.spawn(Box::new(Relay { next: head })).expect("spawn relay");
         }
+        all_parked(&kernel);
         assert_eq!(kernel.invoke(head, "Relay", Value::Unit).wait(), Ok(Value::Int(CHAIN)));
-        // One stack holds the pickup and 15 handoffs; the wait at the cap
-        // declines, so even if a slotted sibling carries the rest inline
-        // the chain's 24 sends cannot all have been calls.
+        // One stack holds the pickup and 15 handoffs; the call at the cap
+        // is declined, so even if the sibling that picks its callee up
+        // carries the rest inline the chain's 24 sends cannot all have been
+        // calls.
         let handoffs = inline_handoffs(&kernel) - before;
         assert!(handoffs < CHAIN as u64, "{handoffs} handoffs: the cap never declined");
         handoffs >= 15
     });
     kernel.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// The same off the pool. The election never asks whose thread the caller
+// is on, so a user's thread (here: the test's) and an Eject's process run
+// their callees exactly as a worker does.
+
+fn this_thread() -> Value {
+    Value::str(format!("{:?}", std::thread::current().id()))
+}
+
+/// Answers which thread its handler ran on.
+struct WhereAmI {
+    declares: bool,
+}
+
+impl EjectBehavior for WhereAmI {
+    fn type_name(&self) -> &'static str {
+        "WhereAmI"
+    }
+
+    fn replies_last(&self) -> bool {
+        self.declares
+    }
+
+    fn handle(&mut self, _ctx: &EjectContext, _inv: Invocation, reply: ReplyHandle) {
+        reply.reply(Ok(this_thread()));
+    }
+}
+
+/// `kernel.call` from a thread that is no worker runs a declared, parked
+/// callee on that very thread — uncached, on a route-cache miss and on a hit
+/// alike, each counted — and never an undeclared one, however parked.
+#[test]
+fn call_from_a_user_thread_runs_a_declared_callee_on_that_thread() {
+    let kernel = one_worker_kernel();
+    until_undisturbed("call from the test thread", || {
+        let before = inline_handoffs(&kernel);
+        let callee = kernel.spawn(Box::new(WhereAmI { declares: true })).expect("spawn callee");
+        all_parked(&kernel);
+        let first = kernel.call(callee, "Where", Value::Unit).expect("callee answers");
+        if first != this_thread() {
+            assert_eq!(inline_handoffs(&kernel), before, "counted a call that ran elsewhere");
+            return false;
+        }
+        // A callee that ran here also parked here, before the call returned:
+        // from now on every call finds it parked.
+        let mut cache = eden::kernel::RouteCache::new();
+        for _ in 0..2 {
+            assert_eq!(kernel.call_routed(&mut cache, callee, "Where", Value::Unit), Ok(this_thread()));
+        }
+        assert_eq!(inline_handoffs(&kernel) - before, 3);
+        true
+    });
+    let before = inline_handoffs(&kernel);
+    let undeclared = kernel.spawn(Box::new(WhereAmI { declares: false })).expect("spawn callee");
+    for _ in 0..3 {
+        all_parked(&kernel);
+        let ran_on = kernel.call(undeclared, "Where", Value::Unit).expect("callee answers");
+        assert_ne!(ran_on, this_thread(), "an undeclared callee ran as a call");
+    }
+    assert_eq!(inline_handoffs(&kernel), before);
+    kernel.shutdown();
+}
+
+/// A callee that panics on a user's thread is caught there like on a
+/// worker's: it crashes alone, the caller reads `EjectCrashed`, and the
+/// thread lives to call again.
+#[test]
+fn inline_callee_panic_on_a_user_thread_is_a_crash_of_the_callee_alone() {
+    let kernel = one_worker_kernel();
+    until_undisturbed("panic under the test thread", || {
+        let before = inline_handoffs(&kernel);
+        let bomb = kernel.spawn(Box::new(Bomb)).expect("spawn bomb");
+        let echo = kernel.spawn(Box::new(Echo)).expect("spawn echo");
+        all_parked(&kernel);
+        assert_eq!(
+            kernel.call(bomb, "Relay", Value::Unit),
+            Err(eden_core::EdenError::EjectCrashed(bomb)),
+        );
+        let inline = inline_handoffs(&kernel) - before == 1;
+        // Never checkpointed, so the crash — reaped on this thread, if the
+        // bomb ran here — removed it.
+        while kernel.eject_state(bomb).is_some() {
+            std::thread::yield_now();
+        }
+        assert_eq!(kernel.call(echo, "Relay", Value::Unit), Ok(Value::Int(0)));
+        inline && inline_handoffs(&kernel) - before == 2
+    });
+    kernel.shutdown();
+}
+
+/// A callee that defers its reply hands the caller's thread back unsettled,
+/// and the caller is then in the ordinary wait: the late reply, sent from a
+/// pool worker, wakes it.
+#[test]
+fn deferred_reply_leaves_a_calling_user_thread_in_the_ordinary_wait() {
+    let kernel = one_worker_kernel();
+    until_undisturbed("deferred reply to a user thread", || {
+        let before = inline_handoffs(&kernel);
+        let asked = Arc::new(AtomicBool::new(false));
+        let deferrer = kernel
+            .spawn(Box::new(Deferrer {
+                parked: None,
+                asked: Arc::clone(&asked),
+            }))
+            .expect("spawn deferrer");
+        all_parked(&kernel);
+        let answer = std::thread::scope(|scope| {
+            let caller = scope.spawn(|| kernel.call(deferrer, "Ask", Value::Unit));
+            while !asked.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            assert_eq!(kernel.invoke(deferrer, "Release", Value::Unit).wait(), Ok(Value::Unit));
+            caller.join().expect("calling thread")
+        });
+        assert_eq!(answer, Ok(Value::Int(41)));
+        inline_handoffs(&kernel) - before == 1
+    });
+    kernel.shutdown();
+}
+
+/// The nesting cap counts resumes on a stack, not workers: a user's thread
+/// carries 16 of a 24-deep chain's calls and is declined the 17th, which a
+/// pool worker picks up and carries on from.
+#[test]
+fn call_chain_from_a_user_thread_is_capped_like_a_workers() {
+    const CHAIN: i64 = 24;
+    let kernel = two_worker_kernel();
+    until_undisturbed("24-deep call chain off the pool", || {
+        let before = inline_handoffs(&kernel);
+        let mut head = kernel.spawn(Box::new(Echo)).expect("spawn echo");
+        for _ in 0..CHAIN {
+            head = kernel.spawn(Box::new(Relay { next: head })).expect("spawn relay");
+        }
+        all_parked(&kernel);
+        assert_eq!(kernel.call(head, "Relay", Value::Unit), Ok(Value::Int(CHAIN)));
+        // The chain makes 25 sends, this thread's included.
+        let handoffs = inline_handoffs(&kernel) - before;
+        assert!(handoffs <= CHAIN as u64, "{handoffs} handoffs: the cap never declined");
+        handoffs >= 16
+    });
+    kernel.shutdown();
+}
+
+/// On its first invocation, starts a process that waits to be told to go and
+/// then calls its own Eject with `Deactivate`.
+struct SelfStopper {
+    go: Option<std::sync::mpsc::Receiver<()>>,
+    done: std::sync::mpsc::Sender<Result<Value, eden_core::EdenError>>,
+}
+
+impl EjectBehavior for SelfStopper {
+    fn type_name(&self) -> &'static str {
+        "SelfStopper"
+    }
+
+    fn replies_last(&self) -> bool {
+        true
+    }
+
+    fn handle(&mut self, ctx: &EjectContext, _inv: Invocation, reply: ReplyHandle) {
+        if let Some(go) = self.go.take() {
+            let done = self.done.clone();
+            ctx.spawn_process("self-stopper", move |pctx| {
+                let _ = go.recv();
+                let _ = done.send(pctx.call(pctx.eject(), ops::DEACTIVATE, Value::Unit));
+            });
+        }
+        reply.reply(Ok(Value::Unit));
+    }
+}
+
+/// A process that calls its own Eject runs it on its own thread, and if the
+/// call is the Eject's last — `Deactivate` — reaps it there too. Reaping
+/// joins the Eject's processes: all but the one doing the reaping, which
+/// would otherwise die joining itself and leave a half-reaped task for
+/// `shutdown` to wait on for ever.
+#[test]
+fn process_that_deactivates_its_own_eject_by_a_call_does_not_join_itself() {
+    use std::sync::mpsc;
+    let patience = Duration::from_secs(10);
+    // Never dropped: dropping the last handle shuts the kernel down, and a
+    // shutdown that hangs is the failure this test exists to report.
+    let kernel = std::mem::ManuallyDrop::new(one_worker_kernel());
+    until_undisturbed("self-stopping process", || {
+        let before = inline_handoffs(&kernel);
+        let (go, told_to_go) = mpsc::channel();
+        let (done, came_back) = mpsc::channel();
+        let stopper = kernel
+            .spawn(Box::new(SelfStopper {
+                go: Some(told_to_go),
+                done,
+            }))
+            .expect("spawn stopper");
+        assert_eq!(kernel.invoke(stopper, "Arm", Value::Unit).wait(), Ok(Value::Unit));
+        all_parked(&kernel);
+        go.send(()).expect("process is listening");
+        assert_eq!(
+            came_back.recv_timeout(patience),
+            Ok(Ok(Value::Unit)),
+            "the process did not come back from its call",
+        );
+        // Never checkpointed, so deactivation removes it.
+        let from = Instant::now();
+        while kernel.eject_state(stopper).is_some() {
+            assert!(from.elapsed() < patience, "the Eject was never reaped");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        inline_handoffs(&kernel) - before == 1
+    });
+    let (stopped, has_stopped) = mpsc::channel();
+    let stopping = Kernel::clone(&kernel);
+    std::thread::spawn(move || {
+        stopping.shutdown();
+        let _ = stopped.send(());
+    });
+    has_stopped.recv_timeout(patience).expect("shutdown hung on a half-reaped Eject");
 }
 
 /// Sleeps through `Nap` before answering.
