@@ -76,9 +76,12 @@ impl PayloadConfig {
 }
 
 /// One measured arm: wall time plus the payload counters it moved.
-struct ArmStats {
+#[derive(Debug)]
+pub struct ArmStats {
     wall_seconds: f64,
-    delta: PayloadSnapshot,
+    /// What the process-wide payload meters read after the arm, less what
+    /// they read before it.
+    pub delta: PayloadSnapshot,
 }
 
 impl ArmStats {
@@ -187,7 +190,7 @@ fn pipeline_arm(cfg: &PayloadConfig, deep_copy: bool) -> ArmStats {
 }
 
 /// The fan-out arms: source → identity filter → `width` acceptor sinks.
-fn fanout_arm(cfg: &PayloadConfig, width: usize, deep_copy: bool) -> ArmStats {
+pub fn fanout_arm(cfg: &PayloadConfig, width: usize, deep_copy: bool) -> ArmStats {
     let kernel = Kernel::new();
     let mut wiring = OutputWiring::default();
     let mut collectors = Vec::with_capacity(width);
@@ -318,58 +321,4 @@ pub fn payload_report(cfg: &PayloadConfig) -> String {
         wd = json_arm(&wide_deep),
         wsp = wide_deep.wall_seconds / wide_shared.wall_seconds.max(f64::EPSILON),
     )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Mutex;
-
-    /// The payload counters are process-wide; serialise the tests that
-    /// assert on snapshot deltas so they don't see each other's copies.
-    static PAYLOAD_METER: Mutex<()> = Mutex::new(());
-
-    #[test]
-    fn smoke_report_renders_and_upholds_invariants() {
-        let _guard = PAYLOAD_METER.lock().unwrap();
-        let cfg = PayloadConfig {
-            record_bytes: 2048,
-            records: 6,
-            depth: 2,
-            widths: [1, 2, 3, 4],
-            batch: 2,
-        };
-        let report = payload_report(&cfg);
-        assert!(report.contains("\"shared_copies_constant_across_widths\": true"));
-        assert!(report.contains("\"fanout\""));
-    }
-
-    #[test]
-    fn deep_copy_arm_moves_bytes_shared_arm_does_not() {
-        let _guard = PAYLOAD_METER.lock().unwrap();
-        let cfg = PayloadConfig {
-            record_bytes: 4096,
-            records: 4,
-            depth: 1,
-            widths: [1, 2, 3, 4],
-            batch: 2,
-        };
-        let shared = fanout_arm(&cfg, 3, false);
-        let deep = fanout_arm(&cfg, 3, true);
-        // Each of the 3 branches copies each of the 4 records privately.
-        assert!(
-            deep.delta.payload_copies >= 12,
-            "deep arm copied only {} times",
-            deep.delta.payload_copies
-        );
-        assert!(
-            deep.delta.payload_bytes_moved >= 3 * 4 * 4096,
-            "deep arm moved only {} bytes",
-            deep.delta.payload_bytes_moved
-        );
-        assert_eq!(
-            shared.delta.payload_copies, 0,
-            "shared fan-out must not copy payloads"
-        );
-    }
 }

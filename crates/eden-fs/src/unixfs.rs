@@ -18,6 +18,7 @@ use eden_core::op::ops;
 use eden_core::{EdenError, Uid, Value};
 use eden_kernel::{EjectBehavior, EjectContext, Invocation, ReplyHandle};
 use eden_transput::protocol::{Batch, TransferRequest};
+use eden_transput::ChannelTable;
 
 use crate::hostfs::{bytes_to_lines, lines_to_bytes, HostFsHandle};
 
@@ -139,12 +140,14 @@ impl EjectBehavior for UnixFsEject {
 /// The disposable stream Eject minted by `NewStream`.
 struct UnixFileReader {
     lines: std::collections::VecDeque<Value>,
+    channels: ChannelTable,
 }
 
 impl UnixFileReader {
     fn new(lines: Vec<String>) -> UnixFileReader {
         UnixFileReader {
             lines: lines.into_iter().map(Value::from).collect(),
+            channels: ChannelTable::single_output(),
         }
     }
 }
@@ -162,7 +165,8 @@ impl EjectBehavior for UnixFileReader {
     fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
         match inv.op.as_str() {
             ops::TRANSFER => {
-                let req = match TransferRequest::from_value(&inv.arg) {
+                let req = TransferRequest::from_value(&inv.arg);
+                let req = match req.and_then(|r| self.channels.index_of(r.channel).map(|_| r)) {
                     Ok(r) => r,
                     Err(e) => {
                         reply.reply(Err(e));

@@ -143,22 +143,27 @@ pub fn catalog() -> Result<Vec<(String, WiringGraph)>> {
         .map(|(name, spec)| spec.graph().map(|g| (name, g)))
         .collect::<Result<_>>()?;
 
-    // The recovery plane's chains (crates/eden-transput/src/recovery.rs),
-    // derived from its table of stage faces: a two-filter chain, and the
-    // zero-transform chain, where conventional is left with its single
-    // identity pump and no buffer.
+    for (name, discipline, chain) in recovery_chains() {
+        graphs.push((name, recovery_graph(discipline, chain)));
+    }
+    Ok(graphs)
+}
+
+/// The recovery plane's chains (crates/eden-transput/src/recovery.rs), as
+/// `(name, discipline, transforms)`: a two-filter chain, and the
+/// zero-transform chain, where conventional is left with its single
+/// identity pump and no buffer.
+fn recovery_chains() -> Vec<(String, RecoveryDiscipline, &'static [&'static str])> {
+    let mut chains = Vec::new();
     for (label, discipline) in [
         ("recovery/read-only", RecoveryDiscipline::ReadOnly),
         ("recovery/write-only", RecoveryDiscipline::WriteOnly),
         ("recovery/conventional", RecoveryDiscipline::Conventional),
     ] {
-        graphs.push((
-            label.to_owned(),
-            recovery_graph(discipline, &["upcase", "grep"]),
-        ));
-        graphs.push((format!("{label}/empty"), recovery_graph(discipline, &[])));
+        chains.push((label.to_owned(), discipline, &["upcase", "grep"][..]));
+        chains.push((format!("{label}/empty"), discipline, &[][..]));
     }
-    Ok(graphs)
+    chains
 }
 
 /// Check every catalog entry; returns only the entries with violations.
@@ -204,6 +209,23 @@ mod tests {
                 .and_then(|pipeline| pipeline.run(std::time::Duration::from_secs(20)))
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(run.entities, nodes, "{name}");
+        }
+        // The recovery chains likewise — except that where the driver is
+        // the chain's sink it is a node, and no Eject.
+        use eden_transput::recovery::{
+            install_recovery, run_recoverable_pipeline, TransformFactory, TransformRegistry,
+        };
+        let copy: TransformFactory = || Box::new(Identity);
+        let registry = TransformRegistry::new(&[("upcase", copy), ("grep", copy)]);
+        install_recovery(&kernel, &registry);
+        for (name, discipline, chain) in recovery_chains() {
+            let graph = recovery_graph(discipline, chain);
+            let nodes = graph.nodes.len() - usize::from(graph.nodes.contains_key("driver"));
+            let timeout = std::time::Duration::from_secs(20);
+            let run =
+                run_recoverable_pipeline(&kernel, discipline, items(), chain, &registry, 2, timeout)
+                    .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!((run.stages.len(), run.output), (nodes, items()), "{name}");
         }
         kernel.shutdown();
     }

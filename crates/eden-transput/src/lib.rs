@@ -5,11 +5,11 @@
 //! input, passive output, active output, passive input — and a stream
 //! system needs only one **corresponding pair** of them:
 //!
-//! | discipline | filter's faces (input, output) | pump | fan-in | fan-out |
-//! |---|---|---|---|---|
-//! | read-only | active, passive | the sink | natural | via channels (§5) |
-//! | write-only | passive, active | the source | impossible | natural |
-//! | conventional | active, active | every filter | natural | natural |
+//! | discipline | filter's faces (input, output) | pump | fan-in | fan-out | a recoverable pipeline's Ejects ([`recovery`]) |
+//! |---|---|---|---|---|---|
+//! | read-only | active, passive | the sink | natural | via channels (§5) | source, n stages: n+1 (the driver is the sink) |
+//! | write-only | passive, active | the source | impossible | natural | source, n stages, acceptor: n+2 |
+//! | conventional | active, active | every filter | natural | natural | source, n pumps, n−1 buffers, acceptor: 2n+1 |
 //!
 //! The conventional discipline pays for its symmetry with n+1 passive
 //! buffer Ejects and 2n+2 invocations per datum where the asymmetric
@@ -19,7 +19,10 @@
 //! input face and an output face, each active or passive. Sources, sinks,
 //! filters, the Unix pipe and the Unix filter are choices of faces; a
 //! discipline is the choice its filters make ([`DisciplineKind::faces`]),
-//! which [`PipelineSpec`] turns into one plan, checks and spawns.
+//! which [`PipelineSpec`] turns into one plan, checks and spawns. Surviving
+//! a crash is not a choice of faces but a layer any pair of them may have
+//! ([`recovery`]): the stage keeps what it has not been told to forget, and
+//! the recoverable pipelines are rows of the same plan.
 //!
 //! # Quick start
 //!

@@ -283,7 +283,7 @@ impl PipelineSpec {
     /// n+1); and the sink takes whichever face corresponds to the tail.
     /// The plan carries the wiring graph it renders to: one node per row,
     /// one edge per pair of faces that meet, its mode read off the two.
-    fn plan(&self) -> Result<Plan<'_>> {
+    fn plan(&self) -> Result<Plan> {
         use Mode::{Active, Passive};
         use NodeRole::{Buffer, Filter, Sink, Source};
         if self.heads.is_empty() {
@@ -302,12 +302,8 @@ impl PipelineSpec {
         if self.policy == ChannelPolicy::Capability {
             graph = graph.policy(GrantPolicy::Capability);
         }
-        let mut plan = Plan {
-            rows: Vec::new(),
-            edges: Vec::new(),
-            taps: &self.taps,
-            graph,
-        };
+        let taps = self.taps.iter().map(|tap| tap.channel.clone());
+        let mut plan = Plan::new(graph, taps.collect());
         let mut heads = Vec::with_capacity(self.heads.len());
         for (i, head) in self.heads.iter().enumerate() {
             let (label, mount) = match head {
@@ -425,7 +421,6 @@ impl PipelineSpec {
         use Mode::{Active, Passive};
         let plan = self.plan()?;
         self.check(&plan.graph)?;
-        let (rows, edges) = (plan.rows, plan.edges);
         // One trace per pipeline: everything wired or spawned from here on
         // (including pump workers, which inherit the ambient span of the
         // thread that spawned their Eject) parents under this root, so the
@@ -446,89 +441,71 @@ impl PipelineSpec {
         // order they are made; `deferred` ones spawn in `run()`.
         let (mut ejects, mut deferred, mut made) = (Vec::new(), Vec::new(), 0u16);
         let mut start_target = None;
-        // An active face holds its peer's UID, so the peer is spawned
-        // first: sweep the plan, head to tail and back, placing every row
-        // whose peers exist. Checked wiring never joins two active faces,
-        // so each sweep places at least one row.
-        let external = |row: &Row| match row.mount {
-            Mount::Eject(port) => Some(port.uid),
-            _ => None,
-        };
-        let mut uids: Vec<Option<Uid>> = rows.iter().map(external).collect();
-        let mut placed: Vec<bool> = uids.iter().map(Option::is_some).collect();
-        while placed.contains(&false) {
-            let before = made;
-            for i in (0..rows.len()).chain((0..rows.len()).rev()) {
-                let row = &rows[i];
-                if placed[i] {
-                    continue;
+        plan.spawn(|i, uids| {
+            let row = &plan.rows[i];
+            // The peers an active face holds; a missing one puts the row
+            // off to a later sweep.
+            let output = match (row.mount, row.output) {
+                (Mount::Sink, _) => Output::Collector(collector.clone()),
+                (Mount::Tap(t), _) => Output::Collector(self.taps[t].collector.clone()),
+                (_, Passive) => Output::Passive,
+                (_, Active) => match self.wiring_of(&plan.edges, i, uids) {
+                    Some(wiring) => Output::Active(wiring),
+                    None => return Ok(None),
+                },
+            };
+            let ports = match row.input {
+                Active => match self.ports_of(&plan.rows, &plan.edges, i, uids, kernel) {
+                    Some(ports) => Some(ports?),
+                    None => return Ok(None),
+                },
+                Passive => None,
+            };
+            let head = match row.mount {
+                Mount::Head(h) => heads[h].take(),
+                _ => None,
+            };
+            let behavior: Box<dyn EjectBehavior> = match (head, ports, row.mount) {
+                (Some(Head::Program(program)), ..) => {
+                    Box::new(crate::stdio::ProgramSourceEject::new(program))
                 }
-                // The peers an active face holds; a missing one puts the
-                // row off to a later sweep.
-                let output = match (row.mount, row.output) {
-                    (Mount::Sink, _) => Output::Collector(collector.clone()),
-                    (Mount::Tap(t), _) => Output::Collector(self.taps[t].collector.clone()),
-                    (_, Passive) => Output::Passive,
-                    (_, Active) => match self.wiring_of(&edges, i, &uids) {
-                        Some(wiring) => Output::Active(wiring),
-                        None => continue,
-                    },
-                };
-                let ports = match row.input {
-                    Active => match self.ports_of(&rows, &edges, i, &uids, kernel) {
-                        Some(ports) => Some(ports?),
-                        None => continue,
-                    },
-                    Passive => None,
-                };
-                placed[i] = true;
-                let head = match row.mount {
-                    Mount::Head(h) => heads[h].take(),
-                    _ => None,
-                };
-                let behavior: Box<dyn EjectBehavior> = match (head, ports, row.mount) {
-                    (Some(Head::Program(program)), ..) => {
-                        Box::new(crate::stdio::ProgramSourceEject::new(program))
-                    }
-                    (head, ports, mount) => {
-                        let input = match (head, ports, mount) {
-                            (Some(Head::Supply(supply)), ..) => Input::Local(supply),
-                            (_, None, _) => Input::Passive,
-                            (_, Some(ports), Mount::Merge(mode)) => Input::ports(ports, mode),
-                            (_, Some(ports), _) => Input::ports(ports, FanInMode::Concatenate),
-                        };
-                        let transform = match mount {
-                            Mount::Filter(t) => transforms[t].take(),
-                            _ => None,
-                        };
-                        Box::new(self.mount(row, input, transform, output))
-                    }
-                };
-                let node = self.nodes.map(|n| NodeId(made % n));
-                made = made.wrapping_add(1);
-                let sink = matches!(row.mount, Mount::Sink | Mount::Tap(_));
-                if sink && row.input == Active && !buffered {
-                    // The sink that pumps the pipeline spawns in `run()`:
-                    // attaching it is "starting the pump" (§4), so nothing
-                    // flows at build time — and deferring it past the
-                    // metrics baseline keeps every data-phase invocation
-                    // inside the measured window, so the analytic n+1
-                    // counts hold exactly.
-                    deferred.push((node, behavior));
-                    continue;
+                (head, ports, mount) => {
+                    let input = match (head, ports, mount) {
+                        (Some(Head::Supply(supply)), ..) => Input::Local(supply),
+                        (_, None, _) => Input::Passive,
+                        (_, Some(ports), Mount::Merge(mode)) => Input::ports(ports, mode),
+                        (_, Some(ports), _) => Input::ports(ports, FanInMode::Concatenate),
+                    };
+                    let transform = match mount {
+                        Mount::Filter(t) => transforms[t].take(),
+                        _ => None,
+                    };
+                    Box::new(self.mount(row, input, transform, output))
                 }
-                let uid = match node {
-                    Some(node) => kernel.spawn_on(node, behavior)?,
-                    None => kernel.spawn(behavior)?,
-                };
-                ejects.push(uid);
-                uids[i] = Some(uid);
-                if matches!(row.mount, Mount::Head(_)) && row.output == Active {
-                    start_target = Some(uid);
-                }
+            };
+            let node = self.nodes.map(|n| NodeId(made % n));
+            made = made.wrapping_add(1);
+            let sink = matches!(row.mount, Mount::Sink | Mount::Tap(_));
+            if sink && row.input == Active && !buffered {
+                // The sink that pumps the pipeline spawns in `run()`:
+                // attaching it is "starting the pump" (§4), so nothing
+                // flows at build time — and deferring it past the
+                // metrics baseline keeps every data-phase invocation
+                // inside the measured window, so the analytic n+1
+                // counts hold exactly.
+                deferred.push((node, behavior));
+                return Ok(Some(None));
             }
-            assert!(made != before, "two active faces meet");
-        }
+            let uid = match node {
+                Some(node) => kernel.spawn_on(node, behavior)?,
+                None => kernel.spawn(behavior)?,
+            };
+            ejects.push(uid);
+            if matches!(row.mount, Mount::Head(_)) && row.output == Active {
+                start_target = Some(uid);
+            }
+            Ok(Some(Some(uid)))
+        })?;
         let baseline = kernel.metrics().snapshot();
         Ok(Pipeline {
             kernel: kernel.clone(),
@@ -628,7 +605,7 @@ impl PipelineSpec {
 
 /// What a row of the plan mounts between its faces.
 #[derive(Debug, Clone, Copy)]
-enum Mount {
+pub(crate) enum Mount {
     /// The spec's `i`-th head: a local supply, or the imperative program
     /// behind §4's standard IO module.
     Head(usize),
@@ -645,35 +622,48 @@ enum Mount {
     Sink,
     /// The `t`-th tap's collector (a report window).
     Tap(usize),
+    /// The caller itself, as the sink that pumps a recoverable read-only
+    /// chain: nothing is spawned.
+    Driver,
 }
 
 /// One row of the plan: a stage's name in the graph, its role, its faces
 /// and what it mounts.
 #[derive(Debug)]
-struct Row {
+pub(crate) struct Row {
     label: String,
     role: NodeRole,
-    input: Mode,
-    output: Mode,
-    mount: Mount,
+    pub(crate) input: Mode,
+    pub(crate) output: Mode,
+    pub(crate) mount: Mount,
 }
 
 /// `(from, to, tap)`: two rows whose faces meet, on a tap's channel or the primary.
 type Edge = (usize, usize, Option<usize>);
 
 /// The plan: rows head first, the edges between them (a row is fed only
-/// by earlier rows), and the wiring graph they render to.
+/// by earlier rows), the taps' channels, and the wiring graph they render to.
 #[derive(Debug)]
-struct Plan<'a> {
-    rows: Vec<Row>,
+pub(crate) struct Plan {
+    pub(crate) rows: Vec<Row>,
     edges: Vec<Edge>,
-    taps: &'a [ReportTap],
-    graph: WiringGraph,
+    taps: Vec<String>,
+    pub(crate) graph: WiringGraph,
 }
 
-impl Plan<'_> {
+impl Plan {
+    /// An empty plan, to render into `graph`.
+    pub(crate) fn new(graph: WiringGraph, taps: Vec<String>) -> Plan {
+        Plan {
+            rows: Vec::new(),
+            edges: Vec::new(),
+            taps,
+            graph,
+        }
+    }
+
     /// Append a row fed by `feeds` (row, tap); returns its index.
-    fn add(
+    pub(crate) fn add(
         &mut self,
         label: String,
         role: NodeRole,
@@ -686,7 +676,7 @@ impl Plan<'_> {
         for &(from, tap) in feeds {
             let channel = match (self.rows[from].mount, tap) {
                 (Mount::Eject(port), _) => channel_label(&port.channel),
-                (_, Some(t)) => self.taps[t].channel.clone(),
+                (_, Some(t)) => self.taps[t].clone(),
                 (_, None) => OUTPUT_NAME.to_owned(),
             };
             let from = &self.rows[from];
@@ -703,6 +693,38 @@ impl Plan<'_> {
             mount,
         });
         to
+    }
+
+    /// Place every row that is not there already. An active face holds its
+    /// peer's UID, so the peer is spawned first: sweep the plan, head to
+    /// tail and back, and let `place` make each row whose peers exist — it
+    /// answers with the UID the row is now addressed by (none for a row
+    /// that runs later), or `None` to be asked again on a later sweep.
+    /// Checked wiring never joins two active faces, so each sweep places at
+    /// least one row.
+    pub(crate) fn spawn(
+        &self,
+        mut place: impl FnMut(usize, &[Option<Uid>]) -> Result<Option<Option<Uid>>>,
+    ) -> Result<Vec<Option<Uid>>> {
+        let external = |row: &Row| match row.mount {
+            Mount::Eject(port) => Some(port.uid),
+            _ => None,
+        };
+        let mut uids: Vec<Option<Uid>> = self.rows.iter().map(external).collect();
+        let there = |row: &Row| matches!(row.mount, Mount::Eject(_) | Mount::Driver);
+        let mut placed: Vec<bool> = self.rows.iter().map(there).collect();
+        while placed.contains(&false) {
+            let before = placed.clone();
+            for i in (0..placed.len()).chain((0..placed.len()).rev()) {
+                if !placed[i] {
+                    if let Some(uid) = place(i, &uids)? {
+                        (placed[i], uids[i]) = (true, uid);
+                    }
+                }
+            }
+            assert!(placed != before, "two active faces meet");
+        }
+        Ok(uids)
     }
 }
 

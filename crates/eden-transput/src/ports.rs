@@ -176,11 +176,13 @@ impl OutputWiring {
 /// single shared `Value::List` per channel and every destination's `Write`
 /// argument carries a reference bump of it — O(1) bytes moved per extra
 /// consumer, where this used to deep-copy the whole batch per branch.
-/// `send` receives the pre-encoded `Write` argument.
+/// `send` receives the pre-encoded `Write` argument, which says where in
+/// the stream its first record stands when `seq` does.
 pub(crate) fn deliver<F>(
     wiring: &OutputWiring,
     emitter: &mut Emitter,
     end: bool,
+    seq: Option<u64>,
     send: &mut F,
 ) -> Result<()>
 where
@@ -198,10 +200,8 @@ where
         }
         let shared_items = Value::list(items);
         for port in ports {
-            send(
-                *port,
-                WriteRequest::value_shared(port.channel, shared_items.clone(), end),
-            )?;
+            let arg = WriteRequest::value_shared_at(port.channel, shared_items.clone(), end, seq);
+            send(*port, arg)?;
         }
     }
     Ok(())

@@ -272,15 +272,10 @@ impl WriteRequest {
     }
 
     /// Encode a `Write` argument around an already-shared items list
-    /// (`items` must be a `Value::List`). This is the fan-out path: one
-    /// batch allocation is built once and every consumer's argument holds
-    /// a reference bump of it, not a copy.
-    pub fn value_shared(channel: ChannelId, items: Value, end: bool) -> Value {
-        WriteRequest::value_shared_at(channel, items, end, None)
-    }
-
-    /// [`WriteRequest::value_shared`] with an explicit stream position for
-    /// the first item.
+    /// (`items` must be a `Value::List`), its first item at stream position
+    /// `seq` if one is given. This is the fan-out path: one batch allocation
+    /// is built once and every consumer's argument holds a reference bump of
+    /// it, not a copy.
     pub fn value_shared_at(channel: ChannelId, items: Value, end: bool, seq: Option<u64>) -> Value {
         debug_assert!(matches!(items, Value::List(_)));
         let mut fields = vec![

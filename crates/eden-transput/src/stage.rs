@@ -4,27 +4,29 @@
 //! stream system needs only one **corresponding pair** of them (§2–§3).
 //! [`Stage`] is that construction written once: an input face, a transform
 //! step, a buffer, an output face. Every role a pipeline needs is a choice
-//! of faces:
+//! of faces — and whether it survives a crash is not one of them: any pair
+//! of plain faces can be *retained* (last column; [`crate::recovery`]), and
+//! is then registered as `RecoverableStage` whatever its role.
 //!
-//! | [`Input`] | [`Output`] | role | `type_name` |
-//! |---|---|---|---|
-//! | local | passive | source: "any Eject which responds to *Read* invocations" (§4) | `StreamSource` |
-//! | active | passive | read-only filter | `PullFilter` |
-//! | active | collector | the sink that pumps a read-only pipeline (§4) | `StreamSink` |
-//! | local | active | the source that pumps a write-only pipeline (§5) | `PushSource` |
-//! | passive | active | write-only filter | `PushFilter` |
-//! | passive | collector | acceptor: "always ready to accept" writes (§5) | `AcceptorSink` |
-//! | passive | passive | the Unix pipe, Figure 1's passive buffer | `PassiveBuffer` |
-//! | active | active | the Unix filter: transforms *and pumps* (§3) | `PumpFilter` |
-//! | passive + one port read actively | active | §5's "secondary inputs, which are actively read" | `ZipPushFilter` |
+//! | [`Input`] | [`Output`] | role | `type_name` | retained, it is a recoverable pipeline's |
+//! |---|---|---|---|---|
+//! | local | passive | source: "any Eject which responds to *Read* invocations" (§4) | `StreamSource` | source, its supply loaded into the buffer whole |
+//! | active | passive | read-only filter | `PullFilter` | read-only `stage{i}` |
+//! | active | collector | the sink that pumps a read-only pipeline (§4) | `StreamSink` | — (the driver is that sink) |
+//! | local | active | the source that pumps a write-only pipeline (§5) | `PushSource` | write-only source; starts unasked |
+//! | passive | active | write-only filter | `PushFilter` | write-only `stage{i}` |
+//! | passive | collector | acceptor: "always ready to accept" writes (§5) | `AcceptorSink` | — (the acceptor is the pipe below) |
+//! | passive | passive | the Unix pipe, Figure 1's passive buffer | `PassiveBuffer` | `buf{i}`; read by `ReadAll`, the acceptor |
+//! | active | active | the Unix filter: transforms *and pumps* (§3) | `PumpFilter` | conventional `pump{i}` |
+//! | passive + one port read actively | active | §5's "secondary inputs, which are actively read" | `ZipPushFilter` | — |
 //!
 //! ## Faces
 //!
 //! * A **passive input** accepts `Write`. It cannot tell its writers apart
 //!   — one writer making k writes looks like k writers making one each —
 //!   which is exactly why write-only transput has no controlled fan-in
-//!   (§5). The first `end` closes the stream for everyone; a later write is
-//!   refused.
+//!   (§5). The first `end` closes the stream for everyone; a record written
+//!   later is refused.
 //! * An **active input** holds [`InputPort`]s and `Transfer`s from them,
 //!   interleaved by a [`FanInMode`](crate::FanInMode): "if F needs n inputs, it maintains n
 //!   UIDs" (§5). A **local** input is no face at all, just a
@@ -66,6 +68,20 @@
 //! Worker and coordinator share one [`Shared`] buffer and wake each other
 //! by internal message, metered as language-level IPC rather than as
 //! invocations — the distinction the paper's cost argument rests on.
+//!
+//! ## Retention: what the stage has not been told to forget
+//!
+//! The faces speak positions: a `Write` may say where its first record
+//! stands, a `Transfer` which record it wants first, and an absent position
+//! means "next" — all a volatile stage ever says or hears. A retained stage
+//! (`Stage::retained`) counts, and differs at three kinds of site only.
+//! *When the buffer may forget:* not what it serves or sends but what the
+//! position of a later `Transfer`, or the reply to a `Write`, acknowledges —
+//! so it parks no reader and no writer, and holds everything between two
+//! passive faces that nobody reads by position. *What an acknowledgement
+//! waits for:* a checkpoint of the whole stage (`retain`, `save`). *How a
+//! peer is called:* by a send whose wait retries, never by a call its
+//! caller's thread could be lent to (`pull`, `OutFace::consume`).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -73,7 +89,8 @@ use std::sync::Arc;
 use eden_core::op::ops;
 use eden_core::{EdenError, Result, Uid, Value};
 use eden_kernel::{
-    EjectBehavior, EjectContext, Invocation, PendingReply, ProcessContext, ReplyHandle, RouteCache,
+    EjectBehavior, EjectContext, Invocation, InvokeOptions, PendingReply, ProcessContext,
+    ReplyHandle, RouteCache,
 };
 
 use crate::batching::AdaptiveBatch;
@@ -81,7 +98,8 @@ use crate::channels::{ChannelPolicy, ChannelTable};
 use crate::collector::Collector;
 use crate::ports::{deliver, FanInMode, InputPort, InputPuller, OutputPort, OutputWiring};
 use crate::protocol::{Batch, GetChannelRequest, TransferRequest, WriteRequest, OUTPUT_NAME};
-use crate::source::PullSource;
+use crate::recovery::{self, Kept, READ_ALL};
+use crate::source::{PullSource, VecSource};
 use crate::stdio::Shared;
 use crate::transform::{self, Emitter, Transform};
 
@@ -187,24 +205,31 @@ impl StageConfig {
 }
 
 /// What a face needs from whoever runs it — the Eject's coordinator for a
-/// face run inline, its worker process otherwise: call a peer through the
-/// face's route cache, which is all a synchronous face ever does, or, to keep
-/// a window of writes in flight, send now and wait later.
-trait Host {
+/// face run inline, its worker process otherwise, a recording fake in the
+/// tests below: call a peer through the face's route cache, which is all a
+/// synchronous volatile face ever does; send now and wait later, to keep a
+/// window of writes in flight, or under the options that let a retained
+/// face's call ride out a crash of its peer ([`crate::recovery`], 3); and
+/// write the stage's passive representation to stable storage.
+pub(crate) trait Host {
     fn call(&self, cache: &mut RouteCache, to: Uid, op: &'static str, arg: Value) -> Result<Value>;
-    fn send(&self, cache: &mut RouteCache, to: Uid, op: &'static str, arg: Value) -> PendingReply;
+    fn send(&self, to: Uid, op: &'static str, arg: Value, how: InvokeOptions<'_>) -> PendingReply;
     fn wait(&self, pending: PendingReply) -> Result<Value>;
+    fn checkpoint(&self, state: &Value) -> Result<()>;
 }
 
 impl Host for EjectContext {
     fn call(&self, cache: &mut RouteCache, to: Uid, op: &'static str, arg: Value) -> Result<Value> {
         self.call_routed(cache, to, op, arg)
     }
-    fn send(&self, cache: &mut RouteCache, to: Uid, op: &'static str, arg: Value) -> PendingReply {
-        self.invoke_routed(cache, to, op, arg)
+    fn send(&self, to: Uid, op: &'static str, arg: Value, how: InvokeOptions<'_>) -> PendingReply {
+        self.invoke_with(to, op, arg, how)
     }
     fn wait(&self, pending: PendingReply) -> Result<Value> {
         pending.wait()
+    }
+    fn checkpoint(&self, state: &Value) -> Result<()> {
+        EjectContext::checkpoint(self, state)
     }
 }
 
@@ -212,16 +237,19 @@ impl Host for ProcessContext {
     fn call(&self, cache: &mut RouteCache, to: Uid, op: &'static str, arg: Value) -> Result<Value> {
         self.call_routed(cache, to, op, arg)
     }
-    fn send(&self, cache: &mut RouteCache, to: Uid, op: &'static str, arg: Value) -> PendingReply {
-        self.invoke_routed(cache, to, op, arg)
+    fn send(&self, to: Uid, op: &'static str, arg: Value, how: InvokeOptions<'_>) -> PendingReply {
+        self.invoke_with(to, op, arg, how)
     }
     fn wait(&self, pending: PendingReply) -> Result<Value> {
         self.wait_or_stop(pending)
     }
+    fn checkpoint(&self, state: &Value) -> Result<()> {
+        ProcessContext::checkpoint(self, state)
+    }
 }
 
 /// What one step of input came to, once through the transform.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Chunk {
     out: Emitter,
     /// The input has ended and the transform has flushed into `out`.
@@ -230,10 +258,10 @@ struct Chunk {
 
 /// The input face and the transform step behind it.
 #[derive(Debug)]
-struct InFace {
+pub(crate) struct InFace {
     face: Input,
     /// `None` copies.
-    transform: Option<Box<dyn Transform>>,
+    pub(crate) transform: Option<Box<dyn Transform>>,
     /// Upstream routes, learned on first use.
     cache: RouteCache,
     dial: AdaptiveBatch,
@@ -243,38 +271,45 @@ struct InFace {
     pumping: bool,
 }
 
-/// One step of an active input: up to `max` records, and whether it ended.
+/// One step of an active input: up to `max` records, from `pos` if the
+/// face keeps count, and whether it ended.
 fn pull(
     puller: &mut InputPuller,
     host: &impl Host,
     cache: &mut RouteCache,
     max: usize,
+    pos: Option<u64>,
 ) -> Result<(Vec<Value>, bool)> {
     puller.pull_next(max, &mut |port: InputPort, max| {
-        let req = TransferRequest {
-            channel: port.channel,
-            max,
-            pos: None,
+        let (channel, to) = (port.channel, port.uid);
+        let arg = TransferRequest { channel, max, pos }.to_value();
+        let reply = match pos {
+            Some(_) => host.wait(host.send(to, ops::TRANSFER, arg, recovery::stream_opts())),
+            None => host.call(cache, to, ops::TRANSFER, arg),
         };
-        host.call(cache, port.uid, ops::TRANSFER, req.to_value())
-            .and_then(Batch::from_value)
+        reply.and_then(Batch::from_value)
     })
 }
 
 impl InFace {
     /// Run `items` through the transform, flushing it if they end the input.
-    fn absorb(&mut self, items: Vec<Value>, end: bool) -> Chunk {
+    fn absorb(&mut self, items: Vec<Value>, end: bool, kept: Option<&mut Kept>) -> Chunk {
         let end = end && !self.flushed;
+        if let Some(kept) = kept {
+            kept.consumed += items.len() as u64;
+            kept.dirty |= end || !items.is_empty();
+        }
         let out = transform::step(&mut self.transform, items, end);
         self.flushed |= end;
         Chunk { out, end }
     }
 
     /// The passive face: take what a `Write` carries.
-    fn accept(&mut self, host: &impl Host, mut w: WriteRequest) -> Chunk {
+    fn accept(&mut self, host: &impl Host, mut w: WriteRequest, kept: Option<&mut Kept>) -> Chunk {
         if let Input::Zipped(secondary) = &mut self.face {
             for item in &mut w.items {
-                let (read, _) = pull(secondary, host, &mut self.cache, 1).unwrap_or_else(|_| {
+                let read = pull(secondary, host, &mut self.cache, 1, None);
+                let (read, _) = read.unwrap_or_else(|_| {
                     secondary.done = true;
                     (Vec::new(), true)
                 });
@@ -282,11 +317,12 @@ impl InFace {
                 *item = Value::list(vec![std::mem::replace(item, Value::Unit), read]);
             }
         }
-        self.absorb(w.items, w.end)
+        self.absorb(w.items, w.end, kept)
     }
 
-    /// The active face: one step of input, `ask` records of it.
-    fn produce(&mut self, host: &impl Host, ask: usize) -> Result<Chunk> {
+    /// The active face: one step of input, `ask` records of it — pulled at
+    /// `kept`'s position, where the stage keeps one.
+    fn produce(&mut self, host: &impl Host, ask: usize, kept: Option<&mut Kept>) -> Result<Chunk> {
         let (items, end) = match &mut self.face {
             Input::Local(source) => {
                 let pulled = source.pull(ask);
@@ -294,7 +330,8 @@ impl InFace {
                 (pulled.items, pulled.end)
             }
             Input::Active(puller) => {
-                let (items, end) = pull(puller, host, &mut self.cache, ask)?;
+                let pos = kept.as_ref().map(|kept| kept.consumed);
+                let (items, end) = pull(puller, host, &mut self.cache, ask, pos)?;
                 // Saturated upstream → fatter batches; a starved reply
                 // (well under what we asked for) → fall back towards the
                 // floor. The shrink threshold is deliberately far below the
@@ -309,15 +346,15 @@ impl InFace {
             }
             Input::Passive | Input::Zipped(_) => unreachable!("a passive input is written to"),
         };
-        Ok(self.absorb(items, end))
+        Ok(self.absorb(items, end, kept))
     }
 
-    /// As [`produce`](Self::produce) for a reader to be served: an upstream
-    /// failure ends the stream here, and the reader sees a short one (the
-    /// error also surfaced in metrics).
+    /// As [`produce`](Self::produce) for a volatile stage's reader to be
+    /// served: an upstream failure ends the stream here, and the reader sees
+    /// a short one (the error also surfaced in metrics).
     fn produce_or_end(&mut self, host: &impl Host, ask: usize) -> Chunk {
-        self.produce(host, ask)
-            .unwrap_or_else(|_| self.absorb(Vec::new(), true))
+        self.produce(host, ask, None)
+            .unwrap_or_else(|_| self.absorb(Vec::new(), true, None))
     }
 }
 
@@ -334,10 +371,11 @@ struct OutFace {
 }
 
 impl OutFace {
-    /// The active face: deliver a chunk. `end` is forwarded on every wired
-    /// channel so downstream streams close; returns once fewer than
-    /// `window` writes are unacknowledged — none, at the end of the stream.
-    fn consume(&mut self, host: &impl Host, mut chunk: Chunk) -> Result<()> {
+    /// The active face: deliver a chunk — at `seq`, where the stage keeps
+    /// count. `end` is forwarded on every wired channel so downstream
+    /// streams close; returns once fewer than `window` writes are
+    /// unacknowledged — none, at the end of the stream.
+    fn consume(&mut self, host: &impl Host, mut chunk: Chunk, seq: Option<u64>) -> Result<()> {
         let wiring = match &self.face {
             Output::Active(wiring) => wiring,
             Output::Collector(collector) => {
@@ -356,10 +394,14 @@ impl OutFace {
         let windowed = window > 1 && wiring.fan_out() == 1;
         let (cache, in_flight) = (&mut self.cache, &mut self.in_flight);
         let unsent = in_flight.len();
-        deliver(wiring, &mut chunk.out, end, &mut |port, arg| {
+        deliver(wiring, &mut chunk.out, end, seq, &mut |port, arg| {
             if windowed {
-                in_flight.push_back(host.send(cache, port.uid, ops::WRITE, arg));
+                let routed = InvokeOptions::new().route_cache(cache);
+                in_flight.push_back(host.send(port.uid, ops::WRITE, arg, routed));
                 Ok(())
+            } else if seq.is_some() {
+                let retrying = host.send(port.uid, ops::WRITE, arg, recovery::stream_opts());
+                host.wait(retrying).map(drop)
             } else {
                 host.call(cache, port.uid, ops::WRITE, arg).map(drop)
             }
@@ -400,16 +442,16 @@ impl OutFace {
 /// write, so it keeps what each accepted `Write` came to until the worker
 /// has delivered it.
 #[derive(Debug, Default)]
-struct Buffer {
+pub(crate) struct Buffer {
     /// A passive output's channels and their queues (else empty).
     table: ChannelTable,
-    queues: Vec<VecDeque<Value>>,
+    pub(crate) queues: Vec<VecDeque<Value>>,
     /// An active output's undelivered writes, and whether the worker has
     /// one more in hand.
     writes: VecDeque<Chunk>,
     delivering: bool,
     /// The final chunk has been put.
-    ended: bool,
+    pub(crate) ended: bool,
     /// The other side is gone: the coordinator has been dropped, or the
     /// worker has failed.
     closed: bool,
@@ -447,15 +489,20 @@ impl Buffer {
     }
 
     /// Serve a read of channel `idx`, unless fewer than `fill` records
-    /// wait there and more may come. End is visible only once the channel
-    /// has drained.
-    fn read(&mut self, idx: usize, max: usize, fill: usize) -> Option<Batch> {
+    /// wait there and more may come. End is visible only with the last of
+    /// them. What is read is forgotten, unless the stage is to `keep` it
+    /// until it is acknowledged.
+    fn read(&mut self, idx: usize, max: usize, fill: usize, keep: bool) -> Option<Batch> {
         let queue = &mut self.queues[idx];
         if queue.len() < fill && !self.ended {
             return None;
         }
-        let items: Vec<Value> = queue.drain(..max.min(queue.len())).collect();
-        let end = self.ended && queue.is_empty();
+        let n = max.min(queue.len());
+        let end = self.ended && n == queue.len();
+        let items: Vec<Value> = match keep {
+            true => queue.iter().take(n).cloned().collect(),
+            false => queue.drain(..n).collect(),
+        };
         Some(Batch { items, end })
     }
 
@@ -529,9 +576,44 @@ fn await_buffer<R>(
     }
 }
 
+/// Put a chunk in the buffer, which is all a volatile stage does with it.
+/// A retained one (`kept`), whoever runs it, then `Write`s what the buffer
+/// holds if its output is active — a batch at a time at `base`, each
+/// forgotten only once acknowledged — and checkpoints: after each
+/// acknowledgement, so that a crash resumes from the last acknowledged
+/// position and the receiver's sequence arithmetic absorbs the one batch
+/// that may be re-sent; and before whoever gave the chunk hears of it or is
+/// asked for more. A passive output has nothing to push: it delivers by
+/// retaining, and its reader will come.
+fn retain(
+    host: &impl Host,
+    input: &InFace,
+    mut output: Option<&mut OutFace>,
+    buffer: &mut Buffer,
+    kept: Option<&mut Kept>,
+    chunk: Chunk,
+) -> Result<()> {
+    buffer.put(chunk)?;
+    let Some(kept) = kept else {
+        return Ok(());
+    };
+    while let Some(output) = output.as_deref_mut().filter(|_| !kept.out_end) {
+        let Some(Batch { items, end }) = buffer.read(0, kept.batch, 1, true) else {
+            break;
+        };
+        let (n, out) = (items.len(), Emitter::of(items));
+        output.consume(host, Chunk { out, end }, Some(kept.base))?;
+        kept.forget(&mut buffer.queues[0], n);
+        (kept.out_end, kept.dirty) = (end, true);
+        kept.save(host, input, buffer)?;
+    }
+    kept.save(host, input, buffer)
+}
+
 /// The one worker loop: take a chunk from the input face, or from the
 /// buffer if the coordinator runs that face; give it to the output face, or
-/// to the buffer if the coordinator runs that one.
+/// to the buffer if the coordinator runs that one. A retained stage's
+/// worker runs both faces and `held` all the stage keeps.
 fn work(
     pctx: &ProcessContext,
     input: &mut Option<InFace>,
@@ -539,13 +621,28 @@ fn work(
     meet: &Shared<Buffer>,
     depth: usize,
     dial: &AdaptiveBatch,
+    held: &mut Option<(Box<Kept>, Buffer)>,
 ) -> Result<()> {
     loop {
         if pctx.should_stop() {
             return Err(EdenError::KernelShutdown);
         }
         let chunk = match input {
-            Some(face) if output.is_some() => face.produce(pctx, dial.current())?,
+            // What a failed delivery left in the buffer goes out before more
+            // comes in: the next pull's position would acknowledge records
+            // that only memory holds.
+            Some(_) if held.as_ref().is_some_and(|(_, b)| b.occupancy() > 0) => Chunk::default(),
+            Some(face) if output.is_some() => {
+                let mut kept = held.as_mut().map(|(kept, _)| &mut **kept);
+                let at = kept.as_ref().map(|kept| kept.consumed);
+                let chunk = face.produce(pctx, dial.current(), kept.as_deref_mut())?;
+                if kept.is_some_and(|kept| Some(kept.consumed) == at && !face.flushed) {
+                    // A dry upstream buffer, and the stream still open: a
+                    // retained passive output parks nobody, so poll.
+                    recovery::pause();
+                }
+                chunk
+            }
             Some(face) => {
                 // The window deepens with the batch dial: pre-pulling less
                 // than one batch's worth would starve the very batches the
@@ -560,10 +657,15 @@ fn work(
             }
             None => await_buffer(meet, pctx, Buffer::take_write)?,
         };
-        let end = chunk.end;
-        match output {
-            Some(face) => face.consume(pctx, chunk)?,
-            None => meet.queue.lock().put(chunk)?,
+        let mut end = chunk.end;
+        match (&mut *output, &mut *held) {
+            (Some(face), Some((kept, buffer))) => {
+                let input = input.as_ref().expect("a pump runs both faces");
+                retain(pctx, input, Some(face), buffer, Some(kept), chunk)?;
+                end = kept.out_end;
+            }
+            (Some(face), None) => face.consume(pctx, chunk, None)?,
+            (None, _) => meet.queue.lock().put(chunk)?,
         }
         if input.is_none() {
             meet.queue.lock().delivering = false;
@@ -601,6 +703,9 @@ pub struct Stage {
     writers: VecDeque<(WriteRequest, ReplyHandle)>,
     /// A collector output, kept for `Progress` and to report a failed pump.
     collector: Option<Collector>,
+    /// What a retained stage keeps beside all this ([`crate::recovery`]);
+    /// `None` on a volatile one, and once the worker runs both faces.
+    kept: Option<Box<Kept>>,
 }
 
 impl Stage {
@@ -680,7 +785,49 @@ impl Stage {
             }),
             writers: VecDeque::new(),
             collector,
+            kept: None,
         }
+    }
+
+    /// A retained stage ([`crate::recovery`]) holding `buf` as its output so
+    /// far, `ended` if its input has closed. It stays what recovery can
+    /// prove correct: one primary port per active face, one channel, a fixed
+    /// batch, one write in flight, and no buffer but what it retains.
+    pub(crate) fn retained(
+        kept: Kept,
+        buf: VecDeque<Value>,
+        ended: bool,
+        transform_state: &Value,
+    ) -> Result<Stage> {
+        // Built now so a typo fails at build, not mid-stream.
+        let transform = kept.transform(transform_state)?;
+        let input = match kept.upstream {
+            Some(upstream) => Input::pull(upstream),
+            None if kept.local => Input::Local(Box::new(VecSource::new(Vec::new()))),
+            None => Input::Passive,
+        };
+        let output = kept.downstream.map_or(Output::Passive, Output::push);
+        let config = StageConfig::batch(kept.batch);
+        let mut stage = Stage::assemble(input, transform, output, config);
+        stage.input.as_mut().expect("just assembled").flushed = ended;
+        stage.meet = Meet::Own(Buffer {
+            table: ChannelTable::single_output(),
+            queues: vec![buf],
+            ended,
+            ..Buffer::default()
+        });
+        stage.readers = vec![VecDeque::new()];
+        (stage.name, stage.kept) = (recovery::STAGE_TYPE, Some(Box::new(kept)));
+        Ok(stage)
+    }
+
+    /// Checkpoint a retained stage whose faces are here, if anything changed
+    /// since the last one.
+    fn save(&mut self, host: &impl Host) -> Result<()> {
+        let (Some(kept), Some(input)) = (&mut self.kept, &self.input) else {
+            return Ok(());
+        };
+        self.meet.with(|buffer| kept.save(host, input, buffer))
     }
 
     /// An active face runs on the worker when there is a buffer to meet the
@@ -694,9 +841,10 @@ impl Stage {
     }
 
     /// A pump over a local supply waits to be told to `Start`; every other
-    /// worker starts with its stage.
+    /// worker starts with its stage — and so does a retained stage's, which
+    /// has to start again with every reactivation, unasked.
     fn awaits_start(&self) -> bool {
-        !self.in_passive && !self.out_passive && !self.pulls
+        !self.in_passive && !self.out_passive && !self.pulls && self.kept.is_none()
     }
 
     /// Move the faces the worker runs into a worker process. `done` is the
@@ -712,10 +860,31 @@ impl Stage {
             (Some(_), None) => "read-ahead",
             (None, Some(_)) => "push-drain",
         };
+        // A retained stage has no depth, so its worker runs both faces and
+        // takes all the stage keeps with them: nothing is left to meet at.
+        let mut held = (self.kept.take()).map(|kept| (kept, self.meet.with(std::mem::take)));
         let meet = self.meet.share();
         let (depth, dial, collector) = (self.depth, self.dial.clone(), self.collector.clone());
         ctx.spawn_process(name, move |pctx| {
-            let result = work(&pctx, &mut input, &mut output, &meet, depth, &dial);
+            let result = loop {
+                match work(
+                    &pctx,
+                    &mut input,
+                    &mut output,
+                    &meet,
+                    depth,
+                    &dial,
+                    &mut held,
+                ) {
+                    // Retries exhausted under heavy fault load: pause and
+                    // carry on from the same positions rather than strand
+                    // the stream (a write that may or may not have landed is
+                    // re-sent with the same sequence; the receiver
+                    // deduplicates).
+                    Err(e) if held.is_some() && e != EdenError::KernelShutdown => recovery::pause(),
+                    result => break result,
+                }
+            };
             let failed = !matches!(result, Ok(()) | Err(EdenError::KernelShutdown));
             if failed {
                 // The worker is giving up with its stage alive: whoever is
@@ -732,18 +901,20 @@ impl Stage {
     }
 
     /// The passive input face: a `Write`.
-    fn accept(&mut self, ctx: &EjectContext, w: WriteRequest, reply: ReplyHandle) {
+    fn accept(&mut self, host: &impl Host, w: WriteRequest, reply: ReplyHandle) {
         // With a buffer between the faces, a writer that finds it full (or
         // finds others already waiting) is parked: passive input under
         // backpressure. The reply is deferred; the coordinator never blocks.
-        let buffered = self.out_passive || self.depth > 0;
+        // What a retained buffer holds is for its reader's acknowledgements
+        // to bound, not a capacity: it parks nobody.
+        let buffered = (self.out_passive || self.depth > 0) && self.kept.is_none();
         if buffered && (!self.writers.is_empty() || self.full()) {
             reply.mark_deferred();
             self.writers.push_back((w, reply));
         } else {
-            self.admit(ctx, w, reply);
+            self.admit(host, w, reply);
         }
-        self.settle(ctx);
+        self.settle(host);
     }
 
     /// The buffer has no room for another write (a closed one takes the
@@ -755,24 +926,43 @@ impl Stage {
 
     /// Take a `Write`: through the transform, then into the output face if
     /// it runs here (and the acknowledgement waits for its downstream's),
-    /// else into the buffer.
-    fn admit(&mut self, ctx: &EjectContext, w: WriteRequest, reply: ReplyHandle) {
+    /// else into the buffer. A retained stage takes only what lies beyond
+    /// the position it has accepted, and acknowledges what it has kept,
+    /// passed on and checkpointed, so that every crash window resolves to a
+    /// re-send the sequence arithmetic deduplicates.
+    fn admit(&mut self, host: &impl Host, mut w: WriteRequest, reply: ReplyHandle) {
         let input = self.input.as_mut().expect("a passive face stays here");
-        if input.flushed {
+        let mut kept = self.kept.as_deref_mut();
+        if let Some(Err(gap)) = kept.as_ref().map(|kept| kept.sequence(&mut w)) {
+            return reply.reply(Err(gap));
+        }
+        // A re-sent end of stream is a no-op; a record beyond the closed
+        // stream's end is a sender's bug.
+        if input.flushed && !w.items.is_empty() {
             let refused = EdenError::Application("write after end of stream".into());
             return reply.reply(Err(refused));
         }
-        let chunk = input.accept(ctx, w);
-        let result = match self.output.as_mut().filter(|_| !self.out_passive) {
-            Some(output) => output.consume(ctx, chunk),
-            None => self.meet.with(|buffer| buffer.put(chunk)),
+        let chunk = input.accept(host, w, kept.as_deref_mut());
+        let output = self.output.as_mut().filter(|_| !self.out_passive);
+        let result = match (output, kept) {
+            (Some(output), None) => output.consume(host, chunk, None),
+            (output, kept) => self
+                .meet
+                .with(|buffer| retain(host, input, output, buffer, kept, chunk)),
         };
         reply.reply(result.map(|()| Value::Unit));
     }
 
-    /// The passive output face: a `Transfer`.
-    fn serve(&mut self, ctx: &EjectContext, req: TransferRequest, reply: ReplyHandle) {
-        let idx = match self.meet.with(|b| b.table.index_of(req.channel)) {
+    /// The passive output face: a `Transfer`. A retained stage's buffer
+    /// forgets what the request's position acknowledges, not what it serves.
+    fn serve(&mut self, host: &impl Host, req: TransferRequest, reply: ReplyHandle) {
+        let kept = self.kept.as_deref_mut();
+        let idx = self.meet.with(|b| {
+            let idx = b.table.index_of(req.channel)?;
+            kept.map_or(Ok(()), |kept| kept.acknowledge(req.pos, &mut b.queues[idx]))?;
+            Ok(idx)
+        });
+        let idx = match idx {
             Ok(idx) => idx,
             Err(e) => return reply.reply(Err(e)),
         };
@@ -787,13 +977,17 @@ impl Stage {
             }
             // Secondary channels fill only as a by-product of primary
             // demand — §4's laziness means reports trail the main stream.
-            self.fill(ctx, req.max);
+            if let Err(e) = self.fill(host, req.max) {
+                return reply.reply(Err(e));
+            }
         }
         // Readers are served in the order they came: one that finds others
         // parked waits behind them, even if the worker has just put enough.
         let first = self.readers[idx].is_empty();
         match first.then(|| self.read(idx, req.max)).flatten() {
-            Some(batch) => reply.reply(Ok(batch.to_value())),
+            // Checkpoint before reply: the stable state must not claim less
+            // progress than the reader has seen.
+            Some(batch) => reply.reply(self.save(host).map(|()| batch.to_value())),
             None => {
                 // Passive output with no data: park the reader — the
                 // "partial vacuum" of §4.
@@ -806,15 +1000,15 @@ impl Stage {
                 }
             }
         }
-        self.settle(ctx);
+        self.settle(host);
     }
 
     /// Depth 0: run the input face here, now, until `want` primary records
     /// wait or the input ends. (A no-op when the input face is passive or
-    /// the worker runs it.)
-    fn fill(&mut self, ctx: &EjectContext, want: usize) {
+    /// the worker runs it.) Only a retained stage's fails.
+    fn fill(&mut self, host: &impl Host, want: usize) -> Result<()> {
         let Some(input) = self.input.as_mut().filter(|_| !self.in_passive) else {
-            return;
+            return Ok(());
         };
         let mut pulls = 0usize;
         let mut have = self.meet.with(|buffer| buffer.occupancy());
@@ -823,11 +1017,19 @@ impl Stage {
             // what is asked for.
             let batch = self.dial.current();
             let ask = if self.pulls { batch } else { want - have };
-            let chunk = input.produce_or_end(ctx, ask);
+            let mut kept = self.kept.as_deref_mut();
+            let chunk = match kept.as_deref_mut() {
+                None => input.produce_or_end(host, ask),
+                // A retained stage's reader gets the error, and asks again.
+                Some(kept) => input.produce(host, ask, Some(kept))?,
+            };
+            // And what it pulled is durable before the next pull's position
+            // leaves, which tells the upstream to discard what only memory
+            // would have otherwise.
             have = self.meet.with(|buffer| {
-                let _ = buffer.put(chunk);
-                buffer.occupancy()
-            });
+                retain(host, input, None, buffer, kept, chunk)?;
+                Ok::<_, EdenError>(buffer.occupancy())
+            })?;
             pulls += 1;
         }
         // Adapt: a serve needing several upstream pulls is invocation-bound;
@@ -838,6 +1040,7 @@ impl Stage {
         } else if pulls == 1 && have > want {
             self.dial.shrink();
         }
+        Ok(())
     }
 
     fn read(&mut self, idx: usize, max: usize) -> Option<Batch> {
@@ -847,18 +1050,25 @@ impl Stage {
         // many.
         let whole = idx == 0 && self.in_worker();
         let cap = self.dial.bounds().1;
-        let fill = if whole { max.min(cap) } else { 1 };
-        self.meet.with(|buffer| buffer.read(idx, max, fill))
+        // A retained output parks nobody — a parked reply would die with a
+        // crash anyway: it answers an empty batch, and its reader polls.
+        let keep = self.kept.is_some();
+        let fill = match (keep, whole) {
+            (true, _) => 0,
+            (_, true) => max.min(cap),
+            _ => 1,
+        };
+        self.meet.with(|buffer| buffer.read(idx, max, fill, keep))
     }
 
     /// Move parked writes into the buffer while space allows and answer
     /// parked reads while data (or end) allows, then let the worker look.
-    fn settle(&mut self, ctx: &EjectContext) {
+    fn settle(&mut self, host: &impl Host) {
         let mut moved = true;
         while std::mem::take(&mut moved) {
             while !self.writers.is_empty() && !self.full() {
                 let (w, reply) = self.writers.pop_front().expect("non-empty checked");
-                self.admit(ctx, w, reply);
+                self.admit(host, w, reply);
                 moved = true;
             }
             for idx in 0..self.readers.len() {
@@ -887,7 +1097,9 @@ impl EjectBehavior for Stage {
     // from `settle` goes into the buffer, never downstream. The one pair of
     // faces that breaks this is a zipped input behind a passive output:
     // answering a `Transfer` makes room, and admitting the parked write that
-    // takes it reads the secondary port.
+    // takes it reads the secondary port. And a retained stage's calls are
+    // no calls but sends with a wait that retries them: it is never run on
+    // its caller's thread.
     fn replies_last(&self) -> bool {
         let zipped = matches!(
             self.input,
@@ -896,10 +1108,19 @@ impl EjectBehavior for Stage {
                 ..
             })
         );
-        !(zipped && self.out_passive)
+        !(zipped && self.out_passive) && self.kept.is_none()
     }
 
     fn activate(&mut self, ctx: &EjectContext) {
+        if let Some(kept) = &mut self.kept {
+            if kept.recovered {
+                ctx.metrics().record_recovered_stream();
+            }
+            // Durable from birth: a crash before the first stream operation
+            // must leave a reactivatable Eject, not a vanished one.
+            kept.dirty = true;
+            let _ = self.save(ctx);
+        }
         if !self.awaits_start() {
             self.spawn_worker(ctx, None);
         }
@@ -921,6 +1142,15 @@ impl EjectBehavior for Stage {
                     .and_then(|req| self.meet.with(|buffer| buffer.table.id_of(&req.name)))
                     .map(Value::from),
             ),
+            // Everything a retained output still holds: how the acceptor
+            // at the end of a recoverable pipeline is read.
+            READ_ALL if self.out_passive && self.kept.is_some() => {
+                let all = self.meet.with(|buffer| Batch {
+                    items: buffer.queues[0].iter().cloned().collect(),
+                    end: buffer.ended,
+                });
+                reply.reply(Ok(all.to_value()));
+            }
             // The worker has had the faces since the first `Start`.
             START if self.awaits_start() && self.input.is_none() => {
                 reply.reply(Err(EdenError::Application("already started".into())));
@@ -968,9 +1198,12 @@ impl EjectBehavior for Stage {
 mod tests {
     use super::*;
     use crate::protocol::ChannelId;
-    use crate::source::{FnSource, VecSource};
+    use crate::recovery::TransformRegistry;
+    use crate::source::FnSource;
     use crate::transform::{filter_fn, map_fn, Identity};
-    use eden_kernel::Kernel;
+    use eden_core::{wire, Metrics};
+    use eden_kernel::{reply_pair, Kernel};
+    use std::cell::RefCell;
     use std::time::Duration;
 
     fn int_source(kernel: &Kernel, n: i64) -> Uid {
@@ -1479,8 +1712,18 @@ mod tests {
             .invoke(filter, ops::WRITE, WriteRequest::last(vec![]).to_value())
             .wait()
             .unwrap();
-        let seen = kernel.invoke(held, "Release", Value::Unit).wait().unwrap();
+        // The last write is acknowledged once admitted, which may be before
+        // the worker has delivered the one ahead of it: ask until it has.
         let expected: Vec<Value> = (0..K + 2).map(|i| Value::Int(i as i64)).collect();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let seen = loop {
+            let seen = kernel.invoke(held, "Release", Value::Unit).wait().unwrap();
+            let all = seen.as_list().unwrap().len() == expected.len();
+            if all || std::time::Instant::now() > deadline {
+                break seen;
+            }
+            std::thread::yield_now();
+        };
         assert_eq!(seen, Value::list(expected));
         kernel.shutdown();
     }
@@ -1888,6 +2131,417 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, EdenError::Application(_)));
         kernel.shutdown();
+    }
+
+    // ---- retained: what recovery adds to the faces (crate::recovery) ----
+
+    /// What a stage asked of its host, in order.
+    #[derive(Debug, PartialEq)]
+    enum Event {
+        Pull {
+            pos: u64,
+        },
+        Push {
+            seq: u64,
+            items: Vec<Value>,
+            end: bool,
+        },
+        Checkpoint {
+            consumed: u64,
+            base: u64,
+        },
+    }
+
+    /// Stands in for the kernel: serves pulls out of `upstream`,
+    /// acknowledges every push, keeps the last checkpoint as the bytes the
+    /// stable store would hold, and logs it all.
+    #[derive(Default)]
+    struct Fake {
+        upstream: Vec<Value>,
+        log: RefCell<Vec<Event>>,
+        stored: RefCell<Vec<u8>>,
+    }
+
+    impl Host for Fake {
+        fn call(&self, _: &mut RouteCache, _: Uid, op: &'static str, arg: Value) -> Result<Value> {
+            if op == ops::TRANSFER {
+                let req = TransferRequest::from_value(&arg)?;
+                let pos = req.pos.expect("stages pull positionally");
+                self.log.borrow_mut().push(Event::Pull { pos });
+                let from = (pos as usize).min(self.upstream.len());
+                let to = (from + req.max).min(self.upstream.len());
+                let items = self.upstream[from..to].to_vec();
+                return Ok(Batch {
+                    items,
+                    end: to == self.upstream.len(),
+                }
+                .to_value());
+            }
+            assert_eq!(op, ops::WRITE);
+            let req = WriteRequest::from_value(arg)?;
+            let seq = req.seq.expect("stages push in sequence");
+            self.log.borrow_mut().push(Event::Push {
+                seq,
+                items: req.items,
+                end: req.end,
+            });
+            Ok(Value::Unit)
+        }
+
+        fn send(
+            &self,
+            to: Uid,
+            op: &'static str,
+            arg: Value,
+            how: InvokeOptions<'_>,
+        ) -> PendingReply {
+            assert!(how.retry.max_retries > 0, "a retained face's calls retry");
+            PendingReply::ready(self.call(&mut RouteCache::new(), to, op, arg))
+        }
+
+        fn wait(&self, pending: PendingReply) -> Result<Value> {
+            pending.wait()
+        }
+
+        fn checkpoint(&self, state: &Value) -> Result<()> {
+            let uint = |name| Ok::<_, EdenError>(state.field(name)?.as_int()? as u64);
+            let (consumed, base) = (uint("consumed")?, uint("base")?);
+            self.log
+                .borrow_mut()
+                .push(Event::Checkpoint { consumed, base });
+            *self.stored.borrow_mut() = wire::encode(state);
+            Ok(())
+        }
+    }
+
+    impl Fake {
+        fn pushes(&self) -> Vec<(u64, Vec<Value>, bool)> {
+            let log = self.log.borrow();
+            let pushes = log.iter().filter_map(|e| match e {
+                Event::Push { seq, items, end } => Some((*seq, items.clone(), *end)),
+                _ => None,
+            });
+            pushes.collect()
+        }
+
+        fn checkpoints(&self) -> usize {
+            let log = self.log.borrow();
+            log.iter()
+                .filter(|e| matches!(e, Event::Checkpoint { .. }))
+                .count()
+        }
+
+        /// A `Write` to `s`'s passive input, and its acknowledgement.
+        fn write(&self, s: &mut Stage, w: WriteRequest) -> Result<Value> {
+            answered(|reply| s.accept(self, w, reply))
+        }
+
+        /// A `Transfer` from `s`'s passive output, and its reply.
+        fn read(&self, s: &mut Stage, req: TransferRequest) -> Result<Value> {
+            answered(|reply| s.serve(self, req, reply))
+        }
+
+        /// The stage a crash would bring back: the stored bytes, decoded
+        /// and rebuilt the way the kernel's reactivation does it.
+        fn reactivated(&self) -> Stage {
+            let state = wire::decode(&self.stored.borrow()).unwrap();
+            Kept::reactivate(&state, &registry()).unwrap()
+        }
+    }
+
+    /// What a face answers when asked: a retained one parks nobody.
+    fn answered(ask: impl FnOnce(ReplyHandle)) -> Result<Value> {
+        let (reply, pending) = reply_pair(Uid::fresh(), Metrics::new());
+        ask(reply);
+        match pending.try_wait() {
+            Ok(answer) => answer,
+            Err(_) => panic!("a retained face parked its invoker"),
+        }
+    }
+
+    fn registry() -> TransformRegistry {
+        TransformRegistry::new(&[
+            ("double", || {
+                Box::new(map_fn("double", |v| {
+                    Value::Int(v.as_int().unwrap_or(0) * 2)
+                }))
+            }),
+            ("odd", || {
+                Box::new(filter_fn("odd", |v| v.as_int().unwrap_or(0) % 2 == 1))
+            }),
+            ("sum", || Box::new(RunningSum(0))),
+        ])
+    }
+
+    /// Emits the sum of its input so far: what it emits next depends on
+    /// everything it has seen, and it says so through `state`.
+    struct RunningSum(i64);
+
+    impl Transform for RunningSum {
+        fn push(&mut self, item: Value, out: &mut transform::Emitter) {
+            self.0 += item.as_int().unwrap_or(0);
+            out.emit(Value::Int(self.0));
+        }
+        fn state(&self) -> Option<Value> {
+            Some(Value::Int(self.0))
+        }
+        fn restore(&mut self, state: &Value) -> Result<()> {
+            self.0 = state.as_int()?;
+            Ok(())
+        }
+    }
+
+    fn ints(range: std::ops::Range<i64>) -> Vec<Value> {
+        range.map(Value::Int).collect()
+    }
+
+    fn doubled(range: std::ops::Range<i64>) -> Vec<Value> {
+        range.map(|i| Value::Int(2 * i)).collect()
+    }
+
+    /// A retained stage of batch 3 running `transform`, the given faces
+    /// active.
+    fn retained(transform: &str, active_in: bool, active_out: bool) -> Stage {
+        let peer = |active: bool| active.then(Uid::fresh);
+        let peers = (peer(active_in), peer(active_out));
+        recovery::fresh(transform, &registry(), peers, 3, None).unwrap()
+    }
+
+    fn write(seq: u64, items: std::ops::Range<i64>, end: bool) -> WriteRequest {
+        WriteRequest {
+            channel: Default::default(),
+            items: ints(items),
+            end,
+            seq: Some(seq),
+        }
+    }
+
+    /// Where a retained stage stands: input taken, output acknowledged, and
+    /// the output it still holds.
+    fn standing(s: &mut Stage) -> (u64, u64, Vec<Value>) {
+        let kept = s.kept.as_ref().expect("a retained stage, its faces here");
+        let buf = s.meet.with(|b| b.queues[0].iter().cloned().collect());
+        (kept.consumed, kept.base, buf)
+    }
+
+    /// The checkpoint `s` would write now.
+    fn record(s: &mut Stage) -> Value {
+        let (kept, input) = (s.kept.as_ref().unwrap(), s.input.as_ref().unwrap());
+        s.meet.with(|b| kept.record(input, b))
+    }
+
+    #[test]
+    fn passive_input_face_dedupes_rejects_gaps_and_closes() {
+        for active_out in [false, true] {
+            let case = format!("output active: {active_out}");
+            let host = Fake::default();
+            let mut s = retained("double", false, active_out);
+            // Everything the stage has let out, by whichever face it has.
+            let produced = |s: &mut Stage, host: &Fake| -> Vec<Value> {
+                let pushed = host.pushes().into_iter().flat_map(|(_, items, _)| items);
+                pushed.chain(standing(s).2).collect()
+            };
+
+            // A write that leaves a gap, and one that does not say where it
+            // stands (a retry of it could not be told from a fresh write).
+            let unsequenced = WriteRequest {
+                seq: None,
+                ..write(0, 0..3, false)
+            };
+            for refused in [write(2, 2..4, false), unsequenced] {
+                let err = host.write(&mut s, refused).unwrap_err();
+                assert!(matches!(err, EdenError::BadParameter(_)), "{case}: {err}");
+                assert_eq!((standing(&mut s).0, host.checkpoints()), (0, 0), "{case}");
+            }
+
+            host.write(&mut s, write(0, 0..3, false)).unwrap();
+            assert_eq!(standing(&mut s).0, 3, "{case}");
+            // A re-send that overlaps two accepted records and carries two
+            // fresh ones: only the fresh ones go through the transform, and
+            // the output position moves once.
+            host.write(&mut s, write(1, 1..5, false)).unwrap();
+            assert_eq!(standing(&mut s).0, 5, "{case}");
+            assert_eq!(produced(&mut s, &host), doubled(0..5), "{case}");
+            if active_out {
+                let seqs: Vec<u64> = host.pushes().iter().map(|(seq, ..)| *seq).collect();
+                assert_eq!((seqs, standing(&mut s).1), (vec![0, 3], 5), "{case}");
+            }
+            // Checkpoint precedes acknowledge: what the store holds when
+            // the write returns is the state that was acknowledged.
+            assert_eq!(record(&mut host.reactivated()), record(&mut s), "{case}");
+
+            host.write(&mut s, write(5, 5..6, true)).unwrap();
+            assert!(s.input.as_ref().unwrap().flushed, "{case}");
+            let closed = (record(&mut s), host.checkpoints(), host.pushes());
+
+            // After the end: a record beyond the accepted position is
+            // refused, alone or behind an overlap ...
+            for late in [write(6, 6..7, false), write(5, 5..7, true)] {
+                let err = host.write(&mut s, late).unwrap_err();
+                let want = EdenError::Application("write after end of stream".into());
+                assert_eq!(err, want, "{case}");
+            }
+            // ... and a retry of the final write is acknowledged and
+            // changes nothing.
+            host.write(&mut s, write(5, 5..6, true)).unwrap();
+            assert_eq!(
+                (record(&mut s), host.checkpoints(), host.pushes()),
+                closed,
+                "{case}"
+            );
+            assert_eq!(produced(&mut s, &host), doubled(0..6), "{case}");
+            if active_out {
+                let (.., end) = host.pushes().pop().unwrap();
+                assert!(end, "{case}: the end of the stream was pushed on");
+            }
+        }
+    }
+
+    #[test]
+    fn passive_output_face_acks_trims_and_reserves_byte_identically() {
+        for active_in in [false, true] {
+            let case = format!("input active: {active_in}");
+            let host = Fake {
+                upstream: ints(0..8),
+                ..Fake::default()
+            };
+            let mut s = retained("double", active_in, false);
+            if !active_in {
+                host.write(&mut s, write(0, 0..8, true)).unwrap();
+            }
+            let read = |s: &mut Stage, pos: u64| {
+                let reply = host.read(s, TransferRequest::primary(3).at(pos))?;
+                let bytes = wire::encode(&reply);
+                Batch::from_value(reply).map(|batch| (batch, bytes))
+            };
+
+            let (first, first_bytes) = read(&mut s, 0).unwrap();
+            assert_eq!((first.items, first.end), (doubled(0..3), false), "{case}");
+            // Unacknowledged, so a retry reads the same bytes again.
+            assert_eq!(read(&mut s, 0).unwrap().1, first_bytes, "{case}");
+
+            // Position 2 acknowledges exactly records 0 and 1.
+            let (second, second_bytes) = read(&mut s, 2).unwrap();
+            assert_eq!(second.items, doubled(2..5), "{case}");
+            let (_, base, buf) = standing(&mut s);
+            assert_eq!((base, buf.first()), (2, Some(&Value::Int(4))), "{case}");
+            let durable = standing(&mut host.reactivated()).1;
+            assert_eq!(durable, 2, "{case}: the trim is durable");
+            assert_eq!(read(&mut s, 2).unwrap().1, second_bytes, "{case}");
+
+            // A position below what is retained, and no position at all
+            // (it would acknowledge nothing and read this batch forever).
+            let below = read(&mut s, 1).unwrap_err();
+            let bare = host.read(&mut s, TransferRequest::primary(3)).unwrap_err();
+            for err in [below, bare] {
+                assert!(matches!(err, EdenError::BadParameter(_)), "{case}: {err}");
+                assert_eq!(standing(&mut s).1, 2, "{case}");
+            }
+            // A channel the stage never declared — a guessed number, a
+            // foreign capability — is refused like any passive output's, and
+            // its position acknowledges nothing.
+            for channel in [ChannelId::Number(7), ChannelId::Cap(Uid::fresh())] {
+                let foreign = TransferRequest {
+                    channel,
+                    max: 3,
+                    pos: Some(5),
+                };
+                let err = host.read(&mut s, foreign).unwrap_err();
+                let refused = matches!(
+                    err,
+                    EdenError::NoSuchChannel(_) | EdenError::NotAuthorized(_)
+                );
+                assert!(refused, "{case}: {err}");
+                assert_eq!(standing(&mut s).1, 2, "{case}");
+            }
+
+            let (third, _) = read(&mut s, 5).unwrap();
+            assert_eq!((third.items, third.end), (doubled(5..8), true), "{case}");
+            // A reactivated stage serves the unacknowledged suffix as the
+            // crashed one would have.
+            let mut back = host.reactivated();
+            let (again, _) = read(&mut back, 5).unwrap();
+            assert_eq!((again.items, again.end), (doubled(5..8), true), "{case}");
+        }
+    }
+
+    #[test]
+    fn a_pull_position_is_durable_before_it_is_sent() {
+        // `odd` drops half its input, so filling one read takes two pulls.
+        // The second pull's position acknowledges the first pull's records
+        // upstream; the stage must hold them durably by then.
+        let host = Fake {
+            upstream: ints(0..12),
+            ..Fake::default()
+        };
+        let mut s = retained("odd", true, false);
+        host.read(&mut s, TransferRequest::primary(3).at(0))
+            .unwrap();
+        use Event::{Checkpoint, Pull};
+        assert_eq!(
+            *host.log.borrow(),
+            [
+                Pull { pos: 0 },
+                Checkpoint {
+                    consumed: 3,
+                    base: 0
+                },
+                Pull { pos: 3 },
+                Checkpoint {
+                    consumed: 6,
+                    base: 0
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn state_round_trips_through_a_checkpoint_for_every_pair_of_faces() {
+        for (active_in, active_out) in [(false, false), (false, true), (true, false), (true, true)]
+        {
+            let case = format!("({active_in}, {active_out})");
+            let host = Fake {
+                upstream: ints(0..7),
+                ..Fake::default()
+            };
+            // A stateful transform: its state is part of what round-trips.
+            let mut s = retained("sum", active_in, active_out);
+            // Put the stage mid-stream by whichever face drives it: a
+            // `Write`, a `Transfer`, or one step of the pump's worker.
+            match (active_in, active_out) {
+                (false, _) => drop(host.write(&mut s, write(0, 0..4, false)).unwrap()),
+                (true, false) => drop(
+                    host.read(&mut s, TransferRequest::primary(3).at(0))
+                        .unwrap(),
+                ),
+                (true, true) => {
+                    let (input, output) = (s.input.as_mut().unwrap(), s.output.as_mut());
+                    let kept = s.kept.as_deref_mut().unwrap();
+                    let chunk = input.produce(&host, kept.batch, Some(kept)).unwrap();
+                    let input = &*input;
+                    s.meet
+                        .with(|b| retain(&host, input, output, b, Some(kept), chunk))
+                        .unwrap();
+                }
+            }
+            let kept = s.kept.as_ref().unwrap();
+            assert!(kept.consumed > 0 && !kept.dirty, "{case}");
+            let mut back = host.reactivated();
+            assert_eq!(record(&mut back), record(&mut s), "{case}");
+            assert_eq!(
+                (back.in_passive, back.out_passive),
+                (!active_in, !active_out),
+                "{case}"
+            );
+            let revived = back.kept.as_deref_mut().unwrap();
+            assert!(revived.recovered && !revived.dirty, "{case}");
+            // The rebuilt transform carries on from the input consumed so
+            // far, not from zero.
+            let seen: i64 = (0..revived.consumed as i64).sum();
+            let input = back.input.as_mut().unwrap();
+            let mut more = input.absorb(vec![Value::Int(100)], false, Some(revived));
+            assert_eq!(more.out.take_primary(), [Value::Int(seen + 100)], "{case}");
+        }
     }
 
     // ---- collector output: the pumping sink, the acceptor ----

@@ -29,6 +29,7 @@ use eden_core::{EdenError, Result, Value};
 use eden_kernel::{EjectBehavior, EjectContext, InternalSender, Invocation, ReplyHandle};
 use parking_lot::{Condvar, Mutex};
 
+use crate::channels::ChannelTable;
 use crate::protocol::{Batch, TransferRequest, WriteRequest};
 
 /// State shared between a coordinator and one of its worker processes (a
@@ -135,6 +136,7 @@ pub struct ProgramSourceEject {
     capacity: usize,
     shared: Option<Arc<Shared<SharedQueue>>>,
     waiters: VecDeque<(usize, ReplyHandle)>,
+    channels: ChannelTable,
 }
 
 impl ProgramSourceEject {
@@ -156,6 +158,7 @@ impl ProgramSourceEject {
             capacity,
             shared: None,
             waiters: VecDeque::new(),
+            channels: ChannelTable::single_output(),
         }
     }
 
@@ -216,14 +219,17 @@ impl EjectBehavior for ProgramSourceEject {
 
     fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
         match inv.op.as_str() {
-            ops::TRANSFER => match TransferRequest::from_value(&inv.arg) {
-                Ok(req) => {
-                    reply.mark_deferred();
-                    self.waiters.push_back((req.max, reply));
-                    self.serve();
+            ops::TRANSFER => {
+                let req = TransferRequest::from_value(&inv.arg);
+                match req.and_then(|r| self.channels.index_of(r.channel).map(|_| r)) {
+                    Ok(req) => {
+                        reply.mark_deferred();
+                        self.waiters.push_back((req.max, reply));
+                        self.serve();
+                    }
+                    Err(e) => reply.reply(Err(e)),
                 }
-                Err(e) => reply.reply(Err(e)),
-            },
+            }
             _ => reply.reply(Err(EdenError::NoSuchOperation {
                 target: ctx.uid(),
                 op: inv.op,
@@ -337,6 +343,14 @@ impl ProgramSinkEject {
             }
             let (w, reply) = self.parked_writes.pop_front().expect("front checked");
             let mut q = shared.queue.lock();
+            // The first `end` closed the stream for everyone: a re-sent one
+            // is a no-op, a record beyond it a sender's bug.
+            if q.closed && !w.items.is_empty() {
+                drop(q);
+                let refused = EdenError::Application("write after end of stream".into());
+                reply.reply(Err(refused));
+                continue;
+            }
             q.items.extend(w.items);
             if w.end {
                 q.closed = true;

@@ -1,0 +1,165 @@
+//! The contract every stream endpoint keeps, whoever wrote it: a passive
+//! output serves only the channels it declared, and a passive input takes
+//! no record after the end of its stream. `Stage` keeps it by construction;
+//! the endpoints still written by hand (`stdio`, `eden-fs`) keep it one by
+//! one, until they are constructors over `Stage` too (ROADMAP item 1).
+
+use std::sync::mpsc;
+use std::time::Duration;
+
+use eden::core::op::ops;
+use eden::core::{EdenError, Uid, Value};
+use eden::fs::{FileEject, MemFs, UnixFsEject};
+use eden::kernel::Kernel;
+use eden::transput::collector::Collector;
+use eden::transput::protocol::ChannelId;
+use eden::transput::recovery::{
+    install_recovery, recoverable_source, run_recoverable_pipeline, RecoveryDiscipline,
+    TransformRegistry, READ_ALL,
+};
+use eden::transput::source::VecSource;
+use eden::transput::stdio::{ProgramSinkEject, ProgramSourceEject};
+use eden::transput::{Batch, Input, Output, Stage, StageConfig, TransferRequest, WriteRequest};
+
+fn ints(n: i64) -> Vec<Value> {
+    (0..n).map(Value::Int).collect()
+}
+
+/// A constructor for each Eject that answers `Transfer`, over the records
+/// 0 and 1 (the filing systems hold them as lines).
+fn readers(kernel: &Kernel) -> Vec<(&'static str, Uid)> {
+    let spawn = |behavior| kernel.spawn(behavior).unwrap();
+    let opened = |from: Uid, op: &'static str, arg: Value| {
+        let reader = kernel.invoke(from, op, arg).wait().unwrap();
+        reader.as_uid().unwrap()
+    };
+    let supply = Input::Local(Box::new(VecSource::new(ints(2))));
+    let volatile = Stage::new(supply, Output::Passive, StageConfig::default());
+    let program = ProgramSourceEject::new(|out| {
+        for i in 0..2 {
+            out.write(Value::Int(i)).unwrap();
+        }
+    });
+    let file = spawn(Box::new(FileEject::from_lines(["0", "1"])));
+    let fs = MemFs::with_files([("two", "0\n1\n")]);
+    let unixfs = spawn(Box::new(UnixFsEject::new(fs)));
+    vec![
+        ("volatile source", spawn(Box::new(volatile))),
+        ("recoverable_source", spawn(recoverable_source(ints(2)))),
+        ("ProgramSourceEject", spawn(Box::new(program))),
+        ("FileEject Open", opened(file, ops::OPEN, Value::Unit)),
+        (
+            "UnixFsEject NewStream",
+            opened(unixfs, ops::NEW_STREAM, eden::fs::new_stream_arg("two")),
+        ),
+    ]
+}
+
+/// A constructor for each Eject that answers `Write`, the records 0 and 1
+/// written to it and its stream ended, with how to read what it took.
+type Landed = Box<dyn Fn(&Kernel) -> Vec<Value>>;
+
+fn writers(kernel: &Kernel) -> Vec<(&'static str, Uid, Landed)> {
+    let write_all = |to: Uid| {
+        let both = WriteRequest::last(ints(2)).at(0).to_value();
+        kernel.invoke(to, ops::WRITE, both).wait().unwrap();
+    };
+    let collector = Collector::new();
+    let sink = Output::Collector(collector.clone());
+    let acceptor = Stage::new(Input::Passive, sink, StageConfig::default());
+    let acceptor = kernel.spawn(Box::new(acceptor)).unwrap();
+    let depth = StageConfig {
+        depth: 4,
+        ..StageConfig::default()
+    };
+    let pipe = Stage::new(Input::Passive, Output::Passive, depth);
+    let pipe = kernel.spawn(Box::new(pipe)).unwrap();
+    let (seen, program_read) = mpsc::channel();
+    let program = ProgramSinkEject::new(move |input| {
+        let read: Vec<Value> = std::iter::from_fn(|| input.read()).collect();
+        let _ = seen.send(read);
+    });
+    let program = kernel.spawn(Box::new(program)).unwrap();
+    for to in [acceptor, pipe, program] {
+        write_all(to);
+    }
+    // The acceptor of a recoverable pipeline is the last stage of a
+    // write-only run, whose source has written it the same two records.
+    let registry = TransformRegistry::default();
+    install_recovery(kernel, &registry);
+    let discipline = RecoveryDiscipline::WriteOnly;
+    let timeout = Duration::from_secs(30);
+    let run = run_recoverable_pipeline(kernel, discipline, ints(2), &[], &registry, 2, timeout);
+    let recoverable = *run.unwrap().stages.last().unwrap();
+
+    let read_as = |from: Uid, op: &'static str| -> Landed {
+        Box::new(move |kernel: &Kernel| {
+            let arg = TransferRequest::primary(8).to_value();
+            let reply = kernel.invoke(from, op, arg).wait().unwrap();
+            Batch::from_value(reply).unwrap().items
+        })
+    };
+    vec![
+        (
+            "volatile acceptor",
+            acceptor,
+            Box::new(move |_: &Kernel| collector.items_so_far()),
+        ),
+        ("volatile pipe", pipe, read_as(pipe, ops::TRANSFER)),
+        (
+            "recoverable acceptor",
+            recoverable,
+            read_as(recoverable, READ_ALL),
+        ),
+        (
+            "ProgramSinkEject",
+            program,
+            Box::new(move |_: &Kernel| {
+                let read = program_read.recv_timeout(Duration::from_secs(10));
+                read.expect("the program reads to the end of its stream")
+            }),
+        ),
+    ]
+}
+
+#[test]
+fn every_stream_endpoint_refuses_a_foreign_channel_and_a_write_after_end() {
+    let kernel = Kernel::new();
+    for (endpoint, reader) in readers(&kernel) {
+        // A guessed number and a forged capability: neither names a channel
+        // this endpoint declared, whatever position the request claims.
+        for channel in [ChannelId::Number(7), ChannelId::Cap(Uid::fresh())] {
+            let foreign = TransferRequest {
+                channel,
+                max: 2,
+                pos: Some(0),
+            };
+            let reply = kernel.invoke(reader, ops::TRANSFER, foreign.to_value());
+            let err = reply.wait().expect_err(endpoint);
+            let refused = matches!(
+                err,
+                EdenError::NoSuchChannel(_) | EdenError::NotAuthorized(_)
+            );
+            assert!(refused, "{endpoint}: {err}");
+        }
+        // And the refused reads took nothing: the stream is all there.
+        let primary = TransferRequest::primary(2).at(0).to_value();
+        let reply = kernel.invoke(reader, ops::TRANSFER, primary).wait();
+        let read = Batch::from_value(reply.unwrap()).unwrap().items;
+        let read: Vec<String> = read.iter().map(ToString::to_string).collect();
+        assert_eq!(read, ["0", "1"], "{endpoint}");
+    }
+    for (endpoint, writer, landed) in writers(&kernel) {
+        // A record beyond the end of the stream is a sender's bug ...
+        let late = WriteRequest::more(vec![Value::Int(99)]).at(2).to_value();
+        let err = kernel.invoke(writer, ops::WRITE, late).wait();
+        let want = EdenError::Application("write after end of stream".into());
+        assert_eq!(err.expect_err(endpoint), want, "{endpoint}");
+        // ... a re-sent end is a retry, and changes nothing.
+        let again = WriteRequest::last(Vec::new()).at(2).to_value();
+        let ack = kernel.invoke(writer, ops::WRITE, again).wait();
+        assert_eq!(ack, Ok(Value::Unit), "{endpoint}");
+        assert_eq!(landed(&kernel), ints(2), "{endpoint}");
+    }
+    kernel.shutdown();
+}
