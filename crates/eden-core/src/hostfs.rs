@@ -136,6 +136,11 @@ impl HostFs for MemFs {
 #[derive(Debug)]
 pub struct RealFs {
     root: PathBuf,
+    /// The file last appended to, open, and its length: a log appends to one
+    /// file thousands of times running, and each append should cost its
+    /// `write` and nothing else. Dropped when that path is written, renamed
+    /// (from or onto) or removed through this handle, or an append fails.
+    tail: Mutex<Option<(PathBuf, std::fs::File, u64)>>,
 }
 
 impl RealFs {
@@ -149,7 +154,8 @@ impl RealFs {
                 root.display()
             )));
         }
-        Ok(Arc::new(RealFs { root }))
+        let tail = Mutex::new(None);
+        Ok(Arc::new(RealFs { root, tail }))
     }
 
     /// Resolve a relative path, rejecting traversal outside the root.
@@ -166,6 +172,11 @@ impl RealFs {
         }
         Ok(self.root.join(rel))
     }
+
+    /// Close the append handle if it is `full`'s.
+    fn forget_tail(&self, full: &Path) {
+        self.tail.lock().take_if(|(open, ..)| open == full);
+    }
 }
 
 impl HostFs for RealFs {
@@ -176,6 +187,7 @@ impl HostFs for RealFs {
 
     fn write(&self, path: &str, bytes: &[u8]) -> Result<()> {
         let full = self.resolve(path)?;
+        self.forget_tail(&full);
         if let Some(parent) = full.parent() {
             std::fs::create_dir_all(parent)
                 .map_err(|e| EdenError::HostFs(format!("mkdir for {path}: {e}")))?;
@@ -185,32 +197,49 @@ impl HostFs for RealFs {
 
     fn append(&self, path: &str, bytes: &[u8]) -> Result<u64> {
         let full = self.resolve(path)?;
-        if let Some(parent) = full.parent() {
-            std::fs::create_dir_all(parent)
-                .map_err(|e| EdenError::HostFs(format!("mkdir for {path}: {e}")))?;
+        let mut tail = self.tail.lock();
+        if tail.as_ref().is_none_or(|(open, ..)| *open != full) {
+            let open = || {
+                let mut how = std::fs::OpenOptions::new();
+                how.append(true).create(true).open(&full)
+            };
+            // The parent is made only when the open says it is missing.
+            let file = open().or_else(|e| match full.parent() {
+                Some(parent) if e.kind() == std::io::ErrorKind::NotFound => {
+                    std::fs::create_dir_all(parent).and_then(|()| open())
+                }
+                _ => Err(e),
+            });
+            let file = file.map_err(|e| EdenError::HostFs(format!("open {path}: {e}")))?;
+            let len = file.metadata().map(|m| m.len());
+            let len = len.map_err(|e| EdenError::HostFs(format!("stat {path}: {e}")))?;
+            *tail = Some((full, file, len));
         }
-        let mut file = std::fs::OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(&full)
-            .map_err(|e| EdenError::HostFs(format!("open {path}: {e}")))?;
-        file.write_all(bytes)
-            .map_err(|e| EdenError::HostFs(format!("append {path}: {e}")))?;
-        file.metadata()
-            .map(|m| m.len())
-            .map_err(|e| EdenError::HostFs(format!("stat {path}: {e}")))
+        let (_, file, len) = tail.as_mut().expect("opened above");
+        if let Err(e) = file.write_all(bytes) {
+            // Part of it may have landed: the length is no longer known.
+            *tail = None;
+            return Err(EdenError::HostFs(format!("append {path}: {e}")));
+        }
+        *len += bytes.len() as u64;
+        Ok(*len)
     }
 
     fn sync(&self, path: &str) -> Result<()> {
         let full = self.resolve(path)?;
-        std::fs::File::open(&full)
-            .and_then(|f| f.sync_all())
-            .map_err(|e| EdenError::HostFs(format!("sync {path}: {e}")))
+        let tail = self.tail.lock();
+        let synced = match tail.as_ref().filter(|(open, ..)| *open == full) {
+            Some((_, file, _)) => file.sync_all(),
+            None => std::fs::File::open(&full).and_then(|f| f.sync_all()),
+        };
+        synced.map_err(|e| EdenError::HostFs(format!("sync {path}: {e}")))
     }
 
     fn rename(&self, from: &str, to: &str) -> Result<()> {
         let src = self.resolve(from)?;
         let dst = self.resolve(to)?;
+        self.forget_tail(&src);
+        self.forget_tail(&dst);
         if let Some(parent) = dst.parent() {
             std::fs::create_dir_all(parent)
                 .map_err(|e| EdenError::HostFs(format!("mkdir for {to}: {e}")))?;
@@ -246,6 +275,7 @@ impl HostFs for RealFs {
 
     fn remove(&self, path: &str) -> Result<()> {
         let full = self.resolve(path)?;
+        self.forget_tail(&full);
         std::fs::remove_file(&full).map_err(|e| EdenError::HostFs(format!("remove {path}: {e}")))
     }
 }
@@ -322,6 +352,20 @@ mod tests {
         fs.rename("seg/log", "seg/log2").unwrap();
         assert_eq!(fs.read("seg/log2").unwrap(), b"abc");
         assert!(!fs.exists("seg/log"));
+        // The handle kept from the last append does not outlive the name it
+        // was opened under: renamed away, rewritten, removed, or displaced by
+        // an append elsewhere, the next append finds the file the path names.
+        assert_eq!(fs.append("seg/log", b"d").unwrap(), 1);
+        assert_eq!(fs.append("seg/log2", b"e").unwrap(), 4);
+        fs.write("seg/log2", b"xy").unwrap();
+        assert_eq!(fs.append("seg/log2", b"z").unwrap(), 3);
+        assert_eq!(fs.read("seg/log2").unwrap(), b"xyz");
+        fs.remove("seg/log2").unwrap();
+        assert_eq!(fs.append("seg/log2", b"q").unwrap(), 1);
+        assert_eq!(
+            (fs.read("seg/log").unwrap(), fs.read("seg/log2").unwrap()),
+            (b"d".to_vec(), b"q".to_vec())
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -607,6 +607,9 @@ fn counter_rows(snap: &KernelSnapshot) -> Vec<(&'static str, &'static str, u64)>
         ("eden_spans_dropped_total", "Spans evicted from the span store", snap.spans_dropped),
         ("eden_sched_steals_total", "Tasks stolen from another worker's run-queue shard", snap.sched.sched_steals),
         ("eden_sched_inline_handoffs_total", "Callees resumed on their waiting caller's stack", snap.sched.inline_handoffs),
+        ("eden_sched_monitor_rescues_total", "Stalls broken by the stall monitor (runnable work, no pickup for two ticks)", snap.sched.monitor_rescues),
+        ("eden_sched_idle_timeouts_with_work_total", "Idle-wait expiries that found runnable work", snap.sched.idle_timeouts_with_work),
+        ("eden_sched_spares_spawned_total", "Slotless workers spawned by blocking compensation or the monitor", snap.sched.spares_spawned),
         ("eden_stable_compactions_total", "Completed stable-log compaction passes", snap.stable.compactions),
         ("eden_stable_fsyncs_total", "fsync calls issued by the stable-log committer", snap.stable.fsyncs),
     ]

@@ -53,14 +53,17 @@
 //! waits on its upstream reply, a bounded mailbox parks its sender, a
 //! retry sleeps its backoff. On a cooperative pool those waits would eat
 //! workers and deadlock once the pool is exhausted. Every such rendezvous
-//! is therefore wrapped in [`blocking`]: when a *worker* thread enters a
-//! blocking section it first flushes its LIFO slot onto its deque (where
-//! thieves can see it), then the pool notes one worker lost and spawns a
-//! spare if runnable capacity fell below target; when it exits, surplus
-//! spares retire at the next idle moment. The worst case (every Eject
-//! blocked at once) degenerates to thread-per-*blocked*-Eject — exactly
-//! the old model — while the common case (parked Ejects, non-blocking
-//! handlers) costs `workers` threads total.
+//! is therefore wrapped in [`blocking`]: a *worker* thread entering a
+//! blocking section goes idle the way a sleeper does — it flushes its LIFO
+//! slot onto its deque (where thieves can see it), counts itself blocked,
+//! and only then looks at the queues it leaves behind and decides
+//! ([`Scheduler::note_block_enter`]): a spare if runnable capacity fell
+//! below target with no sleeper to stand in, else a wake if work waits;
+//! when it exits, surplus spares retire at the next idle moment. The worst
+//! case (every Eject blocked at once) degenerates to
+//! thread-per-*blocked*-Eject — exactly the old model — while the common
+//! case (parked Ejects, non-blocking handlers) costs `workers` threads
+//! total.
 //!
 //! # Direct handoff
 //!
@@ -251,20 +254,19 @@ impl Parker {
     }
 
     /// Returns whether a notify (as opposed to the timeout) ended the
-    /// park — the caller owes the pool a `wakes_pending` decrement for a
-    /// consumed notify, because the producer that sent it counted it.
+    /// park. It stays pending: [`take_notified`](Self::take_notified)
+    /// consumes it, once the latch is off the sleeper list.
     fn park(&self, timeout: Duration) -> bool {
         let mut notified = self.park_mx.lock();
         if !*notified {
             // eden-lint: nonblocking(the pool's own idle wait — a sleeping worker has no task)
             let _ = self.park_cv.wait_for(&mut notified, timeout);
         }
-        std::mem::take(&mut *notified)
+        *notified
     }
 
-    /// Consume a pending notify without parking (worker-exit tail): a
-    /// notify that raced our last timeout would otherwise strand its
-    /// `wakes_pending` count and gate every future wake.
+    /// Consume a pending notify — the caller owes the pool a `wakes_pending`
+    /// decrement for it, because the producer that sent it counted it.
     fn take_notified(&self) -> bool {
         std::mem::take(&mut *self.park_mx.lock())
     }
@@ -447,6 +449,14 @@ pub struct SchedSnapshot {
     /// occupancy plus occupied LIFO slots. A hint (relaxed reads), exact
     /// at rest.
     pub queued_tasks: u64,
+    /// Stalls the monitor broke (runnable work, no pickup for two ticks): a
+    /// wake owed and not sent, or a worker stuck where the kernel cannot see.
+    pub monitor_rescues: u64,
+    /// Idle-wait (10 ms) expiries that found runnable work — the other backstop;
+    /// also counts a sleeper surfacing while the active workers are busy.
+    pub idle_timeouts_with_work: u64,
+    /// Slotless workers spawned, by blocking compensation or the monitor.
+    pub spares_spawned: u64,
 }
 
 /// The coordinator state of one scheduler-mode Eject: its behaviour box,
@@ -666,10 +676,9 @@ fn transition(bit: &AtomicU8, op: Op, from: &[u8], to: u8) -> bool {
 
 /// Run `f` as an explicit yield point: a rendezvous that may block the
 /// calling thread for real (reply waits, backoff sleeps, bounded-mailbox
-/// parks, death latches). On a non-worker thread this is a plain call; on
-/// a worker it first flushes the worker's LIFO slot to stealable ground,
-/// then keeps the pool's runnable capacity at target by spawning a spare
-/// for the duration (outermost section only).
+/// parks, death latches). On a non-worker thread this is a plain call; a
+/// worker stops being active for the duration (outermost section only),
+/// and says so the way [`Scheduler::note_block_enter`] describes.
 ///
 /// Public so every crate that may run on a pool worker (eden-transput's
 /// stream stages in particular) can wrap its genuinely-blocking sites —
@@ -688,13 +697,7 @@ pub fn blocking<R>(f: impl FnOnce() -> R) -> R {
         }
     });
     if let Some((sched, slot)) = &outermost {
-        if let Some(i) = slot {
-            // About to stop dispatching: a task left in the LIFO slot
-            // would otherwise wait out this whole rendezvous (fresh slot
-            // tasks are not stealable).
-            sched.flush_lifo(*i);
-        }
-        sched.note_block_enter();
+        sched.note_block_enter(*slot);
     }
     let out = f();
     if let Some((sched, _)) = &outermost {
@@ -798,6 +801,10 @@ pub(crate) struct Scheduler {
     /// count on their own padded lines).
     spare_steals: CachePadded<AtomicU64>,
     spare_progress: CachePadded<AtomicU64>,
+    /// What the backstops caught ([`SchedSnapshot`]'s last three fields).
+    monitor_rescues: AtomicU64,
+    idle_timeouts_with_work: AtomicU64,
+    spares_spawned: AtomicU64,
     worker_seq: AtomicUsize,
     stopping: AtomicBool,
     /// `wait_all_dead` sleeps here; signalled on every task death.
@@ -845,6 +852,9 @@ impl Scheduler {
             handoffs: ShardedGauge::new(),
             spare_steals: CachePadded(AtomicU64::new(0)),
             spare_progress: CachePadded(AtomicU64::new(0)),
+            monitor_rescues: AtomicU64::new(0),
+            idle_timeouts_with_work: AtomicU64::new(0),
+            spares_spawned: AtomicU64::new(0),
             worker_seq: AtomicUsize::new(0),
             stopping: AtomicBool::new(false),
             death_mx: Mutex::new(()),
@@ -892,6 +902,9 @@ impl Scheduler {
             workers_idle: self.idle_count.0.load(Ordering::Relaxed) as u64,
             wake_tokens: self.wakes_pending.0.load(Ordering::Relaxed) as u64,
             queued_tasks: queued,
+            monitor_rescues: self.monitor_rescues.load(Ordering::Relaxed),
+            idle_timeouts_with_work: self.idle_timeouts_with_work.load(Ordering::Relaxed),
+            spares_spawned: self.spares_spawned.load(Ordering::Relaxed),
         }
     }
 
@@ -946,6 +959,7 @@ impl Scheduler {
                 // this worker runs it next itself.
                 if let Some(displaced) = self.slots[i].lifo.put(task) {
                     self.push_local_deque(i, displaced);
+                    self.maybe_wake();
                 }
                 self.slots[i]
                     .lifo_since_ns
@@ -969,11 +983,13 @@ impl Scheduler {
         self.stamp_enqueue(task);
     }
 
-    /// The calling thread's worker slot on *this* scheduler, if any.
+    /// The calling thread's worker slot on *this* scheduler, if it has one
+    /// and is dispatching: a worker inside a blocking section has left, and
+    /// what it sends from there must not be left to it in its own slot.
     fn local_slot(self: &Arc<Scheduler>) -> Option<usize> {
         WORKER.with(|w| {
             w.borrow().as_ref().and_then(|worker| {
-                if Arc::ptr_eq(&worker.sched, self) {
+                if Arc::ptr_eq(&worker.sched, self) && worker.block_depth == 0 {
                     worker.slot
                 } else {
                     None
@@ -1009,24 +1025,32 @@ impl Scheduler {
                 shard.push(task);
             }
         }
-        self.maybe_wake();
     }
 
-    /// Wake one sleeping worker, if any. The `SeqCst` fence pairs with
-    /// the sleeper's announce in [`worker_main`]: either this producer
-    /// observes `idle_count > 0` (and pops a latch to notify) or the
-    /// sleeper's post-announce re-check observes the pushed work —
-    /// whichever fence is later in the total order sees the other side's
-    /// write, so the push cannot fall into the look-then-sleep gap.
-    /// A second gate dampens wake storms: while a previous notify is
-    /// still in flight (`wakes_pending > 0`), the woken worker is
-    /// already bound for the backlog and will re-scan everything when
-    /// it reaches the CPU, so piling more wakes on only converts queue
-    /// depth into context switches. The gate cannot strand work: the
-    /// pending worker's own dispatch loop re-checks all queues, and if
-    /// it exits instead, the exit tail returns the token (see
-    /// [`worker_main`]); even a leaked token only degrades to the
-    /// sleepers' [`IDLE_WAIT`] timeout re-scan, never a hang.
+    /// The wake discipline's one invariant: *whenever a task is runnable and
+    /// no worker is active (awake, unblocked, not idle), a wake is in flight
+    /// or a worker is being spawned.* A producer keeps it here, after its
+    /// push. A worker keeps it wherever it stops being active — going to
+    /// sleep ([`worker_main`]), entering a blocking section
+    /// ([`note_block_enter`](Scheduler::note_block_enter)), retiring — by the
+    /// same steps in the same order: say so (announce idle, count itself
+    /// blocked, leave `live`), `SeqCst` fence, then look at the queues.
+    /// Whichever fence is later in the total order sees the other side's
+    /// write: the producer finds the worker gone from `active` and wakes a
+    /// sleeper, or the leaving worker finds the push. So no push falls into a
+    /// look-then-leave gap, and a leaving worker is never the "active" one
+    /// its own push was left to.
+    ///
+    /// Three gates dampen wake storms. No sleeper announced: nobody to wake,
+    /// and `note_block_enter` sees to it that somebody is active then. A
+    /// notify still in flight (`wakes_pending > 0`): that worker re-scans
+    /// everything when it reaches the CPU, and returns the token if it exits
+    /// instead, so more wakes only turn queue depth into context switches.
+    /// `cpu_quota` workers already active: a wake buys contention, not
+    /// capacity (a worker glued to a local backlog still lets the injector
+    /// in every [`GLOBAL_POLL_INTERVAL`] rounds). `active` errs towards extra
+    /// wakes — a worker re-checking inside the sleep protocol still counts
+    /// idle — never missed ones.
     fn maybe_wake(&self) {
         // eden-lint: ordering(dekker-store-load)
         fence(Ordering::SeqCst);
@@ -1036,16 +1060,6 @@ impl Scheduler {
         if self.wakes_pending.0.load(Ordering::Relaxed) > 0 {
             return;
         }
-        // Core-quota gate: with `cpu_quota` workers already awake and
-        // unblocked, a wake buys contention, not capacity. The count is
-        // conservative in the safe direction — a worker inside the
-        // sleep protocol is still counted idle while it re-checks, so
-        // transient underestimates of `active` cause extra wakes, never
-        // missed ones. When the last active worker parks or blocks,
-        // `active` hits zero and the gate opens; a worker glued to a
-        // long local backlog still lets the injector in every
-        // [`GLOBAL_POLL_INTERVAL`] dispatch rounds, bounding external
-        // latency without any wake at all.
         let live = self.live_workers.load(Ordering::Relaxed);
         let blocked = self.blocked_workers.load(Ordering::Relaxed);
         let idle = self.idle_count.0.load(Ordering::Relaxed);
@@ -1053,10 +1067,17 @@ impl Scheduler {
         if active >= self.cpu_quota {
             return;
         }
-        if let Some(parker) = self.pop_sleeper() {
+        self.wake_sleeper();
+    }
+
+    /// Notify one registered sleeper, counting the wake in flight.
+    fn wake_sleeper(&self) -> bool {
+        let sleeper = self.pop_sleeper();
+        if let Some(parker) = &sleeper {
             self.wakes_pending.0.fetch_add(1, Ordering::SeqCst);
             parker.notify();
         }
+        sleeper.is_some()
     }
 
     /// Return one wake token, floor zero: `stop()`'s shutdown notifies
@@ -1252,9 +1273,10 @@ impl Scheduler {
             + self.spare_progress.0.load(Ordering::Relaxed)
     }
 
-    /// Move whatever sits in worker `i`'s LIFO slot onto its deque,
-    /// where thieves can see it. Called when the worker is about to stop
-    /// dispatching (blocking section entry, worker exit).
+    /// Move whatever sits in worker `i`'s LIFO slot onto its deque, where
+    /// thieves can see it (a fresh slot task is not stealable). Called when
+    /// the worker is about to stop dispatching, and wakes nobody: the caller
+    /// is still counted active, so its next step decides that.
     fn flush_lifo(&self, i: usize) {
         if let Some(task) = self.slots[i].lifo.take() {
             self.push_local_deque(i, task);
@@ -1263,6 +1285,9 @@ impl Scheduler {
 
     fn spawn_worker(self: &Arc<Scheduler>) {
         let idx = self.worker_seq.fetch_add(1, Ordering::Relaxed);
+        if idx >= self.slots.len() {
+            self.spares_spawned.fetch_add(1, Ordering::Relaxed);
+        }
         self.live_workers.fetch_add(1, Ordering::AcqRel);
         let sched = Arc::clone(self);
         let spawned = std::thread::Builder::new()
@@ -1278,26 +1303,45 @@ impl Scheduler {
         }
     }
 
-    fn note_block_enter(self: &Arc<Scheduler>) {
+    /// The calling worker (in slot `slot`, if it has one) stops dispatching
+    /// for a blocking section, in the sleeper's order (see
+    /// [`maybe_wake`](Scheduler::maybe_wake)): it puts what it holds where
+    /// others can take it, counts itself blocked, and only then — one
+    /// decision, here — looks at what it leaves behind.
+    ///
+    /// *Capacity*: fewer than `target_workers` are left able to run. A
+    /// registered sleeper stands in at futex cost and needs no wake until
+    /// there is work; with none, spawn a spare, which starts active and scans
+    /// every queue. This head-count is what spares a producer, who may hold a
+    /// registry or mailbox lock, from ever spawning: an unblocked worker
+    /// always exists, so "no sleeper" means "somebody active". *Work*:
+    /// otherwise a queued task — this worker's own flush, or a push that
+    /// counted it active — gets a producer's `maybe_wake`, now that the
+    /// leaver is out of the `active` count.
+    fn note_block_enter(self: &Arc<Scheduler>, slot: Option<usize>) {
+        if let Some(i) = slot {
+            self.flush_lifo(i);
+        }
         let blocked = self.blocked_workers.fetch_add(1, Ordering::AcqRel) + 1;
-        let live = self.live_workers.load(Ordering::Acquire);
-        if live.saturating_sub(blocked) < self.target_workers
-            && !self.stopping.load(Ordering::Acquire)
-        {
-            // A parked sibling is a full-capacity replacement at futex
-            // cost; spawn a fresh spare only when no sleeper exists.
-            // Without this preference, every blocking dip of a large
-            // pool paid a thread spawn while its own workers slept —
-            // the dominant hidden cost of the old compensation rule.
-            if self.wakes_pending.0.load(Ordering::SeqCst) > 0 {
-                return; // a woken worker is already en route
-            }
-            if let Some(parker) = self.pop_sleeper() {
-                self.wakes_pending.0.fetch_add(1, Ordering::SeqCst);
-                parker.notify();
-            } else {
-                self.spawn_worker();
-            }
+        if self.stopping.load(Ordering::Acquire) {
+            return;
+        }
+        let able = self.live_workers.load(Ordering::Acquire).saturating_sub(blocked);
+        if able < self.target_workers && self.idle_count.0.load(Ordering::Acquire) == 0 {
+            self.spawn_worker();
+        } else {
+            self.recheck_after_leaving();
+        }
+    }
+
+    /// The calling worker has just left `active` (blocked, or retired): look
+    /// at the queues as a sleeper does once announced, and be the producer of
+    /// any task they hold.
+    fn recheck_after_leaving(&self) {
+        // eden-lint: ordering(dekker-store-load)
+        fence(Ordering::SeqCst);
+        if self.has_runnable() {
+            self.maybe_wake();
         }
     }
 
@@ -1613,10 +1657,12 @@ fn worker_main(sched: Arc<Scheduler>, idx: usize) {
             let mut frozen_rounds = 0u32;
             loop {
                 if parker.park(wait) {
-                    holds_token = true;
                     break;
                 }
                 idle_rounds = idle_rounds.saturating_add(1);
+                if wait == IDLE_WAIT && sched.has_runnable() {
+                    sched.idle_timeouts_with_work.fetch_add(1, Ordering::Relaxed);
+                }
                 if me.is_none() || sched.stopping.load(Ordering::Acquire) {
                     break;
                 }
@@ -1650,14 +1696,17 @@ fn worker_main(sched: Arc<Scheduler>, idx: usize) {
                 // re-confirm it, so they can tick an order slower.
                 wait = SATURATED_WAIT;
             }
-        } else {
-            // The pre-park re-check found work; a producer may still
-            // have counted a notify at us — take the token and carry it
-            // into the scan above.
-            holds_token = parker.take_notified();
         }
         sched.remove_sleeper(&parker);
         sched.idle_count.0.fetch_sub(1, Ordering::SeqCst);
+        // A notify can land whenever the latch is on the list — ending the
+        // park, or racing the re-check or a timeout — and its producer
+        // counted a token: take it only now, off the list, and carry it
+        // into the scan above. Taken earlier, a later notify would keep its
+        // token through this worker's next task, blocking sections and all,
+        // and gate every wake meanwhile. (One whose producer had already
+        // popped the latch waits for the next park, or the exit tail.)
+        holds_token = parker.take_notified();
     }
     if holds_token {
         sched.consume_wake_token();
@@ -1675,6 +1724,7 @@ fn worker_main(sched: Arc<Scheduler>, idx: usize) {
     }
     WORKER.with(|w| *w.borrow_mut() = None);
     sched.live_workers.fetch_sub(1, Ordering::AcqRel);
+    sched.recheck_after_leaving();
 }
 
 /// The stall monitor. [`blocking`] compensates for every rendezvous the
@@ -1710,10 +1760,10 @@ fn monitor_main(sched: Arc<Scheduler>) {
         if runnable && progress == last_progress {
             stalled_ticks += 1;
             if stalled_ticks >= 2 && !sched.stopping.load(Ordering::Acquire) {
-                if let Some(parker) = sched.pop_sleeper() {
-                    sched.wakes_pending.0.fetch_add(1, Ordering::SeqCst);
-                    parker.notify();
-                } else if sched.live_workers.load(Ordering::Acquire) < MAX_WORKERS {
+                sched.monitor_rescues.fetch_add(1, Ordering::Relaxed);
+                if !sched.wake_sleeper()
+                    && sched.live_workers.load(Ordering::Acquire) < MAX_WORKERS
+                {
                     sched.spawn_worker();
                 }
                 stalled_ticks = 0;

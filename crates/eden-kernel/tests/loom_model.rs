@@ -954,6 +954,163 @@ fn lifo_slot_handoff_is_exactly_once_and_never_stranded() {
 }
 
 // ---------------------------------------------------------------------
+// Going blocked is going idle: the wake discipline's invariant
+// (`sched.rs::Scheduler::maybe_wake`) — whenever a task is runnable and no
+// worker is active (awake, unblocked, not idle), a wake is in flight — at
+// the second of the two transitions by which a worker stops being active.
+// Three parties over the pool's real counters: a worker that pushes a task
+// (its LIFO flush) and enters a blocking section, and two workers heading
+// into the sleep protocol. The pool is the one the stalls were seen in: a
+// core quota of 1, and enough lingering spares (`live` 3, `target` 2) that
+// the head-count never calls for a spare, so the push is all there is to
+// wake anybody for.
+
+struct WakeModel {
+    /// Tasks in the run queues (the blocker's deque, which any scan sees).
+    queued: AtomicUsize,
+    ran: AtomicUsize,
+    blocked: AtomicUsize,
+    idle: AtomicUsize,
+    wakes_pending: AtomicUsize,
+    /// Registered latches, by worker, and which of them were notified.
+    sleepers: Mutex<Vec<usize>>,
+    notified: [AtomicBool; 3],
+}
+
+impl WakeModel {
+    const LIVE: usize = 3;
+    const QUOTA: usize = 1;
+
+    fn new() -> Self {
+        WakeModel {
+            queued: AtomicUsize::new(0),
+            ran: AtomicUsize::new(0),
+            blocked: AtomicUsize::new(0),
+            idle: AtomicUsize::new(0),
+            wakes_pending: AtomicUsize::new(0),
+            sleepers: Mutex::new(Vec::new()),
+            notified: [const { AtomicBool::new(false) }; 3],
+        }
+    }
+
+    /// Claim a queued task, if there is one, and run it.
+    fn take(&self) -> bool {
+        let claim = |n: usize| n.checked_sub(1);
+        let claimed = self.queued.fetch_update(Ordering::AcqRel, Ordering::Acquire, claim);
+        let took = claimed.is_ok();
+        if took {
+            self.ran.fetch_add(1, Ordering::SeqCst);
+        }
+        took
+    }
+
+    /// `Scheduler::maybe_wake`, gate for gate.
+    fn maybe_wake(&self) {
+        fence(Ordering::SeqCst);
+        let idle = self.idle.load(Ordering::Relaxed);
+        if idle == 0 || self.wakes_pending.load(Ordering::Relaxed) > 0 {
+            return;
+        }
+        let blocked = self.blocked.load(Ordering::Relaxed);
+        if Self::LIVE.saturating_sub(blocked).saturating_sub(idle) >= Self::QUOTA {
+            return;
+        }
+        if let Some(sleeper) = self.sleepers.lock().unwrap().pop() {
+            self.wakes_pending.fetch_add(1, Ordering::SeqCst);
+            self.notified[sleeper].store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// `blocking` on a worker: flush, and leave `active`. `decide_first` is
+    /// the order that stalled — the flush's own `maybe_wake`, made while the
+    /// flusher still counts as active, then the count (whose head-count,
+    /// `LIVE - 1 >= target`, compensates nothing).
+    fn push_then_block(&self, decide_first: bool) {
+        self.queued.fetch_add(1, Ordering::Release);
+        if decide_first {
+            self.maybe_wake();
+        }
+        self.blocked.fetch_add(1, Ordering::AcqRel);
+        if !decide_first {
+            fence(Ordering::SeqCst);
+            if self.queued.load(Ordering::Relaxed) > 0 {
+                self.maybe_wake();
+            }
+        }
+    }
+
+    /// `worker_main` from an empty scan on: register, announce, fence,
+    /// re-check; run what turns up and come round again; else park.
+    fn work_until_parked(&self, me: usize) {
+        loop {
+            if self.take() {
+                continue;
+            }
+            self.sleepers.lock().unwrap().push(me);
+            self.idle.fetch_add(1, Ordering::SeqCst);
+            fence(Ordering::SeqCst);
+            if self.queued.load(Ordering::Relaxed) == 0 {
+                return;
+            }
+            self.sleepers.lock().unwrap().retain(|s| *s != me);
+            self.idle.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+}
+
+/// `in_turn` takes the race out: both sleepers are parked before the push,
+/// the one order in which only a wake can save the task, whatever the
+/// host's scheduler feels like.
+fn going_blocked_model(decide_first: bool, in_turn: bool) {
+    loom::model(move || {
+        let model = Arc::new(WakeModel::new());
+        let sleepers: Vec<_> = [1, 2]
+            .into_iter()
+            .map(|me| {
+                let model = model.clone();
+                let spawned = thread::spawn(move || model.work_until_parked(me));
+                if in_turn {
+                    spawned.join().unwrap();
+                    return None;
+                }
+                Some(spawned)
+            })
+            .collect();
+        let blocker = {
+            let model = model.clone();
+            thread::spawn(move || model.push_then_block(decide_first))
+        };
+        blocker.join().unwrap();
+        for sleeper in sleepers.into_iter().flatten() {
+            sleeper.join().unwrap();
+        }
+        // Everybody is blocked or parked. The task has run, or a notify is
+        // on its way to a sleeper that will run it.
+        let ran = model.ran.load(Ordering::SeqCst);
+        let waking = model.notified.iter().any(|n| n.load(Ordering::SeqCst));
+        assert!(ran <= 1, "the task ran {ran} times");
+        assert!(
+            ran == 1 || waking,
+            "a queued task, zero active workers and no wake pending"
+        );
+    });
+}
+
+#[test]
+fn worker_going_blocked_leaves_a_wake_for_what_it_queued() {
+    going_blocked_model(false, false);
+    going_blocked_model(false, true);
+}
+
+/// The seeded bug — decide, then count: the order `blocking` had — must be
+/// found, every time.
+#[test]
+#[should_panic(expected = "a queued task, zero active workers and no wake pending")]
+fn worker_going_blocked_catches_a_decision_made_before_the_count() {
+    going_blocked_model(true, true);
+}
+
+// ---------------------------------------------------------------------
 // Group-commit leader election: the `DurableLog` commit queue
 // (`crates/eden-kernel/src/stable/committer.rs::submit`/`lead`). The
 // first submitter to find no leader becomes the leader and drives

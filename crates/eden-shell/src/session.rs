@@ -278,13 +278,17 @@ impl Session {
                 snap.mailbox.queued_max,
             ),
             format!(
-                "sched: workers {} (blocked {}, idle {}), steals: {}, inline handoffs: {}, \
+                "sched: workers {} (blocked {}, idle {}, spares spawned {}), steals: {}, \
+                 inline handoffs: {}, monitor rescues: {}, idle timeouts with work: {}, \
                  ejects parked {} of {}",
                 snap.sched.workers,
                 snap.sched.workers_blocked,
                 snap.sched.workers_idle,
+                snap.sched.spares_spawned,
                 snap.sched.sched_steals,
                 snap.sched.inline_handoffs,
+                snap.sched.monitor_rescues,
+                snap.sched.idle_timeouts_with_work,
                 snap.sched.parked_ejects,
                 snap.sched.resident_ejects,
             ),
@@ -509,7 +513,10 @@ mod tests {
             .any(|l| l.contains("sheds:") && l.contains("park-timeout") && l.contains("mailboxes:")));
         assert!(stats
             .iter()
-            .any(|l| l.starts_with("sched:") && l.contains("inline handoffs:")));
+            .any(|l| l.starts_with("sched:")
+                && ["inline handoffs:", "monitor rescues:", "idle timeouts with work:", "spares spawned"]
+                    .iter()
+                    .all(|field| l.contains(field))));
         kernel.shutdown();
     }
 

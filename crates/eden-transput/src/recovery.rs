@@ -17,11 +17,16 @@
 //!    (its buffer starts at `base`), a receiver skips what lies below what it
 //!    has accepted (`consumed`) and refuses a gap — so no second message,
 //!    and no second crash window, is needed to acknowledge.
-//! 2. **Checkpoint before acknowledge.** A stage writes its passive
-//!    representation to the [`StableStore`] *before* it replies, and before
-//!    it sends a position that acknowledges its upstream, so the stable
-//!    state never claims less than a peer has been told and a peer never
-//!    discards what the stable state still needs.
+//! 2. **Checkpoint before acknowledge.** What a stage has *taken* (input
+//!    consumed, transform state) or *made* (output buffered, pushed and
+//!    acknowledged) goes to the [`StableStore`] *before* the stage replies,
+//!    and before it sends a position that acknowledges its upstream, so the
+//!    stable state never claims less than a peer has been told and a peer
+//!    never discards what the stable state still needs. What it has been
+//!    *allowed to forget* — the prefix a reader's position acknowledges —
+//!    it forgets in memory and writes nothing for: the reader says its
+//!    position again with every `Transfer`, so a checkpoint that still
+//!    holds the prefix serves it the same bytes.
 //! 3. **Retry against a reactivating kernel.** Stream invocations travel
 //!    with a [`RetryPolicy`]; a retry of an invocation whose target crashed
 //!    reactivates the target from its checkpoint (activation on invocation,
@@ -52,9 +57,12 @@
 //! One record, written whole (`Kept::record`): the transform's registry
 //! name and its state, the two faces (a peer's UID or unit, and whether a
 //! faceless input is a drained local supply), the input position `consumed`
-//! and `in_end`, the output position `base`, the unacknowledged output `buf`
-//! and `out_end`, and the batch size. They describe one instant, so a
-//! reactivated stage is the crashed one as of its last acknowledgement.
+//! and `in_end`, the output position `base`, the output `buf` from `base` on
+//! and `out_end`, and the batch size. They describe one instant — the last
+//! at which the stage took or made something — so a reactivated stage is the
+//! crashed one as of then, with a `base` at or before where its reader
+//! stands. A passive output's trims alone never write one: a source's only
+//! checkpoint is its birth, with its whole supply.
 //!
 //! [`StableStore`]: eden_kernel::StableStore
 
@@ -276,7 +284,8 @@ impl Kept {
     /// A passive output's `Transfer` must say where it stands: the position
     /// acknowledges everything before it, which `buf` may now forget — so a
     /// reader retrying after a crash (its own, or this stage's) re-reads
-    /// exactly what it missed.
+    /// exactly what it missed. Forgetting forces no checkpoint (module docs,
+    /// 2): the trim rides the next one that something taken or made does.
     pub(crate) fn acknowledge(
         &mut self,
         pos: Option<u64>,
@@ -295,11 +304,12 @@ impl Kept {
         Ok(())
     }
 
-    /// The downstream has acknowledged the first `n` records of `buf`.
+    /// The downstream has acknowledged the first `n` records of `buf`. An
+    /// active output's `base` is where it pushes next, so there a lagging
+    /// one would re-send writes: `stage::retain` marks the stage dirty.
     pub(crate) fn forget(&mut self, buf: &mut VecDeque<Value>, n: usize) {
         buf.drain(..n);
         self.base += n as u64;
-        self.dirty |= n > 0;
     }
 }
 

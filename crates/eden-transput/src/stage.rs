@@ -79,9 +79,11 @@
 //! position of a later `Transfer`, or the reply to a `Write`, acknowledges —
 //! so it parks no reader and no writer, and holds everything between two
 //! passive faces that nobody reads by position. *What an acknowledgement
-//! waits for:* a checkpoint of the whole stage (`retain`, `save`). *How a
-//! peer is called:* by a send whose wait retries, never by a call its
-//! caller's thread could be lent to (`pull`, `OutFace::consume`).
+//! waits for:* a checkpoint of the whole stage whenever it has taken or made
+//! something (`retain`, `save`) — and nothing when a reader's position only
+//! lets it forget. *How a peer is called:* by a send whose wait retries,
+//! never by a call its caller's thread could be lent to (`pull`,
+//! `OutFace::consume`).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -954,7 +956,8 @@ impl Stage {
     }
 
     /// The passive output face: a `Transfer`. A retained stage's buffer
-    /// forgets what the request's position acknowledges, not what it serves.
+    /// forgets what the request's position acknowledges, not what it serves
+    /// — in memory only; what is checkpointed here is what `fill` pulled.
     fn serve(&mut self, host: &impl Host, req: TransferRequest, reply: ReplyHandle) {
         let kept = self.kept.as_deref_mut();
         let idx = self.meet.with(|b| {
@@ -2414,6 +2417,25 @@ mod tests {
                 let bytes = wire::encode(&reply);
                 Batch::from_value(reply).map(|batch| (batch, bytes))
             };
+            // What recovery needs of the store, whatever it holds right now:
+            // a base no further on than the reader's last position, so that
+            // the stage a crash would bring back answers that position — the
+            // reader says it again — with the bytes the live one did. (Its
+            // pulls go to a host of its own: two incarnations, one store.)
+            let revived = |pos: u64| {
+                let mut back = host.reactivated();
+                let durable = standing(&mut back).1;
+                assert!(
+                    durable <= pos,
+                    "{case}: durable base {durable} is past {pos}"
+                );
+                let twin = Fake {
+                    upstream: ints(0..8),
+                    ..Fake::default()
+                };
+                let reply = twin.read(&mut back, TransferRequest::primary(3).at(pos));
+                wire::encode(&reply.unwrap())
+            };
 
             let (first, first_bytes) = read(&mut s, 0).unwrap();
             assert_eq!((first.items, first.end), (doubled(0..3), false), "{case}");
@@ -2425,8 +2447,7 @@ mod tests {
             assert_eq!(second.items, doubled(2..5), "{case}");
             let (_, base, buf) = standing(&mut s);
             assert_eq!((base, buf.first()), (2, Some(&Value::Int(4))), "{case}");
-            let durable = standing(&mut host.reactivated()).1;
-            assert_eq!(durable, 2, "{case}: the trim is durable");
+            assert_eq!(revived(2), second_bytes, "{case}");
             assert_eq!(read(&mut s, 2).unwrap().1, second_bytes, "{case}");
 
             // A position below what is retained, and no position at all
@@ -2455,13 +2476,42 @@ mod tests {
                 assert_eq!(standing(&mut s).1, 2, "{case}");
             }
 
-            let (third, _) = read(&mut s, 5).unwrap();
+            let (third, third_bytes) = read(&mut s, 5).unwrap();
             assert_eq!((third.items, third.end), (doubled(5..8), true), "{case}");
-            // A reactivated stage serves the unacknowledged suffix as the
-            // crashed one would have.
-            let mut back = host.reactivated();
-            let (again, _) = read(&mut back, 5).unwrap();
-            assert_eq!((again.items, again.end), (doubled(5..8), true), "{case}");
+            assert_eq!(revived(5), third_bytes, "{case}");
+        }
+    }
+
+    #[test]
+    fn a_source_read_to_its_end_checkpoints_once_and_reserves_from_birth() {
+        let host = Fake::default();
+        let mut s = recovery::fresh("", &registry(), (None, None), 3, Some(ints(0..8))).unwrap();
+        // Birth, as `activate` does it.
+        s.kept.as_mut().unwrap().dirty = true;
+        s.save(&host).unwrap();
+        // A reader may move on by any part of what it was served: every
+        // position once, each acknowledging — and trimming — one record more.
+        let read = |s: &mut Stage, pos| {
+            let reply = host.read(s, TransferRequest::primary(3).at(pos)).unwrap();
+            wire::encode(&reply)
+        };
+        let served: Vec<Vec<u8>> = (0..=8).map(|pos| read(&mut s, pos)).collect();
+        let (_, base, buf) = standing(&mut s);
+        assert_eq!(
+            (base, buf.len()),
+            (8, 0),
+            "everything acknowledged is forgotten"
+        );
+        // Nothing was taken or made after birth, so nothing was written: an
+        // acknowledgement lets the buffer forget, and recovery needs no
+        // record of that.
+        assert_eq!(host.checkpoints(), 1);
+        for (pos, bytes) in served.iter().enumerate() {
+            assert_eq!(
+                &read(&mut host.reactivated(), pos as u64),
+                bytes,
+                "at {pos}"
+            );
         }
     }
 

@@ -1325,3 +1325,137 @@ fn wait_timeout_from_a_worker_does_not_lend_its_thread_to_a_slow_callee() {
     assert_eq!(inline_handoffs(&kernel), 0);
     kernel.shutdown();
 }
+
+/// The wake discipline on one CPU (the affinity calls are Linux's).
+#[cfg(target_os = "linux")]
+mod one_cpu {
+    use super::*;
+
+    /// Restrict the calling thread, and every thread it spawns from now on, to
+    /// the first CPU it may run on. A kernel built afterwards reads a core quota
+    /// of 1 (`available_parallelism` goes by the mask) — what three of the five
+    /// `BENCHMARK.json` workloads run under — while keeping its two workers.
+    fn pin_to_one_cpu() {
+        type CpuSet = [u64; 16];
+        extern "C" {
+            fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut CpuSet) -> i32;
+            fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const CpuSet) -> i32;
+        }
+        let size = std::mem::size_of::<CpuSet>();
+        let mut inherited: CpuSet = [0; 16];
+        // SAFETY: `inherited` is a live, writable buffer of exactly the size
+        // passed; pid 0 names the calling thread.
+        assert_eq!(unsafe { sched_getaffinity(0, size, &mut inherited) }, 0);
+        let cpu = (0..1024)
+            .find(|cpu| inherited[cpu / 64] & (1u64 << (cpu % 64)) != 0)
+            .expect("an inherited CPU");
+        let mut one: CpuSet = [0; 16];
+        one[cpu / 64] = 1u64 << (cpu % 64);
+        // SAFETY: `one` is a live buffer of exactly the size passed; pid 0 names
+        // the calling thread.
+        assert_eq!(unsafe { sched_setaffinity(0, size, &one) }, 0);
+        let quota = std::thread::available_parallelism().map(std::num::NonZeroUsize::get);
+        assert_eq!(quota.ok(), Some(1), "pinned, the host still reads as several CPUs");
+    }
+
+    /// One hop of a chain of waiting callees. It does not declare
+    /// `replies_last`, so it is never run as a call: passing `Go` on to `next` is
+    /// a send, a worker gone into a blocking section, and a wake somebody has to
+    /// send. Before that, on every 16th call, it naps for 1 ms — a pause long
+    /// enough for the rest of the pool to park, as one fsync is — so that the
+    /// send that follows finds nobody else awake. Answers whether any hop napped.
+    struct Hop {
+        next: Option<Uid>,
+        calls: u64,
+    }
+
+    impl EjectBehavior for Hop {
+        fn type_name(&self) -> &'static str {
+            "Hop"
+        }
+
+        fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
+            self.calls += 1;
+            let nap = self.calls.is_multiple_of(16);
+            if nap {
+                eden::kernel::blocking(|| std::thread::sleep(Duration::from_millis(1)));
+            }
+            reply.reply(match self.next {
+                Some(next) => ctx.invoke(next, inv.op.clone(), inv.arg).wait(),
+                None => Ok(Value::Bool(nap)),
+            });
+        }
+    }
+
+    const CHAIN_CALLS: usize = 200;
+
+    /// `Go` to `head`, `CHAIN_CALLS` times over, by way of `invoke` (the test's
+    /// own thread, or a handler's context): whether the chain napped on the way, and
+    /// how many microseconds the call took.
+    fn timed_chain_calls(invoke: impl Fn() -> Result<Value, eden_core::EdenError>) -> Vec<Value> {
+        let calls = (0..CHAIN_CALLS).map(|_| {
+            let from = Instant::now();
+            let napped = invoke().expect("the chain answers");
+            Value::list(vec![napped, Value::Int(from.elapsed().as_micros() as i64)])
+        });
+        calls.collect()
+    }
+
+    /// Makes the chain's calls itself, from inside a blocking section: a worker
+    /// that is already counted blocked when it sends.
+    struct BlockedDriver {
+        head: Uid,
+    }
+
+    impl EjectBehavior for BlockedDriver {
+        fn type_name(&self) -> &'static str {
+            "BlockedDriver"
+        }
+
+        fn handle(&mut self, ctx: &EjectContext, _inv: Invocation, reply: ReplyHandle) {
+            let go = || ctx.invoke(self.head, "Go", Value::Unit).wait();
+            let timings = eden::kernel::blocking(|| timed_chain_calls(go));
+            reply.reply(Ok(Value::list(timings)));
+        }
+    }
+
+    /// A worker that enters a blocking section is as gone as one that sleeps,
+    /// and must leave the same way: count itself out, then look at the queues.
+    /// Before it did, its own flush (or a spare's send) was left to the "active"
+    /// worker the flusher still was, nobody was woken, and once an earlier pause
+    /// had let the pool park — the nap — the task sat until a backstop found it:
+    /// the stall monitor after 2 ms, or a sleeper's 10 ms timeout. So: on one
+    /// CPU, through a chain of waiting callees, the monitor rescues nothing and
+    /// no call that did not nap takes a millisecond — driven from a user thread,
+    /// and from a handler that is itself inside a blocking section.
+    #[test]
+    fn worker_going_blocked_on_one_cpu_leaves_no_task_to_the_backstops() {
+        pin_to_one_cpu();
+        for from_blocked_handler in [false, true] {
+            let kernel = Kernel::builder().build();
+            let hop = |next| kernel.spawn(Box::new(Hop { next, calls: 0 })).expect("spawn hop");
+            let head = hop(Some(hop(Some(hop(None)))));
+            let driver = kernel.spawn(Box::new(BlockedDriver { head })).expect("spawn driver");
+            let what = format!("waiting chain, driven from a blocked handler: {from_blocked_handler}");
+            until_undisturbed(&what, || {
+                all_parked(&kernel);
+                let rescues = || kernel.metrics_snapshot().sched.monitor_rescues;
+                let before = rescues();
+                let timings = match from_blocked_handler {
+                    false => timed_chain_calls(|| kernel.invoke(head, "Go", Value::Unit).wait()),
+                    true => {
+                        let reply = kernel.invoke(driver, "Go", Value::Unit).wait();
+                        reply.and_then(|v| v.as_list().map(<[Value]>::to_vec)).expect("timings")
+                    }
+                };
+                assert_eq!(timings.len(), CHAIN_CALLS);
+                let prompt = timings.iter().all(|timing| match timing.as_list() {
+                    Ok([Value::Bool(napped), Value::Int(micros)]) => *napped || *micros < 1_000,
+                    other => panic!("{other:?}"),
+                });
+                prompt && rescues() == before
+            });
+            kernel.shutdown();
+        }
+    }
+}
