@@ -80,6 +80,8 @@ struct Counters {
     activations: AtomicU64,
     deactivations: AtomicU64,
     checkpoints: AtomicU64,
+    checkpoint_bytes: AtomicU64,
+    journal_entries: AtomicU64,
     crashes: AtomicU64,
     route_cache_hits: AtomicU64,
     route_cache_misses: AtomicU64,
@@ -147,9 +149,13 @@ impl Metrics {
         self.cell().deactivations.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record a checkpoint being written.
-    pub fn record_checkpoint(&self) {
-        self.cell().checkpoints.fetch_add(1, Ordering::Relaxed);
+    /// Record a durable write of `bytes` to the stable store: a whole
+    /// checkpoint, or (`entry`) one journal entry beside it.
+    pub fn record_checkpoint(&self, bytes: usize, entry: bool) {
+        let cell = self.cell();
+        cell.checkpoints.fetch_add(1, Ordering::Relaxed);
+        cell.checkpoint_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+        cell.journal_entries.fetch_add(entry as u64, Ordering::Relaxed);
     }
 
     /// Record a simulated crash.
@@ -253,6 +259,8 @@ impl Metrics {
             s.activations += c.activations.load(Ordering::Relaxed);
             s.deactivations += c.deactivations.load(Ordering::Relaxed);
             s.checkpoints += c.checkpoints.load(Ordering::Relaxed);
+            s.checkpoint_bytes += c.checkpoint_bytes.load(Ordering::Relaxed);
+            s.journal_entries += c.journal_entries.load(Ordering::Relaxed);
             s.crashes += c.crashes.load(Ordering::Relaxed);
             s.route_cache_hits += c.route_cache_hits.load(Ordering::Relaxed);
             s.route_cache_misses += c.route_cache_misses.load(Ordering::Relaxed);
@@ -287,6 +295,8 @@ pub struct MetricsSnapshot {
     pub activations: u64,
     pub deactivations: u64,
     pub checkpoints: u64,
+    pub checkpoint_bytes: u64,
+    pub journal_entries: u64,
     pub crashes: u64,
     pub route_cache_hits: u64,
     pub route_cache_misses: u64,
@@ -317,6 +327,8 @@ impl MetricsSnapshot {
             activations: self.activations - earlier.activations,
             deactivations: self.deactivations - earlier.deactivations,
             checkpoints: self.checkpoints - earlier.checkpoints,
+            checkpoint_bytes: self.checkpoint_bytes - earlier.checkpoint_bytes,
+            journal_entries: self.journal_entries - earlier.journal_entries,
             crashes: self.crashes - earlier.crashes,
             route_cache_hits: self.route_cache_hits - earlier.route_cache_hits,
             route_cache_misses: self.route_cache_misses - earlier.route_cache_misses,
@@ -457,10 +469,14 @@ mod tests {
         m.record_invocation(10);
         let before = m.snapshot();
         m.record_invocation(10);
-        m.record_checkpoint();
+        m.record_checkpoint(40, false);
+        m.record_checkpoint(7, true);
         let delta = m.snapshot().since(&before);
         assert_eq!(delta.invocations, 1);
-        assert_eq!(delta.checkpoints, 1);
+        assert_eq!(
+            (delta.checkpoints, delta.checkpoint_bytes, delta.journal_entries),
+            (2, 47, 1)
+        );
         assert_eq!(delta.bytes_invoked, 10);
     }
 

@@ -1,7 +1,7 @@
 //! The Eject behaviour trait: "a fixed piece of code that defines the set
 //! of invocations to which the Eject will respond" (§1).
 
-use eden_core::Value;
+use eden_core::{EdenError, Result, Value};
 
 use crate::context::EjectContext;
 use crate::invocation::{Invocation, ReplyHandle};
@@ -90,6 +90,18 @@ pub trait EjectBehavior: Send + 'static {
     /// on crash or deactivation).
     fn passive_representation(&self) -> Option<Value> {
         None
+    }
+
+    /// Reactivation: apply one entry this Eject [`journal`]ed after the
+    /// checkpoint its constructor was just run on. Called once per entry,
+    /// oldest first, before [`activate`](EjectBehavior::activate). A type
+    /// that journals overrides it; one that does not is never asked.
+    ///
+    /// [`journal`]: EjectContext::journal
+    fn redo(&mut self, entry: Value) -> Result<()> {
+        let _ = entry;
+        let refused = format!("`{}` keeps no journal to redo", self.type_name());
+        Err(EdenError::Application(refused))
     }
 
     /// Called when the coordinator is about to stop (deactivation, crash

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use eden_core::{wire, EdenError, Metrics, OpName, Result, Uid, Value};
+use eden_core::{EdenError, Metrics, OpName, Result, Uid, Value};
 use parking_lot::Mutex;
 
 use crate::invocation::{PendingReply, DEFAULT_REPLY_TIMEOUT};
@@ -157,7 +157,6 @@ impl EjectContext {
             type_name: self.type_name,
             kernel: self.kernel.clone(),
             internal: self.internal_sender(),
-            metrics: self.metrics.clone(),
             stop: Arc::clone(&self.stop),
         };
         // Workers inherit the spawner's ambient span: a pump spawned while
@@ -180,9 +179,19 @@ impl EjectContext {
     /// storage", §1).
     pub fn checkpoint(&self, representation: &Value) -> Result<()> {
         let kernel = self.kernel.upgrade().ok_or(EdenError::KernelShutdown)?;
-        kernel.store_checkpoint(self.uid, self.type_name, wire::encode(representation).into())?;
-        self.metrics.record_checkpoint();
-        Ok(())
+        kernel.stable_write(self.uid, Some(self.type_name), representation)
+    }
+
+    /// The same primitive, said incrementally: extend this Eject's passive
+    /// representation by one `entry`, as durable on return as a checkpoint.
+    /// Reactivation hands the entries written since the last checkpoint to
+    /// [`redo`](crate::EjectBehavior::redo), oldest first, after the type's
+    /// constructor has run on it. Refused before the first checkpoint; and
+    /// after an `Err` from either, which may or may not have landed, say the
+    /// same again or checkpoint — an entry extends what the store holds.
+    pub fn journal(&self, entry: &Value) -> Result<()> {
+        let kernel = self.kernel.upgrade().ok_or(EdenError::KernelShutdown)?;
+        kernel.stable_write(self.uid, None, entry)
     }
 
     /// Request that this Eject deactivate once the current envelope has
@@ -263,7 +272,6 @@ pub struct ProcessContext {
     type_name: &'static str,
     kernel: WeakKernel,
     internal: InternalSender,
-    metrics: Metrics,
     stop: Arc<AtomicBool>,
 }
 
@@ -342,9 +350,14 @@ impl ProcessContext {
     /// pump steps resumes from the last acknowledged position.
     pub fn checkpoint(&self, representation: &Value) -> Result<()> {
         let kernel = self.kernel.upgrade().ok_or(EdenError::KernelShutdown)?;
-        kernel.store_checkpoint(self.eject, self.type_name, wire::encode(representation).into())?;
-        self.metrics.record_checkpoint();
-        Ok(())
+        kernel.stable_write(self.eject, Some(self.type_name), representation)
+    }
+
+    /// Extend the owning Eject's passive representation by one `entry` (see
+    /// [`EjectContext::journal`]).
+    pub fn journal(&self, entry: &Value) -> Result<()> {
+        let kernel = self.kernel.upgrade().ok_or(EdenError::KernelShutdown)?;
+        kernel.stable_write(self.eject, None, entry)
     }
 
     /// Post an internal event to the owning Eject's coordinator.

@@ -1320,11 +1320,20 @@ impl Kernel {
         Ok(())
     }
 
-    /// Store a checkpoint on behalf of an Eject (used by `EjectContext`).
-    /// A checkpoint that fails to persist is *not* durable, and the error
-    /// must reach the Eject so it does not acknowledge work it would lose.
-    pub(crate) fn store_checkpoint(&self, uid: Uid, type_name: &str, bytes: Bytes) -> Result<()> {
-        self.inner.stable.store(uid, type_name, bytes)
+    /// Write to stable storage on behalf of an Eject (used by its contexts):
+    /// `state` whole, as the passive representation of a `type_name`, or
+    /// without one as an entry in the journal beside it. A write that fails
+    /// to persist is *not* durable, and the error must reach the Eject so it
+    /// does not acknowledge work it would lose.
+    pub(crate) fn stable_write(&self, uid: Uid, type_name: Option<&str>, state: &Value) -> Result<()> {
+        let bytes = Bytes::from(wire::encode(state));
+        let len = bytes.len();
+        match type_name {
+            Some(type_name) => self.inner.stable.store(uid, type_name, bytes)?,
+            None => self.inner.stable.append(uid, bytes)?,
+        }
+        self.inner.metrics.record_checkpoint(len, type_name.is_none());
+        Ok(())
     }
 
     /// Called by a coordinator as its last act. Decides the Eject's fate:
@@ -1365,8 +1374,9 @@ impl Kernel {
     }
 
     /// Reactivate a passive Eject: load its checkpoint, run its type's
-    /// constructor, and start a fresh coordinator under the same UID.
-    /// Called with the target's shard write lock held.
+    /// constructor on it and then `redo` on each entry of its journal, oldest
+    /// first, and start a fresh coordinator under the same UID. Called with
+    /// the target's shard write lock held.
     // eden-lint: holds(registry-shard)
     fn reactivate(&self, slots: &mut HashMap<Uid, Slot>, uid: Uid) -> Result<()> {
         let record = self.inner.stable.load(uid)?;
@@ -1385,7 +1395,10 @@ impl Kernel {
         // Zero-copy reactivation: the state's payloads alias the
         // checkpoint buffer instead of being copied out of it.
         let state = wire::decode_shared(&record.bytes)?;
-        let behavior = factory(Some(state))?;
+        let mut behavior = factory(Some(state))?;
+        for entry in &record.journal {
+            behavior.redo(wire::decode_shared(entry)?)?;
+        }
         let replies_last = behavior.replies_last();
         let node = slots.get(&uid).map(|slot| slot.node).unwrap_or_default();
         self.inner.metrics.record_reactivation();

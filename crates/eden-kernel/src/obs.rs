@@ -587,7 +587,9 @@ fn counter_rows(snap: &KernelSnapshot) -> Vec<(&'static str, &'static str, u64)>
         ("eden_ejects_created_total", "Ejects created", m.ejects_created),
         ("eden_activations_total", "Eject activations (including reactivations)", m.activations),
         ("eden_deactivations_total", "Explicit deactivations", m.deactivations),
-        ("eden_checkpoints_total", "Checkpoints written", m.checkpoints),
+        ("eden_checkpoints_total", "Durable writes to the stable store, checkpoints and journal entries alike", m.checkpoints),
+        ("eden_checkpoint_bytes_total", "Bytes those writes handed to the stable store", m.checkpoint_bytes),
+        ("eden_journal_entries_total", "Durable writes that were a journal entry beside a checkpoint", m.journal_entries),
         ("eden_crashes_total", "Simulated fail-stop crashes", m.crashes),
         ("eden_route_cache_hits_total", "Invocations delivered via a cached route", m.route_cache_hits),
         ("eden_route_cache_misses_total", "Invocations that resolved through the registry", m.route_cache_misses),

@@ -1,6 +1,7 @@
 //! Group commit for the durable log.
 //!
-//! Every mutation (`store`, `remove`) becomes a ticket in a shared queue.
+//! Every mutation (`store`, `append`, `remove`) becomes a ticket in a shared
+//! queue.
 //! The first caller to find no leader becomes the leader and drives the
 //! log: it drains the queue, assigns versions, encodes one buffer of
 //! frames, appends it with a single host-fs `append`, fsyncs per policy,
@@ -36,7 +37,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use eden_core::{EdenError, Result, Uid};
 
-use super::durable::{LogInner, SegInfo};
+use super::durable::{IndexEntry, LogInner, SegInfo};
 use super::log::{self, LogEntry};
 use super::PassiveRecord;
 
@@ -110,6 +111,13 @@ pub(crate) enum Op {
         type_name: String,
         /// The wire-encoded state (shared; never copied on this path).
         bytes: Bytes,
+    },
+    /// A journal entry beside the last checkpoint.
+    Append {
+        /// The journaling Eject.
+        uid: Uid,
+        /// The wire-encoded entry (shared like a checkpoint's bytes).
+        entry: Bytes,
     },
     /// A destruction tombstone.
     Del {
@@ -215,7 +223,7 @@ impl LogInner {
             let mut assigned: HashMap<Uid, u64> = HashMap::new();
             for p in batch {
                 let uid = match &p.op {
-                    Op::Put { uid, .. } | Op::Del { uid } => *uid,
+                    Op::Put { uid, .. } | Op::Append { uid, .. } | Op::Del { uid } => *uid,
                 };
                 let base = assigned
                     .get(&uid)
@@ -237,8 +245,14 @@ impl LogInner {
                             // Shared buffer: framing writes the bytes into
                             // the append buffer, the index aliases them.
                             bytes: bytes.clone(),
+                            journal: Vec::new(),
                             version,
                         },
+                    },
+                    Op::Append { uid, entry } => LogEntry::Append {
+                        uid: *uid,
+                        version,
+                        entry: entry.clone(),
                     },
                     Op::Del { uid } => LogEntry::Del { uid: *uid, version },
                 };
@@ -283,37 +297,26 @@ impl LogInner {
         {
             let mut idx = self.index.lock();
             for (entry, frame) in entries {
+                idx.segments.entry(seg).or_default().total_bytes += frame;
                 match entry {
                     LogEntry::Put { uid, record } => {
-                        if let Some(prev) = idx.records.get(&uid).cloned() {
-                            if let Some(info) = idx.segments.get_mut(&prev.seg) {
-                                info.live_bytes = info.live_bytes.saturating_sub(prev.frame_bytes);
-                                info.live_records = info.live_records.saturating_sub(1);
-                            }
-                        }
+                        idx.release(uid);
                         idx.tombstones.remove(&uid);
-                        idx.records.insert(
-                            uid,
-                            super::durable::IndexEntry {
-                                record,
-                                seg,
-                                frame_bytes: frame,
-                            },
-                        );
-                        let info = idx.segments.entry(seg).or_default();
-                        info.total_bytes += frame;
-                        info.live_bytes += frame;
-                        info.live_records += 1;
+                        let entry = IndexEntry { record, at: (seg, frame), journal_at: Vec::new() };
+                        idx.records.insert(uid, entry);
+                        idx.segments.entry(seg).or_default().hold(frame);
+                    }
+                    LogEntry::Append { uid, version, entry } => {
+                        if let Some(e) = idx.records.get_mut(&uid) {
+                            e.record.journal.push(entry);
+                            e.record.version = version;
+                            e.journal_at.push((seg, frame));
+                            idx.segments.entry(seg).or_default().hold(frame);
+                        }
                     }
                     LogEntry::Del { uid, version } => {
-                        if let Some(prev) = idx.records.remove(&uid) {
-                            if let Some(info) = idx.segments.get_mut(&prev.seg) {
-                                info.live_bytes = info.live_bytes.saturating_sub(prev.frame_bytes);
-                                info.live_records = info.live_records.saturating_sub(1);
-                            }
-                        }
+                        idx.release(uid);
                         idx.tombstones.insert(uid, version);
-                        idx.segments.entry(seg).or_default().total_bytes += frame;
                     }
                 }
             }

@@ -1,12 +1,13 @@
 //! Background compaction for the durable log.
 //!
-//! Overwritten checkpoints and tombstoned records leave dead frames in
-//! sealed segments. The compactor rewrites a victim set's *live* records
-//! (plus the current tombstone set) into one fresh segment, re-points the
-//! index at the copies, and deletes the victims. Correctness never
-//! depends on where the fresh segment sorts: replay keeps the highest
-//! version per UID, and a compacted copy carries its original version, so
-//! it can never beat a newer append that landed concurrently.
+//! Overwritten checkpoints, their journals and tombstoned records leave dead
+//! frames in sealed segments. The compactor rewrites a victim set's *live*
+//! frames — a record's checkpoint, or any entry of its journal, each alone
+//! (plus the current tombstone set) — into one fresh segment, re-points the
+//! index at the copies, and deletes the victims. Correctness never depends
+//! on where the fresh segment sorts: replay orders a UID's frames by
+//! version, and a compacted copy carries its original version, so it can
+//! never beat a newer write that landed concurrently.
 //!
 //! Two entry points share [`LogInner::compact_once`]:
 //!
@@ -23,7 +24,6 @@ use eden_core::{Result, Uid};
 
 use super::durable::{LogInner, SegInfo};
 use super::log::{self, LogEntry};
-use super::PassiveRecord;
 
 /// Wake/shutdown flags for the compactor thread (under the
 /// `stable-compactor` lock).
@@ -62,7 +62,7 @@ impl LogInner {
     /// reclaimed.
     pub(crate) fn compact_once(&self, aggressive: bool) -> Result<u64> {
         // Phase 1 (brief index lock): pick victims, snapshot their live
-        // records and the tombstone set, reserve an output segment.
+        // frames and the tombstone set, reserve an output segment.
         let (victims, live, tombs, out_seg) = {
             let mut idx = self.index.lock();
             if aggressive && idx.active_len > 0 {
@@ -79,7 +79,7 @@ impl LogInner {
                 .filter(|(seq, info)| {
                     **seq != active
                         && (aggressive
-                            || info.live_records == 0
+                            || info.live_frames == 0
                             || info.live_bytes * 2 <= info.total_bytes)
                 })
                 .map(|(seq, _)| *seq)
@@ -87,11 +87,14 @@ impl LogInner {
             if victims.is_empty() {
                 return Ok(0);
             }
-            let live: Vec<(Uid, PassiveRecord)> = idx
+            let live: Vec<LogEntry> = idx
                 .records
                 .iter()
-                .filter(|(_, e)| victims.contains(&e.seg))
-                .map(|(u, e)| (*u, e.record.clone()))
+                .flat_map(|(uid, e)| {
+                    let held = e.frames().enumerate();
+                    let held = held.filter(|(_, (seg, _))| victims.contains(seg));
+                    held.map(|(i, _)| e.frame(*uid, i))
+                })
                 .collect();
             // Every tombstone rides along: a tombstone frame may live in
             // a victim while the put it kills survives in an older
@@ -109,16 +112,14 @@ impl LogInner {
         // is stable elsewhere.
         let mut buf = Vec::new();
         let mut frames: Vec<(Uid, u64, u64)> = Vec::with_capacity(live.len());
-        for (uid, record) in &live {
-            let version = record.version;
-            let frame = log::encode_frame(
-                &LogEntry::Put {
-                    uid: *uid,
-                    record: record.clone(),
-                },
-                &mut buf,
-            );
-            frames.push((*uid, version, frame));
+        for entry in &live {
+            let (uid, version) = match entry {
+                LogEntry::Put { uid, record } => (*uid, record.version),
+                LogEntry::Append { uid, version, .. } | LogEntry::Del { uid, version } => {
+                    (*uid, *version)
+                }
+            };
+            frames.push((uid, version, log::encode_frame(entry, &mut buf)));
         }
         for (uid, version) in &tombs {
             log::encode_frame(
@@ -137,9 +138,10 @@ impl LogInner {
             self.count_fsync();
         }
 
-        // Phase 3 (brief index lock): re-point records that still match
-        // the compacted copy — a record updated or removed concurrently
-        // keeps its newer home and the stale copy is garbage on arrival.
+        // Phase 3 (brief index lock): re-point the frames that are still
+        // what was copied — a version names one write for good, so a record
+        // checkpointed anew or removed meanwhile no longer has it, keeps its
+        // newer home, and the stale copy is garbage on arrival.
         let reclaimed = {
             let mut idx = self.index.lock();
             let mut out_info = SegInfo {
@@ -147,13 +149,14 @@ impl LogInner {
                 ..SegInfo::default()
             };
             for (uid, version, frame) in frames {
-                if let Some(e) = idx.records.get_mut(&uid) {
-                    if victims.contains(&e.seg) && e.record.version == version {
-                        e.seg = out_seg;
-                        e.frame_bytes = frame;
-                        out_info.live_bytes += frame;
-                        out_info.live_records += 1;
-                    }
+                let held = idx.records.get_mut(&uid).and_then(|e| {
+                    let i = version.checked_sub(e.base_version())?;
+                    e.frame_mut(i as usize)
+                });
+                if let Some(held) = held.filter(|(seg, _)| victims.contains(seg)) {
+                    *held = (out_seg, frame);
+                    out_info.live_bytes += frame;
+                    out_info.live_frames += 1;
                 }
             }
             if !buf.is_empty() {

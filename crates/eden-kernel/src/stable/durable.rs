@@ -4,9 +4,10 @@
 //! index (load/contains are lock-and-look, same as [`MemBacked`]) and
 //! makes each mutation durable by appending a CRC-framed record to the
 //! active segment before the index is updated — checkpoint-before-reply
-//! extends all the way to the filing system. Concurrent `store()` calls
-//! coalesce through the group committer (one append, at most one fsync per
-//! batch; see [`committer`](super::committer)); a background thread
+//! extends all the way to the filing system. Concurrent `store()` and
+//! `append()` calls coalesce through the group committer (one append, at
+//! most one fsync per batch; see [`committer`](super::committer)); a
+//! background thread
 //! compacts sealed segments once their garbage crosses a threshold (see
 //! [`compact`](super::compact)); and `open` replays the segments back
 //! into the index, truncating a torn tail (see [`replay`](super::replay)).
@@ -27,6 +28,7 @@ use parking_lot::{Condvar, Mutex};
 
 use super::committer::{CommitQueue, FlushState, FsyncPolicy, Op};
 use super::compact::CompactState;
+use super::log::LogEntry;
 use super::{replay, PassiveRecord, StableBackend, StableStats};
 
 /// Tuning for [`DurableLog`].
@@ -70,21 +72,64 @@ impl DurableConfig {
 pub(crate) struct IndexEntry {
     /// The record itself (loads never touch the filing system).
     pub record: PassiveRecord,
-    /// The segment holding its latest frame.
-    pub seg: u64,
-    /// That frame's byte length (for live-bytes accounting).
-    pub frame_bytes: u64,
+    /// Its `Put` frame: the segment holding it and its byte length (for
+    /// live-bytes accounting).
+    pub at: (u64, u64),
+    /// Likewise the `Append` frame of each entry of its journal, which sit
+    /// at the versions that follow the `Put`'s.
+    pub journal_at: Vec<(u64, u64)>,
+}
+
+impl IndexEntry {
+    /// The version of the `Put` frame.
+    pub(crate) fn base_version(&self) -> u64 {
+        self.record.version - self.record.journal.len() as u64
+    }
+
+    /// Where each of its live frames sits, oldest first.
+    pub(crate) fn frames(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        std::iter::once(self.at).chain(self.journal_at.iter().copied())
+    }
+
+    /// Where frame `i` sits, to be re-pointed.
+    pub(crate) fn frame_mut(&mut self, i: usize) -> Option<&mut (u64, u64)> {
+        match i.checked_sub(1) {
+            Some(j) => self.journal_at.get_mut(j),
+            None => Some(&mut self.at),
+        }
+    }
+
+    /// The log entry frame `i` holds, as compaction rewrites it.
+    pub(crate) fn frame(&self, uid: Uid, i: usize) -> LogEntry {
+        let version = self.base_version() + i as u64;
+        match i.checked_sub(1) {
+            Some(j) => LogEntry::Append {
+                uid,
+                version,
+                entry: self.record.journal[j].clone(),
+            },
+            None => LogEntry::Put {
+                uid,
+                record: PassiveRecord {
+                    type_name: self.record.type_name.clone(),
+                    bytes: self.record.bytes.clone(),
+                    journal: Vec::new(),
+                    version,
+                },
+            },
+        }
+    }
 }
 
 /// Per-segment accounting.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct SegInfo {
-    /// Bytes of frames whose records are still live.
+    /// Bytes of frames that are still live.
     pub live_bytes: u64,
     /// Bytes of valid frames in the file.
     pub total_bytes: u64,
-    /// Number of live records pointing here.
-    pub live_records: u64,
+    /// Number of live frames here.
+    pub live_frames: u64,
 }
 
 /// The mutable index: UID → latest record, plus segment bookkeeping.
@@ -104,6 +149,30 @@ pub(crate) struct IndexState {
     /// Next unused segment sequence number (rolls and compaction outputs
     /// both draw from here, so names never collide).
     pub next_seg: u64,
+}
+
+impl SegInfo {
+    /// Count a frame of `bytes` live here.
+    pub(crate) fn hold(&mut self, bytes: u64) {
+        self.live_bytes += bytes;
+        self.live_frames += 1;
+    }
+}
+
+impl IndexState {
+    /// Forget `uid`'s record, if it has one: its frames are dead where they
+    /// sit.
+    pub(crate) fn release(&mut self, uid: Uid) {
+        let Some(entry) = self.records.remove(&uid) else {
+            return;
+        };
+        for (seg, bytes) in entry.frames() {
+            if let Some(info) = self.segments.get_mut(&seg) {
+                info.live_bytes = info.live_bytes.saturating_sub(bytes);
+                info.live_frames = info.live_frames.saturating_sub(1);
+            }
+        }
+    }
 }
 
 /// Everything the committer, compactor and backend methods share.
@@ -281,6 +350,15 @@ impl StableBackend for DurableLog {
         })
     }
 
+    fn append(&self, uid: Uid, entry: Bytes) -> Result<()> {
+        // An entry extends what is stored. (One that loses a race with the
+        // `remove` of its own UID lands dead: it follows no `Put`.)
+        if !self.contains(uid) {
+            return Err(eden_core::EdenError::NoSuchEject(uid));
+        }
+        self.inner.submit(Op::Append { uid, entry })
+    }
+
     fn load(&self, uid: Uid) -> Result<PassiveRecord> {
         self.inner
             .index
@@ -323,7 +401,7 @@ impl StableBackend for DurableLog {
             .lock()
             .records
             .values()
-            .map(|e| e.record.bytes.len())
+            .map(|e| e.record.stored_bytes())
             .sum()
     }
 
@@ -342,7 +420,7 @@ impl StableBackend for DurableLog {
                 idx.records.len() as u64,
                 idx.records
                     .values()
-                    .map(|e| e.record.bytes.len() as u64)
+                    .map(|e| e.record.stored_bytes() as u64)
                     .sum(),
                 idx.segments.len() as u64,
                 idx.segments.values().map(|s| s.total_bytes).sum(),
@@ -476,10 +554,12 @@ mod tests {
     /// A crash-faithful filing system: delegates to a [`MemFs`], but
     /// remembers each file's length at its last `sync`. `crash_view()`
     /// returns what a machine that lost power *now* would see on reboot —
-    /// every file truncated back to its synced prefix.
+    /// every file truncated back to its synced prefix. And a faulty one:
+    /// once `fail_append` is set, the next `append` fails and writes nothing.
     struct SyncTrackingFs {
         inner: HostFsHandle,
         synced: Mutex<std::collections::HashMap<String, usize>>,
+        fail_append: std::sync::atomic::AtomicBool,
     }
 
     impl SyncTrackingFs {
@@ -487,6 +567,7 @@ mod tests {
             std::sync::Arc::new(SyncTrackingFs {
                 inner: MemFs::new(),
                 synced: Mutex::new(std::collections::HashMap::new()),
+                fail_append: std::sync::atomic::AtomicBool::new(false),
             })
         }
 
@@ -514,6 +595,9 @@ mod tests {
             self.inner.write(path, bytes)
         }
         fn append(&self, path: &str, bytes: &[u8]) -> Result<u64> {
+            if self.fail_append.swap(false, Ordering::SeqCst) {
+                return Err(eden_core::EdenError::HostFs(format!("append {path}: disk full")));
+            }
             self.inner.append(path, bytes)
         }
         fn sync(&self, path: &str) -> Result<()> {
@@ -645,5 +729,133 @@ mod tests {
         for uid in uids {
             assert_eq!(s.load(uid).unwrap().bytes, vec![7; 24]);
         }
+    }
+
+    #[test]
+    fn concurrent_checkpoints_and_entries_of_different_ejects_keep_each_journal_in_order() {
+        // Four writers, one Eject each, through one group commit: a batch
+        // mixes `Put`s and `Append`s of different UIDs in whatever order the
+        // writers arrived, and each UID's versions still run in its own.
+        let fs = MemFs::new();
+        let s = store_on(&fs, FsyncPolicy::Always);
+        let uids: Vec<Uid> = (0..4).map(|_| Uid::fresh()).collect();
+        std::thread::scope(|scope| {
+            for (w, &uid) in uids.iter().enumerate() {
+                let s = s.clone();
+                scope.spawn(move || {
+                    for i in 0..40u8 {
+                        match i % 10 {
+                            0 => s.store(uid, "W", Bytes::from(vec![w as u8, i])).unwrap(),
+                            _ => s.append(uid, Bytes::from(vec![w as u8, i])).unwrap(),
+                        }
+                    }
+                });
+            }
+        });
+        let check = |s: &StableStore| {
+            for (w, &uid) in uids.iter().enumerate() {
+                let rec = s.load(uid).unwrap();
+                assert_eq!((rec.bytes.to_vec(), rec.version), (vec![w as u8, 30], 40));
+                let journal: Vec<Vec<u8>> = rec.journal.iter().map(|e| e.to_vec()).collect();
+                let want: Vec<Vec<u8>> = (31..40).map(|i| vec![w as u8, i]).collect();
+                assert_eq!(journal, want);
+            }
+        };
+        check(&s);
+        drop(s);
+        check(&store_on(&fs, FsyncPolicy::Always));
+    }
+
+    #[test]
+    fn background_compaction_moves_the_live_frames_of_a_journal_one_by_one() {
+        // A cold Eject's checkpoint and entries, each in a segment a hot one
+        // then fills with overwrites: the half-dead rule takes some of those
+        // segments and not others, so part of the journal moves and part
+        // stays where it was.
+        let fs = MemFs::new();
+        let log = DurableLog::open(std::sync::Arc::clone(&fs), DurableConfig {
+            segment_bytes: 512,
+            auto_compact: false,
+            ..DurableConfig::default()
+        })
+        .unwrap();
+        let (cold, hot) = (Uid::fresh(), Uid::fresh());
+        log.store(cold, "Cold", Bytes::from(vec![0; 200])).unwrap();
+        for i in 1..=6u8 {
+            // Alternate how dead the cold frame's segment ends up.
+            let fill = if i % 2 == 0 { 40 } else { 400 };
+            log.store(hot, "Hot", Bytes::from(vec![i; fill])).unwrap();
+            log.append(cold, Bytes::from(vec![i; 200])).unwrap();
+        }
+        let before = log.stats();
+        let reclaimed = log.inner.compact_once(false).unwrap();
+        assert!(reclaimed > 0 && log.stats().segments_live < before.segments_live);
+        let check = |log: &DurableLog| {
+            let rec = log.load(cold).unwrap();
+            assert_eq!((rec.bytes.to_vec(), rec.version), (vec![0; 200], 7));
+            let journal: Vec<u8> = rec.journal.iter().map(|e| e[0]).collect();
+            assert_eq!(journal, [1, 2, 3, 4, 5, 6]);
+            assert_eq!(log.load(hot).unwrap().bytes[0], 6);
+        };
+        check(&log);
+        let homes = |log: &DurableLog| {
+            let idx = log.inner.index.lock();
+            idx.records[&cold].frames().map(|f| f.0).collect::<Vec<u64>>()
+        };
+        let moved = homes(&log);
+        assert!(
+            moved.iter().any(|seg| *seg >= before.segments_live)
+                && moved.iter().any(|seg| *seg < before.segments_live),
+            "some frames moved and some stayed: {moved:?}"
+        );
+        // A later write still lands after what compaction placed.
+        log.append(cold, Bytes::from(vec![7; 8])).unwrap();
+        drop(log);
+        let log = DurableLog::open(fs, DurableConfig::default()).unwrap();
+        assert_eq!(log.load(cold).unwrap().journal.len(), 7);
+        assert_eq!(log.load(cold).unwrap().version, 8);
+    }
+
+    /// A write the filing system refused is not reported durable, whichever
+    /// form it took: the caller gets the error, `load` still answers what
+    /// was stored before it, and the next write starts a segment of its own.
+    #[test]
+    fn failed_write_is_not_reported_durable() {
+        let failing = SyncTrackingFs::new();
+        let fs: HostFsHandle = std::sync::Arc::clone(&failing) as HostFsHandle;
+        let s = store_on(&fs, FsyncPolicy::Always);
+        let uid = Uid::fresh();
+        s.store(uid, "Counter", Bytes::from(vec![1])).unwrap();
+        s.append(uid, Bytes::from(vec![2])).unwrap();
+        let held = |s: &StableStore| {
+            let rec = s.load(uid).unwrap();
+            let journal: Vec<u8> = rec.journal.iter().map(|e| e[0]).collect();
+            (rec.bytes[0], journal, rec.version)
+        };
+        let mut journal = vec![2];
+        for refused_store in [true, false] {
+            let segments = s.stats().segments_live;
+            failing.fail_append.store(true, Ordering::SeqCst);
+            let refused = match refused_store {
+                true => s.store(uid, "Counter", Bytes::from(vec![9])),
+                false => s.append(uid, Bytes::from(vec![9])),
+            };
+            assert!(matches!(refused, Err(eden_core::EdenError::HostFs(_))));
+            assert_eq!(held(&s), (1, journal.clone(), 1 + journal.len() as u64));
+            assert_eq!(s.stats().segments_live, segments + 1, "sealed");
+            // The version the refused write would have had is the next one's.
+            journal.push(journal.len() as u8 + 2);
+            s.append(uid, Bytes::from(vec![*journal.last().unwrap()])).unwrap();
+            assert_eq!(held(&s), (1, journal.clone(), 1 + journal.len() as u64));
+        }
+        // A never-checkpointed Eject whose first store fails stays absent.
+        let fresh = Uid::fresh();
+        failing.fail_append.store(true, Ordering::SeqCst);
+        assert!(s.store(fresh, "Counter", Bytes::from(vec![3])).is_err());
+        assert!(!s.contains(fresh));
+        drop(s);
+        let s = store_on(&fs, FsyncPolicy::Always);
+        assert_eq!(held(&s), (1, vec![2, 3, 4], 4));
+        assert!(!s.contains(fresh));
     }
 }

@@ -7,10 +7,12 @@
 //! ```
 //!
 //! where the payload is one wire-encoded [`LogEntry`] — a checkpoint
-//! (`Put`) or a tombstone (`Del`), both carrying the per-UID version the
-//! committer assigned. Replay keeps the **highest version per UID**, which
-//! makes frame placement order-free: compaction may rewrite an old record
-//! into a segment that sorts after newer appends without resurrecting it.
+//! (`Put`), a journal entry beside one (`Append`) or a tombstone (`Del`),
+//! all carrying the per-UID version the committer assigned. Replay keeps the
+//! **highest-version `Put` per UID and the `Append`s that follow it by
+//! version**, which makes frame placement order-free: compaction may rewrite
+//! an old frame into a segment that sorts after newer appends without
+//! resurrecting it.
 //!
 //! A scan stops at the first frame that does not check out — header
 //! truncated, length running past the file, CRC mismatch, or undecodable
@@ -73,8 +75,18 @@ pub(crate) enum LogEntry {
         /// Its passive representation.
         record: PassiveRecord,
     },
+    /// A journal entry: extends the `Put` of the version just below its
+    /// own, or the `Append` there that does.
+    Append {
+        /// The journaling Eject.
+        uid: Uid,
+        /// The entry's version (one past the write before it).
+        version: u64,
+        /// The wire-encoded entry.
+        entry: Bytes,
+    },
     /// A tombstone: `uid` was destroyed at `version` (kills every `Put`
-    /// with a version ≤ this one).
+    /// with a version ≤ this one, and its journal with it).
     Del {
         /// The destroyed Eject.
         uid: Uid,
@@ -92,6 +104,12 @@ impl LogEntry {
                 ("type", Value::str(record.type_name.clone())),
                 ("version", Value::Int(record.version as i64)),
                 ("bytes", Value::bytes(record.bytes.clone())),
+            ]),
+            LogEntry::Append { uid, version, entry } => Value::record([
+                ("op", Value::Int(2)),
+                ("uid", Value::Uid(*uid)),
+                ("version", Value::Int(*version as i64)),
+                ("bytes", Value::bytes(entry.clone())),
             ]),
             LogEntry::Del { uid, version } => Value::record([
                 ("op", Value::Int(1)),
@@ -118,7 +136,7 @@ pub(crate) fn encode_frame(entry: &LogEntry, out: &mut Vec<u8>) -> u64 {
     (FRAME_HEADER + len) as u64
 }
 
-/// Decode one frame payload. Zero-copy: `Put` records alias `payload`.
+/// Decode one frame payload. Zero-copy: records and entries alias `payload`.
 pub(crate) fn decode_entry(payload: &Bytes) -> Result<LogEntry> {
     let v = wire::decode_shared(payload)?;
     let uid = v.field("uid")?.as_uid()?;
@@ -129,10 +147,16 @@ pub(crate) fn decode_entry(payload: &Bytes) -> Result<LogEntry> {
             record: PassiveRecord {
                 type_name: v.field("type")?.as_str()?.to_owned(),
                 bytes: v.field("bytes")?.as_bytes()?.clone(),
+                journal: Vec::new(),
                 version,
             },
         }),
         1 => Ok(LogEntry::Del { uid, version }),
+        2 => Ok(LogEntry::Append {
+            uid,
+            version,
+            entry: v.field("bytes")?.as_bytes()?.clone(),
+        }),
         op => Err(EdenError::BadParameter(format!("unknown log op {op}"))),
     }
 }
@@ -206,6 +230,7 @@ mod tests {
             record: PassiveRecord {
                 type_name: "T".into(),
                 bytes: Bytes::copy_from_slice(payload),
+                journal: Vec::new(),
                 version,
             },
         }

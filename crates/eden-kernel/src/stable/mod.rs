@@ -12,15 +12,15 @@
 //!
 //! * [`StableStore`] — the thin façade every caller sees; clones share one
 //!   backend.
-//! * [`StableBackend`] — the storage contract (store/load/remove/contains/
-//!   iter plus flush/compact hooks), with two implementations:
-//!   [`MemBacked`] (process-lifetime map, optional one-file-per-Eject
-//!   write-through) and [`DurableLog`] (the segment log).
+//! * [`StableBackend`] — the storage contract (store/append/load/remove/
+//!   contains/iter plus flush/compact hooks), with two implementations:
+//!   [`MemBacked`] (process-lifetime map) and [`DurableLog`] (the segment
+//!   log).
 //! * [`log`](self::log) — frame and segment codec (length-prefixed,
 //!   CRC-framed records).
 //! * [`committer`](self::committer) — group commit: concurrent `store()`
-//!   calls coalesce into one append + at most one fsync per batch, under a
-//!   configurable [`FsyncPolicy`].
+//!   and `append()` calls coalesce into one append + at most one fsync per
+//!   batch, under a configurable [`FsyncPolicy`].
 //! * [`compact`](self::compact) — background compaction rewriting live
 //!   records into fresh segments and dropping sealed ones.
 //! * [`replay`](self::replay) — cold-restart recovery: replays segments
@@ -37,13 +37,13 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use eden_core::{wire, EdenError, HostFsHandle, Result, Uid, Value};
+use eden_core::{EdenError, HostFsHandle, Result, Uid};
 use parking_lot::Mutex;
 
 pub use committer::FsyncPolicy;
 pub use durable::{DurableConfig, DurableLog};
 
-/// One checkpointed passive representation.
+/// One passive representation: the last checkpoint and its journal.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PassiveRecord {
     /// The Eden type name, used to find the reactivation constructor.
@@ -52,10 +52,22 @@ pub struct PassiveRecord {
     /// decodes it zero-copy, and cloning the record (the store hands out
     /// clones) bumps a reference instead of copying the checkpoint.
     pub bytes: Bytes,
-    /// How many times this Eject has checkpointed. Monotone per UID; the
-    /// durable log's replay keeps the highest version it sees, which is
-    /// what makes compaction's rewrites order-independent.
+    /// The entries `append`ed since `bytes` was stored, oldest first, each
+    /// wire-encoded and shared like it. Reactivation redoes them in order.
+    pub journal: Vec<Bytes>,
+    /// How many durable writes this Eject has made, of either form.
+    /// Monotone per UID, and the journal's entries carry the versions just
+    /// below it, so `bytes` was written at `version - journal.len()`: the
+    /// durable log's replay keeps the highest-version checkpoint and the
+    /// entries that follow it without a gap, wherever compaction put them.
     pub version: u64,
+}
+
+impl PassiveRecord {
+    /// Bytes of state held: the checkpoint's and its journal's.
+    pub fn stored_bytes(&self) -> usize {
+        self.bytes.len() + self.journal.iter().map(Bytes::len).sum::<usize>()
+    }
 }
 
 /// Counters a backend exposes for the observability plane (all zero for
@@ -82,10 +94,14 @@ pub struct StableStats {
 /// checkpoint path moves references, never payload copies (the PR 2
 /// invariant). An `Err` from `store` means the checkpoint is **not
 /// durable** and the previous passive representation (if any) is still in
-/// force for `load`.
+/// force for `load`; likewise from `append`.
 pub trait StableBackend: Send + Sync + std::fmt::Debug + 'static {
-    /// Write (or overwrite) the passive representation for `uid`.
+    /// Write (or overwrite) the passive representation for `uid`, journal
+    /// and all.
     fn store(&self, uid: Uid, type_name: &str, bytes: Bytes) -> Result<()>;
+    /// Extend `uid`'s passive representation by one journal entry, as
+    /// durable on return as a `store`. Refused for a UID with nothing stored.
+    fn append(&self, uid: Uid, entry: Bytes) -> Result<()>;
     /// Read the passive representation for `uid`.
     fn load(&self, uid: Uid) -> Result<PassiveRecord>;
     /// Whether `uid` has a passive representation.
@@ -120,9 +136,8 @@ pub trait StableBackend: Send + Sync + std::fmt::Debug + 'static {
 /// before a kernel can outlive it. The façade adds nothing over
 /// [`StableBackend`] except ergonomics (and a best-effort `remove` for the
 /// destroy path); select the backend with [`StableStore::new`],
-/// [`StableStore::persistent`], [`StableStore::durable`] /
-/// [`StableStore::durable_on`], or bring your own via
-/// [`StableStore::with_backend`].
+/// [`StableStore::durable`] / [`StableStore::durable_on`], or bring your own
+/// via [`StableStore::with_backend`].
 #[derive(Clone, Debug)]
 pub struct StableStore {
     backend: Arc<dyn StableBackend>,
@@ -145,17 +160,6 @@ impl StableStore {
     /// Wrap an explicit backend.
     pub fn with_backend(backend: Arc<dyn StableBackend>) -> Self {
         StableStore { backend }
-    }
-
-    /// A store persisted in `dir` (created if missing): existing records
-    /// are loaded now, and every later store/remove writes through, one
-    /// file per Eject. Simple and durable, but every checkpoint rewrites
-    /// the whole record — prefer [`StableStore::durable`] for write-heavy
-    /// workloads.
-    pub fn persistent(dir: impl Into<PathBuf>) -> Result<StableStore> {
-        Ok(StableStore {
-            backend: Arc::new(MemBacked::persistent(dir)?),
-        })
     }
 
     /// A log-structured durable store rooted at `path` on the real filing
@@ -192,6 +196,12 @@ impl StableStore {
     /// load.
     pub fn store(&self, uid: Uid, type_name: &str, bytes: Bytes) -> Result<()> {
         self.backend.store(uid, type_name, bytes)
+    }
+
+    /// Extend `uid`'s passive representation by one journal entry; `Err`
+    /// means what it does from [`store`](Self::store).
+    pub fn append(&self, uid: Uid, entry: Bytes) -> Result<()> {
+        self.backend.append(uid, entry)
     }
 
     /// Read the passive representation for `uid`.
@@ -247,111 +257,37 @@ impl StableStore {
     }
 }
 
-/// Encode one record (with its UID) for the one-file-per-Eject format.
-pub(crate) fn encode_record(uid: Uid, record: &PassiveRecord) -> Vec<u8> {
-    wire::encode(&Value::record([
-        ("uid", Value::Uid(uid)),
-        ("type", Value::str(record.type_name.clone())),
-        ("version", Value::Int(record.version as i64)),
-        ("bytes", Value::bytes(record.bytes.clone())),
-    ]))
-}
-
-pub(crate) fn decode_record(data: &[u8]) -> Result<(Uid, PassiveRecord)> {
-    let v = wire::decode(data)?;
-    Ok((
-        v.field("uid")?.as_uid()?,
-        PassiveRecord {
-            type_name: v.field("type")?.as_str()?.to_owned(),
-            // Aliases the decoded buffer — the one copy was the file read.
-            bytes: v.field("bytes")?.as_bytes()?.clone(),
-            version: v.field("version")?.as_int()?.max(0) as u64,
-        },
-    ))
-}
-
-/// The process-lifetime backend: a mutexed map, with an optional
-/// one-file-per-Eject write-through directory (the pre-durability-plane
-/// `StableStore::persistent` behaviour, kept bit-for-bit).
+/// The process-lifetime backend: a mutexed map.
 #[derive(Debug, Default)]
 pub struct MemBacked {
     inner: Mutex<HashMap<Uid, PassiveRecord>>,
-    /// When set, every record is written through to one file per Eject in
-    /// this directory, and read back by [`MemBacked::persistent`].
-    persist_dir: Option<PathBuf>,
 }
 
 impl MemBacked {
-    /// An empty, purely in-memory backend.
+    /// An empty backend.
     pub fn new() -> Self {
         MemBacked::default()
-    }
-
-    /// A backend persisted in `dir` (created if missing): existing records
-    /// are loaded now, and every later store/remove writes through.
-    pub fn persistent(dir: impl Into<PathBuf>) -> Result<MemBacked> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| EdenError::HostFs(format!("create {}: {e}", dir.display())))?;
-        let mut map = HashMap::new();
-        let entries = std::fs::read_dir(&dir)
-            .map_err(|e| EdenError::HostFs(format!("read {}: {e}", dir.display())))?;
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("rep") {
-                continue;
-            }
-            let data = std::fs::read(&path)
-                .map_err(|e| EdenError::HostFs(format!("read {}: {e}", path.display())))?;
-            let (uid, record) = decode_record(&data)?;
-            map.insert(uid, record);
-        }
-        Ok(MemBacked {
-            inner: Mutex::new(map),
-            persist_dir: Some(dir),
-        })
-    }
-
-    fn file_for(&self, uid: Uid) -> Option<PathBuf> {
-        self.persist_dir.as_ref().map(|d| d.join(format!("{uid}.rep")))
     }
 }
 
 impl StableBackend for MemBacked {
     fn store(&self, uid: Uid, type_name: &str, bytes: Bytes) -> Result<()> {
-        // Hold the lock across the write-through so a concurrent store
-        // cannot interleave between the map update and the file update
-        // (the rollback below restores exactly what this call displaced).
         let mut map = self.inner.lock();
-        let prior = map.get(&uid).cloned();
-        let version = prior.as_ref().map_or(1, |r| r.version + 1);
         let record = PassiveRecord {
             type_name: type_name.to_owned(),
             bytes,
-            version,
+            journal: Vec::new(),
+            version: map.get(&uid).map_or(1, |r| r.version + 1),
         };
-        map.insert(uid, record.clone());
-        if let Some(path) = self.file_for(uid) {
-            // Durable write-through: write to a temp file, then rename.
-            let tmp = path.with_extension("tmp");
-            let encoded = encode_record(uid, &record);
-            if let Err(e) =
-                std::fs::write(&tmp, encoded).and_then(|()| std::fs::rename(&tmp, &path))
-            {
-                match prior {
-                    Some(prev) => {
-                        map.insert(uid, prev);
-                    }
-                    None => {
-                        map.remove(&uid);
-                    }
-                }
-                return Err(EdenError::HostFs(format!(
-                    "checkpoint {}: {e}",
-                    path.display()
-                )));
-            }
-        }
+        map.insert(uid, record);
+        Ok(())
+    }
+
+    fn append(&self, uid: Uid, entry: Bytes) -> Result<()> {
+        let mut map = self.inner.lock();
+        let record = map.get_mut(&uid).ok_or(EdenError::NoSuchEject(uid))?;
+        record.journal.push(entry);
+        record.version += 1;
         Ok(())
     }
 
@@ -369,9 +305,6 @@ impl StableBackend for MemBacked {
 
     fn remove(&self, uid: Uid) -> Result<()> {
         self.inner.lock().remove(&uid);
-        if let Some(path) = self.file_for(uid) {
-            let _ = std::fs::remove_file(path);
-        }
         Ok(())
     }
 
@@ -392,7 +325,7 @@ impl StableBackend for MemBacked {
     }
 
     fn total_bytes(&self) -> usize {
-        self.inner.lock().values().map(|r| r.bytes.len()).sum()
+        self.inner.lock().values().map(PassiveRecord::stored_bytes).sum()
     }
 
     fn flush(&self) -> Result<()> {
@@ -407,7 +340,7 @@ impl StableBackend for MemBacked {
         let map = self.inner.lock();
         StableStats {
             records: map.len() as u64,
-            bytes: map.values().map(|r| r.bytes.len() as u64).sum(),
+            bytes: map.values().map(|r| r.stored_bytes() as u64).sum(),
             ..StableStats::default()
         }
     }
@@ -458,68 +391,76 @@ mod tests {
         assert!(!s.contains(uid));
     }
 
-    #[test]
-    fn persistent_store_survives_reopen() {
-        let dir = std::env::temp_dir().join(format!(
-            "eden-stable-{}-{}",
-            std::process::id(),
-            Uid::fresh().seq()
-        ));
-        let uid = Uid::fresh();
-        {
-            let s = StableStore::persistent(&dir).unwrap();
-            s.store(uid, "Counter", Bytes::from(vec![1, 2, 3])).unwrap();
-            s.store(uid, "Counter", Bytes::from(vec![4, 5])).unwrap();
-        }
-        {
-            let s = StableStore::persistent(&dir).unwrap();
+    /// What both backends keep of a checkpoint and its journal. `open`
+    /// yields the store, and again after each reopen: the same one for the
+    /// memory backend, a cold replay of the same filing system for the log.
+    /// Returns how many segments the writes were spread over.
+    fn keeps_base_and_journal(open: impl Fn() -> StableStore) -> u64 {
+        let bytes = |b: u8| Bytes::from(vec![b; 24]);
+        let held = |s: &StableStore, uid| {
             let rec = s.load(uid).unwrap();
-            assert_eq!(rec.type_name, "Counter");
-            assert_eq!(rec.bytes, vec![4, 5]);
-            assert_eq!(rec.version, 2);
-            s.remove(uid);
-        }
-        let s = StableStore::persistent(&dir).unwrap();
-        assert!(!s.contains(uid));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn failed_write_through_is_not_reported_durable() {
-        let dir = std::env::temp_dir().join(format!(
-            "eden-stable-gone-{}-{}",
-            std::process::id(),
-            Uid::fresh().seq()
-        ));
-        let s = StableStore::persistent(&dir).unwrap();
-        let uid = Uid::fresh();
-        s.store(uid, "Counter", Bytes::from(vec![1])).unwrap();
-        // Yank the directory out from under the store: the next disk
-        // write fails, and the store must report the failure AND keep
-        // serving the last durable record, not the phantom new one.
-        std::fs::remove_dir_all(&dir).unwrap();
-        assert!(s.store(uid, "Counter", Bytes::from(vec![2])).is_err());
-        assert_eq!(s.load(uid).unwrap().bytes, vec![1]);
-        assert_eq!(s.load(uid).unwrap().version, 1);
-        // A never-checkpointed Eject whose first store fails stays absent.
-        let fresh = Uid::fresh();
-        assert!(s.store(fresh, "Counter", Bytes::from(vec![3])).is_err());
-        assert!(!s.contains(fresh));
-    }
-
-    #[test]
-    fn record_codec_roundtrip() {
-        let uid = Uid::fresh();
-        let rec = PassiveRecord {
-            type_name: "X".into(),
-            bytes: Bytes::from(vec![9, 8, 7]),
-            version: 3,
+            let journal: Vec<u8> = rec.journal.iter().map(|e| e[0]).collect();
+            (rec.bytes[0], journal, rec.version)
         };
-        let (got_uid, got) = decode_record(&encode_record(uid, &rec)).unwrap();
-        assert_eq!(got_uid, uid);
-        assert_eq!(got.type_name, rec.type_name);
-        assert_eq!(got.bytes, rec.bytes);
-        assert_eq!(got.version, rec.version);
+        let (a, b) = (Uid::fresh(), Uid::fresh());
+        let mut s = open();
+        // An entry extends a checkpoint, and there is none yet.
+        assert_eq!(s.append(a, bytes(9)), Err(EdenError::NoSuchEject(a)));
+        assert!(!s.contains(a));
+        // Two Ejects' writes interleaved: each keeps its own, in order.
+        s.store(a, "T", bytes(10)).unwrap();
+        s.store(b, "T", bytes(20)).unwrap();
+        for e in 1..=4 {
+            s.append(a, bytes(10 + e)).unwrap();
+            s.append(b, bytes(20 + e)).unwrap();
+        }
+        let spread = s.stats().segments_live;
+        for pass in ["written", "reopened", "compacted", "compacted and reopened"] {
+            assert_eq!(held(&s, a), (10, vec![11, 12, 13, 14], 5), "{pass}");
+            assert_eq!(held(&s, b), (20, vec![21, 22, 23, 24], 5), "{pass}");
+            assert_eq!(s.stats().bytes, 2 * 5 * 24, "{pass}");
+            match pass {
+                "reopened" => s.compact().unwrap(),
+                _ => {
+                    drop(s);
+                    s = open();
+                }
+            }
+        }
+        // A checkpoint starts the journal over; the next entry extends it.
+        s.store(a, "T", bytes(30)).unwrap();
+        assert_eq!(held(&s, a), (30, vec![], 6));
+        s.append(a, bytes(31)).unwrap();
+        // A removal takes checkpoint and journal both, for good.
+        s.remove(b);
+        assert_eq!(s.append(b, bytes(25)), Err(EdenError::NoSuchEject(b)));
+        s.compact().unwrap();
+        drop(s);
+        let s = open();
+        assert_eq!(held(&s, a), (30, vec![31], 7));
+        assert!(!s.contains(b));
+        assert_eq!(s.len(), 1);
+        spread
+    }
+
+    #[test]
+    fn memory_backend_keeps_base_and_journal() {
+        let store = StableStore::new();
+        assert_eq!(keeps_base_and_journal(|| store.clone()), 0);
+    }
+
+    #[test]
+    fn durable_log_keeps_base_and_journal_across_reopen_and_compaction() {
+        // Segments of a few frames each, so that a checkpoint and the
+        // entries of its journal sit in different ones.
+        let fs = eden_core::MemFs::new();
+        let config = DurableConfig {
+            segment_bytes: 256,
+            auto_compact: false,
+            ..DurableConfig::default()
+        };
+        let open = || StableStore::durable_on(Arc::clone(&fs), config).unwrap();
+        assert!(keeps_base_and_journal(open) > 2);
     }
 
     #[test]

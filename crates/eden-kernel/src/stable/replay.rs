@@ -2,11 +2,14 @@
 //!
 //! `replay` lists every `seg-*.log` file, scans each one frame by frame
 //! ([`log::scan_segment`]), and folds the entries into a fresh
-//! [`IndexState`] under one rule: **the highest version per UID wins**,
-//! and a tombstone kills every put it out-versions. The rule makes replay
-//! independent of segment *order*, which is what lets compaction write
-//! old records into new files safely; segments are still visited in
-//! sequence order so the accounting is deterministic.
+//! [`IndexState`] under one rule: **a UID's frames are ordered by version,
+//! not by place** — its highest-version `Put` is the checkpoint, the
+//! `Append`s at the versions that follow it are its journal, cut at the
+//! first version missing, and a tombstone kills every put it out-versions,
+//! journal and all. The rule makes replay independent of segment *order*,
+//! which is what lets compaction write old frames into new files safely;
+//! segments are still visited in sequence order so the accounting is
+//! deterministic.
 //!
 //! A torn tail — a crash mid-append left a partial or corrupt frame — is
 //! truncated at the last valid frame: the valid prefix is rewritten in
@@ -43,8 +46,10 @@ pub(crate) fn replay(fs: &HostFsHandle) -> Result<Replayed> {
     let mut index = IndexState::default();
     let mut frames = 0u64;
     let mut torn_segments = 0u64;
-    // Candidate per UID: (version, seg, frame_bytes, record).
-    let mut best: HashMap<Uid, (u64, u64, u64, IndexEntry)> = HashMap::new();
+    // Candidates: `index.records` holds per UID its highest-version `Put`,
+    // `appends` every `Append` by the version it extends to, with where its
+    // frame sits.
+    let mut appends: HashMap<(Uid, u64), (Bytes, (u64, u64))> = HashMap::new();
 
     for &seq in &segments {
         let name = log::segment_name(seq);
@@ -69,25 +74,16 @@ pub(crate) fn replay(fs: &HostFsHandle) -> Result<Replayed> {
             frames += 1;
             match entry {
                 LogEntry::Put { uid, record } => {
-                    let version = record.version;
-                    let candidate = (
-                        version,
-                        seq,
-                        frame,
-                        IndexEntry {
-                            record,
-                            seg: seq,
-                            frame_bytes: frame,
-                        },
-                    );
-                    match best.get(&uid) {
-                        // `>=` so a byte-identical compacted duplicate in
-                        // a later segment takes over the accounting.
-                        Some((v, ..)) if version < *v => {}
-                        _ => {
-                            best.insert(uid, candidate);
-                        }
+                    // `>=` so a byte-identical compacted duplicate in a
+                    // later segment takes over the accounting.
+                    let held = index.records.get(&uid);
+                    if held.is_none_or(|b| record.version >= b.record.version) {
+                        let entry = IndexEntry { record, at: (seq, frame), journal_at: Vec::new() };
+                        index.records.insert(uid, entry);
                     }
+                }
+                LogEntry::Append { uid, version, entry } => {
+                    appends.insert((uid, version), (entry, (seq, frame)));
                 }
                 LogEntry::Del { uid, version } => {
                     let tomb = index.tombstones.entry(uid).or_insert(version);
@@ -100,21 +96,23 @@ pub(crate) fn replay(fs: &HostFsHandle) -> Result<Replayed> {
     }
 
     // Tombstones kill what they out-version; a put past the tombstone's
-    // version (a destroyed-then-recreated UID) survives it.
-    for (uid, (version, seg, frame, entry)) in best {
-        if index
-            .tombstones
-            .get(&uid)
-            .is_some_and(|tomb| version <= *tomb)
-        {
-            continue;
+    // version (a destroyed-then-recreated UID) survives it, and takes the
+    // entries at the versions that follow its own.
+    let IndexState { records, tombstones, segments: infos, .. } = &mut index;
+    records.retain(|uid, entry| {
+        if tombstones.get(uid).is_some_and(|tomb| entry.record.version <= *tomb) {
+            return false;
         }
-        if let Some(info) = index.segments.get_mut(&seg) {
-            info.live_bytes += frame;
-            info.live_records += 1;
+        while let Some((bytes, at)) = appends.remove(&(*uid, entry.record.version + 1)) {
+            entry.record.journal.push(bytes);
+            entry.record.version += 1;
+            entry.journal_at.push(at);
         }
-        index.records.insert(uid, entry);
-    }
+        for (seg, bytes) in entry.frames() {
+            infos.entry(seg).or_default().hold(bytes);
+        }
+        true
+    });
 
     match segments.last() {
         Some(&last) => {
@@ -206,6 +204,7 @@ mod tests {
         let rec = |v: u64, b: u8| super::super::PassiveRecord {
             type_name: "T".into(),
             bytes: Bytes::from(vec![b; 4]),
+            journal: Vec::new(),
             version: v,
         };
         let mut low = Vec::new();
@@ -243,6 +242,7 @@ mod tests {
                 record: super::super::PassiveRecord {
                     type_name: "T".into(),
                     bytes: Bytes::from(vec![1]),
+                    journal: Vec::new(),
                     version: 1,
                 },
             },
@@ -255,5 +255,74 @@ mod tests {
         let replayed = replay(&fs).unwrap();
         assert!(replayed.index.records.is_empty());
         assert_eq!(replayed.index.tombstones.get(&uid), Some(&2));
+    }
+
+    /// Write each of `segments` (numbered from 1) as the given frames.
+    fn write_segments(fs: &HostFsHandle, segments: &[&[LogEntry]]) {
+        for (i, entries) in segments.iter().enumerate() {
+            let mut buf = Vec::new();
+            for entry in *entries {
+                log::encode_frame(entry, &mut buf);
+            }
+            fs.write(&log::segment_name(i as u64 + 1), &buf).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_journal_is_ordered_by_version_wherever_its_frames_sit() {
+        let fs = MemFs::new();
+        let uid = Uid::fresh();
+        let put = |version: u64| LogEntry::Put {
+            uid,
+            record: super::super::PassiveRecord {
+                type_name: "T".into(),
+                bytes: Bytes::from(vec![version as u8]),
+                journal: Vec::new(),
+                version,
+            },
+        };
+        let append = |version: u64| LogEntry::Append {
+            uid,
+            version,
+            entry: Bytes::from(vec![version as u8]),
+        };
+        // As compactions might leave them: the checkpoint (version 3) after
+        // the entries that extend it, those out of order, beside what it
+        // superseded (1, 2) and an entry past a missing version (7).
+        write_segments(
+            &fs,
+            &[&[append(5), put(1)], &[append(7), append(4), append(2)], &[put(3)]],
+        );
+        let replayed = replay(&fs).unwrap();
+        let entry = replayed.index.records.get(&uid).expect("uid recovered");
+        assert_eq!(entry.record.bytes, vec![3]);
+        assert_eq!(entry.record.journal, [vec![4], vec![5]]);
+        assert_eq!(entry.record.version, 5, "the next write is version 6");
+        assert_eq!(entry.frames().map(|f| f.0).collect::<Vec<_>>(), [3, 2, 1]);
+        let live: u64 = replayed.index.segments.values().map(|s| s.live_frames).sum();
+        assert_eq!(live, 3, "what was superseded or cut off is dead");
+    }
+
+    #[test]
+    fn tombstone_kills_a_checkpoint_and_its_journal() {
+        let fs = MemFs::new();
+        let uid = Uid::fresh();
+        let record = super::super::PassiveRecord {
+            type_name: "T".into(),
+            bytes: Bytes::from(vec![1]),
+            journal: Vec::new(),
+            version: 1,
+        };
+        let entry = Bytes::from(vec![2]);
+        write_segments(
+            &fs,
+            &[
+                &[LogEntry::Del { uid, version: 3 }],
+                &[LogEntry::Put { uid, record }, LogEntry::Append { uid, version: 2, entry }],
+            ],
+        );
+        let replayed = replay(&fs).unwrap();
+        assert!(replayed.index.records.is_empty());
+        assert!(replayed.index.segments.values().all(|s| s.live_frames == 0));
     }
 }

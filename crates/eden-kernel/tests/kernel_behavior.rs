@@ -374,6 +374,107 @@ fn reactivation_without_registered_type_fails() {
     kernel2.shutdown();
 }
 
+/// A ledger that checkpoints its entries whole on `Fold` and journals each
+/// `Add` beside that: the incremental form of §1's one stable-storage
+/// primitive. `Note` does the same from a worker process.
+struct Ledger {
+    entries: Vec<i64>,
+}
+
+impl Ledger {
+    fn from_passive(rep: Option<Value>) -> eden_core::Result<Box<dyn EjectBehavior>> {
+        let entries = match rep {
+            Some(v) => v.as_list()?.iter().map(Value::as_int).collect::<Result<_, _>>()?,
+            None => Vec::new(),
+        };
+        Ok(Box::new(Ledger { entries }))
+    }
+}
+
+impl EjectBehavior for Ledger {
+    fn type_name(&self) -> &'static str {
+        "Ledger"
+    }
+    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
+        let durable = match inv.op.as_str() {
+            "Add" => ctx.journal(&inv.arg),
+            "Note" => {
+                let arg = inv.arg.clone();
+                let (tx, rx) = std::sync::mpsc::channel();
+                ctx.spawn_process("note", move |pctx| drop(tx.send(pctx.journal(&arg))));
+                rx.recv().unwrap()
+            }
+            "Fold" => ctx.checkpoint(&self.passive_representation().unwrap()),
+            "Get" => return reply.reply(Ok(self.passive_representation().unwrap())),
+            _ => Err(EdenError::Application("no such operation".into())),
+        };
+        // Durable before it counts, and before it is acknowledged.
+        if durable.is_ok() && inv.op.as_str() != "Fold" {
+            self.entries.push(inv.arg.as_int().unwrap());
+        }
+        reply.reply(durable.map(|()| Value::Unit));
+    }
+    fn redo(&mut self, entry: Value) -> eden_core::Result<()> {
+        self.entries.push(entry.as_int()?);
+        Ok(())
+    }
+    fn passive_representation(&self) -> Option<Value> {
+        Some(Value::list(self.entries.iter().copied().map(Value::Int).collect::<Vec<_>>()))
+    }
+}
+
+#[test]
+fn journaled_entries_are_redone_in_order_on_reactivation() {
+    let kernel = Kernel::new();
+    kernel.register_type("Ledger", Ledger::from_passive);
+    let ledger = kernel.spawn(Box::new(Ledger { entries: vec![] })).unwrap();
+    let call = |op: &str, n: i64| kernel.invoke(ledger, op, Value::Int(n)).wait();
+    let held = || {
+        let got = kernel.invoke(ledger, "Get", Value::Unit).wait().unwrap();
+        got.as_list().unwrap().iter().map(|v| v.as_int().unwrap()).collect::<Vec<_>>()
+    };
+    // Nothing to extend yet: refused, and the Eject knows it was.
+    assert!(matches!(call("Add", 1), Err(EdenError::NoSuchEject(_))));
+    call("Fold", 0).unwrap();
+    for n in [1, 2] {
+        call("Add", n).unwrap();
+    }
+    call("Note", 3).unwrap();
+    let m = kernel.metrics().snapshot();
+    assert_eq!((m.checkpoints, m.journal_entries), (4, 3));
+    assert!(m.checkpoint_bytes > 0);
+    kernel.crash(ledger).unwrap();
+    assert_eq!(held(), [1, 2, 3], "the checkpoint, then each entry, oldest first");
+    // A checkpoint starts the journal over.
+    call("Fold", 0).unwrap();
+    call("Add", 4).unwrap();
+    let rec = kernel.stable_store().load(ledger).unwrap();
+    assert_eq!((rec.journal.len(), rec.version), (1, 6));
+    kernel.crash(ledger).unwrap();
+    assert_eq!(held(), [1, 2, 3, 4]);
+    kernel.shutdown();
+}
+
+#[test]
+fn a_type_that_never_journals_refuses_to_redo() {
+    let kernel = Kernel::new();
+    register_counter(&kernel);
+    let counter = kernel.spawn(Box::new(Counter { count: 0 })).unwrap();
+    kernel.invoke(counter, "Increment", Value::Unit).wait().unwrap();
+    kernel.invoke(counter, ops::CHECKPOINT, Value::Unit).wait().unwrap();
+    // It never calls `journal`, so it comes back exactly as it always has.
+    kernel.crash(counter).unwrap();
+    let got = kernel.invoke(counter, "Get", Value::Unit).wait().unwrap();
+    assert_eq!(got, Value::Int(1));
+    // An entry somebody else put beside its checkpoint is not its to apply.
+    let entry = eden_core::wire::encode(&Value::Int(7));
+    kernel.stable_store().append(counter, entry.into()).unwrap();
+    kernel.crash(counter).unwrap();
+    let err = kernel.invoke(counter, "Get", Value::Unit).wait().unwrap_err();
+    assert!(matches!(&err, EdenError::Application(why) if why.contains("no journal")), "{err}");
+    kernel.shutdown();
+}
+
 /// An Eject whose worker process does the computation and posts the result
 /// back as an internal event — the coordinator/worker organisation of §4.
 struct Delegator {

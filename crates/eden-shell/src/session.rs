@@ -241,8 +241,8 @@ impl Session {
                 s.ejects_created
             ),
             format!(
-                "activations: {}, deactivations: {}, checkpoints: {}, crashes: {}",
-                s.activations, s.deactivations, s.checkpoints, s.crashes
+                "activations: {}, deactivations: {}, checkpoints: {} ({} journal entries, {} bytes), crashes: {}",
+                s.activations, s.deactivations, s.checkpoints, s.journal_entries, s.checkpoint_bytes, s.crashes
             ),
             format!(
                 "faults injected: {}, retries: {}, reactivations: {}, recovered streams: {}",

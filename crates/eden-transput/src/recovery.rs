@@ -25,7 +25,7 @@
 //!    never discards what the stable state still needs. What it has been
 //!    *allowed to forget* — the prefix a reader's position acknowledges —
 //!    it forgets in memory and writes nothing for: the reader says its
-//!    position again with every `Transfer`, so a checkpoint that still
+//!    position again with every `Transfer`, so a stable state that still
 //!    holds the prefix serves it the same bytes.
 //! 3. **Retry against a reactivating kernel.** Stream invocations travel
 //!    with a [`RetryPolicy`]; a retry of an invocation whose target crashed
@@ -54,15 +54,22 @@
 //!
 //! ## The checkpoint
 //!
-//! One record, written whole (`Kept::record`): the transform's registry
-//! name and its state, the two faces (a peer's UID or unit, and whether a
-//! faceless input is a drained local supply), the input position `consumed`
-//! and `in_end`, the output position `base`, the output `buf` from `base` on
-//! and `out_end`, and the batch size. They describe one instant — the last
-//! at which the stage took or made something — so a reactivated stage is the
-//! crashed one as of then, with a `base` at or before where its reader
-//! stands. A passive output's trims alone never write one: a source's only
-//! checkpoint is its birth, with its whole supply.
+//! A checkpoint, and a journal of what changed since (`Kept::save`). What
+//! changes is an *entry*: the input position `consumed` and `in_end`, the
+//! output position `base` and `out_end`, and `appended`, the output the
+//! stable state lacks. A checkpoint is what never changes — the transform's
+//! registry name, the two faces (a peer's UID or unit, and whether a
+//! faceless input is a drained local supply), the batch size — with the
+//! transform's state and an entry carrying all of `buf`; a journal entry is
+//! an entry alone, redone by draining `buf` to its `base` and extending it.
+//! Each describes one instant, the last at which the stage took or made
+//! something, so a reactivated stage is the crashed one as of then, with a
+//! `base` at or before where its reader stands. The checkpoint is written
+//! again once as many records have been journaled and forgotten as it would
+//! now hold (a write costs what changed; the journal never outgrows what it
+//! stands for), and every time if the transform has state. A passive
+//! output's trims alone write nothing: they ride the next entry's `base`,
+//! and a source's only write is its birth, with its whole supply.
 //!
 //! [`StableStore`]: eden_kernel::StableStore
 
@@ -81,12 +88,12 @@ use crate::stage::{Buffer, Host, InFace, Stage};
 use crate::transform::Transform;
 
 /// The operation a [`run_recoverable_pipeline`] driver uses to read the
-/// terminal acceptor — a retained (passive, passive) stage nobody reads
-/// positionally, so it forgets nothing: replies with a [`Batch`] of
-/// everything accepted so far, `end` set once the stream has closed. Keeping
-/// the output *inside* the acceptor's checkpoint (rather than pushing it to
-/// an external collector) is what lets the terminal stage recover exactly:
-/// the records and the position that acknowledges them are one atomic state.
+/// terminal acceptor — a retained (passive, passive) stage it lets forget
+/// nothing: replies with a [`Batch`] of everything accepted from its
+/// [`TransferRequest`]'s `pos` on (absent: from the start), `end` set once
+/// the stream has closed. Keeping the output *inside* the acceptor's stable
+/// state (rather than pushing it to an external collector) lets the terminal
+/// stage recover exactly: records and acknowledging position are one state.
 pub const READ_ALL: &str = "ReadAll";
 
 /// The one Eden type every retained stage is registered under.
@@ -195,9 +202,13 @@ pub(crate) struct Kept {
     pub(crate) base: u64,
     /// An active output has delivered end-of-stream and had it acknowledged.
     pub(crate) out_end: bool,
-    /// The in-memory state is ahead of the last checkpoint.
+    /// The in-memory state is ahead of the stored one.
     pub(crate) dirty: bool,
-    pub(crate) recovered: bool,
+    /// The output position the stored copy of `buf` reaches. `None`: unknown —
+    /// not yet born, or the last write failed and may yet have landed.
+    pub(crate) stored: Option<u64>,
+    /// Records journaled and records forgotten since the last whole write.
+    moved: u64,
 }
 
 impl Kept {
@@ -208,60 +219,91 @@ impl Kept {
         self.registry.build(&self.transform, state)
     }
 
-    /// The checkpoint (module docs), around what the stage itself holds:
-    /// its transform, and in its buffer the output and whether it is whole.
-    pub(crate) fn record(&self, input: &InFace, buffer: &Buffer) -> Value {
+    /// An entry (module docs) carrying the output from the `from`-th on.
+    fn entry(&self, buffer: &Buffer, from: usize) -> Vec<(&'static str, Value)> {
+        let appended: Vec<Value> = buffer.queues[0].range(from..).cloned().collect();
+        vec![
+            ("consumed", Value::Int(self.consumed as i64)),
+            ("in_end", Value::Bool(buffer.ended)),
+            ("base", Value::Int(self.base as i64)),
+            ("out_end", Value::Bool(self.out_end)),
+            ("appended", Value::list(appended)),
+        ]
+    }
+
+    /// The checkpoint, around the state of the stage's transform.
+    pub(crate) fn record(&self, transform_state: Option<Value>, buffer: &Buffer) -> Value {
         let peer = |p: Option<Uid>| p.map_or(Value::Unit, Value::Uid);
-        let transform_state = input.transform.as_ref().and_then(|t| t.state());
-        let buf: Vec<Value> = buffer.queues[0].iter().cloned().collect();
-        Value::record([
+        let fixed = [
             ("transform", Value::str(self.transform.clone())),
             ("transform_state", transform_state.unwrap_or(Value::Unit)),
             ("upstream", peer(self.upstream)),
             ("local", Value::Bool(self.local)),
             ("downstream", peer(self.downstream)),
-            ("consumed", Value::Int(self.consumed as i64)),
-            ("in_end", Value::Bool(buffer.ended)),
-            ("base", Value::Int(self.base as i64)),
-            ("buf", Value::list(buf)),
-            ("out_end", Value::Bool(self.out_end)),
             ("batch", Value::Int(self.batch as i64)),
-        ])
+        ];
+        Value::record(fixed.into_iter().chain(self.entry(buffer, 0)))
     }
 
-    /// The stage a checkpoint describes.
+    /// The stage a checkpoint describes: its entry, redone over nothing.
     pub(crate) fn reactivate(v: &Value, registry: &TransformRegistry) -> Result<Stage> {
-        let uint = |name| Ok::<_, EdenError>(v.field(name)?.as_int()?.max(0) as u64);
         // A UID is an active face's peer, unit a passive face.
         let peer = |name| match v.field(name)? {
             Value::Unit => Ok(None),
             peer => peer.as_uid().map(Some),
         };
-        let kept = Kept {
+        let mut kept = Kept {
             transform: v.field("transform")?.as_str()?.to_owned(),
             registry: registry.clone(),
             upstream: peer("upstream")?,
             local: v.field("local")?.as_bool()?,
             downstream: peer("downstream")?,
-            batch: uint("batch")?.max(1) as usize,
-            consumed: uint("consumed")?,
-            base: uint("base")?,
-            out_end: v.field("out_end")?.as_bool()?,
-            dirty: false,
-            recovered: true,
+            batch: v.field("batch")?.as_int()?.max(1) as usize,
+            ..Kept::default()
         };
-        let buf = v.field("buf")?.as_list()?.iter().cloned().collect();
-        let in_end = v.field("in_end")?.as_bool()?;
+        let mut buf = VecDeque::new();
+        let in_end = kept.redo(v, &mut buf)?;
+        kept.moved = 0;
         Stage::retained(kept, buf, in_end, v.field("transform_state")?)
     }
 
-    /// Checkpoint if anything changed since the last one.
+    /// Apply an entry to the state the ones before it came to. Returns
+    /// whether the input had ended.
+    pub(crate) fn redo(&mut self, entry: &Value, buf: &mut VecDeque<Value>) -> Result<bool> {
+        let uint = |name| Ok::<_, EdenError>(entry.field(name)?.as_int()?.max(0) as u64);
+        (self.consumed, self.out_end) = (uint("consumed")?, entry.field("out_end")?.as_bool()?);
+        let base = uint("base")?;
+        self.forget(buf, (base.saturating_sub(self.base) as usize).min(buf.len()));
+        let appended = entry.field("appended")?.as_list()?;
+        buf.extend(appended.iter().cloned());
+        self.moved += appended.len() as u64;
+        (self.base, self.stored) = (base, Some(base + buf.len() as u64));
+        entry.field("in_end")?.as_bool()
+    }
+
+    /// Make durable what the stage has taken or made since the last write,
+    /// if anything: the one place that chooses what that write carries
+    /// (module docs) — and the checkpoint, if what is stored is unknown.
     pub(crate) fn save(&mut self, host: &impl Host, input: &InFace, buffer: &Buffer) -> Result<()> {
-        if self.dirty {
-            host.checkpoint(&self.record(input, buffer))?;
-            self.dirty = false;
+        if !self.dirty {
+            return Ok(());
         }
-        Ok(())
+        let held = buffer.queues[0].len();
+        let end = self.base + held as u64;
+        let state = input.transform.as_ref().and_then(|t| t.state());
+        let fresh = self.stored.map(|stored| (end - stored.max(self.base)) as usize);
+        let written = match fresh.filter(|n| state.is_none() && self.moved as usize + n < held) {
+            Some(fresh) => {
+                self.moved += fresh as u64;
+                host.journal(&Value::record(self.entry(buffer, held - fresh)))
+            }
+            None => {
+                self.moved = 0;
+                host.checkpoint(&self.record(state, buffer))
+            }
+        };
+        (self.stored, self.dirty) = (written.is_ok().then_some(end), written.is_err());
+        written
     }
 
     /// A passive input's `Write` must say where it stands. Refuses one that
@@ -310,6 +352,7 @@ impl Kept {
     pub(crate) fn forget(&mut self, buf: &mut VecDeque<Value>, n: usize) {
         buf.drain(..n);
         self.base += n as u64;
+        self.moved += n as u64;
     }
 }
 
@@ -544,7 +587,8 @@ fn time_left(deadline: Instant) -> Result<Duration> {
         .ok_or(EdenError::Timeout)
 }
 
-/// Collect the stream from the last of `stages` until it closes.
+/// Collect the stream from the last of `stages` until it closes, each read
+/// from where the driver's own copy ends.
 ///
 /// With `pull` (records per read) the chain has no acceptor and the driver
 /// is its active sink: positional `Transfer`s, which are stream traffic and
@@ -563,19 +607,14 @@ fn drive(
         .ok_or_else(|| EdenError::Application("no stages to drive".into()))?;
     let mut output = Vec::new();
     loop {
-        let pending = match pull {
-            Some(max) => {
-                let req = TransferRequest::primary(max).at(output.len() as u64);
-                kernel.invoke_with(tail, ops::TRANSFER, req.to_value(), stream_opts())
-            }
-            None => kernel.invoke_with(tail, READ_ALL, Value::Unit, control_opts()),
+        let (op, max, how) = match pull {
+            Some(max) => (ops::TRANSFER, max, stream_opts()),
+            None => (READ_ALL, i64::MAX as usize, control_opts()),
         };
+        let req = TransferRequest::primary(max).at(output.len() as u64);
+        let pending = kernel.invoke_with(tail, op, req.to_value(), how);
         let batch = Batch::from_value(pending.wait_timeout(time_left(deadline)?)?)?;
-        if pull.is_some() {
-            output.extend(batch.items);
-        } else {
-            output = batch.items;
-        }
+        output.extend(batch.items);
         if batch.end {
             return Ok(output);
         }

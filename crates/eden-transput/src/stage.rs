@@ -79,11 +79,11 @@
 //! position of a later `Transfer`, or the reply to a `Write`, acknowledges —
 //! so it parks no reader and no writer, and holds everything between two
 //! passive faces that nobody reads by position. *What an acknowledgement
-//! waits for:* a checkpoint of the whole stage whenever it has taken or made
-//! something (`retain`, `save`) — and nothing when a reader's position only
-//! lets it forget. *How a peer is called:* by a send whose wait retries,
-//! never by a call its caller's thread could be lent to (`pull`,
-//! `OutFace::consume`).
+//! waits for:* a durable write whenever the stage has taken or made something
+//! (`retain`, `save`) — of what changed, or of the stage whole — and nothing
+//! when a reader's position only lets it forget. *How a peer is called:* by
+//! a send whose wait retries, never by a call its caller's thread could be
+//! lent to (`pull`, `OutFace::consume`).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -212,12 +212,13 @@ impl StageConfig {
 /// synchronous volatile face ever does; send now and wait later, to keep a
 /// window of writes in flight, or under the options that let a retained
 /// face's call ride out a crash of its peer ([`crate::recovery`], 3); and
-/// write the stage's passive representation to stable storage.
+/// write the stage's passive representation, whole or one journal entry more.
 pub(crate) trait Host {
     fn call(&self, cache: &mut RouteCache, to: Uid, op: &'static str, arg: Value) -> Result<Value>;
     fn send(&self, to: Uid, op: &'static str, arg: Value, how: InvokeOptions<'_>) -> PendingReply;
     fn wait(&self, pending: PendingReply) -> Result<Value>;
     fn checkpoint(&self, state: &Value) -> Result<()>;
+    fn journal(&self, entry: &Value) -> Result<()>;
 }
 
 impl Host for EjectContext {
@@ -233,6 +234,9 @@ impl Host for EjectContext {
     fn checkpoint(&self, state: &Value) -> Result<()> {
         EjectContext::checkpoint(self, state)
     }
+    fn journal(&self, entry: &Value) -> Result<()> {
+        EjectContext::journal(self, entry)
+    }
 }
 
 impl Host for ProcessContext {
@@ -247,6 +251,9 @@ impl Host for ProcessContext {
     }
     fn checkpoint(&self, state: &Value) -> Result<()> {
         ProcessContext::checkpoint(self, state)
+    }
+    fn journal(&self, entry: &Value) -> Result<()> {
+        ProcessContext::journal(self, entry)
     }
 }
 
@@ -1114,14 +1121,26 @@ impl EjectBehavior for Stage {
         !(zipped && self.out_passive) && self.kept.is_none()
     }
 
+    fn redo(&mut self, entry: Value) -> Result<()> {
+        let (Some(kept), Some(input)) = (&mut self.kept, &mut self.input) else {
+            return Err(EdenError::Application("a volatile stage keeps no journal".into()));
+        };
+        self.meet.with(|buffer| {
+            buffer.ended = kept.redo(&entry, &mut buffer.queues[0])?;
+            input.flushed = buffer.ended;
+            Ok(())
+        })
+    }
+
     fn activate(&mut self, ctx: &EjectContext) {
         if let Some(kept) = &mut self.kept {
-            if kept.recovered {
+            if kept.stored.is_some() {
                 ctx.metrics().record_recovered_stream();
             }
-            // Durable from birth: a crash before the first stream operation
-            // must leave a reactivatable Eject, not a vanished one.
-            kept.dirty = true;
+            // Durable from birth (a recovered stage *is* its stable state): a
+            // crash before the first stream operation must leave a
+            // reactivatable Eject, not a vanished one.
+            kept.dirty |= kept.stored.is_none();
             let _ = self.save(ctx);
         }
         if !self.awaits_start() {
@@ -1145,11 +1164,13 @@ impl EjectBehavior for Stage {
                     .and_then(|req| self.meet.with(|buffer| buffer.table.id_of(&req.name)))
                     .map(Value::from),
             ),
-            // Everything a retained output still holds: how the acceptor
-            // at the end of a recoverable pipeline is read.
+            // All a retained output holds from the request's position on, and
+            // none of it forgotten: how a recoverable pipeline's acceptor is read.
             READ_ALL if self.out_passive && self.kept.is_some() => {
+                let pos = TransferRequest::from_value(&inv.arg).map_or(0, |req| req.pos.unwrap_or(0));
+                let skip = pos.saturating_sub(self.kept.as_ref().map_or(0, |kept| kept.base)) as usize;
                 let all = self.meet.with(|buffer| Batch {
-                    items: buffer.queues[0].iter().cloned().collect(),
+                    items: buffer.queues[0].iter().skip(skip).cloned().collect(),
                     end: buffer.ended,
                 });
                 reply.reply(Ok(all.to_value()));
@@ -2156,13 +2177,22 @@ mod tests {
     }
 
     /// Stands in for the kernel: serves pulls out of `upstream`,
-    /// acknowledges every push, keeps the last checkpoint as the bytes the
-    /// stable store would hold, and logs it all.
+    /// acknowledges every push, keeps the bytes the stable store would hold
+    /// — the last checkpoint, then the entries journaled since — and logs it
+    /// all: a durable write of either form is a `Checkpoint` event, and
+    /// `carried` says which form each took and the records it was handed.
     #[derive(Default)]
     struct Fake {
         upstream: Vec<Value>,
         log: RefCell<Vec<Event>>,
-        stored: RefCell<Vec<u8>>,
+        stored: RefCell<Vec<Vec<u8>>>,
+        carried: RefCell<Vec<(Form, Vec<Value>)>>,
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Form {
+        Whole,
+        Entry,
     }
 
     impl Host for Fake {
@@ -2207,17 +2237,31 @@ mod tests {
         }
 
         fn checkpoint(&self, state: &Value) -> Result<()> {
+            self.stored.borrow_mut().clear();
+            self.store(Form::Whole, state)
+        }
+
+        fn journal(&self, entry: &Value) -> Result<()> {
+            if self.stored.borrow().is_empty() {
+                return Err(EdenError::Application("nothing to journal beside".into()));
+            }
+            self.store(Form::Entry, entry)
+        }
+    }
+
+    impl Fake {
+        fn store(&self, form: Form, state: &Value) -> Result<()> {
             let uint = |name| Ok::<_, EdenError>(state.field(name)?.as_int()? as u64);
             let (consumed, base) = (uint("consumed")?, uint("base")?);
             self.log
                 .borrow_mut()
                 .push(Event::Checkpoint { consumed, base });
-            *self.stored.borrow_mut() = wire::encode(state);
+            let records = state.field("appended")?.as_list()?.to_vec();
+            self.carried.borrow_mut().push((form, records));
+            self.stored.borrow_mut().push(wire::encode(state));
             Ok(())
         }
-    }
 
-    impl Fake {
         fn pushes(&self) -> Vec<(u64, Vec<Value>, bool)> {
             let log = self.log.borrow();
             let pushes = log.iter().filter_map(|e| match e {
@@ -2245,10 +2289,14 @@ mod tests {
         }
 
         /// The stage a crash would bring back: the stored bytes, decoded
-        /// and rebuilt the way the kernel's reactivation does it.
+        /// and rebuilt the way the kernel's reactivation does it — the
+        /// constructor on the checkpoint, then `redo` on each entry.
         fn reactivated(&self) -> Stage {
-            let state = wire::decode(&self.stored.borrow()).unwrap();
-            Kept::reactivate(&state, &registry()).unwrap()
+            let stored = self.stored.borrow();
+            let mut states = stored.iter().map(|bytes| wire::decode(bytes).unwrap());
+            let mut stage = Kept::reactivate(&states.next().unwrap(), &registry()).unwrap();
+            states.for_each(|entry| stage.redo(entry).unwrap());
+            stage
         }
     }
 
@@ -2327,10 +2375,11 @@ mod tests {
         (kept.consumed, kept.base, buf)
     }
 
-    /// The checkpoint `s` would write now.
+    /// The checkpoint `s` would write now, were it to write one whole.
     fn record(s: &mut Stage) -> Value {
         let (kept, input) = (s.kept.as_ref().unwrap(), s.input.as_ref().unwrap());
-        s.meet.with(|b| kept.record(input, b))
+        let state = input.transform.as_ref().and_then(|t| t.state());
+        s.meet.with(|b| kept.record(state, b))
     }
 
     #[test]
@@ -2485,10 +2534,8 @@ mod tests {
     #[test]
     fn a_source_read_to_its_end_checkpoints_once_and_reserves_from_birth() {
         let host = Fake::default();
-        let mut s = recovery::fresh("", &registry(), (None, None), 3, Some(ints(0..8))).unwrap();
-        // Birth, as `activate` does it.
-        s.kept.as_mut().unwrap().dirty = true;
-        s.save(&host).unwrap();
+        let source = recovery::fresh("", &registry(), (None, None), 3, Some(ints(0..8))).unwrap();
+        let mut s = born(source, &host);
         // A reader may move on by any part of what it was served: every
         // position once, each acknowledging — and trimming — one record more.
         let read = |s: &mut Stage, pos| {
@@ -2545,53 +2592,199 @@ mod tests {
         );
     }
 
+    /// One step of a pump's worker, as `work` takes it.
+    fn pump(s: &mut Stage, host: &Fake) {
+        let (input, output) = (s.input.as_mut().unwrap(), s.output.as_mut());
+        let kept = s.kept.as_deref_mut().unwrap();
+        let chunk = input.produce(host, kept.batch, Some(kept)).unwrap();
+        let input = &*input;
+        s.meet
+            .with(|b| retain(host, input, output, b, Some(kept), chunk))
+            .unwrap();
+    }
+
+    /// Birth, as `activate` does it.
+    fn born(mut s: Stage, host: &Fake) -> Stage {
+        s.kept.as_mut().unwrap().dirty = true;
+        s.save(host).unwrap();
+        s
+    }
+
     #[test]
     fn state_round_trips_through_a_checkpoint_for_every_pair_of_faces() {
-        for (active_in, active_out) in [(false, false), (false, true), (true, false), (true, true)]
-        {
-            let case = format!("({active_in}, {active_out})");
+        let faces = [(false, false), (false, true), (true, false), (true, true)];
+        // A transform with state, which is part of what round-trips and is
+        // only ever written whole, and one without.
+        for ((active_in, active_out), transform) in faces.into_iter().zip(["sum", "double"]).chain(
+            faces.into_iter().zip(["double", "sum"]),
+        ) {
+            let case = format!("({active_in}, {active_out}) {transform}");
             let host = Fake {
-                upstream: ints(0..7),
+                upstream: ints(0..40),
                 ..Fake::default()
             };
-            // A stateful transform: its state is part of what round-trips.
-            let mut s = retained("sum", active_in, active_out);
-            // Put the stage mid-stream by whichever face drives it: a
-            // `Write`, a `Transfer`, or one step of the pump's worker.
-            match (active_in, active_out) {
-                (false, _) => drop(host.write(&mut s, write(0, 0..4, false)).unwrap()),
-                (true, false) => drop(
-                    host.read(&mut s, TransferRequest::primary(3).at(0))
-                        .unwrap(),
-                ),
-                (true, true) => {
-                    let (input, output) = (s.input.as_mut().unwrap(), s.output.as_mut());
-                    let kept = s.kept.as_deref_mut().unwrap();
-                    let chunk = input.produce(&host, kept.batch, Some(kept)).unwrap();
-                    let input = &*input;
-                    s.meet
-                        .with(|b| retain(&host, input, output, b, Some(kept), chunk))
-                        .unwrap();
+            let mut s = born(retained(transform, active_in, active_out), &host);
+            for step in 0..5u64 {
+                // Move the stage on by whichever face drives it: a `Write`,
+                // a `Transfer` (from a reader that asks for more and
+                // acknowledges nothing), or one step of the pump's worker.
+                match (active_in, active_out) {
+                    (false, _) => {
+                        let at = 4 * step as i64;
+                        drop(host.write(&mut s, write(4 * step, at..at + 4, false)).unwrap());
+                    }
+                    (true, false) => {
+                        let more = TransferRequest::primary(3 * (step as usize + 1)).at(0);
+                        drop(host.read(&mut s, more).unwrap());
+                    }
+                    (true, true) => pump(&mut s, &host),
                 }
+                let kept = s.kept.as_ref().unwrap();
+                assert!(kept.consumed > 0 && !kept.dirty, "{case} at {step}");
+                // Whichever form the step was written in, what comes back is
+                // the stage as it stands.
+                let mut back = host.reactivated();
+                assert_eq!(record(&mut back), record(&mut s), "{case} at {step}");
+                assert_eq!(
+                    (back.in_passive, back.out_passive),
+                    (!active_in, !active_out),
+                    "{case}"
+                );
+                let revived = back.kept.as_deref_mut().unwrap();
+                assert!(revived.stored.is_some() && !revived.dirty, "{case}");
+                // The rebuilt transform carries on from the input consumed
+                // so far, not from zero.
+                let seen: i64 = (0..revived.consumed as i64).sum();
+                let next = if transform == "sum" { seen + 100 } else { 200 };
+                let input = back.input.as_mut().unwrap();
+                let mut more = input.absorb(vec![Value::Int(100)], false, Some(revived));
+                assert_eq!(more.out.take_primary(), [Value::Int(next)], "{case}");
             }
-            let kept = s.kept.as_ref().unwrap();
-            assert!(kept.consumed > 0 && !kept.dirty, "{case}");
-            let mut back = host.reactivated();
-            assert_eq!(record(&mut back), record(&mut s), "{case}");
-            assert_eq!(
-                (back.in_passive, back.out_passive),
-                (!active_in, !active_out),
-                "{case}"
-            );
-            let revived = back.kept.as_deref_mut().unwrap();
-            assert!(revived.recovered && !revived.dirty, "{case}");
-            // The rebuilt transform carries on from the input consumed so
-            // far, not from zero.
-            let seen: i64 = (0..revived.consumed as i64).sum();
-            let input = back.input.as_mut().unwrap();
-            let mut more = input.absorb(vec![Value::Int(100)], false, Some(revived));
-            assert_eq!(more.out.take_primary(), [Value::Int(seen + 100)], "{case}");
+            // Only a stage that holds what it is not writing has anything to
+            // journal: here, the two that nobody takes from.
+            let forms: Vec<Form> = host.carried.borrow().iter().map(|(form, _)| *form).collect();
+            let holds = !active_out && transform == "double";
+            assert_eq!(forms.contains(&Form::Entry), holds, "{case}: {forms:?}");
         }
+    }
+
+    #[test]
+    fn an_acceptors_write_hands_the_store_that_writes_records_and_no_others() {
+        let host = Fake::default();
+        let mut s = born(retained("", false, false), &host);
+        for k in 0..8 {
+            host.write(&mut s, write(3 * k as u64, 3 * k..3 * k + 3, false))
+                .unwrap();
+            let carried = host.carried.borrow();
+            assert_eq!(carried.len() as i64, k + 2, "one durable write a `Write`");
+            let (form, records) = carried.last().unwrap();
+            assert_eq!(records, &ints(3 * k..3 * k + 3), "write {k}");
+            // The first doubles what birth stored (nothing): whole. No later
+            // one ever does, for nothing is forgotten.
+            assert_eq!(*form == Form::Whole, k == 0, "write {k}");
+        }
+        assert_eq!(standing(&mut host.reactivated()), (24, 0, ints(0..24)));
+        // With state of its own a stage is written whole every time.
+        let host = Fake::default();
+        let mut s = born(retained("sum", false, false), &host);
+        for k in 0..4 {
+            host.write(&mut s, write(3 * k as u64, 3 * k..3 * k + 3, false))
+                .unwrap();
+        }
+        let carried = host.carried.borrow();
+        assert!(carried.iter().all(|(form, _)| *form == Form::Whole));
+        assert_eq!(carried.last().unwrap().1.len(), 12);
+    }
+
+    #[test]
+    fn a_pushing_sources_acknowledgement_hands_the_store_a_position_and_no_record() {
+        let host = Fake::default();
+        let peers = (None, Some(Uid::fresh()));
+        let source = recovery::fresh("", &registry(), peers, 3, Some(ints(0..48))).unwrap();
+        let mut s = born(source, &host);
+        // One step of the worker pushes all there is, a batch at a time, and
+        // saves after each acknowledgement.
+        pump(&mut s, &host);
+        assert_eq!(host.pushes().len(), 16);
+        let carried = host.carried.borrow();
+        let after_birth = &carried[1..];
+        assert_eq!(after_birth.len(), 16, "one durable write a push");
+        // An entry says how far the supply has been pushed; the supply is
+        // written again only once half of what was last written is gone.
+        let whole: Vec<usize> = after_birth
+            .iter()
+            .filter(|(form, _)| *form == Form::Whole)
+            .map(|(_, records)| records.len())
+            .collect();
+        assert_eq!(whole, [24, 12, 6, 3, 0]);
+        let entries = after_birth.iter().filter(|(form, _)| *form == Form::Entry);
+        assert!(entries.clone().all(|(_, records)| records.is_empty()));
+        assert_eq!(entries.count(), 11);
+    }
+
+    #[test]
+    fn a_backlogged_pipe_journals_the_batch_it_took_and_how_far_it_has_been_read() {
+        let host = Fake::default();
+        let mut s = born(retained("", false, false), &host);
+        let batch = |k: i64| write(3 * k as u64, 3 * k..3 * k + 3, false);
+        // Ten batches written before the first is read ...
+        for k in 0..10 {
+            host.write(&mut s, batch(k)).unwrap();
+        }
+        // ... then read and written in step. A read takes and makes nothing,
+        // so it writes nothing; the write after it says where the read stood.
+        for k in 10..40 {
+            let writes = host.checkpoints();
+            let pos = 3 * (k as u64 - 9);
+            host.read(&mut s, TransferRequest::primary(3).at(pos))
+                .unwrap();
+            assert_eq!(host.checkpoints(), writes, "a read is not a durable write");
+            host.write(&mut s, batch(k)).unwrap();
+            let (form, records) = host.carried.borrow().last().unwrap().clone();
+            match form {
+                Form::Entry => assert_eq!(records, ints(3 * k..3 * k + 3), "write {k}"),
+                // Folded: all the pipe holds, which is the backlog.
+                Form::Whole => assert_eq!(records.len(), 30, "write {k}"),
+            }
+            assert_eq!(standing(&mut host.reactivated()), standing(&mut s), "write {k}");
+            assert_eq!(standing(&mut s).1, pos);
+        }
+        // Six records journaled or forgotten a round against thirty held:
+        // whole every fifth write, an entry the other four.
+        let carried = host.carried.borrow();
+        let folds = carried[11..].iter().filter(|(form, _)| *form == Form::Whole);
+        assert_eq!(folds.count(), 6);
+    }
+
+    #[test]
+    fn a_reactivated_stage_writes_nothing_until_it_takes_something() {
+        let kernel = Kernel::new();
+        recovery::install_recovery(&kernel, &registry());
+        let acceptor = kernel
+            .spawn(Box::new(retained("", false, false)))
+            .unwrap();
+        let send = |seq: u64| {
+            let w = write(seq, seq as i64..seq as i64 + 10, false).to_value();
+            kernel.invoke(acceptor, ops::WRITE, w).wait().unwrap();
+        };
+        (0..10).for_each(|k| send(10 * k));
+        let before = kernel.metrics().snapshot();
+        // Birth and ten writes; nine of them journaled ten records each.
+        assert_eq!((before.checkpoints, before.journal_entries), (11, 9));
+        kernel.crash(acceptor).unwrap();
+        kernel
+            .invoke(acceptor, ops::DESCRIBE, Value::Unit)
+            .wait()
+            .unwrap();
+        let woken = kernel.metrics().snapshot().since(&before);
+        assert_eq!((woken.reactivations, woken.recovered_streams), (1, 1));
+        assert_eq!(woken.checkpoints, 0, "it is its stable state: nothing to write");
+        send(100);
+        let after = kernel.metrics().snapshot().since(&before);
+        assert_eq!((after.checkpoints, after.journal_entries), (1, 1));
+        let all = kernel.invoke(acceptor, READ_ALL, Value::Unit).wait();
+        assert_eq!(Batch::from_value(all.unwrap()).unwrap().items, ints(0..110));
+        kernel.shutdown();
     }
 
     // ---- collector output: the pumping sink, the acceptor ----

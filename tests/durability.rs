@@ -10,10 +10,14 @@ use eden::core::{Uid, Value};
 use eden::filters::LineNumber;
 use eden::fs::{register_fs_types, FileEject};
 use eden::kernel::{
-    FaultKind, FaultPlan, FaultRule, InvokeOptions, Kernel, KernelConfig, RetryPolicy, StableStore,
+    DurableConfig, FaultKind, FaultPlan, FaultRule, FsyncPolicy, InvokeOptions, Kernel,
+    KernelConfig, RetryPolicy, StableStore,
 };
 use eden::transput::protocol::{Batch, TransferRequest};
-use eden::transput::recovery::{install_recovery, recoverable_filter, TransformRegistry};
+use eden::transput::recovery::{
+    install_recovery, recoverable_filter, run_recoverable_pipeline, RecoveryDiscipline,
+    TransformRegistry,
+};
 
 fn registry() -> TransformRegistry {
     TransformRegistry::new(&[("line-number", || Box::new(LineNumber::new()))])
@@ -141,8 +145,9 @@ fn mid_stream_pipeline_survives_whole_system_restart() {
 
 #[test]
 fn durable_pipeline_over_disk_backed_store() {
-    // Full-stack durability: the stable store itself lives on disk, so
-    // even the *process* could die between the two kernels.
+    // Full-stack durability: the stable store itself lives on disk (the
+    // durable log, fsynced before every acknowledgement), so even the
+    // *process* could die between the two kernels.
     let dir = std::env::temp_dir().join(format!(
         "eden-durability-{}-{}",
         std::process::id(),
@@ -150,7 +155,7 @@ fn durable_pipeline_over_disk_backed_store() {
     ));
     let filter;
     {
-        let store = StableStore::persistent(&dir).expect("open store");
+        let store = StableStore::durable(&dir, FsyncPolicy::Always).expect("open store");
         let kernel = Kernel::with_stable_store(KernelConfig::default(), store);
         register_all(&kernel);
         let (_cursor, f) = durable_chain(&kernel, 4);
@@ -161,7 +166,7 @@ fn durable_pipeline_over_disk_backed_store() {
     }
     {
         // Re-open the store from disk — nothing shared in memory.
-        let store = StableStore::persistent(&dir).expect("reopen store");
+        let store = StableStore::durable(&dir, FsyncPolicy::Always).expect("reopen store");
         let kernel = Kernel::with_stable_store(KernelConfig::default(), store);
         register_all(&kernel);
         let batch = transfer(&kernel, filter, 10, 2);
@@ -171,6 +176,41 @@ fn durable_pipeline_over_disk_backed_store() {
         kernel.shutdown();
     }
     std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// The bytes a recoverable run of `records` integers leaves in a durable
+/// log that is never compacted: everything it ever wrote.
+fn log_bytes_written(discipline: RecoveryDiscipline, records: i64) -> u64 {
+    let config = DurableConfig {
+        fsync: FsyncPolicy::EveryN(64),
+        auto_compact: false,
+        ..DurableConfig::default()
+    };
+    let store = StableStore::durable_on(eden::core::MemFs::new(), config).expect("open log");
+    let kernel = Kernel::with_stable_store(KernelConfig::default(), store.clone());
+    let registry = TransformRegistry::default();
+    install_recovery(&kernel, &registry);
+    let items: Vec<Value> = (0..records).map(Value::Int).collect();
+    let timeout = Duration::from_secs(120);
+    let run = run_recoverable_pipeline(&kernel, discipline, items.clone(), &[], &registry, 8, timeout);
+    assert_eq!(run.expect("run").output, items, "{discipline:?}");
+    kernel.shutdown();
+    store.stats().log_bytes
+}
+
+#[test]
+fn what_a_run_writes_to_the_log_grows_with_the_stream_not_its_square() {
+    // A stage that holds the stream — the pushing source its supply, the
+    // acceptor everything, a pipe its backlog — writes what changed before
+    // each acknowledgement, not all it holds: twice the records, about
+    // twice the bytes (four times, when every write carried the stream).
+    for discipline in [RecoveryDiscipline::WriteOnly, RecoveryDiscipline::Conventional] {
+        let (short, long) = (log_bytes_written(discipline, 2_000), log_bytes_written(discipline, 4_000));
+        assert!(
+            (long as f64) < 2.5 * short as f64,
+            "{discipline:?}: {short} bytes for 2,000 records, {long} for 4,000"
+        );
+    }
 }
 
 mod crash_schedules {

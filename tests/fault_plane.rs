@@ -390,6 +390,60 @@ fn direct_crash_of_every_stage_recovers() {
     crash_each_stage_in_turn(&registry(), &["double", "inc"], &items, 0, &expected(30));
 }
 
+#[test]
+fn acceptor_crashed_behind_its_journal_returns_everything_once() {
+    // The acceptor holds the whole output and journals each `Write`'s
+    // records beside an early checkpoint. Crashed with entries behind it,
+    // it comes back as checkpoint plus journal, and the driver's `ReadAll`
+    // — which asks from where its own copy ends — misses and repeats nothing.
+    let run = |kernel: &Kernel, discipline, n: i64| {
+        let (kernel, reg) = (kernel.clone(), registry());
+        install_recovery(&kernel, &reg);
+        let items: Vec<Value> = (0..n).map(Value::Int).collect();
+        let timeout = Duration::from_secs(60);
+        std::thread::spawn(move || {
+            run_recoverable_pipeline(&kernel, discipline, items, &["double", "inc"], &reg, 4, timeout)
+        })
+    };
+    let in_birth_order = |kernel: &Kernel| {
+        let mut uids: Vec<_> = kernel.list_ejects().iter().map(|info| info.uid).collect();
+        uids.sort_by_key(|uid| uid.seq());
+        uids
+    };
+    for discipline in [RecoveryDiscipline::WriteOnly, RecoveryDiscipline::Conventional] {
+        // A fault-free run says how many stages there are and which of
+        // them, in order of birth, is the acceptor: the last of the chain.
+        let kernel = Kernel::new();
+        let probe = run(&kernel, discipline, 8).join().unwrap().unwrap();
+        let acceptor = *probe.stages.last().unwrap();
+        let born = in_birth_order(&kernel);
+        let rank = born.iter().position(|uid| *uid == acceptor).unwrap();
+        kernel.shutdown();
+
+        let kernel = Kernel::new();
+        let runner = run(&kernel, discipline, 2_000);
+        let store = kernel.stable_store();
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        let acceptor = loop {
+            assert!(std::time::Instant::now() < deadline, "{discipline:?}: no journal grew");
+            // Every stage is born before any record moves.
+            let stages = in_birth_order(&kernel);
+            let journaled = |uid| store.load(uid).map_or(0, |rec| rec.journal.len());
+            if stages.len() == born.len() && journaled(stages[rank]) >= 3 {
+                break stages[rank];
+            }
+            std::thread::yield_now();
+        };
+        kernel.crash(acceptor).unwrap();
+        let run = runner.join().unwrap().unwrap();
+        assert_eq!(Some(&acceptor), run.stages.last(), "{discipline:?}: crashed the acceptor");
+        assert_eq!(run.output, expected(2_000), "{discipline:?}");
+        let m = kernel.metrics().snapshot();
+        assert!(m.reactivations >= 1 && m.recovered_streams >= 1, "{discipline:?}: {m:?}");
+        kernel.shutdown();
+    }
+}
+
 /// Transforms whose next output depends on everything they have seen: the
 /// numbering a counter, the sort holding the whole stream until it ends.
 const STATEFUL: &[&str] = &["line-number", "sort"];
@@ -650,12 +704,14 @@ fn whole_kernel_restart_resumes_from_the_durable_log() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Torn-write recovery: store a known history into the durable log,
-    /// then truncate the newest segment at an arbitrary byte offset (a
-    /// crash mid-append tears at most one frame). Replay must recover a
-    /// valid *prefix* of the history — every surviving record byte-exact
-    /// at some version it actually had, never a corrupt or invented one —
-    /// and the reopened log must itself reopen cleanly.
+    /// Torn-write recovery: store a known history of checkpoints and journal
+    /// entries into the durable log, then truncate the newest segment at an
+    /// arbitrary byte offset (a crash mid-append tears at most one frame).
+    /// Replay must recover a valid *prefix* of the history — every surviving
+    /// record a checkpoint byte-exact at some version it actually had and
+    /// exactly the entries written after it, in order and without a gap,
+    /// never a corrupt or invented one — and the reopened log must itself
+    /// reopen cleanly.
     #[test]
     fn torn_segment_tail_recovers_a_valid_prefix(
         tear_back in 1usize..64,
@@ -673,17 +729,23 @@ proptest! {
         };
         let uids: Vec<eden::core::Uid> =
             (0..uids_n).map(|_| eden::core::Uid::fresh()).collect();
-        // History: every (uid, version) -> payload ever written.
+        // History: every (uid, version) -> (whether a checkpoint, payload)
+        // ever written.
         let mut history =
-            std::collections::HashMap::<(eden::core::Uid, u64), Vec<u8>>::new();
+            std::collections::HashMap::<(eden::core::Uid, u64), (bool, Vec<u8>)>::new();
         {
             let log = DurableLog::open(std::sync::Arc::clone(&fs), cfg).unwrap();
             for i in 0..writes {
                 let uid = uids[i % uids.len()];
                 let payload = vec![(i % 251) as u8; 3 + i % 9];
-                log.store(uid, "T", payload.clone().into()).unwrap();
+                // A checkpoint first, then two entries for every one more.
+                let whole = !log.contains(uid) || (i / uids.len()).is_multiple_of(3);
+                match whole {
+                    true => log.store(uid, "T", payload.clone().into()).unwrap(),
+                    false => log.append(uid, payload.clone().into()).unwrap(),
+                }
                 let v = log.load(uid).unwrap().version;
-                history.insert((uid, v), payload);
+                history.insert((uid, v), (whole, payload));
             }
         }
         // Tear: cut the newest segment `tear_back` bytes from its end
@@ -699,13 +761,21 @@ proptest! {
 
         let log = DurableLog::open(std::sync::Arc::clone(&fs), cfg).unwrap();
         for (uid, rec) in log.iter() {
-            let expect = history
-                .get(&(uid, rec.version))
-                .expect("recovered a (uid, version) never written");
-            prop_assert_eq!(
-                &rec.bytes[..], &expect[..],
-                "recovered bytes must match what that version wrote"
-            );
+            let base = rec.version - rec.journal.len() as u64;
+            let written = std::iter::once(&rec.bytes).chain(&rec.journal);
+            for (version, bytes) in (base..).zip(written) {
+                let (whole, expect) = history
+                    .get(&(uid, version))
+                    .expect("recovered a (uid, version) never written");
+                prop_assert_eq!(
+                    *whole, version == base,
+                    "a journal holds entries, after the checkpoint they extend"
+                );
+                prop_assert_eq!(
+                    &bytes[..], &expect[..],
+                    "recovered bytes must match what that version wrote"
+                );
+            }
         }
         // The tear only ever removes the newest suffix: every uid whose
         // final version predates the torn frames must still be present.

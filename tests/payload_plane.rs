@@ -147,14 +147,17 @@ fn checkpoint_store_path_adds_no_payload_copies() {
     // representation — and everything after that moves references. The
     // redesigned `StableStore::store(Bytes)` hands the encode buffer to
     // the backend without re-copying, and `load` returns bytes that alias
-    // the very allocation that was stored.
+    // the very allocation that was stored. A journal entry beside the
+    // checkpoint travels the same way.
     let _guard = PAYLOAD_METER.lock().unwrap();
     let store = eden::kernel::StableStore::new();
     let uid = eden::core::Uid::fresh();
     let encoded: bytes::Bytes = wire::encode(&big_datum(7)).into();
+    let entry: bytes::Bytes = wire::encode(&big_datum(8)).into();
 
     let before = payload::snapshot();
     store.store(uid, "Datum", encoded.clone()).unwrap();
+    store.append(uid, entry.clone()).unwrap();
     let rec = store.load(uid).unwrap();
     let delta = payload::snapshot().since(&before);
 
@@ -167,6 +170,7 @@ fn checkpoint_store_path_adds_no_payload_copies() {
         encoded.as_ptr(),
         "loaded checkpoint must alias the stored allocation"
     );
+    assert_eq!(rec.journal[0].as_ptr(), entry.as_ptr(), "and so its journal");
 }
 
 #[test]
