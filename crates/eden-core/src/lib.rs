@@ -3,7 +3,7 @@
 //! This crate contains the vocabulary shared by every other crate in the
 //! workspace: unforgeable identifiers ([`Uid`]), the dynamically-typed
 //! [`Value`] carried by invocations, the tag-length-value [`wire`] codec used
-//! for checkpointed passive representations, the [`EdenError`] type, interned
+//! for checkpointed passive representations, the [`EdenError`] type,
 //! operation names ([`OpName`]), and the [`metrics`] counters and
 //! [`CostModel`] used to reproduce the paper's analytic cost comparisons.
 //!

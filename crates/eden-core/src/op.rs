@@ -1,47 +1,57 @@
 //! Operation names.
 //!
-//! An invocation is "a request to perform some named operation" (§1). Names
-//! are cheap-to-clone interned strings. The well-known names of the transput
-//! protocol and the filing system live here so that every crate agrees on
-//! spelling.
+//! An invocation is "a request to perform some named operation" (§1). A
+//! name the program spells itself — every constant in [`ops`] — is a static
+//! ([`OpName::from_static`]): making one allocates nothing and cloning it
+//! copies a pointer. A name that arrives borrowed (`From<&str>`, a shell
+//! word, a name read off the wire) is copied once into a shared buffer and
+//! cloned by reference bump. Nothing is interned: comparison is by content.
+//! The well-known names of the transput protocol and the filing system live
+//! here so that every crate agrees on spelling.
 
 use std::fmt;
-use std::sync::Arc;
+
+use crate::value::Text;
 
 /// The name of an invocable operation.
 ///
-/// Cloning is an `Arc` bump; comparison is by string content.
+/// Cloning never copies the name; comparison is by string content.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct OpName(Arc<str>);
+pub struct OpName(Text);
 
 impl OpName {
+    /// A name that is a static string: no allocation, no copy.
+    pub const fn from_static(s: &'static str) -> OpName {
+        OpName(Text::from_static(s))
+    }
+
     /// View the name as a string slice.
     pub fn as_str(&self) -> &str {
-        &self.0
+        self.0.as_str()
     }
 }
 
 impl From<&str> for OpName {
     fn from(s: &str) -> Self {
-        OpName(Arc::from(s))
+        OpName(Text::from(s))
     }
 }
 
 impl From<String> for OpName {
     fn from(s: String) -> Self {
-        OpName(Arc::from(s.as_str()))
+        OpName(Text::from(s))
     }
 }
 
 impl fmt::Debug for OpName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "OpName({})", self.0)
+        write!(f, "OpName({})", self.as_str())
     }
 }
 
 impl fmt::Display for OpName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.as_str())
     }
 }
 
@@ -106,6 +116,17 @@ mod tests {
         let b = a.clone();
         assert_eq!(a, b);
         assert_eq!(b.as_str(), "Lookup");
+    }
+
+    #[test]
+    fn a_static_name_is_the_borrowed_name() {
+        use std::collections::HashSet;
+        let fixed = OpName::from_static(ops::TRANSFER);
+        assert_eq!(fixed, OpName::from("Transfer"));
+        assert_eq!(fixed.clone().as_str(), "Transfer");
+        assert!(fixed < OpName::from_static(ops::WRITE));
+        let names: HashSet<OpName> = [OpName::from("Transfer")].into();
+        assert!(names.contains(&fixed));
     }
 
     #[test]

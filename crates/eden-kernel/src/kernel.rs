@@ -490,7 +490,7 @@ impl Kernel {
             .enabled()
             .then(|| Arc::new(ObsPlane::new(config.observability)));
         let sched = match &config.exec {
-            ExecMode::Scheduler(sched_config) => Some(Scheduler::new(*sched_config)),
+            ExecMode::Scheduler(sched_config) => Some(Scheduler::new(*sched_config, obs.is_some())),
             ExecMode::Threads => None,
         };
         let inner = KernelInner {

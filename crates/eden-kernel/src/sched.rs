@@ -768,6 +768,10 @@ pub(crate) struct Scheduler {
     inject_mask: usize,
     target_workers: usize,
     epoch: Instant,
+    /// Whether an observability plane is installed to read the run-queue
+    /// stamps. Without one nothing consumes them, and no dispatch — an
+    /// inline call least of all — reads the clock for them.
+    stamps: bool,
     /// Workers inside the sleep protocol (announced on `sleepers`, about
     /// to park or parked). The producer side of the Dekker handshake in
     /// [`Scheduler::maybe_wake`].
@@ -814,7 +818,9 @@ pub(crate) struct Scheduler {
 }
 
 impl Scheduler {
-    pub(crate) fn new(config: SchedulerConfig) -> Arc<Scheduler> {
+    /// `stamps`: whether anything will read the run-queue wait (the kernel
+    /// builder knows: it installs the observability plane or does not).
+    pub(crate) fn new(config: SchedulerConfig, stamps: bool) -> Arc<Scheduler> {
         let workers = config.workers.max(1);
         let slots: Box<[WorkerSlot]> = (0..workers)
             .map(|_| WorkerSlot {
@@ -839,6 +845,7 @@ impl Scheduler {
             injector,
             target_workers: workers,
             epoch: Instant::now(),
+            stamps,
             idle_count: CachePadded(AtomicUsize::new(0)),
             cpu_quota: std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -974,7 +981,9 @@ impl Scheduler {
     }
 
     fn stamp_enqueue(&self, task: &Task) {
-        task.rq_enq_ns.store(self.now_ns(), Ordering::Relaxed);
+        if self.stamps {
+            task.rq_enq_ns.store(self.now_ns(), Ordering::Relaxed);
+        }
     }
 
     /// What every `PARKED -> QUEUED` wake is owed, wherever it is spent.
@@ -1390,8 +1399,10 @@ impl Scheduler {
         // Entered even when there is nothing to enter: an inline resume
         // must not run under its caller's invocation span.
         let _span = eden_core::span::enter(body.ambient);
-        let pickup = Instant::now();
-        let rq_enq = self.epoch + Duration::from_nanos(task.rq_enq_ns.load(Ordering::Relaxed));
+        let waited = self.stamps.then(|| {
+            let rq_enq = Duration::from_nanos(task.rq_enq_ns.load(Ordering::Relaxed));
+            (self.epoch + rq_enq, Instant::now())
+        });
         if !body.activated {
             body.activated = true;
             body.behavior.activate(&task.ctx);
@@ -1419,7 +1430,7 @@ impl Scheduler {
                 }
                 Some(Envelope::Invocation(inv, mut reply)) => {
                     budget -= 1;
-                    let _guard = reply.begin_service_at(Some((rq_enq, pickup)));
+                    let _guard = reply.begin_service_at(waited);
                     if task.replies_last {
                         set_serving(reply.cell_id());
                     }

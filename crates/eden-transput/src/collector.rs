@@ -47,16 +47,16 @@ impl Collector {
         }
     }
 
-    /// Append records (called by sink Ejects).
+    /// Append records (called by sink Ejects). Wakes nobody: the condvar's
+    /// one waiter, [`wait_done`](Self::wait_done), waits for `done`, which
+    /// only [`finish`](Self::finish) and [`fail`](Self::fail) set.
     pub fn append(&self, items: Vec<Value>) {
         eden_core::stream::note_collected(items.len());
-        let (lock, cvar) = &*self.state;
-        let mut st = lock.lock();
+        let mut st = self.state.0.lock();
         st.records_seen += items.len() as u64;
         if self.keep_items {
             st.items.extend(items);
         }
-        cvar.notify_all();
     }
 
     /// Mark the stream complete (called once by the sink on end-of-stream).
@@ -151,6 +151,41 @@ mod tests {
     }
 
     #[test]
+    fn a_waiter_sleeps_through_appends_and_returns_once_with_all_of_them() {
+        let c = Collector::new();
+        let sink = c.clone();
+        let t = std::thread::spawn(move || {
+            for i in 0..10_000 {
+                sink.append(vec![Value::Int(i)]);
+            }
+            sink.finish();
+        });
+        let items = c.wait_done(Duration::from_secs(30)).unwrap();
+        assert_eq!(items, (0..10_000).map(Value::Int).collect::<Vec<_>>());
+        t.join().unwrap();
+    }
+
+    #[test]
+    fn fail_during_appends_returns_the_error() {
+        let c = Collector::new();
+        let sink = c.clone();
+        let t = std::thread::spawn(move || {
+            for i in 0..1_000 {
+                sink.append(vec![Value::Int(i)]);
+            }
+            sink.fail(EdenError::EndOfStream);
+            // A sink that has not heard yet may still deliver.
+            sink.append(vec![Value::Int(1_000)]);
+        });
+        assert_eq!(
+            c.wait_done(Duration::from_secs(30)).unwrap_err(),
+            EdenError::EndOfStream
+        );
+        t.join().unwrap();
+        assert_eq!(c.records_seen(), 1_001);
+    }
+
+    #[test]
     fn null_collector_counts_only() {
         let c = Collector::null();
         c.append(vec![Value::Int(1), Value::Int(2)]);
@@ -162,6 +197,7 @@ mod tests {
     #[test]
     fn wait_times_out() {
         let c = Collector::new();
+        c.append(vec![Value::Int(1)]);
         assert_eq!(
             c.wait_done(Duration::from_millis(20)).unwrap_err(),
             EdenError::Timeout

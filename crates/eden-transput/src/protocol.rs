@@ -10,7 +10,12 @@
 //!
 //! Streams carry [`Value`] records, not just bytes (§6: "Streams of
 //! arbitrary records fit into the protocol just as well").
+//!
+//! A field name is a static ([`Text::from_static`]): spelling it allocates
+//! nothing, and each encoder hands [`Value::record`] one array per shape,
+//! which becomes the record's field vector in one allocation.
 
+use eden_core::value::Text;
 use eden_core::{EdenError, Result, Uid, Value};
 
 /// The conventional number of the primary output channel.
@@ -134,8 +139,8 @@ impl Batch {
     /// allocation; no record is copied.
     pub fn to_value(self) -> Value {
         Value::record([
-            ("items", Value::list(self.items)),
-            ("end", Value::Bool(self.end)),
+            (Text::from_static("items"), Value::list(self.items)),
+            (Text::from_static("end"), Value::Bool(self.end)),
         ])
     }
 
@@ -188,14 +193,15 @@ impl TransferRequest {
 
     /// Encode as an invocation argument.
     pub fn to_value(self) -> Value {
-        let mut fields = vec![
-            ("channel", Value::from(self.channel)),
-            ("max", Value::Int(self.max as i64)),
-        ];
-        if let Some(pos) = self.pos {
-            fields.push(("pos", Value::Int(pos as i64)));
+        let channel = (Text::from_static("channel"), Value::from(self.channel));
+        let max = (Text::from_static("max"), Value::Int(self.max as i64));
+        match self.pos {
+            Some(pos) => {
+                let pos = (Text::from_static("pos"), Value::Int(pos as i64));
+                Value::record([channel, max, pos])
+            }
+            None => Value::record([channel, max]),
         }
-        Value::record(fields)
     }
 
     /// Decode from an invocation argument.
@@ -278,15 +284,16 @@ impl WriteRequest {
     /// it, not a copy.
     pub fn value_shared_at(channel: ChannelId, items: Value, end: bool, seq: Option<u64>) -> Value {
         debug_assert!(matches!(items, Value::List(_)));
-        let mut fields = vec![
-            ("channel", Value::from(channel)),
-            ("items", items),
-            ("end", Value::Bool(end)),
-        ];
-        if let Some(seq) = seq {
-            fields.push(("seq", Value::Int(seq as i64)));
+        let channel = (Text::from_static("channel"), Value::from(channel));
+        let items = (Text::from_static("items"), items);
+        let end = (Text::from_static("end"), Value::Bool(end));
+        match seq {
+            Some(seq) => {
+                let seq = (Text::from_static("seq"), Value::Int(seq as i64));
+                Value::record([channel, items, end, seq])
+            }
+            None => Value::record([channel, items, end]),
         }
-        Value::record(fields)
     }
 
     /// Decode from an invocation argument. Consumes the argument: the
@@ -324,7 +331,7 @@ pub struct GetChannelRequest {
 impl GetChannelRequest {
     /// Encode as an invocation argument.
     pub fn to_value(self) -> Value {
-        Value::record([("name", Value::from(self.name))])
+        Value::record([(Text::from_static("name"), Value::from(self.name))])
     }
 
     /// Decode from an invocation argument.

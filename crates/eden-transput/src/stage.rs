@@ -89,7 +89,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use eden_core::op::ops;
-use eden_core::{EdenError, Result, Uid, Value};
+use eden_core::{EdenError, OpName, Result, Uid, Value};
 use eden_kernel::{
     EjectBehavior, EjectContext, Invocation, InvokeOptions, PendingReply, ProcessContext,
     ReplyHandle, RouteCache,
@@ -223,10 +223,10 @@ pub(crate) trait Host {
 
 impl Host for EjectContext {
     fn call(&self, cache: &mut RouteCache, to: Uid, op: &'static str, arg: Value) -> Result<Value> {
-        self.call_routed(cache, to, op, arg)
+        self.call_routed(cache, to, OpName::from_static(op), arg)
     }
     fn send(&self, to: Uid, op: &'static str, arg: Value, how: InvokeOptions<'_>) -> PendingReply {
-        self.invoke_with(to, op, arg, how)
+        self.invoke_with(to, OpName::from_static(op), arg, how)
     }
     fn wait(&self, pending: PendingReply) -> Result<Value> {
         pending.wait()
@@ -241,10 +241,10 @@ impl Host for EjectContext {
 
 impl Host for ProcessContext {
     fn call(&self, cache: &mut RouteCache, to: Uid, op: &'static str, arg: Value) -> Result<Value> {
-        self.call_routed(cache, to, op, arg)
+        self.call_routed(cache, to, OpName::from_static(op), arg)
     }
     fn send(&self, to: Uid, op: &'static str, arg: Value, how: InvokeOptions<'_>) -> PendingReply {
-        self.invoke_with(to, op, arg, how)
+        self.invoke_with(to, OpName::from_static(op), arg, how)
     }
     fn wait(&self, pending: PendingReply) -> Result<Value> {
         self.wait_or_stop(pending)
