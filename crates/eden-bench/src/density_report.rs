@@ -5,12 +5,10 @@
 //! questions:
 //!
 //! * `resident`: how much memory and how many OS threads a parked
-//!   read-only stream costs. The scheduler arm holds the full resident
-//!   population (1M streams, 100k in `--smoke`); the threads arm holds a
-//!   deliberately small sample (a million coordinator threads would not
-//!   fit), and the per-Eject RSS slopes are compared directly.
-//! * `goodput`: depth-4 identity-pipeline throughput, threads mode vs
-//!   scheduler mode, plus the goodput-vs-workers curve for the pool.
+//!   read-only stream costs, over the full resident population (1M
+//!   streams, 100k in `--smoke`).
+//! * `goodput`: depth-4 identity-pipeline throughput, plus the
+//!   goodput-vs-workers curve for the pool.
 
 use std::time::{Duration, Instant};
 
@@ -25,12 +23,10 @@ use crate::runner;
 /// Workload dials for the density report.
 #[derive(Debug, Clone)]
 pub struct DensityConfig {
-    /// Parked read-only streams held resident in the scheduler arm.
+    /// Parked read-only streams held resident.
     pub resident: usize,
     /// Streams probed with a `Read` after the population parks.
     pub sample_reads: usize,
-    /// Resident population for the thread-per-Eject baseline arm.
-    pub threads_baseline: usize,
     /// Records pushed through each goodput pipeline.
     pub goodput_records: i64,
     /// Identity stages in the goodput pipelines.
@@ -53,7 +49,6 @@ impl DensityConfig {
         DensityConfig {
             resident: 100_000,
             sample_reads: 256,
-            threads_baseline: 1_000,
             goodput_records: 600,
             depth: 4,
             workers_curve: vec![1, 2, 4, 8],
@@ -68,7 +63,6 @@ impl DensityConfig {
         DensityConfig {
             resident: 1_000_000,
             sample_reads: 1024,
-            threads_baseline: 4_000,
             goodput_records: 20_000,
             depth: 4,
             workers_curve: vec![1, 2, 4, 8],
@@ -198,18 +192,14 @@ fn resident_arm(kernel: &Kernel, count: usize, sample_reads: usize) -> ResidentA
                 .expect("spawn resident stream"),
         );
     }
-    // Wait for the population to drain through activation and park. In
-    // threads mode there is nothing to wait for: parked_ejects stays zero
-    // and the spawn loop itself is the rendezvous.
-    if kernel.metrics_snapshot().sched.workers > 0 {
-        let parked_deadline = Instant::now() + Duration::from_secs(120);
-        loop {
-            let sched = kernel.metrics_snapshot().sched;
-            if sched.parked_ejects >= count as u64 || Instant::now() > parked_deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
+    // Wait for the population to drain through activation and park.
+    let parked_deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        let sched = kernel.metrics_snapshot().sched;
+        if sched.parked_ejects >= count as u64 || Instant::now() > parked_deadline {
+            break;
         }
+        std::thread::sleep(Duration::from_millis(10));
     }
     let spawn_seconds = t0.elapsed().as_secs_f64();
     let (rss_after_kb, threads_after) = proc_status();
@@ -300,20 +290,12 @@ pub struct DensityReport {
 
 /// Run every arm and render `BENCH_density.json`.
 pub fn density_report(cfg: &DensityConfig, smoke: bool) -> DensityReport {
-    // Resident population, scheduler mode (the tentpole claim).
+    // Resident population (the density claim).
     let sched_kernel = Kernel::builder().build();
     let sched_arm = resident_arm(&sched_kernel, cfg.resident, cfg.sample_reads);
     sched_kernel.shutdown();
 
-    // Thread-per-Eject baseline at a survivable population.
-    let threads_kernel = Kernel::builder().threads_mode().build();
-    let threads_arm = resident_arm(&threads_kernel, cfg.threads_baseline, cfg.sample_reads);
-    threads_kernel.shutdown();
-
-    // Goodput: threads mode vs default scheduler, then the workers curve.
-    let threads_kernel = Kernel::builder().threads_mode().build();
-    let threads_rps = goodput(&threads_kernel, cfg.goodput_records, cfg.depth);
-    threads_kernel.shutdown();
+    // Goodput: the default pool, then the workers curve.
     let sched_kernel = Kernel::builder().build();
     let sched_rps = goodput(&sched_kernel, cfg.goodput_records, cfg.depth);
     sched_kernel.shutdown();
@@ -435,19 +417,13 @@ pub fn density_report(cfg: &DensityConfig, smoke: bool) -> DensityReport {
             "  \"mode\": \"{}\",\n",
             "  \"resident\": {{\n",
             "    \"scheduler\": {},\n",
-            "    \"threads_baseline\": {},\n",
             "    \"rss_bytes_per_eject_scheduler\": {:.1},\n",
-            "    \"rss_bytes_per_eject_threads\": {:.1},\n",
-            "    \"threads_per_eject_scheduler\": {:.4},\n",
-            "    \"threads_per_eject_threads\": {:.4},\n",
-            "    \"sublinear_vs_threads\": {}\n",
+            "    \"threads_per_eject_scheduler\": {:.4}\n",
             "  }},\n",
             "  \"goodput\": {{\n",
             "    \"depth\": {},\n",
             "    \"records\": {},\n",
-            "    \"threads_records_per_second\": {:.1},\n",
             "    \"scheduler_records_per_second\": {:.1},\n",
-            "    \"scheduler_over_threads\": {:.3},\n",
             "    \"curve_samples\": {},\n",
             "    \"workers_curve\": [\n{}\n    ],\n",
             "    \"multi_pipeline\": {{\n",
@@ -465,18 +441,11 @@ pub fn density_report(cfg: &DensityConfig, smoke: bool) -> DensityReport {
         ),
         if smoke { "smoke" } else { "full" },
         sched_arm.json(),
-        threads_arm.json(),
         sched_arm.bytes_per_eject(),
-        threads_arm.bytes_per_eject(),
         sched_arm.threads_per_eject(),
-        threads_arm.threads_per_eject(),
-        sched_arm.bytes_per_eject() < threads_arm.bytes_per_eject()
-            && sched_arm.threads_per_eject() < threads_arm.threads_per_eject(),
         cfg.depth,
         cfg.goodput_records,
-        threads_rps,
         sched_rps,
-        sched_rps / threads_rps.max(f64::EPSILON),
         samples,
         curve_rows.join(",\n"),
         cfg.multi_pipelines,

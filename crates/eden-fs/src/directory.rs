@@ -18,7 +18,8 @@ use std::collections::BTreeMap;
 use eden_core::op::ops;
 use eden_core::{EdenError, Result, Uid, Value};
 use eden_kernel::{EjectBehavior, EjectContext, Invocation, ReplyHandle};
-use eden_transput::protocol::{Batch, TransferRequest};
+use eden_transput::source::VecSource;
+use eden_transput::{Input, Output, Stage, StageConfig};
 
 /// The Eden type name of [`DirectoryEject`] (used for reactivation).
 pub const DIRECTORY_TYPE: &str = "EdenDirectory";
@@ -28,8 +29,15 @@ pub const DIRECTORY_TYPE: &str = "EdenDirectory";
 #[derive(Debug)]
 pub struct DirectoryEject {
     entries: BTreeMap<String, Uid>,
-    /// The listing being streamed out, prepared by `List`.
-    listing: Vec<Value>,
+    /// The listing being streamed out, prepared by `List`: a source stage,
+    /// which speaks the stream protocol for the directory.
+    listing: Stage,
+}
+
+/// A source over `lines`.
+fn listing(lines: Vec<Value>) -> Stage {
+    let supply = Input::Local(Box::new(VecSource::new(lines)));
+    Stage::new(supply, Output::Passive, StageConfig::default())
 }
 
 impl DirectoryEject {
@@ -37,7 +45,7 @@ impl DirectoryEject {
     pub fn new() -> DirectoryEject {
         DirectoryEject {
             entries: BTreeMap::new(),
-            listing: Vec::new(),
+            listing: listing(Vec::new()),
         }
     }
 
@@ -124,19 +132,10 @@ impl DirectoryEject {
 
     /// Prepare the printable listing for streaming.
     fn prepare_listing(&mut self) -> Value {
-        self.listing = self
-            .entries
-            .iter()
-            .map(|(name, uid)| Value::str(format!("{name:<24} {uid}")))
-            .collect();
-        Value::Int(self.listing.len() as i64)
-    }
-
-    fn serve_transfer(&mut self, req: &TransferRequest) -> Batch {
-        let n = req.max.min(self.listing.len());
-        let items: Vec<Value> = self.listing.drain(..n).collect();
-        let end = self.listing.is_empty();
-        Batch { items, end }
+        let lines = self.entries.iter();
+        let lines = lines.map(|(name, uid)| Value::str(format!("{name:<24} {uid}")));
+        self.listing = listing(lines.collect());
+        Value::Int(self.entries.len() as i64)
     }
 }
 
@@ -158,15 +157,9 @@ impl EjectBehavior for DirectoryEject {
             ops::DELETE_ENTRY => reply.reply(self.delete_entry(&inv.arg)),
             "Rename" => reply.reply(self.rename(&inv.arg)),
             ops::LIST => reply.reply(Ok(self.prepare_listing())),
-            ops::TRANSFER => match TransferRequest::from_value(&inv.arg) {
-                Ok(req) => reply.reply(Ok(self.serve_transfer(&req).to_value())),
-                Err(e) => reply.reply(Err(e)),
-            },
             "Count" => reply.reply(Ok(Value::Int(self.entries.len() as i64))),
-            _ => reply.reply(Err(EdenError::NoSuchOperation {
-                target: ctx.uid(),
-                op: inv.op,
-            })),
+            // The stream protocol, on the channels a source declares.
+            _ => self.listing.handle(ctx, inv, reply),
         }
     }
 
@@ -245,6 +238,7 @@ impl EjectBehavior for DirConcatenatorEject {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eden_transput::protocol::{Batch, TransferRequest};
 
     fn lookup_arg(name: &str) -> Value {
         Value::record([("name", Value::str(name))])
@@ -282,12 +276,17 @@ mod tests {
 
     #[test]
     fn listing_streams_sorted_lines() {
-        let mut dir = DirectoryEject::new();
-        dir.add_entry(&entry_arg("beta", Uid::fresh())).unwrap();
-        dir.add_entry(&entry_arg("alpha", Uid::fresh())).unwrap();
-        let count = dir.prepare_listing();
+        let kernel = eden_kernel::Kernel::new();
+        let dir = kernel.spawn(Box::new(DirectoryEject::new())).unwrap();
+        for name in ["beta", "alpha"] {
+            let added = kernel.invoke(dir, ops::ADD_ENTRY, entry_arg(name, Uid::fresh()));
+            added.wait().unwrap();
+        }
+        let count = kernel.invoke(dir, ops::LIST, Value::Unit).wait().unwrap();
         assert_eq!(count, Value::Int(2));
-        let batch = dir.serve_transfer(&TransferRequest::primary(10));
+        let ten = TransferRequest::primary(10).to_value();
+        let batch = kernel.invoke(dir, ops::TRANSFER, ten).wait().unwrap();
+        let batch = Batch::from_value(batch).unwrap();
         assert_eq!(batch.len(), 2);
         assert!(batch.end);
         let first = batch.items[0].as_str().unwrap();

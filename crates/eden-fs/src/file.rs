@@ -7,9 +7,9 @@
 //! data is committed to stable storage by Checkpointing" (§2).
 //!
 //! A [`FileEject`] holds a sequence of records. Reading follows the Eden
-//! pattern: `Open` mints a fresh [`FileReaderEject`] — a private stream
-//! over a snapshot of the contents — and returns its UID (a capability, as
-//! in §7's `NewStream`). Writing follows §4's read-only idiom: the
+//! pattern: `Open` mints a fresh [`Stage::reader`] — a private, disposable
+//! stream over a snapshot of the contents — and returns its UID (a
+//! capability, as in §7's `NewStream`). Writing follows §4's read-only idiom: the
 //! `WriteFrom` invocation hands the file a *source* UID, and "a file opened
 //! for output would immediately issue a Read invocation, and would continue
 //! reading until it received an end of file indicator."
@@ -17,9 +17,9 @@
 use eden_core::op::ops;
 use eden_core::{EdenError, Result, Uid, Value};
 use eden_kernel::{EjectBehavior, EjectContext, Invocation, ReplyHandle};
-use eden_transput::protocol::{Batch, GetChannelRequest, TransferRequest};
+use eden_transput::protocol::{Batch, TransferRequest};
 use eden_transput::recovery::recoverable_source;
-use eden_transput::ChannelTable;
+use eden_transput::Stage;
 
 /// The Eden type name of [`FileEject`] (used for reactivation).
 pub const FILE_TYPE: &str = "EdenFile";
@@ -104,11 +104,8 @@ impl EjectBehavior for FileEject {
             // Open for reading: mint a private reader Eject over a
             // snapshot and return its UID (a stream capability).
             ops::OPEN => {
-                let reader = FileReaderEject::new(self.records.clone());
-                match spawn_sibling(ctx, Box::new(reader)) {
-                    Ok(uid) => reply.reply(Ok(Value::Uid(uid))),
-                    Err(e) => reply.reply(Err(e)),
-                }
+                let reader = Stage::reader(self.records.clone());
+                reply.reply(spawn_sibling(ctx, Box::new(reader)).map(Value::Uid));
             }
             // Open a *durable* read cursor: a recoverable source over a
             // snapshot, read by positional Transfers and checkpointed as
@@ -251,81 +248,9 @@ impl EjectBehavior for FileEject {
     }
 }
 
-/// A private, disposable stream over a snapshot of a file's contents.
-///
-/// Like §7's `UnixFile` Eject it deactivates itself when closed — or when
-/// its data is exhausted — "and, since it has never Checkpointed,
-/// disappears."
-#[derive(Debug)]
-pub struct FileReaderEject {
-    records: std::collections::VecDeque<Value>,
-    channels: ChannelTable,
-}
-
-impl FileReaderEject {
-    /// A reader over `records`.
-    pub fn new(records: Vec<Value>) -> FileReaderEject {
-        FileReaderEject {
-            records: records.into(),
-            channels: ChannelTable::single_output(),
-        }
-    }
-}
-
-impl EjectBehavior for FileReaderEject {
-    fn type_name(&self) -> &'static str {
-        "FileReader"
-    }
-
-    // Every arm answers and at most asks to be deactivated.
-    fn replies_last(&self) -> bool {
-        true
-    }
-
-    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
-        match inv.op.as_str() {
-            ops::TRANSFER => {
-                let req = match TransferRequest::from_value(&inv.arg) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        reply.reply(Err(e));
-                        return;
-                    }
-                };
-                if let Err(e) = self.channels.index_of(req.channel) {
-                    reply.reply(Err(e));
-                    return;
-                }
-                let n = req.max.min(self.records.len());
-                let items: Vec<Value> = self.records.drain(..n).collect();
-                let end = self.records.is_empty();
-                reply.reply(Ok(Batch { items, end }.to_value()));
-                if end {
-                    // Exhausted: vanish quietly.
-                    ctx.request_deactivate();
-                }
-            }
-            ops::GET_CHANNEL => {
-                let result = GetChannelRequest::from_value(&inv.arg)
-                    .and_then(|req| self.channels.id_of(&req.name))
-                    .map(Value::from);
-                reply.reply(result);
-            }
-            ops::CLOSE => {
-                reply.reply(Ok(Value::Unit));
-                ctx.request_deactivate();
-            }
-            _ => reply.reply(Err(EdenError::NoSuchOperation {
-                target: ctx.uid(),
-                op: inv.op,
-            })),
-        }
-    }
-}
-
 /// Spawn a sibling Eject on the same node as `ctx` (readers live with
 /// their file).
-fn spawn_sibling(ctx: &EjectContext, behavior: Box<dyn EjectBehavior>) -> Result<Uid> {
+pub(crate) fn spawn_sibling(ctx: &EjectContext, behavior: Box<dyn EjectBehavior>) -> Result<Uid> {
     match ctx.kernel() {
         Some(kernel) => kernel.spawn_on(ctx.node(), behavior),
         None => Err(EdenError::KernelShutdown),

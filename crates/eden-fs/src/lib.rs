@@ -3,11 +3,12 @@
 //! stream protocol, not passive data structures.
 //!
 //! * [`FileEject`] — a checkpointable sequence of records; `Open` mints a
-//!   disposable [`FileReaderEject`] stream, `WriteFrom` pulls new contents
-//!   from any source Eject and commits them by checkpointing.
+//!   disposable reader stream ([`eden_transput::Stage::reader`]),
+//!   `WriteFrom` pulls new contents from any source Eject and commits them
+//!   by checkpointing.
 //! * [`DirectoryEject`] — `Lookup` / `AddEntry` / `DeleteEntry` / `List`;
-//!   listing output is streamed via `Transfer`, so a directory *is* a
-//!   source (§4).
+//!   the listing is a source stage the directory answers `Transfer` by, so
+//!   a directory *is* a source (§4).
 //! * [`DirConcatenatorEject`] — PATH-style lookup across directories,
 //!   indistinguishable from a plain directory (behavioural typing, §2).
 //! * [`UnixFsEject`] — §7's bootstrap: `NewStream` and `UseStream` over a
@@ -26,7 +27,7 @@ pub mod mapfile;
 pub mod unixfs;
 
 pub use directory::{DirConcatenatorEject, DirectoryEject, DIRECTORY_TYPE};
-pub use file::{FileEject, FileReaderEject, WriteMode, FILE_TYPE};
+pub use file::{FileEject, WriteMode, FILE_TYPE};
 pub use hostfs::{HostFs, HostFsHandle, MemFs, RealFs};
 pub use mapfile::{read_at_arg, write_at_arg, MapFileEject, MAP_FILE_TYPE};
 pub use unixfs::{new_stream_arg, use_stream_arg, UnixFsEject};

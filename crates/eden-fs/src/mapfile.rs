@@ -17,7 +17,9 @@ use eden_core::op::ops;
 use eden_core::{EdenError, Result, Value};
 use eden_kernel::{EjectBehavior, EjectContext, Invocation, ReplyHandle};
 
-use crate::file::FileReaderEject;
+use eden_transput::Stage;
+
+use crate::file::spawn_sibling;
 
 /// The Eden type name of [`MapFileEject`] (used for reactivation).
 pub const MAP_FILE_TYPE: &str = "EdenMapFile";
@@ -116,14 +118,8 @@ impl EjectBehavior for MapFileEject {
             "Size" => reply.reply(Ok(Value::Int(self.records.len() as i64))),
             // The stream protocol, via a disposable reader (as FileEject).
             ops::OPEN => {
-                let reader = FileReaderEject::new(self.records.clone());
-                let result = match ctx.kernel() {
-                    Some(kernel) => kernel
-                        .spawn_on(ctx.node(), Box::new(reader))
-                        .map(Value::Uid),
-                    None => Err(EdenError::KernelShutdown),
-                };
-                reply.reply(result);
+                let reader = Stage::reader(self.records.clone());
+                reply.reply(spawn_sibling(ctx, Box::new(reader)).map(Value::Uid));
             }
             _ => reply.reply(Err(EdenError::NoSuchOperation {
                 target: ctx.uid(),

@@ -18,8 +18,9 @@ use eden_core::op::ops;
 use eden_core::{EdenError, Uid, Value};
 use eden_kernel::{EjectBehavior, EjectContext, Invocation, ReplyHandle};
 use eden_transput::protocol::{Batch, TransferRequest};
-use eden_transput::ChannelTable;
+use eden_transput::Stage;
 
+use crate::file::spawn_sibling;
 use crate::hostfs::{bytes_to_lines, lines_to_bytes, HostFsHandle};
 
 /// The per-machine bootstrap Eject.
@@ -57,20 +58,10 @@ impl EjectBehavior for UnixFsEject {
                         return;
                     }
                 };
-                let reader = UnixFileReader::new(lines);
-                let kernel = match ctx.kernel() {
-                    Some(k) => k,
-                    None => {
-                        reply.reply(Err(EdenError::KernelShutdown));
-                        return;
-                    }
-                };
-                match kernel.spawn_on(ctx.node(), Box::new(reader)) {
-                    // "returns as its result an Eden stream, i.e. a
-                    // Capability" — the reader's UID.
-                    Ok(uid) => reply.reply(Ok(Value::Uid(uid))),
-                    Err(e) => reply.reply(Err(e)),
-                }
+                // "returns as its result an Eden stream, i.e. a Capability":
+                // the UID of a reader that disappears once closed or read out.
+                let reader = Stage::reader(lines.into_iter().map(Value::from).collect());
+                reply.reply(spawn_sibling(ctx, Box::new(reader)).map(Value::Uid));
             }
             ops::USE_STREAM => {
                 let path = match inv.arg.field("path").and_then(|v| v.as_str()) {
@@ -128,63 +119,6 @@ impl EjectBehavior for UnixFsEject {
                     .map(Value::from)
                     .collect::<Vec<_>>();
                 reply.reply(Ok(Value::list(files)));
-            }
-            _ => reply.reply(Err(EdenError::NoSuchOperation {
-                target: ctx.uid(),
-                op: inv.op,
-            })),
-        }
-    }
-}
-
-/// The disposable stream Eject minted by `NewStream`.
-struct UnixFileReader {
-    lines: std::collections::VecDeque<Value>,
-    channels: ChannelTable,
-}
-
-impl UnixFileReader {
-    fn new(lines: Vec<String>) -> UnixFileReader {
-        UnixFileReader {
-            lines: lines.into_iter().map(Value::from).collect(),
-            channels: ChannelTable::single_output(),
-        }
-    }
-}
-
-impl EjectBehavior for UnixFileReader {
-    fn type_name(&self) -> &'static str {
-        "UnixFile"
-    }
-
-    // Every arm answers and at most asks to be deactivated.
-    fn replies_last(&self) -> bool {
-        true
-    }
-
-    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
-        match inv.op.as_str() {
-            ops::TRANSFER => {
-                let req = TransferRequest::from_value(&inv.arg);
-                let req = match req.and_then(|r| self.channels.index_of(r.channel).map(|_| r)) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        reply.reply(Err(e));
-                        return;
-                    }
-                };
-                let n = req.max.min(self.lines.len());
-                let items: Vec<Value> = self.lines.drain(..n).collect();
-                let end = self.lines.is_empty();
-                reply.reply(Ok(Batch { items, end }.to_value()));
-                if end {
-                    // Never checkpointed: deactivating destroys it (§7).
-                    ctx.request_deactivate();
-                }
-            }
-            ops::CLOSE => {
-                reply.reply(Ok(Value::Unit));
-                ctx.request_deactivate();
             }
             _ => reply.reply(Err(EdenError::NoSuchOperation {
                 target: ctx.uid(),

@@ -13,9 +13,7 @@ use crate::invocation::{Invocation, ReplyHandle};
 /// invocations". An idle Eject is its behaviour box parked on its mailbox and
 /// costs no thread; a delivery queues it, and a pool worker
 /// ([`SchedulerConfig::workers`](crate::SchedulerConfig)) resumes it and
-/// dispatches its mail one envelope at a time
-/// ([`ExecMode::Threads`](crate::ExecMode) gives each Eject a thread of its
-/// own instead, for differential tests). Successive envelopes may run on
+/// dispatches its mail one envelope at a time. Successive envelopes may run on
 /// different threads (hence `Send`) but never two at once, so `&mut self`
 /// methods need no internal locking. A handler may block — wrap a wait the
 /// kernel cannot see in [`blocking`](crate::blocking) and the pool lends a

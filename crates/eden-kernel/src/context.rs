@@ -4,8 +4,8 @@
 //! "Each Eject is provided with multiple processes, of which some may be
 //! waiting for incoming invocations, some may be waiting for replies to
 //! invocations, and some may be running" (§1). In this reproduction the
-//! coordinator process is supplied by the kernel (one thread per Eject) and
-//! behaviours may spawn additional worker processes through
+//! coordinator process is supplied by the kernel (a task its scheduler
+//! resumes) and behaviours may spawn additional worker processes through
 //! [`EjectContext::spawn_process`]. Workers communicate with the coordinator
 //! by posting internal events, which are metered separately from invocations
 //! — that distinction is the heart of the paper's cost argument.
@@ -265,7 +265,7 @@ impl InternalSender {
 
 /// Context available to a worker process spawned with
 /// [`EjectContext::spawn_process`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ProcessContext {
     eject: Uid,
     node: NodeId,

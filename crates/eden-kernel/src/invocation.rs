@@ -320,12 +320,8 @@ impl ReplyHandle {
     /// mailbox: splits queue wait from service time, and returns a guard
     /// installing the invocation's span as the thread's ambient span (so
     /// invocations sent *while handling this one* become its children).
-    pub(crate) fn begin_service(&mut self) -> Option<eden_core::span::AmbientGuard> {
-        self.begin_service_at(None)
-    }
-
-    /// As [`begin_service`](Self::begin_service), with the scheduler's
-    /// resume instants: `(rq_enq, pickup)` are when the owning task was
+    /// With the scheduler's resume instants, where it stamps them:
+    /// `(rq_enq, pickup)` are when the owning task was
     /// pushed onto the run queue and when a worker picked it up. The slice
     /// of queue time between those two — bounded below by the envelope's
     /// own enqueue time, since an envelope delivered to an already-queued

@@ -31,7 +31,6 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -42,13 +41,13 @@ use crate::behavior::EjectBehavior;
 use crate::context::EjectContext;
 use crate::fault::{FaultInjector, FaultKind, FaultPlan};
 use crate::invocation::{reply_pair, Invocation, PendingReply, ReplyHandle};
-use crate::mailbox::{mailbox, receiver, MailboxSender, SendError, SendOutcome, ShedCause, ShedPolicy};
+use crate::mailbox::{mailbox, MailboxSender, SendError, SendOutcome, ShedCause, ShedPolicy};
 use crate::obs::{
     KernelSnapshot, MailboxSnapshot, ObsConfig, ObsPlane, ObsTag, SpanRecord, StageSummary,
 };
 use crate::options::{InvokeOptions, RetryState};
 use crate::routes::{Route, RouteCache};
-use crate::runtime::{run_coordinator, Envelope};
+use crate::runtime::Envelope;
 use crate::sched::{Scheduler, SchedulerConfig, Task, Woken};
 use crate::stable::StableStore;
 use crate::trace::TraceDump;
@@ -60,25 +59,6 @@ pub struct NodeId(pub u16);
 
 /// Default number of registry shards (rounded up to a power of two).
 pub const DEFAULT_REGISTRY_SHARDS: usize = 16;
-
-/// How Eject coordinators are executed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ExecMode {
-    /// One dedicated thread per active Eject — the historic model, kept
-    /// behind this flag for differential testing and as a fallback. Idle
-    /// Ejects cost a resident thread each.
-    Threads,
-    /// The density plane (the default): Ejects are state machines parked
-    /// on their mailboxes, resumed by a fixed worker pool. Idle Ejects
-    /// cost zero threads; see [`SchedulerConfig`] for the pool size.
-    Scheduler(SchedulerConfig),
-}
-
-impl Default for ExecMode {
-    fn default() -> Self {
-        ExecMode::Scheduler(SchedulerConfig::default())
-    }
-}
 
 /// Construction-time options for a [`Kernel`].
 #[derive(Debug, Clone)]
@@ -112,9 +92,8 @@ pub struct KernelConfig {
     /// histograms (see [`ObsConfig`]). Off by default — a disabled kernel
     /// carries no instrumentation state at all.
     pub observability: ObsConfig,
-    /// How coordinators execute: the N-worker scheduler (default) or the
-    /// historic thread-per-Eject model (see [`ExecMode`]).
-    pub exec: ExecMode,
+    /// The worker pool that runs the coordinators (see [`SchedulerConfig`]).
+    pub scheduler: SchedulerConfig,
 }
 
 impl Default for KernelConfig {
@@ -127,13 +106,13 @@ impl Default for KernelConfig {
             mailbox_capacity: None,
             shed_policy: ShedPolicy::default(),
             observability: ObsConfig::off(),
-            exec: ExecMode::default(),
+            scheduler: SchedulerConfig::default(),
         }
     }
 }
 
 /// Fluent construction for a [`Kernel`] — the front door for the
-/// execution-mode and scheduler knobs:
+/// scheduler knobs:
 ///
 /// ```no_run
 /// use eden_kernel::{Kernel, SchedulerConfig};
@@ -155,17 +134,9 @@ impl KernelBuilder {
         KernelBuilder::default()
     }
 
-    /// Run coordinators on the N-worker scheduler with explicit knobs
-    /// (the default mode uses [`SchedulerConfig::default`]).
+    /// See [`KernelConfig::scheduler`].
     pub fn scheduler(mut self, config: SchedulerConfig) -> Self {
-        self.config.exec = ExecMode::Scheduler(config);
-        self
-    }
-
-    /// Run one dedicated thread per Eject — the fallback mode, for
-    /// differential testing against the scheduler.
-    pub fn threads_mode(mut self) -> Self {
-        self.config.exec = ExecMode::Threads;
+        self.config.scheduler = config;
         self
     }
 
@@ -269,22 +240,15 @@ struct Slot {
 enum SlotState {
     Active {
         tx: MailboxSender,
-        exec: ExecHandle,
+        /// The parked-mailbox state machine the scheduler resumes. The slot
+        /// is what keeps it alive — the mailbox holds only weak references
+        /// back to it, so dropping the slot (after teardown) frees it.
+        task: Arc<Task>,
         type_name: &'static str,
     },
     Passive {
         type_name: String,
     },
-}
-
-/// The execution resource behind an active Eject: a dedicated coordinator
-/// thread (threads mode) or a parked-mailbox task owned by the scheduler.
-/// The registry slot is what keeps a task alive — the mailbox holds only
-/// weak references back to it, so dropping the slot (after teardown) frees
-/// the state machine.
-enum ExecHandle {
-    Thread(Option<JoinHandle<()>>),
-    Task(Arc<Task>),
 }
 
 /// One registry shard. Non-mutating resolutions (the overwhelmingly common
@@ -318,8 +282,8 @@ pub(crate) struct KernelInner {
     trace: Option<crate::trace::TraceLog>,
     obs: Option<Arc<ObsPlane>>,
     faults: FaultInjector,
-    /// The worker pool, present in [`ExecMode::Scheduler`] only.
-    sched: Option<Arc<Scheduler>>,
+    /// The worker pool.
+    sched: Arc<Scheduler>,
     shutting_down: AtomicBool,
 }
 
@@ -340,54 +304,37 @@ impl Drop for KernelInner {
         // backstop for the race where two handles drop concurrently and
         // each thought the other would do it.
         self.shutting_down.store(true, Ordering::Release);
-        let mut entries: Vec<(MailboxSender, ExecHandle)> = Vec::new();
+        let mut entries: Vec<(MailboxSender, Arc<Task>)> = Vec::new();
         for shard in self.shards.iter_mut() {
             entries.extend(shard.slots.get_mut().drain().filter_map(|(_, slot)| {
                 match slot.state {
-                    SlotState::Active { tx, exec, .. } => Some((tx, exec)),
+                    SlotState::Active { tx, task, .. } => Some((tx, task)),
                     SlotState::Passive { .. } => None,
                 }
             }));
         }
-        shutdown_entries(entries, self.sched.as_ref());
-        if let Some(sched) = &self.sched {
-            sched.stop();
-        }
+        shutdown_entries(entries, &self.sched);
+        self.sched.stop();
     }
 }
 
 /// Tell every coordinator to stop, release our senders, then wait. The
-/// sender release must precede the waits: a coordinator may be blocked
+/// sender release must precede the wait: a coordinator may be blocked
 /// waiting for an envelope queued at another (already exited) coordinator
 /// to be dropped, which happens only once every sender for that mailbox is
 /// gone. Shutdown envelopes bypass any mailbox bound (`force_send`): with
 /// bounded mailboxes a plain send could park forever behind a full mailbox
-/// whose coordinator is itself waiting to shut down. Threads-mode entries
-/// are joined (skipping the current thread — shutdown can be triggered
-/// from inside a coordinator); scheduler-mode entries are awaited via the
-/// pool's death latch, which excuses the calling worker's own task.
-fn shutdown_entries(entries: Vec<(MailboxSender, ExecHandle)>, sched: Option<&Arc<Scheduler>>) {
-    let mut joins = Vec::new();
-    let mut tasks = Vec::new();
-    for (tx, exec) in entries {
+/// whose coordinator is itself waiting to shut down. The entries are
+/// awaited via the pool's death latch, which excuses the calling worker's
+/// own task (shutdown can be triggered from inside a coordinator).
+fn shutdown_entries(entries: Vec<(MailboxSender, Arc<Task>)>, sched: &Scheduler) {
+    let send = |(tx, task): (MailboxSender, Arc<Task>)| {
         let _ = tx.force_send(Envelope::Shutdown);
-        drop(tx);
-        match exec {
-            ExecHandle::Thread(join) => joins.push(join),
-            ExecHandle::Task(task) => tasks.push(task),
-        }
-    }
-    let current = std::thread::current().id();
-    for join in joins.into_iter().flatten() {
-        if join.thread().id() != current {
-            // eden-lint: nonblocking(threads-mode coordinator joins; no pool exists in that mode)
-            let _ = join.join();
-        }
-    }
-    if let Some(sched) = sched {
-        if !tasks.is_empty() {
-            sched.wait_all_dead();
-        }
+        task
+    };
+    let tasks: Vec<Arc<Task>> = entries.into_iter().map(send).collect();
+    if !tasks.is_empty() {
+        sched.wait_all_dead();
     }
     // Dropping `tasks` here releases the dead state machines.
     drop(tasks);
@@ -489,10 +436,7 @@ impl Kernel {
             .observability
             .enabled()
             .then(|| Arc::new(ObsPlane::new(config.observability)));
-        let sched = match &config.exec {
-            ExecMode::Scheduler(sched_config) => Some(Scheduler::new(*sched_config, obs.is_some())),
-            ExecMode::Threads => None,
-        };
+        let sched = Scheduler::new(config.scheduler, obs.is_some());
         let inner = KernelInner {
             shards,
             shard_mask: shard_count - 1,
@@ -607,12 +551,7 @@ impl Kernel {
             trace_dropped: self.trace_dropped(),
             spans_recorded: obs.map(|o| o.span_count()).unwrap_or(0),
             spans_dropped: obs.map(|o| o.spans_dropped()).unwrap_or(0),
-            sched: self
-                .inner
-                .sched
-                .as_ref()
-                .map(|s| s.snapshot())
-                .unwrap_or_default(),
+            sched: self.inner.sched.snapshot(),
             stable: self.inner.stable.stats(),
             mailbox: self.mailbox_snapshot(),
         }
@@ -1274,25 +1213,13 @@ impl Kernel {
     /// Simulated fail-stop crash of one Eject. The coordinator stops at
     /// its next dispatch point without replying to anything outstanding;
     /// waiters observe [`EdenError::EjectCrashed`]. Blocks until the
-    /// coordinator has exited — except when an Eject crashes *itself*
-    /// (scheduler mode detects this and returns without waiting; in
-    /// threads mode a self-crash must not be attempted from the
-    /// coordinator thread).
+    /// coordinator has exited — except when an Eject crashes *itself*,
+    /// which is detected and returns without waiting.
     pub fn crash(&self, uid: Uid) -> Result<()> {
-        enum CrashWait {
-            Join(Option<JoinHandle<()>>),
-            Task(Arc<Task>),
-        }
-        let (tx, wait) = {
-            let mut slots = self.inner.shard(uid).slots.write();
-            match slots.get_mut(&uid).map(|slot| &mut slot.state) {
-                Some(SlotState::Active { tx, exec, .. }) => {
-                    let wait = match exec {
-                        ExecHandle::Thread(join) => CrashWait::Join(join.take()),
-                        ExecHandle::Task(task) => CrashWait::Task(Arc::clone(task)),
-                    };
-                    (tx.clone(), wait)
-                }
+        let (tx, task) = {
+            let slots = self.inner.shard(uid).slots.read();
+            match slots.get(&uid).map(|slot| &slot.state) {
+                Some(SlotState::Active { tx, task, .. }) => (tx.clone(), Arc::clone(task)),
                 Some(SlotState::Passive { .. }) => return Ok(()),
                 None => return Err(EdenError::NoSuchEject(uid)),
             }
@@ -1301,21 +1228,12 @@ impl Kernel {
         // Crash must land even if the mailbox is bounded and full.
         let _ = tx.force_send(Envelope::Crash);
         drop(tx);
-        match wait {
-            CrashWait::Join(Some(join)) => {
-                // eden-lint: nonblocking(threads-mode coordinator joins; no pool exists in that mode)
-                let _ = join.join();
-            }
-            CrashWait::Join(None) => {}
-            CrashWait::Task(task) => {
-                // A worker crashing a task it is resuming — its own, or a
-                // caller further up its inline frame stack — cannot wait
-                // for that task to die: it dies when this dispatch returns.
-                // Every other caller gets the blocking semantics.
-                if !crate::sched::is_resuming(uid) {
-                    task.wait_dead();
-                }
-            }
+        // A worker crashing a task it is resuming — its own, or a caller
+        // further up its inline frame stack — cannot wait for that task to
+        // die: it dies when this dispatch returns. Every other caller gets
+        // the blocking semantics.
+        if !crate::sched::is_resuming(uid) {
+            task.wait_dead();
         }
         Ok(())
     }
@@ -1440,42 +1358,26 @@ impl Kernel {
         if let Some(trace) = &self.inner.trace {
             trace.record_activate(uid, type_name);
         }
-        let weak = self.downgrade();
         // The coordinator inherits the spawner's ambient span: an Eject
         // activated while a pipeline (or a retry holding its origin span)
         // is ambient joins that trace, so invocations its `activate` hook
         // sends — e.g. a conventional pump spawning — and a
         // crash/reactivate cycle both stay causally connected.
         let ambient = eden_core::span::current();
-        let exec = match &self.inner.sched {
-            Some(sched) => ExecHandle::Task(sched.spawn_task(
-                core,
-                ctx,
-                incarnation,
-                behavior,
-                replies_last,
-                ambient,
-            )),
-            None => {
-                let rx = receiver(core);
-                let join = std::thread::Builder::new()
-                    .name(format!("eject-{}-{type_name}", uid.seq()))
-                    .spawn(move || {
-                        let _span = ambient.map(|ctx| eden_core::span::enter(Some(ctx)));
-                        run_coordinator(behavior, ctx, rx, weak, incarnation)
-                    })
-                    .map_err(|e| {
-                        EdenError::Application(format!("cannot spawn coordinator: {e}"))
-                    })?;
-                ExecHandle::Thread(Some(join))
-            }
-        };
+        let task = self.inner.sched.spawn_task(
+            core,
+            ctx,
+            incarnation,
+            behavior,
+            replies_last,
+            ambient,
+        );
         slots.insert(
             uid,
             Slot {
                 state: SlotState::Active {
                     tx,
-                    exec,
+                    task,
                     type_name,
                 },
                 node,
@@ -1485,25 +1387,23 @@ impl Kernel {
         Ok(())
     }
 
-    /// Stop every Eject and join every coordinator, then (in scheduler
-    /// mode) stop the worker pool. Idempotent. Passive representations
+    /// Stop every Eject and wait for every coordinator, then stop the
+    /// worker pool. Idempotent. Passive representations
     /// survive in the stable store.
     pub fn shutdown(&self) {
         if self.inner.shutting_down.swap(true, Ordering::AcqRel) {
             return;
         }
-        let mut entries: Vec<(MailboxSender, ExecHandle)> = Vec::new();
+        let mut entries: Vec<(MailboxSender, Arc<Task>)> = Vec::new();
         for shard in self.inner.shards.iter() {
             let mut slots = shard.slots.write();
             entries.extend(slots.drain().filter_map(|(_, slot)| match slot.state {
-                SlotState::Active { tx, exec, .. } => Some((tx, exec)),
+                SlotState::Active { tx, task, .. } => Some((tx, task)),
                 SlotState::Passive { .. } => None,
             }));
         }
-        shutdown_entries(entries, self.inner.sched.as_ref());
-        if let Some(sched) = &self.inner.sched {
-            sched.stop();
-        }
+        shutdown_entries(entries, &self.inner.sched);
+        self.inner.sched.stop();
     }
 }
 

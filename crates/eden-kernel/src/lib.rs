@@ -70,7 +70,7 @@ pub use invocation::{
     reply_pair, Invocation, PendingReply, ReplyHandle, DEFAULT_REPLY_TIMEOUT,
 };
 pub use kernel::{
-    EjectInfo, EjectState, ExecMode, Kernel, KernelBuilder, KernelConfig, NodeId, TypeFactory,
+    EjectInfo, EjectState, Kernel, KernelBuilder, KernelConfig, NodeId, TypeFactory,
     WeakKernel, DEFAULT_REGISTRY_SHARDS,
 };
 pub use mailbox::{ShedCause, ShedPolicy};

@@ -19,10 +19,6 @@
 //!   the ring mutex, the notify after it is released) is what makes the
 //!   protocol lossless — see `park_vs_deliver` in `tests/loom_model.rs`.
 //!
-//! In `threads` execution mode nothing parks on the bit: a dedicated
-//! coordinator blocks on [`MailboxReceiver::recv`] (condvar), exactly the
-//! crossbeam shape it replaces.
-//!
 //! # Admission control
 //!
 //! A bounded mailbox (`cap: Some(n)`) runs a [`ShedPolicy`] when a plain
@@ -58,7 +54,7 @@
 #![allow(clippy::result_large_err)]
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Instant;
 
@@ -139,9 +135,7 @@ impl ShedCause {
 /// allocation instead of churning the allocator every batch.
 const SHRINK_CAPACITY: usize = 64;
 
-/// The parking-bit states. Stored in [`MailboxCore::park_state`]; only
-/// meaningful in scheduler mode (a threads-mode mailbox stays `PARKED`
-/// and wakes its coordinator through the condvar instead).
+/// The parking-bit states. Stored in [`MailboxCore::park_state`].
 pub mod park {
     /// Not queued, not running; the next delivery must enqueue the task.
     pub const PARKED: u8 = 0;
@@ -388,19 +382,15 @@ pub(crate) struct MailboxCore {
     /// The ring buffer, lazily allocated. Field is named `mailq` so the
     /// lock-order audit can pattern-match acquisitions (`mailbox-queue`).
     mailq: Mutex<Ring>,
-    /// Threads mode: wakes the coordinator blocked in `recv`.
-    not_empty: Condvar,
     /// Bounded mode: wakes senders parked on a full ring.
     not_full: Condvar,
     /// `Some(n)` bounds the ring to `n` envelopes for plain `send`.
     cap: Option<usize>,
     /// What a full bounded ring does to arriving invocations.
     policy: ShedPolicy,
-    /// Live `MailboxSender` clones; `recv` reports disconnection at zero.
-    senders: AtomicUsize,
     /// The parking bit (see [`park`]).
     park_state: AtomicU8,
-    /// Scheduler-mode wakeup target; empty in threads mode.
+    /// Whom a delivery wakes; set once, when the task is created.
     wake: OnceLock<SchedWake>,
 }
 
@@ -411,12 +401,9 @@ impl MailboxCore {
                 q: VecDeque::new(),
                 closed: false,
             }),
-            not_empty: Condvar::default(),
             not_full: Condvar::default(),
             cap,
             policy,
-            // The initial sender handed to the caller of `mailbox()`.
-            senders: AtomicUsize::new(1),
             park_state: AtomicU8::new(park::PARKED),
             wake: OnceLock::new(),
         })
@@ -438,18 +425,15 @@ impl MailboxCore {
 
     /// Run the sender side of the parking protocol after a push. `Some` if
     /// this push flipped `PARKED -> QUEUED` and so owes the task a run;
-    /// `None` if the task is already queued, was running and is now marked
-    /// dirty, or the mailbox is threads-mode (the condvar was notified
-    /// instead). Must be called with the ring mutex *released*: spending the
+    /// `None` if the task is already queued, or was running and is now marked
+    /// dirty. Must be called with the ring mutex *released*: spending the
     /// wake lands the task on the dispatch path (LIFO slot, deque, an
     /// injector shard plus a sleeper wake, or the sender's own stack), and
     /// `mailbox-queue` stays a leaf on the delivery path.
     fn wake_after_push(&self) -> Option<Woken> {
-        let Some(wake) = self.wake.get() else {
-            // Threads mode: the coordinator waits on the condvar.
-            self.not_empty.notify_one();
-            return None;
-        };
+        // No task yet: it is attached before it is first enqueued, and looks
+        // at the ring when it is.
+        let wake = self.wake.get()?;
         loop {
             // eden-lint: ordering(park-state-machine)
             match self.park_state.load(Ordering::Acquire) {
@@ -640,8 +624,7 @@ impl MailboxCore {
         }
     }
 
-    /// Pop one envelope (scheduler workers and the threads-mode receiver
-    /// both drain through here). Shrinks an oversized ring on drain.
+    /// Pop one envelope. Shrinks an oversized ring on drain.
     pub(crate) fn pop(&self) -> Option<Envelope> {
         let mut ring = self.mailq.lock();
         let envelope = ring.q.pop_front()?;
@@ -676,7 +659,6 @@ impl MailboxCore {
         };
         // Senders parked on a full ring must observe the close and fail.
         self.not_full.notify_all();
-        self.not_empty.notify_all();
         drained
     }
 }
@@ -685,7 +667,6 @@ impl std::fmt::Debug for MailboxCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MailboxCore")
             .field("cap", &self.cap)
-            .field("senders", &self.senders.load(Ordering::Relaxed))
             .field("park_state", &self.park_state.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
@@ -701,7 +682,9 @@ impl std::fmt::Debug for SendError {
     }
 }
 
-/// The sending half of a mailbox. Clones count toward disconnection.
+/// The sending half of a mailbox; its owning task drains the
+/// [`MailboxCore`] directly.
+#[derive(Clone)]
 pub(crate) struct MailboxSender {
     core: Arc<MailboxCore>,
 }
@@ -740,68 +723,9 @@ impl MailboxSender {
     }
 }
 
-impl Clone for MailboxSender {
-    fn clone(&self) -> Self {
-        self.core.senders.fetch_add(1, Ordering::Relaxed);
-        MailboxSender {
-            core: Arc::clone(&self.core),
-        }
-    }
-}
-
-impl Drop for MailboxSender {
-    fn drop(&mut self) {
-        if self.core.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Last sender gone: a threads-mode receiver blocked in `recv`
-            // must wake up and observe the disconnection.
-            self.core.not_empty.notify_all();
-        }
-    }
-}
-
 impl std::fmt::Debug for MailboxSender {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MailboxSender").finish_non_exhaustive()
-    }
-}
-
-/// The receiving half, used only by `threads`-mode coordinators (a
-/// scheduler task drains its [`MailboxCore`] directly). Dropping it
-/// closes the mailbox.
-#[derive(Debug)]
-pub(crate) struct MailboxReceiver {
-    core: Arc<MailboxCore>,
-}
-
-impl MailboxReceiver {
-    /// Block until an envelope arrives. `Err(())` means every sender is
-    /// gone and the ring is empty — the coordinator should exit.
-    pub(crate) fn recv(&self) -> Result<Envelope, ()> {
-        loop {
-            if let Some(envelope) = self.core.pop() {
-                return Ok(envelope);
-            }
-            let mut ring = self.core.mailq.lock();
-            if !ring.q.is_empty() {
-                continue;
-            }
-            if self.core.senders.load(Ordering::Acquire) == 0 {
-                return Err(());
-            }
-            // eden-lint: nonblocking(threads-mode coordinator thread, never a pool worker)
-            self.core.not_empty.wait(&mut ring);
-        }
-    }
-
-    /// Drain without blocking (the teardown path).
-    pub(crate) fn try_recv(&self) -> Option<Envelope> {
-        self.core.pop()
-    }
-}
-
-impl Drop for MailboxReceiver {
-    fn drop(&mut self) {
-        drop(self.core.close());
     }
 }
 
@@ -821,16 +745,11 @@ pub(crate) fn mailbox(
     )
 }
 
-/// Wrap a core in its threads-mode receiving half.
-pub(crate) fn receiver(core: Arc<MailboxCore>) -> MailboxReceiver {
-    MailboxReceiver { core }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Put a core in scheduler mode without a live scheduler: the wake
+    /// Attach a core to nobody, without a live scheduler: the wake
     /// CAS loop runs for real, the upgrade finds nobody to enqueue.
     fn sched_mode(core: &MailboxCore) {
         let _ = core.wake.set(SchedWake {

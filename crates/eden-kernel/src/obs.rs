@@ -319,7 +319,7 @@ impl ObsPlane {
     pub(crate) fn complete(&self, tag: &ObsTag, ok: bool) {
         let end = Instant::now();
         let dequeued = tag.dequeued.unwrap_or(end);
-        // The scheduler wait (stamped at pickup, zero in threads mode) is
+        // The scheduler wait (stamped at pickup) is
         // carved out of the enqueue→dequeue interval, so the three stages
         // still sum to the exact span duration.
         let total_wait_ns = dequeued.saturating_duration_since(tag.enqueued).as_nanos() as u64;
@@ -476,8 +476,8 @@ pub(crate) struct ObsTag {
     pub(crate) to: NodeId,
     pub(crate) enqueued: Instant,
     pub(crate) dequeued: Option<Instant>,
-    /// Run-queue wait attributed at pickup time (scheduler mode only;
-    /// stays zero in threads mode).
+    /// Run-queue wait attributed at pickup time (zero where the scheduler
+    /// stamps no resume instants).
     pub(crate) sched_ns: u64,
 }
 
@@ -867,8 +867,8 @@ mod tests {
                 NodeId(0),
             );
             plane.complete(&tag, true);
-            // (ObsTag::new zero-initialises sched_ns; threads-mode spans
-            // always carve a zero sched stage.)
+            // (ObsTag::new zero-initialises sched_ns: an unstamped span
+            // carves a zero sched stage.)
         }
         // All three landed in the same shard (same uid) with capacity 1.
         assert_eq!(plane.spans().len(), 1);

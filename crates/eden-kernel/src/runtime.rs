@@ -1,9 +1,10 @@
-//! The per-Eject coordinator loop.
+//! What a coordinator receives, and how one invocation is dispatched.
 //!
 //! Each Eject "has its own thread of control and may be thought of as active
 //! at all times" (§1). The coordinator receives envelopes — invocations,
 //! internal events from the Eject's own worker processes, and kernel control
-//! messages — and dispatches them one at a time to the behaviour.
+//! messages — and dispatches them one at a time to the behaviour; the loop
+//! that does so is the scheduler's resume loop ([`crate::sched`]).
 
 use eden_core::op::ops;
 use eden_core::{EdenError, Value};
@@ -11,9 +12,6 @@ use eden_core::{EdenError, Value};
 use crate::behavior::EjectBehavior;
 use crate::context::EjectContext;
 use crate::invocation::{Invocation, ReplyHandle};
-use crate::kernel::WeakKernel;
-use crate::mailbox::MailboxReceiver;
-use std::sync::Arc;
 
 /// A message in an Eject's mailbox.
 // Envelopes live by value in the mailbox ring; boxing the invocation arm
@@ -44,66 +42,7 @@ impl Envelope {
     }
 }
 
-/// Why the coordinator loop ended.
-#[derive(PartialEq, Eq, Clone, Copy, Debug)]
-enum ExitCause {
-    Deactivated,
-    Crashed,
-    Shutdown,
-}
-
-/// Run an Eject to completion. This is the body of the coordinator thread
-/// (`threads` execution mode only — scheduler mode runs the same protocol
-/// as a state machine in [`crate::sched`]).
-pub(crate) fn run_coordinator(
-    mut behavior: Box<dyn EjectBehavior>,
-    ctx: Arc<EjectContext>,
-    mailbox: MailboxReceiver,
-    kernel: WeakKernel,
-    incarnation: u64,
-) {
-    behavior.activate(&ctx);
-    let cause = loop {
-        if ctx.deactivate_requested() {
-            break ExitCause::Deactivated;
-        }
-        // eden-lint: nonblocking(threads-mode coordinator thread, never a pool worker)
-        match mailbox.recv() {
-            Ok(Envelope::Invocation(inv, mut reply)) => {
-                // Stamp the dequeue time (splitting queue wait from service
-                // time) and make the invocation's span ambient for the whole
-                // dispatch, so invocations sent while handling this one
-                // become its children in the trace tree.
-                let _span = reply.begin_service();
-                dispatch(behavior.as_mut(), &ctx, inv, reply);
-            }
-            Ok(Envelope::Internal(event)) => behavior.internal(&ctx, event),
-            Ok(Envelope::Crash) => break ExitCause::Crashed,
-            Ok(Envelope::Shutdown) => break ExitCause::Shutdown,
-            // All senders gone: the kernel entry was removed.
-            Err(()) => break ExitCause::Shutdown,
-        }
-    };
-    behavior.deactivating(&ctx);
-    ctx.begin_stop();
-    // Dropping the behaviour releases any parked ReplyHandles, unblocking
-    // Ejects (and workers) waiting on this one — required for workers of
-    // *other* Ejects to observe teardown and exit, which in turn lets their
-    // coordinators join them.
-    drop(behavior);
-    // Drain the mailbox so queued invocations fail fast instead of waiting
-    // for a timeout: dropping their ReplyHandles delivers EjectCrashed.
-    while let Some(envelope) = mailbox.try_recv() {
-        drop(envelope);
-    }
-    ctx.join_workers();
-    if let Some(kernel) = kernel.upgrade() {
-        kernel.on_eject_exit(ctx.uid(), incarnation, cause == ExitCause::Crashed);
-    }
-}
-
 /// Dispatch one invocation, intercepting the runtime-provided operations.
-/// Shared by the coordinator loop above and the scheduler's resume loop.
 pub(crate) fn dispatch(
     behavior: &mut dyn EjectBehavior,
     ctx: &EjectContext,

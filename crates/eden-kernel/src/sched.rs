@@ -61,9 +61,8 @@
 //! below target with no sleeper to stand in, else a wake if work waits;
 //! when it exits, surplus spares retire at the next idle moment. The worst
 //! case (every Eject blocked at once) degenerates to
-//! thread-per-*blocked*-Eject — exactly the old model — while the common
-//! case (parked Ejects, non-blocking handlers) costs `workers` threads
-//! total.
+//! thread-per-*blocked*-Eject, while the common case (parked Ejects,
+//! non-blocking handlers) costs `workers` threads total.
 //!
 //! # Direct handoff
 //!
@@ -389,9 +388,9 @@ struct WorkerSlot {
     progress: AtomicU64,
 }
 
-/// Tuning knobs for the scheduler execution mode, carried in
-/// [`ExecMode::Scheduler`](crate::ExecMode) and settable through
-/// [`KernelBuilder::scheduler`](crate::KernelBuilder::scheduler).
+/// Tuning knobs for the scheduler, carried in
+/// [`KernelConfig::scheduler`](crate::KernelConfig::scheduler) and settable
+/// through [`KernelBuilder::scheduler`](crate::KernelBuilder::scheduler).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerConfig {
     /// Target worker-pool size. Blocking sections may transiently grow
@@ -459,7 +458,7 @@ pub struct SchedSnapshot {
     pub spares_spawned: u64,
 }
 
-/// The coordinator state of one scheduler-mode Eject: its behaviour box,
+/// The coordinator state of one Eject: its behaviour box,
 /// mailbox, and identity. Kept alive by the registry slot; dispatch
 /// queues hold it only while it is `QUEUED`.
 pub(crate) struct Task {
@@ -757,8 +756,8 @@ impl Woken {
     }
 }
 
-/// The worker pool and its lock-free dispatch state. One per
-/// scheduler-mode kernel, shared with every worker thread.
+/// The worker pool and its lock-free dispatch state. One per kernel,
+/// shared with every worker thread.
 pub(crate) struct Scheduler {
     /// Per-worker dispatch state, indexed by worker slot. Fixed at
     /// construction; spares beyond `target_workers` own no slot and
@@ -1747,7 +1746,7 @@ fn worker_main(sched: Arc<Scheduler>, idx: usize) {
 /// a sleeper if one exists (the cheap rescue) and spawns a spare
 /// otherwise (which retires itself once the pool is over target again).
 /// The degenerate case — every resident Eject blocked at once —
-/// converges to thread-per-Eject, the seed's behaviour. A stranded
+/// converges to a thread per Eject. A stranded
 /// LIFO-slot task counts as runnable here once stale, so a thief
 /// arrives to steal it (second steal pass).
 ///

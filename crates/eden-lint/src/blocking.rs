@@ -12,7 +12,7 @@
 //!   the parenthesized region of a `blocking(` call), or
 //! * carry a `// eden-lint: nonblocking(reason)` annotation within three
 //!   lines above it, stating why the site can never run on a pool worker
-//!   (dedicated thread, teardown path, cold start, threads-mode only).
+//!   (dedicated thread, teardown path, cold start).
 //!
 //! Plain `Mutex::lock` acquisitions are *not* findings: the lock-order
 //! plane already governs them (bounded critical sections under a proven

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use eden_core::op::ops;
 use eden_core::{EdenError, MetricsSnapshot, Result, Uid, Value};
-use eden_kernel::{EjectBehavior, EjectState, Kernel, NodeId};
+use eden_kernel::{EjectState, Kernel, NodeId};
 
 use crate::channels::ChannelPolicy;
 use crate::collector::Collector;
@@ -37,6 +37,7 @@ use crate::ports::{FanInMode, InputPort, OutputPort, OutputWiring};
 use crate::protocol::{ChannelId, GetChannelRequest, OUTPUT_NAME};
 use crate::source::{PullSource, VecSource};
 use crate::stage::{Input, Output, Stage, StageConfig};
+use crate::stdio::{Program, TransputWriter};
 use crate::transform::Transform;
 
 /// Which communication discipline to wire the pipeline in.
@@ -97,6 +98,7 @@ struct ReportTap {
 }
 
 /// One of the places the pipeline's records come from.
+#[derive(Debug)]
 enum Head {
     /// A local record supply; the builder spawns the source Eject.
     Supply(Box<dyn PullSource>),
@@ -105,17 +107,7 @@ enum Head {
     /// which responds to *Read* invocations is by definition a source."
     Eject(InputPort),
     /// An imperative program writing records (§4's standard IO module).
-    Program(Box<dyn FnOnce(crate::stdio::TransputWriter) + Send>),
-}
-
-impl std::fmt::Debug for Head {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Head::Supply(_) => f.write_str("Supply"),
-            Head::Eject(port) => f.debug_tuple("Eject").field(port).finish(),
-            Head::Program(_) => f.write_str("Program"),
-        }
-    }
+    Program(Program<TransputWriter>),
 }
 
 /// The graph-label for an input port's channel.
@@ -187,8 +179,8 @@ impl PipelineSpec {
     /// Read from an *existing* Eject's primary channel — a file reader, a
     /// directory listing, anything answering `Transfer`. In the read-only
     /// discipline the first filter pulls it directly; in source-pumped
-    /// disciplines the builder interposes an identity pump that starts at
-    /// spawn (no `Start` invocation).
+    /// disciplines the builder interposes an identity pump that starts with
+    /// `run` (no `Start` invocation).
     pub fn source_eject(self, uid: Uid) -> Self {
         self.heads(vec![Head::Eject(InputPort::primary(uid))], None)
     }
@@ -210,9 +202,9 @@ impl PipelineSpec {
     /// performs passive output.
     pub fn source_program<F>(self, program: F) -> Self
     where
-        F: FnOnce(crate::stdio::TransputWriter) + Send + 'static,
+        F: FnOnce(TransputWriter) + Send + 'static,
     {
-        self.heads(vec![Head::Program(Box::new(program))], None)
+        self.heads(vec![Head::Program(Program::new(program))], None)
     }
 
     /// Append a filter stage.
@@ -414,9 +406,9 @@ impl PipelineSpec {
     }
 
     /// Spawn the plan on `kernel`, once the graph it renders to has been
-    /// checked: what runs is what was validated. Ejects spawn now; in the
-    /// read-only discipline no data flows yet (the sink's first Transfer
-    /// starts the flow as part of `run`).
+    /// checked: what runs is what was validated. Every Eject somebody holds
+    /// the UID of spawns now; the ones that pump unasked spawn with `run`, so
+    /// no data flows yet.
     pub fn build(mut self, kernel: &Kernel) -> Result<Pipeline> {
         use Mode::{Active, Passive};
         let plan = self.plan()?;
@@ -428,7 +420,6 @@ impl PipelineSpec {
         let trace = eden_core::span::SpanContext::root();
         let _ambient = eden_core::span::enter(Some(trace));
         let discipline = self.discipline;
-        let buffered = discipline.kind().faces() == (Active, Active);
         let collector = match self.keep_output {
             true => Collector::new(),
             false => Collector::null(),
@@ -465,40 +456,35 @@ impl PipelineSpec {
                 Mount::Head(h) => heads[h].take(),
                 _ => None,
             };
-            let behavior: Box<dyn EjectBehavior> = match (head, ports, row.mount) {
-                (Some(Head::Program(program)), ..) => {
-                    Box::new(crate::stdio::ProgramSourceEject::new(program))
-                }
-                (head, ports, mount) => {
-                    let input = match (head, ports, mount) {
-                        (Some(Head::Supply(supply)), ..) => Input::Local(supply),
-                        (_, None, _) => Input::Passive,
-                        (_, Some(ports), Mount::Merge(mode)) => Input::ports(ports, mode),
-                        (_, Some(ports), _) => Input::ports(ports, FanInMode::Concatenate),
-                    };
-                    let transform = match mount {
-                        Mount::Filter(t) => transforms[t].take(),
-                        _ => None,
-                    };
-                    Box::new(self.mount(row, input, transform, output))
-                }
+            let input = match (head, ports, row.mount) {
+                (Some(Head::Supply(supply)), ..) => Input::Local(supply),
+                (Some(Head::Program(program)), ..) => Input::Program(program),
+                (_, None, _) => Input::Passive,
+                (_, Some(ports), Mount::Merge(mode)) => Input::ports(ports, mode),
+                (_, Some(ports), _) => Input::ports(ports, FanInMode::Concatenate),
             };
+            let transform = match row.mount {
+                Mount::Filter(t) => transforms[t].take(),
+                _ => None,
+            };
+            let stage = self.mount(row, input, transform, output);
             let node = self.nodes.map(|n| NodeId(made % n));
             made = made.wrapping_add(1);
             let sink = matches!(row.mount, Mount::Sink | Mount::Tap(_));
-            if sink && row.input == Active && !buffered {
-                // The sink that pumps the pipeline spawns in `run()`:
-                // attaching it is "starting the pump" (§4), so nothing
-                // flows at build time — and deferring it past the
-                // metrics baseline keeps every data-phase invocation
-                // inside the measured window, so the analytic n+1
-                // counts hold exactly.
-                deferred.push((node, behavior));
+            if row.input == Active && (sink || row.output == Active) {
+                // A stage that pumps on its own — the sink of a read-only
+                // pipeline, every filter and sink of a conventional one —
+                // spawns in `run()`: attaching it is "starting the pump"
+                // (§4), so nothing flows at build time, and nobody holds its
+                // UID to miss it by. Deferring it past the metrics baseline
+                // keeps every data-phase invocation inside the measured
+                // window, so the analytic n+1 and 2n+2 counts hold exactly.
+                deferred.push((node, stage));
                 return Ok(Some(None));
             }
             let uid = match node {
-                Some(node) => kernel.spawn_on(node, behavior)?,
-                None => kernel.spawn(behavior)?,
+                Some(node) => kernel.spawn_on(node, Box::new(stage))?,
+                None => kernel.spawn(Box::new(stage))?,
             };
             ejects.push(uid);
             if matches!(row.mount, Mount::Head(_)) && row.output == Active {
@@ -511,7 +497,7 @@ impl PipelineSpec {
             kernel: kernel.clone(),
             discipline,
             ejects,
-            deferred_sinks: deferred,
+            pumps: deferred,
             start_target,
             collector,
             taps: self.taps,
@@ -734,9 +720,9 @@ pub struct Pipeline {
     kernel: Kernel,
     discipline: Discipline,
     ejects: Vec<Uid>,
-    /// Pull-side sinks, spawned in `run()` so their pumps start after the
-    /// metrics baseline (and so that truly nothing flows at build time).
-    deferred_sinks: Vec<(Option<NodeId>, Box<dyn EjectBehavior>)>,
+    /// The stages that pump unasked, spawned in `run()` so they start after
+    /// the metrics baseline (and so that truly nothing flows at build time).
+    pumps: Vec<(Option<NodeId>, Stage)>,
     /// `Start` target for source-pumped disciplines.
     start_target: Option<Uid>,
     collector: Collector,
@@ -771,10 +757,10 @@ impl Pipeline {
         // The guard is dropped before teardown so the Deactivate sweep does
         // not pollute the tree.
         let ambient = eden_core::span::enter(Some(self.trace));
-        for (node, behavior) in self.deferred_sinks.drain(..) {
+        for (node, stage) in self.pumps.drain(..) {
             let uid = match node {
-                Some(n) => self.kernel.spawn_on(n, behavior)?,
-                None => self.kernel.spawn(behavior)?,
+                Some(n) => self.kernel.spawn_on(n, Box::new(stage))?,
+                None => self.kernel.spawn(Box::new(stage))?,
             };
             self.ejects.push(uid);
         }

@@ -48,11 +48,14 @@ impl InputPort {
 }
 
 /// An active input's ports, and how far it has read them. Opaque: built by
-/// [`Input::pull`](crate::stage::Input::pull) and
-/// [`Input::ports`](crate::stage::Input::ports).
+/// [`Input::pull`](crate::stage::Input::pull),
+/// [`Input::ports`](crate::stage::Input::ports) and
+/// [`Input::labelled`](crate::stage::Input::labelled).
 #[derive(Debug)]
 pub struct InputPuller {
     ports: Vec<InputPort>,
+    /// A label per port for its records to carry, or none at all.
+    labels: Vec<Value>,
     ended: Vec<bool>,
     mode: FanInMode,
     next: usize,
@@ -64,11 +67,18 @@ impl InputPuller {
         let n = ports.len();
         InputPuller {
             ports,
+            labels: Vec::new(),
             ended: vec![false; n],
             mode,
             next: 0,
             done: n == 0,
         }
+    }
+
+    /// Wrap every record as `{from: label, item: record}`, by its port.
+    pub(crate) fn labelled(mut self, labels: Vec<String>) -> InputPuller {
+        self.labels = labels.into_iter().map(Value::from).collect();
+        self
     }
 
     /// Pull the next step of input: the records, and whether the input is
@@ -107,8 +117,12 @@ impl InputPuller {
             self.next += 1;
         }
         let idx = self.next % n;
-        let b = transfer(self.ports[idx], batch)?;
+        let mut b = transfer(self.ports[idx], batch)?;
         self.ended[idx] = b.end;
+        if let Some(label) = self.labels.get(idx) {
+            let labelled = |item| Value::record([("from", label.clone()), ("item", item)]);
+            b.items = b.items.into_iter().map(labelled).collect();
+        }
         if self.mode == FanInMode::RoundRobin {
             self.next += 1;
         }

@@ -19,6 +19,10 @@
 //! | passive | passive | the Unix pipe, Figure 1's passive buffer | `PassiveBuffer` | `buf{i}`; read by `ReadAll`, the acceptor |
 //! | active | active | the Unix filter: transforms *and pumps* (§3) | `PumpFilter` | conventional `pump{i}` |
 //! | passive + one port read actively | active | §5's "secondary inputs, which are actively read" | `ZipPushFilter` | — |
+//! | program | passive | §4's standard IO module: a program that `write`s, as the read-ahead worker ([`crate::stdio::program_source`]) | `ProgramSource` | — |
+//! | passive | program | its §5 dual: a program that `read`s, as the push-drain worker ([`crate::stdio::program_sink`]) | `ProgramSink` | — |
+//! | local | passive | the disposable reader `Open` and `NewStream` mint (§7): answers `Close`, gone once read out ([`Stage::reader`]) | `DisposableReader` | — (`OpenDurable` mints the retained source above) |
+//! | active, labelled ports | collector | Figure 4's report window ([`crate::devices::report_window`]) | `StreamSink` | — |
 //!
 //! ## Faces
 //!
@@ -30,7 +34,8 @@
 //! * An **active input** holds [`InputPort`]s and `Transfer`s from them,
 //!   interleaved by a [`FanInMode`](crate::FanInMode): "if F needs n inputs, it maintains n
 //!   UIDs" (§5). A **local** input is no face at all, just a
-//!   [`PullSource`].
+//!   [`PullSource`]; nor is a **program**, which is the worker of the next
+//!   section handed a conventional `write` or `read` ([`crate::stdio`]).
 //! * A **passive output** serves `Transfer` from per-channel buffers and
 //!   parks a reader it cannot serve yet (a deferred reply — "it will be sent
 //!   to whatever Eject requests it", §4). Fan-out needs the channel
@@ -87,6 +92,7 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
+use std::time::Duration;
 
 use eden_core::op::ops;
 use eden_core::{EdenError, OpName, Result, Uid, Value};
@@ -102,8 +108,9 @@ use crate::ports::{deliver, FanInMode, InputPort, InputPuller, OutputPort, Outpu
 use crate::protocol::{Batch, GetChannelRequest, TransferRequest, WriteRequest, OUTPUT_NAME};
 use crate::recovery::{self, Kept, READ_ALL};
 use crate::source::{PullSource, VecSource};
-use crate::stdio::Shared;
+use crate::stdio::{Program, TransputReader, TransputWriter};
 use crate::transform::{self, Emitter, Transform};
+use parking_lot::{Condvar, Mutex};
 
 /// Starts the worker of a stage that pumps a local supply.
 const START: &str = "Start";
@@ -123,6 +130,11 @@ pub enum Input {
     Active(InputPuller),
     /// Draw on a local supply of records.
     Local(Box<dyn PullSource>),
+    /// Let an imperative program write the records, conventionally: §4's
+    /// standard IO module ([`crate::stdio`]). The program *is* the stage's
+    /// read-ahead worker, so the output face is passive and a `depth` of 0
+    /// means [`crate::stdio::BUFFER`].
+    Program(Program<TransputWriter>),
 }
 
 impl Input {
@@ -134,6 +146,15 @@ impl Input {
     /// Active input from several ports, interleaved by `mode`.
     pub fn ports(ports: Vec<InputPort>, mode: FanInMode) -> Input {
         Input::Active(InputPuller::new(ports, mode))
+    }
+
+    /// Active input from several ports in turn, every record labelled with
+    /// the port it came by — `{from: label, item: record}` — which only the
+    /// face that holds the ports can say: how a report window reads its
+    /// sources (Figure 4).
+    pub fn labelled(ports: Vec<(String, InputPort)>) -> Input {
+        let (labels, ports) = ports.into_iter().unzip();
+        Input::Active(InputPuller::new(ports, FanInMode::RoundRobin).labelled(labels))
     }
 
     /// Passive input zipped with `secondary`'s primary channel.
@@ -154,6 +175,10 @@ pub enum Output {
     /// Land the primary stream in a [`Collector`] and finish it at
     /// end-of-stream (or fail it when the input does).
     Collector(Collector),
+    /// Let an imperative program read the records, conventionally: the §5
+    /// dual of [`Input::Program`]. The program is the stage's push-drain
+    /// worker, so the input face is passive, and `depth` as there.
+    Program(Program<TransputReader>),
 }
 
 impl Output {
@@ -259,10 +284,10 @@ impl Host for ProcessContext {
 
 /// What one step of input came to, once through the transform.
 #[derive(Debug, Default)]
-struct Chunk {
-    out: Emitter,
+pub(crate) struct Chunk {
+    pub(crate) out: Emitter,
     /// The input has ended and the transform has flushed into `out`.
-    end: bool,
+    pub(crate) end: bool,
 }
 
 /// The input face and the transform step behind it.
@@ -354,6 +379,7 @@ impl InFace {
                 (items, end)
             }
             Input::Passive | Input::Zipped(_) => unreachable!("a passive input is written to"),
+            Input::Program(_) => unreachable!("a program is its own worker"),
         };
         Ok(self.absorb(items, end, kept))
     }
@@ -398,6 +424,7 @@ impl OutFace {
                 return Ok(());
             }
             Output::Passive => unreachable!("a passive output is read from"),
+            Output::Program(_) => unreachable!("a program is its own worker"),
         };
         let (window, end) = (self.window, chunk.end);
         let windowed = window > 1 && wiring.fan_out() == 1;
@@ -457,8 +484,8 @@ pub(crate) struct Buffer {
     pub(crate) queues: Vec<VecDeque<Value>>,
     /// An active output's undelivered writes, and whether the worker has
     /// one more in hand.
-    writes: VecDeque<Chunk>,
-    delivering: bool,
+    pub(crate) writes: VecDeque<Chunk>,
+    pub(crate) delivering: bool,
     /// The final chunk has been put.
     pub(crate) ended: bool,
     /// The other side is gone: the coordinator has been dropped, or the
@@ -467,7 +494,7 @@ pub(crate) struct Buffer {
 }
 
 impl Buffer {
-    fn put(&mut self, mut chunk: Chunk) -> Result<()> {
+    pub(crate) fn put(&mut self, mut chunk: Chunk) -> Result<()> {
         if self.closed {
             return Err(EdenError::Application("forwarding worker gone".into()));
         }
@@ -490,7 +517,7 @@ impl Buffer {
 
     /// What `depth` bounds: primary records waiting to be read, or writes
     /// accepted and not yet delivered.
-    fn occupancy(&self) -> usize {
+    pub(crate) fn occupancy(&self) -> usize {
         match self.queues.first() {
             Some(primary) => primary.len(),
             None => self.writes.len() + usize::from(self.delivering),
@@ -517,11 +544,22 @@ impl Buffer {
 
     /// Hand the worker the oldest undelivered write; it counts against the
     /// depth until the worker reports back.
-    fn take_write(&mut self) -> Option<Chunk> {
+    pub(crate) fn take_write(&mut self) -> Option<Chunk> {
         let chunk = self.writes.pop_front()?;
         self.delivering = true;
         Some(chunk)
     }
+}
+
+/// A buffer its coordinator shares with a worker process: a mutex and one
+/// condition either side may wait on. The worker wakes the coordinator by
+/// internal message: metered, language-level IPC.
+#[derive(Debug)]
+pub(crate) struct Shared {
+    pub(crate) queue: Mutex<Buffer>,
+    /// Signalled when space frees (producer side) or data arrives
+    /// (consumer side).
+    changed: Condvar,
 }
 
 /// The coordinator's hold on the buffer: its own until a worker is spawned,
@@ -530,7 +568,7 @@ impl Buffer {
 #[derive(Debug)]
 enum Meet {
     Own(Buffer),
-    Shared(Arc<Shared<Buffer>>),
+    Shared(Arc<Shared>),
 }
 
 impl Meet {
@@ -542,9 +580,10 @@ impl Meet {
     }
 
     /// Share the buffer with a worker (and let it know of every change).
-    fn share(&mut self) -> Arc<Shared<Buffer>> {
+    fn share(&mut self) -> Arc<Shared> {
         if let Meet::Own(buffer) = self {
-            *self = Meet::Shared(Shared::new(std::mem::take(buffer)));
+            let (queue, changed) = (Mutex::new(std::mem::take(buffer)), Condvar::new());
+            *self = Meet::Shared(Arc::new(Shared { queue, changed }));
         }
         let Meet::Shared(shared) = self else {
             unreachable!("just shared");
@@ -566,10 +605,12 @@ impl Drop for Meet {
     }
 }
 
-/// On the worker's own thread: wait at the buffer until `ready` yields.
-fn await_buffer<R>(
-    meet: &Shared<Buffer>,
+/// On the worker's own thread: wait at the buffer until `ready` yields, for
+/// no longer than `patience` at a time if the worker has only so much.
+pub(crate) fn await_buffer<R>(
+    meet: &Shared,
     pctx: &ProcessContext,
+    patience: Option<Duration>,
     mut ready: impl FnMut(&mut Buffer) -> Option<R>,
 ) -> Result<R> {
     let mut buffer = meet.queue.lock();
@@ -580,8 +621,15 @@ fn await_buffer<R>(
         if let Some(found) = ready(&mut buffer) {
             return Ok(found);
         }
-        // eden-lint: nonblocking(spawn_process worker thread, not a pool worker)
-        meet.changed.wait(&mut buffer);
+        match patience {
+            // eden-lint: nonblocking(spawn_process worker thread, not a pool worker)
+            None => meet.changed.wait(&mut buffer),
+            // eden-lint: nonblocking(spawn_process worker thread, not a pool worker)
+            Some(patience) if meet.changed.wait_for(&mut buffer, patience).timed_out() => {
+                return Err(EdenError::Timeout);
+            }
+            Some(_) => {}
+        }
     }
 }
 
@@ -627,7 +675,7 @@ fn work(
     pctx: &ProcessContext,
     input: &mut Option<InFace>,
     output: &mut Option<OutFace>,
-    meet: &Shared<Buffer>,
+    meet: &Shared,
     depth: usize,
     dial: &AdaptiveBatch,
     held: &mut Option<(Box<Kept>, Buffer)>,
@@ -656,7 +704,7 @@ fn work(
                 // The window deepens with the batch dial: pre-pulling less
                 // than one batch's worth would starve the very batches the
                 // dial grew.
-                let room = await_buffer(meet, pctx, |buffer| {
+                let room = await_buffer(meet, pctx, None, |buffer| {
                     let target = depth.max(dial.current());
                     target
                         .checked_sub(buffer.occupancy())
@@ -664,7 +712,7 @@ fn work(
                 })?;
                 face.produce_or_end(pctx, dial.current().min(room))
             }
-            None => await_buffer(meet, pctx, Buffer::take_write)?,
+            None => await_buffer(meet, pctx, None, Buffer::take_write)?,
         };
         let mut end = chunk.end;
         match (&mut *output, &mut *held) {
@@ -715,6 +763,9 @@ pub struct Stage {
     /// What a retained stage keeps beside all this ([`crate::recovery`]);
     /// `None` on a volatile one, and once the worker runs both faces.
     kept: Option<Box<Kept>>,
+    /// Answers `Close`, and deactivates once its stream has been read to
+    /// the end — and, never having checkpointed, disappears (§7).
+    disposable: bool,
 }
 
 impl Stage {
@@ -735,6 +786,17 @@ impl Stage {
         Stage::assemble(input, Some(transform), output, config)
     }
 
+    /// The stream a client opens for reading (§7's `NewStream`, a file's
+    /// `Open`): a private, disposable source over `records`. It answers
+    /// `Close`; closed, or read to its end, "the UnixFile Eject deactivates
+    /// itself and, since it has never Checkpointed, disappears".
+    pub fn reader(records: Vec<Value>) -> Stage {
+        let supply = Input::Local(Box::new(VecSource::new(records)));
+        let mut stage = Stage::new(supply, Output::Passive, StageConfig::default());
+        (stage.name, stage.disposable) = ("DisposableReader", true);
+        stage
+    }
+
     pub(crate) fn assemble(
         input: Input,
         transform: Option<Box<dyn Transform>>,
@@ -742,6 +804,11 @@ impl Stage {
         config: StageConfig,
     ) -> Stage {
         let name = match (&input, &output) {
+            (Input::Program(_), Output::Passive) => "ProgramSource",
+            (Input::Passive, Output::Program(_)) => "ProgramSink",
+            (Input::Program(_), _) | (_, Output::Program(_)) => {
+                panic!("a program runs one face, and the coordinator the other, passively")
+            }
             (Input::Local(_), Output::Passive) => "StreamSource",
             (Input::Local(_), _) => "PushSource",
             (Input::Active(_), Output::Passive) => "PullFilter",
@@ -755,6 +822,12 @@ impl Stage {
         let batch = config.batch.max(1);
         let dial = AdaptiveBatch::new(batch, config.batch_max.max(batch));
         let out_passive = matches!(output, Output::Passive);
+        // A program meets its coordinator at the buffer, so there is one.
+        let program = matches!(input, Input::Program(_)) || matches!(output, Output::Program(_));
+        let depth = match config.depth {
+            0 if program => crate::stdio::BUFFER,
+            depth => depth,
+        };
         let mut names = Vec::new();
         if out_passive {
             names.push(OUTPUT_NAME);
@@ -785,7 +858,7 @@ impl Stage {
                 in_flight: VecDeque::new(),
             }),
             dial,
-            depth: config.depth,
+            depth,
             readers: names.iter().map(|_| VecDeque::new()).collect(),
             meet: Meet::Own(Buffer {
                 queues: names.iter().map(|_| VecDeque::new()).collect(),
@@ -795,6 +868,7 @@ impl Stage {
             writers: VecDeque::new(),
             collector,
             kept: None,
+            disposable: false,
         }
     }
 
@@ -861,8 +935,8 @@ impl Stage {
     /// delivered whole.
     fn spawn_worker(&mut self, ctx: &EjectContext, done: Option<ReplyHandle>) {
         let (in_worker, out_worker) = (self.in_worker(), self.out_worker());
-        let mut input = self.input.take_if(|_| in_worker);
-        let mut output = self.output.take_if(|_| out_worker);
+        let input = self.input.take_if(|_| in_worker);
+        let output = self.output.take_if(|_| out_worker);
         let name = match (&input, &output) {
             (None, None) => return,
             (Some(_), Some(_)) => "pump",
@@ -875,24 +949,59 @@ impl Stage {
         let meet = self.meet.share();
         let (depth, dial, collector) = (self.depth, self.dial.clone(), self.collector.clone());
         ctx.spawn_process(name, move |pctx| {
-            let result = loop {
-                match work(
-                    &pctx,
-                    &mut input,
-                    &mut output,
-                    &meet,
-                    depth,
-                    &dial,
-                    &mut held,
-                ) {
-                    // Retries exhausted under heavy fault load: pause and
-                    // carry on from the same positions rather than strand
-                    // the stream (a write that may or may not have landed is
-                    // re-sent with the same sequence; the receiver
-                    // deduplicates).
-                    Err(e) if held.is_some() && e != EdenError::KernelShutdown => recovery::pause(),
-                    result => break result,
+            let result = match (input, output) {
+                // A program is the worker: what it writes goes into the
+                // buffer as a read-ahead worker's chunks do, what it reads
+                // comes out of it as a push-drain worker's writes do.
+                (
+                    Some(InFace {
+                        face: Input::Program(program),
+                        ..
+                    }),
+                    _,
+                ) => {
+                    // Room for whatever a reader may be waiting for whole.
+                    let room = depth.max(dial.bounds().1);
+                    program.run(TransputWriter::new(Arc::clone(&meet), pctx.clone(), room));
+                    Ok(())
                 }
+                (
+                    _,
+                    Some(OutFace {
+                        face: Output::Program(program),
+                        ..
+                    }),
+                ) => {
+                    program.run(TransputReader::new(Arc::clone(&meet), pctx.clone()));
+                    // One that returns before the end of its stream leaves
+                    // nobody to take the writes still to come.
+                    let buffer = meet.queue.lock();
+                    match buffer.ended && buffer.writes.is_empty() {
+                        true => Ok(()),
+                        false => Err(EdenError::EndOfStream),
+                    }
+                }
+                (mut input, mut output) => loop {
+                    match work(
+                        &pctx,
+                        &mut input,
+                        &mut output,
+                        &meet,
+                        depth,
+                        &dial,
+                        &mut held,
+                    ) {
+                        // Retries exhausted under heavy fault load: pause
+                        // and carry on from the same positions rather than
+                        // strand the stream (a write that may or may not
+                        // have landed is re-sent with the same sequence; the
+                        // receiver deduplicates).
+                        Err(e) if held.is_some() && e != EdenError::KernelShutdown => {
+                            recovery::pause()
+                        }
+                        result => break result,
+                    }
+                },
             };
             let failed = !matches!(result, Ok(()) | Err(EdenError::KernelShutdown));
             if failed {
@@ -1156,9 +1265,19 @@ impl EjectBehavior for Stage {
                 Err(e) => reply.reply(Err(e)),
             },
             ops::TRANSFER if self.out_passive => match TransferRequest::from_value(&inv.arg) {
-                Ok(req) => self.serve(ctx, req, reply),
+                Ok(req) => {
+                    self.serve(ctx, req, reply);
+                    let read_out = |buffer: &mut Buffer| buffer.ended && buffer.occupancy() == 0;
+                    if self.disposable && self.meet.with(read_out) {
+                        ctx.request_deactivate();
+                    }
+                }
                 Err(e) => reply.reply(Err(e)),
             },
+            ops::CLOSE if self.disposable => {
+                reply.reply(Ok(Value::Unit));
+                ctx.request_deactivate();
+            }
             ops::GET_CHANNEL if self.out_passive => reply.reply(
                 GetChannelRequest::from_value(&inv.arg)
                     .and_then(|req| self.meet.with(|buffer| buffer.table.id_of(&req.name)))

@@ -9,100 +9,130 @@
 //! The filter process itself would be programmed in the conventional way
 //! and make use of the *Write* operations whenever necessary."
 //!
-//! [`ProgramSourceEject`] is exactly that: the user supplies an ordinary
-//! imperative program which calls [`TransputWriter::write`]; the Eject's
-//! coordinator serves `Transfer` invocations from the shared buffer. The
-//! program never sends an invocation — yet the Eject is a well-behaved
-//! read-only source.
+//! [`program_source`] is exactly that, and it is a [`Stage`] like any other
+//! source: the user supplies an ordinary imperative program which calls
+//! [`TransputWriter::write`], and which runs as the stage's worker process
+//! — a write is what a read-ahead worker does with a chunk: wait for room
+//! at the buffer, put it there, wake the coordinator. The coordinator
+//! serves `Transfer` invocations from the buffer, as it does for every
+//! passive output. The program never sends an invocation — yet the Eject is
+//! a well-behaved read-only source.
 //!
-//! [`ProgramSinkEject`] is the §5 dual for write-only systems: "a
-//! conventional *Read* routine could be implemented by extracting data from
-//! an internal buffer; another process would respond to incoming *Write*
-//! invocations and use the data thus obtained to fill the same buffer."
+//! [`program_sink`] is the §5 dual for write-only systems: "a conventional
+//! *Read* routine could be implemented by extracting data from an internal
+//! buffer; another process would respond to incoming *Write* invocations
+//! and use the data thus obtained to fill the same buffer." A read is what a
+//! push-drain worker does: take the oldest undelivered write.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
-use eden_core::op::ops;
 use eden_core::{EdenError, Result, Value};
-use eden_kernel::{EjectBehavior, EjectContext, InternalSender, Invocation, ReplyHandle};
-use parking_lot::{Condvar, Mutex};
+use eden_kernel::ProcessContext;
 
-use crate::channels::ChannelTable;
-use crate::protocol::{Batch, TransferRequest, WriteRequest};
+use crate::stage::{await_buffer, Buffer, Chunk, Input, Output, Shared, Stage, StageConfig};
+use crate::transform::Emitter;
 
-/// State shared between a coordinator and one of its worker processes (a
-/// program here, a stream stage's worker in [`crate::stage`]): a mutex and
-/// one condition either side may wait on. The worker wakes the coordinator
-/// by internal message ([`InternalSender`]): metered, language-level IPC.
-#[derive(Debug)]
-pub(crate) struct Shared<Q> {
-    pub(crate) queue: Mutex<Q>,
-    /// Signalled when space frees (producer side) or data arrives
-    /// (consumer side).
-    pub(crate) changed: Condvar,
-}
+/// The buffer a program gets where nobody says how deep ([`StageConfig::depth`]
+/// of 0): records a writing program may be ahead of its readers, writes a
+/// reading program may be behind its writers.
+pub const BUFFER: usize = 256;
 
-impl<Q> Shared<Q> {
-    pub(crate) fn new(queue: Q) -> Arc<Shared<Q>> {
-        Arc::new(Shared {
-            queue: Mutex::new(queue),
-            changed: Condvar::new(),
-        })
+/// An imperative program, to be handed its conventional interface `T` and
+/// run as a stage's worker process.
+pub struct Program<T>(Box<dyn FnOnce(T) + Send>);
+
+impl<T> Program<T> {
+    /// Wrap `program`.
+    pub fn new(program: impl FnOnce(T) + Send + 'static) -> Program<T> {
+        Program(Box::new(program))
+    }
+
+    pub(crate) fn run(self, interface: T) {
+        (self.0)(interface)
     }
 }
 
-#[derive(Debug)]
-struct SharedQueue {
-    items: VecDeque<Value>,
-    closed: bool,
-    capacity: usize,
-}
-
-impl SharedQueue {
-    fn new(capacity: usize) -> Arc<Shared<SharedQueue>> {
-        Shared::new(SharedQueue {
-            items: VecDeque::new(),
-            closed: false,
-            capacity: capacity.max(1),
-        })
+impl<T> std::fmt::Debug for Program<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Program")
     }
 }
 
-/// The conventional `Write` interface handed to a user program running
-/// inside a [`ProgramSourceEject`].
+/// A read-only source whose records an ordinary imperative program
+/// produces by calling `write`, `capacity` records ahead of its readers at
+/// most (0: [`BUFFER`]). A reader is answered as soon as there is a record.
+pub fn program_source<F>(program: F, capacity: usize) -> Stage
+where
+    F: FnOnce(TransputWriter) + Send + 'static,
+{
+    let config = StageConfig {
+        depth: capacity,
+        ..StageConfig::batch(1)
+    };
+    Stage::new(
+        Input::Program(Program::new(program)),
+        Output::Passive,
+        config,
+    )
+}
+
+/// A write-only sink whose records an ordinary imperative program consumes
+/// by calling `read`, `capacity` writes behind its writers at most (0:
+/// [`BUFFER`]); a writer that finds as many undelivered is parked.
+pub fn program_sink<F>(program: F, capacity: usize) -> Stage
+where
+    F: FnOnce(TransputReader) + Send + 'static,
+{
+    let config = StageConfig {
+        depth: capacity,
+        ..StageConfig::default()
+    };
+    Stage::new(
+        Input::Passive,
+        Output::Program(Program::new(program)),
+        config,
+    )
+}
+
+/// The conventional `Write` interface handed to a program that is a
+/// stage's input face ([`Input::Program`]).
 #[derive(Debug)]
 pub struct TransputWriter {
-    shared: Arc<Shared<SharedQueue>>,
-    /// Wakes the coordinator so it can serve parked readers.
-    wake: InternalSender,
+    meet: Arc<Shared>,
+    pctx: ProcessContext,
+    /// Records the buffer holds before a write waits.
+    room: usize,
 }
 
 impl TransputWriter {
+    pub(crate) fn new(meet: Arc<Shared>, pctx: ProcessContext, room: usize) -> TransputWriter {
+        TransputWriter { meet, pctx, room }
+    }
+
+    /// Put a chunk in the buffer once `ready` for it, and nudge the
+    /// coordinator; this is the intra-Eject communication the paper expects
+    /// to be "much more efficient than invocation".
+    fn put(&self, chunk: Chunk, ready: impl Fn(&Buffer) -> bool) -> Result<()> {
+        let mut chunk = Some(chunk);
+        await_buffer(&self.meet, &self.pctx, None, |buffer| match buffer.ended {
+            true => Some(Err(EdenError::EndOfStream)),
+            false if ready(buffer) => chunk.take().map(|chunk| buffer.put(chunk)),
+            false => None,
+        })??;
+        self.pctx.post_internal(Value::Unit)
+    }
+
     /// Append one record to the output stream. Blocks while the internal
-    /// buffer is full (backpressure from slow readers).
+    /// buffer is full (backpressure from slow readers); fails once the
+    /// stream is closed, or its Eject is gone.
     pub fn write(&self, item: Value) -> Result<()> {
-        let mut q = self.shared.queue.lock();
-        while q.items.len() >= q.capacity {
-            if q.closed {
-                return Err(EdenError::EndOfStream);
-            }
-            // Backpressure park. The program usually runs on its own
-            // worker-process thread, but `blocking` is the contract for
-            // any wait that may hold a pool worker (it is a plain call
-            // off-pool).
-            eden_kernel::blocking(|| self.shared.changed.wait(&mut q));
-        }
-        if q.closed {
-            return Err(EdenError::EndOfStream);
-        }
-        q.items.push_back(item);
-        drop(q);
-        // Nudge the coordinator; this is the intra-Eject communication the
-        // paper expects to be "much more efficient than invocation".
-        let _ = self.wake.send(Value::str("wake"));
-        Ok(())
+        let out = Emitter::of(vec![item]);
+        self.put(Chunk { out, end: false }, |buffer| {
+            buffer.occupancy() < self.room
+        })
     }
 
     /// Convenience: write a text line.
@@ -113,13 +143,11 @@ impl TransputWriter {
     /// Close the stream: readers will observe end-of-stream once the
     /// buffer drains. (Also happens automatically when the program ends.)
     pub fn close(&self) {
-        let mut q = self.shared.queue.lock();
-        if !q.closed {
-            q.closed = true;
-            drop(q);
-            self.shared.changed.notify_all();
-            let _ = self.wake.send(Value::str("wake"));
-        }
+        let end = Chunk {
+            end: true,
+            ..Chunk::default()
+        };
+        let _ = self.put(end, |_| true);
     }
 }
 
@@ -129,301 +157,50 @@ impl Drop for TransputWriter {
     }
 }
 
-/// A read-only source Eject whose data is produced by an ordinary
-/// imperative program calling `write`.
-pub struct ProgramSourceEject {
-    program: Option<Box<dyn FnOnce(TransputWriter) + Send>>,
-    capacity: usize,
-    shared: Option<Arc<Shared<SharedQueue>>>,
-    waiters: VecDeque<(usize, ReplyHandle)>,
-    channels: ChannelTable,
-}
-
-impl ProgramSourceEject {
-    /// Run `program` in a worker process; serve its writes as a stream.
-    pub fn new<F>(program: F) -> ProgramSourceEject
-    where
-        F: FnOnce(TransputWriter) + Send + 'static,
-    {
-        ProgramSourceEject::with_capacity(program, 256)
-    }
-
-    /// As [`new`](Self::new) with an explicit buffer capacity.
-    pub fn with_capacity<F>(program: F, capacity: usize) -> ProgramSourceEject
-    where
-        F: FnOnce(TransputWriter) + Send + 'static,
-    {
-        ProgramSourceEject {
-            program: Some(Box::new(program)),
-            capacity,
-            shared: None,
-            waiters: VecDeque::new(),
-            channels: ChannelTable::single_output(),
-        }
-    }
-
-    fn serve(&mut self) {
-        let shared = match &self.shared {
-            Some(s) => Arc::clone(s),
-            None => return,
-        };
-        loop {
-            let front_max = match self.waiters.front() {
-                Some((max, _)) => *max,
-                None => return,
-            };
-            let (items, end) = {
-                let mut q = shared.queue.lock();
-                if q.items.is_empty() && !q.closed {
-                    return; // Nothing to say yet; keep the reply parked.
-                }
-                let n = front_max.min(q.items.len());
-                let items: Vec<Value> = q.items.drain(..n).collect();
-                let end = q.closed && q.items.is_empty();
-                (items, end)
-            };
-            shared.changed.notify_all(); // Space freed for the program.
-            let (_, reply) = self.waiters.pop_front().expect("front checked");
-            reply.reply(Ok(Batch { items, end }.to_value()));
-        }
-    }
-}
-
-impl EjectBehavior for ProgramSourceEject {
-    fn type_name(&self) -> &'static str {
-        "ProgramSource"
-    }
-
-    // A `Transfer` is parked and answered from the queue, here or on the
-    // program's next wake; the queue lock is never held across a wait.
-    fn replies_last(&self) -> bool {
-        true
-    }
-
-    fn activate(&mut self, ctx: &EjectContext) {
-        let shared = SharedQueue::new(self.capacity);
-        self.shared = Some(Arc::clone(&shared));
-        let program = match self.program.take() {
-            Some(p) => p,
-            None => return,
-        };
-        let writer = TransputWriter {
-            shared,
-            wake: ctx.internal_sender(),
-        };
-        ctx.spawn_process("program", move |_pctx| {
-            program(writer);
-            // TransputWriter::drop closes the stream.
-        });
-    }
-
-    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
-        match inv.op.as_str() {
-            ops::TRANSFER => {
-                let req = TransferRequest::from_value(&inv.arg);
-                match req.and_then(|r| self.channels.index_of(r.channel).map(|_| r)) {
-                    Ok(req) => {
-                        reply.mark_deferred();
-                        self.waiters.push_back((req.max, reply));
-                        self.serve();
-                    }
-                    Err(e) => reply.reply(Err(e)),
-                }
-            }
-            _ => reply.reply(Err(EdenError::NoSuchOperation {
-                target: ctx.uid(),
-                op: inv.op,
-            })),
-        }
-    }
-
-    fn internal(&mut self, _ctx: &EjectContext, _event: Value) {
-        self.serve();
-    }
-}
-
-/// The conventional `Read` interface handed to a user program running
-/// inside a [`ProgramSinkEject`].
+/// The conventional `Read` interface handed to a program that is a stage's
+/// output face ([`Output::Program`]).
 #[derive(Debug)]
 pub struct TransputReader {
-    shared: Arc<Shared<SharedQueue>>,
-    /// Wakes the coordinator so it can admit parked writers after this
-    /// reader frees buffer space. `None` only in unit tests.
-    wake: Option<InternalSender>,
+    meet: Arc<Shared>,
+    pctx: ProcessContext,
+    /// What is left of the write in hand, and whether it ended the stream.
+    hand: RefCell<(VecDeque<Value>, bool)>,
 }
 
 impl TransputReader {
-    fn took_one(&self) {
-        self.shared.changed.notify_all();
-        if let Some(wake) = &self.wake {
-            let _ = wake.send(Value::str("wake"));
+    pub(crate) fn new(meet: Arc<Shared>, pctx: ProcessContext) -> TransputReader {
+        let hand = RefCell::default();
+        TransputReader { meet, pctx, hand }
+    }
+
+    fn next(&self, patience: Option<Duration>) -> Result<Option<Value>> {
+        let mut hand = self.hand.borrow_mut();
+        loop {
+            if let Some(item) = hand.0.pop_front() {
+                return Ok(Some(item));
+            }
+            if hand.1 {
+                return Ok(None);
+            }
+            // The write in hand has been read: it no longer counts against
+            // the depth, and the coordinator may have a writer to admit.
+            if std::mem::take(&mut self.meet.queue.lock().delivering) {
+                self.pctx.post_internal(Value::Unit)?;
+            }
+            let mut write = await_buffer(&self.meet, &self.pctx, patience, Buffer::take_write)?;
+            *hand = (write.out.take_primary().into(), write.end);
         }
     }
 
     /// Take the next record, blocking until one arrives. `None` at
-    /// end-of-stream.
+    /// end-of-stream (or once the Eject is gone).
     pub fn read(&self) -> Option<Value> {
-        let mut q = self.shared.queue.lock();
-        loop {
-            if let Some(item) = q.items.pop_front() {
-                drop(q);
-                self.took_one();
-                return Some(item);
-            }
-            if q.closed {
-                return None;
-            }
-            eden_kernel::blocking(|| self.shared.changed.wait(&mut q));
-        }
+        self.next(None).unwrap_or(None)
     }
 
     /// Take the next record, giving up after `deadline`.
     pub fn read_timeout(&self, deadline: Duration) -> Result<Option<Value>> {
-        let mut q = self.shared.queue.lock();
-        loop {
-            if let Some(item) = q.items.pop_front() {
-                drop(q);
-                self.took_one();
-                return Ok(Some(item));
-            }
-            if q.closed {
-                return Ok(None);
-            }
-            if eden_kernel::blocking(|| self.shared.changed.wait_for(&mut q, deadline)).timed_out()
-            {
-                return Err(EdenError::Timeout);
-            }
-        }
-    }
-}
-
-/// A write-only sink Eject whose data is consumed by an ordinary
-/// imperative program calling `read`.
-pub struct ProgramSinkEject {
-    program: Option<Box<dyn FnOnce(TransputReader) + Send>>,
-    capacity: usize,
-    shared: Option<Arc<Shared<SharedQueue>>>,
-    parked_writes: VecDeque<(WriteRequest, ReplyHandle)>,
-}
-
-impl ProgramSinkEject {
-    /// Run `program` in a worker process; feed it incoming `Write`s.
-    pub fn new<F>(program: F) -> ProgramSinkEject
-    where
-        F: FnOnce(TransputReader) + Send + 'static,
-    {
-        ProgramSinkEject::with_capacity(program, 256)
-    }
-
-    /// As [`new`](Self::new) with an explicit buffer capacity.
-    pub fn with_capacity<F>(program: F, capacity: usize) -> ProgramSinkEject
-    where
-        F: FnOnce(TransputReader) + Send + 'static,
-    {
-        ProgramSinkEject {
-            program: Some(Box::new(program)),
-            capacity,
-            shared: None,
-            parked_writes: VecDeque::new(),
-        }
-    }
-
-    fn admit(&mut self) {
-        let shared = match &self.shared {
-            Some(s) => Arc::clone(s),
-            None => return,
-        };
-        while let Some((w, _)) = self.parked_writes.front() {
-            let fits = {
-                let q = shared.queue.lock();
-                q.items.len() + w.items.len() <= q.capacity || q.items.is_empty()
-            };
-            if !fits {
-                return;
-            }
-            let (w, reply) = self.parked_writes.pop_front().expect("front checked");
-            let mut q = shared.queue.lock();
-            // The first `end` closed the stream for everyone: a re-sent one
-            // is a no-op, a record beyond it a sender's bug.
-            if q.closed && !w.items.is_empty() {
-                drop(q);
-                let refused = EdenError::Application("write after end of stream".into());
-                reply.reply(Err(refused));
-                continue;
-            }
-            q.items.extend(w.items);
-            if w.end {
-                q.closed = true;
-            }
-            drop(q);
-            shared.changed.notify_all();
-            reply.reply(Ok(Value::Unit));
-        }
-    }
-}
-
-impl EjectBehavior for ProgramSinkEject {
-    fn type_name(&self) -> &'static str {
-        "ProgramSink"
-    }
-
-    // A `Write` is parked and acknowledged when the queue has room, here or
-    // on the program's next wake; the queue lock is never held across a wait.
-    fn replies_last(&self) -> bool {
-        true
-    }
-
-    fn activate(&mut self, ctx: &EjectContext) {
-        let shared = SharedQueue::new(self.capacity);
-        self.shared = Some(Arc::clone(&shared));
-        let program = match self.program.take() {
-            Some(p) => p,
-            None => return,
-        };
-        let wake = ctx.internal_sender();
-        let reader = TransputReader {
-            shared: Arc::clone(&shared),
-            wake: Some(ctx.internal_sender()),
-        };
-        ctx.spawn_process("program", move |_pctx| {
-            program(reader);
-            // Final wake in case the program exits with writes parked.
-            let _ = wake.send(Value::str("wake"));
-        });
-    }
-
-    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
-        match inv.op.as_str() {
-            ops::WRITE => match WriteRequest::from_value(inv.arg) {
-                Ok(w) => {
-                    reply.mark_deferred();
-                    self.parked_writes.push_back((w, reply));
-                    self.admit();
-                }
-                Err(e) => reply.reply(Err(e)),
-            },
-            _ => reply.reply(Err(EdenError::NoSuchOperation {
-                target: ctx.uid(),
-                op: inv.op,
-            })),
-        }
-    }
-
-    fn internal(&mut self, _ctx: &EjectContext, _event: Value) {
-        self.admit();
-    }
-}
-
-
-impl std::fmt::Debug for ProgramSourceEject {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProgramSourceEject").finish_non_exhaustive()
-    }
-}
-
-impl std::fmt::Debug for ProgramSinkEject {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProgramSinkEject").finish_non_exhaustive()
+        self.next(Some(deadline))
     }
 }
 
@@ -431,19 +208,24 @@ impl std::fmt::Debug for ProgramSinkEject {
 mod tests {
     use super::*;
     use crate::collector::Collector;
+    use crate::protocol::WriteRequest;
     use crate::source::VecSource;
-    use crate::stage::{Input, Output, Stage, StageConfig};
+    use eden_core::op::ops;
     use eden_kernel::Kernel;
+    use parking_lot::{Condvar, Mutex};
 
     #[test]
     fn program_source_serves_writes_as_stream() {
         let kernel = Kernel::new();
         let src = kernel
-            .spawn(Box::new(ProgramSourceEject::new(|out| {
-                for i in 0..10 {
-                    out.write(Value::Int(i)).unwrap();
-                }
-            })))
+            .spawn(Box::new(program_source(
+                |out| {
+                    for i in 0..10 {
+                        out.write(Value::Int(i)).unwrap();
+                    }
+                },
+                0,
+            )))
             .unwrap();
         let collector = Collector::new();
         kernel
@@ -463,7 +245,7 @@ mod tests {
         // A tiny buffer: the program cannot race ahead of the reader.
         let kernel = Kernel::new();
         let src = kernel
-            .spawn(Box::new(ProgramSourceEject::with_capacity(
+            .spawn(Box::new(program_source(
                 |out| {
                     for i in 0..50 {
                         out.write(Value::Int(i)).unwrap();
@@ -493,13 +275,16 @@ mod tests {
         let done = Arc::new((Mutex::new(false), Condvar::new()));
         let done2 = Arc::clone(&done);
         let sink = kernel
-            .spawn(Box::new(ProgramSinkEject::new(move |input| {
-                while let Some(v) = input.read() {
-                    seen2.lock().push(v);
-                }
-                *done2.0.lock() = true;
-                done2.1.notify_all();
-            })))
+            .spawn(Box::new(program_sink(
+                move |input| {
+                    while let Some(v) = input.read() {
+                        seen2.lock().push(v);
+                    }
+                    *done2.0.lock() = true;
+                    done2.1.notify_all();
+                },
+                0,
+            )))
             .unwrap();
         let src = kernel
             .spawn(Box::new(Stage::new(
@@ -520,29 +305,56 @@ mod tests {
     }
 
     #[test]
+    fn program_that_returns_early_releases_its_writers() {
+        // One write fills the buffer, the next would be parked — but nobody
+        // is left to make room, and the writer must hear of it.
+        let kernel = Kernel::new();
+        let sink = kernel.spawn(Box::new(program_sink(drop, 1))).unwrap();
+        let refused = (0..3).find_map(|i| {
+            let write = WriteRequest::more(vec![Value::Int(i)]).to_value();
+            kernel.invoke(sink, ops::WRITE, write).wait().err()
+        });
+        let refused = refused.expect("a write into a sink nobody reads was acknowledged");
+        assert_ne!(
+            refused,
+            EdenError::Timeout,
+            "and the writer was left parked"
+        );
+        kernel.shutdown();
+    }
+
+    #[test]
     fn reader_timeout_fires() {
-        let shared = SharedQueue::new(4);
-        let reader = TransputReader {
-            shared: Arc::clone(&shared),
-            wake: None,
+        let kernel = Kernel::new();
+        let (tried, result) = std::sync::mpsc::channel();
+        let program = move |input: TransputReader| {
+            let _ = tried.send(input.read_timeout(Duration::from_millis(20)));
         };
+        kernel.spawn(Box::new(program_sink(program, 4))).unwrap();
         assert_eq!(
-            reader.read_timeout(Duration::from_millis(20)).unwrap_err(),
+            result
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap()
+                .unwrap_err(),
             EdenError::Timeout
         );
+        kernel.shutdown();
     }
 
     #[test]
     fn writer_close_is_idempotent_and_drop_closes() {
         let kernel = Kernel::new();
         let src = kernel
-            .spawn(Box::new(ProgramSourceEject::new(|out| {
-                out.write_line("only").unwrap();
-                out.close();
-                out.close();
-                // Writing after close fails cleanly.
-                assert!(out.write(Value::Int(1)).is_err());
-            })))
+            .spawn(Box::new(program_source(
+                |out| {
+                    out.write_line("only").unwrap();
+                    out.close();
+                    out.close();
+                    // Writing after close fails cleanly.
+                    assert!(out.write(Value::Int(1)).is_err());
+                },
+                0,
+            )))
             .unwrap();
         let collector = Collector::new();
         kernel

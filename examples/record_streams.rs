@@ -20,10 +20,9 @@ use eden::filters::{FieldCmp, GroupAggregate, RenderRecords, SelectFields, Where
 use eden::fs::{mapfile, MapFileEject};
 use eden::kernel::Kernel;
 use eden::transput::collector::Collector;
-use eden::transput::devices::{Subscription, TickSource, WindowEject};
-use eden::transput::protocol::ChannelId;
+use eden::transput::devices::{report_window, TickSource};
 use eden::transput::{Discipline, PipelineSpec};
-use eden::transput::{Input, Output, Stage, StageConfig};
+use eden::transput::{Input, InputPort, Output, Stage, StageConfig};
 
 fn employee(name: &str, dept: &str, salary: i64) -> Value {
     Value::record([
@@ -133,18 +132,10 @@ fn main() {
         .expect("capability");
     let window_output = Collector::new();
     kernel
-        .spawn(Box::new(WindowEject::new(
+        .spawn(Box::new(report_window(
             vec![
-                Subscription {
-                    label: "clock".into(),
-                    source: clock,
-                    channel: ChannelId::output(),
-                },
-                Subscription {
-                    label: "payroll".into(),
-                    source: reader,
-                    channel: ChannelId::output(),
-                },
+                ("clock".into(), InputPort::primary(clock)),
+                ("payroll".into(), InputPort::primary(reader)),
             ],
             4,
             window_output.clone(),

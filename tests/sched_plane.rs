@@ -2,8 +2,8 @@
 //! scheduler must be invisible to correctness. Ten thousand Ejects on a
 //! two-worker pool see every invocation exactly once; a parked idle
 //! population stays responsive while a pipeline hammers the same pool;
-//! and the `threads` fallback mode produces byte-identical pipeline
-//! output, so differential runs can always arbitrate a scheduler bug.
+//! and every discipline's pipeline output is byte-identical to its
+//! transforms applied in-process, so a scheduler bug has nowhere to hide.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -19,7 +19,7 @@ use eden::kernel::{
 use eden::transput::protocol::{Batch, TransferRequest};
 use eden::transput::recovery::{install_recovery, TransformRegistry};
 use eden::transput::source::FnSource;
-use eden::transput::transform::Transform;
+use eden::transput::transform::{apply_chain_offline, Transform};
 use eden::transput::{ChannelPolicy, Discipline, PipelineSpec};
 
 /// A deliberately starved pool: every test here runs its whole cast on
@@ -295,17 +295,23 @@ fn idle_streams_stay_responsive_under_hot_pipeline_eight_workers() {
     idle_p99_bounded_under_hot_pipeline(8);
 }
 
-fn pipeline_output(kernel: &Kernel, discipline: Discipline) -> Vec<Value> {
-    let input: Vec<Value> = (0..200).map(|i| Value::str(format!("line {i}"))).collect();
-    let mut builder = PipelineSpec::new(discipline)
-        .source_vec(input)
-        .batch(4)
-        .policy(ChannelPolicy::Integer);
-    let stages: [Box<dyn Transform>; 2] = [
+fn pipeline_input() -> Vec<Value> {
+    (0..200).map(|i| Value::str(format!("line {i}"))).collect()
+}
+
+fn pipeline_stages() -> [Box<dyn Transform>; 2] {
+    [
         Box::new(filters::CaseFold::upper()),
         Box::new(filters::LineNumber::new()),
-    ];
-    for stage in stages {
+    ]
+}
+
+fn pipeline_output(kernel: &Kernel, discipline: Discipline) -> Vec<Value> {
+    let mut builder = PipelineSpec::new(discipline)
+        .source_vec(pipeline_input())
+        .batch(4)
+        .policy(ChannelPolicy::Integer);
+    for stage in pipeline_stages() {
         builder = builder.stage(stage);
     }
     builder
@@ -316,29 +322,27 @@ fn pipeline_output(kernel: &Kernel, discipline: Discipline) -> Vec<Value> {
         .output
 }
 
-/// Differential arbitration: the `threads` fallback and the scheduler
-/// produce byte-identical primary streams across all three disciplines.
+/// Differential arbitration: across all three disciplines the scheduler
+/// produces, byte for byte, the primary stream the two transforms make of
+/// the same input with no kernel in between.
 #[test]
-fn threads_and_scheduler_modes_produce_identical_output() {
+fn every_discipline_on_the_scheduler_matches_the_transforms_applied_in_process() {
+    let reference = apply_chain_offline(&mut pipeline_stages(), pipeline_input());
     for discipline in [
         Discipline::ReadOnly { read_ahead: 8 },
         Discipline::WriteOnly { push_ahead: 8 },
         Discipline::Conventional { buffer_capacity: 16 },
     ] {
-        let threads_kernel = Kernel::builder().threads_mode().build();
-        let threads_out = pipeline_output(&threads_kernel, discipline);
-        threads_kernel.shutdown();
-
         let sched_kernel = two_worker_kernel();
         let sched_out = pipeline_output(&sched_kernel, discipline);
         sched_kernel.shutdown();
 
         assert_eq!(
-            threads_out, sched_out,
-            "{discipline:?}: scheduler output diverged from threads mode"
+            reference, sched_out,
+            "{discipline:?}: scheduler output diverged from the transforms"
         );
         assert_eq!(
-            format!("{threads_out:?}"),
+            format!("{reference:?}"),
             format!("{sched_out:?}"),
             "{discipline:?}: rendered bytes diverged"
         );
