@@ -11,9 +11,10 @@
 //!
 //! Every payload-bearing variant is *shared, not copied*, on clone:
 //!
-//! * [`Value::Str`] holds a [`Text`] — an immutable UTF-8 buffer backed by
-//!   [`Bytes`], so cloning is a reference bump and `wire::decode_shared`
-//!   can alias string payloads straight out of a checkpoint buffer.
+//! * [`Value::Str`] holds a [`Text`] — an immutable UTF-8 window on a
+//!   [`Bytes`] buffer, so cloning is a reference bump, `wire::decode_shared`
+//!   can alias string payloads straight out of a checkpoint buffer, and the
+//!   lines of a file ([`Text::split_lines`]) are windows on the file.
 //! * [`Value::List`] and [`Value::Record`] hold their elements behind an
 //!   `Arc` ([`SharedList`] / [`SharedRecord`]) with make-mut copy-on-write:
 //!   a transform that edits a datum in place pays for a spine copy only
@@ -82,6 +83,27 @@ impl Text {
     pub fn from_shared(bytes: Bytes) -> std::result::Result<Text, std::str::Utf8Error> {
         std::str::from_utf8(bytes.as_ref())?;
         Ok(Text(bytes))
+    }
+
+    /// The sub-text `range`, as a window on this text's buffer: O(1), no
+    /// copy, and the window keeps the whole buffer alive. `None` when the
+    /// range is out of bounds, inverted, or cuts a character — the check
+    /// that keeps [`Text::as_str`]'s unchecked view sound.
+    pub fn slice(&self, range: std::ops::Range<usize>) -> Option<Text> {
+        self.as_str().get(range.clone())?;
+        Some(Text(self.0.slice(range)))
+    }
+
+    /// The lines of this text, split exactly as [`str::lines`] splits them
+    /// (`\n` or `\r\n` ends a line, the last ending is optional), each a
+    /// window on this text's buffer rather than a copy.
+    pub fn split_lines(&self) -> impl Iterator<Item = Text> + '_ {
+        let whole = self.as_str();
+        whole.lines().map(move |line| {
+            let start = line.as_ptr() as usize - whole.as_ptr() as usize;
+            self.slice(start..start + line.len())
+                .expect("`str::lines` yields sub-slices of the `str` it splits")
+        })
     }
 
     /// Copy out into an owned `String`.
@@ -921,5 +943,56 @@ mod tests {
     fn text_from_shared_validates_utf8() {
         assert!(Text::from_shared(Bytes::from(&b"ok"[..])).is_ok());
         assert!(Text::from_shared(Bytes::from(&[0xffu8, 0xfe][..])).is_err());
+    }
+
+    #[test]
+    fn split_lines_splits_as_str_lines_does_and_copies_nothing() {
+        for whole in [
+            "",
+            "\n",
+            "one",
+            "one\n",
+            "one\ntwo",
+            "one\r\ntwo\r\n",
+            "lone\rcr\nend\r",
+            "\n\nblank\n\n\nlines\n",
+            "\r\n\r\r\n",
+            "grüß\nΟΔΟΣ\r\n日本語\n🦀",
+        ] {
+            let text = Text::from(whole);
+            let windows: Vec<Text> = text.split_lines().collect();
+            let want: Vec<&str> = whole.lines().collect();
+            assert_eq!(windows, want, "{whole:?}");
+            let buffer = text.as_shared_bytes().as_ptr_range();
+            for window in &windows {
+                let bytes = window.as_shared_bytes().as_ptr_range();
+                assert!(buffer.start <= bytes.start && bytes.end <= buffer.end, "{whole:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_window_outlives_its_text_and_its_siblings() {
+        let text = Text::from("first\nsecond\nthird\n");
+        let mut windows: Vec<Text> = text.split_lines().collect();
+        drop(text);
+        let second = windows.swap_remove(1);
+        drop(windows);
+        assert_eq!(second, "second");
+    }
+
+    #[test]
+    fn slice_is_a_window_and_refuses_to_cut_a_character() {
+        let text = Text::from("aß日c");
+        let window = text.slice(1..6).expect("ß日 sits on char boundaries");
+        assert_eq!(window, "ß日");
+        assert!(std::ptr::eq(window.as_ptr(), text[1..].as_ptr()));
+        assert_eq!(window.slice(0..2).expect("a window slices again"), "ß");
+        assert_eq!(text.slice(3..3).expect("empty, on a boundary"), "");
+        assert_eq!(text.slice(0..text.len()).expect("the whole"), text);
+        // Inside `ß` (1..3), inside `日` (3..6), past the end, inverted.
+        for (start, end) in [(2, 3), (1, 4), (0, 8), (3, 1)] {
+            assert!(text.slice(start..end).is_none(), "{start}..{end}");
+        }
     }
 }

@@ -106,7 +106,7 @@ impl Transform for StreamEditor {
         };
         let mut current = line;
         let mut deleted = false;
-        let mut appends: Vec<String> = Vec::new();
+        let mut appends: Vec<&str> = Vec::new();
         for cmd in &self.script {
             match cmd {
                 Command::Substitute(old, new) => {
@@ -123,7 +123,7 @@ impl Transform for StreamEditor {
                         break;
                     }
                 }
-                Command::AppendAfter(text) => appends.push(text.clone()),
+                Command::AppendAfter(text) => appends.push(text),
                 Command::Quit => {
                     self.quit = true;
                     break;

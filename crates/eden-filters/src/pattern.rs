@@ -4,12 +4,17 @@
 //! pattern given as an argument." The 1983 toolbox would have used
 //! ed-style patterns; we provide globs — `*` (any substring), `?` (any one
 //! character), everything else literal — which are expressive enough for
-//! all the paper's examples without pulling in a regex dependency.
+//! all the paper's examples without pulling in a regex dependency. A glob is
+//! compiled once and matched where the line lies, without allocating; with
+//! no wildcard in it that is `==` / `str::contains`.
 
 /// A compiled glob pattern.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pattern {
     tokens: Vec<Token>,
+    /// The glob's text when it has no wildcard, which makes matching `==`
+    /// and grep `str::contains`.
+    literal: Option<String>,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,65 +43,66 @@ impl Pattern {
                 other => tokens.push(Token::Literal(other)),
             }
         }
-        Pattern { tokens }
+        let literal = (!pattern.contains(['*', '?'])).then(|| pattern.to_owned());
+        Pattern { tokens, literal }
     }
 
     /// Whether the whole of `text` matches the pattern.
     pub fn matches(&self, text: &str) -> bool {
-        let chars: Vec<char> = text.chars().collect();
-        self.match_from(0, &chars, 0)
+        match &self.literal {
+            Some(literal) => text == literal,
+            None => self.glob(text, false),
+        }
     }
 
-    /// Whether any substring of `text` matches (grep semantics): sugar for
-    /// wrapping the pattern in `*...*`.
+    /// Whether any substring of `text` matches (grep semantics): the
+    /// pattern as if wrapped in `*...*`.
     pub fn contained_in(&self, text: &str) -> bool {
-        let mut tokens = Vec::with_capacity(self.tokens.len() + 2);
-        if self.tokens.first() != Some(&Token::AnyMany) {
-            tokens.push(Token::AnyMany);
+        match &self.literal {
+            Some(literal) => text.contains(literal.as_str()),
+            None => self.glob(text, true),
         }
-        tokens.extend(self.tokens.iter().cloned());
-        if tokens.last() != Some(&Token::AnyMany) {
-            tokens.push(Token::AnyMany);
-        }
-        let wrapped = Pattern { tokens };
-        wrapped.matches(text)
     }
 
     /// Iterative-with-backtracking glob match (the classic two-pointer
     /// algorithm, recursion-free so pathological patterns cannot overflow
-    /// the stack).
-    fn match_from(&self, mut ti: usize, chars: &[char], mut ci: usize) -> bool {
+    /// the stack). It walks `text` by byte offset, a character at a time;
+    /// `anywhere` implies a `*` before the first token and after the last.
+    fn glob(&self, text: &str, anywhere: bool) -> bool {
         let tokens = &self.tokens;
-        let mut star: Option<(usize, usize)> = None; // (token after *, char pos)
+        let (mut ti, mut ci) = (0, 0);
+        // (token after the last `*`, offset in `text` it resumes from)
+        let mut star = anywhere.then_some((0, 0));
         loop {
+            let next = text[ci..].chars().next();
             if ti < tokens.len() {
-                match &tokens[ti] {
-                    Token::AnyMany => {
+                match (&tokens[ti], next) {
+                    (Token::AnyMany, _) => {
                         star = Some((ti + 1, ci));
                         ti += 1;
                         continue;
                     }
-                    Token::AnyOne if ci < chars.len() => {
+                    (Token::AnyOne, Some(c)) => {
                         ti += 1;
-                        ci += 1;
+                        ci += c.len_utf8();
                         continue;
                     }
-                    Token::Literal(l) if ci < chars.len() && chars[ci] == *l => {
+                    (Token::Literal(l), Some(c)) if c == *l => {
                         ti += 1;
-                        ci += 1;
+                        ci += c.len_utf8();
                         continue;
                     }
                     _ => {}
                 }
-            } else if ci == chars.len() {
+            } else if anywhere || next.is_none() {
                 return true;
             }
             // Mismatch: backtrack to the last `*`, consuming one more char.
             match star {
-                Some((next_ti, star_ci)) if star_ci < chars.len() => {
+                Some((next_ti, star_ci)) if star_ci < text.len() => {
                     ti = next_ti;
-                    ci = star_ci + 1;
-                    star = Some((next_ti, star_ci + 1));
+                    ci = star_ci + text[star_ci..].chars().next().map_or(0, char::len_utf8);
+                    star = Some((next_ti, ci));
                 }
                 _ => return false,
             }

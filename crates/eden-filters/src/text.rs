@@ -3,7 +3,11 @@
 //! Every filter here is a pure [`Transform`] over `Value::Str` lines, so it
 //! can be mounted in any discipline. Non-string records pass through the
 //! text filters untouched (streams are homogeneous in practice, §6, but a
-//! filter must not panic on a stray record).
+//! filter must not panic on a stray record). A line a filter leaves alone
+//! goes on as the record it came in; one it makes is built in a scratch
+//! buffer and copied out once.
+
+use std::fmt::Write as _;
 
 use eden_core::Value;
 use eden_transput::{Emitter, Transform};
@@ -96,12 +100,17 @@ impl Transform for Grep {
 #[derive(Debug)]
 pub struct LineNumber {
     next: u64,
+    /// Where a numbered line is built before it is copied out, once.
+    scratch: String,
 }
 
 impl LineNumber {
     /// Numbering starts at 1.
     pub fn new() -> LineNumber {
-        LineNumber { next: 1 }
+        LineNumber {
+            next: 1,
+            scratch: String::new(),
+        }
     }
 }
 
@@ -115,7 +124,10 @@ impl Transform for LineNumber {
     fn push(&mut self, item: Value, out: &mut Emitter) {
         match as_line(&item) {
             Some(line) => {
-                out.emit(Value::str(format!("{:>6}  {line}", self.next)));
+                self.scratch.clear();
+                write!(self.scratch, "{:>6}  {line}", self.next)
+                    .expect("writing to a String does not fail");
+                out.emit(Value::str(self.scratch.as_str()));
                 self.next += 1;
             }
             None => out.emit(item),
@@ -133,33 +145,57 @@ impl Transform for LineNumber {
     }
 }
 
-/// Case folding.
+/// Case folding, with `str::to_uppercase` / `to_lowercase` semantics. A
+/// line that is already folded passes through as the record it came in.
 #[derive(Debug)]
 pub struct CaseFold {
     upper: bool,
+    /// Where a line is folded before it is copied out, once.
+    scratch: String,
 }
 
 impl CaseFold {
+    fn new(upper: bool) -> CaseFold {
+        CaseFold {
+            upper,
+            scratch: String::new(),
+        }
+    }
+
     /// Uppercase every line.
     pub fn upper() -> CaseFold {
-        CaseFold { upper: true }
+        CaseFold::new(true)
     }
 
     /// Lowercase every line.
     pub fn lower() -> CaseFold {
-        CaseFold { upper: false }
+        CaseFold::new(false)
     }
 }
 
 impl Transform for CaseFold {
     fn push(&mut self, item: Value, out: &mut Emitter) {
-        match as_line(&item) {
-            Some(line) => out.emit(Value::str(if self.upper {
-                line.to_uppercase()
+        let Some(line) = as_line(&item) else {
+            return out.emit(item);
+        };
+        if line.is_ascii() {
+            // On ASCII the Unicode mappings are the ASCII ones, in place.
+            self.scratch.clear();
+            self.scratch.push_str(line);
+            if self.upper {
+                self.scratch.make_ascii_uppercase();
             } else {
-                line.to_lowercase()
-            })),
-            None => out.emit(item),
+                self.scratch.make_ascii_lowercase();
+            }
+        } else if self.upper {
+            self.scratch = line.to_uppercase();
+        } else {
+            self.scratch = line.to_lowercase();
+        }
+        if self.scratch == line {
+            out.emit(item);
+        } else {
+            out.emit(Value::str(self.scratch.as_str()));
         }
     }
     fn name(&self) -> &'static str {

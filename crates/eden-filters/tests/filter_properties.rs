@@ -2,8 +2,8 @@
 
 use eden_core::Value;
 use eden_filters::{
-    CaseFold, Grep, Head, Pattern, RleDecode, RleEncode, SortLines, SqueezeBlank, StripComments,
-    Tail, Uniq,
+    CaseFold, Grep, Head, LineNumber, Pattern, RleDecode, RleEncode, SortLines, SqueezeBlank,
+    StripComments, Tail, Uniq,
 };
 use eden_transput::transform::{apply_offline, Transform};
 use proptest::prelude::*;
@@ -20,7 +20,124 @@ fn primary(t: &mut dyn Transform, input: Vec<Value>) -> Vec<Value> {
     apply_offline(t, input).0
 }
 
+/// The oracle for [`Pattern`]: the glob matcher as it was before patterns
+/// were compiled once — collect the line's characters, then the two-pointer
+/// walk over `*` (any run), `?` (any one) and literals. `contained` wraps
+/// the glob in `*…*` first.
+fn oracle_glob(pattern: &str, text: &str, contained: bool) -> bool {
+    let wrapped = if contained { format!("*{pattern}*") } else { pattern.to_owned() };
+    let mut tokens: Vec<char> = Vec::new();
+    for c in wrapped.chars() {
+        if c != '*' || tokens.last() != Some(&'*') {
+            tokens.push(c);
+        }
+    }
+    let chars: Vec<char> = text.chars().collect();
+    let (mut ti, mut ci) = (0, 0);
+    let mut star: Option<(usize, usize)> = None;
+    loop {
+        if ti < tokens.len() {
+            match tokens[ti] {
+                '*' => {
+                    star = Some((ti + 1, ci));
+                    ti += 1;
+                    continue;
+                }
+                t if ci < chars.len() && (t == '?' || t == chars[ci]) => {
+                    ti += 1;
+                    ci += 1;
+                    continue;
+                }
+                _ => {}
+            }
+        } else if ci == chars.len() {
+            return true;
+        }
+        match star {
+            Some((next_ti, star_ci)) if star_ci < chars.len() => {
+                (ti, ci) = (next_ti, star_ci + 1);
+                star = Some((next_ti, star_ci + 1));
+            }
+            _ => return false,
+        }
+    }
+}
+
+fn assert_matches_as_the_oracle_does(pat: &str, text: &str) {
+    let p = Pattern::compile(pat);
+    assert_eq!(p.matches(text), oracle_glob(pat, text, false), "{pat:?} matches {text:?}");
+    assert_eq!(p.contained_in(text), oracle_glob(pat, text, true), "{pat:?} in {text:?}");
+}
+
+/// Both folds of `line` are `str`'s, and a line that is already folded is
+/// passed on as the record it came in, not rebuilt.
+fn assert_folds_as_str_does(line: &str) {
+    for (mut t, want) in [
+        (CaseFold::upper(), line.to_uppercase()),
+        (CaseFold::lower(), line.to_lowercase()),
+    ] {
+        let input = Value::str(line);
+        let out = primary(&mut t, vec![input.clone()]).remove(0);
+        assert_eq!(out.as_str().unwrap(), want, "{line:?}");
+        let same = out.as_text().unwrap().ptr_eq(input.as_text().unwrap());
+        assert_eq!(same, want == line, "{line:?} -> {want:?}");
+    }
+}
+
+// `ß` grows when folded, `ǆ` has a title case between its two folds, `Σ`
+// lowers to `ς` at the end of a word and `İ` to two characters.
+#[test]
+fn case_fold_hard_cases() {
+    for line in ["", "straße", "ǆ ǅ Ǆ", "ΟΔΟΣ", "ὈΔΥΣΣΕΎΣ ΟΔΟΣ.", "İi", "UPPER 7", "lower 7"] {
+        assert_folds_as_str_does(line);
+    }
+}
+
 proptest! {
+    // A small alphabet, so that globs do match: wildcards, runs of them,
+    // one- and multi-byte literals.
+    #[test]
+    fn compiled_pattern_agrees_with_the_collecting_matcher(
+        pat in "[ab*?ßλ]{0,7}",
+        text in "[abßλ神]{0,12}",
+    ) {
+        assert_matches_as_the_oracle_does(&pat, &text);
+    }
+
+    // No wildcard: the `==` / `str::contains` arm, the empty glob included.
+    #[test]
+    fn compiled_literal_agrees_with_the_collecting_matcher(
+        pat in "[abß]{0,3}",
+        text in "[abß]{0,10}",
+    ) {
+        assert_matches_as_the_oracle_does(&pat, &text);
+    }
+
+    #[test]
+    fn case_fold_is_str_case_folding(line in "[a-cA-C ßǆǅΟΔΣσςİé5.]{0,12}") {
+        assert_folds_as_str_does(&line);
+    }
+
+    #[test]
+    fn line_number_is_the_format_and_survives_a_restore(
+        lines in lines_strategy(),
+        start in 999_990u64..1_000_000,
+        cut in 0usize..40,
+    ) {
+        let cut = cut.min(lines.len());
+        let at = |next: u64| Value::record([("next", Value::Int(next as i64))]);
+        let mut first = LineNumber::new();
+        first.restore(&at(start)).unwrap();
+        let mut got = primary(&mut first, to_values(&lines[..cut]));
+        // A second life picks the count up from the first one's state.
+        let mut second = LineNumber::new();
+        second.restore(&first.state().unwrap()).unwrap();
+        got.extend(primary(&mut second, to_values(&lines[cut..])));
+        let want: Vec<String> =
+            lines.iter().zip(start..).map(|(line, n)| format!("{n:>6}  {line}")).collect();
+        prop_assert_eq!(got, to_values(&want));
+    }
+
     #[test]
     fn grep_is_idempotent(lines in lines_strategy(), pat in "[a-z]{1,4}") {
         let once = primary(&mut Grep::matching(&pat), to_values(&lines));

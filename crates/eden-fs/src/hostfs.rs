@@ -4,20 +4,21 @@
 //! [`RealFs`] over `std::fs`) moved to `eden-core::hostfs` when the
 //! durability plane made the kernel's stable store a second consumer of
 //! the same I/O path; this module re-exports them so `eden_fs::hostfs`
-//! callers keep working, and keeps the line-file helpers the bootstrap
-//! Ejects use.
+//! callers keep working, and keeps the two helpers that stand between a
+//! file's bytes and a stream of lines: [`file_text`] on the way in (the
+//! lines are then [`Text::split_lines`] windows on it) and
+//! [`lines_to_bytes`] on the way out.
 
 pub use eden_core::hostfs::{HostFs, HostFsHandle, MemFs, RealFs};
+use eden_core::Text;
 
-/// Split file bytes into text lines (used by the line-oriented Ejects).
-pub fn bytes_to_lines(bytes: &[u8]) -> Vec<String> {
-    if bytes.is_empty() {
-        return Vec::new();
+/// A file's bytes as one text, validated once; bytes that are not UTF-8
+/// read as `String::from_utf8_lossy` gives them.
+pub fn file_text(bytes: Vec<u8>) -> Text {
+    match String::from_utf8(bytes) {
+        Ok(text) => Text::from(text),
+        Err(e) => Text::from(&*String::from_utf8_lossy(e.as_bytes())),
     }
-    String::from_utf8_lossy(bytes)
-        .lines()
-        .map(str::to_owned)
-        .collect()
 }
 
 /// Join text lines back into file bytes (trailing newline included).
@@ -37,8 +38,10 @@ mod tests {
     #[test]
     fn line_helpers_roundtrip() {
         let lines = vec!["a", "b", "c"];
-        assert_eq!(bytes_to_lines(&lines_to_bytes(&lines)), lines);
-        assert!(bytes_to_lines(b"").is_empty());
+        let text = file_text(lines_to_bytes(&lines));
+        assert_eq!(text.split_lines().collect::<Vec<_>>(), lines);
+        assert_eq!(file_text(Vec::new()).split_lines().count(), 0);
+        assert_eq!(file_text(vec![b'a', 0xff]), "a\u{fffd}");
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!   a directory *is* a source (§4).
 //! * [`DirConcatenatorEject`] — PATH-style lookup across directories,
 //!   indistinguishable from a plain directory (behavioural typing, §2).
-//! * [`UnixFsEject`] — §7's bootstrap: `NewStream` and `UseStream` over a
-//!   pluggable [`HostFs`] (hermetic [`MemFs`], or [`RealFs`] on disk).
+//! * [`UnixFsEject`] — §7's bootstrap: `NewStream` (whose lines are windows
+//!   on the file's one buffer) and `UseStream` over a pluggable [`HostFs`]
+//!   (hermetic [`MemFs`], or [`RealFs`] on disk).
 //!
 //! Because files and filters are both just Ejects answering `Transfer`,
 //! "there is no distinction between input redirection from a file and from

@@ -13,15 +13,22 @@
 //! on the capability and records the data it receives. When an end of
 //! stream status is returned by Transfer, the appropriate Unix file is
 //! opened, written and closed."
+//!
+//! Neither copies a line: the reader's records are `Text::split_lines`
+//! windows on the file, validated once and held as one `Text` (which they
+//! keep alive); the copier calls `Transfer` on its own stack and appends
+//! each record and a newline to the one `Vec<u8>` it then writes.
+
+use std::io::Write as _;
 
 use eden_core::op::ops;
-use eden_core::{EdenError, Uid, Value};
-use eden_kernel::{EjectBehavior, EjectContext, Invocation, ReplyHandle};
+use eden_core::{EdenError, OpName, Uid, Value};
+use eden_kernel::{EjectBehavior, EjectContext, Invocation, ReplyHandle, RouteCache};
 use eden_transput::protocol::{Batch, TransferRequest};
 use eden_transput::Stage;
 
 use crate::file::spawn_sibling;
-use crate::hostfs::{bytes_to_lines, lines_to_bytes, HostFsHandle};
+use crate::hostfs::{file_text, HostFsHandle};
 
 /// The per-machine bootstrap Eject.
 #[derive(Debug)]
@@ -44,71 +51,56 @@ impl EjectBehavior for UnixFsEject {
     fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
         match inv.op.as_str() {
             ops::NEW_STREAM => {
-                let path = match inv.arg.field("path").and_then(|v| v.as_str()) {
-                    Ok(p) => p.to_owned(),
-                    Err(e) => {
-                        reply.reply(Err(e));
-                        return;
-                    }
-                };
-                let lines = match self.fs.read(&path).map(|b| bytes_to_lines(&b)) {
-                    Ok(lines) => lines,
-                    Err(e) => {
-                        reply.reply(Err(e));
-                        return;
-                    }
-                };
+                let path = inv.arg.field("path").and_then(|v| v.as_str());
+                let text = path.and_then(|p| self.fs.read(p)).map(file_text);
                 // "returns as its result an Eden stream, i.e. a Capability":
                 // the UID of a reader that disappears once closed or read out.
-                let reader = Stage::reader(lines.into_iter().map(Value::from).collect());
-                reply.reply(spawn_sibling(ctx, Box::new(reader)).map(Value::Uid));
+                let stream = text.and_then(|text| {
+                    let reader = Stage::reader(text.split_lines().map(Value::Str).collect());
+                    spawn_sibling(ctx, Box::new(reader))
+                });
+                reply.reply(stream.map(Value::Uid));
             }
             ops::USE_STREAM => {
-                let path = match inv.arg.field("path").and_then(|v| v.as_str()) {
-                    Ok(p) => p.to_owned(),
-                    Err(e) => {
-                        reply.reply(Err(e));
-                        return;
-                    }
-                };
-                let stream = match inv.arg.field("stream").and_then(Value::as_uid) {
-                    Ok(u) => u,
-                    Err(e) => {
-                        reply.reply(Err(e));
-                        return;
-                    }
+                let path = inv.arg.field("path").and_then(|v| v.as_str());
+                let stream = inv.arg.field("stream").and_then(Value::as_uid);
+                let (path, stream) = match (path, stream) {
+                    (Ok(path), Ok(stream)) => (path.to_owned(), stream),
+                    (Err(e), _) | (_, Err(e)) => return reply.reply(Err(e)),
                 };
                 let fs = self.fs.clone();
                 // The copier is a worker of the UnixFs Eject; the reply to
                 // UseStream is deferred until the file is durably written.
                 reply.mark_deferred();
                 ctx.spawn_process("use-stream", move |pctx| {
-                    let mut lines: Vec<String> = Vec::new();
-                    loop {
-                        let req = TransferRequest::primary(64);
-                        let pending = pctx.invoke(stream, ops::TRANSFER, req.to_value());
-                        match pctx.wait_or_stop(pending).and_then(Batch::from_value) {
-                            Ok(batch) => {
-                                for item in batch.items {
-                                    match item {
-                                        Value::Str(s) => lines.push(s.to_string_owned()),
-                                        other => lines.push(format!("{other:?}")),
-                                    }
+                    let copy = || {
+                        // The file as written: each record's text (as the
+                        // shell prints it, if it is not a string), a newline.
+                        let mut file: Vec<u8> = Vec::new();
+                        let mut records = 0i64;
+                        let mut route = RouteCache::new();
+                        loop {
+                            let req = TransferRequest::primary(64).to_value();
+                            let transfer = OpName::from_static(ops::TRANSFER);
+                            let answer = pctx.call_routed(&mut route, stream, transfer, req)?;
+                            let batch = Batch::from_value(answer)?;
+                            records += batch.items.len() as i64;
+                            for item in &batch.items {
+                                match item {
+                                    Value::Str(s) => file.extend_from_slice(s.as_bytes()),
+                                    other => write!(file, "{other}")
+                                        .expect("writing to a Vec does not fail"),
                                 }
-                                if batch.end {
-                                    break;
-                                }
+                                file.push(b'\n');
                             }
-                            Err(e) => {
-                                reply.reply(Err(e));
-                                return;
+                            if batch.end {
+                                break;
                             }
                         }
-                    }
-                    let result = fs
-                        .write(&path, &lines_to_bytes(&lines))
-                        .map(|()| Value::Int(lines.len() as i64));
-                    reply.reply(result);
+                        fs.write(&path, &file)?;
+                        Ok(Value::Int(records))
+                    };
+                    reply.reply(copy());
                 });
             }
             "ListFiles" => {

@@ -434,17 +434,30 @@ fn concatenator_is_behaviourally_a_directory() {
 
 #[test]
 fn unixfs_new_stream_reads_host_file() {
-    let fs = MemFs::with_files([("motd", "welcome\nto eden\n")]);
+    // Text; bytes that are not UTF-8, which read as `from_utf8_lossy` gives
+    // them; and nothing at all.
+    let damaged = b"caf\xe9 au lait\r\n\xff\xfe\n\ngr\xc3\xbc\xc3\x9f\nno newline".to_vec();
+    let files = [
+        ("motd", b"welcome\nto eden\n".to_vec()),
+        ("damaged", damaged),
+        ("empty", Vec::new()),
+    ];
     let kernel = Kernel::new();
-    let ufs = kernel.spawn(Box::new(UnixFsEject::new(fs))).unwrap();
-    let stream = kernel
-        .invoke(ufs, ops::NEW_STREAM, new_stream_arg("motd"))
-        .wait()
-        .unwrap()
-        .as_uid()
+    let ufs = kernel
+        .spawn(Box::new(UnixFsEject::new(MemFs::with_files(files.clone()))))
         .unwrap();
-    let lines = read_stream_fully(&kernel, stream);
-    assert_eq!(lines, vec![Value::str("welcome"), Value::str("to eden")]);
+    for (name, bytes) in files {
+        let stream = kernel
+            .invoke(ufs, ops::NEW_STREAM, new_stream_arg(name))
+            .wait()
+            .unwrap()
+            .as_uid()
+            .unwrap();
+        let lines = read_stream_fully(&kernel, stream);
+        let text = String::from_utf8_lossy(&bytes);
+        let want: Vec<Value> = text.lines().map(Value::str).collect();
+        assert_eq!(lines, want, "{name}");
+    }
     kernel.shutdown();
 }
 

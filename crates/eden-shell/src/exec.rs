@@ -123,17 +123,18 @@ impl ShellEnv {
                 windows_wanted.push((idx, tap.channel.clone(), tap.window.clone()));
             }
         }
-        let run = builder.build(&self.kernel)?.run(self.deadline)?;
+        let mut run = builder.build(&self.kernel)?.run(self.deadline)?;
         let mut windows = BTreeMap::new();
         for (idx, channel, window) in windows_wanted {
             let items = run.report(idx, &channel).unwrap_or(&[]).to_vec();
             windows.insert(window, items);
         }
+        let output = std::mem::take(&mut run.output);
         if let Some(sink) = &spec.sink {
-            self.redirect_output(sink, run.output.clone())?;
+            self.redirect_output(sink, output.clone())?;
         }
         Ok(ShellRun {
-            output: run.output.clone(),
+            output,
             windows,
             run,
         })
@@ -248,7 +249,8 @@ pub struct ShellRun {
     pub output: Vec<Value>,
     /// Window contents, keyed by window name (channel taps).
     pub windows: BTreeMap<String, Vec<Value>>,
-    /// Raw pipeline statistics.
+    /// Raw pipeline statistics. Its `output` is empty: the records were
+    /// moved into [`ShellRun::output`], not kept twice.
     pub run: PipelineRun,
 }
 

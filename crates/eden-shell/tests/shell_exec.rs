@@ -105,6 +105,17 @@ fn unix_source_and_sink() {
         String::from_utf8(fs.read("out.txt").unwrap()).unwrap(),
         "ALPHA\nBETA\n"
     );
+    // The redirect moved nothing out from under the caller, and the copy
+    // the run keeps is the only one.
+    assert_eq!(run.output.len(), 2);
+    assert!(run.run.output.is_empty());
+    // A record that is not a string is written as the shell prints it.
+    let run = env.run("seq 3 > unix n.txt").unwrap();
+    assert_eq!(run.output_lines(), vec!["0", "1", "2"]);
+    assert_eq!(
+        String::from_utf8(fs.read("n.txt").unwrap()).unwrap(),
+        "0\n1\n2\n"
+    );
     kernel.shutdown();
 }
 
