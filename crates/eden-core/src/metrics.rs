@@ -67,34 +67,168 @@ impl Default for Metrics {
 #[derive(Default, Debug)]
 struct CounterShard(Counters);
 
-#[derive(Default, Debug)]
-struct Counters {
-    invocations: AtomicU64,
-    remote_invocations: AtomicU64,
-    replies: AtomicU64,
-    deferred_replies: AtomicU64,
-    internal_messages: AtomicU64,
-    bytes_invoked: AtomicU64,
-    bytes_replied: AtomicU64,
-    ejects_created: AtomicU64,
-    activations: AtomicU64,
-    deactivations: AtomicU64,
-    checkpoints: AtomicU64,
-    checkpoint_bytes: AtomicU64,
-    journal_entries: AtomicU64,
-    crashes: AtomicU64,
-    route_cache_hits: AtomicU64,
-    route_cache_misses: AtomicU64,
-    retries: AtomicU64,
-    faults_injected: AtomicU64,
-    reactivations: AtomicU64,
-    recovered_streams: AtomicU64,
-    successes: AtomicU64,
-    fatal_failures: AtomicU64,
-    sheds_newest: AtomicU64,
-    sheds_oldest: AtomicU64,
-    sheds_expired: AtomicU64,
-    sheds_park_timeout: AtomicU64,
+/// The one declaration of the counters. A row is
+///
+/// ```text
+/// /// doc
+/// field [/ record_method] [=> "exported_name", "help"];
+/// ```
+///
+/// and states a counter once: its doc comment (carried by the `Counters`
+/// field and by the method), the `record_*` method that adds one to it (a
+/// counter fed only by one of the three multi-counter recorders below has
+/// none), and the name and help it is exported under (the `sheds_*` rows
+/// have none: the renderers export them as one labelled family). It
+/// expands to `Counters`, the one-counter recorders, [`Metrics::snapshot`],
+/// [`MetricsSnapshot`] with [`since`](MetricsSnapshot::since) and
+/// [`rows`](MetricsSnapshot::rows) — so a new counter is one row, and it
+/// reaches the snapshot and every exporter by construction.
+macro_rules! counters {
+    ($(
+        $(#[$doc:meta])*
+        $field:ident $(/ $record:ident)? $(=> $name:literal, $help:literal)?;
+    )*) => {
+        #[derive(Default, Debug)]
+        struct Counters {
+            $($(#[$doc])* $field: AtomicU64,)*
+        }
+
+        impl Metrics {
+            $(counters!(@record $(#[$doc])* $field $($record)?);)*
+
+            /// Capture the current counter values, folded across every shard.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                let mut s = MetricsSnapshot::default();
+                for shard in self.shards.iter() {
+                    $(s.$field += shard.0.$field.load(Ordering::Relaxed);)*
+                }
+                s
+            }
+        }
+
+        /// A point-in-time copy of the counters. Subtract two snapshots to
+        /// meter a region of execution.
+        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+        #[allow(missing_docs)] // Field names are self-describing counter names.
+        pub struct MetricsSnapshot {
+            $(pub $field: u64,)*
+        }
+
+        impl MetricsSnapshot {
+            /// Events that occurred between `earlier` and `self`.
+            pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($field: self.$field - earlier.$field,)*
+                }
+            }
+
+            /// The exported counters as (metric name, help, value) rows, in
+            /// declaration order — what the text renderers iterate.
+            pub fn rows(&self) -> impl Iterator<Item = (&'static str, &'static str, u64)> {
+                [$(counters!(@row self.$field $(, $name, $help)?),)*]
+                    .into_iter()
+                    .flatten()
+            }
+        }
+    };
+    (@record $(#[$doc:meta])* $field:ident) => {};
+    (@record $(#[$doc:meta])* $field:ident $record:ident) => {
+        $(#[$doc])*
+        pub fn $record(&self) {
+            self.cell().$field.fetch_add(1, Ordering::Relaxed);
+        }
+    };
+    (@row $value:expr) => {
+        None
+    };
+    (@row $value:expr, $name:literal, $help:literal) => {
+        Some(($name, $help, $value))
+    };
+}
+
+counters! {
+    /// Logical invocations sent (one a [`record_invocation`](Metrics::record_invocation)).
+    invocations => "eden_invocations_total", "Logical invocations sent";
+    /// Record that the most recent invocation crossed simulated nodes.
+    remote_invocations / record_remote_invocation
+        => "eden_remote_invocations_total", "Invocation deliveries that crossed simulated nodes";
+    /// Replies delivered (one a [`record_reply`](Metrics::record_reply)).
+    replies => "eden_replies_total", "Replies delivered";
+    /// Record a reply being parked for later (passive output in action).
+    deferred_replies / record_deferred_reply
+        => "eden_deferred_replies_total", "Replies parked as passive output";
+    /// Record one intra-Eject message (language-level process communication).
+    internal_messages / record_internal_message
+        => "eden_internal_messages_total", "Intra-Eject process messages";
+    /// Parameter payload bytes sent with invocations.
+    bytes_invoked => "eden_bytes_invoked_total", "Payload bytes sent with invocations";
+    /// Payload bytes returned with replies.
+    bytes_replied => "eden_bytes_replied_total", "Payload bytes returned with replies";
+    /// Record the creation of an Eject.
+    ejects_created / record_eject_created => "eden_ejects_created_total", "Ejects created";
+    /// Record an activation (including reactivation from a checkpoint).
+    activations / record_activation
+        => "eden_activations_total", "Eject activations (including reactivations)";
+    /// Record an explicit deactivation.
+    deactivations / record_deactivation => "eden_deactivations_total", "Explicit deactivations";
+    /// Durable writes to the stable store (one a
+    /// [`record_checkpoint`](Metrics::record_checkpoint)).
+    checkpoints
+        => "eden_checkpoints_total", "Durable writes to the stable store, checkpoints and journal entries alike";
+    /// Bytes those writes handed to the stable store.
+    checkpoint_bytes
+        => "eden_checkpoint_bytes_total", "Bytes those writes handed to the stable store";
+    /// Those writes that were a journal entry beside a checkpoint.
+    journal_entries
+        => "eden_journal_entries_total", "Durable writes that were a journal entry beside a checkpoint";
+    /// Record a simulated crash.
+    crashes / record_crash => "eden_crashes_total", "Simulated fail-stop crashes";
+    /// Record an invocation delivered through a cached route (the kernel
+    /// registry was never consulted).
+    route_cache_hits / record_route_cache_hit
+        => "eden_route_cache_hits_total", "Invocations delivered via a cached route";
+    /// Record an invocation that had to resolve (or re-resolve) its target
+    /// through the registry: cold cache or stale route.
+    route_cache_misses / record_route_cache_miss
+        => "eden_route_cache_misses_total", "Invocations that resolved through the registry";
+    /// Record one re-sent invocation (the retry policy fired).
+    retries / record_retry => "eden_retries_total", "Invocation re-sends by the retry policy";
+    /// Record one fault deliberately injected on the invocation path.
+    faults_injected / record_fault_injected
+        => "eden_faults_injected_total", "Faults injected on the invocation path";
+    /// Record a reactivation: an activation that rebuilt an Eject from its
+    /// passive representation (also counted in `activations`).
+    reactivations / record_reactivation
+        => "eden_reactivations_total", "Activations from a passive representation";
+    /// Record a stream stage that resumed from its checkpoint after a
+    /// crash, picking up at the last acknowledged position.
+    recovered_streams / record_recovered_stream
+        => "eden_recovered_streams_total", "Stream stages resumed from a checkpoint";
+    /// Record the terminal success of one *logical* invocation. Together
+    /// with [`record_fatal_failure`](Metrics::record_fatal_failure) this
+    /// forms the outcome ledger: once every in-flight invocation has
+    /// resolved, `invocations == successes + fatal_failures` regardless of
+    /// how many times any of them was retried (retries re-send an existing
+    /// invocation; they never open a new ledger entry).
+    successes / record_success
+        => "eden_invocation_successes_total", "Logical invocations that terminally succeeded";
+    /// Record the terminal failure of one logical invocation: a fatal
+    /// error, retry exhaustion, deadline expiry, or abandonment.
+    fatal_failures / record_fatal_failure
+        => "eden_invocation_fatal_failures_total", "Logical invocations that terminally failed";
+    /// Record an arriving invocation turned away at a full bounded mailbox
+    /// (`ShedPolicy::RejectNewest`, or `DeadlineDrop` with nothing expired).
+    sheds_newest / record_shed_newest;
+    /// Record a queued invocation evicted to admit a newer arrival
+    /// (`ShedPolicy::RejectOldest`).
+    sheds_oldest / record_shed_oldest;
+    /// Record a queued invocation dropped because its admission deadline
+    /// had already expired (`ShedPolicy::DeadlineDrop`).
+    sheds_expired / record_shed_expired;
+    /// Record a sender whose deadline-bounded park on a full mailbox timed
+    /// out before space freed (`ShedPolicy::Park` under an invocation
+    /// deadline).
+    sheds_park_timeout / record_shed_park_timeout;
 }
 
 impl Metrics {
@@ -111,42 +245,12 @@ impl Metrics {
             .fetch_add(payload_bytes as u64, Ordering::Relaxed);
     }
 
-    /// Record that the most recent invocation crossed simulated nodes.
-    pub fn record_remote_invocation(&self) {
-        self.cell().remote_invocations.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Record a reply being delivered, with its payload size.
     pub fn record_reply(&self, payload_bytes: usize) {
         self.cell().replies.fetch_add(1, Ordering::Relaxed);
         self.cell()
             .bytes_replied
             .fetch_add(payload_bytes as u64, Ordering::Relaxed);
-    }
-
-    /// Record a reply being parked for later (passive output in action).
-    pub fn record_deferred_reply(&self) {
-        self.cell().deferred_replies.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one intra-Eject message (language-level process communication).
-    pub fn record_internal_message(&self) {
-        self.cell().internal_messages.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record the creation of an Eject.
-    pub fn record_eject_created(&self) {
-        self.cell().ejects_created.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record an activation (including reactivation from a checkpoint).
-    pub fn record_activation(&self) {
-        self.cell().activations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record an explicit deactivation.
-    pub fn record_deactivation(&self) {
-        self.cell().deactivations.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record a durable write of `bytes` to the stable store: a whole
@@ -158,193 +262,13 @@ impl Metrics {
         cell.journal_entries.fetch_add(entry as u64, Ordering::Relaxed);
     }
 
-    /// Record a simulated crash.
-    pub fn record_crash(&self) {
-        self.cell().crashes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record an invocation delivered through a cached route (the kernel
-    /// registry was never consulted).
-    pub fn record_route_cache_hit(&self) {
-        self.cell().route_cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record an invocation that had to resolve (or re-resolve) its target
-    /// through the registry: cold cache or stale route.
-    pub fn record_route_cache_miss(&self) {
-        self.cell().route_cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one re-sent invocation (the retry policy fired).
-    pub fn record_retry(&self) {
-        self.cell().retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one fault deliberately injected on the invocation path.
-    pub fn record_fault_injected(&self) {
-        self.cell().faults_injected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a reactivation: an activation that rebuilt an Eject from its
-    /// passive representation (also counted in `activations`).
-    pub fn record_reactivation(&self) {
-        self.cell().reactivations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a stream stage that resumed from its checkpoint after a
-    /// crash, picking up at the last acknowledged position.
-    pub fn record_recovered_stream(&self) {
-        self.cell().recovered_streams.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record the terminal success of one *logical* invocation. Together
-    /// with [`record_fatal_failure`](Metrics::record_fatal_failure) this
-    /// forms the outcome ledger: once every in-flight invocation has
-    /// resolved, `invocations == successes + fatal_failures` regardless of
-    /// how many times any of them was retried (retries re-send an existing
-    /// invocation; they never open a new ledger entry).
-    pub fn record_success(&self) {
-        self.cell().successes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record the terminal failure of one logical invocation: a fatal
-    /// error, retry exhaustion, deadline expiry, or abandonment.
-    pub fn record_fatal_failure(&self) {
-        self.cell().fatal_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record an arriving invocation turned away at a full bounded mailbox
-    /// (`ShedPolicy::RejectNewest`, or `DeadlineDrop` with nothing expired).
-    pub fn record_shed_newest(&self) {
-        self.cell().sheds_newest.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a queued invocation evicted to admit a newer arrival
-    /// (`ShedPolicy::RejectOldest`).
-    pub fn record_shed_oldest(&self) {
-        self.cell().sheds_oldest.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a queued invocation dropped because its admission deadline
-    /// had already expired (`ShedPolicy::DeadlineDrop`).
-    pub fn record_shed_expired(&self) {
-        self.cell().sheds_expired.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a sender whose deadline-bounded park on a full mailbox timed
-    /// out before space freed (`ShedPolicy::Park` under an invocation
-    /// deadline).
-    pub fn record_shed_park_timeout(&self) {
-        self.cell().sheds_park_timeout.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// The calling thread's counter block.
     fn cell(&self) -> &Counters {
         &self.shards[metric_slot() & (METRIC_SHARDS - 1)].0
     }
-
-    /// Capture the current counter values, folded across every shard.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut s = MetricsSnapshot::default();
-        for shard in self.shards.iter() {
-            let c = &shard.0;
-            s.invocations += c.invocations.load(Ordering::Relaxed);
-            s.remote_invocations += c.remote_invocations.load(Ordering::Relaxed);
-            s.replies += c.replies.load(Ordering::Relaxed);
-            s.deferred_replies += c.deferred_replies.load(Ordering::Relaxed);
-            s.internal_messages += c.internal_messages.load(Ordering::Relaxed);
-            s.bytes_invoked += c.bytes_invoked.load(Ordering::Relaxed);
-            s.bytes_replied += c.bytes_replied.load(Ordering::Relaxed);
-            s.ejects_created += c.ejects_created.load(Ordering::Relaxed);
-            s.activations += c.activations.load(Ordering::Relaxed);
-            s.deactivations += c.deactivations.load(Ordering::Relaxed);
-            s.checkpoints += c.checkpoints.load(Ordering::Relaxed);
-            s.checkpoint_bytes += c.checkpoint_bytes.load(Ordering::Relaxed);
-            s.journal_entries += c.journal_entries.load(Ordering::Relaxed);
-            s.crashes += c.crashes.load(Ordering::Relaxed);
-            s.route_cache_hits += c.route_cache_hits.load(Ordering::Relaxed);
-            s.route_cache_misses += c.route_cache_misses.load(Ordering::Relaxed);
-            s.retries += c.retries.load(Ordering::Relaxed);
-            s.faults_injected += c.faults_injected.load(Ordering::Relaxed);
-            s.reactivations += c.reactivations.load(Ordering::Relaxed);
-            s.recovered_streams += c.recovered_streams.load(Ordering::Relaxed);
-            s.successes += c.successes.load(Ordering::Relaxed);
-            s.fatal_failures += c.fatal_failures.load(Ordering::Relaxed);
-            s.sheds_newest += c.sheds_newest.load(Ordering::Relaxed);
-            s.sheds_oldest += c.sheds_oldest.load(Ordering::Relaxed);
-            s.sheds_expired += c.sheds_expired.load(Ordering::Relaxed);
-            s.sheds_park_timeout += c.sheds_park_timeout.load(Ordering::Relaxed);
-        }
-        s
-    }
-}
-
-/// A point-in-time copy of the counters. Subtract two snapshots to meter a
-/// region of execution.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)] // Field names are self-describing counter names.
-pub struct MetricsSnapshot {
-    pub invocations: u64,
-    pub remote_invocations: u64,
-    pub replies: u64,
-    pub deferred_replies: u64,
-    pub internal_messages: u64,
-    pub bytes_invoked: u64,
-    pub bytes_replied: u64,
-    pub ejects_created: u64,
-    pub activations: u64,
-    pub deactivations: u64,
-    pub checkpoints: u64,
-    pub checkpoint_bytes: u64,
-    pub journal_entries: u64,
-    pub crashes: u64,
-    pub route_cache_hits: u64,
-    pub route_cache_misses: u64,
-    pub retries: u64,
-    pub faults_injected: u64,
-    pub reactivations: u64,
-    pub recovered_streams: u64,
-    pub successes: u64,
-    pub fatal_failures: u64,
-    pub sheds_newest: u64,
-    pub sheds_oldest: u64,
-    pub sheds_expired: u64,
-    pub sheds_park_timeout: u64,
 }
 
 impl MetricsSnapshot {
-    /// Events that occurred between `earlier` and `self`.
-    pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            invocations: self.invocations - earlier.invocations,
-            remote_invocations: self.remote_invocations - earlier.remote_invocations,
-            replies: self.replies - earlier.replies,
-            deferred_replies: self.deferred_replies - earlier.deferred_replies,
-            internal_messages: self.internal_messages - earlier.internal_messages,
-            bytes_invoked: self.bytes_invoked - earlier.bytes_invoked,
-            bytes_replied: self.bytes_replied - earlier.bytes_replied,
-            ejects_created: self.ejects_created - earlier.ejects_created,
-            activations: self.activations - earlier.activations,
-            deactivations: self.deactivations - earlier.deactivations,
-            checkpoints: self.checkpoints - earlier.checkpoints,
-            checkpoint_bytes: self.checkpoint_bytes - earlier.checkpoint_bytes,
-            journal_entries: self.journal_entries - earlier.journal_entries,
-            crashes: self.crashes - earlier.crashes,
-            route_cache_hits: self.route_cache_hits - earlier.route_cache_hits,
-            route_cache_misses: self.route_cache_misses - earlier.route_cache_misses,
-            retries: self.retries - earlier.retries,
-            faults_injected: self.faults_injected - earlier.faults_injected,
-            reactivations: self.reactivations - earlier.reactivations,
-            recovered_streams: self.recovered_streams - earlier.recovered_streams,
-            successes: self.successes - earlier.successes,
-            fatal_failures: self.fatal_failures - earlier.fatal_failures,
-            sheds_newest: self.sheds_newest - earlier.sheds_newest,
-            sheds_oldest: self.sheds_oldest - earlier.sheds_oldest,
-            sheds_expired: self.sheds_expired - earlier.sheds_expired,
-            sheds_park_timeout: self.sheds_park_timeout - earlier.sheds_park_timeout,
-        }
-    }
-
     /// Total invocations shed by admission control, across every policy.
     pub fn sheds_total(&self) -> u64 {
         self.sheds_newest + self.sheds_oldest + self.sheds_expired + self.sheds_park_timeout
@@ -534,6 +458,97 @@ mod tests {
         let delta = s.since(&before);
         assert_eq!(delta.sheds_newest, 1);
         assert_eq!(delta.sheds_total(), 4);
+    }
+
+    /// The table expands to what was written by hand: every recorder once,
+    /// against a snapshot spelled out field by field.
+    #[test]
+    fn table_expands_to_the_hand_written_counters() {
+        let m = Metrics::new();
+        m.record_invocation(7);
+        m.record_remote_invocation();
+        m.record_reply(5);
+        m.record_deferred_reply();
+        m.record_internal_message();
+        m.record_eject_created();
+        m.record_activation();
+        m.record_deactivation();
+        m.record_checkpoint(40, true);
+        m.record_crash();
+        m.record_route_cache_hit();
+        m.record_route_cache_miss();
+        m.record_retry();
+        m.record_fault_injected();
+        m.record_reactivation();
+        m.record_recovered_stream();
+        m.record_success();
+        m.record_fatal_failure();
+        m.record_shed_newest();
+        m.record_shed_oldest();
+        m.record_shed_expired();
+        m.record_shed_park_timeout();
+        let s = m.snapshot();
+        let by_hand = MetricsSnapshot {
+            invocations: 1,
+            remote_invocations: 1,
+            replies: 1,
+            deferred_replies: 1,
+            internal_messages: 1,
+            bytes_invoked: 7,
+            bytes_replied: 5,
+            ejects_created: 1,
+            activations: 1,
+            deactivations: 1,
+            checkpoints: 1,
+            checkpoint_bytes: 40,
+            journal_entries: 1,
+            crashes: 1,
+            route_cache_hits: 1,
+            route_cache_misses: 1,
+            retries: 1,
+            faults_injected: 1,
+            reactivations: 1,
+            recovered_streams: 1,
+            successes: 1,
+            fatal_failures: 1,
+            sheds_newest: 1,
+            sheds_oldest: 1,
+            sheds_expired: 1,
+            sheds_park_timeout: 1,
+        };
+        assert_eq!(s, by_hand);
+        assert_eq!(s.since(&s), MetricsSnapshot::default());
+
+        let rows: Vec<_> = s.rows().collect();
+        let names: std::collections::BTreeSet<&str> = rows.iter().map(|r| r.0).collect();
+        assert_eq!((rows.len(), names.len()), (22, 22), "22 distinct exported names");
+        assert!(names.iter().all(|n| n.starts_with("eden_") && n.ends_with("_total")));
+        assert!(rows.iter().all(|r| !r.1.is_empty()), "every exported counter has help");
+        let value_of = |name: &str| rows.iter().find(|r| r.0 == name).map(|r| r.2);
+        assert_eq!(value_of("eden_bytes_invoked_total"), Some(7));
+        assert_eq!(value_of("eden_checkpoint_bytes_total"), Some(40));
+        assert_eq!(rows.iter().map(|r| r.2).sum::<u64>(), 19 + 7 + 5 + 40);
+    }
+
+    #[test]
+    fn recording_from_many_threads_folds_to_the_exact_total() {
+        const THREADS: u64 = 32;
+        const EACH: u64 = 50;
+        let m = Metrics::new();
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    for _ in 0..EACH {
+                        m.record_invocation(3);
+                        m.record_retry();
+                    }
+                });
+            }
+        });
+        let s = m.snapshot();
+        assert_eq!(s.invocations, THREADS * EACH);
+        assert_eq!(s.bytes_invoked, 3 * THREADS * EACH);
+        assert_eq!(s.retries, THREADS * EACH);
     }
 
     #[test]

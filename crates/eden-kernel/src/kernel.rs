@@ -18,7 +18,7 @@
 //! # The invocation plane
 //!
 //! Routing is split into a **resolve** step (find or reactivate the target,
-//! under a registry lock) and a **dispatch** step (meter, trace, inject
+//! under a registry lock) and a **dispatch** step (meter, inject
 //! latency, send — with *no* lock held, so injected latency on one
 //! invocation can never serialise unrelated senders). The registry itself
 //! is sharded by UID: concurrent pipelines resolving different targets take
@@ -43,14 +43,14 @@ use crate::fault::{FaultInjector, FaultKind, FaultPlan};
 use crate::invocation::{reply_pair, Invocation, PendingReply, ReplyHandle};
 use crate::mailbox::{mailbox, MailboxSender, SendError, SendOutcome, ShedCause, ShedPolicy};
 use crate::obs::{
-    KernelSnapshot, MailboxSnapshot, ObsConfig, ObsPlane, ObsTag, SpanRecord, StageSummary,
+    KernelSnapshot, Lifecycle, LifecycleRecord, MailboxSnapshot, ObsConfig, ObsPlane, ObsTag,
+    SpanRecord, StageSummary,
 };
 use crate::options::{InvokeOptions, RetryState};
 use crate::routes::{Route, RouteCache};
 use crate::runtime::Envelope;
 use crate::sched::{Scheduler, SchedulerConfig, Task, Woken};
 use crate::stable::StableStore;
-use crate::trace::TraceDump;
 
 /// A simulated machine. Ejects placed on different nodes pay the remote
 /// invocation surcharge in the cost model (and optional injected latency).
@@ -67,9 +67,6 @@ pub struct KernelConfig {
     pub remote_latency: Option<Duration>,
     /// Real latency added to every invocation, local or remote.
     pub invocation_latency: Option<Duration>,
-    /// Keep a ring of the last N kernel events (invocations, activations,
-    /// stops) readable via [`Kernel::trace_events`]. 0 disables tracing.
-    pub trace_capacity: usize,
     /// Number of registry shards (rounded up to a power of two, minimum 1).
     /// `1` reproduces the old single-lock registry — useful for measuring
     /// contention on the same binary (see the `registry_contention` bench).
@@ -88,9 +85,9 @@ pub struct KernelConfig {
     /// [`EdenError::Overloaded`], so `invoke_with` retry/backoff composes
     /// as client-side rate control.
     pub shed_policy: ShedPolicy,
-    /// The observability plane: causal spans and per-stage latency
-    /// histograms (see [`ObsConfig`]). Off by default — a disabled kernel
-    /// carries no instrumentation state at all.
+    /// The observability plane: causal spans, Eject lifecycle events and
+    /// per-stage latency histograms (see [`ObsConfig`]). Off by default — a
+    /// disabled kernel carries no instrumentation state at all.
     pub observability: ObsConfig,
     /// The worker pool that runs the coordinators (see [`SchedulerConfig`]).
     pub scheduler: SchedulerConfig,
@@ -101,7 +98,6 @@ impl Default for KernelConfig {
         KernelConfig {
             remote_latency: None,
             invocation_latency: None,
-            trace_capacity: 0,
             registry_shards: DEFAULT_REGISTRY_SHARDS,
             mailbox_capacity: None,
             shed_policy: ShedPolicy::default(),
@@ -119,7 +115,6 @@ impl Default for KernelConfig {
 ///
 /// let kernel = Kernel::builder()
 ///     .scheduler(SchedulerConfig { workers: 4 })
-///     .trace_capacity(256)
 ///     .build();
 /// ```
 #[derive(Debug, Default)]
@@ -149,12 +144,6 @@ impl KernelBuilder {
     /// See [`KernelConfig::invocation_latency`].
     pub fn invocation_latency(mut self, latency: Duration) -> Self {
         self.config.invocation_latency = Some(latency);
-        self
-    }
-
-    /// See [`KernelConfig::trace_capacity`].
-    pub fn trace_capacity(mut self, capacity: usize) -> Self {
-        self.config.trace_capacity = capacity;
         self
     }
 
@@ -279,7 +268,6 @@ pub(crate) struct KernelInner {
     stable: StableStore,
     metrics: Metrics,
     config: KernelConfig,
-    trace: Option<crate::trace::TraceLog>,
     obs: Option<Arc<ObsPlane>>,
     faults: FaultInjector,
     /// The worker pool.
@@ -430,8 +418,6 @@ impl Kernel {
     pub fn with_stable_store(config: KernelConfig, stable: StableStore) -> Self {
         let shard_count = config.registry_shards.max(1).next_power_of_two();
         let shards: Box<[Shard]> = (0..shard_count).map(|_| Shard::default()).collect();
-        let trace = (config.trace_capacity > 0)
-            .then(|| crate::trace::TraceLog::new(config.trace_capacity));
         let obs = config
             .observability
             .enabled()
@@ -444,7 +430,6 @@ impl Kernel {
             stable,
             metrics: Metrics::new(),
             config,
-            trace,
             obs,
             faults: FaultInjector::default(),
             sched,
@@ -479,25 +464,6 @@ impl Kernel {
         &self.inner.metrics
     }
 
-    /// The traced kernel events, oldest first, with the count of events the
-    /// bounded ring has evicted (empty unless
-    /// [`KernelConfig::trace_capacity`] was set). The dump derefs to
-    /// `[TraceEvent]`, so iteration and indexing work directly on it.
-    pub fn trace_events(&self) -> TraceDump {
-        self.inner
-            .trace
-            .as_ref()
-            .map(|t| t.events())
-            .unwrap_or_default()
-    }
-
-    /// Events evicted from the trace ring since the kernel started (0 when
-    /// tracing is disabled). Monotonic — it never resets while the kernel
-    /// lives, so two reads bound how much history was lost between them.
-    pub fn trace_dropped(&self) -> u64 {
-        self.inner.trace.as_ref().map(|t| t.dropped()).unwrap_or(0)
-    }
-
     /// True if the kernel was built with causal span recording on.
     pub fn spans_enabled(&self) -> bool {
         self.inner
@@ -525,6 +491,19 @@ impl Kernel {
             .unwrap_or(0)
     }
 
+    /// The Eject activations and stops still held beside the spans, ordered
+    /// by time, and the count their bounded ring has evicted (nothing
+    /// unless [`ObsConfig::spans`] was set). A lifecycle record never evicts
+    /// a span and is counted in neither [`spans`](Kernel::spans) nor
+    /// [`spans_dropped`](Kernel::spans_dropped).
+    pub fn lifecycle(&self) -> (Vec<LifecycleRecord>, u64) {
+        self.inner
+            .obs
+            .as_ref()
+            .map(|obs| obs.lifecycle())
+            .unwrap_or_default()
+    }
+
     /// Per-(Eject, op) latency summaries, busiest first (empty unless
     /// [`ObsConfig::histograms`] was set).
     pub fn stage_summaries(&self) -> Vec<StageSummary> {
@@ -537,7 +516,7 @@ impl Kernel {
 
     /// Everything the kernel can report, in one consistent-enough snapshot:
     /// control-plane counters, the process-wide payload and stream planes,
-    /// per-stage latency summaries, and trace/span bookkeeping. This is the
+    /// per-stage latency summaries, and span bookkeeping. This is the
     /// source for the Prometheus and JSON export surfaces (see
     /// [`prometheus_text`](crate::prometheus_text) and
     /// [`json_text`](crate::json_text)).
@@ -548,7 +527,6 @@ impl Kernel {
             payload: eden_core::payload::snapshot(),
             stream: eden_core::stream::snapshot(),
             stages: obs.map(|o| o.stage_summaries()).unwrap_or_default(),
-            trace_dropped: self.trace_dropped(),
             spans_recorded: obs.map(|o| o.span_count()).unwrap_or(0),
             spans_dropped: obs.map(|o| o.spans_dropped()).unwrap_or(0),
             sched: self.inner.sched.snapshot(),
@@ -580,16 +558,6 @@ impl Kernel {
     /// A convenient entry point to [`KernelBuilder`].
     pub fn builder() -> KernelBuilder {
         KernelBuilder::new()
-    }
-
-    /// Invocation tallies per target Eject, busiest first (empty unless
-    /// tracing is enabled).
-    pub fn invocations_by_target(&self) -> Vec<(Uid, u64)> {
-        self.inner
-            .trace
-            .as_ref()
-            .map(|t| t.per_target())
-            .unwrap_or_default()
     }
 
     /// The stable store backing this kernel.
@@ -1098,7 +1066,7 @@ impl Kernel {
         }
     }
 
-    /// Deliver a resolved invocation: trace, inject latency, send — the one
+    /// Deliver a resolved invocation: inject latency, send — the one
     /// place an invocation enters a mailbox by a fresh route. (The ledger
     /// entry was opened by the caller — once per logical invocation, not per
     /// delivery attempt.) Runs with no kernel lock held — the route owns
@@ -1122,9 +1090,6 @@ impl Kernel {
         wake: Option<&mut Option<Woken>>,
     ) -> std::result::Result<(), SendError> {
         let metrics = &self.inner.metrics;
-        if let Some(trace) = &self.inner.trace {
-            trace.record_invoke(route.target, &invocation.op, from, route.node);
-        }
         if route.node != from {
             metrics.record_remote_invocation();
             if let Some(latency) = self.inner.config.remote_latency {
@@ -1257,8 +1222,8 @@ impl Kernel {
     /// Called by a coordinator as its last act. Decides the Eject's fate:
     /// passive if it ever checkpointed, gone otherwise.
     pub(crate) fn on_eject_exit(&self, uid: Uid, incarnation: u64, crashed: bool) {
-        if let Some(trace) = &self.inner.trace {
-            trace.record_stop(uid, crashed);
+        if let Some(obs) = &self.inner.obs {
+            obs.record_lifecycle(Lifecycle::Stop { uid, crashed });
         }
         if self.inner.shutting_down.load(Ordering::Acquire) {
             return;
@@ -1355,8 +1320,8 @@ impl Kernel {
             workers: Mutex::new(Vec::new()),
         });
         self.inner.metrics.record_activation();
-        if let Some(trace) = &self.inner.trace {
-            trace.record_activate(uid, type_name);
+        if let Some(obs) = &self.inner.obs {
+            obs.record_lifecycle(Lifecycle::Activate { uid, type_name });
         }
         // The coordinator inherits the spawner's ambient span: an Eject
         // activated while a pipeline (or a retry holding its origin span)

@@ -61,7 +61,6 @@ mod routes;
 mod runtime;
 mod sched;
 mod stable;
-mod trace;
 
 pub use behavior::EjectBehavior;
 pub use context::{EjectContext, InternalSender, ProcessContext};
@@ -75,8 +74,8 @@ pub use kernel::{
 };
 pub use mailbox::{ShedCause, ShedPolicy};
 pub use obs::{
-    chrome_trace_json, json_text, prometheus_text, Histogram, KernelSnapshot, MailboxSnapshot,
-    ObsConfig, SpanRecord, StageSummary,
+    chrome_trace_json, json_text, prometheus_text, render_events, Histogram, KernelSnapshot,
+    Lifecycle, LifecycleRecord, MailboxSnapshot, ObsConfig, SpanRecord, StageSummary,
 };
 pub use options::{FaultExposure, InvokeOptions, RetryPolicy};
 pub use routes::{Route, RouteCache};
@@ -85,4 +84,3 @@ pub use stable::{
     DurableConfig, DurableLog, FsyncPolicy, MemBacked, PassiveRecord, StableBackend, StableStats,
     StableStore,
 };
-pub use trace::{TraceDump, TraceEvent};

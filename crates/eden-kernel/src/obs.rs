@@ -1,5 +1,6 @@
-//! The observability plane: causal invocation spans, per-stage latency
-//! histograms, and the export renderers behind `eden-shell`'s `stats` and
+//! The observability plane: the kernel's one record of what happened —
+//! causal invocation spans and Eject lifecycle events — per-stage latency
+//! histograms, and the renderers behind `eden-shell`'s `stats`, `trace` and
 //! `trace export` commands.
 //!
 //! Everything here hangs off the single invocation verb. When enabled via
@@ -11,10 +12,17 @@
 //! correctly even for deferred replies (the paper's passive output: a parked
 //! `ReplyHandle` is *still being serviced*).
 //!
-//! The store is sharded by target UID and merged on snapshot, keeping the
-//! hot path to one short mutex acquisition per completed invocation; with
+//! The store is sharded by recording thread and merged on snapshot, keeping
+//! the hot path to one short mutex acquisition per completed invocation; with
 //! the plane disabled (the default) the kernel carries no tag at all and the
 //! cost is one `Option` check per invocation.
+//!
+//! A shard holds two kinds of entry, each in its own ring of the same
+//! capacity: [`SpanRecord`]s (one per delivery) and [`LifecycleRecord`]s (an
+//! Eject activated or stopped, recorded only while spans are on). They are
+//! separate rings so that a lifecycle event never evicts a span: a kernel
+//! sized for its invocations keeps every one of them however many Ejects it
+//! spawns.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,7 +45,8 @@ pub struct ObsConfig {
     /// Record per-(Eject, op) queue-wait and service-time histograms.
     pub histograms: bool,
     /// Ring capacity of the span store (oldest spans are dropped beyond
-    /// this, counted in [`Kernel::spans_dropped`](crate::Kernel)).
+    /// this, counted in [`Kernel::spans_dropped`](crate::Kernel)). The
+    /// lifecycle ring beside it is bounded by the same number.
     pub span_capacity: usize,
 }
 
@@ -104,14 +113,43 @@ pub struct SpanRecord {
     /// span exactly.
     pub queue_ns: u64,
     /// Scheduler wait: time the target's parked state machine spent on the
-    /// run queue before a worker resumed it to service this invocation.
-    /// Always zero in `threads` execution mode.
+    /// run queue before a worker resumed it to service this invocation
+    /// (zero when the sender's own call ran it, with no queue in between).
     pub sched_ns: u64,
     /// Time from dequeue to reply resolution — includes any time the reply
     /// was parked as passive output.
     pub service_ns: u64,
     /// Whether the reply was `Ok`.
     pub ok: bool,
+}
+
+/// What happened to an Eject, as the kernel saw it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lifecycle {
+    /// The Eject was (re)activated.
+    Activate {
+        /// The Eject.
+        uid: Uid,
+        /// Its Eden type name.
+        type_name: &'static str,
+    },
+    /// The Eject stopped (deactivation, crash, or shutdown).
+    Stop {
+        /// The Eject.
+        uid: Uid,
+        /// True if it stopped by a fail-stop crash.
+        crashed: bool,
+    },
+}
+
+/// One lifecycle event and when it happened.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LifecycleRecord {
+    /// Nanoseconds since the kernel's observability epoch (the clock of
+    /// [`SpanRecord::start_ns`]).
+    pub at_ns: u64,
+    /// What happened.
+    pub event: Lifecycle,
 }
 
 /// A fixed-layout log2 histogram of nanosecond durations. Bucket `b` holds
@@ -201,8 +239,7 @@ pub struct StageSummary {
     pub count: u64,
     /// Mailbox wait distribution (run-queue time excluded).
     pub queue: Histogram,
-    /// Scheduler wait distribution (run-queue time; all-zero in `threads`
-    /// execution mode).
+    /// Scheduler wait distribution (run-queue time).
     pub sched: Histogram,
     /// Service time distribution (dequeue to reply resolution).
     pub service: Histogram,
@@ -223,6 +260,9 @@ struct StageSlot {
 
 struct ObsShard {
     spans: VecDeque<SpanRecord>,
+    lifecycle: VecDeque<LifecycleRecord>,
+    /// Lifecycle records this shard's ring has evicted.
+    lifecycle_evicted: u64,
     stages: Vec<StageSlot>,
 }
 
@@ -272,6 +312,10 @@ impl ObsPlane {
                     // roughly doubling the hot path's memory traffic. The
                     // reservation is virtual memory until touched.
                     spans: VecDeque::with_capacity(if config.spans { shard_capacity } else { 0 }),
+                    // Not reserved: most kernels spawn far fewer Ejects than
+                    // they deliver invocations.
+                    lifecycle: VecDeque::new(),
+                    lifecycle_evicted: 0,
                     stages: Vec::new(),
                 })
             })
@@ -334,11 +378,7 @@ impl ObsPlane {
             slot.service.record(service_ns);
         }
         if self.config.spans {
-            if shard.spans.len() == self.shard_capacity {
-                shard.spans.pop_front();
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            shard.spans.push_back(SpanRecord {
+            self.push_span(&mut shard, SpanRecord {
                 trace: tag.ctx.trace,
                 span: tag.ctx.span,
                 parent: tag.ctx.parent,
@@ -347,7 +387,7 @@ impl ObsPlane {
                 op: tag.op.clone(),
                 from: tag.from,
                 to: tag.to,
-                start_ns: tag.enqueued.saturating_duration_since(self.epoch).as_nanos() as u64,
+                start_ns: self.since_epoch(tag.enqueued),
                 queue_ns,
                 sched_ns,
                 service_ns,
@@ -371,13 +411,9 @@ impl ObsPlane {
         if !self.config.spans {
             return;
         }
-        let start_ns = Instant::now().saturating_duration_since(self.epoch).as_nanos() as u64;
+        let start_ns = self.since_epoch(Instant::now());
         let mut shard = self.shard_of_thread().lock();
-        if shard.spans.len() == self.shard_capacity {
-            shard.spans.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        shard.spans.push_back(SpanRecord {
+        self.push_span(&mut shard, SpanRecord {
             trace: ctx.trace,
             span: ctx.span,
             parent: ctx.parent,
@@ -393,6 +429,35 @@ impl ObsPlane {
             service_ns: 0,
             ok: false,
         });
+    }
+
+    /// Record that an Eject was activated or stopped, in the calling
+    /// thread's shard. A no-op unless spans are on: the lifecycle ring is
+    /// part of the span store, not a second thing to switch on.
+    pub(crate) fn record_lifecycle(&self, event: Lifecycle) {
+        if !self.config.spans {
+            return;
+        }
+        let at_ns = self.since_epoch(Instant::now());
+        let mut shard = self.shard_of_thread().lock();
+        if shard.lifecycle.len() == self.shard_capacity {
+            shard.lifecycle.pop_front();
+            shard.lifecycle_evicted += 1;
+        }
+        shard.lifecycle.push_back(LifecycleRecord { at_ns, event });
+    }
+
+    /// The one place a record of a delivery enters the store.
+    fn push_span(&self, shard: &mut ObsShard, record: SpanRecord) {
+        if shard.spans.len() == self.shard_capacity {
+            shard.spans.pop_front();
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
+        shard.spans.push_back(record);
+    }
+
+    fn since_epoch(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.epoch).as_nanos() as u64
     }
 
     /// All recorded spans, merged across shards, ordered by start time.
@@ -416,6 +481,20 @@ impl ObsPlane {
             .iter()
             .map(|shard| shard.lock().spans.len() as u64)
             .sum()
+    }
+
+    /// The lifecycle records still held, merged across shards and ordered
+    /// by time, and the count the rings have evicted.
+    pub(crate) fn lifecycle(&self) -> (Vec<LifecycleRecord>, u64) {
+        let mut all: Vec<LifecycleRecord> = Vec::new();
+        let mut evicted = 0;
+        for shard in self.shards.iter() {
+            let shard = shard.lock();
+            all.extend(shard.lifecycle.iter().copied());
+            evicted += shard.lifecycle_evicted;
+        }
+        all.sort_by_key(|l| l.at_ns);
+        (all, evicted)
     }
 
     /// Per-stage latency summaries, busiest first.
@@ -521,7 +600,7 @@ pub struct MailboxSnapshot {
 
 /// A point-in-time view of everything the kernel can report: control-plane
 /// counters, the process-wide payload and stream planes, per-stage latency
-/// summaries, and the trace/span bookkeeping. Produced by
+/// summaries, and the span store's bookkeeping. Produced by
 /// [`Kernel::metrics_snapshot`](crate::Kernel::metrics_snapshot); rendered
 /// by [`prometheus_text`] and [`json_text`].
 #[derive(Debug, Clone)]
@@ -534,14 +613,12 @@ pub struct KernelSnapshot {
     pub stream: StreamSnapshot,
     /// Per-(Eject, op) latency summaries (empty unless histograms are on).
     pub stages: Vec<StageSummary>,
-    /// Events evicted from the kernel trace ring.
-    pub trace_dropped: u64,
     /// Spans currently held in the span store.
     pub spans_recorded: u64,
     /// Spans evicted from the span store.
     pub spans_dropped: u64,
     /// Density-plane gauges: resident/parked Ejects, steal count, worker
-    /// pool state (all zero in `threads` execution mode).
+    /// pool state.
     pub sched: SchedSnapshot,
     /// Durability-plane gauges from the stable store backend: segment
     /// count, log bytes, compactions and fsyncs (all zero for memory
@@ -572,40 +649,18 @@ fn escape_json(s: &str) -> String {
 }
 
 /// The counters of a [`KernelSnapshot`] as (metric name, help, value) rows —
-/// the single source both text renderers draw from.
+/// the single source both text renderers draw from. The control-plane
+/// counters come from their declaration ([`MetricsSnapshot::rows`]); what
+/// follows them is the planes that keep their own.
 fn counter_rows(snap: &KernelSnapshot) -> Vec<(&'static str, &'static str, u64)> {
-    let m = &snap.metrics;
     let p = &snap.payload;
-    vec![
-        ("eden_invocations_total", "Logical invocations sent", m.invocations),
-        ("eden_remote_invocations_total", "Invocation deliveries that crossed simulated nodes", m.remote_invocations),
-        ("eden_replies_total", "Replies delivered", m.replies),
-        ("eden_deferred_replies_total", "Replies parked as passive output", m.deferred_replies),
-        ("eden_internal_messages_total", "Intra-Eject process messages", m.internal_messages),
-        ("eden_bytes_invoked_total", "Payload bytes sent with invocations", m.bytes_invoked),
-        ("eden_bytes_replied_total", "Payload bytes returned with replies", m.bytes_replied),
-        ("eden_ejects_created_total", "Ejects created", m.ejects_created),
-        ("eden_activations_total", "Eject activations (including reactivations)", m.activations),
-        ("eden_deactivations_total", "Explicit deactivations", m.deactivations),
-        ("eden_checkpoints_total", "Durable writes to the stable store, checkpoints and journal entries alike", m.checkpoints),
-        ("eden_checkpoint_bytes_total", "Bytes those writes handed to the stable store", m.checkpoint_bytes),
-        ("eden_journal_entries_total", "Durable writes that were a journal entry beside a checkpoint", m.journal_entries),
-        ("eden_crashes_total", "Simulated fail-stop crashes", m.crashes),
-        ("eden_route_cache_hits_total", "Invocations delivered via a cached route", m.route_cache_hits),
-        ("eden_route_cache_misses_total", "Invocations that resolved through the registry", m.route_cache_misses),
-        ("eden_retries_total", "Invocation re-sends by the retry policy", m.retries),
-        ("eden_faults_injected_total", "Faults injected on the invocation path", m.faults_injected),
-        ("eden_reactivations_total", "Activations from a passive representation", m.reactivations),
-        ("eden_recovered_streams_total", "Stream stages resumed from a checkpoint", m.recovered_streams),
-        ("eden_invocation_successes_total", "Logical invocations that terminally succeeded", m.successes),
-        ("eden_invocation_fatal_failures_total", "Logical invocations that terminally failed", m.fatal_failures),
+    let rest = [
         ("eden_payload_bytes_moved_total", "Payload bytes physically copied", p.payload_bytes_moved),
         ("eden_payload_copies_total", "Deep-copy events", p.payload_copies),
         ("eden_payload_cow_breaks_total", "Copy-on-write breaks", p.cow_breaks),
         ("eden_payload_shares_total", "Reference-bump shares", p.payload_shares),
         ("eden_stream_records_emitted_total", "Records that entered the stream fabric", snap.stream.records_emitted),
         ("eden_stream_records_collected_total", "Records that reached a sink collector", snap.stream.records_collected),
-        ("eden_trace_events_dropped_total", "Events evicted from the kernel trace ring", snap.trace_dropped),
         ("eden_spans_dropped_total", "Spans evicted from the span store", snap.spans_dropped),
         ("eden_sched_steals_total", "Tasks stolen from another worker's run-queue shard", snap.sched.sched_steals),
         ("eden_sched_inline_handoffs_total", "Callees resumed on their waiting caller's stack", snap.sched.inline_handoffs),
@@ -614,7 +669,8 @@ fn counter_rows(snap: &KernelSnapshot) -> Vec<(&'static str, &'static str, u64)>
         ("eden_sched_spares_spawned_total", "Slotless workers spawned by blocking compensation or the monitor", snap.sched.spares_spawned),
         ("eden_stable_compactions_total", "Completed stable-log compaction passes", snap.stable.compactions),
         ("eden_stable_fsyncs_total", "fsync calls issued by the stable-log committer", snap.stable.fsyncs),
-    ]
+    ];
+    snap.metrics.rows().chain(rest).collect()
 }
 
 /// The `eden_mailbox_sheds_total` family as (policy label, value) rows, one
@@ -635,8 +691,8 @@ fn gauge_rows(snap: &KernelSnapshot) -> Vec<(&'static str, &'static str, u64)> {
         ("eden_stream_records_in_flight", "Records emitted but not yet collected", snap.stream.records_in_flight()),
         ("eden_streams_active", "Streams currently open", snap.stream.streams_active()),
         ("eden_spans_recorded", "Spans currently held in the span store", snap.spans_recorded),
-        ("eden_resident_ejects", "Scheduler-mode Ejects currently resident (parked or runnable)", snap.sched.resident_ejects),
-        ("eden_parked_ejects", "Scheduler-mode Ejects parked on an empty mailbox", snap.sched.parked_ejects),
+        ("eden_resident_ejects", "Ejects currently resident (parked or runnable)", snap.sched.resident_ejects),
+        ("eden_parked_ejects", "Ejects parked on an empty mailbox", snap.sched.parked_ejects),
         ("eden_sched_workers", "Live scheduler worker threads", snap.sched.workers),
         ("eden_sched_workers_blocked", "Scheduler workers inside a blocking rendezvous", snap.sched.workers_blocked),
         ("eden_sched_workers_idle", "Scheduler workers registered in the sleep protocol", snap.sched.workers_idle),
@@ -678,7 +734,7 @@ pub fn prometheus_text(snap: &KernelSnapshot) -> String {
         ),
         (
             "eden_stage_sched_seconds",
-            "Run-queue wait per (Eject, op), scheduler mode only",
+            "Run-queue wait per (Eject, op)",
             |s| &s.sched,
         ),
         (
@@ -799,6 +855,37 @@ pub fn chrome_trace_json(spans: &[SpanRecord]) -> String {
     out
 }
 
+/// Render spans and lifecycle records as one history, a line an entry,
+/// oldest first — the shell's `trace`, and what a failing test prints. A
+/// span's line says `remote` when the delivery crossed nodes and `failed`
+/// when its reply was not `Ok`.
+pub fn render_events(spans: &[SpanRecord], lifecycle: &[LifecycleRecord]) -> Vec<String> {
+    let span_lines = spans.iter().map(|s| {
+        let remote = if s.from != s.to { ", remote" } else { "" };
+        let failed = if s.ok { "" } else { " failed" };
+        let line = format!(
+            "invoke {} -> {} (node {} -> {}{remote}){failed}",
+            s.op, s.target, s.from.0, s.to.0
+        );
+        (s.start_ns, line)
+    });
+    let lifecycle_lines = lifecycle.iter().map(|l| {
+        let line = match l.event {
+            Lifecycle::Activate { uid, type_name } => format!("activate {uid} ({type_name})"),
+            Lifecycle::Stop { uid, crashed } => {
+                format!("stop {uid}{}", if crashed { " (crashed)" } else { "" })
+            }
+        };
+        (l.at_ns, line)
+    });
+    let mut lines: Vec<(u64, String)> = span_lines.chain(lifecycle_lines).collect();
+    lines.sort_by_key(|(at_ns, _)| *at_ns);
+    lines
+        .into_iter()
+        .map(|(at_ns, line)| format!("[{:>12.3} us] {line}", at_ns as f64 / 1e3))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -870,9 +957,71 @@ mod tests {
             // (ObsTag::new zero-initialises sched_ns: an unstamped span
             // carves a zero sched stage.)
         }
-        // All three landed in the same shard (same uid) with capacity 1.
+        // All three landed in one shard of capacity 1: shards are keyed by
+        // recording thread, and this test has one.
         assert_eq!(plane.spans().len(), 1);
         assert_eq!(plane.spans_dropped(), 2);
+    }
+
+    #[test]
+    fn lifecycle_ring_is_bounded_beside_the_spans_and_off_with_them() {
+        let plane = ObsPlane::new(ObsConfig {
+            spans: true,
+            histograms: false,
+            span_capacity: 2 * OBS_SHARDS, // two slots per shard
+        });
+        let uid = Uid::fresh();
+        plane.record_faulted(SpanContext::root(), uid, &OpName::from("Transfer"), NodeId(0));
+        plane.record_lifecycle(Lifecycle::Activate { uid, type_name: "File" });
+        for crashed in [false, true] {
+            plane.record_lifecycle(Lifecycle::Stop { uid, crashed });
+        }
+        let (held, evicted) = plane.lifecycle();
+        assert_eq!((held.len(), evicted), (2, 1), "the activation was evicted");
+        assert!(held.windows(2).all(|w| w[0].at_ns <= w[1].at_ns));
+        assert_eq!(held[1].event, Lifecycle::Stop { uid, crashed: true });
+        // The span is where it was, and no lifecycle record was counted as one.
+        assert_eq!((plane.span_count(), plane.spans_dropped()), (1, 0));
+
+        let histograms_only = ObsPlane::new(ObsConfig {
+            spans: false,
+            histograms: true,
+            span_capacity: 64,
+        });
+        histograms_only.record_lifecycle(Lifecycle::Stop { uid, crashed: true });
+        assert_eq!(histograms_only.lifecycle(), (Vec::new(), 0));
+    }
+
+    #[test]
+    fn events_render_merged_by_time() {
+        let uid = Uid::fresh();
+        let span = |start_ns, to, ok| SpanRecord {
+            trace: 1,
+            span: 2,
+            parent: None,
+            hop: 0,
+            target: uid,
+            op: OpName::from("Transfer"),
+            from: NodeId(0),
+            to,
+            start_ns,
+            queue_ns: 0,
+            sched_ns: 0,
+            service_ns: 0,
+            ok,
+        };
+        let lines = render_events(
+            &[span(2_000, NodeId(1), true), span(4_000, NodeId(0), false)],
+            &[
+                LifecycleRecord { at_ns: 1_000, event: Lifecycle::Activate { uid, type_name: "File" } },
+                LifecycleRecord { at_ns: 3_000, event: Lifecycle::Stop { uid, crashed: true } },
+            ],
+        );
+        assert_eq!(lines.len(), 4);
+        assert!(lines[0].contains("activate") && lines[0].contains("(File)"), "{lines:?}");
+        assert!(lines[1].contains("invoke Transfer") && lines[1].contains("remote"), "{lines:?}");
+        assert!(lines[2].contains("stop") && lines[2].contains("(crashed)"), "{lines:?}");
+        assert!(!lines[3].contains("remote") && lines[3].ends_with("failed"), "{lines:?}");
     }
 
     #[test]
@@ -882,7 +1031,6 @@ mod tests {
             payload: PayloadSnapshot::default(),
             stream: StreamSnapshot::default(),
             stages: Vec::new(),
-            trace_dropped: 0,
             spans_recorded: 0,
             spans_dropped: 0,
             sched: SchedSnapshot::default(),
@@ -891,10 +1039,52 @@ mod tests {
         };
         let prom = prometheus_text(&snap);
         let json = json_text(&snap);
-        for (name, _, _) in counter_rows(&snap) {
+        let rows = counter_rows(&snap);
+        for (name, _, _) in rows.iter().copied().chain(snap.metrics.rows()) {
             assert!(prom.contains(name), "prometheus missing {name}");
             assert!(json.contains(name), "json missing {name}");
         }
+        // The exported counter names, in order: dashboards key on them.
+        let names: Vec<&str> = rows.iter().map(|r| r.0).collect();
+        let golden = [
+            "eden_invocations_total",
+            "eden_remote_invocations_total",
+            "eden_replies_total",
+            "eden_deferred_replies_total",
+            "eden_internal_messages_total",
+            "eden_bytes_invoked_total",
+            "eden_bytes_replied_total",
+            "eden_ejects_created_total",
+            "eden_activations_total",
+            "eden_deactivations_total",
+            "eden_checkpoints_total",
+            "eden_checkpoint_bytes_total",
+            "eden_journal_entries_total",
+            "eden_crashes_total",
+            "eden_route_cache_hits_total",
+            "eden_route_cache_misses_total",
+            "eden_retries_total",
+            "eden_faults_injected_total",
+            "eden_reactivations_total",
+            "eden_recovered_streams_total",
+            "eden_invocation_successes_total",
+            "eden_invocation_fatal_failures_total",
+            "eden_payload_bytes_moved_total",
+            "eden_payload_copies_total",
+            "eden_payload_cow_breaks_total",
+            "eden_payload_shares_total",
+            "eden_stream_records_emitted_total",
+            "eden_stream_records_collected_total",
+            "eden_spans_dropped_total",
+            "eden_sched_steals_total",
+            "eden_sched_inline_handoffs_total",
+            "eden_sched_monitor_rescues_total",
+            "eden_sched_idle_timeouts_with_work_total",
+            "eden_sched_spares_spawned_total",
+            "eden_stable_compactions_total",
+            "eden_stable_fsyncs_total",
+        ];
+        assert_eq!(names, golden);
         for (policy, _) in shed_rows(&snap) {
             let sample = format!("eden_mailbox_sheds_total{{policy=\"{policy}\"}}");
             assert!(prom.contains(&sample), "prometheus missing {sample}");

@@ -1,9 +1,10 @@
-//! Tracing: the kernel's event log observed end to end.
+//! Tracing: the kernel's one record of what happened — spans and lifecycle
+//! events in the observability plane's store — observed end to end.
 
-use eden_core::{EdenError, Value};
+use eden_core::{EdenError, Uid, Value};
 use eden_kernel::{
-    EjectBehavior, EjectContext, Invocation, Kernel, KernelConfig, NodeId, ReplyHandle,
-    TraceEvent,
+    render_events, EjectBehavior, EjectContext, Invocation, Kernel, KernelConfig, Lifecycle,
+    NodeId, ObsConfig, ReplyHandle,
 };
 
 struct Echo;
@@ -25,7 +26,7 @@ impl EjectBehavior for Echo {
 
 fn traced_kernel() -> Kernel {
     Kernel::with_config(KernelConfig {
-        trace_capacity: 128,
+        observability: ObsConfig::full(),
         ..Default::default()
     })
 }
@@ -37,16 +38,14 @@ fn invocations_appear_in_the_trace() {
     for _ in 0..3 {
         kernel.invoke(echo, "Echo", Value::Unit).wait().unwrap();
     }
-    let events = kernel.trace_events();
-    let invokes = events
-        .iter()
-        .filter(|e| matches!(e, TraceEvent::Invoke { target, .. } if *target == echo))
-        .count();
-    assert_eq!(invokes, 3);
+    let spans = kernel.spans();
+    assert_eq!(spans.iter().filter(|s| s.target == echo).count(), 3);
     // Activation is traced too.
-    assert!(events
+    let (lifecycle, evicted) = kernel.lifecycle();
+    assert_eq!(evicted, 0);
+    assert!(lifecycle
         .iter()
-        .any(|e| matches!(e, TraceEvent::Activate { uid, .. } if *uid == echo)));
+        .any(|l| l.event == Lifecycle::Activate { uid: echo, type_name: "Echo" }));
     kernel.shutdown();
 }
 
@@ -59,9 +58,13 @@ fn per_target_tallies() {
         kernel.invoke(busy, "Echo", Value::Unit).wait().unwrap();
     }
     kernel.invoke(quiet, "Echo", Value::Unit).wait().unwrap();
-    let tallies = kernel.invocations_by_target();
-    assert_eq!(tallies[0], (busy, 5));
-    assert_eq!(tallies[1], (quiet, 1));
+    // One operation an Eject, so the stage table is the per-target tally.
+    let tallies: Vec<(Uid, u64)> = kernel
+        .stage_summaries()
+        .iter()
+        .map(|stage| (stage.target, stage.count))
+        .collect();
+    assert_eq!(tallies, [(busy, 5), (quiet, 1)]);
     kernel.shutdown();
 }
 
@@ -71,9 +74,10 @@ fn crash_is_traced_as_stop() {
     let echo = kernel.spawn(Box::new(Echo)).unwrap();
     kernel.crash(echo).unwrap();
     assert!(kernel
-        .trace_events()
+        .lifecycle()
+        .0
         .iter()
-        .any(|e| matches!(e, TraceEvent::Stop { uid, crashed: true, .. } if *uid == echo)));
+        .any(|l| l.event == Lifecycle::Stop { uid: echo, crashed: true }));
     kernel.shutdown();
 }
 
@@ -82,11 +86,12 @@ fn remote_invocations_render_remote() {
     let kernel = traced_kernel();
     let far = kernel.spawn_on(NodeId(2), Box::new(Echo)).unwrap();
     kernel.invoke(far, "Echo", Value::Unit).wait().unwrap();
-    let rendered: Vec<String> = kernel.trace_events().iter().map(|e| e.to_string()).collect();
+    let rendered = render_events(&kernel.spans(), &kernel.lifecycle().0);
     assert!(
-        rendered.iter().any(|l| l.contains("remote")),
+        rendered.iter().any(|l| l.contains("invoke Echo") && l.contains("remote")),
         "trace: {rendered:?}"
     );
+    assert!(rendered[0].contains("activate"), "trace: {rendered:?}");
     kernel.shutdown();
 }
 
@@ -95,7 +100,41 @@ fn tracing_disabled_by_default() {
     let kernel = Kernel::new();
     let echo = kernel.spawn(Box::new(Echo)).unwrap();
     kernel.invoke(echo, "Echo", Value::Unit).wait().unwrap();
-    assert!(kernel.trace_events().is_empty());
-    assert!(kernel.invocations_by_target().is_empty());
+    kernel.crash(echo).unwrap();
+    assert!(kernel.spans().is_empty());
+    assert_eq!(kernel.lifecycle(), (Vec::new(), 0));
+    assert!(kernel.stage_summaries().is_empty());
+    kernel.shutdown();
+}
+
+/// What `benchmark/`'s traced repetitions rely on: they size the span store
+/// for their invocations only, spawn far more Ejects than that, and fail the
+/// run if a single span was dropped.
+#[test]
+fn lifecycle_events_never_evict_a_span() {
+    const SHARDS: usize = 16;
+    const C: usize = 64; // per-shard capacity
+    let kernel = Kernel::with_config(KernelConfig {
+        observability: ObsConfig {
+            spans: true,
+            histograms: false,
+            span_capacity: C * SHARDS,
+        },
+        ..Default::default()
+    });
+    let ejects: Vec<Uid> = (0..10 * C)
+        .map(|_| kernel.spawn(Box::new(Echo)).unwrap())
+        .collect();
+    for target in &ejects[..C / 2] {
+        kernel.invoke(*target, "Echo", Value::Unit).wait().unwrap();
+    }
+    assert_eq!(kernel.spans_dropped(), 0);
+    assert_eq!(kernel.spans().len(), C / 2);
+    assert_eq!(kernel.metrics_snapshot().spans_recorded, (C / 2) as u64);
+    // Every activation was recorded from this thread, so into one shard's
+    // ring: it holds the newest `C` and counts the rest.
+    let (held, evicted) = kernel.lifecycle();
+    assert!(held.len() <= C, "{} lifecycle records held", held.len());
+    assert_eq!(held.len() as u64 + evicted, (10 * C) as u64);
     kernel.shutdown();
 }

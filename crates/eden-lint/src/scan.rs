@@ -236,7 +236,9 @@ pub fn collect_rs(root: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 /// chained call groups (`()`), index groups (`[]`), and numeric tuple
 /// fields (`.0`) are skipped, so `core.park_bit().store(` names
 /// `park_bit` and `self.cells[i].store(` names `cells`. A dot-less call
-/// (`fence(`) returns the function name as both.
+/// (`fence(`) returns the function name as both. Inside a `macro_rules!`
+/// body a name may be a metavariable, and keeps its `$`: `c.$field.load(`
+/// names `$field`, one site standing for every expansion.
 pub fn call_chain(code: &[u8], open: usize) -> Option<(String, String)> {
     let ident_end = |mut i: usize| -> usize {
         while i > 0 && (code[i - 1] as char).is_whitespace() {
@@ -253,6 +255,9 @@ pub fn call_chain(code: &[u8], open: usize) -> Option<(String, String)> {
             } else {
                 break;
             }
+        }
+        if start < end && start > 0 && code[start - 1] == b'$' {
+            start -= 1;
         }
         (start < end).then(|| (String::from_utf8_lossy(&code[start..end]).into_owned(), start))
     };
@@ -427,6 +432,13 @@ mod tests {
         assert_eq!(
             call_chain(code, open),
             Some(("fetch_add".into(), "wakes_pending".into()))
+        );
+
+        let code = b"self.cell().$field.fetch_add(1, Ordering::Relaxed)";
+        let open = code.iter().rposition(|&b| b == b'(').unwrap();
+        assert_eq!(
+            call_chain(code, open),
+            Some(("fetch_add".into(), "$field".into()))
         );
 
         let code = b"fence(Ordering::SeqCst)";

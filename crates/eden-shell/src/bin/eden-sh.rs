@@ -1,12 +1,12 @@
 //! `eden-sh` — an interactive shell over a simulated Eden.
 //!
 //! ```text
-//! cargo run -p eden-shell --bin eden-sh [-- --obs]
+//! cargo run -p eden-shell --bin eden-sh
 //! ```
 //!
-//! `--obs` turns on the observability plane (spans + per-stage
-//! histograms) so `trace export` and the stage table in `stats` have
-//! data; by default the kernel runs with observability off.
+//! The kernel runs with the observability plane on (spans, lifecycle
+//! events and per-stage histograms), so `trace`, `trace export`, `top` and
+//! the stage table in `stats --json` have data.
 //!
 //! Type `help` for the command reference; Ctrl-D or `quit` exits.
 
@@ -16,19 +16,12 @@ use eden_kernel::{Kernel, KernelConfig, ObsConfig};
 use eden_shell::session::Session;
 
 fn main() {
-    let mut observability = ObsConfig::default();
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--obs" => observability = ObsConfig::full(),
-            other => {
-                eprintln!("unknown argument `{other}` (supported: --obs)");
-                std::process::exit(2);
-            }
-        }
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("unknown argument `{arg}` (eden-sh takes none)");
+        std::process::exit(2);
     }
     let kernel = Kernel::with_config(KernelConfig {
-        trace_capacity: 256,
-        observability,
+        observability: ObsConfig::full(),
         ..Default::default()
     });
     let session = match Session::new(&kernel) {

@@ -11,7 +11,7 @@
 //!   until it deactivates; UIDs, not names, own Ejects)
 //! * `checkpoint NAME` / `crash NAME` — durability controls
 //! * `stats` — kernel metrics snapshot
-//! * `trace` — recent kernel events (if tracing is enabled)
+//! * `trace` — the kernel's recent invocations, activations and stops
 //! * `help`
 //!
 //! Anything else is parsed as a pipeline (see the crate docs).
@@ -367,51 +367,56 @@ impl Session {
                 rate(delta.records_emitted),
                 rate(delta.records_collected),
             ));
-            for (uid, count) in self.kernel.invocations_by_target().into_iter().take(10) {
+            for (uid, count) in self.busiest().into_iter().take(10) {
                 out.push(format!("{count:>8}  {uid}"));
             }
             prev = now;
             prev_at = std::time::Instant::now();
         }
-        if out.len() == frames.max(1) && self.kernel.invocations_by_target().is_empty() {
-            out.push("no per-Eject data (tracing disabled, or nothing invoked yet)".to_owned());
+        if out.len() == frames.max(1) {
+            out.push("no per-Eject data (histograms disabled, or nothing invoked yet)".to_owned());
         }
         Ok(out)
     }
 
+    /// Completed invocations per target Eject, busiest first: the stage
+    /// table's counts summed over each Eject's operations.
+    fn busiest(&self) -> Vec<(Uid, u64)> {
+        let mut tallies = std::collections::BTreeMap::new();
+        for stage in self.kernel.stage_summaries() {
+            *tallies.entry(stage.target).or_insert(0) += stage.count;
+        }
+        let mut tallies: Vec<(Uid, u64)> = tallies.into_iter().collect();
+        tallies.sort_by_key(|&(uid, count)| (std::cmp::Reverse(count), uid));
+        tallies
+    }
+
     fn trace(&self, args: &[&str]) -> Result<Vec<String>> {
-        match args.first() {
-            Some(&"export") => {
-                let spans = self.kernel.spans();
-                if !self.kernel.spans_enabled() {
-                    return Ok(vec![
-                        "span recording disabled (enable KernelConfig.observability.spans)"
-                            .to_owned(),
-                    ]);
-                }
-                // Chrome trace_event JSON: load into chrome://tracing or
-                // Perfetto. One line so callers can redirect it to a file.
-                return Ok(vec![eden_kernel::chrome_trace_json(&spans)]);
-            }
+        let export = match args.first() {
+            Some(&"export") => true,
             Some(other) => {
                 return Err(EdenError::BadParameter(format!(
                     "trace: unknown subcommand `{other}` (try `trace` or `trace export`)"
                 )))
             }
-            None => {}
-        }
-        let dump = self.kernel.trace_events();
-        if dump.is_empty() && dump.dropped == 0 {
+            None => false,
+        };
+        if !self.kernel.spans_enabled() {
             return Ok(vec![
-                "tracing disabled (start the kernel with trace_capacity > 0)".to_owned(),
+                "span recording disabled (enable KernelConfig.observability.spans)".to_owned(),
             ]);
         }
-        let mut out: Vec<String> = dump.iter().map(|e| e.to_string()).collect();
-        if dump.dropped > 0 {
-            out.push(format!(
-                "({} earlier event(s) evicted from the ring)",
-                dump.dropped
-            ));
+        let spans = self.kernel.spans();
+        if export {
+            // Chrome trace_event JSON: load into chrome://tracing or
+            // Perfetto. One line so callers can redirect it to a file.
+            return Ok(vec![eden_kernel::chrome_trace_json(&spans)]);
+        }
+        let (lifecycle, evicted) = self.kernel.lifecycle();
+        let mut out = eden_kernel::render_events(&spans, &lifecycle);
+        let evicted = evicted + self.kernel.spans_dropped();
+        if evicted > 0 {
+            out.push(format!("({evicted} earlier event(s) evicted from the ring)"));
         }
         Ok(out)
     }
@@ -435,7 +440,7 @@ built-ins:
   stats [--prometheus|--json]
                           kernel metrics snapshot (optionally rendered as
                           Prometheus exposition text or JSON)
-  trace                   recent kernel events (needs tracing enabled)
+  trace                   recent invocations, activations and stops
   trace export            spans as Chrome trace_event JSON (Perfetto)
   top [--watch [FRAMES]]  stream gauges + busiest Ejects; --watch repeats
   help                    this text
@@ -523,13 +528,14 @@ mod tests {
     #[test]
     fn trace_command_reports_state() {
         let kernel = Kernel::with_config(eden_kernel::KernelConfig {
-            trace_capacity: 64,
+            observability: eden_kernel::ObsConfig::full(),
             ..Default::default()
         });
         let s = Session::new(&kernel).unwrap();
         s.execute("mkfile t a").unwrap();
         let trace = s.execute("trace").unwrap();
         assert!(trace.iter().any(|l| l.contains("invoke")));
+        assert!(trace.iter().any(|l| l.contains("activate") && l.contains("(EdenFile)")));
         let top = s.execute("top").unwrap();
         assert!(top[0].contains("streams active"));
         assert!(top[1].trim().chars().next().unwrap().is_ascii_digit());
@@ -554,8 +560,12 @@ mod tests {
 
     #[test]
     fn trace_reports_ring_eviction() {
+        // One slot in each of the span store's sixteen per-thread shards.
         let kernel = Kernel::with_config(eden_kernel::KernelConfig {
-            trace_capacity: 4,
+            observability: eden_kernel::ObsConfig {
+                span_capacity: 16,
+                ..eden_kernel::ObsConfig::full()
+            },
             ..Default::default()
         });
         let s = Session::new(&kernel).unwrap();
@@ -594,11 +604,18 @@ mod tests {
 
     #[test]
     fn top_watch_renders_frames() {
-        let (kernel, s) = session();
+        let kernel = Kernel::with_config(eden_kernel::KernelConfig {
+            observability: eden_kernel::ObsConfig::full(),
+            ..Default::default()
+        });
+        let s = Session::new(&kernel).unwrap();
         s.execute("mkfile notes x").unwrap();
         let out = s.execute("top --watch 2").unwrap();
         let frames = out.iter().filter(|l| l.contains("records in flight")).count();
         assert_eq!(frames, 2);
+        // Each frame lists the home directory, busiest (and only) target.
+        let home = s.home().to_string();
+        assert_eq!(out.iter().filter(|l| l.ends_with(&home)).count(), 2, "{out:?}");
         assert!(s.execute("top --watch zap").is_err());
         kernel.shutdown();
     }

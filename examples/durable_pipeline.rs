@@ -18,13 +18,13 @@ use eden::core::op::ops;
 use eden::core::Value;
 use eden::filters::LineNumber;
 use eden::fs::{register_fs_types, FileEject};
-use eden::kernel::{Kernel, KernelConfig};
+use eden::kernel::{render_events, Kernel, KernelConfig, ObsConfig};
 use eden::transput::protocol::{Batch, TransferRequest};
 use eden::transput::recovery::{install_recovery, recoverable_filter, TransformRegistry};
 
 fn main() {
     let kernel = Kernel::with_config(KernelConfig {
-        trace_capacity: 512,
+        observability: ObsConfig::full(),
         ..Default::default()
     });
     register_fs_types(&kernel);
@@ -83,7 +83,7 @@ fn main() {
         kernel.stable_store().total_bytes()
     );
     println!("\nlast few kernel events:");
-    for event in kernel.trace_events().iter().rev().take(6).rev() {
+    for event in render_events(&kernel.spans(), &kernel.lifecycle().0).iter().rev().take(6).rev() {
         println!("  {event}");
     }
     kernel.shutdown();

@@ -680,9 +680,13 @@ fn whole_kernel_restart_resumes_from_the_durable_log() {
 
     // Second life: a brand-new kernel over the same files. Building the
     // store replays the log; building the kernel seeds passive slots for
-    // every checkpointed UID; resuming just invokes them.
+    // every checkpointed UID; resuming just invokes them. Spans are on so
+    // that a resume that fails says what the kernel last did.
     let store = StableStore::durable_on(std::sync::Arc::clone(&fs), cfg).unwrap();
-    let kernel = Kernel::builder().stable_store(store).build();
+    let kernel = Kernel::builder()
+        .stable_store(store)
+        .observability(eden::kernel::ObsConfig::full())
+        .build();
     let reg = registry();
     install_recovery(&kernel, &reg);
     let mut ordered = stages.clone();
@@ -690,8 +694,17 @@ fn whole_kernel_restart_resumes_from_the_durable_log() {
     // The write-only spawn order is acceptor, filters (tail→head), source;
     // resume wants head-first with the acceptor last — reverse creation.
     ordered.reverse();
-    let output =
-        resume_recoverable_pipeline(&kernel, &ordered, Duration::from_secs(60)).unwrap();
+    let output = resume_recoverable_pipeline(&kernel, &ordered, Duration::from_secs(60))
+        .unwrap_or_else(|err| {
+            let events = eden::kernel::render_events(&kernel.spans(), &kernel.lifecycle().0);
+            let snapshot = kernel.metrics_snapshot();
+            panic!(
+                "second life failed to resume: {err}\nsched: {:?}\nmailboxes: {:?}\nlast events:\n{}",
+                snapshot.sched,
+                snapshot.mailbox,
+                events[events.len().saturating_sub(64)..].join("\n"),
+            )
+        });
     assert_eq!(output, expected(50), "restart must neither lose nor repeat");
     let m = kernel.metrics().snapshot();
     assert!(
