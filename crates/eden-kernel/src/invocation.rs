@@ -68,18 +68,43 @@ mod cell {
 /// a [`Settler`] and an [`Awaiter`], a state word, the value slot, and the
 /// waiter's thread handle — published, and unparked, only when the waiter
 /// actually went to sleep. A reply that is already there when the waiter
-/// looks costs one swap and one load.
+/// looks costs one swap and one load. It also holds what settling needs to
+/// know about the invocation, written once when the pair is made, so the
+/// [`ReplyHandle`] that travels in the envelope is one pointer to it.
 struct ReplyCell {
     state: AtomicU8,
+    /// When true, settling meters the outcome ledger (`successes` /
+    /// `fatal_failures`). The kernel sets it for plain invocations;
+    /// driver-owned (retrying) invocations leave it false and let the
+    /// driver meter the *terminal* outcome exactly once.
+    meters_outcome: bool,
     /// The Eject the invocation went to: what an abandoned cell reports as
     /// crashed.
     responder: Uid,
+    metrics: Metrics,
+    /// The invocation's overall deadline as an absolute instant, when one
+    /// was set via `InvokeOptions::deadline`. Admission control reads it on
+    /// the send path: a `Park` sender bounds its wait for mailbox space by
+    /// it, and `DeadlineDrop` evicts queued envelopes once it has passed.
+    admit_by: Option<Instant>,
     /// Written once by the settler before it publishes `SETTLED`; taken by
     /// the awaiter after it observes `SETTLED`.
     value: UnsafeCell<Option<Result<Value>>>,
     /// Written by the awaiter before it publishes `WAITING`; taken by the
     /// settler after its terminal swap observed `WAITING`.
     waiter: UnsafeCell<Option<Thread>>,
+}
+
+impl ReplyCell {
+    fn meter_outcome(&self, ok: bool) {
+        if self.meters_outcome {
+            if ok {
+                self.metrics.record_success();
+            } else {
+                self.metrics.record_fatal_failure();
+            }
+        }
+    }
 }
 
 // SAFETY: the two `UnsafeCell`s are handed over through `state`. `value` is
@@ -89,17 +114,21 @@ struct ReplyCell {
 // or the settler's Acquire swap that observed `WAITING`, after which it is
 // the settler's. Each half is a unique, non-`Clone` owner (`Settler` is
 // consumed by settling, `Awaiter` is reached only through `&mut`/by value),
-// so neither slot ever has two accessors.
+// so neither slot ever has two accessors. Every other field is written
+// only before the cell is shared.
 unsafe impl Send for ReplyCell {}
 unsafe impl Sync for ReplyCell {}
 
 /// The settling half of a [`ReplyCell`]. Dropping it unsettled abandons
 /// the cell, so the waiter can never be left asleep on a reply nobody is
 /// going to send — not even when the replying side panics mid-reply.
+/// Either way the outcome ledger is settled before the outcome is
+/// published.
 struct Settler(Arc<ReplyCell>);
 
 impl Settler {
     fn settle(self, result: Result<Value>) {
+        self.0.meter_outcome(result.is_ok());
         // SAFETY: `self` is the only settler and no terminal state is
         // published yet, so the awaiter does not read the slot.
         unsafe { *self.0.value.get() = Some(result) };
@@ -131,6 +160,7 @@ impl Drop for Settler {
         // Only this half writes terminal states, so a relaxed read of our
         // own earlier swap is exact.
         if self.0.state.load(Ordering::Relaxed) < cell::SETTLED {
+            self.0.meter_outcome(false);
             self.finish(cell::ABANDONED);
         }
     }
@@ -233,25 +263,13 @@ impl std::fmt::Debug for Awaiter {
 /// [`EdenError::EjectCrashed`] rather than hanging.
 #[derive(Debug)]
 pub struct ReplyHandle {
+    /// `Some` until the handle is answered, which consumes it.
     tx: Option<Settler>,
-    responder: Uid,
-    metrics: Metrics,
-    /// Observability tag attached by the kernel dispatch path when the
-    /// observability plane is enabled. Inline, not boxed: the tag is built
-    /// and dropped once per delivered invocation, and a heap round trip
-    /// there is measurable on the reply path, while the extra handle bytes
-    /// cost only a slightly larger memcpy into the mailbox.
-    obs: Option<crate::obs::ObsTag>,
-    /// When true, resolving this handle settles the outcome ledger
-    /// (`successes` / `fatal_failures`). The kernel sets it for plain
-    /// invocations; driver-owned (retrying) invocations keep it false and
-    /// let the driver meter the *terminal* outcome exactly once.
-    meter_outcome: bool,
-    /// The invocation's overall deadline as an absolute instant, when one
-    /// was set via `InvokeOptions::deadline`. Admission control reads it on
-    /// the send path: a `Park` sender bounds its wait for mailbox space by
-    /// it, and `DeadlineDrop` evicts queued envelopes once it has passed.
-    admit_by: Option<std::time::Instant>,
+    /// Observability tag, attached only by a kernel with an observability
+    /// plane. Boxed: one allocation per traced invocation keeps the handle
+    /// two words, so every envelope a kernel moves and queues is 72 bytes,
+    /// traced or not.
+    obs: Option<Box<crate::obs::ObsTag>>,
 }
 
 impl ReplyHandle {
@@ -262,58 +280,31 @@ impl ReplyHandle {
                 Ok(v) => v.size_hint(),
                 Err(_) => 0,
             };
-            self.metrics.record_reply(bytes);
-            self.settle(result.is_ok());
+            tx.0.metrics.record_reply(bytes);
+            self.complete_obs(result.is_ok());
             // The waiter may have given up (timeout); that is not an error
             // on the replying side — the value dies with the cell.
             tx.settle(result);
         }
     }
 
-    /// Settle the outcome ledger and complete the observability span.
-    /// Idempotent by construction: callers reach it only from the branch
-    /// that took `tx`, and the span tag is `take`n.
-    fn settle(&mut self, ok: bool) {
-        self.settle_ledger(ok);
-        self.settle_obs(ok);
-    }
-
-    fn settle_ledger(&mut self, ok: bool) {
-        if self.meter_outcome {
-            if ok {
-                self.metrics.record_success();
-            } else {
-                self.metrics.record_fatal_failure();
-            }
-        }
-    }
-
-    fn settle_obs(&mut self, ok: bool) {
+    /// Complete the observability span, before the outcome is published.
+    /// Idempotent: the tag is `take`n.
+    fn complete_obs(&mut self, ok: bool) {
         if let Some(tag) = self.obs.take() {
             tag.plane.complete(&tag, ok);
         }
     }
 
-    /// Attach the observability tag (kernel dispatch path only).
-    pub(crate) fn set_obs(&mut self, tag: crate::obs::ObsTag) {
-        self.obs = Some(tag);
-    }
-
-    /// Opt this handle into outcome-ledger metering (kernel dispatch path,
-    /// non-driver invocations only).
-    pub(crate) fn set_meter_outcome(&mut self) {
-        self.meter_outcome = true;
-    }
-
-    /// Stamp the invocation's absolute deadline (kernel dispatch path,
-    /// deadline-bearing invocations only).
-    pub(crate) fn set_admit_by(&mut self, admit_by: std::time::Instant) {
-        self.admit_by = Some(admit_by);
+    /// The cell this handle settles. Only answering takes the settler, and
+    /// answering consumes the handle.
+    fn cell(&self) -> &ReplyCell {
+        &self.tx.as_ref().expect("an unanswered handle holds its settler").0
     }
 
     /// The invocation's absolute deadline, if one was set.
-    pub(crate) fn admit_by(&self) -> Option<std::time::Instant> {
-        self.admit_by
+    pub(crate) fn admit_by(&self) -> Option<Instant> {
+        self.cell().admit_by
     }
 
     /// Mark the moment a coordinator picked this invocation out of its
@@ -332,7 +323,7 @@ impl ReplyHandle {
         &mut self,
         sched: Option<(std::time::Instant, std::time::Instant)>,
     ) -> Option<eden_core::span::AmbientGuard> {
-        let tag = self.obs.as_mut()?;
+        let tag = self.obs.as_deref_mut()?;
         if tag.dequeued.is_none() {
             tag.dequeued = Some(std::time::Instant::now());
             if let Some((rq_enq, pickup)) = sched {
@@ -351,12 +342,12 @@ impl ReplyHandle {
     /// Call this when storing the handle instead of replying inline; it lets
     /// the experiments count how much passive output is in flight.
     pub fn mark_deferred(&self) {
-        self.metrics.record_deferred_reply();
+        self.cell().metrics.record_deferred_reply();
     }
 
     /// The UID of the Eject this handle belongs to (the responder).
     pub fn responder(&self) -> Uid {
-        self.responder
+        self.cell().responder
     }
 
     /// What the scheduler knows this handle's reply cell by (never 0 for an
@@ -374,7 +365,7 @@ impl ReplyHandle {
     /// ledger still settles: the logical invocation terminally failed.
     pub(crate) fn resolve_silent(mut self, err: EdenError) {
         if let Some(tx) = self.tx.take() {
-            self.settle(false);
+            self.complete_obs(false);
             tx.settle(Err(err));
         }
     }
@@ -382,11 +373,9 @@ impl ReplyHandle {
 
 impl Drop for ReplyHandle {
     fn drop(&mut self) {
-        if let Some(tx) = self.tx.take() {
-            self.settle(false);
-            // Abandons the cell: the waiter reads `EjectCrashed(responder)`.
-            drop(tx);
-        }
+        self.complete_obs(false);
+        // `tx`, dropped next if unanswered, abandons the cell: the waiter
+        // reads `EjectCrashed(responder)`.
     }
 }
 
@@ -481,20 +470,32 @@ impl PendingReply {
 
 /// Create a connected reply pair for an invocation of `responder`.
 pub fn reply_pair(responder: Uid, metrics: Metrics) -> (ReplyHandle, PendingReply) {
+    reply_pair_with(responder, metrics, false, None, None)
+}
+
+/// [`reply_pair`] as the kernel's dispatch path makes it: whether settling
+/// meters the outcome ledger (non-driver invocations), the invocation's
+/// absolute deadline, and the observability tag when the plane is enabled.
+pub(crate) fn reply_pair_with(
+    responder: Uid,
+    metrics: Metrics,
+    meters_outcome: bool,
+    admit_by: Option<Instant>,
+    obs: Option<Box<crate::obs::ObsTag>>,
+) -> (ReplyHandle, PendingReply) {
     let cell = Arc::new(ReplyCell {
         state: AtomicU8::new(cell::EMPTY),
+        meters_outcome,
         responder,
+        metrics,
+        admit_by,
         value: UnsafeCell::new(None),
         waiter: UnsafeCell::new(None),
     });
     (
         ReplyHandle {
             tx: Some(Settler(Arc::clone(&cell))),
-            responder,
-            metrics,
-            obs: None,
-            meter_outcome: false,
-            admit_by: None,
+            obs,
         },
         PendingReply::Waiting(Awaiter(cell)),
     )
@@ -593,6 +594,22 @@ mod tests {
     fn ready_reply_resolves_immediately() {
         let p = PendingReply::ready(Ok(Value::from(1)));
         assert_eq!(p.wait().unwrap(), Value::Int(1));
+    }
+
+    #[test]
+    fn the_ledger_settles_once_on_every_path() {
+        let m = Metrics::new();
+        let pair = || reply_pair_with(Uid::fresh(), m.clone(), true, None, None);
+        let (h, _p) = pair();
+        h.reply(Ok(Value::Unit));
+        let (h, _p) = pair();
+        h.reply(Err(EdenError::EndOfStream));
+        let (h, _p) = pair();
+        h.resolve_silent(EdenError::Timeout);
+        let (h, _p) = pair();
+        drop(h);
+        let s = m.snapshot();
+        assert_eq!((s.successes, s.fatal_failures, s.replies), (1, 3, 2));
     }
 
     #[test]

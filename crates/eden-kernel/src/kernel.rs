@@ -40,7 +40,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::behavior::EjectBehavior;
 use crate::context::EjectContext;
 use crate::fault::{FaultInjector, FaultKind, FaultPlan};
-use crate::invocation::{reply_pair, Invocation, PendingReply, ReplyHandle};
+use crate::invocation::{reply_pair_with, Invocation, PendingReply, ReplyHandle};
 use crate::mailbox::{mailbox, MailboxSender, SendError, SendOutcome, ShedCause, ShedPolicy};
 use crate::obs::{
     KernelSnapshot, Lifecycle, LifecycleRecord, MailboxSnapshot, ObsConfig, ObsPlane, ObsTag,
@@ -775,10 +775,8 @@ impl Kernel {
             Ok(route) => route,
             Err(e) => return fail(e),
         };
-        let (mut handle, pending) = self.reply_pair_for(target, &op, from, &route, driver_owned);
-        if let Some(admit_by) = admit_by {
-            handle.set_admit_by(admit_by);
-        }
+        let (handle, pending) =
+            self.reply_pair_for(target, &op, from, &route, driver_owned, admit_by);
         // A bounce here means the coordinator exited since the route was
         // resolved; dropping the bounced envelope drops `handle`, which
         // resolves the pending reply with EjectCrashed — the correct
@@ -788,9 +786,10 @@ impl Kernel {
     }
 
     /// Build the reply pair for a resolved dispatch, wiring in outcome
-    /// metering (non-driver invocations settle the ledger at reply time)
-    /// and the observability tag (span coordinates + enqueue timestamp)
-    /// when the plane is enabled.
+    /// metering (non-driver invocations settle the ledger at reply time),
+    /// the absolute deadline admission control reads, and the
+    /// observability tag (span coordinates + enqueue timestamp) when the
+    /// plane is enabled.
     fn reply_pair_for(
         &self,
         target: Uid,
@@ -798,12 +797,9 @@ impl Kernel {
         from: NodeId,
         route: &Route,
         driver_owned: bool,
+        admit_by: Option<std::time::Instant>,
     ) -> (ReplyHandle, PendingReply) {
-        let (mut handle, pending) = reply_pair(target, self.inner.metrics.clone());
-        if !driver_owned {
-            handle.set_meter_outcome();
-        }
-        if let Some(obs) = &self.inner.obs {
+        let obs = self.inner.obs.as_ref().map(|obs| {
             // Histogram-only mode never reads the span coordinates; skip
             // the thread-local lookup and the span-id allocation.
             let ctx = if obs.config().spans {
@@ -816,16 +812,16 @@ impl Kernel {
                     hop: 0,
                 }
             };
-            handle.set_obs(ObsTag::new(
+            Box::new(ObsTag::new(
                 Arc::clone(obs),
                 ctx,
                 target,
                 op.clone(),
                 from,
                 route.node,
-            ));
-        }
-        (handle, pending)
+            ))
+        });
+        reply_pair_with(target, self.inner.metrics.clone(), !driver_owned, admit_by, obs)
     }
 
     /// Make a fault-injected delivery visible to the observability plane.
@@ -926,10 +922,8 @@ impl Kernel {
             }
         }
         if let Some(route) = cache.lookup(target) {
-            let (mut handle, pending) = self.reply_pair_for(target, &op, from, &route, driver_owned);
-            if let Some(admit_by) = admit_by {
-                handle.set_admit_by(admit_by);
-            }
+            let (handle, pending) =
+                self.reply_pair_for(target, &op, from, &route, driver_owned, admit_by);
             match self.dispatch_route(from, &route, Invocation { op, arg }, handle, wake) {
                 Ok(()) => {
                     metrics.record_route_cache_hit();
@@ -977,10 +971,8 @@ impl Kernel {
                 Err(e) => return fail(e),
             };
             cache.insert(route.clone());
-            let (mut handle, pending) = self.reply_pair_for(target, &op, from, &route, driver_owned);
-            if let Some(admit_by) = admit_by {
-                handle.set_admit_by(admit_by);
-            }
+            let (handle, pending) =
+                self.reply_pair_for(target, &op, from, &route, driver_owned, admit_by);
             let _ = self.dispatch_route(from, &route, Invocation { op, arg }, handle, wake);
             pending
         }
@@ -1079,8 +1071,6 @@ impl Kernel {
     /// coordinator has exited. A successful send may still have shed
     /// envelopes (admission control at a full bounded mailbox); those
     /// resolve with `Overloaded`.
-    // The bounce is the mailbox's: the whole envelope, for redelivery.
-    #[allow(clippy::result_large_err)]
     fn dispatch_route(
         &self,
         from: NodeId,

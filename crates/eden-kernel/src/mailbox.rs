@@ -48,11 +48,6 @@
 //!
 //! [`InvokeOptions::deadline`]: crate::InvokeOptions::deadline
 
-// A failed send hands the whole envelope back (crossbeam's contract, and
-// what invoke-over-a-stale-route needs to retry without a clone); boxing
-// it would buy a smaller Err at the price of an allocation per bounce.
-#![allow(clippy::result_large_err)]
-
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
@@ -347,10 +342,6 @@ enum Admit {
 /// caller must resolve (the kernel resolves sheds with
 /// `EdenError::Overloaded` and counts them) — dropping one would
 /// misreport the shed as a crash.
-// Transient return value, consumed on the sender's stack immediately —
-// boxing the rejected envelope would cost an allocation per shed for no
-// resident-memory win.
-#[allow(clippy::large_enum_variant)]
 pub(crate) enum SendOutcome {
     /// Admitted; nothing was shed.
     Delivered,
@@ -892,17 +883,15 @@ mod tests {
         spec::assert_transition(park::DEAD, park::QUEUED);
     }
 
-    use crate::invocation::{reply_pair, Invocation, PendingReply};
+    use crate::invocation::{reply_pair_with, Invocation, PendingReply};
     use eden_core::{Metrics, Uid, Value};
     use std::time::Duration;
 
     /// An invocation envelope with an optional admission deadline, plus the
     /// pending reply to observe what admission control did with it.
     fn inv_envelope(deadline: Option<Duration>) -> (Envelope, PendingReply) {
-        let (mut handle, pending) = reply_pair(Uid::fresh(), Metrics::new());
-        if let Some(d) = deadline {
-            handle.set_admit_by(Instant::now() + d);
-        }
+        let admit_by = deadline.map(|d| Instant::now() + d);
+        let (handle, pending) = reply_pair_with(Uid::fresh(), Metrics::new(), false, admit_by, None);
         (
             Envelope::Invocation(
                 Invocation {
