@@ -80,12 +80,7 @@ fn exhausted_reader_disappears() {
     assert!(batch.end);
     // The reader deactivates itself and, never having checkpointed,
     // disappears (§7 pattern).
-    for _ in 0..200 {
-        if kernel.eject_state(reader).is_none() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    kernel.await_gone(&[reader], Duration::from_secs(5));
     assert_eq!(kernel.eject_state(reader), None);
     kernel.shutdown();
 }
@@ -106,12 +101,7 @@ fn close_destroys_reader_early() {
         .invoke(reader, ops::CLOSE, Value::Unit)
         .wait()
         .unwrap();
-    for _ in 0..200 {
-        if kernel.eject_state(reader).is_none() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    kernel.await_gone(&[reader], Duration::from_secs(5));
     assert_eq!(kernel.eject_state(reader), None);
     kernel.shutdown();
 }
@@ -377,12 +367,7 @@ fn kernel_lists_ejects_with_types() {
         .invoke(file, ops::DEACTIVATE, Value::Unit)
         .wait()
         .unwrap();
-    for _ in 0..200 {
-        if kernel.eject_state(file) == Some(EjectState::Passive) {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    kernel.await_gone(&[file], Duration::from_secs(5));
     let rows = kernel.list_ejects();
     assert_eq!(rows.len(), 2);
     let dir_row = rows.iter().find(|r| r.uid == dir).unwrap();

@@ -13,7 +13,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use eden_core::{EdenError, Metrics, OpName, Result, Uid, Value};
 use parking_lot::Mutex;
@@ -205,8 +205,10 @@ impl EjectContext {
         self.deactivate.load(Ordering::Acquire)
     }
 
+    /// Set the stop flag and unpark the processes: one may sleep in `wait_or_stop`.
     pub(crate) fn begin_stop(&self) {
         self.stop.store(true, Ordering::Release);
+        self.workers.lock().iter().for_each(|w| w.thread().unpark());
     }
 
     /// Join this Eject's worker processes. They may need other Ejects
@@ -365,24 +367,25 @@ impl ProcessContext {
         self.internal.send(event)
     }
 
-    /// Wait for a reply, but give up promptly if the Eject starts stopping.
+    /// Wait until the reply settles, the Eject starts stopping, or the default deadline passes.
     ///
     /// Long-running workers must use this (or poll
     /// [`should_stop`](Self::should_stop) themselves) so that deactivation
     /// and shutdown do not stall behind a reply that will never come.
     pub fn wait_or_stop(&self, mut pending: PendingReply) -> Result<Value> {
-        let poll = Duration::from_millis(25);
-        let mut waited = Duration::ZERO;
+        let stop = || self.should_stop();
+        // A reply that is in already (a call ran inline) costs no clock read.
+        if let Some(result) = pending.poll_timeout(Duration::ZERO, &stop) {
+            return result;
+        }
+        let deadline = Instant::now() + DEFAULT_REPLY_TIMEOUT;
         loop {
-            if let Some(result) = pending.poll_timeout(poll) {
-                return result;
-            }
-            if self.should_stop() {
-                return Err(EdenError::KernelShutdown);
-            }
-            waited += poll;
-            if waited >= DEFAULT_REPLY_TIMEOUT {
-                return Err(EdenError::Timeout);
+            let left = deadline.saturating_duration_since(Instant::now());
+            match pending.poll_timeout(left, &stop) {
+                Some(result) => return result,
+                None if stop() => return Err(EdenError::KernelShutdown),
+                None if left.is_zero() => return Err(EdenError::Timeout),
+                None => {}
             }
         }
     }
@@ -390,11 +393,5 @@ impl ProcessContext {
     /// True once the Eject is stopping; long-running workers must exit.
     pub fn should_stop(&self) -> bool {
         self.stop.load(Ordering::Acquire)
-    }
-
-    /// The default reply deadline, exposed for workers that implement their
-    /// own wait loops.
-    pub fn default_timeout(&self) -> Duration {
-        DEFAULT_REPLY_TIMEOUT
     }
 }

@@ -176,6 +176,9 @@ impl std::fmt::Debug for Settler {
 /// [`PendingReply::Waiting`]).
 pub struct Awaiter(Arc<ReplyCell>);
 
+/// What a wait looks at to give up early; whoever makes it true unparks the waiter.
+pub(crate) type Stop<'a> = &'a dyn Fn() -> bool;
+
 impl Awaiter {
     /// Whether the outcome is known (replied or abandoned).
     fn is_terminal(&self) -> bool {
@@ -197,8 +200,8 @@ impl Awaiter {
         }
     }
 
-    /// Sleep until the outcome is known or `budget` elapses (`None`).
-    fn wait_for(&mut self, budget: Duration) -> Option<Result<Value>> {
+    /// Sleep until the outcome is known, or (`None`) `budget` passes or `stop` holds.
+    fn wait_for(&mut self, budget: Duration, stop: Stop) -> Option<Result<Value>> {
         if let Some(outcome) = self.try_take() {
             return Some(outcome);
         }
@@ -225,9 +228,10 @@ impl Awaiter {
         // a token if it wins the race with `park`, so no wake-up is lost; a
         // stale token from an earlier cell only costs one more loop.
         crate::sched::blocking(|| {
-            while !self.is_terminal() {
+            while !self.is_terminal() && !stop() {
                 match deadline.map(|at| at.saturating_duration_since(Instant::now())) {
                     Some(Duration::ZERO) => break,
+                    // eden-lint: timer(deadline)
                     Some(left) => std::thread::park_timeout(left),
                     None => std::thread::park(),
                 }
@@ -408,6 +412,7 @@ impl PendingReply {
     /// it executed as the call it is says [`Kernel::call`](crate::Kernel::call)
     /// (or its context's `call`), where that is decided at the send.
     pub fn wait(self) -> Result<Value> {
+        // eden-lint: timer(deadline)
         self.wait_timeout(DEFAULT_REPLY_TIMEOUT)
     }
 
@@ -434,23 +439,21 @@ impl PendingReply {
                 } else {
                     deadline
                 };
-                rx.wait_for(deadline).unwrap_or(Err(EdenError::Timeout))
+                rx.wait_for(deadline, &|| false)
+                    .unwrap_or(Err(EdenError::Timeout))
             }
+            // eden-lint: timer(deadline)
             PendingReply::Retrying(state) => state.wait_timeout(deadline),
         }
     }
 
-    /// Wait up to `deadline` without consuming the handle. Returns `None`
-    /// if the reply has not arrived yet; after `Some` is returned once,
-    /// further polls yield `Timeout`.
-    ///
-    /// This is the building block for stop-aware waits: poll with a short
-    /// deadline and check a stop flag between polls.
-    pub fn poll_timeout(&mut self, deadline: Duration) -> Option<Result<Value>> {
+    /// Wait up to `budget`, or until `stop` holds, without consuming the handle: `None` if the
+    /// reply has not arrived yet; after one `Some`, further polls yield `Timeout`.
+    pub(crate) fn poll_timeout(&mut self, budget: Duration, stop: Stop) -> Option<Result<Value>> {
         match self {
             PendingReply::Ready(r) => Some(r.take().unwrap_or(Err(EdenError::Timeout))),
-            PendingReply::Waiting(rx) => rx.wait_for(deadline),
-            PendingReply::Retrying(state) => state.poll_timeout(deadline),
+            PendingReply::Waiting(rx) => rx.wait_for(budget, stop),
+            PendingReply::Retrying(state) => state.poll_timeout(budget, stop),
         }
     }
 
@@ -536,7 +539,9 @@ mod tests {
             h.reply(Ok(Value::str("late")));
         });
         let mut p = p;
-        assert!(p.poll_timeout(Duration::from_millis(1)).is_none());
+        assert!(p
+            .poll_timeout(Duration::from_millis(1), &|| false)
+            .is_none());
         go.send(()).unwrap();
         assert_eq!(p.wait().unwrap().as_str().unwrap(), "late");
         t.join().unwrap();
@@ -552,7 +557,9 @@ mod tests {
             gone.recv().unwrap();
             drop(h);
         });
-        assert!(p.poll_timeout(Duration::from_millis(1)).is_none());
+        assert!(p
+            .poll_timeout(Duration::from_millis(1), &|| false)
+            .is_none());
         go.send(()).unwrap();
         assert_eq!(p.wait().unwrap_err(), EdenError::EjectCrashed(u));
         t.join().unwrap();
@@ -561,10 +568,33 @@ mod tests {
     #[test]
     fn reply_after_a_timed_out_poll_is_delivered_once() {
         let (h, mut p) = reply_pair(Uid::fresh(), Metrics::new());
-        assert!(p.poll_timeout(Duration::from_millis(1)).is_none());
+        assert!(p
+            .poll_timeout(Duration::from_millis(1), &|| false)
+            .is_none());
         h.reply(Ok(Value::from(7)));
-        assert_eq!(p.poll_timeout(Duration::ZERO), Some(Ok(Value::Int(7))));
-        assert_eq!(p.poll_timeout(Duration::ZERO), Some(Err(EdenError::Timeout)));
+        assert_eq!(
+            p.poll_timeout(Duration::ZERO, &|| false),
+            Some(Ok(Value::Int(7)))
+        );
+        assert_eq!(
+            p.poll_timeout(Duration::ZERO, &|| false),
+            Some(Err(EdenError::Timeout))
+        );
+    }
+
+    #[test]
+    fn a_poll_ends_when_its_stop_is_set_and_its_thread_unparked() {
+        let (_h, mut p) = reply_pair(Uid::fresh(), Metrics::new());
+        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let (stopper, waiter) = (stop.clone(), std::thread::current());
+        let t = std::thread::spawn(move || {
+            stopper.store(true, std::sync::atomic::Ordering::SeqCst);
+            waiter.unpark();
+        });
+        let stopped = || stop.load(std::sync::atomic::Ordering::SeqCst);
+        assert!(p.poll_timeout(Duration::from_secs(600), &stopped).is_none());
+        assert!(stopped());
+        t.join().unwrap();
     }
 
     #[test]

@@ -863,6 +863,7 @@ impl Kernel {
                 Some(EdenError::EjectCrashed(target))
             }
             FaultKind::Delay(latency) => {
+                // eden-lint: timer(injected-latency)
                 crate::sched::blocking(|| std::thread::sleep(latency));
                 None
             }
@@ -1083,10 +1084,12 @@ impl Kernel {
         if route.node != from {
             metrics.record_remote_invocation();
             if let Some(latency) = self.inner.config.remote_latency {
+                // eden-lint: timer(injected-latency)
                 crate::sched::blocking(|| std::thread::sleep(latency));
             }
         }
         if let Some(latency) = self.inner.config.invocation_latency {
+            // eden-lint: timer(injected-latency)
             crate::sched::blocking(|| std::thread::sleep(latency));
         }
         let envelope = Envelope::Invocation(invocation, handle);
@@ -1188,9 +1191,25 @@ impl Kernel {
         // die: it dies when this dispatch returns. Every other caller gets
         // the blocking semantics.
         if !crate::sched::is_resuming(uid) {
-            task.wait_dead();
+            task.wait_dead(None);
         }
         Ok(())
+    }
+
+    /// Wait on their death latches, for `timeout` in all, until each of `uids` active now has
+    /// exited (died, gone passive, or never existed): `false` at the deadline, and at once for a
+    /// uid this thread resumes, as in [`crash`](Self::crash). A later reactivation is a new
+    /// incarnation, and is not waited for.
+    pub fn await_gone(&self, uids: &[Uid], timeout: Duration) -> bool {
+        let deadline = std::time::Instant::now().checked_add(timeout);
+        uids.iter().all(|&uid| {
+            let shard = self.inner.shard(uid);
+            let task = match shard.slots.read().get(&uid).map(|slot| &slot.state) {
+                Some(SlotState::Active { task, .. }) => Arc::clone(task),
+                _ => return true,
+            };
+            !crate::sched::is_resuming(uid) && task.wait_dead(deadline)
+        })
     }
 
     /// Write to stable storage on behalf of an Eject (used by its contexts):
@@ -1377,5 +1396,86 @@ impl Drop for Kernel {
         if Arc::strong_count(&self.inner) == 1 {
             self.shutdown();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use eden_core::op::ops;
+    use std::time::Instant;
+
+    /// Checkpoints to `Unit`; answers anything else by waiting for itself
+    /// to be gone, which it cannot be while it answers.
+    struct Stayer;
+
+    impl EjectBehavior for Stayer {
+        fn type_name(&self) -> &'static str {
+            "Stayer"
+        }
+        fn handle(&mut self, ctx: &EjectContext, _inv: Invocation, reply: ReplyHandle) {
+            let kernel = ctx.kernel().expect("kernel alive");
+            let gone = kernel.await_gone(&[ctx.uid()], Duration::from_secs(30));
+            reply.reply(Ok(Value::Bool(gone)));
+        }
+        fn passive_representation(&self) -> Option<Value> {
+            Some(Value::Unit)
+        }
+    }
+
+    #[test]
+    fn await_gone_is_true_at_once_for_unknown_and_passive_uids() {
+        let kernel = Kernel::new();
+        kernel.register_type("Stayer", |_| Ok(Box::new(Stayer) as Box<dyn EjectBehavior>));
+        assert!(kernel.await_gone(&[Uid::fresh()], Duration::ZERO));
+        let uid = kernel.spawn(Box::new(Stayer)).unwrap();
+        kernel
+            .invoke(uid, ops::CHECKPOINT, Value::Unit)
+            .wait()
+            .unwrap();
+        kernel
+            .invoke(uid, ops::DEACTIVATE, Value::Unit)
+            .wait()
+            .unwrap();
+        assert!(kernel.await_gone(&[uid], Duration::from_secs(10)));
+        assert_eq!(kernel.eject_state(uid), Some(EjectState::Passive));
+        assert!(kernel.await_gone(&[uid, Uid::fresh()], Duration::ZERO));
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn await_gone_is_false_at_the_deadline_for_a_live_eject() {
+        let kernel = Kernel::new();
+        let uid = kernel.spawn(Box::new(Stayer)).unwrap();
+        let from = Instant::now();
+        assert!(!kernel.await_gone(&[Uid::fresh(), uid], Duration::from_millis(20)));
+        assert!(from.elapsed() >= Duration::from_millis(20));
+        assert_eq!(kernel.eject_state(uid), Some(EjectState::Active));
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn await_gone_is_true_after_deactivate_and_the_slot_is_gone() {
+        let kernel = Kernel::new();
+        let uids: Vec<Uid> = (0..3)
+            .map(|_| kernel.spawn(Box::new(Stayer)).unwrap())
+            .collect();
+        for &uid in &uids {
+            let _ = kernel.invoke(uid, ops::DEACTIVATE, Value::Unit);
+        }
+        assert!(kernel.await_gone(&uids, Duration::from_secs(10)));
+        assert!(uids.iter().all(|&uid| kernel.eject_state(uid).is_none()));
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn await_gone_on_its_own_uid_from_its_handler_is_false_not_a_deadlock() {
+        let kernel = Kernel::new();
+        let uid = kernel.spawn(Box::new(Stayer)).unwrap();
+        let answer = kernel
+            .invoke(uid, "AwaitSelf", Value::Unit)
+            .wait_timeout(Duration::from_secs(10));
+        assert_eq!(answer, Ok(Value::Bool(false)));
+        kernel.shutdown();
     }
 }

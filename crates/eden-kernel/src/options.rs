@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use eden_core::span::SpanContext;
 use eden_core::{EdenError, Metrics, OpName, Result, Uid, Value};
 
-use crate::invocation::PendingReply;
+use crate::invocation::{PendingReply, Stop};
 use crate::kernel::{NodeId, WeakKernel};
 use crate::routes::RouteCache;
 
@@ -327,6 +327,7 @@ impl RetryState {
         };
         loop {
             let rem = overall.saturating_sub(start.elapsed());
+            // eden-lint: timer(deadline)
             match self.take_inner().wait_timeout(rem) {
                 Ok(v) => {
                     self.finish(true);
@@ -343,6 +344,7 @@ impl RetryState {
                     }
                     let pause = self.policy.backoff(self.attempt).min(rem);
                     if !pause.is_zero() {
+                        // eden-lint: timer(backoff)
                         crate::sched::blocking(|| std::thread::sleep(pause));
                     }
                     self.resend()?;
@@ -351,7 +353,7 @@ impl RetryState {
         }
     }
 
-    pub(crate) fn poll_timeout(&mut self, budget: Duration) -> Option<Result<Value>> {
+    pub(crate) fn poll_timeout(&mut self, budget: Duration, stop: Stop) -> Option<Result<Value>> {
         let budget = match self.deadline_remaining() {
             Some(rem) if rem.is_zero() => {
                 self.finish(false);
@@ -360,7 +362,7 @@ impl RetryState {
             Some(rem) => budget.min(rem),
             None => budget,
         };
-        match self.inner.poll_timeout(budget)? {
+        match self.inner.poll_timeout(budget, stop)? {
             Ok(v) => {
                 self.finish(true);
                 Some(Ok(v))
@@ -376,6 +378,7 @@ impl RetryState {
                     pause = pause.min(rem);
                 }
                 if !pause.is_zero() {
+                    // eden-lint: timer(backoff)
                     crate::sched::blocking(|| std::thread::sleep(pause));
                 }
                 match self.resend() {

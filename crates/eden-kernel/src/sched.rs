@@ -258,6 +258,7 @@ impl Parker {
     fn park(&self, timeout: Duration) -> bool {
         let mut notified = self.park_mx.lock();
         if !*notified {
+            // eden-lint: timer(sched-stride)
             // eden-lint: nonblocking(the pool's own idle wait — a sleeping worker has no task)
             let _ = self.park_cv.wait_for(&mut notified, timeout);
         }
@@ -504,20 +505,28 @@ impl Task {
         *self.body.lock() = Some(body);
     }
 
+    /// Set under the lock `wait_dead` reads it under, before the notify: a waiter
+    /// that read it unset is asleep when the notify comes. No wake-up is lost.
     fn mark_died(&self) {
         *self.died.lock() = true;
         self.died_cv.notify_all();
     }
 
-    /// Block until this task's death latch trips. Must not be called from
-    /// a worker currently running the task (see [`is_resuming`]).
-    pub(crate) fn wait_dead(&self) {
+    /// Block until this task's death latch trips (`true`) or `deadline` passes (`false`). Must
+    /// not be called from a worker currently running the task (see [`is_resuming`]).
+    pub(crate) fn wait_dead(&self, deadline: Option<Instant>) -> bool {
         blocking(|| {
             let mut died = self.died.lock();
             while !*died {
-                let _ = self.died_cv.wait_for(&mut died, Duration::from_millis(50));
+                match deadline.map(|at| at.saturating_duration_since(Instant::now())) {
+                    None => self.died_cv.wait(&mut died),
+                    Some(Duration::ZERO) => return false,
+                    // eden-lint: timer(deadline)
+                    Some(left) => _ = self.died_cv.wait_for(&mut died, left),
+                }
             }
-        });
+            true
+        })
     }
 }
 
@@ -1513,8 +1522,9 @@ impl Scheduler {
             kernel.on_eject_exit(task.uid(), task.incarnation, crashed);
         }
         task.mark_died();
-        self.tasks_alive.add(-1);
+        // As in `Task::mark_died`: the count falls under the waiter's lock.
         let _death = self.death_mx.lock();
+        self.tasks_alive.add(-1);
         self.death_cv.notify_all();
     }
 
@@ -1526,9 +1536,7 @@ impl Scheduler {
         blocking(|| {
             let mut death = self.death_mx.lock();
             while self.tasks_alive.sum() > allow {
-                let _ = self
-                    .death_cv
-                    .wait_for(&mut death, Duration::from_millis(50));
+                self.death_cv.wait(&mut death);
             }
         });
     }
@@ -1761,6 +1769,7 @@ fn monitor_main(sched: Arc<Scheduler>) {
     let mut stalled_ticks = 0u32;
     let mut tick = MONITOR_TICK;
     while !sched.stopping.load(Ordering::Acquire) {
+        // eden-lint: timer(stall-monitor)
         // eden-lint: nonblocking(dedicated monitor thread, never a pool worker)
         std::thread::sleep(tick);
         let progress = sched.total_progress();

@@ -78,6 +78,7 @@ pub(crate) fn flusher_loop(inner: &LogInner) {
             if st.shutdown {
                 return;
             }
+            // eden-lint: timer(fsync-interval)
             // eden-lint: nonblocking(dedicated flusher thread, never a pool worker)
             inner.flush_cv.wait_for(&mut st, tick);
             if st.shutdown {

@@ -202,13 +202,8 @@ fn deactivate_without_checkpoint_disappears() {
     let kernel = Kernel::new();
     let echo = kernel.spawn(Box::new(Echo)).unwrap();
     kernel.invoke(echo, ops::DEACTIVATE, Value::Unit).wait().unwrap();
-    // The coordinator exits asynchronously; poll for disappearance.
-    for _ in 0..100 {
-        if kernel.eject_state(echo).is_none() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    // The coordinator exits asynchronously; wait for it to be gone.
+    kernel.await_gone(&[echo], Duration::from_secs(5));
     assert_eq!(kernel.eject_state(echo), None);
     let err = kernel.invoke(echo, "Echo", Value::Unit).wait().unwrap_err();
     assert!(matches!(err, EdenError::NoSuchEject(_)));
@@ -229,12 +224,7 @@ fn checkpoint_then_deactivate_then_reactivate_on_invocation() {
     }
     kernel.invoke(counter, ops::CHECKPOINT, Value::Unit).wait().unwrap();
     kernel.invoke(counter, ops::DEACTIVATE, Value::Unit).wait().unwrap();
-    for _ in 0..100 {
-        if kernel.eject_state(counter) == Some(EjectState::Passive) {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    kernel.await_gone(&[counter], Duration::from_secs(5));
     assert_eq!(kernel.eject_state(counter), Some(EjectState::Passive));
     assert_eq!(kernel.passive_type_name(counter).as_deref(), Some("Counter"));
     // Invocation reactivates it with the checkpointed state.

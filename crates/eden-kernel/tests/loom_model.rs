@@ -1431,3 +1431,89 @@ fn park_drain_crash_race_conserves_envelopes() {
         assert_eq!(ring.0, 0, "close left mail behind");
     });
 }
+
+// ---------------------------------------------------------------------
+// The death latch: `Task::mark_died` against `Task::wait_dead`, and the live
+// count `Scheduler::reap` lowers against `Scheduler::wait_all_dead`
+// (`crates/eden-kernel/src/sched.rs`). Neither wait looks again on a clock,
+// so a notify is its only way out. The distilled contract: the flag (the
+// count) is written under the lock the waiter reads it under, before the
+// notify, so every waiter returns — the joins below are the invariant — and
+// sees every task dead.
+
+struct LatchModel {
+    died: [(Mutex<bool>, Condvar); 2],
+    /// `death_mx` and the count it now guards.
+    alive: (Mutex<u32>, Condvar),
+}
+
+impl LatchModel {
+    fn new() -> Self {
+        LatchModel {
+            died: [
+                (Mutex::new(false), Condvar::new()),
+                (Mutex::new(false), Condvar::new()),
+            ],
+            alive: (Mutex::new(2), Condvar::new()),
+        }
+    }
+
+    /// Mirror of the tail of `reap`: trip the task's latch, then lower the
+    /// count under `death_mx` and notify.
+    fn reap(&self, task: usize) {
+        let (died, died_cv) = &self.died[task];
+        *died.lock().unwrap() = true;
+        died_cv.notify_all();
+        let (alive, death_cv) = &self.alive;
+        *alive.lock().unwrap() -= 1;
+        death_cv.notify_all();
+    }
+
+    /// Mirror of `wait_dead(None)`: a look, then the untimed wait.
+    fn wait_dead(&self, task: usize) {
+        let (died, died_cv) = &self.died[task];
+        if *died.lock().unwrap() {
+            return;
+        }
+        let mut dead = died.lock().unwrap();
+        while !*dead {
+            dead = died_cv.wait(dead).unwrap();
+        }
+    }
+
+    /// Mirror of `wait_all_dead` off the pool (nothing of its own resuming).
+    fn wait_all_dead(&self) {
+        let (alive, death_cv) = &self.alive;
+        let mut alive = alive.lock().unwrap();
+        while *alive > 0 {
+            alive = death_cv.wait(alive).unwrap();
+        }
+    }
+}
+
+#[test]
+fn death_latch_wakes_every_waiter_with_no_recheck() {
+    loom::model(|| {
+        let m = Arc::new(LatchModel::new());
+        let waiters: Vec<_> = (0..3)
+            .map(|w| {
+                let m = m.clone();
+                thread::spawn(move || match w {
+                    2 => m.wait_all_dead(),
+                    task => m.wait_dead(task),
+                })
+            })
+            .collect();
+        let reapers: Vec<_> = (0..2)
+            .map(|task| {
+                let m = m.clone();
+                thread::spawn(move || m.reap(task))
+            })
+            .collect();
+        for handle in reapers.into_iter().chain(waiters) {
+            handle.join().unwrap();
+        }
+        assert!(m.died.iter().all(|(died, _)| *died.lock().unwrap()));
+        assert_eq!(*m.alive.0.lock().unwrap(), 0);
+    });
+}

@@ -53,12 +53,7 @@ fn concurrent_invocations_reactivate_exactly_once() {
     let counter = kernel.spawn(Box::new(Counter { count: 0 })).unwrap();
     kernel.invoke(counter, ops::CHECKPOINT, Value::Unit).wait().unwrap();
     kernel.invoke(counter, ops::DEACTIVATE, Value::Unit).wait().unwrap();
-    for _ in 0..200 {
-        if kernel.eject_state(counter) == Some(EjectState::Passive) {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    kernel.await_gone(&[counter], Duration::from_secs(5));
     assert_eq!(kernel.eject_state(counter), Some(EjectState::Passive));
 
     let before = kernel.metrics().snapshot();

@@ -26,6 +26,9 @@
 //! `handle` or `internal` body — and a `call` is a wait, with a send in
 //! front. Debug builds catch the same lie when it runs; this catches it
 //! when it is written.
+//!
+//! And [`timers`]: a wait for an event waits on the event, so a timed wait must be a
+//! timer, `// eden-lint: timer(reason)` within three lines above it ([`TIMER_REASONS`]).
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -59,6 +62,18 @@ const WAITS: [&str; 7] = [
     "thread::park",
 ];
 
+/// Substrings that mark a timed wait: a rendezvous that a clock also ends.
+const TIMED: [&str; 5] = [
+    "thread::sleep",
+    ".wait_for(&mut",
+    "::park_timeout(",
+    ".recv_timeout(",
+    ".wait_timeout(",
+];
+
+/// The timers the design needs (DESIGN §4), space-separated: the reasons a `timer(..)` may give.
+pub const TIMER_REASONS: &str = "deadline fsync-interval backoff stall-monitor sched-stride injected-latency watch recovery-poll";
+
 /// One rendezvous call site and how it is excused.
 #[derive(Debug)]
 pub struct BlockingSite {
@@ -88,6 +103,8 @@ pub struct BlockingReport {
     /// `Mutex/RwLock` acquisitions counted informationally (the
     /// lock-order plane governs these, not this pass).
     pub governed_locks: usize,
+    /// Timed waits per reason, in [`TIMER_REASONS`] order, once [`timers`] ran.
+    pub timers: Vec<(&'static str, usize)>,
     /// Audit failures, human-readable.
     pub findings: Vec<String>,
 }
@@ -106,13 +123,16 @@ impl BlockingReport {
             "blocking audit: {} file(s), {} rendezvous site(s) ({} wrapped, {} annotated), {} lock-order-governed lock site(s)",
             self.files, self.sites, self.wrapped, self.excused, self.governed_locks
         );
+        let timers = self.timers.iter().map(|(r, n)| format!("{r} {n}"));
+        let timers = timers.collect::<Vec<_>>().join(", ");
+        let _ = writeln!(out, "timed waits by reason: {timers}");
         for finding in &self.findings {
             let _ = writeln!(out, "FINDING: {finding}");
         }
         if self.clean() {
             let _ = writeln!(
                 out,
-                "ok: every rendezvous call is blocking(..)-wrapped or nonblocking-annotated"
+                "ok: every rendezvous call is blocking(..)-wrapped or nonblocking-annotated, every timed wait a timer"
             );
         }
         out
@@ -223,12 +243,7 @@ pub fn extract_sites(scan: &FileScan) -> (Vec<BlockingSite>, usize) {
             search = at + pat.len();
             let line = scan.line_of(&joined, at);
             let wrapped = regions.iter().any(|(open, close)| at > *open && at < *close);
-            let excuse = scan
-                .annotations_of("nonblocking")
-                .into_iter()
-                .filter(|a| a.line <= line && line <= a.line + 3)
-                .map(|a| a.body.clone())
-                .next_back();
+            let excuse = bound_annotation(scan, "nonblocking", line).map(str::to_owned);
             sites.push(BlockingSite {
                 file: scan.path.clone(),
                 line,
@@ -242,25 +257,65 @@ pub fn extract_sites(scan: &FileScan) -> (Vec<BlockingSite>, usize) {
     (sites, governed)
 }
 
-/// Walk `roots` and audit every rendezvous site.
-pub fn audit(roots: &[PathBuf]) -> Result<BlockingReport> {
+/// Every `.rs` file under `roots`, scanned, in path order.
+fn scan_roots(roots: &[PathBuf]) -> Result<Vec<FileScan>> {
     let mut files: Vec<PathBuf> = Vec::new();
     for root in roots {
         scan::collect_rs(root, &mut files)
             .map_err(|e| EdenError::Application(format!("scan {}: {e}", root.display())))?;
     }
     files.sort();
+    let read = |file: &PathBuf| {
+        scan::scan_file(file)
+            .map_err(|e| EdenError::Application(format!("read {}: {e}", file.display())))
+    };
+    files.iter().map(read).collect()
+}
 
+/// The body of the last `kind(..)` annotation within three lines above `line`.
+fn bound_annotation<'a>(scan: &'a FileScan, kind: &str, line: usize) -> Option<&'a str> {
+    let near = |a: &&scan::Annotation| a.line <= line && line <= a.line + 3;
+    let found = scan.annotations_of(kind).into_iter().rfind(near)?;
+    Some(found.body.as_str())
+}
+
+/// Count every timed wait outside tests under `roots` into `report` by its
+/// `timer(..)` reason; one without a known reason is a finding.
+pub fn timers(roots: &[PathBuf], report: &mut BlockingReport) -> Result<()> {
+    report.timers = TIMER_REASONS.split_whitespace().map(|r| (r, 0)).collect();
+    for scan in &scan_roots(roots)? {
+        let joined = scan.joined_code();
+        for pat in TIMED {
+            for (at, _) in joined.match_indices(pat) {
+                let line = scan.line_of(&joined, at);
+                let reason = bound_annotation(scan, "timer", line);
+                let counted = report.timers.iter_mut().find(|(r, _)| reason == Some(*r));
+                match counted {
+                    Some((_, n)) => *n += 1,
+                    None => report.findings.push(format!(
+                        "{}:{line}: timed wait `{pat}` is no timer: reason {}",
+                        scan.path,
+                        reason.unwrap_or("missing")
+                    )),
+                }
+            }
+        }
+    }
+    report.findings.sort();
+    Ok(())
+}
+
+/// Walk `roots` and audit every rendezvous site.
+pub fn audit(roots: &[PathBuf]) -> Result<BlockingReport> {
+    let scans = scan_roots(roots)?;
     let mut report = BlockingReport {
-        files: files.len(),
+        files: scans.len(),
         ..BlockingReport::default()
     };
-    for file in &files {
-        let scan = scan::scan_file(file)
-            .map_err(|e| EdenError::Application(format!("read {}: {e}", file.display())))?;
-        let (sites, governed) = extract_sites(&scan);
+    for scan in &scans {
+        let (sites, governed) = extract_sites(scan);
         report.governed_locks += governed;
-        report.findings.extend(waits_after_reply(&scan));
+        report.findings.extend(waits_after_reply(scan));
         for site in sites {
             report.sites += 1;
             if site.wrapped {

@@ -17,7 +17,7 @@
 //!     eden-kernel, eden-transput and eden-fs sources) must be
 //!     `blocking(..)`-wrapped or `nonblocking(..)`-annotated, and no wait
 //!     (a `call` is one) may follow a reply in a behaviour that declares
-//!     `replies_last`.
+//!     `replies_last`; every timed wait (all crates but eden-bench) is a `timer(reason)`.
 //! cargo run -p eden-lint -- --protocol [--root PATH]...
 //!     Mailbox protocol conformance: parking-bit transitions in the
 //!     roots (default: mailbox.rs and sched.rs) round-trip against
@@ -261,18 +261,23 @@ fn run_atomics(args: &Args) -> Result<PassReport, String> {
 }
 
 fn run_blocking(args: &Args) -> Result<PassReport, String> {
-    let report = blocking::audit(&runtime_roots(args)).map_err(|e| e.to_string())?;
+    let mut report = blocking::audit(&runtime_roots(args)).map_err(|e| e.to_string())?;
+    let mut timer_roots = workspace_src_roots(args)?;
+    timer_roots.retain(|root| !args.roots.is_empty() || !root.ends_with("eden-bench/src"));
+    blocking::timers(&timer_roots, &mut report).map_err(|e| e.to_string())?;
     print!("{}", report.render());
+    let mut counts = vec![
+        ("files", report.files),
+        ("rendezvous_sites", report.sites),
+        ("wrapped", report.wrapped),
+        ("annotated", report.excused),
+        ("governed_locks", report.governed_locks),
+    ];
+    counts.extend(report.timers.iter().copied());
     Ok(PassReport {
         name: "blocking",
         clean: report.clean(),
-        counts: vec![
-            ("files", report.files),
-            ("rendezvous_sites", report.sites),
-            ("wrapped", report.wrapped),
-            ("annotated", report.excused),
-            ("governed_locks", report.governed_locks),
-        ],
+        counts,
         findings: report.findings,
     })
 }

@@ -17,6 +17,7 @@ impl EjectBehavior for Relay {
     }
 
     fn internal(&mut self, _ctx: &EjectContext, _event: Value) {
+        // eden-lint: timer(injected-latency)
         eden_kernel::blocking(|| std::thread::sleep(self.nap));
         if let Some(parked) = self.parked.take() {
             parked.reply(Ok(Value::Unit));

@@ -2,7 +2,8 @@
 //! that must make the linter fire (and exit non-zero) — discipline
 //! violations per rule, a lock-order cycle (including scoped-guard
 //! forms), an atomics downgrade plus unknown site, naked rendezvous
-//! calls, and an off-spec parking-bit transition. The legal twins stay
+//! calls, a timed wait that is no timer, and an off-spec parking-bit
+//! transition. The legal twins stay
 //! clean, and the real tree must pass every pass.
 
 use std::path::{Path, PathBuf};
@@ -181,6 +182,33 @@ fn blocking_fixture_naked_calls_fail_and_wrapped_twin_passes() {
         .status()
         .unwrap();
     assert_eq!(status.code(), Some(0));
+}
+
+#[test]
+fn timer_fixture_unannotated_and_unknown_waits_fail() {
+    let dir = fixtures_dir().join("blocking").join("untimed");
+    // The rendezvous audit has nothing against it: every wait is wrapped.
+    let mut report = blocking::audit(std::slice::from_ref(&dir)).unwrap();
+    assert!(report.clean(), "{}", report.render());
+    blocking::timers(std::slice::from_ref(&dir), &mut report).unwrap();
+    assert_eq!(report.findings.len(), 2, "{}", report.render());
+    let said = |what: &str| report.findings.iter().any(|f| f.contains(what));
+    assert!(said("`thread::sleep` is no timer: reason missing"));
+    assert!(said("is no timer: reason patience"));
+    let render = report.render();
+    assert!(report.timers.contains(&("deadline", 1)), "{render}");
+
+    let status = bin().args(["--blocking", "--root"]).arg(&dir).status();
+    assert_eq!(status.unwrap().code(), Some(1));
+}
+
+#[test]
+fn the_real_tree_has_two_recovery_polls_and_no_untimed_wait() {
+    let output = bin().args(["--blocking"]).output().unwrap();
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(output.status.success(), "{stdout}");
+    assert!(stdout.contains("every timed wait a timer"), "{stdout}");
+    assert!(stdout.contains("recovery-poll 2"), "{stdout}");
 }
 
 #[test]

@@ -16,8 +16,8 @@ use eden_core::{EdenError, Result, Uid, Value};
 use eden_fs::{lookup, new_stream_arg, use_stream_arg};
 use eden_kernel::Kernel;
 use eden_transput::source::VecSource;
+use eden_transput::Stage;
 use eden_transput::{ChannelPolicy, Discipline, FanInMode, InputPort, PipelineRun, PipelineSpec};
-use eden_transput::{Input, Output, Stage, StageConfig};
 
 use crate::parse::{parse, CommandSpec, SinkSpec, SourceSpec};
 
@@ -204,13 +204,10 @@ impl ShellEnv {
     /// can be provided very naturally in a system where each entity is
     /// referred to by means of a unique identifier").
     fn redirect_output(&self, sink: &SinkSpec, output: Vec<Value>) -> Result<()> {
-        // The output becomes a fresh source Eject that the target pulls
-        // from — read-only transput all the way down.
-        let source = self.kernel.spawn(Box::new(Stage::new(
-            Input::Local(Box::new(VecSource::new(output))),
-            Output::Passive,
-            StageConfig::default(),
-        )))?;
+        // The output becomes a disposable reader that the target pulls from
+        // — read-only transput all the way down — and that disappears once
+        // the target has read it to its end.
+        let source = self.kernel.spawn(Box::new(Stage::reader(output)))?;
         match sink {
             SinkSpec::File(name) => {
                 let directory = self.directory.ok_or_else(|| {

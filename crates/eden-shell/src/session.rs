@@ -348,6 +348,7 @@ impl Session {
             if frame > 0 {
                 // The watch cadence: long enough for the rates to mean
                 // something, short enough to feel live.
+                // eden-lint: timer(watch)
                 std::thread::sleep(std::time::Duration::from_millis(100));
             }
             let now = eden_core::stream::snapshot();

@@ -1,5 +1,7 @@
 //! End-to-end shell execution: language → Ejects → output.
 
+use std::time::Duration;
+
 use eden_core::op::ops;
 use eden_core::Value;
 use eden_fs::{add_entry, register_fs_types, DirectoryEject, FileEject, MemFs, UnixFsEject};
@@ -116,6 +118,41 @@ fn unix_source_and_sink() {
         String::from_utf8(fs.read("n.txt").unwrap()).unwrap(),
         "0\n1\n2\n"
     );
+    kernel.shutdown();
+}
+
+#[test]
+fn redirected_output_leaves_no_eject_behind() {
+    let fs = MemFs::new();
+    let kernel = Kernel::new();
+    register_fs_types(&kernel);
+    let dir = kernel.spawn(Box::new(DirectoryEject::new())).unwrap();
+    let file = kernel.spawn(Box::new(FileEject::new())).unwrap();
+    add_entry(&kernel, dir, "f", file).unwrap();
+    let ufs = kernel
+        .spawn(Box::new(UnixFsEject::new(fs.clone())))
+        .unwrap();
+    let env = plain_env(&kernel).with_directory(dir).with_unixfs(ufs);
+    let before = kernel.eject_count();
+    env.run("seq 3 > file f").unwrap();
+    env.run("seq 3 > unix n.txt").unwrap();
+    assert_eq!(
+        String::from_utf8(fs.read("n.txt").unwrap()).unwrap(),
+        "0\n1\n2\n"
+    );
+    // Each redirect read its output through a reader of its own; once read
+    // out, the reader disappears.
+    let readers: Vec<_> = kernel
+        .list_ejects()
+        .into_iter()
+        .filter(|row| ["DisposableReader", "StreamSource"].contains(&row.type_name.as_str()))
+        .map(|row| row.uid)
+        .collect();
+    assert!(
+        kernel.await_gone(&readers, Duration::from_secs(10)),
+        "{readers:?} stayed"
+    );
+    assert_eq!(kernel.eject_count(), before);
     kernel.shutdown();
 }
 

@@ -114,6 +114,7 @@ impl Collector {
                 .ok_or(EdenError::Timeout)?;
             // Test drivers call this from `main`, but behaviors may call
             // it mid-dispatch — compensate the pool either way.
+            // eden-lint: timer(deadline)
             if eden_kernel::blocking(|| cvar.wait_for(&mut st, remaining)).timed_out() && !st.done {
                 return Err(EdenError::Timeout);
             }

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use eden_core::op::ops;
 use eden_core::{EdenError, MetricsSnapshot, Result, Uid, Value};
-use eden_kernel::{EjectState, Kernel, NodeId};
+use eden_kernel::{Kernel, NodeId};
 
 use crate::channels::ChannelPolicy;
 use crate::collector::Collector;
@@ -798,23 +798,13 @@ impl Pipeline {
         })
     }
 
-    /// Deactivate every Eject and wait for them to disappear. Called by
-    /// `run`, and useful directly when a pipeline is abandoned.
+    /// Deactivate every Eject and wait on their death latches until they are
+    /// gone. Called by `run`, and useful directly when a pipeline is abandoned.
     pub fn teardown(&self, deadline: Duration) {
         for &uid in &self.ejects {
             let _ = self.kernel.invoke(uid, ops::DEACTIVATE, Value::Unit);
         }
-        let start = Instant::now();
-        while start.elapsed() < deadline {
-            let alive = self
-                .ejects
-                .iter()
-                .any(|&uid| self.kernel.eject_state(uid) == Some(EjectState::Active));
-            if !alive {
-                return;
-            }
-            eden_kernel::blocking(|| std::thread::sleep(Duration::from_millis(2)));
-        }
+        self.kernel.await_gone(&self.ejects, deadline);
     }
 }
 
@@ -973,6 +963,55 @@ mod tests {
         assert!(kernel.eject_count() >= 1);
         let _run = pipeline.run(Duration::from_secs(10)).unwrap();
         assert_eq!(kernel.eject_count(), 0, "run() must tear the pipeline down");
+        kernel.shutdown();
+    }
+
+    /// A source that keeps every request and answers none, and says when
+    /// the first one arrived.
+    struct Mute {
+        held: Vec<eden_kernel::ReplyHandle>,
+        asked: std::sync::mpsc::Sender<()>,
+    }
+
+    impl eden_kernel::EjectBehavior for Mute {
+        fn type_name(&self) -> &'static str {
+            "Mute"
+        }
+        fn handle(
+            &mut self,
+            _ctx: &eden_kernel::EjectContext,
+            _inv: eden_kernel::Invocation,
+            reply: eden_kernel::ReplyHandle,
+        ) {
+            self.held.push(reply);
+            let _ = self.asked.send(());
+        }
+    }
+
+    #[test]
+    fn teardown_reclaims_a_pipeline_abandoned_mid_stream() {
+        let kernel = Kernel::new();
+        let (asked, first_ask) = std::sync::mpsc::channel();
+        let mute = kernel
+            .spawn(Box::new(Mute {
+                held: Vec::new(),
+                asked,
+            }))
+            .unwrap();
+        let mut pipeline = PipelineSpec::new(Discipline::ReadOnly { read_ahead: 0 })
+            .source_eject(mute)
+            .build(&kernel)
+            .unwrap();
+        // Start the pumps as `run` does, but never wait for the output: the
+        // sink's worker sleeps in `wait_or_stop` on a reply that never comes.
+        for (_, stage) in pipeline.pumps.drain(..) {
+            pipeline.ejects.push(kernel.spawn(Box::new(stage)).unwrap());
+        }
+        first_ask.recv_timeout(Duration::from_secs(10)).unwrap();
+        pipeline.teardown(Duration::from_secs(10));
+        for &uid in pipeline.ejects() {
+            assert_eq!(kernel.eject_state(uid), None, "{uid} outlived teardown");
+        }
         kernel.shutdown();
     }
 

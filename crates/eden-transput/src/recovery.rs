@@ -104,6 +104,7 @@ const POLL: Duration = Duration::from_millis(1);
 
 /// A worker's pause before it carries on from the same positions.
 pub(crate) fn pause() {
+    // eden-lint: timer(recovery-poll)
     // eden-lint: nonblocking(spawn_process worker thread, not a pool worker)
     std::thread::sleep(POLL);
 }
@@ -613,6 +614,7 @@ fn drive(
         };
         let req = TransferRequest::primary(max).at(output.len() as u64);
         let pending = kernel.invoke_with(tail, op, req.to_value(), how);
+        // eden-lint: timer(deadline)
         let batch = Batch::from_value(pending.wait_timeout(time_left(deadline)?)?)?;
         output.extend(batch.items);
         if batch.end {
@@ -621,10 +623,13 @@ fn drive(
         if pull.is_none() {
             for stage in nudge {
                 // Reactivation-on-invocation is the point; the reply is not.
+                // eden-lint: timer(deadline)
                 let _ = kernel
                     .invoke_with(*stage, ops::DESCRIBE, Value::Unit, control_opts())
                     .wait_timeout(time_left(deadline)?);
             }
+            // A retained passive output parks no reader: look again each round.
+            // eden-lint: timer(recovery-poll)
             eden_kernel::blocking(|| std::thread::sleep(Duration::from_millis(2)));
         }
     }

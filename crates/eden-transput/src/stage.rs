@@ -624,6 +624,7 @@ pub(crate) fn await_buffer<R>(
         match patience {
             // eden-lint: nonblocking(spawn_process worker thread, not a pool worker)
             None => meet.changed.wait(&mut buffer),
+            // eden-lint: timer(deadline)
             // eden-lint: nonblocking(spawn_process worker thread, not a pool worker)
             Some(patience) if meet.changed.wait_for(&mut buffer, patience).timed_out() => {
                 return Err(EdenError::Timeout);

@@ -989,9 +989,7 @@ fn callee_that_declares_and_calls_after_its_reply_strands_nobody() {
     all_parked(&kernel);
     assert_eq!(kernel.invoke(liar, "Relay", Value::Unit).wait(), Ok(Value::Unit));
     // Never checkpointed, so the crash removes it.
-    while kernel.eject_state(liar).is_some() {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    kernel.await_gone(&[liar], Duration::from_secs(10));
     assert_eq!(
         kernel.invoke(echo, "Relay", Value::Unit).wait_timeout(Duration::from_secs(5)),
         Ok(Value::Int(0)),
@@ -1137,9 +1135,7 @@ fn inline_callee_panic_on_a_user_thread_is_a_crash_of_the_callee_alone() {
         let inline = inline_handoffs(&kernel) - before == 1;
         // Never checkpointed, so the crash — reaped on this thread, if the
         // bomb ran here — removed it.
-        while kernel.eject_state(bomb).is_some() {
-            std::thread::yield_now();
-        }
+        kernel.await_gone(&[bomb], Duration::from_secs(10));
         assert_eq!(kernel.call(echo, "Relay", Value::Unit), Ok(Value::Int(0)));
         inline && inline_handoffs(&kernel) - before == 2
     });
@@ -1258,11 +1254,10 @@ fn process_that_deactivates_its_own_eject_by_a_call_does_not_join_itself() {
             "the process did not come back from its call",
         );
         // Never checkpointed, so deactivation removes it.
-        let from = Instant::now();
-        while kernel.eject_state(stopper).is_some() {
-            assert!(from.elapsed() < patience, "the Eject was never reaped");
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        assert!(
+            kernel.await_gone(&[stopper], patience),
+            "the Eject was never reaped"
+        );
         inline_handoffs(&kernel) - before == 1
     });
     let (stopped, has_stopped) = mpsc::channel();
