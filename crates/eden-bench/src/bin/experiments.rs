@@ -3,235 +3,16 @@
 //!
 //! Usage: `cargo run -p eden-bench --release --bin experiments [ids...]`
 //! where each id is `e1`..`e10`; no argument (or `all`) runs everything.
-//! `--json` instead measures the pipeline/contention workloads and writes
-//! `BENCH_pipeline.json` plus the payload-plane report `BENCH_payload.json`
-//! (machine-readable, tracked across PRs); combine it with ids to also
-//! print those tables. `--payload-json` writes only `BENCH_payload.json`,
-//! `--chaos-json` runs the fault-plane chaos arms and writes
-//! `BENCH_chaos.json`, `--obs-json` measures the observability-plane
-//! overhead and writes `BENCH_obs.json`, `--density-json` measures
-//! resident-stream density and scheduler goodput and writes
-//! `BENCH_density.json`, `--durability-json` measures the log-structured
-//! durable stable store (cold-restart recovery, fsync-policy goodput,
-//! chaos with a durable backend) and writes `BENCH_durability.json`,
-//! `--overload-json` runs the open-loop overload sweep (chat/pubsub and
-//! tail-f scenarios, every shed policy, offered load past saturation)
-//! and writes `BENCH_overload.json`, and `--smoke` shrinks the workloads
-//! for CI.
+//! An unknown id exits 2.
 
 use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    let payload_json = args.iter().any(|a| a == "--payload-json");
-    let chaos_json = args.iter().any(|a| a == "--chaos-json");
-    let obs_json = args.iter().any(|a| a == "--obs-json");
-    let density_json = args.iter().any(|a| a == "--density-json");
-    let durability_json = args.iter().any(|a| a == "--durability-json");
-    let overload_json = args.iter().any(|a| a == "--overload-json");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let id_args: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .collect();
-    if json {
-        let t0 = Instant::now();
-        let report = eden_bench::json_report::pipeline_report();
-        std::fs::write("BENCH_pipeline.json", &report).expect("write BENCH_pipeline.json");
-        println!(
-            "wrote BENCH_pipeline.json ({:.2}s)",
-            t0.elapsed().as_secs_f64()
-        );
-    }
-    if json || payload_json {
-        let t0 = Instant::now();
-        let cfg = if smoke {
-            eden_bench::payload_report::PayloadConfig::smoke()
-        } else {
-            eden_bench::payload_report::PayloadConfig::full()
-        };
-        let report = eden_bench::payload_report::payload_report(&cfg);
-        std::fs::write("BENCH_payload.json", &report).expect("write BENCH_payload.json");
-        println!(
-            "wrote BENCH_payload.json ({:.2}s{})",
-            t0.elapsed().as_secs_f64(),
-            if smoke { ", smoke" } else { "" }
-        );
-    }
-    if chaos_json {
-        let t0 = Instant::now();
-        let cfg = if smoke {
-            eden_bench::chaos_report::ChaosConfig::smoke()
-        } else {
-            eden_bench::chaos_report::ChaosConfig::full()
-        };
-        let report = eden_bench::chaos_report::chaos_report(&cfg);
-        std::fs::write("BENCH_chaos.json", &report).expect("write BENCH_chaos.json");
-        println!(
-            "wrote BENCH_chaos.json ({:.2}s{})",
-            t0.elapsed().as_secs_f64(),
-            if smoke { ", smoke" } else { "" }
-        );
-    }
-    if obs_json {
-        let t0 = Instant::now();
-        let cfg = if smoke {
-            eden_bench::obs_report::ObsConfigDims::smoke()
-        } else {
-            eden_bench::obs_report::ObsConfigDims::full()
-        };
-        let report = eden_bench::obs_report::obs_report(&cfg);
-        std::fs::write("BENCH_obs.json", &report).expect("write BENCH_obs.json");
-        println!(
-            "wrote BENCH_obs.json ({:.2}s{})",
-            t0.elapsed().as_secs_f64(),
-            if smoke { ", smoke" } else { "" }
-        );
-    }
-    if durability_json {
-        let t0 = Instant::now();
-        let cfg = if smoke {
-            eden_bench::durability_report::DurabilityConfig::smoke()
-        } else {
-            eden_bench::durability_report::DurabilityConfig::full()
-        };
-        let report = eden_bench::durability_report::durability_report(&cfg);
-        std::fs::write("BENCH_durability.json", &report).expect("write BENCH_durability.json");
-        println!(
-            "wrote BENCH_durability.json ({:.2}s{})",
-            t0.elapsed().as_secs_f64(),
-            if smoke { ", smoke" } else { "" }
-        );
-    }
-    if density_json {
-        let t0 = Instant::now();
-        let cfg = if smoke {
-            eden_bench::density_report::DensityConfig::smoke()
-        } else {
-            eden_bench::density_report::DensityConfig::full()
-        };
-        let report = eden_bench::density_report::density_report(&cfg, smoke);
-        std::fs::write("BENCH_density.json", &report.json).expect("write BENCH_density.json");
-        println!(
-            "wrote BENCH_density.json ({:.2}s{})",
-            t0.elapsed().as_secs_f64(),
-            if smoke { ", smoke" } else { "" }
-        );
-        // Scaling guard: the multi-pipeline arm's widest pool must not
-        // lose to its single-worker point. Judged after the JSON is
-        // written so a failing run still leaves the curve on disk.
-        //
-        // The verdict uses the drift-cancelling paired gain with a 10%
-        // tolerance band: a shared host wobbles individual samples by
-        // ±5% even after pairing, while the failure mode this guard
-        // exists to catch — worker scaling collapsing into the old
-        // inverted curve — showed up as a 28% deficit. Ten percent
-        // rejects noise at better than 2 sigma and still flags a real
-        // collapse on the first run.
-        if let (Some(&(w_lo, lo)), Some(&(w_hi, hi))) =
-            (report.multi_curve.first(), report.multi_curve.last())
-        {
-            let tolerance = lo * 0.10;
-            println!(
-                "density scaling guard: multi-pipeline goodput \
-                 workers={w_lo}: {lo:.1} rec/s, workers={w_hi}: {hi:.1} rec/s \
-                 (paired per-round gain {:+.1} rec/s, tolerance -{tolerance:.1})",
-                report.widest_paired_gain,
-            );
-            if report.widest_paired_gain < -tolerance {
-                eprintln!(
-                    "FAIL: scheduler scaling regressed — workers={w_hi} multi-pipeline \
-                     goodput {hi:.1} rec/s vs workers={w_lo} goodput {lo:.1} rec/s, \
-                     paired per-round gain {:.1} rec/s is below -{tolerance:.1} \
-                     (10% of the single-worker point)",
-                    report.widest_paired_gain,
-                );
-                std::process::exit(1);
-            }
-        }
-    }
-    if overload_json {
-        let t0 = Instant::now();
-        let cfg = if smoke {
-            eden_bench::overload_report::OverloadConfig::smoke()
-        } else {
-            eden_bench::overload_report::OverloadConfig::full()
-        };
-        let report = eden_bench::overload_report::overload_report(&cfg, smoke);
-        std::fs::write("BENCH_overload.json", &report.json).expect("write BENCH_overload.json");
-        println!(
-            "wrote BENCH_overload.json ({:.2}s{})",
-            t0.elapsed().as_secs_f64(),
-            if smoke { ", smoke" } else { "" }
-        );
-        // Graceful-knee guard, judged after the JSON is written so a
-        // failing run still leaves the curves on disk. Two claims:
-        //
-        // * RejectNewest is graceful: on-time goodput at the highest
-        //   offered multiple (2× saturation) stays within 10% of that
-        //   policy's peak — shedding the excess keeps admitted work
-        //   fresh, so the curve flattens instead of folding over.
-        // * Park collapses: with senders wedging behind the full mailbox
-        //   the schedule slips without bound, so on-time goodput at 2×
-        //   falls under half of the RejectNewest peak. If Park ever
-        //   stops collapsing, the open-loop driver is no longer open
-        //   loop — that is as much a harness bug as a kernel regression.
-        let peak = |curve: &[(f64, f64)]| curve.iter().map(|&(_, g)| g).fold(0.0f64, f64::max);
-        let at_max = |curve: &[(f64, f64)]| {
-            curve
-                .iter()
-                .cloned()
-                .max_by(|a, b| a.0.partial_cmp(&b.0).expect("offered multiple is never NaN"))
-                .map(|(_, g)| g)
-                .unwrap_or(0.0)
-        };
-        let rn_peak = peak(&report.chat_reject_newest);
-        let rn_at_2x = at_max(&report.chat_reject_newest);
-        let park_at_2x = at_max(&report.chat_park);
-        println!(
-            "overload knee guard: chat reject-newest peak {rn_peak:.1} rec/s, \
-             at-2x {rn_at_2x:.1} rec/s ({:.1}% of peak); park at-2x {park_at_2x:.1} rec/s",
-            100.0 * rn_at_2x / rn_peak.max(f64::EPSILON),
-        );
-        let mut knee_failed = false;
-        if rn_at_2x < rn_peak * 0.90 {
-            eprintln!(
-                "FAIL: overload knee is not graceful — RejectNewest goodput at 2x \
-                 saturation ({rn_at_2x:.1} rec/s) fell below 90% of its peak \
-                 ({rn_peak:.1} rec/s)"
-            );
-            knee_failed = true;
-        }
-        if park_at_2x >= rn_peak * 0.50 {
-            eprintln!(
-                "FAIL: Park baseline did not collapse — goodput at 2x saturation \
-                 ({park_at_2x:.1} rec/s) is at least half the RejectNewest peak \
-                 ({rn_peak:.1} rec/s), so the open-loop driver is not exposing \
-                 the standoff"
-            );
-            knee_failed = true;
-        }
-        if knee_failed {
-            std::process::exit(1);
-        }
-    }
-    if (json
-        || payload_json
-        || chaos_json
-        || obs_json
-        || density_json
-        || durability_json
-        || overload_json)
-        && id_args.is_empty()
-    {
-        return;
-    }
-    let ids: Vec<&str> = if id_args.is_empty() || id_args.contains(&"all") {
+    let ids: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
         eden_bench::ALL_EXPERIMENTS.to_vec()
     } else {
-        id_args
+        args.iter().map(String::as_str).collect()
     };
     println!("# Asymmetric Stream Communication — experiment harness\n");
     let overall = Instant::now();

@@ -147,7 +147,7 @@ pub fn e2() -> Vec<Table> {
             let run = builder
                 .build(&kernel)
                 .expect("build")
-                .run(crate::runner::DEADLINE)
+                .run(DEADLINE)
                 .expect("run");
             dist.row([
                 nodes.to_string(),
@@ -193,7 +193,7 @@ pub fn e2() -> Vec<Table> {
         let run = builder
             .build(&slow)
             .expect("build")
-            .run(crate::runner::DEADLINE)
+            .run(DEADLINE)
             .expect("run");
         lat.row([
             label.to_string(),
@@ -369,6 +369,5 @@ pub fn e8() -> Vec<Table> {
         ]);
     }
     t.note("as the ratio grows the advantage approaches the paper's (2n+2)/(n+1) = 2x for n=4 → 1.67x...2x.");
-    let _ = DEADLINE;
     vec![t]
 }

@@ -2,21 +2,13 @@
 //! the paper's evaluation. See `EXPERIMENTS.md` at the workspace root for
 //! the experiment index and the recorded results.
 //!
-//! Run the deterministic tables with
-//! `cargo run -p eden-bench --bin experiments [--release] [e1..e10|all]`,
-//! and the wall-clock microbenchmarks with `cargo bench`.
+//! Run the tables with
+//! `cargo run -p eden-bench --bin experiments [--release] [e1..e10|all]`.
+//! Wall-clock measurement lives in the workspace's `benchmark/` package.
 
-
-pub mod chaos_report;
-pub mod density_report;
-pub mod durability_report;
 pub mod exp_duality;
 pub mod exp_durability;
 pub mod exp_pipeline;
-pub mod json_report;
-pub mod obs_report;
-pub mod overload_report;
-pub mod payload_report;
 pub mod runner;
 pub mod table;
 pub mod workloads;
@@ -55,9 +47,9 @@ mod tests {
 
     #[test]
     fn quick_experiments_produce_tables() {
-        // Exercise the cheapest experiments as a smoke test; the full set
-        // runs via the binary and benches.
-        for id in ["e6", "e9"] {
+        // Every table, and every `assert!` inside an experiment, on each
+        // `cargo test`.
+        for id in ALL_EXPERIMENTS {
             let tables = run_experiment(id).expect("known experiment");
             assert!(!tables.is_empty());
             for t in tables {

@@ -10,13 +10,6 @@ use eden_transput::{ChannelPolicy, Discipline, PipelineSpec, PipelineRun};
 /// Generous deadline for experiment pipelines.
 pub const DEADLINE: Duration = Duration::from_secs(120);
 
-/// Build `depth` identity stages.
-pub fn identity_stages(depth: usize) -> Vec<Box<dyn Transform>> {
-    (0..depth)
-        .map(|_| Box::new(Identity) as Box<dyn Transform>)
-        .collect()
-}
-
 /// Run a pipeline of the given stages over `input` and return the run.
 pub fn run_pipeline(
     kernel: &Kernel,
@@ -56,7 +49,7 @@ pub fn run_identity(
         kernel,
         discipline,
         input,
-        identity_stages(depth),
+        (0..depth).map(|_| Box::new(Identity) as Box<dyn Transform>).collect(),
         batch,
         ChannelPolicy::Integer,
         &[],

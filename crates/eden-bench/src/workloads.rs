@@ -1,9 +1,9 @@
 //! Synthetic workloads.
 //!
 //! The paper has no published traces (its evaluation is analytic), so the
-//! workloads are synthetic text in the spirit of its examples: Fortran
-//! decks with comment lines, prose with misspellings, integer record
-//! streams. Everything is seeded and deterministic.
+//! workloads are synthetic text in the spirit of its examples: prose with
+//! misspellings, fixed-width lines, integer record streams. Everything is
+//! seeded and deterministic.
 
 use eden_core::Value;
 use rand::rngs::StdRng;
@@ -44,19 +44,6 @@ pub fn dictionary() -> Vec<&'static str> {
     VOCAB.to_vec()
 }
 
-/// A Fortran-ish deck: every `comment_every`-th line is a `C` comment.
-pub fn fortran_deck(n: usize, comment_every: usize) -> Vec<Value> {
-    (0..n)
-        .map(|i| {
-            if comment_every > 0 && i % comment_every == 0 {
-                Value::str(format!("C     COMMENT LINE {i}"))
-            } else {
-                Value::str(format!("      CALL STEP({i})"))
-            }
-        })
-        .collect()
-}
-
 /// A stream of integer records.
 pub fn ints(n: i64) -> Vec<Value> {
     (0..n).map(Value::Int).collect()
@@ -94,13 +81,6 @@ mod tests {
             .filter(|l| l.as_str().unwrap().split(' ').any(|w| w.contains("ee") && !VOCAB.contains(&w)))
             .count();
         assert!(typos > 0);
-    }
-
-    #[test]
-    fn fortran_deck_alternates() {
-        let deck = fortran_deck(10, 2);
-        assert!(deck[0].as_str().unwrap().starts_with('C'));
-        assert!(deck[1].as_str().unwrap().contains("CALL"));
     }
 
     #[test]

@@ -53,24 +53,18 @@ use crate::sched::{Scheduler, SchedulerConfig, Task, Woken};
 use crate::stable::StableStore;
 
 /// A simulated machine. Ejects placed on different nodes pay the remote
-/// invocation surcharge in the cost model (and optional injected latency).
+/// invocation surcharge in the cost model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct NodeId(pub u16);
 
-/// Default number of registry shards (rounded up to a power of two).
-pub const DEFAULT_REGISTRY_SHARDS: usize = 16;
+/// Registry shards: a power of two, so a shard is picked by mask.
+const REGISTRY_SHARDS: usize = 16;
 
 /// Construction-time options for a [`Kernel`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct KernelConfig {
-    /// Real latency added to every cross-node invocation (send side).
-    pub remote_latency: Option<Duration>,
     /// Real latency added to every invocation, local or remote.
     pub invocation_latency: Option<Duration>,
-    /// Number of registry shards (rounded up to a power of two, minimum 1).
-    /// `1` reproduces the old single-lock registry — useful for measuring
-    /// contention on the same binary (see the `registry_contention` bench).
-    pub registry_shards: usize,
     /// Mailbox capacity per Eject. `None` (the default) keeps the historic
     /// unbounded mailboxes; `Some(n)` bounds each coordinator mailbox to
     /// `n` envelopes and runs [`shed_policy`](KernelConfig::shed_policy)
@@ -91,20 +85,6 @@ pub struct KernelConfig {
     pub observability: ObsConfig,
     /// The worker pool that runs the coordinators (see [`SchedulerConfig`]).
     pub scheduler: SchedulerConfig,
-}
-
-impl Default for KernelConfig {
-    fn default() -> Self {
-        KernelConfig {
-            remote_latency: None,
-            invocation_latency: None,
-            registry_shards: DEFAULT_REGISTRY_SHARDS,
-            mailbox_capacity: None,
-            shed_policy: ShedPolicy::default(),
-            observability: ObsConfig::off(),
-            scheduler: SchedulerConfig::default(),
-        }
-    }
 }
 
 /// Fluent construction for a [`Kernel`] — the front door for the
@@ -135,21 +115,9 @@ impl KernelBuilder {
         self
     }
 
-    /// See [`KernelConfig::remote_latency`].
-    pub fn remote_latency(mut self, latency: Duration) -> Self {
-        self.config.remote_latency = Some(latency);
-        self
-    }
-
     /// See [`KernelConfig::invocation_latency`].
     pub fn invocation_latency(mut self, latency: Duration) -> Self {
         self.config.invocation_latency = Some(latency);
-        self
-    }
-
-    /// See [`KernelConfig::registry_shards`].
-    pub fn registry_shards(mut self, shards: usize) -> Self {
-        self.config.registry_shards = shards;
         self
     }
 
@@ -262,8 +230,6 @@ pub struct EjectInfo {
 
 pub(crate) struct KernelInner {
     shards: Box<[Shard]>,
-    /// `shards.len() - 1`; shard count is a power of two.
-    shard_mask: usize,
     types: Mutex<HashMap<String, TypeFactory>>,
     stable: StableStore,
     metrics: Metrics,
@@ -280,7 +246,7 @@ impl KernelInner {
         // Sequence numbers are sequential; a multiply-shift spreads
         // neighbouring UIDs across shards.
         let h = uid.seq().wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        &self.shards[(h >> 32) as usize & self.shard_mask]
+        &self.shards[(h >> 32) as usize & (REGISTRY_SHARDS - 1)]
     }
 }
 
@@ -416,8 +382,7 @@ impl Kernel {
     /// from the previous life are immediately invocable (they reactivate
     /// on first invocation).
     pub fn with_stable_store(config: KernelConfig, stable: StableStore) -> Self {
-        let shard_count = config.registry_shards.max(1).next_power_of_two();
-        let shards: Box<[Shard]> = (0..shard_count).map(|_| Shard::default()).collect();
+        let shards: Box<[Shard]> = (0..REGISTRY_SHARDS).map(|_| Shard::default()).collect();
         let obs = config
             .observability
             .enabled()
@@ -425,7 +390,6 @@ impl Kernel {
         let sched = Scheduler::new(config.scheduler, obs.is_some());
         let inner = KernelInner {
             shards,
-            shard_mask: shard_count - 1,
             types: Mutex::new(HashMap::new()),
             stable,
             metrics: Metrics::new(),
@@ -1083,10 +1047,6 @@ impl Kernel {
         let metrics = &self.inner.metrics;
         if route.node != from {
             metrics.record_remote_invocation();
-            if let Some(latency) = self.inner.config.remote_latency {
-                // eden-lint: timer(injected-latency)
-                crate::sched::blocking(|| std::thread::sleep(latency));
-            }
         }
         if let Some(latency) = self.inner.config.invocation_latency {
             // eden-lint: timer(injected-latency)

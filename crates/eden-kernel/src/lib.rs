@@ -69,8 +69,7 @@ pub use invocation::{
     reply_pair, Invocation, PendingReply, ReplyHandle, DEFAULT_REPLY_TIMEOUT,
 };
 pub use kernel::{
-    EjectInfo, EjectState, Kernel, KernelBuilder, KernelConfig, NodeId, TypeFactory,
-    WeakKernel, DEFAULT_REGISTRY_SHARDS,
+    EjectInfo, EjectState, Kernel, KernelBuilder, KernelConfig, NodeId, TypeFactory, WeakKernel,
 };
 pub use mailbox::{ShedCause, ShedPolicy};
 pub use obs::{

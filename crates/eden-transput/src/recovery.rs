@@ -110,8 +110,8 @@ pub(crate) fn pause() {
 }
 
 /// The retry policy stream invocations travel with: patient enough to ride
-/// out a reactivation, fast enough that the chaos benchmarks measure
-/// recovery latency rather than backoff pauses.
+/// out a reactivation, fast enough that the `recover-durable` benchmark
+/// measures recovery latency rather than backoff pauses.
 pub(crate) fn stream_opts() -> InvokeOptions<'static> {
     InvokeOptions::new()
         .retry(

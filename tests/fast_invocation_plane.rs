@@ -20,7 +20,6 @@ use eden::kernel::{
 };
 use eden::transput::protocol::{Batch, TransferRequest};
 use eden::transput::recovery::{install_recovery, recoverable_filter, TransformRegistry};
-use eden::transput::{Discipline, PipelineSpec};
 
 /// Replies to `Echo` with its argument.
 struct Echo;
@@ -273,28 +272,4 @@ fn injected_latency_is_paid_outside_registry_locks() {
         "invocations serialised: {elapsed:?} vs {serialised:?} fully serial"
     );
     kernel.shutdown();
-}
-
-#[test]
-fn single_shard_registry_reproduces_default_behaviour() {
-    // `registry_shards: 1` is the honest pre-sharding baseline for the
-    // contention benchmark; it must be behaviourally identical.
-    let run = |shards: usize| {
-        let kernel = Kernel::with_config(KernelConfig {
-            registry_shards: shards,
-            ..KernelConfig::default()
-        });
-        let run = PipelineSpec::new(Discipline::ReadOnly { read_ahead: 4 })
-            .source_vec((0..40).map(Value::Int).collect())
-            .batch(3)
-            .stage(Box::new(eden::transput::transform::Identity))
-            .stage(Box::new(eden::filters::LineNumber::new()))
-            .build(&kernel)
-            .unwrap()
-            .run(Duration::from_secs(30))
-            .unwrap();
-        kernel.shutdown();
-        run.output
-    };
-    assert_eq!(run(1), run(16));
 }

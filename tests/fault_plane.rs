@@ -293,9 +293,21 @@ fn recoverable_runs_keep_their_invocation_and_entity_counts() {
 #[test]
 fn streams_recover_from_injected_crashes() {
     // A 2% crash-fault rate on the stream ops: every discipline must still
-    // deliver the exact output — nothing lost, nothing duplicated.
-    for discipline in DISCIPLINES {
-        let kernel = Kernel::new();
+    // deliver the exact output — nothing lost, nothing duplicated — both
+    // over the default store and over the durable log, where a
+    // reactivation reads its checkpoint back through the segment files.
+    use eden::core::MemFs;
+    use eden::kernel::{DurableConfig, FsyncPolicy, StableStore};
+
+    for (discipline, durable) in DISCIPLINES.into_iter().flat_map(|d| [(d, false), (d, true)]) {
+        let kernel = if durable {
+            let cfg = DurableConfig::with_fsync(FsyncPolicy::EveryN(8));
+            let store = StableStore::durable_on(MemFs::new(), cfg).unwrap();
+            Kernel::builder().stable_store(store).build()
+        } else {
+            Kernel::new()
+        };
+        let arm = format!("{discipline:?}, durable: {durable}");
         let reg = registry();
         install_recovery(&kernel, &reg);
         kernel.install_faults(
@@ -316,11 +328,11 @@ fn streams_recover_from_injected_crashes() {
             Duration::from_secs(60),
         )
         .unwrap();
-        assert_eq!(run.output, expected(60), "{discipline:?}");
+        assert_eq!(run.output, expected(60), "{arm}");
         let m = kernel.metrics().snapshot();
         if m.crashes > 0 {
-            assert!(m.reactivations > 0, "{discipline:?}: crashes but no reactivations");
-            assert!(m.recovered_streams > 0, "{discipline:?}: no stream recovered");
+            assert!(m.reactivations > 0, "{arm}: crashes but no reactivations");
+            assert!(m.recovered_streams > 0, "{arm}: no stream recovered");
         }
         kernel.shutdown();
     }
