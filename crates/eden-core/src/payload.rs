@@ -82,22 +82,3 @@ impl PayloadSnapshot {
         }
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn counters_accumulate_and_diff() {
-        let before = snapshot();
-        note_copy(100);
-        note_cow_break();
-        note_share();
-        note_share();
-        let delta = snapshot().since(&before);
-        assert_eq!(delta.payload_copies, 1);
-        assert_eq!(delta.payload_bytes_moved, 100);
-        assert_eq!(delta.cow_breaks, 1);
-        assert_eq!(delta.payload_shares, 2);
-    }
-}

@@ -860,41 +860,6 @@ mod tests {
     }
 
     #[test]
-    fn clone_shares_not_copies() {
-        let v = Value::list(vec![Value::str("payload"), Value::Int(1)]);
-        let before = payload::snapshot();
-        let c = v.clone();
-        let delta = payload::snapshot().since(&before);
-        assert_eq!(delta.payload_copies, 0, "clone must not copy payload");
-        assert_eq!(delta.payload_bytes_moved, 0);
-        assert_eq!(delta.payload_shares, 1);
-        match (&v, &c) {
-            (Value::List(a), Value::List(b)) => assert!(a.ptr_eq(b)),
-            _ => unreachable!(),
-        }
-    }
-
-    #[test]
-    fn cow_break_only_when_aliased() {
-        // Unique list: mutation is free, no cow_break.
-        let mut unique = SharedList::new(vec![Value::Int(1)]);
-        let before = payload::snapshot();
-        unique.to_mut().push(Value::Int(2));
-        assert_eq!(payload::snapshot().since(&before).cow_breaks, 0);
-
-        // Aliased list: mutation breaks the sharing, once.
-        let mut a = SharedList::new(vec![Value::Int(1)]);
-        let b = a.clone();
-        let before = payload::snapshot();
-        a.to_mut().push(Value::Int(2));
-        assert_eq!(payload::snapshot().since(&before).cow_breaks, 1);
-        // The alias is unaffected: semantics of the old deep-copy world.
-        assert_eq!(b.len(), 1);
-        assert_eq!(a.len(), 2);
-        assert!(!a.ptr_eq(&b));
-    }
-
-    #[test]
     fn record_cow_break_preserves_alias() {
         let v = Value::record([("k", Value::Int(1))]);
         let mut edited = v.clone();
@@ -903,26 +868,6 @@ mod tests {
         }
         assert_eq!(v.field("k").unwrap().as_int().unwrap(), 1);
         assert_eq!(edited.field("k").unwrap().as_int().unwrap(), 99);
-    }
-
-    #[test]
-    fn deep_copy_moves_every_payload_byte() {
-        let v = Value::record([
-            ("s", Value::str("hello")),
-            ("b", Value::bytes(vec![0u8; 10])),
-            ("l", Value::list(vec![Value::str("xy")])),
-        ]);
-        let before = payload::snapshot();
-        let copy = v.deep_copy();
-        let delta = payload::snapshot().since(&before);
-        assert_eq!(copy, v);
-        // Payload leaves: "hello" (5) + bytes (10) + "xy" (2) + keys (1+1+1).
-        assert_eq!(delta.payload_bytes_moved, 5 + 10 + 2 + 3);
-        assert!(delta.payload_copies >= 3);
-        match (&v, &copy) {
-            (Value::Record(a), Value::Record(b)) => assert!(!a.ptr_eq(b)),
-            _ => unreachable!(),
-        }
     }
 
     #[test]

@@ -291,7 +291,6 @@ fn decode_one(cur: &mut Cursor<'_>, depth: usize) -> Result<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::payload;
 
     fn roundtrip(v: Value) {
         let enc = encode(&v);
@@ -361,26 +360,6 @@ mod tests {
         let out = encode(&v);
         assert_eq!(out.len(), encoded_len(&v));
         assert_eq!(out.capacity(), encoded_len(&v), "encode reallocated");
-    }
-
-    #[test]
-    fn decode_shared_aliases_payloads() {
-        let v = Value::record([
-            ("name", Value::str("shared-me")),
-            ("blob", Value::bytes(vec![3u8; 64])),
-        ]);
-        let buf = Bytes::from(encode(&v));
-        let before = payload::snapshot();
-        let dec = decode_shared(&buf).unwrap();
-        let delta = payload::snapshot().since(&before);
-        assert_eq!(delta.payload_copies, 0, "decode_shared must not copy");
-        assert_eq!(dec, v);
-        let range = buf.as_ref().as_ptr_range();
-        let s = dec.field("name").unwrap().as_text().unwrap();
-        let sp = s.as_str().as_ptr();
-        assert!(range.contains(&sp), "text must alias the input buffer");
-        let b = dec.field("blob").unwrap().as_bytes().unwrap();
-        assert!(range.contains(&b.as_ref().as_ptr()));
     }
 
     #[test]

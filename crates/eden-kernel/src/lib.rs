@@ -50,7 +50,6 @@
 
 mod behavior;
 mod context;
-mod deque;
 mod fault;
 mod invocation;
 mod kernel;

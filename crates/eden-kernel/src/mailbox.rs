@@ -134,9 +134,8 @@ const SHRINK_CAPACITY: usize = 64;
 pub mod park {
     /// Not queued, not running; the next delivery must enqueue the task.
     pub const PARKED: u8 = 0;
-    /// Queued for dispatch (a LIFO slot, a worker's deque, or the
-    /// injector) awaiting a worker, or in the hands of the calling sender
-    /// that woke it and is about to run it itself.
+    /// In the run queue awaiting a worker, or in the hands of the calling
+    /// sender that woke it and is about to run it itself.
     pub const QUEUED: u8 = 1;
     /// A thread is draining the mailbox right now.
     pub const RUNNING: u8 = 2;
@@ -418,8 +417,8 @@ impl MailboxCore {
     /// this push flipped `PARKED -> QUEUED` and so owes the task a run;
     /// `None` if the task is already queued, or was running and is now marked
     /// dirty. Must be called with the ring mutex *released*: spending the
-    /// wake lands the task on the dispatch path (LIFO slot, deque, an
-    /// injector shard plus a sleeper wake, or the sender's own stack), and
+    /// wake lands the task on the run queue plus a sleeper wake, or on the
+    /// sender's own stack, and
     /// `mailbox-queue` stays a leaf on the delivery path.
     fn wake_after_push(&self) -> Option<Woken> {
         // No task yet: it is attached before it is first enqueued, and looks

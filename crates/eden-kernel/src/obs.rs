@@ -617,8 +617,7 @@ pub struct KernelSnapshot {
     pub spans_recorded: u64,
     /// Spans evicted from the span store.
     pub spans_dropped: u64,
-    /// Density-plane gauges: resident/parked Ejects, steal count, worker
-    /// pool state.
+    /// Density-plane gauges: resident/parked Ejects, worker pool state.
     pub sched: SchedSnapshot,
     /// Durability-plane gauges from the stable store backend: segment
     /// count, log bytes, compactions and fsyncs (all zero for memory
@@ -662,7 +661,6 @@ fn counter_rows(snap: &KernelSnapshot) -> Vec<(&'static str, &'static str, u64)>
         ("eden_stream_records_emitted_total", "Records that entered the stream fabric", snap.stream.records_emitted),
         ("eden_stream_records_collected_total", "Records that reached a sink collector", snap.stream.records_collected),
         ("eden_spans_dropped_total", "Spans evicted from the span store", snap.spans_dropped),
-        ("eden_sched_steals_total", "Tasks stolen from another worker's run-queue shard", snap.sched.sched_steals),
         ("eden_sched_inline_handoffs_total", "Callees resumed on their waiting caller's stack", snap.sched.inline_handoffs),
         ("eden_sched_monitor_rescues_total", "Stalls broken by the stall monitor (runnable work, no pickup for two ticks)", snap.sched.monitor_rescues),
         ("eden_sched_idle_timeouts_with_work_total", "Idle-wait expiries that found runnable work", snap.sched.idle_timeouts_with_work),
@@ -696,8 +694,7 @@ fn gauge_rows(snap: &KernelSnapshot) -> Vec<(&'static str, &'static str, u64)> {
         ("eden_sched_workers", "Live scheduler worker threads", snap.sched.workers),
         ("eden_sched_workers_blocked", "Scheduler workers inside a blocking rendezvous", snap.sched.workers_blocked),
         ("eden_sched_workers_idle", "Scheduler workers registered in the sleep protocol", snap.sched.workers_idle),
-        ("eden_sched_wake_tokens", "Wake notifies counted but not yet consumed by a woken worker", snap.sched.wake_tokens),
-        ("eden_sched_queued_tasks", "Tasks visible in dispatch queues (injector + deques + LIFO slots)", snap.sched.queued_tasks),
+        ("eden_sched_queued_tasks", "Tasks in the run queue", snap.sched.queued_tasks),
         ("eden_mailboxes_active", "Active Eject mailboxes at sample time", snap.mailbox.mailboxes),
         ("eden_mailbox_queued", "Envelopes queued across all active mailboxes", snap.mailbox.queued_total),
         ("eden_mailbox_queue_depth_max", "Deepest single active mailbox at sample time", snap.mailbox.queued_max),
@@ -1076,7 +1073,6 @@ mod tests {
             "eden_stream_records_emitted_total",
             "eden_stream_records_collected_total",
             "eden_spans_dropped_total",
-            "eden_sched_steals_total",
             "eden_sched_inline_handoffs_total",
             "eden_sched_monitor_rescues_total",
             "eden_sched_idle_timeouts_with_work_total",

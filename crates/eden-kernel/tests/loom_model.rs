@@ -687,291 +687,23 @@ fn call_vs_second_sender_catches_an_election_without_the_wake() {
 }
 
 // ---------------------------------------------------------------------
-// Dispatch fast path: the two lock-free structures the N-worker
-// scheduler now runs on (`crates/eden-kernel/src/deque.rs` /
-// `sched.rs::LifoSlot`). Neither can be driven through the real
-// `Scheduler` under loom — the distilled copies below preserve exactly
-// the orderings the real code uses, shrunk to a checkable state space.
-//
-// The vendored loom exposes no `AtomicIsize`, so the deque model keeps
-// `top`/`bottom` in `AtomicUsize` starting from a base offset large
-// enough that the owner's transient `bottom - 1` during `pop` never
-// wraps. Indices are monotonic in the real deque too; only the
-// representation differs.
-
-/// Distilled Chase–Lev deque: same field roles, same fences, same
-/// last-element CAS as `WorkDeque`. Cells hold plain task ids instead
-/// of `Arc` pointers (no `AtomicPtr` in the shim) — ownership transfer
-/// is modelled by the claim ledger in the test.
-mod dq {
-    use loom::sync::atomic::{fence, AtomicUsize, Ordering};
-
-    pub const CAP: usize = 4;
-    /// Start offset for `top`/`bottom`: keeps `bottom - 1` meaningful
-    /// even when the owner probes an empty deque.
-    pub const BASE: usize = 8;
-
-    pub struct DequeModel {
-        top: AtomicUsize,
-        bottom: AtomicUsize,
-        cells: [AtomicUsize; CAP],
-    }
-
-    impl DequeModel {
-        pub fn new() -> Self {
-            DequeModel {
-                top: AtomicUsize::new(BASE),
-                bottom: AtomicUsize::new(BASE),
-                cells: [const { AtomicUsize::new(0) }; CAP],
-            }
-        }
-
-        /// Owner-only push; `false` = full (the real caller spills to
-        /// the injector).
-        pub fn push(&self, task: usize) -> bool {
-            let b = self.bottom.load(Ordering::Relaxed);
-            let t = self.top.load(Ordering::Acquire);
-            if b - t >= CAP {
-                return false;
-            }
-            self.cells[b % CAP].store(task, Ordering::Relaxed);
-            fence(Ordering::Release);
-            self.bottom.store(b + 1, Ordering::Relaxed);
-            true
-        }
-
-        /// Owner-only pop, including the last-element race arbitration.
-        pub fn pop(&self) -> Option<usize> {
-            let b = self.bottom.load(Ordering::Relaxed) - 1;
-            self.bottom.store(b, Ordering::Relaxed);
-            fence(Ordering::SeqCst);
-            let t = self.top.load(Ordering::Relaxed);
-            if t <= b {
-                let task = self.cells[b % CAP].load(Ordering::Relaxed);
-                if t == b {
-                    let won = self
-                        .top
-                        .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-                        .is_ok();
-                    self.bottom.store(b + 1, Ordering::Relaxed);
-                    return won.then_some(task);
-                }
-                Some(task)
-            } else {
-                self.bottom.store(b + 1, Ordering::Relaxed);
-                None
-            }
-        }
-
-        /// Any thread: claim the top element. Read before CAS,
-        /// materialised only on success — as in `WorkDeque::steal`.
-        pub fn steal(&self) -> Option<usize> {
-            let t = self.top.load(Ordering::Acquire);
-            fence(Ordering::SeqCst);
-            let b = self.bottom.load(Ordering::Acquire);
-            if t >= b {
-                return None;
-            }
-            let task = self.cells[t % CAP].load(Ordering::Relaxed);
-            self.top
-                .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-                .ok()
-                .map(|_| task)
-        }
-    }
-}
-
-/// Owner interleaving pushes and pops against two thieves: every task
-/// is claimed by exactly one side — the last-element race between the
-/// owner's unguarded bottom pop and a thief's top CAS must never
-/// double-run or strand a task. This is the interleaving that makes a
-/// range-CAS batch steal unsound; the model documents why steals claim
-/// one element per CAS.
-#[test]
-fn chase_lev_owner_pop_vs_steal_claims_exactly_once() {
-    const TASKS: usize = 4;
-    const THIEVES: usize = 2;
-    loom::model(|| {
-        let deque = Arc::new(dq::DequeModel::new());
-        let claims: Arc<Vec<AtomicU32>> =
-            Arc::new((0..TASKS).map(|_| AtomicU32::new(0)).collect());
-        let claimed = Arc::new(AtomicU32::new(0));
-
-        let thieves: Vec<_> = (0..THIEVES)
-            .map(|_| {
-                let deque = Arc::clone(&deque);
-                let claims = Arc::clone(&claims);
-                let claimed = Arc::clone(&claimed);
-                thread::spawn(move || {
-                    while claimed.load(Ordering::SeqCst) < TASKS as u32 {
-                        if let Some(task) = deque.steal() {
-                            claims[task - 1].fetch_add(1, Ordering::SeqCst);
-                            claimed.fetch_add(1, Ordering::SeqCst);
-                        } else {
-                            thread::yield_now();
-                        }
-                    }
-                })
-            })
-            .collect();
-
-        // Owner: push task ids 1..=TASKS, popping every other push so
-        // the transient bottom decrement overlaps in-flight steals.
-        for id in 1..=TASKS {
-            assert!(deque.push(id), "model deque never fills at CAP=4");
-            if id % 2 == 0 {
-                if let Some(task) = deque.pop() {
-                    claims[task - 1].fetch_add(1, Ordering::SeqCst);
-                    claimed.fetch_add(1, Ordering::SeqCst);
-                }
-            }
-        }
-        while let Some(task) = deque.pop() {
-            claims[task - 1].fetch_add(1, Ordering::SeqCst);
-            claimed.fetch_add(1, Ordering::SeqCst);
-        }
-        // The owner may drain first; thieves exit on the shared count.
-        for t in thieves {
-            t.join().unwrap();
-        }
-
-        assert_eq!(claimed.load(Ordering::SeqCst), TASKS as u32);
-        for (i, c) in claims.iter().enumerate() {
-            assert_eq!(
-                c.load(Ordering::SeqCst),
-                1,
-                "task {} claimed wrong number of times",
-                i + 1
-            );
-        }
-    });
-}
-
-// ---------------------------------------------------------------------
-// LIFO slot vs park/wake: the per-worker one-task slot
-// (`sched.rs::LifoSlot`) is filled by worker-context wakes with *no*
-// sibling notify — sound only because (a) handoff out of the slot is a
-// single swap, so the owner's take and a stale-slot thief's take can
-// never both win, and (b) the owner's sleep protocol re-checks the slot
-// *after* announcing idleness (the same Dekker handshake the injector
-// uses), so a slot task can never be stranded behind a sleeping owner.
-
-/// Distilled slot + sleep-intent pair. Task ids are non-zero; 0 = empty.
-struct SlotModel {
-    slot: AtomicUsize,
-    /// The owner's idle announcement (`idle_count` in the real pool).
-    idle: AtomicBool,
-    /// Per-task run ledger, indexed by id - 1.
-    ran: [AtomicU32; 2],
-    /// Set when the owner reached the "actually sleep" branch.
-    slept: AtomicBool,
-}
-
-impl SlotModel {
-    fn new() -> Self {
-        SlotModel {
-            slot: AtomicUsize::new(0),
-            idle: AtomicBool::new(false),
-            ran: [const { AtomicU32::new(0) }; 2],
-            slept: AtomicBool::new(false),
-        }
-    }
-
-    fn run(&self, task: usize) {
-        self.ran[task - 1].fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Worker-context wake: swap the task in; a displaced occupant goes
-    /// to the owner's deque — modelled as the owner claiming it, which
-    /// is what `Scheduler::enqueue` does via `push_local_deque`.
-    fn put(&self, task: usize) -> Option<usize> {
-        let old = self.slot.swap(task, Ordering::AcqRel);
-        (old != 0).then_some(old)
-    }
-
-    /// Single-swap handoff, shared by the owner's fast path and a
-    /// thief's stale-slot pass.
-    fn take(&self) -> Option<usize> {
-        let old = self.slot.swap(0, Ordering::AcqRel);
-        (old != 0).then_some(old)
-    }
-}
-
-#[test]
-fn lifo_slot_handoff_is_exactly_once_and_never_stranded() {
-    loom::model(|| {
-        let m = Arc::new(SlotModel::new());
-        // Task 1 sits in the slot from an earlier wake and has gone
-        // stale (its owner stalled), making it fair game for a thief.
-        m.put(1);
-
-        // The thief's stale-slot pass races everything below.
-        let thief = {
-            let m = Arc::clone(&m);
-            thread::spawn(move || {
-                if let Some(task) = m.take() {
-                    m.run(task);
-                }
-            })
-        };
-
-        // The owner comes back, gets task 2 woken onto its slot
-        // (displacing task 1 to its deque if still present), then heads
-        // into the sleep protocol.
-        let owner = {
-            let m = Arc::clone(&m);
-            thread::spawn(move || {
-                if let Some(displaced) = m.put(2) {
-                    m.run(displaced);
-                }
-                // Sleep protocol: announce idleness FIRST, then fence,
-                // then re-check the slot. Swapping these two steps is
-                // the lost-wakeup bug this model exists to rule out.
-                m.idle.store(true, Ordering::SeqCst);
-                fence(Ordering::SeqCst);
-                if let Some(task) = m.take() {
-                    m.run(task);
-                } else {
-                    m.slept.store(true, Ordering::SeqCst);
-                }
-            })
-        };
-
-        thief.join().unwrap();
-        owner.join().unwrap();
-
-        // Exactly-once: both tasks ran, neither twice — the swap
-        // handoff admits no double-claim interleaving.
-        assert_eq!(m.ran[0].load(Ordering::SeqCst), 1, "task 1 run count");
-        assert_eq!(m.ran[1].load(Ordering::SeqCst), 1, "task 2 run count");
-        // Never stranded: if the owner slept, the slot is empty — any
-        // occupant was claimed by the thief, not left behind a parked
-        // worker that will never be notified.
-        if m.slept.load(Ordering::SeqCst) {
-            assert_eq!(m.slot.load(Ordering::SeqCst), 0, "task stranded behind sleep");
-        }
-    });
-}
-
-// ---------------------------------------------------------------------
 // Going blocked is going idle: the wake discipline's invariant
 // (`sched.rs::Scheduler::maybe_wake`) — whenever a task is runnable and no
 // worker is active (awake, unblocked, not idle), a wake is in flight — at
 // the second of the two transitions by which a worker stops being active.
 // Three parties over the pool's real counters: a worker that pushes a task
-// (its LIFO flush) and enters a blocking section, and two workers heading
-// into the sleep protocol. The pool is the one the stalls were seen in: a
+// onto the run queue (a send nobody waits on at once) and enters a blocking
+// section, and two workers heading into the sleep protocol. The pool is the one the stalls were seen in: a
 // core quota of 1, and enough lingering spares (`live` 3, `target` 2) that
 // the head-count never calls for a spare, so the push is all there is to
 // wake anybody for.
 
 struct WakeModel {
-    /// Tasks in the run queues (the blocker's deque, which any scan sees).
+    /// Tasks in the run queue.
     queued: AtomicUsize,
     ran: AtomicUsize,
     blocked: AtomicUsize,
     idle: AtomicUsize,
-    wakes_pending: AtomicUsize,
     /// Registered latches, by worker, and which of them were notified.
     sleepers: Mutex<Vec<usize>>,
     notified: [AtomicBool; 3],
@@ -987,7 +719,6 @@ impl WakeModel {
             ran: AtomicUsize::new(0),
             blocked: AtomicUsize::new(0),
             idle: AtomicUsize::new(0),
-            wakes_pending: AtomicUsize::new(0),
             sleepers: Mutex::new(Vec::new()),
             notified: [const { AtomicBool::new(false) }; 3],
         }
@@ -1008,7 +739,7 @@ impl WakeModel {
     fn maybe_wake(&self) {
         fence(Ordering::SeqCst);
         let idle = self.idle.load(Ordering::Relaxed);
-        if idle == 0 || self.wakes_pending.load(Ordering::Relaxed) > 0 {
+        if idle == 0 {
             return;
         }
         let blocked = self.blocked.load(Ordering::Relaxed);
@@ -1016,20 +747,18 @@ impl WakeModel {
             return;
         }
         if let Some(sleeper) = self.sleepers.lock().unwrap().pop() {
-            self.wakes_pending.fetch_add(1, Ordering::SeqCst);
             self.notified[sleeper].store(true, Ordering::SeqCst);
         }
     }
 
-    /// `blocking` on a worker: flush, and leave `active`. `decide_first` is
-    /// the order that stalled — the flush's own `maybe_wake`, made while the
-    /// flusher still counts as active, then the count (whose head-count,
-    /// `LIVE - 1 >= target`, compensates nothing).
+    /// A push, then `blocking` on a worker: leave `active`. The push's own
+    /// `maybe_wake` is made while the pusher still counts as active.
+    /// `decide_first` is the order that stalled — that decision, then the
+    /// count (whose head-count, `LIVE - 1 >= target`, compensates nothing),
+    /// and no second look.
     fn push_then_block(&self, decide_first: bool) {
         self.queued.fetch_add(1, Ordering::Release);
-        if decide_first {
-            self.maybe_wake();
-        }
+        self.maybe_wake();
         self.blocked.fetch_add(1, Ordering::AcqRel);
         if !decide_first {
             fence(Ordering::SeqCst);

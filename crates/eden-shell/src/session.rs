@@ -278,14 +278,13 @@ impl Session {
                 snap.mailbox.queued_max,
             ),
             format!(
-                "sched: workers {} (blocked {}, idle {}, spares spawned {}), steals: {}, \
+                "sched: workers {} (blocked {}, idle {}, spares spawned {}), \
                  inline handoffs: {}, monitor rescues: {}, idle timeouts with work: {}, \
                  ejects parked {} of {}",
                 snap.sched.workers,
                 snap.sched.workers_blocked,
                 snap.sched.workers_idle,
                 snap.sched.spares_spawned,
-                snap.sched.sched_steals,
                 snap.sched.inline_handoffs,
                 snap.sched.monitor_rescues,
                 snap.sched.idle_timeouts_with_work,

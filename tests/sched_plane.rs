@@ -96,8 +96,7 @@ fn ten_thousand_ejects_on_two_workers_see_each_invocation_once() {
 }
 
 /// Fans invocations out to a fixed cast from *worker context*, so every
-/// wake lands on the producing worker's LIFO slot and deque rather than
-/// the external-producer injector. `Blast(round)` increments the whole
+/// wake is pushed by the one worker running it. `Blast(round)` increments the whole
 /// cast and replies with how many replies came back equal to `round` —
 /// i.e. how many targets have seen exactly `round` increments.
 struct Fanout {
@@ -134,13 +133,11 @@ impl EjectBehavior for Fanout {
     }
 }
 
-/// Forced work stealing: one worker produces all 10k wakes (the fanout
-/// runs in worker context, so they land on its LIFO slot and deque, not
-/// the injector), and the other three workers can only get work by
-/// stealing. Every increment must still land exactly once, and the
-/// steal counter must show the thieves actually fed off the producer.
+/// One producing worker: the fanout pushes all 10k wakes from worker
+/// context while the other three workers take them off the run queue.
+/// Every increment must still land exactly once.
 #[test]
-fn forced_stealing_delivers_ten_thousand_ejects_exactly_once() {
+fn one_producing_worker_delivers_ten_thousand_wakes_exactly_once() {
     const EJECTS: usize = 10_000;
     const ROUNDS: i64 = 2;
     let kernel = Kernel::builder()
@@ -157,7 +154,6 @@ fn forced_stealing_delivers_ten_thousand_ejects_exactly_once() {
         .spawn(Box::new(Fanout { targets }))
         .expect("spawn fanout");
 
-    let steals_before = kernel.metrics_snapshot().sched.sched_steals;
     for round in 1..=ROUNDS {
         assert_eq!(
             kernel.invoke(fanout, "Blast", Value::Int(round)).wait(),
@@ -165,12 +161,6 @@ fn forced_stealing_delivers_ten_thousand_ejects_exactly_once() {
             "round {round}: some target saw a lost or doubled increment"
         );
     }
-    let steals_after = kernel.metrics_snapshot().sched.sched_steals;
-    assert!(
-        steals_after > steals_before,
-        "no steals recorded ({steals_before} -> {steals_after}): \
-         the hot producer's backlog was never distributed"
-    );
     kernel.shutdown();
 }
 
@@ -213,13 +203,10 @@ fn crash_recovery_on_two_worker_pool_is_exactly_once() {
 }
 
 /// Fairness: a hot depth-4 pipeline saturating the pool must not starve
-/// a parked population — the fairness budget forces the hot Ejects back
-/// into the queue (FIFO through the injector, never back onto a LIFO
-/// slot), so idle streams' tail latency stays bounded instead of
-/// waiting for the pipeline to finish. Parameterised over the pool size
-/// because the LIFO slot changes shape with it: one worker is the
-/// worst case for slot monopolisation, eight exercises the slot-per-
-/// worker layout with thieves present.
+/// a parked population, so idle streams' tail latency stays bounded
+/// instead of waiting for the pipeline to finish. Parameterised over the
+/// pool size: one worker is the worst case for monopolisation, eight
+/// puts more workers than CPUs on the one queue.
 fn idle_p99_bounded_under_hot_pipeline(workers: usize) {
     const IDLE: usize = 1_000;
     let kernel = Kernel::builder()
@@ -448,7 +435,6 @@ impl EjectBehavior for Echo {
 /// What the scheduler did while one pipeline ran.
 struct PipelineCalls {
     inline_handoffs: u64,
-    steals: u64,
     /// Most live workers the source saw, sampled every time it was pulled.
     workers_seen: u64,
     workers_after: u64,
@@ -487,7 +473,6 @@ fn depth_4_pipeline_calls(kernel: &Kernel, discipline: Discipline) -> Option<Pip
     let after = kernel.metrics_snapshot().sched;
     Some(PipelineCalls {
         inline_handoffs: after.inline_handoffs - before.inline_handoffs,
-        steals: after.sched_steals - before.sched_steals,
         workers_seen: workers_seen.load(Ordering::Relaxed),
         workers_after: after.workers,
     })
@@ -499,9 +484,9 @@ const RECORDS: u64 = 200;
 /// first record: the sink's pump calls the last stage, every stage's
 /// `Transfer` calls its upstream, fresh as it is, and the source answers at
 /// the bottom of the stack — n+1 = 5 invocations a record and every one of
-/// them a call on the pump's own thread. Nothing is queued for a worker, so
-/// nothing is there to steal, and no rendezvous of the data phase asks the
-/// pool for a spare: the source sees one live worker each time it is pulled.
+/// them a call on the pump's own thread. Nothing is queued for a worker,
+/// and no rendezvous of the data phase asks the pool for a spare: the source
+/// sees one live worker each time it is pulled.
 /// (Teardown has one real rendezvous, the join of the sink's pump process,
 /// and gets one spare for it.)
 #[test]
@@ -513,7 +498,6 @@ fn lazy_pipeline_on_one_worker_runs_as_calls_without_spares_or_steals() {
         // disturbed one.)
         depth_4_pipeline_calls(&kernel, Discipline::ReadOnly { read_ahead: 0 }).is_some_and(|ran| {
             ran.inline_handoffs == 5 * RECORDS
-                && ran.steals == 0
                 && ran.workers_seen == 1
                 && ran.workers_after <= 2
         })
@@ -529,7 +513,7 @@ fn pushing_pipeline_on_one_worker_runs_as_calls_from_the_source_pump() {
     let kernel = one_worker_kernel();
     until_undisturbed("pushing depth-4 pipeline", || {
         depth_4_pipeline_calls(&kernel, Discipline::WriteOnly { push_ahead: 0 }).is_some_and(|ran| {
-            ran.inline_handoffs == 5 * RECORDS && ran.steals == 0 && ran.workers_seen == 1
+            ran.inline_handoffs == 5 * RECORDS && ran.workers_seen == 1
         })
     });
     kernel.shutdown();
@@ -538,14 +522,13 @@ fn pushing_pipeline_on_one_worker_runs_as_calls_from_the_source_pump() {
 /// The conventional pipeline's pumps call passive buffers. A buffer that is
 /// parked runs on the pump's thread; one that cannot answer yet defers, and
 /// that pump waits the ordinary way. How many of each is the host's
-/// business; that the output is right, that some ran as calls and that no
-/// thread stole from another is not.
+/// business; that the output is right and that some ran as calls is not.
 #[test]
 fn conventional_pipeline_on_one_worker_calls_its_buffers_and_steals_nothing() {
     let kernel = one_worker_kernel();
     until_undisturbed("conventional depth-4 pipeline", || {
         depth_4_pipeline_calls(&kernel, Discipline::Conventional { buffer_capacity: 64 })
-            .is_some_and(|ran| ran.inline_handoffs > 0 && ran.steals == 0)
+            .is_some_and(|ran| ran.inline_handoffs > 0)
     });
     kernel.shutdown();
 }
@@ -1420,8 +1403,8 @@ mod one_cpu {
 
     /// A worker that enters a blocking section is as gone as one that sleeps,
     /// and must leave the same way: count itself out, then look at the queues.
-    /// Before it did, its own flush (or a spare's send) was left to the "active"
-    /// worker the flusher still was, nobody was woken, and once an earlier pause
+    /// Before it did, its own push (or a spare's send) was left to the "active"
+    /// worker the pusher still was, nobody was woken, and once an earlier pause
     /// had let the pool park — the nap — the task sat until a backstop found it:
     /// the stall monitor after 2 ms, or a sleeper's 10 ms timeout. So: on one
     /// CPU, through a chain of waiting callees, the monitor rescues nothing and
