@@ -16,9 +16,10 @@
 //!   can alias string payloads straight out of a checkpoint buffer, and the
 //!   lines of a file ([`Text::split_lines`]) are windows on the file.
 //! * [`Value::List`] and [`Value::Record`] hold their elements behind an
-//!   `Arc` ([`SharedList`] / [`SharedRecord`]) with make-mut copy-on-write:
-//!   a transform that edits a datum in place pays for a spine copy only
-//!   when the datum is actually aliased (metered as a `cow_break`).
+//!   `Arc` ([`SharedList`] / [`SharedRecord`]; a record's fields sit in the
+//!   same allocation as its counts) with copy-on-write: a transform that
+//!   edits a datum in place pays for a spine copy only when the datum is
+//!   actually aliased (metered as a `cow_break`).
 //!
 //! Sharing is semantically invisible — equality, encoding, display and the
 //! accessor API are unchanged — but turns the per-hop, per-consumer deep
@@ -319,32 +320,35 @@ impl PartialEq for SharedList {
 impl Eq for SharedList {}
 
 /// A reference-counted record (named fields, in insertion order) with
-/// make-mut copy-on-write.
+/// copy-on-write: counts and fields in one allocation, built in place from
+/// an exact-size source such as an array of fields or a decoder's count.
 #[derive(Clone, Debug)]
-pub struct SharedRecord(Arc<Vec<(Text, Value)>>);
+pub struct SharedRecord(Arc<[(Text, Value)]>);
 
 impl SharedRecord {
-    /// Wrap owned fields (one allocation; never copies the values).
+    /// Wrap owned fields, moved (not cloned) into the record's allocation.
     pub fn new(fields: Vec<(Text, Value)>) -> SharedRecord {
-        SharedRecord(Arc::new(fields))
+        SharedRecord(fields.into())
     }
 
-    /// Mutable access to the fields; breaks sharing like
-    /// [`SharedList::to_mut`].
-    pub fn to_mut(&mut self) -> &mut Vec<(Text, Value)> {
+    /// Mutable access to the fields (a fixed set: edited, never grown);
+    /// breaks sharing like [`SharedList::to_mut`].
+    pub fn to_mut(&mut self) -> &mut [(Text, Value)] {
         if Arc::strong_count(&self.0) > 1 {
             payload::note_cow_break();
         }
         Arc::make_mut(&mut self.0)
     }
 
-    /// Consume into owned fields. Free when unique; spine-copied when
-    /// aliased.
-    pub fn into_fields(self) -> Vec<(Text, Value)> {
-        match Arc::try_unwrap(self.0) {
-            Ok(v) => v,
-            Err(shared) => (*shared).clone(),
-        }
+    /// Consume the record, keeping only the value of field `name`. A unique
+    /// record moves it out, copying no spine and metering no share; an
+    /// aliased one shares that field alone.
+    fn take(mut self, name: &str) -> Option<Value> {
+        let i = self.0.iter().position(|(k, _)| k == name)?;
+        Some(match Arc::get_mut(&mut self.0) {
+            Some(fields) => std::mem::replace(&mut fields[i].1, Value::Unit),
+            None => self.0[i].1.clone(),
+        })
     }
 
     /// True if both records share the same allocation.
@@ -373,13 +377,14 @@ impl From<Vec<(Text, Value)>> for SharedRecord {
 
 impl From<Vec<(String, Value)>> for SharedRecord {
     fn from(v: Vec<(String, Value)>) -> SharedRecord {
-        SharedRecord::new(v.into_iter().map(|(k, val)| (Text::from(k), val)).collect())
+        v.into_iter().map(|(k, val)| (Text::from(k), val)).collect()
     }
 }
 
 impl FromIterator<(Text, Value)> for SharedRecord {
+    /// One allocation when the iterator knows its exact length.
     fn from_iter<I: IntoIterator<Item = (Text, Value)>>(iter: I) -> SharedRecord {
-        SharedRecord::new(iter.into_iter().collect())
+        SharedRecord(iter.into_iter().collect())
     }
 }
 
@@ -450,18 +455,14 @@ impl Clone for Value {
 }
 
 impl Value {
-    /// Build a record from field pairs.
+    /// Build a record from field pairs: one allocation for an array of
+    /// fields, which is how every protocol encoder spells its record.
     pub fn record<K, I>(fields: I) -> Value
     where
         K: Into<Text>,
         I: IntoIterator<Item = (K, Value)>,
     {
-        Value::Record(SharedRecord::new(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.into(), v))
-                .collect(),
-        ))
+        Value::Record(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 
     /// Build a list value (one allocation; elements are moved, not copied).
@@ -502,17 +503,13 @@ impl Value {
         }
     }
 
-    /// Consume the record, extracting one field by name. Avoids cloning
-    /// the field's payload when this value is the only reference.
+    /// Consume the record, extracting one field by name. When this value
+    /// is the only reference the field moves out: no spine copy, no share.
     pub fn take_field(self, name: &str) -> Result<Value> {
         match self {
-            Value::Record(fields) => {
-                let mut fields = fields.into_fields();
-                match fields.iter().position(|(k, _)| k == name) {
-                    Some(i) => Ok(fields.swap_remove(i).1),
-                    None => Err(EdenError::BadParameter(format!("missing field `{name}`"))),
-                }
-            }
+            Value::Record(fields) => fields
+                .take(name)
+                .ok_or_else(|| EdenError::BadParameter(format!("missing field `{name}`"))),
             other => Err(EdenError::BadParameter(format!(
                 "expected record with field `{name}`, got {}",
                 other.kind()
@@ -658,7 +655,7 @@ impl Value {
             Value::List(items) => Value::List(SharedList::new(
                 items.iter().map(Value::deep_copy).collect(),
             )),
-            Value::Record(fields) => Value::Record(SharedRecord::new(
+            Value::Record(fields) => Value::Record(
                 fields
                     .iter()
                     .map(|(k, v)| {
@@ -666,7 +663,7 @@ impl Value {
                         (Text::from(k.as_str()), v.deep_copy())
                     })
                     .collect(),
-            )),
+            ),
         }
     }
 

@@ -276,16 +276,37 @@ fn decode_one(cur: &mut Cursor<'_>, depth: usize) -> Result<Value> {
         }
         TAG_RECORD => {
             let len = decode_len(cur)?;
-            let mut fields = Vec::with_capacity(len.min(1024));
-            for _ in 0..len {
-                let name_len = decode_len(cur)?;
-                let name = take_text(cur, name_len, "field name")?;
-                fields.push((name, decode_one(cur, depth + 1)?));
+            // A field takes two bytes at least, so the input bounds the one
+            // allocation the counted iterator below sizes. After an error
+            // the rest are placeholders, and the record is dropped.
+            if len > (cur.buf.len() - cur.pos) / 2 {
+                return Err(corrupt(format!("{len} fields cannot fit the input")));
             }
-            Ok(Value::Record(SharedRecord::new(fields)))
+            let mut failed = None;
+            let fields: SharedRecord = (0..len)
+                .map(|_| {
+                    if failed.is_none() {
+                        match decode_field(cur, depth) {
+                            Ok(field) => return field,
+                            Err(e) => failed = Some(e),
+                        }
+                    }
+                    (Text::new(), Value::Unit)
+                })
+                .collect();
+            match failed {
+                Some(e) => Err(e),
+                None => Ok(Value::Record(fields)),
+            }
         }
         tag => Err(corrupt(format!("unknown tag 0x{tag:02x}"))),
     }
+}
+
+fn decode_field(cur: &mut Cursor<'_>, depth: usize) -> Result<(Text, Value)> {
+    let name_len = decode_len(cur)?;
+    let name = take_text(cur, name_len, "field name")?;
+    Ok((name, decode_one(cur, depth + 1)?))
 }
 
 #[cfg(test)]

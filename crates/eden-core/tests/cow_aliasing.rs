@@ -3,12 +3,12 @@
 //!
 //! The payload plane's whole point is that clones alias: `Text` views a
 //! shared `Bytes` buffer through `str::from_utf8_unchecked`, and
-//! `SharedList`/`SharedRecord` hand out `&mut` into an `Arc` via
-//! `make_mut`. Those are exactly the patterns where a provenance or
-//! stacked-borrows mistake would be invisible to normal tests (the bytes
-//! still compare equal) but caught by miri. Each test interleaves reads
-//! through one alias with mutation through another, the shape miri is
-//! pickiest about.
+//! `SharedList`/`SharedRecord` hand out `&mut` into an `Arc` (a vector
+//! for a list, a slice for a record) via `make_mut`. Those are exactly
+//! the patterns where a provenance or stacked-borrows mistake would be
+//! invisible to normal tests (the bytes still compare equal) but caught by
+//! miri. Each test interleaves reads through one alias with mutation
+//! through another, the shape miri is pickiest about.
 
 use bytes::Bytes;
 use eden_core::{SharedList, SharedRecord, Text, Value};
@@ -68,12 +68,22 @@ fn record_cow_break_and_consuming_reads_are_independent() {
     assert_eq!(b[0].1, Value::Int(7));
     assert_eq!(a[0].1, Value::Int(8));
 
-    // Consuming an aliased record copies; consuming the now-unique one
-    // must hand back the original allocation without a copy.
-    let fields_b = b.into_fields();
-    assert_eq!(fields_b.len(), 2);
-    let fields_a = a.into_fields();
-    assert_eq!(fields_a[0].1, Value::Int(8));
+    // Now unique: a second edit is in place, through the same slice.
+    let spine_before = a.as_ptr();
+    a.to_mut()[1].1 = Value::Str(Text::from("edited"));
+    assert_eq!(a.as_ptr(), spine_before);
+
+    // Taking a field of an aliased record leaves the alias whole; taking
+    // one of a unique record moves it out of the allocation it drops.
+    let alias = Value::Record(b.clone());
+    assert_eq!(
+        alias.take_field("body").unwrap(),
+        Value::Str(Text::from("datum"))
+    );
+    assert_eq!(b[1].1, Value::Str(Text::from("datum")));
+    assert_eq!(Value::Record(b).take_field("seq").unwrap(), Value::Int(7));
+    let body = Value::Record(a).take_field("body").unwrap();
+    assert_eq!(body, Value::Str(Text::from("edited")));
 }
 
 #[test]

@@ -7,7 +7,7 @@
 use std::sync::Mutex;
 
 use bytes::Bytes;
-use eden_core::{payload, wire, SharedList, Value};
+use eden_core::{payload, wire, SharedList, Text, Value};
 
 static PAYLOAD_METER: Mutex<()> = Mutex::new(());
 
@@ -82,6 +82,35 @@ fn cow_break_only_when_aliased() {
     assert_eq!(b.len(), 1);
     assert_eq!(a.len(), 2);
     assert!(!a.ptr_eq(&b));
+}
+
+#[test]
+fn take_field_shares_only_what_it_takes() {
+    let _meter = PAYLOAD_METER.lock().unwrap();
+    let record = || {
+        Value::record([
+            ("items", Value::list(vec![Value::str("a")])),
+            ("name", Value::str("n")),
+            ("end", Value::Bool(false)),
+        ])
+    };
+    // Unique: the field moves out; nothing is shared, nothing copied.
+    let unique = record();
+    let before = payload::snapshot();
+    let items = unique.take_field("items").unwrap();
+    let delta = payload::snapshot().since(&before);
+    assert_eq!((delta.payload_shares, delta.cow_breaks), (0, 0));
+    assert_eq!(items.as_list().unwrap().len(), 1);
+
+    // Aliased: the taken field is shared once; the others are untouched.
+    let kept = record();
+    let alias = kept.clone();
+    let before = payload::snapshot();
+    let name = alias.take_field("name").unwrap();
+    let delta = payload::snapshot().since(&before);
+    assert_eq!((delta.payload_shares, delta.cow_breaks), (1, 0));
+    assert_eq!(name.as_text().unwrap(), &Text::from("n"));
+    assert_eq!(kept.field("name").unwrap().as_str().unwrap(), "n");
 }
 
 #[test]

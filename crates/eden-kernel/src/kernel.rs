@@ -888,8 +888,8 @@ impl Kernel {
         }
         if let Some(route) = cache.lookup(target) {
             let (handle, pending) =
-                self.reply_pair_for(target, &op, from, &route, driver_owned, admit_by);
-            match self.dispatch_route(from, &route, Invocation { op, arg }, handle, wake) {
+                self.reply_pair_for(target, &op, from, route, driver_owned, admit_by);
+            match self.dispatch_route(from, route, Invocation { op, arg }, handle, wake) {
                 Ok(()) => {
                     metrics.record_route_cache_hit();
                     pending

@@ -56,7 +56,7 @@ use std::time::Instant;
 use parking_lot::{Condvar, Mutex};
 
 use crate::runtime::Envelope;
-use crate::sched::{Scheduler, Task, Woken};
+use crate::sched::{Task, Woken};
 
 /// What a bounded mailbox does when a plain `send` arrives at a full ring.
 /// Configured kernel-wide through
@@ -352,14 +352,6 @@ pub(crate) enum SendOutcome {
     Rejected(Envelope, ShedCause),
 }
 
-/// The scheduler-mode wiring of a mailbox, installed once when the owning
-/// task is created. Weak on both ends: a parked task is kept alive by its
-/// registry slot, never by its own mailbox (which the task itself owns).
-struct SchedWake {
-    sched: Weak<Scheduler>,
-    task: Weak<Task>,
-}
-
 struct Ring {
     q: VecDeque<Envelope>,
     /// Closed mailboxes reject every send with the envelope returned —
@@ -380,8 +372,10 @@ pub(crate) struct MailboxCore {
     policy: ShedPolicy,
     /// The parking bit (see [`park`]).
     park_state: AtomicU8,
-    /// Whom a delivery wakes; set once, when the task is created.
-    wake: OnceLock<SchedWake>,
+    /// Whom a delivery wakes; set once, when the task is created. Weak: a
+    /// parked task is kept alive by its registry slot, never by its own
+    /// mailbox (which the task itself owns). The task holds its scheduler.
+    wake: OnceLock<Weak<Task>>,
 }
 
 impl MailboxCore {
@@ -401,11 +395,8 @@ impl MailboxCore {
 
     /// Wire this mailbox to its scheduler task. Called once at task
     /// creation, before the task is first enqueued.
-    pub(crate) fn attach_task(&self, sched: &Arc<Scheduler>, task: &Arc<Task>) {
-        let _ = self.wake.set(SchedWake {
-            sched: Arc::downgrade(sched),
-            task: Arc::downgrade(task),
-        });
+    pub(crate) fn attach_task(&self, task: &Arc<Task>) {
+        let _ = self.wake.set(Arc::downgrade(task));
     }
 
     /// The parking bit, for the scheduler's CAS transitions.
@@ -439,10 +430,9 @@ impl MailboxCore {
                         )
                         .is_ok()
                     {
-                        // Scheduler or task gone: teardown won the race;
-                        // nobody is left to run the mail.
-                        let (sched, task) = (wake.sched.upgrade()?, wake.task.upgrade()?);
-                        return Some(Woken { sched, task });
+                        // Task gone: teardown won the race; nobody is
+                        // left to run the mail.
+                        return wake.upgrade().map(|task| Woken { task });
                     }
                 }
                 park::RUNNING => {
@@ -515,8 +505,8 @@ impl MailboxCore {
     /// [`push`](Self::push) for a sender that will not run anybody itself.
     fn deliver(&self, envelope: Envelope, respect_bound: bool) -> Result<SendOutcome, SendError> {
         let (outcome, woken) = self.push(envelope, respect_bound)?;
-        if let Some(Woken { sched, task }) = woken {
-            sched.enqueue(task);
+        if let Some(woken) = woken {
+            woken.enqueue();
         }
         Ok(outcome)
     }
@@ -614,18 +604,20 @@ impl MailboxCore {
         }
     }
 
-    /// Pop one envelope. Shrinks an oversized ring on drain.
-    pub(crate) fn pop(&self) -> Option<Envelope> {
+    /// Pop one envelope, and say whether it was the last one queued. Shrinks
+    /// an oversized ring on drain.
+    pub(crate) fn pop(&self) -> Option<(Envelope, bool)> {
         let mut ring = self.mailq.lock();
         let envelope = ring.q.pop_front()?;
-        if ring.q.is_empty() && ring.q.capacity() >= SHRINK_CAPACITY {
+        let last = ring.q.is_empty();
+        if last && ring.q.capacity() >= SHRINK_CAPACITY {
             ring.q = VecDeque::new();
         }
         drop(ring);
         if self.cap.is_some() {
             self.not_full.notify_one();
         }
-        Some(envelope)
+        Some((envelope, last))
     }
 
     /// Put back the envelope [`pop`](Self::pop) just handed out, at the
@@ -742,10 +734,7 @@ mod tests {
     /// Attach a core to nobody, without a live scheduler: the wake
     /// CAS loop runs for real, the upgrade finds nobody to enqueue.
     fn sched_mode(core: &MailboxCore) {
-        let _ = core.wake.set(SchedWake {
-            sched: Weak::new(),
-            task: Weak::new(),
-        });
+        let _ = core.wake.set(Weak::new());
     }
 
     #[test]

@@ -95,9 +95,10 @@ impl RouteCache {
         RouteCache::default()
     }
 
-    /// The cached route for `target`, if any.
-    pub(crate) fn lookup(&self, target: Uid) -> Option<Route> {
-        self.routes.iter().find(|r| r.target == target).cloned()
+    /// The cached route for `target`, if any, lent: a hit sends through
+    /// the cached sender and bumps no count.
+    pub(crate) fn lookup(&self, target: Uid) -> Option<&Route> {
+        self.routes.iter().find(|r| r.target == target)
     }
 
     /// Cache `route`, replacing any previous route to the same target.

@@ -77,9 +77,10 @@
 //! its own stack ([`strands_responder`]).
 //!
 //! The scheduler is deliberately kernel-agnostic: tasks reach the kernel
-//! through the weak handle in their context and workers hold only the
-//! scheduler, so a dropped kernel tears down through the normal shutdown
-//! path with no reference cycles.
+//! through the weak handle in their context, and tasks and workers hold the
+//! scheduler, which holds a task only while it is queued and drains its
+//! queue when stopped, so a dropped kernel tears down through the normal
+//! shutdown path and leaves no reference cycle behind.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -227,6 +228,9 @@ pub struct SchedSnapshot {
 /// mailbox, and identity. Kept alive by the registry slot; the run
 /// queue holds it only while it is `QUEUED`.
 pub(crate) struct Task {
+    /// The pool that runs it: what a wake won by a push is spent on, so the
+    /// winner counts nothing more than the task it upgraded.
+    sched: Arc<Scheduler>,
     core: Arc<MailboxCore>,
     ctx: Arc<EjectContext>,
     incarnation: u64,
@@ -484,16 +488,22 @@ pub fn blocking<R>(f: impl FnOnce() -> R) -> R {
 
 /// A `PARKED -> QUEUED` wake in the hands of the sender whose push won it:
 /// the task is `QUEUED` and in no queue, so nobody else can make it run and
-/// this sender must. A plain send hands it to [`Scheduler::enqueue`] at once;
+/// this sender must. A plain send [`enqueue`](Woken::enqueue)s it at once;
 /// a call gets it back from the mailbox and spends it in
 /// [`run_as_call`](Woken::run_as_call).
 #[must_use = "dropping a wake strands its task"]
 pub(crate) struct Woken {
-    pub(crate) sched: Arc<Scheduler>,
     pub(crate) task: Arc<Task>,
 }
 
 impl Woken {
+    /// Spend the wake as a plain send does: on the run queue.
+    pub(crate) fn enqueue(self) {
+        let sched = &self.task.sched;
+        sched.note_wake(&self.task);
+        sched.push(Arc::clone(&self.task));
+    }
+
     /// Caller-runs-callee, and the only place it is decided: resume the
     /// task on the calling thread's stack, so that a send followed by a wait
     /// costs a call instead of two thread hand-offs (queue, wake a sleeper,
@@ -515,14 +525,14 @@ impl Woken {
     /// [`ReplyHandle`](crate::ReplyHandle)) the caller then waits for inside
     /// [`blocking`] as it always has.
     pub(crate) fn run_as_call(self, settled: &dyn Fn() -> bool) {
-        let Woken { sched, task } = self;
+        let (task, sched) = (&self.task, &self.task.sched);
         let blocked =
             WORKER.with(|w| w.borrow().as_ref().is_some_and(|worker| worker.block_depth > 0));
         if !task.replies_last || blocked || resuming_depth() >= HANDOFF_DEPTH_CAP {
-            return sched.enqueue(task);
+            return self.enqueue();
         }
         // The run-queue wait this stamps the start of is over at once.
-        sched.note_wake(&task);
+        sched.note_wake(task);
         sched.handoffs.fetch_add(1, Ordering::Relaxed);
         sched.run_task(task, Some(settled));
     }
@@ -654,6 +664,7 @@ impl Scheduler {
         ambient: Option<SpanContext>,
     ) -> Arc<Task> {
         let task = Arc::new(Task {
+            sched: Arc::clone(self),
             core: Arc::clone(&core),
             ctx,
             incarnation,
@@ -667,7 +678,7 @@ impl Scheduler {
             died: Mutex::new(false),
             died_cv: Condvar::default(),
         });
-        core.attach_task(self, &task);
+        core.attach_task(&task);
         self.tasks_alive.fetch_add(1, Ordering::Relaxed);
         // A fresh task's bit is PARKED and nobody else can see it yet, so
         // a plain store (not a CAS) is enough for the spawn enqueue.
@@ -675,13 +686,6 @@ impl Scheduler {
         self.stamp_enqueue(&task);
         self.push(Arc::clone(&task));
         task
-    }
-
-    /// Queue a task whose parking bit just flipped `PARKED -> QUEUED`
-    /// (the mailbox wake path).
-    pub(crate) fn enqueue(&self, task: Arc<Task>) {
-        self.note_wake(&task);
-        self.push(task);
     }
 
     fn now_ns(&self) -> u64 {
@@ -852,7 +856,7 @@ impl Scheduler {
     /// an exit envelope (or a panic in the behaviour) ends it. An inline
     /// resume (see [`Woken::run_as_call`]) passes the caller's `settled`
     /// probe and ends as soon as it reads true, requeueing any mail left.
-    fn run_task(&self, task: Arc<Task>, settled: Option<&dyn Fn() -> bool>) {
+    fn run_task(&self, task: &Arc<Task>, settled: Option<&dyn Fn() -> bool>) {
         transition(task.core.park_bit(), Op::Store, &[park::QUEUED], park::RUNNING);
         RESUMING.with(|frames| {
             frames.borrow_mut().push(Frame {
@@ -862,12 +866,12 @@ impl Scheduler {
             })
         });
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.resume(&task, settled)
+            self.resume(task, settled)
         }));
         RESUMING.with(|frames| frames.borrow_mut().pop());
         match outcome {
             Ok(Resume::Yield) => {}
-            Ok(Resume::Dead(crashed)) => self.reap(&task, crashed),
+            Ok(Resume::Dead(crashed)) => self.reap(task, crashed),
             Err(_) => {
                 // The behaviour panicked mid-dispatch. Thread-per-Eject
                 // lost the coordinator thread here; the pool must survive
@@ -875,7 +879,7 @@ impl Scheduler {
                 // lives on. The behaviour box was dropped by the unwind,
                 // releasing any parked replies.
                 task.ctx.begin_stop();
-                self.reap(&task, true);
+                self.reap(task, true);
             }
         }
     }
@@ -898,11 +902,17 @@ impl Scheduler {
             body.behavior.activate(&task.ctx);
         }
         let bit = task.core.park_bit();
+        // The last pop emptied the ring. Whatever lands after it finds the
+        // task RUNNING and marks it DIRTY, which fails the park below, so
+        // the ring need not be looked at again to park.
+        let mut drained = false;
         loop {
             if task.ctx.deactivate_requested() {
                 return self.die(task, body, false);
             }
-            match task.core.pop() {
+            let popped = if drained { None } else { task.core.pop() };
+            drained = matches!(popped, Some((_, true)));
+            match popped.map(|(envelope, _)| envelope) {
                 Some(envelope) if settled.is_some_and(|settled| settled()) => {
                     // An inline resume is over once the caller has its
                     // reply. With the mailbox empty that is the ordinary
@@ -1059,7 +1069,7 @@ fn worker_main(sched: Arc<Scheduler>, idx: usize) {
         if let Some(task) = sched.pop() {
             spins = 0;
             sched.progress.fetch_add(1, Ordering::Relaxed);
-            sched.run_task(task, None);
+            sched.run_task(&task, None);
             continue;
         }
         if sched.stopping.load(Ordering::Acquire) {

@@ -212,11 +212,20 @@ where
         if items.is_empty() && !end {
             continue;
         }
+        // Every destination but the last takes a share; the last takes the
+        // list itself, which its receiver then moves out instead of copying.
+        let Some((last, others)) = ports.split_last() else {
+            continue;
+        };
         let shared_items = Value::list(items);
-        for port in ports {
+        for port in others {
             let arg = WriteRequest::value_shared_at(port.channel, shared_items.clone(), end, seq);
             send(*port, arg)?;
         }
+        send(
+            *last,
+            WriteRequest::value_shared_at(last.channel, shared_items, end, seq),
+        )?;
     }
     Ok(())
 }

@@ -13,7 +13,9 @@
 //!
 //! A field name is a static ([`Text::from_static`]): spelling it allocates
 //! nothing, and each encoder hands [`Value::record`] one array per shape,
-//! which becomes the record's field vector in one allocation.
+//! which becomes the record, fields and counts, in one allocation. Decoding
+//! a reply or argument nobody else holds allocates nothing: the items list
+//! moves out of its record.
 
 use eden_core::value::Text;
 use eden_core::{EdenError, Result, Uid, Value};
@@ -213,10 +215,10 @@ impl TransferRequest {
                 "Transfer max must be positive, got {max}"
             )));
         }
-        let pos = match v.field_opt("pos") {
-            Some(p) => Some(p.as_int()?.max(0) as u64),
-            None => None,
-        };
+        let pos = v
+            .field_opt("pos")
+            .map(|p| position("Transfer pos", p))
+            .transpose()?;
         Ok(TransferRequest {
             channel,
             max: max as usize,
@@ -302,10 +304,10 @@ impl WriteRequest {
     pub fn from_value(v: Value) -> Result<WriteRequest> {
         let channel = ChannelId::try_from(v.field("channel")?)?;
         let end = v.field("end")?.as_bool()?;
-        let seq = match v.field_opt("seq") {
-            Some(s) => Some(s.as_int()?.max(0) as u64),
-            None => None,
-        };
+        let seq = v
+            .field_opt("seq")
+            .map(|s| position("Write seq", s))
+            .transpose()?;
         let items = match v.take_field("items") {
             Ok(Value::List(items)) => items.into_vec(),
             _ => return Err(EdenError::BadParameter("write lacks `items` list".into())),
@@ -317,6 +319,15 @@ impl WriteRequest {
             seq,
         })
     }
+}
+
+/// A stream position: counted from the start, so never negative. A negative
+/// one is refused rather than read as 0, which would acknowledge or re-serve
+/// from the start of the stream without a word.
+fn position(what: &str, v: &Value) -> Result<u64> {
+    let pos = v.as_int()?;
+    u64::try_from(pos)
+        .map_err(|_| EdenError::BadParameter(format!("{what} must not be negative, got {pos}")))
 }
 
 /// The argument of a `GetChannel` invocation: ask a source for the channel
@@ -398,6 +409,54 @@ mod tests {
         };
         fields.to_mut()[1].1 = Value::Int(0);
         assert!(TransferRequest::from_value(&Value::Record(fields)).is_err());
+    }
+
+    /// `request` encoded, with its field `name` set to `value`.
+    fn with_field(request: Value, name: &str, value: Value) -> Value {
+        let Value::Record(mut fields) = request else {
+            unreachable!("requests are records")
+        };
+        let slot = fields
+            .to_mut()
+            .iter_mut()
+            .find(|(k, _)| k == name)
+            .expect("field");
+        slot.1 = value;
+        Value::Record(fields)
+    }
+
+    #[test]
+    fn transfer_request_refuses_a_negative_position() {
+        let at = |pos| {
+            with_field(
+                TransferRequest::primary(4).at(0).to_value(),
+                "pos",
+                Value::Int(pos),
+            )
+        };
+        assert!(matches!(
+            TransferRequest::from_value(&at(-1)),
+            Err(EdenError::BadParameter(_))
+        ));
+        assert!(TransferRequest::from_value(&at(i64::MIN)).is_err());
+        assert_eq!(TransferRequest::from_value(&at(0)).unwrap().pos, Some(0));
+    }
+
+    #[test]
+    fn write_request_refuses_a_negative_sequence() {
+        let at = |seq| {
+            with_field(
+                WriteRequest::more(vec![Value::Int(1)]).at(0).to_value(),
+                "seq",
+                Value::Int(seq),
+            )
+        };
+        assert!(matches!(
+            WriteRequest::from_value(at(-1)),
+            Err(EdenError::BadParameter(_))
+        ));
+        assert!(WriteRequest::from_value(at(i64::MIN)).is_err());
+        assert_eq!(WriteRequest::from_value(at(7)).unwrap().seq, Some(7));
     }
 
     #[test]

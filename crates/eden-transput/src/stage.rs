@@ -503,7 +503,13 @@ impl Buffer {
             self.writes.push_back(chunk);
             return Ok(());
         }
-        self.queues[0].extend(chunk.out.take_primary());
+        let primary = chunk.out.take_primary();
+        match self.queues[0].is_empty() {
+            // The chunk becomes the queue, its allocation and all: a reader
+            // that takes the lot gets the very vector the step made.
+            true => self.queues[0] = primary.into(),
+            false => self.queues[0].extend(primary),
+        }
         for (name, items) in chunk.out.take_secondary() {
             // A transform emitting on an undeclared channel is a bug in the
             // transform; drop the records rather than poison the stream.
@@ -537,6 +543,7 @@ impl Buffer {
         let end = self.ended && n == queue.len();
         let items: Vec<Value> = match keep {
             true => queue.iter().take(n).cloned().collect(),
+            false if n == queue.len() => std::mem::take(queue).into(),
             false => queue.drain(..n).collect(),
         };
         Some(Batch { items, end })

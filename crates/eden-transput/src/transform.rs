@@ -12,14 +12,18 @@
 //! Transforms may emit on secondary channels (§5's report streams) via
 //! [`Emitter::emit_on`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use eden_core::Value;
 
 /// Collects the output of a transform step, per channel.
+///
+/// A transform only emits into it. Inside [`step`] the records still to be
+/// pushed wait at the front of the primary channel, so a transform that
+/// drained or inspected the emitter it is handed would see them.
 #[derive(Debug, Default)]
 pub struct Emitter {
-    primary: Vec<Value>,
+    primary: VecDeque<Value>,
     secondary: BTreeMap<String, Vec<Value>>,
 }
 
@@ -33,14 +37,14 @@ impl Emitter {
     /// step with no transform mounted comes to, without touching a record.
     pub fn of(items: Vec<Value>) -> Emitter {
         Emitter {
-            primary: items,
+            primary: items.into(),
             secondary: BTreeMap::new(),
         }
     }
 
     /// Emit a record on the primary output channel.
     pub fn emit(&mut self, item: Value) {
-        self.primary.push(item);
+        self.primary.push_back(item);
     }
 
     /// Emit a record on a named secondary channel (e.g. `"Report"`).
@@ -50,7 +54,7 @@ impl Emitter {
 
     /// Drain the primary output.
     pub fn take_primary(&mut self) -> Vec<Value> {
-        std::mem::take(&mut self.primary)
+        std::mem::take(&mut self.primary).into()
     }
 
     /// Drain every secondary channel's output.
@@ -111,12 +115,21 @@ pub trait Transform: Send + 'static {
 /// One step of a stage's input through whatever it has mounted: push every
 /// record, in order, and flush if `end` says these were the last. With no
 /// transform the step is a copy, and touches no record.
+///
+/// The records wait at the front of the emitter's primary queue and the
+/// transform emits at its back, each output taking the slot its input left:
+/// a step that emits no more than it was given allocates nothing.
 pub fn step(transform: &mut Option<Box<dyn Transform>>, items: Vec<Value>, end: bool) -> Emitter {
+    let n = items.len();
+    let mut out = Emitter::of(items);
     let Some(transform) = transform else {
-        return Emitter::of(items);
+        return out;
     };
-    let mut out = Emitter::new();
-    for item in items {
+    for _ in 0..n {
+        let item = out
+            .primary
+            .pop_front()
+            .expect("the step's own inputs are queued");
         transform.push(item, &mut out);
     }
     if end {
