@@ -59,7 +59,7 @@ fn acceptor(kernel: &Kernel, collector: &Collector) -> Uid {
 }
 
 /// E4 — the duality table of §5, measured.
-pub fn e4() -> Vec<Table> {
+pub(crate) fn e4() -> Vec<Table> {
     let mut t = Table::new(
         "E4: fan-in / fan-out by discipline (m = 4 peers, 40 records each)",
         &["configuration", "outcome", "records per peer", "invocations"],
@@ -211,7 +211,7 @@ pub fn e4() -> Vec<Table> {
 
 /// E5 — Figure 3 (write-only + pushed reports) vs Figure 4 (read-only +
 /// channel identifiers), on the same spell-checking workload.
-pub fn e5() -> Vec<Table> {
+pub(crate) fn e5() -> Vec<Table> {
     let mut t = Table::new(
         "E5: report streams — Figure 3 vs Figure 4 (500 prose lines, 1 spell-check filter)",
         &[
@@ -277,7 +277,7 @@ pub fn e5() -> Vec<Table> {
 }
 
 /// E6 — capability channels: who can read what, and at what setup cost.
-pub fn e6() -> Vec<Table> {
+pub(crate) fn e6() -> Vec<Table> {
     let mut t = Table::new(
         "E6: channel access control (§5)",
         &["policy", "access attempt", "result"],

@@ -16,7 +16,7 @@ use crate::workloads;
 const WAIT: Duration = Duration::from_secs(60);
 
 /// E9 — checkpoint / crash / reactivate-on-invocation (§1, §2, §7).
-pub fn e9() -> Vec<Table> {
+pub(crate) fn e9() -> Vec<Table> {
     let mut t = Table::new(
         "E9: checkpoint and recovery vs file size",
         &[
@@ -70,7 +70,7 @@ pub fn e9() -> Vec<Table> {
 
 /// E10 — directories as Ejects: operations, listing-as-stream, and the
 /// PATH-style concatenator (§2).
-pub fn e10() -> Vec<Table> {
+pub(crate) fn e10() -> Vec<Table> {
     let kernel = Kernel::new();
     register_fs_types(&kernel);
 

@@ -12,7 +12,7 @@ use crate::workloads;
 
 /// E1 — Figures 1 and 2, quantified: invocations per datum and entity
 /// counts versus pipeline depth, for all three disciplines.
-pub fn e1() -> Vec<Table> {
+pub(crate) fn e1() -> Vec<Table> {
     let items: i64 = 200;
     let mut inv = Table::new(
         "E1: invocations per datum vs pipeline depth (batch=1)",
@@ -84,7 +84,7 @@ pub fn e1() -> Vec<Table> {
 
 /// E2 — "considerable savings of communications overhead ... with long
 /// pipelines": throughput versus depth.
-pub fn e2() -> Vec<Table> {
+pub(crate) fn e2() -> Vec<Table> {
     let items: i64 = 3000;
     let batch = 32;
     let mut t = Table::new(
@@ -208,7 +208,7 @@ pub fn e2() -> Vec<Table> {
 }
 
 /// E3 — laziness and bounded anticipation (§4).
-pub fn e3() -> Vec<Table> {
+pub(crate) fn e3() -> Vec<Table> {
     let mut lazy = Table::new(
         "E3a: records pulled from the source BEFORE any sink demand",
         &["filter read_ahead", "records pre-pulled", "bound (ra+batch)"],
@@ -276,7 +276,7 @@ pub fn e3() -> Vec<Table> {
 
 /// E7 — batching: "each Eject in a pipeline should read some input and
 /// buffer-up some output" as a records-per-Transfer sweep.
-pub fn e7() -> Vec<Table> {
+pub(crate) fn e7() -> Vec<Table> {
     let items: i64 = 4000;
     let mut t = Table::new(
         "E7: batch size sweep (read-only, depth 2, 4000 records)",
@@ -306,7 +306,7 @@ pub fn e7() -> Vec<Table> {
 /// E8 — "the cost of an invocation must inevitably be higher than that of
 /// a system call": sweep the invocation : internal-message cost ratio and
 /// watch the asymmetric discipline's advantage appear.
-pub fn e8() -> Vec<Table> {
+pub(crate) fn e8() -> Vec<Table> {
     let items: i64 = 2000;
     let depth = 4;
     let batch = 8;

@@ -6,12 +6,12 @@
 //! `cargo run -p eden-bench --bin experiments [--release] [e1..e10|all]`.
 //! Wall-clock measurement lives in the workspace's `benchmark/` package.
 
-pub mod exp_duality;
-pub mod exp_durability;
-pub mod exp_pipeline;
-pub mod runner;
-pub mod table;
-pub mod workloads;
+pub(crate) mod exp_duality;
+pub(crate) mod exp_durability;
+pub(crate) mod exp_pipeline;
+pub(crate) mod runner;
+pub(crate) mod table;
+pub(crate) mod workloads;
 
 use table::Table;
 

@@ -8,10 +8,10 @@ use eden_transput::transform::{Identity, Transform};
 use eden_transput::{ChannelPolicy, Discipline, PipelineSpec, PipelineRun};
 
 /// Generous deadline for experiment pipelines.
-pub const DEADLINE: Duration = Duration::from_secs(120);
+pub(crate) const DEADLINE: Duration = Duration::from_secs(120);
 
 /// Run a pipeline of the given stages over `input` and return the run.
-pub fn run_pipeline(
+pub(crate) fn run_pipeline(
     kernel: &Kernel,
     discipline: Discipline,
     input: Vec<Value>,
@@ -38,7 +38,7 @@ pub fn run_pipeline(
 }
 
 /// Run an identity pipeline (the cost-measurement workhorse).
-pub fn run_identity(
+pub(crate) fn run_identity(
     kernel: &Kernel,
     discipline: Discipline,
     input: Vec<Value>,
@@ -57,7 +57,7 @@ pub fn run_identity(
 }
 
 /// Format a float with sensible precision for tables.
-pub fn fmt_f(v: f64) -> String {
+pub(crate) fn fmt_f(v: f64) -> String {
     if !v.is_finite() {
         return "inf".into();
     }
@@ -71,7 +71,7 @@ pub fn fmt_f(v: f64) -> String {
 }
 
 /// Format records/second as kilo-records/second.
-pub fn fmt_krate(records: u64, wall: Duration) -> String {
+pub(crate) fn fmt_krate(records: u64, wall: Duration) -> String {
     let secs = wall.as_secs_f64();
     if secs <= 0.0 {
         return "inf".into();

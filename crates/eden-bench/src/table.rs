@@ -6,18 +6,18 @@ use std::fmt;
 #[derive(Debug, Clone)]
 pub struct Table {
     /// Title printed above the table.
-    pub title: String,
+    pub(crate) title: String,
     /// Column headers.
-    pub headers: Vec<String>,
+    pub(crate) headers: Vec<String>,
     /// Rows of cells; ragged rows are padded with empty cells.
-    pub rows: Vec<Vec<String>>,
+    pub(crate) rows: Vec<Vec<String>>,
     /// Free-text notes printed after the table.
-    pub notes: Vec<String>,
+    pub(crate) notes: Vec<String>,
 }
 
 impl Table {
     /// An empty table.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Table {
+    pub(crate) fn new(title: impl Into<String>, headers: &[&str]) -> Table {
         Table {
             title: title.into(),
             headers: headers.iter().map(|h| h.to_string()).collect(),
@@ -27,7 +27,7 @@ impl Table {
     }
 
     /// Append a row.
-    pub fn row<I, S>(&mut self, cells: I)
+    pub(crate) fn row<I, S>(&mut self, cells: I)
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
@@ -36,7 +36,7 @@ impl Table {
     }
 
     /// Append a note.
-    pub fn note(&mut self, text: impl Into<String>) {
+    pub(crate) fn note(&mut self, text: impl Into<String>) {
         self.notes.push(text.into());
     }
 }

@@ -18,7 +18,7 @@ const VOCAB: [&str; 24] = [
 
 /// Deterministic prose: `n` lines of 3–9 vocabulary words. Roughly one
 /// line in `typo_every` contains a misspelled word (vowels doubled).
-pub fn prose(n: usize, typo_every: usize, seed: u64) -> Vec<Value> {
+pub(crate) fn prose(n: usize, typo_every: usize, seed: u64) -> Vec<Value> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
         .map(|i| {
@@ -40,17 +40,17 @@ pub fn prose(n: usize, typo_every: usize, seed: u64) -> Vec<Value> {
 }
 
 /// The spell-check dictionary matching [`prose`]'s vocabulary.
-pub fn dictionary() -> Vec<&'static str> {
+pub(crate) fn dictionary() -> Vec<&'static str> {
     VOCAB.to_vec()
 }
 
 /// A stream of integer records.
-pub fn ints(n: i64) -> Vec<Value> {
+pub(crate) fn ints(n: i64) -> Vec<Value> {
     (0..n).map(Value::Int).collect()
 }
 
 /// Text lines of a fixed byte width (for byte-volume experiments).
-pub fn sized_lines(n: usize, width: usize) -> Vec<Value> {
+pub(crate) fn sized_lines(n: usize, width: usize) -> Vec<Value> {
     (0..n)
         .map(|i| {
             let mut s = format!("{i:08}:");

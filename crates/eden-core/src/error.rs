@@ -61,16 +61,15 @@ pub enum EdenError {
     /// Raised at build time, before any Eject spawns.
     Discipline(String),
     /// Admission control shed this invocation: the target's bounded mailbox
-    /// was full and its shed policy turned the invocation away (or evicted
-    /// it after queueing). Carries the target and the policy label that
+    /// was full and its shed policy turned the invocation away, or its
+    /// deadline ran out while it waited for room. Carries the target and the policy label that
     /// fired, so overload tests can tell shed traffic from organic
     /// failures. Retryable by design — backing off and re-sending is
     /// exactly the client-side rate control an overloaded system wants.
     Overloaded {
         /// The Eject whose mailbox shed the invocation.
         target: Uid,
-        /// The shed-policy label (`"reject-newest"`, `"reject-oldest"`,
-        /// `"deadline-drop"`, `"park-timeout"`).
+        /// The shed-policy label (`"reject-newest"`, `"park-timeout"`).
         policy: &'static str,
     },
 }
@@ -98,12 +97,6 @@ impl EdenError {
                 | EdenError::FaultInjected(_)
                 | EdenError::Overloaded { .. }
         )
-    }
-
-    /// Whether the error is permanent: retrying cannot help. The negation
-    /// of [`EdenError::is_retryable`].
-    pub fn is_fatal(&self) -> bool {
-        !self.is_retryable()
     }
 }
 
@@ -179,10 +172,10 @@ mod tests {
         let u = Uid::fresh();
         let msg = EdenError::Overloaded {
             target: u,
-            policy: "deadline-drop",
+            policy: "park-timeout",
         }
         .to_string();
-        assert!(msg.contains("deadline-drop"));
+        assert!(msg.contains("park-timeout"));
         assert!(msg.contains(&u.to_string()));
     }
 
@@ -200,8 +193,7 @@ mod tests {
             EdenError::Application("x".into()),
             EdenError::Discipline("x".into()),
         ] {
-            assert!(e.is_fatal(), "{e} should be fatal");
-            assert!(!e.is_retryable());
+            assert!(!e.is_retryable(), "{e} should be fatal");
         }
     }
 }

@@ -4,7 +4,7 @@
 //! workspace: unforgeable identifiers ([`Uid`]), the dynamically-typed
 //! [`Value`] carried by invocations, the tag-length-value [`wire`] codec used
 //! for checkpointed passive representations, the [`EdenError`] type,
-//! operation names ([`OpName`]), and the [`metrics`] counters and
+//! operation names ([`OpName`]), and the `metrics` counters and
 //! [`CostModel`] used to reproduce the paper's analytic cost comparisons.
 //!
 //! The paper this workspace reproduces is Andrew P. Black, *An Asymmetric
@@ -13,14 +13,14 @@
 //! for the full system inventory.
 
 
-pub mod error;
+pub(crate) mod error;
 pub mod hostfs;
-pub mod metrics;
+pub(crate) mod metrics;
 pub mod op;
 pub mod payload;
 pub mod span;
 pub mod stream;
-pub mod uid;
+pub(crate) mod uid;
 pub mod value;
 pub mod wire;
 
@@ -29,7 +29,6 @@ pub use hostfs::{HostFs, HostFsHandle, MemFs, RealFs};
 pub use metrics::{CostModel, Metrics, MetricsSnapshot};
 pub use op::OpName;
 pub use payload::PayloadSnapshot;
-pub use span::SpanContext;
 pub use stream::StreamSnapshot;
-pub use uid::{Capability, Uid};
+pub use uid::Uid;
 pub use value::{SharedList, SharedRecord, Text, Value};

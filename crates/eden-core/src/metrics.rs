@@ -217,14 +217,8 @@ counters! {
     fatal_failures / record_fatal_failure
         => "eden_invocation_fatal_failures_total", "Logical invocations that terminally failed";
     /// Record an arriving invocation turned away at a full bounded mailbox
-    /// (`ShedPolicy::RejectNewest`, or `DeadlineDrop` with nothing expired).
+    /// (`ShedPolicy::RejectNewest`).
     sheds_newest / record_shed_newest;
-    /// Record a queued invocation evicted to admit a newer arrival
-    /// (`ShedPolicy::RejectOldest`).
-    sheds_oldest / record_shed_oldest;
-    /// Record a queued invocation dropped because its admission deadline
-    /// had already expired (`ShedPolicy::DeadlineDrop`).
-    sheds_expired / record_shed_expired;
     /// Record a sender whose deadline-bounded park on a full mailbox timed
     /// out before space freed (`ShedPolicy::Park` under an invocation
     /// deadline).
@@ -271,7 +265,7 @@ impl Metrics {
 impl MetricsSnapshot {
     /// Total invocations shed by admission control, across every policy.
     pub fn sheds_total(&self) -> u64 {
-        self.sheds_newest + self.sheds_oldest + self.sheds_expired + self.sheds_park_timeout
+        self.sheds_newest + self.sheds_park_timeout
     }
 
     /// Total bytes moved in either direction.
@@ -291,16 +285,16 @@ impl MetricsSnapshot {
 pub struct CostModel {
     /// Cost of one invocation+reply round trip (marshalling, location
     /// lookup, cross-address-space transfer).
-    pub invocation_ns: f64,
+    pub(crate) invocation_ns: f64,
     /// Cost of one intra-Eject, language-level process message.
-    pub internal_msg_ns: f64,
+    pub(crate) internal_msg_ns: f64,
     /// Cost per payload byte moved across an Eject boundary.
-    pub per_byte_ns: f64,
+    pub(crate) per_byte_ns: f64,
     /// Cost of activating an Eject (process creation, checkpoint read).
-    pub activation_ns: f64,
+    pub(crate) activation_ns: f64,
     /// Additional cost when an invocation crosses simulated machines
     /// (the paper's VAXen on a 10 Mbit Ethernet).
-    pub remote_extra_ns: f64,
+    pub(crate) remote_extra_ns: f64,
 }
 
 impl CostModel {
@@ -314,18 +308,6 @@ impl CostModel {
             per_byte_ns: 800.0,
             activation_ns: 50_000_000.0,
             remote_extra_ns: 2_000_000.0,
-        }
-    }
-
-    /// A model where invocations and internal messages cost the same —
-    /// the regime in which the read-only discipline's advantage vanishes.
-    pub fn uniform() -> Self {
-        CostModel {
-            invocation_ns: 10_000.0,
-            internal_msg_ns: 10_000.0,
-            per_byte_ns: 0.0,
-            activation_ns: 0.0,
-            remote_extra_ns: 0.0,
         }
     }
 
@@ -446,18 +428,16 @@ mod tests {
         m.record_shed_newest();
         let before = m.snapshot();
         m.record_shed_newest();
-        m.record_shed_oldest();
-        m.record_shed_expired();
+        m.record_shed_park_timeout();
         m.record_shed_park_timeout();
         let s = m.snapshot();
         assert_eq!(s.sheds_newest, 2);
-        assert_eq!(s.sheds_oldest, 1);
-        assert_eq!(s.sheds_expired, 1);
-        assert_eq!(s.sheds_park_timeout, 1);
-        assert_eq!(s.sheds_total(), 5);
+        assert_eq!(s.sheds_park_timeout, 2);
+        assert_eq!(s.sheds_total(), 4);
         let delta = s.since(&before);
         assert_eq!(delta.sheds_newest, 1);
-        assert_eq!(delta.sheds_total(), 4);
+        assert_eq!(delta.sheds_park_timeout, 2);
+        assert_eq!(delta.sheds_total(), 3);
     }
 
     /// The table expands to what was written by hand: every recorder once,
@@ -484,8 +464,6 @@ mod tests {
         m.record_success();
         m.record_fatal_failure();
         m.record_shed_newest();
-        m.record_shed_oldest();
-        m.record_shed_expired();
         m.record_shed_park_timeout();
         let s = m.snapshot();
         let by_hand = MetricsSnapshot {
@@ -512,8 +490,6 @@ mod tests {
             successes: 1,
             fatal_failures: 1,
             sheds_newest: 1,
-            sheds_oldest: 1,
-            sheds_expired: 1,
             sheds_park_timeout: 1,
         };
         assert_eq!(s, by_hand);
@@ -559,7 +535,7 @@ mod tests {
             ..Default::default()
         };
         let eden = CostModel::eden_1983();
-        let uniform = CostModel::uniform();
+        let uniform = CostModel::with_ratio(1.0);
         // Under the Eden model, 10 invocations dominate 100 internal
         // messages; under the uniform model they do not.
         assert!(eden.modeled_ns(&snap) > 10.0 * eden.internal_msg_ns * 100.0 / 2.0);

@@ -68,8 +68,6 @@ pub mod ops {
     pub const TRANSFER: &str = "Transfer";
     /// Stream protocol, write-only discipline (§5): push a batch of data.
     pub const WRITE: &str = "Write";
-    /// Announce end-of-stream to a passive-input Eject (write-only model).
-    pub const END_STREAM: &str = "EndStream";
     /// Ask a source for the capability UIDs of its named channels (§5).
     pub const GET_CHANNEL: &str = "GetChannel";
     /// Directory operations (§2).

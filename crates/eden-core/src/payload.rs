@@ -1,5 +1,5 @@
 //! Process-wide data-plane counters: the cost of *moving bytes*, kept
-//! separate from the control-plane counters in [`crate::metrics`].
+//! separate from the control-plane counters in `crate::metrics`.
 //!
 //! The paper's n+1 / 2n+2 formulas count *invocations* per datum; these
 //! counters give the companion invariant for *payload bytes per datum per

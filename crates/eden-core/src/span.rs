@@ -58,7 +58,7 @@ impl SpanContext {
     }
 
     /// A child span caused by `self`: same trace, one hop deeper.
-    pub fn child(&self) -> SpanContext {
+    pub(crate) fn child(&self) -> SpanContext {
         SpanContext {
             trace: self.trace,
             span: next_id(),

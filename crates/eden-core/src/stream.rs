@@ -1,6 +1,6 @@
 //! Process-wide stream gauges: how much data is *in flight* right now.
 //!
-//! The control-plane counters in [`crate::metrics`] and the data-plane
+//! The control-plane counters in `crate::metrics` and the data-plane
 //! counters in [`crate::payload`] are both monotone totals; an operator
 //! watching a live system also wants level gauges — how many streams are
 //! open, how many records have entered pipelines but not yet reached a
@@ -65,8 +65,8 @@ pub fn snapshot() -> StreamSnapshot {
 pub struct StreamSnapshot {
     pub records_emitted: u64,
     pub records_collected: u64,
-    pub streams_opened: u64,
-    pub streams_closed: u64,
+    pub(crate) streams_opened: u64,
+    pub(crate) streams_closed: u64,
 }
 
 impl StreamSnapshot {

@@ -102,41 +102,6 @@ impl fmt::Display for Uid {
     }
 }
 
-/// A capability: a UID together with a human-readable hint of what it names.
-///
-/// §7 of the paper: "*NewStream* takes as input a Unix path name, and returns
-/// as its result an Eden stream, i.e. a Capability." In Eden a capability is
-/// just knowledge of a UID; the hint exists only for diagnostics and is never
-/// consulted by access checks.
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct Capability {
-    uid: Uid,
-    hint: &'static str,
-}
-
-impl Capability {
-    /// Wrap a UID as a capability with a diagnostic hint.
-    pub fn new(uid: Uid, hint: &'static str) -> Self {
-        Capability { uid, hint }
-    }
-
-    /// The UID this capability confers.
-    pub fn uid(&self) -> Uid {
-        self.uid
-    }
-
-    /// The diagnostic hint supplied at construction.
-    pub fn hint(&self) -> &'static str {
-        self.hint
-    }
-}
-
-impl fmt::Debug for Capability {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Capability<{}>({:?})", self.hint, self.uid)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,14 +140,6 @@ mod tests {
         let u = Uid::fresh();
         assert_eq!(format!("{u}"), format!("{u}"));
         assert!(format!("{u}").starts_with("uid-"));
-    }
-
-    #[test]
-    fn capability_carries_uid_and_hint() {
-        let u = Uid::fresh();
-        let c = Capability::new(u, "stream");
-        assert_eq!(c.uid(), u);
-        assert_eq!(c.hint(), "stream");
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub struct Text(Bytes);
 
 impl Text {
     /// An empty text (no allocation).
-    pub const fn new() -> Text {
+    pub(crate) const fn new() -> Text {
         Text(Bytes::new())
     }
 
@@ -70,13 +70,8 @@ impl Text {
     }
 
     /// Length in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.0.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
     }
 
     /// Build from a shared buffer, validating UTF-8. Zero-copy: the text
@@ -90,7 +85,7 @@ impl Text {
     /// copy, and the window keeps the whole buffer alive. `None` when the
     /// range is out of bounds, inverted, or cuts a character — the check
     /// that keeps [`Text::as_str`]'s unchecked view sound.
-    pub fn slice(&self, range: std::ops::Range<usize>) -> Option<Text> {
+    pub(crate) fn slice(&self, range: std::ops::Range<usize>) -> Option<Text> {
         self.as_str().get(range.clone())?;
         Some(Text(self.0.slice(range)))
     }
@@ -355,11 +350,6 @@ impl SharedRecord {
     pub fn ptr_eq(&self, other: &SharedRecord) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
     }
-
-    /// True if any other reference to this allocation exists.
-    pub fn is_aliased(&self) -> bool {
-        Arc::strong_count(&self.0) > 1
-    }
 }
 
 impl std::ops::Deref for SharedRecord {
@@ -579,14 +569,6 @@ impl Value {
         match self {
             Value::List(items) => Ok(items.into_vec()),
             other => Err(other.type_error("list")),
-        }
-    }
-
-    /// Consume as a string.
-    pub fn into_str(self) -> Result<Text> {
-        match self {
-            Value::Str(s) => Ok(s),
-            other => Err(other.type_error("str")),
         }
     }
 

@@ -162,7 +162,7 @@ pub struct WordFrequency {
 
 impl WordFrequency {
     /// A fresh frequency counter.
-    pub fn new() -> WordFrequency {
+    pub(crate) fn new() -> WordFrequency {
         WordFrequency::default()
     }
 }

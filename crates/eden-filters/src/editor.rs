@@ -32,7 +32,7 @@ pub enum Command {
 
 impl Command {
     /// Parse one command line.
-    pub fn parse(line: &str) -> Result<Command> {
+    pub(crate) fn parse(line: &str) -> Result<Command> {
         let line = line.trim();
         if line == "q" {
             return Ok(Command::Quit);
@@ -71,7 +71,7 @@ pub struct StreamEditor {
 
 impl StreamEditor {
     /// An editor running the given script on every line.
-    pub fn new(script: Vec<Command>) -> StreamEditor {
+    pub(crate) fn new(script: Vec<Command>) -> StreamEditor {
         StreamEditor {
             script,
             quit: false,

@@ -4,25 +4,25 @@
 //!
 //! | module | filters | paper hook |
 //! |---|---|---|
-//! | [`text`] | strip-comments, grep, line-number, case-fold, expand-tabs, head, tail, squeeze-blank | §3's Fortran comment stripper and pattern deleter |
-//! | [`aggregate`] | wc, sort, uniq, word-frequency, RLE encode/decode | "text formatters ... spelling checkers" as flush-time filters |
-//! | [`paginate`] | paginator | §4's printer/paginator example |
-//! | [`report`] | spell-check, progress, tee | §5's report streams (Figures 3–4) |
-//! | [`editor`] | sed-subset stream editor | §5's multi-input stream editor |
-//! | [`compare`] | pairwise comparator | §5's file comparison program |
-//! | [`pattern`] | glob matcher | the pattern arguments of §3 |
+//! | `text` | strip-comments, grep, line-number, case-fold, expand-tabs, head, tail, squeeze-blank | §3's Fortran comment stripper and pattern deleter |
+//! | `aggregate` | wc, sort, uniq, word-frequency, RLE encode/decode | "text formatters ... spelling checkers" as flush-time filters |
+//! | `paginate` | paginator | §4's printer/paginator example |
+//! | `report` | spell-check, progress, tee | §5's report streams (Figures 3–4) |
+//! | `editor` | sed-subset stream editor | §5's multi-input stream editor |
+//! | `compare` | pairwise comparator | §5's file comparison program |
+//! | `pattern` | glob matcher | the pattern arguments of §3 |
 //!
 //! [`Transform`]: eden_transput::Transform
 
 
-pub mod aggregate;
-pub mod compare;
-pub mod editor;
-pub mod paginate;
-pub mod pattern;
-pub mod records;
-pub mod report;
-pub mod text;
+pub(crate) mod aggregate;
+pub(crate) mod compare;
+pub(crate) mod editor;
+pub(crate) mod paginate;
+pub(crate) mod pattern;
+pub(crate) mod records;
+pub(crate) mod report;
+pub(crate) mod text;
 
 pub use aggregate::{RleDecode, RleEncode, SortLines, Uniq, WordCount, WordFrequency};
 pub use compare::Compare;

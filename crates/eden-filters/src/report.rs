@@ -84,7 +84,7 @@ pub struct ProgressReporter {
 
 impl ProgressReporter {
     /// Report every `every` records under the given label.
-    pub fn new(label: impl Into<String>, every: u64) -> ProgressReporter {
+    pub(crate) fn new(label: impl Into<String>, every: u64) -> ProgressReporter {
         ProgressReporter {
             every: every.max(1),
             seen: 0,

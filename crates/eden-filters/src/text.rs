@@ -31,7 +31,7 @@ pub struct StripComments {
 
 impl StripComments {
     /// Drop lines starting with `prefix`.
-    pub fn new(prefix: impl Into<String>) -> StripComments {
+    pub(crate) fn new(prefix: impl Into<String>) -> StripComments {
         StripComments {
             prefix: prefix.into(),
         }
@@ -211,7 +211,7 @@ pub struct ExpandTabs {
 
 impl ExpandTabs {
     /// Tab stops every `width` columns (at least 1).
-    pub fn new(width: usize) -> ExpandTabs {
+    pub(crate) fn new(width: usize) -> ExpandTabs {
         ExpandTabs {
             width: width.max(1),
         }

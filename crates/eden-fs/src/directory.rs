@@ -22,7 +22,7 @@ use eden_transput::source::VecSource;
 use eden_transput::{Input, Output, Stage, StageConfig};
 
 /// The Eden type name of [`DirectoryEject`] (used for reactivation).
-pub const DIRECTORY_TYPE: &str = "EdenDirectory";
+pub(crate) const DIRECTORY_TYPE: &str = "EdenDirectory";
 
 /// A directory: a checkpointable map from names to UIDs, which doubles as
 /// a stream source of its own printable listing.
@@ -50,7 +50,7 @@ impl DirectoryEject {
     }
 
     /// Reconstruct from a passive representation.
-    pub fn from_passive(rep: Option<Value>) -> Result<Box<dyn EjectBehavior>> {
+    pub(crate) fn from_passive(rep: Option<Value>) -> Result<Box<dyn EjectBehavior>> {
         let mut dir = DirectoryEject::new();
         if let Some(v) = rep {
             for pair in v.field("entries")?.as_list()? {
@@ -63,18 +63,8 @@ impl DirectoryEject {
     }
 
     /// Register the directory type's reactivation constructor on a kernel.
-    pub fn register(kernel: &eden_kernel::Kernel) {
+    pub(crate) fn register(kernel: &eden_kernel::Kernel) {
         kernel.register_type(DIRECTORY_TYPE, DirectoryEject::from_passive);
-    }
-
-    /// Number of entries (for tests).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when the directory has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     fn lookup(&self, arg: &Value) -> Result<Value> {
@@ -257,7 +247,7 @@ mod tests {
         assert!(dir.lookup(&lookup_arg("missing")).is_err());
         dir.delete_entry(&lookup_arg("readme")).unwrap();
         assert!(dir.lookup(&lookup_arg("readme")).is_err());
-        assert!(dir.is_empty());
+        assert!(dir.entries.is_empty());
     }
 
     #[test]
@@ -265,7 +255,7 @@ mod tests {
         let mut dir = DirectoryEject::new();
         dir.add_entry(&entry_arg("x", Uid::fresh())).unwrap();
         assert!(dir.add_entry(&entry_arg("x", Uid::fresh())).is_err());
-        assert_eq!(dir.len(), 1);
+        assert_eq!(dir.entries.len(), 1);
     }
 
     #[test]

@@ -22,11 +22,11 @@ use eden_transput::recovery::recoverable_source;
 use eden_transput::Stage;
 
 /// The Eden type name of [`FileEject`] (used for reactivation).
-pub const FILE_TYPE: &str = "EdenFile";
+pub(crate) const FILE_TYPE: &str = "EdenFile";
 
 /// How `WriteFrom` combines new data with existing contents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WriteMode {
+pub(crate) enum WriteMode {
     /// Replace the contents.
     #[default]
     Replace,
@@ -51,7 +51,7 @@ impl FileEject {
     }
 
     /// A file with initial contents.
-    pub fn with_records(records: Vec<Value>) -> FileEject {
+    pub(crate) fn with_records(records: Vec<Value>) -> FileEject {
         FileEject {
             records,
             generation: 0,
@@ -70,7 +70,7 @@ impl FileEject {
 
     /// Reconstruct from a passive representation (the reactivation
     /// constructor registered under [`FILE_TYPE`]).
-    pub fn from_passive(rep: Option<Value>) -> Result<Box<dyn EjectBehavior>> {
+    pub(crate) fn from_passive(rep: Option<Value>) -> Result<Box<dyn EjectBehavior>> {
         let file = match rep {
             None => FileEject::new(),
             Some(v) => FileEject {
@@ -83,7 +83,7 @@ impl FileEject {
     }
 
     /// Register the file type's reactivation constructor on a kernel.
-    pub fn register(kernel: &eden_kernel::Kernel) {
+    pub(crate) fn register(kernel: &eden_kernel::Kernel) {
         kernel.register_type(FILE_TYPE, FileEject::from_passive);
     }
 }

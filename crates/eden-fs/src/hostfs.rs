@@ -5,7 +5,7 @@
 //! durability plane made the kernel's stable store a second consumer of
 //! the same I/O path; this module re-exports them so `eden_fs::hostfs`
 //! callers keep working, and keeps the two helpers that stand between a
-//! file's bytes and a stream of lines: [`file_text`] on the way in (the
+//! file's bytes and a stream of lines: `file_text` on the way in (the
 //! lines are then [`Text::split_lines`] windows on it) and
 //! [`lines_to_bytes`] on the way out.
 
@@ -14,7 +14,7 @@ use eden_core::Text;
 
 /// A file's bytes as one text, validated once; bytes that are not UTF-8
 /// read as `String::from_utf8_lossy` gives them.
-pub fn file_text(bytes: Vec<u8>) -> Text {
+pub(crate) fn file_text(bytes: Vec<u8>) -> Text {
     match String::from_utf8(bytes) {
         Ok(text) => Text::from(text),
         Err(e) => Text::from(&*String::from_utf8_lossy(e.as_bytes())),

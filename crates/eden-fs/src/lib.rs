@@ -21,16 +21,16 @@
 //! filters into files with the same builder calls.
 
 
-pub mod directory;
-pub mod file;
+pub(crate) mod directory;
+pub(crate) mod file;
 pub mod hostfs;
 pub mod mapfile;
-pub mod unixfs;
+pub(crate) mod unixfs;
 
-pub use directory::{DirConcatenatorEject, DirectoryEject, DIRECTORY_TYPE};
-pub use file::{FileEject, WriteMode, FILE_TYPE};
+pub use directory::{DirConcatenatorEject, DirectoryEject};
+pub use file::FileEject;
 pub use hostfs::{HostFs, HostFsHandle, MemFs, RealFs};
-pub use mapfile::{read_at_arg, write_at_arg, MapFileEject, MAP_FILE_TYPE};
+pub use mapfile::{read_at_arg, write_at_arg, MapFileEject};
 pub use unixfs::{new_stream_arg, use_stream_arg, UnixFsEject};
 
 use eden_core::{Result, Uid, Value};
@@ -82,43 +82,3 @@ pub fn rename_entry(kernel: &Kernel, directory: Uid, from: &str, to: &str) -> Re
         .map(|_| ())
 }
 
-/// Move an entry from one directory Eject to another.
-///
-/// This is the §7 "atomic updates" subset across *two* Ejects, done the
-/// only way two independent Ejects allow without a transaction protocol:
-/// optimistically, with compensation. The entry is inserted at the
-/// destination first, then removed from the source; a failure at the
-/// second step compensates by removing the fresh destination entry. The
-/// non-atomic window is therefore *duplication* (visible in both),
-/// never *loss* — the safe side for a filing system.
-pub fn move_entry(
-    kernel: &Kernel,
-    from_dir: Uid,
-    name: &str,
-    to_dir: Uid,
-    new_name: &str,
-) -> Result<()> {
-    if from_dir == to_dir {
-        return rename_entry(kernel, from_dir, name, new_name);
-    }
-    let uid = lookup(kernel, from_dir, name)?;
-    add_entry(kernel, to_dir, new_name, uid)?;
-    let removed = kernel.invoke(
-        from_dir,
-        eden_core::op::ops::DELETE_ENTRY,
-        Value::record([("name", Value::str(name))]),
-    ).wait();
-    match removed {
-        Ok(_) => Ok(()),
-        Err(e) => {
-            // Compensate: undo the destination insert so the move either
-            // happened or it did not.
-            let _ = kernel.invoke(
-                to_dir,
-                eden_core::op::ops::DELETE_ENTRY,
-                Value::record([("name", Value::str(new_name))]),
-            ).wait();
-            Err(e)
-        }
-    }
-}

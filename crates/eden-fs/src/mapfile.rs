@@ -22,7 +22,7 @@ use eden_transput::Stage;
 use crate::file::spawn_sibling;
 
 /// The Eden type name of [`MapFileEject`] (used for reactivation).
-pub const MAP_FILE_TYPE: &str = "EdenMapFile";
+pub(crate) const MAP_FILE_TYPE: &str = "EdenMapFile";
 
 /// A random-access record file that also speaks the stream protocol.
 #[derive(Debug)]
@@ -42,7 +42,7 @@ impl MapFileEject {
     }
 
     /// Reconstruct from a passive representation.
-    pub fn from_passive(rep: Option<Value>) -> Result<Box<dyn EjectBehavior>> {
+    pub(crate) fn from_passive(rep: Option<Value>) -> Result<Box<dyn EjectBehavior>> {
         let records = match rep {
             Some(v) => v.field("records")?.as_list()?.to_vec(),
             None => Vec::new(),
@@ -51,7 +51,7 @@ impl MapFileEject {
     }
 
     /// Register the reactivation constructor on a kernel.
-    pub fn register(kernel: &eden_kernel::Kernel) {
+    pub(crate) fn register(kernel: &eden_kernel::Kernel) {
         kernel.register_type(MAP_FILE_TYPE, MapFileEject::from_passive);
     }
 

@@ -301,57 +301,6 @@ fn rename_within_a_directory_is_atomic() {
 }
 
 #[test]
-fn move_entry_across_directories() {
-    let kernel = Kernel::new();
-    let a = kernel.spawn(Box::new(DirectoryEject::new())).unwrap();
-    let b = kernel.spawn(Box::new(DirectoryEject::new())).unwrap();
-    let uid = eden_core::Uid::fresh();
-    add_entry(&kernel, a, "doc", uid).unwrap();
-    eden_fs::move_entry(&kernel, a, "doc", b, "doc-v2").unwrap();
-    assert!(lookup(&kernel, a, "doc").is_err());
-    assert_eq!(lookup(&kernel, b, "doc-v2").unwrap(), uid);
-    kernel.shutdown();
-}
-
-#[test]
-fn move_entry_compensates_on_failure() {
-    // Crash the source directory between the destination insert and the
-    // source delete: the move must compensate, leaving the destination
-    // clean (the entry is never lost, and after compensation never
-    // duplicated).
-    let kernel = Kernel::new();
-    let a = kernel.spawn(Box::new(DirectoryEject::new())).unwrap();
-    let b = kernel.spawn(Box::new(DirectoryEject::new())).unwrap();
-    let uid = eden_core::Uid::fresh();
-    add_entry(&kernel, a, "doc", uid).unwrap();
-    // Simulate the window: insert at the destination, then kill A before
-    // the delete (directories don't checkpoint here, so A's delete fails
-    // with NoSuchEject). We reproduce move_entry's steps directly since
-    // the fault window is internal to it.
-    add_entry(&kernel, b, "doc", uid).unwrap();
-    kernel.crash(a).unwrap();
-    let removed = kernel
-        .invoke(
-            a,
-            ops::DELETE_ENTRY,
-            Value::record([("name", Value::str("doc"))]),
-        )
-        .wait();
-    assert!(removed.is_err());
-    // Compensation path: remove from B again.
-    kernel
-        .invoke(
-            b,
-            ops::DELETE_ENTRY,
-            Value::record([("name", Value::str("doc"))]),
-        )
-        .wait()
-        .unwrap();
-    assert!(lookup(&kernel, b, "doc").is_err());
-    kernel.shutdown();
-}
-
-#[test]
 fn kernel_lists_ejects_with_types() {
     let kernel = Kernel::new();
     register_fs_types(&kernel);

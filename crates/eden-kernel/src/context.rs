@@ -124,17 +124,9 @@ impl EjectContext {
         self.kernel.call(self.node, Some(cache), target, op.into(), arg).wait()
     }
 
-    /// Post an internal event back to this Eject's own coordinator. The
-    /// event arrives via [`EjectBehavior::internal`].
-    ///
-    /// [`EjectBehavior::internal`]: crate::behavior::EjectBehavior::internal
-    pub fn post_internal(&self, event: Value) -> Result<()> {
-        self.internal_sender().send(event)
-    }
-
     /// A cloneable handle that worker processes use to post internal events
     /// to this Eject's coordinator.
-    pub fn internal_sender(&self) -> InternalSender {
+    pub(crate) fn internal_sender(&self) -> InternalSender {
         InternalSender {
             tx: self.mailbox.clone(),
             metrics: self.metrics.clone(),
@@ -246,14 +238,14 @@ impl EjectContext {
 /// A cloneable sender for intra-Eject (language-level) messages.
 #[derive(Clone)]
 #[derive(Debug)]
-pub struct InternalSender {
+pub(crate) struct InternalSender {
     tx: MailboxSender,
     metrics: Metrics,
 }
 
 impl InternalSender {
     /// Post an internal event to the owning Eject's coordinator.
-    pub fn send(&self, event: Value) -> Result<()> {
+    pub(crate) fn send(&self, event: Value) -> Result<()> {
         self.metrics.record_internal_message();
         self.tx
             .send(Envelope::Internal(event))
@@ -302,25 +294,6 @@ impl ProcessContext {
     ) -> PendingReply {
         match self.kernel.upgrade() {
             Some(kernel) => kernel.invoke_with_from(self.node, target, op.into(), arg, opts),
-            None => PendingReply::ready(Err(EdenError::KernelShutdown)),
-        }
-    }
-
-    /// As [`invoke`](Self::invoke), but through a caller-owned
-    /// [`RouteCache`]: repeat invocations of the same target skip the
-    /// kernel registry. This is the hot path for stream connections, which
-    /// invoke one upstream Eject thousands of times.
-    pub fn invoke_routed(
-        &self,
-        cache: &mut RouteCache,
-        target: Uid,
-        op: impl Into<OpName>,
-        arg: Value,
-    ) -> PendingReply {
-        match self.kernel.upgrade() {
-            Some(kernel) => {
-                kernel.invoke_cached(self.node, cache, target, op.into(), arg, true, false, None, None)
-            }
             None => PendingReply::ready(Err(EdenError::KernelShutdown)),
         }
     }

@@ -17,7 +17,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use eden_core::{OpName, Uid};
+use eden_core::OpName;
 use parking_lot::Mutex;
 
 /// What happens to an invocation selected by a fault rule.
@@ -59,8 +59,7 @@ enum Trigger {
     Prob(f64),
 }
 
-/// One fault rule: a target/op filter, a trigger schedule, and a fault
-/// kind. Built fluently:
+/// One fault rule: an op filter, a trigger schedule, and a fault kind. Built fluently:
 ///
 /// ```
 /// use eden_kernel::{FaultKind, FaultRule};
@@ -69,7 +68,6 @@ enum Trigger {
 #[derive(Debug, Clone)]
 pub struct FaultRule {
     kind: FaultKind,
-    target: Option<Uid>,
     op: Option<OpName>,
     trigger: Trigger,
     label: String,
@@ -81,17 +79,10 @@ impl FaultRule {
     pub fn new(kind: FaultKind) -> FaultRule {
         FaultRule {
             kind,
-            target: None,
             op: None,
             trigger: Trigger::Always,
             label: String::new(),
         }
-    }
-
-    /// Only match invocations of this target Eject.
-    pub fn on_target(mut self, target: Uid) -> FaultRule {
-        self.target = Some(target);
-        self
     }
 
     /// Only match invocations of this operation.
@@ -128,8 +119,8 @@ impl FaultRule {
         self
     }
 
-    fn matches(&self, target: Uid, op: &OpName) -> bool {
-        self.target.is_none_or(|t| t == target) && self.op.as_ref().is_none_or(|o| o == op)
+    fn matches(&self, op: &OpName) -> bool {
+        self.op.as_ref().is_none_or(|o| o == op)
     }
 }
 
@@ -157,16 +148,6 @@ impl FaultPlan {
     pub fn rule(mut self, rule: FaultRule) -> FaultPlan {
         self.rules.push(rule);
         self
-    }
-
-    /// Number of rules in the plan.
-    pub fn len(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// True when the plan has no rules.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
     }
 }
 
@@ -201,8 +182,8 @@ struct InjectorState {
 /// to apply and the label of the rule that fired.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct FaultDecision {
-    pub kind: FaultKind,
-    pub label: String,
+    pub(crate) kind: FaultKind,
+    pub(crate) label: String,
 }
 
 /// The kernel-resident injector. Holds the installed [`FaultPlan`] (if
@@ -217,7 +198,7 @@ pub(crate) struct FaultInjector {
 impl FaultInjector {
     /// Install a plan, replacing any previous one and resetting all
     /// counters and the generator.
-    pub fn install(&self, plan: FaultPlan) {
+    pub(crate) fn install(&self, plan: FaultPlan) {
         let state = InjectorState {
             rng: plan.seed,
             rules: plan
@@ -235,24 +216,17 @@ impl FaultInjector {
         self.armed.store(guard.is_some(), Ordering::Release);
     }
 
-    /// Remove the installed plan; invocations flow unharmed again.
-    pub fn clear(&self) {
-        let mut guard = self.state.lock();
-        *guard = None;
-        self.armed.store(false, Ordering::Release);
-    }
-
     /// Whether a plan is installed (cheap pre-check for the hot path).
-    pub fn armed(&self) -> bool {
+    pub(crate) fn armed(&self) -> bool {
         self.armed.load(Ordering::Acquire)
     }
 
     /// Decide the fate of one invocation. `None` means deliver normally.
-    pub fn decide(&self, target: Uid, op: &OpName) -> Option<FaultDecision> {
+    pub(crate) fn decide(&self, op: &OpName) -> Option<FaultDecision> {
         let mut guard = self.state.lock();
         let state = guard.as_mut()?;
         for i in 0..state.rules.len() {
-            if state.rules[i].exhausted || !state.rules[i].rule.matches(target, op) {
+            if state.rules[i].exhausted || !state.rules[i].rule.matches(op) {
                 continue;
             }
             state.rules[i].matched += 1;
@@ -290,24 +264,22 @@ impl FaultInjector {
 mod tests {
     use super::*;
 
-    fn decisions(injector: &FaultInjector, target: Uid, op: &OpName, n: usize) -> Vec<bool> {
-        (0..n)
-            .map(|_| injector.decide(target, op).is_some())
-            .collect()
+    fn decisions(injector: &FaultInjector, op: &OpName, n: usize) -> Vec<bool> {
+        (0..n).map(|_| injector.decide(op).is_some()).collect()
     }
 
     #[test]
     fn empty_injector_never_fires() {
         let inj = FaultInjector::default();
         assert!(!inj.armed());
-        assert!(inj.decide(Uid::fresh(), &OpName::from("Transfer")).is_none());
+        assert!(inj.decide(&OpName::from("Transfer")).is_none());
     }
 
     #[test]
     fn nth_fires_exactly_once() {
         let inj = FaultInjector::default();
         inj.install(FaultPlan::new(1).rule(FaultRule::new(FaultKind::Error).nth(3)));
-        let got = decisions(&inj, Uid::fresh(), &OpName::from("Transfer"), 6);
+        let got = decisions(&inj, &OpName::from("Transfer"), 6);
         assert_eq!(got, vec![false, false, true, false, false, false]);
     }
 
@@ -315,22 +287,16 @@ mod tests {
     fn every_fires_periodically() {
         let inj = FaultInjector::default();
         inj.install(FaultPlan::new(1).rule(FaultRule::new(FaultKind::Drop).every(2)));
-        let got = decisions(&inj, Uid::fresh(), &OpName::from("Write"), 5);
+        let got = decisions(&inj, &OpName::from("Write"), 5);
         assert_eq!(got, vec![false, true, false, true, false]);
     }
 
     #[test]
-    fn filters_restrict_matching() {
+    fn op_filter_restricts_matching() {
         let inj = FaultInjector::default();
-        let victim = Uid::fresh();
-        inj.install(FaultPlan::new(1).rule(
-            FaultRule::new(FaultKind::Error)
-                .on_target(victim)
-                .on_op("Transfer"),
-        ));
-        assert!(inj.decide(Uid::fresh(), &OpName::from("Transfer")).is_none());
-        assert!(inj.decide(victim, &OpName::from("Write")).is_none());
-        assert!(inj.decide(victim, &OpName::from("Transfer")).is_some());
+        inj.install(FaultPlan::new(1).rule(FaultRule::new(FaultKind::Error).on_op("Transfer")));
+        assert!(inj.decide(&OpName::from("Write")).is_none());
+        assert!(inj.decide(&OpName::from("Transfer")).is_some());
     }
 
     #[test]
@@ -341,7 +307,7 @@ mod tests {
                 FaultPlan::new(seed)
                     .rule(FaultRule::new(FaultKind::Error).with_probability(0.3)),
             );
-            decisions(&inj, Uid::fresh(), &OpName::from("Transfer"), 64)
+            decisions(&inj, &OpName::from("Transfer"), 64)
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43), "different seeds should differ");
@@ -358,29 +324,22 @@ mod tests {
                 .rule(FaultRule::new(FaultKind::Error).labeled("second")),
         );
         let op = OpName::from("Transfer");
-        let first = inj.decide(Uid::fresh(), &op).unwrap();
+        let first = inj.decide(&op).unwrap();
         assert_eq!(first.kind, FaultKind::Drop);
         assert_eq!(first.label, "first");
         // The nth(1) rule is exhausted; the catch-all takes over.
-        let second = inj.decide(Uid::fresh(), &op).unwrap();
+        let second = inj.decide(&op).unwrap();
         assert_eq!(second.kind, FaultKind::Error);
     }
 
     #[test]
-    fn clear_disarms() {
+    fn empty_plan_disarms() {
         let inj = FaultInjector::default();
         inj.install(FaultPlan::new(1).rule(FaultRule::new(FaultKind::Error)));
         assert!(inj.armed());
-        inj.clear();
+        inj.install(FaultPlan::new(1));
         assert!(!inj.armed());
-        assert!(inj.decide(Uid::fresh(), &OpName::from("X")).is_none());
+        assert!(inj.decide(&OpName::from("X")).is_none());
     }
 
-    #[test]
-    fn plan_reports_shape() {
-        assert!(FaultPlan::new(0).is_empty());
-        let plan = FaultPlan::new(0).rule(FaultRule::new(FaultKind::Error));
-        assert_eq!(plan.len(), 1);
-        assert!(!plan.is_empty());
-    }
 }

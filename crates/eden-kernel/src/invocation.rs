@@ -29,7 +29,7 @@ use eden_core::{EdenError, Metrics, OpName, Result, Uid, Value};
 
 /// The default deadline used by synchronous waits. Generous enough that it
 /// only fires on genuine deadlock or teardown, not on slow machines.
-pub const DEFAULT_REPLY_TIMEOUT: Duration = Duration::from_secs(30);
+pub(crate) const DEFAULT_REPLY_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// A request to perform a named operation with a parameter value.
 #[derive(Debug, Clone)]
@@ -41,27 +41,20 @@ pub struct Invocation {
 }
 
 impl Invocation {
-    /// Build an invocation.
-    pub fn new(op: impl Into<OpName>, arg: Value) -> Self {
-        Invocation {
-            op: op.into(),
-            arg,
-        }
-    }
 }
 
 /// States of a [`ReplyCell`]. `SETTLED` and `ABANDONED` are terminal, and
 /// only the settling half writes them.
 mod cell {
     /// No reply yet and nobody asleep on the cell.
-    pub const EMPTY: u8 = 0;
+    pub(crate) const EMPTY: u8 = 0;
     /// No reply yet; the awaiting half published its thread handle and is
     /// asleep (or about to be).
-    pub const WAITING: u8 = 1;
+    pub(crate) const WAITING: u8 = 1;
     /// The reply is in the value slot.
-    pub const SETTLED: u8 = 2;
+    pub(crate) const SETTLED: u8 = 2;
     /// The settling half was dropped without replying.
-    pub const ABANDONED: u8 = 3;
+    pub(crate) const ABANDONED: u8 = 3;
 }
 
 /// The one-shot rendezvous behind a reply pair: one allocation shared by
@@ -85,7 +78,7 @@ struct ReplyCell {
     /// The invocation's overall deadline as an absolute instant, when one
     /// was set via `InvokeOptions::deadline`. Admission control reads it on
     /// the send path: a `Park` sender bounds its wait for mailbox space by
-    /// it, and `DeadlineDrop` evicts queued envelopes once it has passed.
+    /// it.
     admit_by: Option<Instant>,
     /// Written once by the settler before it publishes `SETTLED`; taken by
     /// the awaiter after it observes `SETTLED`.
@@ -350,7 +343,7 @@ impl ReplyHandle {
     }
 
     /// The UID of the Eject this handle belongs to (the responder).
-    pub fn responder(&self) -> Uid {
+    pub(crate) fn responder(&self) -> Uid {
         self.cell().responder
     }
 

@@ -65,20 +65,16 @@ const REGISTRY_SHARDS: usize = 16;
 pub struct KernelConfig {
     /// Real latency added to every invocation, local or remote.
     pub invocation_latency: Option<Duration>,
-    /// Mailbox capacity per Eject. `None` (the default) keeps the historic
-    /// unbounded mailboxes; `Some(n)` bounds each coordinator mailbox to
-    /// `n` envelopes and runs [`shed_policy`](KernelConfig::shed_policy)
-    /// when full — under the default [`ShedPolicy::Park`] invocation
-    /// becomes flow-controlled rather than queue-growing. Kernel control
+    /// A bound on every Eject's mailbox, and what a full one does. `None`
+    /// (the default) keeps the historic unbounded mailboxes; `Some((n,
+    /// policy))` bounds each coordinator mailbox to `n` envelopes and runs
+    /// `policy` when full: under [`ShedPolicy::Park`] invocation becomes
+    /// flow-controlled rather than queue-growing, and a shed surfaces as
+    /// the retryable [`EdenError::Overloaded`], so `invoke_with`
+    /// retry/backoff composes as client-side rate control. Kernel control
     /// messages (crash, shutdown) bypass the bound so a full mailbox can
     /// never wedge teardown.
-    pub mailbox_capacity: Option<usize>,
-    /// What a full bounded mailbox does to arriving invocations (see
-    /// [`ShedPolicy`]). Irrelevant when `mailbox_capacity` is `None`.
-    /// The shedding policies surface as the retryable
-    /// [`EdenError::Overloaded`], so `invoke_with` retry/backoff composes
-    /// as client-side rate control.
-    pub shed_policy: ShedPolicy,
+    pub mailbox_bound: Option<(usize, ShedPolicy)>,
     /// The observability plane: causal spans, Eject lifecycle events and
     /// per-stage latency histograms (see [`ObsConfig`]). Off by default — a
     /// disabled kernel carries no instrumentation state at all.
@@ -105,7 +101,7 @@ pub struct KernelBuilder {
 
 impl KernelBuilder {
     /// A builder over the default configuration.
-    pub fn new() -> KernelBuilder {
+    pub(crate) fn new() -> KernelBuilder {
         KernelBuilder::default()
     }
 
@@ -115,22 +111,9 @@ impl KernelBuilder {
         self
     }
 
-    /// See [`KernelConfig::invocation_latency`].
-    pub fn invocation_latency(mut self, latency: Duration) -> Self {
-        self.config.invocation_latency = Some(latency);
-        self
-    }
-
-    /// See [`KernelConfig::mailbox_capacity`].
-    pub fn mailbox_capacity(mut self, capacity: usize) -> Self {
-        self.config.mailbox_capacity = Some(capacity);
-        self
-    }
-
-    /// See [`KernelConfig::shed_policy`]. Takes effect only together with
-    /// [`mailbox_capacity`](KernelBuilder::mailbox_capacity).
-    pub fn shed_policy(mut self, policy: ShedPolicy) -> Self {
-        self.config.shed_policy = policy;
+    /// See [`KernelConfig::mailbox_bound`].
+    pub fn bounded_mailboxes(mut self, capacity: usize, policy: ShedPolicy) -> Self {
+        self.config.mailbox_bound = Some((capacity, policy));
         self
     }
 
@@ -168,7 +151,7 @@ impl KernelBuilder {
 
 /// A reactivation constructor: turns a decoded passive representation back
 /// into a running behaviour.
-pub type TypeFactory =
+pub(crate) type TypeFactory =
     Arc<dyn Fn(Option<Value>) -> Result<Box<dyn EjectBehavior>> + Send + Sync>;
 
 /// Whether a UID currently names a running coordinator or a passive
@@ -298,11 +281,11 @@ fn shutdown_entries(entries: Vec<(MailboxSender, Arc<Task>)>, sched: &Scheduler)
 /// shut down when the last user-visible [`Kernel`] handle drops.
 #[derive(Clone)]
 #[derive(Debug)]
-pub struct WeakKernel(Weak<KernelInner>);
+pub(crate) struct WeakKernel(Weak<KernelInner>);
 
 impl WeakKernel {
     /// Upgrade to a full handle if the kernel is still alive.
-    pub fn upgrade(&self) -> Option<Kernel> {
+    pub(crate) fn upgrade(&self) -> Option<Kernel> {
         self.0.upgrade().map(|inner| Kernel { inner })
     }
 
@@ -419,7 +402,7 @@ impl Kernel {
     }
 
     /// A weak handle for storage inside Eject contexts.
-    pub fn downgrade(&self) -> WeakKernel {
+    pub(crate) fn downgrade(&self) -> WeakKernel {
         WeakKernel(Arc::downgrade(&self.inner))
     }
 
@@ -646,7 +629,7 @@ impl Kernel {
         let subject = opts.subject_to_faults();
         // The deadline as an absolute instant, stamped on every delivery
         // attempt's reply handle so the mailbox admission path can see it
-        // (deadline-bounded parks, `DeadlineDrop` eviction).
+        // (deadline-bounded parks).
         let admit_by = opts.deadline.map(|d| std::time::Instant::now() + d);
         if !opts.needs_driver() {
             return match opts.route_cache {
@@ -811,7 +794,7 @@ impl Kernel {
         if !self.inner.faults.armed() {
             return None;
         }
-        let decision = self.inner.faults.decide(target, op)?;
+        let decision = self.inner.faults.decide(op)?;
         self.inner.metrics.record_fault_injected();
         match decision.kind {
             // A lost invocation, observed as the timeout it would become —
@@ -839,11 +822,6 @@ impl Kernel {
     /// invocation consults the plan.
     pub fn install_faults(&self, plan: FaultPlan) {
         self.inner.faults.install(plan);
-    }
-
-    /// Remove the installed fault plan.
-    pub fn clear_faults(&self) {
-        self.inner.faults.clear();
     }
 
     /// The cached-route invocation path. Semantically identical to
@@ -950,11 +928,6 @@ impl Kernel {
     fn settle_send_outcome(&self, outcome: SendOutcome) {
         match outcome {
             SendOutcome::Delivered => {}
-            SendOutcome::DeliveredEvicting(evicted) => {
-                for (envelope, cause) in evicted {
-                    self.resolve_shed(envelope, cause);
-                }
-            }
             SendOutcome::Rejected(envelope, cause) => self.resolve_shed(envelope, cause),
         }
     }
@@ -962,8 +935,6 @@ impl Kernel {
     fn resolve_shed(&self, envelope: Envelope, cause: ShedCause) {
         match cause {
             ShedCause::Newest => self.inner.metrics.record_shed_newest(),
-            ShedCause::Oldest => self.inner.metrics.record_shed_oldest(),
-            ShedCause::Expired => self.inner.metrics.record_shed_expired(),
             ShedCause::ParkTimeout => self.inner.metrics.record_shed_park_timeout(),
         }
         // The mailbox only ever sheds invocations; anything else would be
@@ -1063,27 +1034,6 @@ impl Kernel {
         };
         self.settle_send_outcome(outcome);
         Ok(())
-    }
-
-    /// The node an Eject is placed on (node 0 if never placed).
-    pub fn node_of(&self, uid: Uid) -> NodeId {
-        self.inner
-            .shard(uid)
-            .slots
-            .read()
-            .get(&uid)
-            .map(|slot| slot.node)
-            .unwrap_or_default()
-    }
-
-    /// The Eden type name of a *passive* Eject, read from its registry
-    /// entry. Active Ejects answer `Describe` instead.
-    pub fn passive_type_name(&self, uid: Uid) -> Option<String> {
-        let slots = self.inner.shard(uid).slots.read();
-        match slots.get(&uid).map(|slot| &slot.state) {
-            Some(SlotState::Passive { type_name }) => Some(type_name.clone()),
-            _ => None,
-        }
     }
 
     /// The current state of `uid`, if the kernel knows it.
@@ -1272,10 +1222,7 @@ impl Kernel {
             return Err(EdenError::KernelShutdown);
         }
         let incarnation = slots.get(&uid).map(|slot| slot.incarnation).unwrap_or(0) + 1;
-        let (tx, core) = mailbox(
-            self.inner.config.mailbox_capacity,
-            self.inner.config.shed_policy,
-        );
+        let (tx, core) = mailbox(self.inner.config.mailbox_bound);
         let type_name = behavior.type_name();
         let ctx = Arc::new(EjectContext {
             uid,

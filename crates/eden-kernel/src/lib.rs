@@ -62,23 +62,18 @@ mod sched;
 mod stable;
 
 pub use behavior::EjectBehavior;
-pub use context::{EjectContext, InternalSender, ProcessContext};
+pub use context::{EjectContext, ProcessContext};
 pub use fault::{FaultKind, FaultPlan, FaultRule};
-pub use invocation::{
-    reply_pair, Invocation, PendingReply, ReplyHandle, DEFAULT_REPLY_TIMEOUT,
-};
-pub use kernel::{
-    EjectInfo, EjectState, Kernel, KernelBuilder, KernelConfig, NodeId, TypeFactory, WeakKernel,
-};
-pub use mailbox::{ShedCause, ShedPolicy};
+pub use invocation::{reply_pair, Invocation, PendingReply, ReplyHandle};
+pub use kernel::{EjectInfo, EjectState, Kernel, KernelBuilder, KernelConfig, NodeId};
+pub use mailbox::ShedPolicy;
 pub use obs::{
     chrome_trace_json, json_text, prometheus_text, render_events, Histogram, KernelSnapshot,
     Lifecycle, LifecycleRecord, MailboxSnapshot, ObsConfig, SpanRecord, StageSummary,
 };
-pub use options::{FaultExposure, InvokeOptions, RetryPolicy};
-pub use routes::{Route, RouteCache};
+pub use options::{InvokeOptions, RetryPolicy};
+pub use routes::RouteCache;
 pub use sched::{blocking, SchedSnapshot, SchedulerConfig};
 pub use stable::{
-    DurableConfig, DurableLog, FsyncPolicy, MemBacked, PassiveRecord, StableBackend, StableStats,
-    StableStore,
+    DurableConfig, DurableLog, FsyncPolicy, PassiveRecord, StableBackend, StableStats, StableStore,
 };

@@ -75,7 +75,7 @@ impl ObsConfig {
     }
 
     /// True if any instrumentation is requested.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.spans || self.histograms
     }
 }
@@ -102,9 +102,9 @@ pub struct SpanRecord {
     /// The operation.
     pub op: OpName,
     /// Originating node.
-    pub from: NodeId,
+    pub(crate) from: NodeId,
     /// Target's node.
-    pub to: NodeId,
+    pub(crate) to: NodeId,
     /// Dispatch time, nanoseconds since the kernel's observability epoch.
     pub start_ns: u64,
     /// Time spent in the target's mailbox before the coordinator picked the
@@ -147,7 +147,7 @@ pub enum Lifecycle {
 pub struct LifecycleRecord {
     /// Nanoseconds since the kernel's observability epoch (the clock of
     /// [`SpanRecord::start_ns`]).
-    pub at_ns: u64,
+    pub(crate) at_ns: u64,
     /// What happened.
     pub event: Lifecycle,
 }
@@ -181,20 +181,15 @@ impl Histogram {
     }
 
     /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Mean of the recorded samples in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> u64 {
-        self.sum_ns.checked_div(self.count).unwrap_or(0)
     }
 
     /// The value at quantile `q` in `[0, 1]`, reported as the upper bound
     /// of the bucket containing that rank (0 when empty). Log2 buckets make
     /// this exact to within a factor of two — the resolution the paper's
     /// order-of-magnitude cost argument needs.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
+    pub(crate) fn quantile_ns(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -210,12 +205,12 @@ impl Histogram {
     }
 
     /// Median (see [`quantile_ns`](Histogram::quantile_ns)).
-    pub fn p50_ns(&self) -> u64 {
+    pub(crate) fn p50_ns(&self) -> u64 {
         self.quantile_ns(0.50)
     }
 
     /// 99th percentile (see [`quantile_ns`](Histogram::quantile_ns)).
-    pub fn p99_ns(&self) -> u64 {
+    pub(crate) fn p99_ns(&self) -> u64 {
         self.quantile_ns(0.99)
     }
 
@@ -234,15 +229,15 @@ pub struct StageSummary {
     /// The target Eject.
     pub target: Uid,
     /// The operation.
-    pub op: OpName,
+    pub(crate) op: OpName,
     /// Completed invocations of this (Eject, op).
     pub count: u64,
     /// Mailbox wait distribution (run-queue time excluded).
-    pub queue: Histogram,
+    pub(crate) queue: Histogram,
     /// Scheduler wait distribution (run-queue time).
-    pub sched: Histogram,
+    pub(crate) sched: Histogram,
     /// Service time distribution (dequeue to reply resolution).
-    pub service: Histogram,
+    pub(crate) service: Histogram,
 }
 
 /// One per-stage accumulator. The shards hold these in a flat vector and
@@ -608,9 +603,9 @@ pub struct KernelSnapshot {
     /// Control-plane counters.
     pub metrics: MetricsSnapshot,
     /// Process-wide payload (bytes-moved) counters.
-    pub payload: PayloadSnapshot,
+    pub(crate) payload: PayloadSnapshot,
     /// Process-wide stream gauges.
-    pub stream: StreamSnapshot,
+    pub(crate) stream: StreamSnapshot,
     /// Per-(Eject, op) latency summaries (empty unless histograms are on).
     pub stages: Vec<StageSummary>,
     /// Spans currently held in the span store.
@@ -672,15 +667,13 @@ fn counter_rows(snap: &KernelSnapshot) -> Vec<(&'static str, &'static str, u64)>
 }
 
 /// The `eden_mailbox_sheds_total` family as (policy label, value) rows, one
-/// per shed cause. Rendered with a `policy` label rather than four separate
+/// per shed cause. Rendered with a `policy` label rather than separate
 /// metric names so dashboards can sum and facet the family directly.
-fn shed_rows(snap: &KernelSnapshot) -> [(&'static str, u64); 4] {
+fn shed_rows(snap: &KernelSnapshot) -> [(&'static str, u64); 2] {
     let m = &snap.metrics;
     [
-        ("deadline-drop", m.sheds_expired),
         ("park-timeout", m.sheds_park_timeout),
         ("reject-newest", m.sheds_newest),
-        ("reject-oldest", m.sheds_oldest),
     ]
 }
 
@@ -918,7 +911,6 @@ mod tests {
         let h = Histogram::new();
         assert_eq!(h.p50_ns(), 0);
         assert_eq!(h.p99_ns(), 0);
-        assert_eq!(h.mean_ns(), 0);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::routes::RouteCache;
 ///
 /// An invocation that resolves with a *retryable* error (see
 /// [`EdenError::is_retryable`]) is re-sent up to `max_retries` times,
-/// sleeping `base_delay * multiplier^attempt` (capped at `max_delay`)
+/// sleeping `base_delay * 2^attempt` (capped at `max_delay`)
 /// before each re-send. Fatal errors are returned immediately. The policy
 /// is driven lazily by whoever waits on the [`PendingReply`] — sending
 /// still never suspends the sender.
@@ -34,21 +34,18 @@ pub struct RetryPolicy {
     /// Maximum number of re-sends (0 = never retry).
     pub max_retries: u32,
     /// Backoff before the first re-send.
-    pub base_delay: Duration,
+    pub(crate) base_delay: Duration,
     /// Upper bound on any single backoff pause.
-    pub max_delay: Duration,
-    /// Growth factor between consecutive backoffs.
-    pub multiplier: f64,
+    pub(crate) max_delay: Duration,
 }
 
 impl RetryPolicy {
     /// Never retry (the default).
-    pub fn none() -> RetryPolicy {
+    pub(crate) fn none() -> RetryPolicy {
         RetryPolicy {
             max_retries: 0,
             base_delay: Duration::from_millis(1),
             max_delay: Duration::from_millis(50),
-            multiplier: 2.0,
         }
     }
 
@@ -73,16 +70,10 @@ impl RetryPolicy {
         self
     }
 
-    /// Replace the backoff growth factor.
-    pub fn multiplier(mut self, m: f64) -> RetryPolicy {
-        self.multiplier = m.max(1.0);
-        self
-    }
-
     /// The pause before re-send number `attempt + 1` (attempt counts
     /// completed sends, so the first retry sees `attempt == 0`).
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        let grown = self.base_delay.as_secs_f64() * self.multiplier.powi(attempt.min(64) as i32);
+    pub(crate) fn backoff(&self, attempt: u32) -> Duration {
+        let grown = self.base_delay.as_secs_f64() * 2f64.powi(attempt.min(64) as i32);
         Duration::from_secs_f64(grown.min(self.max_delay.as_secs_f64()))
     }
 }
@@ -116,22 +107,22 @@ pub struct InvokeOptions<'a> {
     /// Overall per-invocation deadline, measured from the send. Waits and
     /// retries both stop when it expires, whatever the wait call's own
     /// budget says.
-    pub deadline: Option<Duration>,
+    pub(crate) deadline: Option<Duration>,
     /// The retry policy (default: no retries).
     pub retry: RetryPolicy,
     /// A caller-owned route cache: the first delivery attempt skips the
     /// kernel registry on a hit. Retries always re-resolve through the
     /// registry (the borrow ends when `invoke_with` returns).
-    pub route_cache: Option<&'a mut RouteCache>,
+    pub(crate) route_cache: Option<&'a mut RouteCache>,
     /// Whether this invocation is subject to the kernel's installed fault
     /// plan (default) or immune to it — control-plane traffic such as a
     /// chaos driver's own progress polls sets this to `false`.
-    pub faults: FaultExposure,
+    pub(crate) faults: FaultExposure,
 }
 
 /// Whether an invocation can be selected by the fault injector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FaultExposure {
+pub(crate) enum FaultExposure {
     /// The installed fault plan may select this invocation (the default).
     #[default]
     Subject,
@@ -300,9 +291,8 @@ impl RetryState {
             false,
             true,
             // The re-sent attempt carries the same absolute deadline as
-            // the original, so admission control (deadline-bounded parks,
-            // DeadlineDrop eviction) sees the overall budget, not a fresh
-            // one per attempt.
+            // the original, so admission control (deadline-bounded parks)
+            // sees the overall budget, not a fresh one per attempt.
             self.deadline.map(|d| self.started + d),
             None,
         );
@@ -442,8 +432,7 @@ mod tests {
     fn backoff_grows_and_caps() {
         let p = RetryPolicy::retries(10)
             .base_delay(Duration::from_millis(2))
-            .max_delay(Duration::from_millis(10))
-            .multiplier(2.0);
+            .max_delay(Duration::from_millis(10));
         assert_eq!(p.backoff(0), Duration::from_millis(2));
         assert_eq!(p.backoff(1), Duration::from_millis(4));
         assert_eq!(p.backoff(2), Duration::from_millis(8));

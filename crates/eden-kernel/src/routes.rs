@@ -33,31 +33,11 @@ use crate::mailbox::MailboxSender;
 /// the target active, and sending through a stale route transparently falls
 /// back to the registry.
 #[derive(Clone)]
-pub struct Route {
+pub(crate) struct Route {
     pub(crate) target: Uid,
     pub(crate) tx: MailboxSender,
     pub(crate) node: NodeId,
     pub(crate) incarnation: u64,
-}
-
-impl Route {
-    /// The UID this route leads to.
-    pub fn target(&self) -> Uid {
-        self.target
-    }
-
-    /// The simulated node the target was placed on when resolved.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// The target's incarnation number when resolved. A reactivated Eject
-    /// has a higher incarnation; comparing against
-    /// [`Kernel::eject_state`](crate::Kernel::eject_state) is unnecessary —
-    /// staleness is detected on send.
-    pub fn incarnation(&self) -> u64 {
-        self.incarnation
-    }
 }
 
 impl fmt::Debug for Route {
@@ -76,14 +56,14 @@ impl fmt::Debug for Route {
 /// through one cache.
 const ROUTE_CACHE_CAP: usize = 32;
 
-/// A small per-caller map from UID to [`Route`].
+/// A small per-caller map from UID to `Route`.
 ///
 /// Deliberately *not* shared or synchronised: each connection (or external
 /// caller) owns its cache, so the fast path is lock-free by construction.
 /// Create one with [`RouteCache::new`] and pass it to
-/// [`Kernel::invoke_with_cache`](crate::Kernel::invoke_with_cache),
+/// [`Kernel::call_routed`](crate::Kernel::call_routed),
 /// [`EjectContext::invoke_routed`](crate::EjectContext::invoke_routed), or
-/// [`ProcessContext::invoke_routed`](crate::ProcessContext::invoke_routed).
+/// [`InvokeOptions::route_cache`](crate::InvokeOptions::route_cache).
 #[derive(Default, Debug)]
 pub struct RouteCache {
     routes: Vec<Route>,
@@ -116,27 +96,7 @@ impl RouteCache {
 
     /// Drop the cached route for `target`, if any. The next invocation of
     /// that target through this cache takes the slow registry path.
-    pub fn invalidate(&mut self, target: Uid) {
+    pub(crate) fn invalidate(&mut self, target: Uid) {
         self.routes.retain(|r| r.target != target);
-    }
-
-    /// Drop every cached route.
-    pub fn clear(&mut self) {
-        self.routes.clear();
-    }
-
-    /// Whether a route to `target` is currently cached (it may be stale).
-    pub fn contains(&self, target: Uid) -> bool {
-        self.routes.iter().any(|r| r.target == target)
-    }
-
-    /// Number of cached routes.
-    pub fn len(&self) -> usize {
-        self.routes.len()
-    }
-
-    /// True if no routes are cached.
-    pub fn is_empty(&self) -> bool {
-        self.routes.is_empty()
     }
 }

@@ -30,7 +30,7 @@ impl Envelope {
     /// The admission deadline of an invocation envelope (`None` for
     /// deadline-free invocations and for non-invocation traffic). Read by
     /// the mailbox admission-control path: a `Park` sender bounds its wait
-    /// by it, and `DeadlineDrop` evicts entries once it has passed.
+    /// by it.
     pub(crate) fn admit_by(&self) -> Option<std::time::Instant> {
         match self {
             Envelope::Invocation(_, reply) => reply.admit_by(),

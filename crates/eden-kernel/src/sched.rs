@@ -213,7 +213,7 @@ pub struct SchedSnapshot {
     /// Workers registered in the sleep protocol (parked or re-checking).
     pub workers_idle: u64,
     /// The run queue's length hint (a relaxed read), exact at rest.
-    pub queued_tasks: u64,
+    pub(crate) queued_tasks: u64,
     /// Stalls the monitor broke (runnable work, no pickup for two ticks): a
     /// wake owed and not sent, or a worker stuck where the kernel cannot see.
     pub monitor_rescues: u64,

@@ -16,13 +16,9 @@
 //! * `Always` — a returned `store()` is on stable storage (the batch was
 //!   fsynced before any of its tickets completed).
 //! * `EveryN(n)` — the append has happened; an fsync lands at least every
-//!   `n` batches, so a crash loses at most the last `n` batches.
-//! * `Interval(d)` — the append has happened; an fsync lands once `d` has
-//!   elapsed since the previous one. A dedicated flush timer
-//!   ([`flusher_loop`]) syncs an *idle* tail too: without it the policy
-//!   only ever fsynced from inside the next `commit_batch`, so a lone
-//!   `store()` followed by quiet hours stayed forever unsynced — a crash
-//!   then lost a checkpoint the caller had long been told was stored.
+//!   `n` batches, so a crash loses at most the last `n` batches. No timer
+//!   syncs an idle tail: the next batch, an explicit `flush`, or dropping
+//!   the log does.
 //!
 //! In every policy the *index* is updated only after a successful append,
 //! so a failed `store()` can never be observed as durable by a later
@@ -32,7 +28,6 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::time::Duration;
 
 use bytes::Bytes;
 use eden_core::{EdenError, Result, Uid};
@@ -49,56 +44,6 @@ pub enum FsyncPolicy {
     Always,
     /// fsync at least every `n` committed batches.
     EveryN(u32),
-    /// fsync once the given interval has elapsed since the last one.
-    Interval(Duration),
-}
-
-/// Shutdown flag for the interval-flusher thread (under the
-/// `stable-flusher` lock).
-#[derive(Debug, Default)]
-pub(crate) struct FlushState {
-    /// The backend is being dropped.
-    pub shutdown: bool,
-}
-
-/// The interval-policy flush timer: wake every `d`, and if batches were
-/// committed without a sync and the interval has elapsed since the last
-/// one, fsync the tail. This is what makes `Interval(d)`'s contract hold
-/// when the system goes idle — `due_for_sync` is only consulted inside
-/// `commit_batch`, so without this thread the *next* store was the only
-/// thing that could sync the last one.
-pub(crate) fn flusher_loop(inner: &LogInner) {
-    let FsyncPolicy::Interval(d) = inner.cfg.fsync else {
-        return;
-    };
-    let tick = d.max(Duration::from_millis(1));
-    loop {
-        {
-            let mut st = inner.flush_mx.lock();
-            if st.shutdown {
-                return;
-            }
-            // eden-lint: timer(fsync-interval)
-            // eden-lint: nonblocking(dedicated flusher thread, never a pool worker)
-            inner.flush_cv.wait_for(&mut st, tick);
-            if st.shutdown {
-                return;
-            }
-        }
-        // Nothing appended since the last sync: the tail is already
-        // stable, don't touch the filing system.
-        if inner.batches_since_sync.load(Ordering::Relaxed) == 0 {
-            continue;
-        }
-        let last = inner.last_sync_micros.load(Ordering::Relaxed);
-        let now = inner.created.elapsed().as_micros() as u64;
-        if now.saturating_sub(last) < d.as_micros() as u64 {
-            continue;
-        }
-        // Best-effort: an I/O error here will be retried on the next tick
-        // (and surfaced by the next store or explicit flush).
-        let _ = inner.flush();
-    }
 }
 
 /// One queued mutation.
@@ -355,10 +300,6 @@ impl LogInner {
             FsyncPolicy::Always => true,
             FsyncPolicy::EveryN(n) => {
                 self.batches_since_sync.load(Ordering::Relaxed) + 1 >= n.max(1)
-            }
-            FsyncPolicy::Interval(d) => {
-                let last = self.last_sync_micros.load(Ordering::Relaxed);
-                self.created.elapsed().as_micros() as u64 - last >= d.as_micros() as u64
             }
         }
     }

@@ -30,9 +30,9 @@ use super::log::{self, LogEntry};
 #[derive(Debug, Default)]
 pub(crate) struct CompactState {
     /// The committer saw enough sealed garbage to warrant a pass.
-    pub wake: bool,
+    pub(crate) wake: bool,
     /// The backend is being dropped.
-    pub shutdown: bool,
+    pub(crate) shutdown: bool,
 }
 
 /// The background thread: park until woken, compact, repeat.

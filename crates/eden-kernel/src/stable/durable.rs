@@ -20,13 +20,12 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::time::Instant;
 
 use bytes::Bytes;
 use eden_core::{HostFsHandle, Result, Uid};
 use parking_lot::{Condvar, Mutex};
 
-use super::committer::{CommitQueue, FlushState, FsyncPolicy, Op};
+use super::committer::{CommitQueue, FsyncPolicy, Op};
 use super::compact::CompactState;
 use super::log::LogEntry;
 use super::{replay, PassiveRecord, StableBackend, StableStats};
@@ -71,13 +70,13 @@ impl DurableConfig {
 #[derive(Clone, Debug)]
 pub(crate) struct IndexEntry {
     /// The record itself (loads never touch the filing system).
-    pub record: PassiveRecord,
+    pub(crate) record: PassiveRecord,
     /// Its `Put` frame: the segment holding it and its byte length (for
     /// live-bytes accounting).
-    pub at: (u64, u64),
+    pub(crate) at: (u64, u64),
     /// Likewise the `Append` frame of each entry of its journal, which sit
     /// at the versions that follow the `Put`'s.
-    pub journal_at: Vec<(u64, u64)>,
+    pub(crate) journal_at: Vec<(u64, u64)>,
 }
 
 impl IndexEntry {
@@ -125,30 +124,30 @@ impl IndexEntry {
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct SegInfo {
     /// Bytes of frames that are still live.
-    pub live_bytes: u64,
+    pub(crate) live_bytes: u64,
     /// Bytes of valid frames in the file.
-    pub total_bytes: u64,
+    pub(crate) total_bytes: u64,
     /// Number of live frames here.
-    pub live_frames: u64,
+    pub(crate) live_frames: u64,
 }
 
 /// The mutable index: UID → latest record, plus segment bookkeeping.
 #[derive(Debug, Default)]
 pub(crate) struct IndexState {
     /// Live records.
-    pub records: HashMap<Uid, IndexEntry>,
+    pub(crate) records: HashMap<Uid, IndexEntry>,
     /// Destroyed UIDs and their tombstone versions (a later `Put` must
     /// out-version the tombstone to win on replay).
-    pub tombstones: HashMap<Uid, u64>,
+    pub(crate) tombstones: HashMap<Uid, u64>,
     /// Accounting per segment file present on the filing system.
-    pub segments: BTreeMap<u64, SegInfo>,
+    pub(crate) segments: BTreeMap<u64, SegInfo>,
     /// The segment currently taking appends.
-    pub active_seg: u64,
+    pub(crate) active_seg: u64,
     /// Valid bytes in the active segment.
-    pub active_len: u64,
+    pub(crate) active_len: u64,
     /// Next unused segment sequence number (rolls and compaction outputs
     /// both draw from here, so names never collide).
-    pub next_seg: u64,
+    pub(crate) next_seg: u64,
 }
 
 impl SegInfo {
@@ -178,42 +177,31 @@ impl IndexState {
 /// Everything the committer, compactor and backend methods share.
 pub(crate) struct LogInner {
     /// The filing system under the log (its root is the log directory).
-    pub fs: HostFsHandle,
+    pub(crate) fs: HostFsHandle,
     /// Tuning knobs.
-    pub cfg: DurableConfig,
+    pub(crate) cfg: DurableConfig,
     /// Group-commit queue. Lock class `stable-committer`.
-    pub commit: Mutex<CommitQueue>,
+    pub(crate) commit: Mutex<CommitQueue>,
     /// Signals ticket completion (and leader retirement) to waiters.
-    pub commit_done: Condvar,
+    pub(crate) commit_done: Condvar,
     /// The record index. Lock class `stable-index`.
-    pub index: Mutex<IndexState>,
+    pub(crate) index: Mutex<IndexState>,
     /// Compactor wake/shutdown flags. Lock class `stable-compactor`.
-    pub compact_mx: Mutex<CompactState>,
+    pub(crate) compact_mx: Mutex<CompactState>,
     /// Wakes the compactor thread.
-    pub compact_cv: Condvar,
-    /// Interval-flusher shutdown flag. Lock class `stable-flusher`.
-    pub flush_mx: Mutex<FlushState>,
-    /// Wakes (shuts down) the interval-flusher thread.
-    pub flush_cv: Condvar,
+    pub(crate) compact_cv: Condvar,
     /// fsync calls issued (committer, compactor, flush).
-    pub fsyncs: AtomicU64,
+    pub(crate) fsyncs: AtomicU64,
     /// Completed compaction passes.
-    pub compactions: AtomicU64,
+    pub(crate) compactions: AtomicU64,
     /// Committed batches since the last fsync (for `FsyncPolicy::EveryN`).
-    pub batches_since_sync: AtomicU32,
-    /// Microseconds from `created` to the last fsync (for
-    /// `FsyncPolicy::Interval`).
-    pub last_sync_micros: AtomicU64,
-    /// Epoch for `last_sync_micros`.
-    pub created: Instant,
+    pub(crate) batches_since_sync: AtomicU32,
 }
 
 impl LogInner {
     pub(crate) fn count_fsync(&self) {
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
         self.batches_since_sync.store(0, Ordering::Relaxed);
-        self.last_sync_micros
-            .store(self.created.elapsed().as_micros() as u64, Ordering::Relaxed);
     }
 }
 
@@ -228,11 +216,6 @@ pub struct DurableLog {
     inner: std::sync::Arc<LogInner>,
     /// The background compactor, joined on drop.
     compactor: Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// The interval-policy flush timer, joined on drop (present only
-    /// under [`FsyncPolicy::Interval`]).
-    flusher: Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// Frames replayed at `open` (diagnostics).
-    replayed_frames: u64,
     /// Segments whose torn tail `open` truncated (diagnostics).
     torn_segments: u64,
 }
@@ -254,13 +237,9 @@ impl DurableLog {
             index: Mutex::new(replayed.index),
             compact_mx: Mutex::new(CompactState::default()),
             compact_cv: Condvar::new(),
-            flush_mx: Mutex::new(FlushState::default()),
-            flush_cv: Condvar::new(),
             fsyncs: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
             batches_since_sync: AtomicU32::new(0),
-            last_sync_micros: AtomicU64::new(0),
-            created: Instant::now(),
         });
         let compactor = if cfg.auto_compact {
             let worker = std::sync::Arc::clone(&inner);
@@ -273,29 +252,11 @@ impl DurableLog {
         } else {
             None
         };
-        let flusher = if matches!(cfg.fsync, FsyncPolicy::Interval(_)) {
-            let worker = std::sync::Arc::clone(&inner);
-            Some(
-                std::thread::Builder::new()
-                    .name("eden-stable-flush".into())
-                    .spawn(move || super::committer::flusher_loop(&worker))
-                    .expect("spawn flusher"),
-            )
-        } else {
-            None
-        };
         Ok(DurableLog {
             inner,
             compactor: Mutex::new(compactor),
-            flusher: Mutex::new(flusher),
-            replayed_frames: replayed.frames,
             torn_segments: replayed.torn_segments,
         })
-    }
-
-    /// Frames replayed from the log when this backend was opened.
-    pub fn replayed_frames(&self) -> u64 {
-        self.replayed_frames
     }
 
     /// Segments whose torn tail was truncated when this backend was
@@ -323,16 +284,6 @@ impl Drop for DurableLog {
         };
         if let Some(handle) = handle {
             // eden-lint: nonblocking(teardown: the compactor was told to shut down above)
-            let _ = handle.join();
-        }
-        let handle = {
-            let mut st = self.inner.flush_mx.lock();
-            st.shutdown = true;
-            self.inner.flush_cv.notify_all();
-            self.flusher.lock().take()
-        };
-        if let Some(handle) = handle {
-            // eden-lint: nonblocking(teardown: the flusher was told to shut down above)
             let _ = handle.join();
         }
         // Lazy fsync policies owe the tail a final sync; MemFs treats
@@ -439,13 +390,11 @@ impl StableBackend for DurableLog {
 
 #[cfg(test)]
 mod tests {
-    use super::super::StableStore;
     use super::*;
     use eden_core::MemFs;
-    use std::time::Duration;
 
-    fn store_on(fs: &HostFsHandle, fsync: FsyncPolicy) -> StableStore {
-        StableStore::durable_on(
+    fn store_on(fs: &HostFsHandle, fsync: FsyncPolicy) -> DurableLog {
+        DurableLog::open(
             std::sync::Arc::clone(fs),
             DurableConfig {
                 fsync,
@@ -481,7 +430,7 @@ mod tests {
             s.store(a, "Counter", Bytes::from(vec![1])).unwrap();
             s.store(b, "Counter", Bytes::from(vec![2])).unwrap();
             s.store(a, "Counter", Bytes::from(vec![3])).unwrap();
-            s.remove(b);
+            s.remove(b).unwrap();
         }
         let s = store_on(&fs, FsyncPolicy::Always);
         assert_eq!(s.len(), 1);
@@ -498,7 +447,7 @@ mod tests {
         {
             let s = store_on(&fs, FsyncPolicy::Always);
             s.store(uid, "X", Bytes::from(vec![1])).unwrap();
-            s.remove(uid);
+            s.remove(uid).unwrap();
             s.store(uid, "X", Bytes::from(vec![2])).unwrap();
         }
         let s = store_on(&fs, FsyncPolicy::Always);
@@ -551,43 +500,15 @@ mod tests {
         assert!(lazy < always, "EveryN(4) syncs less: {lazy} vs {always}");
     }
 
-    /// A crash-faithful filing system: delegates to a [`MemFs`], but
-    /// remembers each file's length at its last `sync`. `crash_view()`
-    /// returns what a machine that lost power *now* would see on reboot —
-    /// every file truncated back to its synced prefix. And a faulty one:
-    /// once `fail_append` is set, the next `append` fails and writes nothing.
-    struct SyncTrackingFs {
+    /// A faulty filing system: delegates to a [`MemFs`] until
+    /// `fail_append` is set; then the next `append` fails and writes
+    /// nothing.
+    struct FailingFs {
         inner: HostFsHandle,
-        synced: Mutex<std::collections::HashMap<String, usize>>,
         fail_append: std::sync::atomic::AtomicBool,
     }
 
-    impl SyncTrackingFs {
-        fn new() -> std::sync::Arc<SyncTrackingFs> {
-            std::sync::Arc::new(SyncTrackingFs {
-                inner: MemFs::new(),
-                synced: Mutex::new(std::collections::HashMap::new()),
-                fail_append: std::sync::atomic::AtomicBool::new(false),
-            })
-        }
-
-        fn crash_view(&self) -> HostFsHandle {
-            let synced = self.synced.lock();
-            let survivors = MemFs::new();
-            for path in self.inner.list() {
-                let stable = synced.get(&path).copied().unwrap_or(0);
-                if stable == 0 {
-                    continue;
-                }
-                let mut bytes = self.inner.read(&path).unwrap();
-                bytes.truncate(stable);
-                survivors.write(&path, &bytes).unwrap();
-            }
-            survivors
-        }
-    }
-
-    impl eden_core::HostFs for SyncTrackingFs {
+    impl eden_core::HostFs for FailingFs {
         fn read(&self, path: &str) -> Result<Vec<u8>> {
             self.inner.read(path)
         }
@@ -601,18 +522,10 @@ mod tests {
             self.inner.append(path, bytes)
         }
         fn sync(&self, path: &str) -> Result<()> {
-            self.inner.sync(path)?;
-            let len = self.inner.read(path).map(|b| b.len()).unwrap_or(0);
-            self.synced.lock().insert(path.to_owned(), len);
-            Ok(())
+            self.inner.sync(path)
         }
         fn rename(&self, from: &str, to: &str) -> Result<()> {
-            self.inner.rename(from, to)?;
-            let mut synced = self.synced.lock();
-            if let Some(len) = synced.remove(from) {
-                synced.insert(to.to_owned(), len);
-            }
-            Ok(())
+            self.inner.rename(from, to)
         }
         fn exists(&self, path: &str) -> bool {
             self.inner.exists(path)
@@ -621,90 +534,8 @@ mod tests {
             self.inner.list()
         }
         fn remove(&self, path: &str) -> Result<()> {
-            self.synced.lock().remove(path);
             self.inner.remove(path)
         }
-    }
-
-    /// The Interval idle-tail bug: `due_for_sync` is only consulted inside
-    /// `commit_batch`, so a lone store followed by idleness never got its
-    /// fsync — a crash after two full intervals still lost the checkpoint.
-    /// The flush timer must sync the idle tail on its own.
-    #[test]
-    fn interval_policy_syncs_an_idle_tail() {
-        let d = Duration::from_millis(40);
-        let tracking = SyncTrackingFs::new();
-        let fs: HostFsHandle = std::sync::Arc::clone(&tracking) as HostFsHandle;
-        let s = StableStore::durable_on(
-            fs,
-            DurableConfig {
-                fsync: FsyncPolicy::Interval(d),
-                segment_bytes: 1 << 20,
-                compact_garbage_bytes: 1 << 20,
-                auto_compact: false,
-            },
-        )
-        .expect("open durable store");
-        let uid = Uid::fresh();
-        // The lone store: appends, and (interval not yet elapsed) does
-        // not sync.
-        s.store(uid, "Lonely", Bytes::from(vec![9; 16])).unwrap();
-        // Go idle for two full intervals; the flush timer must fire.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while s.stats().fsyncs == 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "flusher never synced the idle tail"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        // Kill the machine (no clean drop of the store on the crashed
-        // timeline): what survives is the synced prefix only.
-        let rebooted = tracking.crash_view();
-        let s2 = StableStore::durable_on(
-            rebooted,
-            DurableConfig {
-                fsync: FsyncPolicy::Always,
-                segment_bytes: 1 << 20,
-                compact_garbage_bytes: 1 << 20,
-                auto_compact: false,
-            },
-        )
-        .expect("reopen after crash");
-        let rec = s2.load(uid).expect("the idle-synced checkpoint survives the crash");
-        assert_eq!(rec.bytes, vec![9; 16]);
-        drop(s);
-    }
-
-    /// The flusher leaves an already-stable tail alone: with nothing
-    /// appended since the last sync, ticks must not issue fsyncs.
-    #[test]
-    fn interval_flusher_is_quiet_when_stable() {
-        let fs = MemFs::new();
-        let d = Duration::from_millis(10);
-        let s = StableStore::durable_on(
-            fs,
-            DurableConfig {
-                fsync: FsyncPolicy::Interval(d),
-                segment_bytes: 1 << 20,
-                compact_garbage_bytes: 1 << 20,
-                auto_compact: false,
-            },
-        )
-        .expect("open durable store");
-        let uid = Uid::fresh();
-        s.store(uid, "X", Bytes::from(vec![1])).unwrap();
-        // Wait for the tail to go stable, then several more ticks.
-        while s.stats().fsyncs == 0 {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let after_first = s.stats().fsyncs;
-        std::thread::sleep(d * 6);
-        assert_eq!(
-            s.stats().fsyncs,
-            after_first,
-            "an idle, already-synced log must not keep fsyncing"
-        );
     }
 
     #[test]
@@ -714,7 +545,7 @@ mod tests {
         let uids: Vec<Uid> = (0..64).map(|_| Uid::fresh()).collect();
         std::thread::scope(|scope| {
             for chunk in uids.chunks(16) {
-                let s = s.clone();
+                let s = &s;
                 scope.spawn(move || {
                     for &uid in chunk {
                         s.store(uid, "W", Bytes::from(vec![7; 24])).unwrap();
@@ -741,7 +572,7 @@ mod tests {
         let uids: Vec<Uid> = (0..4).map(|_| Uid::fresh()).collect();
         std::thread::scope(|scope| {
             for (w, &uid) in uids.iter().enumerate() {
-                let s = s.clone();
+                let s = &s;
                 scope.spawn(move || {
                     for i in 0..40u8 {
                         match i % 10 {
@@ -752,7 +583,7 @@ mod tests {
                 });
             }
         });
-        let check = |s: &StableStore| {
+        let check = |s: &DurableLog| {
             for (w, &uid) in uids.iter().enumerate() {
                 let rec = s.load(uid).unwrap();
                 assert_eq!((rec.bytes.to_vec(), rec.version), (vec![w as u8, 30], 40));
@@ -821,13 +652,16 @@ mod tests {
     /// was stored before it, and the next write starts a segment of its own.
     #[test]
     fn failed_write_is_not_reported_durable() {
-        let failing = SyncTrackingFs::new();
+        let failing = std::sync::Arc::new(FailingFs {
+            inner: MemFs::new(),
+            fail_append: std::sync::atomic::AtomicBool::new(false),
+        });
         let fs: HostFsHandle = std::sync::Arc::clone(&failing) as HostFsHandle;
         let s = store_on(&fs, FsyncPolicy::Always);
         let uid = Uid::fresh();
         s.store(uid, "Counter", Bytes::from(vec![1])).unwrap();
         s.append(uid, Bytes::from(vec![2])).unwrap();
-        let held = |s: &StableStore| {
+        let held = |s: &DurableLog| {
             let rec = s.load(uid).unwrap();
             let journal: Vec<u8> = rec.journal.iter().map(|e| e[0]).collect();
             (rec.bytes[0], journal, rec.version)

@@ -121,7 +121,7 @@ impl LogEntry {
 }
 
 /// Append one framed entry to `out`, returning the frame's byte length.
-pub(crate) fn encode_frame(entry: &LogEntry, out: &mut Vec<u8>) -> u64 {
+pub fn encode_frame(entry: &LogEntry, out: &mut Vec<u8>) -> u64 {
     let value = entry.to_value();
     let len = wire::encoded_len(&value);
     out.reserve(FRAME_HEADER + len);
@@ -165,11 +165,11 @@ pub(crate) fn decode_entry(payload: &Bytes) -> Result<LogEntry> {
 #[derive(Debug, Default)]
 pub(crate) struct FrameScan {
     /// Decoded entries from the valid prefix, with each frame's length.
-    pub entries: Vec<(LogEntry, u64)>,
+    pub(crate) entries: Vec<(LogEntry, u64)>,
     /// Byte length of the valid prefix.
-    pub valid_len: u64,
+    pub(crate) valid_len: u64,
     /// Whether bytes past the valid prefix exist (a torn tail).
-    pub torn: bool,
+    pub(crate) torn: bool,
 }
 
 /// Read a little-endian `u32` at `pos`, or `None` past the end. Recovery

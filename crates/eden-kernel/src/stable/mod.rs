@@ -26,11 +26,11 @@
 //! * [`replay`](self::replay) — cold-restart recovery: replays segments
 //!   into the index, truncating a torn tail at the last valid frame.
 
-pub mod committer;
-pub mod compact;
-pub mod durable;
-pub mod log;
-pub mod replay;
+pub(crate) mod committer;
+pub(crate) mod compact;
+pub(crate) mod durable;
+pub(crate) mod log;
+pub(crate) mod replay;
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -65,7 +65,7 @@ pub struct PassiveRecord {
 
 impl PassiveRecord {
     /// Bytes of state held: the checkpoint's and its journal's.
-    pub fn stored_bytes(&self) -> usize {
+    pub(crate) fn stored_bytes(&self) -> usize {
         self.bytes.len() + self.journal.iter().map(Bytes::len).sum::<usize>()
     }
 }
@@ -75,15 +75,15 @@ impl PassiveRecord {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StableStats {
     /// Checkpointed Ejects currently stored.
-    pub records: u64,
+    pub(crate) records: u64,
     /// Bytes of checkpointed state (payload only).
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// Segment files currently on the filing system.
-    pub segments_live: u64,
+    pub(crate) segments_live: u64,
     /// Total bytes across all live segments (frames, not payloads).
     pub log_bytes: u64,
     /// Completed compaction passes.
-    pub compactions: u64,
+    pub(crate) compactions: u64,
     /// fsync calls issued by the committer.
     pub fsyncs: u64,
 }
@@ -134,10 +134,9 @@ pub trait StableBackend: Send + Sync + std::fmt::Debug + 'static {
 ///
 /// Cheap to clone; clones share the underlying backend, so a store created
 /// before a kernel can outlive it. The façade adds nothing over
-/// [`StableBackend`] except ergonomics (and a best-effort `remove` for the
-/// destroy path); select the backend with [`StableStore::new`],
-/// [`StableStore::durable`] / [`StableStore::durable_on`], or bring your own
-/// via [`StableStore::with_backend`].
+/// [`StableBackend`] except ergonomics; select the backend with
+/// [`StableStore::new`] or [`StableStore::durable`] /
+/// [`StableStore::durable_on`].
 #[derive(Clone, Debug)]
 pub struct StableStore {
     backend: Arc<dyn StableBackend>,
@@ -155,11 +154,6 @@ impl StableStore {
     /// An empty, purely in-memory store.
     pub fn new() -> Self {
         StableStore::default()
-    }
-
-    /// Wrap an explicit backend.
-    pub fn with_backend(backend: Arc<dyn StableBackend>) -> Self {
-        StableStore { backend }
     }
 
     /// A log-structured durable store rooted at `path` on the real filing
@@ -182,11 +176,6 @@ impl StableStore {
         })
     }
 
-    /// The backend handle (shared with every clone of this store).
-    pub fn backend(&self) -> &Arc<dyn StableBackend> {
-        &self.backend
-    }
-
     /// Write (or overwrite) the passive representation for `uid`.
     ///
     /// `Err` means the checkpoint is **not durable** and the previous
@@ -207,18 +196,6 @@ impl StableStore {
     /// Read the passive representation for `uid`.
     pub fn load(&self, uid: Uid) -> Result<PassiveRecord> {
         self.backend.load(uid)
-    }
-
-    /// Whether `uid` has a passive representation.
-    pub fn contains(&self, uid: Uid) -> bool {
-        self.backend.contains(uid)
-    }
-
-    /// Remove the passive representation for `uid` (the Eject is being
-    /// destroyed, not merely deactivated). Best-effort: a backend that
-    /// cannot persist the tombstone still forgets the record in memory.
-    pub fn remove(&self, uid: Uid) {
-        let _ = self.backend.remove(uid);
     }
 
     /// Number of checkpointed Ejects.
@@ -246,11 +223,6 @@ impl StableStore {
         self.backend.flush()
     }
 
-    /// Ask the backend to compact its storage now (synchronous).
-    pub fn compact(&self) -> Result<()> {
-        self.backend.compact()
-    }
-
     /// Backend counters for the observability plane.
     pub fn stats(&self) -> StableStats {
         self.backend.stats()
@@ -259,15 +231,8 @@ impl StableStore {
 
 /// The process-lifetime backend: a mutexed map.
 #[derive(Debug, Default)]
-pub struct MemBacked {
+pub(crate) struct MemBacked {
     inner: Mutex<HashMap<Uid, PassiveRecord>>,
-}
-
-impl MemBacked {
-    /// An empty backend.
-    pub fn new() -> Self {
-        MemBacked::default()
-    }
 }
 
 impl StableBackend for MemBacked {
@@ -386,18 +351,17 @@ mod tests {
         let s2 = s.clone();
         let uid = Uid::fresh();
         s.store(uid, "Dir", Bytes::from(vec![9])).unwrap();
-        assert!(s2.contains(uid));
-        s2.remove(uid);
-        assert!(!s.contains(uid));
+        assert_eq!(s2.load(uid).unwrap().bytes, vec![9]);
+        assert_eq!(s2.uids(), vec![uid]);
     }
 
     /// What both backends keep of a checkpoint and its journal. `open`
     /// yields the store, and again after each reopen: the same one for the
     /// memory backend, a cold replay of the same filing system for the log.
     /// Returns how many segments the writes were spread over.
-    fn keeps_base_and_journal(open: impl Fn() -> StableStore) -> u64 {
+    fn keeps_base_and_journal(open: impl Fn() -> Arc<dyn StableBackend>) -> u64 {
         let bytes = |b: u8| Bytes::from(vec![b; 24]);
-        let held = |s: &StableStore, uid| {
+        let held = |s: &Arc<dyn StableBackend>, uid| {
             let rec = s.load(uid).unwrap();
             let journal: Vec<u8> = rec.journal.iter().map(|e| e[0]).collect();
             (rec.bytes[0], journal, rec.version)
@@ -432,7 +396,7 @@ mod tests {
         assert_eq!(held(&s, a), (30, vec![], 6));
         s.append(a, bytes(31)).unwrap();
         // A removal takes checkpoint and journal both, for good.
-        s.remove(b);
+        s.remove(b).unwrap();
         assert_eq!(s.append(b, bytes(25)), Err(EdenError::NoSuchEject(b)));
         s.compact().unwrap();
         drop(s);
@@ -445,8 +409,8 @@ mod tests {
 
     #[test]
     fn memory_backend_keeps_base_and_journal() {
-        let store = StableStore::new();
-        assert_eq!(keeps_base_and_journal(|| store.clone()), 0);
+        let store: Arc<dyn StableBackend> = Arc::new(MemBacked::default());
+        assert_eq!(keeps_base_and_journal(|| Arc::clone(&store)), 0);
     }
 
     #[test]
@@ -459,7 +423,7 @@ mod tests {
             auto_compact: false,
             ..DurableConfig::default()
         };
-        let open = || StableStore::durable_on(Arc::clone(&fs), config).unwrap();
+        let open = || Arc::new(DurableLog::open(Arc::clone(&fs), config).unwrap()) as _;
         assert!(keeps_base_and_journal(open) > 2);
     }
 
@@ -482,10 +446,10 @@ mod tests {
 
     #[test]
     fn mem_backend_iter_matches_contents() {
-        let s = StableStore::new();
+        let s = MemBacked::default();
         let a = Uid::fresh();
         s.store(a, "X", Bytes::from(vec![7])).unwrap();
-        let all = s.backend().iter();
+        let all = s.iter();
         assert_eq!(all.len(), 1);
         assert_eq!(all[0].0, a);
         assert_eq!(all[0].1.bytes, vec![7]);

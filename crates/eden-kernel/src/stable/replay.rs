@@ -27,11 +27,9 @@ use super::log::{self, LogEntry};
 #[derive(Debug)]
 pub(crate) struct Replayed {
     /// The rebuilt index, ready to take appends.
-    pub index: IndexState,
-    /// Valid frames replayed across all segments.
-    pub frames: u64,
+    pub(crate) index: IndexState,
     /// Segments whose torn tail was truncated.
-    pub torn_segments: u64,
+    pub(crate) torn_segments: u64,
 }
 
 /// Replay every segment on `fs` (its root is the log directory).
@@ -44,7 +42,6 @@ pub(crate) fn replay(fs: &HostFsHandle) -> Result<Replayed> {
     segments.sort_unstable();
 
     let mut index = IndexState::default();
-    let mut frames = 0u64;
     let mut torn_segments = 0u64;
     // Candidates: `index.records` holds per UID its highest-version `Put`,
     // `appends` every `Append` by the version it extends to, with where its
@@ -71,7 +68,6 @@ pub(crate) fn replay(fs: &HostFsHandle) -> Result<Replayed> {
             },
         );
         for (entry, frame) in scan.entries {
-            frames += 1;
             match entry {
                 LogEntry::Put { uid, record } => {
                     // `>=` so a byte-identical compacted duplicate in a
@@ -132,7 +128,6 @@ pub(crate) fn replay(fs: &HostFsHandle) -> Result<Replayed> {
     }
     Ok(Replayed {
         index,
-        frames,
         torn_segments,
     })
 }
@@ -157,7 +152,6 @@ mod tests {
     fn empty_fs_replays_to_an_empty_active_segment() {
         let fs = MemFs::new();
         let replayed = replay(&fs).unwrap();
-        assert_eq!(replayed.frames, 0);
         assert_eq!(replayed.index.active_seg, 0);
         assert_eq!(replayed.index.next_seg, 1);
         assert!(replayed.index.records.is_empty());

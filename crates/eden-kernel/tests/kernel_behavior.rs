@@ -226,7 +226,6 @@ fn checkpoint_then_deactivate_then_reactivate_on_invocation() {
     kernel.invoke(counter, ops::DEACTIVATE, Value::Unit).wait().unwrap();
     kernel.await_gone(&[counter], Duration::from_secs(5));
     assert_eq!(kernel.eject_state(counter), Some(EjectState::Passive));
-    assert_eq!(kernel.passive_type_name(counter).as_deref(), Some("Counter"));
     // Invocation reactivates it with the checkpointed state.
     let got = kernel.invoke(counter, "Get", Value::Unit).wait().unwrap();
     assert_eq!(got, Value::Int(3));
@@ -570,7 +569,6 @@ fn cross_node_invocations_are_counted_remote() {
     let delta = kernel.metrics().snapshot().since(&before);
     assert_eq!(delta.invocations, 2);
     assert_eq!(delta.remote_invocations, 1);
-    assert_eq!(kernel.node_of(remote), NodeId(1));
     kernel.shutdown();
 }
 

@@ -1,14 +1,15 @@
 //! Overload-plane behavioural tests: exactly-once accounting when
-//! admission control sheds queued work, span-tree integrity when a shed
-//! lands mid-pipeline, and counter consistency when the span ring wraps
-//! under load.
+//! admission control sheds work, span-tree integrity when a shed lands
+//! mid-pipeline, and counter consistency when the span ring wraps under
+//! load.
 
+use std::sync::mpsc;
 use std::time::Duration;
 
 use eden_core::{EdenError, Value};
 use eden_kernel::{
-    EjectBehavior, EjectContext, Invocation, Kernel, ObsConfig, ReplyHandle, ShedPolicy,
-    StableStore,
+    EjectBehavior, EjectContext, Invocation, InvokeOptions, Kernel, ObsConfig, ReplyHandle,
+    ShedPolicy, StableStore,
 };
 
 /// A counter that checkpoints after every applied increment, so the
@@ -37,7 +38,7 @@ impl EjectBehavior for Ledger {
         match inv.op.as_str() {
             "Increment" => {
                 // Slow enough that a fast open-loop sender overruns the
-                // bounded mailbox and forces evictions.
+                // bounded mailbox and forces sheds.
                 std::thread::sleep(Duration::from_millis(1));
                 self.count += 1;
                 ctx.checkpoint(&Value::record([("count", Value::Int(self.count))]))
@@ -56,26 +57,24 @@ impl EjectBehavior for Ledger {
     }
 }
 
-/// RejectOldest evicts queued invocations to admit fresh ones. The
-/// ledger must account for every request exactly once: an `Ok` reply
-/// means the increment was applied (and checkpointed), an `Overloaded`
-/// error means it never was — and recovery replay from the stable store
-/// must agree with that split to the record: 0 lost, 0 duplicated
-/// non-shed records.
+/// RejectNewest turns arrivals away at a full mailbox. The ledger must
+/// account for every request exactly once: an `Ok` reply means the
+/// increment was applied (and checkpointed), an `Overloaded` error means
+/// it never was — and recovery replay from the stable store must agree
+/// with that split to the record: 0 lost, 0 duplicated non-shed records.
 #[test]
-fn exactly_once_under_reject_oldest_with_recovery_replay() {
+fn exactly_once_under_reject_newest_with_recovery_replay() {
     const TOTAL: usize = 300;
     let store = StableStore::new();
     let kernel = Kernel::builder()
-        .mailbox_capacity(4)
-        .shed_policy(ShedPolicy::RejectOldest)
+        .bounded_mailboxes(4, ShedPolicy::RejectNewest)
         .stable_store(store.clone())
         .build();
     kernel.register_type("Ledger", Ledger::from_passive);
     let ledger = kernel.spawn(Box::new(Ledger { count: 0 })).unwrap();
 
-    // Open-loop flood: sends never block under RejectOldest, so the
-    // queue overruns and evicts.
+    // Open-loop flood: sends never block under RejectNewest, so the
+    // queue overruns and sheds.
     let pendings: Vec<_> = (0..TOTAL)
         .map(|_| kernel.invoke(ledger, "Increment", Value::Unit))
         .collect();
@@ -87,7 +86,7 @@ fn exactly_once_under_reject_oldest_with_recovery_replay() {
             Ok(other) => panic!("unexpected increment reply {other:?}"),
             Err(EdenError::Overloaded { target, policy }) => {
                 assert_eq!(target, ledger);
-                assert_eq!(policy, "reject-oldest");
+                assert_eq!(policy, "reject-newest");
                 shed += 1;
             }
             Err(other) => panic!("unexpected increment error {other:?}"),
@@ -98,8 +97,9 @@ fn exactly_once_under_reject_oldest_with_recovery_replay() {
     assert!(applied > 0, "admission control starved the ledger entirely");
     let snap = kernel.metrics_snapshot();
     assert_eq!(
-        snap.metrics.sheds_oldest, shed,
-        "kernel shed counter disagrees with client-observed sheds"
+        (snap.metrics.sheds_newest, snap.metrics.sheds_total()),
+        (shed, shed),
+        "kernel shed counters disagree with client-observed sheds"
     );
 
     // Live state counts each applied increment exactly once.
@@ -169,8 +169,7 @@ impl EjectBehavior for Relay {
 #[test]
 fn span_tree_stays_well_formed_when_a_shed_lands_mid_pipeline() {
     let kernel = Kernel::builder()
-        .mailbox_capacity(2)
-        .shed_policy(ShedPolicy::RejectNewest)
+        .bounded_mailboxes(2, ShedPolicy::RejectNewest)
         .observability(ObsConfig::full())
         .build();
     let slow = kernel.spawn(Box::new(Slow)).unwrap();
@@ -227,20 +226,25 @@ fn span_tree_stays_well_formed_when_a_shed_lands_mid_pipeline() {
     kernel.shutdown();
 }
 
-/// Replies to `Echo` after a short delay — slow enough that an open-loop
-/// flood overruns the mailbox.
-struct SlowEcho;
+/// Holds its first invocation until released, then echoes: while it holds,
+/// its mailbox only fills.
+struct Gate {
+    entered: mpsc::Sender<()>,
+    release: mpsc::Receiver<()>,
+}
 
-impl EjectBehavior for SlowEcho {
+impl EjectBehavior for Gate {
     fn type_name(&self) -> &'static str {
-        "SlowEcho"
+        "Gate"
     }
     fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
         match inv.op.as_str() {
-            "Echo" => {
-                std::thread::sleep(Duration::from_micros(500));
-                reply.reply(Ok(inv.arg));
+            "Hold" => {
+                let _ = self.entered.send(());
+                let _ = self.release.recv();
+                reply.reply(Ok(Value::Unit));
             }
+            "Echo" => reply.reply(Ok(inv.arg)),
             _ => reply.reply(Err(EdenError::NoSuchOperation {
                 target: ctx.uid(),
                 op: inv.op,
@@ -250,54 +254,85 @@ impl EjectBehavior for SlowEcho {
 }
 
 /// When the span ring wraps under an overload storm, the books must
-/// still balance: every request (delivered or shed) records exactly one
-/// span, `spans_dropped` accounts for every eviction, and the shed
-/// counters match the client-observed `Overloaded` count bit for bit —
-/// losing telemetry capacity must never mean losing count integrity.
+/// still balance, for both causes a shed can have: every request
+/// (delivered or shed) records exactly one span, `spans_dropped` accounts
+/// for every eviction, and the shed counters match the client-observed
+/// `Overloaded` count bit for bit — losing telemetry capacity must never
+/// mean losing count integrity.
 #[test]
 fn shed_counters_stay_exact_when_the_span_ring_wraps() {
     const TOTAL: usize = 400;
     const SPAN_CAP: usize = 64;
-    let kernel = Kernel::builder()
-        .mailbox_capacity(2)
-        .shed_policy(ShedPolicy::RejectNewest)
-        .observability(ObsConfig {
-            spans: true,
-            histograms: true,
-            span_capacity: SPAN_CAP,
-        })
-        .build();
-    let echo = kernel.spawn(Box::new(SlowEcho)).unwrap();
+    // `RejectNewest` turns each arrival away at once; under `Park` a
+    // deadline-bearing arrival waits out its deadline for room and sheds.
+    for (policy, deadline, label) in [
+        (ShedPolicy::RejectNewest, None, "reject-newest"),
+        (ShedPolicy::Park, Some(Duration::from_millis(1)), "park-timeout"),
+    ] {
+        let kernel = Kernel::builder()
+            .bounded_mailboxes(2, policy)
+            .observability(ObsConfig {
+                spans: true,
+                histograms: true,
+                span_capacity: SPAN_CAP,
+            })
+            .build();
+        let (entered, entered_rx) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let gate = kernel
+            .spawn(Box::new(Gate {
+                entered,
+                release: release_rx,
+            }))
+            .unwrap();
 
-    let pendings: Vec<_> = (0..TOTAL)
-        .map(|i| kernel.invoke(echo, "Echo", Value::Int(i as i64)))
-        .collect();
-    let mut ok = 0u64;
-    let mut shed = 0u64;
-    for p in pendings {
-        match p.wait_timeout(Duration::from_secs(30)) {
-            Ok(_) => ok += 1,
-            Err(EdenError::Overloaded { .. }) => shed += 1,
-            Err(other) => panic!("unexpected outcome {other:?}"),
+        // Hold the Eject in service, then fill its two slots: from here on
+        // every arrival finds the mailbox full.
+        let mut admitted = vec![kernel.invoke(gate, "Hold", Value::Unit)];
+        entered_rx.recv().expect("gate entered");
+        admitted.extend((0..2).map(|i| kernel.invoke(gate, "Echo", Value::Int(i))));
+
+        let mut shed = 0u64;
+        for i in 0..TOTAL {
+            let opts = match deadline {
+                Some(d) => InvokeOptions::new().deadline(d),
+                None => InvokeOptions::new(),
+            };
+            let pending = kernel.invoke_with(gate, "Echo", Value::Int(i as i64), opts);
+            match pending.wait_timeout(Duration::from_secs(30)) {
+                Err(EdenError::Overloaded { target, policy }) => {
+                    assert_eq!((target, policy), (gate, label));
+                    shed += 1;
+                }
+                other => panic!("{label}: an arrival at a full mailbox got {other:?}"),
+            }
         }
-    }
-    assert_eq!(ok + shed, TOTAL as u64);
-    assert!(shed > 0, "flood never overran the mailbox");
+        release.send(()).expect("gate release");
+        for pending in admitted {
+            pending.wait_timeout(Duration::from_secs(30)).unwrap();
+        }
+        assert_eq!(shed, TOTAL as u64);
 
-    let snap = kernel.metrics_snapshot();
-    assert_eq!(
-        snap.metrics.sheds_newest, shed,
-        "shed counter lost count under span-ring pressure"
-    );
-    let held = kernel.spans().len() as u64;
-    let dropped = kernel.spans_dropped();
-    assert!(held <= SPAN_CAP as u64);
-    assert!(dropped > 0, "the span ring never wrapped");
-    assert_eq!(snap.spans_recorded, held);
-    assert_eq!(
-        held + dropped,
-        TOTAL as u64,
-        "a request completed without recording exactly one span"
-    );
-    kernel.shutdown();
+        let snap = kernel.metrics_snapshot();
+        let m = &snap.metrics;
+        assert_eq!(
+            (m.sheds_newest, m.sheds_park_timeout, m.sheds_total()),
+            match policy {
+                ShedPolicy::RejectNewest => (shed, 0, shed),
+                ShedPolicy::Park => (0, shed, shed),
+            },
+            "{label}: shed counters lost count under span-ring pressure"
+        );
+        let held = kernel.spans().len() as u64;
+        let dropped = kernel.spans_dropped();
+        assert!(held <= SPAN_CAP as u64);
+        assert!(dropped > 0, "{label}: the span ring never wrapped");
+        assert_eq!(snap.spans_recorded, held);
+        assert_eq!(
+            held + dropped,
+            TOTAL as u64 + 3,
+            "{label}: a request completed without recording exactly one span"
+        );
+        kernel.shutdown();
+    }
 }

@@ -85,10 +85,7 @@ fn calibrate() -> f64 {
 
 /// On-time goodput (rec/s) of one open-loop point at `rate` a second.
 fn goodput(policy: ShedPolicy, rate: f64) -> f64 {
-    let kernel = Kernel::builder()
-        .mailbox_capacity(MAILBOX)
-        .shed_policy(policy)
-        .build();
+    let kernel = Kernel::builder().bounded_mailboxes(MAILBOX, policy).build();
     let target = kernel.spawn(Box::new(Bottleneck)).expect("spawn");
     let period = Duration::from_secs_f64(1.0 / rate);
     let start = Instant::now() + Duration::from_millis(20);

@@ -45,16 +45,16 @@ const ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst
 #[derive(Debug, Clone)]
 pub struct CatalogEntry {
     /// Path suffix the site's file must end with.
-    pub file: String,
+    pub(crate) file: String,
     /// The atomic's name at the call site (field, local, or `fence`).
-    pub name: String,
+    pub(crate) name: String,
     /// What the atomic is for.
-    pub role: String,
+    pub(crate) role: String,
     /// Whether at least one site must carry an `ordering(role)` marker.
-    pub annotated: bool,
+    pub(crate) annotated: bool,
     /// Blessed orderings per method, e.g. `load` → `["Acquire","Relaxed"]`,
     /// `compare_exchange` → `["AcqRel/Acquire"]`.
-    pub methods: BTreeMap<String, Vec<String>>,
+    pub(crate) methods: BTreeMap<String, Vec<String>>,
 }
 
 /// Parse the ` ```atomics ` fenced block out of a markdown document.
@@ -118,19 +118,19 @@ pub fn parse_blessed(markdown: &str) -> Result<Vec<CatalogEntry>> {
 
 /// One extracted source site: a method call consuming `Ordering` tokens.
 #[derive(Debug)]
-pub struct AtomicSite {
+pub(crate) struct AtomicSite {
     /// The scanned file.
-    pub file: String,
+    pub(crate) file: String,
     /// 1-based line of the call.
-    pub line: usize,
+    pub(crate) line: usize,
     /// Receiver name (`park_state`, `bit`, `fence`, ...).
-    pub name: String,
+    pub(crate) name: String,
     /// Method name (`load`, `store`, `compare_exchange`, `fence`, ...).
-    pub method: String,
+    pub(crate) method: String,
     /// Orderings in argument order (`["AcqRel","Acquire"]` for a CAS).
-    pub orderings: Vec<String>,
+    pub(crate) orderings: Vec<String>,
     /// Role from an `ordering(role)` annotation bound to this site.
-    pub annotation: Option<String>,
+    pub(crate) annotation: Option<String>,
 }
 
 impl AtomicSite {
@@ -206,7 +206,7 @@ impl AtomicsReport {
 }
 
 /// Extract every atomic call site from one pre-scanned file.
-pub fn extract_sites(scan: &FileScan) -> (Vec<AtomicSite>, usize, Vec<String>) {
+pub(crate) fn extract_sites(scan: &FileScan) -> (Vec<AtomicSite>, usize, Vec<String>) {
     let joined = scan.joined_code();
     let bytes = joined.as_bytes();
     let mut tokens = 0usize;

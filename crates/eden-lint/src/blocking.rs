@@ -28,7 +28,7 @@
 //! when it is written.
 //!
 //! And [`timers`]: a wait for an event waits on the event, so a timed wait must be a
-//! timer, `// eden-lint: timer(reason)` within three lines above it ([`TIMER_REASONS`]).
+//! timer, `// eden-lint: timer(reason)` within three lines above it (`TIMER_REASONS`).
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -72,21 +72,21 @@ const TIMED: [&str; 5] = [
 ];
 
 /// The timers the design needs (DESIGN §4), space-separated: the reasons a `timer(..)` may give.
-pub const TIMER_REASONS: &str = "deadline fsync-interval backoff stall-monitor sched-stride injected-latency watch recovery-poll";
+pub(crate) const TIMER_REASONS: &str = "deadline backoff stall-monitor sched-stride injected-latency watch recovery-poll";
 
 /// One rendezvous call site and how it is excused.
 #[derive(Debug)]
-pub struct BlockingSite {
+pub(crate) struct BlockingSite {
     /// The scanned file.
-    pub file: String,
+    pub(crate) file: String,
     /// 1-based line of the call.
-    pub line: usize,
+    pub(crate) line: usize,
     /// What kind of rendezvous (`condvar wait`, `channel recv`, ...).
-    pub kind: &'static str,
+    pub(crate) kind: &'static str,
     /// Inside a `blocking(..)` region.
-    pub wrapped: bool,
+    pub(crate) wrapped: bool,
     /// `nonblocking(reason)` annotation bound to this site, if any.
-    pub excuse: Option<String>,
+    pub(crate) excuse: Option<String>,
 }
 
 /// The audit's outcome.
@@ -103,7 +103,7 @@ pub struct BlockingReport {
     /// `Mutex/RwLock` acquisitions counted informationally (the
     /// lock-order plane governs these, not this pass).
     pub governed_locks: usize,
-    /// Timed waits per reason, in [`TIMER_REASONS`] order, once [`timers`] ran.
+    /// Timed waits per reason, in `TIMER_REASONS` order, once [`timers`] ran.
     pub timers: Vec<(&'static str, usize)>,
     /// Audit failures, human-readable.
     pub findings: Vec<String>,
@@ -176,7 +176,7 @@ fn fn_body(code: &str, from: usize, to: usize, name: &str) -> Option<(usize, usi
 /// Waits that lexically follow a reply inside the handlers of a behaviour
 /// that declares `replies_last`: one finding a handler body, at its first
 /// such wait.
-pub fn waits_after_reply(scan: &FileScan) -> Vec<String> {
+pub(crate) fn waits_after_reply(scan: &FileScan) -> Vec<String> {
     let joined = scan.joined_code();
     let mut findings = Vec::new();
     let mut search = 0usize;
@@ -224,7 +224,7 @@ pub fn waits_after_reply(scan: &FileScan) -> Vec<String> {
 }
 
 /// Extract every rendezvous site from one pre-scanned file.
-pub fn extract_sites(scan: &FileScan) -> (Vec<BlockingSite>, usize) {
+pub(crate) fn extract_sites(scan: &FileScan) -> (Vec<BlockingSite>, usize) {
     let joined = scan.joined_code();
     let regions = blocking_regions(&joined);
     let mut sites = Vec::new();

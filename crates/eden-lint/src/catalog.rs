@@ -13,7 +13,7 @@ use eden_core::{Result, Value};
 use eden_transput::recovery::{recovery_graph, RecoveryDiscipline};
 use eden_transput::source::VecSource;
 use eden_transput::transform::{Emitter, Identity, Transform};
-use eden_transput::{ChannelPolicy, Discipline, FanInMode, PipelineSpec, Violation, WiringGraph};
+use eden_transput::{ChannelPolicy, Discipline, FanInMode, PipelineSpec, WiringGraph};
 
 /// A transform with a secondary `Report` channel — the shape of
 /// `SpellCheck` in the report-streams example (Figures 3 and 4), without
@@ -46,7 +46,7 @@ fn two_sources() -> Vec<Box<dyn eden_transput::source::PullSource>> {
 
 /// Every pipeline shape the repo builds through [`PipelineSpec`], as
 /// `(name, spec)` pairs: kernel-free until someone calls `build`.
-pub fn shapes() -> Vec<(String, PipelineSpec)> {
+pub(crate) fn shapes() -> Vec<(String, PipelineSpec)> {
     let mut entries: Vec<(String, PipelineSpec)> = Vec::new();
 
     // The plain chains every test, bench, and example builds.
@@ -113,13 +113,12 @@ pub fn shapes() -> Vec<(String, PipelineSpec)> {
         ));
     }
 
-    // The adaptive-batching and distribution dials (benches + E-series).
+    // The distribution dial (`@nodes`, E-series).
     entries.push((
-        "read-only/adaptive-distributed".to_owned(),
+        "read-only/distributed".to_owned(),
         PipelineSpec::new(Discipline::ReadOnly { read_ahead: 0 })
             .source_vec(items())
             .stage(Box::new(Identity))
-            .adaptive_batch(48)
             .over_nodes(3),
     ));
 
@@ -166,15 +165,6 @@ fn recovery_chains() -> Vec<(String, RecoveryDiscipline, &'static [&'static str]
     chains
 }
 
-/// Check every catalog entry; returns only the entries with violations.
-pub fn check_catalog() -> Result<Vec<(String, Vec<Violation>)>> {
-    Ok(catalog()?
-        .into_iter()
-        .map(|(name, graph)| (name, graph.check()))
-        .filter(|(_, v)| !v.is_empty())
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,7 +183,9 @@ mod tests {
 
     #[test]
     fn every_shipped_shape_conforms() {
-        assert_eq!(check_catalog().unwrap(), Vec::new());
+        for (name, graph) in catalog().unwrap() {
+            assert_eq!(graph.check(), Vec::new(), "{name}");
+        }
     }
 
     #[test]

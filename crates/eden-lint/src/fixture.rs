@@ -34,7 +34,7 @@ pub struct Fixture {
     /// Rules the graph is expected to violate; empty means "must be clean".
     pub expect: Vec<Rule>,
     /// The described wiring.
-    pub graph: WiringGraph,
+    pub(crate) graph: WiringGraph,
 }
 
 impl Fixture {
@@ -72,7 +72,7 @@ fn rule_from_slug(slug: &str) -> Option<Rule> {
 }
 
 /// Parse one fixture from its text.
-pub fn parse(name: &str, text: &str) -> Result<Fixture> {
+pub(crate) fn parse(name: &str, text: &str) -> Result<Fixture> {
     let mut expect = Vec::new();
     let mut discipline: Option<DisciplineKind> = None;
     let mut policy = GrantPolicy::Integer;

@@ -22,7 +22,7 @@
 //!   CAS/store transitions in the code must round-trip against the
 //!   declarative table in `eden_kernel::mailbox::spec`, both directions.
 //!
-//! [`scan`] owns the shared syntactic machinery; [`report`] renders the
+//! `scan` owns the shared syntactic machinery; [`report`] renders the
 //! machine-readable `--json` report.
 
 pub mod atomics;
@@ -32,4 +32,4 @@ pub mod fixture;
 pub mod lockorder;
 pub mod protocol;
 pub mod report;
-pub mod scan;
+pub(crate) mod scan;

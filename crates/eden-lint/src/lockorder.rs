@@ -54,20 +54,20 @@ use crate::scan::{collapse_ws, collect_rs, strip_noise};
 
 /// One lock level: a name plus the call-site substrings that acquire it.
 #[derive(Debug, Clone)]
-pub struct LockClass {
+pub(crate) struct LockClass {
     /// The level's name, as used in `order` lines and annotations.
-    pub name: String,
+    pub(crate) name: String,
     /// Substrings (whitespace-collapsed) that mark an acquisition.
-    pub patterns: Vec<String>,
+    pub(crate) patterns: Vec<String>,
 }
 
 /// The blessed specification: classes plus a partial order.
 #[derive(Debug, Clone, Default)]
 pub struct LockSpec {
     /// Declared lock levels.
-    pub classes: Vec<LockClass>,
+    pub(crate) classes: Vec<LockClass>,
     /// Blessed `a < b` pairs (a may be held while acquiring b).
-    pub order: Vec<(String, String)>,
+    pub(crate) order: Vec<(String, String)>,
 }
 
 impl LockSpec {
@@ -174,7 +174,7 @@ pub struct LockReport {
 
 impl LockReport {
     /// Whether the audit passed.
-    pub fn clean(&self) -> bool {
+    pub(crate) fn clean(&self) -> bool {
         self.cycles.is_empty() && self.deviations.is_empty()
     }
 

@@ -30,18 +30,18 @@ use crate::scan::{self, FileScan};
 
 /// One transition the code performs on a parking bit.
 #[derive(Debug)]
-pub struct CodeTransition {
+pub(crate) struct CodeTransition {
     /// The scanned file.
-    pub file: String,
+    pub(crate) file: String,
     /// 1-based line of the call.
-    pub line: usize,
+    pub(crate) line: usize,
     /// States the machine may be in before the edge (CAS: exactly one;
     /// `transition(..)`: the call's from list).
-    pub from: Vec<u8>,
+    pub(crate) from: Vec<u8>,
     /// State the edge moves the bit to.
-    pub to: u8,
+    pub(crate) to: u8,
     /// CAS or store.
-    pub op: Op,
+    pub(crate) op: Op,
 }
 
 /// The audit's outcome.
@@ -117,7 +117,7 @@ fn park_arg(args: &str) -> Option<(u8, &str)> {
 }
 
 /// Extract every parking-bit transition site from one pre-scanned file.
-pub fn extract_sites(scan: &FileScan) -> (Vec<CodeTransition>, Vec<String>) {
+pub(crate) fn extract_sites(scan: &FileScan) -> (Vec<CodeTransition>, Vec<String>) {
     let joined = scan.joined_code();
     let bytes = joined.as_bytes();
     let mut sites = Vec::new();

@@ -11,35 +11,33 @@ use std::path::{Path, PathBuf};
 
 /// One `// eden-lint: kind(body)` marker found in a comment.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Annotation {
+pub(crate) struct Annotation {
     /// The marker kind: `holds`, `ordering`, `nonblocking`.
-    pub kind: String,
+    pub(crate) kind: String,
     /// The text between the parentheses (must itself be paren-free).
-    pub body: String,
+    pub(crate) body: String,
     /// 1-based source line the marker sits on.
-    pub line: usize,
+    pub(crate) line: usize,
 }
 
 /// One scanned source line.
 #[derive(Debug)]
-pub struct ScanLine {
-    /// 1-based line number.
-    pub number: usize,
+pub(crate) struct ScanLine {
     /// The line with comments stripped and literal contents blanked.
-    pub code: String,
+    pub(crate) code: String,
     /// Whether the line sits inside a `#[cfg(test)]` item.
-    pub in_test: bool,
+    pub(crate) in_test: bool,
 }
 
 /// A whole file, pre-processed for the passes.
 #[derive(Debug)]
-pub struct FileScan {
+pub(crate) struct FileScan {
     /// The file's path as given to [`scan_file`].
-    pub path: String,
+    pub(crate) path: String,
     /// Every line, stripped and test-classified.
-    pub lines: Vec<ScanLine>,
+    pub(crate) lines: Vec<ScanLine>,
     /// Every `eden-lint:` annotation, in source order.
-    pub annotations: Vec<Annotation>,
+    pub(crate) annotations: Vec<Annotation>,
 }
 
 impl FileScan {
@@ -47,7 +45,7 @@ impl FileScan {
     /// map back to lines via [`FileScan::line_of`]. Test lines are
     /// blanked so offset math stays intact while their content can never
     /// match a pattern.
-    pub fn joined_code(&self) -> String {
+    pub(crate) fn joined_code(&self) -> String {
         let mut out = String::new();
         for line in &self.lines {
             if line.in_test {
@@ -61,12 +59,12 @@ impl FileScan {
     }
 
     /// Map a byte offset in [`FileScan::joined_code`] to its 1-based line.
-    pub fn line_of(&self, joined: &str, offset: usize) -> usize {
+    pub(crate) fn line_of(&self, joined: &str, offset: usize) -> usize {
         joined[..offset].matches('\n').count() + 1
     }
 
     /// Annotations of one kind, in source order.
-    pub fn annotations_of(&self, kind: &str) -> Vec<&Annotation> {
+    pub(crate) fn annotations_of(&self, kind: &str) -> Vec<&Annotation> {
         self.annotations.iter().filter(|a| a.kind == kind).collect()
     }
 }
@@ -75,7 +73,7 @@ impl FileScan {
 /// brace counting and pattern matching only see code. Literal state is
 /// per-line (multi-line strings are out of scope — the passes' patterns
 /// are chosen to stay far from them).
-pub fn strip_noise(line: &str) -> String {
+pub(crate) fn strip_noise(line: &str) -> String {
     let mut out = String::with_capacity(line.len());
     let mut chars = line.chars().peekable();
     let mut in_str = false;
@@ -117,7 +115,7 @@ pub fn strip_noise(line: &str) -> String {
 
 /// Collapse runs of whitespace and re-join method chains (`foo .bar` →
 /// `foo.bar`) so multi-line statements match single-line patterns.
-pub fn collapse_ws(s: &str) -> String {
+pub(crate) fn collapse_ws(s: &str) -> String {
     s.split_whitespace()
         .collect::<Vec<_>>()
         .join(" ")
@@ -150,13 +148,13 @@ fn parse_annotations(raw: &str, lineno: usize, out: &mut Vec<Annotation>) {
 
 /// Read and pre-process one file: strip noise per line, find annotations,
 /// and mark every line belonging to a `#[cfg(test)]` item.
-pub fn scan_file(path: &Path) -> std::io::Result<FileScan> {
+pub(crate) fn scan_file(path: &Path) -> std::io::Result<FileScan> {
     let text = std::fs::read_to_string(path)?;
     Ok(scan_text(&path.display().to_string(), &text))
 }
 
 /// [`scan_file`] on in-memory text (for unit tests and fixtures).
-pub fn scan_text(path: &str, text: &str) -> FileScan {
+pub(crate) fn scan_text(path: &str, text: &str) -> FileScan {
     let mut lines = Vec::new();
     let mut annotations = Vec::new();
     let mut depth: usize = 0;
@@ -198,11 +196,7 @@ pub fn scan_text(path: &str, text: &str) -> FileScan {
                 in_test = true;
             }
         }
-        lines.push(ScanLine {
-            number: lineno,
-            code,
-            in_test,
-        });
+        lines.push(ScanLine { code, in_test });
     }
     FileScan {
         path: path.to_owned(),
@@ -212,7 +206,7 @@ pub fn scan_text(path: &str, text: &str) -> FileScan {
 }
 
 /// Recursively collect `.rs` files under `root` (or `root` itself).
-pub fn collect_rs(root: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+pub(crate) fn collect_rs(root: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     if root.is_file() {
         if root.extension().is_some_and(|e| e == "rs") {
             out.push(root.to_path_buf());
@@ -239,7 +233,7 @@ pub fn collect_rs(root: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 /// (`fence(`) returns the function name as both. Inside a `macro_rules!`
 /// body a name may be a metavariable, and keeps its `$`: `c.$field.load(`
 /// names `$field`, one site standing for every expansion.
-pub fn call_chain(code: &[u8], open: usize) -> Option<(String, String)> {
+pub(crate) fn call_chain(code: &[u8], open: usize) -> Option<(String, String)> {
     let ident_end = |mut i: usize| -> usize {
         while i > 0 && (code[i - 1] as char).is_whitespace() {
             i -= 1;
@@ -333,12 +327,12 @@ pub fn call_chain(code: &[u8], open: usize) -> Option<(String, String)> {
 }
 
 /// The byte index of the `)` matching the `(` at `open`, if balanced.
-pub fn matching_paren(code: &[u8], open: usize) -> Option<usize> {
+pub(crate) fn matching_paren(code: &[u8], open: usize) -> Option<usize> {
     matching(code, open, b'(', b')')
 }
 
 /// The byte index of the `}` matching the `{` at `open`, if balanced.
-pub fn matching_brace(code: &[u8], open: usize) -> Option<usize> {
+pub(crate) fn matching_brace(code: &[u8], open: usize) -> Option<usize> {
     matching(code, open, b'{', b'}')
 }
 

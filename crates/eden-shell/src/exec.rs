@@ -71,7 +71,7 @@ impl ShellEnv {
     }
 
     /// Execute a parsed pipeline.
-    pub fn execute(&self, spec: CommandSpec) -> Result<ShellRun> {
+    pub(crate) fn execute(&self, spec: CommandSpec) -> Result<ShellRun> {
         let discipline = self.discipline(&spec)?;
         let mut builder = PipelineSpec::new(discipline);
         if let Some(batch) = spec.directives.get("batch") {
@@ -87,7 +87,11 @@ impl ShellEnv {
             }
         }
         if let Some(nodes) = spec.directives.get("nodes") {
-            builder = builder.over_nodes(parse_num(nodes, "@nodes")? as u16);
+            let n = u16::try_from(parse_num(nodes, "@nodes")?).map_err(|_| {
+                let most = u16::MAX;
+                EdenError::BadParameter(format!("@nodes: at most {most} nodes, got `{nodes}`"))
+            })?;
+            builder = builder.over_nodes(n);
         }
         builder = match &spec.source {
             SourceSpec::Lines(lines) => {
@@ -256,5 +260,27 @@ impl ShellRun {
     /// structured records in their human form).
     pub fn output_lines(&self) -> Vec<String> {
         self.output.iter().map(Value::to_string).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn nodes_directive_refuses_what_a_node_id_cannot_hold() {
+        let kernel = Kernel::new();
+        let env = ShellEnv::new(&kernel);
+        // Past `u16::MAX` a cast would wrap: 65,536 to one node, 70,000 to 4,464.
+        for nodes in ["65536", "70000"] {
+            match env.run(&format!("@nodes={nodes} seq 3")) {
+                Err(EdenError::BadParameter(msg)) => assert!(msg.contains("@nodes"), "{msg}"),
+                other => panic!("@nodes={nodes} was not refused: {other:?}"),
+            }
+        }
+        let run = env.run("@nodes=65535 seq 3 | copy").unwrap();
+        assert_eq!(run.output, (0..3).map(Value::Int).collect::<Vec<_>>());
+        assert!(run.run.metrics.remote_invocations > 0, "spread over no nodes");
+        kernel.shutdown();
     }
 }

@@ -36,12 +36,10 @@
 //! ```
 
 
-pub mod exec;
+pub(crate) mod exec;
 pub mod parse;
 pub mod session;
-pub mod token;
+pub(crate) mod token;
 
 pub use exec::{ShellEnv, ShellRun};
 pub use parse::{parse, CommandSpec, SinkSpec, SourceSpec, StageSpec, TapSpec};
-pub use session::Session;
-pub use token::{tokenize, Token};

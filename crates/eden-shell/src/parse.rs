@@ -40,20 +40,20 @@ pub enum SourceSpec {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TapSpec {
     /// The channel name (e.g. `Report`).
-    pub channel: String,
+    pub(crate) channel: String,
     /// The window (named collector) to show it in.
-    pub window: String,
+    pub(crate) window: String,
 }
 
 /// One filter stage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageSpec {
     /// Filter name (resolved by `eden_filters::make_filter`).
-    pub name: String,
+    pub(crate) name: String,
     /// String arguments.
-    pub args: Vec<String>,
+    pub(crate) args: Vec<String>,
     /// Channel taps on this stage.
-    pub taps: Vec<TapSpec>,
+    pub(crate) taps: Vec<TapSpec>,
 }
 
 /// Where the primary output goes, besides the shell's result.
@@ -69,13 +69,13 @@ pub enum SinkSpec {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommandSpec {
     /// `@key=value` directives (discipline, batch, readahead, ...).
-    pub directives: BTreeMap<String, String>,
+    pub(crate) directives: BTreeMap<String, String>,
     /// The source.
-    pub source: SourceSpec,
+    pub(crate) source: SourceSpec,
     /// The filter stages, in order.
-    pub stages: Vec<StageSpec>,
+    pub(crate) stages: Vec<StageSpec>,
     /// Optional final redirection.
-    pub sink: Option<SinkSpec>,
+    pub(crate) sink: Option<SinkSpec>,
 }
 
 /// Parse a command line.

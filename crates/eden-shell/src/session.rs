@@ -48,16 +48,6 @@ impl Session {
         })
     }
 
-    /// The home directory Eject.
-    pub fn home(&self) -> Uid {
-        self.home
-    }
-
-    /// The pipeline environment (for direct pipeline execution).
-    pub fn env(&self) -> &ShellEnv {
-        &self.env
-    }
-
     /// Execute one command line; returns the printable output lines.
     pub fn execute(&self, line: &str) -> Result<Vec<String>> {
         let trimmed = line.trim();
@@ -266,12 +256,10 @@ impl Session {
                 )
             },
             format!(
-                "sheds: {} (newest {}, oldest {}, expired {}, park-timeout {}), \
+                "sheds: {} (newest {}, park-timeout {}), \
                  mailboxes: {} queued {} (deepest {})",
-                s.sheds_newest + s.sheds_oldest + s.sheds_expired + s.sheds_park_timeout,
+                s.sheds_total(),
                 s.sheds_newest,
-                s.sheds_oldest,
-                s.sheds_expired,
                 s.sheds_park_timeout,
                 snap.mailbox.mailboxes,
                 snap.mailbox.queued_total,
@@ -427,7 +415,7 @@ fn render(v: &Value) -> String {
 }
 
 /// The help text.
-pub const HELP: &str = "\
+pub(crate) const HELP: &str = "\
 built-ins:
   mkfile NAME [LINE...]   create a file Eject in the home directory
   ls                      list the home directory (streamed)
@@ -614,7 +602,7 @@ mod tests {
         let frames = out.iter().filter(|l| l.contains("records in flight")).count();
         assert_eq!(frames, 2);
         // Each frame lists the home directory, busiest (and only) target.
-        let home = s.home().to_string();
+        let home = s.home.to_string();
         assert_eq!(out.iter().filter(|l| l.ends_with(&home)).count(), 2, "{out:?}");
         assert!(s.execute("top --watch zap").is_err());
         kernel.shutdown();

@@ -9,7 +9,7 @@ use eden_core::{EdenError, Result};
 
 /// One lexical token.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Token {
+pub(crate) enum Token {
     /// A bare word or quoted string.
     Word(String),
     /// `|`
@@ -23,7 +23,7 @@ pub enum Token {
 }
 
 /// Tokenize a command line.
-pub fn tokenize(input: &str) -> Result<Vec<Token>> {
+pub(crate) fn tokenize(input: &str) -> Result<Vec<Token>> {
     let mut tokens = Vec::new();
     let mut chars = input.chars().peekable();
     while let Some(&c) = chars.peek() {

@@ -1,6 +1,6 @@
 //! Channel tables: the source side of §5's multi-output scheme.
 //!
-//! A multi-output Eject declares its channels in a [`ChannelTable`]. Under
+//! A multi-output Eject declares its channels in a `ChannelTable`. Under
 //! [`ChannelPolicy::Integer`] the identifiers are well-known small numbers
 //! (what the 1983 prototype ran); under [`ChannelPolicy::Capability`] each
 //! channel's identifier is a fresh UID that can only be learned via the
@@ -24,29 +24,28 @@ pub enum ChannelPolicy {
 
 /// One declared output channel.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChannelSpec {
+pub(crate) struct ChannelSpec {
     /// The documented name ("Output", "Report", ...).
-    pub name: String,
+    pub(crate) name: String,
     /// The identifier readers must present.
-    pub id: ChannelId,
+    pub(crate) id: ChannelId,
 }
 
 /// The declared output channels of a source or filter.
 #[derive(Debug, Clone, Default)]
-pub struct ChannelTable {
+pub(crate) struct ChannelTable {
     specs: Vec<ChannelSpec>,
-    policy: ChannelPolicy,
 }
 
 impl ChannelTable {
     /// A table with only the primary `Output` channel, integer policy.
-    pub fn single_output() -> ChannelTable {
+    pub(crate) fn single_output() -> ChannelTable {
         ChannelTable::new(ChannelPolicy::Integer, [OUTPUT_NAME])
     }
 
     /// Declare channels in order under the given policy. The first name
     /// is the primary output.
-    pub fn new<I, S>(policy: ChannelPolicy, names: I) -> ChannelTable
+    pub(crate) fn new<I, S>(policy: ChannelPolicy, names: I) -> ChannelTable
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
@@ -62,38 +61,13 @@ impl ChannelTable {
                 },
             })
             .collect();
-        ChannelTable { specs, policy }
-    }
-
-    /// The policy this table was built with.
-    pub fn policy(&self) -> ChannelPolicy {
-        self.policy
-    }
-
-    /// Number of declared channels.
-    pub fn len(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// True when no channels are declared.
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
-    }
-
-    /// The declared channels, primary first.
-    pub fn specs(&self) -> &[ChannelSpec] {
-        &self.specs
-    }
-
-    /// The identifier of the primary (first-declared) channel.
-    pub fn primary(&self) -> ChannelId {
-        self.specs.first().map(|s| s.id).unwrap_or_default()
+        ChannelTable { specs }
     }
 
     /// Look up a channel's index by the identifier a reader presented.
     /// This is the access check: an identifier not in the table (a guessed
     /// number, a forged or foreign UID) is refused.
-    pub fn index_of(&self, id: ChannelId) -> Result<usize> {
+    pub(crate) fn index_of(&self, id: ChannelId) -> Result<usize> {
         self.specs
             .iter()
             .position(|s| s.id == id)
@@ -109,17 +83,12 @@ impl ChannelTable {
 
     /// Look up a channel's identifier by documented name (the `GetChannel`
     /// service).
-    pub fn id_of(&self, name: &str) -> Result<ChannelId> {
+    pub(crate) fn id_of(&self, name: &str) -> Result<ChannelId> {
         self.specs
             .iter()
             .find(|s| s.name == name)
             .map(|s| s.id)
             .ok_or_else(|| EdenError::NoSuchChannel(format!("no channel named `{name}`")))
-    }
-
-    /// The name at a given index (for diagnostics).
-    pub fn name_at(&self, index: usize) -> Option<&str> {
-        self.specs.get(index).map(|s| s.name.as_str())
     }
 }
 
@@ -133,8 +102,6 @@ mod tests {
         let t = ChannelTable::new(ChannelPolicy::Integer, [OUTPUT_NAME, REPORT_NAME]);
         assert_eq!(t.id_of(OUTPUT_NAME).unwrap(), ChannelId::Number(0));
         assert_eq!(t.id_of(REPORT_NAME).unwrap(), ChannelId::Number(1));
-        assert_eq!(t.primary(), ChannelId::Number(0));
-        assert_eq!(t.len(), 2);
     }
 
     #[test]
@@ -177,7 +144,5 @@ mod tests {
     fn unknown_name_is_error() {
         let t = ChannelTable::single_output();
         assert!(t.id_of("Bogus").is_err());
-        assert_eq!(t.name_at(0), Some(OUTPUT_NAME));
-        assert_eq!(t.name_at(5), None);
     }
 }

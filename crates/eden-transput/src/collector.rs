@@ -50,7 +50,7 @@ impl Collector {
     /// Append records (called by sink Ejects). Wakes nobody: the condvar's
     /// one waiter, [`wait_done`](Self::wait_done), waits for `done`, which
     /// only [`finish`](Self::finish) and [`fail`](Self::fail) set.
-    pub fn append(&self, items: Vec<Value>) {
+    pub(crate) fn append(&self, items: Vec<Value>) {
         eden_core::stream::note_collected(items.len());
         let mut st = self.state.0.lock();
         st.records_seen += items.len() as u64;
@@ -60,7 +60,7 @@ impl Collector {
     }
 
     /// Mark the stream complete (called once by the sink on end-of-stream).
-    pub fn finish(&self) {
+    pub(crate) fn finish(&self) {
         let (lock, cvar) = &*self.state;
         let mut st = lock.lock();
         if !st.done {
@@ -72,7 +72,7 @@ impl Collector {
 
     /// Mark the stream failed: waiters observe the error instead of data.
     /// Used by sinks when their upstream crashes mid-stream.
-    pub fn fail(&self, error: EdenError) {
+    pub(crate) fn fail(&self, error: EdenError) {
         let (lock, cvar) = &*self.state;
         let mut st = lock.lock();
         if !st.done {
@@ -81,16 +81,6 @@ impl Collector {
         st.done = true;
         st.error = Some(error);
         cvar.notify_all();
-    }
-
-    /// The failure, if the stream failed.
-    pub fn error(&self) -> Option<EdenError> {
-        self.state.0.lock().error.clone()
-    }
-
-    /// True once the stream has completed.
-    pub fn is_done(&self) -> bool {
-        self.state.0.lock().done
     }
 
     /// Number of records delivered so far.
@@ -147,7 +137,6 @@ mod tests {
         });
         let items = c.wait_done(Duration::from_secs(5)).unwrap();
         assert_eq!(items, vec![Value::Int(1), Value::Int(2)]);
-        assert!(c.is_done());
         t.join().unwrap();
     }
 
@@ -213,7 +202,6 @@ mod tests {
             c.wait_done(Duration::from_secs(1)).unwrap_err(),
             EdenError::EndOfStream
         );
-        assert_eq!(c.error(), Some(EdenError::EndOfStream));
     }
 
     #[test]
@@ -221,6 +209,5 @@ mod tests {
         let c = Collector::new();
         c.append(vec![Value::Int(7)]);
         assert_eq!(c.items_so_far(), vec![Value::Int(7)]);
-        assert!(!c.is_done());
     }
 }

@@ -7,7 +7,7 @@
 //! and sinks, with directed data-flow edges labelled by channel name,
 //! plus the channel *grants* recorded by the §5 connection protocol.
 //!
-//! [`check`] evaluates the discipline rules as graph predicates:
+//! `check` evaluates the discipline rules as graph predicates:
 //!
 //! * **read-only** admits fan-in but never fan-out: no `(producer,
 //!   channel)` pair may feed two consumers ([`Rule::FanOutUnderReadOnly`]);
@@ -62,7 +62,7 @@ pub enum Mode {
 impl Mode {
     /// The mode of the corresponding face: an active face needs a passive
     /// one to talk to, and a passive face an active one to be moved by.
-    pub fn peer(self) -> Mode {
+    pub(crate) fn peer(self) -> Mode {
         match self {
             Mode::Active => Mode::Passive,
             Mode::Passive => Mode::Active,
@@ -72,7 +72,7 @@ impl Mode {
 
 impl DisciplineKind {
     /// A short label for tables.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             DisciplineKind::ReadOnly => "read-only",
             DisciplineKind::WriteOnly => "write-only",
@@ -83,7 +83,7 @@ impl DisciplineKind {
     /// A discipline is nothing but its filters' `(input, output)` faces;
     /// which sources, sinks, pumps and buffers a pipeline then needs
     /// follows from joining each active face to a passive one.
-    pub fn faces(self) -> (Mode, Mode) {
+    pub(crate) fn faces(self) -> (Mode, Mode) {
         match self {
             DisciplineKind::ReadOnly => (Mode::Active, Mode::Passive),
             DisciplineKind::WriteOnly => (Mode::Passive, Mode::Active),
@@ -150,7 +150,7 @@ pub enum EdgeMode {
 impl EdgeMode {
     /// The mode of the edge on which an `output` face meets an `input` face.
     /// Panics on two passive faces: no plan joins them.
-    pub fn between(output: Mode, input: Mode) -> EdgeMode {
+    pub(crate) fn between(output: Mode, input: Mode) -> EdgeMode {
         match (output, input) {
             (Mode::Passive, Mode::Active) => EdgeMode::Pull,
             (Mode::Active, Mode::Passive) => EdgeMode::Push,
@@ -164,43 +164,43 @@ impl EdgeMode {
 /// A directed data-flow edge: `consumer` reads (or is written) records
 /// from `producer`'s channel `channel`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GraphEdge {
+pub(crate) struct GraphEdge {
     /// The node whose channel carries the records.
-    pub producer: String,
+    pub(crate) producer: String,
     /// The producer-side channel name (`"Output"` for primary streams).
-    pub channel: String,
+    pub(crate) channel: String,
     /// The node receiving the records.
-    pub consumer: String,
+    pub(crate) consumer: String,
     /// Which end is active.
-    pub mode: EdgeMode,
+    pub(crate) mode: EdgeMode,
 }
 
 /// A record of the §5 connection protocol: `consumer` was handed the
 /// identifier of `producer`'s channel `channel` (via `GetChannel` or by
 /// the wirer that spawned both ends).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChannelGrant {
+pub(crate) struct ChannelGrant {
     /// The node that was granted access.
-    pub consumer: String,
+    pub(crate) consumer: String,
     /// The node whose channel the grant covers.
-    pub producer: String,
+    pub(crate) producer: String,
     /// The granted channel's name.
-    pub channel: String,
+    pub(crate) channel: String,
 }
 
-/// The wiring shape of one pipeline, ready for [`check`].
+/// The wiring shape of one pipeline, ready for `check`.
 #[derive(Debug, Clone)]
 pub struct WiringGraph {
     /// Which discipline's predicates apply.
-    pub discipline: DisciplineKind,
+    pub(crate) discipline: DisciplineKind,
     /// Whether [`Rule::ChannelForgery`] is in force.
-    pub policy: GrantPolicy,
+    pub(crate) policy: GrantPolicy,
     /// Node name → role. Ordered so reports are deterministic.
     pub nodes: BTreeMap<String, NodeRole>,
     /// Directed data-flow edges.
-    pub edges: Vec<GraphEdge>,
+    pub(crate) edges: Vec<GraphEdge>,
     /// Recorded channel grants.
-    pub grants: Vec<ChannelGrant>,
+    pub(crate) grants: Vec<ChannelGrant>,
 }
 
 impl WiringGraph {
@@ -280,7 +280,7 @@ impl WiringGraph {
 
     /// Grant every edge — what the in-repo wirer does, since it performs
     /// the `GetChannel` handshake for each connection it makes itself.
-    pub fn grant_all_edges(&mut self) -> &mut Self {
+    pub(crate) fn grant_all_edges(&mut self) -> &mut Self {
         let grants: Vec<ChannelGrant> = self
             .edges
             .iter()
@@ -340,7 +340,7 @@ pub struct Violation {
     /// The predicate that failed.
     pub rule: Rule,
     /// Human-readable account naming the offending nodes/edges.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl fmt::Display for Violation {
@@ -352,7 +352,7 @@ impl fmt::Display for Violation {
 /// Evaluate the discipline predicates over `graph`. Deterministic order:
 /// unknown nodes first, then the discipline's shape rule over edges in
 /// insertion order, then forgery.
-pub fn check(graph: &WiringGraph) -> Vec<Violation> {
+pub(crate) fn check(graph: &WiringGraph) -> Vec<Violation> {
     let mut violations = Vec::new();
 
     for edge in &graph.edges {

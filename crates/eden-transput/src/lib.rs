@@ -15,10 +15,10 @@
 //! buffer Ejects and 2n+2 invocations per datum where the asymmetric
 //! disciplines need n+2 Ejects and n+1 invocations (§4).
 //!
-//! The code looks like that observation: one [`Stage`] ([`stage`]) with an
+//! The code looks like that observation: one [`Stage`] (`stage`) with an
 //! input face and an output face, each active or passive. Sources, sinks,
 //! filters, the Unix pipe and the Unix filter are choices of faces; a
-//! discipline is the choice its filters make ([`DisciplineKind::faces`]),
+//! discipline is the choice its filters make (`DisciplineKind::faces`),
 //! which [`PipelineSpec`] turns into one plan, checks and spawns. Surviving
 //! a crash is not a choice of faces but a layer any pair of them may have
 //! ([`recovery`]): the stage keeps what it has not been told to forget, and
@@ -54,23 +54,21 @@
 //! whose wiring violates them.
 
 
-pub mod batching;
 pub mod bytestream;
 pub mod channels;
 pub mod collector;
 pub mod conform;
 pub mod devices;
-pub mod pipeline;
-pub mod ports;
+pub(crate) mod pipeline;
+pub(crate) mod ports;
 pub mod protocol;
 pub mod recovery;
 pub mod source;
-pub mod stage;
+pub(crate) mod stage;
 pub mod stdio;
 pub mod transform;
 
-pub use batching::AdaptiveBatch;
-pub use channels::{ChannelPolicy, ChannelSpec, ChannelTable};
+pub use channels::ChannelPolicy;
 pub use collector::Collector;
 pub use conform::{DisciplineKind, Mode, Rule, Violation, WiringGraph};
 pub use pipeline::{Discipline, Pipeline, PipelineRun, PipelineSpec};

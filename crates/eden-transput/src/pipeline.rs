@@ -37,7 +37,6 @@ use crate::ports::{FanInMode, InputPort, OutputPort, OutputWiring};
 use crate::protocol::{ChannelId, GetChannelRequest, OUTPUT_NAME};
 use crate::source::{PullSource, VecSource};
 use crate::stage::{Input, Output, Stage, StageConfig};
-use crate::stdio::{Program, TransputWriter};
 use crate::transform::Transform;
 
 /// Which communication discipline to wire the pipeline in.
@@ -68,7 +67,7 @@ impl Discipline {
 
     /// The discipline's identity, stripped of tuning knobs — what the
     /// static conformance predicates key on.
-    pub fn kind(&self) -> DisciplineKind {
+    pub(crate) fn kind(&self) -> DisciplineKind {
         match self {
             Discipline::ReadOnly { .. } => DisciplineKind::ReadOnly,
             Discipline::WriteOnly { .. } => DisciplineKind::WriteOnly,
@@ -106,8 +105,6 @@ enum Head {
     /// directory listing, another pipeline's tail...). §4: "any Eject
     /// which responds to *Read* invocations is by definition a source."
     Eject(InputPort),
-    /// An imperative program writing records (§4's standard IO module).
-    Program(Program<TransputWriter>),
 }
 
 /// The graph-label for an input port's channel.
@@ -124,13 +121,12 @@ fn channel_label(id: &ChannelId) -> String {
 ///
 /// The spec is the unit of static analysis — [`graph`](Self::graph)
 /// renders it as a [`WiringGraph`] for the conformance predicates, and
-/// [`build`](Self::build) instantiates it on a kernel only after
-/// [`validate`](Self::validate) passes.
+/// [`build`](Self::build) instantiates it on a kernel only after that
+/// graph passes them.
 #[derive(Debug)]
 pub struct PipelineSpec {
     discipline: Discipline,
     batch: usize,
-    batch_max: usize,
     policy: ChannelPolicy,
     /// Where the records come from; several heads are merged by a fan-in
     /// filter (§5), in the mode `merge` gives.
@@ -149,7 +145,6 @@ impl PipelineSpec {
         PipelineSpec {
             discipline,
             batch: 16,
-            batch_max: 0,
             policy: ChannelPolicy::Integer,
             heads: Vec::new(),
             merge: None,
@@ -197,16 +192,6 @@ impl PipelineSpec {
         self.heads(ports.into_iter().map(Head::Eject).collect(), Some(mode))
     }
 
-    /// Use an ordinary imperative program as the source: §4's "standard IO
-    /// module" — the closure writes records conventionally while the Eject
-    /// performs passive output.
-    pub fn source_program<F>(self, program: F) -> Self
-    where
-        F: FnOnce(TransputWriter) + Send + 'static,
-    {
-        self.heads(vec![Head::Program(Program::new(program))], None)
-    }
-
     /// Append a filter stage.
     pub fn stage(mut self, transform: Box<dyn Transform>) -> Self {
         self.stages.push(transform);
@@ -216,15 +201,6 @@ impl PipelineSpec {
     /// Records per Transfer/Write (the batching knob of experiment E7).
     pub fn batch(mut self, batch: usize) -> Self {
         self.batch = batch.max(1);
-        self
-    }
-
-    /// Let every connection adapt its records-per-invocation between
-    /// [`batch`](Self::batch) and `max`: starved consumers and saturated
-    /// write windows grow the batch; overshoot shrinks it back. `max` at
-    /// or below `batch` keeps batches fixed (the default).
-    pub fn adaptive_batch(mut self, max: usize) -> Self {
-        self.batch_max = max;
         self
     }
 
@@ -300,7 +276,6 @@ impl PipelineSpec {
         for (i, head) in self.heads.iter().enumerate() {
             let (label, mount) = match head {
                 Head::Eject(port) => (format!("eject:{}", port.uid), Mount::Eject(*port)),
-                Head::Program(_) => ("source:program".into(), Mount::Head(i)),
                 Head::Supply(_) if self.merge.is_some() => (format!("source[{i}]"), Mount::Head(i)),
                 Head::Supply(_) => ("source".into(), Mount::Head(i)),
             };
@@ -369,13 +344,6 @@ impl PipelineSpec {
         Ok(self.plan()?.graph)
     }
 
-    /// Check the spec without touching a kernel: a source is present,
-    /// every tap names a declared secondary channel of a real stage, and
-    /// the wiring graph satisfies its discipline's predicates.
-    pub fn validate(&self) -> Result<()> {
-        self.check(&self.plan()?.graph)
-    }
-
     fn check(&self, graph: &WiringGraph) -> Result<()> {
         // Validate taps up front: in the source-pumped disciplines an
         // unattached tap would otherwise stall `run` until its deadline.
@@ -419,7 +387,6 @@ impl PipelineSpec {
         // whole run reconstructs as a single causal tree.
         let trace = eden_core::span::SpanContext::root();
         let _ambient = eden_core::span::enter(Some(trace));
-        let discipline = self.discipline;
         let collector = match self.keep_output {
             true => Collector::new(),
             false => Collector::null(),
@@ -458,7 +425,6 @@ impl PipelineSpec {
             };
             let input = match (head, ports, row.mount) {
                 (Some(Head::Supply(supply)), ..) => Input::Local(supply),
-                (Some(Head::Program(program)), ..) => Input::Program(program),
                 (_, None, _) => Input::Passive,
                 (_, Some(ports), Mount::Merge(mode)) => Input::ports(ports, mode),
                 (_, Some(ports), _) => Input::ports(ports, FanInMode::Concatenate),
@@ -495,7 +461,6 @@ impl PipelineSpec {
         let baseline = kernel.metrics().snapshot();
         Ok(Pipeline {
             kernel: kernel.clone(),
-            discipline,
             ejects,
             pumps: deferred,
             start_target,
@@ -517,12 +482,7 @@ impl PipelineSpec {
         let depth = self.discipline.depth();
         let pumps = (row.input, row.output) == (Mode::Active, Mode::Active);
         let starts = matches!(row.mount, Mount::Head(_)) && row.output == Mode::Active;
-        // The dial opens where one end of the stage waits on a peer's pace;
-        // report windows and stages that pump on both faces move fixed
-        // batches.
-        let fixed = pumps || matches!(row.mount, Mount::Tap(_));
         let config = StageConfig {
-            batch_max: if fixed { 0 } else { self.batch_max },
             depth: match (row.mount, row.role) {
                 (Mount::Filter(_), _) if !pumps => depth,
                 (_, NodeRole::Buffer) => depth,
@@ -718,7 +678,6 @@ impl Plan {
 #[derive(Debug)]
 pub struct Pipeline {
     kernel: Kernel,
-    discipline: Discipline,
     ejects: Vec<Uid>,
     /// The stages that pump unasked, spawned in `run()` so they start after
     /// the metrics baseline (and so that truly nothing flows at build time).
@@ -734,16 +693,6 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
-    /// The UIDs of every Eject in the pipeline (entity count).
-    pub fn ejects(&self) -> &[Uid] {
-        &self.ejects
-    }
-
-    /// The discipline this pipeline was wired in.
-    pub fn discipline(&self) -> Discipline {
-        self.discipline
-    }
-
     /// The output collector (for observing progress mid-run).
     pub fn collector(&self) -> &Collector {
         &self.collector
@@ -800,7 +749,7 @@ impl Pipeline {
 
     /// Deactivate every Eject and wait on their death latches until they are
     /// gone. Called by `run`, and useful directly when a pipeline is abandoned.
-    pub fn teardown(&self, deadline: Duration) {
+    pub(crate) fn teardown(&self, deadline: Duration) {
         for &uid in &self.ejects {
             let _ = self.kernel.invoke(uid, ops::DEACTIVATE, Value::Unit);
         }
@@ -822,7 +771,7 @@ pub struct PipelineRun {
     /// Number of Ejects the pipeline comprised.
     pub entities: usize,
     /// Report-stream captures, keyed by (stage, channel name).
-    pub reports: Vec<((usize, String), Vec<Value>)>,
+    pub(crate) reports: Vec<((usize, String), Vec<Value>)>,
     /// The trace id every span of this run carries (when the kernel records
     /// spans); filter [`Kernel::spans`](eden_kernel::Kernel::spans) by it to
     /// reconstruct the run's causal tree.
@@ -839,15 +788,6 @@ impl PipelineRun {
         self.metrics.invocations as f64 / self.records_out as f64
     }
 
-    /// Records per wall-clock second.
-    pub fn throughput(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs == 0.0 {
-            return f64::INFINITY;
-        }
-        self.records_out as f64 / secs
-    }
-
     /// The capture for a given report tap, if present.
     pub fn report(&self, stage: usize, channel: &str) -> Option<&[Value]> {
         self.reports
@@ -860,7 +800,8 @@ impl PipelineRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transform::{filter_fn, map_fn};
+    use crate::transform::map_fn;
+    use crate::transform::tests::filter_fn;
 
     fn doubled(n: i64) -> Vec<Value> {
         (0..n).map(|i| Value::Int(i * 2)).collect()
@@ -1009,7 +950,7 @@ mod tests {
         }
         first_ask.recv_timeout(Duration::from_secs(10)).unwrap();
         pipeline.teardown(Duration::from_secs(10));
-        for &uid in pipeline.ejects() {
+        for &uid in &pipeline.ejects {
             assert_eq!(kernel.eject_state(uid), None, "{uid} outlived teardown");
         }
         kernel.shutdown();
@@ -1120,38 +1061,6 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, EdenError::NoSuchChannel(_)), "{err}");
         }
-        kernel.shutdown();
-    }
-
-    #[test]
-    fn program_source_feeds_pipeline() {
-        // §4's standard IO module as a pipeline source: conventional
-        // imperative writes behind passive output.
-        let kernel = Kernel::new();
-        let run = PipelineSpec::new(Discipline::ReadOnly { read_ahead: 0 })
-            .source_program(|out| {
-                for i in 0..5 {
-                    out.write(Value::Int(i * 11)).expect("write");
-                }
-            })
-            .stage(Box::new(filter_fn("nonzero", |v| {
-                v.as_int().map(|i| i != 0).unwrap_or(false)
-            })))
-            .build(&kernel)
-            .unwrap()
-            .run(Duration::from_secs(10))
-            .unwrap();
-        assert_eq!(
-            run.output,
-            vec![
-                Value::Int(11),
-                Value::Int(22),
-                Value::Int(33),
-                Value::Int(44)
-            ]
-        );
-        // The program Eject is part of the pipeline and torn down with it.
-        assert_eq!(kernel.eject_count(), 0);
         kernel.shutdown();
     }
 

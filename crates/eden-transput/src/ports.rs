@@ -136,9 +136,9 @@ impl InputPuller {
 #[derive(Debug, Clone, Copy)]
 pub struct OutputPort {
     /// The receiving Eject.
-    pub uid: Uid,
+    pub(crate) uid: Uid,
     /// The channel tag presented in the `Write`.
-    pub channel: ChannelId,
+    pub(crate) channel: ChannelId,
 }
 
 impl OutputPort {
@@ -160,7 +160,7 @@ pub struct OutputWiring {
 
 impl OutputWiring {
     /// Wiring with only a primary destination.
-    pub fn primary_to(port: OutputPort) -> OutputWiring {
+    pub(crate) fn primary_to(port: OutputPort) -> OutputWiring {
         let mut w = OutputWiring::default();
         w.add(OUTPUT_NAME, port);
         w
@@ -176,7 +176,7 @@ impl OutputWiring {
     }
 
     /// Total number of wired destinations.
-    pub fn fan_out(&self) -> usize {
+    pub(crate) fn fan_out(&self) -> usize {
         self.routes.iter().map(|(_, p)| p.len()).sum()
     }
 }

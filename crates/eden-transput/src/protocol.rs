@@ -21,9 +21,9 @@ use eden_core::value::Text;
 use eden_core::{EdenError, Result, Uid, Value};
 
 /// The conventional number of the primary output channel.
-pub const CHANNEL_OUTPUT: u32 = 0;
+pub(crate) const CHANNEL_OUTPUT: u32 = 0;
 /// The conventional number of the report (monitoring) channel of §5.
-pub const CHANNEL_REPORT: u32 = 1;
+pub(crate) const CHANNEL_REPORT: u32 = 1;
 
 /// The name of the primary output channel in channel tables.
 pub const OUTPUT_NAME: &str = "Output";
@@ -110,21 +110,13 @@ pub struct Batch {
 
 impl Batch {
     /// A batch carrying records, with more to come.
-    pub fn more(items: Vec<Value>) -> Batch {
+    pub(crate) fn more(items: Vec<Value>) -> Batch {
         Batch { items, end: false }
     }
 
     /// The final batch (possibly carrying the last records).
-    pub fn last(items: Vec<Value>) -> Batch {
+    pub(crate) fn last(items: Vec<Value>) -> Batch {
         Batch { items, end: true }
-    }
-
-    /// An empty end-of-stream batch.
-    pub fn end() -> Batch {
-        Batch {
-            items: Vec::new(),
-            end: true,
-        }
     }
 
     /// Number of records in the batch.
@@ -284,7 +276,12 @@ impl WriteRequest {
     /// `seq` if one is given. This is the fan-out path: one batch allocation
     /// is built once and every consumer's argument holds a reference bump of
     /// it, not a copy.
-    pub fn value_shared_at(channel: ChannelId, items: Value, end: bool, seq: Option<u64>) -> Value {
+    pub(crate) fn value_shared_at(
+        channel: ChannelId,
+        items: Value,
+        end: bool,
+        seq: Option<u64>,
+    ) -> Value {
         debug_assert!(matches!(items, Value::List(_)));
         let channel = (Text::from_static("channel"), Value::from(channel));
         let items = (Text::from_static("items"), items);
@@ -346,7 +343,7 @@ impl GetChannelRequest {
     }
 
     /// Decode from an invocation argument.
-    pub fn from_value(v: &Value) -> Result<GetChannelRequest> {
+    pub(crate) fn from_value(v: &Value) -> Result<GetChannelRequest> {
         Ok(GetChannelRequest {
             name: v.field("name")?.as_str()?.to_owned(),
         })
@@ -378,7 +375,7 @@ mod tests {
     fn batch_roundtrip() {
         let b = Batch::more(vec![Value::Int(1), Value::str("x")]);
         assert_eq!(Batch::from_value(b.clone().to_value()).unwrap(), b);
-        let e = Batch::end();
+        let e = Batch::last(Vec::new());
         assert!(e.is_empty());
         assert_eq!(Batch::from_value(e.clone().to_value()).unwrap(), e);
     }

@@ -6,7 +6,7 @@
 //! crash as its passive representation and is "automatically reactivated by
 //! the Eden kernel when it is next invoked". Durability is orthogonal to
 //! which side of a connection initiates, so it is a layer of the one stage,
-//! not a second one: faces, step and worker are [`crate::stage`]'s, and a
+//! not a second one: faces, step and worker are `crate::stage`'s, and a
 //! *retained* stage differs from a volatile one in three ingredients only.
 //!
 //! 1. **Positions on the wire.** Every `Transfer` carries the reader's

@@ -92,7 +92,6 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
 
 use eden_core::op::ops;
 use eden_core::{EdenError, OpName, Result, Uid, Value};
@@ -101,7 +100,6 @@ use eden_kernel::{
     ReplyHandle, RouteCache,
 };
 
-use crate::batching::AdaptiveBatch;
 use crate::channels::{ChannelPolicy, ChannelTable};
 use crate::collector::Collector;
 use crate::ports::{deliver, FanInMode, InputPort, InputPuller, OutputPort, OutputWiring};
@@ -124,7 +122,7 @@ pub enum Input {
     /// read from a secondary port: `Value::List([written, read])`, padded
     /// with `Unit` once the port runs dry. How a stream editor's command
     /// input or a comparator's second file enters a write-only pipeline
-    /// (§5). Built by [`Input::zipped`].
+    /// (§5).
     Zipped(InputPuller),
     /// `Transfer` from ports. Built by [`Input::pull`] or [`Input::ports`].
     Active(InputPuller),
@@ -133,7 +131,7 @@ pub enum Input {
     /// Let an imperative program write the records, conventionally: §4's
     /// standard IO module ([`crate::stdio`]). The program *is* the stage's
     /// read-ahead worker, so the output face is passive and a `depth` of 0
-    /// means [`crate::stdio::BUFFER`].
+    /// means `crate::stdio::BUFFER`.
     Program(Program<TransputWriter>),
 }
 
@@ -152,15 +150,9 @@ impl Input {
     /// the port it came by — `{from: label, item: record}` — which only the
     /// face that holds the ports can say: how a report window reads its
     /// sources (Figure 4).
-    pub fn labelled(ports: Vec<(String, InputPort)>) -> Input {
+    pub(crate) fn labelled(ports: Vec<(String, InputPort)>) -> Input {
         let (labels, ports) = ports.into_iter().unzip();
         Input::Active(InputPuller::new(ports, FanInMode::RoundRobin).labelled(labels))
-    }
-
-    /// Passive input zipped with `secondary`'s primary channel.
-    pub fn zipped(secondary: Uid) -> Input {
-        let port = InputPort::primary(secondary);
-        Input::Zipped(InputPuller::new(vec![port], FanInMode::Concatenate))
     }
 }
 
@@ -191,12 +183,8 @@ impl Output {
 /// Tuning for a [`Stage`]. Every field has a neutral default.
 #[derive(Debug, Clone)]
 pub struct StageConfig {
-    /// Records an active face moves per invocation. With `batch_max` at or
-    /// below it this is the fixed batch size; otherwise the floor of an
-    /// adaptive range.
+    /// Records an active face moves per invocation.
     pub batch: usize,
-    /// Upper bound for adaptive batch sizing (see [`AdaptiveBatch`]).
-    pub batch_max: usize,
     /// The buffer between the faces (module docs): records a read-ahead
     /// worker keeps waiting, writes a push-ahead worker may have in hand,
     /// records a pipe holds before it parks its writers. 0 = no worker.
@@ -223,7 +211,6 @@ impl StageConfig {
     pub fn batch(batch: usize) -> StageConfig {
         StageConfig {
             batch,
-            batch_max: 0,
             depth: 0,
             policy: ChannelPolicy::Integer,
             window: 1,
@@ -298,11 +285,8 @@ pub(crate) struct InFace {
     pub(crate) transform: Option<Box<dyn Transform>>,
     /// Upstream routes, learned on first use.
     cache: RouteCache,
-    dial: AdaptiveBatch,
     /// The input has ended and the transform has flushed.
     flushed: bool,
-    /// No passive output sets this stage's pace: it pumps.
-    pumping: bool,
 }
 
 /// One step of an active input: up to `max` records, from `pos` if the
@@ -365,18 +349,7 @@ impl InFace {
             }
             Input::Active(puller) => {
                 let pos = kept.as_ref().map(|kept| kept.consumed);
-                let (items, end) = pull(puller, host, &mut self.cache, ask, pos)?;
-                // Saturated upstream → fatter batches; a starved reply
-                // (well under what we asked for) → fall back towards the
-                // floor. The shrink threshold is deliberately far below the
-                // grow threshold: partial batches are normal under
-                // concurrency and must not collapse the dial.
-                if self.pumping && items.len() * 2 >= ask {
-                    self.dial.grow();
-                } else if self.pumping && !end && items.len() * 8 < ask {
-                    self.dial.shrink();
-                }
-                (items, end)
+                pull(puller, host, &mut self.cache, ask, pos)?
             }
             Input::Passive | Input::Zipped(_) => unreachable!("a passive input is written to"),
             Input::Program(_) => unreachable!("a program is its own worker"),
@@ -399,7 +372,6 @@ struct OutFace {
     face: Output,
     /// Downstream routes, learned on first use.
     cache: RouteCache,
-    dial: AdaptiveBatch,
     window: usize,
     /// Writes sent and not yet acknowledged (`window` > 1).
     in_flight: VecDeque<PendingReply>,
@@ -429,7 +401,6 @@ impl OutFace {
         let (window, end) = (self.window, chunk.end);
         let windowed = window > 1 && wiring.fan_out() == 1;
         let (cache, in_flight) = (&mut self.cache, &mut self.in_flight);
-        let unsent = in_flight.len();
         deliver(wiring, &mut chunk.out, end, seq, &mut |port, arg| {
             if windowed {
                 let routed = InvokeOptions::new().route_cache(cache);
@@ -445,7 +416,6 @@ impl OutFace {
         if !windowed {
             return Ok(());
         }
-        let sent = in_flight.len() > unsent;
         // Reap acknowledgements that have already arrived without blocking.
         while let Some(pending) = in_flight.pop_front() {
             match pending.try_wait() {
@@ -455,15 +425,6 @@ impl OutFace {
                     break;
                 }
             }
-        }
-        if sent && in_flight.is_empty() && !end {
-            // Even the write just sent was already acknowledged: batching
-            // overshot.
-            self.dial.shrink();
-        } else if in_flight.len() >= window {
-            // Window saturated — downstream is invocation-bound; amortise
-            // with bigger writes, then block.
-            self.dial.grow();
         }
         while in_flight.len() >= window || (end && !in_flight.is_empty()) {
             host.wait(in_flight.pop_front().expect("non-empty checked"))?;
@@ -617,7 +578,6 @@ impl Drop for Meet {
 pub(crate) fn await_buffer<R>(
     meet: &Shared,
     pctx: &ProcessContext,
-    patience: Option<Duration>,
     mut ready: impl FnMut(&mut Buffer) -> Option<R>,
 ) -> Result<R> {
     let mut buffer = meet.queue.lock();
@@ -628,16 +588,8 @@ pub(crate) fn await_buffer<R>(
         if let Some(found) = ready(&mut buffer) {
             return Ok(found);
         }
-        match patience {
-            // eden-lint: nonblocking(spawn_process worker thread, not a pool worker)
-            None => meet.changed.wait(&mut buffer),
-            // eden-lint: timer(deadline)
-            // eden-lint: nonblocking(spawn_process worker thread, not a pool worker)
-            Some(patience) if meet.changed.wait_for(&mut buffer, patience).timed_out() => {
-                return Err(EdenError::Timeout);
-            }
-            Some(_) => {}
-        }
+        // eden-lint: nonblocking(spawn_process worker thread, not a pool worker)
+        meet.changed.wait(&mut buffer);
     }
 }
 
@@ -685,7 +637,7 @@ fn work(
     output: &mut Option<OutFace>,
     meet: &Shared,
     depth: usize,
-    dial: &AdaptiveBatch,
+    batch: usize,
     held: &mut Option<(Box<Kept>, Buffer)>,
 ) -> Result<()> {
     loop {
@@ -700,7 +652,7 @@ fn work(
             Some(face) if output.is_some() => {
                 let mut kept = held.as_mut().map(|(kept, _)| &mut **kept);
                 let at = kept.as_ref().map(|kept| kept.consumed);
-                let chunk = face.produce(pctx, dial.current(), kept.as_deref_mut())?;
+                let chunk = face.produce(pctx, batch, kept.as_deref_mut())?;
                 if kept.is_some_and(|kept| Some(kept.consumed) == at && !face.flushed) {
                     // A dry upstream buffer, and the stream still open: a
                     // retained passive output parks nobody, so poll.
@@ -709,18 +661,17 @@ fn work(
                 chunk
             }
             Some(face) => {
-                // The window deepens with the batch dial: pre-pulling less
-                // than one batch's worth would starve the very batches the
-                // dial grew.
-                let room = await_buffer(meet, pctx, None, |buffer| {
-                    let target = depth.max(dial.current());
+                // The window holds at least one batch: pre-pulling less
+                // would starve the whole batches a reader is served.
+                let room = await_buffer(meet, pctx, |buffer| {
+                    let target = depth.max(batch);
                     target
                         .checked_sub(buffer.occupancy())
                         .filter(|room| *room > 0)
                 })?;
-                face.produce_or_end(pctx, dial.current().min(room))
+                face.produce_or_end(pctx, batch.min(room))
             }
-            None => await_buffer(meet, pctx, None, Buffer::take_write)?,
+            None => await_buffer(meet, pctx, Buffer::take_write)?,
         };
         let mut end = chunk.end;
         match (&mut *output, &mut *held) {
@@ -758,8 +709,8 @@ pub struct Stage {
     out_passive: bool,
     /// The input face holds ports: demand reaches upstream.
     pulls: bool,
-    /// The records-per-invocation dial, shared with the worker.
-    dial: AdaptiveBatch,
+    /// Records an active face moves per invocation.
+    batch: usize,
     depth: usize,
     meet: Meet,
     /// Parked `Transfer`s (how many records, whose reply), per channel.
@@ -827,8 +778,6 @@ impl Stage {
             (Input::Passive, Output::Active(_)) => "PushFilter",
             (Input::Passive, Output::Collector(_)) => "AcceptorSink",
         };
-        let batch = config.batch.max(1);
-        let dial = AdaptiveBatch::new(batch, config.batch_max.max(batch));
         let out_passive = matches!(output, Output::Passive);
         // A program meets its coordinator at the buffer, so there is one.
         let program = matches!(input, Input::Program(_)) || matches!(output, Output::Program(_));
@@ -854,18 +803,15 @@ impl Stage {
                 face: input,
                 transform,
                 cache: RouteCache::new(),
-                dial: dial.clone(),
                 flushed: false,
-                pumping: !out_passive,
             }),
             output: Some(OutFace {
                 face: output,
                 cache: RouteCache::new(),
-                dial: dial.clone(),
                 window: config.window.max(1),
                 in_flight: VecDeque::new(),
             }),
-            dial,
+            batch: config.batch.max(1),
             depth,
             readers: names.iter().map(|_| VecDeque::new()).collect(),
             meet: Meet::Own(Buffer {
@@ -955,7 +901,7 @@ impl Stage {
         // takes all the stage keeps with them: nothing is left to meet at.
         let mut held = (self.kept.take()).map(|kept| (kept, self.meet.with(std::mem::take)));
         let meet = self.meet.share();
-        let (depth, dial, collector) = (self.depth, self.dial.clone(), self.collector.clone());
+        let (depth, batch, collector) = (self.depth, self.batch, self.collector.clone());
         ctx.spawn_process(name, move |pctx| {
             let result = match (input, output) {
                 // A program is the worker: what it writes goes into the
@@ -969,7 +915,7 @@ impl Stage {
                     _,
                 ) => {
                     // Room for whatever a reader may be waiting for whole.
-                    let room = depth.max(dial.bounds().1);
+                    let room = depth.max(batch);
                     program.run(TransputWriter::new(Arc::clone(&meet), pctx.clone(), room));
                     Ok(())
                 }
@@ -996,7 +942,7 @@ impl Stage {
                         &mut output,
                         &meet,
                         depth,
-                        &dial,
+                        batch,
                         &mut held,
                     ) {
                         // Retries exhausted under heavy fault load: pause
@@ -1094,14 +1040,6 @@ impl Stage {
             Err(e) => return reply.reply(Err(e)),
         };
         if idx == 0 {
-            // Demand propagation: a downstream asking for more per Transfer
-            // than we pull per Transfer cascades the batch dial up the
-            // pipeline — open it until it covers the observed demand (the
-            // dial's own max still caps it).
-            let covers = req.max.min(self.dial.bounds().1);
-            while self.pulls && self.dial.current() < covers {
-                self.dial.grow();
-            }
             // Secondary channels fill only as a by-product of primary
             // demand — §4's laziness means reports trail the main stream.
             if let Err(e) = self.fill(host, req.max) {
@@ -1120,11 +1058,6 @@ impl Stage {
                 // "partial vacuum" of §4.
                 reply.mark_deferred();
                 self.readers[idx].push_back((req.max, reply));
-                if idx == 0 && self.in_worker() {
-                    // The prefetch is not keeping up: move more records per
-                    // invocation.
-                    self.dial.grow();
-                }
             }
         }
         self.settle(host);
@@ -1137,13 +1070,11 @@ impl Stage {
         let Some(input) = self.input.as_mut().filter(|_| !self.in_passive) else {
             return Ok(());
         };
-        let mut pulls = 0usize;
         let mut have = self.meet.with(|buffer| buffer.occupancy());
         while have < want && !input.flushed {
             // A peer is asked for a batch; a local supply yields exactly
             // what is asked for.
-            let batch = self.dial.current();
-            let ask = if self.pulls { batch } else { want - have };
+            let ask = if self.pulls { self.batch } else { want - have };
             let mut kept = self.kept.as_deref_mut();
             let chunk = match kept.as_deref_mut() {
                 None => input.produce_or_end(host, ask),
@@ -1157,32 +1088,21 @@ impl Stage {
                 retain(host, input, None, buffer, kept, chunk)?;
                 Ok::<_, EdenError>(buffer.occupancy())
             })?;
-            pulls += 1;
-        }
-        // Adapt: a serve needing several upstream pulls is invocation-bound;
-        // a single pull that left more than a demand's worth buffered
-        // overshot. (No-ops when the batch is fixed.)
-        if pulls >= 2 {
-            self.dial.grow();
-        } else if pulls == 1 && have > want {
-            self.dial.shrink();
         }
         Ok(())
     }
 
     fn read(&mut self, idx: usize, max: usize) -> Option<Batch> {
         // A prefetched primary reader is served whole batches (capped by
-        // the dial's own bound): answering a 64-record ask with the 4
-        // records that happen to be buffered would turn one invocation into
-        // many.
+        // the stage's own): answering a 64-record ask with the 4 records
+        // that happen to be buffered would turn one invocation into many.
         let whole = idx == 0 && self.in_worker();
-        let cap = self.dial.bounds().1;
         // A retained output parks nobody — a parked reply would die with a
         // crash anyway: it answers an empty batch, and its reader polls.
         let keep = self.kept.is_some();
         let fill = match (keep, whole) {
             (true, _) => 0,
-            (_, true) => max.min(cap),
+            (_, true) => max.min(self.batch),
             _ => 1,
         };
         self.meet.with(|buffer| buffer.read(idx, max, fill, keep))
@@ -1330,18 +1250,6 @@ impl EjectBehavior for Stage {
     fn internal(&mut self, ctx: &EjectContext, _event: Value) {
         // The worker has put or taken something.
         self.settle(ctx);
-        if self.out_passive && self.in_worker() {
-            // An amplifying transform can pile output far past the
-            // read-ahead target with nobody reading. Only a backlog far
-            // past the window means batching overshot demand; a transient
-            // pile-up right after a fat delivery is normal and must not
-            // collapse the dial.
-            let window = self.depth.max(self.dial.current()).max(1);
-            let (ended, waiting) = self.meet.with(|buffer| (buffer.ended, buffer.occupancy()));
-            if !ended && self.readers[0].is_empty() && waiting >= 4 * window {
-                self.dial.shrink();
-            }
-        }
     }
 }
 
@@ -1351,7 +1259,8 @@ mod tests {
     use crate::protocol::ChannelId;
     use crate::recovery::TransformRegistry;
     use crate::source::FnSource;
-    use crate::transform::{filter_fn, map_fn, Identity};
+    use crate::transform::tests::filter_fn;
+    use crate::transform::{map_fn, Identity};
     use eden_core::{wire, Metrics};
     use eden_kernel::{reply_pair, Kernel};
     use std::cell::RefCell;
@@ -1941,7 +1850,10 @@ mod tests {
             .unwrap();
         let zipper = kernel
             .spawn(Box::new(Stage::new(
-                Input::zipped(secondary),
+                Input::Zipped(InputPuller::new(
+                    vec![InputPort::primary(secondary)],
+                    FanInMode::Concatenate,
+                )),
                 Output::push(sink),
                 StageConfig::default(),
             )))
@@ -2222,7 +2134,10 @@ mod tests {
         let kernel = Kernel::new();
         let secondary = int_source(&kernel, 20);
         let pipe = Stage::new(
-            Input::zipped(secondary),
+            Input::Zipped(InputPuller::new(
+                vec![InputPort::primary(secondary)],
+                FanInMode::Concatenate,
+            )),
             Output::Passive,
             StageConfig {
                 depth: 1,

@@ -27,7 +27,6 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
 
 use eden_core::{EdenError, Result, Value};
 use eden_kernel::ProcessContext;
@@ -38,7 +37,7 @@ use crate::transform::Emitter;
 /// The buffer a program gets where nobody says how deep ([`StageConfig::depth`]
 /// of 0): records a writing program may be ahead of its readers, writes a
 /// reading program may be behind its writers.
-pub const BUFFER: usize = 256;
+pub(crate) const BUFFER: usize = 256;
 
 /// An imperative program, to be handed its conventional interface `T` and
 /// run as a stage's worker process.
@@ -46,7 +45,7 @@ pub struct Program<T>(Box<dyn FnOnce(T) + Send>);
 
 impl<T> Program<T> {
     /// Wrap `program`.
-    pub fn new(program: impl FnOnce(T) + Send + 'static) -> Program<T> {
+    pub(crate) fn new(program: impl FnOnce(T) + Send + 'static) -> Program<T> {
         Program(Box::new(program))
     }
 
@@ -63,7 +62,7 @@ impl<T> std::fmt::Debug for Program<T> {
 
 /// A read-only source whose records an ordinary imperative program
 /// produces by calling `write`, `capacity` records ahead of its readers at
-/// most (0: [`BUFFER`]). A reader is answered as soon as there is a record.
+/// most (0: `BUFFER`). A reader is answered as soon as there is a record.
 pub fn program_source<F>(program: F, capacity: usize) -> Stage
 where
     F: FnOnce(TransputWriter) + Send + 'static,
@@ -81,7 +80,7 @@ where
 
 /// A write-only sink whose records an ordinary imperative program consumes
 /// by calling `read`, `capacity` writes behind its writers at most (0:
-/// [`BUFFER`]); a writer that finds as many undelivered is parked.
+/// `BUFFER`); a writer that finds as many undelivered is parked.
 pub fn program_sink<F>(program: F, capacity: usize) -> Stage
 where
     F: FnOnce(TransputReader) + Send + 'static,
@@ -117,7 +116,7 @@ impl TransputWriter {
     /// to be "much more efficient than invocation".
     fn put(&self, chunk: Chunk, ready: impl Fn(&Buffer) -> bool) -> Result<()> {
         let mut chunk = Some(chunk);
-        await_buffer(&self.meet, &self.pctx, None, |buffer| match buffer.ended {
+        await_buffer(&self.meet, &self.pctx, |buffer| match buffer.ended {
             true => Some(Err(EdenError::EndOfStream)),
             false if ready(buffer) => chunk.take().map(|chunk| buffer.put(chunk)),
             false => None,
@@ -135,14 +134,9 @@ impl TransputWriter {
         })
     }
 
-    /// Convenience: write a text line.
-    pub fn write_line(&self, line: impl Into<String>) -> Result<()> {
-        self.write(Value::from(line.into()))
-    }
-
     /// Close the stream: readers will observe end-of-stream once the
     /// buffer drains. (Also happens automatically when the program ends.)
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         let end = Chunk {
             end: true,
             ..Chunk::default()
@@ -173,7 +167,7 @@ impl TransputReader {
         TransputReader { meet, pctx, hand }
     }
 
-    fn next(&self, patience: Option<Duration>) -> Result<Option<Value>> {
+    fn next(&self) -> Result<Option<Value>> {
         let mut hand = self.hand.borrow_mut();
         loop {
             if let Some(item) = hand.0.pop_front() {
@@ -187,7 +181,7 @@ impl TransputReader {
             if std::mem::take(&mut self.meet.queue.lock().delivering) {
                 self.pctx.post_internal(Value::Unit)?;
             }
-            let mut write = await_buffer(&self.meet, &self.pctx, patience, Buffer::take_write)?;
+            let mut write = await_buffer(&self.meet, &self.pctx, Buffer::take_write)?;
             *hand = (write.out.take_primary().into(), write.end);
         }
     }
@@ -195,12 +189,7 @@ impl TransputReader {
     /// Take the next record, blocking until one arrives. `None` at
     /// end-of-stream (or once the Eject is gone).
     pub fn read(&self) -> Option<Value> {
-        self.next(None).unwrap_or(None)
-    }
-
-    /// Take the next record, giving up after `deadline`.
-    pub fn read_timeout(&self, deadline: Duration) -> Result<Option<Value>> {
-        self.next(Some(deadline))
+        self.next().unwrap_or(None)
     }
 }
 
@@ -213,6 +202,7 @@ mod tests {
     use eden_core::op::ops;
     use eden_kernel::Kernel;
     use parking_lot::{Condvar, Mutex};
+    use std::time::Duration;
 
     #[test]
     fn program_source_serves_writes_as_stream() {
@@ -324,30 +314,12 @@ mod tests {
     }
 
     #[test]
-    fn reader_timeout_fires() {
-        let kernel = Kernel::new();
-        let (tried, result) = std::sync::mpsc::channel();
-        let program = move |input: TransputReader| {
-            let _ = tried.send(input.read_timeout(Duration::from_millis(20)));
-        };
-        kernel.spawn(Box::new(program_sink(program, 4))).unwrap();
-        assert_eq!(
-            result
-                .recv_timeout(Duration::from_secs(10))
-                .unwrap()
-                .unwrap_err(),
-            EdenError::Timeout
-        );
-        kernel.shutdown();
-    }
-
-    #[test]
     fn writer_close_is_idempotent_and_drop_closes() {
         let kernel = Kernel::new();
         let src = kernel
             .spawn(Box::new(program_source(
                 |out| {
-                    out.write_line("only").unwrap();
+                    out.write(Value::str("only")).unwrap();
                     out.close();
                     out.close();
                     // Writing after close fails cleanly.

@@ -18,7 +18,7 @@ use eden_core::Value;
 
 /// Collects the output of a transform step, per channel.
 ///
-/// A transform only emits into it. Inside [`step`] the records still to be
+/// A transform only emits into it. Inside `step` the records still to be
 /// pushed wait at the front of the primary channel, so a transform that
 /// drained or inspected the emitter it is handed would see them.
 #[derive(Debug, Default)]
@@ -35,7 +35,7 @@ impl Emitter {
 
     /// An emitter already holding `items` on the primary channel: what a
     /// step with no transform mounted comes to, without touching a record.
-    pub fn of(items: Vec<Value>) -> Emitter {
+    pub(crate) fn of(items: Vec<Value>) -> Emitter {
         Emitter {
             primary: items.into(),
             secondary: BTreeMap::new(),
@@ -58,13 +58,8 @@ impl Emitter {
     }
 
     /// Drain every secondary channel's output.
-    pub fn take_secondary(&mut self) -> BTreeMap<String, Vec<Value>> {
+    pub(crate) fn take_secondary(&mut self) -> BTreeMap<String, Vec<Value>> {
         std::mem::take(&mut self.secondary)
-    }
-
-    /// True when nothing has been emitted since the last drain.
-    pub fn is_empty(&self) -> bool {
-        self.primary.is_empty() && self.secondary.values().all(Vec::is_empty)
     }
 }
 
@@ -119,7 +114,11 @@ pub trait Transform: Send + 'static {
 /// The records wait at the front of the emitter's primary queue and the
 /// transform emits at its back, each output taking the slot its input left:
 /// a step that emits no more than it was given allocates nothing.
-pub fn step(transform: &mut Option<Box<dyn Transform>>, items: Vec<Value>, end: bool) -> Emitter {
+pub(crate) fn step(
+    transform: &mut Option<Box<dyn Transform>>,
+    items: Vec<Value>,
+    end: bool,
+) -> Emitter {
     let n = items.len();
     let mut out = Emitter::of(items);
     let Some(transform) = transform else {
@@ -178,36 +177,6 @@ where
     }
 }
 
-/// A stateless filter (predicate) transform from a closure.
-#[derive(Debug)]
-pub struct FilterFn<F> {
-    pred: F,
-    label: &'static str,
-}
-
-/// Build a predicate transform from a closure: records failing the
-/// predicate are dropped.
-pub fn filter_fn<F>(label: &'static str, pred: F) -> FilterFn<F>
-where
-    F: FnMut(&Value) -> bool + Send + 'static,
-{
-    FilterFn { pred, label }
-}
-
-impl<F> Transform for FilterFn<F>
-where
-    F: FnMut(&Value) -> bool + Send + 'static,
-{
-    fn push(&mut self, item: Value, out: &mut Emitter) {
-        if (self.pred)(&item) {
-            out.emit(item);
-        }
-    }
-    fn name(&self) -> &'static str {
-        self.label
-    }
-}
-
 /// Run a transform over a whole input offline (no Ejects involved).
 /// Returns the primary output and the per-channel secondary outputs.
 ///
@@ -258,8 +227,38 @@ impl std::fmt::Debug for dyn Transform {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A stateless filter (predicate) transform from a closure.
+    #[derive(Debug)]
+    pub(crate) struct FilterFn<F> {
+        pred: F,
+        label: &'static str,
+    }
+
+    /// Build a predicate transform from a closure: records failing the
+    /// predicate are dropped.
+    pub(crate) fn filter_fn<F>(label: &'static str, pred: F) -> FilterFn<F>
+    where
+        F: FnMut(&Value) -> bool + Send + 'static,
+    {
+        FilterFn { pred, label }
+    }
+
+    impl<F> Transform for FilterFn<F>
+    where
+        F: FnMut(&Value) -> bool + Send + 'static,
+    {
+        fn push(&mut self, item: Value, out: &mut Emitter) {
+            if (self.pred)(&item) {
+                out.emit(item);
+            }
+        }
+        fn name(&self) -> &'static str {
+            self.label
+        }
+    }
 
     #[test]
     fn identity_passes_through() {
@@ -277,22 +276,14 @@ mod tests {
     }
 
     #[test]
-    fn filter_fn_drops_failures() {
-        let mut evens = filter_fn("evens", |v| v.as_int().map(|i| i % 2 == 0).unwrap_or(false));
-        let (out, _) = apply_offline(&mut evens, (0..6).map(Value::Int));
-        assert_eq!(out, vec![Value::Int(0), Value::Int(2), Value::Int(4)]);
-    }
-
-    #[test]
     fn emitter_secondary_channels() {
         let mut e = Emitter::new();
         e.emit(Value::Int(1));
         e.emit_on("Report", Value::str("note"));
-        assert!(!e.is_empty());
         assert_eq!(e.take_primary(), vec![Value::Int(1)]);
         let sec = e.take_secondary();
         assert_eq!(sec["Report"], vec![Value::str("note")]);
-        assert!(e.is_empty());
+        assert!(e.take_primary().is_empty() && e.take_secondary().is_empty());
     }
 
     /// A transform that buffers everything and reverses at flush — checks

@@ -2,86 +2,20 @@
 //! `RUSTFLAGS="--cfg loom"` (see `vendor/loom` for what `model` means in
 //! this offline build).
 //!
-//! Two properties are modelled:
+//! One property is modelled:
 //!
-//! 1. **AdaptiveBatch demand propagation** — the batch dial is a shared
-//!    atomic raced by a grower (invocation-bound end) and a shrinker
-//!    (overshot consumer). Whatever the interleaving, every observed
-//!    value must stay inside the configured bounds and every clone of
-//!    the dial must agree once the racers are done. This drives the
-//!    *real* [`AdaptiveBatch`], not a distilled copy: its lock-free
-//!    compare-exchange loop is exactly the kind of code stress
-//!    iteration exists for.
-//!
-//! 2. **Checkpoint-before-reply ordering** — §7 recovery correctness
-//!    rests on the acceptor checkpointing *before* acknowledging a
-//!    record (see `recovery.rs`: a crash between ack and checkpoint
-//!    would lose an acknowledged record). The model is the classic
-//!    release/acquire message-passing shape: if an observer (the
-//!    reactivating replacement) sees ack `n`, it must also see a
-//!    checkpoint covering at least `n`.
+//! **Checkpoint-before-reply ordering** — §7 recovery correctness
+//! rests on the acceptor checkpointing *before* acknowledging a
+//! record (see `recovery.rs`: a crash between ack and checkpoint
+//! would lose an acknowledged record). The model is the classic
+//! release/acquire message-passing shape: if an observer (the
+//! reactivating replacement) sees ack `n`, it must also see a
+//! checkpoint covering at least `n`.
 #![cfg(loom)]
 
-use eden_transput::AdaptiveBatch;
 use loom::sync::Arc;
 use loom::sync::atomic::{AtomicUsize, Ordering};
 use loom::thread;
-
-#[test]
-fn adaptive_batch_stays_bounded_under_racing_grow_and_shrink() {
-    loom::model(|| {
-        let dial = AdaptiveBatch::new(2, 64);
-        let (min, max) = dial.bounds();
-
-        let grower = {
-            let dial = dial.clone();
-            thread::spawn(move || {
-                for _ in 0..4 {
-                    dial.grow();
-                    let seen = dial.current();
-                    assert!((min..=max).contains(&seen), "grow side saw {seen}");
-                }
-            })
-        };
-        let shrinker = {
-            let dial = dial.clone();
-            thread::spawn(move || {
-                for _ in 0..4 {
-                    dial.shrink();
-                    let seen = dial.current();
-                    assert!((min..=max).contains(&seen), "shrink side saw {seen}");
-                }
-            })
-        };
-
-        grower.join().unwrap();
-        shrinker.join().unwrap();
-
-        // Demand propagation: both ends of the connection read the same
-        // settled dial — the clone shares state rather than snapshotting.
-        let settled = dial.current();
-        assert!((min..=max).contains(&settled));
-        assert_eq!(dial.clone().current(), settled);
-    });
-}
-
-#[test]
-fn fixed_batch_is_immune_to_racing_adjustment() {
-    loom::model(|| {
-        let dial = AdaptiveBatch::fixed(16);
-        let racer = {
-            let dial = dial.clone();
-            thread::spawn(move || {
-                dial.grow();
-                dial.shrink();
-            })
-        };
-        dial.shrink();
-        dial.grow();
-        racer.join().unwrap();
-        assert_eq!(dial.current(), 16);
-    });
-}
 
 #[test]
 fn checkpoint_is_visible_before_the_reply_it_covers() {

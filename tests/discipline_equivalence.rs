@@ -84,12 +84,10 @@ fn run_full(
     input: &[String],
     picks: &[FilterPick],
     batch: usize,
-    batch_max: usize,
 ) -> PipelineRun {
     let mut builder = PipelineSpec::new(discipline)
         .source_vec(input.iter().map(|l| Value::str(l.clone())).collect())
         .batch(batch)
-        .adaptive_batch(batch_max)
         .policy(policy);
     for pick in picks {
         for t in pick.build() {
@@ -111,7 +109,7 @@ fn run_pipeline(
     picks: &[FilterPick],
     batch: usize,
 ) -> Vec<Value> {
-    run_full(kernel, discipline, policy, input, picks, batch, 0).output
+    run_full(kernel, discipline, policy, input, picks, batch).output
 }
 
 fn offline(input: &[String], picks: &[FilterPick]) -> Vec<Value> {
@@ -180,42 +178,6 @@ proptest! {
     }
 
     #[test]
-    fn adaptive_batching_is_transparent(
-        input in input_strategy(),
-        picks in proptest::collection::vec(filter_strategy(), 0..4),
-        batch in 1usize..5,
-    ) {
-        // Opening the batch dial changes how many records ride each
-        // invocation, never which records come out.
-        let expected = offline(&input, &picks);
-        let kernel = Kernel::new();
-        for discipline in [
-            Discipline::ReadOnly { read_ahead: 0 },
-            Discipline::ReadOnly { read_ahead: 8 },
-            Discipline::WriteOnly { push_ahead: 4 },
-            Discipline::Conventional { buffer_capacity: 4 },
-        ] {
-            let run = run_full(
-                &kernel,
-                discipline,
-                ChannelPolicy::Integer,
-                &input,
-                &picks,
-                batch,
-                48,
-            );
-            prop_assert_eq!(
-                &run.output,
-                &expected,
-                "adaptive {} diverged (batch {}..48)",
-                discipline.label(),
-                batch
-            );
-        }
-        kernel.shutdown();
-    }
-
-    #[test]
     fn read_only_formula_is_exact_under_caching(
         depth in 0usize..5,
         records in 0usize..40,
@@ -235,7 +197,6 @@ proptest! {
             &input,
             &picks,
             batch,
-            0,
         );
         kernel.shutdown();
         let rounds = records.div_ceil(batch).max(1) as u64;
@@ -257,47 +218,6 @@ proptest! {
     }
 
     #[test]
-    fn read_only_formula_survives_the_adaptive_dial(
-        depth in 0usize..4,
-        records in 0usize..30,
-        batch in 1usize..5,
-    ) {
-        // Opening the dial lets every hop carry fatter batches, so the
-        // n+1 structure pins the count between (n+1)·⌈k/max⌉ (dial fully
-        // open from the first pull) and (n+1)·⌈k/b⌉ (dial never moved).
-        // Crucially the cache cannot push it *below* the structural
-        // floor: a hit is still one metered invocation.
-        const MAX: usize = 64;
-        let input: Vec<String> = (0..records).map(|i| format!("r{i}")).collect();
-        let picks = vec![FilterPick::Copy; depth];
-        let kernel = Kernel::new();
-        let run = run_full(
-            &kernel,
-            Discipline::ReadOnly { read_ahead: 0 },
-            ChannelPolicy::Integer,
-            &input,
-            &picks,
-            batch,
-            MAX,
-        );
-        kernel.shutdown();
-        let per_level_lo = records.div_ceil(MAX).max(1) as u64;
-        let per_level_hi = records.div_ceil(batch).max(1) as u64;
-        let levels = depth as u64 + 1;
-        prop_assert!(
-            run.metrics.invocations >= levels * per_level_lo
-                && run.metrics.invocations <= levels * per_level_hi,
-            "adaptive invocations {} outside [{}, {}] at n={}, k={}, b={}",
-            run.metrics.invocations,
-            levels * per_level_lo,
-            levels * per_level_hi,
-            depth,
-            records,
-            batch
-        );
-    }
-
-    #[test]
     fn conventional_formula_holds_under_caching(
         depth in 0usize..4,
         records in 0usize..25,
@@ -316,7 +236,6 @@ proptest! {
             &input,
             &picks,
             1,
-            0,
         );
         kernel.shutdown();
         let expected = (2 * depth as u64 + 2) * (records.max(1) as u64) + 1;

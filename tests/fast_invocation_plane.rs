@@ -16,7 +16,7 @@ use eden::filters::LineNumber;
 use eden::fs::{register_fs_types, FileEject};
 use eden::kernel::{
     EjectBehavior, EjectContext, Invocation, InvokeOptions, Kernel, KernelConfig, ReplyHandle,
-    RouteCache,
+    RouteCache, ShedPolicy,
 };
 use eden::transput::protocol::{Batch, TransferRequest};
 use eden::transput::recovery::{install_recovery, recoverable_filter, TransformRegistry};
@@ -203,7 +203,7 @@ fn bounded_mailboxes_deliver_everything_and_shut_down_cleanly() {
     // kernel still tears down without deadlock.
     let served = Arc::new(AtomicUsize::new(0));
     let kernel = Kernel::with_config(KernelConfig {
-        mailbox_capacity: Some(2),
+        mailbox_bound: Some((2, ShedPolicy::Park)),
         ..KernelConfig::default()
     });
     let slow = kernel
