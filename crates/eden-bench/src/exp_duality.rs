@@ -41,7 +41,7 @@ fn pull_filter(kernel: &Kernel, source: Uid, transform: Box<dyn Transform>) -> U
 
 /// Attach a pumping sink to `input`, eight records a read.
 fn sink(kernel: &Kernel, input: Input, collector: &Collector) {
-    let sink = Stage::new(input, Output::Collector(collector.clone()), StageConfig::batch(8));
+    let sink = Stage::new(input, Output::local(collector.clone()), StageConfig::batch(8));
     kernel.spawn(Box::new(sink)).expect("sink");
 }
 
@@ -53,7 +53,7 @@ fn pump(kernel: &Kernel, range: std::ops::Range<i64>, to: Uid) -> Uid {
 }
 
 fn acceptor(kernel: &Kernel, collector: &Collector) -> Uid {
-    let output = Output::Collector(collector.clone());
+    let output = Output::local(collector.clone());
     let acceptor = Stage::new(Input::Passive, output, StageConfig::default());
     kernel.spawn(Box::new(acceptor)).expect("acceptor")
 }

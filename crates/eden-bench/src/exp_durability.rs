@@ -103,7 +103,7 @@ pub(crate) fn e10() -> Vec<Table> {
         kernel
             .spawn(Box::new(Stage::new(
                 Input::pull(dir),
-                Output::Collector(c.clone()),
+                Output::local(c.clone()),
                 StageConfig::batch(64),
             )))
             .expect("sink");

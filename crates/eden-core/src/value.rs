@@ -94,12 +94,28 @@ impl Text {
     /// (`\n` or `\r\n` ends a line, the last ending is optional), each a
     /// window on this text's buffer rather than a copy.
     pub fn split_lines(&self) -> impl Iterator<Item = Text> + '_ {
-        let whole = self.as_str();
-        whole.lines().map(move |line| {
-            let start = line.as_ptr() as usize - whole.as_ptr() as usize;
-            self.slice(start..start + line.len())
-                .expect("`str::lines` yields sub-slices of the `str` it splits")
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            let (line, next) = self.line_at(at)?;
+            at = next;
+            Some(line)
         })
+    }
+
+    /// The one step [`split_lines`](Self::split_lines) repeats: the line
+    /// that starts at byte `at`, as a window, and where the next one starts
+    /// — `None` at the end of the text. A reader that cuts its lines as they
+    /// are asked for keeps `at` and takes one step a line.
+    pub fn line_at(&self, at: usize) -> Option<(Text, usize)> {
+        let rest = self.as_str().get(at..).filter(|rest| !rest.is_empty())?;
+        // As `str::lines`: a `\r` is stripped only from before a `\n`.
+        let (len, next) = match rest.find('\n') {
+            Some(i) if rest[..i].ends_with('\r') => (i - 1, at + i + 1),
+            Some(i) => (i, at + i + 1),
+            None => (rest.len(), self.len()),
+        };
+        let line = self.slice(at..at + len).expect("a line ends on a character boundary");
+        Some((line, next))
     }
 
     /// Copy out into an owned `String`.

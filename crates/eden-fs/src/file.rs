@@ -9,30 +9,31 @@
 //! A [`FileEject`] holds a sequence of records. Reading follows the Eden
 //! pattern: `Open` mints a fresh [`Stage::reader`] — a private, disposable
 //! stream over a snapshot of the contents — and returns its UID (a
-//! capability, as in §7's `NewStream`). Writing follows §4's read-only idiom: the
-//! `WriteFrom` invocation hands the file a *source* UID, and "a file opened
-//! for output would immediately issue a Read invocation, and would continue
-//! reading until it received an end of file indicator."
+//! capability, as in §7's `NewStream`). Writing follows §4: `WriteFrom`
+//! mints its dual, a [`Stage::writer`] whose output gathers the records. Handed
+//! a *source* UID, the writer pulls from it at once — "a file opened for
+//! output would immediately issue a Read invocation, and would continue
+//! reading until it received an end of file indicator" — and the reply to
+//! `WriteFrom` waits for the end. Handed none, `WriteFrom` returns the
+//! writer as an acceptor for a write-only pipeline to write into. Either
+//! way, at the end of the stream the writer hands the records to the file,
+//! which commits them by checkpointing before it answers.
 
 use eden_core::op::ops;
 use eden_core::{EdenError, Result, Uid, Value};
-use eden_kernel::{EjectBehavior, EjectContext, Invocation, ReplyHandle};
-use eden_transput::protocol::{Batch, TransferRequest};
+use eden_kernel::{EjectBehavior, EjectContext, Invocation, ReplyHandle, WeakKernel};
 use eden_transput::recovery::recoverable_source;
-use eden_transput::Stage;
+use eden_transput::source::{PushSink, VecSource};
+use eden_transput::{SinkEject, Stage};
+
+/// Records a file's writer asks for a `Transfer`.
+pub(crate) const WRITER_BATCH: usize = 64;
+
+/// How a writer hands a file the records it gathered.
+const COMMIT: &str = "Commit";
 
 /// The Eden type name of [`FileEject`] (used for reactivation).
 pub(crate) const FILE_TYPE: &str = "EdenFile";
-
-/// How `WriteFrom` combines new data with existing contents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) enum WriteMode {
-    /// Replace the contents.
-    #[default]
-    Replace,
-    /// Append to the contents.
-    Append,
-}
 
 /// A file: a checkpointable sequence of records.
 #[derive(Debug)]
@@ -40,8 +41,8 @@ pub struct FileEject {
     records: Vec<Value>,
     /// Bumped on every successful `WriteFrom`.
     generation: i64,
-    /// The parked reply of an in-progress `WriteFrom`.
-    pending_write: Option<ReplyHandle>,
+    /// The writer of a `WriteFrom` in progress, while it lives.
+    writer: Option<Uid>,
 }
 
 impl FileEject {
@@ -55,7 +56,7 @@ impl FileEject {
         FileEject {
             records,
             generation: 0,
-            pending_write: None,
+            writer: None,
         }
     }
 
@@ -76,7 +77,7 @@ impl FileEject {
             Some(v) => FileEject {
                 records: v.field("records")?.as_list()?.to_vec(),
                 generation: v.field("generation")?.as_int()?,
-                pending_write: None,
+                writer: None,
             },
         };
         Ok(Box::new(file))
@@ -85,6 +86,103 @@ impl FileEject {
     /// Register the file type's reactivation constructor on a kernel.
     pub(crate) fn register(kernel: &eden_kernel::Kernel) {
         kernel.register_type(FILE_TYPE, FileEject::from_passive);
+    }
+
+    /// Open for writing: a writer that pulls from the source, or an
+    /// acceptor if there is none.
+    fn write_from(&mut self, ctx: &EjectContext, arg: &Value, reply: ReplyHandle) {
+        let kernel = ctx.kernel();
+        let alive = |writer| kernel.as_ref().is_some_and(|k| k.eject_state(writer).is_some());
+        if self.writer.is_some_and(alive) {
+            let busy = EdenError::Application("a WriteFrom is already in progress".into());
+            return reply.reply(Err(busy));
+        }
+        let source = match arg.field_opt("source").map(Value::as_uid).transpose() {
+            Ok(source) => source,
+            Err(e) => return reply.reply(Err(e)),
+        };
+        let mode = match arg.field_opt("mode").map(Value::as_str) {
+            Some(Ok(mode @ ("append" | "replace"))) => mode,
+            None => "replace",
+            _ => {
+                let bad = "mode must be \"replace\" or \"append\"";
+                return reply.reply(Err(EdenError::BadParameter(bad.into())));
+            }
+        };
+        let Some(kernel) = kernel else {
+            return reply.reply(Err(EdenError::KernelShutdown));
+        };
+        // The reply to a WriteFrom that names a source waits until the
+        // records are durable; one that names none answers with the acceptor.
+        let (done, answer) = match source {
+            Some(_) => {
+                reply.mark_deferred();
+                (Some(reply), None)
+            }
+            None => (None, Some(reply)),
+        };
+        let gather = Gather {
+            kernel: kernel.downgrade(),
+            file: ctx.uid(),
+            mode: Value::str(mode),
+            records: Vec::new(),
+            done,
+        };
+        let writer = spawn_sibling(ctx, Box::new(Stage::writer(source, gather, WRITER_BATCH)));
+        self.writer = writer.as_ref().ok().copied();
+        if let Some(reply) = answer {
+            reply.reply(writer.map(Value::Uid));
+        }
+    }
+
+    /// Take a writer's records, bump the generation, checkpoint.
+    fn commit(&mut self, ctx: &EjectContext, arg: Value) -> Result<Value> {
+        let append = arg.field("mode")?.as_str()? == "append";
+        let records = arg.take_field("records")?.into_list()?;
+        match append {
+            true => self.records.extend(records),
+            false => self.records = records,
+        }
+        self.generation += 1;
+        let rep = self.passive_representation().expect("a file has a representation");
+        ctx.checkpoint(&rep)?;
+        Ok(Value::Int(self.records.len() as i64))
+    }
+}
+
+/// A file's writer's output: the stream's records, gathered and, at its end,
+/// handed to the file, whose answer — once it has checkpointed them — is the
+/// answer to the `WriteFrom` that named a source.
+struct Gather {
+    kernel: WeakKernel,
+    file: Uid,
+    mode: Value,
+    records: Vec<Value>,
+    done: Option<ReplyHandle>,
+}
+
+impl PushSink for Gather {
+    fn push(&mut self, items: Vec<Value>) {
+        self.records.extend(items);
+    }
+
+    fn end(&mut self) -> Result<()> {
+        let records = Value::list(std::mem::take(&mut self.records));
+        let arg = Value::record([("mode", self.mode.clone()), ("records", records)]);
+        // The kernel is held for the send only, not through the wait.
+        let sent = self.kernel.upgrade().map(|k| k.invoke(self.file, COMMIT, arg));
+        let committed = sent.ok_or(EdenError::KernelShutdown).and_then(|c| c.wait());
+        if let Some(done) = self.done.take() {
+            done.reply(committed.clone());
+        }
+        committed.map(drop)
+    }
+
+    fn fail(&mut self, error: EdenError) {
+        if let Some(done) = self.done.take() {
+            let failed = format!("WriteFrom source failed: {error}");
+            done.reply(Err(EdenError::Application(failed)));
+        }
     }
 }
 
@@ -104,7 +202,7 @@ impl EjectBehavior for FileEject {
             // Open for reading: mint a private reader Eject over a
             // snapshot and return its UID (a stream capability).
             ops::OPEN => {
-                let reader = Stage::reader(self.records.clone());
+                let reader = Stage::reader(VecSource::new(self.records.clone()));
                 reply.reply(spawn_sibling(ctx, Box::new(reader)).map(Value::Uid));
             }
             // Open a *durable* read cursor: a recoverable source over a
@@ -117,79 +215,13 @@ impl EjectBehavior for FileEject {
                 let reader = recoverable_source(self.records.clone());
                 reply.reply(spawn_sibling(ctx, reader).map(Value::Uid));
             }
-            // Open for writing, read-only style: pull everything from the
-            // given source, then commit by checkpointing. The reply to
-            // WriteFrom is deferred until the data is durable.
-            ops::WRITE_FROM => {
-                if self.pending_write.is_some() {
-                    reply.reply(Err(EdenError::Application(
-                        "a WriteFrom is already in progress".into(),
-                    )));
-                    return;
-                }
-                let source = match inv.arg.field("source").and_then(Value::as_uid) {
-                    Ok(u) => u,
-                    Err(e) => {
-                        reply.reply(Err(e));
-                        return;
-                    }
-                };
-                let mode = match inv.arg.field_opt("mode").map(Value::as_str) {
-                    Some(Ok("append")) => WriteMode::Append,
-                    Some(Ok("replace")) | None => WriteMode::Replace,
-                    _ => {
-                        reply.reply(Err(EdenError::BadParameter(
-                            "mode must be \"replace\" or \"append\"".into(),
-                        )));
-                        return;
-                    }
-                };
-                reply.mark_deferred();
-                // "A file opened for output would immediately issue a Read
-                // invocation": the pull loop runs in a worker; the records
-                // come back as one internal event.
-                ctx.spawn_process("write-from", move |pctx| {
-                    let mut gathered = Vec::new();
-                    let mut failure: Option<EdenError> = None;
-                    loop {
-                        let req = TransferRequest::primary(64);
-                        let pending = pctx.invoke(source, ops::TRANSFER, req.to_value());
-                        match pctx.wait_or_stop(pending).and_then(Batch::from_value) {
-                            Ok(batch) => {
-                                gathered.extend(batch.items);
-                                if batch.end {
-                                    break;
-                                }
-                            }
-                            Err(e) => {
-                                failure = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                    let event = Value::record([
-                        (
-                            "kind",
-                            Value::str(if failure.is_some() { "failed" } else { "written" }),
-                        ),
-                        (
-                            "mode",
-                            Value::str(match mode {
-                                WriteMode::Replace => "replace",
-                                WriteMode::Append => "append",
-                            }),
-                        ),
-                        ("items", Value::list(gathered)),
-                        (
-                            "error",
-                            Value::str(failure.map(|e| e.to_string()).unwrap_or_default()),
-                        ),
-                    ]);
-                    let _ = pctx.post_internal(event);
-                });
-                // The parked reply is stored by pushing it into pending
-                // writes; see `internal`.
-                self.pending_write = Some(reply);
+            ops::WRITE_FROM => self.write_from(ctx, &inv.arg, reply),
+            // The writer's records, at the end of its stream: "Once a file
+            // has been written, the data is committed to stable storage by
+            // Checkpointing" (§2), before the writer hears.
+            COMMIT => {
+                self.writer = None;
+                reply.reply(self.commit(ctx, inv.arg));
             }
             "Length" => reply.reply(Ok(Value::Int(self.records.len() as i64))),
             "Generation" => reply.reply(Ok(Value::Int(self.generation))),
@@ -200,52 +232,18 @@ impl EjectBehavior for FileEject {
         }
     }
 
-    fn internal(&mut self, ctx: &EjectContext, event: Value) {
-        let kind = match event.field("kind").and_then(|v| v.as_str().map(str::to_owned)) {
-            Ok(k) => k,
-            Err(_) => return,
-        };
-        let reply = self.pending_write.take();
-        if kind == "failed" {
-            let msg = event
-                .field("error")
-                .and_then(|v| v.as_str().map(str::to_owned))
-                .unwrap_or_default();
-            if let Some(reply) = reply {
-                reply.reply(Err(EdenError::Application(format!(
-                    "WriteFrom source failed: {msg}"
-                ))));
-            }
-            return;
-        }
-        let items = match event.field("items").cloned().and_then(Value::into_list) {
-            Ok(items) => items,
-            Err(_) => return,
-        };
-        let append = matches!(event.field_opt("mode").and_then(|m| m.as_str().ok()), Some("append"));
-        if append {
-            self.records.extend(items);
-        } else {
-            self.records = items;
-        }
-        self.generation += 1;
-        // "Once a file has been written, the data is committed to stable
-        // storage by Checkpointing" (§2).
-        let result = match self.passive_representation() {
-            Some(rep) => ctx.checkpoint(&rep).map(|()| Value::Int(self.records.len() as i64)),
-            None => Err(EdenError::Application("no representation".into())),
-        };
-        if let Some(reply) = reply {
-            reply.reply(result);
-        }
-    }
-
     fn passive_representation(&self) -> Option<Value> {
         Some(Value::record([
             ("records", Value::list(self.records.clone())),
             ("generation", Value::Int(self.generation)),
         ]))
     }
+}
+
+/// A pipeline that ends in the record file `file`, through its `WriteFrom`
+/// (`> file NAME`).
+pub fn write_from_sink(file: Uid) -> SinkEject {
+    SinkEject::new(file, ops::WRITE_FROM, Vec::new(), "source")
 }
 
 /// Spawn a sibling Eject on the same node as `ctx` (readers live with

@@ -4,21 +4,26 @@
 //!
 //! * [`FileEject`] — a checkpointable sequence of records; `Open` mints a
 //!   disposable reader stream ([`eden_transput::Stage::reader`]),
-//!   `WriteFrom` pulls new contents from any source Eject and commits them
-//!   by checkpointing.
+//!   `WriteFrom` its dual ([`eden_transput::Stage::writer`]), which pulls
+//!   new contents from any source Eject — or, given none, takes a write-only
+//!   pipeline's writes — and hands them to the file to commit by
+//!   checkpointing.
 //! * [`DirectoryEject`] — `Lookup` / `AddEntry` / `DeleteEntry` / `List`;
 //!   the listing is a source stage the directory answers `Transfer` by, so
 //!   a directory *is* a source (§4).
 //! * [`DirConcatenatorEject`] — PATH-style lookup across directories,
 //!   indistinguishable from a plain directory (behavioural typing, §2).
 //! * [`UnixFsEject`] — §7's bootstrap: `NewStream` (whose lines are windows
-//!   on the file's one buffer) and `UseStream` over a pluggable [`HostFs`]
+//!   on the file's one buffer, cut as they are read) and `UseStream` (a
+//!   writer whose output is the host file) over a pluggable [`HostFs`]
 //!   (hermetic [`MemFs`], or [`RealFs`] on disk).
 //!
 //! Because files and filters are both just Ejects answering `Transfer`,
 //! "there is no distinction between input redirection from a file and from
-//! a program" (§4) — the integration tests pipe files through filters and
-//! filters into files with the same builder calls.
+//! a program" (§4). Output redirection is by UID too: [`write_from_sink`]
+//! and [`use_stream_sink`] make a file a pipeline's sink, so the records of
+//! `... > file NAME` or `... > unix PATH` move once, from the last filter
+//! into the file, and nowhere else.
 
 
 pub(crate) mod directory;
@@ -28,10 +33,10 @@ pub mod mapfile;
 pub(crate) mod unixfs;
 
 pub use directory::{DirConcatenatorEject, DirectoryEject};
-pub use file::FileEject;
+pub use file::{write_from_sink, FileEject};
 pub use hostfs::{HostFs, HostFsHandle, MemFs, RealFs};
 pub use mapfile::{read_at_arg, write_at_arg, MapFileEject};
-pub use unixfs::{new_stream_arg, use_stream_arg, UnixFsEject};
+pub use unixfs::{new_stream_arg, use_stream_arg, use_stream_sink, UnixFsEject};
 
 use eden_core::{Result, Uid, Value};
 use eden_kernel::Kernel;

@@ -17,6 +17,7 @@ use eden_core::op::ops;
 use eden_core::{EdenError, Result, Value};
 use eden_kernel::{EjectBehavior, EjectContext, Invocation, ReplyHandle};
 
+use eden_transput::source::VecSource;
 use eden_transput::Stage;
 
 use crate::file::spawn_sibling;
@@ -118,7 +119,7 @@ impl EjectBehavior for MapFileEject {
             "Size" => reply.reply(Ok(Value::Int(self.records.len() as i64))),
             // The stream protocol, via a disposable reader (as FileEject).
             ops::OPEN => {
-                let reader = Stage::reader(self.records.clone());
+                let reader = Stage::reader(VecSource::new(self.records.clone()));
                 reply.reply(spawn_sibling(ctx, Box::new(reader)).map(Value::Uid));
             }
             _ => reply.reply(Err(EdenError::NoSuchOperation {

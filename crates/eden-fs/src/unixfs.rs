@@ -14,20 +14,25 @@
 //! stream status is returned by Transfer, the appropriate Unix file is
 //! opened, written and closed."
 //!
-//! Neither copies a line: the reader's records are `Text::split_lines`
-//! windows on the file, validated once and held as one `Text` (which they
-//! keep alive); the copier calls `Transfer` on its own stack and appends
-//! each record and a newline to the one `Vec<u8>` it then writes.
+//! Both UnixFile Ejects are the one stage. `NewStream`'s is a
+//! [`Stage::reader`] over the file's bytes, validated once and held as one
+//! `Text`, that cuts each `Transfer`'s lines from it as windows (which keep
+//! it alive), not copies. `UseStream`'s is a [`Stage::writer`] whose output
+//! is the file: it pulls the stream and appends each record and a newline
+//! to the one `Vec<u8>` it writes at the end. Given no stream, `UseStream`
+//! returns that writer as an acceptor instead, for a write-only pipeline to
+//! write into — how the shell redirects such a pipeline's output (`> unix`).
 
 use std::io::Write as _;
 
 use eden_core::op::ops;
-use eden_core::{EdenError, OpName, Uid, Value};
-use eden_kernel::{EjectBehavior, EjectContext, Invocation, ReplyHandle, RouteCache};
-use eden_transput::protocol::{Batch, TransferRequest};
-use eden_transput::Stage;
+use eden_core::{EdenError, Result, Text, Uid, Value};
+use eden_kernel::{EjectBehavior, EjectContext, Invocation, ReplyHandle};
+use eden_transput::protocol::Batch;
+use eden_transput::source::{PullSource, PushSink};
+use eden_transput::{SinkEject, Stage};
 
-use crate::file::spawn_sibling;
+use crate::file::{spawn_sibling, WRITER_BATCH};
 use crate::hostfs::{file_text, HostFsHandle};
 
 /// The per-machine bootstrap Eject.
@@ -56,52 +61,35 @@ impl EjectBehavior for UnixFsEject {
                 // "returns as its result an Eden stream, i.e. a Capability":
                 // the UID of a reader that disappears once closed or read out.
                 let stream = text.and_then(|text| {
-                    let reader = Stage::reader(text.split_lines().map(Value::Str).collect());
-                    spawn_sibling(ctx, Box::new(reader))
+                    spawn_sibling(ctx, Box::new(Stage::reader(Lines { text, at: 0 })))
                 });
                 reply.reply(stream.map(Value::Uid));
             }
             ops::USE_STREAM => {
                 let path = inv.arg.field("path").and_then(|v| v.as_str());
-                let stream = inv.arg.field("stream").and_then(Value::as_uid);
+                let stream = inv.arg.field_opt("stream").map(Value::as_uid).transpose();
                 let (path, stream) = match (path, stream) {
                     (Ok(path), Ok(stream)) => (path.to_owned(), stream),
                     (Err(e), _) | (_, Err(e)) => return reply.reply(Err(e)),
                 };
-                let fs = self.fs.clone();
-                // The copier is a worker of the UnixFs Eject; the reply to
-                // UseStream is deferred until the file is durably written.
+                let mut file = HostFile {
+                    fs: self.fs.clone(),
+                    path,
+                    bytes: Vec::new(),
+                    records: 0,
+                    done: None,
+                };
+                if stream.is_none() {
+                    let acceptor = Stage::writer(None, file, WRITER_BATCH);
+                    return reply.reply(spawn_sibling(ctx, Box::new(acceptor)).map(Value::Uid));
+                }
+                // The reply to UseStream waits until the file is written.
                 reply.mark_deferred();
-                ctx.spawn_process("use-stream", move |pctx| {
-                    let copy = || {
-                        // The file as written: each record's text (as the
-                        // shell prints it, if it is not a string), a newline.
-                        let mut file: Vec<u8> = Vec::new();
-                        let mut records = 0i64;
-                        let mut route = RouteCache::new();
-                        loop {
-                            let req = TransferRequest::primary(64).to_value();
-                            let transfer = OpName::from_static(ops::TRANSFER);
-                            let answer = pctx.call_routed(&mut route, stream, transfer, req)?;
-                            let batch = Batch::from_value(answer)?;
-                            records += batch.items.len() as i64;
-                            for item in &batch.items {
-                                match item {
-                                    Value::Str(s) => file.extend_from_slice(s.as_bytes()),
-                                    other => write!(file, "{other}")
-                                        .expect("writing to a Vec does not fail"),
-                                }
-                                file.push(b'\n');
-                            }
-                            if batch.end {
-                                break;
-                            }
-                        }
-                        fs.write(&path, &file)?;
-                        Ok(Value::Int(records))
-                    };
-                    reply.reply(copy());
-                });
+                file.done = Some(reply);
+                let copier = Stage::writer(stream, file, WRITER_BATCH);
+                // Spawned only while the kernel stands: otherwise the copier,
+                // and with it the reply, is dropped, and the caller hears so.
+                let _ = spawn_sibling(ctx, Box::new(copier));
             }
             "ListFiles" => {
                 let files = self
@@ -120,6 +108,67 @@ impl EjectBehavior for UnixFsEject {
     }
 }
 
+/// `NewStream`'s supply: the file's one text and how far it has been read,
+/// each pull cutting at most the lines it is asked for.
+struct Lines {
+    text: Text,
+    at: usize,
+}
+
+impl PullSource for Lines {
+    fn pull(&mut self, max: usize) -> Batch {
+        let mut items = Vec::with_capacity(max.min(64));
+        while items.len() < max {
+            let Some((line, next)) = self.text.line_at(self.at) else {
+                break;
+            };
+            items.push(Value::Str(line));
+            self.at = next;
+        }
+        // The pull that takes the last line says so, as `VecSource`'s does.
+        let end = self.at >= self.text.as_str().len();
+        Batch { items, end }
+    }
+}
+
+/// `UseStream`'s file: each record's text (as the shell prints it, if it is
+/// not a string) and a newline, into the one buffer written at the end.
+struct HostFile {
+    fs: HostFsHandle,
+    path: String,
+    bytes: Vec<u8>,
+    records: i64,
+    /// The deferred reply to a `UseStream` that named its stream.
+    done: Option<ReplyHandle>,
+}
+
+impl PushSink for HostFile {
+    fn push(&mut self, items: Vec<Value>) {
+        self.records += items.len() as i64;
+        for item in &items {
+            match item {
+                Value::Str(s) => self.bytes.extend_from_slice(s.as_bytes()),
+                other => write!(self.bytes, "{other}").expect("writing to a Vec does not fail"),
+            }
+            self.bytes.push(b'\n');
+        }
+    }
+
+    fn end(&mut self) -> Result<()> {
+        let written = self.fs.write(&self.path, &self.bytes);
+        if let Some(done) = self.done.take() {
+            done.reply(written.clone().map(|()| Value::Int(self.records)));
+        }
+        written
+    }
+
+    fn fail(&mut self, error: EdenError) {
+        if let Some(done) = self.done.take() {
+            done.reply(Err(error));
+        }
+    }
+}
+
 /// Build the `NewStream` argument.
 pub fn new_stream_arg(path: &str) -> Value {
     Value::record([("path", Value::str(path))])
@@ -128,4 +177,51 @@ pub fn new_stream_arg(path: &str) -> Value {
 /// Build the `UseStream` argument.
 pub fn use_stream_arg(path: &str, stream: Uid) -> Value {
     Value::record([("path", Value::str(path)), ("stream", Value::Uid(stream))])
+}
+
+/// A pipeline that ends in the host file `path`, through `unixfs`'s
+/// `UseStream` (`> unix PATH`).
+pub fn use_stream_sink(unixfs: Uid, path: &str) -> SinkEject {
+    SinkEject::new(unixfs, ops::USE_STREAM, vec![("path", Value::str(path))], "stream")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lines_cut_as_pulled_are_the_windows_split_lines_cuts() {
+        // The cases of `eden_core::value`'s `split_lines` test.
+        for whole in [
+            "",
+            "\n",
+            "one",
+            "one\n",
+            "one\ntwo",
+            "one\r\ntwo\r\n",
+            "lone\rcr\nend\r",
+            "\n\nblank\n\n\nlines\n",
+            "\r\n\r\r\n",
+            "grüß\nΟΔΟΣ\r\n日本語\n🦀",
+        ] {
+            let text = Text::from(whole);
+            let want: Vec<Value> = text.split_lines().map(Value::Str).collect();
+            for max in [1, 2, 3, 64] {
+                let mut lines = Lines {
+                    text: text.clone(),
+                    at: 0,
+                };
+                let mut got = Vec::new();
+                loop {
+                    let batch = lines.pull(max);
+                    assert!(batch.items.len() <= max, "{whole:?} at {max}");
+                    got.extend(batch.items);
+                    if batch.end {
+                        break;
+                    }
+                }
+                assert_eq!(got, want, "{whole:?} at {max}");
+            }
+        }
+    }
 }

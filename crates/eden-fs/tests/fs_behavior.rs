@@ -11,7 +11,7 @@ use eden_fs::{
 };
 use eden_kernel::{EjectState, Kernel, KernelConfig, StableStore};
 use eden_transput::collector::Collector;
-use eden_transput::protocol::{Batch, TransferRequest};
+use eden_transput::protocol::{Batch, TransferRequest, WriteRequest};
 use eden_transput::source::VecSource;
 use eden_transput::{Input, Output, Stage, StageConfig};
 
@@ -20,7 +20,7 @@ fn read_stream_fully(kernel: &Kernel, stream: eden_core::Uid) -> Vec<Value> {
     kernel
         .spawn(Box::new(Stage::new(
             Input::pull(stream),
-            Output::Collector(collector.clone()),
+            Output::local(collector.clone()),
             StageConfig::batch(8),
         )))
         .unwrap();
@@ -173,6 +173,51 @@ fn write_from_append_mode() {
         .wait()
         .unwrap();
     assert_eq!(generation, Value::Int(1));
+    let reader = kernel.invoke(file, ops::OPEN, Value::Unit).wait().unwrap();
+    let contents = read_stream_fully(&kernel, reader.as_uid().unwrap());
+    assert_eq!(contents, vec![Value::str("first"), Value::str("second")]);
+    kernel.shutdown();
+}
+
+#[test]
+fn a_second_write_from_is_refused_while_the_first_is_in_progress() {
+    let kernel = Kernel::new();
+    register_fs_types(&kernel);
+    let file = kernel
+        .spawn(Box::new(FileEject::from_lines(["first"])))
+        .unwrap();
+    // A pipe nobody has written to yet: the file's writer waits on it.
+    let depth = StageConfig {
+        depth: 4,
+        ..StageConfig::default()
+    };
+    let pipe = Stage::new(Input::Passive, Output::Passive, depth);
+    let pipe = kernel.spawn(Box::new(pipe)).unwrap();
+    let from = |mode: &str| {
+        Value::record([("source", Value::Uid(pipe)), ("mode", Value::str(mode))])
+    };
+    let first = kernel.invoke(file, ops::WRITE_FROM, from("append"));
+    let again = kernel.invoke(file, ops::WRITE_FROM, from("replace")).wait();
+    let busy = EdenError::Application("a WriteFrom is already in progress".into());
+    assert_eq!(again, Err(busy));
+    // The pipe's stream ends: the first write lands, appended and durable.
+    let last = WriteRequest::last(vec![Value::str("second")]).to_value();
+    kernel.invoke(pipe, ops::WRITE, last).wait().unwrap();
+    assert_eq!(first.wait(), Ok(Value::Int(2)));
+    kernel.crash(file).unwrap();
+    let reader = kernel.invoke(file, ops::OPEN, Value::Unit).wait().unwrap();
+    let contents = read_stream_fully(&kernel, reader.as_uid().unwrap());
+    assert_eq!(contents, vec![Value::str("first"), Value::str("second")]);
+    // Its writer gone, the file takes the next WriteFrom.
+    let source = Stage::new(
+        Input::Local(Box::new(VecSource::from_lines(["third"]))),
+        Output::Passive,
+        StageConfig::default(),
+    );
+    let source = kernel.spawn(Box::new(source)).unwrap();
+    let replace = Value::record([("source", Value::Uid(source))]);
+    let written = kernel.invoke(file, ops::WRITE_FROM, replace).wait();
+    assert_eq!(written, Ok(Value::Int(1)));
     kernel.shutdown();
 }
 

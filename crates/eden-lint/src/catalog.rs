@@ -9,7 +9,8 @@
 //! benches, and the shell. A violation here means a wiring template the
 //! repo ships is unsound under its own discipline.
 
-use eden_core::{Result, Value};
+use eden_core::{Result, Uid, Value};
+use eden_fs::write_from_sink;
 use eden_transput::recovery::{recovery_graph, RecoveryDiscipline};
 use eden_transput::source::VecSource;
 use eden_transput::transform::{Emitter, Identity, Transform};
@@ -45,8 +46,9 @@ fn two_sources() -> Vec<Box<dyn eden_transput::source::PullSource>> {
 }
 
 /// Every pipeline shape the repo builds through [`PipelineSpec`], as
-/// `(name, spec)` pairs: kernel-free until someone calls `build`.
-pub(crate) fn shapes() -> Vec<(String, PipelineSpec)> {
+/// `(name, spec)` pairs: kernel-free until someone calls `build`. A
+/// redirected shape ends in the record file `file`.
+pub(crate) fn shapes(file: Uid) -> Vec<(String, PipelineSpec)> {
     let mut entries: Vec<(String, PipelineSpec)> = Vec::new();
 
     // The plain chains every test, bench, and example builds.
@@ -131,13 +133,35 @@ pub(crate) fn shapes() -> Vec<(String, PipelineSpec)> {
             .batch(4),
     ));
 
+    // The shell's redirected shapes (`> file NAME`): the pipeline ends in a
+    // file Eject that exists already, which pulls from the tail or mints the
+    // acceptor a write-only tail writes into.
+    for (label, discipline) in [
+        ("shell/redirected-read-only", Discipline::ReadOnly { read_ahead: 0 }),
+        ("shell/redirected-write-only", Discipline::WriteOnly { push_ahead: 0 }),
+        (
+            "shell/redirected-conventional",
+            Discipline::Conventional { buffer_capacity: 4 },
+        ),
+    ] {
+        entries.push((
+            label.to_owned(),
+            PipelineSpec::new(discipline)
+                .source_vec(items())
+                .stage(Box::new(Identity))
+                .batch(4)
+                .sink_eject(write_from_sink(file)),
+        ));
+    }
+
     entries
 }
 
 /// Every wiring shape the repo builds, as `(name, graph)` pairs. Names are
 /// stable identifiers used in reports and tests.
 pub fn catalog() -> Result<Vec<(String, WiringGraph)>> {
-    let mut graphs: Vec<(String, WiringGraph)> = shapes()
+    // Rendering a graph asks the sink nothing: any UID stands for the file.
+    let mut graphs: Vec<(String, WiringGraph)> = shapes(Uid::fresh())
         .into_iter()
         .map(|(name, spec)| spec.graph().map(|g| (name, g)))
         .collect::<Result<_>>()?;
@@ -191,16 +215,23 @@ mod tests {
     #[test]
     fn every_shape_spawns_the_graph_that_was_checked() {
         // One plan feeds `graph()` and `build()`: a node per Eject, no more
-        // and no fewer. (No catalog shape reads an Eject it did not spawn;
-        // such a source would be a node and not an entity.)
+        // and no fewer — but for the file a redirected shape ends in, which
+        // is a node and no Eject the pipeline spawned. (No catalog shape
+        // reads an Eject it did not spawn; such a source would be one too.)
         let kernel = eden_kernel::Kernel::new();
-        for ((name, checked), (_, built)) in shapes().into_iter().zip(shapes()) {
+        let file = kernel.spawn(Box::new(eden_fs::FileEject::new())).unwrap();
+        for ((name, checked), (_, built)) in shapes(file).into_iter().zip(shapes(file)) {
             let nodes = checked.graph().unwrap().nodes.len();
             let run = built
                 .build(&kernel)
                 .and_then(|pipeline| pipeline.run(std::time::Duration::from_secs(20)))
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(run.entities, nodes, "{name}");
+            let redirected = name.starts_with("shell/redirected");
+            assert_eq!(run.entities + usize::from(redirected), nodes, "{name}");
+            if redirected {
+                let held = kernel.invoke(file, "Length", Value::Unit).wait();
+                assert_eq!(held, Ok(Value::Int(items().len() as i64)), "{name}");
+            }
         }
         // The recovery chains likewise — except that where the driver is
         // the chain's sink it is a node, and no Eject.

@@ -13,11 +13,12 @@ use std::time::Duration;
 
 use eden_core::op::ops;
 use eden_core::{EdenError, Result, Uid, Value};
-use eden_fs::{lookup, new_stream_arg, use_stream_arg};
+use eden_fs::{lookup, new_stream_arg, use_stream_sink, write_from_sink};
 use eden_kernel::Kernel;
 use eden_transput::source::VecSource;
-use eden_transput::Stage;
-use eden_transput::{ChannelPolicy, Discipline, FanInMode, InputPort, PipelineRun, PipelineSpec};
+use eden_transput::{
+    ChannelPolicy, Discipline, FanInMode, InputPort, PipelineRun, PipelineSpec, SinkEject,
+};
 
 use crate::parse::{parse, CommandSpec, SinkSpec, SourceSpec};
 
@@ -93,6 +94,11 @@ impl ShellEnv {
             })?;
             builder = builder.over_nodes(n);
         }
+        // The sink is found before anything is opened or flows: a redirect
+        // that cannot be resolved fails the command with nothing spawned.
+        if let Some(sink) = &spec.sink {
+            builder = builder.sink_eject(self.sink(sink)?);
+        }
         builder = match &spec.source {
             SourceSpec::Lines(lines) => {
                 builder.source(Box::new(VecSource::from_lines(lines.clone())))
@@ -134,9 +140,6 @@ impl ShellEnv {
             windows.insert(window, items);
         }
         let output = std::mem::take(&mut run.output);
-        if let Some(sink) = &spec.sink {
-            self.redirect_output(sink, output.clone())?;
-        }
         Ok(ShellRun {
             output,
             windows,
@@ -206,33 +209,22 @@ impl ShellEnv {
 
     /// Dynamic output redirection (§4: "Redirection of input and output
     /// can be provided very naturally in a system where each entity is
-    /// referred to by means of a unique identifier").
-    fn redirect_output(&self, sink: &SinkSpec, output: Vec<Value>) -> Result<()> {
-        // The output becomes a disposable reader that the target pulls from
-        // — read-only transput all the way down — and that disappears once
-        // the target has read it to its end.
-        let source = self.kernel.spawn(Box::new(Stage::reader(output)))?;
+    /// referred to by means of a unique identifier"): the pipeline ends in
+    /// the file, by UID. The file pulls from the last filter, or — write-only
+    /// — takes its writes.
+    fn sink(&self, sink: &SinkSpec) -> Result<SinkEject> {
         match sink {
             SinkSpec::File(name) => {
                 let directory = self.directory.ok_or_else(|| {
                     EdenError::BadParameter("no directory attached for `> file`".into())
                 })?;
-                let file = lookup(&self.kernel, directory, name)?;
-                self.kernel
-                    .invoke(
-                        file,
-                        ops::WRITE_FROM,
-                        Value::record([("source", Value::Uid(source))]),
-                    ).wait()
-                    .map(|_| ())
+                Ok(write_from_sink(lookup(&self.kernel, directory, name)?))
             }
             SinkSpec::Unix(path) => {
                 let unixfs = self.unixfs.ok_or_else(|| {
                     EdenError::BadParameter("no UnixFs attached for `> unix`".into())
                 })?;
-                self.kernel
-                    .invoke(unixfs, ops::USE_STREAM, use_stream_arg(path, source)).wait()
-                    .map(|_| ())
+                Ok(use_stream_sink(unixfs, path))
             }
         }
     }
@@ -246,7 +238,8 @@ fn parse_num(s: &str, what: &str) -> Result<usize> {
 /// The results of one shell command.
 #[derive(Debug, Clone)]
 pub struct ShellRun {
-    /// The primary output records.
+    /// The primary output records — none if the command redirected them,
+    /// as in Unix: they are in the file.
     pub output: Vec<Value>,
     /// Window contents, keyed by window name (channel taps).
     pub windows: BTreeMap<String, Vec<Value>>,

@@ -17,8 +17,11 @@
 //! * **Channel taps**: `Report>win1` after a filter reads that filter's
 //!   `Report` channel into the window `win1` — the paper's
 //!   `ASSIGN OUTPUT CHANNEL name TO file` / Unix `n>` analogue (§5).
-//! * **Sinks**: `> file NAME` (WriteFrom into a file Eject), `> unix PATH`
-//!   (UseStream into the host filing system).
+//! * **Sinks**: `> file NAME` (`WriteFrom` into a file Eject), `> unix PATH`
+//!   (`UseStream` into the host filing system). The file is the pipeline's
+//!   sink, found by UID before anything runs: it pulls from the last filter,
+//!   or — write-only — takes its writes. As in Unix, a redirected command
+//!   prints nothing; its records are in the file.
 //!
 //! # Example
 //!

@@ -436,6 +436,7 @@ pipelines:
   [@key=value ...] SOURCE [| FILTER args... [Chan>window]]... [> SINK]
   sources: lines 'a' 'b' | seq N | file NAME | unix PATH
            merge NAME... (cat-style fan-in) | zip NAME NAME (tuples)
+  sinks:   > file NAME | > unix PATH (the command then prints nothing)
   e.g.: file notes | grep eden | upcase > file shouted
         zip old new | compare";
 

@@ -4,10 +4,13 @@ use std::time::Duration;
 
 use eden_core::op::ops;
 use eden_core::Value;
-use eden_fs::{add_entry, register_fs_types, DirectoryEject, FileEject, MemFs, UnixFsEject};
+use eden_core::Uid;
+use eden_fs::{
+    add_entry, register_fs_types, DirectoryEject, FileEject, MemFs, RealFs, UnixFsEject,
+};
 use eden_kernel::Kernel;
 use eden_shell::ShellEnv;
-use eden_transput::{Input, Output, Stage, StageConfig};
+use eden_transput::{Discipline, Input, Output, PipelineSpec, Stage, StageConfig};
 
 fn plain_env(kernel: &Kernel) -> ShellEnv {
     ShellEnv::new(kernel)
@@ -86,11 +89,20 @@ fn file_source_and_sink() {
     add_entry(&kernel, dir, "out.f", output).unwrap();
     let env = plain_env(&kernel).with_directory(dir);
     let run = env.run("file in.f | strip-comments > file out.f").unwrap();
-    assert_eq!(run.output_lines(), vec!["keep me"]);
-    // The target file received the stream.
-    let len = kernel.invoke(output, "Length", Value::Unit).wait().unwrap();
-    assert_eq!(len, Value::Int(1));
+    // A redirected command prints nothing: the target file has the stream.
+    assert!(run.output.is_empty());
+    assert_eq!(file_lines(&kernel, output), vec!["keep me"]);
     kernel.shutdown();
+}
+
+/// What a record file holds, as the shell prints it.
+fn file_lines(kernel: &Kernel, file: Uid) -> Vec<String> {
+    let reader = kernel.invoke(file, ops::OPEN, Value::Unit).wait().unwrap();
+    let read = PipelineSpec::new(Discipline::ReadOnly { read_ahead: 0 })
+        .source_eject(reader.as_uid().unwrap())
+        .build(kernel)
+        .and_then(|pipeline| pipeline.run(Duration::from_secs(10)));
+    read.unwrap().output.iter().map(Value::to_string).collect()
 }
 
 #[test]
@@ -102,18 +114,16 @@ fn unix_source_and_sink() {
         .unwrap();
     let env = plain_env(&kernel).with_unixfs(ufs);
     let run = env.run("unix in.txt | upcase > unix out.txt").unwrap();
-    assert_eq!(run.output_lines(), vec!["ALPHA", "BETA"]);
     assert_eq!(
         String::from_utf8(fs.read("out.txt").unwrap()).unwrap(),
         "ALPHA\nBETA\n"
     );
-    // The redirect moved nothing out from under the caller, and the copy
-    // the run keeps is the only one.
-    assert_eq!(run.output.len(), 2);
+    // The records went once, into the file, and nowhere else.
+    assert!(run.output.is_empty());
     assert!(run.run.output.is_empty());
     // A record that is not a string is written as the shell prints it.
     let run = env.run("seq 3 > unix n.txt").unwrap();
-    assert_eq!(run.output_lines(), vec!["0", "1", "2"]);
+    assert!(run.output.is_empty());
     assert_eq!(
         String::from_utf8(fs.read("n.txt").unwrap()).unwrap(),
         "0\n1\n2\n"
@@ -134,24 +144,119 @@ fn redirected_output_leaves_no_eject_behind() {
         .unwrap();
     let env = plain_env(&kernel).with_directory(dir).with_unixfs(ufs);
     let before = kernel.eject_count();
-    env.run("seq 3 > file f").unwrap();
-    env.run("seq 3 > unix n.txt").unwrap();
-    assert_eq!(
-        String::from_utf8(fs.read("n.txt").unwrap()).unwrap(),
-        "0\n1\n2\n"
-    );
-    // Each redirect read its output through a reader of its own; once read
-    // out, the reader disappears.
-    let readers: Vec<_> = kernel
+    for discipline in ["read-only", "write-only", "conventional"] {
+        env.run(&format!("@discipline={discipline} seq 3 > file f")).unwrap();
+        env.run(&format!("@discipline={discipline} seq 3 > unix n.txt")).unwrap();
+        assert_eq!(
+            String::from_utf8(fs.read("n.txt").unwrap()).unwrap(),
+            "0\n1\n2\n",
+            "{discipline}"
+        );
+        assert_eq!(file_lines(&kernel, file), vec!["0", "1", "2"], "{discipline}");
+    }
+    // Each redirect wrote through a writer of its own, which pulled the
+    // stream or took its writes; once the file holds it, the writer
+    // disappears — and so does each `file_lines` reader, once read out.
+    let streams: Vec<_> = kernel
         .list_ejects()
         .into_iter()
-        .filter(|row| ["DisposableReader", "StreamSource"].contains(&row.type_name.as_str()))
+        .filter(|row| row.type_name.starts_with("Disposable"))
         .map(|row| row.uid)
         .collect();
     assert!(
-        kernel.await_gone(&readers, Duration::from_secs(10)),
-        "{readers:?} stayed"
+        kernel.await_gone(&streams, Duration::from_secs(10)),
+        "{streams:?} stayed"
     );
+    assert_eq!(kernel.eject_count(), before);
+    kernel.shutdown();
+}
+
+#[test]
+fn a_redirect_at_every_depth_leaves_the_exact_file() {
+    let fs = MemFs::with_files([("in.txt", "one\nlazy two\nthree\nfour\nlazy five\n")]);
+    let kernel = Kernel::new();
+    register_fs_types(&kernel);
+    let dir = kernel.spawn(Box::new(DirectoryEject::new())).unwrap();
+    let file = kernel.spawn(Box::new(FileEject::new())).unwrap();
+    add_entry(&kernel, dir, "f", file).unwrap();
+    let ufs = kernel.spawn(Box::new(UnixFsEject::new(fs.clone()))).unwrap();
+    let env = plain_env(&kernel).with_directory(dir).with_unixfs(ufs);
+    let want = ["     1  ONE", "     2  THREE", "     3  FOUR"];
+    for directives in [
+        "@readahead=2",
+        "@discipline=write-only @pushahead=2",
+        "@discipline=conventional @buffer=2",
+    ] {
+        for batch in [1, 2, 64] {
+            let chain = "unix in.txt | grep -v lazy | upcase | line-number";
+            let run = |sink: &str| {
+                let command = format!("{directives} @batch={batch} {chain} > {sink}");
+                let run = env.run(&command).unwrap_or_else(|e| panic!("{command}: {e}"));
+                assert!(run.output.is_empty(), "{command}");
+            };
+            run("unix out.txt");
+            let out = String::from_utf8(fs.read("out.txt").unwrap()).unwrap();
+            assert_eq!(out, want.map(|l| format!("{l}\n")).concat(), "{directives} {batch}");
+            run("file f");
+            assert_eq!(file_lines(&kernel, file), want, "{directives} {batch}");
+        }
+    }
+    kernel.shutdown();
+}
+
+#[test]
+fn a_host_file_that_refuses_the_write_is_the_command_s_error() {
+    let root = std::env::temp_dir().join(format!("eden-shell-escape-{}", std::process::id()));
+    std::fs::create_dir_all(&root).unwrap();
+    let kernel = Kernel::new();
+    let ufs = kernel
+        .spawn(Box::new(UnixFsEject::new(RealFs::new(&root).unwrap())))
+        .unwrap();
+    let env = plain_env(&kernel).with_unixfs(ufs);
+    let before = kernel.eject_count();
+    for discipline in ["read-only", "write-only", "conventional"] {
+        let command = format!("@discipline={discipline} seq 3 > unix ../escape");
+        let err = env.run(&command).expect_err(&command);
+        assert!(matches!(err, eden_core::EdenError::HostFs(_)), "{command}: {err}");
+    }
+    assert!(!root.join("../escape").exists());
+    let writers: Vec<_> = kernel.list_ejects().into_iter().map(|row| row.uid).collect();
+    kernel.await_gone(&writers[before..], Duration::from_secs(10));
+    assert_eq!(kernel.eject_count(), before, "the failed commands left Ejects behind");
+    std::fs::remove_dir_all(&root).unwrap();
+    kernel.shutdown();
+}
+
+#[test]
+fn a_redirect_to_no_such_file_fails_before_anything_runs() {
+    let kernel = Kernel::new();
+    register_fs_types(&kernel);
+    let dir = kernel.spawn(Box::new(DirectoryEject::new())).unwrap();
+    let env = plain_env(&kernel).with_directory(dir);
+    let before = kernel.eject_count();
+    assert!(env.run("seq 3 > file nope").is_err());
+    assert_eq!(kernel.eject_count(), before);
+    kernel.shutdown();
+}
+
+#[test]
+fn a_redirect_to_unix_without_a_unixfs_fails_before_anything_runs() {
+    let kernel = Kernel::new();
+    let env = plain_env(&kernel);
+    let before = kernel.eject_count();
+    let err = env.run("seq 3 > unix out.txt").unwrap_err();
+    assert!(err.to_string().contains("no UnixFs"), "{err}");
+    assert_eq!(kernel.eject_count(), before);
+    kernel.shutdown();
+}
+
+#[test]
+fn a_redirect_to_a_file_without_a_directory_fails_before_anything_runs() {
+    let kernel = Kernel::new();
+    let env = plain_env(&kernel);
+    let before = kernel.eject_count();
+    let err = env.run("seq 3 > file out.f").unwrap_err();
+    assert!(err.to_string().contains("no directory"), "{err}");
     assert_eq!(kernel.eject_count(), before);
     kernel.shutdown();
 }
@@ -261,7 +366,7 @@ fn listing_a_directory_through_the_shell() {
     kernel
         .spawn(Box::new(Stage::new(
             Input::pull(dir),
-            Output::Collector(collector.clone()),
+            Output::local(collector.clone()),
             StageConfig::batch(8),
         )))
         .unwrap();

@@ -37,6 +37,17 @@ pub(crate) struct ChannelTable {
     specs: Vec<ChannelSpec>,
 }
 
+/// The refusal of an identifier that names no channel: a guessed number
+/// names none, and a forged or foreign capability is not authorised.
+pub(crate) fn unknown(id: ChannelId) -> EdenError {
+    match id {
+        ChannelId::Number(n) => EdenError::NoSuchChannel(format!("no channel numbered {n}")),
+        ChannelId::Cap(_) => {
+            EdenError::NotAuthorized("presented capability does not name any channel".into())
+        }
+    }
+}
+
 impl ChannelTable {
     /// A table with only the primary `Output` channel, integer policy.
     pub(crate) fn single_output() -> ChannelTable {
@@ -71,14 +82,7 @@ impl ChannelTable {
         self.specs
             .iter()
             .position(|s| s.id == id)
-            .ok_or_else(|| match id {
-                ChannelId::Number(n) => {
-                    EdenError::NoSuchChannel(format!("no channel numbered {n}"))
-                }
-                ChannelId::Cap(_) => EdenError::NotAuthorized(
-                    "presented capability does not name any channel".into(),
-                ),
-            })
+            .ok_or_else(|| unknown(id))
     }
 
     /// Look up a channel's identifier by documented name (the `GetChannel`

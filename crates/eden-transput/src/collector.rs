@@ -1,11 +1,14 @@
 //! A thread-safe landing pad for stream output, shared between sink Ejects
-//! and the test/benchmark code that waits on them.
+//! and the test/benchmark code that waits on them: the [`PushSink`] a
+//! pipeline ends in unless it ends in an Eject.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use eden_core::{EdenError, Result, Value};
 use parking_lot::{Condvar, Mutex};
+
+use crate::source::PushSink;
 
 #[derive(Debug, Default)]
 struct State {
@@ -47,39 +50,15 @@ impl Collector {
         }
     }
 
-    /// Append records (called by sink Ejects). Wakes nobody: the condvar's
-    /// one waiter, [`wait_done`](Self::wait_done), waits for `done`, which
-    /// only [`finish`](Self::finish) and [`fail`](Self::fail) set.
-    pub(crate) fn append(&self, items: Vec<Value>) {
-        eden_core::stream::note_collected(items.len());
-        let mut st = self.state.0.lock();
-        st.records_seen += items.len() as u64;
-        if self.keep_items {
-            st.items.extend(items);
-        }
-    }
-
-    /// Mark the stream complete (called once by the sink on end-of-stream).
-    pub(crate) fn finish(&self) {
+    /// Mark the stream done, failed if `error`, and wake the waiter.
+    fn settle(&self, error: Option<EdenError>) {
         let (lock, cvar) = &*self.state;
         let mut st = lock.lock();
         if !st.done {
             eden_core::stream::note_stream_closed();
         }
         st.done = true;
-        cvar.notify_all();
-    }
-
-    /// Mark the stream failed: waiters observe the error instead of data.
-    /// Used by sinks when their upstream crashes mid-stream.
-    pub(crate) fn fail(&self, error: EdenError) {
-        let (lock, cvar) = &*self.state;
-        let mut st = lock.lock();
-        if !st.done {
-            eden_core::stream::note_stream_closed();
-        }
-        st.done = true;
-        st.error = Some(error);
+        st.error = error.or(st.error.take());
         cvar.notify_all();
     }
 
@@ -116,6 +95,29 @@ impl Collector {
     }
 }
 
+/// A sink stage lands its records here. Appending wakes nobody: the
+/// condvar's one waiter, [`wait_done`](Collector::wait_done), waits for the
+/// end or the failure.
+impl PushSink for Collector {
+    fn push(&mut self, items: Vec<Value>) {
+        eden_core::stream::note_collected(items.len());
+        let mut st = self.state.0.lock();
+        st.records_seen += items.len() as u64;
+        if self.keep_items {
+            st.items.extend(items);
+        }
+    }
+
+    fn end(&mut self) -> Result<()> {
+        self.settle(None);
+        Ok(())
+    }
+
+    fn fail(&mut self, error: EdenError) {
+        self.settle(Some(error));
+    }
+}
+
 impl Default for Collector {
     fn default() -> Self {
         Collector::new()
@@ -129,11 +131,11 @@ mod tests {
     #[test]
     fn collects_and_signals() {
         let c = Collector::new();
-        let c2 = c.clone();
+        let mut c2 = c.clone();
         let t = std::thread::spawn(move || {
-            c2.append(vec![Value::Int(1)]);
-            c2.append(vec![Value::Int(2)]);
-            c2.finish();
+            c2.push(vec![Value::Int(1)]);
+            c2.push(vec![Value::Int(2)]);
+            c2.end().unwrap();
         });
         let items = c.wait_done(Duration::from_secs(5)).unwrap();
         assert_eq!(items, vec![Value::Int(1), Value::Int(2)]);
@@ -143,12 +145,12 @@ mod tests {
     #[test]
     fn a_waiter_sleeps_through_appends_and_returns_once_with_all_of_them() {
         let c = Collector::new();
-        let sink = c.clone();
+        let mut sink = c.clone();
         let t = std::thread::spawn(move || {
             for i in 0..10_000 {
-                sink.append(vec![Value::Int(i)]);
+                sink.push(vec![Value::Int(i)]);
             }
-            sink.finish();
+            sink.end().unwrap();
         });
         let items = c.wait_done(Duration::from_secs(30)).unwrap();
         assert_eq!(items, (0..10_000).map(Value::Int).collect::<Vec<_>>());
@@ -158,14 +160,14 @@ mod tests {
     #[test]
     fn fail_during_appends_returns_the_error() {
         let c = Collector::new();
-        let sink = c.clone();
+        let mut sink = c.clone();
         let t = std::thread::spawn(move || {
             for i in 0..1_000 {
-                sink.append(vec![Value::Int(i)]);
+                sink.push(vec![Value::Int(i)]);
             }
             sink.fail(EdenError::EndOfStream);
             // A sink that has not heard yet may still deliver.
-            sink.append(vec![Value::Int(1_000)]);
+            sink.push(vec![Value::Int(1_000)]);
         });
         assert_eq!(
             c.wait_done(Duration::from_secs(30)).unwrap_err(),
@@ -177,17 +179,17 @@ mod tests {
 
     #[test]
     fn null_collector_counts_only() {
-        let c = Collector::null();
-        c.append(vec![Value::Int(1), Value::Int(2)]);
-        c.finish();
+        let mut c = Collector::null();
+        c.push(vec![Value::Int(1), Value::Int(2)]);
+        c.end().unwrap();
         assert_eq!(c.records_seen(), 2);
         assert!(c.wait_done(Duration::from_secs(1)).unwrap().is_empty());
     }
 
     #[test]
     fn wait_times_out() {
-        let c = Collector::new();
-        c.append(vec![Value::Int(1)]);
+        let mut c = Collector::new();
+        c.push(vec![Value::Int(1)]);
         assert_eq!(
             c.wait_done(Duration::from_millis(20)).unwrap_err(),
             EdenError::Timeout
@@ -195,19 +197,19 @@ mod tests {
     }
 
     #[test]
+    fn items_so_far_is_partial_view() {
+        let mut c = Collector::new();
+        c.push(vec![Value::Int(7)]);
+        assert_eq!(c.items_so_far(), vec![Value::Int(7)]);
+    }
+
+    #[test]
     fn fail_propagates_to_waiters() {
-        let c = Collector::new();
+        let mut c = Collector::new();
         c.fail(EdenError::EndOfStream);
         assert_eq!(
             c.wait_done(Duration::from_secs(1)).unwrap_err(),
             EdenError::EndOfStream
         );
-    }
-
-    #[test]
-    fn items_so_far_is_partial_view() {
-        let c = Collector::new();
-        c.append(vec![Value::Int(7)]);
-        assert_eq!(c.items_so_far(), vec![Value::Int(7)]);
     }
 }

@@ -31,7 +31,7 @@ pub fn report_window(
     let input = Input::labelled(subscriptions);
     Stage::new(
         input,
-        Output::Collector(collector),
+        Output::local(collector),
         StageConfig::batch(batch),
     )
 }
@@ -142,7 +142,7 @@ mod tests {
         kernel
             .spawn(Box::new(Stage::new(
                 Input::pull(clock),
-                Output::Collector(collector.clone()),
+                Output::local(collector.clone()),
                 StageConfig::batch(2),
             )))
             .unwrap();

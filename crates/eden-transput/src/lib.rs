@@ -71,7 +71,7 @@ pub mod transform;
 pub use channels::ChannelPolicy;
 pub use collector::Collector;
 pub use conform::{DisciplineKind, Mode, Rule, Violation, WiringGraph};
-pub use pipeline::{Discipline, Pipeline, PipelineRun, PipelineSpec};
+pub use pipeline::{Discipline, Pipeline, PipelineRun, PipelineSpec, SinkEject};
 pub use ports::{FanInMode, InputPort, OutputPort, OutputWiring};
 pub use protocol::{Batch, ChannelId, TransferRequest, WriteRequest};
 pub use recovery::{

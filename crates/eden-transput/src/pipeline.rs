@@ -20,7 +20,9 @@
 //! [`Pipeline::run`] executes to end-of-stream and returns a
 //! [`PipelineRun`] with the output, the metered event counts for the data
 //! phase, and wall-clock time — the raw material for every experiment in
-//! `EXPERIMENTS.md`.
+//! `EXPERIMENTS.md`. The output lands in a collector, unless the pipeline
+//! ends in an Eject that exists already ([`SinkEject`]): a file, opened for
+//! output by UID (§4's redirection).
 //!
 //! [`conform::check`]: crate::conform::check
 
@@ -107,6 +109,48 @@ enum Head {
     Eject(InputPort),
 }
 
+/// An Eject that exists already and takes a pipeline's records in place of
+/// its collector — §4's redirection, "provided very naturally in a system
+/// where each entity is referred to by means of a unique identifier". It is
+/// asked by invoking `op` with a record of `fields`. A tail that is read
+/// (read-only, conventional) is named in that record under `source`, in
+/// `run`, and the reply, once the Eject holds the stream whole, ends the run;
+/// a tail that writes (write-only) writes into the acceptor the Eject
+/// answers with, in `build`, whose reply to `Close` ends the run.
+#[derive(Debug)]
+pub struct SinkEject {
+    uid: Uid,
+    op: &'static str,
+    fields: Vec<(&'static str, Value)>,
+    source: &'static str,
+}
+
+impl SinkEject {
+    /// Ask `uid` by `op`, with `fields` and, under `source`, the tail to read.
+    pub fn new(
+        uid: Uid,
+        op: &'static str,
+        fields: Vec<(&'static str, Value)>,
+        source: &'static str,
+    ) -> SinkEject {
+        SinkEject { uid, op, fields, source }
+    }
+
+    fn ask(&self, kernel: &Kernel, tail: Option<Uid>) -> eden_kernel::PendingReply {
+        let tail = tail.map(|uid| (self.source, Value::Uid(uid)));
+        kernel.invoke(self.uid, self.op, Value::record(self.fields.iter().cloned().chain(tail)))
+    }
+}
+
+/// What a built pipeline's run ends on: its collector finishing, a sink
+/// Eject's reply once it has read the tail, or its acceptor's to `Close`.
+#[derive(Debug)]
+enum End {
+    Collector(Collector),
+    Pull(SinkEject, Option<Uid>),
+    Close(Uid),
+}
+
 /// The graph-label for an input port's channel.
 fn channel_label(id: &ChannelId) -> String {
     match id {
@@ -136,6 +180,7 @@ pub struct PipelineSpec {
     taps: Vec<ReportTap>,
     nodes: Option<u16>,
     keep_output: bool,
+    sink: Option<SinkEject>,
     write_window: usize,
 }
 
@@ -152,6 +197,7 @@ impl PipelineSpec {
             taps: Vec::new(),
             nodes: None,
             keep_output: true,
+            sink: None,
             write_window: 1,
         }
     }
@@ -220,6 +266,13 @@ impl PipelineSpec {
     /// Discard output records (null sink) — keeps benchmarks allocation-flat.
     pub fn null_sink(mut self) -> Self {
         self.keep_output = false;
+        self
+    }
+
+    /// End in an existing Eject rather than a collector: the run's output
+    /// is then empty, and the records are wherever the Eject put them.
+    pub fn sink_eject(mut self, sink: SinkEject) -> Self {
+        self.sink = Some(sink);
         self
     }
 
@@ -387,9 +440,14 @@ impl PipelineSpec {
         // whole run reconstructs as a single causal tree.
         let trace = eden_core::span::SpanContext::root();
         let _ambient = eden_core::span::enter(Some(trace));
-        let collector = match self.keep_output {
-            true => Collector::new(),
-            false => Collector::null(),
+        // A sink Eject the tail writes into mints its acceptor now; one that
+        // pulls from the tail is asked in `run`, once the tail is known.
+        let sink_input = plan.rows.iter().find(|row| matches!(row.mount, Mount::Sink));
+        let mut end = match (self.sink.take(), sink_input.map(|row| row.input)) {
+            (None, _) if self.keep_output => End::Collector(Collector::new()),
+            (None, _) => End::Collector(Collector::null()),
+            (Some(sink), Some(Passive)) => End::Close(sink.ask(kernel, None).wait()?.as_uid()?),
+            (Some(sink), _) => End::Pull(sink, None),
         };
         let heads = std::mem::take(&mut self.heads);
         let mut heads: Vec<_> = heads.into_iter().map(Some).collect();
@@ -403,11 +461,19 @@ impl PipelineSpec {
             let row = &plan.rows[i];
             // The peers an active face holds; a missing one puts the row
             // off to a later sweep.
-            let output = match (row.mount, row.output) {
-                (Mount::Sink, _) => Output::Collector(collector.clone()),
-                (Mount::Tap(t), _) => Output::Collector(self.taps[t].collector.clone()),
-                (_, Passive) => Output::Passive,
-                (_, Active) => match self.wiring_of(&plan.edges, i, uids) {
+            let output = match (row.mount, row.output, &mut end) {
+                (Mount::Sink, _, End::Collector(collector)) => Output::local(collector.clone()),
+                // The sink Eject stands for the row: the acceptor the tail
+                // writes into, or what pulls from the tail.
+                (Mount::Sink, _, End::Close(acceptor)) => return Ok(Some(Some(*acceptor))),
+                (Mount::Sink, _, End::Pull(_, tail)) => {
+                    let feed = plan.edges.iter().find(|(_, to, _)| *to == i);
+                    *tail = feed.and_then(|&(from, ..)| uids[from]);
+                    return Ok(tail.map(|_| None));
+                }
+                (Mount::Tap(t), ..) => Output::local(self.taps[t].collector.clone()),
+                (_, Passive, _) => Output::Passive,
+                (_, Active, _) => match self.wiring_of(&plan.edges, i, uids) {
                     Some(wiring) => Output::Active(wiring),
                     None => return Ok(None),
                 },
@@ -464,7 +530,7 @@ impl PipelineSpec {
             ejects,
             pumps: deferred,
             start_target,
-            collector,
+            end,
             taps: self.taps,
             baseline,
             trace,
@@ -564,7 +630,7 @@ pub(crate) enum Mount {
     Filter(usize),
     /// Nothing: an identity pump or a passive buffer.
     Copy,
-    /// The output collector.
+    /// The output collector, or the sink Eject.
     Sink,
     /// The `t`-th tap's collector (a report window).
     Tap(usize),
@@ -684,7 +750,7 @@ pub struct Pipeline {
     pumps: Vec<(Option<NodeId>, Stage)>,
     /// `Start` target for source-pumped disciplines.
     start_target: Option<Uid>,
-    collector: Collector,
+    end: End,
     taps: Vec<ReportTap>,
     baseline: MetricsSnapshot,
     /// The root span of the pipeline's trace; `run` re-enters it so the
@@ -693,9 +759,13 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
-    /// The output collector (for observing progress mid-run).
-    pub fn collector(&self) -> &Collector {
-        &self.collector
+    /// The output collector (for observing progress mid-run), unless the
+    /// pipeline ends in an Eject.
+    pub fn collector(&self) -> Option<&Collector> {
+        match &self.end {
+            End::Collector(collector) => Some(collector),
+            _ => None,
+        }
     }
 
     /// Run to end-of-stream, tear the Ejects down, and report.
@@ -719,23 +789,28 @@ impl Pipeline {
             // judged by the sink's collector.
             let _pending = self.kernel.invoke(target, "Start", Value::Unit);
         }
-        let output = self.collector.wait_done(deadline)?;
-        // Report streams end when their filter flushes, which has happened
-        // by now — but their sink Ejects drain concurrently, so wait for
-        // each to observe end-of-stream before reading the windows.
-        let mut reports = Vec::with_capacity(self.taps.len());
-        for t in &self.taps {
-            let remaining = deadline
-                .saturating_sub(start.elapsed())
-                .max(Duration::from_secs(1));
-            let items = t.collector.wait_done(remaining)?;
-            reports.push(((t.stage, t.channel.clone()), items));
-        }
+        let ended = self.end(deadline).and_then(|output| {
+            // Report streams end when their filter flushes, which has
+            // happened by now — but their sink Ejects drain concurrently, so
+            // wait for each to observe end-of-stream before reading the
+            // windows.
+            let mut reports = Vec::with_capacity(self.taps.len());
+            for t in &self.taps {
+                let remaining = deadline
+                    .saturating_sub(start.elapsed())
+                    .max(Duration::from_secs(1));
+                let items = t.collector.wait_done(remaining)?;
+                reports.push(((t.stage, t.channel.clone()), items));
+            }
+            Ok((output, reports))
+        });
         let wall = start.elapsed();
         let metrics = self.kernel.metrics().snapshot().since(&self.baseline);
         let entities = self.ejects.len();
         drop(ambient);
+        // Torn down whether or not the run got to its end.
         self.teardown(Duration::from_secs(10));
+        let (output, reports) = ended?;
         Ok(PipelineRun {
             records_out: output.len() as u64,
             output,
@@ -747,13 +822,31 @@ impl Pipeline {
         })
     }
 
-    /// Deactivate every Eject and wait on their death latches until they are
-    /// gone. Called by `run`, and useful directly when a pipeline is abandoned.
+    /// Wait for the end of the stream: the collector's records, or the sink
+    /// Eject's word that it holds them all.
+    fn end(&self, deadline: Duration) -> Result<Vec<Value>> {
+        let asked = match &self.end {
+            End::Collector(collector) => return collector.wait_done(deadline),
+            End::Pull(sink, tail) => sink.ask(&self.kernel, *tail),
+            End::Close(acceptor) => self.kernel.invoke(*acceptor, ops::CLOSE, Value::Unit),
+        };
+        // eden-lint: timer(deadline)
+        asked.wait_timeout(deadline).map(|_| Vec::new())
+    }
+
+    /// Deactivate every Eject — and a sink's acceptor, which may never have
+    /// been closed — and wait on their death latches until they are gone.
+    /// Called by `run`, and useful directly when a pipeline is abandoned.
     pub(crate) fn teardown(&self, deadline: Duration) {
-        for &uid in &self.ejects {
+        let acceptor = match self.end {
+            End::Close(acceptor) => Some(acceptor),
+            _ => None,
+        };
+        let ejects: Vec<Uid> = self.ejects.iter().copied().chain(acceptor).collect();
+        for &uid in &ejects {
             let _ = self.kernel.invoke(uid, ops::DEACTIVATE, Value::Unit);
         }
-        self.kernel.await_gone(&self.ejects, deadline);
+        self.kernel.await_gone(&ejects, deadline);
     }
 }
 

@@ -1,16 +1,17 @@
-//! Data sources.
+//! Local supplies and sinks of records.
 //!
 //! "Any Eject which responds to *Read* invocations is by definition a
 //! source" (§4). [`PullSource`] is the local supply of records; a
 //! [`Stage`] with [`Input::Local`] and a passive output mounts one behind
 //! the stream protocol. The paper's examples — a file opened for input, a
 //! date/time server, a directory listing — are all that stage over
-//! different `PullSource`s.
+//! different `PullSource`s. [`PushSink`] is its dual, the local end of
+//! [`Output::Local`]: a collector, or a file opened for output.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use eden_core::Value;
+use eden_core::{EdenError, Result, Value};
 
 use crate::protocol::Batch;
 use crate::stage::{Input, Output, Stage, StageConfig};
@@ -20,6 +21,26 @@ pub trait PullSource: Send + 'static {
     /// Produce up to `max` records. Setting [`Batch::end`] means no more
     /// records will ever be produced; `pull` will not be called again.
     fn pull(&mut self, max: usize) -> Batch;
+}
+
+/// A local end for stream records: the dual of [`PullSource`], mounted as
+/// [`Output::Local`]. The stage pushes each chunk as it arrives, in order,
+/// then calls `end` once every record has been pushed, or `fail` when its
+/// input fails first — or when `end` itself did.
+pub trait PushSink: Send + 'static {
+    /// Take the next records of the stream.
+    fn push(&mut self, items: Vec<Value>);
+    /// The stream has ended. An error is the stream's: the stage reports it
+    /// to whoever wrote the end, or fails with it.
+    fn end(&mut self) -> Result<()>;
+    /// The input failed; no more records will come.
+    fn fail(&mut self, error: EdenError);
+}
+
+impl std::fmt::Debug for dyn PushSink {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("PushSink")
+    }
 }
 
 /// A source over a vector of records.

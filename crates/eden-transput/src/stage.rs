@@ -12,17 +12,18 @@
 //! |---|---|---|---|---|
 //! | local | passive | source: "any Eject which responds to *Read* invocations" (§4) | `StreamSource` | source, its supply loaded into the buffer whole |
 //! | active | passive | read-only filter | `PullFilter` | read-only `stage{i}` |
-//! | active | collector | the sink that pumps a read-only pipeline (§4) | `StreamSink` | — (the driver is that sink) |
+//! | active | local | the sink that pumps a read-only pipeline (§4): a collector, or a file opened for output | `StreamSink` | — (the driver is that sink) |
 //! | local | active | the source that pumps a write-only pipeline (§5) | `PushSource` | write-only source; starts unasked |
 //! | passive | active | write-only filter | `PushFilter` | write-only `stage{i}` |
-//! | passive | collector | acceptor: "always ready to accept" writes (§5) | `AcceptorSink` | — (the acceptor is the pipe below) |
+//! | passive | local | acceptor: "always ready to accept" writes (§5) | `AcceptorSink` | — (the acceptor is the pipe below) |
 //! | passive | passive | the Unix pipe, Figure 1's passive buffer | `PassiveBuffer` | `buf{i}`; read by `ReadAll`, the acceptor |
 //! | active | active | the Unix filter: transforms *and pumps* (§3) | `PumpFilter` | conventional `pump{i}` |
 //! | passive + one port read actively | active | §5's "secondary inputs, which are actively read" | `ZipPushFilter` | — |
 //! | program | passive | §4's standard IO module: a program that `write`s, as the read-ahead worker ([`crate::stdio::program_source`]) | `ProgramSource` | — |
 //! | passive | program | its §5 dual: a program that `read`s, as the push-drain worker ([`crate::stdio::program_sink`]) | `ProgramSink` | — |
 //! | local | passive | the disposable reader `Open` and `NewStream` mint (§7): answers `Close`, gone once read out ([`Stage::reader`]) | `DisposableReader` | — (`OpenDurable` mints the retained source above) |
-//! | active, labelled ports | collector | Figure 4's report window ([`crate::devices::report_window`]) | `StreamSink` | — |
+//! | active or passive | local | its dual, the disposable writer `WriteFrom` and `UseStream` mint: gone once its stream has ended into the file ([`Stage::writer`]) | `DisposableWriter` | — |
+//! | active, labelled ports | local | Figure 4's report window ([`crate::devices::report_window`]) | `StreamSink` | — |
 //!
 //! ## Faces
 //!
@@ -40,8 +41,9 @@
 //!   parks a reader it cannot serve yet (a deferred reply — "it will be sent
 //!   to whatever Eject requests it", §4). Fan-out needs the channel
 //!   identifiers of §5: `GetChannel` hands them out from a [`ChannelTable`].
-//! * An **active output** `Write`s into an [`OutputWiring`]; a **collector**
-//!   output lands the records where a test or a terminal can see them.
+//! * An **active output** `Write`s into an [`OutputWiring`]; a **local**
+//!   output is no face at all, just a [`PushSink`]: a collector that lands
+//!   the records where a test or a terminal can see them, or a file.
 //!
 //! ## Depth: who runs the active face
 //!
@@ -100,12 +102,13 @@ use eden_kernel::{
     ReplyHandle, RouteCache,
 };
 
-use crate::channels::{ChannelPolicy, ChannelTable};
-use crate::collector::Collector;
+use crate::channels::{unknown, ChannelPolicy, ChannelTable};
 use crate::ports::{deliver, FanInMode, InputPort, InputPuller, OutputPort, OutputWiring};
-use crate::protocol::{Batch, GetChannelRequest, TransferRequest, WriteRequest, OUTPUT_NAME};
+use crate::protocol::{
+    Batch, ChannelId, GetChannelRequest, TransferRequest, WriteRequest, OUTPUT_NAME,
+};
 use crate::recovery::{self, Kept, READ_ALL};
-use crate::source::{PullSource, VecSource};
+use crate::source::{PullSource, PushSink, VecSource};
 use crate::stdio::{Program, TransputReader, TransputWriter};
 use crate::transform::{self, Emitter, Transform};
 use parking_lot::{Condvar, Mutex};
@@ -164,9 +167,9 @@ pub enum Output {
     Passive,
     /// `Write` into this wiring.
     Active(OutputWiring),
-    /// Land the primary stream in a [`Collector`] and finish it at
-    /// end-of-stream (or fail it when the input does).
-    Collector(Collector),
+    /// Push the primary stream into a local sink, end it at end-of-stream,
+    /// or fail it when the input does: the dual of [`Input::Local`].
+    Local(Box<dyn PushSink>),
     /// Let an imperative program read the records, conventionally: the §5
     /// dual of [`Input::Program`]. The program is the stage's push-drain
     /// worker, so the input face is passive, and `depth` as there.
@@ -177,6 +180,11 @@ impl Output {
     /// Active output into one Eject's primary input.
     pub fn push(uid: Uid) -> Output {
         Output::Active(OutputWiring::primary_to(OutputPort::primary(uid)))
+    }
+
+    /// Output into a local sink.
+    pub fn local(sink: impl PushSink) -> Output {
+        Output::Local(Box::new(sink))
     }
 }
 
@@ -383,17 +391,14 @@ impl OutFace {
     /// streams close; returns once fewer than `window` writes are
     /// unacknowledged — none, at the end of the stream.
     fn consume(&mut self, host: &impl Host, mut chunk: Chunk, seq: Option<u64>) -> Result<()> {
-        let wiring = match &self.face {
-            Output::Active(wiring) => wiring,
-            Output::Collector(collector) => {
+        let wiring = match &mut self.face {
+            Output::Active(wiring) => &*wiring,
+            Output::Local(sink) => {
                 let items = chunk.out.take_primary();
                 if !items.is_empty() {
-                    collector.append(items);
+                    sink.push(items);
                 }
-                if chunk.end {
-                    collector.finish();
-                }
-                return Ok(());
+                return if chunk.end { sink.end() } else { Ok(()) };
             }
             Output::Passive => unreachable!("a passive output is read from"),
             Output::Program(_) => unreachable!("a program is its own worker"),
@@ -717,14 +722,16 @@ pub struct Stage {
     readers: Vec<VecDeque<(usize, ReplyHandle)>>,
     /// Parked `Write`s: a passive input whose buffer is at capacity.
     writers: VecDeque<(WriteRequest, ReplyHandle)>,
-    /// A collector output, kept for `Progress` and to report a failed pump.
-    collector: Option<Collector>,
     /// What a retained stage keeps beside all this ([`crate::recovery`]);
     /// `None` on a volatile one, and once the worker runs both faces.
     kept: Option<Box<Kept>>,
-    /// Answers `Close`, and deactivates once its stream has been read to
-    /// the end — and, never having checkpointed, disappears (§7).
+    /// Deactivates once its stream has been read to the end, or has ended
+    /// into its local output — and, never having checkpointed, disappears
+    /// (§7). A reader answers `Close` at once; an acceptor parks it
+    /// (`closing`) until its stream has ended, and answers how (`ended`).
     disposable: bool,
+    closing: Option<ReplyHandle>,
+    ended: Option<Result<Value>>,
 }
 
 impl Stage {
@@ -749,10 +756,22 @@ impl Stage {
     /// `Open`): a private, disposable source over `records`. It answers
     /// `Close`; closed, or read to its end, "the UnixFile Eject deactivates
     /// itself and, since it has never Checkpointed, disappears".
-    pub fn reader(records: Vec<Value>) -> Stage {
-        let supply = Input::Local(Box::new(VecSource::new(records)));
+    pub fn reader(supply: impl PullSource) -> Stage {
+        let supply = Input::Local(Box::new(supply));
         let mut stage = Stage::new(supply, Output::Passive, StageConfig::default());
         (stage.name, stage.disposable) = ("DisposableReader", true);
+        stage
+    }
+
+    /// Its dual, the stream a file is opened by for output (§4, §7's
+    /// `UseStream`): a private, disposable stage whose output is `sink`.
+    /// Given a `source`, it pulls from it at once, `batch` records a
+    /// `Transfer`, "until it received an end of file indicator"; given none,
+    /// it is an acceptor, and answers `Close` once its stream has ended.
+    pub fn writer(source: Option<Uid>, sink: impl PushSink, batch: usize) -> Stage {
+        let input = source.map_or(Input::Passive, Input::pull);
+        let mut stage = Stage::new(input, Output::local(sink), StageConfig::batch(batch));
+        (stage.name, stage.disposable) = ("DisposableWriter", true);
         stage
     }
 
@@ -772,11 +791,11 @@ impl Stage {
             (Input::Local(_), _) => "PushSource",
             (Input::Active(_), Output::Passive) => "PullFilter",
             (Input::Active(_), Output::Active(_)) => "PumpFilter",
-            (Input::Active(_), Output::Collector(_)) => "StreamSink",
+            (Input::Active(_), Output::Local(_)) => "StreamSink",
             (Input::Zipped(_), _) => "ZipPushFilter",
             (Input::Passive, Output::Passive) => "PassiveBuffer",
             (Input::Passive, Output::Active(_)) => "PushFilter",
-            (Input::Passive, Output::Collector(_)) => "AcceptorSink",
+            (Input::Passive, Output::Local(_)) => "AcceptorSink",
         };
         let out_passive = matches!(output, Output::Passive);
         // A program meets its coordinator at the buffer, so there is one.
@@ -790,10 +809,6 @@ impl Stage {
             names.push(OUTPUT_NAME);
             names.extend(transform.iter().flat_map(|t| t.secondary_channels()));
         }
-        let collector = match &output {
-            Output::Collector(collector) => Some(collector.clone()),
-            _ => None,
-        };
         Stage {
             name,
             in_passive: matches!(input, Input::Passive | Input::Zipped(_)),
@@ -820,9 +835,10 @@ impl Stage {
                 ..Buffer::default()
             }),
             writers: VecDeque::new(),
-            collector,
             kept: None,
             disposable: false,
+            closing: None,
+            ended: None,
         }
     }
 
@@ -901,7 +917,7 @@ impl Stage {
         // takes all the stage keeps with them: nothing is left to meet at.
         let mut held = (self.kept.take()).map(|kept| (kept, self.meet.with(std::mem::take)));
         let meet = self.meet.share();
-        let (depth, batch, collector) = (self.depth, self.batch, self.collector.clone());
+        let (depth, batch, disposable) = (self.depth, self.batch, self.disposable);
         ctx.spawn_process(name, move |pctx| {
             let result = match (input, output) {
                 // A program is the worker: what it writes goes into the
@@ -953,21 +969,26 @@ impl Stage {
                         Err(e) if held.is_some() && e != EdenError::KernelShutdown => {
                             recovery::pause()
                         }
+                        Err(e) if e != EdenError::KernelShutdown => {
+                            if let Some(OutFace { face: Output::Local(sink), .. }) = &mut output {
+                                sink.fail(e.clone());
+                            }
+                            break Err(e);
+                        }
                         result => break result,
                     }
                 },
             };
             let failed = !matches!(result, Ok(()) | Err(EdenError::KernelShutdown));
-            if failed {
+            if failed || disposable {
                 // The worker is giving up with its stage alive: whoever is
-                // parked at the buffer must not wait for what will not come.
+                // parked at the buffer must not wait for what will not come
+                // (and a disposable stage is done).
                 meet.queue.lock().closed = true;
                 let _ = pctx.post_internal(Value::Unit);
             }
-            match (result, done, collector) {
-                (result, Some(done), _) => done.reply(result.map(|()| Value::Unit)),
-                (Err(e), None, Some(collector)) if failed => collector.fail(e),
-                _ => {}
+            if let Some(done) = done {
+                done.reply(result.map(|()| Value::Unit));
             }
         });
     }
@@ -1016,13 +1037,18 @@ impl Stage {
         }
         let chunk = input.accept(host, w, kept.as_deref_mut());
         let output = self.output.as_mut().filter(|_| !self.out_passive);
+        let end = chunk.end;
         let result = match (output, kept) {
             (Some(output), None) => output.consume(host, chunk, None),
             (output, kept) => self
                 .meet
                 .with(|buffer| retain(host, input, output, buffer, kept, chunk)),
         };
-        reply.reply(result.map(|()| Value::Unit));
+        let result = result.map(|()| Value::Unit);
+        if end && self.disposable {
+            self.ended = Some(result.clone());
+        }
+        reply.reply(result);
     }
 
     /// The passive output face: a `Transfer`. A retained stage's buffer
@@ -1108,6 +1134,18 @@ impl Stage {
         self.meet.with(|buffer| buffer.read(idx, max, fill, keep))
     }
 
+    /// Deactivate a disposable stage whose stream is done: read out to its
+    /// end, delivered by its worker, or ended into its output and closed.
+    fn dispose(&mut self, ctx: &EjectContext) {
+        let done = |b: &mut Buffer| b.closed || (b.ended && b.occupancy() == 0);
+        if let (Some(_), Some(ended)) = (&self.closing, &self.ended) {
+            self.closing.take().expect("matched").reply(ended.clone());
+        } else if self.closing.is_some() || !self.meet.with(done) {
+            return;
+        }
+        ctx.request_deactivate();
+    }
+
     /// Move parked writes into the buffer while space allows and answer
     /// parked reads while data (or end) allows, then let the worker look.
     fn settle(&mut self, host: &impl Host) {
@@ -1188,20 +1226,21 @@ impl EjectBehavior for Stage {
     fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
         // A face answers only the operations of its mode.
         match inv.op.as_str() {
+            // A passive input takes writes on its one channel only.
             ops::WRITE if self.in_passive => match WriteRequest::from_value(inv.arg) {
+                Ok(w) if w.channel != ChannelId::output() => reply.reply(Err(unknown(w.channel))),
                 Ok(w) => self.accept(ctx, w, reply),
                 Err(e) => reply.reply(Err(e)),
             },
             ops::TRANSFER if self.out_passive => match TransferRequest::from_value(&inv.arg) {
-                Ok(req) => {
-                    self.serve(ctx, req, reply);
-                    let read_out = |buffer: &mut Buffer| buffer.ended && buffer.occupancy() == 0;
-                    if self.disposable && self.meet.with(read_out) {
-                        ctx.request_deactivate();
-                    }
-                }
+                Ok(req) => self.serve(ctx, req, reply),
                 Err(e) => reply.reply(Err(e)),
             },
+            // An acceptor closes once its stream has ended into its output.
+            ops::CLOSE if self.disposable && self.in_passive => {
+                reply.mark_deferred();
+                self.closing = Some(reply);
+            }
             ops::CLOSE if self.disposable => {
                 reply.reply(Ok(Value::Unit));
                 ctx.request_deactivate();
@@ -1230,11 +1269,6 @@ impl EjectBehavior for Stage {
                 reply.mark_deferred();
                 self.spawn_worker(ctx, Some(reply));
             }
-            // How many records a collector output has landed so far.
-            "Progress" if self.collector.is_some() => {
-                let seen = self.collector.as_ref().map_or(0, Collector::records_seen);
-                reply.reply(Ok(Value::Int(seen as i64)));
-            }
             // Primary records waiting to be read (diagnostics).
             "Occupancy" if self.out_passive => {
                 let waiting = self.meet.with(|buffer| buffer.occupancy());
@@ -1245,18 +1279,24 @@ impl EjectBehavior for Stage {
                 op: inv.op,
             })),
         }
+        if self.disposable {
+            self.dispose(ctx);
+        }
     }
 
     fn internal(&mut self, ctx: &EjectContext, _event: Value) {
-        // The worker has put or taken something.
+        // The worker has put or taken something, or is done.
         self.settle(ctx);
+        if self.disposable {
+            self.dispose(ctx);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::ChannelId;
+    use crate::collector::Collector;
     use crate::recovery::TransformRegistry;
     use crate::source::FnSource;
     use crate::transform::tests::filter_fn;
@@ -1280,7 +1320,7 @@ mod tests {
         let collector = Collector::new();
         let acceptor = Stage::new(
             Input::Passive,
-            Output::Collector(collector.clone()),
+            Output::local(collector.clone()),
             StageConfig::default(),
         );
         (kernel.spawn(Box::new(acceptor)).unwrap(), collector)
@@ -1373,7 +1413,7 @@ mod tests {
         kernel
             .spawn(Box::new(Stage::new(
                 Input::pull(filter),
-                Output::Collector(collector.clone()),
+                Output::local(collector.clone()),
                 StageConfig::batch(4),
             )))
             .unwrap();
@@ -1407,7 +1447,7 @@ mod tests {
         kernel
             .spawn(Box::new(Stage::new(
                 Input::pull(filter),
-                Output::Collector(collector.clone()),
+                Output::local(collector.clone()),
                 StageConfig::batch(4),
             )))
             .unwrap();
@@ -1438,7 +1478,7 @@ mod tests {
         kernel
             .spawn(Box::new(Stage::new(
                 Input::pull(filter),
-                Output::Collector(collector.clone()),
+                Output::local(collector.clone()),
                 StageConfig::batch(8),
             )))
             .unwrap();
@@ -1476,7 +1516,7 @@ mod tests {
         kernel
             .spawn(Box::new(Stage::new(
                 Input::pull(filter),
-                Output::Collector(collector.clone()),
+                Output::local(collector.clone()),
                 StageConfig::batch(8),
             )))
             .unwrap();
@@ -1517,7 +1557,7 @@ mod tests {
         kernel
             .spawn(Box::new(Stage::new(
                 Input::pull(filter),
-                Output::Collector(collector.clone()),
+                Output::local(collector.clone()),
                 StageConfig::batch(4),
             )))
             .unwrap();
@@ -2075,7 +2115,7 @@ mod tests {
         kernel
             .spawn(Box::new(Stage::new(
                 Input::pull(pipe_out),
-                Output::Collector(collector.clone()),
+                Output::local(collector.clone()),
                 StageConfig::batch(4),
             )))
             .unwrap();
@@ -2114,7 +2154,7 @@ mod tests {
         kernel
             .spawn(Box::new(Stage::new(
                 Input::pull(pipe),
-                Output::Collector(collector.clone()),
+                Output::local(collector.clone()),
                 StageConfig::batch(1),
             )))
             .unwrap();
@@ -2157,7 +2197,7 @@ mod tests {
         kernel
             .spawn(Box::new(Stage::new(
                 Input::pull(pipe),
-                Output::Collector(collector.clone()),
+                Output::local(collector.clone()),
                 StageConfig::batch(1),
             )))
             .unwrap();
@@ -2829,7 +2869,7 @@ mod tests {
         kernel.shutdown();
     }
 
-    // ---- collector output: the pumping sink, the acceptor ----
+    // ---- local output: the pumping sink, the acceptor ----
 
     #[test]
     fn sink_pumps_source_dry() {
@@ -2845,7 +2885,7 @@ mod tests {
         let _sink = kernel
             .spawn(Box::new(Stage::new(
                 Input::pull(source),
-                Output::Collector(collector.clone()),
+                Output::local(collector.clone()),
                 StageConfig::batch(4),
             )))
             .unwrap();
@@ -2854,27 +2894,52 @@ mod tests {
         kernel.shutdown();
     }
 
+    // ---- the disposable writer: a file opened for output ----
+
     #[test]
-    fn sink_reports_progress() {
+    fn a_writer_pulls_its_source_into_its_sink_and_disappears() {
         let kernel = Kernel::new();
-        let source = kernel
-            .spawn(Box::new(Stage::new(
-                Input::Local(Box::new(VecSource::new((0..5).map(Value::Int).collect()))),
-                Output::Passive,
-                StageConfig::default(),
-            )))
-            .unwrap();
+        let source = int_source(&kernel, 5);
         let collector = Collector::new();
-        let sink = kernel
-            .spawn(Box::new(Stage::new(
-                Input::pull(source),
-                Output::Collector(collector.clone()),
-                StageConfig::batch(1),
-            )))
-            .unwrap();
-        collector.wait_done(Duration::from_secs(10)).unwrap();
-        let got = kernel.invoke(sink, "Progress", Value::Unit).wait().unwrap();
-        assert_eq!(got, Value::Int(5));
+        let writer = Stage::writer(Some(source), collector.clone(), 2);
+        let writer = kernel.spawn(Box::new(writer)).unwrap();
+        let items = collector.wait_done(Duration::from_secs(10)).unwrap();
+        assert_eq!(items, (0..5).map(Value::Int).collect::<Vec<_>>());
+        assert!(kernel.await_gone(&[writer], Duration::from_secs(10)));
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn an_acceptor_writer_answers_close_once_its_stream_has_ended() {
+        struct Refusing;
+        impl PushSink for Refusing {
+            fn push(&mut self, _items: Vec<Value>) {}
+            fn end(&mut self) -> Result<()> {
+                Err(EdenError::Application("disk full".into()))
+            }
+            fn fail(&mut self, _error: EdenError) {}
+        }
+        let kernel = Kernel::new();
+        let write = |to: Uid, w: WriteRequest| kernel.invoke(to, ops::WRITE, w.to_value()).wait();
+        let collector = Collector::new();
+        let writer = kernel.spawn(Box::new(Stage::writer(None, collector.clone(), 4))).unwrap();
+        write(writer, WriteRequest::more(vec![Value::Int(1)])).unwrap();
+        let closed = kernel.invoke(writer, ops::CLOSE, Value::Unit);
+        // Handled in order: by the time this write is answered, so is the
+        // `Close` ahead of it — parked, since the stream is still open.
+        write(writer, WriteRequest::more(vec![Value::Int(2)])).unwrap();
+        let closed = closed.try_wait().expect_err("closed before its stream ended");
+        write(writer, WriteRequest::last(vec![Value::Int(3)])).unwrap();
+        assert_eq!(closed.wait(), Ok(Value::Unit));
+        assert!(kernel.await_gone(&[writer], Duration::from_secs(10)));
+        let items = collector.wait_done(Duration::from_secs(10)).unwrap();
+        assert_eq!(items, (1..4).map(Value::Int).collect::<Vec<_>>());
+        // A sink whose end fails fails the last write, and the `Close`.
+        let refusing = kernel.spawn(Box::new(Stage::writer(None, Refusing, 4))).unwrap();
+        let closed = kernel.invoke(refusing, ops::CLOSE, Value::Unit);
+        let full = Err(EdenError::Application("disk full".into()));
+        assert_eq!(write(refusing, WriteRequest::last(Vec::new())), full);
+        assert_eq!(closed.wait(), full);
         kernel.shutdown();
     }
 
@@ -2894,7 +2959,7 @@ mod tests {
         let _sink = kernel
             .spawn(Box::new(Stage::new(
                 Input::pull(source),
-                Output::Collector(collector.clone()),
+                Output::local(collector.clone()),
                 StageConfig::batch(2),
             )))
             .unwrap();
@@ -2920,7 +2985,7 @@ mod tests {
         let acceptor = kernel
             .spawn(Box::new(Stage::new(
                 Input::Passive,
-                Output::Collector(collector.clone()),
+                Output::local(collector.clone()),
                 StageConfig::default(),
             )))
             .unwrap();
@@ -2954,7 +3019,7 @@ mod tests {
         let acceptor = kernel
             .spawn(Box::new(Stage::new(
                 Input::Passive,
-                Output::Collector(collector.clone()),
+                Output::local(collector.clone()),
                 StageConfig::default(),
             )))
             .unwrap();
@@ -2989,7 +3054,7 @@ mod tests {
         let acceptor = kernel
             .spawn(Box::new(Stage::new(
                 Input::Passive,
-                Output::Collector(Collector::new()),
+                Output::local(Collector::new()),
                 StageConfig::default(),
             )))
             .unwrap();

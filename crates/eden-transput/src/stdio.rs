@@ -221,7 +221,7 @@ mod tests {
         kernel
             .spawn(Box::new(Stage::new(
                 Input::pull(src),
-                Output::Collector(collector.clone()),
+                Output::local(collector.clone()),
                 StageConfig::batch(3),
             )))
             .unwrap();
@@ -248,7 +248,7 @@ mod tests {
         kernel
             .spawn(Box::new(Stage::new(
                 Input::pull(src),
-                Output::Collector(collector.clone()),
+                Output::local(collector.clone()),
                 StageConfig::batch(5),
             )))
             .unwrap();
@@ -332,7 +332,7 @@ mod tests {
         kernel
             .spawn(Box::new(Stage::new(
                 Input::pull(src),
-                Output::Collector(collector.clone()),
+                Output::local(collector.clone()),
                 StageConfig::batch(4),
             )))
             .unwrap();

@@ -63,7 +63,7 @@ proptest! {
             Mode::Passive => Output::Passive,
             Mode::Active => Output::push(spawn(Stage::new(
                 Input::Passive,
-                Output::Collector(pushed.clone()),
+                Output::local(pushed.clone()),
                 StageConfig::default(),
             ))),
         };

@@ -63,7 +63,7 @@ fn main() {
     kernel
         .spawn(Box::new(Stage::new(
             Input::pull(filter),
-            Output::Collector(collector.clone()),
+            Output::local(collector.clone()),
             StageConfig::batch(64),
         )))
         .expect("spawn sink");

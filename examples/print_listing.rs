@@ -68,7 +68,7 @@ fn main() {
     kernel
         .spawn(Box::new(Stage::new(
             Input::pull(paginator),
-            Output::Collector(printed.clone()),
+            Output::local(printed.clone()),
             StageConfig::batch(4),
         )))
         .expect("spawn printer server");
@@ -95,7 +95,7 @@ fn main() {
     kernel
         .spawn(Box::new(Stage::new(
             Input::pull(home),
-            Output::Collector(listing.clone()),
+            Output::local(listing.clone()),
             StageConfig::batch(8),
         )))
         .expect("spawn listing reader");

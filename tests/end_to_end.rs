@@ -25,7 +25,7 @@ fn drain(kernel: &Kernel, source: eden::core::Uid) -> Vec<Value> {
     kernel
         .spawn(Box::new(Stage::new(
             Input::pull(source),
-            Output::Collector(c.clone()),
+            Output::local(c.clone()),
             StageConfig::batch(8),
         )))
         .unwrap();
@@ -190,7 +190,7 @@ fn crash_mid_pipeline_is_reported_not_hung() {
     kernel
         .spawn(Box::new(Stage::new(
             Input::pull(filter),
-            Output::Collector(collector.clone()),
+            Output::local(collector.clone()),
             StageConfig::batch(16),
         )))
         .unwrap();

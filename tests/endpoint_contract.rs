@@ -1,9 +1,10 @@
 //! The contract every stream endpoint keeps, whatever it is a constructor
 //! of: a passive output hands out the identifiers of the channels it
-//! declared and serves only those, and a passive input takes no record
-//! after the end of its stream. `Stage` keeps it by construction, and every
-//! endpoint here — `stdio`'s programs, `eden-fs`'s readers and listing, the
-//! report window — is a `Stage`.
+//! declared and serves only those, and a passive input takes records on its
+//! one channel only, and none after the end of its stream. `Stage` keeps it
+//! by construction, and every endpoint here — `stdio`'s programs,
+//! `eden-fs`'s readers, listing and file sinks, the report window — is a
+//! `Stage`.
 
 use std::sync::mpsc;
 use std::time::Duration;
@@ -80,7 +81,7 @@ fn writers(kernel: &Kernel) -> Vec<(&'static str, Uid, Landed)> {
         kernel.invoke(to, ops::WRITE, both).wait().unwrap();
     };
     let collector = Collector::new();
-    let sink = Output::Collector(collector.clone());
+    let sink = Output::local(collector.clone());
     let acceptor = Stage::new(Input::Passive, sink, StageConfig::default());
     let acceptor = kernel.spawn(Box::new(acceptor)).unwrap();
     let depth = StageConfig {
@@ -95,7 +96,18 @@ fn writers(kernel: &Kernel) -> Vec<(&'static str, Uid, Landed)> {
         let _ = seen.send(read);
     };
     let program = kernel.spawn(Box::new(program_sink(read_all, 0))).unwrap();
-    for to in [acceptor, pipe, program] {
+    // The files a write-only pipeline's output is redirected into: asked
+    // with no stream to pull, each opens an acceptor.
+    let fs = MemFs::new();
+    let unixfs = kernel.spawn(Box::new(UnixFsEject::new(fs.clone()))).unwrap();
+    let opened = |from: Uid, op: &'static str, arg: Value| {
+        kernel.invoke(from, op, arg).wait().unwrap().as_uid().unwrap()
+    };
+    let host_file = opened(unixfs, ops::USE_STREAM, Value::record([("path", Value::str("two"))]));
+    let file = kernel.spawn(Box::new(FileEject::new())).unwrap();
+    let no_fields: [(&str, Value); 0] = [];
+    let record_file = opened(file, ops::WRITE_FROM, Value::record(no_fields));
+    for to in [acceptor, pipe, program, host_file, record_file] {
         write_all(to);
     }
     // The acceptor of a recoverable pipeline is the last stage of a
@@ -132,6 +144,23 @@ fn writers(kernel: &Kernel) -> Vec<(&'static str, Uid, Landed)> {
             Box::new(move |_: &Kernel| {
                 let read = program_read.recv_timeout(Duration::from_secs(10));
                 read.expect("the program reads to the end of its stream")
+            }),
+        ),
+        (
+            "UnixFsEject UseStream",
+            host_file,
+            Box::new(move |_: &Kernel| {
+                let bytes = fs.read("two").unwrap();
+                let lines = String::from_utf8(bytes).unwrap();
+                lines.lines().map(|l| Value::Int(l.parse().unwrap())).collect()
+            }),
+        ),
+        (
+            "FileEject WriteFrom",
+            record_file,
+            Box::new(move |kernel: &Kernel| {
+                let reader = kernel.invoke(file, ops::OPEN, Value::Unit).wait().unwrap();
+                read_as(reader.as_uid().unwrap(), ops::TRANSFER)(kernel)
             }),
         ),
     ]
@@ -181,7 +210,21 @@ fn every_stream_endpoint_refuses_a_foreign_channel_and_a_write_after_end() {
         assert_eq!(read, ["0", "1"], "{endpoint}");
     }
     for (endpoint, writer, landed) in writers(&kernel) {
-        // A record beyond the end of the stream is a sender's bug ...
+        // A write on a channel this endpoint did not declare is refused ...
+        for channel in [ChannelId::Number(7), ChannelId::Cap(Uid::fresh())] {
+            let foreign = WriteRequest {
+                channel,
+                ..WriteRequest::more(vec![Value::Int(99)]).at(2)
+            };
+            let reply = kernel.invoke(writer, ops::WRITE, foreign.to_value());
+            let err = reply.wait().expect_err(endpoint);
+            let refused = matches!(
+                err,
+                EdenError::NoSuchChannel(_) | EdenError::NotAuthorized(_)
+            );
+            assert!(refused, "{endpoint}: {err}");
+        }
+        // ... and a record beyond the end of the stream is a sender's bug ...
         let late = WriteRequest::more(vec![Value::Int(99)]).at(2).to_value();
         let err = kernel.invoke(writer, ops::WRITE, late).wait();
         let want = EdenError::Application("write after end of stream".into());

@@ -56,7 +56,7 @@ fn read_only_fan_in_merges_m_sources() {
         kernel
             .spawn(Box::new(Stage::new(
                 Input::pull(filter),
-                Output::Collector(collector.clone()),
+                Output::local(collector.clone()),
                 StageConfig::batch(1),
             )))
             .unwrap();
@@ -99,14 +99,14 @@ fn read_only_without_channels_cannot_fan_out() {
     kernel
         .spawn(Box::new(Stage::new(
             Input::pull(filter),
-            Output::Collector(c1.clone()),
+            Output::local(c1.clone()),
             StageConfig::batch(4),
         )))
         .unwrap();
     kernel
         .spawn(Box::new(Stage::new(
             Input::pull(filter),
-            Output::Collector(c2.clone()),
+            Output::local(c2.clone()),
             StageConfig::batch(4),
         )))
         .unwrap();
@@ -163,14 +163,14 @@ fn read_only_fan_out_via_tee_channels() {
                 }],
                 FanInMode::Concatenate,
             ),
-            Output::Collector(copy.clone()),
+            Output::local(copy.clone()),
             StageConfig::batch(4),
         )))
         .unwrap();
     kernel
         .spawn(Box::new(Stage::new(
             Input::pull(filter),
-            Output::Collector(main.clone()),
+            Output::local(main.clone()),
             StageConfig::batch(4),
         )))
         .unwrap();
@@ -191,7 +191,7 @@ fn write_only_fan_out_is_natural() {
         let sink = kernel
             .spawn(Box::new(Stage::new(
                 Input::Passive,
-                Output::Collector(c.clone()),
+                Output::local(c.clone()),
                 StageConfig::default(),
             )))
             .unwrap();
@@ -234,7 +234,7 @@ fn write_only_fan_in_merges_indistinguishably() {
     let sink = kernel
         .spawn(Box::new(Stage::new(
             Input::Passive,
-            Output::Collector(collector.clone()),
+            Output::local(collector.clone()),
             StageConfig::default(),
         )))
         .unwrap();
@@ -335,14 +335,14 @@ fn conventional_supports_both_directions() {
     kernel
         .spawn(Box::new(Stage::new(
             Input::pull(pipe_a),
-            Output::Collector(ca.clone()),
+            Output::local(ca.clone()),
             StageConfig::batch(4),
         )))
         .unwrap();
     kernel
         .spawn(Box::new(Stage::new(
             Input::pull(pipe_b),
-            Output::Collector(cb.clone()),
+            Output::local(cb.clone()),
             StageConfig::batch(4),
         )))
         .unwrap();

@@ -40,7 +40,7 @@ fn fan_out(kernel: &Kernel, data: Vec<Value>, width: usize) -> Vec<Vec<Value>> {
         let sink = kernel
             .spawn(Box::new(Stage::new(
                 Input::Passive,
-                Output::Collector(c.clone()),
+                Output::local(c.clone()),
                 StageConfig::default(),
             )))
             .unwrap();

@@ -85,7 +85,7 @@ fn null_sink_counts_via_collector() {
         .null_sink()
         .build(&kernel)
         .unwrap();
-    let collector = pipeline.collector().clone();
+    let collector = pipeline.collector().expect("a collector sink").clone();
     let run = pipeline.run(Duration::from_secs(30)).unwrap();
     assert!(run.output.is_empty());
     assert_eq!(collector.records_seen(), 100);
