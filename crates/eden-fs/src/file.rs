@@ -17,17 +17,17 @@
 //! `WriteFrom` waits for the end. Handed none, `WriteFrom` returns the
 //! writer as an acceptor for a write-only pipeline to write into. Either
 //! way, at the end of the stream the writer hands the records to the file,
-//! which commits them by checkpointing before it answers.
+//! which commits them by checkpointing before it answers. A writer that
+//! pulls is a write in progress, and a second `WriteFrom` is refused while
+//! it lives; an acceptor holds nothing of the file's until it hands its
+//! records over, so the next `WriteFrom` takes its place.
 
 use eden_core::op::ops;
 use eden_core::{EdenError, Result, Uid, Value};
-use eden_kernel::{EjectBehavior, EjectContext, Invocation, ReplyHandle, WeakKernel};
+use eden_kernel::{EjectBehavior, EjectContext, Invocation, ReplyHandle};
 use eden_transput::recovery::recoverable_source;
-use eden_transput::source::{PushSink, VecSource};
+use eden_transput::source::{Caller, PushSink, VecSource};
 use eden_transput::{SinkEject, Stage};
-
-/// Records a file's writer asks for a `Transfer`.
-pub(crate) const WRITER_BATCH: usize = 64;
 
 /// How a writer hands a file the records it gathered.
 const COMMIT: &str = "Commit";
@@ -41,8 +41,9 @@ pub struct FileEject {
     records: Vec<Value>,
     /// Bumped on every successful `WriteFrom`.
     generation: i64,
-    /// The writer of a `WriteFrom` in progress, while it lives.
-    writer: Option<Uid>,
+    /// The writer of the last `WriteFrom`, until it hands its records over,
+    /// and whether it pulls a source.
+    writer: Option<(Uid, bool)>,
 }
 
 impl FileEject {
@@ -91,11 +92,14 @@ impl FileEject {
     /// Open for writing: a writer that pulls from the source, or an
     /// acceptor if there is none.
     fn write_from(&mut self, ctx: &EjectContext, arg: &Value, reply: ReplyHandle) {
-        let kernel = ctx.kernel();
-        let alive = |writer| kernel.as_ref().is_some_and(|k| k.eject_state(writer).is_some());
-        if self.writer.is_some_and(alive) {
-            let busy = EdenError::Application("a WriteFrom is already in progress".into());
-            return reply.reply(Err(busy));
+        let Some(kernel) = ctx.kernel() else {
+            return reply.reply(Err(EdenError::KernelShutdown));
+        };
+        if let Some((writer, true)) = self.writer {
+            if kernel.eject_state(writer).is_some() {
+                let busy = EdenError::Application("a WriteFrom is already in progress".into());
+                return reply.reply(Err(busy));
+            }
         }
         let source = match arg.field_opt("source").map(Value::as_uid).transpose() {
             Ok(source) => source,
@@ -109,9 +113,6 @@ impl FileEject {
                 return reply.reply(Err(EdenError::BadParameter(bad.into())));
             }
         };
-        let Some(kernel) = kernel else {
-            return reply.reply(Err(EdenError::KernelShutdown));
-        };
         // The reply to a WriteFrom that names a source waits until the
         // records are durable; one that names none answers with the acceptor.
         let (done, answer) = match source {
@@ -121,22 +122,30 @@ impl FileEject {
             }
             None => (None, Some(reply)),
         };
+        // An acceptor not yet closed: gone, and its records with it.
+        if let Some((acceptor, false)) = self.writer {
+            drop(ctx.invoke(acceptor, ops::DEACTIVATE, Value::Unit));
+        }
         let gather = Gather {
-            kernel: kernel.downgrade(),
             file: ctx.uid(),
             mode: Value::str(mode),
             records: Vec::new(),
             done,
         };
-        let writer = spawn_sibling(ctx, Box::new(Stage::writer(source, gather, WRITER_BATCH)));
-        self.writer = writer.as_ref().ok().copied();
+        let writer = spawn_sibling(ctx, Box::new(Stage::writer(source, gather)));
+        self.writer = writer.as_ref().ok().map(|&writer| (writer, source.is_some()));
         if let Some(reply) = answer {
             reply.reply(writer.map(Value::Uid));
         }
     }
 
-    /// Take a writer's records, bump the generation, checkpoint.
+    /// Take the current writer's records, bump the generation, checkpoint.
     fn commit(&mut self, ctx: &EjectContext, arg: Value) -> Result<Value> {
+        let writer = arg.field("writer")?.as_uid()?;
+        if self.writer.take_if(|(current, _)| *current == writer).is_none() {
+            let stale = "a writer the file no longer takes records from";
+            return Err(EdenError::Application(stale.into()));
+        }
         let append = arg.field("mode")?.as_str()? == "append";
         let records = arg.take_field("records")?.into_list()?;
         match append {
@@ -151,10 +160,9 @@ impl FileEject {
 }
 
 /// A file's writer's output: the stream's records, gathered and, at its end,
-/// handed to the file, whose answer — once it has checkpointed them — is the
-/// answer to the `WriteFrom` that named a source.
+/// handed to the file by the writer, whose answer — once it has
+/// checkpointed them — is the answer to the `WriteFrom` that named a source.
 struct Gather {
-    kernel: WeakKernel,
     file: Uid,
     mode: Value,
     records: Vec<Value>,
@@ -166,12 +174,14 @@ impl PushSink for Gather {
         self.records.extend(items);
     }
 
-    fn end(&mut self) -> Result<()> {
+    fn end(&mut self, writer: &dyn Caller) -> Result<()> {
         let records = Value::list(std::mem::take(&mut self.records));
-        let arg = Value::record([("mode", self.mode.clone()), ("records", records)]);
-        // The kernel is held for the send only, not through the wait.
-        let sent = self.kernel.upgrade().map(|k| k.invoke(self.file, COMMIT, arg));
-        let committed = sent.ok_or(EdenError::KernelShutdown).and_then(|c| c.wait());
+        let arg = Value::record([
+            ("writer", Value::Uid(writer.uid())),
+            ("mode", self.mode.clone()),
+            ("records", records),
+        ]);
+        let committed = writer.invoke(self.file, COMMIT, arg);
         if let Some(done) = self.done.take() {
             done.reply(committed.clone());
         }
@@ -219,10 +229,7 @@ impl EjectBehavior for FileEject {
             // The writer's records, at the end of its stream: "Once a file
             // has been written, the data is committed to stable storage by
             // Checkpointing" (§2), before the writer hears.
-            COMMIT => {
-                self.writer = None;
-                reply.reply(self.commit(ctx, inv.arg));
-            }
+            COMMIT => reply.reply(self.commit(ctx, inv.arg)),
             "Length" => reply.reply(Ok(Value::Int(self.records.len() as i64))),
             "Generation" => reply.reply(Ok(Value::Int(self.generation))),
             _ => reply.reply(Err(EdenError::NoSuchOperation {

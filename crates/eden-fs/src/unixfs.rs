@@ -29,10 +29,10 @@ use eden_core::op::ops;
 use eden_core::{EdenError, Result, Text, Uid, Value};
 use eden_kernel::{EjectBehavior, EjectContext, Invocation, ReplyHandle};
 use eden_transput::protocol::Batch;
-use eden_transput::source::{PullSource, PushSink};
+use eden_transput::source::{Caller, PullSource, PushSink};
 use eden_transput::{SinkEject, Stage};
 
-use crate::file::{spawn_sibling, WRITER_BATCH};
+use crate::file::spawn_sibling;
 use crate::hostfs::{file_text, HostFsHandle};
 
 /// The per-machine bootstrap Eject.
@@ -80,13 +80,13 @@ impl EjectBehavior for UnixFsEject {
                     done: None,
                 };
                 if stream.is_none() {
-                    let acceptor = Stage::writer(None, file, WRITER_BATCH);
+                    let acceptor = Stage::writer(None, file);
                     return reply.reply(spawn_sibling(ctx, Box::new(acceptor)).map(Value::Uid));
                 }
                 // The reply to UseStream waits until the file is written.
                 reply.mark_deferred();
                 file.done = Some(reply);
-                let copier = Stage::writer(stream, file, WRITER_BATCH);
+                let copier = Stage::writer(stream, file);
                 // Spawned only while the kernel stands: otherwise the copier,
                 // and with it the reply, is dropped, and the caller hears so.
                 let _ = spawn_sibling(ctx, Box::new(copier));
@@ -154,7 +154,7 @@ impl PushSink for HostFile {
         }
     }
 
-    fn end(&mut self) -> Result<()> {
+    fn end(&mut self, _: &dyn Caller) -> Result<()> {
         let written = self.fs.write(&self.path, &self.bytes);
         if let Some(done) = self.done.take() {
             done.reply(written.clone().map(|()| Value::Int(self.records)));

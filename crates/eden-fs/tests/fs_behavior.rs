@@ -6,14 +6,18 @@ use std::time::Duration;
 use eden_core::op::ops;
 use eden_core::{EdenError, Value};
 use eden_fs::{
-    add_entry, lookup, new_stream_arg, register_fs_types, use_stream_arg, DirConcatenatorEject,
-    DirectoryEject, FileEject, MemFs, UnixFsEject,
+    add_entry, lookup, new_stream_arg, register_fs_types, use_stream_arg, write_from_sink,
+    DirConcatenatorEject, DirectoryEject, FileEject, MemFs, UnixFsEject,
 };
-use eden_kernel::{EjectState, Kernel, KernelConfig, StableStore};
+use eden_kernel::{
+    EjectState, FaultKind, FaultPlan, FaultRule, Kernel, KernelConfig, StableStore,
+};
 use eden_transput::collector::Collector;
 use eden_transput::protocol::{Batch, TransferRequest, WriteRequest};
 use eden_transput::source::VecSource;
-use eden_transput::{Input, Output, Stage, StageConfig};
+use eden_transput::{
+    Discipline, Emitter, Input, Output, PipelineSpec, Stage, StageConfig, Transform,
+};
 
 fn read_stream_fully(kernel: &Kernel, stream: eden_core::Uid) -> Vec<Value> {
     let collector = Collector::new();
@@ -218,6 +222,64 @@ fn a_second_write_from_is_refused_while_the_first_is_in_progress() {
     let replace = Value::record([("source", Value::Uid(source))]);
     let written = kernel.invoke(file, ops::WRITE_FROM, replace).wait();
     assert_eq!(written, Ok(Value::Int(1)));
+    kernel.shutdown();
+}
+
+#[test]
+fn a_pipeline_into_the_file_that_never_runs_leaves_it_writable() {
+    // Copies, and declares a report channel a tap may read.
+    struct Reporting;
+    impl Transform for Reporting {
+        fn push(&mut self, item: Value, out: &mut Emitter) {
+            out.emit(item);
+        }
+        fn secondary_channels(&self) -> Vec<&'static str> {
+            vec!["Report"]
+        }
+    }
+    let kernel = Kernel::new();
+    register_fs_types(&kernel);
+    let file = kernel.spawn(Box::new(FileEject::new())).unwrap();
+    let into_file = |discipline, lines: &[&str]| {
+        PipelineSpec::new(discipline)
+            .source_vec(lines.iter().map(|&l| Value::str(l)).collect())
+            .sink_eject(write_from_sink(file))
+    };
+    let before = kernel.eject_count();
+    // The tap's channel cannot be asked for, so the build fails with half
+    // the pipeline spawned: torn down.
+    let refused = FaultRule::new(FaultKind::Error).on_op(ops::GET_CHANNEL);
+    kernel.install_faults(FaultPlan::new(1).rule(refused));
+    let read_only = Discipline::ReadOnly { read_ahead: 0 };
+    let tapped = into_file(read_only, &["lost"]).stage(Box::new(Reporting)).tap(0, "Report");
+    assert!(tapped.build(&kernel).is_err());
+    kernel.install_faults(FaultPlan::new(1));
+    assert_eq!(kernel.eject_count(), before, "a failed build left an Eject");
+    // A write-only one built and dropped unrun is gone as it drops, with the
+    // acceptor the file minted for it.
+    let write_only = Discipline::WriteOnly { push_ahead: 0 };
+    drop(into_file(write_only, &["dropped"]).build(&kernel).unwrap());
+    assert_eq!(kernel.eject_count(), before, "a dropped pipeline left an Eject");
+    // An acceptor its client abandons is gone at the next `WriteFrom`.
+    let no_fields: [(&str, Value); 0] = [];
+    let abandoned = kernel.invoke(file, ops::WRITE_FROM, Value::record(no_fields));
+    let abandoned = abandoned.wait().unwrap();
+    let abandoned = abandoned.as_uid().unwrap();
+    let run = into_file(write_only, &["kept"]).build(&kernel).unwrap();
+    let run = run.run(Duration::from_secs(10));
+    assert_eq!(run.unwrap().output, Vec::new());
+    assert!(kernel.await_gone(&[abandoned], Duration::from_secs(10)));
+    assert_eq!(kernel.eject_count(), before);
+    // Records reach the file from its current writer only.
+    let forged = Value::record([
+        ("writer", Value::Uid(abandoned)),
+        ("mode", Value::str("replace")),
+        ("records", Value::list(vec![Value::str("forged")])),
+    ]);
+    assert!(kernel.invoke(file, "Commit", forged).wait().is_err());
+    let reader = kernel.invoke(file, ops::OPEN, Value::Unit).wait().unwrap();
+    let contents = read_stream_fully(&kernel, reader.as_uid().unwrap());
+    assert_eq!(contents, vec![Value::str("kept")]);
     kernel.shutdown();
 }
 

@@ -277,16 +277,15 @@ fn shutdown_entries(entries: Vec<(MailboxSender, Arc<Task>)>, sched: &Scheduler)
     drop(tasks);
 }
 
-/// A weak reference to the kernel, held by Eject contexts — and by whatever
-/// an Eject keeps that must reach the kernel later — so the kernel can shut
-/// down when the last user-visible [`Kernel`] handle drops.
+/// A weak reference to the kernel, held by Eject contexts so the kernel can
+/// shut down when the last user-visible [`Kernel`] handle drops.
 #[derive(Clone)]
 #[derive(Debug)]
-pub struct WeakKernel(Weak<KernelInner>);
+pub(crate) struct WeakKernel(Weak<KernelInner>);
 
 impl WeakKernel {
     /// Upgrade to a full handle if the kernel is still alive.
-    pub fn upgrade(&self) -> Option<Kernel> {
+    pub(crate) fn upgrade(&self) -> Option<Kernel> {
         self.0.upgrade().map(|inner| Kernel { inner })
     }
 
@@ -402,8 +401,8 @@ impl Kernel {
         }
     }
 
-    /// A weak handle, for storage inside an Eject.
-    pub fn downgrade(&self) -> WeakKernel {
+    /// A weak handle for storage inside Eject contexts.
+    pub(crate) fn downgrade(&self) -> WeakKernel {
         WeakKernel(Arc::downgrade(&self.inner))
     }
 

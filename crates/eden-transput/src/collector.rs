@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use eden_core::{EdenError, Result, Value};
 use parking_lot::{Condvar, Mutex};
 
-use crate::source::PushSink;
+use crate::source::{Caller, PushSink};
 
 #[derive(Debug, Default)]
 struct State {
@@ -108,7 +108,7 @@ impl PushSink for Collector {
         }
     }
 
-    fn end(&mut self) -> Result<()> {
+    fn end(&mut self, _: &dyn Caller) -> Result<()> {
         self.settle(None);
         Ok(())
     }
@@ -135,7 +135,7 @@ mod tests {
         let t = std::thread::spawn(move || {
             c2.push(vec![Value::Int(1)]);
             c2.push(vec![Value::Int(2)]);
-            c2.end().unwrap();
+            c2.settle(None);
         });
         let items = c.wait_done(Duration::from_secs(5)).unwrap();
         assert_eq!(items, vec![Value::Int(1), Value::Int(2)]);
@@ -150,7 +150,7 @@ mod tests {
             for i in 0..10_000 {
                 sink.push(vec![Value::Int(i)]);
             }
-            sink.end().unwrap();
+            sink.settle(None);
         });
         let items = c.wait_done(Duration::from_secs(30)).unwrap();
         assert_eq!(items, (0..10_000).map(Value::Int).collect::<Vec<_>>());
@@ -181,7 +181,7 @@ mod tests {
     fn null_collector_counts_only() {
         let mut c = Collector::null();
         c.push(vec![Value::Int(1), Value::Int(2)]);
-        c.end().unwrap();
+        c.settle(None);
         assert_eq!(c.records_seen(), 2);
         assert!(c.wait_done(Duration::from_secs(1)).unwrap().is_empty());
     }

@@ -457,7 +457,7 @@ impl PipelineSpec {
         // order they are made; `deferred` ones spawn in `run()`.
         let (mut ejects, mut deferred, mut made) = (Vec::new(), Vec::new(), 0u16);
         let mut start_target = None;
-        plan.spawn(|i, uids| {
+        let spawned = plan.spawn(|i, uids| {
             let row = &plan.rows[i];
             // The peers an active face holds; a missing one puts the row
             // off to a later sweep.
@@ -523,18 +523,19 @@ impl PipelineSpec {
                 start_target = Some(uid);
             }
             Ok(Some(Some(uid)))
-        })?;
-        let baseline = kernel.metrics().snapshot();
-        Ok(Pipeline {
+        });
+        let pipeline = Pipeline {
             kernel: kernel.clone(),
             ejects,
             pumps: deferred,
             start_target,
             end,
             taps: self.taps,
-            baseline,
+            baseline: kernel.metrics().snapshot(),
             trace,
-        })
+        };
+        // One that failed half-built is torn down as it drops.
+        spawned.map(|_| pipeline)
     }
 
     /// The stage row `row` mounts between `input` and `output`.
@@ -806,10 +807,10 @@ impl Pipeline {
         });
         let wall = start.elapsed();
         let metrics = self.kernel.metrics().snapshot().since(&self.baseline);
-        let entities = self.ejects.len();
+        let (entities, trace) = (self.ejects.len(), self.trace.trace);
         drop(ambient);
         // Torn down whether or not the run got to its end.
-        self.teardown(Duration::from_secs(10));
+        drop(self);
         let (output, reports) = ended?;
         Ok(PipelineRun {
             records_out: output.len() as u64,
@@ -818,7 +819,7 @@ impl Pipeline {
             wall,
             entities,
             reports,
-            trace: self.trace.trace,
+            trace,
         })
     }
 
@@ -835,8 +836,8 @@ impl Pipeline {
     }
 
     /// Deactivate every Eject — and a sink's acceptor, which may never have
-    /// been closed — and wait on their death latches until they are gone.
-    /// Called by `run`, and useful directly when a pipeline is abandoned.
+    /// been closed — and wait on their death latches until they are gone:
+    /// as the pipeline drops, run or not.
     pub(crate) fn teardown(&self, deadline: Duration) {
         let acceptor = match self.end {
             End::Close(acceptor) => Some(acceptor),
@@ -847,6 +848,12 @@ impl Pipeline {
             let _ = self.kernel.invoke(uid, ops::DEACTIVATE, Value::Unit);
         }
         self.kernel.await_gone(&ejects, deadline);
+    }
+}
+
+impl Drop for Pipeline {
+    fn drop(&mut self) {
+        self.teardown(Duration::from_secs(10));
     }
 }
 

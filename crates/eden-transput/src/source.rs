@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use eden_core::{EdenError, Result, Value};
+use eden_core::{EdenError, Result, Uid, Value};
 
 use crate::protocol::Batch;
 use crate::stage::{Input, Output, Stage, StageConfig};
@@ -31,10 +31,20 @@ pub trait PushSink: Send + 'static {
     /// Take the next records of the stream.
     fn push(&mut self, items: Vec<Value>);
     /// The stream has ended. An error is the stream's: the stage reports it
-    /// to whoever wrote the end, or fails with it.
-    fn end(&mut self) -> Result<()>;
+    /// to whoever wrote the end, or fails with it. `stage` is the stage the
+    /// sink ends, to act as.
+    fn end(&mut self, stage: &dyn Caller) -> Result<()>;
     /// The input failed; no more records will come.
     fn fail(&mut self, error: EdenError);
+}
+
+/// The stage a [`PushSink`] ends, as its sink acts: under its UID, from
+/// its node.
+pub trait Caller {
+    /// The stage's UID.
+    fn uid(&self) -> Uid;
+    /// Invoke `op` on `to` as the stage, and wait for the reply.
+    fn invoke(&self, to: Uid, op: &'static str, arg: Value) -> Result<Value>;
 }
 
 impl std::fmt::Debug for dyn PushSink {

@@ -108,7 +108,7 @@ use crate::protocol::{
     Batch, ChannelId, GetChannelRequest, TransferRequest, WriteRequest, OUTPUT_NAME,
 };
 use crate::recovery::{self, Kept, READ_ALL};
-use crate::source::{PullSource, PushSink, VecSource};
+use crate::source::{Caller, PullSource, PushSink, VecSource};
 use crate::stdio::{Program, TransputReader, TransputWriter};
 use crate::transform::{self, Emitter, Transform};
 use parking_lot::{Condvar, Mutex};
@@ -233,7 +233,7 @@ impl StageConfig {
 /// window of writes in flight, or under the options that let a retained
 /// face's call ride out a crash of its peer ([`crate::recovery`], 3); and
 /// write the stage's passive representation, whole or one journal entry more.
-pub(crate) trait Host {
+pub(crate) trait Host: Caller {
     fn call(&self, cache: &mut RouteCache, to: Uid, op: &'static str, arg: Value) -> Result<Value>;
     fn send(&self, to: Uid, op: &'static str, arg: Value, how: InvokeOptions<'_>) -> PendingReply;
     fn wait(&self, pending: PendingReply) -> Result<Value>;
@@ -259,6 +259,15 @@ impl Host for EjectContext {
     }
 }
 
+impl Caller for EjectContext {
+    fn uid(&self) -> Uid {
+        EjectContext::uid(self)
+    }
+    fn invoke(&self, to: Uid, op: &'static str, arg: Value) -> Result<Value> {
+        self.call(to, OpName::from_static(op), arg)
+    }
+}
+
 impl Host for ProcessContext {
     fn call(&self, cache: &mut RouteCache, to: Uid, op: &'static str, arg: Value) -> Result<Value> {
         self.call_routed(cache, to, OpName::from_static(op), arg)
@@ -274,6 +283,15 @@ impl Host for ProcessContext {
     }
     fn journal(&self, entry: &Value) -> Result<()> {
         ProcessContext::journal(self, entry)
+    }
+}
+
+impl Caller for ProcessContext {
+    fn uid(&self) -> Uid {
+        self.eject()
+    }
+    fn invoke(&self, to: Uid, op: &'static str, arg: Value) -> Result<Value> {
+        self.call(to, OpName::from_static(op), arg)
     }
 }
 
@@ -398,7 +416,7 @@ impl OutFace {
                 if !items.is_empty() {
                     sink.push(items);
                 }
-                return if chunk.end { sink.end() } else { Ok(()) };
+                return if chunk.end { sink.end(host) } else { Ok(()) };
             }
             Output::Passive => unreachable!("a passive output is read from"),
             Output::Program(_) => unreachable!("a program is its own worker"),
@@ -765,12 +783,13 @@ impl Stage {
 
     /// Its dual, the stream a file is opened by for output (§4, §7's
     /// `UseStream`): a private, disposable stage whose output is `sink`.
-    /// Given a `source`, it pulls from it at once, `batch` records a
+    /// Given a `source`, it pulls from it at once, `BATCH` records a
     /// `Transfer`, "until it received an end of file indicator"; given none,
     /// it is an acceptor, and answers `Close` once its stream has ended.
-    pub fn writer(source: Option<Uid>, sink: impl PushSink, batch: usize) -> Stage {
+    pub fn writer(source: Option<Uid>, sink: impl PushSink) -> Stage {
+        const BATCH: usize = 64;
         let input = source.map_or(Input::Passive, Input::pull);
-        let mut stage = Stage::new(input, Output::local(sink), StageConfig::batch(batch));
+        let mut stage = Stage::new(input, Output::local(sink), StageConfig::batch(BATCH));
         (stage.name, stage.disposable) = ("DisposableWriter", true);
         stage
     }
@@ -2277,6 +2296,15 @@ mod tests {
         Entry,
     }
 
+    impl Caller for Fake {
+        fn uid(&self) -> Uid {
+            unreachable!("no sink ends here")
+        }
+        fn invoke(&self, _: Uid, _: &'static str, _: Value) -> Result<Value> {
+            unreachable!("no sink ends here")
+        }
+    }
+
     impl Host for Fake {
         fn call(&self, _: &mut RouteCache, _: Uid, op: &'static str, arg: Value) -> Result<Value> {
             if op == ops::TRANSFER {
@@ -2901,7 +2929,7 @@ mod tests {
         let kernel = Kernel::new();
         let source = int_source(&kernel, 5);
         let collector = Collector::new();
-        let writer = Stage::writer(Some(source), collector.clone(), 2);
+        let writer = Stage::writer(Some(source), collector.clone());
         let writer = kernel.spawn(Box::new(writer)).unwrap();
         let items = collector.wait_done(Duration::from_secs(10)).unwrap();
         assert_eq!(items, (0..5).map(Value::Int).collect::<Vec<_>>());
@@ -2914,7 +2942,7 @@ mod tests {
         struct Refusing;
         impl PushSink for Refusing {
             fn push(&mut self, _items: Vec<Value>) {}
-            fn end(&mut self) -> Result<()> {
+            fn end(&mut self, _: &dyn Caller) -> Result<()> {
                 Err(EdenError::Application("disk full".into()))
             }
             fn fail(&mut self, _error: EdenError) {}
@@ -2922,7 +2950,7 @@ mod tests {
         let kernel = Kernel::new();
         let write = |to: Uid, w: WriteRequest| kernel.invoke(to, ops::WRITE, w.to_value()).wait();
         let collector = Collector::new();
-        let writer = kernel.spawn(Box::new(Stage::writer(None, collector.clone(), 4))).unwrap();
+        let writer = kernel.spawn(Box::new(Stage::writer(None, collector.clone()))).unwrap();
         write(writer, WriteRequest::more(vec![Value::Int(1)])).unwrap();
         let closed = kernel.invoke(writer, ops::CLOSE, Value::Unit);
         // Handled in order: by the time this write is answered, so is the
@@ -2935,7 +2963,7 @@ mod tests {
         let items = collector.wait_done(Duration::from_secs(10)).unwrap();
         assert_eq!(items, (1..4).map(Value::Int).collect::<Vec<_>>());
         // A sink whose end fails fails the last write, and the `Close`.
-        let refusing = kernel.spawn(Box::new(Stage::writer(None, Refusing, 4))).unwrap();
+        let refusing = kernel.spawn(Box::new(Stage::writer(None, Refusing))).unwrap();
         let closed = kernel.invoke(refusing, ops::CLOSE, Value::Unit);
         let full = Err(EdenError::Application("disk full".into()));
         assert_eq!(write(refusing, WriteRequest::last(Vec::new())), full);
