@@ -56,7 +56,7 @@ pub trait EjectBehavior: Send + 'static {
     ///
     /// Asked once, before the Eject starts (and again on reactivation), and
     /// it is the scheduler's whole test of a callee: when anybody — a handler
-    /// on a pool worker, an Eject's process, a user's thread —
+    /// or a process's step on a pool worker, a user's thread —
     /// [`call`](crate::Kernel::call)s a parked Eject that says `true`, the
     /// calling thread runs the callee then and there, nested on the caller's
     /// stack, instead of queueing it for another thread and sleeping — the
@@ -75,10 +75,12 @@ pub trait EjectBehavior: Send + 'static {
         false
     }
 
-    /// Handle an internal event posted by one of this Eject's worker
-    /// processes (or by the coordinator to itself). Internal events model
-    /// the paper's language-level interprocess communication within an
-    /// Eject.
+    /// Handle an internal event: the next step of one of this Eject's
+    /// processes, posted by the coordinator to itself
+    /// ([`nudge`](EjectContext::nudge)); a reply a step waits for, come in
+    /// ([`poll_reply`](EjectContext::poll_reply)); or a word from a process
+    /// thread. Internal events model the paper's language-level
+    /// interprocess communication within an Eject.
     fn internal(&mut self, ctx: &EjectContext, event: Value) {
         let _ = (ctx, event);
     }
@@ -103,8 +105,8 @@ pub trait EjectBehavior: Send + 'static {
     }
 
     /// Called when the coordinator is about to stop (deactivation, crash
-    /// envelope, or kernel shutdown). Behaviours that own worker processes
-    /// should unblock them here; the coordinator joins workers afterwards.
+    /// envelope, or kernel shutdown). Behaviours that own process threads
+    /// should unblock them here; the coordinator joins them afterwards.
     fn deactivating(&mut self, ctx: &EjectContext) {
         let _ = ctx;
     }

@@ -1,24 +1,25 @@
-//! The execution context handed to Eject behaviours and their worker
-//! processes.
+//! The execution context handed to Eject behaviours and their processes.
 //!
 //! "Each Eject is provided with multiple processes, of which some may be
 //! waiting for incoming invocations, some may be waiting for replies to
 //! invocations, and some may be running" (§1). In this reproduction the
 //! coordinator process is supplied by the kernel (a task its scheduler
-//! resumes) and behaviours may spawn additional worker processes through
-//! [`EjectContext::spawn_process`]. Workers communicate with the coordinator
-//! by posting internal events, which are metered separately from invocations
-//! — that distinction is the heart of the paper's cost argument.
+//! resumes), and a behaviour's further processes are steps it runs from
+//! [`internal`](crate::EjectBehavior::internal), posted by the step before
+//! ([`EjectContext::nudge`]) or by a reply come in
+//! ([`EjectContext::poll_reply`]). Only a program written against a blocking
+//! interface gets a thread ([`EjectContext::spawn_process`]). Internal
+//! events are metered apart from invocations — the heart of the paper's
+//! cost argument.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use eden_core::{EdenError, Metrics, OpName, Result, Uid, Value};
 use parking_lot::Mutex;
 
-use crate::invocation::{PendingReply, DEFAULT_REPLY_TIMEOUT};
+use crate::invocation::PendingReply;
 use crate::kernel::{NodeId, WeakKernel};
 use crate::mailbox::MailboxSender;
 use crate::options::InvokeOptions;
@@ -33,8 +34,8 @@ pub struct EjectContext {
     pub(crate) node: NodeId,
     pub(crate) type_name: &'static str,
     pub(crate) kernel: WeakKernel,
-    pub(crate) mailbox: MailboxSender,
-    pub(crate) metrics: Metrics,
+    /// This Eject's own mailbox, as its processes post to it.
+    pub(crate) internal: InternalSender,
     pub(crate) stop: Arc<AtomicBool>,
     pub(crate) deactivate: AtomicBool,
     pub(crate) workers: Mutex<Vec<JoinHandle<()>>>,
@@ -53,7 +54,7 @@ impl EjectContext {
 
     /// The global metrics counters.
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.internal.metrics
     }
 
     /// A kernel handle, if the kernel is still alive. Behaviours use this
@@ -113,55 +114,58 @@ impl EjectContext {
         self.kernel.call(self.node, None, target, op.into(), arg).wait()
     }
 
-    /// [`call`](Self::call) through a caller-owned [`RouteCache`].
-    pub fn call_routed(
+    /// [`call`](Self::call) through a caller-owned [`RouteCache`], up to the
+    /// wait: a callee that could run as a call on this thread has run, and
+    /// its reply may or may not be in, for [`poll_reply`](Self::poll_reply).
+    pub fn begin_call(
         &self,
         cache: &mut RouteCache,
         target: Uid,
         op: impl Into<OpName>,
         arg: Value,
-    ) -> Result<Value> {
-        self.kernel.call(self.node, Some(cache), target, op.into(), arg).wait()
+    ) -> PendingReply {
+        self.kernel
+            .call(self.node, Some(cache), target, op.into(), arg)
     }
 
-    /// A cloneable handle that worker processes use to post internal events
-    /// to this Eject's coordinator.
-    pub(crate) fn internal_sender(&self) -> InternalSender {
-        InternalSender {
-            tx: self.mailbox.clone(),
-            metrics: self.metrics.clone(),
+    /// The outcome of `pending` if it is in. Otherwise `None`, and once it
+    /// is in (replied, or abandoned) this Eject is posted one internal event,
+    /// `Value::Unit`: keep `pending` and ask again then. Dropping it takes
+    /// the registration back. A retrying reply is waited for here.
+    pub fn poll_reply(&self, pending: &mut PendingReply) -> Option<Result<Value>> {
+        match pending {
+            PendingReply::Waiting(rx) => rx.post_when_settled(&self.internal),
+            PendingReply::Ready(r) => Some(r.take().unwrap_or(Err(EdenError::Timeout))),
+            PendingReply::Retrying(_) => {
+                Some(std::mem::replace(pending, PendingReply::Ready(None)).wait())
+            }
         }
     }
 
-    /// Spawn a worker process belonging to this Eject.
-    ///
-    /// The worker runs until its closure returns; it should poll
-    /// [`ProcessContext::should_stop`] (or rely on its channels
-    /// disconnecting) so that deactivation does not hang. The coordinator
-    /// joins all workers when the Eject stops.
+    /// Post this Eject one internal event (`Value::Unit`), past any mailbox
+    /// bound: how a coordinator cuts a long job into steps, with the
+    /// invocations ahead of each handled first.
+    pub fn nudge(&self) {
+        self.internal.wake();
+    }
+
+    /// Spawn a process with a thread of its own — a program written against
+    /// a blocking interface — that runs until its closure returns; it should
+    /// poll [`ProcessContext::should_stop`] so that deactivation does not
+    /// hang. The coordinator joins it when the Eject stops.
     pub fn spawn_process<F>(&self, name: &str, body: F)
     where
         F: FnOnce(ProcessContext) + Send + 'static,
     {
         let pctx = ProcessContext {
             eject: self.uid,
-            node: self.node,
-            type_name: self.type_name,
-            kernel: self.kernel.clone(),
-            internal: self.internal_sender(),
+            internal: self.internal.clone(),
             stop: Arc::clone(&self.stop),
         };
-        // Workers inherit the spawner's ambient span: a pump spawned while
-        // a pipeline's root span is ambient sends its invocations inside
-        // that trace (§1's internal processes stay causally attributable).
-        let ambient = eden_core::span::current();
         let handle = std::thread::Builder::new()
             .name(format!("{}:{}", self.uid, name))
-            .spawn(move || {
-                let _span = ambient.map(|ctx| eden_core::span::enter(Some(ctx)));
-                body(pctx)
-            })
-            .expect("spawning a worker thread failed");
+            .spawn(move || body(pctx))
+            .expect("spawning a process thread failed");
         self.workers.lock().push(handle);
     }
 
@@ -197,41 +201,20 @@ impl EjectContext {
         self.deactivate.load(Ordering::Acquire)
     }
 
-    /// Set the stop flag and unpark the processes: one may sleep in `wait_or_stop`.
+    /// Set the stop flag that this Eject's processes poll.
     pub(crate) fn begin_stop(&self) {
         self.stop.store(true, Ordering::Release);
-        self.workers.lock().iter().for_each(|w| w.thread().unpark());
     }
 
-    /// Join this Eject's worker processes. They may need other Ejects
-    /// (hence the pool) to make progress before they exit, so a pool
-    /// worker reaping the Eject counts as blocked meanwhile — but only
-    /// when there is somebody to wait for: most Ejects have no processes,
-    /// a stream's pumps have returned by the time it is torn down, and a
-    /// death that waits for nothing asks the pool for nothing. Never the
-    /// calling thread: a process that calls its own Eject (directly or down
-    /// a chain of calls) may be the thread that runs it, and so the one
-    /// that reaps it. It exits on its own once this returns.
+    /// Join this Eject's program threads, which may need other Ejects
+    /// (hence the pool) to return: a pool worker reaping the Eject counts
+    /// as blocked meanwhile, if there is anybody to wait for.
     pub(crate) fn join_workers(&self) {
-        let current = std::thread::current().id();
-        let mut handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.workers.lock());
-        handles.retain(|handle| handle.thread().id() != current);
-        // A worker that panicked already printed its message; the
-        // coordinator should still reap the rest.
-        let (finished, running): (Vec<_>, Vec<_>) =
-            handles.into_iter().partition(JoinHandle::is_finished);
-        for handle in finished {
-            // eden-lint: nonblocking(the thread has returned; the join only collects it)
-            let _ = handle.join();
+        let handles = std::mem::take(&mut *self.workers.lock());
+        if !handles.is_empty() {
+            // A process that panicked already printed its message.
+            crate::sched::blocking(|| handles.into_iter().for_each(|handle| drop(handle.join())));
         }
-        if running.is_empty() {
-            return;
-        }
-        crate::sched::blocking(|| {
-            for handle in running {
-                let _ = handle.join();
-            }
-        });
     }
 }
 
@@ -239,8 +222,8 @@ impl EjectContext {
 #[derive(Clone)]
 #[derive(Debug)]
 pub(crate) struct InternalSender {
-    tx: MailboxSender,
-    metrics: Metrics,
+    pub(crate) tx: MailboxSender,
+    pub(crate) metrics: Metrics,
 }
 
 impl InternalSender {
@@ -255,16 +238,20 @@ impl InternalSender {
             .map(|_| ())
             .map_err(|_| EdenError::KernelShutdown)
     }
+
+    /// Post `Value::Unit` past any mailbox bound: a coordinator posting to
+    /// itself, or a settler, must never park on it.
+    pub(crate) fn wake(&self) {
+        self.metrics.record_internal_message();
+        let _ = self.tx.force_send(Envelope::Internal(Value::Unit));
+    }
 }
 
-/// Context available to a worker process spawned with
+/// Context available to a process spawned with
 /// [`EjectContext::spawn_process`].
 #[derive(Debug, Clone)]
 pub struct ProcessContext {
     eject: Uid,
-    node: NodeId,
-    type_name: &'static str,
-    kernel: WeakKernel,
     internal: InternalSender,
     stop: Arc<AtomicBool>,
 }
@@ -275,95 +262,12 @@ impl ProcessContext {
         self.eject
     }
 
-    /// Send an invocation on behalf of the owning Eject.
-    pub fn invoke(&self, target: Uid, op: impl Into<OpName>, arg: Value) -> PendingReply {
-        match self.kernel.upgrade() {
-            Some(kernel) => kernel.invoke_from(self.node, target, op.into(), arg),
-            None => PendingReply::ready(Err(EdenError::KernelShutdown)),
-        }
-    }
-
-    /// Send an invocation with explicit [`InvokeOptions`] (deadline, retry
-    /// policy, route cache, fault immunity).
-    pub fn invoke_with(
-        &self,
-        target: Uid,
-        op: impl Into<OpName>,
-        arg: Value,
-        opts: InvokeOptions<'_>,
-    ) -> PendingReply {
-        match self.kernel.upgrade() {
-            Some(kernel) => kernel.invoke_with_from(self.node, target, op.into(), arg, opts),
-            None => PendingReply::ready(Err(EdenError::KernelShutdown)),
-        }
-    }
-
-    /// Invoke and wait for the reply, as one act — which lets the kernel run
-    /// the callee as a call on this process's own thread where it can (see
-    /// [`Kernel::call`](crate::kernel::Kernel::call)). Otherwise
-    /// [`invoke`](Self::invoke) followed by
-    /// [`wait_or_stop`](Self::wait_or_stop).
-    pub fn call(&self, target: Uid, op: impl Into<OpName>, arg: Value) -> Result<Value> {
-        self.wait_or_stop(self.kernel.call(self.node, None, target, op.into(), arg))
-    }
-
-    /// [`call`](Self::call) through a caller-owned [`RouteCache`]: the hot
-    /// path of a stream pump, which calls one peer thousands of times.
-    pub fn call_routed(
-        &self,
-        cache: &mut RouteCache,
-        target: Uid,
-        op: impl Into<OpName>,
-        arg: Value,
-    ) -> Result<Value> {
-        self.wait_or_stop(self.kernel.call(self.node, Some(cache), target, op.into(), arg))
-    }
-
-    /// Write `representation` to stable storage as the owning Eject's
-    /// passive representation. Worker-driven Ejects (pumps) use this to
-    /// record stream progress from the worker itself, so a crash between
-    /// pump steps resumes from the last acknowledged position.
-    pub fn checkpoint(&self, representation: &Value) -> Result<()> {
-        let kernel = self.kernel.upgrade().ok_or(EdenError::KernelShutdown)?;
-        kernel.stable_write(self.eject, Some(self.type_name), representation)
-    }
-
-    /// Extend the owning Eject's passive representation by one `entry` (see
-    /// [`EjectContext::journal`]).
-    pub fn journal(&self, entry: &Value) -> Result<()> {
-        let kernel = self.kernel.upgrade().ok_or(EdenError::KernelShutdown)?;
-        kernel.stable_write(self.eject, None, entry)
-    }
-
     /// Post an internal event to the owning Eject's coordinator.
     pub fn post_internal(&self, event: Value) -> Result<()> {
         self.internal.send(event)
     }
 
-    /// Wait until the reply settles, the Eject starts stopping, or the default deadline passes.
-    ///
-    /// Long-running workers must use this (or poll
-    /// [`should_stop`](Self::should_stop) themselves) so that deactivation
-    /// and shutdown do not stall behind a reply that will never come.
-    pub fn wait_or_stop(&self, mut pending: PendingReply) -> Result<Value> {
-        let stop = || self.should_stop();
-        // A reply that is in already (a call ran inline) costs no clock read.
-        if let Some(result) = pending.poll_timeout(Duration::ZERO, &stop) {
-            return result;
-        }
-        let deadline = Instant::now() + DEFAULT_REPLY_TIMEOUT;
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            match pending.poll_timeout(left, &stop) {
-                Some(result) => return result,
-                None if stop() => return Err(EdenError::KernelShutdown),
-                None if left.is_zero() => return Err(EdenError::Timeout),
-                None => {}
-            }
-        }
-    }
-
-    /// True once the Eject is stopping; long-running workers must exit.
+    /// True once the Eject is stopping; long-running processes must exit.
     pub fn should_stop(&self) -> bool {
         self.stop.load(Ordering::Acquire)
     }

@@ -27,6 +27,8 @@ use std::time::{Duration, Instant};
 
 use eden_core::{EdenError, Metrics, OpName, Result, Uid, Value};
 
+use crate::context::InternalSender;
+
 /// The default deadline used by synchronous waits. Generous enough that it
 /// only fires on genuine deadlock or teardown, not on slow machines.
 pub(crate) const DEFAULT_REPLY_TIMEOUT: Duration = Duration::from_secs(30);
@@ -48,8 +50,8 @@ impl Invocation {
 mod cell {
     /// No reply yet and nobody asleep on the cell.
     pub(crate) const EMPTY: u8 = 0;
-    /// No reply yet; the awaiting half published its thread handle and is
-    /// asleep (or about to be).
+    /// No reply yet; the awaiting half published its [`Waiter`](super::Waiter):
+    /// its thread, asleep (or about to be), or its Eject's mailbox.
     pub(crate) const WAITING: u8 = 1;
     /// The reply is in the value slot.
     pub(crate) const SETTLED: u8 = 2;
@@ -57,10 +59,17 @@ mod cell {
     pub(crate) const ABANDONED: u8 = 3;
 }
 
+/// Who the settler tells that the outcome is in: a thread asleep on the
+/// cell, unparked; or the sending Eject, posted one internal event.
+enum Waiter {
+    Thread(Thread),
+    Mailbox(InternalSender),
+}
+
 /// The one-shot rendezvous behind a reply pair: one allocation shared by
 /// a [`Settler`] and an [`Awaiter`], a state word, the value slot, and the
-/// waiter's thread handle — published, and unparked, only when the waiter
-/// actually went to sleep. A reply that is already there when the waiter
+/// [`Waiter`] — published, and told, only when the awaiting half has
+/// actually stopped to wait. A reply that is already there when the waiter
 /// looks costs one swap and one load. It also holds what settling needs to
 /// know about the invocation, written once when the pair is made, so the
 /// [`ReplyHandle`] that travels in the envelope is one pointer to it.
@@ -84,8 +93,9 @@ struct ReplyCell {
     /// the awaiter after it observes `SETTLED`.
     value: UnsafeCell<Option<Result<Value>>>,
     /// Written by the awaiter before it publishes `WAITING`; taken by the
-    /// settler after its terminal swap observed `WAITING`.
-    waiter: UnsafeCell<Option<Thread>>,
+    /// settler after its terminal swap observed `WAITING`, or by the
+    /// awaiter after its own CAS took `WAITING` back.
+    waiter: UnsafeCell<Option<Waiter>>,
 }
 
 impl ReplyCell {
@@ -102,13 +112,17 @@ impl ReplyCell {
 
 // SAFETY: the two `UnsafeCell`s are handed over through `state`. `value` is
 // the settler's until its Release swap to `SETTLED` and the awaiter's after
-// an Acquire read of `SETTLED`; `waiter` is the awaiter's except between
+// an Acquire read of `SETTLED`. `waiter` is the awaiter's except between
 // its Release CAS `EMPTY -> WAITING` and either its own CAS back to `EMPTY`
 // or the settler's Acquire swap that observed `WAITING`, after which it is
-// the settler's. Each half is a unique, non-`Clone` owner (`Settler` is
-// consumed by settling, `Awaiter` is reached only through `&mut`/by value),
-// so neither slot ever has two accessors. Every other field is written
-// only before the cell is shared.
+// the settler's — of either kind. A mailbox waiter may stay registered
+// across calls, so the awaiter writes the slot only from `EMPTY` (`WAITING`
+// means its own registration stands), and its drop takes the slot back by
+// that CAS. The settler reads the slot only after its swap, so a post follows
+// the value's publication. Each half is a unique, non-`Clone` owner
+// (`Settler` is consumed by settling, `Awaiter` is reached only through
+// `&mut`/by value), so neither slot ever has two accessors. Every other
+// field is written only before the cell is shared.
 unsafe impl Send for ReplyCell {}
 unsafe impl Sync for ReplyCell {}
 
@@ -128,15 +142,17 @@ impl Settler {
         self.finish(cell::SETTLED);
     }
 
-    /// Publish a terminal state and wake the waiter if it is asleep.
+    /// Publish a terminal state, then tell the waiter if one is registered.
     fn finish(&self, terminal: u8) {
         // eden-lint: ordering(reply-cell)
         if self.0.state.swap(terminal, Ordering::AcqRel) == cell::WAITING {
             // SAFETY: the swap observed `WAITING`, so the awaiter's write
-            // of the handle happened-before and it will not touch the slot
+            // of the waiter happened-before and it will not touch the slot
             // again (its deregistering CAS now fails).
-            if let Some(thread) = unsafe { (*self.0.waiter.get()).take() } {
-                thread.unpark();
+            match unsafe { (*self.0.waiter.get()).take() } {
+                Some(Waiter::Thread(thread)) => thread.unpark(),
+                Some(Waiter::Mailbox(mailbox)) => mailbox.wake(),
+                None => {}
             }
         }
         crate::sched::note_settled(self.id());
@@ -169,9 +185,6 @@ impl std::fmt::Debug for Settler {
 /// [`PendingReply::Waiting`]).
 pub struct Awaiter(Arc<ReplyCell>);
 
-/// What a wait looks at to give up early; whoever makes it true unparks the waiter.
-pub(crate) type Stop<'a> = &'a dyn Fn() -> bool;
-
 impl Awaiter {
     /// Whether the outcome is known (replied or abandoned).
     fn is_terminal(&self) -> bool {
@@ -193,19 +206,13 @@ impl Awaiter {
         }
     }
 
-    /// Sleep until the outcome is known, or (`None`) `budget` passes or `stop` holds.
-    fn wait_for(&mut self, budget: Duration, stop: Stop) -> Option<Result<Value>> {
-        if let Some(outcome) = self.try_take() {
-            return Some(outcome);
-        }
-        if budget.is_zero() {
-            return None;
-        }
-        // A budget too large to add to the clock is no deadline at all.
-        let deadline = Instant::now().checked_add(budget);
-        // SAFETY: the state is `EMPTY` as far as this half knows, and the
+    /// Publish `waiter` and move `EMPTY -> WAITING`; `false` if the
+    /// outcome came in first, and the slot is this half's again.
+    fn register(&mut self, waiter: Waiter) -> bool {
+        // SAFETY: the state is `EMPTY` (every caller has just read it so, and
+        // only this half leaves it but for a terminal state), and the
         // settler reads the slot only after observing `WAITING`.
-        unsafe { *self.0.waiter.get() = Some(std::thread::current()) };
+        unsafe { *self.0.waiter.get() = Some(waiter) };
         // eden-lint: ordering(reply-cell)
         let registered = self.0.state.compare_exchange(
             cell::EMPTY,
@@ -214,34 +221,87 @@ impl Awaiter {
             Ordering::Acquire,
         );
         if registered.is_err() {
-            return self.try_take();
+            // SAFETY: the settler's swap replaced `EMPTY`, so it never
+            // looks at the slot.
+            unsafe { (*self.0.waiter.get()).take() };
         }
-        // A rendezvous point: a scheduler worker asleep here counts as
-        // blocked so the pool can compensate with a spare. `unpark` leaves
-        // a token if it wins the race with `park`, so no wake-up is lost; a
-        // stale token from an earlier cell only costs one more loop.
-        crate::sched::blocking(|| {
-            while !self.is_terminal() && !stop() {
-                match deadline.map(|at| at.saturating_duration_since(Instant::now())) {
-                    Some(Duration::ZERO) => break,
-                    // eden-lint: timer(deadline)
-                    Some(left) => std::thread::park_timeout(left),
-                    None => std::thread::park(),
-                }
-            }
-        });
-        // Deregister. Losing this CAS means the settler got there first:
-        // the outcome is in, however late.
+        registered.is_ok()
+    }
+
+    /// Take a registered waiter back (`WAITING -> EMPTY`): no post or wake
+    /// will come. `false` if none was, or the settler took it first.
+    fn withdraw(&mut self) -> bool {
         // eden-lint: ordering(reply-cell)
-        match self.0.state.compare_exchange(
-            cell::WAITING,
-            cell::EMPTY,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => None,
-            Err(_) => self.try_take(),
+        let withdrawn = self.0.state.load(Ordering::Relaxed) == cell::WAITING
+            && self
+                .0
+                .state
+                .compare_exchange(
+                    cell::WAITING,
+                    cell::EMPTY,
+                    Ordering::AcqRel,
+                    Ordering::Acquire,
+                )
+                .is_ok();
+        if withdrawn {
+            // SAFETY: the CAS took `WAITING` back before the settler's swap,
+            // which will therefore not look at the slot.
+            unsafe { (*self.0.waiter.get()).take() };
         }
+        withdrawn
+    }
+
+    /// The outcome, if it is in; otherwise `mailbox` is posted one internal
+    /// event once it is (a registration made earlier stands).
+    pub(crate) fn post_when_settled(&mut self, mailbox: &InternalSender) -> Option<Result<Value>> {
+        // eden-lint: ordering(reply-cell)
+        match self.0.state.load(Ordering::Acquire) {
+            cell::WAITING => None,
+            cell::EMPTY if self.register(Waiter::Mailbox(mailbox.clone())) => None,
+            _ => self.try_take(),
+        }
+    }
+
+    /// Sleep until the outcome is known, or `budget` passes (`Timeout`).
+    fn wait_for(&mut self, budget: Duration) -> Result<Value> {
+        // A mailbox registration gives way to the thread that now waits.
+        self.withdraw();
+        if budget.is_zero() || self.is_terminal() {
+            return self.try_take().unwrap_or(Err(EdenError::Timeout));
+        }
+        // A budget too large to add to the clock is no deadline at all.
+        let deadline = Instant::now().checked_add(budget);
+        if self.register(Waiter::Thread(std::thread::current())) {
+            // A rendezvous point: a scheduler worker asleep here counts as
+            // blocked so the pool can compensate with a spare. `unpark`
+            // leaves a token if it wins the race with `park`, so no wake-up
+            // is lost; a stale token from an earlier cell only costs one
+            // more loop.
+            crate::sched::blocking(|| {
+                while !self.is_terminal() {
+                    match deadline.map(|at| at.saturating_duration_since(Instant::now())) {
+                        Some(Duration::ZERO) => break,
+                        // eden-lint: timer(deadline)
+                        Some(left) => std::thread::park_timeout(left),
+                        None => std::thread::park(),
+                    }
+                }
+            });
+            // Losing the deregistration means the settler got there first:
+            // the outcome is in, however late.
+            if self.withdraw() {
+                return Err(EdenError::Timeout);
+            }
+        }
+        self.try_take().unwrap_or(Err(EdenError::Timeout))
+    }
+}
+
+impl Drop for Awaiter {
+    /// A mailbox nobody will ask again for is taken back: nothing is posted
+    /// to it, and the cell does not keep it.
+    fn drop(&mut self) {
+        self.withdraw();
     }
 }
 
@@ -432,21 +492,10 @@ impl PendingReply {
                 } else {
                     deadline
                 };
-                rx.wait_for(deadline, &|| false)
-                    .unwrap_or(Err(EdenError::Timeout))
+                rx.wait_for(deadline)
             }
             // eden-lint: timer(deadline)
             PendingReply::Retrying(state) => state.wait_timeout(deadline),
-        }
-    }
-
-    /// Wait up to `budget`, or until `stop` holds, without consuming the handle: `None` if the
-    /// reply has not arrived yet; after one `Some`, further polls yield `Timeout`.
-    pub(crate) fn poll_timeout(&mut self, budget: Duration, stop: Stop) -> Option<Result<Value>> {
-        match self {
-            PendingReply::Ready(r) => Some(r.take().unwrap_or(Err(EdenError::Timeout))),
-            PendingReply::Waiting(rx) => rx.wait_for(budget, stop),
-            PendingReply::Retrying(state) => state.poll_timeout(budget, stop),
         }
     }
 
@@ -531,10 +580,7 @@ mod tests {
             gone.recv().unwrap();
             h.reply(Ok(Value::str("late")));
         });
-        let mut p = p;
-        assert!(p
-            .poll_timeout(Duration::from_millis(1), &|| false)
-            .is_none());
+        let p = p.try_wait().expect_err("the reply is not in yet");
         go.send(()).unwrap();
         assert_eq!(p.wait().unwrap().as_str().unwrap(), "late");
         t.join().unwrap();
@@ -544,49 +590,14 @@ mod tests {
     #[test]
     fn handle_dropped_while_the_waiter_is_registered_reads_as_crash() {
         let u = Uid::fresh();
-        let (h, mut p) = reply_pair(u, Metrics::new());
+        let (h, p) = reply_pair(u, Metrics::new());
         let (go, gone) = std::sync::mpsc::channel::<()>();
         let t = std::thread::spawn(move || {
             gone.recv().unwrap();
             drop(h);
         });
-        assert!(p
-            .poll_timeout(Duration::from_millis(1), &|| false)
-            .is_none());
         go.send(()).unwrap();
         assert_eq!(p.wait().unwrap_err(), EdenError::EjectCrashed(u));
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn reply_after_a_timed_out_poll_is_delivered_once() {
-        let (h, mut p) = reply_pair(Uid::fresh(), Metrics::new());
-        assert!(p
-            .poll_timeout(Duration::from_millis(1), &|| false)
-            .is_none());
-        h.reply(Ok(Value::from(7)));
-        assert_eq!(
-            p.poll_timeout(Duration::ZERO, &|| false),
-            Some(Ok(Value::Int(7)))
-        );
-        assert_eq!(
-            p.poll_timeout(Duration::ZERO, &|| false),
-            Some(Err(EdenError::Timeout))
-        );
-    }
-
-    #[test]
-    fn a_poll_ends_when_its_stop_is_set_and_its_thread_unparked() {
-        let (_h, mut p) = reply_pair(Uid::fresh(), Metrics::new());
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let (stopper, waiter) = (stop.clone(), std::thread::current());
-        let t = std::thread::spawn(move || {
-            stopper.store(true, std::sync::atomic::Ordering::SeqCst);
-            waiter.unpark();
-        });
-        let stopped = || stop.load(std::sync::atomic::Ordering::SeqCst);
-        assert!(p.poll_timeout(Duration::from_secs(600), &stopped).is_none());
-        assert!(stopped());
         t.join().unwrap();
     }
 
@@ -633,6 +644,83 @@ mod tests {
         drop(h);
         let s = m.snapshot();
         assert_eq!((s.successes, s.fatal_failures, s.replies), (1, 3, 2));
+    }
+
+    /// A coordinator's mailbox attached to no task: what a settle posts
+    /// stays in its ring, to be counted.
+    fn mailbox() -> (InternalSender, crate::mailbox::MailboxSender) {
+        let (tx, _core) = crate::mailbox::mailbox(None);
+        (
+            InternalSender {
+                tx: tx.clone(),
+                metrics: Metrics::new(),
+            },
+            tx,
+        )
+    }
+
+    impl PendingReply {
+        fn post_when_settled(&mut self, mailbox: &InternalSender) -> Option<Result<Value>> {
+            match self {
+                PendingReply::Waiting(rx) => rx.post_when_settled(mailbox),
+                _ => unreachable!("a reply pair's pending half waits"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_registered_mailbox_is_posted_once_after_the_outcome() {
+        let (internal, ring) = mailbox();
+        let (h, mut p) = reply_pair(Uid::fresh(), Metrics::new());
+        assert!(p.post_when_settled(&internal).is_none());
+        // Asked again before the outcome: the registration stands.
+        assert!(p.post_when_settled(&internal).is_none());
+        std::thread::spawn(move || h.reply(Ok(Value::from(7))))
+            .join()
+            .unwrap();
+        assert_eq!(ring.depth(), 1);
+        assert_eq!(p.post_when_settled(&internal), Some(Ok(Value::Int(7))));
+        assert_eq!(ring.depth(), 1);
+    }
+
+    #[test]
+    fn an_outcome_already_in_registers_nothing() {
+        let (internal, ring) = mailbox();
+        let u = Uid::fresh();
+        let (h, mut p) = reply_pair(u, Metrics::new());
+        drop(h);
+        assert_eq!(
+            p.post_when_settled(&internal),
+            Some(Err(EdenError::EjectCrashed(u)))
+        );
+        assert_eq!(ring.depth(), 0);
+    }
+
+    #[test]
+    fn a_dropped_awaiter_takes_its_mailbox_back() {
+        let (internal, ring) = mailbox();
+        let (h, mut p) = reply_pair(Uid::fresh(), Metrics::new());
+        assert!(p.post_when_settled(&internal).is_none());
+        drop(p);
+        h.reply(Ok(Value::Unit));
+        assert_eq!(ring.depth(), 0, "a withdrawn mailbox was posted");
+    }
+
+    #[test]
+    fn a_thread_that_waits_takes_over_from_a_mailbox() {
+        let (internal, ring) = mailbox();
+        let (h, mut p) = reply_pair(Uid::fresh(), Metrics::new());
+        assert!(p.post_when_settled(&internal).is_none());
+        assert_eq!(
+            p.wait_timeout(Duration::from_millis(1)),
+            Err(EdenError::Timeout)
+        );
+        h.reply(Ok(Value::Unit));
+        assert_eq!(
+            ring.depth(),
+            0,
+            "the mailbox was posted after a thread took over"
+        );
     }
 
     #[test]

@@ -38,7 +38,7 @@ use eden_core::{wire, EdenError, Metrics, OpName, Result, Uid, Value};
 use parking_lot::{Mutex, RwLock};
 
 use crate::behavior::EjectBehavior;
-use crate::context::EjectContext;
+use crate::context::{EjectContext, InternalSender};
 use crate::fault::{FaultInjector, FaultKind, FaultPlan};
 use crate::invocation::{reply_pair_with, Invocation, PendingReply, ReplyHandle};
 use crate::mailbox::{mailbox, MailboxSender, SendError, SendOutcome, ShedCause, ShedPolicy};
@@ -1229,8 +1229,10 @@ impl Kernel {
             node,
             type_name,
             kernel: self.downgrade(),
-            mailbox: tx.clone(),
-            metrics: self.inner.metrics.clone(),
+            internal: InternalSender {
+                tx: tx.clone(),
+                metrics: self.inner.metrics.clone(),
+            },
             stop: Arc::new(AtomicBool::new(false)),
             deactivate: AtomicBool::new(false),
             workers: Mutex::new(Vec::new()),

@@ -10,8 +10,9 @@
 //!   nodes, fault injection, shutdown;
 //! * [`EjectBehavior`] — the "type code" of an Eject, parked on its mailbox
 //!   and resumed by a pool worker when mail arrives;
-//! * [`EjectContext`] / [`ProcessContext`] — invocation sending, worker
-//!   processes, internal (language-level) messaging, checkpointing;
+//! * [`EjectContext`] / [`ProcessContext`] — invocation sending, processes
+//!   (steps on the coordinator; a thread for a program), internal
+//!   (language-level) messaging, checkpointing;
 //! * [`ReplyHandle`] / [`PendingReply`] — first-class replies. Parking a
 //!   `ReplyHandle` *is* the paper's passive output;
 //! * [`StableStore`] — where passive representations live between lives.

@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use eden_core::span::SpanContext;
 use eden_core::{EdenError, Metrics, OpName, Result, Uid, Value};
 
-use crate::invocation::{PendingReply, Stop};
+use crate::invocation::PendingReply;
 use crate::kernel::{NodeId, WeakKernel};
 use crate::routes::RouteCache;
 
@@ -259,8 +259,7 @@ impl RetryState {
     }
 
     /// Settle the outcome ledger for this logical invocation, exactly once
-    /// (`poll_timeout` can report a deadline expiry more than once, and
-    /// `Drop` runs after every terminal path).
+    /// (`Drop` runs after every terminal path).
     fn finish(&mut self, ok: bool) {
         if self.finished {
             return;
@@ -338,45 +337,6 @@ impl RetryState {
                         crate::sched::blocking(|| std::thread::sleep(pause));
                     }
                     self.resend()?;
-                }
-            }
-        }
-    }
-
-    pub(crate) fn poll_timeout(&mut self, budget: Duration, stop: Stop) -> Option<Result<Value>> {
-        let budget = match self.deadline_remaining() {
-            Some(rem) if rem.is_zero() => {
-                self.finish(false);
-                return Some(Err(EdenError::Timeout));
-            }
-            Some(rem) => budget.min(rem),
-            None => budget,
-        };
-        match self.inner.poll_timeout(budget, stop)? {
-            Ok(v) => {
-                self.finish(true);
-                Some(Ok(v))
-            }
-            Err(e) => {
-                let deadline_left = self.deadline_remaining().is_none_or(|rem| !rem.is_zero());
-                if !e.is_retryable() || !self.attempts_left() || !deadline_left {
-                    self.finish(false);
-                    return Some(Err(e));
-                }
-                let mut pause = self.policy.backoff(self.attempt);
-                if let Some(rem) = self.deadline_remaining() {
-                    pause = pause.min(rem);
-                }
-                if !pause.is_zero() {
-                    // eden-lint: timer(backoff)
-                    crate::sched::blocking(|| std::thread::sleep(pause));
-                }
-                match self.resend() {
-                    Ok(()) => None,
-                    Err(err) => {
-                        self.finish(false);
-                        Some(Err(err))
-                    }
                 }
             }
         }

@@ -2,7 +2,7 @@
 //!
 //! Each Eject "has its own thread of control and may be thought of as active
 //! at all times" (§1). The coordinator receives envelopes — invocations,
-//! internal events from the Eject's own worker processes, and kernel control
+//! internal events from the Eject's own processes, and kernel control
 //! messages — and dispatches them one at a time to the behaviour; the loop
 //! that does so is the scheduler's resume loop ([`crate::sched`]).
 
@@ -18,7 +18,8 @@ use crate::invocation::{Invocation, ReplyHandle};
 pub(crate) enum Envelope {
     /// An invocation from another Eject (or from outside the kernel).
     Invocation(Invocation, ReplyHandle),
-    /// An intra-Eject event from a worker process.
+    /// An intra-Eject event: a process's step, a reply it waits for come
+    /// in, or a program's word.
     Internal(Value),
     /// Fault injection: stop immediately, reply to nothing.
     Crash,

@@ -29,8 +29,10 @@
 //! most one sleeper, and only after a `SeqCst` fence arbitrates the
 //! announce-vs-publish race, so a push can never slip between a
 //! sleeper's last look and its sleep. A resume has no envelope budget: a
-//! task whose mailbox never empties keeps its worker, and the stall
-//! monitor's spare serves the queue behind it.
+//! task whose mailbox of invocations never empties keeps its worker, and
+//! the stall monitor's spare serves the queue behind it. But between two
+//! internal events — steps of the Eject's own processes, each posting the
+//! next — a task waiting in the run queue goes first.
 //!
 //! # Blocking compensation
 //!
@@ -53,16 +55,17 @@
 //! The commonest rendezvous of all needs no compensation, because it need
 //! not be a rendezvous: a sender that will wait for the reply at once has
 //! made a call, and says so (`Kernel::call`, `EjectContext::call`,
-//! `ProcessContext::call`). If its push is the one that flips the callee
+//! `EjectContext::begin_call`). If its push is the one that flips the callee
 //! `PARKED -> QUEUED`, the mailbox hands it that wake back as a [`Woken`]
 //! instead of enqueueing it, and [`Woken::run_as_call`] — the one election
 //! point — resumes the task right there, nested on the caller's stack, until
 //! the awaited reply settles: no queue, no sibling wake, no sleep, on
 //! whatever thread the caller is. A lazy depth-4 pipeline crosses its
-//! stages as five nested calls on its sink's pump thread, no pool worker at
-//! all. What the election declines it enqueues like any other wake; what a
-//! resume leaves unsettled (a deferred reply), and a call that woke nobody
-//! (a callee running or queued elsewhere), wait inside [`blocking`].
+//! stages as five nested calls on the worker that runs its sink's step. What
+//! the election declines it enqueues like any other wake. What a resume
+//! leaves unsettled (a deferred reply), and a call that woke nobody (a
+//! callee running or queued elsewhere), a thread waits for inside
+//! [`blocking`], and a coordinator's step is posted when it settles.
 //!
 //! A call returns when the callee's handler *returns*; a wait returns when
 //! it *replies*. The two differ for a handler that replies and then keeps
@@ -511,7 +514,7 @@ impl Woken {
     /// about to wait for; the inline resume ends once it reads true.
     ///
     /// The election reads only what the call looks like from here, and
-    /// whose thread this is — a pool worker's, an Eject's process, a user's
+    /// whose thread this is — a pool worker's or a user's
     /// — is no part of it. It runs the task when its behaviour declares
     /// [`replies_last`](EjectBehavior::replies_last), so that running it as
     /// a call returns when waiting for it would, fewer than
@@ -933,6 +936,11 @@ impl Scheduler {
                 }
                 Some(Envelope::Internal(event)) => {
                     body.behavior.internal(&task.ctx, event);
+                    // A step that posts the next keeps its mailbox from
+                    // emptying: between steps, a waiting task goes first.
+                    if settled.is_none() && self.has_runnable() {
+                        return self.requeue(task, body);
+                    }
                 }
                 Some(Envelope::Crash) => return self.die(task, body, true),
                 Some(Envelope::Shutdown) => return self.die(task, body, false),
@@ -1116,7 +1124,7 @@ fn worker_main(sched: Arc<Scheduler>, idx: usize) {
 /// The stall monitor. [`blocking`] compensates for every rendezvous the
 /// kernel controls, but a behaviour may also block a worker on a
 /// primitive the kernel cannot see — a bounded channel send to one of
-/// its own worker processes, a bare sleep. This thread samples the
+/// its own process threads, a bare sleep. This thread samples the
 /// pickup counter: runnable tasks plus two ticks with no pickup means
 /// every non-sleeping worker is stuck in such a rendezvous, so it wakes
 /// a sleeper if one exists (the cheap rescue) and spawns a spare

@@ -365,7 +365,7 @@ fn reactivation_without_registered_type_fails() {
 
 /// A ledger that checkpoints its entries whole on `Fold` and journals each
 /// `Add` beside that: the incremental form of §1's one stable-storage
-/// primitive. `Note` does the same from a worker process.
+/// primitive.
 struct Ledger {
     entries: Vec<i64>,
 }
@@ -387,12 +387,6 @@ impl EjectBehavior for Ledger {
     fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
         let durable = match inv.op.as_str() {
             "Add" => ctx.journal(&inv.arg),
-            "Note" => {
-                let arg = inv.arg.clone();
-                let (tx, rx) = std::sync::mpsc::channel();
-                ctx.spawn_process("note", move |pctx| drop(tx.send(pctx.journal(&arg))));
-                rx.recv().unwrap()
-            }
             "Fold" => ctx.checkpoint(&self.passive_representation().unwrap()),
             "Get" => return reply.reply(Ok(self.passive_representation().unwrap())),
             _ => Err(EdenError::Application("no such operation".into())),
@@ -425,10 +419,9 @@ fn journaled_entries_are_redone_in_order_on_reactivation() {
     // Nothing to extend yet: refused, and the Eject knows it was.
     assert!(matches!(call("Add", 1), Err(EdenError::NoSuchEject(_))));
     call("Fold", 0).unwrap();
-    for n in [1, 2] {
+    for n in [1, 2, 3] {
         call("Add", n).unwrap();
     }
-    call("Note", 3).unwrap();
     let m = kernel.metrics().snapshot();
     assert_eq!((m.checkpoints, m.journal_entries), (4, 3));
     assert!(m.checkpoint_bytes > 0);

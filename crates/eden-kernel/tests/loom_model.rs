@@ -21,7 +21,12 @@
 //!    nobody and is never delivered to that wait;
 //! 4. (`options.rs`, on top of the cell) no re-send is issued once expiry
 //!    has been observed, and the attempt count never exceeds the policy
-//!    budget.
+//!    budget;
+//! 5. the second kind of waiter, an Eject's mailbox (`EjectContext::
+//!    poll_reply`): a registration that stands is posted exactly once, and
+//!    only after the outcome is published, so the step the post wakes sees
+//!    it; one that lost to the settle is never posted; and one withdrawn by
+//!    a dropped awaiter is posted by nobody and held by nobody.
 #![cfg(loom)]
 
 use loom::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU8, AtomicUsize, Ordering};
@@ -52,21 +57,50 @@ mod rc {
         cv: Condvar,
     }
 
+    /// An Eject's mailbox, as the cell sees it: the posts it holds, which
+    /// its coordinator takes one at a time, sleeping while there is none.
+    pub struct Mailbox {
+        posts: Mutex<u32>,
+        cv: Condvar,
+        /// Every post ever made to it.
+        pub posted: AtomicU32,
+    }
+
+    impl Mailbox {
+        fn post(&self) {
+            self.posted.fetch_add(1, Ordering::SeqCst);
+            *self.posts.lock().unwrap() += 1;
+            self.cv.notify_one();
+        }
+
+        /// The coordinator, parked until a post arrives.
+        pub fn recv(&self) {
+            let mut posts = self.posts.lock().unwrap();
+            while *posts == 0 {
+                posts = self.cv.wait(posts).unwrap();
+            }
+            *posts -= 1;
+        }
+    }
+
     pub struct Cell {
         state: AtomicU8,
         /// The value slot (0 = nothing written). Plain memory in the real
         /// cell, hence `Relaxed` here.
         value: AtomicU32,
-        /// The waiter's thread handle (0 = none published). Plain memory
-        /// in the real cell, hence `Relaxed` here.
+        /// The published waiter (0 = none): a thread handle or a mailbox.
+        /// Plain memory in the real cell, hence `Relaxed` here.
         handle: AtomicUsize,
         token: Token,
         /// Unparks the settling half issued.
         pub wakes: AtomicU32,
+        pub mailbox: Mailbox,
     }
 
-    /// The waiter's published handle.
+    /// The waiter's published thread handle.
     const WAITER: usize = 1;
+    /// The waiter's published mailbox.
+    const MAILBOX: usize = 2;
 
     impl Cell {
         pub fn new() -> Cell {
@@ -79,6 +113,11 @@ mod rc {
                     cv: Condvar::new(),
                 },
                 wakes: AtomicU32::new(0),
+                mailbox: Mailbox {
+                    posts: Mutex::new(0),
+                    cv: Condvar::new(),
+                    posted: AtomicU32::new(0),
+                },
             }
         }
 
@@ -96,8 +135,20 @@ mod rc {
         }
 
         /// Settling half: `Some` replies, `None` is the half being dropped
-        /// unanswered. Returns whether a sleeping waiter was woken.
+        /// unanswered. Returns whether a registered waiter was told.
         pub fn finish(&self, reply: Option<u32>) -> bool {
+            self.finish_posting_early(reply, None)
+        }
+
+        /// [`finish`](Self::finish), or — given `looked` — its seeded bug: a
+        /// registered mailbox is posted *before* the terminal swap, and the
+        /// swap waits until the coordinator has looked (the race taken out,
+        /// in turn).
+        pub fn finish_posting_early(
+            &self,
+            reply: Option<u32>,
+            looked: Option<&AtomicBool>,
+        ) -> bool {
             let terminal = match reply {
                 Some(v) => {
                     self.value.store(v, Ordering::Relaxed);
@@ -105,13 +156,28 @@ mod rc {
                 }
                 None => ABANDONED,
             };
+            let early = looked.is_some()
+                && self.state.load(Ordering::Acquire) == WAITING
+                && self.handle.load(Ordering::Relaxed) == MAILBOX;
+            if early {
+                self.mailbox.post();
+                while !looked.is_some_and(|looked| looked.load(Ordering::SeqCst)) {
+                    thread::yield_now();
+                }
+            }
             if self.state.swap(terminal, Ordering::AcqRel) != WAITING {
                 return false;
             }
             // The swap's Acquire must make the waiter's handle visible.
-            assert_eq!(self.handle.swap(0, Ordering::Relaxed), WAITER, "handle not published");
-            self.wakes.fetch_add(1, Ordering::SeqCst);
-            self.unpark();
+            match self.handle.swap(0, Ordering::Relaxed) {
+                WAITER => {
+                    self.wakes.fetch_add(1, Ordering::SeqCst);
+                    self.unpark();
+                }
+                MAILBOX if early => {}
+                MAILBOX => self.mailbox.post(),
+                _ => panic!("handle not published"),
+            }
             true
         }
 
@@ -135,10 +201,52 @@ mod rc {
 
         /// Awaiting half: publish the handle, then `EMPTY -> WAITING`.
         pub fn register(&self) -> bool {
-            self.handle.store(WAITER, Ordering::Relaxed);
-            self.state
+            self.register_as(WAITER)
+        }
+
+        fn register_as(&self, waiter: usize) -> bool {
+            self.handle.store(waiter, Ordering::Relaxed);
+            let registered = self
+                .state
                 .compare_exchange(EMPTY, WAITING, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
+                .is_ok();
+            if !registered {
+                // The settle replaced `EMPTY`: the slot is the awaiter's again.
+                self.handle.store(0, Ordering::Relaxed);
+            }
+            registered
+        }
+
+        /// `EjectContext::poll_reply`: the outcome if it is in, else the
+        /// mailbox registered (a standing registration is left as it is).
+        pub fn poll_or_register(&self) -> Option<Outcome> {
+            match self.state.load(Ordering::Acquire) {
+                WAITING => None,
+                EMPTY if self.register_as(MAILBOX) => None,
+                _ => Some(
+                    self.try_take()
+                        .expect("registration lost to a terminal state"),
+                ),
+            }
+        }
+
+        /// A dropped awaiter takes its mailbox back: `WAITING -> EMPTY`.
+        /// Losing means the settle took it, and posts.
+        pub fn withdraw(&self) -> bool {
+            let withdrawn = self.state.load(Ordering::Relaxed) == WAITING
+                && self
+                    .state
+                    .compare_exchange(WAITING, EMPTY, Ordering::AcqRel, Ordering::Acquire)
+                    .is_ok();
+            if withdrawn {
+                self.handle.store(0, Ordering::Relaxed);
+            }
+            withdrawn
+        }
+
+        /// Whatever waiter is published (0: none).
+        pub fn handle(&self) -> usize {
+            self.handle.load(Ordering::SeqCst)
         }
 
         /// Awaiting half, on its deadline: `WAITING -> EMPTY`. Losing
@@ -281,6 +389,93 @@ fn late_reply_after_expiry_is_discarded_not_redelivered() {
         assert!(!late.join().unwrap());
         assert_eq!(cell.wakes.load(Ordering::SeqCst), 0);
         assert_eq!(cell.state(), rc::SETTLED);
+    });
+}
+
+/// A coordinator asks for a reply while it settles, or is dropped unanswered.
+/// A registration that stands is posted exactly once, and the step that the
+/// post wakes sees the outcome; one that lost to the settle is never posted.
+#[test]
+fn reply_cell_posts_a_registered_mailbox_once_and_after_the_outcome() {
+    loom::model(|| {
+        for reply in [Some(5), None] {
+            let cell = Arc::new(rc::Cell::new());
+            let settler = {
+                let cell = cell.clone();
+                thread::spawn(move || cell.finish(reply))
+            };
+            let (outcome, registered) = match cell.poll_or_register() {
+                Some(outcome) => (outcome, false),
+                None => {
+                    cell.mailbox.recv();
+                    let seen = cell.try_take();
+                    (
+                        seen.expect("the post woke a step that cannot see the outcome"),
+                        true,
+                    )
+                }
+            };
+            let told = settler.join().unwrap();
+            assert_eq!(outcome, reply.map_or(Outcome::Crashed, Outcome::Replied));
+            assert_eq!(
+                told, registered,
+                "the settle told a waiter the poll did not register"
+            );
+            let posted = cell.mailbox.posted.load(Ordering::SeqCst);
+            assert_eq!(
+                posted,
+                u32::from(registered),
+                "posts to a mailbox that registered"
+            );
+        }
+    });
+}
+
+/// An awaiter dropped while its mailbox is registered — a pump deactivated
+/// mid-wait — races the settle: exactly one of them takes the registration,
+/// a withdrawn mailbox is never posted, and neither leaves it held.
+#[test]
+fn dropped_awaiter_withdraws_its_mailbox_and_is_never_posted() {
+    loom::model(|| {
+        let cell = Arc::new(rc::Cell::new());
+        assert!(
+            cell.poll_or_register().is_none(),
+            "nothing raced the registration"
+        );
+        let settler = {
+            let cell = cell.clone();
+            thread::spawn(move || cell.finish(Some(9)))
+        };
+        let withdrawn = cell.withdraw();
+        let told = settler.join().unwrap();
+        assert!(withdrawn ^ told, "both or neither took the registration");
+        assert_eq!(cell.mailbox.posted.load(Ordering::SeqCst), u32::from(told));
+        assert_eq!(cell.handle(), 0, "the mailbox is still held");
+        assert_eq!(cell.try_take(), Some(Outcome::Replied(9)));
+    });
+}
+
+/// The seeded bug must be found, every time: a settle that posts the
+/// mailbox before it publishes the outcome wakes a step that finds none.
+#[test]
+#[should_panic(expected = "the post woke a step that cannot see the outcome")]
+fn reply_cell_catches_a_post_made_before_the_outcome() {
+    loom::model(|| {
+        let cell = Arc::new(rc::Cell::new());
+        let looked = Arc::new(AtomicBool::new(false));
+        assert!(
+            cell.poll_or_register().is_none(),
+            "nothing raced the registration"
+        );
+        let settler = {
+            let (cell, looked) = (cell.clone(), looked.clone());
+            thread::spawn(move || cell.finish_posting_early(Some(4), Some(&looked)))
+        };
+        cell.mailbox.recv();
+        let seen = cell.try_take();
+        looked.store(true, Ordering::SeqCst);
+        settler.join().unwrap();
+        seen.expect("the post woke a step that cannot see the outcome");
     });
 }
 

@@ -1044,7 +1044,7 @@ mod tests {
             .build(&kernel)
             .unwrap();
         // Start the pumps as `run` does, but never wait for the output: the
-        // sink's worker sleeps in `wait_or_stop` on a reply that never comes.
+        // sink's process is parked on a reply that never comes.
         for (_, stage) in pipeline.pumps.drain(..) {
             pipeline.ejects.push(kernel.spawn(Box::new(stage)).unwrap());
         }

@@ -9,7 +9,7 @@
 //! streams are just extra destinations. Neither face knows anything about
 //! the other side of its stage.
 
-use eden_core::{Result, Uid, Value};
+use eden_core::{Uid, Value};
 
 use crate::protocol::{Batch, ChannelId, WriteRequest, OUTPUT_NAME};
 use crate::transform::Emitter;
@@ -81,43 +81,53 @@ impl InputPuller {
         self
     }
 
-    /// Pull the next step of input: the records, and whether the input is
-    /// now exhausted. `transfer` asks one port for up to so many records
-    /// (one `Transfer` invocation) and returns the decoded batch.
-    pub(crate) fn pull_next<F>(
-        &mut self,
-        batch: usize,
-        transfer: &mut F,
-    ) -> Result<(Vec<Value>, bool)>
-    where
-        F: FnMut(InputPort, usize) -> Result<Batch>,
-    {
+    /// The ports the next step of input asks, and for how many records
+    /// each: every port for one under `Zip`, else the next port that has not
+    /// ended for `batch`. None once the input is exhausted.
+    pub(crate) fn asks(&mut self, batch: usize) -> (std::ops::Range<usize>, usize) {
+        let n = self.ports.len();
         if self.done {
-            return Ok((Vec::new(), true));
+            return (0..0, batch);
         }
+        if self.mode == FanInMode::Zip {
+            return (0..n, 1);
+        }
+        while self.ended[self.next % n] {
+            self.next += 1;
+        }
+        let port = self.next % n;
+        (port..port + 1, batch)
+    }
+
+    /// Where port `idx` reads from.
+    pub(crate) fn port(&self, idx: usize) -> InputPort {
+        self.ports[idx]
+    }
+
+    /// The step of input [`asks`](Self::asks) began, once its batches are
+    /// in, in the order asked (they are drained): the records, and whether
+    /// the input is now exhausted.
+    pub(crate) fn complete(&mut self, batches: &mut Vec<Batch>) -> (Vec<Value>, bool) {
         let n = self.ports.len();
         if self.mode == FanInMode::Zip {
+            let asked = !batches.is_empty();
             let mut tuple = Vec::with_capacity(n);
-            for port in &self.ports {
-                let b = transfer(*port, 1)?;
+            for b in batches.drain(..) {
                 self.done |= b.end || b.items.is_empty();
                 tuple.extend(b.items);
             }
             // A partial tuple (some input ended mid-row) is discarded: zip
             // semantics.
-            let items = if tuple.len() == n {
-                vec![Value::list(tuple)]
-            } else {
-                Vec::new()
+            let items = match asked && tuple.len() == n {
+                true => vec![Value::list(tuple)],
+                false => Vec::new(),
             };
-            return Ok((items, self.done));
+            return (items, self.done);
         }
-        // Find the next port that has not ended.
-        while self.ended[self.next % n] {
-            self.next += 1;
-        }
+        let Some(mut b) = batches.pop() else {
+            return (Vec::new(), self.done);
+        };
         let idx = self.next % n;
-        let mut b = transfer(self.ports[idx], batch)?;
         self.ended[idx] = b.end;
         if let Some(label) = self.labels.get(idx) {
             let labelled = |item| Value::record([("from", label.clone()), ("item", item)]);
@@ -127,7 +137,7 @@ impl InputPuller {
             self.next += 1;
         }
         self.done = self.ended.iter().all(|&e| e);
-        Ok((b.items, self.done))
+        (b.items, self.done)
     }
 }
 
@@ -192,16 +202,13 @@ impl OutputWiring {
 /// consumer, where this used to deep-copy the whole batch per branch.
 /// `send` receives the pre-encoded `Write` argument, which says where in
 /// the stream its first record stands when `seq` does.
-pub(crate) fn deliver<F>(
+pub(crate) fn deliver(
     wiring: &OutputWiring,
     emitter: &mut Emitter,
     end: bool,
     seq: Option<u64>,
-    send: &mut F,
-) -> Result<()>
-where
-    F: FnMut(OutputPort, Value) -> Result<()>,
-{
+    send: &mut impl FnMut(OutputPort, Value),
+) {
     let mut primary = emitter.take_primary();
     let mut secondary = emitter.take_secondary();
     for (name, ports) in &wiring.routes {
@@ -220,12 +227,11 @@ where
         let shared_items = Value::list(items);
         for port in others {
             let arg = WriteRequest::value_shared_at(port.channel, shared_items.clone(), end, seq);
-            send(*port, arg)?;
+            send(*port, arg);
         }
         send(
             *last,
             WriteRequest::value_shared_at(last.channel, shared_items, end, seq),
-        )?;
+        );
     }
-    Ok(())
 }

@@ -6,7 +6,7 @@
 //! crash as its passive representation and is "automatically reactivated by
 //! the Eden kernel when it is next invoked". Durability is orthogonal to
 //! which side of a connection initiates, so it is a layer of the one stage,
-//! not a second one: faces, step and worker are `crate::stage`'s, and a
+//! not a second one: faces, step and process are `crate::stage`'s, and a
 //! *retained* stage differs from a volatile one in three ingredients only.
 //!
 //! 1. **Positions on the wire.** Every `Transfer` carries the reader's
@@ -43,10 +43,11 @@
 //!
 //! Two consequences of recovering from positions alone:
 //!
-//! * A worker-driven stage receives no stream invocations, so a crashed one
-//!   would stay passive forever; the driving loop "nudges" every stage with
-//!   a fault-immune `Describe` while it waits, which reactivates any that
-//!   have crashed, and `activate` restarts the worker from the checkpoint.
+//! * A stage its own process drives receives no stream invocations, so a
+//!   crashed one would stay passive forever; the driving loop "nudges" every
+//!   stage with a fault-immune `Describe` while it waits, which reactivates
+//!   any that have crashed, and `activate` restarts the process from the
+//!   checkpoint.
 //! * A passive output never parks a reader. An empty buffer replies with an
 //!   empty non-final batch and the pump polls, because a parked reply would
 //!   die with a crash anyway; polling against the checkpointed position is
@@ -99,14 +100,15 @@ pub const READ_ALL: &str = "ReadAll";
 /// The one Eden type every retained stage is registered under.
 pub(crate) const STAGE_TYPE: &str = "RecoverableStage";
 
-/// How long a worker pauses before it retries a step that made no progress.
+/// How long a retained stage's process pauses before it retries a step
+/// that made no progress.
 const POLL: Duration = Duration::from_millis(1);
 
-/// A worker's pause before it carries on from the same positions.
+/// A retained stage's pause, on its pool worker, before it carries on from
+/// the same positions: a wait like its retries' backoff.
 pub(crate) fn pause() {
     // eden-lint: timer(recovery-poll)
-    // eden-lint: nonblocking(spawn_process worker thread, not a pool worker)
-    std::thread::sleep(POLL);
+    eden_kernel::blocking(|| std::thread::sleep(POLL));
 }
 
 /// The retry policy stream invocations travel with: patient enough to ride
@@ -567,7 +569,7 @@ pub fn run_recoverable_pipeline(
 ///
 /// Nothing is respawned: the driver simply invokes the old UIDs.
 /// Activation-on-invocation rebuilds each stage from its checkpoint, a
-/// pump's `activate` restarts its worker process from the checkpointed
+/// pump's `activate` restarts its process from the checkpointed
 /// positions, and the sequence arithmetic absorbs the replayed window — the
 /// same machinery that rides out a single-stage crash rides out losing the
 /// whole kernel.
@@ -595,7 +597,7 @@ fn time_left(deadline: Instant) -> Result<Duration> {
 /// is its active sink: positional `Transfer`s, which are stream traffic and
 /// ride out faults like any stage's. Otherwise the tail is the acceptor:
 /// poll it with [`READ_ALL`], and each round nudge every other stage with a
-/// fault-immune `Describe` so a crashed worker-driven stage (which nobody
+/// fault-immune `Describe` so a crashed process-driven stage (which nobody
 /// else invokes) gets reactivated.
 fn drive(
     kernel: &Kernel,

@@ -19,8 +19,8 @@
 //! | passive | passive | the Unix pipe, Figure 1's passive buffer | `PassiveBuffer` | `buf{i}`; read by `ReadAll`, the acceptor |
 //! | active | active | the Unix filter: transforms *and pumps* (§3) | `PumpFilter` | conventional `pump{i}` |
 //! | passive + one port read actively | active | §5's "secondary inputs, which are actively read" | `ZipPushFilter` | — |
-//! | program | passive | §4's standard IO module: a program that `write`s, as the read-ahead worker ([`crate::stdio::program_source`]) | `ProgramSource` | — |
-//! | passive | program | its §5 dual: a program that `read`s, as the push-drain worker ([`crate::stdio::program_sink`]) | `ProgramSink` | — |
+//! | program | passive | §4's standard IO module: a program that `write`s, as the read-ahead process ([`crate::stdio::program_source`]) | `ProgramSource` | — |
+//! | passive | program | its §5 dual: a program that `read`s, as the push-ahead process ([`crate::stdio::program_sink`]) | `ProgramSink` | — |
 //! | local | passive | the disposable reader `Open` and `NewStream` mint (§7): answers `Close`, gone once read out ([`Stage::reader`]) | `DisposableReader` | — (`OpenDurable` mints the retained source above) |
 //! | active or passive | local | its dual, the disposable writer `WriteFrom` and `UseStream` mint: gone once its stream has ended into the file ([`Stage::writer`]) | `DisposableWriter` | — |
 //! | active, labelled ports | local | Figure 4's report window ([`crate::devices::report_window`]) | `StreamSink` | — |
@@ -35,8 +35,8 @@
 //! * An **active input** holds [`InputPort`]s and `Transfer`s from them,
 //!   interleaved by a [`FanInMode`](crate::FanInMode): "if F needs n inputs, it maintains n
 //!   UIDs" (§5). A **local** input is no face at all, just a
-//!   [`PullSource`]; nor is a **program**, which is the worker of the next
-//!   section handed a conventional `write` or `read` ([`crate::stdio`]).
+//!   [`PullSource`]; nor is a **program**, which is the process of the
+//!   sections below handed a conventional `write` or `read` ([`crate::stdio`]).
 //! * A **passive output** serves `Transfer` from per-channel buffers and
 //!   parks a reader it cannot serve yet (a deferred reply — "it will be sent
 //!   to whatever Eject requests it", §4). Fan-out needs the channel
@@ -60,21 +60,29 @@
 //! * **Depth > 0** is §4's "each Eject in a pipeline should read some input
 //!   and buffer-up some output, and then suspend processing pending a
 //!   request for output. In this way all the Ejects in a pipeline can run
-//!   concurrently" — and its dual for writers. One worker process runs the
-//!   active face and meets the coordinator at the buffer: a read-ahead
-//!   worker fills it while fewer than `depth` records wait to be read; a
-//!   push-ahead worker drains it, and a writer that finds `depth` writes
-//!   still undelivered is parked (its reply deferred), so the coordinator
-//!   never blocks. A pipe's depth is its capacity.
-//! * A stage with **no passive face** has nobody to drive it, so the worker
+//!   concurrently" — and its dual for writers. The stage's process runs the
+//!   active face and meets the handlers at the buffer: a read-ahead process
+//!   fills it while fewer than `depth` records wait to be read; a push-ahead
+//!   process drains it, and a writer that finds `depth` writes still
+//!   undelivered is parked (its reply deferred), so no handler waits. A
+//!   pipe's depth is its capacity.
+//! * A stage with **no passive face** has nobody to drive it, so its process
 //!   runs both faces whatever the depth: the sink's pump, the conventional
 //!   filter, and the pushing source, which waits for `Start` and answers it
 //!   when the last write has been acknowledged — `Start` is "run the
 //!   pipeline".
 //!
-//! Worker and coordinator share one [`Shared`] buffer and wake each other
-//! by internal message, metered as language-level IPC rather than as
-//! invocations — the distinction the paper's cost argument rests on.
+//! ## The process: steps on the coordinator
+//!
+//! A stage's process is no thread: its own coordinator runs it from
+//! `internal`, a step at a time between the invocations it handles — up to
+//! `CHUNKS_A_STEP` chunks while every call settles at once, then the next
+//! step posted to its own mailbox. A reply that is not in is kept, and its
+//! settle posts the step that picks up from there; meanwhile the stage costs
+//! what a parked Eject costs. Only a **program** ([`crate::stdio`]) keeps a
+//! thread, and shares the buffer as a [`Shared`] one. The posts are internal
+//! events, metered as language-level IPC rather than as invocations — the
+//! distinction the paper's cost argument rests on.
 //!
 //! ## Retention: what the stage has not been told to forget
 //!
@@ -90,7 +98,8 @@
 //! (`retain`, `save`) — of what changed, or of the stage whole — and nothing
 //! when a reader's position only lets it forget. *How a peer is called:* by
 //! a send whose wait retries, never by a call its caller's thread could be
-//! lent to (`pull`, `OutFace::consume`).
+//! lent to (`Host::call`); the wait blocks its pool worker, inside
+//! `blocking`, in a step as in a handler.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -98,8 +107,7 @@ use std::sync::Arc;
 use eden_core::op::ops;
 use eden_core::{EdenError, OpName, Result, Uid, Value};
 use eden_kernel::{
-    EjectBehavior, EjectContext, Invocation, InvokeOptions, PendingReply, ProcessContext,
-    ReplyHandle, RouteCache,
+    EjectBehavior, EjectContext, Invocation, PendingReply, ProcessContext, ReplyHandle, RouteCache,
 };
 
 use crate::channels::{unknown, ChannelPolicy, ChannelTable};
@@ -113,7 +121,7 @@ use crate::stdio::{Program, TransputReader, TransputWriter};
 use crate::transform::{self, Emitter, Transform};
 use parking_lot::{Condvar, Mutex};
 
-/// Starts the worker of a stage that pumps a local supply.
+/// Starts the process of a stage that pumps a local supply.
 const START: &str = "Start";
 
 /// A stage's input face.
@@ -133,8 +141,8 @@ pub enum Input {
     Local(Box<dyn PullSource>),
     /// Let an imperative program write the records, conventionally: §4's
     /// standard IO module ([`crate::stdio`]). The program *is* the stage's
-    /// read-ahead worker, so the output face is passive and a `depth` of 0
-    /// means `crate::stdio::BUFFER`.
+    /// read-ahead process, on a thread of its own, so the output face is
+    /// passive and a `depth` of 0 means `crate::stdio::BUFFER`.
     Program(Program<TransputWriter>),
 }
 
@@ -171,8 +179,8 @@ pub enum Output {
     /// or fail it when the input does: the dual of [`Input::Local`].
     Local(Box<dyn PushSink>),
     /// Let an imperative program read the records, conventionally: the §5
-    /// dual of [`Input::Program`]. The program is the stage's push-drain
-    /// worker, so the input face is passive, and `depth` as there.
+    /// dual of [`Input::Program`]. The program is the stage's push-ahead
+    /// process, so the input face is passive, and `depth` as there.
     Program(Program<TransputReader>),
 }
 
@@ -194,8 +202,9 @@ pub struct StageConfig {
     /// Records an active face moves per invocation.
     pub batch: usize,
     /// The buffer between the faces (module docs): records a read-ahead
-    /// worker keeps waiting, writes a push-ahead worker may have in hand,
-    /// records a pipe holds before it parks its writers. 0 = no worker.
+    /// process keeps waiting, writes a push-ahead process may have in hand,
+    /// records a pipe holds before it parks its writers. 0 = no process
+    /// but where no passive face is.
     pub depth: usize,
     /// How a passive output's channel identifiers are minted.
     pub policy: ChannelPolicy,
@@ -226,30 +235,63 @@ impl StageConfig {
     }
 }
 
-/// What a face needs from whoever runs it — the Eject's coordinator for a
-/// face run inline, its worker process otherwise, a recording fake in the
-/// tests below: call a peer through the face's route cache, which is all a
-/// synchronous volatile face ever does; send now and wait later, to keep a
-/// window of writes in flight, or under the options that let a retained
-/// face's call ride out a crash of its peer ([`crate::recovery`], 3); and
-/// write the stage's passive representation, whole or one journal entry more.
+/// Chunks one step of a process moves while every call it makes settles at
+/// once, before it posts the next step (module docs).
+const CHUNKS_A_STEP: usize = 16;
+
+/// What a face needs from whoever runs it — the Eject's coordinator, or a
+/// recording fake in the tests below: call a peer through the face's route
+/// cache, as a volatile or a retained face does; have a reply's outcome — a
+/// handler waits for it, a passive face answering only once its active face
+/// has; a step polls, and is posted once it is in; post the stage its next
+/// step; and write its passive representation, whole or one entry more.
 pub(crate) trait Host: Caller {
-    fn call(&self, cache: &mut RouteCache, to: Uid, op: &'static str, arg: Value) -> Result<Value>;
-    fn send(&self, to: Uid, op: &'static str, arg: Value, how: InvokeOptions<'_>) -> PendingReply;
-    fn wait(&self, pending: PendingReply) -> Result<Value>;
+    fn call(
+        &self,
+        cache: &mut RouteCache,
+        retained: bool,
+        to: Uid,
+        op: &'static str,
+        arg: Value,
+    ) -> PendingReply;
+    fn poll(&self, pending: &mut PendingReply, wait: bool) -> Option<Result<Value>>;
+    fn nudge(&self);
     fn checkpoint(&self, state: &Value) -> Result<()>;
     fn journal(&self, entry: &Value) -> Result<()>;
 }
 
 impl Host for EjectContext {
-    fn call(&self, cache: &mut RouteCache, to: Uid, op: &'static str, arg: Value) -> Result<Value> {
-        self.call_routed(cache, to, OpName::from_static(op), arg)
+    /// How a peer is called (module docs): by a volatile stage, as a call,
+    /// which may run its callee on this thread; by a retained one, as a send
+    /// under the options that ride out a crash of its peer
+    /// ([`crate::recovery`], 3), whose reply is in when this returns.
+    fn call(
+        &self,
+        cache: &mut RouteCache,
+        retained: bool,
+        to: Uid,
+        op: &'static str,
+        arg: Value,
+    ) -> PendingReply {
+        let op = OpName::from_static(op);
+        match retained {
+            true => PendingReply::ready(
+                self.invoke_with(to, op, arg, recovery::stream_opts())
+                    .wait(),
+            ),
+            false => self.begin_call(cache, to, op, arg),
+        }
     }
-    fn send(&self, to: Uid, op: &'static str, arg: Value, how: InvokeOptions<'_>) -> PendingReply {
-        self.invoke_with(to, OpName::from_static(op), arg, how)
+    fn poll(&self, pending: &mut PendingReply, wait: bool) -> Option<Result<Value>> {
+        match wait {
+            true => Some(
+                std::mem::replace(pending, PendingReply::ready(Err(EdenError::Timeout))).wait(),
+            ),
+            false => self.poll_reply(pending),
+        }
     }
-    fn wait(&self, pending: PendingReply) -> Result<Value> {
-        pending.wait()
+    fn nudge(&self) {
+        EjectContext::nudge(self)
     }
     fn checkpoint(&self, state: &Value) -> Result<()> {
         EjectContext::checkpoint(self, state)
@@ -268,33 +310,6 @@ impl Caller for EjectContext {
     }
 }
 
-impl Host for ProcessContext {
-    fn call(&self, cache: &mut RouteCache, to: Uid, op: &'static str, arg: Value) -> Result<Value> {
-        self.call_routed(cache, to, OpName::from_static(op), arg)
-    }
-    fn send(&self, to: Uid, op: &'static str, arg: Value, how: InvokeOptions<'_>) -> PendingReply {
-        self.invoke_with(to, OpName::from_static(op), arg, how)
-    }
-    fn wait(&self, pending: PendingReply) -> Result<Value> {
-        self.wait_or_stop(pending)
-    }
-    fn checkpoint(&self, state: &Value) -> Result<()> {
-        ProcessContext::checkpoint(self, state)
-    }
-    fn journal(&self, entry: &Value) -> Result<()> {
-        ProcessContext::journal(self, entry)
-    }
-}
-
-impl Caller for ProcessContext {
-    fn uid(&self) -> Uid {
-        self.eject()
-    }
-    fn invoke(&self, to: Uid, op: &'static str, arg: Value) -> Result<Value> {
-        self.call(to, OpName::from_static(op), arg)
-    }
-}
-
 /// What one step of input came to, once through the transform.
 #[derive(Debug, Default)]
 pub(crate) struct Chunk {
@@ -303,36 +318,69 @@ pub(crate) struct Chunk {
     pub(crate) end: bool,
 }
 
+/// An active input's calls: its upstream routes, learned on first use, and
+/// a step of input on its way — the `Transfer`s still out, the batches in —
+/// kept with its face, so that a step of input allocates nothing.
+#[derive(Debug, Default)]
+struct Pull {
+    cache: RouteCache,
+    out: VecDeque<PendingReply>,
+    got: Vec<Batch>,
+}
+
 /// The input face and the transform step behind it.
 #[derive(Debug)]
 pub(crate) struct InFace {
     face: Input,
     /// `None` copies.
     pub(crate) transform: Option<Box<dyn Transform>>,
-    /// Upstream routes, learned on first use.
-    cache: RouteCache,
     /// The input has ended and the transform has flushed.
     flushed: bool,
+    /// Its calls (and, written to a zipped input, its secondary's).
+    pulling: Pull,
 }
 
-/// One step of an active input: up to `max` records, from `pos` if the
-/// face keeps count, and whether it ended.
-fn pull(
-    puller: &mut InputPuller,
-    host: &impl Host,
-    cache: &mut RouteCache,
-    max: usize,
-    pos: Option<u64>,
-) -> Result<(Vec<Value>, bool)> {
-    puller.pull_next(max, &mut |port: InputPort, max| {
-        let (channel, to) = (port.channel, port.uid);
-        let arg = TransferRequest { channel, max, pos }.to_value();
-        let reply = match pos {
-            Some(_) => host.wait(host.send(to, ops::TRANSFER, arg, recovery::stream_opts())),
-            None => host.call(cache, to, ops::TRANSFER, arg),
-        };
-        reply.and_then(Batch::from_value)
-    })
+impl Pull {
+    /// One step of `puller`'s input: up to `max` records, from `pos` if the
+    /// face keeps count, and whether it ended — `None` while a reply is out.
+    /// Its `Transfer`s go out together, one a port under `Zip`, and are taken
+    /// in the order asked, so a step waits on one reply at a time.
+    fn next(
+        &mut self,
+        puller: &mut InputPuller,
+        host: &impl Host,
+        max: usize,
+        pos: Option<u64>,
+        wait: bool,
+    ) -> Option<Result<(Vec<Value>, bool)>> {
+        if self.out.is_empty() {
+            let (ports, max) = puller.asks(max);
+            for port in ports {
+                let InputPort { uid, channel } = puller.port(port);
+                let arg = TransferRequest { channel, max, pos }.to_value();
+                self.out.push_back(host.call(
+                    &mut self.cache,
+                    pos.is_some(),
+                    uid,
+                    ops::TRANSFER,
+                    arg,
+                ));
+            }
+        }
+        while let Some(front) = self.out.front_mut() {
+            let batch = host.poll(front, wait)?.and_then(Batch::from_value);
+            self.out.pop_front();
+            match batch {
+                Ok(batch) => self.got.push(batch),
+                Err(e) => {
+                    self.out.clear();
+                    self.got.clear();
+                    return Some(Err(e));
+                }
+            }
+        }
+        Some(Ok(puller.complete(&mut self.got)))
+    }
 }
 
 impl InFace {
@@ -352,11 +400,13 @@ impl InFace {
     fn accept(&mut self, host: &impl Host, mut w: WriteRequest, kept: Option<&mut Kept>) -> Chunk {
         if let Input::Zipped(secondary) = &mut self.face {
             for item in &mut w.items {
-                let read = pull(secondary, host, &mut self.cache, 1, None);
-                let (read, _) = read.unwrap_or_else(|_| {
-                    secondary.done = true;
-                    (Vec::new(), true)
-                });
+                let read = self.pulling.next(secondary, host, 1, None, true);
+                let (read, _) = read
+                    .expect("a wait comes back with the outcome")
+                    .unwrap_or_else(|_| {
+                        secondary.done = true;
+                        (Vec::new(), true)
+                    });
                 let read = read.into_iter().next().unwrap_or(Value::Unit);
                 *item = Value::list(vec![std::mem::replace(item, Value::Unit), read]);
             }
@@ -365,8 +415,15 @@ impl InFace {
     }
 
     /// The active face: one step of input, `ask` records of it — pulled at
-    /// `kept`'s position, where the stage keeps one.
-    fn produce(&mut self, host: &impl Host, ask: usize, kept: Option<&mut Kept>) -> Result<Chunk> {
+    /// `kept`'s position, where the stage keeps one. `None` while a reply
+    /// it waits for is out.
+    fn produce(
+        &mut self,
+        host: &impl Host,
+        ask: usize,
+        kept: Option<&mut Kept>,
+        wait: bool,
+    ) -> Option<Result<Chunk>> {
         let (items, end) = match &mut self.face {
             Input::Local(source) => {
                 let pulled = source.pull(ask);
@@ -375,20 +432,23 @@ impl InFace {
             }
             Input::Active(puller) => {
                 let pos = kept.as_ref().map(|kept| kept.consumed);
-                pull(puller, host, &mut self.cache, ask, pos)?
+                match self.pulling.next(puller, host, ask, pos, wait)? {
+                    Ok(pulled) => pulled,
+                    Err(e) => return Some(Err(e)),
+                }
             }
             Input::Passive | Input::Zipped(_) => unreachable!("a passive input is written to"),
-            Input::Program(_) => unreachable!("a program is its own worker"),
+            Input::Program(_) => unreachable!("a program is its own process"),
         };
-        Ok(self.absorb(items, end, kept))
+        Some(Ok(self.absorb(items, end, kept)))
     }
 
     /// As [`produce`](Self::produce) for a volatile stage's reader to be
     /// served: an upstream failure ends the stream here, and the reader sees
     /// a short one (the error also surfaced in metrics).
-    fn produce_or_end(&mut self, host: &impl Host, ask: usize) -> Chunk {
-        self.produce(host, ask, None)
-            .unwrap_or_else(|_| self.absorb(Vec::new(), true, None))
+    fn produce_or_end(&mut self, host: &impl Host, ask: usize, wait: bool) -> Option<Chunk> {
+        let produced = self.produce(host, ask, None, wait)?;
+        Some(produced.unwrap_or_else(|_| self.absorb(Vec::new(), true, None)))
     }
 }
 
@@ -398,17 +458,27 @@ struct OutFace {
     face: Output,
     /// Downstream routes, learned on first use.
     cache: RouteCache,
+    /// Writes out at once; 1 under fan-out ([`StageConfig::window`]).
     window: usize,
-    /// Writes sent and not yet acknowledged (`window` > 1).
+    /// Writes sent and not yet acknowledged, oldest first.
     in_flight: VecDeque<PendingReply>,
+    /// The end of the stream has been given to the face.
+    ended: bool,
 }
 
 impl OutFace {
     /// The active face: deliver a chunk — at `seq`, where the stage keeps
     /// count. `end` is forwarded on every wired channel so downstream
-    /// streams close; returns once fewer than `window` writes are
-    /// unacknowledged — none, at the end of the stream.
-    fn consume(&mut self, host: &impl Host, mut chunk: Chunk, seq: Option<u64>) -> Result<()> {
+    /// streams close. Every `Write` is a call whose reply joins `in_flight`;
+    /// then [`reap`](Self::reap). A local output takes the chunk at once.
+    fn consume(
+        &mut self,
+        host: &impl Host,
+        mut chunk: Chunk,
+        seq: Option<u64>,
+        wait: bool,
+    ) -> Option<Result<()>> {
+        self.ended |= chunk.end;
         let wiring = match &mut self.face {
             Output::Active(wiring) => &*wiring,
             Output::Local(sink) => {
@@ -416,71 +486,59 @@ impl OutFace {
                 if !items.is_empty() {
                     sink.push(items);
                 }
-                return if chunk.end { sink.end(host) } else { Ok(()) };
+                return Some(if chunk.end { sink.end(host) } else { Ok(()) });
             }
             Output::Passive => unreachable!("a passive output is read from"),
-            Output::Program(_) => unreachable!("a program is its own worker"),
+            Output::Program(_) => unreachable!("a program is its own process"),
         };
-        let (window, end) = (self.window, chunk.end);
-        let windowed = window > 1 && wiring.fan_out() == 1;
         let (cache, in_flight) = (&mut self.cache, &mut self.in_flight);
-        deliver(wiring, &mut chunk.out, end, seq, &mut |port, arg| {
-            if windowed {
-                let routed = InvokeOptions::new().route_cache(cache);
-                in_flight.push_back(host.send(port.uid, ops::WRITE, arg, routed));
-                Ok(())
-            } else if seq.is_some() {
-                let retrying = host.send(port.uid, ops::WRITE, arg, recovery::stream_opts());
-                host.wait(retrying).map(drop)
-            } else {
-                host.call(cache, port.uid, ops::WRITE, arg).map(drop)
-            }
-        })?;
-        if !windowed {
-            return Ok(());
-        }
-        // Reap acknowledgements that have already arrived without blocking.
-        while let Some(pending) = in_flight.pop_front() {
-            match pending.try_wait() {
-                Ok(result) => drop(result?),
-                Err(still_pending) => {
-                    in_flight.push_front(still_pending);
-                    break;
-                }
+        deliver(wiring, &mut chunk.out, chunk.end, seq, &mut |port, arg| {
+            in_flight.push_back(host.call(cache, seq.is_some(), port.uid, ops::WRITE, arg));
+        });
+        self.reap(host, wait)
+    }
+
+    /// Take acknowledgements in, oldest first, until fewer than `window`
+    /// writes are out — none, once the end of the stream is. `None` while
+    /// one that must be in is not.
+    fn reap(&mut self, host: &impl Host, wait: bool) -> Option<Result<()>> {
+        while self.in_flight.len() >= self.window || (self.ended && !self.in_flight.is_empty()) {
+            let front = self.in_flight.front_mut().expect("non-empty checked");
+            let acknowledged = host.poll(front, wait)?;
+            self.in_flight.pop_front();
+            if let Err(e) = acknowledged {
+                return Some(Err(e));
             }
         }
-        while in_flight.len() >= window || (end && !in_flight.is_empty()) {
-            host.wait(in_flight.pop_front().expect("non-empty checked"))?;
-        }
-        Ok(())
+        Some(Ok(()))
     }
 }
 
-/// The buffer between the faces, where coordinator and worker meet. What it
-/// holds goes by the output face it feeds: a passive output keeps records,
-/// per channel, until they are read; an active one forwards write for
-/// write, so it keeps what each accepted `Write` came to until the worker
-/// has delivered it.
+/// The buffer between the faces, where the process and the handlers meet.
+/// What it holds goes by the output face it feeds: a passive output keeps
+/// records, per channel, until they are read; an active one forwards write
+/// for write, so it keeps what each accepted `Write` came to until the
+/// process has delivered it.
 #[derive(Debug, Default)]
 pub(crate) struct Buffer {
     /// A passive output's channels and their queues (else empty).
     table: ChannelTable,
     pub(crate) queues: Vec<VecDeque<Value>>,
-    /// An active output's undelivered writes, and whether the worker has
+    /// An active output's undelivered writes, and whether the process has
     /// one more in hand.
     pub(crate) writes: VecDeque<Chunk>,
     pub(crate) delivering: bool,
     /// The final chunk has been put.
     pub(crate) ended: bool,
-    /// The other side is gone: the coordinator has been dropped, or the
-    /// worker has failed.
+    /// The process is through with it — it failed, or a disposable stage's
+    /// is done — or, shared with a program, the coordinator is gone.
     closed: bool,
 }
 
 impl Buffer {
     pub(crate) fn put(&mut self, mut chunk: Chunk) -> Result<()> {
         if self.closed {
-            return Err(EdenError::Application("forwarding worker gone".into()));
+            return Err(EdenError::Application("forwarding process gone".into()));
         }
         self.ended |= chunk.end;
         if self.queues.is_empty() {
@@ -533,8 +591,8 @@ impl Buffer {
         Some(Batch { items, end })
     }
 
-    /// Hand the worker the oldest undelivered write; it counts against the
-    /// depth until the worker reports back.
+    /// Hand the process the oldest undelivered write; it counts against the
+    /// depth until the process reports back.
     pub(crate) fn take_write(&mut self) -> Option<Chunk> {
         let chunk = self.writes.pop_front()?;
         self.delivering = true;
@@ -542,8 +600,8 @@ impl Buffer {
     }
 }
 
-/// A buffer its coordinator shares with a worker process: a mutex and one
-/// condition either side may wait on. The worker wakes the coordinator by
+/// A buffer its coordinator shares with a program's thread: a mutex and one
+/// condition either side may wait on. The program wakes the coordinator by
 /// internal message: metered, language-level IPC.
 #[derive(Debug)]
 pub(crate) struct Shared {
@@ -553,9 +611,9 @@ pub(crate) struct Shared {
     changed: Condvar,
 }
 
-/// The coordinator's hold on the buffer: its own until a worker is spawned,
-/// shared from then on. Dropping it — deactivation, crash, a panicking
-/// handler — closes a shared buffer and releases a worker waiting there.
+/// The coordinator's hold on the buffer: its own, or shared from the moment
+/// a program is spawned. Dropping it — deactivation, crash, a panicking
+/// handler — closes a shared buffer and releases a program waiting there.
 #[derive(Debug)]
 enum Meet {
     Own(Buffer),
@@ -570,7 +628,7 @@ impl Meet {
         }
     }
 
-    /// Share the buffer with a worker (and let it know of every change).
+    /// Share the buffer with a program (and let it know of every change).
     fn share(&mut self) -> Arc<Shared> {
         if let Meet::Own(buffer) = self {
             let (queue, changed) = (Mutex::new(std::mem::take(buffer)), Condvar::new());
@@ -596,8 +654,8 @@ impl Drop for Meet {
     }
 }
 
-/// On the worker's own thread: wait at the buffer until `ready` yields, for
-/// no longer than `patience` at a time if the worker has only so much.
+/// On a program's own thread: wait at the buffer until `ready` yields, or
+/// the buffer closes or the Eject stops.
 pub(crate) fn await_buffer<R>(
     meet: &Shared,
     pctx: &ProcessContext,
@@ -611,20 +669,20 @@ pub(crate) fn await_buffer<R>(
         if let Some(found) = ready(&mut buffer) {
             return Ok(found);
         }
-        // eden-lint: nonblocking(spawn_process worker thread, not a pool worker)
+        // eden-lint: nonblocking(a program's own thread from spawn_process, not a pool worker)
         meet.changed.wait(&mut buffer);
     }
 }
 
 /// Put a chunk in the buffer, which is all a volatile stage does with it.
-/// A retained one (`kept`), whoever runs it, then `Write`s what the buffer
-/// holds if its output is active — a batch at a time at `base`, each
-/// forgotten only once acknowledged — and checkpoints: after each
-/// acknowledgement, so that a crash resumes from the last acknowledged
-/// position and the receiver's sequence arithmetic absorbs the one batch
-/// that may be re-sent; and before whoever gave the chunk hears of it or is
-/// asked for more. A passive output has nothing to push: it delivers by
-/// retaining, and its reader will come.
+/// A retained one (`kept`) then `Write`s what the buffer holds if its
+/// output is active — a batch at a time at `base`, each forgotten only once
+/// acknowledged — and checkpoints: after each acknowledgement, so that a
+/// crash resumes from the last acknowledged position and the receiver's
+/// sequence arithmetic absorbs the one batch that may be re-sent; and
+/// before whoever gave the chunk hears of it or is asked for more. A
+/// passive output has nothing to push: it delivers by retaining, and its
+/// reader will come.
 fn retain(
     host: &impl Host,
     input: &InFace,
@@ -642,7 +700,8 @@ fn retain(
             break;
         };
         let (n, out) = (items.len(), Emitter::of(items));
-        output.consume(host, Chunk { out, end }, Some(kept.base))?;
+        let delivered = output.consume(host, Chunk { out, end }, Some(kept.base), true);
+        delivered.expect("a wait comes back with the outcome")?;
         kept.forget(&mut buffer.queues[0], n);
         (kept.out_end, kept.dirty) = (end, true);
         kept.save(host, input, buffer)?;
@@ -650,98 +709,49 @@ fn retain(
     kept.save(host, input, buffer)
 }
 
-/// The one worker loop: take a chunk from the input face, or from the
-/// buffer if the coordinator runs that face; give it to the output face, or
-/// to the buffer if the coordinator runs that one. A retained stage's
-/// worker runs both faces and `held` all the stage keeps.
-fn work(
-    pctx: &ProcessContext,
-    input: &mut Option<InFace>,
-    output: &mut Option<OutFace>,
-    meet: &Shared,
-    depth: usize,
-    batch: usize,
-    held: &mut Option<(Box<Kept>, Buffer)>,
-) -> Result<()> {
-    loop {
-        if pctx.should_stop() {
-            return Err(EdenError::KernelShutdown);
-        }
-        let chunk = match input {
-            // What a failed delivery left in the buffer goes out before more
-            // comes in: the next pull's position would acknowledge records
-            // that only memory holds.
-            Some(_) if held.as_ref().is_some_and(|(_, b)| b.occupancy() > 0) => Chunk::default(),
-            Some(face) if output.is_some() => {
-                let mut kept = held.as_mut().map(|(kept, _)| &mut **kept);
-                let at = kept.as_ref().map(|kept| kept.consumed);
-                let chunk = face.produce(pctx, batch, kept.as_deref_mut())?;
-                if kept.is_some_and(|kept| Some(kept.consumed) == at && !face.flushed) {
-                    // A dry upstream buffer, and the stream still open: a
-                    // retained passive output parks nobody, so poll.
-                    recovery::pause();
-                }
-                chunk
-            }
-            Some(face) => {
-                // The window holds at least one batch: pre-pulling less
-                // would starve the whole batches a reader is served.
-                let room = await_buffer(meet, pctx, |buffer| {
-                    let target = depth.max(batch);
-                    target
-                        .checked_sub(buffer.occupancy())
-                        .filter(|room| *room > 0)
-                })?;
-                face.produce_or_end(pctx, batch.min(room))
-            }
-            None => await_buffer(meet, pctx, Buffer::take_write)?,
-        };
-        let mut end = chunk.end;
-        match (&mut *output, &mut *held) {
-            (Some(face), Some((kept, buffer))) => {
-                let input = input.as_ref().expect("a pump runs both faces");
-                retain(pctx, input, Some(face), buffer, Some(kept), chunk)?;
-                end = kept.out_end;
-            }
-            (Some(face), None) => face.consume(pctx, chunk, None)?,
-            (None, _) => meet.queue.lock().put(chunk)?,
-        }
-        if input.is_none() {
-            meet.queue.lock().delivering = false;
-        }
-        if input.is_none() || output.is_none() {
-            // The coordinator may now have a reader to answer or a writer to
-            // admit. Language-level IPC, metered apart from invocation.
-            pctx.post_internal(Value::Unit)?;
-        }
-        if end {
-            return Ok(());
-        }
-    }
+/// What a chunk of a step came to: it went through; nothing more can go
+/// until a reply that is out settles, a reader or a writer comes, or ever;
+/// or a retained stage made no progress, and pauses before it carries on.
+enum Flow {
+    Moved,
+    Stop,
+    Again,
+}
+
+/// Where a stage's process stands between two steps.
+#[derive(Debug, Default)]
+struct Process {
+    /// From activation, or from `Start` — whose reply waits for the stream
+    /// to be delivered whole — until the stream is through or has failed.
+    started: bool,
+    done: bool,
+    start: Option<ReplyHandle>,
+    /// The next step is on its way: posted, or to be posted by a reply.
+    next: bool,
+    /// Its starter's span, which its invocations go out under.
+    ambient: Option<eden_core::span::SpanContext>,
 }
 
 /// One stream stage: see the module docs.
 #[derive(Debug)]
 pub struct Stage {
     name: &'static str,
-    /// The faces; `None` once the worker runs one.
-    input: Option<InFace>,
-    output: Option<OutFace>,
+    input: InFace,
+    output: OutFace,
     /// Their modes (a local input counts as active).
     in_passive: bool,
     out_passive: bool,
-    /// The input face holds ports: demand reaches upstream.
-    pulls: bool,
     /// Records an active face moves per invocation.
     batch: usize,
     depth: usize,
     meet: Meet,
+    process: Process,
     /// Parked `Transfer`s (how many records, whose reply), per channel.
     readers: Vec<VecDeque<(usize, ReplyHandle)>>,
     /// Parked `Write`s: a passive input whose buffer is at capacity.
     writers: VecDeque<(WriteRequest, ReplyHandle)>,
     /// What a retained stage keeps beside all this ([`crate::recovery`]);
-    /// `None` on a volatile one, and once the worker runs both faces.
+    /// `None` on a volatile one.
     kept: Option<Box<Kept>>,
     /// Deactivates once its stream has been read to the end, or has ended
     /// into its local output — and, never having checkpointed, disappears
@@ -823,6 +833,11 @@ impl Stage {
             0 if program => crate::stdio::BUFFER,
             depth => depth,
         };
+        // Windowing needs a single destination.
+        let window = match &output {
+            Output::Active(wiring) if wiring.fan_out() > 1 => 1,
+            _ => config.window.max(1),
+        };
         let mut names = Vec::new();
         if out_passive {
             names.push(OUTPUT_NAME);
@@ -832,19 +847,19 @@ impl Stage {
             name,
             in_passive: matches!(input, Input::Passive | Input::Zipped(_)),
             out_passive,
-            pulls: matches!(input, Input::Active(_)),
-            input: Some(InFace {
+            input: InFace {
                 face: input,
                 transform,
-                cache: RouteCache::new(),
                 flushed: false,
-            }),
-            output: Some(OutFace {
+                pulling: Pull::default(),
+            },
+            output: OutFace {
                 face: output,
                 cache: RouteCache::new(),
-                window: config.window.max(1),
+                window,
                 in_flight: VecDeque::new(),
-            }),
+                ended: false,
+            },
             batch: config.batch.max(1),
             depth,
             readers: names.iter().map(|_| VecDeque::new()).collect(),
@@ -853,6 +868,7 @@ impl Stage {
                 table: ChannelTable::new(config.policy, names),
                 ..Buffer::default()
             }),
+            process: Process::default(),
             writers: VecDeque::new(),
             kept: None,
             disposable: false,
@@ -881,7 +897,7 @@ impl Stage {
         let output = kept.downstream.map_or(Output::Passive, Output::push);
         let config = StageConfig::batch(kept.batch);
         let mut stage = Stage::assemble(input, transform, output, config);
-        stage.input.as_mut().expect("just assembled").flushed = ended;
+        stage.input.flushed = ended;
         stage.meet = Meet::Own(Buffer {
             table: ChannelTable::single_output(),
             queues: vec![buf],
@@ -893,121 +909,222 @@ impl Stage {
         Ok(stage)
     }
 
-    /// Checkpoint a retained stage whose faces are here, if anything changed
-    /// since the last one.
+    /// Checkpoint a retained stage, if anything changed since the last one.
     fn save(&mut self, host: &impl Host) -> Result<()> {
-        let (Some(kept), Some(input)) = (&mut self.kept, &self.input) else {
+        let Some(kept) = &mut self.kept else {
             return Ok(());
         };
+        let input = &self.input;
         self.meet.with(|buffer| kept.save(host, input, buffer))
     }
 
-    /// An active face runs on the worker when there is a buffer to meet the
-    /// coordinator at, or no passive face whose handler could run it.
-    fn in_worker(&self) -> bool {
+    /// An active face runs in the stage's process when there is a buffer to
+    /// meet the handlers at, or no passive face whose handler could run it.
+    fn in_step(&self) -> bool {
         !self.in_passive && (self.depth > 0 || !self.out_passive)
     }
 
-    fn out_worker(&self) -> bool {
+    fn out_step(&self) -> bool {
         !self.out_passive && (self.depth > 0 || !self.in_passive)
     }
 
     /// A pump over a local supply waits to be told to `Start`; every other
-    /// worker starts with its stage — and so does a retained stage's, which
+    /// process starts with its stage — and so does a retained stage's, which
     /// has to start again with every reactivation, unasked.
     fn awaits_start(&self) -> bool {
-        !self.in_passive && !self.out_passive && !self.pulls && self.kept.is_none()
+        matches!(self.input.face, Input::Local(_)) && !self.out_passive && self.kept.is_none()
     }
 
-    /// Move the faces the worker runs into a worker process. `done` is the
-    /// deferred reply to `Start`, answered when the stream has been
-    /// delivered whole.
-    fn spawn_worker(&mut self, ctx: &EjectContext, done: Option<ReplyHandle>) {
-        let (in_worker, out_worker) = (self.in_worker(), self.out_worker());
-        let input = self.input.take_if(|_| in_worker);
-        let output = self.output.take_if(|_| out_worker);
-        let name = match (&input, &output) {
-            (None, None) => return,
-            (Some(_), Some(_)) => "pump",
-            (Some(_), None) => "read-ahead",
-            (None, Some(_)) => "push-drain",
+    /// Start the stage's process, if it has one: `start` is the deferred
+    /// reply to `Start`, answered when the stream has been delivered whole.
+    fn start(&mut self, host: &impl Host, start: Option<ReplyHandle>) {
+        let started = self.in_step() || self.out_step();
+        let ambient = eden_core::span::current();
+        self.process = Process {
+            started,
+            start,
+            ambient,
+            ..Process::default()
         };
-        // A retained stage has no depth, so its worker runs both faces and
-        // takes all the stage keeps with them: nothing is left to meet at.
-        let mut held = (self.kept.take()).map(|kept| (kept, self.meet.with(std::mem::take)));
-        let meet = self.meet.share();
-        let (depth, batch, disposable) = (self.depth, self.batch, self.disposable);
-        ctx.spawn_process(name, move |pctx| {
-            let result = match (input, output) {
-                // A program is the worker: what it writes goes into the
-                // buffer as a read-ahead worker's chunks do, what it reads
-                // comes out of it as a push-drain worker's writes do.
-                (
-                    Some(InFace {
-                        face: Input::Program(program),
-                        ..
-                    }),
-                    _,
-                ) => {
-                    // Room for whatever a reader may be waiting for whole.
-                    let room = depth.max(batch);
-                    program.run(TransputWriter::new(Arc::clone(&meet), pctx.clone(), room));
-                    Ok(())
+        self.kick(host);
+    }
+
+    /// Post the process a step, unless the next is on its way already or it
+    /// does not run.
+    fn kick(&mut self, host: &impl Host) {
+        let p = &mut self.process;
+        if p.started && !p.done && !std::mem::replace(&mut p.next, true) {
+            host.nudge();
+        }
+    }
+
+    /// One step of the process (module docs): chunks while every call
+    /// settles at once, up to `CHUNKS_A_STEP`, then the next step posted —
+    /// unless a reply is out, which posts it, or there is nothing to do.
+    fn step(&mut self, host: &impl Host) {
+        if !self.process.started || self.process.done {
+            return;
+        }
+        let _span = self
+            .process
+            .ambient
+            .map(|ctx| eden_core::span::enter(Some(ctx)));
+        let retained = self.kept.is_some();
+        for _ in 0..CHUNKS_A_STEP {
+            // Retries exhausted under heavy fault load: a retained stage
+            // carries on from the same positions rather than strand the
+            // stream (a write that may or may not have landed is re-sent with
+            // the same sequence; the receiver deduplicates).
+            match self
+                .advance(host)
+                .or_else(|e| if retained { Ok(Flow::Again) } else { Err(e) })
+            {
+                Ok(Flow::Moved) => {}
+                Ok(Flow::Stop) => {
+                    // A reply that is out posts the next step as it settles.
+                    let out =
+                        !self.input.pulling.out.is_empty() || !self.output.in_flight.is_empty();
+                    self.process.next = out;
+                    return;
                 }
-                (
-                    _,
-                    Some(OutFace {
-                        face: Output::Program(program),
-                        ..
-                    }),
-                ) => {
+                Ok(Flow::Again) => {
+                    recovery::pause();
+                    break;
+                }
+                Err(e) => return self.finish(host, Err(e)),
+            }
+        }
+        self.kick(host);
+    }
+
+    /// One chunk of a step: from the input face, or the buffer if the
+    /// handlers run that face; to the output face, or the buffer if the
+    /// handlers run that one. What the last chunk left out comes in first.
+    fn advance(&mut self, host: &impl Host) -> Result<Flow> {
+        let (from_face, to_face) = (self.in_step(), self.out_step());
+        if to_face {
+            match self.output.reap(host, false) {
+                None => return Ok(Flow::Stop),
+                Some(acknowledged) => acknowledged?,
+            }
+            // The write in hand is delivered: it no longer counts against the
+            // depth, and a parked writer may now be admitted.
+            if !from_face && self.meet.with(|b| std::mem::take(&mut b.delivering)) {
+                self.settle(host);
+            }
+            if self.output.ended || self.kept.as_ref().is_some_and(|kept| kept.out_end) {
+                self.finish(host, Ok(()));
+                return Ok(Flow::Stop);
+            }
+        }
+        let kept = self.kept.as_deref_mut();
+        let chunk = if !from_face {
+            match self.meet.with(Buffer::take_write) {
+                Some(chunk) => chunk,
+                None => return Ok(Flow::Stop),
+            }
+        } else if kept.is_some() && self.meet.with(|b| b.occupancy() > 0) {
+            // What a failed delivery left in the buffer goes out before more
+            // comes in: the next pull's position would acknowledge records
+            // that only memory holds.
+            Chunk::default()
+        } else if to_face {
+            let at = kept.as_ref().map(|kept| kept.consumed);
+            let Some(chunk) = self.input.produce(host, self.batch, kept, false) else {
+                return Ok(Flow::Stop);
+            };
+            let chunk = chunk?;
+            let consumed = self.kept.as_ref().map(|kept| kept.consumed);
+            if at.is_some() && consumed == at && !self.input.flushed {
+                // A dry upstream buffer, and the stream still open: a
+                // retained passive output parks nobody, so poll.
+                return Ok(Flow::Again);
+            }
+            chunk
+        } else {
+            if self.input.flushed {
+                self.finish(host, Ok(()));
+                return Ok(Flow::Stop);
+            }
+            // The window holds at least one batch: pre-pulling less would
+            // starve the whole batches a reader is served. (A pull that is
+            // out was asked for when there was room.)
+            let room = self
+                .depth
+                .max(self.batch)
+                .saturating_sub(self.meet.with(|b| b.occupancy()));
+            if room == 0 && self.input.pulling.out.is_empty() {
+                return Ok(Flow::Stop);
+            }
+            match self.input.produce_or_end(host, self.batch.min(room), false) {
+                Some(chunk) => chunk,
+                None => return Ok(Flow::Stop),
+            }
+        };
+        match (to_face, self.kept.as_deref_mut()) {
+            (true, Some(kept)) => {
+                let (input, output) = (&self.input, &mut self.output);
+                self.meet
+                    .with(|b| retain(host, input, Some(output), b, Some(kept), chunk))?;
+            }
+            (true, None) => match self.output.consume(host, chunk, None, false) {
+                None => return Ok(Flow::Stop),
+                Some(delivered) => delivered?,
+            },
+            (false, _) => {
+                self.meet.with(|b| b.put(chunk))?;
+                self.settle(host);
+            }
+        }
+        Ok(Flow::Moved)
+    }
+
+    /// The process is through: with the stream delivered whole, or failed.
+    /// Whoever is parked at the buffer must not wait for what will not come,
+    /// a local output hears of a failure, and `Start` is answered.
+    fn finish(&mut self, host: &impl Host, result: Result<()>) {
+        self.process.done = true;
+        self.input.pulling.out.clear();
+        self.output.in_flight.clear();
+        if let (Err(e), Output::Local(sink)) = (&result, &mut self.output.face) {
+            sink.fail(e.clone());
+        }
+        if result.is_err() || self.disposable {
+            self.meet.with(|b| b.closed = true);
+            self.settle(host);
+        }
+        if let Some(start) = self.process.start.take() {
+            start.reply(result.map(|()| Value::Unit));
+        }
+    }
+
+    /// A program is the stage's process, on a thread of its own: what it
+    /// writes goes into the buffer as a read-ahead step's chunks do, what it
+    /// reads comes out of it as a push-ahead step's writes do.
+    fn spawn_program(&mut self, ctx: &EjectContext) {
+        let meet = self.meet.share();
+        // Room for whatever a reader may be waiting for whole.
+        let room = self.depth.max(self.batch);
+        let input = std::mem::replace(&mut self.input.face, Input::Passive);
+        let output = std::mem::replace(&mut self.output.face, Output::Passive);
+        ctx.spawn_process("program", move |pctx| {
+            let delivered = match (input, output) {
+                (Input::Program(program), _) => {
+                    program.run(TransputWriter::new(Arc::clone(&meet), pctx.clone(), room));
+                    true
+                }
+                (_, Output::Program(program)) => {
                     program.run(TransputReader::new(Arc::clone(&meet), pctx.clone()));
                     // One that returns before the end of its stream leaves
                     // nobody to take the writes still to come.
                     let buffer = meet.queue.lock();
-                    match buffer.ended && buffer.writes.is_empty() {
-                        true => Ok(()),
-                        false => Err(EdenError::EndOfStream),
-                    }
+                    buffer.ended && buffer.writes.is_empty()
                 }
-                (mut input, mut output) => loop {
-                    match work(
-                        &pctx,
-                        &mut input,
-                        &mut output,
-                        &meet,
-                        depth,
-                        batch,
-                        &mut held,
-                    ) {
-                        // Retries exhausted under heavy fault load: pause
-                        // and carry on from the same positions rather than
-                        // strand the stream (a write that may or may not
-                        // have landed is re-sent with the same sequence; the
-                        // receiver deduplicates).
-                        Err(e) if held.is_some() && e != EdenError::KernelShutdown => {
-                            recovery::pause()
-                        }
-                        Err(e) if e != EdenError::KernelShutdown => {
-                            if let Some(OutFace { face: Output::Local(sink), .. }) = &mut output {
-                                sink.fail(e.clone());
-                            }
-                            break Err(e);
-                        }
-                        result => break result,
-                    }
-                },
+                _ => unreachable!("a program stage has a program face"),
             };
-            let failed = !matches!(result, Ok(()) | Err(EdenError::KernelShutdown));
-            if failed || disposable {
-                // The worker is giving up with its stage alive: whoever is
-                // parked at the buffer must not wait for what will not come
-                // (and a disposable stage is done).
+            if !delivered {
                 meet.queue.lock().closed = true;
                 let _ = pctx.post_internal(Value::Unit);
-            }
-            if let Some(done) = done {
-                done.reply(result.map(|()| Value::Unit));
             }
         });
     }
@@ -1043,25 +1160,27 @@ impl Stage {
     /// passed on and checkpointed, so that every crash window resolves to a
     /// re-send the sequence arithmetic deduplicates.
     fn admit(&mut self, host: &impl Host, mut w: WriteRequest, reply: ReplyHandle) {
-        let input = self.input.as_mut().expect("a passive face stays here");
+        let here = !self.out_passive && !self.out_step();
         let mut kept = self.kept.as_deref_mut();
         if let Some(Err(gap)) = kept.as_ref().map(|kept| kept.sequence(&mut w)) {
             return reply.reply(Err(gap));
         }
         // A re-sent end of stream is a no-op; a record beyond the closed
         // stream's end is a sender's bug.
-        if input.flushed && !w.items.is_empty() {
+        if self.input.flushed && !w.items.is_empty() {
             let refused = EdenError::Application("write after end of stream".into());
             return reply.reply(Err(refused));
         }
-        let chunk = input.accept(host, w, kept.as_deref_mut());
-        let output = self.output.as_mut().filter(|_| !self.out_passive);
+        let chunk = self.input.accept(host, w, kept.as_deref_mut());
         let end = chunk.end;
-        let result = match (output, kept) {
-            (Some(output), None) => output.consume(host, chunk, None),
-            (output, kept) => self
-                .meet
-                .with(|buffer| retain(host, input, output, buffer, kept, chunk)),
+        let (input, output) = (&self.input, &mut self.output);
+        let result = match (here, kept) {
+            (true, None) => output.consume(host, chunk, None, true).expect("waited"),
+            (here, kept) => {
+                let output = Some(output).filter(|_| here);
+                self.meet
+                    .with(|buffer| retain(host, input, output, buffer, kept, chunk))
+            }
         };
         let result = result.map(|()| Value::Unit);
         if end && self.disposable {
@@ -1092,7 +1211,7 @@ impl Stage {
             }
         }
         // Readers are served in the order they came: one that finds others
-        // parked waits behind them, even if the worker has just put enough.
+        // parked waits behind them, even if the process has just put enough.
         let first = self.readers[idx].is_empty();
         match first.then(|| self.read(idx, req.max)).flatten() {
             // Checkpoint before reply: the stable state must not claim less
@@ -1110,25 +1229,33 @@ impl Stage {
 
     /// Depth 0: run the input face here, now, until `want` primary records
     /// wait or the input ends. (A no-op when the input face is passive or
-    /// the worker runs it.) Only a retained stage's fails.
+    /// the process runs it.) Only a retained stage's fails.
     fn fill(&mut self, host: &impl Host, want: usize) -> Result<()> {
-        let Some(input) = self.input.as_mut().filter(|_| !self.in_passive) else {
+        if self.in_passive || self.in_step() {
             return Ok(());
-        };
+        }
         let mut have = self.meet.with(|buffer| buffer.occupancy());
-        while have < want && !input.flushed {
+        while have < want && !self.input.flushed {
             // A peer is asked for a batch; a local supply yields exactly
             // what is asked for.
-            let ask = if self.pulls { self.batch } else { want - have };
+            let ask = match self.input.face {
+                Input::Local(_) => want - have,
+                _ => self.batch,
+            };
             let mut kept = self.kept.as_deref_mut();
             let chunk = match kept.as_deref_mut() {
-                None => input.produce_or_end(host, ask),
+                None => self.input.produce_or_end(host, ask, true),
                 // A retained stage's reader gets the error, and asks again.
-                Some(kept) => input.produce(host, ask, Some(kept))?,
+                Some(kept) => self
+                    .input
+                    .produce(host, ask, Some(kept), true)
+                    .transpose()?,
             };
+            let chunk = chunk.expect("a wait comes back with the outcome");
             // And what it pulled is durable before the next pull's position
             // leaves, which tells the upstream to discard what only memory
             // would have otherwise.
+            let input = &self.input;
             have = self.meet.with(|buffer| {
                 retain(host, input, None, buffer, kept, chunk)?;
                 Ok::<_, EdenError>(buffer.occupancy())
@@ -1141,7 +1268,7 @@ impl Stage {
         // A prefetched primary reader is served whole batches (capped by
         // the stage's own): answering a 64-record ask with the 4 records
         // that happen to be buffered would turn one invocation into many.
-        let whole = idx == 0 && self.in_worker();
+        let whole = idx == 0 && self.in_step();
         // A retained output parks nobody — a parked reply would die with a
         // crash anyway: it answers an empty batch, and its reader polls.
         let keep = self.kept.is_some();
@@ -1154,7 +1281,7 @@ impl Stage {
     }
 
     /// Deactivate a disposable stage whose stream is done: read out to its
-    /// end, delivered by its worker, or ended into its output and closed.
+    /// end, delivered by its process, or ended into its output and closed.
     fn dispose(&mut self, ctx: &EjectContext) {
         let done = |b: &mut Buffer| b.closed || (b.ended && b.occupancy() == 0);
         if let (Some(_), Some(ended)) = (&self.closing, &self.ended) {
@@ -1166,7 +1293,7 @@ impl Stage {
     }
 
     /// Move parked writes into the buffer while space allows and answer
-    /// parked reads while data (or end) allows, then let the worker look.
+    /// parked reads while data (or end) allows, then let a program look.
     fn settle(&mut self, host: &impl Host) {
         let mut moved = true;
         while std::mem::take(&mut moved) {
@@ -1197,28 +1324,23 @@ impl EjectBehavior for Stage {
 
     // Whatever the depth, a coordinator path (`accept`, `admit`, `serve`,
     // `settle`) runs its active face first, then answers or parks the
-    // handle, and after that touches only its own buffer: a write admitted
-    // from `settle` goes into the buffer, never downstream. The one pair of
-    // faces that breaks this is a zipped input behind a passive output:
-    // answering a `Transfer` makes room, and admitting the parked write that
-    // takes it reads the secondary port. And a retained stage's calls are
-    // no calls but sends with a wait that retries them: it is never run on
-    // its caller's thread.
+    // handle, and after that touches only its own buffer and posts its
+    // process a step: a write admitted from `settle` goes into the buffer,
+    // never downstream. The one pair of faces that breaks this is a zipped
+    // input behind a passive output: answering a `Transfer` makes room, and
+    // admitting the parked write that takes it reads the secondary port. And
+    // a retained stage's calls are no calls but sends with a wait that
+    // retries them: it is never run on its caller's thread.
     fn replies_last(&self) -> bool {
-        let zipped = matches!(
-            self.input,
-            Some(InFace {
-                face: Input::Zipped(_),
-                ..
-            })
-        );
+        let zipped = matches!(self.input.face, Input::Zipped(_));
         !(zipped && self.out_passive) && self.kept.is_none()
     }
 
     fn redo(&mut self, entry: Value) -> Result<()> {
-        let (Some(kept), Some(input)) = (&mut self.kept, &mut self.input) else {
+        let Some(kept) = &mut self.kept else {
             return Err(EdenError::Application("a volatile stage keeps no journal".into()));
         };
+        let input = &mut self.input;
         self.meet.with(|buffer| {
             buffer.ended = kept.redo(&entry, &mut buffer.queues[0])?;
             input.flushed = buffer.ended;
@@ -1237,8 +1359,12 @@ impl EjectBehavior for Stage {
             kept.dirty |= kept.stored.is_none();
             let _ = self.save(ctx);
         }
-        if !self.awaits_start() {
-            self.spawn_worker(ctx, None);
+        if matches!(self.input.face, Input::Program(_))
+            || matches!(self.output.face, Output::Program(_))
+        {
+            self.spawn_program(ctx);
+        } else if !self.awaits_start() {
+            self.start(ctx, None);
         }
     }
 
@@ -1255,7 +1381,11 @@ impl EjectBehavior for Stage {
                 Ok(req) => self.serve(ctx, req, reply),
                 Err(e) => reply.reply(Err(e)),
             },
-            // An acceptor closes once its stream has ended into its output.
+            // An acceptor closes once its stream has ended into its output,
+            // and says so to the one `Close` it parked.
+            ops::CLOSE if self.disposable && self.in_passive && self.closing.is_some() => {
+                reply.reply(Err(EdenError::Application("already closing".into())));
+            }
             ops::CLOSE if self.disposable && self.in_passive => {
                 reply.mark_deferred();
                 self.closing = Some(reply);
@@ -1280,13 +1410,12 @@ impl EjectBehavior for Stage {
                 });
                 reply.reply(Ok(all.to_value()));
             }
-            // The worker has had the faces since the first `Start`.
-            START if self.awaits_start() && self.input.is_none() => {
+            START if self.awaits_start() && self.process.started => {
                 reply.reply(Err(EdenError::Application("already started".into())));
             }
             START if self.awaits_start() => {
                 reply.mark_deferred();
-                self.spawn_worker(ctx, Some(reply));
+                self.start(ctx, Some(reply));
             }
             // Primary records waiting to be read (diagnostics).
             "Occupancy" if self.out_passive => {
@@ -1298,14 +1427,19 @@ impl EjectBehavior for Stage {
                 op: inv.op,
             })),
         }
+        // A reader may have made room, or a writer brought a chunk.
+        self.kick(ctx);
         if self.disposable {
             self.dispose(ctx);
         }
     }
 
     fn internal(&mut self, ctx: &EjectContext, _event: Value) {
-        // The worker has put or taken something, or is done.
+        // A step was posted, a reply the process waits for is in, or a
+        // program has put or taken something, or is done.
+        self.process.next = false;
         self.settle(ctx);
+        self.step(ctx);
         if self.disposable {
             self.dispose(ctx);
         }
@@ -2306,7 +2440,39 @@ mod tests {
     }
 
     impl Host for Fake {
-        fn call(&self, _: &mut RouteCache, _: Uid, op: &'static str, arg: Value) -> Result<Value> {
+        fn call(
+            &self,
+            _: &mut RouteCache,
+            retained: bool,
+            _: Uid,
+            op: &'static str,
+            arg: Value,
+        ) -> PendingReply {
+            assert!(retained, "a retained face's calls retry");
+            PendingReply::ready(self.answer(op, arg))
+        }
+
+        fn poll(&self, pending: &mut PendingReply, _: bool) -> Option<Result<Value>> {
+            Some(std::mem::replace(pending, PendingReply::ready(Err(EdenError::Timeout))).wait())
+        }
+
+        fn nudge(&self) {}
+
+        fn checkpoint(&self, state: &Value) -> Result<()> {
+            self.stored.borrow_mut().clear();
+            self.store(Form::Whole, state)
+        }
+
+        fn journal(&self, entry: &Value) -> Result<()> {
+            if self.stored.borrow().is_empty() {
+                return Err(EdenError::Application("nothing to journal beside".into()));
+            }
+            self.store(Form::Entry, entry)
+        }
+    }
+
+    impl Fake {
+        fn answer(&self, op: &'static str, arg: Value) -> Result<Value> {
             if op == ops::TRANSFER {
                 let req = TransferRequest::from_value(&arg)?;
                 let pos = req.pos.expect("stages pull positionally");
@@ -2331,35 +2497,6 @@ mod tests {
             Ok(Value::Unit)
         }
 
-        fn send(
-            &self,
-            to: Uid,
-            op: &'static str,
-            arg: Value,
-            how: InvokeOptions<'_>,
-        ) -> PendingReply {
-            assert!(how.retry.max_retries > 0, "a retained face's calls retry");
-            PendingReply::ready(self.call(&mut RouteCache::new(), to, op, arg))
-        }
-
-        fn wait(&self, pending: PendingReply) -> Result<Value> {
-            pending.wait()
-        }
-
-        fn checkpoint(&self, state: &Value) -> Result<()> {
-            self.stored.borrow_mut().clear();
-            self.store(Form::Whole, state)
-        }
-
-        fn journal(&self, entry: &Value) -> Result<()> {
-            if self.stored.borrow().is_empty() {
-                return Err(EdenError::Application("nothing to journal beside".into()));
-            }
-            self.store(Form::Entry, entry)
-        }
-    }
-
-    impl Fake {
         fn store(&self, form: Form, state: &Value) -> Result<()> {
             let uint = |name| Ok::<_, EdenError>(state.field(name)?.as_int()? as u64);
             let (consumed, base) = (uint("consumed")?, uint("base")?);
@@ -2487,7 +2624,7 @@ mod tests {
 
     /// The checkpoint `s` would write now, were it to write one whole.
     fn record(s: &mut Stage) -> Value {
-        let (kept, input) = (s.kept.as_ref().unwrap(), s.input.as_ref().unwrap());
+        let (kept, input) = (s.kept.as_ref().unwrap(), &s.input);
         let state = input.transform.as_ref().and_then(|t| t.state());
         s.meet.with(|b| kept.record(state, b))
     }
@@ -2533,7 +2670,7 @@ mod tests {
             assert_eq!(record(&mut host.reactivated()), record(&mut s), "{case}");
 
             host.write(&mut s, write(5, 5..6, true)).unwrap();
-            assert!(s.input.as_ref().unwrap().flushed, "{case}");
+            assert!(s.input.flushed, "{case}");
             let closed = (record(&mut s), host.checkpoints(), host.pushes());
 
             // After the end: a record beyond the accepted position is
@@ -2702,15 +2839,9 @@ mod tests {
         );
     }
 
-    /// One step of a pump's worker, as `work` takes it.
+    /// One chunk of a pump's process, as a step takes it.
     fn pump(s: &mut Stage, host: &Fake) {
-        let (input, output) = (s.input.as_mut().unwrap(), s.output.as_mut());
-        let kept = s.kept.as_deref_mut().unwrap();
-        let chunk = input.produce(host, kept.batch, Some(kept)).unwrap();
-        let input = &*input;
-        s.meet
-            .with(|b| retain(host, input, output, b, Some(kept), chunk))
-            .unwrap();
+        assert!(matches!(s.advance(host), Ok(Flow::Moved)));
     }
 
     /// Birth, as `activate` does it.
@@ -2766,7 +2897,7 @@ mod tests {
                 // so far, not from zero.
                 let seen: i64 = (0..revived.consumed as i64).sum();
                 let next = if transform == "sum" { seen + 100 } else { 200 };
-                let input = back.input.as_mut().unwrap();
+                let input = &mut back.input;
                 let mut more = input.absorb(vec![Value::Int(100)], false, Some(revived));
                 assert_eq!(more.out.take_primary(), [Value::Int(next)], "{case}");
             }
@@ -2968,6 +3099,30 @@ mod tests {
         let full = Err(EdenError::Application("disk full".into()));
         assert_eq!(write(refusing, WriteRequest::last(Vec::new())), full);
         assert_eq!(closed.wait(), full);
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn a_second_close_on_an_acceptor_is_refused_and_the_first_still_answers() {
+        let kernel = Kernel::new();
+        let collector = Collector::new();
+        let writer = kernel
+            .spawn(Box::new(Stage::writer(None, collector.clone())))
+            .unwrap();
+        let first = kernel.invoke(writer, ops::CLOSE, Value::Unit);
+        let second = kernel.invoke(writer, ops::CLOSE, Value::Unit).wait();
+        assert_eq!(
+            second,
+            Err(EdenError::Application("already closing".into()))
+        );
+        let end = WriteRequest::last(vec![Value::Int(1)]).to_value();
+        kernel.invoke(writer, ops::WRITE, end).wait().unwrap();
+        // Not `EjectCrashed`: the acceptor is alive and ends normally.
+        assert_eq!(first.wait(), Ok(Value::Unit));
+        assert_eq!(
+            collector.wait_done(Duration::from_secs(10)).unwrap(),
+            [Value::Int(1)]
+        );
         kernel.shutdown();
     }
 

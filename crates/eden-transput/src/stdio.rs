@@ -11,9 +11,10 @@
 //!
 //! [`program_source`] is exactly that, and it is a [`Stage`] like any other
 //! source: the user supplies an ordinary imperative program which calls
-//! [`TransputWriter::write`], and which runs as the stage's worker process
-//! — a write is what a read-ahead worker does with a chunk: wait for room
-//! at the buffer, put it there, wake the coordinator. The coordinator
+//! [`TransputWriter::write`], and which runs as the stage's process, on a
+//! thread of its own — a write is what a read-ahead step does with a chunk,
+//! with a wait for room at the buffer before it: put it there, wake the
+//! coordinator. The coordinator
 //! serves `Transfer` invocations from the buffer, as it does for every
 //! passive output. The program never sends an invocation — yet the Eject is
 //! a well-behaved read-only source.
@@ -22,7 +23,7 @@
 //! *Read* routine could be implemented by extracting data from an internal
 //! buffer; another process would respond to incoming *Write* invocations
 //! and use the data thus obtained to fill the same buffer." A read is what a
-//! push-drain worker does: take the oldest undelivered write.
+//! push-ahead step does: take the oldest undelivered write.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -40,7 +41,7 @@ use crate::transform::Emitter;
 pub(crate) const BUFFER: usize = 256;
 
 /// An imperative program, to be handed its conventional interface `T` and
-/// run as a stage's worker process.
+/// run as a stage's process, on a thread of its own.
 pub struct Program<T>(Box<dyn FnOnce(T) + Send>);
 
 impl<T> Program<T> {

@@ -481,33 +481,31 @@ fn depth_4_pipeline_calls(kernel: &Kernel, discipline: Discipline) -> Option<Pip
 const RECORDS: u64 = 200;
 
 /// The paper's lazy pipeline is a chain of calls, and it runs as one from its
-/// first record: the sink's pump calls the last stage, every stage's
+/// first record: the sink's step calls the last stage, every stage's
 /// `Transfer` calls its upstream, fresh as it is, and the source answers at
 /// the bottom of the stack — n+1 = 5 invocations a record and every one of
-/// them a call on the pump's own thread. Nothing is queued for a worker,
-/// and no rendezvous of the data phase asks the pool for a spare: the source
-/// sees one live worker each time it is pulled.
-/// (Teardown has one real rendezvous, the join of the sink's pump process,
-/// and gets one spare for it.)
+/// them a call on the worker that runs the sink's step. Nothing is queued
+/// for a worker, and no rendezvous of the data phase asks the pool for a
+/// spare: the source sees one live worker each time it is pulled. Nor does
+/// teardown: the sink's process is steps, with no thread to join, so the
+/// pool is still one worker after it.
 #[test]
 fn lazy_pipeline_on_one_worker_runs_as_calls_without_spares_or_steals() {
     let kernel = one_worker_kernel();
     until_undisturbed("lazy depth-4 pipeline", || {
-        // (A sink whose pump starts ahead of a stage's `activate` finds that
+        // (A sink whose step starts ahead of a stage's `activate` finds that
         // stage still queued, not parked; such a run is repeated like a
         // disturbed one.)
         depth_4_pipeline_calls(&kernel, Discipline::ReadOnly { read_ahead: 0 }).is_some_and(|ran| {
-            ran.inline_handoffs == 5 * RECORDS
-                && ran.workers_seen == 1
-                && ran.workers_after <= 2
+            ran.inline_handoffs == 5 * RECORDS && ran.workers_seen == 1 && ran.workers_after == 1
         })
     });
     kernel.shutdown();
 }
 
-/// Its dual: the source's pump calls the first filter, every filter's `Write`
-/// calls its downstream, and the acceptor answers at the bottom — the same
-/// n+1 calls a record, on the source pump's thread.
+/// Its dual: the source's step calls the first filter, every filter's
+/// `Write` calls its downstream, and the acceptor answers at the bottom —
+/// the same n+1 calls a record, on the worker that runs the source's step.
 #[test]
 fn pushing_pipeline_on_one_worker_runs_as_calls_from_the_source_pump() {
     let kernel = one_worker_kernel();
@@ -520,15 +518,22 @@ fn pushing_pipeline_on_one_worker_runs_as_calls_from_the_source_pump() {
 }
 
 /// The conventional pipeline's pumps call passive buffers. A buffer that is
-/// parked runs on the pump's thread; one that cannot answer yet defers, and
-/// that pump waits the ordinary way. How many of each is the host's
-/// business; that the output is right and that some ran as calls is not.
+/// parked runs on the caller's stack; one that cannot answer yet defers, and
+/// that pump's step ends, to be posted its next when the reply settles. How
+/// many of each is the host's business; that the output is right and that
+/// some ran as calls is not, and neither is that a waiting pump takes no
+/// thread: the data phase sees one worker.
 #[test]
 fn conventional_pipeline_on_one_worker_calls_its_buffers_and_steals_nothing() {
     let kernel = one_worker_kernel();
     until_undisturbed("conventional depth-4 pipeline", || {
-        depth_4_pipeline_calls(&kernel, Discipline::Conventional { buffer_capacity: 64 })
-            .is_some_and(|ran| ran.inline_handoffs > 0)
+        depth_4_pipeline_calls(
+            &kernel,
+            Discipline::Conventional {
+                buffer_capacity: 64,
+            },
+        )
+        .is_some_and(|ran| ran.inline_handoffs > 0 && ran.workers_seen == 1)
     });
     kernel.shutdown();
 }
@@ -1176,80 +1181,6 @@ fn call_chain_from_a_user_thread_is_capped_like_a_workers() {
         handoffs >= 16
     });
     kernel.shutdown();
-}
-
-/// On its first invocation, starts a process that waits to be told to go and
-/// then calls its own Eject with `Deactivate`.
-struct SelfStopper {
-    go: Option<std::sync::mpsc::Receiver<()>>,
-    done: std::sync::mpsc::Sender<Result<Value, eden_core::EdenError>>,
-}
-
-impl EjectBehavior for SelfStopper {
-    fn type_name(&self) -> &'static str {
-        "SelfStopper"
-    }
-
-    fn replies_last(&self) -> bool {
-        true
-    }
-
-    fn handle(&mut self, ctx: &EjectContext, _inv: Invocation, reply: ReplyHandle) {
-        if let Some(go) = self.go.take() {
-            let done = self.done.clone();
-            ctx.spawn_process("self-stopper", move |pctx| {
-                let _ = go.recv();
-                let _ = done.send(pctx.call(pctx.eject(), ops::DEACTIVATE, Value::Unit));
-            });
-        }
-        reply.reply(Ok(Value::Unit));
-    }
-}
-
-/// A process that calls its own Eject runs it on its own thread, and if the
-/// call is the Eject's last — `Deactivate` — reaps it there too. Reaping
-/// joins the Eject's processes: all but the one doing the reaping, which
-/// would otherwise die joining itself and leave a half-reaped task for
-/// `shutdown` to wait on for ever.
-#[test]
-fn process_that_deactivates_its_own_eject_by_a_call_does_not_join_itself() {
-    use std::sync::mpsc;
-    let patience = Duration::from_secs(10);
-    // Never dropped: dropping the last handle shuts the kernel down, and a
-    // shutdown that hangs is the failure this test exists to report.
-    let kernel = std::mem::ManuallyDrop::new(one_worker_kernel());
-    until_undisturbed("self-stopping process", || {
-        let before = inline_handoffs(&kernel);
-        let (go, told_to_go) = mpsc::channel();
-        let (done, came_back) = mpsc::channel();
-        let stopper = kernel
-            .spawn(Box::new(SelfStopper {
-                go: Some(told_to_go),
-                done,
-            }))
-            .expect("spawn stopper");
-        assert_eq!(kernel.invoke(stopper, "Arm", Value::Unit).wait(), Ok(Value::Unit));
-        all_parked(&kernel);
-        go.send(()).expect("process is listening");
-        assert_eq!(
-            came_back.recv_timeout(patience),
-            Ok(Ok(Value::Unit)),
-            "the process did not come back from its call",
-        );
-        // Never checkpointed, so deactivation removes it.
-        assert!(
-            kernel.await_gone(&[stopper], patience),
-            "the Eject was never reaped"
-        );
-        inline_handoffs(&kernel) - before == 1
-    });
-    let (stopped, has_stopped) = mpsc::channel();
-    let stopping = Kernel::clone(&kernel);
-    std::thread::spawn(move || {
-        stopping.shutdown();
-        let _ = stopped.send(());
-    });
-    has_stopped.recv_timeout(patience).expect("shutdown hung on a half-reaped Eject");
 }
 
 /// Sleeps through `Nap` before answering.
