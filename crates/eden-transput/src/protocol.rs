@@ -11,11 +11,13 @@
 //! Streams carry [`Value`] records, not just bytes (§6: "Streams of
 //! arbitrary records fit into the protocol just as well").
 //!
-//! A field name is a static ([`Text::from_static`]): spelling it allocates
-//! nothing, and each encoder hands [`Value::record`] one array per shape,
-//! which becomes the record, fields and counts, in one allocation. Decoding
-//! a reply or argument nobody else holds allocates nothing: the items list
-//! moves out of its record.
+//! A message says only what is not a default: on the primary channel, with
+//! no position and more to come, a `Transfer` is its `max` (an `Int`, no
+//! allocation) and a `Batch` or `Write` its items list (one allocation).
+//! Any other message is a record, its field names statics
+//! ([`Text::from_static`]), built by [`Value::record`] in one allocation.
+//! Every decoder takes both forms. Decoding a reply or argument nobody else
+//! holds allocates nothing: the items list moves out.
 
 use eden_core::value::Text;
 use eden_core::{EdenError, Result, Uid, Value};
@@ -129,9 +131,12 @@ impl Batch {
         self.items.is_empty()
     }
 
-    /// Encode as a reply value. The items move behind one shared
-    /// allocation; no record is copied.
+    /// Encode as a reply value: its items list alone while more is to come,
+    /// else a record. The items move behind one shared allocation.
     pub fn to_value(self) -> Value {
+        if !self.end {
+            return Value::list(self.items);
+        }
         Value::record([
             (Text::from_static("items"), Value::list(self.items)),
             (Text::from_static("end"), Value::Bool(self.end)),
@@ -142,6 +147,9 @@ impl Batch {
     /// the only reference (the common case) the items are moved out, not
     /// copied.
     pub fn from_value(v: Value) -> Result<Batch> {
+        if let Value::List(items) = v {
+            return Ok(Batch::more(items.into_vec()));
+        }
         let end = v.field("end")?.as_bool()?;
         let items = match v.take_field("items") {
             Ok(Value::List(items)) => items.into_vec(),
@@ -185,10 +193,15 @@ impl TransferRequest {
         self
     }
 
-    /// Encode as an invocation argument.
+    /// Encode as an invocation argument: `max` alone on the primary channel
+    /// from wherever the reader left off, otherwise a record.
     pub fn to_value(self) -> Value {
+        let max = Value::Int(self.max as i64);
+        if self.channel == ChannelId::output() && self.pos.is_none() {
+            return max;
+        }
         let channel = (Text::from_static("channel"), Value::from(self.channel));
-        let max = (Text::from_static("max"), Value::Int(self.max as i64));
+        let max = (Text::from_static("max"), max);
         match self.pos {
             Some(pos) => {
                 let pos = (Text::from_static("pos"), Value::Int(pos as i64));
@@ -200,8 +213,10 @@ impl TransferRequest {
 
     /// Decode from an invocation argument.
     pub fn from_value(v: &Value) -> Result<TransferRequest> {
-        let channel = ChannelId::try_from(v.field("channel")?)?;
-        let max = v.field("max")?.as_int()?;
+        let (channel, max) = match v {
+            Value::Int(max) => (ChannelId::output(), *max),
+            v => (v.field("channel")?.try_into()?, v.field("max")?.as_int()?),
+        };
         if max <= 0 {
             return Err(EdenError::BadParameter(format!(
                 "Transfer max must be positive, got {max}"
@@ -265,8 +280,9 @@ impl WriteRequest {
         self
     }
 
-    /// Encode as an invocation argument. The items move behind one shared
-    /// allocation; no record is copied.
+    /// Encode as an invocation argument: the items list alone for a primary
+    /// write with more to come and no `seq`, otherwise a record. The items
+    /// move behind one shared allocation; no record is copied.
     pub fn to_value(self) -> Value {
         WriteRequest::value_shared_at(self.channel, Value::list(self.items), self.end, self.seq)
     }
@@ -275,7 +291,7 @@ impl WriteRequest {
     /// (`items` must be a `Value::List`), its first item at stream position
     /// `seq` if one is given. This is the fan-out path: one batch allocation
     /// is built once and every consumer's argument holds a reference bump of
-    /// it, not a copy.
+    /// it, not a copy; with a default header the argument is `items` itself.
     pub(crate) fn value_shared_at(
         channel: ChannelId,
         items: Value,
@@ -283,6 +299,9 @@ impl WriteRequest {
         seq: Option<u64>,
     ) -> Value {
         debug_assert!(matches!(items, Value::List(_)));
+        if channel == ChannelId::output() && !end && seq.is_none() {
+            return items;
+        }
         let channel = (Text::from_static("channel"), Value::from(channel));
         let items = (Text::from_static("items"), items);
         let end = (Text::from_static("end"), Value::Bool(end));
@@ -299,6 +318,9 @@ impl WriteRequest {
     /// items are moved out when unaliased, spine-copied (reference bumps,
     /// no payload bytes) when the batch is shared with other consumers.
     pub fn from_value(v: Value) -> Result<WriteRequest> {
+        if let Value::List(items) = v {
+            return Ok(WriteRequest::more(items.into_vec()));
+        }
         let channel = ChannelId::try_from(v.field("channel")?)?;
         let end = v.field("end")?.as_bool()?;
         let seq = v
@@ -353,6 +375,7 @@ impl GetChannelRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn channel_id_roundtrip() {
@@ -397,15 +420,96 @@ mod tests {
         assert_eq!(TransferRequest::from_value(&r.to_value()).unwrap(), r);
     }
 
+    /// True when decoding `result` was refused as a bad parameter.
+    fn refused<T>(result: Result<T>) -> bool {
+        matches!(result, Err(EdenError::BadParameter(_)))
+    }
+
     #[test]
     fn transfer_request_rejects_nonpositive_max() {
-        let bad = TransferRequest::primary(1).to_value();
-        let mut fields = match bad {
-            Value::Record(f) => f,
-            _ => unreachable!(),
-        };
-        fields.to_mut()[1].1 = Value::Int(0);
-        assert!(TransferRequest::from_value(&Value::Record(fields)).is_err());
+        let record = Value::record([("channel", Value::Int(0)), ("max", Value::Int(0))]);
+        for bad in [Value::Int(0), Value::Int(-1), record] {
+            assert!(refused(TransferRequest::from_value(&bad)), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn a_message_of_the_wrong_shape_is_refused() {
+        let text = Value::str("8");
+        assert!(refused(TransferRequest::from_value(&text)));
+        assert!(refused(Batch::from_value(text.clone())));
+        assert!(refused(WriteRequest::from_value(text)));
+        assert!(refused(Batch::from_value(Value::Int(3))));
+        assert!(refused(WriteRequest::from_value(Value::Int(3))));
+        assert!(refused(TransferRequest::from_value(&Value::Bool(true))));
+        // A record whose `items` is missing or not a list.
+        let (end, channel) = (("end", Value::Bool(false)), ("channel", Value::Int(0)));
+        for items in [None, Some(("items", Value::Int(1)))] {
+            let batch = Value::record([end.clone()].into_iter().chain(items.clone()));
+            assert!(refused(Batch::from_value(batch)));
+            let write = Value::record([channel.clone(), end.clone()].into_iter().chain(items));
+            assert!(refused(WriteRequest::from_value(write)));
+        }
+    }
+
+    /// Every message spelled as a record, as a sender that predates the
+    /// short forms spells it.
+    fn transfer_record(t: TransferRequest) -> Value {
+        let mut fields = vec![
+            ("channel", Value::from(t.channel)),
+            ("max", Value::Int(t.max as i64)),
+        ];
+        fields.extend(t.pos.map(|pos| ("pos", Value::Int(pos as i64))));
+        Value::record(fields)
+    }
+
+    fn write_record(w: WriteRequest) -> Value {
+        let mut fields = vec![
+            ("channel", Value::from(w.channel)),
+            ("items", Value::list(w.items)),
+            ("end", Value::Bool(w.end)),
+        ];
+        fields.extend(w.seq.map(|seq| ("seq", Value::Int(seq as i64))));
+        Value::record(fields)
+    }
+
+    fn batch_record(b: Batch) -> Value {
+        Value::record([("items", Value::list(b.items)), ("end", Value::Bool(b.end))])
+    }
+
+    proptest::proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn a_message_is_short_exactly_when_its_header_is_default(
+            pick in 0usize..3,
+            max in prop_oneof![1usize..100, 100usize..=i64::MAX as usize],
+            at in prop_oneof![Just(None), (0u64..=i64::MAX as u64).prop_map(Some)],
+            end in any::<bool>(),
+            ints in proptest::collection::vec(any::<i64>(), 0..4),
+        ) {
+            let channel = [ChannelId::output(), ChannelId::report(), ChannelId::Cap(Uid::fresh())];
+            let (channel, primary) = (channel[pick], pick == 0);
+            let items: Vec<Value> = ints.into_iter().map(Value::Int).collect();
+
+            let t = TransferRequest { channel, max, pos: at };
+            let v = t.to_value();
+            prop_assert_eq!(matches!(v, Value::Int(_)), primary && at.is_none(), "{:?}", v);
+            prop_assert_eq!(TransferRequest::from_value(&v).unwrap(), t);
+            prop_assert_eq!(TransferRequest::from_value(&transfer_record(t)).unwrap(), t);
+
+            let w = WriteRequest { channel, items: items.clone(), end, seq: at };
+            let v = w.clone().to_value();
+            let short = primary && !end && at.is_none();
+            prop_assert_eq!(matches!(v, Value::List(_)), short, "{:?}", v);
+            prop_assert_eq!(&WriteRequest::from_value(v).unwrap(), &w);
+            prop_assert_eq!(&WriteRequest::from_value(write_record(w.clone())).unwrap(), &w);
+
+            let b = Batch { items, end };
+            let v = b.clone().to_value();
+            prop_assert_eq!(matches!(v, Value::List(_)), !end, "{:?}", v);
+            prop_assert_eq!(&Batch::from_value(v).unwrap(), &b);
+            prop_assert_eq!(&Batch::from_value(batch_record(b.clone())).unwrap(), &b);
+        }
     }
 
     /// `request` encoded, with its field `name` set to `value`.

@@ -91,10 +91,11 @@ use crate::transform::Transform;
 /// The operation a [`run_recoverable_pipeline`] driver uses to read the
 /// terminal acceptor — a retained (passive, passive) stage it lets forget
 /// nothing: replies with a [`Batch`] of everything accepted from its
-/// [`TransferRequest`]'s `pos` on (absent: from the start), `end` set once
-/// the stream has closed. Keeping the output *inside* the acceptor's stable
-/// state (rather than pushing it to an external collector) lets the terminal
-/// stage recover exactly: records and acknowledging position are one state.
+/// [`TransferRequest`]'s `pos` on (no `pos`, or a `Unit` argument: from the
+/// start; any other argument is refused), `end` set once the stream has
+/// closed. Keeping the output *inside* the acceptor's stable state (rather
+/// than pushing it to an external collector) lets the terminal stage
+/// recover exactly: records and acknowledging position are one state.
 pub const READ_ALL: &str = "ReadAll";
 
 /// The one Eden type every retained stage is registered under.

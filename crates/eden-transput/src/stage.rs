@@ -1402,13 +1402,19 @@ impl EjectBehavior for Stage {
             // All a retained output holds from the request's position on, and
             // none of it forgotten: how a recoverable pipeline's acceptor is read.
             READ_ALL if self.out_passive && self.kept.is_some() => {
-                let pos = TransferRequest::from_value(&inv.arg).map_or(0, |req| req.pos.unwrap_or(0));
-                let skip = pos.saturating_sub(self.kept.as_ref().map_or(0, |kept| kept.base)) as usize;
-                let all = self.meet.with(|buffer| Batch {
-                    items: buffer.queues[0].iter().skip(skip).cloned().collect(),
-                    end: buffer.ended,
-                });
-                reply.reply(Ok(all.to_value()));
+                let pos = match &inv.arg {
+                    Value::Unit => Ok(0),
+                    arg => TransferRequest::from_value(arg).map(|req| req.pos.unwrap_or(0)),
+                };
+                let base = self.kept.as_ref().map_or(0, |kept| kept.base);
+                reply.reply(pos.map(|pos| {
+                    let skip = pos.saturating_sub(base) as usize;
+                    let all = self.meet.with(|buffer| Batch {
+                        items: buffer.queues[0].iter().skip(skip).cloned().collect(),
+                        end: buffer.ended,
+                    });
+                    all.to_value()
+                }));
             }
             START if self.awaits_start() && self.process.started => {
                 reply.reply(Err(EdenError::Application("already started".into())));
@@ -3025,6 +3031,31 @@ mod tests {
         assert_eq!((after.checkpoints, after.journal_entries), (1, 1));
         let all = kernel.invoke(acceptor, READ_ALL, Value::Unit).wait();
         assert_eq!(Batch::from_value(all.unwrap()).unwrap().items, ints(0..110));
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn read_all_reads_from_its_position_and_refuses_a_malformed_one() {
+        let kernel = Kernel::new();
+        recovery::install_recovery(&kernel, &registry());
+        let acceptor = kernel.spawn(Box::new(retained("", false, false))).unwrap();
+        let w = write(0, 0..10, false).to_value();
+        kernel.invoke(acceptor, ops::WRITE, w).wait().unwrap();
+        let read_all = |arg| kernel.invoke(acceptor, READ_ALL, arg).wait();
+        let items = |arg| Batch::from_value(read_all(arg).unwrap()).unwrap().items;
+        assert_eq!(items(Value::Unit), ints(0..10));
+        assert_eq!(items(TransferRequest::primary(4).to_value()), ints(0..10));
+        let from_seven = TransferRequest::primary(4).at(7).to_value();
+        assert_eq!(items(from_seven), ints(7..10));
+        let negative = Value::record([
+            ("channel", Value::Int(0)),
+            ("max", Value::Int(4)),
+            ("pos", Value::Int(-1)),
+        ]);
+        for bad in [negative, Value::str("from the start"), Value::Int(0)] {
+            let refused = matches!(read_all(bad.clone()), Err(EdenError::BadParameter(_)));
+            assert!(refused, "{bad:?}");
+        }
         kernel.shutdown();
     }
 

@@ -1,8 +1,10 @@
-//! What the stream protocol's codec allocates, pinned: a `Transfer`
-//! argument is one allocation (its record), a `Batch` reply and a `Write`
-//! argument two each (the items list's header and the record), and decoding
-//! a reply or argument nobody else holds allocates nothing — the items move
-//! out of the record that carried them.
+//! What the stream protocol's codec allocates, pinned for both of its forms.
+//! A message whose header holds the defaults (primary channel, no position,
+//! more to come) is its payload alone: a `Transfer` is its `max`, no
+//! allocation, and a `Batch` or `Write` its items list, one. Any other
+//! message adds its record: one allocation a `Transfer`, two a `Batch` or
+//! `Write`. Decoding a reply or argument nobody else holds allocates nothing
+//! in either form — the items move out of whatever carried them.
 //!
 //! A `#[global_allocator]` is per binary, hence a test file of its own, and
 //! one test in it, so nothing else in the binary allocates beside a count.
@@ -47,41 +49,47 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
 }
 
 #[test]
-fn the_codec_allocates_its_records_and_decodes_for_free() {
-    for request in [
-        TransferRequest::primary(1),
-        TransferRequest::primary(64).at(1_000),
-        TransferRequest {
-            channel: ChannelId::report(),
-            max: 8,
-            pos: None,
-        },
+fn the_codec_allocates_only_what_is_not_a_default() {
+    let report = |max| TransferRequest {
+        channel: ChannelId::report(),
+        max,
+        pos: None,
+    };
+    for (request, allocations) in [
+        (TransferRequest::primary(1), 0),
+        (TransferRequest::primary(64).at(1_000), 1),
+        (report(8), 1),
     ] {
         let (arg, encode) = counted(|| request.to_value());
         let (decoded, decode) = counted(|| TransferRequest::from_value(&arg));
         assert_eq!(decoded.unwrap(), request);
-        assert_eq!((encode, decode), (1, 0), "Transfer {request:?}");
+        assert_eq!((encode, decode), (allocations, 0), "Transfer {request:?}");
     }
 
-    for end in [false, true] {
+    for (end, allocations) in [(false, 1), (true, 2)] {
         let items = vec![Value::Int(1), Value::str("two")];
         let (reply, encode) = counted(|| Batch { items, end }.to_value());
         let (decoded, decode) = counted(|| Batch::from_value(reply));
         assert_eq!(decoded.unwrap().items.len(), 2);
-        assert_eq!((encode, decode), (2, 0), "Batch end={end}");
+        assert_eq!((encode, decode), (allocations, 0), "Batch end={end}");
     }
 
-    for seq in [None, Some(42)] {
-        let items = vec![Value::Int(1)];
+    for (channel, end, seq, allocations) in [
+        (ChannelId::output(), false, None, 1),
+        (ChannelId::output(), false, Some(42), 2),
+        (ChannelId::output(), true, None, 2),
+        (ChannelId::report(), false, None, 2),
+    ] {
         let request = WriteRequest {
-            channel: ChannelId::output(),
-            items,
-            end: false,
+            channel,
+            items: vec![Value::Int(1)],
+            end,
             seq,
         };
-        let (arg, encode) = counted(|| request.to_value());
+        let sent = request.clone();
+        let (arg, encode) = counted(|| sent.to_value());
         let (decoded, decode) = counted(|| WriteRequest::from_value(arg));
-        assert_eq!(decoded.unwrap().seq, seq);
-        assert_eq!((encode, decode), (2, 0), "Write seq={seq:?}");
+        assert_eq!(decoded.unwrap(), request);
+        assert_eq!((encode, decode), (allocations, 0), "Write {request:?}");
     }
 }
