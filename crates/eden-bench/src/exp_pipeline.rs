@@ -1,7 +1,7 @@
 //! Experiments E1–E3, E7, E8: the pipeline-cost claims of §4.
 
 use eden_core::{CostModel, Value};
-use eden_kernel::Kernel;
+use eden_kernel::{FaultKind, FaultPlan, FaultRule, Kernel};
 use eden_transput::source::{CountingSource, VecSource};
 use eden_transput::transform::Identity;
 use eden_transput::{Discipline, Input, Output, Stage, StageConfig};
@@ -168,10 +168,10 @@ pub(crate) fn e2() -> Vec<Table> {
         "E2c: wall clock with 200us injected invocation latency (depth 4, 400 records)",
         &["discipline", "invocations", "wall ms", "krec/s"],
     );
-    let slow = Kernel::with_config(eden_kernel::KernelConfig {
-        invocation_latency: Some(std::time::Duration::from_micros(200)),
-        ..Default::default()
-    });
+    let slow = Kernel::new();
+    slow.install_faults(FaultPlan::new(0).rule(FaultRule::new(FaultKind::Delay(
+        std::time::Duration::from_micros(200),
+    ))));
     for (label, discipline, window) in [
         ("read-only (lazy)", Discipline::ReadOnly { read_ahead: 0 }, 1usize),
         ("read-only ra=32", Discipline::ReadOnly { read_ahead: 32 }, 1),

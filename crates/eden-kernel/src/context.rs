@@ -65,10 +65,7 @@ impl EjectContext {
 
     /// Send an invocation without suspending (returns a [`PendingReply`]).
     pub fn invoke(&self, target: Uid, op: impl Into<OpName>, arg: Value) -> PendingReply {
-        match self.kernel.upgrade() {
-            Some(kernel) => kernel.invoke_from(self.node, target, op.into(), arg),
-            None => PendingReply::ready(Err(EdenError::KernelShutdown)),
-        }
+        self.invoke_with(target, op, arg, InvokeOptions::new())
     }
 
     /// Send an invocation with explicit [`InvokeOptions`] (deadline, retry
@@ -98,12 +95,7 @@ impl EjectContext {
         op: impl Into<OpName>,
         arg: Value,
     ) -> PendingReply {
-        match self.kernel.upgrade() {
-            Some(kernel) => {
-                kernel.invoke_cached(self.node, cache, target, op.into(), arg, true, false, None, None)
-            }
-            None => PendingReply::ready(Err(EdenError::KernelShutdown)),
-        }
+        self.invoke_with(target, op, arg, InvokeOptions::new().route_cache(cache))
     }
 
     /// Invoke and wait for the reply, as one act — which lets the kernel run

@@ -42,9 +42,6 @@ pub struct Invocation {
     pub arg: Value,
 }
 
-impl Invocation {
-}
-
 /// States of a [`ReplyCell`]. `SETTLED` and `ABANDONED` are terminal, and
 /// only the settling half writes them.
 mod cell {
@@ -415,16 +412,22 @@ impl ReplyHandle {
     }
 
     /// Resolve the waiting side with `err` without metering a reply and
-    /// without `Drop`'s crash default. The cached invocation path uses this
-    /// when a stale route's target no longer exists anywhere: the uncached
-    /// path reports such errors at send time without counting a reply, and
-    /// the cached path must be metrically indistinguishable. The outcome
-    /// ledger still settles: the logical invocation terminally failed.
+    /// without `Drop`'s crash default: how a shed invocation is answered.
+    /// Its span completes as failed, and the outcome ledger still settles.
     pub(crate) fn resolve_silent(mut self, err: EdenError) {
         if let Some(tx) = self.tx.take() {
             self.complete_obs(false);
             tx.settle(Err(err));
         }
+    }
+
+    /// [`resolve_silent`](Self::resolve_silent), for an invocation whose
+    /// stale route bounced it to a target that no longer exists: answered
+    /// as the registry refuses a missing target at send time, with no span
+    /// and no stage-histogram sample.
+    pub(crate) fn refuse(mut self, err: EdenError) {
+        self.obs = None;
+        self.resolve_silent(err);
     }
 }
 

@@ -2,10 +2,12 @@
 //! crash/recovery.
 //!
 //! The real Eden kernel ran on several VAXen and routed invocations over a
-//! 10 Mbit Ethernet; this reproduction runs every Eject as a thread in one
-//! process and models distribution with [`NodeId`] placement, a remote
-//! invocation counter, and optional injected latency. The observable
-//! semantics the paper relies on are preserved:
+//! 10 Mbit Ethernet; this reproduction runs every Eject as a task of one
+//! process — a coordinator parked on its mailbox, resumed by a worker of the
+//! kernel's pool when mail arrives — and models distribution with
+//! [`NodeId`] placement and a remote invocation counter, and a slow network
+//! with a fault plan's [`FaultKind::Delay`]. The observable semantics the
+//! paper relies on are preserved:
 //!
 //! * invocation is location independent — callers name a [`Uid`], never a
 //!   machine;
@@ -17,21 +19,22 @@
 //!
 //! # The invocation plane
 //!
-//! Routing is split into a **resolve** step (find or reactivate the target,
-//! under a registry lock) and a **dispatch** step (meter, inject
-//! latency, send — with *no* lock held, so injected latency on one
-//! invocation can never serialise unrelated senders). The registry itself
-//! is sharded by UID: concurrent pipelines resolving different targets take
-//! different locks, and resolutions of already-active targets take only a
-//! shard *read* lock. On top of that, callers that repeatedly invoke the
-//! same target can hold a [`RouteCache`](crate::RouteCache) and skip the
-//! registry entirely — see [`Kernel::invoke_with_cache`] and the
+//! One function, [`Kernel::deliver`], puts every invocation into a mailbox:
+//! plain or retried, a first send or a re-send, a call or a send, by a
+//! cached route or through the registry. It meters, checks for shutdown and
+//! consults the fault plan before it routes, and sends with *no* lock held,
+//! so a delay injected on one invocation can never serialise unrelated
+//! senders. The registry is sharded by UID: concurrent pipelines resolving
+//! different targets take different locks, and resolutions of
+//! already-active targets take only a shard *read* lock. A caller that
+//! invokes the same target again and again can hold a [`RouteCache`] and
+//! skip the registry entirely — see [`Kernel::call_routed`] and the
 //! [`routes`](crate::routes) module for the staleness protocol.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use eden_core::{wire, EdenError, Metrics, OpName, Result, Uid, Value};
@@ -63,8 +66,6 @@ const REGISTRY_SHARDS: usize = 16;
 /// Construction-time options for a [`Kernel`].
 #[derive(Debug, Clone, Default)]
 pub struct KernelConfig {
-    /// Real latency added to every invocation, local or remote.
-    pub invocation_latency: Option<Duration>,
     /// A bound on every Eject's mailbox, and what a full one does. `None`
     /// (the default) keeps the historic unbounded mailboxes; `Some((n,
     /// policy))` bounds each coordinator mailbox to `n` envelopes and runs
@@ -158,7 +159,8 @@ pub(crate) type TypeFactory =
 /// representation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EjectState {
-    /// The Eject has a running coordinator thread.
+    /// The Eject has a coordinator: a task on the kernel's pool, running
+    /// or parked on its mailbox.
     Active,
     /// The Eject exists only as its passive representation; the next
     /// invocation will reactivate it.
@@ -172,8 +174,7 @@ struct Slot {
     state: SlotState,
     node: NodeId,
     /// Increments on every (re)activation and *survives passivation*, so an
-    /// exiting incarnation cannot demote its successor and cached routes
-    /// can tell incarnations apart.
+    /// exiting incarnation cannot demote its successor.
     incarnation: u64,
 }
 
@@ -231,6 +232,21 @@ impl KernelInner {
         let h = uid.seq().wrapping_mul(0x9E37_79B9_7F4A_7C15);
         &self.shards[(h >> 32) as usize & (REGISTRY_SHARDS - 1)]
     }
+
+    /// Empty the registry, stop every coordinator it held, then stop the
+    /// worker pool. Passive representations survive in the stable store.
+    fn stop_all(&self) {
+        let mut entries: Vec<(MailboxSender, Arc<Task>)> = Vec::new();
+        for shard in self.shards.iter() {
+            let mut slots = shard.slots.write();
+            entries.extend(slots.drain().filter_map(|(_, slot)| match slot.state {
+                SlotState::Active { tx, task, .. } => Some((tx, task)),
+                SlotState::Passive { .. } => None,
+            }));
+        }
+        shutdown_entries(entries, &self.sched);
+        self.sched.stop();
+    }
 }
 
 impl Drop for KernelInner {
@@ -241,17 +257,7 @@ impl Drop for KernelInner {
         // backstop for the race where two handles drop concurrently and
         // each thought the other would do it.
         self.shutting_down.store(true, Ordering::Release);
-        let mut entries: Vec<(MailboxSender, Arc<Task>)> = Vec::new();
-        for shard in self.shards.iter_mut() {
-            entries.extend(shard.slots.get_mut().drain().filter_map(|(_, slot)| {
-                match slot.state {
-                    SlotState::Active { tx, task, .. } => Some((tx, task)),
-                    SlotState::Passive { .. } => None,
-                }
-            }));
-        }
-        shutdown_entries(entries, &self.sched);
-        self.sched.stop();
+        self.stop_all();
     }
 }
 
@@ -275,6 +281,36 @@ fn shutdown_entries(entries: Vec<(MailboxSender, Arc<Task>)>, sched: &Scheduler)
     }
     // Dropping `tasks` here releases the dead state machines.
     drop(tasks);
+}
+
+/// An invocation as [`Kernel::deliver`] sends it, and as a [`RetryState`]
+/// keeps it to send again: where it comes from and goes to, what it asks,
+/// whether the installed fault plan may select it, and its overall deadline
+/// as an absolute instant, which admission control reads (deadline-bounded
+/// parks) and every attempt carries.
+#[derive(Debug, Clone)]
+pub(crate) struct Request {
+    pub(crate) from: NodeId,
+    pub(crate) target: Uid,
+    pub(crate) invocation: Invocation,
+    pub(crate) subject_to_faults: bool,
+    pub(crate) admit_by: Option<Instant>,
+}
+
+/// What one send is to the logical invocation it carries: whether it opens
+/// the ledger entry (`invocations`, `bytes_invoked`), and whether its reply
+/// settles the outcome (`successes`, `fatal_failures`) or a [`RetryState`]
+/// does, once, at the terminal resolution. Three of the four combinations
+/// occur.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Attempt {
+    /// A plain invocation: counted here, its outcome settled by its reply.
+    Plain,
+    /// The first send of a retried invocation: counted here, its outcome
+    /// left to its [`RetryState`].
+    First,
+    /// A [`RetryState`]'s re-send: neither counted nor settled here.
+    Resend,
 }
 
 /// A weak reference to the kernel, held by Eject contexts so the kernel can
@@ -553,7 +589,7 @@ impl Kernel {
     /// policy, route caching, and fault immunity are configured through
     /// [`Kernel::invoke_with`].
     pub fn invoke(&self, target: Uid, op: impl Into<OpName>, arg: Value) -> PendingReply {
-        self.invoke_inner(NodeId::default(), target, op.into(), arg, true, true, false, None, None)
+        self.invoke_with(target, op, arg, InvokeOptions::new())
     }
 
     /// Invoke and wait for the reply: "a kind of remote procedure call"
@@ -583,8 +619,8 @@ impl Kernel {
         finish_call(self.send_call(NodeId::default(), Some(cache), target, op.into(), arg)).wait()
     }
 
-    /// The send half of a call: an ordinary first-attempt send, except that
-    /// a wake it wins comes back with the reply instead of being enqueued.
+    /// The send half of a call: a plain send, except that a wake it wins
+    /// comes back with the reply instead of being enqueued.
     fn send_call(
         &self,
         from: NodeId,
@@ -593,12 +629,15 @@ impl Kernel {
         op: OpName,
         arg: Value,
     ) -> (PendingReply, Option<Woken>) {
-        let mut woken = None;
-        let wake = Some(&mut woken);
-        let pending = match cache {
-            Some(cache) => self.invoke_cached(from, cache, target, op, arg, true, false, None, wake),
-            None => self.invoke_inner(from, target, op, arg, true, true, false, None, wake),
+        let request = Request {
+            from,
+            target,
+            invocation: Invocation { op, arg },
+            subject_to_faults: true,
+            admit_by: None,
         };
+        let mut woken = None;
+        let pending = self.deliver(request, Attempt::Plain, cache, Some(&mut woken));
         (pending, woken)
     }
 
@@ -626,85 +665,59 @@ impl Kernel {
         arg: Value,
         opts: InvokeOptions<'_>,
     ) -> PendingReply {
-        let subject = opts.subject_to_faults();
-        // The deadline as an absolute instant, stamped on every delivery
-        // attempt's reply handle so the mailbox admission path can see it
-        // (deadline-bounded parks).
-        let admit_by = opts.deadline.map(|d| std::time::Instant::now() + d);
-        if !opts.needs_driver() {
-            return match opts.route_cache {
-                Some(cache) => {
-                    self.invoke_cached(from, cache, target, op, arg, subject, false, None, None)
-                }
-                None => self.invoke_inner(from, target, op, arg, subject, true, false, None, None),
-            };
-        }
-        // Deadline or retries requested: keep the request around so the
-        // reply can re-send it. Value clones are reference bumps (the
-        // payload plane), so this costs a few pointers, not a copy.
-        let (op_kept, arg_kept) = (op.clone(), arg.clone());
-        let inner = match opts.route_cache {
-            Some(cache) => {
-                self.invoke_cached(from, cache, target, op, arg, subject, true, admit_by, None)
-            }
-            None => self.invoke_inner(from, target, op, arg, subject, true, true, admit_by, None),
-        };
-        PendingReply::Retrying(Box::new(RetryState::new(
-            self.downgrade(),
+        let request = Request {
             from,
             target,
-            op_kept,
-            arg_kept,
-            opts.retry,
-            opts.deadline,
-            subject,
-            inner,
-            self.inner.metrics.clone(),
-        )))
+            invocation: Invocation { op, arg },
+            subject_to_faults: opts.subject_to_faults(),
+            admit_by: opts.deadline.map(|d| Instant::now() + d),
+        };
+        if !opts.needs_driver() {
+            return self.deliver(request, Attempt::Plain, opts.route_cache, None);
+        }
+        // Deadline or retries requested: a `RetryState` keeps the request
+        // to re-send it. Value clones are reference bumps (the payload plane),
+        // so this costs a few pointers, not a copy.
+        let first = self.deliver(request.clone(), Attempt::First, opts.route_cache, None);
+        PendingReply::Retrying(Box::new(RetryState::new(self, request, opts.retry, first)))
     }
 
-    /// Route an invocation originating on `from` to `target`, reactivating
-    /// a passive target if necessary.
-    pub(crate) fn invoke_from(
-        &self,
-        from: NodeId,
-        target: Uid,
-        op: OpName,
-        arg: Value,
-    ) -> PendingReply {
-        self.invoke_inner(from, target, op, arg, true, true, false, None, None)
-    }
-
-    /// The uncached delivery path: meter, shutdown check, fault decision,
-    /// resolve, dispatch.
+    /// Put `request` into its target's mailbox: the one way an invocation
+    /// is delivered, whether plain or retried, a first send or a re-send, a
+    /// call or a send, by a cached route or through the registry.
     ///
-    /// `first_attempt` opens the ledger entry for this *logical*
-    /// invocation (`invocations`, `bytes_invoked`); the retry driver's
-    /// re-sends pass `false` so a retried invocation counts once however
-    /// many times it is re-sent. `driver_owned` marks invocations whose
-    /// terminal outcome is settled by a [`RetryState`] — every failure
-    /// here is per-attempt, not terminal, so the ledger's outcome side is
-    /// left to the driver. `wake` is a call's (see
-    /// [`dispatch_route`](Self::dispatch_route)).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn invoke_inner(
+    /// The invocation is metered before the send — the receiver may handle
+    /// it, and an observer snapshot the counters, before this thread runs
+    /// again — unless it is a re-send, which the ledger already holds. The
+    /// shutdown check and the fault decision both come before any route. A
+    /// route `cache` lends a route it holds to the send and counts a hit
+    /// once the send went in. A stale one hands the envelope back (its
+    /// coordinator exited): the same envelope is re-delivered through the
+    /// registry, which reactivates a passive target as an uncached send
+    /// would — a plain send even for a call, metering nothing more and
+    /// counting one miss — and a target gone by then is reported as the
+    /// registry path reports it. Only a first delivery hands a call its
+    /// `wake` (see [`dispatch_route`](Self::dispatch_route)).
+    pub(crate) fn deliver(
         &self,
-        from: NodeId,
-        target: Uid,
-        op: OpName,
-        arg: Value,
-        subject_to_faults: bool,
-        first_attempt: bool,
-        driver_owned: bool,
-        admit_by: Option<std::time::Instant>,
+        request: Request,
+        attempt: Attempt,
+        cache: Option<&mut RouteCache>,
         wake: Option<&mut Option<Woken>>,
     ) -> PendingReply {
+        let Request {
+            from,
+            target,
+            invocation,
+            subject_to_faults,
+            admit_by,
+        } = request;
         let metrics = &self.inner.metrics;
-        if first_attempt {
-            metrics.record_invocation(arg.size_hint());
+        if attempt != Attempt::Resend {
+            metrics.record_invocation(invocation.arg.size_hint());
         }
         let fail = |e: EdenError| {
-            if !driver_owned {
+            if attempt == Attempt::Plain {
                 metrics.record_fatal_failure();
             }
             PendingReply::ready(Err(e))
@@ -713,39 +726,67 @@ impl Kernel {
             return fail(EdenError::KernelShutdown);
         }
         if subject_to_faults {
-            if let Some(err) = self.apply_fault(target, &op) {
-                self.record_faulted_span(from, target, &op);
+            if let Some(err) = self.apply_fault(target, &invocation.op) {
+                self.record_faulted_span(from, target, &invocation.op);
                 return fail(err);
             }
         }
-        let route = match self.resolve_route(target) {
+        if let Some(route) = cache.as_deref().and_then(|cache| cache.lookup(target)) {
+            let (handle, pending) =
+                self.reply_pair_for(&invocation.op, from, route, attempt, admit_by);
+            let envelope = Envelope::Invocation(invocation, handle);
+            let envelope = match self.dispatch_route(from, route, envelope, wake) {
+                Ok(()) => {
+                    metrics.record_route_cache_hit();
+                    return pending;
+                }
+                Err(SendError(stale)) => stale,
+            };
+            match self.resolve_missed(cache, target) {
+                // A second bounce means the fresh coordinator exited too;
+                // dropping the envelope resolves the reply with EjectCrashed.
+                Ok(fresh) => {
+                    if let Ok(outcome) = fresh.tx.send(envelope) {
+                        self.settle_send_outcome(outcome);
+                    }
+                }
+                Err(e) => {
+                    let Envelope::Invocation(_, handle) = envelope else {
+                        unreachable!("a bounced envelope is the invocation just sent");
+                    };
+                    handle.refuse(e);
+                }
+            }
+            return pending;
+        }
+        let route = match self.resolve_missed(cache, target) {
             Ok(route) => route,
             Err(e) => return fail(e),
         };
         let (handle, pending) =
-            self.reply_pair_for(target, &op, from, &route, driver_owned, admit_by);
+            self.reply_pair_for(&invocation.op, from, &route, attempt, admit_by);
         // A bounce here means the coordinator exited since the route was
         // resolved; dropping the bounced envelope drops `handle`, which
         // resolves the pending reply with EjectCrashed — the correct
         // observation for the caller.
-        let _ = self.dispatch_route(from, &route, Invocation { op, arg }, handle, wake);
+        let _ = self.dispatch_route(from, &route, Envelope::Invocation(invocation, handle), wake);
         pending
     }
 
     /// Build the reply pair for a resolved dispatch, wiring in outcome
-    /// metering (non-driver invocations settle the ledger at reply time),
+    /// metering (a plain invocation settles the ledger at reply time),
     /// the absolute deadline admission control reads, and the
     /// observability tag (span coordinates + enqueue timestamp) when the
     /// plane is enabled.
     fn reply_pair_for(
         &self,
-        target: Uid,
         op: &OpName,
         from: NodeId,
         route: &Route,
-        driver_owned: bool,
-        admit_by: Option<std::time::Instant>,
+        attempt: Attempt,
+        admit_by: Option<Instant>,
     ) -> (ReplyHandle, PendingReply) {
+        let target = route.target;
         let obs = self.inner.obs.as_ref().map(|obs| {
             // Histogram-only mode never reads the span coordinates; skip
             // the thread-local lookup and the span-id allocation.
@@ -768,7 +809,8 @@ impl Kernel {
                 route.node,
             ))
         });
-        reply_pair_with(target, self.inner.metrics.clone(), !driver_owned, admit_by, obs)
+        let metrics = self.inner.metrics.clone();
+        reply_pair_with(target, metrics, attempt == Attempt::Plain, admit_by, obs)
     }
 
     /// Make a fault-injected delivery visible to the observability plane.
@@ -824,103 +866,6 @@ impl Kernel {
         self.inner.faults.install(plan);
     }
 
-    /// The cached-route invocation path. Semantically identical to
-    /// [`Kernel::invoke_from`]; differs only in cost (a hit skips the
-    /// registry) and in the `route_cache_hits`/`route_cache_misses`
-    /// counters. This path is always a first attempt (retry re-sends never
-    /// carry a cache), so it opens the ledger entry unconditionally; a
-    /// stale-route fallback redelivers the same logical invocation and
-    /// meters nothing extra — and is a plain send even for a call.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn invoke_cached(
-        &self,
-        from: NodeId,
-        cache: &mut RouteCache,
-        target: Uid,
-        op: OpName,
-        arg: Value,
-        subject_to_faults: bool,
-        driver_owned: bool,
-        admit_by: Option<std::time::Instant>,
-        wake: Option<&mut Option<Woken>>,
-    ) -> PendingReply {
-        let metrics = &self.inner.metrics;
-        // Meter BEFORE the send: the receiver may handle the envelope (and
-        // an observer snapshot the counters) before this thread runs again,
-        // so the count must be visible no later than the envelope.
-        metrics.record_invocation(arg.size_hint());
-        let fail = |e: EdenError| {
-            if !driver_owned {
-                metrics.record_fatal_failure();
-            }
-            PendingReply::ready(Err(e))
-        };
-        if self.inner.shutting_down.load(Ordering::Acquire) {
-            return fail(EdenError::KernelShutdown);
-        }
-        if subject_to_faults {
-            if let Some(err) = self.apply_fault(target, &op) {
-                self.record_faulted_span(from, target, &op);
-                return fail(err);
-            }
-        }
-        if let Some(route) = cache.lookup(target) {
-            let (handle, pending) =
-                self.reply_pair_for(target, &op, from, route, driver_owned, admit_by);
-            match self.dispatch_route(from, route, Invocation { op, arg }, handle, wake) {
-                Ok(()) => {
-                    metrics.record_route_cache_hit();
-                    pending
-                }
-                Err(SendError(envelope)) => {
-                    // The cached coordinator exited. Recover the very same
-                    // invocation and reply handle from the bounced envelope
-                    // and retry through the registry, which reactivates a
-                    // passive target exactly as an uncached send would.
-                    // The logical invocation is already in the ledger; the
-                    // redelivery must not meter again, or a stale route
-                    // would count two invocations where the uncached path
-                    // counts one.
-                    cache.invalidate(target);
-                    metrics.record_route_cache_miss();
-                    let Envelope::Invocation(invocation, handle) = envelope else {
-                        unreachable!("bounced envelope is the invocation just sent");
-                    };
-                    match self.resolve_route(target) {
-                        Ok(fresh) => {
-                            cache.insert(fresh.clone());
-                            // A second bounce (send error) means the fresh
-                            // coordinator also exited; dropping the envelope
-                            // resolves the reply with EjectCrashed.
-                            if let Ok(outcome) =
-                                fresh.tx.send(Envelope::Invocation(invocation, handle))
-                            {
-                                self.settle_send_outcome(outcome);
-                            }
-                        }
-                        // Resolve silently: the uncached path reports a
-                        // missing target without metering a reply, so the
-                        // cached path must too. (The handle still settles
-                        // the outcome ledger — the invocation failed.)
-                        Err(e) => handle.resolve_silent(e),
-                    }
-                    pending
-                }
-            }
-        } else {
-            metrics.record_route_cache_miss();
-            let route = match self.resolve_route(target) {
-                Ok(route) => route,
-                Err(e) => return fail(e),
-            };
-            cache.insert(route.clone());
-            let (handle, pending) =
-                self.reply_pair_for(target, &op, from, &route, driver_owned, admit_by);
-            let _ = self.dispatch_route(from, &route, Invocation { op, arg }, handle, wake);
-            pending
-        }
-    }
-
     /// Resolve whatever admission control did on a successful send: count
     /// each shed under its policy label and resolve its reply with the
     /// retryable [`EdenError::Overloaded`], so waiters observe the shed as
@@ -954,52 +899,51 @@ impl Kernel {
     /// shard write lock and re-checks, so concurrent resolvers of the same
     /// passive target activate it exactly once.
     fn resolve_route(&self, target: Uid) -> Result<Route> {
+        let active = |slot: &Slot| match &slot.state {
+            SlotState::Active { tx, .. } => Some(Route {
+                target,
+                tx: tx.clone(),
+                node: slot.node,
+            }),
+            SlotState::Passive { .. } => None,
+        };
         let shard = self.inner.shard(target);
-        {
-            let slots = shard.slots.read();
-            match slots.get(&target) {
-                None => return Err(EdenError::NoSuchEject(target)),
-                Some(slot) => {
-                    if let SlotState::Active { tx, .. } = &slot.state {
-                        return Ok(Route {
-                            target,
-                            tx: tx.clone(),
-                            node: slot.node,
-                            incarnation: slot.incarnation,
-                        });
-                    }
+        match shard.slots.read().get(&target) {
+            None => return Err(EdenError::NoSuchEject(target)),
+            Some(slot) => {
+                if let Some(route) = active(slot) {
+                    return Ok(route);
                 }
             }
         }
         let mut slots = shard.slots.write();
         loop {
-            match slots.get(&target) {
-                None => return Err(EdenError::NoSuchEject(target)),
-                Some(slot) => match &slot.state {
-                    SlotState::Active { tx, .. } => {
-                        return Ok(Route {
-                            target,
-                            tx: tx.clone(),
-                            node: slot.node,
-                            incarnation: slot.incarnation,
-                        })
-                    }
-                    SlotState::Passive { .. } => {
-                        // "If a passive eject is sent an invocation, the
-                        // Eden kernel will activate it" (§1).
-                        self.reactivate(&mut slots, target)?;
-                    }
-                },
+            let slot = slots.get(&target).ok_or(EdenError::NoSuchEject(target))?;
+            if let Some(route) = active(slot) {
+                return Ok(route);
             }
+            // "If a passive eject is sent an invocation, the Eden kernel
+            // will activate it" (§1).
+            self.reactivate(&mut slots, target)?;
         }
     }
 
-    /// Deliver a resolved invocation: inject latency, send — the one
-    /// place an invocation enters a mailbox by a fresh route. (The ledger
-    /// entry was opened by the caller — once per logical invocation, not per
-    /// delivery attempt.) Runs with no kernel lock held — the route owns
-    /// clones of everything it needs — so injected latency delays only this
-    /// sender and can never serialise unrelated invocations.
+    /// [`resolve_route`](Self::resolve_route), as a miss of `cache` when
+    /// there is one: counted, and the cache drops any stale route to
+    /// `target` and keeps the fresh one.
+    fn resolve_missed(&self, cache: Option<&mut RouteCache>, target: Uid) -> Result<Route> {
+        let Some(cache) = cache else {
+            return self.resolve_route(target);
+        };
+        self.inner.metrics.record_route_cache_miss();
+        cache.invalidate(target);
+        let route = self.resolve_route(target)?;
+        cache.insert(route.clone());
+        Ok(route)
+    }
+
+    /// Send a routed invocation. Runs with no kernel lock held — the route
+    /// owns clones of everything it needs.
     ///
     /// A call passes `wake`: if this push is what wakes the target, the wake
     /// is left there, un-enqueued, for the caller to spend
@@ -1011,19 +955,12 @@ impl Kernel {
         &self,
         from: NodeId,
         route: &Route,
-        invocation: Invocation,
-        handle: ReplyHandle,
+        envelope: Envelope,
         wake: Option<&mut Option<Woken>>,
     ) -> std::result::Result<(), SendError> {
-        let metrics = &self.inner.metrics;
         if route.node != from {
-            metrics.record_remote_invocation();
+            self.inner.metrics.record_remote_invocation();
         }
-        if let Some(latency) = self.inner.config.invocation_latency {
-            // eden-lint: timer(injected-latency)
-            crate::sched::blocking(|| std::thread::sleep(latency));
-        }
-        let envelope = Envelope::Invocation(invocation, handle);
         let outcome = match wake {
             Some(wake) => {
                 let (outcome, woken) = route.tx.send_calling(envelope)?;
@@ -1274,19 +1211,9 @@ impl Kernel {
     /// worker pool. Idempotent. Passive representations
     /// survive in the stable store.
     pub fn shutdown(&self) {
-        if self.inner.shutting_down.swap(true, Ordering::AcqRel) {
-            return;
+        if !self.inner.shutting_down.swap(true, Ordering::AcqRel) {
+            self.inner.stop_all();
         }
-        let mut entries: Vec<(MailboxSender, Arc<Task>)> = Vec::new();
-        for shard in self.inner.shards.iter() {
-            let mut slots = shard.slots.write();
-            entries.extend(slots.drain().filter_map(|(_, slot)| match slot.state {
-                SlotState::Active { tx, task, .. } => Some((tx, task)),
-                SlotState::Passive { .. } => None,
-            }));
-        }
-        shutdown_entries(entries, &self.inner.sched);
-        self.inner.sched.stop();
     }
 }
 

@@ -8,10 +8,10 @@
 //! two costs:
 //!
 //! * **Idle RSS.** The ring is a [`VecDeque`] that starts unallocated and
-//!   is released again once a burst drains ([`SHRINK_CAPACITY`]), so a
+//!   is released again once a burst drains (`SHRINK_CAPACITY`), so a
 //!   parked Eject's mailbox is a pointer-sized husk, not a buffer.
 //! * **Wakeup.** The mailbox carries the Eject's *parking bit* — the
-//!   [`park_state`](MailboxCore::park_state) machine the scheduler runs
+//!   `MailboxCore::park_state` machine the scheduler runs
 //!   its state transitions on. A sender that lands mail on a `PARKED`
 //!   mailbox enqueues the owning task; one that lands mail on a `RUNNING`
 //!   mailbox merely marks it dirty, and the running worker re-checks
@@ -99,7 +99,7 @@ impl ShedCause {
 /// allocation instead of churning the allocator every batch.
 const SHRINK_CAPACITY: usize = 64;
 
-/// The parking-bit states. Stored in [`MailboxCore::park_state`].
+/// The parking-bit states. Stored in `MailboxCore::park_state`.
 pub mod park {
     /// Not queued, not running; the next delivery must enqueue the task.
     pub const PARKED: u8 = 0;
@@ -125,7 +125,8 @@ pub mod park {
 ///   a code transition missing here fails the lint, and a table row no
 ///   code site implements fails it too.
 /// * The `park_vs_deliver` loom model (`tests/loom_model.rs`) asserts
-///   every transition it performs through [`assert_transition`], so the
+///   every transition it performs through
+///   [`assert_transition`](crate::mailbox::spec::assert_transition), so the
 ///   dynamic model can never drift from the table the static pass
 ///   enforces.
 ///

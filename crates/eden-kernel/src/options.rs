@@ -1,24 +1,24 @@
 //! Invocation options: deadlines, retry policy, route caching, fault
-//! immunity — the configuration side of the single-verb invoke API.
+//! immunity — the configuration side of the one invocation verb.
 //!
-//! PR 1 grew the kernel three invocation entry points (`invoke`,
-//! `invoke_sync`, `invoke_with_cache`); adding fault policy would have made
-//! a fourth. Following SEND's single-verb design, everything now goes
-//! through [`Kernel::invoke`] / [`Kernel::invoke_with`]: one verb, one
-//! [`PendingReply`], with the knobs gathered in a builder-style
-//! [`InvokeOptions`].
+//! The verb is [`Kernel::invoke`], which returns a [`PendingReply`];
+//! [`Kernel::invoke_with`] is the same verb with its knobs gathered in a
+//! builder-style [`InvokeOptions`], and [`Kernel::call`] the same send
+//! fused with the wait. Whatever the options, one kernel function sends
+//! every attempt: a [`RetryState`] re-sends through it too.
 //!
 //! [`Kernel::invoke`]: crate::Kernel::invoke
 //! [`Kernel::invoke_with`]: crate::Kernel::invoke_with
+//! [`Kernel::call`]: crate::Kernel::call
 
 use std::fmt;
 use std::time::{Duration, Instant};
 
 use eden_core::span::SpanContext;
-use eden_core::{EdenError, Metrics, OpName, Result, Uid, Value};
+use eden_core::{EdenError, Metrics, Result, Value};
 
 use crate::invocation::PendingReply;
-use crate::kernel::{NodeId, WeakKernel};
+use crate::kernel::{Attempt, Kernel, Request, WeakKernel};
 use crate::routes::RouteCache;
 
 /// Bounded retries with exponential backoff.
@@ -188,14 +188,9 @@ impl<'a> InvokeOptions<'a> {
 /// [`Kernel::invoke_with`]: crate::Kernel::invoke_with
 pub struct RetryState {
     kernel: WeakKernel,
-    from: NodeId,
-    target: Uid,
-    op: OpName,
-    arg: Value,
+    /// What each attempt sends, its absolute deadline included.
+    request: Request,
     policy: RetryPolicy,
-    deadline: Option<Duration>,
-    subject_to_faults: bool,
-    started: Instant,
     attempt: u32,
     inner: PendingReply,
     /// For the outcome ledger: a driver-owned invocation settles
@@ -212,42 +207,30 @@ pub struct RetryState {
 impl fmt::Debug for RetryState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RetryState")
-            .field("target", &self.target)
-            .field("op", &self.op)
+            .field("target", &self.request.target)
+            .field("op", &self.request.invocation.op)
             .field("attempt", &self.attempt)
             .field("policy", &self.policy)
-            .field("deadline", &self.deadline)
+            .field("deadline", &self.request.admit_by)
             .finish_non_exhaustive()
     }
 }
 
 impl RetryState {
-    #[allow(clippy::too_many_arguments)]
+    /// The retry state of `request`, whose first attempt `inner` is sent.
     pub(crate) fn new(
-        kernel: WeakKernel,
-        from: NodeId,
-        target: Uid,
-        op: OpName,
-        arg: Value,
+        kernel: &Kernel,
+        request: Request,
         policy: RetryPolicy,
-        deadline: Option<Duration>,
-        subject_to_faults: bool,
         inner: PendingReply,
-        metrics: Metrics,
     ) -> RetryState {
         RetryState {
-            kernel,
-            from,
-            target,
-            op,
-            arg,
+            kernel: kernel.downgrade(),
+            request,
             policy,
-            deadline,
-            subject_to_faults,
-            started: Instant::now(),
             attempt: 0,
             inner,
-            metrics,
+            metrics: kernel.metrics().clone(),
             finished: false,
             origin: eden_core::span::current(),
         }
@@ -255,7 +238,9 @@ impl RetryState {
 
     /// Time left before the per-invocation deadline, if one was set.
     fn deadline_remaining(&self) -> Option<Duration> {
-        self.deadline.map(|d| d.saturating_sub(self.started.elapsed()))
+        self.request
+            .admit_by
+            .map(|at| at.saturating_duration_since(Instant::now()))
     }
 
     /// Settle the outcome ledger for this logical invocation, exactly once
@@ -272,7 +257,8 @@ impl RetryState {
         }
     }
 
-    /// Re-send the invocation through the registry. Counts one retry.
+    /// Re-send the invocation through the registry, with the first
+    /// attempt's absolute deadline. Counts one retry.
     fn resend(&mut self) -> Result<()> {
         let kernel = self.kernel.upgrade().ok_or(EdenError::KernelShutdown)?;
         kernel.metrics().record_retry();
@@ -281,20 +267,7 @@ impl RetryState {
         // restore the ambient span from issue time so the re-sent attempt
         // (and any reactivation it triggers) stays in the original trace.
         let _ambient = self.origin.map(|ctx| eden_core::span::enter(Some(ctx)));
-        self.inner = kernel.invoke_inner(
-            self.from,
-            self.target,
-            self.op.clone(),
-            self.arg.clone(),
-            self.subject_to_faults,
-            false,
-            true,
-            // The re-sent attempt carries the same absolute deadline as
-            // the original, so admission control (deadline-bounded parks)
-            // sees the overall budget, not a fresh one per attempt.
-            self.deadline.map(|d| self.started + d),
-            None,
-        );
+        self.inner = kernel.deliver(self.request.clone(), Attempt::Resend, None, None);
         Ok(())
     }
 

@@ -4,9 +4,8 @@
 //! invocation. For stream transput that is pure overhead: a connection
 //! invokes the *same* upstream Eject thousands of times in a row. A
 //! [`Route`] snapshots the outcome of one resolution — the target's mailbox
-//! sender, node placement, and incarnation — and a [`RouteCache`] lets a
-//! connection reuse it for every subsequent invocation without touching the
-//! registry at all.
+//! sender and node placement — and a [`RouteCache`] lets a connection reuse
+//! it for every subsequent invocation without touching the registry at all.
 //!
 //! Staleness is detected, never prevented: a route goes stale when its
 //! coordinator exits (deactivation, crash, shutdown), which drops the
@@ -26,8 +25,8 @@ use eden_core::Uid;
 use crate::kernel::NodeId;
 use crate::mailbox::MailboxSender;
 
-/// A resolved fast path to one Eject: its mailbox, node, and incarnation
-/// at resolution time. Cheap to clone (a channel-sender `Arc` bump).
+/// A resolved fast path to one Eject: its mailbox and node at resolution
+/// time. Cheap to clone (a channel-sender `Arc` bump).
 ///
 /// A `Route` never becomes *wrong*, only *stale*: holding one does not keep
 /// the target active, and sending through a stale route transparently falls
@@ -37,7 +36,6 @@ pub(crate) struct Route {
     pub(crate) target: Uid,
     pub(crate) tx: MailboxSender,
     pub(crate) node: NodeId,
-    pub(crate) incarnation: u64,
 }
 
 impl fmt::Debug for Route {
@@ -45,7 +43,6 @@ impl fmt::Debug for Route {
         f.debug_struct("Route")
             .field("target", &self.target)
             .field("node", &self.node)
-            .field("incarnation", &self.incarnation)
             .finish_non_exhaustive()
     }
 }

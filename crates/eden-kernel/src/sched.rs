@@ -456,7 +456,7 @@ fn transition(bit: &AtomicU8, op: Op, from: &[u8], to: u8) -> bool {
 /// calling thread for real (reply waits, backoff sleeps, bounded-mailbox
 /// parks, death latches). On a non-worker thread this is a plain call; a
 /// worker stops being active for the duration (outermost section only),
-/// and says so the way [`Scheduler::note_block_enter`] describes.
+/// and says so the way `Scheduler::note_block_enter` describes.
 ///
 /// Public so every crate that may run on a pool worker (eden-transput's
 /// stream stages in particular) can wrap its genuinely-blocking sites —

@@ -10,7 +10,7 @@
 //! background thread
 //! compacts sealed segments once their garbage crosses a threshold (see
 //! [`compact`](super::compact)); and `open` replays the segments back
-//! into the index, truncating a torn tail (see [`replay`](super::replay)).
+//! into the index, truncating a torn tail (see [`replay`]).
 //!
 //! All I/O goes through [`HostFs`], so tests and loom models run the
 //! identical code path over `MemFs` that production runs over `RealFs`.

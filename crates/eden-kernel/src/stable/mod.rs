@@ -16,14 +16,14 @@
 //!   contains/iter plus flush/compact hooks), with two implementations:
 //!   [`MemBacked`] (process-lifetime map) and [`DurableLog`] (the segment
 //!   log).
-//! * [`log`](self::log) — frame and segment codec (length-prefixed,
+//! * [`log`] — frame and segment codec (length-prefixed,
 //!   CRC-framed records).
-//! * [`committer`](self::committer) — group commit: concurrent `store()`
+//! * [`committer`] — group commit: concurrent `store()`
 //!   and `append()` calls coalesce into one append + at most one fsync per
 //!   batch, under a configurable [`FsyncPolicy`].
-//! * [`compact`](self::compact) — background compaction rewriting live
+//! * [`compact`] — background compaction rewriting live
 //!   records into fresh segments and dropping sealed ones.
-//! * [`replay`](self::replay) — cold-restart recovery: replays segments
+//! * [`replay`] — cold-restart recovery: replays segments
 //!   into the index, truncating a torn tail at the last valid frame.
 
 pub(crate) mod committer;

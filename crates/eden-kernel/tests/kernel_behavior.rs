@@ -9,8 +9,8 @@ use std::time::Duration;
 use eden_core::op::ops;
 use eden_core::{EdenError, Value};
 use eden_kernel::{
-    EjectBehavior, EjectContext, EjectState, Invocation, Kernel, KernelConfig, NodeId,
-    ReplyHandle, StableStore,
+    EjectBehavior, EjectContext, EjectState, FaultKind, FaultPlan, FaultRule, Invocation, Kernel,
+    KernelConfig, NodeId, ReplyHandle, StableStore,
 };
 
 /// Replies to `Echo` with its argument and to `Fail` with an error.
@@ -615,10 +615,10 @@ fn concurrent_clients_are_serialized_per_eject() {
 
 #[test]
 fn injected_latency_slows_invocations() {
-    let kernel = Kernel::with_config(KernelConfig {
-        invocation_latency: Some(Duration::from_millis(5)),
-        ..Default::default()
-    });
+    let kernel = Kernel::new();
+    kernel.install_faults(
+        FaultPlan::new(0).rule(FaultRule::new(FaultKind::Delay(Duration::from_millis(5)))),
+    );
     let echo = kernel.spawn(Box::new(Echo)).unwrap();
     let start = std::time::Instant::now();
     for _ in 0..4 {

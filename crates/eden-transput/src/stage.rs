@@ -33,7 +33,7 @@
 //!   (§5). The first `end` closes the stream for everyone; a record written
 //!   later is refused.
 //! * An **active input** holds [`InputPort`]s and `Transfer`s from them,
-//!   interleaved by a [`FanInMode`](crate::FanInMode): "if F needs n inputs, it maintains n
+//!   interleaved by a [`FanInMode`]: "if F needs n inputs, it maintains n
 //!   UIDs" (§5). A **local** input is no face at all, just a
 //!   [`PullSource`]; nor is a **program**, which is the process of the
 //!   sections below handed a conventional `write` or `read` ([`crate::stdio`]).
@@ -1399,21 +1399,26 @@ impl EjectBehavior for Stage {
                     .and_then(|req| self.meet.with(|buffer| buffer.table.id_of(&req.name)))
                     .map(Value::from),
             ),
-            // All a retained output holds from the request's position on, and
-            // none of it forgotten: how a recoverable pipeline's acceptor is read.
+            // All a retained output holds of the request's channel from its
+            // position on, and none of it forgotten: how a recoverable
+            // pipeline's acceptor is read. A channel the stage does not have
+            // is refused as `Transfer` refuses it.
             READ_ALL if self.out_passive && self.kept.is_some() => {
-                let pos = match &inv.arg {
-                    Value::Unit => Ok(0),
-                    arg => TransferRequest::from_value(arg).map(|req| req.pos.unwrap_or(0)),
+                let req = match &inv.arg {
+                    Value::Unit => Ok(TransferRequest::primary(0)),
+                    arg => TransferRequest::from_value(arg),
                 };
                 let base = self.kept.as_ref().map_or(0, |kept| kept.base);
-                reply.reply(pos.map(|pos| {
-                    let skip = pos.saturating_sub(base) as usize;
-                    let all = self.meet.with(|buffer| Batch {
-                        items: buffer.queues[0].iter().skip(skip).cloned().collect(),
-                        end: buffer.ended,
+                reply.reply(req.and_then(|req| {
+                    let skip = req.pos.unwrap_or(0).saturating_sub(base) as usize;
+                    let all = self.meet.with(|buffer| {
+                        let idx = buffer.table.index_of(req.channel)?;
+                        Ok(Batch {
+                            items: buffer.queues[idx].iter().skip(skip).cloned().collect(),
+                            end: buffer.ended,
+                        })
                     });
-                    all.to_value()
+                    all.map(|all| all.to_value())
                 }));
             }
             START if self.awaits_start() && self.process.started => {
@@ -3056,6 +3061,20 @@ mod tests {
             let refused = matches!(read_all(bad.clone()), Err(EdenError::BadParameter(_)));
             assert!(refused, "{bad:?}");
         }
+        // A channel the acceptor does not have: a number, then a capability.
+        let on = |channel| {
+            TransferRequest {
+                channel,
+                ..TransferRequest::primary(4)
+            }
+            .to_value()
+        };
+        let foreign = read_all(on(ChannelId::Number(1)));
+        let refused = matches!(foreign, Err(EdenError::NoSuchChannel(_)));
+        assert!(refused, "{foreign:?}");
+        let forged = read_all(on(ChannelId::Cap(Uid::fresh())));
+        let refused = matches!(forged, Err(EdenError::NotAuthorized(_)));
+        assert!(refused, "{forged:?}");
         kernel.shutdown();
     }
 

@@ -11,12 +11,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use eden::core::op::ops;
-use eden::core::{EdenError, Uid, Value};
+use eden::core::{EdenError, Result, Uid, Value};
 use eden::filters::LineNumber;
 use eden::fs::{register_fs_types, FileEject};
 use eden::kernel::{
-    EjectBehavior, EjectContext, Invocation, InvokeOptions, Kernel, KernelConfig, ReplyHandle,
-    RouteCache, ShedPolicy,
+    EjectBehavior, EjectContext, FaultKind, FaultPlan, FaultRule, Invocation, InvokeOptions,
+    Kernel, KernelConfig, ObsConfig, ReplyHandle, RetryPolicy, RouteCache, ShedPolicy,
 };
 use eden::transput::protocol::{Batch, TransferRequest};
 use eden::transput::recovery::{install_recovery, recoverable_filter, TransformRegistry};
@@ -36,6 +36,22 @@ impl EjectBehavior for Echo {
                 op: inv.op,
             })),
         }
+    }
+}
+
+/// An Echo with a passive representation: deactivated, it reactivates on
+/// its next invocation.
+struct KeptEcho;
+
+impl EjectBehavior for KeptEcho {
+    fn type_name(&self) -> &'static str {
+        "KeptEcho"
+    }
+    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
+        Echo.handle(ctx, inv, reply)
+    }
+    fn passive_representation(&self) -> Option<Value> {
+        Some(Value::Unit)
     }
 }
 
@@ -196,6 +212,127 @@ fn cache_hits_are_not_counted_as_invocation_savings() {
     kernel.shutdown();
 }
 
+/// One send of `Echo(7)` to a target: through the registry when `cache` is
+/// `None`, by that route cache otherwise.
+type Send = fn(&Kernel, Option<&mut RouteCache>, Uid) -> Result<Value>;
+
+fn invoke_echo(kernel: &Kernel, cache: Option<&mut RouteCache>, target: Uid) -> Result<Value> {
+    match cache {
+        None => kernel.invoke(target, "Echo", Value::Int(7)).wait(),
+        Some(cache) => {
+            let opts = InvokeOptions::new().route_cache(cache);
+            kernel
+                .invoke_with(target, "Echo", Value::Int(7), opts)
+                .wait()
+        }
+    }
+}
+
+fn call_echo(kernel: &Kernel, cache: Option<&mut RouteCache>, target: Uid) -> Result<Value> {
+    match cache {
+        None => kernel.call(target, "Echo", Value::Int(7)),
+        Some(cache) => kernel.call_routed(cache, target, "Echo", Value::Int(7)),
+    }
+}
+
+fn retry_echo(kernel: &Kernel, cache: Option<&mut RouteCache>, target: Uid) -> Result<Value> {
+    let opts = InvokeOptions::new().retry(RetryPolicy::retries(2));
+    match cache {
+        None => kernel
+            .invoke_with(target, "Echo", Value::Int(7), opts)
+            .wait(),
+        Some(cache) => kernel
+            .invoke_with(target, "Echo", Value::Int(7), opts.route_cache(cache))
+            .wait(),
+    }
+}
+
+/// What a target is when the measured send reaches it: still active, gone
+/// passive (it checkpointed, so the send reactivates it), or gone.
+#[derive(Debug, Clone, Copy)]
+enum Fate {
+    Live,
+    Reactivated,
+    Vanished,
+}
+
+/// The outcome of the measured send (its target's UID written `target`),
+/// and what it moved: `invocations`, `successes`, `fatal_failures`,
+/// `replies`, the span count, and the route cache's hits and misses
+/// together.
+type Observed = (String, [u64; 5], u64);
+
+/// One send to a target of fate `fate`, after a first send the same way
+/// that warms the cache (so a cached send meets a stale route when the
+/// target has moved on).
+fn observe(send: Send, cached: bool, fate: Fate) -> Observed {
+    let kernel = Kernel::builder().observability(ObsConfig::full()).build();
+    kernel.register_type("KeptEcho", |_| Ok(Box::new(KeptEcho)));
+    let target = match fate {
+        Fate::Vanished => kernel.spawn(Box::new(Echo)),
+        Fate::Live | Fate::Reactivated => kernel.spawn(Box::new(KeptEcho)),
+    }
+    .unwrap();
+    let mut cache = RouteCache::new();
+    let mut send_once = || send(&kernel, cached.then_some(&mut cache), target);
+    assert_eq!(send_once(), Ok(Value::Int(7)), "warm-up");
+    if let Fate::Reactivated = fate {
+        kernel
+            .invoke(target, ops::CHECKPOINT, Value::Unit)
+            .wait()
+            .unwrap();
+    }
+    if let Fate::Reactivated | Fate::Vanished = fate {
+        kernel
+            .invoke(target, ops::DEACTIVATE, Value::Unit)
+            .wait()
+            .unwrap();
+        assert!(kernel.await_gone(&[target], Duration::from_secs(10)));
+    }
+    let (before, spans) = (kernel.metrics().snapshot(), kernel.spans().len());
+    let result = send_once();
+    let moved = kernel.metrics().snapshot().since(&before);
+    let observed = (
+        format!("{result:?}").replace(&format!("{target:?}"), "target"),
+        [
+            moved.invocations,
+            moved.successes,
+            moved.fatal_failures,
+            moved.replies,
+            (kernel.spans().len() - spans) as u64,
+        ],
+        moved.route_cache_hits + moved.route_cache_misses,
+    );
+    kernel.shutdown();
+    observed
+}
+
+#[test]
+fn cached_and_registry_sends_cannot_be_told_apart() {
+    let pairs: [(&str, Send); 3] = [
+        ("invoke / invoke_with(route_cache)", invoke_echo),
+        ("call / call_routed", call_echo),
+        ("invoke_with(retry) / + route_cache", retry_echo),
+    ];
+    for (pair, send) in pairs {
+        for fate in [Fate::Live, Fate::Reactivated, Fate::Vanished] {
+            let (registry_result, registry_moved, registry_routes) = observe(send, false, fate);
+            let (cached_result, cached_moved, cached_routes) = observe(send, true, fate);
+            let case = format!("{pair}, {fate:?} target");
+            assert_eq!(cached_result, registry_result, "{case}: result");
+            assert_eq!(
+                cached_moved, registry_moved,
+                "{case}: [invocations, successes, fatal_failures, replies, spans]"
+            );
+            assert_eq!(
+                (registry_routes, cached_routes),
+                (0, 1),
+                "{case}: hits + misses"
+            );
+        }
+    }
+}
+
 #[test]
 fn bounded_mailboxes_deliver_everything_and_shut_down_cleanly() {
     // A tiny mailbox with a slow consumer: senders block on the bound
@@ -240,10 +377,8 @@ fn injected_latency_is_paid_outside_registry_locks() {
     const LATENCY: Duration = Duration::from_millis(25);
     const THREADS: usize = 8;
     const CALLS: usize = 2;
-    let kernel = Kernel::with_config(KernelConfig {
-        invocation_latency: Some(LATENCY),
-        ..KernelConfig::default()
-    });
+    let kernel = Kernel::new();
+    kernel.install_faults(FaultPlan::new(0).rule(FaultRule::new(FaultKind::Delay(LATENCY))));
     let targets: Vec<Uid> = (0..THREADS)
         .map(|_| kernel.spawn(Box::new(Echo)).unwrap())
         .collect();
