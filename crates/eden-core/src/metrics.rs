@@ -78,7 +78,8 @@ struct CounterShard(Counters);
 /// field and by the method), the `record_*` method that adds one to it (a
 /// counter fed only by one of the three multi-counter recorders below has
 /// none), and the name and help it is exported under (the `sheds_*` rows
-/// have none: the renderers export them as one labelled family). It
+/// have none: the renderers export them as one labelled family; nor have
+/// the scheduler's, which reach them folded into its own snapshot). It
 /// expands to `Counters`, the one-counter recorders, [`Metrics::snapshot`],
 /// [`MetricsSnapshot`] with [`since`](MetricsSnapshot::since) and
 /// [`rows`](MetricsSnapshot::rows) — so a new counter is one row, and it
@@ -223,6 +224,16 @@ counters! {
     /// out before space freed (`ShedPolicy::Park` under an invocation
     /// deadline).
     sheds_park_timeout / record_shed_park_timeout;
+    /// Record a call whose callee ran on its caller's stack.
+    inline_handoffs / record_inline_handoff;
+    /// Record a scheduler task parking on its mailbox. Parks less wakes is
+    /// the parked gauge, exact at rest.
+    parks / record_park;
+    /// Record a parked scheduler task woken by a send.
+    wakes / record_wake;
+    /// Record a scheduler worker picking a task off the run queue: the
+    /// stall monitor's progress signal.
+    pickups / record_pickup;
 }
 
 impl Metrics {
@@ -254,6 +265,13 @@ impl Metrics {
         cell.checkpoints.fetch_add(1, Ordering::Relaxed);
         cell.checkpoint_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
         cell.journal_entries.fetch_add(entry as u64, Ordering::Relaxed);
+    }
+
+    /// How many handles share these counters: what a hot path that clones
+    /// none leaves unchanged.
+    #[doc(hidden)]
+    pub fn handle_count(&self) -> usize {
+        Arc::strong_count(&self.shards)
     }
 
     /// The calling thread's counter block.
@@ -465,6 +483,10 @@ mod tests {
         m.record_fatal_failure();
         m.record_shed_newest();
         m.record_shed_park_timeout();
+        m.record_inline_handoff();
+        m.record_park();
+        m.record_wake();
+        m.record_pickup();
         let s = m.snapshot();
         let by_hand = MetricsSnapshot {
             invocations: 1,
@@ -491,6 +513,10 @@ mod tests {
             fatal_failures: 1,
             sheds_newest: 1,
             sheds_park_timeout: 1,
+            inline_handoffs: 1,
+            parks: 1,
+            wakes: 1,
+            pickups: 1,
         };
         assert_eq!(s, by_hand);
         assert_eq!(s.since(&s), MetricsSnapshot::default());

@@ -20,7 +20,7 @@ use eden_core::{EdenError, Metrics, OpName, Result, Uid, Value};
 use parking_lot::Mutex;
 
 use crate::invocation::PendingReply;
-use crate::kernel::{NodeId, WeakKernel};
+use crate::kernel::{Kernel, KernelInner, NodeId};
 use crate::mailbox::MailboxSender;
 use crate::options::InvokeOptions;
 use crate::routes::RouteCache;
@@ -33,7 +33,10 @@ pub struct EjectContext {
     pub(crate) uid: Uid,
     pub(crate) node: NodeId,
     pub(crate) type_name: &'static str,
-    pub(crate) kernel: WeakKernel,
+    /// The kernel this Eject runs on, held for its lifetime: every send
+    /// borrows it. It is no user handle, so it never stands in the way of
+    /// the shutdown that dropping the last one means.
+    pub(crate) kernel: Arc<KernelInner>,
     /// This Eject's own mailbox, as its processes post to it.
     pub(crate) internal: InternalSender,
     pub(crate) stop: Arc<AtomicBool>,
@@ -58,9 +61,11 @@ impl EjectContext {
     }
 
     /// A kernel handle, if the kernel is still alive. Behaviours use this
-    /// to spawn sibling Ejects (e.g. a file minting a reader stream).
-    pub fn kernel(&self) -> Option<crate::kernel::Kernel> {
-        self.kernel.upgrade()
+    /// to spawn sibling Ejects (e.g. a file minting a reader stream). It is
+    /// a user handle like any other: while a behaviour keeps it, the kernel
+    /// stays up.
+    pub fn kernel(&self) -> Option<Kernel> {
+        Kernel::adopt(&self.kernel)
     }
 
     /// Send an invocation without suspending (returns a [`PendingReply`]).
@@ -77,10 +82,8 @@ impl EjectContext {
         arg: Value,
         opts: InvokeOptions<'_>,
     ) -> PendingReply {
-        match self.kernel.upgrade() {
-            Some(kernel) => kernel.invoke_with_from(self.node, target, op.into(), arg, opts),
-            None => PendingReply::ready(Err(EdenError::KernelShutdown)),
-        }
+        self.kernel
+            .invoke_with_from(self.node, target, op.into(), arg, opts)
     }
 
     /// As [`invoke`](Self::invoke), but through a caller-owned
@@ -166,8 +169,8 @@ impl EjectContext {
     /// provided by the Eden kernel whereby an Eject may access stable
     /// storage", §1).
     pub fn checkpoint(&self, representation: &Value) -> Result<()> {
-        let kernel = self.kernel.upgrade().ok_or(EdenError::KernelShutdown)?;
-        kernel.stable_write(self.uid, Some(self.type_name), representation)
+        self.kernel
+            .stable_write(self.uid, Some(self.type_name), representation)
     }
 
     /// The same primitive, said incrementally: extend this Eject's passive
@@ -178,8 +181,7 @@ impl EjectContext {
     /// after an `Err` from either, which may or may not have landed, say the
     /// same again or checkpoint — an entry extends what the store holds.
     pub fn journal(&self, entry: &Value) -> Result<()> {
-        let kernel = self.kernel.upgrade().ok_or(EdenError::KernelShutdown)?;
-        kernel.stable_write(self.uid, None, entry)
+        self.kernel.stable_write(self.uid, None, entry)
     }
 
     /// Request that this Eject deactivate once the current envelope has

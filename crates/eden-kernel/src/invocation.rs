@@ -80,7 +80,9 @@ struct ReplyCell {
     /// The Eject the invocation went to: what an abandoned cell reports as
     /// crashed.
     responder: Uid,
-    metrics: Metrics,
+    /// The handle settling meters through: the sending thread's own, where
+    /// it has one, so taking and dropping it writes no shared line.
+    metrics: Arc<Metrics>,
     /// The invocation's overall deadline as an absolute instant, when one
     /// was set via `InvokeOptions::deadline`. Admission control reads it on
     /// the send path: a `Park` sender bounds its wait for mailbox space by
@@ -518,7 +520,7 @@ impl PendingReply {
 
 /// Create a connected reply pair for an invocation of `responder`.
 pub fn reply_pair(responder: Uid, metrics: Metrics) -> (ReplyHandle, PendingReply) {
-    reply_pair_with(responder, metrics, false, None, None)
+    reply_pair_with(responder, Arc::new(metrics), false, None, None)
 }
 
 /// [`reply_pair`] as the kernel's dispatch path makes it: whether settling
@@ -526,7 +528,7 @@ pub fn reply_pair(responder: Uid, metrics: Metrics) -> (ReplyHandle, PendingRepl
 /// absolute deadline, and the observability tag when the plane is enabled.
 pub(crate) fn reply_pair_with(
     responder: Uid,
-    metrics: Metrics,
+    metrics: Arc<Metrics>,
     meters_outcome: bool,
     admit_by: Option<Instant>,
     obs: Option<Box<crate::obs::ObsTag>>,
@@ -636,7 +638,7 @@ mod tests {
     #[test]
     fn the_ledger_settles_once_on_every_path() {
         let m = Metrics::new();
-        let pair = || reply_pair_with(Uid::fresh(), m.clone(), true, None, None);
+        let pair = || reply_pair_with(Uid::fresh(), Arc::new(m.clone()), true, None, None);
         let (h, _p) = pair();
         h.reply(Ok(Value::Unit));
         let (h, _p) = pair();

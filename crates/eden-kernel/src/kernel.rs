@@ -19,7 +19,7 @@
 //!
 //! # The invocation plane
 //!
-//! One function, [`Kernel::deliver`], puts every invocation into a mailbox:
+//! One function, [`KernelInner::deliver`], puts every invocation into a mailbox:
 //! plain or retried, a first send or a re-send, a call or a send, by a
 //! cached route or through the registry. It meters, checks for shutdown and
 //! consults the fault plan before it routes, and sends with *no* lock held,
@@ -32,8 +32,8 @@
 //! [`routes`](crate::routes) module for the staleness protocol.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -216,13 +216,25 @@ pub(crate) struct KernelInner {
     shards: Box<[Shard]>,
     types: Mutex<HashMap<String, TypeFactory>>,
     stable: StableStore,
-    metrics: Metrics,
+    /// The kernel-wide handle on the counters: what a reply cell made off
+    /// the pool meters through. A pool worker's cells use its own handle.
+    pub(crate) metrics: Arc<Metrics>,
     config: KernelConfig,
     obs: Option<Arc<ObsPlane>>,
     faults: FaultInjector,
     /// The worker pool.
     sched: Arc<Scheduler>,
     shutting_down: AtomicBool,
+    /// User [`Kernel`] handles: the drop that takes the count to zero shuts
+    /// the kernel down. An Eject's context holds this state as no user; the
+    /// cycle it closes (registry → task → context) the shutdown breaks.
+    users: AtomicUsize,
+}
+
+impl std::fmt::Debug for KernelInner {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("KernelInner").finish_non_exhaustive()
+    }
 }
 
 impl KernelInner {
@@ -249,18 +261,6 @@ impl KernelInner {
     }
 }
 
-impl Drop for KernelInner {
-    fn drop(&mut self) {
-        // Reached only when every strong handle (user-visible or the
-        // short-lived upgrades inside Eject contexts) is gone. Normally
-        // `Kernel::drop` has already shut everything down; this is the
-        // backstop for the race where two handles drop concurrently and
-        // each thought the other would do it.
-        self.shutting_down.store(true, Ordering::Release);
-        self.stop_all();
-    }
-}
-
 /// Tell every coordinator to stop, release our senders, then wait. The
 /// sender release must precede the wait: a coordinator may be blocked
 /// waiting for an envelope queued at another (already exited) coordinator
@@ -283,7 +283,7 @@ fn shutdown_entries(entries: Vec<(MailboxSender, Arc<Task>)>, sched: &Scheduler)
     drop(tasks);
 }
 
-/// An invocation as [`Kernel::deliver`] sends it, and as a [`RetryState`]
+/// An invocation as [`KernelInner::deliver`] sends it, and as a [`RetryState`]
 /// keeps it to send again: where it comes from and goes to, what it asks,
 /// whether the installed fault plan may select it, and its overall deadline
 /// as an absolute instant, which admission control reads (deadline-bounded
@@ -313,54 +313,12 @@ pub(crate) enum Attempt {
     Resend,
 }
 
-/// A weak reference to the kernel, held by Eject contexts so the kernel can
-/// shut down when the last user-visible [`Kernel`] handle drops.
-#[derive(Clone)]
-#[derive(Debug)]
-pub(crate) struct WeakKernel(Weak<KernelInner>);
-
-impl WeakKernel {
-    /// Upgrade to a full handle if the kernel is still alive.
-    pub(crate) fn upgrade(&self) -> Option<Kernel> {
-        self.0.upgrade().map(|inner| Kernel { inner })
-    }
-
-    /// A call on behalf of an Eject, up to the wait (its contexts differ in
-    /// how they wait). The kernel is held for the send only: the callee may
-    /// then run on this thread for as long as its handler takes, and a
-    /// handle kept that long would stand in the way of the shutdown that
-    /// dropping the last user handle means.
-    pub(crate) fn call(
-        &self,
-        from: NodeId,
-        cache: Option<&mut RouteCache>,
-        target: Uid,
-        op: OpName,
-        arg: Value,
-    ) -> PendingReply {
-        match self.upgrade().map(|kernel| kernel.send_call(from, cache, target, op, arg)) {
-            Some(sent) => finish_call(sent),
-            None => PendingReply::ready(Err(EdenError::KernelShutdown)),
-        }
-    }
-}
-
-/// The second half of a call, between the send and the wait: if the send
-/// woke its target, run it here or enqueue it ([`Woken::run_as_call`]). Only
-/// then is it checked that the caller may wait at all: the wake must not be
-/// lost to the panic that tells a behaviour it may not.
-fn finish_call((pending, woken): (PendingReply, Option<Woken>)) -> PendingReply {
-    if let Some(woken) = woken {
-        woken.run_as_call(&|| pending.is_settled());
-    }
-    crate::sched::note_wait();
-    pending
-}
-
 /// Handle to a simulated Eden kernel.
 ///
 /// Clones share the kernel. When the last clone drops, the kernel shuts
-/// down: every coordinator receives a shutdown envelope and is joined.
+/// down: every coordinator receives a shutdown envelope and is joined. A
+/// handle an Eject takes with [`EjectContext::kernel`] is a clone like any
+/// other.
 /// Prefer calling [`Kernel::shutdown`] explicitly in tests so teardown
 /// problems surface where they happen.
 pub struct Kernel {
@@ -378,6 +336,7 @@ impl std::fmt::Debug for Kernel {
 
 impl Clone for Kernel {
     fn clone(&self) -> Self {
+        self.inner.users.fetch_add(1, Ordering::Relaxed);
         Kernel {
             inner: Arc::clone(&self.inner),
         }
@@ -406,17 +365,19 @@ impl Kernel {
             .observability
             .enabled()
             .then(|| Arc::new(ObsPlane::new(config.observability)));
-        let sched = Scheduler::new(config.scheduler, obs.is_some());
+        let metrics = Metrics::new();
+        let sched = Scheduler::new(config.scheduler, obs.is_some(), metrics.clone());
         let inner = KernelInner {
             shards,
             types: Mutex::new(HashMap::new()),
             stable,
-            metrics: Metrics::new(),
+            metrics: Arc::new(metrics),
             config,
             obs,
             faults: FaultInjector::default(),
             sched,
             shutting_down: AtomicBool::new(false),
+            users: AtomicUsize::new(1),
         };
         for uid in inner.stable.uids() {
             if let Ok(rec) = inner.stable.load(uid) {
@@ -437,9 +398,32 @@ impl Kernel {
         }
     }
 
-    /// A weak handle for storage inside Eject contexts.
-    pub(crate) fn downgrade(&self) -> WeakKernel {
-        WeakKernel(Arc::downgrade(&self.inner))
+    /// A user handle on `inner`, unless the last one has dropped already.
+    pub(crate) fn adopt(inner: &Arc<KernelInner>) -> Option<Kernel> {
+        let user = |users: usize| (users > 0).then_some(users + 1);
+        inner
+            .users
+            .fetch_update(Ordering::Acquire, Ordering::Relaxed, user)
+            .ok()?;
+        Some(Kernel {
+            inner: Arc::clone(inner),
+        })
+    }
+
+    /// How many holders share this kernel's state: user handles and Eject
+    /// contexts, and nothing an invocation in flight takes.
+    #[doc(hidden)]
+    pub fn handle_count(&self) -> usize {
+        Arc::strong_count(&self.inner)
+    }
+
+    /// A probe that reads whether anything of this kernel is still
+    /// allocated: its shared state, or its worker pool.
+    #[doc(hidden)]
+    pub fn liveness_probe(&self) -> impl Fn() -> bool + Send + Sync + 'static {
+        let inner = Arc::downgrade(&self.inner);
+        let sched = Arc::downgrade(&self.inner.sched);
+        move || inner.strong_count() + sched.strong_count() > 0
     }
 
     /// The kernel-wide metrics counters.
@@ -574,7 +558,8 @@ impl Kernel {
         let replies_last = behavior.replies_last();
         let shard = self.inner.shard(uid);
         let mut slots = shard.slots.write();
-        self.start_coordinator(&mut slots, uid, node, behavior, replies_last)?;
+        self.inner
+            .start_coordinator(&mut slots, uid, node, behavior, replies_last)?;
         Ok(uid)
     }
 
@@ -605,7 +590,9 @@ impl Kernel {
     /// it defers — is [`invoke`](Kernel::invoke) followed by
     /// [`wait`](PendingReply::wait), which is what `call` always means.
     pub fn call(&self, target: Uid, op: impl Into<OpName>, arg: Value) -> Result<Value> {
-        finish_call(self.send_call(NodeId::default(), None, target, op.into(), arg)).wait()
+        self.inner
+            .call(NodeId::default(), None, target, op.into(), arg)
+            .wait()
     }
 
     /// [`call`](Kernel::call) through a caller-owned [`RouteCache`].
@@ -616,29 +603,9 @@ impl Kernel {
         op: impl Into<OpName>,
         arg: Value,
     ) -> Result<Value> {
-        finish_call(self.send_call(NodeId::default(), Some(cache), target, op.into(), arg)).wait()
-    }
-
-    /// The send half of a call: a plain send, except that a wake it wins
-    /// comes back with the reply instead of being enqueued.
-    fn send_call(
-        &self,
-        from: NodeId,
-        cache: Option<&mut RouteCache>,
-        target: Uid,
-        op: OpName,
-        arg: Value,
-    ) -> (PendingReply, Option<Woken>) {
-        let request = Request {
-            from,
-            target,
-            invocation: Invocation { op, arg },
-            subject_to_faults: true,
-            admit_by: None,
-        };
-        let mut woken = None;
-        let pending = self.deliver(request, Attempt::Plain, cache, Some(&mut woken));
-        (pending, woken)
+        self.inner
+            .call(NodeId::default(), Some(cache), target, op.into(), arg)
+            .wait()
     }
 
     /// [`Kernel::invoke`] with explicit [`InvokeOptions`]: an overall
@@ -652,13 +619,54 @@ impl Kernel {
         arg: Value,
         opts: InvokeOptions<'_>,
     ) -> PendingReply {
-        self.invoke_with_from(NodeId::default(), target, op.into(), arg, opts)
+        self.inner
+            .invoke_with_from(NodeId::default(), target, op.into(), arg, opts)
+    }
+
+    /// Install a fault plan on the invocation path, replacing any previous
+    /// plan. Every delivery attempt (including retries) of a non-immune
+    /// invocation consults the plan.
+    pub fn install_faults(&self, plan: FaultPlan) {
+        self.inner.faults.install(plan);
+    }
+}
+
+/// The delivery chain, on the state an Eject's context holds: a context
+/// sends with no handle to take and drop, and a kernel handle by forwarding.
+impl KernelInner {
+    /// A call, up to the wait (callers differ in how they wait): a plain
+    /// send, except that a wake it wins comes back with the reply and is
+    /// spent here, run or enqueued ([`Woken::run_as_call`]). Only then is
+    /// it checked that the caller may wait at all: the wake must not be
+    /// lost to the panic that tells a behaviour it may not.
+    pub(crate) fn call(
+        self: &Arc<Self>,
+        from: NodeId,
+        cache: Option<&mut RouteCache>,
+        target: Uid,
+        op: OpName,
+        arg: Value,
+    ) -> PendingReply {
+        let request = Request {
+            from,
+            target,
+            invocation: Invocation { op, arg },
+            subject_to_faults: true,
+            admit_by: None,
+        };
+        let mut woken = None;
+        let pending = self.deliver(request, Attempt::Plain, cache, Some(&mut woken));
+        if let Some(woken) = woken {
+            woken.run_as_call(&|| pending.is_settled());
+        }
+        crate::sched::note_wait();
+        pending
     }
 
     /// The options-bearing invocation path, with an explicit originating
     /// node (Eject contexts pass their own placement).
     pub(crate) fn invoke_with_from(
-        &self,
+        self: &Arc<Self>,
         from: NodeId,
         target: Uid,
         op: OpName,
@@ -699,7 +707,7 @@ impl Kernel {
     /// registry path reports it. Only a first delivery hands a call its
     /// `wake` (see [`dispatch_route`](Self::dispatch_route)).
     pub(crate) fn deliver(
-        &self,
+        self: &Arc<Self>,
         request: Request,
         attempt: Attempt,
         cache: Option<&mut RouteCache>,
@@ -712,7 +720,7 @@ impl Kernel {
             subject_to_faults,
             admit_by,
         } = request;
-        let metrics = &self.inner.metrics;
+        let metrics = &self.metrics;
         if attempt != Attempt::Resend {
             metrics.record_invocation(invocation.arg.size_hint());
         }
@@ -722,7 +730,7 @@ impl Kernel {
             }
             PendingReply::ready(Err(e))
         };
-        if self.inner.shutting_down.load(Ordering::Acquire) {
+        if self.shutting_down.load(Ordering::Acquire) {
             return fail(EdenError::KernelShutdown);
         }
         if subject_to_faults {
@@ -777,7 +785,9 @@ impl Kernel {
     /// metering (a plain invocation settles the ledger at reply time),
     /// the absolute deadline admission control reads, and the
     /// observability tag (span coordinates + enqueue timestamp) when the
-    /// plane is enabled.
+    /// plane is enabled. The cell meters through the calling thread's own
+    /// handle on the counters, if it is one of this kernel's workers, so a
+    /// hop takes and drops no count on a line every thread writes.
     fn reply_pair_for(
         &self,
         op: &OpName,
@@ -787,7 +797,7 @@ impl Kernel {
         admit_by: Option<Instant>,
     ) -> (ReplyHandle, PendingReply) {
         let target = route.target;
-        let obs = self.inner.obs.as_ref().map(|obs| {
+        let obs = self.obs.as_ref().map(|obs| {
             // Histogram-only mode never reads the span coordinates; skip
             // the thread-local lookup and the span-id allocation.
             let ctx = if obs.config().spans {
@@ -809,7 +819,8 @@ impl Kernel {
                 route.node,
             ))
         });
-        let metrics = self.inner.metrics.clone();
+        let metrics =
+            crate::sched::local_metrics(&self.sched).unwrap_or_else(|| Arc::clone(&self.metrics));
         reply_pair_with(target, metrics, attempt == Attempt::Plain, admit_by, obs)
     }
 
@@ -819,7 +830,7 @@ impl Kernel {
     /// drops, errors, and crashes in the causal tree their retries belong
     /// to.
     fn record_faulted_span(&self, from: NodeId, target: Uid, op: &OpName) {
-        if let Some(obs) = &self.inner.obs {
+        if let Some(obs) = &self.obs {
             if obs.config().spans {
                 obs.record_faulted(eden_core::span::child_of_current(), target, op, from);
             }
@@ -833,11 +844,11 @@ impl Kernel {
     /// logical invocation is still in the ledger (metered at first
     /// attempt), and `faults_injected` counts the decision.
     fn apply_fault(&self, target: Uid, op: &OpName) -> Option<EdenError> {
-        if !self.inner.faults.armed() {
+        if !self.faults.armed() {
             return None;
         }
-        let decision = self.inner.faults.decide(op)?;
-        self.inner.metrics.record_fault_injected();
+        let decision = self.faults.decide(op)?;
+        self.metrics.record_fault_injected();
         match decision.kind {
             // A lost invocation, observed as the timeout it would become —
             // immediately, so retry backoff (not a 30 s deadline) paces
@@ -859,13 +870,6 @@ impl Kernel {
         }
     }
 
-    /// Install a fault plan on the invocation path, replacing any previous
-    /// plan. Every delivery attempt (including retries) of a non-immune
-    /// invocation consults the plan.
-    pub fn install_faults(&self, plan: FaultPlan) {
-        self.inner.faults.install(plan);
-    }
-
     /// Resolve whatever admission control did on a successful send: count
     /// each shed under its policy label and resolve its reply with the
     /// retryable [`EdenError::Overloaded`], so waiters observe the shed as
@@ -879,8 +883,8 @@ impl Kernel {
 
     fn resolve_shed(&self, envelope: Envelope, cause: ShedCause) {
         match cause {
-            ShedCause::Newest => self.inner.metrics.record_shed_newest(),
-            ShedCause::ParkTimeout => self.inner.metrics.record_shed_park_timeout(),
+            ShedCause::Newest => self.metrics.record_shed_newest(),
+            ShedCause::ParkTimeout => self.metrics.record_shed_park_timeout(),
         }
         // The mailbox only ever sheds invocations; anything else would be
         // a protocol bug, and dropping it here is the safe failure mode.
@@ -898,7 +902,7 @@ impl Kernel {
     /// active) takes only a shard read lock; reactivation upgrades to the
     /// shard write lock and re-checks, so concurrent resolvers of the same
     /// passive target activate it exactly once.
-    fn resolve_route(&self, target: Uid) -> Result<Route> {
+    fn resolve_route(self: &Arc<Self>, target: Uid) -> Result<Route> {
         let active = |slot: &Slot| match &slot.state {
             SlotState::Active { tx, .. } => Some(Route {
                 target,
@@ -907,7 +911,7 @@ impl Kernel {
             }),
             SlotState::Passive { .. } => None,
         };
-        let shard = self.inner.shard(target);
+        let shard = self.shard(target);
         match shard.slots.read().get(&target) {
             None => return Err(EdenError::NoSuchEject(target)),
             Some(slot) => {
@@ -931,11 +935,15 @@ impl Kernel {
     /// [`resolve_route`](Self::resolve_route), as a miss of `cache` when
     /// there is one: counted, and the cache drops any stale route to
     /// `target` and keeps the fresh one.
-    fn resolve_missed(&self, cache: Option<&mut RouteCache>, target: Uid) -> Result<Route> {
+    fn resolve_missed(
+        self: &Arc<Self>,
+        cache: Option<&mut RouteCache>,
+        target: Uid,
+    ) -> Result<Route> {
         let Some(cache) = cache else {
             return self.resolve_route(target);
         };
-        self.inner.metrics.record_route_cache_miss();
+        self.metrics.record_route_cache_miss();
         cache.invalidate(target);
         let route = self.resolve_route(target)?;
         cache.insert(route.clone());
@@ -947,7 +955,7 @@ impl Kernel {
     ///
     /// A call passes `wake`: if this push is what wakes the target, the wake
     /// is left there, un-enqueued, for the caller to spend
-    /// ([`finish_call`]). `Err` hands back the envelope of a route whose
+    /// ([`call`](Self::call)). `Err` hands back the envelope of a route whose
     /// coordinator has exited. A successful send may still have shed
     /// envelopes (admission control at a full bounded mailbox); those
     /// resolve with `Overloaded`.
@@ -959,7 +967,7 @@ impl Kernel {
         wake: Option<&mut Option<Woken>>,
     ) -> std::result::Result<(), SendError> {
         if route.node != from {
-            self.inner.metrics.record_remote_invocation();
+            self.metrics.record_remote_invocation();
         }
         let outcome = match wake {
             Some(wake) => {
@@ -972,7 +980,9 @@ impl Kernel {
         self.settle_send_outcome(outcome);
         Ok(())
     }
+}
 
+impl Kernel {
     /// The current state of `uid`, if the kernel knows it.
     pub fn eject_state(&self, uid: Uid) -> Option<EjectState> {
         let slots = self.inner.shard(uid).slots.read();
@@ -1021,26 +1031,7 @@ impl Kernel {
     /// coordinator has exited — except when an Eject crashes *itself*,
     /// which is detected and returns without waiting.
     pub fn crash(&self, uid: Uid) -> Result<()> {
-        let (tx, task) = {
-            let slots = self.inner.shard(uid).slots.read();
-            match slots.get(&uid).map(|slot| &slot.state) {
-                Some(SlotState::Active { tx, task, .. }) => (tx.clone(), Arc::clone(task)),
-                Some(SlotState::Passive { .. }) => return Ok(()),
-                None => return Err(EdenError::NoSuchEject(uid)),
-            }
-        };
-        self.inner.metrics.record_crash();
-        // Crash must land even if the mailbox is bounded and full.
-        let _ = tx.force_send(Envelope::Crash);
-        drop(tx);
-        // A worker crashing a task it is resuming — its own, or a caller
-        // further up its inline frame stack — cannot wait for that task to
-        // die: it dies when this dispatch returns. Every other caller gets
-        // the blocking semantics.
-        if !crate::sched::is_resuming(uid) {
-            task.wait_dead(None);
-        }
-        Ok(())
+        self.inner.crash(uid)
     }
 
     /// Wait on their death latches, for `timeout` in all, until each of `uids` active now has
@@ -1059,6 +1050,41 @@ impl Kernel {
         })
     }
 
+    /// Stop every Eject and wait for every coordinator, then stop the
+    /// worker pool. Idempotent. Passive representations
+    /// survive in the stable store.
+    pub fn shutdown(&self) {
+        if !self.inner.shutting_down.swap(true, Ordering::AcqRel) {
+            self.inner.stop_all();
+        }
+    }
+}
+
+impl KernelInner {
+    /// [`Kernel::crash`].
+    fn crash(&self, uid: Uid) -> Result<()> {
+        let (tx, task) = {
+            let slots = self.shard(uid).slots.read();
+            match slots.get(&uid).map(|slot| &slot.state) {
+                Some(SlotState::Active { tx, task, .. }) => (tx.clone(), Arc::clone(task)),
+                Some(SlotState::Passive { .. }) => return Ok(()),
+                None => return Err(EdenError::NoSuchEject(uid)),
+            }
+        };
+        self.metrics.record_crash();
+        // Crash must land even if the mailbox is bounded and full.
+        let _ = tx.force_send(Envelope::Crash);
+        drop(tx);
+        // A worker crashing a task it is resuming — its own, or a caller
+        // further up its inline frame stack — cannot wait for that task to
+        // die: it dies when this dispatch returns. Every other caller gets
+        // the blocking semantics.
+        if !crate::sched::is_resuming(uid) {
+            task.wait_dead(None);
+        }
+        Ok(())
+    }
+
     /// Write to stable storage on behalf of an Eject (used by its contexts):
     /// `state` whole, as the passive representation of a `type_name`, or
     /// without one as an entry in the journal beside it. A write that fails
@@ -1068,23 +1094,23 @@ impl Kernel {
         let bytes = Bytes::from(wire::encode(state));
         let len = bytes.len();
         match type_name {
-            Some(type_name) => self.inner.stable.store(uid, type_name, bytes)?,
-            None => self.inner.stable.append(uid, bytes)?,
+            Some(type_name) => self.stable.store(uid, type_name, bytes)?,
+            None => self.stable.append(uid, bytes)?,
         }
-        self.inner.metrics.record_checkpoint(len, type_name.is_none());
+        self.metrics.record_checkpoint(len, type_name.is_none());
         Ok(())
     }
 
     /// Called by a coordinator as its last act. Decides the Eject's fate:
     /// passive if it ever checkpointed, gone otherwise.
     pub(crate) fn on_eject_exit(&self, uid: Uid, incarnation: u64, crashed: bool) {
-        if let Some(obs) = &self.inner.obs {
+        if let Some(obs) = &self.obs {
             obs.record_lifecycle(Lifecycle::Stop { uid, crashed });
         }
-        if self.inner.shutting_down.load(Ordering::Acquire) {
+        if self.shutting_down.load(Ordering::Acquire) {
             return;
         }
-        let mut slots = self.inner.shard(uid).slots.write();
+        let mut slots = self.shard(uid).slots.write();
         let is_current = matches!(
             slots.get(&uid),
             Some(Slot { state: SlotState::Active { .. }, incarnation: cur, .. })
@@ -1093,7 +1119,7 @@ impl Kernel {
         if !is_current {
             return;
         }
-        match self.inner.stable.load(uid) {
+        match self.stable.load(uid) {
             Ok(record) => {
                 // The shard write lock has been held since the currency
                 // check, so the slot is still there; the exit path must
@@ -1117,10 +1143,9 @@ impl Kernel {
     /// first, and start a fresh coordinator under the same UID. Called with
     /// the target's shard write lock held.
     // eden-lint: holds(registry-shard)
-    fn reactivate(&self, slots: &mut HashMap<Uid, Slot>, uid: Uid) -> Result<()> {
-        let record = self.inner.stable.load(uid)?;
+    fn reactivate(self: &Arc<Self>, slots: &mut HashMap<Uid, Slot>, uid: Uid) -> Result<()> {
+        let record = self.stable.load(uid)?;
         let factory = self
-            .inner
             .types
             .lock()
             .get(&record.type_name)
@@ -1140,7 +1165,7 @@ impl Kernel {
         }
         let replies_last = behavior.replies_last();
         let node = slots.get(&uid).map(|slot| slot.node).unwrap_or_default();
-        self.inner.metrics.record_reactivation();
+        self.metrics.record_reactivation();
         self.start_coordinator(slots, uid, node, behavior, replies_last)
     }
 
@@ -1148,34 +1173,34 @@ impl Kernel {
     // reactivate), so the shard lock is held for the whole body.
     // eden-lint: holds(registry-shard)
     fn start_coordinator(
-        &self,
+        self: &Arc<Self>,
         slots: &mut HashMap<Uid, Slot>,
         uid: Uid,
         node: NodeId,
         behavior: Box<dyn EjectBehavior>,
         replies_last: bool,
     ) -> Result<()> {
-        if self.inner.shutting_down.load(Ordering::Acquire) {
+        if self.shutting_down.load(Ordering::Acquire) {
             return Err(EdenError::KernelShutdown);
         }
         let incarnation = slots.get(&uid).map(|slot| slot.incarnation).unwrap_or(0) + 1;
-        let (tx, core) = mailbox(self.inner.config.mailbox_bound);
+        let (tx, core) = mailbox(self.config.mailbox_bound);
         let type_name = behavior.type_name();
         let ctx = Arc::new(EjectContext {
             uid,
             node,
             type_name,
-            kernel: self.downgrade(),
+            kernel: Arc::clone(self),
             internal: InternalSender {
                 tx: tx.clone(),
-                metrics: self.inner.metrics.clone(),
+                metrics: Metrics::clone(&self.metrics),
             },
             stop: Arc::new(AtomicBool::new(false)),
             deactivate: AtomicBool::new(false),
             workers: Mutex::new(Vec::new()),
         });
-        self.inner.metrics.record_activation();
-        if let Some(obs) = &self.inner.obs {
+        self.metrics.record_activation();
+        if let Some(obs) = &self.obs {
             obs.record_lifecycle(Lifecycle::Activate { uid, type_name });
         }
         // The coordinator inherits the spawner's ambient span: an Eject
@@ -1184,14 +1209,9 @@ impl Kernel {
         // sends — e.g. a conventional pump spawning — and a
         // crash/reactivate cycle both stay causally connected.
         let ambient = eden_core::span::current();
-        let task = self.inner.sched.spawn_task(
-            core,
-            ctx,
-            incarnation,
-            behavior,
-            replies_last,
-            ambient,
-        );
+        let task = self
+            .sched
+            .spawn_task(core, ctx, incarnation, behavior, replies_last, ambient);
         slots.insert(
             uid,
             Slot {
@@ -1206,15 +1226,6 @@ impl Kernel {
         );
         Ok(())
     }
-
-    /// Stop every Eject and wait for every coordinator, then stop the
-    /// worker pool. Idempotent. Passive representations
-    /// survive in the stable store.
-    pub fn shutdown(&self) {
-        if !self.inner.shutting_down.swap(true, Ordering::AcqRel) {
-            self.inner.stop_all();
-        }
-    }
 }
 
 impl Default for Kernel {
@@ -1225,11 +1236,9 @@ impl Default for Kernel {
 
 impl Drop for Kernel {
     fn drop(&mut self) {
-        // Last user-visible handle: shut the kernel down. Coordinators
-        // hold only weak references, so they do not keep the kernel alive.
-        // (If a racing upgrade makes the count transiently higher, the
-        // KernelInner::drop backstop finishes the job.)
-        if Arc::strong_count(&self.inner) == 1 {
+        // The last user handle shuts the kernel down: exactly one drop takes
+        // the count from 1 to 0, and no Eject's context is counted.
+        if self.inner.users.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.shutdown();
         }
     }

@@ -773,14 +773,15 @@ mod tests {
     }
 
     use crate::invocation::{reply_pair_with, Invocation, PendingReply};
-    use eden_core::{Metrics, Uid, Value};
+    use eden_core::{Uid, Value};
     use std::time::Duration;
 
     /// An invocation envelope with an optional admission deadline, plus the
     /// pending reply to observe what admission control did with it.
     fn inv_envelope(deadline: Option<Duration>) -> (Envelope, PendingReply) {
         let admit_by = deadline.map(|d| Instant::now() + d);
-        let (handle, pending) = reply_pair_with(Uid::fresh(), Metrics::new(), false, admit_by, None);
+        let (handle, pending) =
+            reply_pair_with(Uid::fresh(), Arc::default(), false, admit_by, None);
         (
             Envelope::Invocation(
                 Invocation {

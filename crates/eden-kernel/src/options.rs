@@ -12,13 +12,14 @@
 //! [`Kernel::call`]: crate::Kernel::call
 
 use std::fmt;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use eden_core::span::SpanContext;
 use eden_core::{EdenError, Metrics, Result, Value};
 
 use crate::invocation::PendingReply;
-use crate::kernel::{Attempt, Kernel, Request, WeakKernel};
+use crate::kernel::{Attempt, KernelInner, Request};
 use crate::routes::RouteCache;
 
 /// Bounded retries with exponential backoff.
@@ -181,13 +182,13 @@ impl<'a> InvokeOptions<'a> {
 /// [`Kernel::invoke_with`] when the options ask for a deadline or retries;
 /// driven lazily by the reply's wait/poll methods.
 ///
-/// Holds only a [`WeakKernel`]: a parked retrying reply never keeps the
-/// kernel alive, and a retry after shutdown resolves with
+/// Holds the kernel only weakly: a parked retrying reply never keeps its
+/// state allocated, and a retry after shutdown resolves with
 /// [`EdenError::KernelShutdown`].
 ///
 /// [`Kernel::invoke_with`]: crate::Kernel::invoke_with
 pub struct RetryState {
-    kernel: WeakKernel,
+    kernel: Weak<KernelInner>,
     /// What each attempt sends, its absolute deadline included.
     request: Request,
     policy: RetryPolicy,
@@ -219,18 +220,18 @@ impl fmt::Debug for RetryState {
 impl RetryState {
     /// The retry state of `request`, whose first attempt `inner` is sent.
     pub(crate) fn new(
-        kernel: &Kernel,
+        kernel: &Arc<KernelInner>,
         request: Request,
         policy: RetryPolicy,
         inner: PendingReply,
     ) -> RetryState {
         RetryState {
-            kernel: kernel.downgrade(),
+            kernel: Arc::downgrade(kernel),
             request,
             policy,
             attempt: 0,
             inner,
-            metrics: kernel.metrics().clone(),
+            metrics: Metrics::clone(&kernel.metrics),
             finished: false,
             origin: eden_core::span::current(),
         }
@@ -261,7 +262,7 @@ impl RetryState {
     /// attempt's absolute deadline. Counts one retry.
     fn resend(&mut self) -> Result<()> {
         let kernel = self.kernel.upgrade().ok_or(EdenError::KernelShutdown)?;
-        kernel.metrics().record_retry();
+        self.metrics.record_retry();
         self.attempt += 1;
         // Re-sends happen on whatever thread is waiting on the reply;
         // restore the ambient span from issue time so the re-sent attempt

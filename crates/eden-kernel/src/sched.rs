@@ -80,10 +80,17 @@
 //! its own stack ([`strands_responder`]).
 //!
 //! The scheduler is deliberately kernel-agnostic: tasks reach the kernel
-//! through the weak handle in their context, and tasks and workers hold the
-//! scheduler, which holds a task only while it is queued and drains its
-//! queue when stopped, so a dropped kernel tears down through the normal
-//! shutdown path and leaves no reference cycle behind.
+//! through their context, and tasks and workers hold the scheduler, which
+//! holds a task only while it is queued and drains its queue when stopped,
+//! so a dropped kernel tears down through the normal shutdown path and
+//! leaves no reference cycle behind.
+//!
+//! Nor does a hop write a line the pool shares: its counters — the calls
+//! run inline, the parks and wakes whose difference is the parked gauge,
+//! the pickups the stall monitor watches — are the kernel's sharded
+//! [`Metrics`] rows, summed when a snapshot is taken, and a reply cell a
+//! worker makes meters through that worker's own handle on them
+//! ([`local_metrics`]).
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -92,7 +99,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use eden_core::span::SpanContext;
-use eden_core::Uid;
+use eden_core::{Metrics, Uid};
 use parking_lot::{Condvar, Mutex};
 
 use crate::behavior::EjectBehavior;
@@ -319,11 +326,12 @@ enum Resume {
     Dead(bool),
 }
 
-/// Thread-local identity of a worker: which scheduler it serves, and the
-/// blocking-section depth (only the outermost section counts the worker
-/// as lost).
+/// Thread-local identity of a worker: which scheduler it serves, its own
+/// handle on the kernel's counters, and the blocking-section depth (only
+/// the outermost section counts the worker as lost).
 struct WorkerTls {
     sched: Arc<Scheduler>,
+    metrics: Arc<Metrics>,
     block_depth: u32,
 }
 
@@ -348,6 +356,19 @@ struct Frame {
     serving: usize,
     /// The handler has settled that cell.
     replied: bool,
+}
+
+/// The calling thread's own handle on `sched`'s counters, if it is one of
+/// its workers: what a reply cell made here meters through, so the handle's
+/// count is a line only this thread writes, but for a cell settled elsewhere.
+pub(crate) fn local_metrics(sched: &Arc<Scheduler>) -> Option<Arc<Metrics>> {
+    WORKER.with(|w| {
+        let tls = w.borrow();
+        let worker = tls
+            .as_ref()
+            .filter(|worker| Arc::ptr_eq(&worker.sched, sched))?;
+        Some(Arc::clone(&worker.metrics))
+    })
 }
 
 /// Whether the calling thread is resuming `uid` right now, at any depth of
@@ -536,7 +557,7 @@ impl Woken {
         }
         // The run-queue wait this stamps the start of is over at once.
         sched.note_wake(task);
-        sched.handoffs.fetch_add(1, Ordering::Relaxed);
+        sched.metrics.record_inline_handoff();
         sched.run_task(task, Some(settled));
     }
 }
@@ -573,14 +594,9 @@ pub(crate) struct Scheduler {
     live_workers: AtomicUsize,
     blocked_workers: AtomicUsize,
     tasks_alive: AtomicU64,
-    /// Tasks parked on their mailbox. A task counts itself in before the
-    /// CAS that parks it, and whoever wins its wake counts it out after,
-    /// so the gauge never dips below zero.
-    parked: AtomicU64,
-    /// Calls run inline, by whichever thread made them.
-    handoffs: AtomicU64,
-    /// Task pickups by the workers: the stall monitor's progress signal.
-    progress: AtomicU64,
+    /// The kernel's counters: the per-hop ones (inline calls, parks, wakes,
+    /// pickups) are recorded here, on the recording thread's shard.
+    metrics: Metrics,
     /// What the backstops caught ([`SchedSnapshot`]'s last three fields).
     monitor_rescues: AtomicU64,
     idle_timeouts_with_work: AtomicU64,
@@ -596,7 +612,7 @@ pub(crate) struct Scheduler {
 impl Scheduler {
     /// `stamps`: whether anything will read the run-queue wait (the kernel
     /// builder knows: it installs the observability plane or does not).
-    pub(crate) fn new(config: SchedulerConfig, stamps: bool) -> Arc<Scheduler> {
+    pub(crate) fn new(config: SchedulerConfig, stamps: bool, metrics: Metrics) -> Arc<Scheduler> {
         let workers = config.workers.max(1);
         let sched = Arc::new(Scheduler {
             runq: Mutex::new(VecDeque::new()),
@@ -612,9 +628,7 @@ impl Scheduler {
             live_workers: AtomicUsize::new(0),
             blocked_workers: AtomicUsize::new(0),
             tasks_alive: AtomicU64::new(0),
-            parked: AtomicU64::new(0),
-            handoffs: AtomicU64::new(0),
-            progress: AtomicU64::new(0),
+            metrics,
             monitor_rescues: AtomicU64::new(0),
             idle_timeouts_with_work: AtomicU64::new(0),
             spares_spawned: AtomicU64::new(0),
@@ -638,11 +652,14 @@ impl Scheduler {
     }
 
     pub(crate) fn snapshot(&self) -> SchedSnapshot {
+        let counts = self.metrics.snapshot();
         SchedSnapshot {
             resident_ejects: self.tasks_alive.load(Ordering::Relaxed),
-            parked_ejects: self.parked.load(Ordering::Relaxed),
+            // A wake the fold reads before the park it undoes can make the
+            // difference dip below zero for a moment; at rest it is exact.
+            parked_ejects: counts.parks.saturating_sub(counts.wakes),
             sched_steals: 0,
-            inline_handoffs: self.handoffs.load(Ordering::Relaxed),
+            inline_handoffs: counts.inline_handoffs,
             workers: self.live_workers.load(Ordering::Relaxed) as u64,
             workers_blocked: self.blocked_workers.load(Ordering::Relaxed) as u64,
             workers_idle: self.idle_count.load(Ordering::Relaxed) as u64,
@@ -703,7 +720,7 @@ impl Scheduler {
 
     /// What every `PARKED -> QUEUED` wake is owed, wherever it is spent.
     fn note_wake(&self, task: &Task) {
-        self.parked.fetch_sub(1, Ordering::Relaxed);
+        self.metrics.record_wake();
         self.stamp_enqueue(task);
     }
 
@@ -945,20 +962,20 @@ impl Scheduler {
                 Some(Envelope::Crash) => return self.die(task, body, true),
                 Some(Envelope::Shutdown) => return self.die(task, body, false),
                 None => {
-                    // Publish the body (and the parked gauge) BEFORE the
-                    // CAS advertises PARKED: the instant the CAS succeeds a
-                    // sender may re-enqueue this task and another worker
-                    // resume it, and that worker must find the body in
-                    // place — parking after publishing would let the wake
-                    // race ahead of the state machine and be lost.
+                    // Publish the body BEFORE the CAS advertises PARKED: the
+                    // instant the CAS succeeds a sender may re-enqueue this
+                    // task and another worker resume it, and that worker
+                    // must find the body in place — parking after publishing
+                    // would let the wake race ahead of the state machine and
+                    // be lost. The park is counted after it, as only a won
+                    // CAS is one; the wake may be counted first.
                     task.put_body(body);
-                    self.parked.fetch_add(1, Ordering::Relaxed);
                     if transition(bit, Op::Cas, &[park::RUNNING], park::PARKED) {
+                        self.metrics.record_park();
                         return Resume::Yield;
                     }
                     // A sender marked us dirty between the empty pop and
                     // the park attempt; reclaim the body and keep draining.
-                    self.parked.fetch_sub(1, Ordering::Relaxed);
                     transition(bit, Op::Store, &[park::DIRTY], park::RUNNING);
                     body = match task.take_body() {
                         Some(reclaimed) => reclaimed,
@@ -1009,9 +1026,9 @@ impl Scheduler {
         );
         drop(task.core.close());
         task.ctx.join_workers();
-        if let Some(kernel) = task.ctx.kernel.upgrade() {
-            kernel.on_eject_exit(task.uid(), task.incarnation, crashed);
-        }
+        task.ctx
+            .kernel
+            .on_eject_exit(task.uid(), task.incarnation, crashed);
         task.mark_died();
         // As in `Task::mark_died`: the count falls under the waiter's lock.
         let _death = self.death_mx.lock();
@@ -1069,6 +1086,7 @@ fn worker_main(sched: Arc<Scheduler>, idx: usize) {
     WORKER.with(|w| {
         *w.borrow_mut() = Some(WorkerTls {
             sched: Arc::clone(&sched),
+            metrics: Arc::new(sched.metrics.clone()),
             block_depth: 0,
         })
     });
@@ -1076,7 +1094,7 @@ fn worker_main(sched: Arc<Scheduler>, idx: usize) {
     loop {
         if let Some(task) = sched.pop() {
             spins = 0;
-            sched.progress.fetch_add(1, Ordering::Relaxed);
+            sched.metrics.record_pickup();
             sched.run_task(&task, None);
             continue;
         }
@@ -1145,7 +1163,7 @@ fn monitor_main(sched: Arc<Scheduler>) {
         // eden-lint: timer(stall-monitor)
         // eden-lint: nonblocking(dedicated monitor thread, never a pool worker)
         std::thread::sleep(tick);
-        let progress = sched.progress.load(Ordering::Relaxed);
+        let progress = sched.metrics.snapshot().pickups;
         let runnable = sched.has_runnable();
         // An idle pool needs no 1 kHz heartbeat; back off until work shows.
         tick = if runnable { MONITOR_TICK } else { 5 * MONITOR_TICK };

@@ -10,7 +10,7 @@ use eden_core::op::ops;
 use eden_core::{EdenError, Value};
 use eden_kernel::{
     EjectBehavior, EjectContext, EjectState, FaultKind, FaultPlan, FaultRule, Invocation, Kernel,
-    KernelConfig, NodeId, ReplyHandle, StableStore,
+    KernelConfig, NodeId, ReplyHandle, SchedulerConfig, StableStore,
 };
 
 /// Replies to `Echo` with its argument and to `Fail` with an error.
@@ -626,4 +626,240 @@ fn injected_latency_slows_invocations() {
     }
     assert!(start.elapsed() >= Duration::from_millis(20));
     kernel.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// What a call holds, and what shuts the kernel down. An Eject's context
+// holds its kernel for its whole life, so a send takes and drops no handle;
+// shutdown is the last *user* handle's drop, which no context is.
+
+/// Answers, while it serves, how many holders share its kernel's state and
+/// how many share its counters, through a handle it keeps from spawn on.
+struct HandleCounts {
+    kernel: Kernel,
+}
+
+impl EjectBehavior for HandleCounts {
+    fn type_name(&self) -> &'static str {
+        "HandleCounts"
+    }
+    fn replies_last(&self) -> bool {
+        true
+    }
+    fn handle(&mut self, _ctx: &EjectContext, _inv: Invocation, reply: ReplyHandle) {
+        reply.reply(Ok(handle_counts(&self.kernel)));
+    }
+}
+
+fn handle_counts(kernel: &Kernel) -> Value {
+    let counts = [kernel.handle_count(), kernel.metrics().handle_count()];
+    Value::list(counts.map(|n| Value::Int(n as i64)).to_vec())
+}
+
+/// Passes what it is asked on to `next` as a call, and answers what came back.
+struct CallOn {
+    next: eden_core::Uid,
+}
+
+impl EjectBehavior for CallOn {
+    fn type_name(&self) -> &'static str {
+        "CallOn"
+    }
+    fn replies_last(&self) -> bool {
+        true
+    }
+    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
+        reply.reply(ctx.call(self.next, inv.op, inv.arg));
+    }
+}
+
+/// A callee reached by `EjectContext::call` reads the same number of holders
+/// of its kernel and of its counters as were there before the call, whether
+/// it runs on the test's thread or on a pool worker: neither the send nor the
+/// reply cell takes a handle on either.
+#[test]
+fn an_in_flight_call_holds_no_kernel_wide_handle() {
+    let kernel = Kernel::builder()
+        .scheduler(SchedulerConfig { workers: 1 })
+        .build();
+    let counts = HandleCounts {
+        kernel: kernel.clone(),
+    };
+    let counts = kernel.spawn(Box::new(counts)).unwrap();
+    let caller = kernel.spawn(Box::new(CallOn { next: counts })).unwrap();
+    kernel.call(caller, "Counts", Value::Unit).unwrap();
+    // A spare worker brings its own handle on the counters, so the counts are
+    // read with the pool at its one worker and every Eject parked, and a run
+    // the pool grew under is made again.
+    let pool = || {
+        let sched = kernel.metrics_snapshot().sched;
+        let quiet = sched.workers == 1 && sched.parked_ejects == sched.resident_ejects;
+        (quiet, sched.spares_spawned)
+    };
+    let mut clean = 0;
+    for _ in 0..200 {
+        let (quiet, spares) = pool();
+        if !quiet {
+            std::thread::sleep(Duration::from_millis(1));
+            continue;
+        }
+        let at_rest = handle_counts(&kernel);
+        let on_this_thread = kernel.call(caller, "Counts", Value::Unit);
+        let on_the_worker = kernel.invoke(caller, "Counts", Value::Unit).wait();
+        if pool().1 == spares {
+            assert_eq!(on_this_thread, Ok(at_rest.clone()));
+            assert_eq!(on_the_worker, Ok(at_rest));
+            clean += 1;
+        }
+        if clean == 3 {
+            break;
+        }
+    }
+    assert_eq!(clean, 3, "the pool grew under every run");
+    kernel.shutdown();
+}
+
+/// One stage of a pipeline that never ends: passes `Hop` down as a call.
+struct Stage {
+    next: Option<eden_core::Uid>,
+}
+
+impl EjectBehavior for Stage {
+    fn type_name(&self) -> &'static str {
+        "Stage"
+    }
+    fn replies_last(&self) -> bool {
+        true
+    }
+    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
+        reply.reply(match self.next {
+            Some(next) => ctx.call(next, inv.op, inv.arg),
+            None => Ok(inv.arg),
+        });
+    }
+}
+
+/// Drives a pipeline from its own steps: a call to `head`, then the next step.
+struct Pump {
+    head: eden_core::Uid,
+}
+
+impl EjectBehavior for Pump {
+    fn type_name(&self) -> &'static str {
+        "Pump"
+    }
+    fn activate(&mut self, ctx: &EjectContext) {
+        ctx.nudge();
+    }
+    fn internal(&mut self, ctx: &EjectContext, _event: Value) {
+        if ctx.call(self.head, "Hop", Value::Unit).is_ok() {
+            ctx.nudge();
+        }
+    }
+    fn handle(&mut self, _ctx: &EjectContext, _inv: Invocation, reply: ReplyHandle) {
+        reply.reply(Ok(Value::Unit));
+    }
+}
+
+/// Eight depth-4 pipelines pumping on the pool, and eight user handles
+/// dropped at once from eight threads: one of those drops shuts the kernel
+/// down and joins its pool, so once they are all back nothing of the kernel
+/// is left — the registry → task → context → kernel cycle included.
+#[test]
+fn dropping_the_last_user_handles_mid_flight_shuts_down_and_frees_everything() {
+    let kernel = Kernel::new();
+    for _ in 0..8 {
+        let mut head = kernel.spawn(Box::new(Stage { next: None })).unwrap();
+        for _ in 0..4 {
+            head = kernel.spawn(Box::new(Stage { next: Some(head) })).unwrap();
+        }
+        kernel.spawn(Box::new(Pump { head })).unwrap();
+    }
+    let alive = kernel.liveness_probe();
+    let pumped = |kernel: &Kernel| kernel.metrics().snapshot().invocations;
+    while pumped(&kernel) < 8 * 5 * 20 {
+        std::thread::yield_now();
+    }
+    let barrier = Arc::new(std::sync::Barrier::new(8));
+    let droppers: Vec<_> = (0..8)
+        .map(|_| {
+            let (kernel, barrier) = (kernel.clone(), Arc::clone(&barrier));
+            std::thread::spawn(move || {
+                barrier.wait();
+                drop(kernel);
+            })
+        })
+        .collect();
+    drop(kernel);
+    for dropper in droppers {
+        dropper.join().unwrap();
+    }
+    assert!(
+        !alive(),
+        "a dropped kernel left its state or its pool behind"
+    );
+}
+
+/// Keeps a handle on its kernel from `Hold` on. On `Release` it waits for
+/// word that every other handle is gone, makes a call — the kernel it keeps
+/// up must serve it — and then lets its handle go, the last, on its worker.
+struct Holder {
+    kernel: Option<Kernel>,
+    echo: eden_core::Uid,
+    go: Option<std::sync::mpsc::Receiver<()>>,
+}
+
+impl EjectBehavior for Holder {
+    fn type_name(&self) -> &'static str {
+        "Holder"
+    }
+    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
+        if inv.op.as_str() == "Hold" {
+            self.kernel = ctx.kernel();
+            return reply.reply(Ok(Value::Bool(self.kernel.is_some())));
+        }
+        let go = self.go.take().expect("one Release");
+        eden_kernel::blocking(|| go.recv()).expect("the test's word");
+        let served = ctx.call(self.echo, "Echo", Value::Int(7));
+        drop(self.kernel.take());
+        reply.reply(served);
+    }
+}
+
+/// A `ctx.kernel()` handle is a user handle: kept by a behaviour, it keeps
+/// the kernel up after the test's own is gone. Let go on a pool worker, it
+/// shuts the kernel down there — which waits for and joins nothing on that
+/// worker's own thread — and the worker then frees what is left.
+#[test]
+fn a_kept_context_handle_keeps_the_kernel_up_and_its_last_drop_on_a_worker_frees_it() {
+    let kernel = Kernel::new();
+    let echo = kernel.spawn(Box::new(Echo)).unwrap();
+    let (go, word) = std::sync::mpsc::channel();
+    let holder = Holder {
+        kernel: None,
+        echo,
+        go: Some(word),
+    };
+    let holder = kernel.spawn(Box::new(holder)).unwrap();
+    assert_eq!(
+        kernel.call(holder, "Hold", Value::Unit),
+        Ok(Value::Bool(true))
+    );
+    let released = kernel.invoke(holder, "Release", Value::Unit);
+    let alive = kernel.liveness_probe();
+    drop(kernel);
+    assert!(alive(), "the behaviour's handle did not keep the kernel");
+    go.send(()).unwrap();
+    assert_eq!(
+        released.wait_timeout(Duration::from_secs(10)),
+        Ok(Value::Int(7))
+    );
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while alive() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the kernel was never freed"
+        );
+        std::thread::yield_now();
+    }
 }

@@ -375,8 +375,9 @@ fn until_undisturbed(what: &str, mut run: impl FnMut() -> bool) {
 /// Wait until every resident Eject is parked: a callee has to be, for a call
 /// to be what wakes it, and a caller that is still queued for its own first
 /// resume would find its invocation — and make its call — before its callee's
-/// turn to be activated had come. (The gauge moves an instant before the park
-/// itself; `until_undisturbed` repeats the run that falls in between.)
+/// turn to be activated had come. (The gauge is parks less wakes, summed shard
+/// by shard, and a fold can read a park without the wake that undid it;
+/// `until_undisturbed` repeats the run that falls in between.)
 fn all_parked(kernel: &Kernel) {
     loop {
         let sched = kernel.metrics_snapshot().sched;
@@ -1157,6 +1158,130 @@ fn deferred_reply_leaves_a_calling_user_thread_in_the_ordinary_wait() {
         assert_eq!(answer, Ok(Value::Int(41)));
         inline_handoffs(&kernel) - before == 1
     });
+    kernel.shutdown();
+}
+
+/// One stage of a call chain that counts its own handoffs: the caller's
+/// thread comes in the argument, and the answer is how many of the calls
+/// from here down ran on their caller's thread, this one included.
+struct CountingHop {
+    next: Option<Uid>,
+}
+
+impl EjectBehavior for CountingHop {
+    fn type_name(&self) -> &'static str {
+        "CountingHop"
+    }
+
+    fn replies_last(&self) -> bool {
+        true
+    }
+
+    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
+        let here = i64::from(inv.arg == this_thread());
+        let below = match self.next {
+            Some(next) => ctx
+                .call(next, "Hop", this_thread())
+                .and_then(|v| v.as_int()),
+            None => Ok(0),
+        };
+        reply.reply(below.map(|below| Value::Int(below + here)));
+    }
+}
+
+/// Drives a counting chain from its own steps, `rounds` calls in all, adding
+/// up the handoffs it is told of.
+struct CountingPump {
+    head: Uid,
+    rounds: u64,
+    inline: Arc<std::sync::atomic::AtomicU64>,
+    done: Arc<std::sync::atomic::AtomicU64>,
+}
+
+impl EjectBehavior for CountingPump {
+    fn type_name(&self) -> &'static str {
+        "CountingPump"
+    }
+
+    fn activate(&mut self, ctx: &EjectContext) {
+        ctx.nudge();
+    }
+
+    fn internal(&mut self, ctx: &EjectContext, _event: Value) {
+        let inline = ctx
+            .call(self.head, "Hop", this_thread())
+            .and_then(|v| v.as_int());
+        self.inline
+            .fetch_add(inline.expect("the chain answers") as u64, Ordering::Relaxed);
+        self.rounds -= 1;
+        if self.rounds == 0 {
+            self.done.fetch_add(1, Ordering::Release);
+        } else {
+            ctx.nudge();
+        }
+    }
+
+    fn handle(&mut self, _ctx: &EjectContext, _inv: Invocation, reply: ReplyHandle) {
+        reply.reply(Ok(Value::Unit));
+    }
+}
+
+/// The scheduler's per-hop counts are sharded by recording thread and summed
+/// when read, and they stay exact with the pool on every CPU: after eight
+/// depth-4 chains have pumped at once, `inline_handoffs` is the number of
+/// calls whose callee ran on its caller's thread, the parked gauge at rest is
+/// every resident Eject, `replies` is every invocation, and the outcome
+/// ledger balances.
+#[test]
+fn scheduler_counts_stay_exact_with_eight_pipelines_on_every_cpu() {
+    const PIPELINES: u64 = 8;
+    const ROUNDS: u64 = 250;
+    let kernel = Kernel::new();
+    let before = kernel.metrics_snapshot();
+    let inline = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let done = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    for _ in 0..PIPELINES {
+        let mut head = kernel
+            .spawn(Box::new(CountingHop { next: None }))
+            .expect("spawn tail");
+        for _ in 0..4 {
+            head = kernel
+                .spawn(Box::new(CountingHop { next: Some(head) }))
+                .expect("spawn stage");
+        }
+        let pump = CountingPump {
+            head,
+            rounds: ROUNDS,
+            inline: Arc::clone(&inline),
+            done: Arc::clone(&done),
+        };
+        kernel.spawn(Box::new(pump)).expect("spawn pump");
+    }
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let at_rest = || {
+        let sched = kernel.metrics_snapshot().sched;
+        done.load(Ordering::Acquire) == PIPELINES && sched.parked_ejects == sched.resident_ejects
+    };
+    while !at_rest() {
+        assert!(
+            Instant::now() < deadline,
+            "the pipelines never came to rest"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let after = kernel.metrics_snapshot();
+    assert_eq!(after.sched.resident_ejects, PIPELINES * 6);
+    assert_eq!(after.sched.parked_ejects, PIPELINES * 6);
+    let sent = PIPELINES * ROUNDS * 5;
+    let inline_made = inline.load(Ordering::Relaxed);
+    assert!(inline_made > 0, "no call ran inline");
+    assert_eq!(
+        after.sched.inline_handoffs - before.sched.inline_handoffs,
+        inline_made
+    );
+    let m = after.metrics.since(&before.metrics);
+    assert_eq!((m.invocations, m.replies), (sent, sent));
+    assert_eq!((m.successes, m.fatal_failures), (sent, 0));
     kernel.shutdown();
 }
 
