@@ -83,7 +83,7 @@ impl EjectContext {
         opts: InvokeOptions<'_>,
     ) -> PendingReply {
         self.kernel
-            .invoke_with_from(self.node, target, op.into(), arg, opts)
+            .send(self.node, target, op.into(), arg, opts, false)
     }
 
     /// As [`invoke`](Self::invoke), but through a caller-owned
@@ -106,21 +106,24 @@ impl EjectContext {
     /// [`Kernel::call`](crate::kernel::Kernel::call)). Otherwise
     /// [`invoke`](Self::invoke) followed by [`wait`](PendingReply::wait).
     pub fn call(&self, target: Uid, op: impl Into<OpName>, arg: Value) -> Result<Value> {
-        self.kernel.call(self.node, None, target, op.into(), arg).wait()
+        self.begin_call(target, op, arg, InvokeOptions::new())
+            .wait()
     }
 
-    /// [`call`](Self::call) through a caller-owned [`RouteCache`], up to the
-    /// wait: a callee that could run as a call on this thread has run, and
-    /// its reply may or may not be in, for [`poll_reply`](Self::poll_reply).
+    /// [`call`](Self::call) under [`InvokeOptions`] — a route cache, a retry
+    /// policy, a deadline — up to the wait: a callee that could run as a call
+    /// on this thread has run, and its reply may or may not be in, for
+    /// [`poll_reply`](Self::poll_reply). Options change what is sent and how
+    /// often, not whether it is a call.
     pub fn begin_call(
         &self,
-        cache: &mut RouteCache,
         target: Uid,
         op: impl Into<OpName>,
         arg: Value,
+        opts: InvokeOptions<'_>,
     ) -> PendingReply {
         self.kernel
-            .call(self.node, Some(cache), target, op.into(), arg)
+            .send(self.node, target, op.into(), arg, opts, true)
     }
 
     /// The outcome of `pending` if it is in. Otherwise `None`, and once it

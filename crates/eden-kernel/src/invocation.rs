@@ -474,12 +474,13 @@ impl PendingReply {
         self.wait_timeout(DEFAULT_REPLY_TIMEOUT)
     }
 
-    /// Whether the outcome is known. The probe a call hands the scheduler:
-    /// its callee's inline resume ends once this reads true.
+    /// Whether the outcome (a retrying reply's attempt in flight) is known.
+    /// The probe a call hands the scheduler: its inline resume ends then.
     pub(crate) fn is_settled(&self) -> bool {
         match self {
             PendingReply::Waiting(rx) => rx.is_terminal(),
-            PendingReply::Ready(_) | PendingReply::Retrying(_) => true,
+            PendingReply::Ready(_) => true,
+            PendingReply::Retrying(state) => state.inner.is_settled(),
         }
     }
 

@@ -590,8 +590,9 @@ impl Kernel {
     /// it defers — is [`invoke`](Kernel::invoke) followed by
     /// [`wait`](PendingReply::wait), which is what `call` always means.
     pub fn call(&self, target: Uid, op: impl Into<OpName>, arg: Value) -> Result<Value> {
+        let opts = InvokeOptions::new();
         self.inner
-            .call(NodeId::default(), None, target, op.into(), arg)
+            .send(NodeId::default(), target, op.into(), arg, opts, true)
             .wait()
     }
 
@@ -603,8 +604,9 @@ impl Kernel {
         op: impl Into<OpName>,
         arg: Value,
     ) -> Result<Value> {
+        let opts = InvokeOptions::new().route_cache(cache);
         self.inner
-            .call(NodeId::default(), Some(cache), target, op.into(), arg)
+            .send(NodeId::default(), target, op.into(), arg, opts, true)
             .wait()
     }
 
@@ -620,7 +622,7 @@ impl Kernel {
         opts: InvokeOptions<'_>,
     ) -> PendingReply {
         self.inner
-            .invoke_with_from(NodeId::default(), target, op.into(), arg, opts)
+            .send(NodeId::default(), target, op.into(), arg, opts, false)
     }
 
     /// Install a fault plan on the invocation path, replacing any previous
@@ -634,44 +636,20 @@ impl Kernel {
 /// The delivery chain, on the state an Eject's context holds: a context
 /// sends with no handle to take and drop, and a kernel handle by forwarding.
 impl KernelInner {
-    /// A call, up to the wait (callers differ in how they wait): a plain
-    /// send, except that a wake it wins comes back with the reply and is
-    /// spent here, run or enqueued ([`Woken::run_as_call`]). Only then is
-    /// it checked that the caller may wait at all: the wake must not be
-    /// lost to the panic that tells a behaviour it may not.
-    pub(crate) fn call(
-        self: &Arc<Self>,
-        from: NodeId,
-        cache: Option<&mut RouteCache>,
-        target: Uid,
-        op: OpName,
-        arg: Value,
-    ) -> PendingReply {
-        let request = Request {
-            from,
-            target,
-            invocation: Invocation { op, arg },
-            subject_to_faults: true,
-            admit_by: None,
-        };
-        let mut woken = None;
-        let pending = self.deliver(request, Attempt::Plain, cache, Some(&mut woken));
-        if let Some(woken) = woken {
-            woken.run_as_call(&|| pending.is_settled());
-        }
-        crate::sched::note_wait();
-        pending
-    }
-
-    /// The options-bearing invocation path, with an explicit originating
-    /// node (Eject contexts pass their own placement).
-    pub(crate) fn invoke_with_from(
+    /// An invocation under `opts`, sent or called. A sender that will `wait`
+    /// at once has made a call, whatever its options: a wake its first
+    /// delivery wins is spent here, run or enqueued ([`Woken::run_as_call`]),
+    /// before the check that it may wait at all, whose panic must not lose
+    /// it. A deadline or retries keep the request (clones are reference
+    /// bumps) in a [`RetryState`] that re-sends it.
+    pub(crate) fn send(
         self: &Arc<Self>,
         from: NodeId,
         target: Uid,
         op: OpName,
         arg: Value,
         opts: InvokeOptions<'_>,
+        wait: bool,
     ) -> PendingReply {
         let request = Request {
             from,
@@ -680,14 +658,20 @@ impl KernelInner {
             subject_to_faults: opts.subject_to_faults(),
             admit_by: opts.deadline.map(|d| Instant::now() + d),
         };
-        if !opts.needs_driver() {
-            return self.deliver(request, Attempt::Plain, opts.route_cache, None);
+        let mut woken = None;
+        let wake = wait.then_some(&mut woken);
+        let pending = match opts.needs_driver() {
+            false => self.deliver(request, Attempt::Plain, opts.route_cache, wake),
+            true => {
+                let first = self.deliver(request.clone(), Attempt::First, opts.route_cache, wake);
+                PendingReply::Retrying(Box::new(RetryState::new(self, request, opts.retry, first)))
+            }
+        };
+        if let Some(woken) = woken {
+            woken.run_as_call(&|| pending.is_settled());
         }
-        // Deadline or retries requested: a `RetryState` keeps the request
-        // to re-send it. Value clones are reference bumps (the payload plane),
-        // so this costs a few pointers, not a copy.
-        let first = self.deliver(request.clone(), Attempt::First, opts.route_cache, None);
-        PendingReply::Retrying(Box::new(RetryState::new(self, request, opts.retry, first)))
+        wait.then(crate::sched::note_wait);
+        pending
     }
 
     /// Put `request` into its target's mailbox: the one way an invocation
@@ -955,7 +939,7 @@ impl KernelInner {
     ///
     /// A call passes `wake`: if this push is what wakes the target, the wake
     /// is left there, un-enqueued, for the caller to spend
-    /// ([`call`](Self::call)). `Err` hands back the envelope of a route whose
+    /// ([`send`](Self::send)). `Err` hands back the envelope of a route whose
     /// coordinator has exited. A successful send may still have shed
     /// envelopes (admission control at a full bounded mailbox); those
     /// resolve with `Overloaded`.

@@ -178,8 +178,8 @@ impl<'a> InvokeOptions<'a> {
 }
 
 /// The state machine behind a retrying [`PendingReply`]: the request (for
-/// re-sends), the policy, and the attempt counter. Created by
-/// [`Kernel::invoke_with`] when the options ask for a deadline or retries;
+/// re-sends), the policy, and the attempt counter. Created by a send or a
+/// call whose options ask for a deadline or retries ([`Kernel::invoke_with`]);
 /// driven lazily by the reply's wait/poll methods.
 ///
 /// Holds the kernel only weakly: a parked retrying reply never keeps its
@@ -193,7 +193,8 @@ pub struct RetryState {
     request: Request,
     policy: RetryPolicy,
     attempt: u32,
-    inner: PendingReply,
+    /// The attempt in flight.
+    pub(crate) inner: PendingReply,
     /// For the outcome ledger: a driver-owned invocation settles
     /// `successes`/`fatal_failures` here, exactly once, at its *terminal*
     /// resolution — per-attempt replies never touch the ledger.

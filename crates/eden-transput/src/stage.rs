@@ -89,17 +89,15 @@
 //! The faces speak positions: a `Write` may say where its first record
 //! stands, a `Transfer` which record it wants first, and an absent position
 //! means "next" — all a volatile stage ever says or hears. A retained stage
-//! (`Stage::retained`) counts, and differs at three kinds of site only.
+//! (`Stage::retained`) counts, and differs at two kinds of site only.
 //! *When the buffer may forget:* not what it serves or sends but what the
 //! position of a later `Transfer`, or the reply to a `Write`, acknowledges —
 //! so it parks no reader and no writer, and holds everything between two
 //! passive faces that nobody reads by position. *What an acknowledgement
 //! waits for:* a durable write whenever the stage has taken or made something
 //! (`retain`, `save`) — of what changed, or of the stage whole — and nothing
-//! when a reader's position only lets it forget. *How a peer is called:* by
-//! a send whose wait retries, never by a call its caller's thread could be
-//! lent to (`Host::call`); the wait blocks its pool worker, inside
-//! `blocking`, in a step as in a handler.
+//! when a reader's position only lets it forget. It calls its peers as a
+//! volatile stage does (`Host::call`), under a retry policy.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -107,7 +105,8 @@ use std::sync::Arc;
 use eden_core::op::ops;
 use eden_core::{EdenError, OpName, Result, Uid, Value};
 use eden_kernel::{
-    EjectBehavior, EjectContext, Invocation, PendingReply, ProcessContext, ReplyHandle, RouteCache,
+    EjectBehavior, EjectContext, Invocation, InvokeOptions, PendingReply, ProcessContext,
+    ReplyHandle, RouteCache,
 };
 
 use crate::channels::{unknown, ChannelPolicy, ChannelTable};
@@ -241,10 +240,11 @@ const CHUNKS_A_STEP: usize = 16;
 
 /// What a face needs from whoever runs it — the Eject's coordinator, or a
 /// recording fake in the tests below: call a peer through the face's route
-/// cache, as a volatile or a retained face does; have a reply's outcome — a
-/// handler waits for it, a passive face answering only once its active face
-/// has; a step polls, and is posted once it is in; post the stage its next
-/// step; and write its passive representation, whole or one entry more.
+/// cache, under a retry policy if the face is retained; have a reply's
+/// outcome — a handler waits for it, a passive face answering only once its
+/// active face has; a step polls, and is posted once it is in; post the
+/// stage its next step; and write its passive representation, whole or one
+/// entry more.
 pub(crate) trait Host: Caller {
     fn call(
         &self,
@@ -261,10 +261,9 @@ pub(crate) trait Host: Caller {
 }
 
 impl Host for EjectContext {
-    /// How a peer is called (module docs): by a volatile stage, as a call,
-    /// which may run its callee on this thread; by a retained one, as a send
-    /// under the options that ride out a crash of its peer
-    /// ([`crate::recovery`], 3), whose reply is in when this returns.
+    /// A call through the face's route cache, which may run its callee on
+    /// this thread; a retained face's rides out a crash of its peer under
+    /// the options that retry it ([`crate::recovery`], 3).
     fn call(
         &self,
         cache: &mut RouteCache,
@@ -273,14 +272,11 @@ impl Host for EjectContext {
         op: &'static str,
         arg: Value,
     ) -> PendingReply {
-        let op = OpName::from_static(op);
-        match retained {
-            true => PendingReply::ready(
-                self.invoke_with(to, op, arg, recovery::stream_opts())
-                    .wait(),
-            ),
-            false => self.begin_call(cache, to, op, arg),
-        }
+        let opts = match retained {
+            true => recovery::stream_opts(),
+            false => InvokeOptions::new(),
+        };
+        self.begin_call(to, OpName::from_static(op), arg, opts.route_cache(cache))
     }
     fn poll(&self, pending: &mut PendingReply, wait: bool) -> Option<Result<Value>> {
         match wait {
@@ -1012,7 +1008,9 @@ impl Stage {
             if !from_face && self.meet.with(|b| std::mem::take(&mut b.delivering)) {
                 self.settle(host);
             }
-            if self.output.ended || self.kept.as_ref().is_some_and(|kept| kept.out_end) {
+            // A retained stage is through once its end is acknowledged, not
+            // once it is sent: an end whose `Write` failed goes again.
+            if self.kept.as_ref().map_or(self.output.ended, |k| k.out_end) {
                 self.finish(host, Ok(()));
                 return Ok(Flow::Stop);
             }
@@ -1328,12 +1326,10 @@ impl EjectBehavior for Stage {
     // process a step: a write admitted from `settle` goes into the buffer,
     // never downstream. The one pair of faces that breaks this is a zipped
     // input behind a passive output: answering a `Transfer` makes room, and
-    // admitting the parked write that takes it reads the secondary port. And
-    // a retained stage's calls are no calls but sends with a wait that
-    // retries them: it is never run on its caller's thread.
+    // admitting the parked write that takes it reads the secondary port.
     fn replies_last(&self) -> bool {
         let zipped = matches!(self.input.face, Input::Zipped(_));
-        !(zipped && self.out_passive) && self.kept.is_none()
+        !(zipped && self.out_passive)
     }
 
     fn redo(&mut self, entry: Value) -> Result<()> {

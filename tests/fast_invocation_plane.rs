@@ -16,17 +16,21 @@ use eden::filters::LineNumber;
 use eden::fs::{register_fs_types, FileEject};
 use eden::kernel::{
     EjectBehavior, EjectContext, FaultKind, FaultPlan, FaultRule, Invocation, InvokeOptions,
-    Kernel, KernelConfig, ObsConfig, ReplyHandle, RetryPolicy, RouteCache, ShedPolicy,
+    Kernel, KernelConfig, ObsConfig, ReplyHandle, RetryPolicy, RouteCache, SchedulerConfig,
+    ShedPolicy,
 };
 use eden::transput::protocol::{Batch, TransferRequest};
 use eden::transput::recovery::{install_recovery, recoverable_filter, TransformRegistry};
 
-/// Replies to `Echo` with its argument.
+/// Replies to `Echo` with its argument, as its last act.
 struct Echo;
 
 impl EjectBehavior for Echo {
     fn type_name(&self) -> &'static str {
         "Echo"
+    }
+    fn replies_last(&self) -> bool {
+        true
     }
     fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
         match inv.op.as_str() {
@@ -47,11 +51,45 @@ impl EjectBehavior for KeptEcho {
     fn type_name(&self) -> &'static str {
         "KeptEcho"
     }
+    fn replies_last(&self) -> bool {
+        true
+    }
     fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
         Echo.handle(ctx, inv, reply)
     }
     fn passive_representation(&self) -> Option<Value> {
         Some(Value::Unit)
+    }
+}
+
+/// Calls `Echo(7)` on the target a `Relay` names, from inside an Eject: by
+/// `begin_call` under a retry policy, through a route cache of its own when
+/// the `Relay` asks for one. Counts the calls whose reply was not in when
+/// `begin_call` returned.
+struct Relay {
+    cache: RouteCache,
+    waited: Arc<AtomicUsize>,
+}
+
+impl EjectBehavior for Relay {
+    fn type_name(&self) -> &'static str {
+        "Relay"
+    }
+    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
+        let [target, cached] = inv.arg.as_list().expect("[target, cached]") else {
+            panic!("a Relay names a target and whether to cache its route");
+        };
+        let opts = InvokeOptions::new().retry(RetryPolicy::retries(2));
+        let opts = match cached.as_bool().expect("cached") {
+            true => opts.route_cache(&mut self.cache),
+            false => opts,
+        };
+        let target = target.as_uid().expect("target");
+        let pending = ctx.begin_call(target, "Echo", Value::Int(7), opts);
+        reply.reply(pending.try_wait().unwrap_or_else(|pending| {
+            self.waited.fetch_add(1, Ordering::SeqCst);
+            pending.wait()
+        }));
     }
 }
 
@@ -212,11 +250,17 @@ fn cache_hits_are_not_counted_as_invocation_savings() {
     kernel.shutdown();
 }
 
-/// One send of `Echo(7)` to a target: through the registry when `cache` is
-/// `None`, by that route cache otherwise.
-type Send = fn(&Kernel, Option<&mut RouteCache>, Uid) -> Result<Value>;
+/// One send of `Echo(7)` to `target`: through the registry when `cache` is
+/// `None`, by that route cache otherwise — or by `relay`, which sends from
+/// inside an Eject through a cache of its own when `cache` is `Some`.
+type Send = fn(&Kernel, Option<&mut RouteCache>, Uid, Uid) -> Result<Value>;
 
-fn invoke_echo(kernel: &Kernel, cache: Option<&mut RouteCache>, target: Uid) -> Result<Value> {
+fn invoke_echo(
+    kernel: &Kernel,
+    cache: Option<&mut RouteCache>,
+    target: Uid,
+    _: Uid,
+) -> Result<Value> {
     match cache {
         None => kernel.invoke(target, "Echo", Value::Int(7)).wait(),
         Some(cache) => {
@@ -228,14 +272,24 @@ fn invoke_echo(kernel: &Kernel, cache: Option<&mut RouteCache>, target: Uid) -> 
     }
 }
 
-fn call_echo(kernel: &Kernel, cache: Option<&mut RouteCache>, target: Uid) -> Result<Value> {
+fn call_echo(
+    kernel: &Kernel,
+    cache: Option<&mut RouteCache>,
+    target: Uid,
+    _: Uid,
+) -> Result<Value> {
     match cache {
         None => kernel.call(target, "Echo", Value::Int(7)),
         Some(cache) => kernel.call_routed(cache, target, "Echo", Value::Int(7)),
     }
 }
 
-fn retry_echo(kernel: &Kernel, cache: Option<&mut RouteCache>, target: Uid) -> Result<Value> {
+fn retry_echo(
+    kernel: &Kernel,
+    cache: Option<&mut RouteCache>,
+    target: Uid,
+    _: Uid,
+) -> Result<Value> {
     let opts = InvokeOptions::new().retry(RetryPolicy::retries(2));
     match cache {
         None => kernel
@@ -245,6 +299,16 @@ fn retry_echo(kernel: &Kernel, cache: Option<&mut RouteCache>, target: Uid) -> R
             .invoke_with(target, "Echo", Value::Int(7), opts.route_cache(cache))
             .wait(),
     }
+}
+
+fn begin_call_echo(
+    kernel: &Kernel,
+    cache: Option<&mut RouteCache>,
+    target: Uid,
+    relay: Uid,
+) -> Result<Value> {
+    let arg = Value::list(vec![Value::Uid(target), Value::Bool(cache.is_some())]);
+    kernel.invoke(relay, "Relay", arg).wait()
 }
 
 /// What a target is when the measured send reaches it: still active, gone
@@ -258,23 +322,35 @@ enum Fate {
 
 /// The outcome of the measured send (its target's UID written `target`),
 /// and what it moved: `invocations`, `successes`, `fatal_failures`,
-/// `replies`, the span count, and the route cache's hits and misses
-/// together.
-type Observed = (String, [u64; 5], u64);
+/// `replies`, the span count, `retries`, the inline handoffs, and the
+/// relay's waits for a reply not in when its call returned; and the route
+/// cache's hits and misses together.
+type Observed = (String, [u64; 8], u64);
 
 /// One send to a target of fate `fate`, after a first send the same way
 /// that warms the cache (so a cached send meets a stale route when the
-/// target has moved on).
-fn observe(send: Send, cached: bool, fate: Fate) -> Observed {
-    let kernel = Kernel::builder().observability(ObsConfig::full()).build();
+/// target has moved on) — with its first attempt dropped if `dropped`.
+fn observe(send: Send, cached: bool, fate: Fate, dropped: bool) -> Observed {
+    // One worker: a callee a call enqueues cannot answer the relay before
+    // `begin_call` returns.
+    let kernel = Kernel::builder()
+        .observability(ObsConfig::full())
+        .scheduler(SchedulerConfig { workers: 1 })
+        .build();
     kernel.register_type("KeptEcho", |_| Ok(Box::new(KeptEcho)));
     let target = match fate {
         Fate::Vanished => kernel.spawn(Box::new(Echo)),
         Fate::Live | Fate::Reactivated => kernel.spawn(Box::new(KeptEcho)),
     }
     .unwrap();
+    let waited = Arc::new(AtomicUsize::new(0));
+    let relay = Relay {
+        cache: RouteCache::new(),
+        waited: Arc::clone(&waited),
+    };
+    let relay = kernel.spawn(Box::new(relay)).unwrap();
     let mut cache = RouteCache::new();
-    let mut send_once = || send(&kernel, cached.then_some(&mut cache), target);
+    let mut send_once = || send(&kernel, cached.then_some(&mut cache), target, relay);
     assert_eq!(send_once(), Ok(Value::Int(7)), "warm-up");
     if let Fate::Reactivated = fate {
         kernel
@@ -289,7 +365,12 @@ fn observe(send: Send, cached: bool, fate: Fate) -> Observed {
             .unwrap();
         assert!(kernel.await_gone(&[target], Duration::from_secs(10)));
     }
+    if dropped {
+        let drop_first = FaultRule::new(FaultKind::Drop).on_op("Echo").nth(1);
+        kernel.install_faults(FaultPlan::new(0).rule(drop_first));
+    }
     let (before, spans) = (kernel.metrics().snapshot(), kernel.spans().len());
+    let waits = waited.load(Ordering::SeqCst);
     let result = send_once();
     let moved = kernel.metrics().snapshot().since(&before);
     let observed = (
@@ -300,6 +381,9 @@ fn observe(send: Send, cached: bool, fate: Fate) -> Observed {
             moved.fatal_failures,
             moved.replies,
             (kernel.spans().len() - spans) as u64,
+            moved.retries,
+            moved.inline_handoffs,
+            (waited.load(Ordering::SeqCst) - waits) as u64,
         ],
         moved.route_cache_hits + moved.route_cache_misses,
     );
@@ -309,25 +393,78 @@ fn observe(send: Send, cached: bool, fate: Fate) -> Observed {
 
 #[test]
 fn cached_and_registry_sends_cannot_be_told_apart() {
-    let pairs: [(&str, Send); 3] = [
-        ("invoke / invoke_with(route_cache)", invoke_echo),
-        ("call / call_routed", call_echo),
-        ("invoke_with(retry) / + route_cache", retry_echo),
+    // Each verb; whether its first attempt is dropped; and what its send to
+    // a live target moves, in `Observed`'s order. A retrying call is a call:
+    // it runs its callee inline, its reply is in on return, and its ledger
+    // settles once. With its first attempt dropped, it settles by a re-send
+    // the relay waits for.
+    let verbs: [(&str, Send, bool, [u64; 8]); 5] = [
+        (
+            "invoke / invoke_with(route_cache)",
+            invoke_echo,
+            false,
+            [1, 1, 0, 1, 1, 0, 0, 0],
+        ),
+        (
+            "call / call_routed",
+            call_echo,
+            false,
+            [1, 1, 0, 1, 1, 0, 1, 0],
+        ),
+        (
+            "invoke_with(retry) / + route_cache",
+            retry_echo,
+            false,
+            [1, 1, 0, 1, 1, 0, 0, 0],
+        ),
+        (
+            "begin_call(retry) / + route_cache",
+            begin_call_echo,
+            false,
+            [2, 2, 0, 2, 2, 0, 1, 0],
+        ),
+        (
+            "begin_call(retry), first attempt dropped / + route_cache",
+            begin_call_echo,
+            true,
+            [2, 2, 0, 2, 3, 1, 0, 1],
+        ),
     ];
-    for (pair, send) in pairs {
+    for (verb, send, dropped, live) in verbs {
         for fate in [Fate::Live, Fate::Reactivated, Fate::Vanished] {
-            let (registry_result, registry_moved, registry_routes) = observe(send, false, fate);
-            let (cached_result, cached_moved, cached_routes) = observe(send, true, fate);
-            let case = format!("{pair}, {fate:?} target");
+            let (registry_result, registry_moved, registry_routes) =
+                observe(send, false, fate, dropped);
+            let (cached_result, cached_moved, cached_routes) = observe(send, true, fate, dropped);
+            let case = format!("{verb}, {fate:?} target");
             assert_eq!(cached_result, registry_result, "{case}: result");
+            // Whether a send ran inline, and so whether the relay waited,
+            // may differ: a stale route re-delivers as a plain send.
             assert_eq!(
-                cached_moved, registry_moved,
-                "{case}: [invocations, successes, fatal_failures, replies, spans]"
+                cached_moved[..6],
+                registry_moved[..6],
+                "{case}: [invocations, successes, fatal_failures, replies, spans, retries]"
             );
+            // A dropped first attempt never reaches a route; its re-send
+            // goes through the registry.
             assert_eq!(
                 (registry_routes, cached_routes),
-                (0, 1),
+                (0, u64::from(!dropped)),
                 "{case}: hits + misses"
+            );
+        }
+        // A callee runs inline only if the send is what wakes it: one still
+        // finishing its last resume on a worker, or a spare's, is not parked
+        // yet. That run is correct, but says nothing of the call path, and
+        // is repeated.
+        for cached in [false, true] {
+            let mut seen = Vec::new();
+            let matched = (0..50).any(|_| {
+                seen = observe(send, cached, Fate::Live, dropped).1.to_vec();
+                seen == live
+            });
+            assert!(
+                matched,
+                "{verb}, cached: {cached}, live target: {seen:?}, not {live:?}"
             );
         }
     }

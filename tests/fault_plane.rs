@@ -290,6 +290,68 @@ fn recoverable_runs_keep_their_invocation_and_entity_counts() {
     }
 }
 
+/// One fault-free run of a recoverable pipeline over 40 records: its hops
+/// from one stage to the next (every `Write`, and every `Transfer` but the
+/// driver's to the tail), and how many of all its invocations ran inline.
+fn hops_and_inline_handoffs(discipline: RecoveryDiscipline) -> (u64, u64) {
+    let kernel = Kernel::builder().observability(ObsConfig::full()).build();
+    let reg = registry();
+    install_recovery(&kernel, &reg);
+    let items: Vec<Value> = (0..40).map(Value::Int).collect();
+    let timeout = Duration::from_secs(30);
+    let run = run_recoverable_pipeline(
+        &kernel,
+        discipline,
+        items,
+        &["double", "inc"],
+        &reg,
+        7,
+        timeout,
+    )
+    .unwrap();
+    assert_eq!(run.output, expected(40), "{discipline:?}");
+    assert_eq!(kernel.spans_dropped(), 0, "{discipline:?}");
+    let tail = *run.stages.last().expect("stages");
+    let hops = kernel
+        .spans()
+        .iter()
+        .filter(|span| match span.op.as_str() {
+            "Write" => true,
+            "Transfer" => span.target != tail,
+            _ => false,
+        })
+        .count() as u64;
+    let inline = kernel.metrics_snapshot().sched.inline_handoffs;
+    kernel.shutdown();
+    (hops, inline)
+}
+
+#[test]
+fn recoverable_hops_between_stages_are_inline_calls() {
+    // A retained stage calls its peers as a volatile one does, under a retry
+    // policy, so a hop that finds its callee parked runs it on the caller's
+    // stack. The driver's own invocations — the read-only tail's `Transfer`s,
+    // the acceptor's `ReadAll`, the `Describe` nudges — are sends it then
+    // waits for, never inline. A hop finds its callee busy only when
+    // something else got there first: a nudge, or the callee's own first
+    // activation on another worker. That run is correct, but says nothing of
+    // the call path, and is repeated.
+    for discipline in [RecoveryDiscipline::ReadOnly, RecoveryDiscipline::WriteOnly] {
+        let undisturbed = (0..50).any(|_| {
+            let (hops, inline) = hops_and_inline_handoffs(discipline);
+            assert!(
+                hops >= 12 && inline <= hops,
+                "{discipline:?}: {inline} of {hops}"
+            );
+            inline == hops
+        });
+        assert!(
+            undisturbed,
+            "{discipline:?}: no run had all its hops inline"
+        );
+    }
+}
+
 #[test]
 fn streams_recover_from_injected_crashes() {
     // A 2% crash-fault rate on the stream ops: every discipline must still
@@ -546,6 +608,40 @@ fn zero_record_stream_survives_crash_and_reactivation() {
                 "{discipline:?}: zero-record crash without reactivation"
             );
         }
+        kernel.shutdown();
+    }
+}
+
+#[test]
+fn an_end_of_stream_whose_write_fails_is_written_again() {
+    // One drop more than the 24 retries a stream invocation travels with:
+    // the `Write` that ends a zero-record stream fails outright. The stage
+    // that sent it must send it again — not finish as though it had been
+    // acknowledged, leaving its acceptor waiting for an end never sent.
+    for discipline in [
+        RecoveryDiscipline::WriteOnly,
+        RecoveryDiscipline::Conventional,
+    ] {
+        let kernel = Kernel::new();
+        let reg = registry();
+        install_recovery(&kernel, &reg);
+        let drop_next = || FaultRule::new(FaultKind::Drop).on_op("Write").nth(1);
+        kernel.install_faults((0..25).fold(FaultPlan::new(0), |plan, _| plan.rule(drop_next())));
+        let run = run_recoverable_pipeline(
+            &kernel,
+            discipline,
+            Vec::new(),
+            &["double", "inc"],
+            &reg,
+            3,
+            Duration::from_secs(10),
+        );
+        assert_eq!(run.map(|run| run.output), Ok(Vec::new()), "{discipline:?}");
+        assert_eq!(
+            kernel.metrics().snapshot().faults_injected,
+            25,
+            "{discipline:?}"
+        );
         kernel.shutdown();
     }
 }
