@@ -8,9 +8,7 @@ use eden_core::{EdenError, Uid, Value};
 use eden_filters::SpellCheck;
 use eden_kernel::Kernel;
 use eden_transput::collector::Collector;
-use eden_transput::protocol::{
-    Batch, ChannelId, GetChannelRequest, TransferRequest, REPORT_NAME,
-};
+use eden_transput::protocol::{Batch, ChannelId, GetChannelRequest, TransferRequest, REPORT_NAME};
 use eden_transput::source::VecSource;
 use eden_transput::transform::{Identity, Transform};
 use eden_transput::{ChannelPolicy, Discipline, FanInMode, InputPort, OutputPort, OutputWiring};
@@ -41,14 +39,22 @@ fn pull_filter(kernel: &Kernel, source: Uid, transform: Box<dyn Transform>) -> U
 
 /// Attach a pumping sink to `input`, eight records a read.
 fn sink(kernel: &Kernel, input: Input, collector: &Collector) {
-    let sink = Stage::new(input, Output::local(collector.clone()), StageConfig::batch(8));
+    let sink = Stage::new(
+        input,
+        Output::local(collector.clone()),
+        StageConfig::batch(8),
+    );
     kernel.spawn(Box::new(sink)).expect("sink");
 }
 
 /// A source over `range` that pumps into `to` once `Start`ed.
 fn pump(kernel: &Kernel, range: std::ops::Range<i64>, to: Uid) -> Uid {
     let supply = VecSource::new(range.map(Value::Int).collect());
-    let pump = Stage::new(Input::Local(Box::new(supply)), Output::push(to), StageConfig::batch(8));
+    let pump = Stage::new(
+        Input::Local(Box::new(supply)),
+        Output::push(to),
+        StageConfig::batch(8),
+    );
     kernel.spawn(Box::new(pump)).expect("push source")
 }
 
@@ -62,7 +68,12 @@ fn acceptor(kernel: &Kernel, collector: &Collector) -> Uid {
 pub(crate) fn e4() -> Vec<Table> {
     let mut t = Table::new(
         "E4: fan-in / fan-out by discipline (m = 4 peers, 40 records each)",
-        &["configuration", "outcome", "records per peer", "invocations"],
+        &[
+            "configuration",
+            "outcome",
+            "records per peer",
+            "invocations",
+        ],
     );
     let kernel = Kernel::new();
     let m = 4usize;
@@ -72,7 +83,12 @@ pub(crate) fn e4() -> Vec<Table> {
     {
         let before = kernel.metrics().snapshot();
         let inputs: Vec<InputPort> = (0..m)
-            .map(|i| InputPort::primary(int_source(&kernel, (i as i64 * 100)..(i as i64 * 100 + per))))
+            .map(|i| {
+                InputPort::primary(int_source(
+                    &kernel,
+                    (i as i64 * 100)..(i as i64 * 100 + per),
+                ))
+            })
             .collect();
         let filter = kernel
             .spawn(Box::new(Stage::filter(
@@ -130,14 +146,22 @@ pub(crate) fn e4() -> Vec<Table> {
                         name: eden_filters::COPY_NAME.to_owned(),
                     }
                     .to_value(),
-                ).wait()
+                )
+                .wait()
                 .expect("get channel"),
         )
         .expect("channel id");
         let main = Collector::new();
         let copy = Collector::new();
-        let copy_port = InputPort { uid: filter, channel: copy_id };
-        sink(&kernel, Input::ports(vec![copy_port], FanInMode::Concatenate), &copy);
+        let copy_port = InputPort {
+            uid: filter,
+            channel: copy_id,
+        };
+        sink(
+            &kernel,
+            Input::ports(vec![copy_port], FanInMode::Concatenate),
+            &copy,
+        );
         sink(&kernel, Input::pull(filter), &main);
         let a = main.wait_done(WAIT).expect("main").len();
         let b = copy.wait_done(WAIT).expect("copy").len();
@@ -157,7 +181,10 @@ pub(crate) fn e4() -> Vec<Table> {
         let mut wiring = OutputWiring::default();
         for c in &collectors {
             let sink = acceptor(&kernel, c);
-            wiring.add(eden_transput::protocol::OUTPUT_NAME, OutputPort::primary(sink));
+            wiring.add(
+                eden_transput::protocol::OUTPUT_NAME,
+                OutputPort::primary(sink),
+            );
         }
         let filter = kernel
             .spawn(Box::new(Stage::filter(
@@ -169,7 +196,8 @@ pub(crate) fn e4() -> Vec<Table> {
             .expect("push filter");
         let source = pump(&kernel, 0..per, filter);
         kernel
-            .invoke(source, "Start", Value::Unit).wait()
+            .invoke(source, "Start", Value::Unit)
+            .wait()
             .expect("start");
         let counts: Vec<usize> = collectors
             .iter()
@@ -241,7 +269,9 @@ pub(crate) fn e5() -> Vec<Table> {
         ),
         (
             "conventional: report via its own pipe + reader",
-            Discipline::Conventional { buffer_capacity: 16 },
+            Discipline::Conventional {
+                buffer_capacity: 16,
+            },
             ChannelPolicy::Integer,
         ),
     ];
@@ -305,8 +335,14 @@ pub(crate) fn e6() -> Vec<Table> {
                 .invoke(
                     filter,
                     ops::TRANSFER,
-                    TransferRequest { channel, max: 4, pos: None }.to_value(),
-                ).wait()
+                    TransferRequest {
+                        channel,
+                        max: 4,
+                        pos: None,
+                    }
+                    .to_value(),
+                )
+                .wait()
                 .and_then(Batch::from_value)
             {
                 Ok(_) => "GRANTED".to_string(),
@@ -315,8 +351,16 @@ pub(crate) fn e6() -> Vec<Table> {
                 Err(e) => format!("refused ({e})"),
             }
         };
-        t.row([policy_name.to_string(), "guessed integer 0".into(), attempt(ChannelId::Number(0))]);
-        t.row([policy_name.to_string(), "guessed integer 1 (the report stream)".into(), attempt(ChannelId::Number(1))]);
+        t.row([
+            policy_name.to_string(),
+            "guessed integer 0".into(),
+            attempt(ChannelId::Number(0)),
+        ]);
+        t.row([
+            policy_name.to_string(),
+            "guessed integer 1 (the report stream)".into(),
+            attempt(ChannelId::Number(1)),
+        ]);
         t.row([
             policy_name.to_string(),
             "forged capability UID".into(),
@@ -334,7 +378,8 @@ pub(crate) fn e6() -> Vec<Table> {
                         name: name.to_owned(),
                     }
                     .to_value(),
-                ).wait()
+                )
+                .wait()
                 .and_then(|v| ChannelId::try_from(&v))
                 .expect("GetChannel")
         };
@@ -350,7 +395,8 @@ pub(crate) fn e6() -> Vec<Table> {
                         pos: None,
                     }
                     .to_value(),
-                ).wait()
+                )
+                .wait()
                 .and_then(Batch::from_value)
                 .expect("drain primary");
             if batch.end {

@@ -4,7 +4,9 @@ use std::time::{Duration, Instant};
 
 use eden_core::op::ops;
 use eden_core::Value;
-use eden_fs::{add_entry, lookup, register_fs_types, DirConcatenatorEject, DirectoryEject, FileEject};
+use eden_fs::{
+    add_entry, lookup, register_fs_types, DirConcatenatorEject, DirectoryEject, FileEject,
+};
 use eden_kernel::Kernel;
 use eden_transput::collector::Collector;
 use eden_transput::{Input, Output, Stage, StageConfig};
@@ -39,7 +41,8 @@ pub(crate) fn e9() -> Vec<Table> {
             .expect("spawn file");
         let t0 = Instant::now();
         kernel
-            .invoke(file, ops::CHECKPOINT, Value::Unit).wait()
+            .invoke(file, ops::CHECKPOINT, Value::Unit)
+            .wait()
             .expect("checkpoint");
         let checkpoint_ms = t0.elapsed().as_secs_f64() * 1000.0;
         let stable_bytes = kernel
@@ -52,7 +55,8 @@ pub(crate) fn e9() -> Vec<Table> {
         kernel.crash(file).expect("crash");
         // First invocation reactivates.
         let len = kernel
-            .invoke(file, "Length", Value::Unit).wait()
+            .invoke(file, "Length", Value::Unit)
+            .wait()
             .expect("reactivate");
         let recover_ms = t1.elapsed().as_secs_f64() * 1000.0;
         t.row([
@@ -76,7 +80,12 @@ pub(crate) fn e10() -> Vec<Table> {
 
     let mut t = Table::new(
         "E10a: directory operations vs size",
-        &["entries", "AddEntry total ms", "Lookup avg us", "List stream krec/s"],
+        &[
+            "entries",
+            "AddEntry total ms",
+            "Lookup avg us",
+            "List stream krec/s",
+        ],
     );
     for size in [10usize, 100, 1000] {
         let dir = kernel
@@ -84,19 +93,29 @@ pub(crate) fn e10() -> Vec<Table> {
             .expect("spawn dir");
         let t0 = Instant::now();
         for i in 0..size {
-            add_entry(&kernel, dir, &format!("entry-{i:05}"), eden_core::Uid::fresh())
-                .expect("add");
+            add_entry(
+                &kernel,
+                dir,
+                &format!("entry-{i:05}"),
+                eden_core::Uid::fresh(),
+            )
+            .expect("add");
         }
         let add_ms = t0.elapsed().as_secs_f64() * 1000.0;
         let probes = 100.min(size);
         let t1 = Instant::now();
         for i in 0..probes {
-            lookup(&kernel, dir, &format!("entry-{:05}", i * size / probes.max(1)))
-                .expect("lookup");
+            lookup(
+                &kernel,
+                dir,
+                &format!("entry-{:05}", i * size / probes.max(1)),
+            )
+            .expect("lookup");
         }
         let lookup_us = t1.elapsed().as_secs_f64() * 1e6 / probes as f64;
         kernel
-            .invoke(dir, ops::LIST, Value::Unit).wait()
+            .invoke(dir, ops::LIST, Value::Unit)
+            .wait()
             .expect("list");
         let c = Collector::new();
         let t2 = Instant::now();

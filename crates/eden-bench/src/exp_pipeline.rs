@@ -54,7 +54,9 @@ pub(crate) fn e1() -> Vec<Table> {
         );
         let conv = run_identity(
             &kernel,
-            Discipline::Conventional { buffer_capacity: 16 },
+            Discipline::Conventional {
+                buffer_capacity: 16,
+            },
             workloads::ints(items),
             n,
             1,
@@ -106,7 +108,9 @@ pub(crate) fn e2() -> Vec<Table> {
             Discipline::ReadOnly { read_ahead: 64 },
             Discipline::WriteOnly { push_ahead: 0 },
             Discipline::WriteOnly { push_ahead: 32 },
-            Discipline::Conventional { buffer_capacity: 64 },
+            Discipline::Conventional {
+                buffer_capacity: 64,
+            },
         ] {
             let run = run_identity(&kernel, discipline, workloads::ints(items), n, batch);
             assert_eq!(run.records_out, items as u64);
@@ -115,32 +119,29 @@ pub(crate) fn e2() -> Vec<Table> {
         t.row(cells);
     }
     kernel.shutdown();
-    t.note("expected shape: asymmetric disciplines degrade more slowly with depth than conventional.");
+    t.note(
+        "expected shape: asymmetric disciplines degrade more slowly with depth than conventional.",
+    );
 
     // E2b: distributed placement — the paper's Ejects lived on several
     // VAXen; remote invocations pay an Ethernet surcharge in the model.
     let mut dist = Table::new(
         "E2b: distributed placement (depth 4, 1000 records, batch=8, eden-1983 cost model)",
-        &[
-            "nodes",
-            "discipline",
-            "invocations",
-            "remote",
-            "modeled ms",
-        ],
+        &["nodes", "discipline", "invocations", "remote", "modeled ms"],
     );
     let model = CostModel::eden_1983();
     let kernel = Kernel::new();
     for nodes in [1u16, 2, 6] {
         for discipline in [
             Discipline::ReadOnly { read_ahead: 0 },
-            Discipline::Conventional { buffer_capacity: 16 },
+            Discipline::Conventional {
+                buffer_capacity: 16,
+            },
         ] {
-            let mut builder =
-                eden_transput::PipelineSpec::new(discipline)
-                    .source_vec(workloads::ints(1000))
-                    .batch(8)
-                    .over_nodes(nodes);
+            let mut builder = eden_transput::PipelineSpec::new(discipline)
+                .source_vec(workloads::ints(1000))
+                .batch(8)
+                .over_nodes(nodes);
             for _ in 0..4 {
                 builder = builder.stage(Box::new(Identity));
             }
@@ -173,13 +174,23 @@ pub(crate) fn e2() -> Vec<Table> {
         std::time::Duration::from_micros(200),
     ))));
     for (label, discipline, window) in [
-        ("read-only (lazy)", Discipline::ReadOnly { read_ahead: 0 }, 1usize),
-        ("read-only ra=32", Discipline::ReadOnly { read_ahead: 32 }, 1),
+        (
+            "read-only (lazy)",
+            Discipline::ReadOnly { read_ahead: 0 },
+            1usize,
+        ),
+        (
+            "read-only ra=32",
+            Discipline::ReadOnly { read_ahead: 32 },
+            1,
+        ),
         ("write-only w=1", Discipline::WriteOnly { push_ahead: 0 }, 1),
         ("write-only w=8", Discipline::WriteOnly { push_ahead: 8 }, 8),
         (
             "conventional",
-            Discipline::Conventional { buffer_capacity: 16 },
+            Discipline::Conventional {
+                buffer_capacity: 16,
+            },
             1,
         ),
     ] {
@@ -211,7 +222,11 @@ pub(crate) fn e2() -> Vec<Table> {
 pub(crate) fn e3() -> Vec<Table> {
     let mut lazy = Table::new(
         "E3a: records pulled from the source BEFORE any sink demand",
-        &["filter read_ahead", "records pre-pulled", "bound (ra+batch)"],
+        &[
+            "filter read_ahead",
+            "records pre-pulled",
+            "bound (ra+batch)",
+        ],
     );
     let kernel = Kernel::new();
     for read_ahead in [0usize, 8, 32, 128] {
@@ -244,7 +259,10 @@ pub(crate) fn e3() -> Vec<Table> {
             pre.to_string(),
             (read_ahead + 8).to_string(),
         ]);
-        assert!(pre <= (read_ahead + 8) as u64, "anticipation must be bounded");
+        assert!(
+            pre <= (read_ahead + 8) as u64,
+            "anticipation must be bounded"
+        );
         // Tear down.
         let _ = kernel.invoke(filter, eden_core::op::ops::DEACTIVATE, Value::Unit);
         let _ = kernel.invoke(source, eden_core::op::ops::DEACTIVATE, Value::Unit);
@@ -330,7 +348,9 @@ pub(crate) fn e8() -> Vec<Table> {
     );
     let conv = run_identity(
         &kernel,
-        Discipline::Conventional { buffer_capacity: 32 },
+        Discipline::Conventional {
+            buffer_capacity: 32,
+        },
         workloads::ints(items),
         depth,
         batch,

@@ -5,7 +5,7 @@ use std::time::Duration;
 use eden_core::Value;
 use eden_kernel::Kernel;
 use eden_transput::transform::{Identity, Transform};
-use eden_transput::{ChannelPolicy, Discipline, PipelineSpec, PipelineRun};
+use eden_transput::{ChannelPolicy, Discipline, PipelineRun, PipelineSpec};
 
 /// Generous deadline for experiment pipelines.
 pub(crate) const DEADLINE: Duration = Duration::from_secs(120);
@@ -49,7 +49,9 @@ pub(crate) fn run_identity(
         kernel,
         discipline,
         input,
-        (0..depth).map(|_| Box::new(Identity) as Box<dyn Transform>).collect(),
+        (0..depth)
+            .map(|_| Box::new(Identity) as Box<dyn Transform>)
+            .collect(),
         batch,
         ChannelPolicy::Integer,
         &[],

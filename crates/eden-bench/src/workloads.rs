@@ -11,9 +11,9 @@ use rand::{Rng, SeedableRng};
 
 /// Words used to build prose lines.
 const VOCAB: [&str; 24] = [
-    "the", "cat", "sat", "on", "mat", "dog", "ran", "fast", "bird", "flew", "high", "over",
-    "tree", "river", "stone", "cloud", "wind", "light", "dark", "morning", "evening", "quick",
-    "brown", "lazy",
+    "the", "cat", "sat", "on", "mat", "dog", "ran", "fast", "bird", "flew", "high", "over", "tree",
+    "river", "stone", "cloud", "wind", "light", "dark", "morning", "evening", "quick", "brown",
+    "lazy",
 ];
 
 /// Deterministic prose: `n` lines of 3–9 vocabulary words. Roughly one
@@ -78,7 +78,12 @@ mod tests {
         let lines = prose(30, 3, 7);
         let typos = lines
             .iter()
-            .filter(|l| l.as_str().unwrap().split(' ').any(|w| w.contains("ee") && !VOCAB.contains(&w)))
+            .filter(|l| {
+                l.as_str()
+                    .unwrap()
+                    .split(' ')
+                    .any(|w| w.contains("ee") && !VOCAB.contains(&w))
+            })
             .count();
         assert!(typos > 0);
     }

@@ -49,8 +49,7 @@ pub trait HostFs: Send + Sync + 'static {
 pub type HostFsHandle = Arc<dyn HostFs>;
 
 /// An in-memory filing system.
-#[derive(Default)]
-#[derive(Debug)]
+#[derive(Default, Debug)]
 pub struct MemFs {
     files: Mutex<BTreeMap<String, Vec<u8>>>,
 }

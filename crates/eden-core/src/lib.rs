@@ -12,7 +12,6 @@
 //! Systems Principles (SOSP), 1983. See `DESIGN.md` at the workspace root
 //! for the full system inventory.
 
-
 pub(crate) mod error;
 pub mod hostfs;
 pub(crate) mod metrics;

@@ -56,7 +56,9 @@ pub struct Metrics {
 impl Default for Metrics {
     fn default() -> Self {
         Metrics {
-            shards: (0..METRIC_SHARDS).map(|_| CounterShard::default()).collect(),
+            shards: (0..METRIC_SHARDS)
+                .map(|_| CounterShard::default())
+                .collect(),
         }
     }
 }
@@ -263,8 +265,10 @@ impl Metrics {
     pub fn record_checkpoint(&self, bytes: usize, entry: bool) {
         let cell = self.cell();
         cell.checkpoints.fetch_add(1, Ordering::Relaxed);
-        cell.checkpoint_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        cell.journal_entries.fetch_add(entry as u64, Ordering::Relaxed);
+        cell.checkpoint_bytes
+            .fetch_add(bytes as u64, Ordering::Relaxed);
+        cell.journal_entries
+            .fetch_add(entry as u64, Ordering::Relaxed);
     }
 
     /// How many handles share these counters: what a hot path that clones
@@ -398,7 +402,11 @@ mod tests {
         let delta = m.snapshot().since(&before);
         assert_eq!(delta.invocations, 1);
         assert_eq!(
-            (delta.checkpoints, delta.checkpoint_bytes, delta.journal_entries),
+            (
+                delta.checkpoints,
+                delta.checkpoint_bytes,
+                delta.journal_entries
+            ),
             (2, 47, 1)
         );
         assert_eq!(delta.bytes_invoked, 10);
@@ -523,9 +531,18 @@ mod tests {
 
         let rows: Vec<_> = s.rows().collect();
         let names: std::collections::BTreeSet<&str> = rows.iter().map(|r| r.0).collect();
-        assert_eq!((rows.len(), names.len()), (22, 22), "22 distinct exported names");
-        assert!(names.iter().all(|n| n.starts_with("eden_") && n.ends_with("_total")));
-        assert!(rows.iter().all(|r| !r.1.is_empty()), "every exported counter has help");
+        assert_eq!(
+            (rows.len(), names.len()),
+            (22, 22),
+            "22 distinct exported names"
+        );
+        assert!(names
+            .iter()
+            .all(|n| n.starts_with("eden_") && n.ends_with("_total")));
+        assert!(
+            rows.iter().all(|r| !r.1.is_empty()),
+            "every exported counter has help"
+        );
         let value_of = |name: &str| rows.iter().find(|r| r.0 == name).map(|r| r.2);
         assert_eq!(value_of("eden_bytes_invoked_total"), Some(7));
         assert_eq!(value_of("eden_checkpoint_bytes_total"), Some(40));

@@ -114,7 +114,9 @@ impl Text {
             Some(i) => (i, at + i + 1),
             None => (rest.len(), self.len()),
         };
-        let line = self.slice(at..at + len).expect("a line ends on a character boundary");
+        let line = self
+            .slice(at..at + len)
+            .expect("a line ends on a character boundary");
         Some((line, next))
     }
 
@@ -832,10 +834,7 @@ mod tests {
     #[test]
     fn kind_names() {
         assert_eq!(Value::Unit.kind(), "unit");
-        assert_eq!(
-            Value::record(Vec::<(&str, Value)>::new()).kind(),
-            "record"
-        );
+        assert_eq!(Value::record(Vec::<(&str, Value)>::new()).kind(), "record");
     }
 
     #[test]
@@ -906,7 +905,10 @@ mod tests {
             let buffer = text.as_shared_bytes().as_ptr_range();
             for window in &windows {
                 let bytes = window.as_shared_bytes().as_ptr_range();
-                assert!(buffer.start <= bytes.start && bytes.end <= buffer.end, "{whole:?}");
+                assert!(
+                    buffer.start <= bytes.start && bytes.end <= buffer.end,
+                    "{whole:?}"
+                );
             }
         }
     }

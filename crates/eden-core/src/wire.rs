@@ -58,16 +58,13 @@ pub fn encoded_len(value: &Value) -> usize {
         Value::Str(s) => 1 + varint_len(s.len() as u64) + s.len(),
         Value::Bytes(b) => 1 + varint_len(b.len() as u64) + b.len(),
         Value::List(items) => {
-            1 + varint_len(items.len() as u64)
-                + items.iter().map(encoded_len).sum::<usize>()
+            1 + varint_len(items.len() as u64) + items.iter().map(encoded_len).sum::<usize>()
         }
         Value::Record(fields) => {
             1 + varint_len(fields.len() as u64)
                 + fields
                     .iter()
-                    .map(|(name, v)| {
-                        varint_len(name.len() as u64) + name.len() + encoded_len(v)
-                    })
+                    .map(|(name, v)| varint_len(name.len() as u64) + name.len() + encoded_len(v))
                     .sum::<usize>()
         }
     }
@@ -229,7 +226,9 @@ fn decode_len(cur: &mut Cursor<'_>) -> Result<usize> {
     // malicious lengths from causing huge pre-allocations.
     let remaining = (cur.buf.len() - cur.pos) as u64;
     if len > remaining {
-        return Err(corrupt(format!("length {len} exceeds remaining {remaining}")));
+        return Err(corrupt(format!(
+            "length {len} exceeds remaining {remaining}"
+        )));
     }
     Ok(len as usize)
 }
@@ -375,7 +374,14 @@ mod tests {
         // the encode equals the capacity before (Vec only grows on push
         // beyond capacity).
         let v = Value::record([
-            ("items", Value::list((0..50).map(|i| Value::str(format!("record-{i}"))).collect::<Vec<_>>())),
+            (
+                "items",
+                Value::list(
+                    (0..50)
+                        .map(|i| Value::str(format!("record-{i}")))
+                        .collect::<Vec<_>>(),
+                ),
+            ),
             ("blob", Value::bytes(vec![9u8; 4096])),
         ]);
         let out = encode(&v);
@@ -385,10 +391,7 @@ mod tests {
 
     #[test]
     fn empty_input_is_corrupt() {
-        assert!(matches!(
-            decode(&[]),
-            Err(EdenError::CorruptCheckpoint(_))
-        ));
+        assert!(matches!(decode(&[]), Err(EdenError::CorruptCheckpoint(_))));
     }
 
     #[test]
@@ -403,10 +406,7 @@ mod tests {
     fn trailing_bytes_rejected() {
         let mut enc = encode(&Value::Unit);
         enc.push(0);
-        assert!(matches!(
-            decode(&enc),
-            Err(EdenError::CorruptCheckpoint(_))
-        ));
+        assert!(matches!(decode(&enc), Err(EdenError::CorruptCheckpoint(_))));
     }
 
     #[test]

@@ -14,15 +14,13 @@ fn arb_value() -> impl Strategy<Value = Value> {
         any::<bool>().prop_map(Value::Bool),
         any::<i64>().prop_map(Value::Int),
         ".{0,64}".prop_map(Value::str),
-        proptest::collection::vec(any::<u8>(), 0..128)
-            .prop_map(|v| Value::Bytes(Bytes::from(v))),
+        proptest::collection::vec(any::<u8>(), 0..128).prop_map(|v| Value::Bytes(Bytes::from(v))),
         Just(Value::Uid(Uid::fresh())),
     ];
     leaf.prop_recursive(4, 64, 8, |inner| {
         prop_oneof![
             proptest::collection::vec(inner.clone(), 0..8).prop_map(Value::list),
-            proptest::collection::vec(("[a-z]{1,8}", inner), 0..8)
-                .prop_map(Value::record),
+            proptest::collection::vec(("[a-z]{1,8}", inner), 0..8).prop_map(Value::record),
         ]
     })
 }

@@ -12,8 +12,7 @@ use eden_transput::{Emitter, Transform};
 
 /// `wc`: counts lines, words and characters; emits one summary record at
 /// flush.
-#[derive(Default)]
-#[derive(Debug)]
+#[derive(Default, Debug)]
 pub struct WordCount {
     lines: i64,
     words: i64,
@@ -116,8 +115,7 @@ impl Transform for SortLines {
 
 /// `uniq`: drops *adjacent* duplicate records (sort first for global
 /// dedup, as in Unix).
-#[derive(Default)]
-#[derive(Debug)]
+#[derive(Default, Debug)]
 pub struct Uniq {
     last: Option<Value>,
 }
@@ -154,8 +152,7 @@ impl Transform for Uniq {
 /// Word-frequency table: emits `word<TAB>count` lines at flush, sorted by
 /// descending count then word. The core of the paper-era "spelling
 /// checker" toolchain.
-#[derive(Default)]
-#[derive(Debug)]
+#[derive(Default, Debug)]
 pub struct WordFrequency {
     counts: BTreeMap<String, u64>,
 }
@@ -191,8 +188,7 @@ impl Transform for WordFrequency {
 
 /// Run-length encode consecutive equal records into
 /// `Record{item, count}` pairs.
-#[derive(Default)]
-#[derive(Debug)]
+#[derive(Default, Debug)]
 pub struct RleEncode {
     run: Option<(Value, i64)>,
 }
@@ -235,8 +231,7 @@ impl Transform for RleEncode {
 
 /// Inverse of [`RleEncode`]: expand `Record{item, count}` runs.
 /// Non-run records pass through unchanged.
-#[derive(Default)]
-#[derive(Debug)]
+#[derive(Default, Debug)]
 pub struct RleDecode;
 
 impl RleDecode {

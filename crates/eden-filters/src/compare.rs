@@ -11,8 +11,7 @@ use eden_core::Value;
 use eden_transput::{Emitter, Transform};
 
 /// Compares paired records from two zipped inputs.
-#[derive(Default)]
-#[derive(Debug)]
+#[derive(Default, Debug)]
 pub struct Compare {
     row: u64,
     differences: u64,

@@ -157,7 +157,10 @@ mod tests {
             Command::parse("s/a/b/").unwrap(),
             Command::Substitute("a".into(), "b".into())
         );
-        assert!(matches!(Command::parse("d/x*/").unwrap(), Command::Delete(_)));
+        assert!(matches!(
+            Command::parse("d/x*/").unwrap(),
+            Command::Delete(_)
+        ));
         assert_eq!(
             Command::parse("a/after/").unwrap(),
             Command::AppendAfter("after".into())

@@ -14,7 +14,6 @@
 //!
 //! [`Transform`]: eden_transput::Transform
 
-
 pub(crate) mod aggregate;
 pub(crate) mod compare;
 pub(crate) mod editor;
@@ -71,9 +70,7 @@ pub fn make_filter(name: &str, args: &[&str]) -> Result<Box<dyn Transform>> {
         ("word-frequency", []) => Box::new(WordFrequency::new()),
         ("rle-encode", []) => Box::new(RleEncode::new()),
         ("rle-decode", []) => Box::new(RleDecode::new()),
-        ("paginate", [title, lines]) => {
-            Box::new(Paginator::new(*title, int_arg(lines)? as usize))
-        }
+        ("paginate", [title, lines]) => Box::new(Paginator::new(*title, int_arg(lines)? as usize)),
         ("spell-check", words) if !words.is_empty() => Box::new(SpellCheck::new(words)),
         ("progress", [label, every]) => Box::new(ProgressReporter::new(*label, int_arg(every)?)),
         ("tee", []) => Box::new(Tee),

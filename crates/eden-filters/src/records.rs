@@ -141,7 +141,10 @@ impl GroupAggregate {
 
 impl Transform for GroupAggregate {
     fn push(&mut self, item: Value, _out: &mut Emitter) {
-        let Some(key) = item.field_opt(&self.key_field).and_then(|k| k.as_str().ok()) else {
+        let Some(key) = item
+            .field_opt(&self.key_field)
+            .and_then(|k| k.as_str().ok())
+        else {
             return;
         };
         let add = self
@@ -276,9 +279,6 @@ mod tests {
     #[test]
     fn render_makes_lines() {
         let (out, _) = apply_offline(&mut RenderRecords, staff());
-        assert_eq!(
-            out[0].as_str().unwrap(),
-            "name=ada  dept=eng  salary=120"
-        );
+        assert_eq!(out[0].as_str().unwrap(), "name=ada  dept=eng  salary=120");
     }
 }

@@ -194,7 +194,10 @@ mod tests {
 
     #[test]
     fn report_channels_declared() {
-        assert_eq!(SpellCheck::new(["x"]).secondary_channels(), vec![REPORT_NAME]);
+        assert_eq!(
+            SpellCheck::new(["x"]).secondary_channels(),
+            vec![REPORT_NAME]
+        );
         assert_eq!(Tee.secondary_channels(), vec![COPY_NAME]);
     }
 }

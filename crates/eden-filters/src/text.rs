@@ -349,7 +349,12 @@ mod tests {
     fn strip_comments_fortran() {
         let out = run(
             &mut StripComments::fortran(),
-            &["C this is a comment", "      X = 1", "C another", "      END"],
+            &[
+                "C this is a comment",
+                "      X = 1",
+                "C another",
+                "      END",
+            ],
         );
         assert_eq!(out, lines(&["      X = 1", "      END"]));
     }
@@ -361,7 +366,10 @@ mod tests {
             run(&mut Grep::matching("error"), &input),
             lines(&["an error here", "error again"])
         );
-        assert_eq!(run(&mut Grep::deleting("error"), &input), lines(&["all good"]));
+        assert_eq!(
+            run(&mut Grep::deleting("error"), &input),
+            lines(&["all good"])
+        );
     }
 
     #[test]

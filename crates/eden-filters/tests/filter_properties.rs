@@ -25,7 +25,11 @@ fn primary(t: &mut dyn Transform, input: Vec<Value>) -> Vec<Value> {
 /// walk over `*` (any run), `?` (any one) and literals. `contained` wraps
 /// the glob in `*…*` first.
 fn oracle_glob(pattern: &str, text: &str, contained: bool) -> bool {
-    let wrapped = if contained { format!("*{pattern}*") } else { pattern.to_owned() };
+    let wrapped = if contained {
+        format!("*{pattern}*")
+    } else {
+        pattern.to_owned()
+    };
     let mut tokens: Vec<char> = Vec::new();
     for c in wrapped.chars() {
         if c != '*' || tokens.last() != Some(&'*') {
@@ -65,8 +69,16 @@ fn oracle_glob(pattern: &str, text: &str, contained: bool) -> bool {
 
 fn assert_matches_as_the_oracle_does(pat: &str, text: &str) {
     let p = Pattern::compile(pat);
-    assert_eq!(p.matches(text), oracle_glob(pat, text, false), "{pat:?} matches {text:?}");
-    assert_eq!(p.contained_in(text), oracle_glob(pat, text, true), "{pat:?} in {text:?}");
+    assert_eq!(
+        p.matches(text),
+        oracle_glob(pat, text, false),
+        "{pat:?} matches {text:?}"
+    );
+    assert_eq!(
+        p.contained_in(text),
+        oracle_glob(pat, text, true),
+        "{pat:?} in {text:?}"
+    );
 }
 
 /// Both folds of `line` are `str`'s, and a line that is already folded is
@@ -88,7 +100,16 @@ fn assert_folds_as_str_does(line: &str) {
 // lowers to `ς` at the end of a word and `İ` to two characters.
 #[test]
 fn case_fold_hard_cases() {
-    for line in ["", "straße", "ǆ ǅ Ǆ", "ΟΔΟΣ", "ὈΔΥΣΣΕΎΣ ΟΔΟΣ.", "İi", "UPPER 7", "lower 7"] {
+    for line in [
+        "",
+        "straße",
+        "ǆ ǅ Ǆ",
+        "ΟΔΟΣ",
+        "ὈΔΥΣΣΕΎΣ ΟΔΟΣ.",
+        "İi",
+        "UPPER 7",
+        "lower 7",
+    ] {
         assert_folds_as_str_does(line);
     }
 }

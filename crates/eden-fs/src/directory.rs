@@ -79,7 +79,9 @@ impl DirectoryEject {
         let name = arg.field("name")?.as_str()?.to_owned();
         let uid = arg.field("uid")?.as_uid()?;
         if name.is_empty() {
-            return Err(EdenError::BadParameter("entry name may not be empty".into()));
+            return Err(EdenError::BadParameter(
+                "entry name may not be empty".into(),
+            ));
         }
         if self.entries.contains_key(&name) {
             return Err(EdenError::Application(format!(
@@ -107,13 +109,17 @@ impl DirectoryEject {
         let from = arg.field("from")?.as_str()?.to_owned();
         let to = arg.field("to")?.as_str()?.to_owned();
         if to.is_empty() {
-            return Err(EdenError::BadParameter("entry name may not be empty".into()));
+            return Err(EdenError::BadParameter(
+                "entry name may not be empty".into(),
+            ));
         }
         if !self.entries.contains_key(&from) {
             return Err(EdenError::Application(format!("no entry named `{from}`")));
         }
         if from != to && self.entries.contains_key(&to) {
-            return Err(EdenError::Application(format!("entry `{to}` already exists")));
+            return Err(EdenError::Application(format!(
+                "entry `{to}` already exists"
+            )));
         }
         let uid = self.entries.remove(&from).expect("presence checked");
         self.entries.insert(to, uid);
@@ -203,8 +209,7 @@ impl EjectBehavior for DirConcatenatorEject {
                 // "It may be implemented either by actually performing the
                 // multiple lookups, or by maintaining some sort of table";
                 // we do the honest multiple lookups.
-                let mut last_err =
-                    EdenError::Application("concatenator has no directories".into());
+                let mut last_err = EdenError::Application("concatenator has no directories".into());
                 for &dir in &self.directories {
                     match ctx.invoke(dir, ops::LOOKUP, inv.arg.clone()).wait() {
                         Ok(found) => {
@@ -280,7 +285,10 @@ mod tests {
         assert_eq!(batch.len(), 2);
         assert!(batch.end);
         let first = batch.items[0].as_str().unwrap();
-        assert!(first.starts_with("alpha"), "listing must be sorted: {first}");
+        assert!(
+            first.starts_with("alpha"),
+            "listing must be sorted: {first}"
+        );
     }
 
     #[test]

@@ -133,7 +133,10 @@ impl FileEject {
             done,
         };
         let writer = spawn_sibling(ctx, Box::new(Stage::writer(source, gather)));
-        self.writer = writer.as_ref().ok().map(|&writer| (writer, source.is_some()));
+        self.writer = writer
+            .as_ref()
+            .ok()
+            .map(|&writer| (writer, source.is_some()));
         if let Some(reply) = answer {
             reply.reply(writer.map(Value::Uid));
         }
@@ -142,7 +145,11 @@ impl FileEject {
     /// Take the current writer's records, bump the generation, checkpoint.
     fn commit(&mut self, ctx: &EjectContext, arg: Value) -> Result<Value> {
         let writer = arg.field("writer")?.as_uid()?;
-        if self.writer.take_if(|(current, _)| *current == writer).is_none() {
+        if self
+            .writer
+            .take_if(|(current, _)| *current == writer)
+            .is_none()
+        {
             let stale = "a writer the file no longer takes records from";
             return Err(EdenError::Application(stale.into()));
         }
@@ -153,7 +160,9 @@ impl FileEject {
             false => self.records = records,
         }
         self.generation += 1;
-        let rep = self.passive_representation().expect("a file has a representation");
+        let rep = self
+            .passive_representation()
+            .expect("a file has a representation");
         ctx.checkpoint(&rep)?;
         Ok(Value::Int(self.records.len() as i64))
     }

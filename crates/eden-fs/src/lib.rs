@@ -25,7 +25,6 @@
 //! `... > file NAME` or `... > unix PATH` move once, from the last filter
 //! into the file, and nowhere else.
 
-
 pub(crate) mod directory;
 pub(crate) mod file;
 pub mod hostfs;
@@ -61,7 +60,8 @@ pub fn lookup(kernel: &Kernel, directory: Uid, name: &str) -> Result<Uid> {
             directory,
             eden_core::op::ops::LOOKUP,
             Value::record([("name", Value::str(name))]),
-        ).wait()?
+        )
+        .wait()?
         .as_uid()
 }
 
@@ -72,7 +72,8 @@ pub fn add_entry(kernel: &Kernel, directory: Uid, name: &str, uid: Uid) -> Resul
             directory,
             eden_core::op::ops::ADD_ENTRY,
             Value::record([("name", Value::str(name)), ("uid", Value::Uid(uid))]),
-        ).wait()
+        )
+        .wait()
         .map(|_| ())
 }
 
@@ -83,7 +84,7 @@ pub fn rename_entry(kernel: &Kernel, directory: Uid, from: &str, to: &str) -> Re
             directory,
             "Rename",
             Value::record([("from", Value::str(from)), ("to", Value::str(to))]),
-        ).wait()
+        )
+        .wait()
         .map(|_| ())
 }
-

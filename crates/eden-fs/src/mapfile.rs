@@ -58,7 +58,11 @@ impl MapFileEject {
 
     fn read_at(&self, arg: &Value) -> Result<Value> {
         let index = arg.field("index")?.as_int()?;
-        let count = arg.field_opt("count").map(|c| c.as_int()).transpose()?.unwrap_or(1);
+        let count = arg
+            .field_opt("count")
+            .map(|c| c.as_int())
+            .transpose()?
+            .unwrap_or(1);
         if index < 0 || count < 0 {
             return Err(EdenError::BadParameter(
                 "index and count must be non-negative".into(),
@@ -159,10 +163,7 @@ mod tests {
     fn read_at_slices() {
         let f = seeded();
         let got = f.read_at(&read_at_arg(1, 2)).unwrap();
-        assert_eq!(
-            got,
-            Value::list(vec![Value::Int(1), Value::Int(2)])
-        );
+        assert_eq!(got, Value::list(vec![Value::Int(1), Value::Int(2)]));
         // Reads past the end are truncated, not errors.
         let tail = f.read_at(&read_at_arg(4, 10)).unwrap();
         assert_eq!(tail.as_list().unwrap().len(), 1);
@@ -178,8 +179,11 @@ mod tests {
     #[test]
     fn write_at_overwrites_and_extends() {
         let mut f = seeded();
-        f.write_at(&write_at_arg(3, vec![Value::Int(30), Value::Int(40), Value::Int(50)]))
-            .unwrap();
+        f.write_at(&write_at_arg(
+            3,
+            vec![Value::Int(30), Value::Int(40), Value::Int(50)],
+        ))
+        .unwrap();
         assert_eq!(f.records.len(), 6);
         assert_eq!(f.records[3], Value::Int(30));
         assert_eq!(f.records[5], Value::Int(50));

@@ -182,7 +182,12 @@ pub fn use_stream_arg(path: &str, stream: Uid) -> Value {
 /// A pipeline that ends in the host file `path`, through `unixfs`'s
 /// `UseStream` (`> unix PATH`).
 pub fn use_stream_sink(unixfs: Uid, path: &str) -> SinkEject {
-    SinkEject::new(unixfs, ops::USE_STREAM, vec![("path", Value::str(path))], "stream")
+    SinkEject::new(
+        unixfs,
+        ops::USE_STREAM,
+        vec![("path", Value::str(path))],
+        "stream",
+    )
 }
 
 #[cfg(test)]

@@ -9,9 +9,7 @@ use eden_fs::{
     add_entry, lookup, new_stream_arg, register_fs_types, use_stream_arg, write_from_sink,
     DirConcatenatorEject, DirectoryEject, FileEject, MemFs, UnixFsEject,
 };
-use eden_kernel::{
-    EjectState, FaultKind, FaultPlan, FaultRule, Kernel, KernelConfig, StableStore,
-};
+use eden_kernel::{EjectState, FaultKind, FaultPlan, FaultRule, Kernel, KernelConfig, StableStore};
 use eden_transput::collector::Collector;
 use eden_transput::protocol::{Batch, TransferRequest, WriteRequest};
 use eden_transput::source::VecSource;
@@ -197,9 +195,8 @@ fn a_second_write_from_is_refused_while_the_first_is_in_progress() {
     };
     let pipe = Stage::new(Input::Passive, Output::Passive, depth);
     let pipe = kernel.spawn(Box::new(pipe)).unwrap();
-    let from = |mode: &str| {
-        Value::record([("source", Value::Uid(pipe)), ("mode", Value::str(mode))])
-    };
+    let from =
+        |mode: &str| Value::record([("source", Value::Uid(pipe)), ("mode", Value::str(mode))]);
     let first = kernel.invoke(file, ops::WRITE_FROM, from("append"));
     let again = kernel.invoke(file, ops::WRITE_FROM, from("replace")).wait();
     let busy = EdenError::Application("a WriteFrom is already in progress".into());
@@ -251,7 +248,9 @@ fn a_pipeline_into_the_file_that_never_runs_leaves_it_writable() {
     let refused = FaultRule::new(FaultKind::Error).on_op(ops::GET_CHANNEL);
     kernel.install_faults(FaultPlan::new(1).rule(refused));
     let read_only = Discipline::ReadOnly { read_ahead: 0 };
-    let tapped = into_file(read_only, &["lost"]).stage(Box::new(Reporting)).tap(0, "Report");
+    let tapped = into_file(read_only, &["lost"])
+        .stage(Box::new(Reporting))
+        .tap(0, "Report");
     assert!(tapped.build(&kernel).is_err());
     kernel.install_faults(FaultPlan::new(1));
     assert_eq!(kernel.eject_count(), before, "a failed build left an Eject");
@@ -259,7 +258,11 @@ fn a_pipeline_into_the_file_that_never_runs_leaves_it_writable() {
     // acceptor the file minted for it.
     let write_only = Discipline::WriteOnly { push_ahead: 0 };
     drop(into_file(write_only, &["dropped"]).build(&kernel).unwrap());
-    assert_eq!(kernel.eject_count(), before, "a dropped pipeline left an Eject");
+    assert_eq!(
+        kernel.eject_count(),
+        before,
+        "a dropped pipeline left an Eject"
+    );
     // An acceptor its client abandons is gone at the next `WriteFrom`.
     let no_fields: [(&str, Value); 0] = [];
     let abandoned = kernel.invoke(file, ops::WRITE_FROM, Value::record(no_fields));

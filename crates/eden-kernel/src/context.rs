@@ -216,8 +216,7 @@ impl EjectContext {
 }
 
 /// A cloneable sender for intra-Eject (language-level) messages.
-#[derive(Clone)]
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct InternalSender {
     pub(crate) tx: MailboxSender,
     pub(crate) metrics: Metrics,

@@ -304,8 +304,7 @@ mod tests {
         let run = |seed: u64| {
             let inj = FaultInjector::default();
             inj.install(
-                FaultPlan::new(seed)
-                    .rule(FaultRule::new(FaultKind::Error).with_probability(0.3)),
+                FaultPlan::new(seed).rule(FaultRule::new(FaultKind::Error).with_probability(0.3)),
             );
             decisions(&inj, &OpName::from("Transfer"), 64)
         };
@@ -341,5 +340,4 @@ mod tests {
         assert!(!inj.armed());
         assert!(inj.decide(&OpName::from("X")).is_none());
     }
-
 }

@@ -197,9 +197,9 @@ impl Awaiter {
         match self.0.state.load(Ordering::Acquire) {
             // SAFETY: `SETTLED` was read with Acquire, so the settler's
             // write is visible and the slot is ours.
-            cell::SETTLED => Some(
-                unsafe { (*self.0.value.get()).take() }.unwrap_or(Err(EdenError::Timeout)),
-            ),
+            cell::SETTLED => {
+                Some(unsafe { (*self.0.value.get()).take() }.unwrap_or(Err(EdenError::Timeout)))
+            }
             cell::ABANDONED => Some(Err(EdenError::EjectCrashed(self.0.responder))),
             _ => None,
         }
@@ -355,7 +355,11 @@ impl ReplyHandle {
     /// The cell this handle settles. Only answering takes the settler, and
     /// answering consumes the handle.
     fn cell(&self) -> &ReplyCell {
-        &self.tx.as_ref().expect("an unanswered handle holds its settler").0
+        &self
+            .tx
+            .as_ref()
+            .expect("an unanswered handle holds its settler")
+            .0
     }
 
     /// The invocation's absolute deadline, if one was set.

@@ -1074,7 +1074,12 @@ impl KernelInner {
     /// without one as an entry in the journal beside it. A write that fails
     /// to persist is *not* durable, and the error must reach the Eject so it
     /// does not acknowledge work it would lose.
-    pub(crate) fn stable_write(&self, uid: Uid, type_name: Option<&str>, state: &Value) -> Result<()> {
+    pub(crate) fn stable_write(
+        &self,
+        uid: Uid,
+        type_name: Option<&str>,
+        state: &Value,
+    ) -> Result<()> {
         let bytes = Bytes::from(wire::encode(state));
         let len = bytes.len();
         match type_name {

@@ -48,7 +48,6 @@
 //! kernel.shutdown();
 //! ```
 
-
 mod behavior;
 mod context;
 mod fault;

@@ -763,7 +763,11 @@ mod tests {
         assert_eq!(spec::state_by_name("DIRTY"), Some(park::DIRTY));
         assert!(spec::state_by_name("LIMBO").is_none());
         assert!(spec::allows_op(park::RUNNING, park::PARKED, spec::Op::Cas));
-        assert!(!spec::allows_op(park::RUNNING, park::PARKED, spec::Op::Store));
+        assert!(!spec::allows_op(
+            park::RUNNING,
+            park::PARKED,
+            spec::Op::Store
+        ));
     }
 
     #[test]

@@ -373,21 +373,24 @@ impl ObsPlane {
             slot.service.record(service_ns);
         }
         if self.config.spans {
-            self.push_span(&mut shard, SpanRecord {
-                trace: tag.ctx.trace,
-                span: tag.ctx.span,
-                parent: tag.ctx.parent,
-                hop: tag.ctx.hop,
-                target: tag.target,
-                op: tag.op.clone(),
-                from: tag.from,
-                to: tag.to,
-                start_ns: self.since_epoch(tag.enqueued),
-                queue_ns,
-                sched_ns,
-                service_ns,
-                ok,
-            });
+            self.push_span(
+                &mut shard,
+                SpanRecord {
+                    trace: tag.ctx.trace,
+                    span: tag.ctx.span,
+                    parent: tag.ctx.parent,
+                    hop: tag.ctx.hop,
+                    target: tag.target,
+                    op: tag.op.clone(),
+                    from: tag.from,
+                    to: tag.to,
+                    start_ns: self.since_epoch(tag.enqueued),
+                    queue_ns,
+                    sched_ns,
+                    service_ns,
+                    ok,
+                },
+            );
         }
     }
 
@@ -396,34 +399,31 @@ impl ObsPlane {
     /// reply pair — no queue wait, no service time, so no histogram
     /// sample — but it must still appear in the causal tree, or a
     /// crash-recovery trace shows retries with no visible cause.
-    pub(crate) fn record_faulted(
-        &self,
-        ctx: SpanContext,
-        target: Uid,
-        op: &OpName,
-        from: NodeId,
-    ) {
+    pub(crate) fn record_faulted(&self, ctx: SpanContext, target: Uid, op: &OpName, from: NodeId) {
         if !self.config.spans {
             return;
         }
         let start_ns = self.since_epoch(Instant::now());
         let mut shard = self.shard_of_thread().lock();
-        self.push_span(&mut shard, SpanRecord {
-            trace: ctx.trace,
-            span: ctx.span,
-            parent: ctx.parent,
-            hop: ctx.hop,
-            target,
-            op: op.clone(),
-            // The route never resolved; the span dies where it was sent.
-            from,
-            to: from,
-            start_ns,
-            queue_ns: 0,
-            sched_ns: 0,
-            service_ns: 0,
-            ok: false,
-        });
+        self.push_span(
+            &mut shard,
+            SpanRecord {
+                trace: ctx.trace,
+                span: ctx.span,
+                parent: ctx.parent,
+                hop: ctx.hop,
+                target,
+                op: op.clone(),
+                // The route never resolved; the span dies where it was sent.
+                from,
+                to: from,
+                start_ns,
+                queue_ns: 0,
+                sched_ns: 0,
+                service_ns: 0,
+                ok: false,
+            },
+        );
     }
 
     /// Record that an Eject was activated or stopped, in the calling
@@ -623,7 +623,9 @@ pub struct KernelSnapshot {
 }
 
 fn escape_label(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+    s.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 fn escape_json(s: &str) -> String {
@@ -649,19 +651,71 @@ fn escape_json(s: &str) -> String {
 fn counter_rows(snap: &KernelSnapshot) -> Vec<(&'static str, &'static str, u64)> {
     let p = &snap.payload;
     let rest = [
-        ("eden_payload_bytes_moved_total", "Payload bytes physically copied", p.payload_bytes_moved),
-        ("eden_payload_copies_total", "Deep-copy events", p.payload_copies),
-        ("eden_payload_cow_breaks_total", "Copy-on-write breaks", p.cow_breaks),
-        ("eden_payload_shares_total", "Reference-bump shares", p.payload_shares),
-        ("eden_stream_records_emitted_total", "Records that entered the stream fabric", snap.stream.records_emitted),
-        ("eden_stream_records_collected_total", "Records that reached a sink collector", snap.stream.records_collected),
-        ("eden_spans_dropped_total", "Spans evicted from the span store", snap.spans_dropped),
-        ("eden_sched_inline_handoffs_total", "Callees resumed on their waiting caller's stack", snap.sched.inline_handoffs),
-        ("eden_sched_monitor_rescues_total", "Stalls broken by the stall monitor (runnable work, no pickup for two ticks)", snap.sched.monitor_rescues),
-        ("eden_sched_idle_timeouts_with_work_total", "Idle-wait expiries that found runnable work", snap.sched.idle_timeouts_with_work),
-        ("eden_sched_spares_spawned_total", "Slotless workers spawned by blocking compensation or the monitor", snap.sched.spares_spawned),
-        ("eden_stable_compactions_total", "Completed stable-log compaction passes", snap.stable.compactions),
-        ("eden_stable_fsyncs_total", "fsync calls issued by the stable-log committer", snap.stable.fsyncs),
+        (
+            "eden_payload_bytes_moved_total",
+            "Payload bytes physically copied",
+            p.payload_bytes_moved,
+        ),
+        (
+            "eden_payload_copies_total",
+            "Deep-copy events",
+            p.payload_copies,
+        ),
+        (
+            "eden_payload_cow_breaks_total",
+            "Copy-on-write breaks",
+            p.cow_breaks,
+        ),
+        (
+            "eden_payload_shares_total",
+            "Reference-bump shares",
+            p.payload_shares,
+        ),
+        (
+            "eden_stream_records_emitted_total",
+            "Records that entered the stream fabric",
+            snap.stream.records_emitted,
+        ),
+        (
+            "eden_stream_records_collected_total",
+            "Records that reached a sink collector",
+            snap.stream.records_collected,
+        ),
+        (
+            "eden_spans_dropped_total",
+            "Spans evicted from the span store",
+            snap.spans_dropped,
+        ),
+        (
+            "eden_sched_inline_handoffs_total",
+            "Callees resumed on their waiting caller's stack",
+            snap.sched.inline_handoffs,
+        ),
+        (
+            "eden_sched_monitor_rescues_total",
+            "Stalls broken by the stall monitor (runnable work, no pickup for two ticks)",
+            snap.sched.monitor_rescues,
+        ),
+        (
+            "eden_sched_idle_timeouts_with_work_total",
+            "Idle-wait expiries that found runnable work",
+            snap.sched.idle_timeouts_with_work,
+        ),
+        (
+            "eden_sched_spares_spawned_total",
+            "Slotless workers spawned by blocking compensation or the monitor",
+            snap.sched.spares_spawned,
+        ),
+        (
+            "eden_stable_compactions_total",
+            "Completed stable-log compaction passes",
+            snap.stable.compactions,
+        ),
+        (
+            "eden_stable_fsyncs_total",
+            "fsync calls issued by the stable-log committer",
+            snap.stable.fsyncs,
+        ),
     ];
     snap.metrics.rows().chain(rest).collect()
 }
@@ -679,21 +733,81 @@ fn shed_rows(snap: &KernelSnapshot) -> [(&'static str, u64); 2] {
 
 fn gauge_rows(snap: &KernelSnapshot) -> Vec<(&'static str, &'static str, u64)> {
     vec![
-        ("eden_stream_records_in_flight", "Records emitted but not yet collected", snap.stream.records_in_flight()),
-        ("eden_streams_active", "Streams currently open", snap.stream.streams_active()),
-        ("eden_spans_recorded", "Spans currently held in the span store", snap.spans_recorded),
-        ("eden_resident_ejects", "Ejects currently resident (parked or runnable)", snap.sched.resident_ejects),
-        ("eden_parked_ejects", "Ejects parked on an empty mailbox", snap.sched.parked_ejects),
-        ("eden_sched_workers", "Live scheduler worker threads", snap.sched.workers),
-        ("eden_sched_workers_blocked", "Scheduler workers inside a blocking rendezvous", snap.sched.workers_blocked),
-        ("eden_sched_workers_idle", "Scheduler workers registered in the sleep protocol", snap.sched.workers_idle),
-        ("eden_sched_queued_tasks", "Tasks in the run queue", snap.sched.queued_tasks),
-        ("eden_mailboxes_active", "Active Eject mailboxes at sample time", snap.mailbox.mailboxes),
-        ("eden_mailbox_queued", "Envelopes queued across all active mailboxes", snap.mailbox.queued_total),
-        ("eden_mailbox_queue_depth_max", "Deepest single active mailbox at sample time", snap.mailbox.queued_max),
-        ("eden_stable_records", "Passive representations currently in the stable store", snap.stable.records),
-        ("eden_stable_segments_live", "Stable-log segment files currently live", snap.stable.segments_live),
-        ("eden_stable_log_bytes", "Bytes across all live stable-log segments", snap.stable.log_bytes),
+        (
+            "eden_stream_records_in_flight",
+            "Records emitted but not yet collected",
+            snap.stream.records_in_flight(),
+        ),
+        (
+            "eden_streams_active",
+            "Streams currently open",
+            snap.stream.streams_active(),
+        ),
+        (
+            "eden_spans_recorded",
+            "Spans currently held in the span store",
+            snap.spans_recorded,
+        ),
+        (
+            "eden_resident_ejects",
+            "Ejects currently resident (parked or runnable)",
+            snap.sched.resident_ejects,
+        ),
+        (
+            "eden_parked_ejects",
+            "Ejects parked on an empty mailbox",
+            snap.sched.parked_ejects,
+        ),
+        (
+            "eden_sched_workers",
+            "Live scheduler worker threads",
+            snap.sched.workers,
+        ),
+        (
+            "eden_sched_workers_blocked",
+            "Scheduler workers inside a blocking rendezvous",
+            snap.sched.workers_blocked,
+        ),
+        (
+            "eden_sched_workers_idle",
+            "Scheduler workers registered in the sleep protocol",
+            snap.sched.workers_idle,
+        ),
+        (
+            "eden_sched_queued_tasks",
+            "Tasks in the run queue",
+            snap.sched.queued_tasks,
+        ),
+        (
+            "eden_mailboxes_active",
+            "Active Eject mailboxes at sample time",
+            snap.mailbox.mailboxes,
+        ),
+        (
+            "eden_mailbox_queued",
+            "Envelopes queued across all active mailboxes",
+            snap.mailbox.queued_total,
+        ),
+        (
+            "eden_mailbox_queue_depth_max",
+            "Deepest single active mailbox at sample time",
+            snap.mailbox.queued_max,
+        ),
+        (
+            "eden_stable_records",
+            "Passive representations currently in the stable store",
+            snap.stable.records,
+        ),
+        (
+            "eden_stable_segments_live",
+            "Stable-log segment files currently live",
+            snap.stable.segments_live,
+        ),
+        (
+            "eden_stable_log_bytes",
+            "Bytes across all live stable-log segments",
+            snap.stable.log_bytes,
+        ),
     ]
 }
 
@@ -703,17 +817,23 @@ fn gauge_rows(snap: &KernelSnapshot) -> Vec<(&'static str, &'static str, u64)> {
 pub fn prometheus_text(snap: &KernelSnapshot) -> String {
     let mut out = String::new();
     for (name, help, value) in counter_rows(snap) {
-        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"));
+        out.push_str(&format!(
+            "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
+        ));
     }
     out.push_str(concat!(
         "# HELP eden_mailbox_sheds_total Invocations shed by mailbox admission control\n",
         "# TYPE eden_mailbox_sheds_total counter\n",
     ));
     for (policy, value) in shed_rows(snap) {
-        out.push_str(&format!("eden_mailbox_sheds_total{{policy=\"{policy}\"}} {value}\n"));
+        out.push_str(&format!(
+            "eden_mailbox_sheds_total{{policy=\"{policy}\"}} {value}\n"
+        ));
     }
     for (name, help, value) in gauge_rows(snap) {
-        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"));
+        out.push_str(&format!(
+            "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"
+        ));
     }
     type HistPicker = fn(&StageSummary) -> &Histogram;
     let pickers: [(&str, &str, HistPicker); 3] = [
@@ -831,7 +951,8 @@ pub fn chrome_trace_json(spans: &[SpanRecord]) -> String {
             s.target.seq(),
             s.trace,
             s.span,
-            s.parent.map_or_else(|| "null".to_owned(), |p| p.to_string()),
+            s.parent
+                .map_or_else(|| "null".to_owned(), |p| p.to_string()),
             s.hop,
             escape_json(&s.target.to_string()),
             s.queue_ns / 1_000,
@@ -960,8 +1081,16 @@ mod tests {
             span_capacity: 2 * OBS_SHARDS, // two slots per shard
         });
         let uid = Uid::fresh();
-        plane.record_faulted(SpanContext::root(), uid, &OpName::from("Transfer"), NodeId(0));
-        plane.record_lifecycle(Lifecycle::Activate { uid, type_name: "File" });
+        plane.record_faulted(
+            SpanContext::root(),
+            uid,
+            &OpName::from("Transfer"),
+            NodeId(0),
+        );
+        plane.record_lifecycle(Lifecycle::Activate {
+            uid,
+            type_name: "File",
+        });
         for crashed in [false, true] {
             plane.record_lifecycle(Lifecycle::Stop { uid, crashed });
         }
@@ -1002,15 +1131,36 @@ mod tests {
         let lines = render_events(
             &[span(2_000, NodeId(1), true), span(4_000, NodeId(0), false)],
             &[
-                LifecycleRecord { at_ns: 1_000, event: Lifecycle::Activate { uid, type_name: "File" } },
-                LifecycleRecord { at_ns: 3_000, event: Lifecycle::Stop { uid, crashed: true } },
+                LifecycleRecord {
+                    at_ns: 1_000,
+                    event: Lifecycle::Activate {
+                        uid,
+                        type_name: "File",
+                    },
+                },
+                LifecycleRecord {
+                    at_ns: 3_000,
+                    event: Lifecycle::Stop { uid, crashed: true },
+                },
             ],
         );
         assert_eq!(lines.len(), 4);
-        assert!(lines[0].contains("activate") && lines[0].contains("(File)"), "{lines:?}");
-        assert!(lines[1].contains("invoke Transfer") && lines[1].contains("remote"), "{lines:?}");
-        assert!(lines[2].contains("stop") && lines[2].contains("(crashed)"), "{lines:?}");
-        assert!(!lines[3].contains("remote") && lines[3].ends_with("failed"), "{lines:?}");
+        assert!(
+            lines[0].contains("activate") && lines[0].contains("(File)"),
+            "{lines:?}"
+        );
+        assert!(
+            lines[1].contains("invoke Transfer") && lines[1].contains("remote"),
+            "{lines:?}"
+        );
+        assert!(
+            lines[2].contains("stop") && lines[2].contains("(crashed)"),
+            "{lines:?}"
+        );
+        assert!(
+            !lines[3].contains("remote") && lines[3].ends_with("failed"),
+            "{lines:?}"
+        );
     }
 
     #[test]

@@ -102,8 +102,7 @@ impl Default for RetryPolicy {
 ///
 /// [`Kernel::invoke`]: crate::Kernel::invoke
 /// [`Kernel::invoke_with`]: crate::Kernel::invoke_with
-#[derive(Default)]
-#[derive(Debug)]
+#[derive(Default, Debug)]
 pub struct InvokeOptions<'a> {
     /// Overall per-invocation deadline, measured from the send. Waits and
     /// retries both stop when it expires, whatever the wait call's own
@@ -397,7 +396,9 @@ mod tests {
     #[test]
     fn options_route_cache_narrowing() {
         let mut cache = RouteCache::new();
-        let opts = InvokeOptions::new().retry(RetryPolicy::retries(1)).route_cache(&mut cache);
+        let opts = InvokeOptions::new()
+            .retry(RetryPolicy::retries(1))
+            .route_cache(&mut cache);
         assert!(opts.route_cache.is_some());
         assert_eq!(opts.retry.max_retries, 1);
     }

@@ -550,8 +550,11 @@ impl Woken {
     /// [`blocking`] as it always has.
     pub(crate) fn run_as_call(self, settled: &dyn Fn() -> bool) {
         let (task, sched) = (&self.task, &self.task.sched);
-        let blocked =
-            WORKER.with(|w| w.borrow().as_ref().is_some_and(|worker| worker.block_depth > 0));
+        let blocked = WORKER.with(|w| {
+            w.borrow()
+                .as_ref()
+                .is_some_and(|worker| worker.block_depth > 0)
+        });
         if !task.replies_last || blocked || resuming_depth() >= HANDOFF_DEPTH_CAP {
             return self.enqueue();
         }
@@ -849,7 +852,10 @@ impl Scheduler {
         if self.stopping.load(Ordering::Acquire) {
             return;
         }
-        let able = self.live_workers.load(Ordering::Acquire).saturating_sub(blocked);
+        let able = self
+            .live_workers
+            .load(Ordering::Acquire)
+            .saturating_sub(blocked);
         if able < self.target_workers && self.idle_count.load(Ordering::Acquire) == 0 {
             self.spawn_worker();
         } else {
@@ -877,7 +883,12 @@ impl Scheduler {
     /// resume (see [`Woken::run_as_call`]) passes the caller's `settled`
     /// probe and ends as soon as it reads true, requeueing any mail left.
     fn run_task(&self, task: &Arc<Task>, settled: Option<&dyn Fn() -> bool>) {
-        transition(task.core.park_bit(), Op::Store, &[park::QUEUED], park::RUNNING);
+        transition(
+            task.core.park_bit(),
+            Op::Store,
+            &[park::QUEUED],
+            park::RUNNING,
+        );
         RESUMING.with(|frames| {
             frames.borrow_mut().push(Frame {
                 uid: task.uid(),
@@ -885,9 +896,8 @@ impl Scheduler {
                 replied: false,
             })
         });
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.resume(task, settled)
-        }));
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.resume(task, settled)));
         RESUMING.with(|frames| frames.borrow_mut().pop());
         match outcome {
             Ok(Resume::Yield) => {}
@@ -1128,7 +1138,9 @@ fn worker_main(sched: Arc<Scheduler>, idx: usize) {
             // The timeout is a backstop for what no notify reports (see
             // `monitor_main`); count the ones that found work waiting.
             if !parker.park(IDLE_WAIT) && sched.has_runnable() {
-                sched.idle_timeouts_with_work.fetch_add(1, Ordering::Relaxed);
+                sched
+                    .idle_timeouts_with_work
+                    .fetch_add(1, Ordering::Relaxed);
             }
         }
         sched.remove_sleeper(&parker);
@@ -1166,13 +1178,16 @@ fn monitor_main(sched: Arc<Scheduler>) {
         let progress = sched.metrics.snapshot().pickups;
         let runnable = sched.has_runnable();
         // An idle pool needs no 1 kHz heartbeat; back off until work shows.
-        tick = if runnable { MONITOR_TICK } else { 5 * MONITOR_TICK };
+        tick = if runnable {
+            MONITOR_TICK
+        } else {
+            5 * MONITOR_TICK
+        };
         if runnable && progress == last_progress {
             stalled_ticks += 1;
             if stalled_ticks >= 2 && !sched.stopping.load(Ordering::Acquire) {
                 sched.monitor_rescues.fetch_add(1, Ordering::Relaxed);
-                if !sched.wake_sleeper()
-                    && sched.live_workers.load(Ordering::Acquire) < MAX_WORKERS
+                if !sched.wake_sleeper() && sched.live_workers.load(Ordering::Acquire) < MAX_WORKERS
                 {
                     sched.spawn_worker();
                 }

@@ -248,11 +248,19 @@ impl LogInner {
                     LogEntry::Put { uid, record } => {
                         idx.release(uid);
                         idx.tombstones.remove(&uid);
-                        let entry = IndexEntry { record, at: (seg, frame), journal_at: Vec::new() };
+                        let entry = IndexEntry {
+                            record,
+                            at: (seg, frame),
+                            journal_at: Vec::new(),
+                        };
                         idx.records.insert(uid, entry);
                         idx.segments.entry(seg).or_default().hold(frame);
                     }
-                    LogEntry::Append { uid, version, entry } => {
+                    LogEntry::Append {
+                        uid,
+                        version,
+                        entry,
+                    } => {
                         if let Some(e) = idx.records.get_mut(&uid) {
                             e.record.journal.push(entry);
                             e.record.version = version;

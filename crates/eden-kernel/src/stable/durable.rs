@@ -517,7 +517,9 @@ mod tests {
         }
         fn append(&self, path: &str, bytes: &[u8]) -> Result<u64> {
             if self.fail_append.swap(false, Ordering::SeqCst) {
-                return Err(eden_core::EdenError::HostFs(format!("append {path}: disk full")));
+                return Err(eden_core::EdenError::HostFs(format!(
+                    "append {path}: disk full"
+                )));
             }
             self.inner.append(path, bytes)
         }
@@ -604,11 +606,14 @@ mod tests {
         // segments and not others, so part of the journal moves and part
         // stays where it was.
         let fs = MemFs::new();
-        let log = DurableLog::open(std::sync::Arc::clone(&fs), DurableConfig {
-            segment_bytes: 512,
-            auto_compact: false,
-            ..DurableConfig::default()
-        })
+        let log = DurableLog::open(
+            std::sync::Arc::clone(&fs),
+            DurableConfig {
+                segment_bytes: 512,
+                auto_compact: false,
+                ..DurableConfig::default()
+            },
+        )
         .unwrap();
         let (cold, hot) = (Uid::fresh(), Uid::fresh());
         log.store(cold, "Cold", Bytes::from(vec![0; 200])).unwrap();
@@ -631,7 +636,10 @@ mod tests {
         check(&log);
         let homes = |log: &DurableLog| {
             let idx = log.inner.index.lock();
-            idx.records[&cold].frames().map(|f| f.0).collect::<Vec<u64>>()
+            idx.records[&cold]
+                .frames()
+                .map(|f| f.0)
+                .collect::<Vec<u64>>()
         };
         let moved = homes(&log);
         assert!(
@@ -679,7 +687,8 @@ mod tests {
             assert_eq!(s.stats().segments_live, segments + 1, "sealed");
             // The version the refused write would have had is the next one's.
             journal.push(journal.len() as u8 + 2);
-            s.append(uid, Bytes::from(vec![*journal.last().unwrap()])).unwrap();
+            s.append(uid, Bytes::from(vec![*journal.last().unwrap()]))
+                .unwrap();
             assert_eq!(held(&s), (1, journal.clone(), 1 + journal.len() as u64));
         }
         // A never-checkpointed Eject whose first store fails stays absent.

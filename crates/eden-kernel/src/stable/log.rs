@@ -105,7 +105,11 @@ impl LogEntry {
                 ("version", Value::Int(record.version as i64)),
                 ("bytes", Value::bytes(record.bytes.clone())),
             ]),
-            LogEntry::Append { uid, version, entry } => Value::record([
+            LogEntry::Append {
+                uid,
+                version,
+                entry,
+            } => Value::record([
                 ("op", Value::Int(2)),
                 ("uid", Value::Uid(*uid)),
                 ("version", Value::Int(*version as i64)),

@@ -290,7 +290,11 @@ impl StableBackend for MemBacked {
     }
 
     fn total_bytes(&self) -> usize {
-        self.inner.lock().values().map(PassiveRecord::stored_bytes).sum()
+        self.inner
+            .lock()
+            .values()
+            .map(PassiveRecord::stored_bytes)
+            .sum()
     }
 
     fn flush(&self) -> Result<()> {

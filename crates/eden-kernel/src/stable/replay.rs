@@ -74,11 +74,19 @@ pub(crate) fn replay(fs: &HostFsHandle) -> Result<Replayed> {
                     // later segment takes over the accounting.
                     let held = index.records.get(&uid);
                     if held.is_none_or(|b| record.version >= b.record.version) {
-                        let entry = IndexEntry { record, at: (seq, frame), journal_at: Vec::new() };
+                        let entry = IndexEntry {
+                            record,
+                            at: (seq, frame),
+                            journal_at: Vec::new(),
+                        };
                         index.records.insert(uid, entry);
                     }
                 }
-                LogEntry::Append { uid, version, entry } => {
+                LogEntry::Append {
+                    uid,
+                    version,
+                    entry,
+                } => {
                     appends.insert((uid, version), (entry, (seq, frame)));
                 }
                 LogEntry::Del { uid, version } => {
@@ -94,9 +102,17 @@ pub(crate) fn replay(fs: &HostFsHandle) -> Result<Replayed> {
     // Tombstones kill what they out-version; a put past the tombstone's
     // version (a destroyed-then-recreated UID) survives it, and takes the
     // entries at the versions that follow its own.
-    let IndexState { records, tombstones, segments: infos, .. } = &mut index;
+    let IndexState {
+        records,
+        tombstones,
+        segments: infos,
+        ..
+    } = &mut index;
     records.retain(|uid, entry| {
-        if tombstones.get(uid).is_some_and(|tomb| entry.record.version <= *tomb) {
+        if tombstones
+            .get(uid)
+            .is_some_and(|tomb| entry.record.version <= *tomb)
+        {
             return false;
         }
         while let Some((bytes, at)) = appends.remove(&(*uid, entry.record.version + 1)) {
@@ -113,10 +129,7 @@ pub(crate) fn replay(fs: &HostFsHandle) -> Result<Replayed> {
     match segments.last() {
         Some(&last) => {
             index.active_seg = last;
-            index.active_len = index
-                .segments
-                .get(&last)
-                .map_or(0, |info| info.total_bytes);
+            index.active_len = index.segments.get(&last).map_or(0, |info| info.total_bytes);
             index.next_seg = last + 1;
         }
         None => {
@@ -285,7 +298,11 @@ mod tests {
         // superseded (1, 2) and an entry past a missing version (7).
         write_segments(
             &fs,
-            &[&[append(5), put(1)], &[append(7), append(4), append(2)], &[put(3)]],
+            &[
+                &[append(5), put(1)],
+                &[append(7), append(4), append(2)],
+                &[put(3)],
+            ],
         );
         let replayed = replay(&fs).unwrap();
         let entry = replayed.index.records.get(&uid).expect("uid recovered");
@@ -293,7 +310,12 @@ mod tests {
         assert_eq!(entry.record.journal, [vec![4], vec![5]]);
         assert_eq!(entry.record.version, 5, "the next write is version 6");
         assert_eq!(entry.frames().map(|f| f.0).collect::<Vec<_>>(), [3, 2, 1]);
-        let live: u64 = replayed.index.segments.values().map(|s| s.live_frames).sum();
+        let live: u64 = replayed
+            .index
+            .segments
+            .values()
+            .map(|s| s.live_frames)
+            .sum();
         assert_eq!(live, 3, "what was superseded or cut off is dead");
     }
 
@@ -312,7 +334,14 @@ mod tests {
             &fs,
             &[
                 &[LogEntry::Del { uid, version: 3 }],
-                &[LogEntry::Put { uid, record }, LogEntry::Append { uid, version: 2, entry }],
+                &[
+                    LogEntry::Put { uid, record },
+                    LogEntry::Append {
+                        uid,
+                        version: 2,
+                        entry,
+                    },
+                ],
             ],
         );
         let replayed = replay(&fs).unwrap();

@@ -45,7 +45,10 @@ unsafe impl GlobalAlloc for Counting {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE_BYTES.fetch_add(new_size as isize - layout.size() as isize, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(
+            new_size as isize - layout.size() as isize,
+            Ordering::Relaxed,
+        );
         // SAFETY: as `dealloc`, and the caller vouches for `new_size`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -103,7 +106,10 @@ fn a_parked_eject_keeps_within_its_budgets() {
     let resident = (untouched - before) / EJECTS as isize;
     println!("{resident} bytes held a resident Eject (budget {RESIDENT_BUDGET})");
     for &uid in &ejects {
-        kernel.invoke(uid, "Ping", Value::Unit).wait().expect("reply");
+        kernel
+            .invoke(uid, "Ping", Value::Unit)
+            .wait()
+            .expect("reply");
     }
     let touched = parked_bytes(&kernel, 2 * EJECTS);
     let each = (touched - untouched) / EJECTS as isize;

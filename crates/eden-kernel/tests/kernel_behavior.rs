@@ -112,7 +112,10 @@ impl EjectBehavior for Cell {
 fn echo_roundtrip() {
     let kernel = Kernel::new();
     let echo = kernel.spawn(Box::new(Echo)).unwrap();
-    let got = kernel.invoke(echo, "Echo", Value::str("hi")).wait().unwrap();
+    let got = kernel
+        .invoke(echo, "Echo", Value::str("hi"))
+        .wait()
+        .unwrap();
     assert_eq!(got.as_str().unwrap(), "hi");
     kernel.shutdown();
 }
@@ -130,7 +133,10 @@ fn application_errors_propagate() {
 fn unknown_operation_is_rejected() {
     let kernel = Kernel::new();
     let echo = kernel.spawn(Box::new(Echo)).unwrap();
-    let err = kernel.invoke(echo, "Bogus", Value::Unit).wait().unwrap_err();
+    let err = kernel
+        .invoke(echo, "Bogus", Value::Unit)
+        .wait()
+        .unwrap_err();
     assert!(matches!(err, EdenError::NoSuchOperation { .. }));
     kernel.shutdown();
 }
@@ -139,7 +145,8 @@ fn unknown_operation_is_rejected() {
 fn unknown_uid_is_rejected() {
     let kernel = Kernel::new();
     let err = kernel
-        .invoke(eden_core::Uid::fresh(), "Echo", Value::Unit).wait()
+        .invoke(eden_core::Uid::fresh(), "Echo", Value::Unit)
+        .wait()
         .unwrap_err();
     assert!(matches!(err, EdenError::NoSuchEject(_)));
     kernel.shutdown();
@@ -164,7 +171,10 @@ fn async_invocation_does_not_suspend_sender() {
 fn describe_reports_type_name() {
     let kernel = Kernel::new();
     let echo = kernel.spawn(Box::new(Echo)).unwrap();
-    let name = kernel.invoke(echo, ops::DESCRIBE, Value::Unit).wait().unwrap();
+    let name = kernel
+        .invoke(echo, ops::DESCRIBE, Value::Unit)
+        .wait()
+        .unwrap();
     assert_eq!(name.as_str().unwrap(), "Echo");
     kernel.shutdown();
 }
@@ -176,7 +186,10 @@ fn deferred_reply_is_passive_output() {
     // Take first: the reply is parked (a "partial vacuum").
     let pending = kernel.invoke(cell, "Take", Value::Unit);
     std::thread::sleep(Duration::from_millis(20));
-    kernel.invoke(cell, "Put", Value::str("datum")).wait().unwrap();
+    kernel
+        .invoke(cell, "Put", Value::str("datum"))
+        .wait()
+        .unwrap();
     assert_eq!(pending.wait().unwrap().as_str().unwrap(), "datum");
     assert!(kernel.metrics().snapshot().deferred_replies >= 1);
     kernel.shutdown();
@@ -201,7 +214,10 @@ fn deactivate_without_checkpoint_disappears() {
     // Checkpointed, disappears".
     let kernel = Kernel::new();
     let echo = kernel.spawn(Box::new(Echo)).unwrap();
-    kernel.invoke(echo, ops::DEACTIVATE, Value::Unit).wait().unwrap();
+    kernel
+        .invoke(echo, ops::DEACTIVATE, Value::Unit)
+        .wait()
+        .unwrap();
     // The coordinator exits asynchronously; wait for it to be gone.
     kernel.await_gone(&[echo], Duration::from_secs(5));
     assert_eq!(kernel.eject_state(echo), None);
@@ -220,10 +236,19 @@ fn checkpoint_then_deactivate_then_reactivate_on_invocation() {
     register_counter(&kernel);
     let counter = kernel.spawn(Box::new(Counter { count: 0 })).unwrap();
     for _ in 0..3 {
-        kernel.invoke(counter, "Increment", Value::Unit).wait().unwrap();
+        kernel
+            .invoke(counter, "Increment", Value::Unit)
+            .wait()
+            .unwrap();
     }
-    kernel.invoke(counter, ops::CHECKPOINT, Value::Unit).wait().unwrap();
-    kernel.invoke(counter, ops::DEACTIVATE, Value::Unit).wait().unwrap();
+    kernel
+        .invoke(counter, ops::CHECKPOINT, Value::Unit)
+        .wait()
+        .unwrap();
+    kernel
+        .invoke(counter, ops::DEACTIVATE, Value::Unit)
+        .wait()
+        .unwrap();
     kernel.await_gone(&[counter], Duration::from_secs(5));
     assert_eq!(kernel.eject_state(counter), Some(EjectState::Passive));
     // Invocation reactivates it with the checkpointed state.
@@ -238,11 +263,23 @@ fn crash_loses_post_checkpoint_state() {
     let kernel = Kernel::new();
     register_counter(&kernel);
     let counter = kernel.spawn(Box::new(Counter { count: 0 })).unwrap();
-    kernel.invoke(counter, "Increment", Value::Unit).wait().unwrap();
-    kernel.invoke(counter, "Increment", Value::Unit).wait().unwrap();
-    kernel.invoke(counter, ops::CHECKPOINT, Value::Unit).wait().unwrap();
+    kernel
+        .invoke(counter, "Increment", Value::Unit)
+        .wait()
+        .unwrap();
+    kernel
+        .invoke(counter, "Increment", Value::Unit)
+        .wait()
+        .unwrap();
+    kernel
+        .invoke(counter, ops::CHECKPOINT, Value::Unit)
+        .wait()
+        .unwrap();
     // Post-checkpoint work is volatile.
-    kernel.invoke(counter, "Increment", Value::Unit).wait().unwrap();
+    kernel
+        .invoke(counter, "Increment", Value::Unit)
+        .wait()
+        .unwrap();
     kernel.crash(counter).unwrap();
     let got = kernel.invoke(counter, "Get", Value::Unit).wait().unwrap();
     assert_eq!(got, Value::Int(2), "state must roll back to the checkpoint");
@@ -274,7 +311,8 @@ fn checkpoint_on_non_checkpointing_type_fails() {
     let kernel = Kernel::new();
     let echo = kernel.spawn(Box::new(Echo)).unwrap();
     let err = kernel
-        .invoke(echo, ops::CHECKPOINT, Value::Unit).wait()
+        .invoke(echo, ops::CHECKPOINT, Value::Unit)
+        .wait()
         .unwrap_err();
     assert!(matches!(err, EdenError::Application(_)));
     kernel.shutdown();
@@ -291,9 +329,15 @@ fn whole_system_restart_from_stable_store() {
         register_counter(&kernel);
         counter = kernel.spawn(Box::new(Counter { count: 0 })).unwrap();
         for _ in 0..5 {
-            kernel.invoke(counter, "Increment", Value::Unit).wait().unwrap();
+            kernel
+                .invoke(counter, "Increment", Value::Unit)
+                .wait()
+                .unwrap();
         }
-        kernel.invoke(counter, ops::CHECKPOINT, Value::Unit).wait().unwrap();
+        kernel
+            .invoke(counter, ops::CHECKPOINT, Value::Unit)
+            .wait()
+            .unwrap();
         kernel.shutdown();
     }
     let kernel2 = Kernel::with_stable_store(KernelConfig::default(), store);
@@ -310,18 +354,21 @@ fn corrupt_checkpoint_surfaces_cleanly() {
     let kernel = Kernel::new();
     register_counter(&kernel);
     let counter = kernel.spawn(Box::new(Counter { count: 3 })).unwrap();
-    kernel.invoke(counter, ops::CHECKPOINT, Value::Unit).wait().unwrap();
+    kernel
+        .invoke(counter, ops::CHECKPOINT, Value::Unit)
+        .wait()
+        .unwrap();
     kernel.crash(counter).unwrap();
     // Corrupt the passive representation in place.
     kernel
         .stable_store()
         .store(counter, "Counter", vec![0xff, 0x13, 0x37].into())
         .unwrap();
-    let err = kernel.invoke(counter, "Get", Value::Unit).wait().unwrap_err();
-    assert!(
-        matches!(err, EdenError::CorruptCheckpoint(_)),
-        "got: {err}"
-    );
+    let err = kernel
+        .invoke(counter, "Get", Value::Unit)
+        .wait()
+        .unwrap_err();
+    assert!(matches!(err, EdenError::CorruptCheckpoint(_)), "got: {err}");
     kernel.shutdown();
 }
 
@@ -332,15 +379,23 @@ fn checkpoint_with_wrong_shape_fails_reconstruction() {
     let kernel = Kernel::new();
     register_counter(&kernel);
     let counter = kernel.spawn(Box::new(Counter { count: 1 })).unwrap();
-    kernel.invoke(counter, ops::CHECKPOINT, Value::Unit).wait().unwrap();
+    kernel
+        .invoke(counter, ops::CHECKPOINT, Value::Unit)
+        .wait()
+        .unwrap();
     kernel.crash(counter).unwrap();
-    kernel.stable_store().store(
-        counter,
-        "Counter",
-        eden_core::wire::encode(&Value::str("not a counter record")).into(),
-    )
-    .unwrap();
-    let err = kernel.invoke(counter, "Get", Value::Unit).wait().unwrap_err();
+    kernel
+        .stable_store()
+        .store(
+            counter,
+            "Counter",
+            eden_core::wire::encode(&Value::str("not a counter record")).into(),
+        )
+        .unwrap();
+    let err = kernel
+        .invoke(counter, "Get", Value::Unit)
+        .wait()
+        .unwrap_err();
     assert!(matches!(err, EdenError::BadParameter(_)), "got: {err}");
     kernel.shutdown();
 }
@@ -353,12 +408,18 @@ fn reactivation_without_registered_type_fails() {
         let kernel = Kernel::with_stable_store(KernelConfig::default(), store.clone());
         register_counter(&kernel);
         counter = kernel.spawn(Box::new(Counter { count: 0 })).unwrap();
-        kernel.invoke(counter, ops::CHECKPOINT, Value::Unit).wait().unwrap();
+        kernel
+            .invoke(counter, ops::CHECKPOINT, Value::Unit)
+            .wait()
+            .unwrap();
         kernel.shutdown();
     }
     let kernel2 = Kernel::with_stable_store(KernelConfig::default(), store);
     // No register_type: the constructor is missing.
-    let err = kernel2.invoke(counter, "Get", Value::Unit).wait().unwrap_err();
+    let err = kernel2
+        .invoke(counter, "Get", Value::Unit)
+        .wait()
+        .unwrap_err();
     assert!(matches!(err, EdenError::Application(_)));
     kernel2.shutdown();
 }
@@ -373,7 +434,11 @@ struct Ledger {
 impl Ledger {
     fn from_passive(rep: Option<Value>) -> eden_core::Result<Box<dyn EjectBehavior>> {
         let entries = match rep {
-            Some(v) => v.as_list()?.iter().map(Value::as_int).collect::<Result<_, _>>()?,
+            Some(v) => v
+                .as_list()?
+                .iter()
+                .map(Value::as_int)
+                .collect::<Result<_, _>>()?,
             None => Vec::new(),
         };
         Ok(Box::new(Ledger { entries }))
@@ -402,7 +467,13 @@ impl EjectBehavior for Ledger {
         Ok(())
     }
     fn passive_representation(&self) -> Option<Value> {
-        Some(Value::list(self.entries.iter().copied().map(Value::Int).collect::<Vec<_>>()))
+        Some(Value::list(
+            self.entries
+                .iter()
+                .copied()
+                .map(Value::Int)
+                .collect::<Vec<_>>(),
+        ))
     }
 }
 
@@ -414,7 +485,11 @@ fn journaled_entries_are_redone_in_order_on_reactivation() {
     let call = |op: &str, n: i64| kernel.invoke(ledger, op, Value::Int(n)).wait();
     let held = || {
         let got = kernel.invoke(ledger, "Get", Value::Unit).wait().unwrap();
-        got.as_list().unwrap().iter().map(|v| v.as_int().unwrap()).collect::<Vec<_>>()
+        got.as_list()
+            .unwrap()
+            .iter()
+            .map(|v| v.as_int().unwrap())
+            .collect::<Vec<_>>()
     };
     // Nothing to extend yet: refused, and the Eject knows it was.
     assert!(matches!(call("Add", 1), Err(EdenError::NoSuchEject(_))));
@@ -426,7 +501,11 @@ fn journaled_entries_are_redone_in_order_on_reactivation() {
     assert_eq!((m.checkpoints, m.journal_entries), (4, 3));
     assert!(m.checkpoint_bytes > 0);
     kernel.crash(ledger).unwrap();
-    assert_eq!(held(), [1, 2, 3], "the checkpoint, then each entry, oldest first");
+    assert_eq!(
+        held(),
+        [1, 2, 3],
+        "the checkpoint, then each entry, oldest first"
+    );
     // A checkpoint starts the journal over.
     call("Fold", 0).unwrap();
     call("Add", 4).unwrap();
@@ -442,8 +521,14 @@ fn a_type_that_never_journals_refuses_to_redo() {
     let kernel = Kernel::new();
     register_counter(&kernel);
     let counter = kernel.spawn(Box::new(Counter { count: 0 })).unwrap();
-    kernel.invoke(counter, "Increment", Value::Unit).wait().unwrap();
-    kernel.invoke(counter, ops::CHECKPOINT, Value::Unit).wait().unwrap();
+    kernel
+        .invoke(counter, "Increment", Value::Unit)
+        .wait()
+        .unwrap();
+    kernel
+        .invoke(counter, ops::CHECKPOINT, Value::Unit)
+        .wait()
+        .unwrap();
     // It never calls `journal`, so it comes back exactly as it always has.
     kernel.crash(counter).unwrap();
     let got = kernel.invoke(counter, "Get", Value::Unit).wait().unwrap();
@@ -452,8 +537,14 @@ fn a_type_that_never_journals_refuses_to_redo() {
     let entry = eden_core::wire::encode(&Value::Int(7));
     kernel.stable_store().append(counter, entry.into()).unwrap();
     kernel.crash(counter).unwrap();
-    let err = kernel.invoke(counter, "Get", Value::Unit).wait().unwrap_err();
-    assert!(matches!(&err, EdenError::Application(why) if why.contains("no journal")), "{err}");
+    let err = kernel
+        .invoke(counter, "Get", Value::Unit)
+        .wait()
+        .unwrap_err();
+    assert!(
+        matches!(&err, EdenError::Application(why) if why.contains("no journal")),
+        "{err}"
+    );
     kernel.shutdown();
 }
 
@@ -583,7 +674,10 @@ fn eject_to_eject_invocation() {
     let kernel = Kernel::new();
     let echo = kernel.spawn(Box::new(Echo)).unwrap();
     let fwd = kernel.spawn(Box::new(Forwarder { next: echo })).unwrap();
-    let got = kernel.invoke(fwd, "Echo", Value::str("via")).wait().unwrap();
+    let got = kernel
+        .invoke(fwd, "Echo", Value::str("via"))
+        .wait()
+        .unwrap();
     assert_eq!(got.as_str().unwrap(), "via");
     kernel.shutdown();
 }

@@ -270,7 +270,9 @@ mod rc {
                 return outcome;
             }
             if !self.register() {
-                return self.try_take().expect("registration lost to a terminal state");
+                return self
+                    .try_take()
+                    .expect("registration lost to a terminal state");
             }
             while self.state() < SETTLED && !expired.load(Ordering::SeqCst) {
                 self.park();
@@ -278,7 +280,8 @@ mod rc {
             if self.deregister() {
                 Outcome::TimedOut
             } else {
-                self.try_take().expect("deregistration lost to a terminal state")
+                self.try_take()
+                    .expect("deregistration lost to a terminal state")
             }
         }
     }
@@ -488,7 +491,8 @@ fn no_resend_after_expiry_and_attempts_stay_bounded() {
     loom::model(|| {
         // `RetryState` on top of the cell: every attempt is a fresh reply
         // pair, `sent` is how many the caller has issued.
-        let cells: Arc<Vec<rc::Cell>> = Arc::new((0..MAX_ATTEMPTS).map(|_| rc::Cell::new()).collect());
+        let cells: Arc<Vec<rc::Cell>> =
+            Arc::new((0..MAX_ATTEMPTS).map(|_| rc::Cell::new()).collect());
         let sent = Arc::new(AtomicUsize::new(1));
         let expired = Arc::new(AtomicBool::new(false));
         let done = Arc::new(AtomicBool::new(false));
@@ -731,9 +735,12 @@ impl ParkModel {
                     // A sender dirtied us: reclaim the body and drain on.
                     let prev = self.bit.swap(pk::RUNNING, Ordering::AcqRel);
                     spec::assert_transition(prev, pk::RUNNING);
-                    held = self.body.lock().unwrap().take().expect(
-                        "body stolen while RUNNING: task leaked into a run queue",
-                    );
+                    held = self
+                        .body
+                        .lock()
+                        .unwrap()
+                        .take()
+                        .expect("body stolen while RUNNING: task leaked into a run queue");
                 }
             }
         }
@@ -763,7 +770,11 @@ impl ParkModel {
         let ring = self.mailq.lock().unwrap();
         assert!(ring.0.is_empty(), "mail left in the ring: {:?}", ring.0);
         assert_eq!(ring.1.len(), total);
-        assert_eq!(*self.served.lock().unwrap(), ring.1, "served out of push order");
+        assert_eq!(
+            *self.served.lock().unwrap(),
+            ring.1,
+            "served out of push order"
+        );
         assert_eq!(*self.runq.lock().unwrap(), 0);
         assert_eq!(self.bit.load(Ordering::Acquire), pk::PARKED);
         assert!(self.body.lock().unwrap().is_some());
@@ -922,7 +933,9 @@ impl WakeModel {
     /// Claim a queued task, if there is one, and run it.
     fn take(&self) -> bool {
         let claim = |n: usize| n.checked_sub(1);
-        let claimed = self.queued.fetch_update(Ordering::AcqRel, Ordering::Acquire, claim);
+        let claimed = self
+            .queued
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, claim);
         let took = claimed.is_ok();
         if took {
             self.ran.fetch_add(1, Ordering::SeqCst);

@@ -200,8 +200,7 @@ fn span_tree_stays_well_formed_when_a_shed_lands_mid_pipeline() {
     assert!(snap.metrics.sheds_newest >= 1);
 
     let spans = kernel.spans();
-    let by_id: std::collections::HashMap<u64, _> =
-        spans.iter().map(|s| (s.span, s)).collect();
+    let by_id: std::collections::HashMap<u64, _> = spans.iter().map(|s| (s.span, s)).collect();
     for s in &spans {
         if let Some(parent) = s.parent {
             let p = by_id
@@ -267,7 +266,11 @@ fn shed_counters_stay_exact_when_the_span_ring_wraps() {
     // deadline-bearing arrival waits out its deadline for room and sheds.
     for (policy, deadline, label) in [
         (ShedPolicy::RejectNewest, None, "reject-newest"),
-        (ShedPolicy::Park, Some(Duration::from_millis(1)), "park-timeout"),
+        (
+            ShedPolicy::Park,
+            Some(Duration::from_millis(1)),
+            "park-timeout",
+        ),
     ] {
         let kernel = Kernel::builder()
             .bounded_mailboxes(2, policy)

@@ -6,9 +6,7 @@ use std::time::Duration;
 
 use eden_core::op::ops;
 use eden_core::{EdenError, Value};
-use eden_kernel::{
-    EjectBehavior, EjectContext, EjectState, Invocation, Kernel, ReplyHandle,
-};
+use eden_kernel::{EjectBehavior, EjectContext, EjectState, Invocation, Kernel, ReplyHandle};
 
 struct Counter {
     count: i64,
@@ -51,8 +49,14 @@ fn concurrent_invocations_reactivate_exactly_once() {
     let kernel = Kernel::new();
     kernel.register_type("Counter", Counter::from_passive);
     let counter = kernel.spawn(Box::new(Counter { count: 0 })).unwrap();
-    kernel.invoke(counter, ops::CHECKPOINT, Value::Unit).wait().unwrap();
-    kernel.invoke(counter, ops::DEACTIVATE, Value::Unit).wait().unwrap();
+    kernel
+        .invoke(counter, ops::CHECKPOINT, Value::Unit)
+        .wait()
+        .unwrap();
+    kernel
+        .invoke(counter, ops::DEACTIVATE, Value::Unit)
+        .wait()
+        .unwrap();
     kernel.await_gone(&[counter], Duration::from_secs(5));
     assert_eq!(kernel.eject_state(counter), Some(EjectState::Passive));
 
@@ -64,7 +68,10 @@ fn concurrent_invocations_reactivate_exactly_once() {
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
                 barrier.wait();
-                kernel.invoke(counter, "Increment", Value::Unit).wait().unwrap()
+                kernel
+                    .invoke(counter, "Increment", Value::Unit)
+                    .wait()
+                    .unwrap()
             })
         })
         .collect();
@@ -89,7 +96,10 @@ fn crash_reactivate_cycles_under_load() {
     let kernel = Kernel::new();
     kernel.register_type("Counter", Counter::from_passive);
     let counter = kernel.spawn(Box::new(Counter { count: 0 })).unwrap();
-    kernel.invoke(counter, ops::CHECKPOINT, Value::Unit).wait().unwrap();
+    kernel
+        .invoke(counter, ops::CHECKPOINT, Value::Unit)
+        .wait()
+        .unwrap();
 
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let clients: Vec<_> = (0..4)
@@ -128,7 +138,8 @@ fn crash_reactivate_cycles_under_load() {
     // The counter still answers and its state is a valid roll-back point
     // (>= 0, <= total successful increments).
     let got = kernel
-        .invoke(counter, "Get", Value::Unit).wait()
+        .invoke(counter, "Get", Value::Unit)
+        .wait()
         .unwrap()
         .as_int()
         .unwrap();
@@ -146,7 +157,8 @@ fn eject_lifecycle_soak() {
         let got = kernel.invoke(c, "Get", Value::Unit).wait().unwrap();
         assert_eq!(got, Value::Int(i));
         kernel
-            .invoke(c, ops::DEACTIVATE, Value::Unit).wait()
+            .invoke(c, ops::DEACTIVATE, Value::Unit)
+            .wait()
             .unwrap();
     }
     for _ in 0..500 {

@@ -43,9 +43,11 @@ fn invocations_appear_in_the_trace() {
     // Activation is traced too.
     let (lifecycle, evicted) = kernel.lifecycle();
     assert_eq!(evicted, 0);
-    assert!(lifecycle
-        .iter()
-        .any(|l| l.event == Lifecycle::Activate { uid: echo, type_name: "Echo" }));
+    assert!(lifecycle.iter().any(|l| l.event
+        == Lifecycle::Activate {
+            uid: echo,
+            type_name: "Echo"
+        }));
     kernel.shutdown();
 }
 
@@ -73,11 +75,11 @@ fn crash_is_traced_as_stop() {
     let kernel = traced_kernel();
     let echo = kernel.spawn(Box::new(Echo)).unwrap();
     kernel.crash(echo).unwrap();
-    assert!(kernel
-        .lifecycle()
-        .0
-        .iter()
-        .any(|l| l.event == Lifecycle::Stop { uid: echo, crashed: true }));
+    assert!(kernel.lifecycle().0.iter().any(|l| l.event
+        == Lifecycle::Stop {
+            uid: echo,
+            crashed: true
+        }));
     kernel.shutdown();
 }
 
@@ -88,7 +90,9 @@ fn remote_invocations_render_remote() {
     kernel.invoke(far, "Echo", Value::Unit).wait().unwrap();
     let rendered = render_events(&kernel.spans(), &kernel.lifecycle().0);
     assert!(
-        rendered.iter().any(|l| l.contains("invoke Echo") && l.contains("remote")),
+        rendered
+            .iter()
+            .any(|l| l.contains("invoke Echo") && l.contains("remote")),
         "trace: {rendered:?}"
     );
     assert!(rendered[0].contains("activate"), "trace: {rendered:?}");

@@ -71,9 +71,8 @@ pub fn parse_blessed(markdown: &str) -> Result<Vec<CatalogEntry>> {
             continue;
         }
         let mut tokens = line.split_whitespace();
-        let bad = |msg: &str| {
-            EdenError::BadParameter(format!("ATOMICS line {}: {msg}: `{line}`", i + 1))
-        };
+        let bad =
+            |msg: &str| EdenError::BadParameter(format!("ATOMICS line {}: {msg}: `{line}`", i + 1));
         if tokens.next() != Some("atomic") {
             return Err(bad("expected `atomic <file> <name> role=... <method>=...`"));
         }
@@ -92,10 +91,15 @@ pub fn parse_blessed(markdown: &str) -> Result<Vec<CatalogEntry>> {
             } else if let Some(role) = token.strip_prefix("role=") {
                 entry.role = role.to_owned();
             } else if let Some((method, orderings)) = token.split_once('=') {
-                let method = if method == "cas" { "compare_exchange" } else { method };
-                entry
-                    .methods
-                    .insert(method.to_owned(), orderings.split('|').map(str::to_owned).collect());
+                let method = if method == "cas" {
+                    "compare_exchange"
+                } else {
+                    method
+                };
+                entry.methods.insert(
+                    method.to_owned(),
+                    orderings.split('|').map(str::to_owned).collect(),
+                );
             } else {
                 return Err(bad("unparseable token"));
             }
@@ -219,16 +223,13 @@ pub(crate) fn extract_sites(scan: &FileScan) -> (Vec<AtomicSite>, usize, Vec<Str
         let at = search + rel;
         search = at + "Ordering::".len();
         let rest = &joined[search..];
-        let Some(ord) = ORDERINGS
-            .iter()
-            .find(|o| {
-                rest.starts_with(**o)
-                    && !rest[o.len()..]
-                        .chars()
-                        .next()
-                        .is_some_and(|c| c.is_alphanumeric() || c == '_')
-            })
-        else {
+        let Some(ord) = ORDERINGS.iter().find(|o| {
+            rest.starts_with(**o)
+                && !rest[o.len()..]
+                    .chars()
+                    .next()
+                    .is_some_and(|c| c.is_alphanumeric() || c == '_')
+        }) else {
             continue; // cmp::Ordering or a path fragment; not ours
         };
         tokens += 1;
@@ -437,9 +438,16 @@ mod tests {
     #[test]
     fn downgraded_ordering_is_a_finding() {
         let cat = catalog("atomic mem.rs flag role=flag load=Acquire\n");
-        let report = run(&cat, "fn f(&self) {\n    self.flag.load(Ordering::Relaxed);\n}\n");
+        let report = run(
+            &cat,
+            "fn f(&self) {\n    self.flag.load(Ordering::Relaxed);\n}\n",
+        );
         assert_eq!(report.findings.len(), 1);
-        assert!(report.findings[0].contains("downgraded"), "{:?}", report.findings);
+        assert!(
+            report.findings[0].contains("downgraded"),
+            "{:?}",
+            report.findings
+        );
     }
 
     #[test]
@@ -452,7 +460,11 @@ mod tests {
         assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
         assert!(report.findings[0].contains("unknown atomic site"));
         assert_eq!(report.suggestions.len(), 1);
-        assert!(report.suggestions[0].contains("novel"), "{:?}", report.suggestions);
+        assert!(
+            report.suggestions[0].contains("novel"),
+            "{:?}",
+            report.suggestions
+        );
         assert!(report.suggestions[0].contains("swap=AcqRel"));
     }
 
@@ -473,7 +485,10 @@ mod tests {
         let cat = catalog(
             "atomic mem.rs flag role=flag annotated load=Acquire\natomic mem.rs ghost role=flag load=Acquire\n",
         );
-        let report = run(&cat, "fn f(&self) {\n    self.flag.load(Ordering::Acquire);\n}\n");
+        let report = run(
+            &cat,
+            "fn f(&self) {\n    self.flag.load(Ordering::Acquire);\n}\n",
+        );
         assert_eq!(report.findings.len(), 2, "{:?}", report.findings);
         assert!(report.findings.iter().any(|f| f.contains("stale")));
         assert!(report.findings.iter().any(|f| f.contains("annotation")));

@@ -72,7 +72,8 @@ const TIMED: [&str; 5] = [
 ];
 
 /// The timers the design needs (DESIGN §4), space-separated: the reasons a `timer(..)` may give.
-pub(crate) const TIMER_REASONS: &str = "deadline backoff stall-monitor sched-stride injected-latency watch recovery-poll";
+pub(crate) const TIMER_REASONS: &str =
+    "deadline backoff stall-monitor sched-stride injected-latency watch recovery-poll";
 
 /// One rendezvous call site and how it is excused.
 #[derive(Debug)]
@@ -242,7 +243,9 @@ pub(crate) fn extract_sites(scan: &FileScan) -> (Vec<BlockingSite>, usize) {
             let at = search + rel;
             search = at + pat.len();
             let line = scan.line_of(&joined, at);
-            let wrapped = regions.iter().any(|(open, close)| at > *open && at < *close);
+            let wrapped = regions
+                .iter()
+                .any(|(open, close)| at > *open && at < *close);
             let excuse = bound_annotation(scan, "nonblocking", line).map(str::to_owned);
             sites.push(BlockingSite {
                 file: scan.path.clone(),
@@ -341,7 +344,10 @@ mod tests {
 
     #[test]
     fn unwrapped_wait_is_a_finding() {
-        let scan = scan_text("w.rs", "fn f(&self) {\n    let g = self.cv.wait(&mut guard).unwrap();\n}\n");
+        let scan = scan_text(
+            "w.rs",
+            "fn f(&self) {\n    let g = self.cv.wait(&mut guard).unwrap();\n}\n",
+        );
         let (sites, _) = extract_sites(&scan);
         assert_eq!(sites.len(), 1);
         assert!(!sites[0].wrapped);
@@ -396,7 +402,10 @@ mod tests {
 
     #[test]
     fn lock_sites_count_but_never_fail() {
-        let scan = scan_text("w.rs", "fn f(&self) {\n    let g = self.state.lock().unwrap();\n}\n");
+        let scan = scan_text(
+            "w.rs",
+            "fn f(&self) {\n    let g = self.state.lock().unwrap();\n}\n",
+        );
         let (sites, governed) = extract_sites(&scan);
         assert!(sites.is_empty());
         assert_eq!(governed, 1);
@@ -414,8 +423,12 @@ mod tests {
         assert!(findings[0].starts_with("l.rs:7:"), "{findings:?}");
         assert!(waits_after_reply(&scan_text("l.rs", &lingers("false"))).is_empty());
         // A call is a wait, whichever way it is spelled.
-        for call in ["ctx.call(self.next, inv.op, inv.arg)", "ctx.call_routed(&mut self.cache, self.next, inv.op, inv.arg)"] {
-            let calls = lingers("true").replace("ctx.invoke(self.next, inv.op, inv.arg).wait()", call);
+        for call in [
+            "ctx.call(self.next, inv.op, inv.arg)",
+            "ctx.call_routed(&mut self.cache, self.next, inv.op, inv.arg)",
+        ] {
+            let calls =
+                lingers("true").replace("ctx.invoke(self.next, inv.op, inv.arg).wait()", call);
             let findings = waits_after_reply(&scan_text("c.rs", &calls));
             assert_eq!(findings.len(), 1, "{call}: {findings:?}");
             assert!(findings[0].starts_with("c.rs:7:"), "{findings:?}");

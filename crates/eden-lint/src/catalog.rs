@@ -54,9 +54,15 @@ pub(crate) fn shapes(file: Uid) -> Vec<(String, PipelineSpec)> {
     // The plain chains every test, bench, and example builds.
     for (label, discipline) in [
         ("read-only/chain", Discipline::ReadOnly { read_ahead: 0 }),
-        ("read-only/read-ahead", Discipline::ReadOnly { read_ahead: 8 }),
+        (
+            "read-only/read-ahead",
+            Discipline::ReadOnly { read_ahead: 8 },
+        ),
         ("write-only/chain", Discipline::WriteOnly { push_ahead: 0 }),
-        ("write-only/push-ahead", Discipline::WriteOnly { push_ahead: 4 }),
+        (
+            "write-only/push-ahead",
+            Discipline::WriteOnly { push_ahead: 4 },
+        ),
         (
             "conventional/chain",
             Discipline::Conventional { buffer_capacity: 4 },
@@ -137,8 +143,14 @@ pub(crate) fn shapes(file: Uid) -> Vec<(String, PipelineSpec)> {
     // file Eject that exists already, which pulls from the tail or mints the
     // acceptor a write-only tail writes into.
     for (label, discipline) in [
-        ("shell/redirected-read-only", Discipline::ReadOnly { read_ahead: 0 }),
-        ("shell/redirected-write-only", Discipline::WriteOnly { push_ahead: 0 }),
+        (
+            "shell/redirected-read-only",
+            Discipline::ReadOnly { read_ahead: 0 },
+        ),
+        (
+            "shell/redirected-write-only",
+            Discipline::WriteOnly { push_ahead: 0 },
+        ),
         (
             "shell/redirected-conventional",
             Discipline::Conventional { buffer_capacity: 4 },
@@ -245,9 +257,16 @@ mod tests {
             let graph = recovery_graph(discipline, chain);
             let nodes = graph.nodes.len() - usize::from(graph.nodes.contains_key("driver"));
             let timeout = std::time::Duration::from_secs(20);
-            let run =
-                run_recoverable_pipeline(&kernel, discipline, items(), chain, &registry, 2, timeout)
-                    .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let run = run_recoverable_pipeline(
+                &kernel,
+                discipline,
+                items(),
+                chain,
+                &registry,
+                2,
+                timeout,
+            )
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!((run.stages.len(), run.output), (nodes, items()), "{name}");
         }
         kernel.shutdown();

@@ -89,9 +89,10 @@ pub(crate) fn parse(name: &str, text: &str) -> Result<Fixture> {
         if let Some(rest) = line.strip_prefix('#') {
             if let Some(slug) = rest.trim().strip_prefix("expect:") {
                 let slug = slug.trim();
-                expect.push(rule_from_slug(slug).ok_or_else(|| {
-                    bad(name, lineno, &format!("unknown rule `{slug}`"))
-                })?);
+                expect.push(
+                    rule_from_slug(slug)
+                        .ok_or_else(|| bad(name, lineno, &format!("unknown rule `{slug}`")))?,
+                );
             }
             continue;
         }
@@ -134,7 +135,12 @@ pub(crate) fn parse(name: &str, text: &str) -> Result<Fixture> {
                     "rendezvous" => EdgeMode::Rendezvous,
                     other => return Err(bad(name, lineno, &format!("unknown mode `{other}`"))),
                 };
-                edges.push(((*p).to_owned(), (*ch).to_owned(), (*c).to_owned(), Some(mode)));
+                edges.push((
+                    (*p).to_owned(),
+                    (*ch).to_owned(),
+                    (*c).to_owned(),
+                    Some(mode),
+                ));
             }
             ["grant", c, p, ch] => {
                 grants.push(((*c).to_owned(), (*p).to_owned(), (*ch).to_owned()));
@@ -143,8 +149,7 @@ pub(crate) fn parse(name: &str, text: &str) -> Result<Fixture> {
         }
     }
 
-    let discipline =
-        discipline.ok_or_else(|| bad(name, 0, "missing `discipline` declaration"))?;
+    let discipline = discipline.ok_or_else(|| bad(name, 0, "missing `discipline` declaration"))?;
     let mut graph = WiringGraph::new(discipline).policy(policy);
     for (n, role) in nodes {
         graph.node(n, role);

@@ -253,7 +253,10 @@ fn binding_of(stmt: &str) -> Option<Binding> {
         return stmt.trim_end().ends_with('{').then_some(Binding::Scoped);
     }
     let rest = s.strip_prefix("let ")?;
-    let rest = rest.trim_start().strip_prefix("mut ").unwrap_or(rest.trim_start());
+    let rest = rest
+        .trim_start()
+        .strip_prefix("mut ")
+        .unwrap_or(rest.trim_start());
     let ident: String = rest
         .chars()
         .take_while(|c| c.is_alphanumeric() || *c == '_')
@@ -292,9 +295,7 @@ fn scan_text(
         }
 
         // A `fn` header: attach pending annotations at the body's depth.
-        if (code.trim_start().starts_with("fn ") || code.contains(" fn "))
-            && code.contains('(')
-        {
+        if (code.trim_start().starts_with("fn ") || code.contains(" fn ")) && code.contains('(') {
             for class in pending_holds.drain(..) {
                 held.push(Held {
                     class,
@@ -422,7 +423,13 @@ pub fn audit(spec: &LockSpec, roots: &[PathBuf]) -> Result<LockReport> {
     for file in &files {
         let text = std::fs::read_to_string(file)
             .map_err(|e| EdenError::Application(format!("read {}: {e}", file.display())))?;
-        scan_text(spec, &file.display().to_string(), &text, &mut edges, &mut sites);
+        scan_text(
+            spec,
+            &file.display().to_string(),
+            &text,
+            &mut edges,
+            &mut sites,
+        );
     }
 
     let mut report = LockReport {
@@ -540,10 +547,10 @@ mod tests {
         report.cycles = find_cycles(&report.edges);
         let blessed = spec.reachable();
         for edge in &report.edges {
-            if edge.from != edge.to
-                && !blessed.contains(&(edge.from.clone(), edge.to.clone()))
-            {
-                report.deviations.push(format!("{} -> {}", edge.from, edge.to));
+            if edge.from != edge.to && !blessed.contains(&(edge.from.clone(), edge.to.clone())) {
+                report
+                    .deviations
+                    .push(format!("{} -> {}", edge.from, edge.to));
             }
         }
         report

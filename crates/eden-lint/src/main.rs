@@ -284,7 +284,10 @@ fn run_blocking(args: &Args) -> Result<PassReport, String> {
 
 fn run_protocol(args: &Args) -> Result<PassReport, String> {
     let roots = if args.roots.is_empty() {
-        let src = workspace_root().join("crates").join("eden-kernel").join("src");
+        let src = workspace_root()
+            .join("crates")
+            .join("eden-kernel")
+            .join("src");
         vec![src.join("mailbox.rs"), src.join("sched.rs")]
     } else {
         args.roots.clone()

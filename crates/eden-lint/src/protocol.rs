@@ -290,7 +290,10 @@ mod tests {
 
     #[test]
     fn raw_store_is_an_error() {
-        let scan = scan_text("m.rs", "fn f(&self) {\n    bit.store(park::DEAD, Ordering::Release);\n}\n");
+        let scan = scan_text(
+            "m.rs",
+            "fn f(&self) {\n    bit.store(park::DEAD, Ordering::Release);\n}\n",
+        );
         let (sites, errors) = extract_sites(&scan);
         assert!(sites.is_empty());
         assert_eq!(errors.len(), 1);
@@ -326,7 +329,10 @@ mod tests {
 
     #[test]
     fn malformed_transition_call_is_an_error() {
-        let scan = scan_text("m.rs", "fn f(&self) {\n    transition(bit, park::QUEUED);\n}\n");
+        let scan = scan_text(
+            "m.rs",
+            "fn f(&self) {\n    transition(bit, park::QUEUED);\n}\n",
+        );
         let (sites, errors) = extract_sites(&scan);
         assert!(sites.is_empty());
         assert_eq!(errors.len(), 1);

@@ -253,7 +253,12 @@ pub(crate) fn call_chain(code: &[u8], open: usize) -> Option<(String, String)> {
         if start < end && start > 0 && code[start - 1] == b'$' {
             start -= 1;
         }
-        (start < end).then(|| (String::from_utf8_lossy(&code[start..end]).into_owned(), start))
+        (start < end).then(|| {
+            (
+                String::from_utf8_lossy(&code[start..end]).into_owned(),
+                start,
+            )
+        })
     };
     let skip_group = |mut i: usize, open_ch: u8, close_ch: u8| -> Option<usize> {
         // `i` points just past a `close_ch`; return index of its opener.
@@ -437,12 +442,18 @@ mod tests {
 
         let code = b"fence(Ordering::SeqCst)";
         let open = 5;
-        assert_eq!(call_chain(code, open), Some(("fence".into(), "fence".into())));
+        assert_eq!(
+            call_chain(code, open),
+            Some(("fence".into(), "fence".into()))
+        );
     }
 
     #[test]
     fn strings_and_comments_are_noise() {
-        let scan = scan_text("mem.rs", "let x = \"Ordering::SeqCst\"; // Ordering::Relaxed\n");
+        let scan = scan_text(
+            "mem.rs",
+            "let x = \"Ordering::SeqCst\"; // Ordering::Relaxed\n",
+        );
         assert!(!scan.joined_code().contains("Ordering"));
     }
 }

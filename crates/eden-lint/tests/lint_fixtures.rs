@@ -87,8 +87,8 @@ fn lock_order_fixture_cycle_is_detected() {
         &std::fs::read_to_string(fixtures_dir().join("lock_order").join("blessed.md")).unwrap(),
     )
     .unwrap();
-    let report = lockorder::audit(&spec, &[fixtures_dir().join("lock_order").join("cycle")])
-        .unwrap();
+    let report =
+        lockorder::audit(&spec, &[fixtures_dir().join("lock_order").join("cycle")]).unwrap();
     assert_eq!(report.cycles.len(), 1, "{}", report.render());
     assert!(!report.deviations.is_empty(), "{}", report.render());
 
@@ -108,8 +108,8 @@ fn scoped_guard_fixture_inversions_are_detected() {
         &std::fs::read_to_string(fixtures_dir().join("lock_order").join("blessed.md")).unwrap(),
     )
     .unwrap();
-    let report = lockorder::audit(&spec, &[fixtures_dir().join("lock_order").join("scopes")])
-        .unwrap();
+    let report =
+        lockorder::audit(&spec, &[fixtures_dir().join("lock_order").join("scopes")]).unwrap();
     // All three scoped forms induce the same inverted edge; the trailing
     // alpha -> beta nesting after the `if let` block must stay blessed.
     let inverted = report
@@ -133,12 +133,15 @@ fn scoped_guard_fixture_inversions_are_detected() {
 #[test]
 fn atomics_fixture_downgrade_and_unknown_site_fail() {
     let dir = fixtures_dir().join("atomics");
-    let cat = atomics::parse_blessed(&std::fs::read_to_string(dir.join("blessed.md")).unwrap())
-        .unwrap();
+    let cat =
+        atomics::parse_blessed(&std::fs::read_to_string(dir.join("blessed.md")).unwrap()).unwrap();
     let report = atomics::audit(&cat, &[dir.join("src")]).unwrap();
     assert_eq!(report.findings.len(), 2, "{}", report.render());
     assert!(report.findings.iter().any(|f| f.contains("downgraded")));
-    assert!(report.findings.iter().any(|f| f.contains("unknown atomic site")));
+    assert!(report
+        .findings
+        .iter()
+        .any(|f| f.contains("unknown atomic site")));
     assert_eq!(report.suggestions.len(), 1, "{}", report.render());
     assert!(report.suggestions[0].contains("other"));
 
@@ -162,7 +165,10 @@ fn blocking_fixture_naked_calls_fail_and_wrapped_twin_passes() {
     let report = blocking::audit(&[dir.join("lingers")]).unwrap();
     assert_eq!(report.findings.len(), 4, "{}", report.render());
     assert!(
-        report.findings.iter().all(|f| f.contains("declares replies_last waits after the reply")),
+        report
+            .findings
+            .iter()
+            .all(|f| f.contains("declares replies_last waits after the reply")),
         "{}",
         report.render()
     );
@@ -263,7 +269,13 @@ fn real_tree_is_clean_under_every_pass() {
     let json = std::fs::read_to_string(&json_path).unwrap();
     let _ = std::fs::remove_file(&json_path);
     assert!(json.contains("\"clean\": true"), "{json}");
-    for pass in ["discipline", "lock-order", "atomics", "blocking", "protocol"] {
+    for pass in [
+        "discipline",
+        "lock-order",
+        "atomics",
+        "blocking",
+        "protocol",
+    ] {
         assert!(json.contains(&format!("\"name\": \"{pass}\"")), "{json}");
     }
 }

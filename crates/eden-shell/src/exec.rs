@@ -23,8 +23,7 @@ use eden_transput::{
 use crate::parse::{parse, CommandSpec, SinkSpec, SourceSpec};
 
 /// The Ejects a shell session talks to.
-#[derive(Clone)]
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct ShellEnv {
     kernel: Kernel,
     /// Directory for `file NAME` sources/sinks (any Eject answering
@@ -106,21 +105,21 @@ impl ShellEnv {
             SourceSpec::Seq(n) => builder.source_vec((0..*n).map(Value::Int).collect()),
             SourceSpec::File(name) => builder.source_eject(self.open_file(name)?),
             SourceSpec::Unix(path) => builder.source_eject(self.unix_stream(path)?),
-            SourceSpec::Merge(names) => builder.source_ejects_merged(
-                self.open_ports(names)?,
-                FanInMode::Concatenate,
-            ),
-            SourceSpec::Zip(names) => builder.source_ejects_merged(
-                self.open_ports(names)?,
-                FanInMode::Zip,
-            ),
+            SourceSpec::Merge(names) => {
+                builder.source_ejects_merged(self.open_ports(names)?, FanInMode::Concatenate)
+            }
+            SourceSpec::Zip(names) => {
+                builder.source_ejects_merged(self.open_ports(names)?, FanInMode::Zip)
+            }
             SourceSpec::Dir => {
                 // §2/§4: a directory is a source. Prepare the listing,
                 // then read the directory Eject itself.
                 let directory = self.directory.ok_or_else(|| {
                     EdenError::BadParameter("no directory attached; `dir` unavailable".into())
                 })?;
-                self.kernel.invoke(directory, ops::LIST, Value::Unit).wait()?;
+                self.kernel
+                    .invoke(directory, ops::LIST, Value::Unit)
+                    .wait()?;
                 builder.source_eject(directory)
             }
         };
@@ -187,7 +186,8 @@ impl ShellEnv {
         })?;
         let file = lookup(&self.kernel, directory, name)?;
         self.kernel
-            .invoke(file, ops::OPEN, Value::Unit).wait()?
+            .invoke(file, ops::OPEN, Value::Unit)
+            .wait()?
             .as_uid()
     }
 
@@ -203,7 +203,8 @@ impl ShellEnv {
             EdenError::BadParameter("no UnixFs attached; `unix` sources unavailable".into())
         })?;
         self.kernel
-            .invoke(unixfs, ops::NEW_STREAM, new_stream_arg(path)).wait()?
+            .invoke(unixfs, ops::NEW_STREAM, new_stream_arg(path))
+            .wait()?
             .as_uid()
     }
 
@@ -273,7 +274,10 @@ mod tests {
         }
         let run = env.run("@nodes=65535 seq 3 | copy").unwrap();
         assert_eq!(run.output, (0..3).map(Value::Int).collect::<Vec<_>>());
-        assert!(run.run.metrics.remote_invocations > 0, "spread over no nodes");
+        assert!(
+            run.run.metrics.remote_invocations > 0,
+            "spread over no nodes"
+        );
         kernel.shutdown();
     }
 }

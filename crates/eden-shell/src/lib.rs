@@ -38,7 +38,6 @@
 //! kernel.shutdown();
 //! ```
 
-
 pub(crate) mod exec;
 pub mod parse;
 pub mod session;

@@ -248,10 +248,7 @@ mod tests {
                 .unwrap();
         assert_eq!(spec.directives["discipline"], "write-only");
         assert_eq!(spec.directives["batch"], "4");
-        assert_eq!(
-            spec.source,
-            SourceSpec::Lines(vec!["a".into(), "b".into()])
-        );
+        assert_eq!(spec.source, SourceSpec::Lines(vec!["a".into(), "b".into()]));
         assert_eq!(spec.stages.len(), 2);
         assert_eq!(spec.stages[0].name, "grep");
         assert_eq!(spec.stages[0].args, vec!["a"]);

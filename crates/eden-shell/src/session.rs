@@ -18,7 +18,9 @@
 
 use eden_core::op::ops;
 use eden_core::{EdenError, Result, Uid, Value};
-use eden_fs::{add_entry, lookup, register_fs_types, DirectoryEject, FileEject, MemFs, UnixFsEject};
+use eden_fs::{
+    add_entry, lookup, register_fs_types, DirectoryEject, FileEject, MemFs, UnixFsEject,
+};
 use eden_kernel::Kernel;
 
 use crate::exec::ShellEnv;
@@ -57,8 +59,18 @@ impl Session {
         // Built-ins get the same quoting rules as pipelines:
         // `mkfile notes 'alpha line'` is one two-word line, not two lines.
         const BUILTINS: [&str; 12] = [
-            "mkfile", "ls", "cat", "rm", "checkpoint", "crash", "stats", "trace", "top",
-            "ejects", "mv", "help",
+            "mkfile",
+            "ls",
+            "cat",
+            "rm",
+            "checkpoint",
+            "crash",
+            "stats",
+            "trace",
+            "top",
+            "ejects",
+            "mv",
+            "help",
         ];
         let tokens = crate::token::tokenize(trimmed)?;
         let is_builtin = matches!(
@@ -128,15 +140,20 @@ impl Session {
     fn ls(&self) -> Result<Vec<String>> {
         let count = self
             .kernel
-            .invoke(self.home, ops::LIST, Value::Unit).wait()?
+            .invoke(self.home, ops::LIST, Value::Unit)
+            .wait()?
             .as_int()?;
         let mut lines = Vec::with_capacity(count as usize);
         loop {
-            let batch = eden_transput::protocol::Batch::from_value(self.kernel.invoke(
-                self.home,
-                ops::TRANSFER,
-                eden_transput::protocol::TransferRequest::primary(32).to_value(),
-            ).wait()?)?;
+            let batch = eden_transput::protocol::Batch::from_value(
+                self.kernel
+                    .invoke(
+                        self.home,
+                        ops::TRANSFER,
+                        eden_transput::protocol::TransferRequest::primary(32).to_value(),
+                    )
+                    .wait()?,
+            )?;
             for item in batch.items {
                 lines.push(render(&item));
             }
@@ -151,15 +168,20 @@ impl Session {
         let file = self.named_file(args, "cat")?;
         let reader = self
             .kernel
-            .invoke(file, ops::OPEN, Value::Unit).wait()?
+            .invoke(file, ops::OPEN, Value::Unit)
+            .wait()?
             .as_uid()?;
         let mut lines = Vec::new();
         loop {
-            let batch = eden_transput::protocol::Batch::from_value(self.kernel.invoke(
-                reader,
-                ops::TRANSFER,
-                eden_transput::protocol::TransferRequest::primary(32).to_value(),
-            ).wait()?)?;
+            let batch = eden_transput::protocol::Batch::from_value(
+                self.kernel
+                    .invoke(
+                        reader,
+                        ops::TRANSFER,
+                        eden_transput::protocol::TransferRequest::primary(32).to_value(),
+                    )
+                    .wait()?,
+            )?;
             for item in batch.items {
                 lines.push(render(&item));
             }
@@ -174,17 +196,21 @@ impl Session {
         let name = args
             .first()
             .ok_or_else(|| EdenError::BadParameter("rm: need a name".into()))?;
-        self.kernel.invoke(
-            self.home,
-            ops::DELETE_ENTRY,
-            Value::record([("name", Value::str(*name))]),
-        ).wait()?;
+        self.kernel
+            .invoke(
+                self.home,
+                ops::DELETE_ENTRY,
+                Value::record([("name", Value::str(*name))]),
+            )
+            .wait()?;
         Ok(vec![format!("removed {name}")])
     }
 
     fn checkpoint(&self, args: &[&str]) -> Result<Vec<String>> {
         let file = self.named_file(args, "checkpoint")?;
-        self.kernel.invoke(file, ops::CHECKPOINT, Value::Unit).wait()?;
+        self.kernel
+            .invoke(file, ops::CHECKPOINT, Value::Unit)
+            .wait()?;
         Ok(vec![format!("checkpointed {}", args[0])])
     }
 
@@ -305,11 +331,7 @@ impl Session {
     fn mv(&self, args: &[&str]) -> Result<Vec<String>> {
         let (from, to) = match args {
             [from, to] => (*from, *to),
-            _ => {
-                return Err(EdenError::BadParameter(
-                    "mv: need OLD-NAME NEW-NAME".into(),
-                ))
-            }
+            _ => return Err(EdenError::BadParameter("mv: need OLD-NAME NEW-NAME".into())),
         };
         eden_fs::rename_entry(&self.kernel, self.home, from, to)?;
         Ok(vec![format!("renamed {from} -> {to}")])
@@ -319,9 +341,9 @@ impl Session {
         let frames = match args {
             [] => 1,
             ["--watch"] => 5,
-            ["--watch", n] => n.parse::<usize>().map_err(|_| {
-                EdenError::BadParameter(format!("top: bad frame count `{n}`"))
-            })?,
+            ["--watch", n] => n
+                .parse::<usize>()
+                .map_err(|_| EdenError::BadParameter(format!("top: bad frame count `{n}`")))?,
             _ => {
                 return Err(EdenError::BadParameter(format!(
                     "top: unknown arguments {args:?} (try --watch [FRAMES])"
@@ -404,7 +426,9 @@ impl Session {
         let mut out = eden_kernel::render_events(&spans, &lifecycle);
         let evicted = evicted + self.kernel.spans_dropped();
         if evicted > 0 {
-            out.push(format!("({evicted} earlier event(s) evicted from the ring)"));
+            out.push(format!(
+                "({evicted} earlier event(s) evicted from the ring)"
+            ));
         }
         Ok(out)
     }
@@ -474,7 +498,8 @@ mod tests {
     #[test]
     fn pipelines_on_session_files() {
         let (kernel, s) = session();
-        s.execute("mkfile data 'ignored-quoting' C-comment keep").unwrap();
+        s.execute("mkfile data 'ignored-quoting' C-comment keep")
+            .unwrap();
         let out = s.execute("file data | grep keep").unwrap();
         assert_eq!(out, vec!["keep"]);
         kernel.shutdown();
@@ -502,15 +527,18 @@ mod tests {
         assert!(stats
             .iter()
             .any(|l| l.contains("payload_bytes_moved") && l.contains("cow_breaks")));
-        assert!(stats
+        assert!(stats.iter().any(|l| l.contains("sheds:")
+            && l.contains("park-timeout")
+            && l.contains("mailboxes:")));
+        assert!(stats.iter().any(|l| l.starts_with("sched:")
+            && [
+                "inline handoffs:",
+                "monitor rescues:",
+                "idle timeouts with work:",
+                "spares spawned"
+            ]
             .iter()
-            .any(|l| l.contains("sheds:") && l.contains("park-timeout") && l.contains("mailboxes:")));
-        assert!(stats
-            .iter()
-            .any(|l| l.starts_with("sched:")
-                && ["inline handoffs:", "monitor rescues:", "idle timeouts with work:", "spares spawned"]
-                    .iter()
-                    .all(|field| l.contains(field))));
+            .all(|field| l.contains(field))));
         kernel.shutdown();
     }
 
@@ -524,7 +552,9 @@ mod tests {
         s.execute("mkfile t a").unwrap();
         let trace = s.execute("trace").unwrap();
         assert!(trace.iter().any(|l| l.contains("invoke")));
-        assert!(trace.iter().any(|l| l.contains("activate") && l.contains("(EdenFile)")));
+        assert!(trace
+            .iter()
+            .any(|l| l.contains("activate") && l.contains("(EdenFile)")));
         let top = s.execute("top").unwrap();
         assert!(top[0].contains("streams active"));
         assert!(top[1].trim().chars().next().unwrap().is_ascii_digit());
@@ -536,7 +566,9 @@ mod tests {
         let (kernel, s) = session();
         s.execute("mkfile notes x").unwrap();
         let prom = s.execute("stats --prometheus").unwrap();
-        assert!(prom.iter().any(|l| l.starts_with("# HELP eden_invocations_total")));
+        assert!(prom
+            .iter()
+            .any(|l| l.starts_with("# HELP eden_invocations_total")));
         assert!(prom
             .iter()
             .any(|l| l.starts_with("eden_invocations_total ")));
@@ -600,11 +632,18 @@ mod tests {
         let s = Session::new(&kernel).unwrap();
         s.execute("mkfile notes x").unwrap();
         let out = s.execute("top --watch 2").unwrap();
-        let frames = out.iter().filter(|l| l.contains("records in flight")).count();
+        let frames = out
+            .iter()
+            .filter(|l| l.contains("records in flight"))
+            .count();
         assert_eq!(frames, 2);
         // Each frame lists the home directory, busiest (and only) target.
         let home = s.home.to_string();
-        assert_eq!(out.iter().filter(|l| l.ends_with(&home)).count(), 2, "{out:?}");
+        assert_eq!(
+            out.iter().filter(|l| l.ends_with(&home)).count(),
+            2,
+            "{out:?}"
+        );
         assert!(s.execute("top --watch zap").is_err());
         kernel.shutdown();
     }

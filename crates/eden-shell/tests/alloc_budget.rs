@@ -69,7 +69,9 @@ const VOCAB: [&str; 24] = [
 fn prose() -> Vec<String> {
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
     let mut draw = |below: usize| {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         (state >> 33) as usize % below
     };
     (0..LINES)
@@ -94,7 +96,9 @@ fn reference(lines: &[String]) -> Vec<u8> {
 fn census(discipline: &str, lines: &[String], want: &[u8]) -> u64 {
     let kernel = Kernel::builder().observability(ObsConfig::off()).build();
     let fs = MemFs::with_files([("in.txt", lines_to_bytes(lines))]);
-    let unixfs = kernel.spawn(Box::new(UnixFsEject::new(fs.clone()))).expect("UnixFs spawns");
+    let unixfs = kernel
+        .spawn(Box::new(UnixFsEject::new(fs.clone())))
+        .expect("UnixFs spawns");
     let shell = ShellEnv::new(&kernel).with_unixfs(unixfs);
     let command = format!(
         "@batch=64 @discipline={discipline} unix in.txt | grep -v lazy | upcase | line-number > unix out.txt"
@@ -102,7 +106,10 @@ fn census(discipline: &str, lines: &[String], want: &[u8]) -> u64 {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     shell.run(&command).expect("the command runs");
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert!(fs.read("out.txt").expect("out.txt is written") == want, "{discipline}: out.txt");
+    assert!(
+        fs.read("out.txt").expect("out.txt is written") == want,
+        "{discipline}: out.txt"
+    );
     kernel.shutdown();
     allocations
 }
@@ -115,13 +122,14 @@ fn a_line_allocates_within_its_budget() {
     for discipline in ["read-only", "write-only", "conventional"] {
         let each = census(discipline, &lines, &want) as f64 / LINES as f64;
         println!("{discipline}: {each:.2} allocations a line");
-        assert!(each <= BUDGET, "{discipline}: {each:.2} allocations a line, budget {BUDGET}");
+        assert!(
+            each <= BUDGET,
+            "{discipline}: {each:.2} allocations a line, budget {BUDGET}"
+        );
     }
     // Every read-only hop is a call on its caller's stack: nothing races on
     // the data path, so the figure repeats. (The count itself moves by two
     // or three in 11 600: the command's set-up and its teardown poll.)
-    let read_only = || {
-        (10.0 * census("read-only", &lines, &want) as f64 / LINES as f64).round()
-    };
+    let read_only = || (10.0 * census("read-only", &lines, &want) as f64 / LINES as f64).round();
     assert_eq!(read_only(), read_only(), "tenths of an allocation a line");
 }

@@ -3,8 +3,8 @@
 use std::time::Duration;
 
 use eden_core::op::ops;
-use eden_core::Value;
 use eden_core::Uid;
+use eden_core::Value;
 use eden_fs::{
     add_entry, register_fs_types, DirectoryEject, FileEject, MemFs, RealFs, UnixFsEject,
 };
@@ -145,14 +145,20 @@ fn redirected_output_leaves_no_eject_behind() {
     let env = plain_env(&kernel).with_directory(dir).with_unixfs(ufs);
     let before = kernel.eject_count();
     for discipline in ["read-only", "write-only", "conventional"] {
-        env.run(&format!("@discipline={discipline} seq 3 > file f")).unwrap();
-        env.run(&format!("@discipline={discipline} seq 3 > unix n.txt")).unwrap();
+        env.run(&format!("@discipline={discipline} seq 3 > file f"))
+            .unwrap();
+        env.run(&format!("@discipline={discipline} seq 3 > unix n.txt"))
+            .unwrap();
         assert_eq!(
             String::from_utf8(fs.read("n.txt").unwrap()).unwrap(),
             "0\n1\n2\n",
             "{discipline}"
         );
-        assert_eq!(file_lines(&kernel, file), vec!["0", "1", "2"], "{discipline}");
+        assert_eq!(
+            file_lines(&kernel, file),
+            vec!["0", "1", "2"],
+            "{discipline}"
+        );
     }
     // Each redirect wrote through a writer of its own, which pulled the
     // stream or took its writes; once the file holds it, the writer
@@ -179,7 +185,9 @@ fn a_redirect_at_every_depth_leaves_the_exact_file() {
     let dir = kernel.spawn(Box::new(DirectoryEject::new())).unwrap();
     let file = kernel.spawn(Box::new(FileEject::new())).unwrap();
     add_entry(&kernel, dir, "f", file).unwrap();
-    let ufs = kernel.spawn(Box::new(UnixFsEject::new(fs.clone()))).unwrap();
+    let ufs = kernel
+        .spawn(Box::new(UnixFsEject::new(fs.clone())))
+        .unwrap();
     let env = plain_env(&kernel).with_directory(dir).with_unixfs(ufs);
     let want = ["     1  ONE", "     2  THREE", "     3  FOUR"];
     for directives in [
@@ -191,12 +199,18 @@ fn a_redirect_at_every_depth_leaves_the_exact_file() {
             let chain = "unix in.txt | grep -v lazy | upcase | line-number";
             let run = |sink: &str| {
                 let command = format!("{directives} @batch={batch} {chain} > {sink}");
-                let run = env.run(&command).unwrap_or_else(|e| panic!("{command}: {e}"));
+                let run = env
+                    .run(&command)
+                    .unwrap_or_else(|e| panic!("{command}: {e}"));
                 assert!(run.output.is_empty(), "{command}");
             };
             run("unix out.txt");
             let out = String::from_utf8(fs.read("out.txt").unwrap()).unwrap();
-            assert_eq!(out, want.map(|l| format!("{l}\n")).concat(), "{directives} {batch}");
+            assert_eq!(
+                out,
+                want.map(|l| format!("{l}\n")).concat(),
+                "{directives} {batch}"
+            );
             run("file f");
             assert_eq!(file_lines(&kernel, file), want, "{directives} {batch}");
         }
@@ -217,12 +231,23 @@ fn a_host_file_that_refuses_the_write_is_the_command_s_error() {
     for discipline in ["read-only", "write-only", "conventional"] {
         let command = format!("@discipline={discipline} seq 3 > unix ../escape");
         let err = env.run(&command).expect_err(&command);
-        assert!(matches!(err, eden_core::EdenError::HostFs(_)), "{command}: {err}");
+        assert!(
+            matches!(err, eden_core::EdenError::HostFs(_)),
+            "{command}: {err}"
+        );
     }
     assert!(!root.join("../escape").exists());
-    let writers: Vec<_> = kernel.list_ejects().into_iter().map(|row| row.uid).collect();
+    let writers: Vec<_> = kernel
+        .list_ejects()
+        .into_iter()
+        .map(|row| row.uid)
+        .collect();
     kernel.await_gone(&writers[before..], Duration::from_secs(10));
-    assert_eq!(kernel.eject_count(), before, "the failed commands left Ejects behind");
+    assert_eq!(
+        kernel.eject_count(),
+        before,
+        "the failed commands left Ejects behind"
+    );
     std::fs::remove_dir_all(&root).unwrap();
     kernel.shutdown();
 }

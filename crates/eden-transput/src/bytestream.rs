@@ -71,8 +71,7 @@ pub fn concat_bytes<'a>(items: impl IntoIterator<Item = &'a Value>) -> Bytes {
 /// Splits incoming byte chunks into `Value::Str` lines at `\n` boundaries,
 /// buffering partial lines across chunk boundaries. The final unterminated
 /// line (if any) is emitted at flush.
-#[derive(Default)]
-#[derive(Debug)]
+#[derive(Default, Debug)]
 pub struct LineSplitter {
     partial: Vec<u8>,
 }
@@ -124,8 +123,7 @@ impl Transform for LineSplitter {
 /// Joins `Value::Str` lines back into byte chunks (one chunk per line,
 /// newline-terminated) — the inverse of [`LineSplitter`] for
 /// newline-terminated text.
-#[derive(Default)]
-#[derive(Debug)]
+#[derive(Default, Debug)]
 pub struct LineJoiner;
 
 impl LineJoiner {
@@ -249,10 +247,7 @@ mod tests {
     fn rechunker_fixed_sizes() {
         let input = vec![Value::bytes(&b"abcde"[..]), Value::bytes(&b"fghij"[..])];
         let (out, _) = apply_offline(&mut Rechunker::new(4), input);
-        let sizes: Vec<usize> = out
-            .iter()
-            .map(|v| v.as_bytes().unwrap().len())
-            .collect();
+        let sizes: Vec<usize> = out.iter().map(|v| v.as_bytes().unwrap().len()).collect();
         assert_eq!(sizes, vec![4, 4, 2]);
         assert_eq!(concat_bytes(out.iter()).as_ref(), b"abcdefghij");
     }

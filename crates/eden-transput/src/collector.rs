@@ -24,8 +24,7 @@ struct State {
 /// the paper's *null sink* ("an Eject which reads indiscriminately and
 /// ignores the data it is given", §4) — it still counts records and signals
 /// completion, which is what benchmarks need.
-#[derive(Clone)]
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Collector {
     state: Arc<(Mutex<State>, Condvar)>,
     keep_items: bool,

@@ -399,7 +399,10 @@ pub(crate) fn check(graph: &WiringGraph) -> Vec<Violation> {
             // pump is the legal §5 fan-in workaround.
             let mut producers: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
             for e in graph.edges.iter().filter(|e| e.mode == EdgeMode::Push) {
-                producers.entry(&e.consumer).or_default().insert(&e.producer);
+                producers
+                    .entry(&e.consumer)
+                    .or_default()
+                    .insert(&e.producer);
             }
             for (consumer, writers) in producers {
                 if writers.len() > 1 {
@@ -419,7 +422,11 @@ pub(crate) fn check(graph: &WiringGraph) -> Vec<Violation> {
             // Only rendezvous edges (both ends active) need buffer glue;
             // an explicitly pull- or push-mode edge is asymmetric wiring,
             // sound by the asymmetric argument.
-            for e in graph.edges.iter().filter(|e| e.mode == EdgeMode::Rendezvous) {
+            for e in graph
+                .edges
+                .iter()
+                .filter(|e| e.mode == EdgeMode::Rendezvous)
+            {
                 let ends_buffered = [&e.producer, &e.consumer]
                     .iter()
                     .any(|n| graph.nodes.get(*n) == Some(&NodeRole::Buffer));
@@ -485,7 +492,8 @@ mod tests {
     #[test]
     fn fan_out_rejected_under_read_only() {
         let mut g = linear(DisciplineKind::ReadOnly);
-        g.node("sink2", NodeRole::Sink).edge("f1", "Output", "sink2");
+        g.node("sink2", NodeRole::Sink)
+            .edge("f1", "Output", "sink2");
         let v = g.check();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, Rule::FanOutUnderReadOnly);
@@ -496,14 +504,16 @@ mod tests {
         // A second consumer on a *different* channel of the same filter is
         // the §5 report-stream pattern, not fan-out.
         let mut g = linear(DisciplineKind::ReadOnly);
-        g.node("report", NodeRole::Sink).edge("f1", "Report", "report");
+        g.node("report", NodeRole::Sink)
+            .edge("f1", "Report", "report");
         assert!(g.check().is_empty());
     }
 
     #[test]
     fn fan_in_rejected_under_write_only() {
         let mut g = linear(DisciplineKind::WriteOnly);
-        g.node("src2", NodeRole::Source).edge("src2", "Output", "f1");
+        g.node("src2", NodeRole::Source)
+            .edge("src2", "Output", "f1");
         let v = g.check();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, Rule::FanInUnderWriteOnly);
@@ -512,7 +522,8 @@ mod tests {
     #[test]
     fn fan_in_allowed_under_read_only() {
         let mut g = linear(DisciplineKind::ReadOnly);
-        g.node("src2", NodeRole::Source).edge("src2", "Output", "f1");
+        g.node("src2", NodeRole::Source)
+            .edge("src2", "Output", "f1");
         assert!(g.check().is_empty());
     }
 
@@ -537,7 +548,8 @@ mod tests {
     #[test]
     fn fan_out_allowed_under_write_only() {
         let mut g = linear(DisciplineKind::WriteOnly);
-        g.node("sink2", NodeRole::Sink).edge("f1", "Output", "sink2");
+        g.node("sink2", NodeRole::Sink)
+            .edge("f1", "Output", "sink2");
         assert!(g.check().is_empty());
     }
 
@@ -590,7 +602,8 @@ mod tests {
     #[test]
     fn dangling_edge_is_flagged() {
         let mut g = WiringGraph::new(DisciplineKind::ReadOnly);
-        g.node("src", NodeRole::Source).edge("src", "Output", "ghost");
+        g.node("src", NodeRole::Source)
+            .edge("src", "Output", "ghost");
         let v = g.check();
         assert_eq!(v[0].rule, Rule::UnknownNode);
     }
@@ -598,7 +611,8 @@ mod tests {
     #[test]
     fn violations_display_rule_and_nodes() {
         let mut g = linear(DisciplineKind::ReadOnly);
-        g.node("sink2", NodeRole::Sink).edge("f1", "Output", "sink2");
+        g.node("sink2", NodeRole::Sink)
+            .edge("f1", "Output", "sink2");
         let text = g.check()[0].to_string();
         assert!(text.contains("fan-out-under-read-only"), "{text}");
         assert!(text.contains("f1"), "{text}");

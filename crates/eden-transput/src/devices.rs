@@ -29,11 +29,7 @@ pub fn report_window(
     collector: Collector,
 ) -> Stage {
     let input = Input::labelled(subscriptions);
-    Stage::new(
-        input,
-        Output::local(collector),
-        StageConfig::batch(batch),
-    )
+    Stage::new(input, Output::local(collector), StageConfig::batch(batch))
 }
 
 /// A deterministic clock source: each record is a monotonically increasing

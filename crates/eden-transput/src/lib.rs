@@ -53,7 +53,6 @@
 //! the discipline predicates (see [`conform`]) — `build` refuses specs
 //! whose wiring violates them.
 
-
 pub mod bytestream;
 pub mod channels;
 pub mod collector;

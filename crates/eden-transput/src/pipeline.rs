@@ -133,12 +133,21 @@ impl SinkEject {
         fields: Vec<(&'static str, Value)>,
         source: &'static str,
     ) -> SinkEject {
-        SinkEject { uid, op, fields, source }
+        SinkEject {
+            uid,
+            op,
+            fields,
+            source,
+        }
     }
 
     fn ask(&self, kernel: &Kernel, tail: Option<Uid>) -> eden_kernel::PendingReply {
         let tail = tail.map(|uid| (self.source, Value::Uid(uid)));
-        kernel.invoke(self.uid, self.op, Value::record(self.fields.iter().cloned().chain(tail)))
+        kernel.invoke(
+            self.uid,
+            self.op,
+            Value::record(self.fields.iter().cloned().chain(tail)),
+        )
     }
 }
 
@@ -442,7 +451,10 @@ impl PipelineSpec {
         let _ambient = eden_core::span::enter(Some(trace));
         // A sink Eject the tail writes into mints its acceptor now; one that
         // pulls from the tail is asked in `run`, once the tail is known.
-        let sink_input = plan.rows.iter().find(|row| matches!(row.mount, Mount::Sink));
+        let sink_input = plan
+            .rows
+            .iter()
+            .find(|row| matches!(row.mount, Mount::Sink));
         let mut end = match (self.sink.take(), sink_input.map(|row| row.input)) {
             (None, _) if self.keep_output => End::Collector(Collector::new()),
             (None, _) => End::Collector(Collector::null()),

@@ -277,7 +277,10 @@ impl Kept {
         let uint = |name| Ok::<_, EdenError>(entry.field(name)?.as_int()?.max(0) as u64);
         (self.consumed, self.out_end) = (uint("consumed")?, entry.field("out_end")?.as_bool()?);
         let base = uint("base")?;
-        self.forget(buf, (base.saturating_sub(self.base) as usize).min(buf.len()));
+        self.forget(
+            buf,
+            (base.saturating_sub(self.base) as usize).min(buf.len()),
+        );
         let appended = entry.field("appended")?.as_list()?;
         buf.extend(appended.iter().cloned());
         self.moved += appended.len() as u64;
@@ -295,7 +298,9 @@ impl Kept {
         let held = buffer.queues[0].len();
         let end = self.base + held as u64;
         let state = input.transform.as_ref().and_then(|t| t.state());
-        let fresh = self.stored.map(|stored| (end - stored.max(self.base)) as usize);
+        let fresh = self
+            .stored
+            .map(|stored| (end - stored.max(self.base)) as usize);
         let written = match fresh.filter(|n| state.is_none() && self.moved as usize + n < held) {
             Some(fresh) => {
                 self.moved += fresh as u64;

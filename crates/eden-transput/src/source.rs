@@ -175,7 +175,11 @@ impl SourceEject {
     /// `Stage::new(Input::Local(source), Output::Passive, StageConfig::default())`.
     #[allow(clippy::new_ret_no_self)]
     pub fn new(source: Box<dyn PullSource>) -> Stage {
-        Stage::new(Input::Local(source), Output::Passive, StageConfig::default())
+        Stage::new(
+            Input::Local(source),
+            Output::Passive,
+            StageConfig::default(),
+        )
     }
 }
 

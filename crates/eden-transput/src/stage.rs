@@ -1334,7 +1334,9 @@ impl EjectBehavior for Stage {
 
     fn redo(&mut self, entry: Value) -> Result<()> {
         let Some(kept) = &mut self.kept else {
-            return Err(EdenError::Application("a volatile stage keeps no journal".into()));
+            return Err(EdenError::Application(
+                "a volatile stage keeps no journal".into(),
+            ));
         };
         let input = &mut self.input;
         self.meet.with(|buffer| {
@@ -2863,9 +2865,11 @@ mod tests {
         let faces = [(false, false), (false, true), (true, false), (true, true)];
         // A transform with state, which is part of what round-trips and is
         // only ever written whole, and one without.
-        for ((active_in, active_out), transform) in faces.into_iter().zip(["sum", "double"]).chain(
-            faces.into_iter().zip(["double", "sum"]),
-        ) {
+        for ((active_in, active_out), transform) in faces
+            .into_iter()
+            .zip(["sum", "double"])
+            .chain(faces.into_iter().zip(["double", "sum"]))
+        {
             let case = format!("({active_in}, {active_out}) {transform}");
             let host = Fake {
                 upstream: ints(0..40),
@@ -2879,7 +2883,10 @@ mod tests {
                 match (active_in, active_out) {
                     (false, _) => {
                         let at = 4 * step as i64;
-                        drop(host.write(&mut s, write(4 * step, at..at + 4, false)).unwrap());
+                        drop(
+                            host.write(&mut s, write(4 * step, at..at + 4, false))
+                                .unwrap(),
+                        );
                     }
                     (true, false) => {
                         let more = TransferRequest::primary(3 * (step as usize + 1)).at(0);
@@ -2910,7 +2917,12 @@ mod tests {
             }
             // Only a stage that holds what it is not writing has anything to
             // journal: here, the two that nobody takes from.
-            let forms: Vec<Form> = host.carried.borrow().iter().map(|(form, _)| *form).collect();
+            let forms: Vec<Form> = host
+                .carried
+                .borrow()
+                .iter()
+                .map(|(form, _)| *form)
+                .collect();
             let holds = !active_out && transform == "double";
             assert_eq!(forms.contains(&Form::Entry), holds, "{case}: {forms:?}");
         }
@@ -2994,13 +3006,19 @@ mod tests {
                 // Folded: all the pipe holds, which is the backlog.
                 Form::Whole => assert_eq!(records.len(), 30, "write {k}"),
             }
-            assert_eq!(standing(&mut host.reactivated()), standing(&mut s), "write {k}");
+            assert_eq!(
+                standing(&mut host.reactivated()),
+                standing(&mut s),
+                "write {k}"
+            );
             assert_eq!(standing(&mut s).1, pos);
         }
         // Six records journaled or forgotten a round against thirty held:
         // whole every fifth write, an entry the other four.
         let carried = host.carried.borrow();
-        let folds = carried[11..].iter().filter(|(form, _)| *form == Form::Whole);
+        let folds = carried[11..]
+            .iter()
+            .filter(|(form, _)| *form == Form::Whole);
         assert_eq!(folds.count(), 6);
     }
 
@@ -3008,9 +3026,7 @@ mod tests {
     fn a_reactivated_stage_writes_nothing_until_it_takes_something() {
         let kernel = Kernel::new();
         recovery::install_recovery(&kernel, &registry());
-        let acceptor = kernel
-            .spawn(Box::new(retained("", false, false)))
-            .unwrap();
+        let acceptor = kernel.spawn(Box::new(retained("", false, false))).unwrap();
         let send = |seq: u64| {
             let w = write(seq, seq as i64..seq as i64 + 10, false).to_value();
             kernel.invoke(acceptor, ops::WRITE, w).wait().unwrap();
@@ -3026,7 +3042,10 @@ mod tests {
             .unwrap();
         let woken = kernel.metrics().snapshot().since(&before);
         assert_eq!((woken.reactivations, woken.recovered_streams), (1, 1));
-        assert_eq!(woken.checkpoints, 0, "it is its stable state: nothing to write");
+        assert_eq!(
+            woken.checkpoints, 0,
+            "it is its stable state: nothing to write"
+        );
         send(100);
         let after = kernel.metrics().snapshot().since(&before);
         assert_eq!((after.checkpoints, after.journal_entries), (1, 1));
@@ -3127,20 +3146,26 @@ mod tests {
         let kernel = Kernel::new();
         let write = |to: Uid, w: WriteRequest| kernel.invoke(to, ops::WRITE, w.to_value()).wait();
         let collector = Collector::new();
-        let writer = kernel.spawn(Box::new(Stage::writer(None, collector.clone()))).unwrap();
+        let writer = kernel
+            .spawn(Box::new(Stage::writer(None, collector.clone())))
+            .unwrap();
         write(writer, WriteRequest::more(vec![Value::Int(1)])).unwrap();
         let closed = kernel.invoke(writer, ops::CLOSE, Value::Unit);
         // Handled in order: by the time this write is answered, so is the
         // `Close` ahead of it — parked, since the stream is still open.
         write(writer, WriteRequest::more(vec![Value::Int(2)])).unwrap();
-        let closed = closed.try_wait().expect_err("closed before its stream ended");
+        let closed = closed
+            .try_wait()
+            .expect_err("closed before its stream ended");
         write(writer, WriteRequest::last(vec![Value::Int(3)])).unwrap();
         assert_eq!(closed.wait(), Ok(Value::Unit));
         assert!(kernel.await_gone(&[writer], Duration::from_secs(10)));
         let items = collector.wait_done(Duration::from_secs(10)).unwrap();
         assert_eq!(items, (1..4).map(Value::Int).collect::<Vec<_>>());
         // A sink whose end fails fails the last write, and the `Close`.
-        let refusing = kernel.spawn(Box::new(Stage::writer(None, Refusing))).unwrap();
+        let refusing = kernel
+            .spawn(Box::new(Stage::writer(None, Refusing)))
+            .unwrap();
         let closed = kernel.invoke(refusing, ops::CLOSE, Value::Unit);
         let full = Err(EdenError::Application("disk full".into()));
         assert_eq!(write(refusing, WriteRequest::last(Vec::new())), full);

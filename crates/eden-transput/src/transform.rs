@@ -49,7 +49,10 @@ impl Emitter {
 
     /// Emit a record on a named secondary channel (e.g. `"Report"`).
     pub fn emit_on(&mut self, channel: &str, item: Value) {
-        self.secondary.entry(channel.to_owned()).or_default().push(item);
+        self.secondary
+            .entry(channel.to_owned())
+            .or_default()
+            .push(item);
     }
 
     /// Drain the primary output.
@@ -189,8 +192,9 @@ pub fn apply_offline(
     let mut out = Emitter::new();
     let mut primary = Vec::new();
     let mut secondary: BTreeMap<String, Vec<Value>> = BTreeMap::new();
-    let drain = |out: &mut Emitter, primary: &mut Vec<Value>,
-                     secondary: &mut BTreeMap<String, Vec<Value>>| {
+    let drain = |out: &mut Emitter,
+                 primary: &mut Vec<Value>,
+                 secondary: &mut BTreeMap<String, Vec<Value>>| {
         primary.append(&mut out.take_primary());
         for (k, mut v) in out.take_secondary() {
             secondary.entry(k).or_default().append(&mut v);
@@ -207,10 +211,7 @@ pub fn apply_offline(
 
 /// Run a chain of transforms offline, feeding each stage's primary output
 /// to the next stage. Secondary outputs are collected per stage index.
-pub fn apply_chain_offline(
-    transforms: &mut [Box<dyn Transform>],
-    input: Vec<Value>,
-) -> Vec<Value> {
+pub fn apply_chain_offline(transforms: &mut [Box<dyn Transform>], input: Vec<Value>) -> Vec<Value> {
     let mut stream = input;
     for t in transforms.iter_mut() {
         let (primary, _secondary) = apply_offline(t.as_mut(), stream);
@@ -218,7 +219,6 @@ pub fn apply_chain_offline(
     }
     stream
 }
-
 
 impl std::fmt::Debug for dyn Transform {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -70,7 +70,9 @@ fn census(discipline: Discipline) -> (u64, u64) {
     }
     let pipeline = spec.build(&kernel).expect("the pipeline builds");
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let run = pipeline.run(Duration::from_secs(60)).expect("the pipeline runs");
+    let run = pipeline
+        .run(Duration::from_secs(60))
+        .expect("the pipeline runs");
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(run.records_out, RECORDS as u64);
     let invocations = kernel.metrics().snapshot().invocations;
@@ -84,7 +86,9 @@ fn an_invocation_allocates_within_its_budget() {
     let disciplines = [
         Discipline::ReadOnly { read_ahead: 0 },
         Discipline::WriteOnly { push_ahead: 0 },
-        Discipline::Conventional { buffer_capacity: 64 },
+        Discipline::Conventional {
+            buffer_capacity: 64,
+        },
     ];
     for discipline in disciplines {
         let (allocations, invocations) = census(discipline);
@@ -107,5 +111,9 @@ fn an_invocation_allocates_within_its_budget() {
         let (allocations, invocations) = census(Discipline::ReadOnly { read_ahead: 0 });
         (10.0 * allocations as f64 / invocations as f64).round()
     };
-    assert_eq!(read_only(), read_only(), "tenths of an allocation an invocation");
+    assert_eq!(
+        read_only(),
+        read_only(),
+        "tenths of an allocation an invocation"
+    );
 }

@@ -12,7 +12,7 @@ use std::time::Duration;
 use eden_core::Value;
 use eden_kernel::Kernel;
 use eden_transput::transform::Identity;
-use eden_transput::{Discipline, PipelineSpec, PipelineRun};
+use eden_transput::{Discipline, PipelineRun, PipelineSpec};
 
 const ITEMS: i64 = 200;
 
@@ -56,7 +56,8 @@ fn read_only_invocations_are_n_plus_1_per_datum() {
         assert_eq!(run.records_out, ITEMS as u64);
         let expected = (n as u64 + 1) * ITEMS as u64;
         assert_eq!(
-            run.metrics.invocations, expected,
+            run.metrics.invocations,
+            expected,
             "read-only invocations at n={n}: {} per datum",
             run.invocations_per_record()
         );

@@ -13,8 +13,8 @@
 //! checkpoint covering at least `n`.
 #![cfg(loom)]
 
-use loom::sync::Arc;
 use loom::sync::atomic::{AtomicUsize, Ordering};
+use loom::sync::Arc;
 use loom::thread;
 
 #[test]

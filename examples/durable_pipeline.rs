@@ -37,7 +37,8 @@ fn main() {
         )))
         .expect("spawn file");
     let cursor = kernel
-        .invoke(file, "OpenDurable", Value::Unit).wait()
+        .invoke(file, "OpenDurable", Value::Unit)
+        .wait()
         .expect("durable cursor")
         .as_uid()
         .expect("capability");
@@ -52,7 +53,8 @@ fn main() {
         let req = TransferRequest::primary(2).at(read);
         let batch = Batch::from_value(
             kernel
-                .invoke(filter, ops::TRANSFER, req.to_value()).wait()
+                .invoke(filter, ops::TRANSFER, req.to_value())
+                .wait()
                 .expect("transfer"),
         )
         .expect("batch");
@@ -83,7 +85,12 @@ fn main() {
         kernel.stable_store().total_bytes()
     );
     println!("\nlast few kernel events:");
-    for event in render_events(&kernel.spans(), &kernel.lifecycle().0).iter().rev().take(6).rev() {
+    for event in render_events(&kernel.spans(), &kernel.lifecycle().0)
+        .iter()
+        .rev()
+        .take(6)
+        .rev()
+    {
         println!("  {event}");
     }
     kernel.shutdown();

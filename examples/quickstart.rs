@@ -35,7 +35,9 @@ fn main() {
     for discipline in [
         Discipline::ReadOnly { read_ahead: 0 },
         Discipline::WriteOnly { push_ahead: 0 },
-        Discipline::Conventional { buffer_capacity: 16 },
+        Discipline::Conventional {
+            buffer_capacity: 16,
+        },
     ] {
         let run = PipelineSpec::new(discipline)
             .source_vec(fortran_deck())

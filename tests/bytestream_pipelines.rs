@@ -31,7 +31,9 @@ fn byte_grep_pipeline_all_disciplines() {
     for discipline in [
         Discipline::ReadOnly { read_ahead: 8 },
         Discipline::WriteOnly { push_ahead: 8 },
-        Discipline::Conventional { buffer_capacity: 16 },
+        Discipline::Conventional {
+            buffer_capacity: 16,
+        },
     ] {
         let run = PipelineSpec::new(discipline)
             .source(Box::new(BytesSource::new(document(), 113))) // Awkward chunk size on purpose.

@@ -11,7 +11,7 @@ use eden::core::Value;
 use eden::filters;
 use eden::kernel::Kernel;
 use eden::transput::transform::{apply_chain_offline, Transform};
-use eden::transput::{ChannelPolicy, Discipline, PipelineSpec, PipelineRun};
+use eden::transput::{ChannelPolicy, Discipline, PipelineRun, PipelineSpec};
 use proptest::prelude::*;
 
 /// The filter chain vocabulary for random pipelines.

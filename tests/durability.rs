@@ -54,7 +54,8 @@ fn durable_chain(kernel: &Kernel, lines: i64) -> (Uid, Uid) {
         )))
         .expect("file");
     let cursor = kernel
-        .invoke(file, "OpenDurable", Value::Unit).wait()
+        .invoke(file, "OpenDurable", Value::Unit)
+        .wait()
         .expect("open durable")
         .as_uid()
         .expect("cursor uid");
@@ -89,7 +90,11 @@ fn crashing_every_eject_between_every_operation_loses_nothing() {
     register_all(&kernel);
     let (cursor, filter) = durable_chain(&kernel, 9);
     kernel.install_faults(
-        FaultPlan::new(0xd07a).rule(FaultRule::new(FaultKind::CrashTarget).on_op("Transfer").every(3)),
+        FaultPlan::new(0xd07a).rule(
+            FaultRule::new(FaultKind::CrashTarget)
+                .on_op("Transfer")
+                .every(3),
+        ),
     );
     let mut out = Vec::new();
     loop {
@@ -105,7 +110,8 @@ fn crashing_every_eject_between_every_operation_loses_nothing() {
     for (i, line) in out.iter().enumerate() {
         let text = line.as_str().unwrap();
         assert!(
-            text.trim_start().starts_with(&format!("{}  record {}", i + 1, i)),
+            text.trim_start()
+                .starts_with(&format!("{}  record {}", i + 1, i)),
             "row {i} corrupted: {text}"
         );
     }
@@ -192,7 +198,15 @@ fn log_bytes_written(discipline: RecoveryDiscipline, records: i64) -> u64 {
     install_recovery(&kernel, &registry);
     let items: Vec<Value> = (0..records).map(Value::Int).collect();
     let timeout = Duration::from_secs(120);
-    let run = run_recoverable_pipeline(&kernel, discipline, items.clone(), &[], &registry, 8, timeout);
+    let run = run_recoverable_pipeline(
+        &kernel,
+        discipline,
+        items.clone(),
+        &[],
+        &registry,
+        8,
+        timeout,
+    );
     assert_eq!(run.expect("run").output, items, "{discipline:?}");
     kernel.shutdown();
     store.stats().log_bytes
@@ -204,8 +218,14 @@ fn what_a_run_writes_to_the_log_grows_with_the_stream_not_its_square() {
     // acceptor everything, a pipe its backlog — writes what changed before
     // each acknowledgement, not all it holds: twice the records, about
     // twice the bytes (four times, when every write carried the stream).
-    for discipline in [RecoveryDiscipline::WriteOnly, RecoveryDiscipline::Conventional] {
-        let (short, long) = (log_bytes_written(discipline, 2_000), log_bytes_written(discipline, 4_000));
+    for discipline in [
+        RecoveryDiscipline::WriteOnly,
+        RecoveryDiscipline::Conventional,
+    ] {
+        let (short, long) = (
+            log_bytes_written(discipline, 2_000),
+            log_bytes_written(discipline, 4_000),
+        );
         assert!(
             (long as f64) < 2.5 * short as f64,
             "{discipline:?}: {short} bytes for 2,000 records, {long} for 4,000"
@@ -286,12 +306,14 @@ fn plain_reader_dies_where_durable_survives() {
         .spawn(Box::new(FileEject::from_lines(["a", "b", "c"])))
         .expect("file");
     let plain = kernel
-        .invoke(file, ops::OPEN, Value::Unit).wait()
+        .invoke(file, ops::OPEN, Value::Unit)
+        .wait()
         .expect("open")
         .as_uid()
         .expect("uid");
     let durable = kernel
-        .invoke(file, "OpenDurable", Value::Unit).wait()
+        .invoke(file, "OpenDurable", Value::Unit)
+        .wait()
         .expect("open durable")
         .as_uid()
         .expect("uid");
@@ -301,7 +323,8 @@ fn plain_reader_dies_where_durable_survives() {
     kernel.crash(durable).expect("crash durable");
     assert!(
         kernel
-            .invoke(plain, ops::TRANSFER, TransferRequest::primary(1).to_value()).wait()
+            .invoke(plain, ops::TRANSFER, TransferRequest::primary(1).to_value())
+            .wait()
             .is_err(),
         "the plain reader disappears"
     );

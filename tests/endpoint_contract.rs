@@ -99,11 +99,22 @@ fn writers(kernel: &Kernel) -> Vec<(&'static str, Uid, Landed)> {
     // The files a write-only pipeline's output is redirected into: asked
     // with no stream to pull, each opens an acceptor.
     let fs = MemFs::new();
-    let unixfs = kernel.spawn(Box::new(UnixFsEject::new(fs.clone()))).unwrap();
+    let unixfs = kernel
+        .spawn(Box::new(UnixFsEject::new(fs.clone())))
+        .unwrap();
     let opened = |from: Uid, op: &'static str, arg: Value| {
-        kernel.invoke(from, op, arg).wait().unwrap().as_uid().unwrap()
+        kernel
+            .invoke(from, op, arg)
+            .wait()
+            .unwrap()
+            .as_uid()
+            .unwrap()
     };
-    let host_file = opened(unixfs, ops::USE_STREAM, Value::record([("path", Value::str("two"))]));
+    let host_file = opened(
+        unixfs,
+        ops::USE_STREAM,
+        Value::record([("path", Value::str("two"))]),
+    );
     let file = kernel.spawn(Box::new(FileEject::new())).unwrap();
     let no_fields: [(&str, Value); 0] = [];
     let record_file = opened(file, ops::WRITE_FROM, Value::record(no_fields));
@@ -152,7 +163,10 @@ fn writers(kernel: &Kernel) -> Vec<(&'static str, Uid, Landed)> {
             Box::new(move |_: &Kernel| {
                 let bytes = fs.read("two").unwrap();
                 let lines = String::from_utf8(bytes).unwrap();
-                lines.lines().map(|l| Value::Int(l.parse().unwrap())).collect()
+                lines
+                    .lines()
+                    .map(|l| Value::Int(l.parse().unwrap()))
+                    .collect()
             }),
         ),
         (

@@ -126,7 +126,8 @@ fn durable_chain(kernel: &Kernel, lines: i64) -> Uid {
         )))
         .expect("file");
     let cursor = kernel
-        .invoke(file, "OpenDurable", Value::Unit).wait()
+        .invoke(file, "OpenDurable", Value::Unit)
+        .wait()
         .expect("open durable")
         .as_uid()
         .expect("cursor uid");
@@ -238,7 +239,12 @@ fn cache_hits_are_not_counted_as_invocation_savings() {
     let mut cache = RouteCache::new();
     for i in 0..10i64 {
         let got = kernel
-            .invoke_with(echo, "Echo", Value::Int(i), InvokeOptions::new().route_cache(&mut cache))
+            .invoke_with(
+                echo,
+                "Echo",
+                Value::Int(i),
+                InvokeOptions::new().route_cache(&mut cache),
+            )
             .wait()
             .unwrap();
         assert_eq!(got, Value::Int(i));
@@ -492,7 +498,8 @@ fn bounded_mailboxes_deliver_everything_and_shut_down_cleanly() {
         senders.push(std::thread::spawn(move || {
             for i in 0..10i64 {
                 let got = kernel
-                    .invoke(slow, "Echo", Value::Int(t * 100 + i)).wait()
+                    .invoke(slow, "Echo", Value::Int(t * 100 + i))
+                    .wait()
                     .expect("echo");
                 assert_eq!(got, Value::Int(t * 100 + i));
             }

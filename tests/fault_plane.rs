@@ -82,8 +82,19 @@ fn injected_drop_is_survived_by_retry() {
     // earlier rules let through, so the second rule's first match is the
     // retry of the first drop.)
     kernel.install_faults(
-        FaultPlan::new(7).rule(FaultRule::new(FaultKind::Drop).on_op("Add").nth(1).labeled("d1"))
-            .rule(FaultRule::new(FaultKind::Drop).on_op("Add").nth(1).labeled("d2")),
+        FaultPlan::new(7)
+            .rule(
+                FaultRule::new(FaultKind::Drop)
+                    .on_op("Add")
+                    .nth(1)
+                    .labeled("d1"),
+            )
+            .rule(
+                FaultRule::new(FaultKind::Drop)
+                    .on_op("Add")
+                    .nth(1)
+                    .labeled("d2"),
+            ),
     );
     let got = kernel
         .invoke_with(counter, "Add", Value::Int(5), retrying())
@@ -102,9 +113,17 @@ fn injected_error_without_retry_surfaces() {
     kernel.register_type("DurableCounter", DurableCounter::factory);
     let counter = kernel.spawn(Box::new(DurableCounter { total: 0 })).unwrap();
     kernel.install_faults(
-        FaultPlan::new(1).rule(FaultRule::new(FaultKind::Error).on_op("Add").nth(1).labeled("boom")),
+        FaultPlan::new(1).rule(
+            FaultRule::new(FaultKind::Error)
+                .on_op("Add")
+                .nth(1)
+                .labeled("boom"),
+        ),
     );
-    let err = kernel.invoke(counter, "Add", Value::Int(1)).wait().unwrap_err();
+    let err = kernel
+        .invoke(counter, "Add", Value::Int(1))
+        .wait()
+        .unwrap_err();
     assert_eq!(err, EdenError::FaultInjected("boom".into()));
     assert!(err.is_retryable());
     // The fault plan is exhausted; the next plain invocation goes through.
@@ -128,7 +147,10 @@ fn crash_fault_reactivates_target_from_checkpoint_on_retry() {
     // checkpoint and lands the addition on the preserved total.
     kernel.install_faults(
         FaultPlan::new(3).rule(
-            FaultRule::new(FaultKind::CrashTarget).on_op("Add").nth(1).labeled("crash"),
+            FaultRule::new(FaultKind::CrashTarget)
+                .on_op("Add")
+                .nth(1)
+                .labeled("crash"),
         ),
     );
     let got = kernel
@@ -197,9 +219,13 @@ fn fault_schedule_replays_byte_for_byte() {
         let kernel = Kernel::new();
         kernel.register_type("DurableCounter", DurableCounter::factory);
         let counter = kernel.spawn(Box::new(DurableCounter { total: 0 })).unwrap();
-        kernel.install_faults(FaultPlan::new(seed).rule(
-            FaultRule::new(FaultKind::Error).on_op("Add").with_probability(0.4),
-        ));
+        kernel.install_faults(
+            FaultPlan::new(seed).rule(
+                FaultRule::new(FaultKind::Error)
+                    .on_op("Add")
+                    .with_probability(0.4),
+            ),
+        );
         let outcomes = (0..40)
             .map(|_| kernel.invoke(counter, "Add", Value::Int(1)).wait().is_ok())
             .collect();
@@ -217,7 +243,9 @@ fn fault_schedule_replays_byte_for_byte() {
 fn registry() -> TransformRegistry {
     TransformRegistry::new(&[
         ("double", || {
-            Box::new(map_fn("double", |v| Value::Int(v.as_int().unwrap_or(0) * 2)))
+            Box::new(map_fn("double", |v| {
+                Value::Int(v.as_int().unwrap_or(0) * 2)
+            }))
         }),
         ("inc", || {
             Box::new(map_fn("inc", |v| Value::Int(v.as_int().unwrap_or(0) + 1)))
@@ -265,8 +293,8 @@ fn recoverable_runs_keep_their_invocation_and_entity_counts() {
         install_recovery(&kernel, &reg);
         let items: Vec<Value> = (0..40).map(Value::Int).collect();
         let timeout = Duration::from_secs(30);
-        let run = run_recoverable_pipeline(&kernel, discipline, items, chain, &reg, 7, timeout)
-            .unwrap();
+        let run =
+            run_recoverable_pipeline(&kernel, discipline, items, chain, &reg, 7, timeout).unwrap();
         let invocations = kernel.metrics().snapshot().invocations;
         kernel.shutdown();
         (run, invocations)
@@ -274,8 +302,7 @@ fn recoverable_runs_keep_their_invocation_and_entity_counts() {
     // A read-only run has no control-plane traffic, so fault-free its
     // invocation count is exact: 40 records at batch 7 are 6 batches, and
     // each crosses n+1 hops (driver, `inc`, `double`, source).
-    let (run, invocations) =
-        run_on_fresh_kernel(RecoveryDiscipline::ReadOnly, &["double", "inc"]);
+    let (run, invocations) = run_on_fresh_kernel(RecoveryDiscipline::ReadOnly, &["double", "inc"]);
     assert_eq!(run.output, expected(40));
     assert_eq!(invocations, 3 * 6);
     // Entities for n transforms: source and filters (the driver is no
@@ -361,7 +388,10 @@ fn streams_recover_from_injected_crashes() {
     use eden::core::MemFs;
     use eden::kernel::{DurableConfig, FsyncPolicy, StableStore};
 
-    for (discipline, durable) in DISCIPLINES.into_iter().flat_map(|d| [(d, false), (d, true)]) {
+    for (discipline, durable) in DISCIPLINES
+        .into_iter()
+        .flat_map(|d| [(d, false), (d, true)])
+    {
         let kernel = if durable {
             let cfg = DurableConfig::with_fsync(FsyncPolicy::EveryN(8));
             let store = StableStore::durable_on(MemFs::new(), cfg).unwrap();
@@ -374,10 +404,26 @@ fn streams_recover_from_injected_crashes() {
         install_recovery(&kernel, &reg);
         kernel.install_faults(
             FaultPlan::new(0xede2 + discipline as u64)
-                .rule(FaultRule::new(FaultKind::CrashTarget).on_op("Transfer").with_probability(0.02))
-                .rule(FaultRule::new(FaultKind::CrashTarget).on_op("Write").with_probability(0.02))
-                .rule(FaultRule::new(FaultKind::Drop).on_op("Transfer").with_probability(0.02))
-                .rule(FaultRule::new(FaultKind::Drop).on_op("Write").with_probability(0.02)),
+                .rule(
+                    FaultRule::new(FaultKind::CrashTarget)
+                        .on_op("Transfer")
+                        .with_probability(0.02),
+                )
+                .rule(
+                    FaultRule::new(FaultKind::CrashTarget)
+                        .on_op("Write")
+                        .with_probability(0.02),
+                )
+                .rule(
+                    FaultRule::new(FaultKind::Drop)
+                        .on_op("Transfer")
+                        .with_probability(0.02),
+                )
+                .rule(
+                    FaultRule::new(FaultKind::Drop)
+                        .on_op("Write")
+                        .with_probability(0.02),
+                ),
         );
         let items: Vec<Value> = (0..60).map(Value::Int).collect();
         let run = run_recoverable_pipeline(
@@ -476,7 +522,15 @@ fn acceptor_crashed_behind_its_journal_returns_everything_once() {
         let items: Vec<Value> = (0..n).map(Value::Int).collect();
         let timeout = Duration::from_secs(60);
         std::thread::spawn(move || {
-            run_recoverable_pipeline(&kernel, discipline, items, &["double", "inc"], &reg, 4, timeout)
+            run_recoverable_pipeline(
+                &kernel,
+                discipline,
+                items,
+                &["double", "inc"],
+                &reg,
+                4,
+                timeout,
+            )
         })
     };
     let in_birth_order = |kernel: &Kernel| {
@@ -484,7 +538,10 @@ fn acceptor_crashed_behind_its_journal_returns_everything_once() {
         uids.sort_by_key(|uid| uid.seq());
         uids
     };
-    for discipline in [RecoveryDiscipline::WriteOnly, RecoveryDiscipline::Conventional] {
+    for discipline in [
+        RecoveryDiscipline::WriteOnly,
+        RecoveryDiscipline::Conventional,
+    ] {
         // A fault-free run says how many stages there are and which of
         // them, in order of birth, is the acceptor: the last of the chain.
         let kernel = Kernel::new();
@@ -499,7 +556,10 @@ fn acceptor_crashed_behind_its_journal_returns_everything_once() {
         let store = kernel.stable_store();
         let deadline = std::time::Instant::now() + Duration::from_secs(30);
         let acceptor = loop {
-            assert!(std::time::Instant::now() < deadline, "{discipline:?}: no journal grew");
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{discipline:?}: no journal grew"
+            );
             // Every stage is born before any record moves.
             let stages = in_birth_order(&kernel);
             let journaled = |uid| store.load(uid).map_or(0, |rec| rec.journal.len());
@@ -510,10 +570,17 @@ fn acceptor_crashed_behind_its_journal_returns_everything_once() {
         };
         kernel.crash(acceptor).unwrap();
         let run = runner.join().unwrap().unwrap();
-        assert_eq!(Some(&acceptor), run.stages.last(), "{discipline:?}: crashed the acceptor");
+        assert_eq!(
+            Some(&acceptor),
+            run.stages.last(),
+            "{discipline:?}: crashed the acceptor"
+        );
         assert_eq!(run.output, expected(2_000), "{discipline:?}");
         let m = kernel.metrics().snapshot();
-        assert!(m.reactivations >= 1 && m.recovered_streams >= 1, "{discipline:?}: {m:?}");
+        assert!(
+            m.reactivations >= 1 && m.recovered_streams >= 1,
+            "{discipline:?}: {m:?}"
+        );
         kernel.shutdown();
     }
 }
@@ -532,7 +599,9 @@ fn stateful_registry() -> TransformRegistry {
 /// 200 lines, and what [`STATEFUL`] makes of them run in-process, no kernel
 /// anywhere near.
 fn stateful_case() -> (Vec<Value>, Vec<Value>) {
-    let items: Vec<Value> = (0..200).map(|i| Value::str(format!("record {i}"))).collect();
+    let items: Vec<Value> = (0..200)
+        .map(|i| Value::str(format!("record {i}")))
+        .collect();
     let mut chain: Vec<Box<dyn Transform>> =
         vec![Box::new(LineNumber::new()), Box::new(SortLines::new())];
     let expected = apply_chain_offline(&mut chain, items.clone());
@@ -558,12 +627,22 @@ fn stateful_chain_recovers_exactly_once_under_injected_crashes() {
         }
         kernel.install_faults(plan);
         let timeout = Duration::from_secs(60);
-        let run =
-            run_recoverable_pipeline(&kernel, discipline, items.clone(), STATEFUL, &reg, 5, timeout)
-                .unwrap();
+        let run = run_recoverable_pipeline(
+            &kernel,
+            discipline,
+            items.clone(),
+            STATEFUL,
+            &reg,
+            5,
+            timeout,
+        )
+        .unwrap();
         assert_eq!(run.output, expected, "{discipline:?}");
         let m = kernel.metrics().snapshot();
-        assert!(m.crashes > 0 && m.recovered_streams > 0, "{discipline:?}: {m:?}");
+        assert!(
+            m.crashes > 0 && m.recovered_streams > 0,
+            "{discipline:?}: {m:?}"
+        );
         kernel.shutdown();
     }
 }
@@ -587,7 +666,11 @@ fn zero_record_stream_survives_crash_and_reactivation() {
         install_recovery(&kernel, &reg);
         kernel.install_faults(
             FaultPlan::new(0x0e0e + discipline as u64)
-                .rule(FaultRule::new(FaultKind::CrashTarget).on_op("Transfer").nth(1))
+                .rule(
+                    FaultRule::new(FaultKind::CrashTarget)
+                        .on_op("Transfer")
+                        .nth(1),
+                )
                 .rule(FaultRule::new(FaultKind::CrashTarget).on_op("Write").nth(1)),
         );
         let run = run_recoverable_pipeline(
@@ -661,12 +744,14 @@ fn crash_exactly_at_checkpoint_boundary_neither_loses_nor_repeats() {
                 let kernel = Kernel::new();
                 let reg = registry();
                 install_recovery(&kernel, &reg);
-                kernel.install_faults(FaultPlan::new(0xb0b + boundary).rule(
-                    FaultRule::new(FaultKind::CrashTarget)
-                        .on_op(op)
-                        .nth(boundary)
-                        .labeled("boundary-crash"),
-                ));
+                kernel.install_faults(
+                    FaultPlan::new(0xb0b + boundary).rule(
+                        FaultRule::new(FaultKind::CrashTarget)
+                            .on_op(op)
+                            .nth(boundary)
+                            .labeled("boundary-crash"),
+                    ),
+                );
                 let items: Vec<Value> = (0..30).map(Value::Int).collect();
                 let run = run_recoverable_pipeline(
                     &kernel,
@@ -928,14 +1013,32 @@ fn outcome_ledger_balances_under_injected_fire() {
     kernel.invoke(counter, "Add", Value::Int(1)).wait().unwrap();
     // An injected error with no retry: one fatal failure.
     kernel.install_faults(
-        FaultPlan::new(11).rule(FaultRule::new(FaultKind::Error).on_op("Add").nth(1).labeled("e")),
+        FaultPlan::new(11).rule(
+            FaultRule::new(FaultKind::Error)
+                .on_op("Add")
+                .nth(1)
+                .labeled("e"),
+        ),
     );
-    kernel.invoke(counter, "Add", Value::Int(1)).wait().unwrap_err();
+    kernel
+        .invoke(counter, "Add", Value::Int(1))
+        .wait()
+        .unwrap_err();
     // Two drops survived by retry: one success, despite three deliveries.
     kernel.install_faults(
         FaultPlan::new(12)
-            .rule(FaultRule::new(FaultKind::Drop).on_op("Add").nth(1).labeled("d1"))
-            .rule(FaultRule::new(FaultKind::Drop).on_op("Add").nth(1).labeled("d2")),
+            .rule(
+                FaultRule::new(FaultKind::Drop)
+                    .on_op("Add")
+                    .nth(1)
+                    .labeled("d1"),
+            )
+            .rule(
+                FaultRule::new(FaultKind::Drop)
+                    .on_op("Add")
+                    .nth(1)
+                    .labeled("d2"),
+            ),
     );
     kernel
         .invoke_with(counter, "Add", Value::Int(1), retrying())
@@ -958,7 +1061,10 @@ fn outcome_ledger_balances_under_injected_fire() {
         .wait()
         .unwrap_err();
     // An application-level error (unknown op): one fatal failure.
-    kernel.invoke(counter, "Bogus", Value::Unit).wait().unwrap_err();
+    kernel
+        .invoke(counter, "Bogus", Value::Unit)
+        .wait()
+        .unwrap_err();
 
     let m = kernel.metrics().snapshot();
     assert_eq!(
@@ -985,8 +1091,16 @@ fn outcome_ledger_balances_under_probabilistic_fire() {
         let counter = kernel.spawn(Box::new(DurableCounter { total: 0 })).unwrap();
         kernel.install_faults(
             FaultPlan::new(seed)
-                .rule(FaultRule::new(FaultKind::Error).on_op("Add").with_probability(0.3))
-                .rule(FaultRule::new(FaultKind::Drop).on_op("Add").with_probability(0.2)),
+                .rule(
+                    FaultRule::new(FaultKind::Error)
+                        .on_op("Add")
+                        .with_probability(0.3),
+                )
+                .rule(
+                    FaultRule::new(FaultKind::Drop)
+                        .on_op("Add")
+                        .with_probability(0.2),
+                ),
         );
         let mut ok = 0u64;
         let mut failed = 0u64;
@@ -998,9 +1112,7 @@ fn outcome_ledger_balances_under_probabilistic_fire() {
                     Value::Int(1),
                     InvokeOptions::new()
                         .deadline(Duration::from_millis(200))
-                        .retry(
-                            RetryPolicy::retries(5).base_delay(Duration::from_millis(1)),
-                        ),
+                        .retry(RetryPolicy::retries(5).base_delay(Duration::from_millis(1))),
                 )
                 .wait();
             match outcome {
@@ -1032,9 +1144,14 @@ fn recovery_keeps_the_crashed_stream_in_one_trace() {
     });
     let reg = registry();
     install_recovery(&kernel, &reg);
-    kernel.install_faults(FaultPlan::new(0xcafe).rule(
-        FaultRule::new(FaultKind::CrashTarget).on_op("Transfer").nth(8).labeled("crash"),
-    ));
+    kernel.install_faults(
+        FaultPlan::new(0xcafe).rule(
+            FaultRule::new(FaultKind::CrashTarget)
+                .on_op("Transfer")
+                .nth(8)
+                .labeled("crash"),
+        ),
+    );
     let run = run_recoverable_pipeline(
         &kernel,
         RecoveryDiscipline::ReadOnly,
@@ -1045,7 +1162,11 @@ fn recovery_keeps_the_crashed_stream_in_one_trace() {
         Duration::from_secs(60),
     )
     .unwrap();
-    assert_eq!(run.output, expected(40), "recovery must not corrupt the stream");
+    assert_eq!(
+        run.output,
+        expected(40),
+        "recovery must not corrupt the stream"
+    );
     let m = kernel.metrics().snapshot();
     assert_eq!(m.crashes, 1);
     assert!(m.reactivations >= 1);

@@ -69,7 +69,10 @@ fn assert_single_tree(spans: &[SpanRecord]) -> u64 {
     let mut roots = HashSet::new();
     for s in spans {
         let parent = s.parent.unwrap_or_else(|| {
-            panic!("span {} has no parent: every invocation of a pipeline run is caused", s.span)
+            panic!(
+                "span {} has no parent: every invocation of a pipeline run is caused",
+                s.span
+            )
         });
         match by_id.get(&parent) {
             Some(p) => assert_eq!(
@@ -89,7 +92,11 @@ fn assert_single_tree(spans: &[SpanRecord]) -> u64 {
             }
         }
     }
-    assert_eq!(roots.len(), 1, "one run must yield one tree, got roots {roots:?}");
+    assert_eq!(
+        roots.len(),
+        1,
+        "one run must yield one tree, got roots {roots:?}"
+    );
     *roots.iter().next().expect("nonempty")
 }
 
@@ -98,7 +105,12 @@ fn read_only_trace_has_n_plus_one_edges_per_datum() {
     const ITEMS: usize = 24;
     const DEPTH: usize = 3;
     let kernel = obs_kernel();
-    let run = run_traced(&kernel, Discipline::ReadOnly { read_ahead: 0 }, ITEMS, DEPTH);
+    let run = run_traced(
+        &kernel,
+        Discipline::ReadOnly { read_ahead: 0 },
+        ITEMS,
+        DEPTH,
+    );
     assert_eq!(run.records_out, ITEMS as u64);
     let expected = (DEPTH + 1) * ITEMS;
     let spans = spans_of(&kernel, run.trace, expected);
@@ -216,8 +228,11 @@ fn disabled_plane_records_nothing() {
 fn lint_prometheus(text: &str) {
     fn is_name(s: &str) -> bool {
         !s.is_empty()
-            && s.chars().next().is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':')
-            && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+            && s.chars()
+                .next()
+                .is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':')
+            && s.chars()
+                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
     }
     // family -> (type, has_help, sample_count)
     let mut families: HashMap<String, (String, bool, usize)> = HashMap::new();
@@ -228,32 +243,49 @@ fn lint_prometheus(text: &str) {
             continue;
         }
         if let Some(rest) = line.strip_prefix("# HELP ") {
-            let (name, help) = rest.split_once(' ').unwrap_or_else(|| panic!("line {n}: HELP without text"));
+            let (name, help) = rest
+                .split_once(' ')
+                .unwrap_or_else(|| panic!("line {n}: HELP without text"));
             assert!(is_name(name), "line {n}: bad metric name {name:?}");
             assert!(!help.trim().is_empty(), "line {n}: empty HELP");
             families.entry(name.to_owned()).or_default().1 = true;
             continue;
         }
         if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let (name, kind) = rest.split_once(' ').unwrap_or_else(|| panic!("line {n}: TYPE without kind"));
+            let (name, kind) = rest
+                .split_once(' ')
+                .unwrap_or_else(|| panic!("line {n}: TYPE without kind"));
             assert!(is_name(name), "line {n}: bad metric name {name:?}");
             assert!(
-                matches!(kind, "counter" | "gauge" | "summary" | "histogram" | "untyped"),
+                matches!(
+                    kind,
+                    "counter" | "gauge" | "summary" | "histogram" | "untyped"
+                ),
                 "line {n}: unknown type {kind:?}"
             );
             let fam = families.entry(name.to_owned()).or_default();
             assert!(fam.0.is_empty(), "line {n}: duplicate TYPE for {name}");
             fam.0 = kind.to_owned();
             if kind == "counter" {
-                assert!(name.ends_with("_total"), "line {n}: counter {name} must end in _total");
+                assert!(
+                    name.ends_with("_total"),
+                    "line {n}: counter {name} must end in _total"
+                );
             }
             last_declared = name.to_owned();
             continue;
         }
-        assert!(!line.starts_with('#'), "line {n}: unknown comment form {line:?}");
+        assert!(
+            !line.starts_with('#'),
+            "line {n}: unknown comment form {line:?}"
+        );
         // A sample: name[{labels}] value
-        let (name_labels, value) = line.rsplit_once(' ').unwrap_or_else(|| panic!("line {n}: sample without value"));
-        let v: f64 = value.parse().unwrap_or_else(|_| panic!("line {n}: unparsable value {value:?}"));
+        let (name_labels, value) = line
+            .rsplit_once(' ')
+            .unwrap_or_else(|| panic!("line {n}: sample without value"));
+        let v: f64 = value
+            .parse()
+            .unwrap_or_else(|_| panic!("line {n}: unparsable value {value:?}"));
         assert!(v.is_finite(), "line {n}: non-finite value");
         let (name, labels) = match name_labels.split_once('{') {
             Some((name, rest)) => {
@@ -267,7 +299,9 @@ fn lint_prometheus(text: &str) {
         assert!(is_name(name), "line {n}: bad sample name {name:?}");
         if let Some(labels) = labels {
             for pair in split_labels(labels) {
-                let (k, v) = pair.split_once('=').unwrap_or_else(|| panic!("line {n}: label without '=': {pair:?}"));
+                let (k, v) = pair
+                    .split_once('=')
+                    .unwrap_or_else(|| panic!("line {n}: label without '=': {pair:?}"));
                 assert!(is_name(k), "line {n}: bad label name {k:?}");
                 assert!(
                     v.starts_with('"') && v.ends_with('"') && v.len() >= 2,
@@ -283,10 +317,13 @@ fn lint_prometheus(text: &str) {
                 families.contains_key(base).then(|| base.to_owned())
             })
             .unwrap_or_else(|| name.to_owned());
-        let fam = families.get_mut(&family).unwrap_or_else(|| {
-            panic!("line {n}: sample {name} before its TYPE declaration")
-        });
-        assert!(!fam.0.is_empty(), "line {n}: sample {name} with HELP but no TYPE");
+        let fam = families
+            .get_mut(&family)
+            .unwrap_or_else(|| panic!("line {n}: sample {name} before its TYPE declaration"));
+        assert!(
+            !fam.0.is_empty(),
+            "line {n}: sample {name} with HELP but no TYPE"
+        );
         fam.2 += 1;
         assert_eq!(
             family, last_declared,
@@ -331,7 +368,10 @@ fn prometheus_export_survives_the_format_lint() {
     let text = prometheus_text(&kernel.metrics_snapshot());
     lint_prometheus(&text);
     // The stage summaries made it out with quantile labels.
-    assert!(text.contains("eden_stage_service_seconds{"), "no stage summary:\n{text}");
+    assert!(
+        text.contains("eden_stage_service_seconds{"),
+        "no stage summary:\n{text}"
+    );
     assert!(text.contains("quantile=\"0.99\""));
     assert!(text.contains("eden_invocations_total"));
     kernel.shutdown();
@@ -346,11 +386,11 @@ fn prometheus_lint_rejects_malformed_documents() {
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     for bad in [
-        "x_total 1\n",                                        // sample before TYPE
+        "x_total 1\n",                                                    // sample before TYPE
         "# HELP x_total fine\n# TYPE x_total counter\nx_total NaN-ish\n", // bad value
-        "# HELP x fine\n# TYPE x counter\nx 1\n",             // counter without _total
+        "# HELP x fine\n# TYPE x counter\nx 1\n",                         // counter without _total
         "# HELP x_total fine\n# TYPE x_total counter\nx_total{l=unquoted} 1\n",
-        "# HELP x_total fine\n# TYPE x_total counter\n",      // declared, never sampled
+        "# HELP x_total fine\n# TYPE x_total counter\n", // declared, never sampled
     ] {
         let rejected = std::panic::catch_unwind(|| lint_prometheus(bad)).is_err();
         assert!(rejected, "lint accepted: {bad:?}");
@@ -366,7 +406,12 @@ fn json_export_is_balanced_and_complete() {
     let text = json_text(&kernel.metrics_snapshot());
     assert_eq!(text.matches('{').count(), text.matches('}').count());
     assert_eq!(text.matches('[').count(), text.matches(']').count());
-    for key in ["\"counters\"", "\"gauges\"", "\"stages\"", "\"eden_invocations_total\""] {
+    for key in [
+        "\"counters\"",
+        "\"gauges\"",
+        "\"stages\"",
+        "\"eden_invocations_total\"",
+    ] {
         assert!(text.contains(key), "missing {key} in:\n{text}");
     }
     kernel.shutdown();

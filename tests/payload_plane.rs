@@ -172,7 +172,11 @@ fn checkpoint_store_path_adds_no_payload_copies() {
         encoded.as_ptr(),
         "loaded checkpoint must alias the stored allocation"
     );
-    assert_eq!(rec.journal[0].as_ptr(), entry.as_ptr(), "and so its journal");
+    assert_eq!(
+        rec.journal[0].as_ptr(),
+        entry.as_ptr(),
+        "and so its journal"
+    );
 }
 
 #[test]

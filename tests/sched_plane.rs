@@ -13,9 +13,7 @@ use eden::core::op::ops;
 use eden::core::{Uid, Value};
 use eden::filters;
 use eden::fs::{register_fs_types, FileEject};
-use eden::kernel::{
-    EjectBehavior, EjectContext, Invocation, Kernel, ReplyHandle, SchedulerConfig,
-};
+use eden::kernel::{EjectBehavior, EjectContext, Invocation, Kernel, ReplyHandle, SchedulerConfig};
 use eden::transput::protocol::{Batch, TransferRequest};
 use eden::transput::recovery::{install_recovery, TransformRegistry};
 use eden::transput::source::FnSource;
@@ -76,7 +74,11 @@ fn ten_thousand_ejects_on_two_workers_see_each_invocation_once() {
             .map(|&uid| kernel.invoke(uid, "Add", Value::Int(1)))
             .collect();
         for reply in pending {
-            assert_eq!(reply.wait(), Ok(Value::Int(round)), "double or lost delivery");
+            assert_eq!(
+                reply.wait(),
+                Ok(Value::Int(round)),
+                "double or lost delivery"
+            );
         }
     }
     // Crash a slice; exactly-once for the survivors must be unaffected.
@@ -318,7 +320,9 @@ fn every_discipline_on_the_scheduler_matches_the_transforms_applied_in_process()
     for discipline in [
         Discipline::ReadOnly { read_ahead: 8 },
         Discipline::WriteOnly { push_ahead: 8 },
-        Discipline::Conventional { buffer_capacity: 16 },
+        Discipline::Conventional {
+            buffer_capacity: 16,
+        },
     ] {
         let sched_kernel = two_worker_kernel();
         let sched_out = pipeline_output(&sched_kernel, discipline);
@@ -511,9 +515,8 @@ fn lazy_pipeline_on_one_worker_runs_as_calls_without_spares_or_steals() {
 fn pushing_pipeline_on_one_worker_runs_as_calls_from_the_source_pump() {
     let kernel = one_worker_kernel();
     until_undisturbed("pushing depth-4 pipeline", || {
-        depth_4_pipeline_calls(&kernel, Discipline::WriteOnly { push_ahead: 0 }).is_some_and(|ran| {
-            ran.inline_handoffs == 5 * RECORDS && ran.workers_seen == 1
-        })
+        depth_4_pipeline_calls(&kernel, Discipline::WriteOnly { push_ahead: 0 })
+            .is_some_and(|ran| ran.inline_handoffs == 5 * RECORDS && ran.workers_seen == 1)
     });
     kernel.shutdown();
 }
@@ -588,7 +591,9 @@ fn deferred_reply_sends_the_caller_down_the_blocking_path() {
                 asked: Arc::clone(&asked),
             }))
             .expect("spawn deferrer");
-        let relay = kernel.spawn(Box::new(Relay { next: deferrer })).expect("spawn relay");
+        let relay = kernel
+            .spawn(Box::new(Relay { next: deferrer }))
+            .expect("spawn relay");
         all_parked(&kernel);
         let pending = kernel.invoke(relay, "Ask", Value::Unit);
         while !asked.load(Ordering::Acquire) {
@@ -596,7 +601,10 @@ fn deferred_reply_sends_the_caller_down_the_blocking_path() {
         }
         // The worker is asleep in the relay's wait; `Release` needs the
         // spare that blocking compensation provides.
-        assert_eq!(kernel.invoke(deferrer, "Release", Value::Unit).wait(), Ok(Value::Unit));
+        assert_eq!(
+            kernel.invoke(deferrer, "Release", Value::Unit).wait(),
+            Ok(Value::Unit)
+        );
         assert_eq!(pending.wait(), Ok(Value::Int(42)));
         inline_handoffs(&kernel) - before == 1
     });
@@ -629,7 +637,9 @@ fn inline_callee_panic_is_a_crash_of_the_callee_alone() {
     until_undisturbed("inline panic", || {
         let before = inline_handoffs(&kernel);
         let bomb = kernel.spawn(Box::new(Bomb)).expect("spawn bomb");
-        let relay = kernel.spawn(Box::new(Relay { next: bomb })).expect("spawn relay");
+        let relay = kernel
+            .spawn(Box::new(Relay { next: bomb }))
+            .expect("spawn relay");
         all_parked(&kernel);
         let crashed = format!("{:?}", eden_core::EdenError::EjectCrashed(bomb));
         assert_eq!(
@@ -639,17 +649,28 @@ fn inline_callee_panic_is_a_crash_of_the_callee_alone() {
         let inline = inline_handoffs(&kernel) - before == 1;
         // The relay's Eject survived: it answers again (not with a hop
         // count — the bomb is gone).
-        let again = kernel.invoke(relay, "Relay", Value::Unit).wait().expect("relay survived");
-        assert!(again.as_str().is_ok(), "the bomb cannot have answered: {again:?}");
+        let again = kernel
+            .invoke(relay, "Relay", Value::Unit)
+            .wait()
+            .expect("relay survived");
+        assert!(
+            again.as_str().is_ok(),
+            "the bomb cannot have answered: {again:?}"
+        );
         inline
     });
     // So did the worker: it still runs a callee as a call.
     until_undisturbed("handoff after the panic", || {
         let before = inline_handoffs(&kernel);
         let echo = kernel.spawn(Box::new(Echo)).expect("spawn echo");
-        let relay = kernel.spawn(Box::new(Relay { next: echo })).expect("spawn relay");
+        let relay = kernel
+            .spawn(Box::new(Relay { next: echo }))
+            .expect("spawn relay");
         all_parked(&kernel);
-        assert_eq!(kernel.invoke(relay, "Relay", Value::Unit).wait(), Ok(Value::Int(1)));
+        assert_eq!(
+            kernel.invoke(relay, "Relay", Value::Unit).wait(),
+            Ok(Value::Int(1))
+        );
         inline_handoffs(&kernel) - before == 1
     });
     kernel.shutdown();
@@ -740,11 +761,20 @@ fn reentrant_chain_never_runs_a_task_nested_in_itself() {
             .expect("spawn b");
         peer.set(b).expect("wire once");
         all_parked(&kernel);
-        assert_eq!(kernel.invoke(a, "Start", Value::Unit).wait(), Ok(Value::Unit));
+        assert_eq!(
+            kernel.invoke(a, "Start", Value::Unit).wait(),
+            Ok(Value::Unit)
+        );
         // B ran inline under A iff A's call was what woke it.
         let inline = inline_handoffs(&kernel) - before == 1;
-        assert_eq!(kernel.invoke(b, "Collect", Value::Unit).wait(), Ok(Value::str("pong")));
-        assert!(!nested.load(Ordering::Acquire), "A's handler was entered while it was running");
+        assert_eq!(
+            kernel.invoke(b, "Collect", Value::Unit).wait(),
+            Ok(Value::str("pong"))
+        );
+        assert!(
+            !nested.load(Ordering::Acquire),
+            "A's handler was entered while it was running"
+        );
         inline
     });
     kernel.shutdown();
@@ -798,7 +828,9 @@ fn callee_that_replies_and_lingers_does_not_hold_its_caller() {
             naps: Arc::clone(&naps),
         }))
         .expect("spawn lingerer");
-    let caller = kernel.spawn(Box::new(TimedCall { next: lingerer })).expect("spawn caller");
+    let caller = kernel
+        .spawn(Box::new(TimedCall { next: lingerer }))
+        .expect("spawn caller");
     for round in 1..=3 {
         match kernel.invoke(caller, "Go", Value::Unit).wait() {
             Ok(Value::Int(waited_ms)) => assert!(
@@ -874,10 +906,17 @@ impl BoomerangPair {
 
     /// Run `A.Start` (which calls `B.Bounce` and waits); return how long A
     /// took to answer and what B's call back to A came to.
-    fn start(&self, kernel: &Kernel, round: usize) -> (Duration, Result<Value, eden_core::EdenError>) {
+    fn start(
+        &self,
+        kernel: &Kernel,
+        round: usize,
+    ) -> (Duration, Result<Value, eden_core::EdenError>) {
         all_parked(kernel);
         let from = Instant::now();
-        assert_eq!(kernel.invoke(self.a, "Start", Value::Unit).wait(), Ok(Value::Unit));
+        assert_eq!(
+            kernel.invoke(self.a, "Start", Value::Unit).wait(),
+            Ok(Value::Unit)
+        );
         let took = from.elapsed();
         loop {
             if let Some(outcome) = self.outcomes.lock().expect("outcomes").get(round) {
@@ -901,7 +940,10 @@ fn callee_that_replies_and_calls_its_caller_back_succeeds() {
     for round in 0..3 {
         let (took, outcome) = pair.start(&kernel, round);
         assert_eq!(outcome, Ok(Value::str("pong")), "round {round}");
-        assert!(took < Duration::from_secs(1), "round {round}: A answered after {took:?}");
+        assert!(
+            took < Duration::from_secs(1),
+            "round {round}: A answered after {took:?}"
+        );
     }
     assert_eq!(inline_handoffs(&kernel), 0);
     kernel.shutdown();
@@ -923,13 +965,19 @@ fn callee_that_declares_and_waits_after_its_reply_crashes_alone() {
     }));
     let kernel = one_worker_kernel();
     let pair = BoomerangPair::spawn(&kernel, true);
-    assert_eq!(kernel.invoke(pair.a, "Start", Value::Unit).wait(), Ok(Value::Unit));
+    assert_eq!(
+        kernel.invoke(pair.a, "Start", Value::Unit).wait(),
+        Ok(Value::Unit)
+    );
     // Never checkpointed, so the crash removes B.
     let gone = Err(eden_core::EdenError::NoSuchEject(pair.b));
     while kernel.invoke(pair.b, "Bounce", Value::Unit).wait() != gone {
         std::thread::sleep(Duration::from_millis(1));
     }
-    assert!(pair.outcomes.lock().expect("outcomes").is_empty(), "B's wait returned");
+    assert!(
+        pair.outcomes.lock().expect("outcomes").is_empty(),
+        "B's wait returned"
+    );
     assert!(
         PANICS
             .lock()
@@ -938,7 +986,10 @@ fn callee_that_declares_and_waits_after_its_reply_crashes_alone() {
             .any(|message| message.contains("declares replies_last waited after its reply")),
         "B did not die of the assertion"
     );
-    assert_eq!(kernel.invoke(pair.a, "Ping", Value::Unit).wait(), Ok(Value::str("pong")));
+    assert_eq!(
+        kernel.invoke(pair.a, "Ping", Value::Unit).wait(),
+        Ok(Value::str("pong"))
+    );
     kernel.shutdown();
 }
 
@@ -974,13 +1025,20 @@ fn callee_that_declares_and_calls_after_its_reply_strands_nobody() {
     // Never dropped: a stranded Eject would turn the failure into a hang.
     let kernel = std::mem::ManuallyDrop::new(one_worker_kernel());
     let echo = kernel.spawn(Box::new(Echo)).expect("spawn echo");
-    let liar = kernel.spawn(Box::new(Forwarder { next: echo })).expect("spawn liar");
+    let liar = kernel
+        .spawn(Box::new(Forwarder { next: echo }))
+        .expect("spawn liar");
     all_parked(&kernel);
-    assert_eq!(kernel.invoke(liar, "Relay", Value::Unit).wait(), Ok(Value::Unit));
+    assert_eq!(
+        kernel.invoke(liar, "Relay", Value::Unit).wait(),
+        Ok(Value::Unit)
+    );
     // Never checkpointed, so the crash removes it.
     kernel.await_gone(&[liar], Duration::from_secs(10));
     assert_eq!(
-        kernel.invoke(echo, "Relay", Value::Unit).wait_timeout(Duration::from_secs(5)),
+        kernel
+            .invoke(echo, "Relay", Value::Unit)
+            .wait_timeout(Duration::from_secs(5)),
         Ok(Value::Int(0)),
         "the Eject the liar woke was left queued nowhere",
     );
@@ -1002,7 +1060,10 @@ fn callee_that_declares_and_waits_after_its_reply_is_refused_at_once() {
         for round in 0..3 {
             let before = inline_handoffs(&kernel);
             let (took, outcome) = pair.start(&kernel, round);
-            assert!(took < Duration::from_secs(1), "round {round}: A was held for {took:?}");
+            assert!(
+                took < Duration::from_secs(1),
+                "round {round}: A was held for {took:?}"
+            );
             if inline_handoffs(&kernel) - before == 1 {
                 assert_eq!(outcome, Err(eden_core::EdenError::Timeout), "round {round}");
             } else {
@@ -1010,7 +1071,10 @@ fn callee_that_declares_and_waits_after_its_reply_is_refused_at_once() {
                 all_inline = false;
             }
         }
-        assert_eq!(kernel.eject_state(pair.b), Some(eden::kernel::EjectState::Active));
+        assert_eq!(
+            kernel.eject_state(pair.b),
+            Some(eden::kernel::EjectState::Active)
+        );
         all_inline
     });
     kernel.shutdown();
@@ -1028,16 +1092,24 @@ fn call_chain_deeper_than_the_nesting_cap_completes() {
         let before = inline_handoffs(&kernel);
         let mut head = kernel.spawn(Box::new(Echo)).expect("spawn echo");
         for _ in 0..CHAIN {
-            head = kernel.spawn(Box::new(Relay { next: head })).expect("spawn relay");
+            head = kernel
+                .spawn(Box::new(Relay { next: head }))
+                .expect("spawn relay");
         }
         all_parked(&kernel);
-        assert_eq!(kernel.invoke(head, "Relay", Value::Unit).wait(), Ok(Value::Int(CHAIN)));
+        assert_eq!(
+            kernel.invoke(head, "Relay", Value::Unit).wait(),
+            Ok(Value::Int(CHAIN))
+        );
         // One stack holds the pickup and 15 handoffs; the call at the cap
         // is declined, so even if the sibling that picks its callee up
         // carries the rest inline the chain's 24 sends cannot all have been
         // calls.
         let handoffs = inline_handoffs(&kernel) - before;
-        assert!(handoffs < CHAIN as u64, "{handoffs} handoffs: the cap never declined");
+        assert!(
+            handoffs < CHAIN as u64,
+            "{handoffs} handoffs: the cap never declined"
+        );
         handoffs >= 15
     });
     kernel.shutdown();
@@ -1079,27 +1151,42 @@ fn call_from_a_user_thread_runs_a_declared_callee_on_that_thread() {
     let kernel = one_worker_kernel();
     until_undisturbed("call from the test thread", || {
         let before = inline_handoffs(&kernel);
-        let callee = kernel.spawn(Box::new(WhereAmI { declares: true })).expect("spawn callee");
+        let callee = kernel
+            .spawn(Box::new(WhereAmI { declares: true }))
+            .expect("spawn callee");
         all_parked(&kernel);
-        let first = kernel.call(callee, "Where", Value::Unit).expect("callee answers");
+        let first = kernel
+            .call(callee, "Where", Value::Unit)
+            .expect("callee answers");
         if first != this_thread() {
-            assert_eq!(inline_handoffs(&kernel), before, "counted a call that ran elsewhere");
+            assert_eq!(
+                inline_handoffs(&kernel),
+                before,
+                "counted a call that ran elsewhere"
+            );
             return false;
         }
         // A callee that ran here also parked here, before the call returned:
         // from now on every call finds it parked.
         let mut cache = eden::kernel::RouteCache::new();
         for _ in 0..2 {
-            assert_eq!(kernel.call_routed(&mut cache, callee, "Where", Value::Unit), Ok(this_thread()));
+            assert_eq!(
+                kernel.call_routed(&mut cache, callee, "Where", Value::Unit),
+                Ok(this_thread())
+            );
         }
         assert_eq!(inline_handoffs(&kernel) - before, 3);
         true
     });
     let before = inline_handoffs(&kernel);
-    let undeclared = kernel.spawn(Box::new(WhereAmI { declares: false })).expect("spawn callee");
+    let undeclared = kernel
+        .spawn(Box::new(WhereAmI { declares: false }))
+        .expect("spawn callee");
     for _ in 0..3 {
         all_parked(&kernel);
-        let ran_on = kernel.call(undeclared, "Where", Value::Unit).expect("callee answers");
+        let ran_on = kernel
+            .call(undeclared, "Where", Value::Unit)
+            .expect("callee answers");
         assert_ne!(ran_on, this_thread(), "an undeclared callee ran as a call");
     }
     assert_eq!(inline_handoffs(&kernel), before);
@@ -1152,7 +1239,10 @@ fn deferred_reply_leaves_a_calling_user_thread_in_the_ordinary_wait() {
             while !asked.load(Ordering::Acquire) {
                 std::thread::yield_now();
             }
-            assert_eq!(kernel.invoke(deferrer, "Release", Value::Unit).wait(), Ok(Value::Unit));
+            assert_eq!(
+                kernel.invoke(deferrer, "Release", Value::Unit).wait(),
+                Ok(Value::Unit)
+            );
             caller.join().expect("calling thread")
         });
         assert_eq!(answer, Ok(Value::Int(41)));
@@ -1296,13 +1386,21 @@ fn call_chain_from_a_user_thread_is_capped_like_a_workers() {
         let before = inline_handoffs(&kernel);
         let mut head = kernel.spawn(Box::new(Echo)).expect("spawn echo");
         for _ in 0..CHAIN {
-            head = kernel.spawn(Box::new(Relay { next: head })).expect("spawn relay");
+            head = kernel
+                .spawn(Box::new(Relay { next: head }))
+                .expect("spawn relay");
         }
         all_parked(&kernel);
-        assert_eq!(kernel.call(head, "Relay", Value::Unit), Ok(Value::Int(CHAIN)));
+        assert_eq!(
+            kernel.call(head, "Relay", Value::Unit),
+            Ok(Value::Int(CHAIN))
+        );
         // The chain makes 25 sends, this thread's included.
         let handoffs = inline_handoffs(&kernel) - before;
-        assert!(handoffs <= CHAIN as u64, "{handoffs} handoffs: the cap never declined");
+        assert!(
+            handoffs <= CHAIN as u64,
+            "{handoffs} handoffs: the cap never declined"
+        );
         handoffs >= 16
     });
     kernel.shutdown();
@@ -1352,7 +1450,9 @@ impl EjectBehavior for Impatient {
 fn wait_timeout_from_a_worker_does_not_lend_its_thread_to_a_slow_callee() {
     let kernel = two_worker_kernel();
     let sleeper = kernel.spawn(Box::new(Sleeper)).expect("spawn sleeper");
-    let impatient = kernel.spawn(Box::new(Impatient { sleeper })).expect("spawn impatient");
+    let impatient = kernel
+        .spawn(Box::new(Impatient { sleeper }))
+        .expect("spawn impatient");
     match kernel.invoke(impatient, "Go", Value::Unit).wait() {
         Ok(Value::Int(waited_ms)) => assert!(
             (10..180).contains(&waited_ms),
@@ -1393,7 +1493,11 @@ mod one_cpu {
         // the calling thread.
         assert_eq!(unsafe { sched_setaffinity(0, size, &one) }, 0);
         let quota = std::thread::available_parallelism().map(std::num::NonZeroUsize::get);
-        assert_eq!(quota.ok(), Some(1), "pinned, the host still reads as several CPUs");
+        assert_eq!(
+            quota.ok(),
+            Some(1),
+            "pinned, the host still reads as several CPUs"
+        );
     }
 
     /// One hop of a chain of waiting callees. It does not declare
@@ -1471,10 +1575,17 @@ mod one_cpu {
         pin_to_one_cpu();
         for from_blocked_handler in [false, true] {
             let kernel = Kernel::builder().build();
-            let hop = |next| kernel.spawn(Box::new(Hop { next, calls: 0 })).expect("spawn hop");
+            let hop = |next| {
+                kernel
+                    .spawn(Box::new(Hop { next, calls: 0 }))
+                    .expect("spawn hop")
+            };
             let head = hop(Some(hop(Some(hop(None)))));
-            let driver = kernel.spawn(Box::new(BlockedDriver { head })).expect("spawn driver");
-            let what = format!("waiting chain, driven from a blocked handler: {from_blocked_handler}");
+            let driver = kernel
+                .spawn(Box::new(BlockedDriver { head }))
+                .expect("spawn driver");
+            let what =
+                format!("waiting chain, driven from a blocked handler: {from_blocked_handler}");
             until_undisturbed(&what, || {
                 all_parked(&kernel);
                 let rescues = || kernel.metrics_snapshot().sched.monitor_rescues;
@@ -1483,7 +1594,9 @@ mod one_cpu {
                     false => timed_chain_calls(|| kernel.invoke(head, "Go", Value::Unit).wait()),
                     true => {
                         let reply = kernel.invoke(driver, "Go", Value::Unit).wait();
-                        reply.and_then(|v| v.as_list().map(<[Value]>::to_vec)).expect("timings")
+                        reply
+                            .and_then(|v| v.as_list().map(<[Value]>::to_vec))
+                            .expect("timings")
                     }
                 };
                 assert_eq!(timings.len(), CHAIN_CALLS);

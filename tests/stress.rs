@@ -100,11 +100,10 @@ fn many_concurrent_pipelines_share_one_kernel() {
             let kernel = kernel.clone();
             std::thread::spawn(move || {
                 let run = PipelineSpec::new(if i % 2 == 0 {
-                        Discipline::ReadOnly { read_ahead: 8 }
-                    } else {
-                        Discipline::WriteOnly { push_ahead: 8 }
-                    },
-                )
+                    Discipline::ReadOnly { read_ahead: 8 }
+                } else {
+                    Discipline::WriteOnly { push_ahead: 8 }
+                })
                 .source_vec((0..300).map(|j| Value::Int(i * 1000 + j)).collect())
                 .stage(Box::new(map_fn("inc", |v| {
                     Value::Int(v.as_int().unwrap_or(0) + 1)
