@@ -835,8 +835,8 @@ impl KernelInner {
         self.metrics.record_fault_injected();
         match decision.kind {
             // A lost invocation, observed as the timeout it would become —
-            // immediately, so retry backoff (not a 30 s deadline) paces
-            // the recovery.
+            // immediately, so the recovery is a retry's re-send (at once
+            // for the first), not a 30 s deadline.
             FaultKind::Drop => Some(EdenError::Timeout),
             FaultKind::Error => Some(EdenError::FaultInjected(decision.label)),
             FaultKind::CrashTarget => {

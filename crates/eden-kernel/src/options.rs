@@ -25,16 +25,19 @@ use crate::routes::RouteCache;
 /// Bounded retries with exponential backoff.
 ///
 /// An invocation that resolves with a *retryable* error (see
-/// [`EdenError::is_retryable`]) is re-sent up to `max_retries` times,
-/// sleeping `base_delay * 2^attempt` (capped at `max_delay`)
-/// before each re-send. Fatal errors are returned immediately. The policy
-/// is driven lazily by whoever waits on the [`PendingReply`] — sending
-/// still never suspends the sender.
+/// [`EdenError::is_retryable`]) is re-sent up to `max_retries` times. The
+/// first re-send goes at once — a re-send is the recovery, reactivating a
+/// crashed target — and each later one after a pause of `base_delay`,
+/// then `2 * base_delay`, and so on, capped at `max_delay`. A re-send
+/// that would leave no time to wait for it is not sent: the last error is
+/// returned instead. Fatal errors are returned immediately. The policy is
+/// driven lazily by whoever waits on the [`PendingReply`] — sending still
+/// never suspends the sender.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Maximum number of re-sends (0 = never retry).
     pub max_retries: u32,
-    /// Backoff before the first re-send.
+    /// Backoff before the second re-send (the first goes at once).
     pub(crate) base_delay: Duration,
     /// Upper bound on any single backoff pause.
     pub(crate) max_delay: Duration,
@@ -50,8 +53,8 @@ impl RetryPolicy {
         }
     }
 
-    /// Retry up to `n` times with the default backoff curve
-    /// (1 ms doubling, capped at 50 ms).
+    /// Retry up to `n` times with the default backoff curve (the first
+    /// re-send at once, then 1 ms doubling, capped at 50 ms).
     pub fn retries(n: u32) -> RetryPolicy {
         RetryPolicy {
             max_retries: n,
@@ -59,7 +62,7 @@ impl RetryPolicy {
         }
     }
 
-    /// Replace the first backoff pause.
+    /// Replace the first backoff pause (before the second re-send).
     pub fn base_delay(mut self, d: Duration) -> RetryPolicy {
         self.base_delay = d;
         self
@@ -72,9 +75,12 @@ impl RetryPolicy {
     }
 
     /// The pause before re-send number `attempt + 1` (attempt counts
-    /// completed sends, so the first retry sees `attempt == 0`).
+    /// completed re-sends, so the first retry sees `attempt == 0`, and 0).
     pub(crate) fn backoff(&self, attempt: u32) -> Duration {
-        let grown = self.base_delay.as_secs_f64() * 2f64.powi(attempt.min(64) as i32);
+        let Some(doublings) = attempt.checked_sub(1) else {
+            return Duration::ZERO;
+        };
+        let grown = self.base_delay.as_secs_f64() * 2f64.powi(doublings.min(64) as i32);
         Duration::from_secs_f64(grown.min(self.max_delay.as_secs_f64()))
     }
 }
@@ -297,20 +303,25 @@ impl RetryState {
                     return Ok(v);
                 }
                 Err(e) => {
-                    // A Timeout from budget exhaustion leaves no remaining
-                    // time, so it is never retried; a fault-injected drop
-                    // (an *immediate* Timeout) is.
+                    // A re-send goes only if time is left after its pause
+                    // to wait for it: a Timeout from budget exhaustion is
+                    // never retried, a fault-injected drop (an *immediate*
+                    // Timeout) is, and a sleep that overran the deadline
+                    // re-sends nothing.
                     let rem = overall.saturating_sub(start.elapsed());
-                    if !e.is_retryable() || !self.attempts_left() || rem.is_zero() {
-                        self.finish(false);
-                        return Err(e);
+                    let pause = self.policy.backoff(self.attempt);
+                    if e.is_retryable() && self.attempts_left() && pause < rem {
+                        if !pause.is_zero() {
+                            // eden-lint: timer(backoff)
+                            crate::sched::blocking(|| std::thread::sleep(pause));
+                        }
+                        if start.elapsed() < overall {
+                            self.resend()?;
+                            continue;
+                        }
                     }
-                    let pause = self.policy.backoff(self.attempt).min(rem);
-                    if !pause.is_zero() {
-                        // eden-lint: timer(backoff)
-                        crate::sched::blocking(|| std::thread::sleep(pause));
-                    }
-                    self.resend()?;
+                    self.finish(false);
+                    return Err(e);
                 }
             }
         }
@@ -327,8 +338,9 @@ impl RetryState {
             Ok(Err(e)) => {
                 let deadline_left = self.deadline_remaining().is_none_or(|rem| !rem.is_zero());
                 if e.is_retryable() && self.attempts_left() && deadline_left {
-                    // Non-blocking path: the backoff pause is skipped; the
-                    // caller's own polling cadence provides the spacing.
+                    // Non-blocking path: the first re-send goes at once,
+                    // as on the blocking path; later ones skip their pause
+                    // too, the caller's own polling cadence spacing them.
                     match self.resend() {
                         Ok(()) => Err(self),
                         Err(err) => {
@@ -367,10 +379,11 @@ mod tests {
         let p = RetryPolicy::retries(10)
             .base_delay(Duration::from_millis(2))
             .max_delay(Duration::from_millis(10));
-        assert_eq!(p.backoff(0), Duration::from_millis(2));
-        assert_eq!(p.backoff(1), Duration::from_millis(4));
-        assert_eq!(p.backoff(2), Duration::from_millis(8));
-        assert_eq!(p.backoff(3), Duration::from_millis(10));
+        assert_eq!(p.backoff(0), Duration::ZERO);
+        assert_eq!(p.backoff(1), Duration::from_millis(2));
+        assert_eq!(p.backoff(2), Duration::from_millis(4));
+        assert_eq!(p.backoff(3), Duration::from_millis(8));
+        assert_eq!(p.backoff(4), Duration::from_millis(10));
         assert_eq!(p.backoff(60), Duration::from_millis(10));
     }
 

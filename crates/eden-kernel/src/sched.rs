@@ -38,8 +38,9 @@
 //!
 //! Eden behaviours are allowed to block mid-dispatch — a lazy filter
 //! waits on its upstream reply, a bounded mailbox parks its sender, a
-//! retry sleeps its backoff. On a cooperative pool those waits would eat
-//! workers and deadlock once the pool is exhausted. Every such rendezvous
+//! second or later retry sleeps its backoff (a first re-send goes at
+//! once). On a cooperative pool those waits would eat workers and
+//! deadlock once the pool is exhausted. Every such rendezvous
 //! is therefore wrapped in [`blocking`]: a *worker* thread entering a
 //! blocking section goes idle the way a sleeper does — it counts itself
 //! blocked, and only then looks at the queue it leaves behind and decides

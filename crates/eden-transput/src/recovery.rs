@@ -106,15 +106,15 @@ pub(crate) const STAGE_TYPE: &str = "RecoverableStage";
 const POLL: Duration = Duration::from_millis(1);
 
 /// A retained stage's pause, on its pool worker, before it carries on from
-/// the same positions: a wait like its retries' backoff.
+/// the same positions: a wait like its second and later retries' backoff.
 pub(crate) fn pause() {
     // eden-lint: timer(recovery-poll)
     eden_kernel::blocking(|| std::thread::sleep(POLL));
 }
 
-/// The retry policy stream invocations travel with: patient enough to ride
-/// out a reactivation, fast enough that the `recover-durable` benchmark
-/// measures recovery latency rather than backoff pauses.
+/// The retry policy stream invocations travel with: the first re-send after
+/// a fault (the one that reactivates a crashed peer) goes at once, later
+/// ones back off from 1 ms, patient enough to ride out a run of faults.
 pub(crate) fn stream_opts() -> InvokeOptions<'static> {
     InvokeOptions::new()
         .retry(

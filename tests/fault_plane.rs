@@ -8,7 +8,8 @@
 //! pipeline, at any record, and the output is byte-identical to the
 //! fault-free run.
 
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use eden::core::{EdenError, Value};
 use eden::filters::{LineNumber, SortLines};
@@ -190,6 +191,154 @@ fn deadline_bounds_the_whole_retry_affair() {
     assert!(
         started.elapsed() < Duration::from_secs(5),
         "deadline did not bound the retries"
+    );
+    kernel.shutdown();
+}
+
+/// Drops the first `n` Add invocations (see `injected_drop_is_survived_by_retry`
+/// for why every rule says `nth(1)`).
+fn drop_first_adds(n: usize) -> FaultPlan {
+    (0..n).fold(FaultPlan::new(11), |plan, _| {
+        plan.rule(FaultRule::new(FaultKind::Drop).on_op("Add").nth(1))
+    })
+}
+
+/// Calls `Add(5)` on the counter named by its argument from inside an
+/// Eject, by `begin_call` and `poll_reply`, under the policy it was built
+/// with; replies with the call's outcome.
+struct AddCaller {
+    policy: RetryPolicy,
+}
+
+impl EjectBehavior for AddCaller {
+    fn type_name(&self) -> &'static str {
+        "AddCaller"
+    }
+
+    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
+        let counter = inv.arg.as_uid().expect("a counter's uid");
+        let opts = InvokeOptions::new().retry(self.policy);
+        let mut pending = ctx.begin_call(counter, "Add", Value::Int(5), opts);
+        let outcome = ctx.poll_reply(&mut pending);
+        reply.reply(outcome.expect("a retrying reply is waited for in poll_reply"));
+    }
+}
+
+#[test]
+fn the_first_resend_goes_at_once() {
+    // A 2 s base delay that the first re-send does not pay: a dropped first
+    // attempt is recovered by its re-send alone, from a thread and from an
+    // Eject's call alike.
+    let policy = RetryPolicy::retries(2)
+        .base_delay(Duration::from_secs(2))
+        .max_delay(Duration::from_secs(2));
+    let kernel = Kernel::new();
+    let counter = kernel.spawn(Box::new(DurableCounter { total: 0 })).unwrap();
+    let caller = kernel.spawn(Box::new(AddCaller { policy })).unwrap();
+
+    kernel.install_faults(drop_first_adds(1));
+    let started = Instant::now();
+    let got = kernel
+        .invoke_with(
+            counter,
+            "Add",
+            Value::Int(5),
+            InvokeOptions::new().retry(policy),
+        )
+        .wait();
+    assert_eq!(got, Ok(Value::Int(5)));
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "wait() paused before its first re-send: {:?}",
+        started.elapsed()
+    );
+
+    kernel.install_faults(drop_first_adds(1));
+    let started = Instant::now();
+    let got = kernel.invoke(caller, "Go", Value::Uid(counter)).wait();
+    assert_eq!(got, Ok(Value::Int(10)));
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "poll_reply paused before its first re-send: {:?}",
+        started.elapsed()
+    );
+    assert_eq!(kernel.metrics().snapshot().retries, 2);
+    kernel.shutdown();
+}
+
+#[test]
+fn the_second_resend_waits_its_base_delay() {
+    let base = Duration::from_millis(250);
+    let kernel = Kernel::new();
+    let counter = kernel.spawn(Box::new(DurableCounter { total: 0 })).unwrap();
+    kernel.install_faults(drop_first_adds(2));
+    let started = Instant::now();
+    let policy = RetryPolicy::retries(2).base_delay(base).max_delay(base);
+    let got = kernel
+        .invoke_with(
+            counter,
+            "Add",
+            Value::Int(5),
+            InvokeOptions::new().retry(policy),
+        )
+        .wait();
+    assert_eq!(got, Ok(Value::Int(5)));
+    assert!(started.elapsed() >= base, "{:?}", started.elapsed());
+    assert_eq!(kernel.metrics().snapshot().retries, 2);
+    kernel.shutdown();
+}
+
+/// Answers every invocation with the retryable `Timeout`, noting when each
+/// arrived.
+struct AlwaysTimesOut {
+    arrivals: Arc<Mutex<Vec<Instant>>>,
+}
+
+impl EjectBehavior for AlwaysTimesOut {
+    fn type_name(&self) -> &'static str {
+        "AlwaysTimesOut"
+    }
+
+    fn handle(&mut self, _ctx: &EjectContext, _inv: Invocation, reply: ReplyHandle) {
+        self.arrivals.lock().unwrap().push(Instant::now());
+        reply.reply(Err(EdenError::Timeout));
+    }
+}
+
+#[test]
+fn no_resend_is_sent_that_the_deadline_leaves_no_time_to_wait_for() {
+    let deadline = Duration::from_millis(100);
+    let arrivals = Arc::new(Mutex::new(Vec::new()));
+    let kernel = Kernel::new();
+    let callee = kernel
+        .spawn(Box::new(AlwaysTimesOut {
+            arrivals: Arc::clone(&arrivals),
+        }))
+        .unwrap();
+    let opts = InvokeOptions::new()
+        .deadline(deadline)
+        .retry(RetryPolicy::retries(1000).base_delay(Duration::from_millis(10)));
+    let start = Instant::now();
+    let got = kernel.invoke_with(callee, "Poke", Value::Unit, opts).wait();
+    assert_eq!(got, Err(EdenError::Timeout));
+    // A re-send sent at the deadline would still be handled: give it time
+    // to arrive.
+    std::thread::sleep(Duration::from_millis(100));
+    let arrivals = arrivals.lock().unwrap().clone();
+    let late: Vec<_> = arrivals
+        .iter()
+        .map(|at| at.duration_since(start))
+        .filter(|since| *since >= deadline)
+        .collect();
+    assert!(
+        late.is_empty(),
+        "attempts arrived past the deadline: {late:?}"
+    );
+    assert!(arrivals.len() >= 2, "a timed-out attempt is re-sent");
+    assert_eq!(
+        kernel.metrics().snapshot().retries,
+        arrivals.len() as u64 - 1,
+        "every re-send counted arrived"
     );
     kernel.shutdown();
 }
