@@ -86,24 +86,10 @@ pub fn encode_into(value: &Value, out: &mut Vec<u8>) {
         Value::Unit => out.push(TAG_UNIT),
         Value::Bool(false) => out.push(TAG_FALSE),
         Value::Bool(true) => out.push(TAG_TRUE),
-        Value::Int(i) => {
-            out.push(TAG_INT);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(TAG_STR);
-            put_varint(out, s.len() as u64);
-            out.extend_from_slice(s.as_str().as_bytes());
-        }
-        Value::Bytes(b) => {
-            out.push(TAG_BYTES);
-            put_varint(out, b.len() as u64);
-            out.extend_from_slice(b);
-        }
-        Value::Uid(u) => {
-            out.push(TAG_UID);
-            out.extend_from_slice(&u.to_bytes());
-        }
+        Value::Int(i) => put_field(out, &Field::Int(*i)),
+        Value::Str(s) => put_field(out, &Field::Str(s.as_str())),
+        Value::Bytes(b) => put_field(out, &Field::Bytes(b)),
+        Value::Uid(u) => put_field(out, &Field::Uid(*u)),
         Value::List(items) => {
             out.push(TAG_LIST);
             put_varint(out, items.len() as u64);
@@ -115,10 +101,64 @@ pub fn encode_into(value: &Value, out: &mut Vec<u8>) {
             out.push(TAG_RECORD);
             put_varint(out, fields.len() as u64);
             for (name, v) in fields.iter() {
-                put_varint(out, name.len() as u64);
-                out.extend_from_slice(name.as_str().as_bytes());
+                put_blob(out, name.as_bytes());
                 encode_into(v, out);
             }
+        }
+    }
+}
+
+/// A scalar field of a record written by [`encode_record`].
+#[derive(Clone, Copy, Debug)]
+pub enum Field<'a> {
+    /// As [`Value::Int`].
+    Int(i64),
+    /// As [`Value::Uid`].
+    Uid(Uid),
+    /// As [`Value::Str`].
+    Str(&'a str),
+    /// As [`Value::Bytes`].
+    Bytes(&'a [u8]),
+}
+
+/// Append the encoding of a record of scalar `fields` — the bytes
+/// [`encode_into`] writes for the [`Value::record`] of the same fields —
+/// without building that value first.
+pub fn encode_record(fields: &[(&str, Field<'_>)], out: &mut Vec<u8>) {
+    out.push(TAG_RECORD);
+    put_varint(out, fields.len() as u64);
+    for (name, field) in fields {
+        put_blob(out, name.as_bytes());
+        put_field(out, field);
+    }
+}
+
+/// A length-prefixed run of bytes: a field name, a string, a byte string.
+fn put_blob(out: &mut Vec<u8>, blob: &[u8]) {
+    put_varint(out, blob.len() as u64);
+    out.extend_from_slice(blob);
+}
+
+// Always inlined: it is `encode_into`'s scalar path, which a call per
+// scalar would slow.
+#[inline(always)]
+fn put_field(out: &mut Vec<u8>, field: &Field<'_>) {
+    match *field {
+        Field::Int(i) => {
+            out.push(TAG_INT);
+            out.extend_from_slice(&i.to_le_bytes());
+        }
+        Field::Uid(u) => {
+            out.push(TAG_UID);
+            out.extend_from_slice(&u.to_bytes());
+        }
+        Field::Str(s) => {
+            out.push(TAG_STR);
+            put_blob(out, s.as_bytes());
+        }
+        Field::Bytes(b) => {
+            out.push(TAG_BYTES);
+            put_blob(out, b);
         }
     }
 }
@@ -366,6 +406,30 @@ mod tests {
         ] {
             assert_eq!(encode(&v).len(), encoded_len(&v), "for {v:?}");
         }
+    }
+
+    #[test]
+    fn encode_record_matches_the_record_value() {
+        let uid = Uid::fresh();
+        let long = "y".repeat(300);
+        let mut out = vec![0xAA];
+        encode_record(
+            &[
+                ("op", Field::Int(-7)),
+                ("uid", Field::Uid(uid)),
+                ("type", Field::Str(&long)),
+                ("bytes", Field::Bytes(&[1, 2, 3])),
+            ],
+            &mut out,
+        );
+        let value = Value::record([
+            ("op", Value::Int(-7)),
+            ("uid", Value::Uid(uid)),
+            ("type", Value::str(long.clone())),
+            ("bytes", Value::bytes(vec![1u8, 2, 3])),
+        ]);
+        assert_eq!(out[0], 0xAA, "appends, never overwrites");
+        assert_eq!(&out[1..], encode(&value));
     }
 
     #[test]

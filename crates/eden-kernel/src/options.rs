@@ -28,7 +28,8 @@ use crate::routes::RouteCache;
 /// [`EdenError::is_retryable`]) is re-sent up to `max_retries` times. The
 /// first re-send goes at once — a re-send is the recovery, reactivating a
 /// crashed target — and each later one after a pause of `base_delay`,
-/// then `2 * base_delay`, and so on, capped at `max_delay`. A re-send
+/// then `2 * base_delay`, and so on, capped at `max_delay` or at
+/// `base_delay` if that is longer: a base delay is never cut. A re-send
 /// that would leave no time to wait for it is not sent: the last error is
 /// returned instead. Fatal errors are returned immediately. The policy is
 /// driven lazily by whoever waits on the [`PendingReply`] — sending still
@@ -39,7 +40,7 @@ pub struct RetryPolicy {
     pub max_retries: u32,
     /// Backoff before the second re-send (the first goes at once).
     pub(crate) base_delay: Duration,
-    /// Upper bound on any single backoff pause.
+    /// Upper bound on the doubled pauses (never below `base_delay`).
     pub(crate) max_delay: Duration,
 }
 
@@ -68,7 +69,8 @@ impl RetryPolicy {
         self
     }
 
-    /// Replace the backoff cap.
+    /// Replace the backoff cap. A cap below the base delay caps the
+    /// pauses at the base delay instead.
     pub fn max_delay(mut self, d: Duration) -> RetryPolicy {
         self.max_delay = d;
         self
@@ -81,7 +83,8 @@ impl RetryPolicy {
             return Duration::ZERO;
         };
         let grown = self.base_delay.as_secs_f64() * 2f64.powi(doublings.min(64) as i32);
-        Duration::from_secs_f64(grown.min(self.max_delay.as_secs_f64()))
+        let cap = self.max_delay.max(self.base_delay);
+        Duration::from_secs_f64(grown.min(cap.as_secs_f64()))
     }
 }
 
@@ -385,6 +388,15 @@ mod tests {
         assert_eq!(p.backoff(3), Duration::from_millis(8));
         assert_eq!(p.backoff(4), Duration::from_millis(10));
         assert_eq!(p.backoff(60), Duration::from_millis(10));
+    }
+
+    #[test]
+    fn a_base_delay_above_the_cap_is_not_cut() {
+        // `max_delay` stays at its 50 ms default.
+        let p = RetryPolicy::retries(2).base_delay(Duration::from_millis(250));
+        assert_eq!(p.backoff(0), Duration::ZERO);
+        assert_eq!(p.backoff(1), Duration::from_millis(250));
+        assert_eq!(p.backoff(2), Duration::from_millis(250));
     }
 
     #[test]

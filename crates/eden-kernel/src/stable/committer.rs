@@ -5,11 +5,11 @@
 //! The first caller to find no leader becomes the leader and drives the
 //! log: it drains the queue, assigns versions, encodes one buffer of
 //! frames, appends it with a single host-fs `append`, fsyncs per policy,
-//! applies the batch to the index, and wakes the waiters — then drains
-//! again until the queue is empty. Callers that arrive while a leader is
-//! driving just enqueue and wait: their checkpoint rides the leader's
-//! next batch, which is what turns N concurrent `store()` calls into one
-//! append and at most one fsync.
+//! applies the batch to the index, and wakes the waiters — if there are
+//! any — then drains again until the queue is empty. Callers that arrive
+//! while a leader is driving just enqueue and wait: their checkpoint rides
+//! the leader's next batch, which is what turns N concurrent `store()`
+//! calls into one append and at most one fsync.
 //!
 //! The durability contract per [`FsyncPolicy`]:
 //!
@@ -25,16 +25,21 @@
 //! load — checkpoint-before-reply holds all the way down. After an append
 //! error the active segment is sealed: later appends go to a fresh file
 //! rather than after a possibly-torn region.
+//!
+//! Of the leader's I/O only the fsync is a rendezvous, so only it runs
+//! under the scheduler's blocking compensation: an append lands in the
+//! page cache and returns, and the stall monitor covers one the host
+//! throttles.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
-use bytes::Bytes;
-use eden_core::{EdenError, Result, Uid};
+use eden_core::{EdenError, Result};
+use parking_lot::Condvar;
 
-use super::durable::{IndexEntry, LogInner, SegInfo};
+use super::durable::{IndexEntry, LogInner};
 use super::log::{self, LogEntry};
-use super::PassiveRecord;
 
 /// When the committer fsyncs the active segment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,67 +51,52 @@ pub enum FsyncPolicy {
     EveryN(u32),
 }
 
-/// One queued mutation.
-#[derive(Debug)]
-pub(crate) enum Op {
-    /// A checkpoint.
-    Put {
-        /// The checkpointing Eject.
-        uid: Uid,
-        /// Its Eden type name.
-        type_name: String,
-        /// The wire-encoded state (shared; never copied on this path).
-        bytes: Bytes,
-    },
-    /// A journal entry beside the last checkpoint.
-    Append {
-        /// The journaling Eject.
-        uid: Uid,
-        /// The wire-encoded entry (shared like a checkpoint's bytes).
-        entry: Bytes,
-    },
-    /// A destruction tombstone.
-    Del {
-        /// The destroyed Eject.
-        uid: Uid,
-    },
-}
-
-#[derive(Debug)]
-pub(crate) struct Pending {
-    ticket: u64,
-    op: Op,
-}
-
 /// The committer's shared queue state (under the `stable-committer` lock).
 #[derive(Debug, Default)]
 pub(crate) struct CommitQueue {
-    pending: Vec<Pending>,
+    /// Queued mutations, versions unassigned, in ticket order: the last
+    /// holds ticket `next_ticket - 1`.
+    pending: Vec<LogEntry>,
     /// Whether some caller is currently driving batches.
     leader: bool,
     next_ticket: u64,
     /// Every ticket ≤ this has been applied (or failed).
     complete: u64,
+    /// Callers parked on `commit_done` (followers and `flush`).
+    waiters: u32,
     /// Error messages for failed tickets, collected by their waiters.
     failed: HashMap<u64, String>,
 }
 
+impl CommitQueue {
+    /// Wake the parked callers, if there are any: with none, a notify is
+    /// a wasted syscall.
+    fn wake(&self, done: &Condvar) {
+        if self.waiters > 0 {
+            done.notify_all();
+        }
+    }
+}
+
 impl LogInner {
-    /// Enqueue `op` and see it through to completion (leading a batch if
-    /// nobody else is). Returns once the mutation is applied per the
-    /// fsync policy's contract, or with the append/sync error.
-    pub(crate) fn submit(&self, op: Op) -> Result<()> {
+    /// Enqueue `entry` (its version is assigned in the batch) and see it
+    /// through to completion, leading a batch if nobody else is. Returns
+    /// once the mutation is applied per the fsync policy's contract, or
+    /// with the append/sync error.
+    pub(crate) fn submit(&self, entry: LogEntry) -> Result<()> {
         let ticket;
         {
             let mut q = self.commit.lock();
             ticket = q.next_ticket;
             q.next_ticket += 1;
-            q.pending.push(Pending { ticket, op });
+            q.pending.push(entry);
             if q.leader {
                 // A leader is driving; our ticket rides its next batch.
+                q.waiters += 1;
                 while q.complete < ticket {
                     crate::sched::blocking(|| self.commit_done.wait(&mut q));
                 }
+                q.waiters -= 1;
                 return match q.failed.remove(&ticket) {
                     Some(msg) => Err(EdenError::HostFs(msg)),
                     None => Ok(()),
@@ -122,34 +112,30 @@ impl LogInner {
     fn lead(&self, own_ticket: u64) -> Result<()> {
         let mut own_result = Ok(());
         loop {
-            let batch = {
+            let (batch, last) = {
                 let mut q = self.commit.lock();
                 if q.pending.is_empty() {
                     q.leader = false;
-                    self.commit_done.notify_all();
+                    q.wake(&self.commit_done);
                     break;
                 }
-                std::mem::take(&mut q.pending)
+                (std::mem::take(&mut q.pending), q.next_ticket - 1)
             };
-            let outcome = self.commit_batch(&batch);
-            {
-                let mut q = self.commit.lock();
-                let last = batch.last().map_or(q.complete, |p| p.ticket);
-                if let Err(e) = &outcome {
-                    let msg = e.to_string();
-                    for p in &batch {
-                        if p.ticket == own_ticket {
-                            own_result = Err(EdenError::HostFs(msg.clone()));
-                        } else {
-                            q.failed.insert(p.ticket, msg.clone());
-                        }
+            let first = last + 1 - batch.len() as u64;
+            let outcome = self.commit_batch(batch);
+            let mut q = self.commit.lock();
+            if let Err(e) = outcome {
+                let msg = e.to_string();
+                for ticket in first..=last {
+                    if ticket == own_ticket {
+                        own_result = Err(EdenError::HostFs(msg.clone()));
+                    } else {
+                        q.failed.insert(ticket, msg.clone());
                     }
                 }
-                if q.complete < last {
-                    q.complete = last;
-                }
-                self.commit_done.notify_all();
             }
+            q.complete = q.complete.max(last);
+            q.wake(&self.commit_done);
         }
         own_result
     }
@@ -157,78 +143,49 @@ impl LogInner {
     /// Append one batch to the active segment, fsync per policy, and
     /// apply it to the index. All-or-nothing per batch: on error the
     /// index is untouched and the active segment is sealed.
-    fn commit_batch(&self, batch: &[Pending]) -> Result<()> {
+    fn commit_batch(&self, mut batch: Vec<LogEntry>) -> Result<()> {
         // Version assignment must linearise with log-append order, and
         // the single leader is the only appender, so assigning under a
         // brief index lock (and applying later in the same batch) is
         // race-free.
         let mut buf = Vec::new();
-        let mut entries: Vec<(LogEntry, u64)> = Vec::with_capacity(batch.len());
-        let seg = {
+        let mut frames = Vec::with_capacity(batch.len());
+        let (seg, path) = {
             let idx = self.index.lock();
-            let mut assigned: HashMap<Uid, u64> = HashMap::new();
-            for p in batch {
-                let uid = match &p.op {
-                    Op::Put { uid, .. } | Op::Append { uid, .. } | Op::Del { uid } => *uid,
-                };
-                let base = assigned
-                    .get(&uid)
-                    .copied()
+            for i in 0..batch.len() {
+                let uid = batch[i].uid();
+                // A batch holds one entry a caller, so the look back for
+                // an earlier write of `uid` in it is short.
+                let base = batch[..i]
+                    .iter()
+                    .rfind(|e| e.uid() == uid)
+                    .map(LogEntry::version)
                     .or_else(|| idx.records.get(&uid).map(|e| e.record.version))
                     .or_else(|| idx.tombstones.get(&uid).copied())
                     .unwrap_or(0);
-                let version = base + 1;
-                assigned.insert(uid, version);
-                let entry = match &p.op {
-                    Op::Put {
-                        uid,
-                        type_name,
-                        bytes,
-                    } => LogEntry::Put {
-                        uid: *uid,
-                        record: PassiveRecord {
-                            type_name: type_name.clone(),
-                            // Shared buffer: framing writes the bytes into
-                            // the append buffer, the index aliases them.
-                            bytes: bytes.clone(),
-                            journal: Vec::new(),
-                            version,
-                        },
-                    },
-                    Op::Append { uid, entry } => LogEntry::Append {
-                        uid: *uid,
-                        version,
-                        entry: entry.clone(),
-                    },
-                    Op::Del { uid } => LogEntry::Del { uid: *uid, version },
-                };
-                let frame = log::encode_frame(&entry, &mut buf);
-                entries.push((entry, frame));
+                batch[i].set_version(base + 1);
+                // Framing writes a checkpoint's bytes into the append
+                // buffer; the index keeps the shared buffer itself.
+                frames.push(log::encode_frame(&batch[i], &mut buf));
             }
-            idx.active_seg
+            (idx.active_seg, Arc::clone(&idx.active_name))
         };
 
-        // The slow half — append and maybe fsync — runs outside every
-        // lock, under the scheduler's blocking compensation so a worker
-        // stuck in fsync doesn't starve the Eject pool.
-        let path = log::segment_name(seg);
+        // The slow half runs outside every lock. The append only copies
+        // into the page cache; the fsync waits on the device, so it alone
+        // runs under the scheduler's blocking compensation.
         let sync_now = self.due_for_sync();
-        let io = crate::sched::blocking(|| -> Result<()> {
-            self.fs.append(&path, &buf)?;
+        let io = self.fs.append(&path, &buf).and_then(|_| {
             if sync_now {
-                self.fs.sync(&path)?;
+                crate::sched::blocking(|| self.fs.sync(&path))
+            } else {
+                Ok(())
             }
-            Ok(())
         });
         if let Err(e) = io {
             // The file may hold a torn region; seal it so the next batch
             // starts a fresh segment. Replay tolerates the tear.
-            let mut idx = self.index.lock();
-            let sealed = idx.next_seg;
-            idx.next_seg += 1;
-            idx.active_seg = sealed;
-            idx.active_len = 0;
-            idx.segments.insert(sealed, SegInfo::default());
+            self.index.lock().roll();
             return Err(e);
         }
         if sync_now {
@@ -242,7 +199,7 @@ impl LogInner {
         let mut wake_compactor = false;
         {
             let mut idx = self.index.lock();
-            for (entry, frame) in entries {
+            for (entry, frame) in batch.into_iter().zip(frames) {
                 idx.segments.entry(seg).or_default().total_bytes += frame;
                 match entry {
                     LogEntry::Put { uid, record } => {
@@ -276,11 +233,7 @@ impl LogInner {
             }
             idx.active_len += appended;
             if idx.active_len >= self.cfg.segment_bytes {
-                let fresh = idx.next_seg;
-                idx.next_seg += 1;
-                idx.active_seg = fresh;
-                idx.active_len = 0;
-                idx.segments.insert(fresh, SegInfo::default());
+                idx.roll();
             }
             if self.cfg.auto_compact {
                 let active = idx.active_seg;
@@ -315,15 +268,14 @@ impl LogInner {
     /// Wait out any in-flight leader, then fsync the active segment.
     pub(crate) fn flush(&self) -> Result<()> {
         let mut q = self.commit.lock();
+        q.waiters += 1;
         while q.leader {
             crate::sched::blocking(|| self.commit_done.wait(&mut q));
         }
+        q.waiters -= 1;
         // Holding the queue lock keeps new batches out while the tail
         // goes stable.
-        let path = {
-            let idx = self.index.lock();
-            log::segment_name(idx.active_seg)
-        };
+        let path = Arc::clone(&self.index.lock().active_name);
         if self.fs.exists(&path) {
             crate::sched::blocking(|| self.fs.sync(&path))?;
             self.count_fsync();

@@ -66,11 +66,7 @@ impl LogInner {
         let (victims, live, tombs, out_seg) = {
             let mut idx = self.index.lock();
             if aggressive && idx.active_len > 0 {
-                let fresh = idx.next_seg;
-                idx.next_seg += 1;
-                idx.active_seg = fresh;
-                idx.active_len = 0;
-                idx.segments.insert(fresh, SegInfo::default());
+                idx.roll();
             }
             let active = idx.active_seg;
             let victims: Vec<u64> = idx
@@ -113,13 +109,8 @@ impl LogInner {
         let mut buf = Vec::new();
         let mut frames: Vec<(Uid, u64, u64)> = Vec::with_capacity(live.len());
         for entry in &live {
-            let (uid, version) = match entry {
-                LogEntry::Put { uid, record } => (*uid, record.version),
-                LogEntry::Append { uid, version, .. } | LogEntry::Del { uid, version } => {
-                    (*uid, *version)
-                }
-            };
-            frames.push((uid, version, log::encode_frame(entry, &mut buf)));
+            let frame = log::encode_frame(entry, &mut buf);
+            frames.push((entry.uid(), entry.version(), frame));
         }
         for (uid, version) in &tombs {
             log::encode_frame(

@@ -25,9 +25,9 @@ use bytes::Bytes;
 use eden_core::{HostFsHandle, Result, Uid};
 use parking_lot::{Condvar, Mutex};
 
-use super::committer::{CommitQueue, FsyncPolicy, Op};
+use super::committer::{CommitQueue, FsyncPolicy};
 use super::compact::CompactState;
-use super::log::LogEntry;
+use super::log::{self, LogEntry};
 use super::{replay, PassiveRecord, StableBackend, StableStats};
 
 /// Tuning for [`DurableLog`].
@@ -143,6 +143,8 @@ pub(crate) struct IndexState {
     pub(crate) segments: BTreeMap<u64, SegInfo>,
     /// The segment currently taking appends.
     pub(crate) active_seg: u64,
+    /// Its file name, shared so that a batch names it without formatting.
+    pub(crate) active_name: std::sync::Arc<str>,
     /// Valid bytes in the active segment.
     pub(crate) active_len: u64,
     /// Next unused segment sequence number (rolls and compaction outputs
@@ -159,6 +161,21 @@ impl SegInfo {
 }
 
 impl IndexState {
+    /// Make `seg`, holding `len` valid bytes, the segment taking appends.
+    pub(crate) fn activate(&mut self, seg: u64, len: u64) {
+        self.active_seg = seg;
+        self.active_len = len;
+        self.active_name = log::segment_name(seg).into();
+        self.segments.entry(seg).or_default();
+    }
+
+    /// Seal the active segment: appends go to a fresh one from here.
+    pub(crate) fn roll(&mut self) {
+        let fresh = self.next_seg;
+        self.next_seg += 1;
+        self.activate(fresh, 0);
+    }
+
     /// Forget `uid`'s record, if it has one: its frames are dead where they
     /// sit.
     pub(crate) fn release(&mut self, uid: Uid) {
@@ -294,10 +311,14 @@ impl Drop for DurableLog {
 
 impl StableBackend for DurableLog {
     fn store(&self, uid: Uid, type_name: &str, bytes: Bytes) -> Result<()> {
-        self.inner.submit(Op::Put {
+        self.inner.submit(LogEntry::Put {
             uid,
-            type_name: type_name.to_owned(),
-            bytes,
+            record: PassiveRecord {
+                type_name: type_name.to_owned(),
+                bytes,
+                journal: Vec::new(),
+                version: 0,
+            },
         })
     }
 
@@ -307,7 +328,11 @@ impl StableBackend for DurableLog {
         if !self.contains(uid) {
             return Err(eden_core::EdenError::NoSuchEject(uid));
         }
-        self.inner.submit(Op::Append { uid, entry })
+        self.inner.submit(LogEntry::Append {
+            uid,
+            version: 0,
+            entry,
+        })
     }
 
     fn load(&self, uid: Uid) -> Result<PassiveRecord> {
@@ -325,7 +350,7 @@ impl StableBackend for DurableLog {
     }
 
     fn remove(&self, uid: Uid) -> Result<()> {
-        self.inner.submit(Op::Del { uid })
+        self.inner.submit(LogEntry::Del { uid, version: 0 })
     }
 
     fn iter(&self) -> Vec<(Uid, PassiveRecord)> {

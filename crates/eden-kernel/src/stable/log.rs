@@ -22,7 +22,8 @@
 //! at most one partial frame sequence at the tail.
 
 use bytes::Bytes;
-use eden_core::{wire, EdenError, Result, Uid, Value};
+use eden_core::wire::{self, Field};
+use eden_core::{EdenError, Result, Uid};
 
 use super::PassiveRecord;
 
@@ -33,9 +34,11 @@ pub(crate) const FRAME_HEADER: usize = 8;
 /// corrupt length field must not allocate the moon).
 pub(crate) const MAX_FRAME: u32 = 1 << 30;
 
-/// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected) slicing-by-8 tables, built at compile
+/// time: `[0]` is the bytewise table, and `[k]` advances `[k - 1]` by one
+/// more zero byte, so one step folds eight input bytes.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -48,19 +51,43 @@ const fn crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-/// CRC-32 (IEEE) of `data`.
+/// CRC-32 (IEEE) of `data`, eight bytes a step.
 pub(crate) fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -96,47 +123,82 @@ pub(crate) enum LogEntry {
 }
 
 impl LogEntry {
-    fn to_value(&self) -> Value {
+    /// The Eject the entry is about.
+    pub(crate) fn uid(&self) -> Uid {
         match self {
-            LogEntry::Put { uid, record } => Value::record([
-                ("op", Value::Int(0)),
-                ("uid", Value::Uid(*uid)),
-                ("type", Value::str(record.type_name.clone())),
-                ("version", Value::Int(record.version as i64)),
-                ("bytes", Value::bytes(record.bytes.clone())),
-            ]),
-            LogEntry::Append {
-                uid,
-                version,
-                entry,
-            } => Value::record([
-                ("op", Value::Int(2)),
-                ("uid", Value::Uid(*uid)),
-                ("version", Value::Int(*version as i64)),
-                ("bytes", Value::bytes(entry.clone())),
-            ]),
-            LogEntry::Del { uid, version } => Value::record([
-                ("op", Value::Int(1)),
-                ("uid", Value::Uid(*uid)),
-                ("version", Value::Int(*version as i64)),
-            ]),
+            LogEntry::Put { uid, .. }
+            | LogEntry::Append { uid, .. }
+            | LogEntry::Del { uid, .. } => *uid,
+        }
+    }
+
+    /// Its version.
+    pub(crate) fn version(&self) -> u64 {
+        match self {
+            LogEntry::Put { record, .. } => record.version,
+            LogEntry::Append { version, .. } | LogEntry::Del { version, .. } => *version,
+        }
+    }
+
+    /// Give it the version the committer assigned.
+    pub(crate) fn set_version(&mut self, to: u64) {
+        match self {
+            LogEntry::Put { record, .. } => record.version = to,
+            LogEntry::Append { version, .. } | LogEntry::Del { version, .. } => *version = to,
         }
     }
 }
 
+/// Room for an entry's field names, tags and scalars beside its
+/// variable-length bytes (a `Put` needs at most 85), reserved before
+/// framing it.
+const ENTRY_OVERHEAD: usize = 96;
+
 /// Append one framed entry to `out`, returning the frame's byte length.
+///
+/// The payload is written straight from `entry`: the wire encoding of the
+/// record [`decode_entry`] reads back, with no
+/// [`Value`](eden_core::Value) built on the way.
 pub fn encode_frame(entry: &LogEntry, out: &mut Vec<u8>) -> u64 {
-    let value = entry.to_value();
-    let len = wire::encoded_len(&value);
-    out.reserve(FRAME_HEADER + len);
-    out.extend_from_slice(&(len as u32).to_le_bytes());
-    let crc_at = out.len();
-    out.extend_from_slice(&[0; 4]);
+    let blobs = match entry {
+        LogEntry::Put { record, .. } => record.type_name.len() + record.bytes.len(),
+        LogEntry::Append { entry, .. } => entry.len(),
+        LogEntry::Del { .. } => 0,
+    };
+    out.reserve(FRAME_HEADER + ENTRY_OVERHEAD + blobs);
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER]);
     let payload_at = out.len();
-    wire::encode_into(&value, out);
-    debug_assert_eq!(out.len() - payload_at, len);
+    let (uid, version) = (Field::Uid(entry.uid()), Field::Int(entry.version() as i64));
+    match entry {
+        LogEntry::Put { record, .. } => wire::encode_record(
+            &[
+                ("op", Field::Int(0)),
+                ("uid", uid),
+                ("type", Field::Str(&record.type_name)),
+                ("version", version),
+                ("bytes", Field::Bytes(&record.bytes)),
+            ],
+            out,
+        ),
+        LogEntry::Append { entry, .. } => wire::encode_record(
+            &[
+                ("op", Field::Int(2)),
+                ("uid", uid),
+                ("version", version),
+                ("bytes", Field::Bytes(entry)),
+            ],
+            out,
+        ),
+        LogEntry::Del { .. } => wire::encode_record(
+            &[("op", Field::Int(1)), ("uid", uid), ("version", version)],
+            out,
+        ),
+    }
+    let len = out.len() - payload_at;
     let crc = crc32(&out[payload_at..]);
-    out[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    out[start + 4..payload_at].copy_from_slice(&crc.to_le_bytes());
     (FRAME_HEADER + len) as u64
 }
 
@@ -227,6 +289,91 @@ pub(crate) fn parse_segment_name(name: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eden_core::Value;
+    use proptest::prelude::*;
+
+    /// The record a frame's payload encodes, built as a [`Value`]: the
+    /// reference `encode_frame` must match byte for byte.
+    fn to_value(entry: &LogEntry) -> Value {
+        match entry {
+            LogEntry::Put { uid, record } => Value::record([
+                ("op", Value::Int(0)),
+                ("uid", Value::Uid(*uid)),
+                ("type", Value::str(record.type_name.clone())),
+                ("version", Value::Int(record.version as i64)),
+                ("bytes", Value::bytes(record.bytes.clone())),
+            ]),
+            LogEntry::Append {
+                uid,
+                version,
+                entry,
+            } => Value::record([
+                ("op", Value::Int(2)),
+                ("uid", Value::Uid(*uid)),
+                ("version", Value::Int(*version as i64)),
+                ("bytes", Value::bytes(entry.clone())),
+            ]),
+            LogEntry::Del { uid, version } => Value::record([
+                ("op", Value::Int(1)),
+                ("uid", Value::Uid(*uid)),
+                ("version", Value::Int(*version as i64)),
+            ]),
+        }
+    }
+
+    /// CRC-32 (IEEE) one byte a step, the reference for [`crc32`].
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in data {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn frames_are_the_wire_encoding_of_the_entry_record(
+            op in 0u8..3,
+            version in prop_oneof![0u64..200, any::<u64>()],
+            type_name in "[ -~]{0,40}",
+            bytes in proptest::collection::vec(any::<u8>(), 0..300),
+        ) {
+            let (uid, bytes) = (Uid::fresh(), Bytes::from(bytes));
+            let entry = match op {
+                0 => LogEntry::Put {
+                    uid,
+                    record: PassiveRecord {
+                        type_name,
+                        bytes,
+                        journal: Vec::new(),
+                        version,
+                    },
+                },
+                1 => LogEntry::Append { uid, version, entry: bytes },
+                _ => LogEntry::Del { uid, version },
+            };
+            let mut out = vec![7];
+            let n = encode_frame(&entry, &mut out);
+            let payload = wire::encode(&to_value(&entry));
+            prop_assert_eq!(n as usize, FRAME_HEADER + payload.len());
+            prop_assert_eq!(&out[1..5], &(payload.len() as u32).to_le_bytes());
+            prop_assert_eq!(&out[5..9], &crc32_bytewise(&payload).to_le_bytes());
+            prop_assert_eq!(&out[9..], &payload[..]);
+        }
+
+        #[test]
+        fn crc32_matches_the_bytewise_reference_at_every_alignment(
+            data in proptest::collection::vec(any::<u8>(), 0..=100),
+        ) {
+            // At each offset from an eight-byte boundary the data can start.
+            for skip in 0..8 {
+                let mut shifted = vec![0xA5; skip];
+                shifted.extend_from_slice(&data);
+                prop_assert_eq!(crc32(&shifted[skip..]), crc32_bytewise(&data), "offset {}", skip);
+            }
+        }
+    }
 
     fn put(uid: Uid, version: u64, payload: &[u8]) -> LogEntry {
         LogEntry::Put {
@@ -245,6 +392,11 @@ mod tests {
         // The canonical IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        // A second, longer than one eight-byte step plus a tail.
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
     }
 
     #[test]

@@ -128,15 +128,13 @@ pub(crate) fn replay(fs: &HostFsHandle) -> Result<Replayed> {
 
     match segments.last() {
         Some(&last) => {
-            index.active_seg = last;
-            index.active_len = index.segments.get(&last).map_or(0, |info| info.total_bytes);
+            let len = index.segments.get(&last).map_or(0, |info| info.total_bytes);
             index.next_seg = last + 1;
+            index.activate(last, len);
         }
         None => {
-            index.active_seg = 0;
-            index.active_len = 0;
             index.next_seg = 1;
-            index.segments.insert(0, SegInfo::default());
+            index.activate(0, 0);
         }
     }
     Ok(Replayed {

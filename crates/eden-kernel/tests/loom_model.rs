@@ -1061,13 +1061,28 @@ fn worker_going_blocked_catches_a_decision_made_before_the_count() {
 // 3. append order is ticket order, and per-UID versions assigned under
 //    the brief index lock (the blessed stable-committer < stable-index
 //    nesting) are gapless and monotone — concurrent stores to the same
-//    UID can never allocate duplicate or out-of-order versions.
+//    UID can never allocate duplicate or out-of-order versions;
+// 4. the leader notifies only when a caller waits — followers and
+//    `flush` count themselves in `waiters` under the queue lock before
+//    they park, and the leader reads the count under the same lock after
+//    it moved `complete` or stepped down — and still no ticket and no
+//    `flush` is stranded.
 
 struct CommitQueueModel {
     pending: Vec<(u64, u32)>,
     leader: bool,
     next_ticket: u64,
     complete: u64,
+    waiters: u32,
+}
+
+impl CommitQueueModel {
+    /// Mirror of `CommitQueue::wake`.
+    fn wake(&self, done: &loom::sync::Condvar) {
+        if self.waiters > 0 {
+            done.notify_all();
+        }
+    }
 }
 
 struct CommitModel {
@@ -1091,6 +1106,7 @@ impl CommitModel {
                 leader: false,
                 next_ticket: 0,
                 complete: 0,
+                waiters: 0,
             }),
             done: loom::sync::Condvar::new(),
             index: Mutex::new(std::collections::HashMap::new()),
@@ -1112,14 +1128,28 @@ impl CommitModel {
                 // cover our ticket. `complete` starts at 0 and tickets
                 // at 0, so the guard is `<=` where the real code (whose
                 // tickets start later) uses `<`.
+                q.waiters += 1;
                 while q.complete <= ticket {
                     q = self.done.wait(q).unwrap();
                 }
+                q.waiters -= 1;
                 return;
             }
             q.leader = true;
         }
         self.lead();
+    }
+
+    /// Mirror of `LogInner::flush`: wait out any leader, after which every
+    /// ticket issued is complete.
+    fn flush(&self) {
+        let mut q = self.q.lock().unwrap();
+        q.waiters += 1;
+        while q.leader {
+            q = self.done.wait(q).unwrap();
+        }
+        q.waiters -= 1;
+        assert_eq!(q.complete, q.next_ticket, "flush passed a live batch");
     }
 
     /// Mirror of `LogInner::lead`: drive batches until the queue drains.
@@ -1129,7 +1159,7 @@ impl CommitModel {
                 let mut q = self.q.lock().unwrap();
                 if q.pending.is_empty() {
                     q.leader = false;
-                    self.done.notify_all();
+                    q.wake(&self.done);
                     return;
                 }
                 std::mem::take(&mut q.pending)
@@ -1160,7 +1190,7 @@ impl CommitModel {
             if q.complete < last {
                 q.complete = last;
             }
-            self.done.notify_all();
+            q.wake(&self.done);
         }
     }
 }
@@ -1184,9 +1214,16 @@ fn group_commit_elects_one_leader_and_strands_no_ticket() {
                 })
             })
             .collect();
+        // A `flush` racing the submitters: it parks while a leader
+        // drives and must be woken when the last one steps down.
+        let flusher = {
+            let model = model.clone();
+            thread::spawn(move || model.flush())
+        };
         for s in submitters {
             s.join().unwrap();
         }
+        flusher.join().unwrap();
 
         let q = model.q.lock().unwrap();
         let log = model.log.lock().unwrap();
@@ -1198,6 +1235,7 @@ fn group_commit_elects_one_leader_and_strands_no_ticket() {
         assert_eq!(q.complete, total);
         assert!(!q.leader);
         assert!(q.pending.is_empty());
+        assert_eq!(q.waiters, 0, "a waiter never counted itself out");
 
         // Invariant 3: append order is ticket order (each ticket exactly
         // once), and per-UID versions are gapless and monotone.

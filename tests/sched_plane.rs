@@ -13,7 +13,9 @@ use eden::core::op::ops;
 use eden::core::{Uid, Value};
 use eden::filters;
 use eden::fs::{register_fs_types, FileEject};
-use eden::kernel::{EjectBehavior, EjectContext, Invocation, Kernel, ReplyHandle, SchedulerConfig};
+use eden::kernel::{
+    EjectBehavior, EjectContext, FsyncPolicy, Invocation, Kernel, ReplyHandle, SchedulerConfig,
+};
 use eden::transput::protocol::{Batch, TransferRequest};
 use eden::transput::recovery::{install_recovery, TransformRegistry};
 use eden::transput::source::FnSource;
@@ -1609,4 +1611,55 @@ mod one_cpu {
             kernel.shutdown();
         }
     }
+}
+
+/// Checkpoints itself `CHECKPOINTS` times from one handler.
+struct Checkpointer;
+
+const CHECKPOINTS: i64 = 200;
+
+impl EjectBehavior for Checkpointer {
+    fn type_name(&self) -> &'static str {
+        "Checkpointer"
+    }
+
+    fn handle(&mut self, ctx: &EjectContext, _inv: Invocation, reply: ReplyHandle) {
+        let written = (0..CHECKPOINTS).try_for_each(|i| ctx.checkpoint(&Value::Int(i)));
+        reply.reply(written.map(|()| Value::Int(CHECKPOINTS)));
+    }
+}
+
+/// A durable write blocks its worker only in an fsync: an append to the
+/// page cache is no rendezvous. So a one-worker pool whose Eject
+/// checkpoints 200 times from its handler, on a durable store that fsyncs
+/// every 1000 batches, never counts its worker out and spawns no spare.
+/// (When every append entered the scheduler's blocking compensation, the
+/// first one found no other worker able to run and spawned one.)
+#[test]
+fn checkpoints_that_only_append_spawn_no_spare_worker() {
+    let dir = std::env::temp_dir().join(format!(
+        "eden-sched-append-{}-{}",
+        std::process::id(),
+        Uid::fresh().seq()
+    ));
+    until_undisturbed("200 appending checkpoints on one worker", || {
+        let kernel = Kernel::builder()
+            .scheduler(SchedulerConfig { workers: 1 })
+            .durable_store(&dir, FsyncPolicy::EveryN(1000))
+            .expect("open durable store")
+            .build();
+        let eject = kernel.spawn(Box::new(Checkpointer)).expect("spawn");
+        all_parked(&kernel);
+        let written = kernel.invoke(eject, "Go", Value::Unit).wait();
+        assert_eq!(written, Ok(Value::Int(CHECKPOINTS)));
+        let sched = kernel.metrics_snapshot().sched;
+        kernel.shutdown();
+        // A stall the monitor broke may have spawned a spare of its own.
+        let undisturbed = sched.monitor_rescues == 0;
+        if undisturbed {
+            assert_eq!(sched.spares_spawned, 0, "{sched:?}");
+        }
+        undisturbed
+    });
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
