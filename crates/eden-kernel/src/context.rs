@@ -15,6 +15,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use eden_core::{EdenError, Metrics, OpName, Result, Uid, Value};
 use parking_lot::Mutex;
@@ -129,15 +130,11 @@ impl EjectContext {
     /// The outcome of `pending` if it is in. Otherwise `None`, and once it
     /// is in (replied, or abandoned) this Eject is posted one internal event,
     /// `Value::Unit`: keep `pending` and ask again then. Dropping it takes
-    /// the registration back. A retrying reply is waited for here.
+    /// the registration back. Nothing here waits: a retrying reply re-sends
+    /// what is due, and is posted when its attempt is in, when its pause
+    /// ends, or at its deadline, which resolves it as a `Timeout`.
     pub fn poll_reply(&self, pending: &mut PendingReply) -> Option<Result<Value>> {
-        match pending {
-            PendingReply::Waiting(rx) => rx.post_when_settled(&self.internal),
-            PendingReply::Ready(r) => Some(r.take().unwrap_or(Err(EdenError::Timeout))),
-            PendingReply::Retrying(_) => {
-                Some(std::mem::replace(pending, PendingReply::Ready(None)).wait())
-            }
-        }
+        pending.poll(Some(&self.internal))
     }
 
     /// Post this Eject one internal event (`Value::Unit`), past any mailbox
@@ -145,6 +142,14 @@ impl EjectContext {
     /// invocations ahead of each handled first.
     pub fn nudge(&self) {
         self.internal.wake();
+    }
+
+    /// [`nudge`](Self::nudge) this Eject once `pause` has passed, through
+    /// the kernel's timer: how a step that can do nothing before then asks
+    /// for its next turn without holding its thread.
+    pub fn nudge_after(&self, pause: Duration) {
+        let at = Instant::now() + pause;
+        self.kernel.sched.timer.post_at(at, &self.internal);
     }
 
     /// Spawn a process with a thread of its own — a program written against

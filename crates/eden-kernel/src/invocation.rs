@@ -28,6 +28,7 @@ use std::time::{Duration, Instant};
 use eden_core::{EdenError, Metrics, OpName, Result, Uid, Value};
 
 use crate::context::InternalSender;
+use crate::options::Step;
 
 /// The default deadline used by synchronous waits. Generous enough that it
 /// only fires on genuine deadlock or teardown, not on slow machines.
@@ -490,7 +491,8 @@ impl PendingReply {
 
     /// Block until the reply arrives or `deadline` elapses. For a retrying
     /// reply, `deadline` bounds the whole affair — attempts, backoff
-    /// pauses, and re-sends together.
+    /// pauses, and re-sends together: this thread sleeps on each attempt's
+    /// cell, and through each pause before a re-send.
     pub fn wait_timeout(self, deadline: Duration) -> Result<Value> {
         match self {
             PendingReply::Ready(mut r) => r.take().unwrap_or(Err(EdenError::Timeout)),
@@ -504,21 +506,51 @@ impl PendingReply {
                 };
                 rx.wait_for(deadline)
             }
-            // eden-lint: timer(deadline)
-            PendingReply::Retrying(state) => state.wait_timeout(deadline),
+            PendingReply::Retrying(mut state) => {
+                let until = Instant::now().checked_add(deadline);
+                let left = |at: Instant| at.saturating_duration_since(Instant::now());
+                loop {
+                    match state.step(until, None) {
+                        Step::Done(result) => return result,
+                        Step::InFlight(end) => {
+                            let attempt = std::mem::replace(&mut state.inner, Self::Ready(None));
+                            // eden-lint: timer(deadline)
+                            state.inner =
+                                Self::ready(attempt.wait_timeout(end.map_or(deadline, left)));
+                        }
+                        // eden-lint: timer(backoff)
+                        Step::Paused(at) => crate::sched::blocking(|| std::thread::sleep(left(at))),
+                    }
+                }
+            }
         }
     }
 
     /// Check for the reply without blocking. Returns `self` back if the
-    /// reply has not arrived yet.
-    pub fn try_wait(self) -> std::result::Result<Result<Value>, PendingReply> {
+    /// reply has not arrived yet — or, retrying, while an attempt is out or
+    /// the next is not yet due.
+    pub fn try_wait(mut self) -> std::result::Result<Result<Value>, PendingReply> {
+        self.poll(None).ok_or(self)
+    }
+
+    /// The outcome if it is in, re-sending what a retry has due; it never
+    /// waits. Otherwise `None`, and `to`, if given, is posted once the
+    /// reply may have moved: registered on the attempt's cell, and armed on
+    /// the kernel's timer for a retry's pause and deadline.
+    pub(crate) fn poll(&mut self, to: Option<&InternalSender>) -> Option<Result<Value>> {
         match self {
-            PendingReply::Ready(mut r) => Ok(r.take().unwrap_or(Err(EdenError::Timeout))),
-            PendingReply::Waiting(mut rx) => match rx.try_take() {
-                Some(result) => Ok(result),
-                None => Err(PendingReply::Waiting(rx)),
+            PendingReply::Ready(r) => Some(r.take().unwrap_or(Err(EdenError::Timeout))),
+            PendingReply::Waiting(rx) => match to {
+                Some(mailbox) => rx.post_when_settled(mailbox),
+                None => rx.try_take(),
             },
-            PendingReply::Retrying(state) => state.try_wait().map_err(PendingReply::Retrying),
+            PendingReply::Retrying(state) => match state.step(None, to) {
+                Step::Done(result) => {
+                    *self = PendingReply::Ready(None);
+                    Some(result)
+                }
+                Step::InFlight(_) | Step::Paused(_) => None,
+            },
         }
     }
 }

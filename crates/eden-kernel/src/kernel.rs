@@ -222,8 +222,8 @@ pub(crate) struct KernelInner {
     config: KernelConfig,
     obs: Option<Arc<ObsPlane>>,
     faults: FaultInjector,
-    /// The worker pool.
-    sched: Arc<Scheduler>,
+    /// The worker pool, which holds the kernel's one timer.
+    pub(crate) sched: Arc<Scheduler>,
     shutting_down: AtomicBool,
     /// User [`Kernel`] handles: the drop that takes the count to zero shuts
     /// the kernel down. An Eject's context holds this state as no user; the
@@ -688,8 +688,9 @@ impl KernelInner {
     /// registry, which reactivates a passive target as an uncached send
     /// would — a plain send even for a call, metering nothing more and
     /// counting one miss — and a target gone by then is reported as the
-    /// registry path reports it. Only a first delivery hands a call its
-    /// `wake` (see [`dispatch_route`](Self::dispatch_route)).
+    /// registry path reports it. A call hands it a `wake`, and so does a
+    /// re-send, which is the call its first send was; only the first
+    /// dispatch can fill it (see [`dispatch_route`](Self::dispatch_route)).
     pub(crate) fn deliver(
         self: &Arc<Self>,
         request: Request,

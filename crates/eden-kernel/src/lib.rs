@@ -60,6 +60,7 @@ mod routes;
 mod runtime;
 mod sched;
 mod stable;
+mod timer;
 
 pub use behavior::EjectBehavior;
 pub use context::{EjectContext, ProcessContext};

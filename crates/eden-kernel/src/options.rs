@@ -18,9 +18,11 @@ use std::time::{Duration, Instant};
 use eden_core::span::SpanContext;
 use eden_core::{EdenError, Metrics, Result, Value};
 
+use crate::context::InternalSender;
 use crate::invocation::PendingReply;
 use crate::kernel::{Attempt, KernelInner, Request};
 use crate::routes::RouteCache;
+use crate::timer::Arm;
 
 /// Bounded retries with exponential backoff.
 ///
@@ -32,8 +34,9 @@ use crate::routes::RouteCache;
 /// `base_delay` if that is longer: a base delay is never cut. A re-send
 /// that would leave no time to wait for it is not sent: the last error is
 /// returned instead. Fatal errors are returned immediately. The policy is
-/// driven lazily by whoever waits on the [`PendingReply`] — sending still
-/// never suspends the sender.
+/// driven by whoever holds the [`PendingReply`] — sending still never
+/// suspends the sender: a thread that waits sleeps each pause, and an Eject
+/// that polls is posted its next step by the kernel's timer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Maximum number of re-sends (0 = never retry).
@@ -188,7 +191,8 @@ impl<'a> InvokeOptions<'a> {
 /// The state machine behind a retrying [`PendingReply`]: the request (for
 /// re-sends), the policy, and the attempt counter. Created by a send or a
 /// call whose options ask for a deadline or retries ([`Kernel::invoke_with`]);
-/// driven lazily by the reply's wait/poll methods.
+/// driven by [`step`](Self::step), which whoever holds the reply calls when
+/// it waits or polls.
 ///
 /// Holds the kernel only weakly: a parked retrying reply never keeps its
 /// state allocated, and a retry after shutdown resolves with
@@ -201,8 +205,13 @@ pub struct RetryState {
     request: Request,
     policy: RetryPolicy,
     attempt: u32,
-    /// The attempt in flight.
+    /// The attempt in flight, or the last one's error while `resend_at` is
+    /// set.
     pub(crate) inner: PendingReply,
+    /// When the next attempt goes, while nothing is in flight.
+    resend_at: Option<Instant>,
+    /// A poller's arm on the kernel's timer, taken back at the outcome.
+    armed: Option<Arm>,
     /// For the outcome ledger: a driver-owned invocation settles
     /// `successes`/`fatal_failures` here, exactly once, at its *terminal*
     /// resolution — per-attempt replies never touch the ledger.
@@ -212,6 +221,17 @@ pub struct RetryState {
     /// around every re-send so retries (and any reactivation they trigger)
     /// stay in the original trace.
     origin: Option<SpanContext>,
+}
+
+/// What one [`RetryState::step`] came to.
+pub(crate) enum Step {
+    /// The outcome of the whole invocation; the ledger is settled, and the
+    /// state is done with.
+    Done(Result<Value>),
+    /// An attempt is out, its reply not in; it times out at this instant.
+    InFlight(Option<Instant>),
+    /// Nothing is out: the next attempt goes at this instant.
+    Paused(Instant),
 }
 
 impl fmt::Debug for RetryState {
@@ -240,126 +260,92 @@ impl RetryState {
             policy,
             attempt: 0,
             inner,
+            resend_at: None,
+            armed: None,
             metrics: Metrics::clone(&kernel.metrics),
             finished: false,
             origin: eden_core::span::current(),
         }
     }
 
-    /// Time left before the per-invocation deadline, if one was set.
-    fn deadline_remaining(&self) -> Option<Duration> {
-        self.request
-            .admit_by
-            .map(|at| at.saturating_duration_since(Instant::now()))
+    /// The one retry driver, and it never waits: take the outcome of the
+    /// attempt in flight if it is in, and re-send what is due. A retryable
+    /// failure pauses for [`RetryPolicy::backoff`] (the first re-send goes
+    /// at once) if a re-send is left and the pause ends before the deadline
+    /// and `until` — no attempt is sent that neither leaves time to wait
+    /// for. An attempt still out at either is a `Timeout`. `to`, if given,
+    /// is posted when the attempt in flight is in, or its pause ends.
+    pub(crate) fn step(&mut self, until: Option<Instant>, to: Option<&InternalSender>) -> Step {
+        let end = until.into_iter().chain(self.request.admit_by).min();
+        let step = loop {
+            let open = end.is_none_or(|end| Instant::now() < end);
+            if let Some(at) = self.resend_at {
+                if Instant::now() < at {
+                    break Step::Paused(at);
+                }
+                self.resend_at = None;
+                // A pause that overran the deadline re-sends nothing: the
+                // last error stands.
+                if open {
+                    self.resend();
+                    continue;
+                }
+            }
+            let e = match self.inner.poll(to) {
+                None if open => break Step::InFlight(end),
+                None => return self.finish(Err(EdenError::Timeout)),
+                Some(Ok(v)) => return self.finish(Ok(v)),
+                Some(Err(e)) => e,
+            };
+            let at = Instant::now() + self.policy.backoff(self.attempt);
+            let fits = end.is_none_or(|end| at < end);
+            if !(e.is_retryable() && self.attempt < self.policy.max_retries && fits) {
+                return self.finish(Err(e));
+            }
+            self.inner = PendingReply::ready(Err(e));
+            self.resend_at = Some(at);
+        };
+        // `to` is posted at the pause's end too, and at the deadline.
+        if let (Some(to), Step::Paused(at) | Step::InFlight(Some(at))) = (to, &step) {
+            self.armed = self
+                .kernel
+                .upgrade()
+                .map(|kernel| kernel.sched.timer.arm(*at, to));
+        }
+        step
     }
 
-    /// Settle the outcome ledger for this logical invocation, exactly once
-    /// (`Drop` runs after every terminal path).
-    fn finish(&mut self, ok: bool) {
-        if self.finished {
-            return;
-        }
+    /// The outcome, which settles the ledger. Whoever asked drops the state
+    /// next, and with it the attempt's registration and the timer's arm.
+    fn finish(&mut self, result: Result<Value>) -> Step {
         self.finished = true;
-        if ok {
+        if result.is_ok() {
             self.metrics.record_success();
         } else {
             self.metrics.record_fatal_failure();
         }
+        Step::Done(result)
     }
 
     /// Re-send the invocation through the registry, with the first
-    /// attempt's absolute deadline. Counts one retry.
-    fn resend(&mut self) -> Result<()> {
-        let kernel = self.kernel.upgrade().ok_or(EdenError::KernelShutdown)?;
+    /// attempt's absolute deadline, as the call the first send was: a wake
+    /// it wins may run the callee on this thread. Counts one retry.
+    fn resend(&mut self) {
+        let Some(kernel) = self.kernel.upgrade() else {
+            self.inner = PendingReply::ready(Err(EdenError::KernelShutdown));
+            return;
+        };
         self.metrics.record_retry();
         self.attempt += 1;
         // Re-sends happen on whatever thread is waiting on the reply;
         // restore the ambient span from issue time so the re-sent attempt
         // (and any reactivation it triggers) stays in the original trace.
         let _ambient = self.origin.map(|ctx| eden_core::span::enter(Some(ctx)));
-        self.inner = kernel.deliver(self.request.clone(), Attempt::Resend, None, None);
-        Ok(())
-    }
-
-    fn attempts_left(&self) -> bool {
-        self.attempt < self.policy.max_retries
-    }
-
-    /// Take the in-flight reply, leaving a placeholder that resolves as a
-    /// timeout if somehow observed.
-    fn take_inner(&mut self) -> PendingReply {
-        std::mem::replace(&mut self.inner, PendingReply::Ready(None))
-    }
-
-    pub(crate) fn wait_timeout(mut self: Box<Self>, budget: Duration) -> Result<Value> {
-        let start = Instant::now();
-        let overall = match self.deadline_remaining() {
-            Some(rem) => budget.min(rem),
-            None => budget,
-        };
-        loop {
-            let rem = overall.saturating_sub(start.elapsed());
-            // eden-lint: timer(deadline)
-            match self.take_inner().wait_timeout(rem) {
-                Ok(v) => {
-                    self.finish(true);
-                    return Ok(v);
-                }
-                Err(e) => {
-                    // A re-send goes only if time is left after its pause
-                    // to wait for it: a Timeout from budget exhaustion is
-                    // never retried, a fault-injected drop (an *immediate*
-                    // Timeout) is, and a sleep that overran the deadline
-                    // re-sends nothing.
-                    let rem = overall.saturating_sub(start.elapsed());
-                    let pause = self.policy.backoff(self.attempt);
-                    if e.is_retryable() && self.attempts_left() && pause < rem {
-                        if !pause.is_zero() {
-                            // eden-lint: timer(backoff)
-                            crate::sched::blocking(|| std::thread::sleep(pause));
-                        }
-                        if start.elapsed() < overall {
-                            self.resend()?;
-                            continue;
-                        }
-                    }
-                    self.finish(false);
-                    return Err(e);
-                }
-            }
-        }
-    }
-
-    pub(crate) fn try_wait(
-        mut self: Box<Self>,
-    ) -> std::result::Result<Result<Value>, Box<RetryState>> {
-        match self.take_inner().try_wait() {
-            Ok(Ok(v)) => {
-                self.finish(true);
-                Ok(Ok(v))
-            }
-            Ok(Err(e)) => {
-                let deadline_left = self.deadline_remaining().is_none_or(|rem| !rem.is_zero());
-                if e.is_retryable() && self.attempts_left() && deadline_left {
-                    // Non-blocking path: the first re-send goes at once,
-                    // as on the blocking path; later ones skip their pause
-                    // too, the caller's own polling cadence spacing them.
-                    match self.resend() {
-                        Ok(()) => Err(self),
-                        Err(err) => {
-                            self.finish(false);
-                            Ok(Err(err))
-                        }
-                    }
-                } else {
-                    self.finish(false);
-                    Ok(Err(e))
-                }
-            }
-            Err(pending) => {
-                self.inner = pending;
-                Err(self)
-            }
+        let mut woken = None;
+        let request = self.request.clone();
+        self.inner = kernel.deliver(request, Attempt::Resend, None, Some(&mut woken));
+        if let Some(woken) = woken {
+            woken.run_as_call(&|| self.inner.is_settled());
         }
     }
 }
@@ -367,9 +353,10 @@ impl RetryState {
 impl Drop for RetryState {
     fn drop(&mut self) {
         // Abandoned without a terminal resolution (the waiter dropped the
-        // reply, or `resend` failed on a dead kernel): the logical
-        // invocation terminally failed.
-        self.finish(false);
+        // reply): the logical invocation terminally failed.
+        if !self.finished {
+            self.metrics.record_fatal_failure();
+        }
     }
 }
 

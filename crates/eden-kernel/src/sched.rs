@@ -37,10 +37,11 @@
 //! # Blocking compensation
 //!
 //! Eden behaviours are allowed to block mid-dispatch — a lazy filter
-//! waits on its upstream reply, a bounded mailbox parks its sender, a
-//! second or later retry sleeps its backoff (a first re-send goes at
-//! once). On a cooperative pool those waits would eat workers and
-//! deadlock once the pool is exhausted. Every such rendezvous
+//! waits on its upstream reply, a bounded mailbox parks its sender. (A
+//! step waits for nothing: its retry backoff and its next look are arms on
+//! the kernel's [timer](crate::timer), which posts it its next step.) On
+//! a cooperative pool those waits would eat workers and deadlock once the
+//! pool is exhausted. Every such rendezvous
 //! is therefore wrapped in [`blocking`]: a *worker* thread entering a
 //! blocking section goes idle the way a sleeper does — it counts itself
 //! blocked, and only then looks at the queue it leaves behind and decides
@@ -108,6 +109,7 @@ use crate::context::EjectContext;
 use crate::mailbox::spec::{self, Op};
 use crate::mailbox::{park, MailboxCore};
 use crate::runtime::{dispatch, Envelope};
+use crate::timer::Timer;
 
 /// Backstop timeout for a parked worker. The sleep protocol hands every
 /// wake to a specific latch, but the timeout bounds the damage of any
@@ -611,6 +613,8 @@ pub(crate) struct Scheduler {
     death_mx: Mutex<()>,
     death_cv: Condvar,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// The kernel's one timer, waited on by the stall monitor's thread.
+    pub(crate) timer: Arc<Timer>,
 }
 
 impl Scheduler {
@@ -641,6 +645,7 @@ impl Scheduler {
             death_mx: Mutex::new(()),
             death_cv: Condvar::default(),
             threads: Mutex::new(Vec::new()),
+            timer: Arc::default(),
         });
         for _ in 0..workers {
             sched.spawn_worker();
@@ -1065,6 +1070,7 @@ impl Scheduler {
     /// worker).
     pub(crate) fn stop(&self) {
         self.stopping.store(true, Ordering::Release);
+        self.timer.stop();
         fence(Ordering::SeqCst);
         while let Some(parker) = self.pop_sleeper() {
             parker.notify();
@@ -1168,14 +1174,14 @@ fn worker_main(sched: Arc<Scheduler>, idx: usize) {
 /// the pool can sit at idle > 0 with runnable work and nobody
 /// dispatching. A sleeper's own timeout breaks that standoff within
 /// [`IDLE_WAIT`]; the monitor's notify resolves it in ~2 ms instead.
+///
+/// Between ticks it waits on the kernel's [`Timer`], posting each arm as it
+/// falls due: the tick is the timer's periodic arm.
 fn monitor_main(sched: Arc<Scheduler>) {
     let mut last_progress = u64::MAX;
     let mut stalled_ticks = 0u32;
     let mut tick = MONITOR_TICK;
-    while !sched.stopping.load(Ordering::Acquire) {
-        // eden-lint: timer(stall-monitor)
-        // eden-lint: nonblocking(dedicated monitor thread, never a pool worker)
-        std::thread::sleep(tick);
+    while sched.timer.wait_until(Instant::now() + tick) {
         let progress = sched.metrics.snapshot().pickups;
         let runnable = sched.has_runnable();
         // An idle pool needs no 1 kHz heartbeat; back off until work shows.

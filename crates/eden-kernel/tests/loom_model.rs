@@ -522,7 +522,7 @@ fn no_resend_after_expiry_and_attempts_stay_bounded() {
             })
         };
 
-        // Caller loop (`RetryState::wait_timeout`): wait; on a retryable
+        // Caller loop (`PendingReply::wait_timeout`): wait; on a retryable
         // failure check the deadline, then re-send; stop on any terminal.
         let mut attempt = 0usize;
         let outcome = loop {
@@ -582,13 +582,16 @@ use std::collections::VecDeque;
 use eden_kernel::mailbox::park as pk;
 use eden_kernel::mailbox::spec;
 
+/// What the body slot holds: the behaviour box, reduced to a token.
+struct Body;
+
 struct ParkModel {
     bit: loom::sync::atomic::AtomicU8,
     /// Pending mail (the ring, reduced to envelope ids) and, beside it,
     /// every id ever pushed, in push order.
     mailq: Mutex<(VecDeque<u32>, Vec<u32>)>,
     /// The behaviour body: present iff the task is parked or queued.
-    body: Mutex<Option<()>>,
+    body: Mutex<Option<Body>>,
     /// Run-queue entries naming this task.
     runq: Mutex<u32>,
     /// Envelope ids in the order they were served.
@@ -603,7 +606,7 @@ impl ParkModel {
         ParkModel {
             bit: loom::sync::atomic::AtomicU8::new(pk::PARKED),
             mailq: Mutex::new((VecDeque::new(), Vec::new())),
-            body: Mutex::new(Some(())),
+            body: Mutex::new(Some(Body)),
             runq: Mutex::new(0),
             served: Mutex::new(Vec::new()),
             wakes: AtomicU32::new(0),

@@ -73,7 +73,7 @@ const TIMED: [&str; 5] = [
 
 /// The timers the design needs (DESIGN §4), space-separated: the reasons a `timer(..)` may give.
 pub(crate) const TIMER_REASONS: &str =
-    "deadline backoff stall-monitor sched-stride injected-latency watch recovery-poll";
+    "deadline backoff kernel-timer sched-stride injected-latency watch recovery-poll";
 
 /// One rendezvous call site and how it is excused.
 #[derive(Debug)]

@@ -209,12 +209,12 @@ fn timer_fixture_unannotated_and_unknown_waits_fail() {
 }
 
 #[test]
-fn the_real_tree_has_two_recovery_polls_and_no_untimed_wait() {
+fn the_real_tree_has_one_recovery_poll_and_no_untimed_wait() {
     let output = bin().args(["--blocking"]).output().unwrap();
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(output.status.success(), "{stdout}");
     assert!(stdout.contains("every timed wait a timer"), "{stdout}");
-    assert!(stdout.contains("recovery-poll 2"), "{stdout}");
+    assert!(stdout.contains("recovery-poll 1"), "{stdout}");
 }
 
 #[test]

@@ -51,7 +51,9 @@
 //! * A passive output never parks a reader. An empty buffer replies with an
 //!   empty non-final batch and the pump polls, because a parked reply would
 //!   die with a crash anyway; polling against the checkpointed position is
-//!   what recovery can prove correct.
+//!   what recovery can prove correct. A step that came back empty asks the
+//!   kernel's timer for the next one after `POLL` (1 ms) and returns, so no
+//!   worker waits out the pause.
 //!
 //! ## The checkpoint
 //!
@@ -101,16 +103,9 @@ pub const READ_ALL: &str = "ReadAll";
 /// The one Eden type every retained stage is registered under.
 pub(crate) const STAGE_TYPE: &str = "RecoverableStage";
 
-/// How long a retained stage's process pauses before it retries a step
-/// that made no progress.
-const POLL: Duration = Duration::from_millis(1);
-
-/// A retained stage's pause, on its pool worker, before it carries on from
-/// the same positions: a wait like its second and later retries' backoff.
-pub(crate) fn pause() {
-    // eden-lint: timer(recovery-poll)
-    eden_kernel::blocking(|| std::thread::sleep(POLL));
-}
+/// How long a retained stage's process lets pass before the next step
+/// after one that made no progress, which it asks the kernel's timer for.
+pub(crate) const POLL: Duration = Duration::from_millis(1);
 
 /// The retry policy stream invocations travel with: the first re-send after
 /// a fault (the one that reactivates a crashed peer) goes at once, later

@@ -101,6 +101,7 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
+use std::time::Duration;
 
 use eden_core::op::ops;
 use eden_core::{EdenError, OpName, Result, Uid, Value};
@@ -243,8 +244,8 @@ const CHUNKS_A_STEP: usize = 16;
 /// cache, under a retry policy if the face is retained; have a reply's
 /// outcome — a handler waits for it, a passive face answering only once its
 /// active face has; a step polls, and is posted once it is in; post the
-/// stage its next step; and write its passive representation, whole or one
-/// entry more.
+/// stage its next step, now or after a pause; and write its passive
+/// representation, whole or one entry more.
 pub(crate) trait Host: Caller {
     fn call(
         &self,
@@ -256,6 +257,7 @@ pub(crate) trait Host: Caller {
     ) -> PendingReply;
     fn poll(&self, pending: &mut PendingReply, wait: bool) -> Option<Result<Value>>;
     fn nudge(&self);
+    fn nudge_after(&self, pause: Duration);
     fn checkpoint(&self, state: &Value) -> Result<()>;
     fn journal(&self, entry: &Value) -> Result<()>;
 }
@@ -288,6 +290,9 @@ impl Host for EjectContext {
     }
     fn nudge(&self) {
         EjectContext::nudge(self)
+    }
+    fn nudge_after(&self, pause: Duration) {
+        EjectContext::nudge_after(self, pause)
     }
     fn checkpoint(&self, state: &Value) -> Result<()> {
         EjectContext::checkpoint(self, state)
@@ -722,7 +727,8 @@ struct Process {
     started: bool,
     done: bool,
     start: Option<ReplyHandle>,
-    /// The next step is on its way: posted, or to be posted by a reply.
+    /// The next step is on its way: posted, now or by the timer, or to be
+    /// posted by a reply.
     next: bool,
     /// Its starter's span, which its invocations go out under.
     ambient: Option<eden_core::span::SpanContext>,
@@ -984,8 +990,10 @@ impl Stage {
                     return;
                 }
                 Ok(Flow::Again) => {
-                    recovery::pause();
-                    break;
+                    // Nothing moved: the next step comes from the timer,
+                    // and this worker is free meanwhile.
+                    self.process.next = true;
+                    return host.nudge_after(recovery::POLL);
                 }
                 Err(e) => return self.finish(host, Err(e)),
             }
@@ -2466,6 +2474,8 @@ mod tests {
         }
 
         fn nudge(&self) {}
+
+        fn nudge_after(&self, _: Duration) {}
 
         fn checkpoint(&self, state: &Value) -> Result<()> {
             self.stored.borrow_mut().clear();

@@ -402,8 +402,8 @@ fn cached_and_registry_sends_cannot_be_told_apart() {
     // Each verb; whether its first attempt is dropped; and what its send to
     // a live target moves, in `Observed`'s order. A retrying call is a call:
     // it runs its callee inline, its reply is in on return, and its ledger
-    // settles once. With its first attempt dropped, it settles by a re-send
-    // the relay waits for.
+    // settles once. With its first attempt dropped, it settles by a re-send,
+    // which is a call too: run inline, its reply in when `try_wait` looks.
     let verbs: [(&str, Send, bool, [u64; 8]); 5] = [
         (
             "invoke / invoke_with(route_cache)",
@@ -433,7 +433,7 @@ fn cached_and_registry_sends_cannot_be_told_apart() {
             "begin_call(retry), first attempt dropped / + route_cache",
             begin_call_echo,
             true,
-            [2, 2, 0, 2, 3, 1, 0, 1],
+            [2, 2, 0, 2, 3, 1, 1, 0],
         ),
     ];
     for (verb, send, dropped, live) in verbs {
@@ -509,6 +509,37 @@ fn bounded_mailboxes_deliver_everything_and_shut_down_cleanly() {
         s.join().expect("sender panicked");
     }
     assert_eq!(served.load(Ordering::SeqCst), 40);
+    kernel.shutdown();
+}
+
+/// A re-send is the call its first send was: with the first attempt
+/// dropped, the re-send that wakes a parked echo which declares
+/// `replies_last` runs it on the waiting thread's stack.
+#[test]
+fn a_resend_to_a_parked_declared_callee_runs_inline() {
+    let kernel = Kernel::builder()
+        .scheduler(SchedulerConfig { workers: 1 })
+        .build();
+    let echo = kernel.spawn(Box::new(Echo)).unwrap();
+    // A callee runs inline only if the send is what wakes it: one still
+    // finishing its last resume is not parked yet, and that run is repeated.
+    let inline = (0..50).any(|_| {
+        let sched = kernel.metrics_snapshot().sched;
+        if sched.parked_ejects != sched.resident_ejects {
+            std::thread::yield_now();
+            return false;
+        }
+        let drop_first = FaultRule::new(FaultKind::Drop).on_op("Echo").nth(1);
+        kernel.install_faults(FaultPlan::new(0).rule(drop_first));
+        let opts = InvokeOptions::new().retry(RetryPolicy::retries(2));
+        let before = kernel.metrics().snapshot();
+        let got = kernel.invoke_with(echo, "Echo", Value::Int(7), opts).wait();
+        let moved = kernel.metrics().snapshot().since(&before);
+        assert_eq!(got, Ok(Value::Int(7)));
+        assert_eq!(moved.retries, 1);
+        moved.inline_handoffs == 1
+    });
+    assert!(inline, "no re-send ran its callee inline");
     kernel.shutdown();
 }
 

@@ -15,7 +15,7 @@ use eden::core::{EdenError, Value};
 use eden::filters::{LineNumber, SortLines};
 use eden::kernel::{
     EjectBehavior, EjectContext, FaultKind, FaultPlan, FaultRule, Invocation, InvokeOptions,
-    Kernel, KernelConfig, ObsConfig, ReplyHandle, RetryPolicy,
+    Kernel, KernelConfig, ObsConfig, PendingReply, ReplyHandle, RetryPolicy, SchedulerConfig,
 };
 use eden::transput::recovery::{
     install_recovery, run_recoverable_pipeline, RecoveryDiscipline, TransformRegistry,
@@ -205,9 +205,26 @@ fn drop_first_adds(n: usize) -> FaultPlan {
 
 /// Calls `Add(5)` on the counter named by its argument from inside an
 /// Eject, by `begin_call` and `poll_reply`, under the policy it was built
-/// with; replies with the call's outcome.
+/// with; defers its reply, polls again on each internal event, and replies
+/// with the call's outcome once it is in.
 struct AddCaller {
     policy: RetryPolicy,
+    call: Option<(PendingReply, ReplyHandle)>,
+}
+
+impl AddCaller {
+    fn new(policy: RetryPolicy) -> Box<AddCaller> {
+        Box::new(AddCaller { policy, call: None })
+    }
+
+    fn poll(&mut self, ctx: &EjectContext) {
+        if let Some((mut pending, reply)) = self.call.take() {
+            match ctx.poll_reply(&mut pending) {
+                Some(outcome) => reply.reply(outcome),
+                None => self.call = Some((pending, reply)),
+            }
+        }
+    }
 }
 
 impl EjectBehavior for AddCaller {
@@ -218,9 +235,13 @@ impl EjectBehavior for AddCaller {
     fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
         let counter = inv.arg.as_uid().expect("a counter's uid");
         let opts = InvokeOptions::new().retry(self.policy);
-        let mut pending = ctx.begin_call(counter, "Add", Value::Int(5), opts);
-        let outcome = ctx.poll_reply(&mut pending);
-        reply.reply(outcome.expect("a retrying reply is waited for in poll_reply"));
+        let pending = ctx.begin_call(counter, "Add", Value::Int(5), opts);
+        self.call = Some((pending, reply));
+        self.poll(ctx);
+    }
+
+    fn internal(&mut self, ctx: &EjectContext, _event: Value) {
+        self.poll(ctx);
     }
 }
 
@@ -234,7 +255,7 @@ fn the_first_resend_goes_at_once() {
         .max_delay(Duration::from_secs(2));
     let kernel = Kernel::new();
     let counter = kernel.spawn(Box::new(DurableCounter { total: 0 })).unwrap();
-    let caller = kernel.spawn(Box::new(AddCaller { policy })).unwrap();
+    let caller = kernel.spawn(AddCaller::new(policy)).unwrap();
 
     kernel.install_faults(drop_first_adds(1));
     let started = Instant::now();
@@ -285,6 +306,115 @@ fn the_second_resend_waits_its_base_delay() {
     assert_eq!(got, Ok(Value::Int(5)));
     assert!(started.elapsed() >= base, "{:?}", started.elapsed());
     assert_eq!(kernel.metrics().snapshot().retries, 2);
+    kernel.shutdown();
+}
+
+#[test]
+fn try_wait_pauses_before_the_second_resend_as_wait_does() {
+    let base = Duration::from_millis(200);
+    let kernel = Kernel::new();
+    let counter = kernel.spawn(Box::new(DurableCounter { total: 0 })).unwrap();
+    kernel.install_faults(drop_first_adds(2));
+    let policy = RetryPolicy::retries(2).base_delay(base).max_delay(base);
+    let started = Instant::now();
+    let mut pending = kernel.invoke_with(
+        counter,
+        "Add",
+        Value::Int(5),
+        InvokeOptions::new().retry(policy),
+    );
+    let got = loop {
+        match pending.try_wait() {
+            Ok(got) => break got,
+            Err(again) => pending = again,
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    assert_eq!(got, Ok(Value::Int(5)));
+    assert!(
+        started.elapsed() >= base,
+        "the second re-send went before its base delay: {:?}",
+        started.elapsed()
+    );
+    assert_eq!(kernel.metrics().snapshot().retries, 2);
+    kernel.shutdown();
+}
+
+/// Keeps every reply handle it is given, answering none.
+struct ParksForever {
+    parked: Vec<ReplyHandle>,
+}
+
+impl EjectBehavior for ParksForever {
+    fn type_name(&self) -> &'static str {
+        "ParksForever"
+    }
+
+    fn handle(&mut self, _ctx: &EjectContext, _inv: Invocation, reply: ReplyHandle) {
+        self.parked.push(reply);
+    }
+}
+
+/// Polls one retrying call under a deadline to the Eject its `Go` names,
+/// and answers `Ping` meanwhile.
+struct DeadlinePoller {
+    call: Option<(PendingReply, ReplyHandle)>,
+}
+
+impl EjectBehavior for DeadlinePoller {
+    fn type_name(&self) -> &'static str {
+        "DeadlinePoller"
+    }
+
+    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
+        if inv.op.as_str() == "Ping" {
+            return reply.reply(Ok(Value::Unit));
+        }
+        let target = inv.arg.as_uid().expect("a target's uid");
+        let opts = InvokeOptions::new()
+            .deadline(Duration::from_millis(300))
+            .retry(RetryPolicy::retries(3));
+        self.call = Some((ctx.begin_call(target, "Add", Value::Int(1), opts), reply));
+        self.internal(ctx, Value::Unit);
+    }
+
+    fn internal(&mut self, ctx: &EjectContext, _event: Value) {
+        if let Some((mut pending, reply)) = self.call.take() {
+            match ctx.poll_reply(&mut pending) {
+                Some(outcome) => reply.reply(outcome),
+                None => self.call = Some((pending, reply)),
+            }
+        }
+    }
+}
+
+#[test]
+fn a_polled_retrying_call_resolves_timeout_at_its_deadline() {
+    let kernel = Kernel::builder()
+        .scheduler(SchedulerConfig { workers: 1 })
+        .build();
+    let callee = kernel
+        .spawn(Box::new(ParksForever { parked: Vec::new() }))
+        .unwrap();
+    let poller = kernel
+        .spawn(Box::new(DeadlinePoller { call: None }))
+        .unwrap();
+    let started = Instant::now();
+    let go = kernel.invoke(poller, "Go", Value::Uid(callee));
+    // The poller's handler returned with its reply deferred: it answers
+    // while its call is out.
+    assert_eq!(
+        kernel.invoke(poller, "Ping", Value::Unit).wait(),
+        Ok(Value::Unit)
+    );
+    let go = go.try_wait().expect_err("answered before the deadline");
+    assert_eq!(go.wait(), Err(EdenError::Timeout));
+    let took = started.elapsed();
+    assert!(took >= Duration::from_millis(300), "{took:?}");
+    assert!(took < Duration::from_secs(10), "{took:?}");
+    let m = kernel.metrics().snapshot();
+    // The call failed, and so did the `Go` it answers.
+    assert_eq!((m.retries, m.fatal_failures), (0, 2));
     kernel.shutdown();
 }
 

@@ -14,7 +14,8 @@ use eden::core::{Uid, Value};
 use eden::filters;
 use eden::fs::{register_fs_types, FileEject};
 use eden::kernel::{
-    EjectBehavior, EjectContext, FsyncPolicy, Invocation, Kernel, ReplyHandle, SchedulerConfig,
+    EjectBehavior, EjectContext, FsyncPolicy, Invocation, InvokeOptions, Kernel, PendingReply,
+    ReplyHandle, RetryPolicy, SchedulerConfig,
 };
 use eden::transput::protocol::{Batch, TransferRequest};
 use eden::transput::recovery::{install_recovery, TransformRegistry};
@@ -1662,4 +1663,114 @@ fn checkpoints_that_only_append_spawn_no_spare_worker() {
         undisturbed
     });
     std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// Answers its first `fail` invocations with the retryable `Timeout` — what
+/// a dropped attempt resolves as — and the rest with 5, noting when each
+/// arrived.
+struct Flaky {
+    fail: usize,
+    arrivals: Arc<std::sync::Mutex<Vec<Instant>>>,
+}
+
+impl EjectBehavior for Flaky {
+    fn type_name(&self) -> &'static str {
+        "Flaky"
+    }
+
+    fn replies_last(&self) -> bool {
+        true
+    }
+
+    fn handle(&mut self, _ctx: &EjectContext, _inv: Invocation, reply: ReplyHandle) {
+        let mut arrivals = self.arrivals.lock().unwrap();
+        arrivals.push(Instant::now());
+        match arrivals.len() > self.fail {
+            true => reply.reply(Ok(Value::Int(5))),
+            false => reply.reply(Err(eden::core::EdenError::Timeout)),
+        }
+    }
+}
+
+/// Calls `Add` on the Eject its `Go` names by `begin_call` under a retry
+/// policy, and answers `Go` once `poll_reply` has the outcome, asking again
+/// on each internal event.
+struct RetryingCaller {
+    policy: RetryPolicy,
+    call: Option<(PendingReply, ReplyHandle)>,
+}
+
+impl EjectBehavior for RetryingCaller {
+    fn type_name(&self) -> &'static str {
+        "RetryingCaller"
+    }
+
+    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
+        let target = inv.arg.as_uid().expect("a target's uid");
+        let opts = InvokeOptions::new().retry(self.policy);
+        self.call = Some((ctx.begin_call(target, "Add", Value::Int(5), opts), reply));
+        self.internal(ctx, Value::Unit);
+    }
+
+    fn internal(&mut self, ctx: &EjectContext, _event: Value) {
+        if let Some((mut pending, reply)) = self.call.take() {
+            match ctx.poll_reply(&mut pending) {
+                Some(outcome) => reply.reply(outcome),
+                None => self.call = Some((pending, reply)),
+            }
+        }
+    }
+}
+
+/// A retry's backoff is an arm on the kernel's timer, not a sleep: a
+/// one-worker pool whose Eject polls a retrying call through two failed
+/// attempts serves another Eject during the pause before the second
+/// re-send, which goes no sooner than its base delay, and spawns no spare.
+#[test]
+fn a_polled_retry_pauses_on_the_timer_not_on_its_worker() {
+    let base = Duration::from_millis(50);
+    until_undisturbed("a polled retry through two failed attempts", || {
+        let kernel = Kernel::builder()
+            .scheduler(SchedulerConfig { workers: 1 })
+            .build();
+        let arrivals = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let flaky = Flaky {
+            fail: 2,
+            arrivals: Arc::clone(&arrivals),
+        };
+        let flaky = kernel.spawn(Box::new(flaky)).expect("spawn");
+        let policy = RetryPolicy::retries(2).base_delay(base).max_delay(base);
+        let caller = RetryingCaller { policy, call: None };
+        let caller = kernel.spawn(Box::new(caller)).expect("spawn");
+        let other = kernel
+            .spawn(Box::new(Accumulator { total: 0 }))
+            .expect("spawn");
+        all_parked(&kernel);
+        let go = kernel.invoke(caller, "Go", Value::Uid(flaky));
+        while arrivals.lock().unwrap().len() < 2 {
+            std::thread::yield_now();
+        }
+        let asked = Instant::now();
+        let answered = kernel.invoke(other, "Add", Value::Int(1)).wait();
+        let answered_at = Instant::now();
+        assert_eq!(answered, Ok(Value::Int(1)));
+        assert_eq!(go.wait(), Ok(Value::Int(5)));
+        let sched = kernel.metrics_snapshot().sched;
+        kernel.shutdown();
+        let arrivals = arrivals.lock().unwrap().clone();
+        assert_eq!(arrivals.len(), 3);
+        assert!(
+            arrivals[2] - arrivals[1] >= base,
+            "the second re-send went {:?} after the first",
+            arrivals[2] - arrivals[1]
+        );
+        // Asked after the pause had ended, or a stall the monitor broke:
+        // the run says nothing of the pause.
+        let undisturbed = asked < arrivals[1] + base && sched.monitor_rescues == 0;
+        if undisturbed {
+            assert!(answered_at < arrivals[2], "answered only after the pause");
+            assert_eq!(sched.spares_spawned, 0, "{sched:?}");
+        }
+        undisturbed
+    });
 }
