@@ -104,6 +104,14 @@ pub trait EjectBehavior: Send + 'static {
         Err(EdenError::Application(refused))
     }
 
+    /// Whether this Eject runs unasked, a process that nobody invokes: it is
+    /// reactivated "when it is next invoked" (§7), and its crash is that
+    /// invocation — the kernel reactivates it from its checkpoint at once.
+    /// Asked as it crashes.
+    fn drives_itself(&self) -> bool {
+        false
+    }
+
     /// Called when the coordinator is about to stop (deactivation, crash
     /// envelope, or kernel shutdown). Behaviours that own process threads
     /// should unblock them here; the coordinator joins them afterwards.

@@ -15,7 +15,6 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use eden_core::{EdenError, Metrics, OpName, Result, Uid, Value};
 use parking_lot::Mutex;
@@ -142,14 +141,6 @@ impl EjectContext {
     /// invocations ahead of each handled first.
     pub fn nudge(&self) {
         self.internal.wake();
-    }
-
-    /// [`nudge`](Self::nudge) this Eject once `pause` has passed, through
-    /// the kernel's timer: how a step that can do nothing before then asks
-    /// for its next turn without holding its thread.
-    pub fn nudge_after(&self, pause: Duration) {
-        let at = Instant::now() + pause;
-        self.kernel.sched.timer.post_at(at, &self.internal);
     }
 
     /// Spawn a process with a thread of its own — a program written against

@@ -1092,8 +1092,15 @@ impl KernelInner {
     }
 
     /// Called by a coordinator as its last act. Decides the Eject's fate:
-    /// passive if it ever checkpointed, gone otherwise.
-    pub(crate) fn on_eject_exit(&self, uid: Uid, incarnation: u64, crashed: bool) {
+    /// passive if it ever checkpointed, gone otherwise — and active again at
+    /// once if it crashed and drives itself (`restart`).
+    pub(crate) fn on_eject_exit(
+        self: &Arc<Self>,
+        uid: Uid,
+        incarnation: u64,
+        crashed: bool,
+        restart: bool,
+    ) {
         if let Some(obs) = &self.obs {
             obs.record_lifecycle(Lifecycle::Stop { uid, crashed });
         }
@@ -1118,6 +1125,9 @@ impl KernelInner {
                     slot.state = SlotState::Passive {
                         type_name: record.type_name,
                     };
+                }
+                if restart {
+                    let _ = self.reactivate(&mut slots, uid);
                 }
             }
             Err(_) => {

@@ -325,8 +325,9 @@ impl std::fmt::Debug for Task {
 enum Resume {
     /// Parked or re-enqueued; the task lives on.
     Yield,
-    /// The task exited; `true` means it crashed.
-    Dead(bool),
+    /// The task exited: whether it crashed, and whether it drives itself
+    /// ([`EjectBehavior::drives_itself`]) and is reactivated at once.
+    Dead(bool, bool),
 }
 
 /// Thread-local identity of a worker: which scheduler it serves, its own
@@ -907,7 +908,7 @@ impl Scheduler {
         RESUMING.with(|frames| frames.borrow_mut().pop());
         match outcome {
             Ok(Resume::Yield) => {}
-            Ok(Resume::Dead(crashed)) => self.reap(task, crashed),
+            Ok(Resume::Dead(crashed, restart)) => self.reap(task, crashed, restart),
             Err(_) => {
                 // The behaviour panicked mid-dispatch. Thread-per-Eject
                 // lost the coordinator thread here; the pool must survive
@@ -915,7 +916,7 @@ impl Scheduler {
                 // lives on. The behaviour box was dropped by the unwind,
                 // releasing any parked replies.
                 task.ctx.begin_stop();
-                self.reap(task, true);
+                self.reap(task, true, false);
             }
         }
     }
@@ -1022,18 +1023,19 @@ impl Scheduler {
     /// thread's exit tail, up to dropping the behaviour.
     fn die(&self, task: &Arc<Task>, body: TaskBody, crashed: bool) -> Resume {
         let TaskBody { mut behavior, .. } = body;
+        let restart = crashed && behavior.drives_itself();
         behavior.deactivating(&task.ctx);
         task.ctx.begin_stop();
         // Dropping the behaviour releases any parked ReplyHandles,
         // unblocking whoever waits on this Eject.
         drop(behavior);
-        Resume::Dead(crashed)
+        Resume::Dead(crashed, restart)
     }
 
     /// The post-behaviour half of the death path: close the mailbox (so
     /// queued invocations fail fast and later sends bounce), reap worker
     /// processes, and tell the kernel.
-    fn reap(&self, task: &Arc<Task>, crashed: bool) {
+    fn reap(&self, task: &Arc<Task>, crashed: bool, restart: bool) {
         transition(
             task.core.park_bit(),
             Op::Store,
@@ -1044,7 +1046,7 @@ impl Scheduler {
         task.ctx.join_workers();
         task.ctx
             .kernel
-            .on_eject_exit(task.uid(), task.incarnation, crashed);
+            .on_eject_exit(task.uid(), task.incarnation, crashed, restart);
         task.mark_died();
         // As in `Task::mark_died`: the count falls under the waiter's lock.
         let _death = self.death_mx.lock();

@@ -1,10 +1,10 @@
 //! The kernel's one timer: a deadline map whose arms post an Eject one
 //! internal event (`Value::Unit`) once their instant has passed. It is how
 //! a step with nothing to do until then — a retry's backoff, a polled
-//! reply's deadline, a retained stage's next look — gets its next turn
-//! without a pool worker sleeping for it. The thread that waits on the map
-//! is the scheduler's stall monitor (`sched.rs`), whose tick is the map's
-//! periodic arm, so the timer adds no thread.
+//! reply's deadline — gets its next turn without a pool worker sleeping
+//! for it. The thread that waits on the map is the scheduler's stall
+//! monitor (`sched.rs`), whose tick is the map's periodic arm, so the
+//! timer adds no thread.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -51,9 +51,9 @@ impl Drop for Arm {
 }
 
 impl Timer {
-    /// Post `to` one internal event at `at`; after [`stop`](Self::stop),
-    /// never.
-    pub(crate) fn post_at(&self, at: Instant, to: &InternalSender) -> Key {
+    /// Post `to` one internal event at `at`, unless the arm is dropped
+    /// first; after [`stop`](Self::stop), never.
+    pub(crate) fn arm(self: &Arc<Self>, at: Instant, to: &InternalSender) -> Arm {
         let mut arms = self.arms.lock();
         arms.seq += 1;
         let key = (at, arms.seq);
@@ -63,15 +63,8 @@ impl Timer {
                 self.earlier.notify_one();
             }
         }
-        key
-    }
-
-    /// [`post_at`](Self::post_at), taken back if the arm is dropped first.
-    pub(crate) fn arm(self: &Arc<Self>, at: Instant, to: &InternalSender) -> Arm {
-        Arm {
-            key: self.post_at(at, to),
-            timer: Arc::clone(self),
-        }
+        let timer = Arc::clone(self);
+        Arm { timer, key }
     }
 
     /// Wait until `tick`, posting each arm as it falls due meanwhile.
@@ -160,7 +153,7 @@ mod tests {
         let waiting = waiter(&timer);
         // The waiter is asleep until the 30 s arm when the early one goes in.
         std::thread::sleep(Duration::from_millis(20));
-        timer.post_at(Instant::now() + Duration::from_millis(20), &early);
+        let _early = timer.arm(Instant::now() + Duration::from_millis(20), &early);
         let took = until(|| early_ring.depth() == 1);
         assert!(took < Duration::from_secs(2), "posted after {took:?}");
         assert_eq!(late_ring.depth(), 0);
@@ -174,11 +167,10 @@ mod tests {
         let (to, ring) = mailbox();
         let waiting = waiter(&timer);
         let soon = Instant::now() + Duration::from_millis(200);
-        timer.post_at(soon, &to);
         let _kept = timer.arm(soon, &to);
         timer.stop();
         waiting.join().unwrap();
-        timer.post_at(Instant::now(), &to);
+        let _after = timer.arm(Instant::now(), &to);
         assert!(!timer.wait_until(Instant::now()), "a stopped timer waits");
         std::thread::sleep(Duration::from_millis(300));
         assert_eq!(ring.depth(), 0);
@@ -189,7 +181,7 @@ mod tests {
         let timer = Arc::new(Timer::default());
         let (to, ring) = mailbox();
         drop(timer.arm(Instant::now(), &to));
-        timer.post_at(Instant::now(), &to);
+        let _kept = timer.arm(Instant::now(), &to);
         assert!(timer.wait_until(Instant::now()));
         assert_eq!(ring.depth(), 1);
     }

@@ -1,6 +1,6 @@
 //! The in-repo wiring catalog: every pipeline *shape* the repository
-//! actually builds, reconstructed as a kernel-free [`PipelineSpec`] (or a
-//! recovery chain) and rendered to its [`WiringGraph`].
+//! actually builds, reconstructed as a kernel-free [`PipelineSpec`],
+//! retained or not, and rendered to its [`WiringGraph`].
 //!
 //! `PipelineSpec::build` already refuses non-conforming specs, so this
 //! pass cannot find a violation that a test run would not — its value is
@@ -11,10 +11,11 @@
 
 use eden_core::{Result, Uid, Value};
 use eden_fs::write_from_sink;
-use eden_transput::recovery::{recovery_graph, RecoveryDiscipline};
 use eden_transput::source::VecSource;
 use eden_transput::transform::{Emitter, Identity, Transform};
-use eden_transput::{ChannelPolicy, Discipline, FanInMode, PipelineSpec, WiringGraph};
+use eden_transput::{
+    ChannelPolicy, Discipline, FanInMode, PipelineSpec, TransformRegistry, WiringGraph,
+};
 
 /// A transform with a secondary `Report` channel — the shape of
 /// `SpellCheck` in the report-streams example (Figures 3 and 4), without
@@ -166,6 +167,27 @@ pub(crate) fn shapes(file: Uid) -> Vec<(String, PipelineSpec)> {
         ));
     }
 
+    // The recovery plane's retained chains (crates/eden-transput/src/
+    // recovery.rs): a two-filter chain, and the zero-transform chain, where
+    // conventional is left with no pump, and the run pulls its source.
+    let registry = TransformRegistry::new(&[("identity", || Box::new(Identity))]);
+    for (label, discipline) in [
+        ("recovery/read-only", Discipline::ReadOnly { read_ahead: 0 }),
+        (
+            "recovery/write-only",
+            Discipline::WriteOnly { push_ahead: 0 },
+        ),
+        (
+            "recovery/conventional",
+            Discipline::Conventional { buffer_capacity: 0 },
+        ),
+    ] {
+        let spec = || PipelineSpec::new(discipline).source_vec(items());
+        let chain = spec().stage(Box::new(Identity)).stage(Box::new(Identity));
+        entries.push((label.to_owned(), chain.retained(&registry)));
+        entries.push((format!("{label}/empty"), spec().retained(&registry)));
+    }
+
     entries
 }
 
@@ -173,32 +195,10 @@ pub(crate) fn shapes(file: Uid) -> Vec<(String, PipelineSpec)> {
 /// stable identifiers used in reports and tests.
 pub fn catalog() -> Result<Vec<(String, WiringGraph)>> {
     // Rendering a graph asks the sink nothing: any UID stands for the file.
-    let mut graphs: Vec<(String, WiringGraph)> = shapes(Uid::fresh())
+    shapes(Uid::fresh())
         .into_iter()
         .map(|(name, spec)| spec.graph().map(|g| (name, g)))
-        .collect::<Result<_>>()?;
-
-    for (name, discipline, chain) in recovery_chains() {
-        graphs.push((name, recovery_graph(discipline, chain)));
-    }
-    Ok(graphs)
-}
-
-/// The recovery plane's chains (crates/eden-transput/src/recovery.rs), as
-/// `(name, discipline, transforms)`: a two-filter chain, and the
-/// zero-transform chain, where conventional is left with its single
-/// identity pump and no buffer.
-fn recovery_chains() -> Vec<(String, RecoveryDiscipline, &'static [&'static str])> {
-    let mut chains = Vec::new();
-    for (label, discipline) in [
-        ("recovery/read-only", RecoveryDiscipline::ReadOnly),
-        ("recovery/write-only", RecoveryDiscipline::WriteOnly),
-        ("recovery/conventional", RecoveryDiscipline::Conventional),
-    ] {
-        chains.push((label.to_owned(), discipline, &["upcase", "grep"][..]));
-        chains.push((format!("{label}/empty"), discipline, &[][..]));
-    }
-    chains
+        .collect()
 }
 
 #[cfg(test)]
@@ -228,8 +228,10 @@ mod tests {
     fn every_shape_spawns_the_graph_that_was_checked() {
         // One plan feeds `graph()` and `build()`: a node per Eject, no more
         // and no fewer — but for the file a redirected shape ends in, which
-        // is a node and no Eject the pipeline spawned. (No catalog shape
-        // reads an Eject it did not spawn; such a source would be one too.)
+        // is a node and no Eject the pipeline spawned, and for the sink of a
+        // retained chain the run pulls, which is the run itself. (No catalog
+        // shape reads an Eject it did not spawn; such a source would be one
+        // too.)
         let kernel = eden_kernel::Kernel::new();
         let file = kernel.spawn(Box::new(eden_fs::FileEject::new())).unwrap();
         for ((name, checked), (_, built)) in shapes(file).into_iter().zip(shapes(file)) {
@@ -239,35 +241,13 @@ mod tests {
                 .and_then(|pipeline| pipeline.run(std::time::Duration::from_secs(20)))
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             let redirected = name.starts_with("shell/redirected");
-            assert_eq!(run.entities + usize::from(redirected), nodes, "{name}");
+            let pulled = ["recovery/read-only", "recovery/conventional/empty"];
+            let unspawned = redirected || pulled.iter().any(|p| name.starts_with(p));
+            assert_eq!(run.entities + usize::from(unspawned), nodes, "{name}");
             if redirected {
                 let held = kernel.invoke(file, "Length", Value::Unit).wait();
                 assert_eq!(held, Ok(Value::Int(items().len() as i64)), "{name}");
             }
-        }
-        // The recovery chains likewise — except that where the driver is
-        // the chain's sink it is a node, and no Eject.
-        use eden_transput::recovery::{
-            install_recovery, run_recoverable_pipeline, TransformFactory, TransformRegistry,
-        };
-        let copy: TransformFactory = || Box::new(Identity);
-        let registry = TransformRegistry::new(&[("upcase", copy), ("grep", copy)]);
-        install_recovery(&kernel, &registry);
-        for (name, discipline, chain) in recovery_chains() {
-            let graph = recovery_graph(discipline, chain);
-            let nodes = graph.nodes.len() - usize::from(graph.nodes.contains_key("driver"));
-            let timeout = std::time::Duration::from_secs(20);
-            let run = run_recoverable_pipeline(
-                &kernel,
-                discipline,
-                items(),
-                chain,
-                &registry,
-                2,
-                timeout,
-            )
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!((run.stages.len(), run.output), (nodes, items()), "{name}");
         }
         kernel.shutdown();
     }

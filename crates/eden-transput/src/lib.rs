@@ -7,7 +7,7 @@
 //!
 //! | discipline | filter's faces (input, output) | pump | fan-in | fan-out | a recoverable pipeline's Ejects ([`recovery`]) |
 //! |---|---|---|---|---|---|
-//! | read-only | active, passive | the sink | natural | via channels (§5) | source, n stages: n+1 (the driver is the sink) |
+//! | read-only | active, passive | the sink | natural | via channels (§5) | source, n stages: n+1 (the run is the sink) |
 //! | write-only | passive, active | the source | impossible | natural | source, n stages, acceptor: n+2 |
 //! | conventional | active, active | every filter | natural | natural | source, n pumps, n−1 buffers, acceptor: 2n+1 |
 //!
@@ -22,7 +22,7 @@
 //! which [`PipelineSpec`] turns into one plan, checks and spawns. Surviving
 //! a crash is not a choice of faces but a layer any pair of them may have
 //! ([`recovery`]): the stage keeps what it has not been told to forget, and
-//! the recoverable pipelines are rows of the same plan.
+//! a recoverable pipeline is a [`PipelineSpec`] made `retained`.
 //!
 //! # Quick start
 //!
@@ -74,9 +74,8 @@ pub use pipeline::{Discipline, Pipeline, PipelineRun, PipelineSpec, SinkEject};
 pub use ports::{FanInMode, InputPort, OutputPort, OutputWiring};
 pub use protocol::{Batch, ChannelId, TransferRequest, WriteRequest};
 pub use recovery::{
-    install_recovery, recoverable_filter, recoverable_source, recovery_graph,
-    resume_recoverable_pipeline, run_recoverable_pipeline, RecoveryDiscipline, RecoveryRun,
-    TransformRegistry,
+    install_recovery, recoverable_filter, recoverable_source, resume_recoverable_pipeline,
+    run_recoverable_pipeline, RecoveryDiscipline, TransformRegistry,
 };
 pub use stage::{Input, Output, Stage, StageConfig};
 pub use transform::{Emitter, Transform};

@@ -22,7 +22,9 @@
 //! phase, and wall-clock time — the raw material for every experiment in
 //! `EXPERIMENTS.md`. The output lands in a collector, unless the pipeline
 //! ends in an Eject that exists already ([`SinkEject`]): a file, opened for
-//! output by UID (§4's redirection).
+//! output by UID (§4's redirection). A [`retained`](PipelineSpec::retained)
+//! spec is the same plan, its stages surviving crashes ([`crate::recovery`]),
+//! and its run reads the output whole from the chain's tail.
 //!
 //! [`conform::check`]: crate::conform::check
 
@@ -36,7 +38,8 @@ use crate::channels::ChannelPolicy;
 use crate::collector::Collector;
 use crate::conform::{DisciplineKind, EdgeMode, GrantPolicy, Mode, NodeRole, WiringGraph};
 use crate::ports::{FanInMode, InputPort, OutputPort, OutputWiring};
-use crate::protocol::{ChannelId, GetChannelRequest, OUTPUT_NAME};
+use crate::protocol::{Batch, ChannelId, GetChannelRequest, TransferRequest, OUTPUT_NAME};
+use crate::recovery::{self, TransformRegistry};
 use crate::source::{PullSource, VecSource};
 use crate::stage::{Input, Output, Stage, StageConfig};
 use crate::transform::Transform;
@@ -152,12 +155,15 @@ impl SinkEject {
 }
 
 /// What a built pipeline's run ends on: its collector finishing, a sink
-/// Eject's reply once it has read the tail, or its acceptor's to `Close`.
+/// Eject's reply once it has read the tail, or its acceptor's to `Close`;
+/// or a retained chain's tail, read whole ([`read_kept`]).
 #[derive(Debug)]
 enum End {
     Collector(Collector),
     Pull(SinkEject, Option<Uid>),
     Close(Uid),
+    /// The tail, and the records a `Transfer` where the run pulls it.
+    Kept(Option<Uid>, Option<usize>),
 }
 
 /// The graph-label for an input port's channel.
@@ -191,6 +197,8 @@ pub struct PipelineSpec {
     keep_output: bool,
     sink: Option<SinkEject>,
     write_window: usize,
+    /// Where a retained chain's transforms are rebuilt from.
+    registry: Option<TransformRegistry>,
 }
 
 impl PipelineSpec {
@@ -208,6 +216,7 @@ impl PipelineSpec {
             keep_output: true,
             sink: None,
             write_window: 1,
+            registry: None,
         }
     }
 
@@ -293,6 +302,14 @@ impl PipelineSpec {
         self
     }
 
+    /// Retain every stage ([`crate::recovery`]), so that no crash loses or
+    /// repeats a record: each transform is rebuilt from `registry` by its
+    /// [`Transform::name`]. `build` refuses what recovery cannot honour.
+    pub fn retained(mut self, registry: &TransformRegistry) -> Self {
+        self.registry = Some(registry.clone());
+        self
+    }
+
     /// Tap stage `stage`'s secondary channel `channel` into its own
     /// collector (e.g. the report window of Figures 3 and 4).
     pub fn tap(mut self, stage: usize, channel: &str) -> Self {
@@ -311,6 +328,12 @@ impl PipelineSpec {
     /// pump where the chain only answers writes; filters active on both
     /// faces get a passive buffer on either side (Figure 1: n filters need
     /// n+1); and the sink takes whichever face corresponds to the tail.
+    /// A retained chain's sink is the run where it pulls, else an acceptor;
+    /// its pumps read the source and write the acceptor, so buffers sit only
+    /// between two. For n filters: n+1 Ejects read-only, n+2 write-only, and
+    /// 2n+1 conventional (source, n pumps, n−1 buffers, acceptor) making 2n
+    /// stream invocations a batch.
+    ///
     /// The plan carries the wiring graph it renders to: one node per row,
     /// one edge per pair of faces that meet, its mode read off the two.
     fn plan(&self) -> Result<Plan> {
@@ -325,9 +348,11 @@ impl PipelineSpec {
         }
         let faces = self.discipline.kind().faces();
         let buffered = faces == (Active, Active);
+        // Buffers on either side of every filter, not only between two.
+        let outer = buffered && self.registry.is_none();
         let pipe = (Passive, Passive);
         // The face the head of the chain has to correspond to.
-        let first = if buffered { Passive } else { faces.0 };
+        let first = if outer { Passive } else { faces.0 };
         let mut graph = WiringGraph::new(self.discipline.kind());
         if self.policy == ChannelPolicy::Capability {
             graph = graph.policy(GrantPolicy::Capability);
@@ -361,14 +386,18 @@ impl PipelineSpec {
             let both = (Active, Active);
             prev = plan.add("pump".into(), Filter, both, Mount::Copy, &[(prev, None)]);
         }
-        if buffered {
+        if outer {
             prev = plan.add("buf0".into(), Buffer, pipe, Mount::Copy, &[(prev, None)]);
         }
         for (i, transform) in self.stages.iter().enumerate() {
+            if buffered && !outer && i > 0 {
+                let label = format!("buf{}", i - 1);
+                prev = plan.add(label, Buffer, pipe, Mount::Copy, &[(prev, None)]);
+            }
             let label = format!("stage{i}:{}", transform.name());
             let stage = plan.add(label, Filter, faces, Mount::Filter(i), &[(prev, None)]);
             prev = stage;
-            if buffered {
+            if outer {
                 let label = format!("buf{}", i + 1);
                 prev = plan.add(label, Buffer, pipe, Mount::Copy, &[(stage, None)]);
             }
@@ -407,6 +436,22 @@ impl PipelineSpec {
     }
 
     fn check(&self, graph: &WiringGraph) -> Result<()> {
+        if let Some(registry) = &self.registry {
+            // What recovery can prove correct: a plain chain of named
+            // transforms over a local supply.
+            let plain = (self.discipline.depth(), self.write_window) == (0, 1)
+                && (self.taps.is_empty() && self.merge.is_none() && self.sink.is_none())
+                && (self.keep_output && self.policy == ChannelPolicy::Integer)
+                && matches!(self.heads[..], [Head::Supply(_)]);
+            if !plain {
+                let refused = "a retained pipeline is a plain chain: no depth, tap, merge, \
+                    source or sink Eject, null sink, capability channel or write window";
+                return Err(EdenError::BadParameter(refused.into()));
+            }
+            for transform in &self.stages {
+                registry.build(transform.name(), &Value::Unit)?;
+            }
+        }
         // Validate taps up front: in the source-pumped disciplines an
         // unattached tap would otherwise stall `run` until its deadline.
         for tap in &self.taps {
@@ -454,8 +499,13 @@ impl PipelineSpec {
         let sink_input = plan
             .rows
             .iter()
-            .find(|row| matches!(row.mount, Mount::Sink));
-        let mut end = match (self.sink.take(), sink_input.map(|row| row.input)) {
+            .find(|row| matches!(row.mount, Mount::Sink))
+            .map(|row| row.input);
+        let retained = self.registry.is_some();
+        let mut end = match (self.sink.take(), sink_input) {
+            (None, input) if retained => {
+                End::Kept(None, (input == Some(Active)).then_some(self.batch))
+            }
             (None, _) if self.keep_output => End::Collector(Collector::new()),
             (None, _) => End::Collector(Collector::null()),
             (Some(sink), Some(Passive)) => End::Close(sink.ask(kernel, None).wait()?.as_uid()?),
@@ -478,11 +528,13 @@ impl PipelineSpec {
                 // The sink Eject stands for the row: the acceptor the tail
                 // writes into, or what pulls from the tail.
                 (Mount::Sink, _, End::Close(acceptor)) => return Ok(Some(Some(*acceptor))),
-                (Mount::Sink, _, End::Pull(_, tail)) => {
+                (Mount::Sink, _, End::Pull(_, tail) | End::Kept(tail, Some(_))) => {
                     let feed = plan.edges.iter().find(|(_, to, _)| *to == i);
                     *tail = feed.and_then(|&(from, ..)| uids[from]);
                     return Ok(tail.map(|_| None));
                 }
+                // A retained acceptor, read whole at the end of the run.
+                (Mount::Sink, _, End::Kept(..)) => Output::Passive,
                 (Mount::Tap(t), ..) => Output::local(self.taps[t].collector.clone()),
                 (_, Passive, _) => Output::Passive,
                 (_, Active, _) => match self.wiring_of(&plan.edges, i, uids) {
@@ -511,19 +563,27 @@ impl PipelineSpec {
                 Mount::Filter(t) => transforms[t].take(),
                 _ => None,
             };
-            let stage = self.mount(row, input, transform, output);
+            let stage = match &self.registry {
+                Some(registry) => {
+                    let name = transform.map_or("", |t| t.name());
+                    recovery::retain(input, name, output, self.batch, registry)?
+                }
+                None => self.mount(row, input, transform, output),
+            };
             let node = self.nodes.map(|n| NodeId(made % n));
             made = made.wrapping_add(1);
             let sink = matches!(row.mount, Mount::Sink | Mount::Tap(_));
-            if row.input == Active && (sink || row.output == Active) {
+            let starts = matches!(row.mount, Mount::Head(_)) && row.output == Active;
+            if row.input == Active && (sink || row.output == Active) || starts && retained {
                 // A stage that pumps on its own — the sink of a read-only
-                // pipeline, every filter and sink of a conventional one —
-                // spawns in `run()`: attaching it is "starting the pump"
-                // (§4), so nothing flows at build time, and nobody holds its
-                // UID to miss it by. Deferring it past the metrics baseline
-                // keeps every data-phase invocation inside the measured
-                // window, so the analytic n+1 and 2n+2 counts hold exactly.
-                deferred.push((node, stage));
+                // pipeline, every filter and sink of a conventional one, a
+                // retained chain's pushing source — spawns in `run()`:
+                // attaching it is "starting the pump" (§4), so nothing flows
+                // at build time, and nobody holds its UID to miss it by.
+                // Deferring it past the metrics baseline keeps every
+                // data-phase invocation inside the measured window, so the
+                // analytic n+1 and 2n+2 counts hold exactly.
+                deferred.push((i, node, stage));
                 return Ok(Some(None));
             }
             let uid = match node {
@@ -531,13 +591,16 @@ impl PipelineSpec {
                 None => kernel.spawn(Box::new(stage))?,
             };
             ejects.push(uid);
-            if matches!(row.mount, Mount::Head(_)) && row.output == Active {
-                start_target = Some(uid);
+            match (row.mount, &mut end) {
+                (Mount::Sink, End::Kept(tail, _)) => *tail = Some(uid),
+                _ if starts => start_target = Some(uid),
+                _ => {}
             }
             Ok(Some(Some(uid)))
         });
         let pipeline = Pipeline {
             kernel: kernel.clone(),
+            chain: spawned.as_ref().cloned().unwrap_or_default(),
             ejects,
             pumps: deferred,
             start_target,
@@ -630,7 +693,7 @@ impl PipelineSpec {
 
 /// What a row of the plan mounts between its faces.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Mount {
+enum Mount {
     /// The spec's `i`-th head: a local supply, or the imperative program
     /// behind §4's standard IO module.
     Head(usize),
@@ -647,20 +710,17 @@ pub(crate) enum Mount {
     Sink,
     /// The `t`-th tap's collector (a report window).
     Tap(usize),
-    /// The caller itself, as the sink that pumps a recoverable read-only
-    /// chain: nothing is spawned.
-    Driver,
 }
 
 /// One row of the plan: a stage's name in the graph, its role, its faces
 /// and what it mounts.
 #[derive(Debug)]
-pub(crate) struct Row {
+struct Row {
     label: String,
     role: NodeRole,
-    pub(crate) input: Mode,
-    pub(crate) output: Mode,
-    pub(crate) mount: Mount,
+    input: Mode,
+    output: Mode,
+    mount: Mount,
 }
 
 /// `(from, to, tap)`: two rows whose faces meet, on a tap's channel or the primary.
@@ -669,16 +729,16 @@ type Edge = (usize, usize, Option<usize>);
 /// The plan: rows head first, the edges between them (a row is fed only
 /// by earlier rows), the taps' channels, and the wiring graph they render to.
 #[derive(Debug)]
-pub(crate) struct Plan {
-    pub(crate) rows: Vec<Row>,
+struct Plan {
+    rows: Vec<Row>,
     edges: Vec<Edge>,
     taps: Vec<String>,
-    pub(crate) graph: WiringGraph,
+    graph: WiringGraph,
 }
 
 impl Plan {
     /// An empty plan, to render into `graph`.
-    pub(crate) fn new(graph: WiringGraph, taps: Vec<String>) -> Plan {
+    fn new(graph: WiringGraph, taps: Vec<String>) -> Plan {
         Plan {
             rows: Vec::new(),
             edges: Vec::new(),
@@ -688,7 +748,7 @@ impl Plan {
     }
 
     /// Append a row fed by `feeds` (row, tap); returns its index.
-    pub(crate) fn add(
+    fn add(
         &mut self,
         label: String,
         role: NodeRole,
@@ -727,7 +787,7 @@ impl Plan {
     /// that runs later), or `None` to be asked again on a later sweep.
     /// Checked wiring never joins two active faces, so each sweep places at
     /// least one row.
-    pub(crate) fn spawn(
+    fn spawn(
         &self,
         mut place: impl FnMut(usize, &[Option<Uid>]) -> Result<Option<Option<Uid>>>,
     ) -> Result<Vec<Option<Uid>>> {
@@ -736,8 +796,7 @@ impl Plan {
             _ => None,
         };
         let mut uids: Vec<Option<Uid>> = self.rows.iter().map(external).collect();
-        let there = |row: &Row| matches!(row.mount, Mount::Eject(_) | Mount::Driver);
-        let mut placed: Vec<bool> = self.rows.iter().map(there).collect();
+        let mut placed: Vec<bool> = self.rows.iter().map(|r| external(r).is_some()).collect();
         while placed.contains(&false) {
             let before = placed.clone();
             for i in (0..placed.len()).chain((0..placed.len()).rev()) {
@@ -757,10 +816,13 @@ impl Plan {
 #[derive(Debug)]
 pub struct Pipeline {
     kernel: Kernel,
+    /// The Eject of each row of the plan, once there is one.
+    chain: Vec<Option<Uid>>,
     ejects: Vec<Uid>,
-    /// The stages that pump unasked, spawned in `run()` so they start after
-    /// the metrics baseline (and so that truly nothing flows at build time).
-    pumps: Vec<(Option<NodeId>, Stage)>,
+    /// The stages that pump unasked, by row, spawned in `run()` so they
+    /// start after the metrics baseline (and so that truly nothing flows at
+    /// build time).
+    pumps: Vec<(usize, Option<NodeId>, Stage)>,
     /// `Start` target for source-pumped disciplines.
     start_target: Option<Uid>,
     end: End,
@@ -789,11 +851,12 @@ impl Pipeline {
         // The guard is dropped before teardown so the Deactivate sweep does
         // not pollute the tree.
         let ambient = eden_core::span::enter(Some(self.trace));
-        for (node, stage) in self.pumps.drain(..) {
+        for (row, node, stage) in self.pumps.drain(..) {
             let uid = match node {
                 Some(n) => self.kernel.spawn_on(n, Box::new(stage))?,
                 None => self.kernel.spawn(Box::new(stage))?,
             };
+            self.chain[row] = Some(uid);
             self.ejects.push(uid);
         }
         if let Some(target) = self.start_target {
@@ -819,6 +882,7 @@ impl Pipeline {
         });
         let wall = start.elapsed();
         let metrics = self.kernel.metrics().snapshot().since(&self.baseline);
+        let stages = self.chain.iter().flatten().copied().collect();
         let (entities, trace) = (self.ejects.len(), self.trace.trace);
         drop(ambient);
         // Torn down whether or not the run got to its end.
@@ -830,18 +894,23 @@ impl Pipeline {
             metrics,
             wall,
             entities,
+            stages,
             reports,
             trace,
         })
     }
 
     /// Wait for the end of the stream: the collector's records, or the sink
-    /// Eject's word that it holds them all.
+    /// Eject's word that it holds them all, or a retained chain's output.
     fn end(&self, deadline: Duration) -> Result<Vec<Value>> {
         let asked = match &self.end {
             End::Collector(collector) => return collector.wait_done(deadline),
             End::Pull(sink, tail) => sink.ask(&self.kernel, *tail),
             End::Close(acceptor) => self.kernel.invoke(*acceptor, ops::CLOSE, Value::Unit),
+            End::Kept(tail, pull) => {
+                let tail = tail.expect("a built chain has a tail");
+                return read_kept(&self.kernel, tail, *pull, Instant::now() + deadline);
+            }
         };
         // eden-lint: timer(deadline)
         asked.wait_timeout(deadline).map(|_| Vec::new())
@@ -849,10 +918,12 @@ impl Pipeline {
 
     /// Deactivate every Eject — and a sink's acceptor, which may never have
     /// been closed — and wait on their death latches until they are gone:
-    /// as the pipeline drops, run or not.
+    /// as the pipeline drops, run or not. A retained chain outlives its run:
+    /// its stages are their stable state, and the run reports their UIDs.
     pub(crate) fn teardown(&self, deadline: Duration) {
         let acceptor = match self.end {
             End::Close(acceptor) => Some(acceptor),
+            End::Kept(..) => return,
             _ => None,
         };
         let ejects: Vec<Uid> = self.ejects.iter().copied().chain(acceptor).collect();
@@ -869,6 +940,41 @@ impl Drop for Pipeline {
     }
 }
 
+/// Read a retained chain's output whole from its `tail` by `deadline`, each
+/// read from where the output so far ends. With `pull` (records a read) the
+/// run is a read-only chain's sink, and pulls by positional `Transfer`s.
+/// Else the tail is the acceptor, and the end of the stream is an event: a
+/// `Close` it parks until then, and one [`READ_ALL`](recovery::READ_ALL).
+pub(crate) fn read_kept(
+    kernel: &Kernel,
+    tail: Uid,
+    pull: Option<usize>,
+    deadline: Instant,
+) -> Result<Vec<Value>> {
+    let ask = |op: &'static str, arg, how| {
+        let left = deadline.saturating_duration_since(Instant::now());
+        // eden-lint: timer(deadline)
+        kernel.invoke_with(tail, op, arg, how).wait_timeout(left)
+    };
+    let (stream, control) = (recovery::stream_opts, recovery::control_opts);
+    let mut output = Vec::new();
+    loop {
+        let at = |max| TransferRequest::primary(max).at(output.len() as u64);
+        let read = match pull {
+            Some(max) => ask(ops::TRANSFER, at(max).to_value(), stream()),
+            None => ask(ops::CLOSE, Value::Unit, control()).and_then(|_| {
+                let all = at(i64::MAX as usize).to_value();
+                ask(recovery::READ_ALL, all, control())
+            }),
+        };
+        let batch = Batch::from_value(read?)?;
+        output.extend(batch.items);
+        if batch.end {
+            return Ok(output);
+        }
+    }
+}
+
 /// The results of one pipeline execution.
 #[derive(Debug, Clone)]
 pub struct PipelineRun {
@@ -882,6 +988,9 @@ pub struct PipelineRun {
     pub wall: Duration,
     /// Number of Ejects the pipeline comprised.
     pub entities: usize,
+    /// The Ejects along the chain, head first: a retained chain's, which
+    /// outlive the run, are how a caller crashes or resumes it.
+    pub stages: Vec<Uid>,
     /// Report-stream captures, keyed by (stage, channel name).
     pub(crate) reports: Vec<((usize, String), Vec<Value>)>,
     /// The trace id every span of this run carries (when the kernel records
@@ -1057,7 +1166,7 @@ mod tests {
             .unwrap();
         // Start the pumps as `run` does, but never wait for the output: the
         // sink's process is parked on a reply that never comes.
-        for (_, stage) in pipeline.pumps.drain(..) {
+        for (.., stage) in pipeline.pumps.drain(..) {
             pipeline.ejects.push(kernel.spawn(Box::new(stage)).unwrap());
         }
         first_ask.recv_timeout(Duration::from_secs(10)).unwrap();
@@ -1200,6 +1309,45 @@ mod tests {
             .run(Duration::from_secs(10))
             .unwrap();
         assert!(run.metrics.remote_invocations > 0);
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn a_retained_spec_refuses_what_recovery_cannot_honour_before_spawning() {
+        let registry = TransformRegistry::new(&[("id", || Box::new(map_fn("id", |v| v)))]);
+        let chain = |discipline| {
+            PipelineSpec::new(discipline)
+                .source_vec(vec![Value::Int(1)])
+                .stage(Box::new(map_fn("id", |v| v)))
+                .retained(&registry)
+        };
+        let plain = Discipline::WriteOnly { push_ahead: 0 };
+        let two = || -> Vec<Box<dyn PullSource>> {
+            vec![
+                Box::new(VecSource::new(vec![])),
+                Box::new(VecSource::new(vec![])),
+            ]
+        };
+        let refused = [
+            chain(Discipline::ReadOnly { read_ahead: 2 }),
+            chain(Discipline::Conventional { buffer_capacity: 4 }),
+            chain(plain).tap(0, OUTPUT_NAME),
+            chain(plain).source_merge(two(), FanInMode::Concatenate),
+            chain(plain).source_eject(Uid::fresh()),
+            chain(plain).null_sink(),
+            chain(plain).policy(ChannelPolicy::Capability),
+            chain(plain).write_window(4),
+        ];
+        let kernel = Kernel::new();
+        for spec in refused {
+            let err = spec.build(&kernel).map(|_| ()).unwrap_err();
+            assert!(matches!(err, EdenError::BadParameter(_)), "{err}");
+        }
+        // A transform the registry cannot rebuild by name is refused too.
+        let unnamed = chain(plain).stage(Box::new(filter_fn("odd", |_| true)));
+        let err = unnamed.build(&kernel).map(|_| ()).unwrap_err();
+        assert!(matches!(err, EdenError::Application(_)), "{err}");
+        assert_eq!(kernel.eject_count(), 0, "nothing spawned");
         kernel.shutdown();
     }
 

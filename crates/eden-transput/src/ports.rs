@@ -185,6 +185,11 @@ impl OutputWiring {
         self
     }
 
+    /// The first wired destination: a retained stage's one peer.
+    pub(crate) fn first(&self) -> Option<Uid> {
+        Some(self.routes.first()?.1.first()?.uid)
+    }
+
     /// Total number of wired destinations.
     pub(crate) fn fan_out(&self) -> usize {
         self.routes.iter().map(|(_, p)| p.len()).sum()

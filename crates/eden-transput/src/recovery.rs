@@ -41,19 +41,26 @@
 //! by name — at the price of a checkpoint that grows with it. Secondary
 //! emission channels are not forwarded.
 //!
-//! Two consequences of recovering from positions alone:
+//! Two consequences of recovering from positions alone, neither of which
+//! polls:
 //!
-//! * A stage its own process drives receives no stream invocations, so a
-//!   crashed one would stay passive forever; the driving loop "nudges" every
-//!   stage with a fault-immune `Describe` while it waits, which reactivates
-//!   any that have crashed, and `activate` restarts the process from the
-//!   checkpoint.
-//! * A passive output never parks a reader. An empty buffer replies with an
-//!   empty non-final batch and the pump polls, because a parked reply would
-//!   die with a crash anyway; polling against the checkpointed position is
-//!   what recovery can prove correct. A step that came back empty asks the
-//!   kernel's timer for the next one after `POLL` (1 ms) and returns, so no
-//!   worker waits out the pause.
+//! * A passive output parks a reader it cannot serve yet, as a volatile one
+//!   does. A crash abandons the parked reply as `EjectCrashed`, which is
+//!   retryable: the reader's re-send reactivates the stage and says its
+//!   position again, and what the stage served it keeps until a later
+//!   position acknowledges it, so the repeat reads the same records.
+//! * A stage its own process drives — a pushing source, a conventional
+//!   pump — receives no stream invocations, so nothing would reactivate it.
+//!   It says so (`EjectBehavior::drives_itself`), and the kernel reactivates
+//!   it as it crashes; `activate` restarts the process from the checkpoint.
+//!
+//! A recoverable pipeline is a [`PipelineSpec`] made
+//! [`retained`](PipelineSpec::retained): the one plan, built and run by the
+//! one door. Its run ends on an event, not a poll: a read-only run pulls
+//! the tail itself, and any other asks the acceptor to `Close` — parked
+//! until the stream has ended there — and then reads it once with
+//! [`READ_ALL`]. [`run_recoverable_pipeline`] and
+//! [`resume_recoverable_pipeline`] are that door, by transform name.
 //!
 //! ## The checkpoint
 //!
@@ -75,6 +82,7 @@
 //! and a source's only write is its birth, with its whole supply.
 //!
 //! [`StableStore`]: eden_kernel::StableStore
+//! [`TransferRequest::pos`]: crate::protocol::TransferRequest::pos
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -84,28 +92,26 @@ use eden_core::op::ops;
 use eden_core::{EdenError, Result, Uid, Value};
 use eden_kernel::{EjectBehavior, InvokeOptions, Kernel, RetryPolicy};
 
-use crate::conform::{DisciplineKind, Mode, NodeRole, WiringGraph};
-use crate::pipeline::{Mount, Plan};
-use crate::protocol::{Batch, TransferRequest, WriteRequest};
-use crate::stage::{Buffer, Host, InFace, Stage};
+use crate::conform::DisciplineKind;
+use crate::pipeline::{read_kept, Discipline, PipelineRun, PipelineSpec};
+use crate::protocol::WriteRequest;
+use crate::source::VecSource;
+use crate::stage::{Buffer, Host, InFace, Input, Output, Stage};
 use crate::transform::Transform;
 
-/// The operation a [`run_recoverable_pipeline`] driver uses to read the
-/// terminal acceptor — a retained (passive, passive) stage it lets forget
-/// nothing: replies with a [`Batch`] of everything accepted from its
-/// [`TransferRequest`]'s `pos` on (no `pos`, or a `Unit` argument: from the
-/// start; any other argument is refused), `end` set once the stream has
-/// closed. Keeping the output *inside* the acceptor's stable state (rather
-/// than pushing it to an external collector) lets the terminal stage
-/// recover exactly: records and acknowledging position are one state.
+/// The operation a retained pipeline's run reads its acceptor with — a
+/// retained (passive, passive) stage it lets forget nothing: replies with a
+/// [`Batch`](crate::protocol::Batch) of everything accepted from its
+/// [`TransferRequest`](crate::protocol::TransferRequest)'s `pos` on
+/// (no `pos`, or a `Unit` argument: from the start; any other argument is
+/// refused), `end` set once the stream has closed. Keeping the output
+/// *inside* the acceptor's stable state (rather than pushing it to an
+/// external collector) lets the terminal stage recover exactly: records and
+/// acknowledging position are one state.
 pub const READ_ALL: &str = "ReadAll";
 
 /// The one Eden type every retained stage is registered under.
 pub(crate) const STAGE_TYPE: &str = "RecoverableStage";
-
-/// How long a retained stage's process lets pass before the next step
-/// after one that made no progress, which it asks the kernel's timer for.
-pub(crate) const POLL: Duration = Duration::from_millis(1);
 
 /// The retry policy stream invocations travel with: the first re-send after
 /// a fault (the one that reactivates a crashed peer) goes at once, later
@@ -120,13 +126,14 @@ pub(crate) fn stream_opts() -> InvokeOptions<'static> {
         .deadline(Duration::from_secs(20))
 }
 
-/// Options for control-plane traffic (polling the acceptor, nudging
-/// crashed stages): immune to the fault plan, so chaos
-/// experiments perturb the stream itself, not the experiment's harness.
-fn control_opts() -> InvokeOptions<'static> {
-    InvokeOptions::new()
-        .immune()
-        .retry(RetryPolicy::retries(8).base_delay(Duration::from_millis(1)))
+/// Options for a run's own asks (the acceptor's `Close` and `ReadAll`, a
+/// resumed stage's `Describe`): immune to the fault plan, so chaos
+/// experiments perturb the stream itself, not the experiment's harness, and
+/// asked again after each crash of the one asked, for as long as the run
+/// has time.
+pub(crate) fn control_opts() -> InvokeOptions<'static> {
+    let again = RetryPolicy::retries(u32::MAX).max_delay(Duration::from_millis(1));
+    InvokeOptions::new().immune().retry(again)
 }
 
 /// A constructor for one named, deterministic [`Transform`].
@@ -141,7 +148,9 @@ pub struct TransformRegistry {
 }
 
 impl TransformRegistry {
-    /// Build a registry from `(name, constructor)` pairs.
+    /// Build a registry from `(name, constructor)` pairs, each under the
+    /// name its transform reports ([`Transform::name`]): a retained spec
+    /// looks its transforms up by it.
     pub fn new(entries: &[(&str, TransformFactory)]) -> TransformRegistry {
         TransformRegistry {
             map: Arc::new(entries.iter().map(|(n, f)| ((*n).to_owned(), *f)).collect()),
@@ -151,14 +160,12 @@ impl TransformRegistry {
     /// Construct a transform and put it in `state` (unit: a fresh one, or
     /// one with nothing worth saving). The empty name is the identity
     /// (pass-through) transform; unknown names are an error.
-    fn build(&self, name: &str, state: &Value) -> Result<Option<Box<dyn Transform>>> {
+    pub(crate) fn build(&self, name: &str, state: &Value) -> Result<Option<Box<dyn Transform>>> {
         if name.is_empty() {
             return Ok(None);
         }
         let Some(factory) = self.map.get(name) else {
-            return Err(EdenError::Application(format!(
-                "no transform named `{name}` in the recovery registry"
-            )));
+            return Err(missing(name));
         };
         let mut transform = factory();
         if !matches!(state, Value::Unit) {
@@ -166,6 +173,13 @@ impl TransformRegistry {
         }
         Ok(Some(transform))
     }
+}
+
+/// A name the registry builds no transform by.
+fn missing(name: &str) -> EdenError {
+    EdenError::Application(format!(
+        "no transform named `{name}` in the recovery registry"
+    ))
 }
 
 /// A passive face's refusal of a request that does not say where in the
@@ -181,7 +195,6 @@ fn unpositioned(op: &str, field: &str) -> EdenError {
 pub(crate) struct Kept {
     /// The transform's registry name (empty = identity).
     transform: String,
-    registry: TransformRegistry,
     /// `Some`: the input is active and pulls this Eject at `consumed`.
     /// `None`: it is passive and accepts `Write`s — or, with `local`, a
     /// local supply the buffer was loaded from whole, already closed.
@@ -211,13 +224,6 @@ pub(crate) struct Kept {
 }
 
 impl Kept {
-    /// The transform, rebuilt by name and put back in the state it held at
-    /// `consumed`, so that the input replayed from that position lands on
-    /// the transform that first saw it.
-    pub(crate) fn transform(&self, state: &Value) -> Result<Option<Box<dyn Transform>>> {
-        self.registry.build(&self.transform, state)
-    }
-
     /// An entry (module docs) carrying the output from the `from`-th on.
     fn entry(&self, buffer: &Buffer, from: usize) -> Vec<(&'static str, Value)> {
         let appended: Vec<Value> = buffer.queues[0].range(from..).cloned().collect();
@@ -244,7 +250,9 @@ impl Kept {
         Value::record(fixed.into_iter().chain(self.entry(buffer, 0)))
     }
 
-    /// The stage a checkpoint describes: its entry, redone over nothing.
+    /// The stage a checkpoint describes: its entry, redone over nothing,
+    /// and its transform rebuilt by name in the state it held at `consumed`,
+    /// so that the input replayed from there lands on the one that saw it.
     pub(crate) fn reactivate(v: &Value, registry: &TransformRegistry) -> Result<Stage> {
         // A UID is an active face's peer, unit a passive face.
         let peer = |name| match v.field(name)? {
@@ -253,7 +261,6 @@ impl Kept {
         };
         let mut kept = Kept {
             transform: v.field("transform")?.as_str()?.to_owned(),
-            registry: registry.clone(),
             upstream: peer("upstream")?,
             local: v.field("local")?.as_bool()?,
             downstream: peer("downstream")?,
@@ -263,7 +270,8 @@ impl Kept {
         let mut buf = VecDeque::new();
         let in_end = kept.redo(v, &mut buf)?;
         kept.moved = 0;
-        Stage::retained(kept, buf, in_end, v.field("transform_state")?)
+        let transform = registry.build(&kept.transform, v.field("transform_state")?)?;
+        Ok(Stage::retained(kept, transform, buf, in_end))
     }
 
     /// Apply an entry to the state the ones before it came to. Returns
@@ -360,30 +368,6 @@ impl Kept {
     }
 }
 
-/// A fresh retained stage running `transform` (empty = identity) between an
-/// active face for each of `peers` (upstream, downstream) given and a
-/// passive one for each `None`. With `items` it is a source: they are its
-/// local supply, loaded into the buffer whole, and its input is closed.
-pub(crate) fn fresh(
-    transform: &str,
-    registry: &TransformRegistry,
-    (upstream, downstream): (Option<Uid>, Option<Uid>),
-    batch: usize,
-    items: Option<Vec<Value>>,
-) -> Result<Stage> {
-    let kept = Kept {
-        transform: transform.to_owned(),
-        registry: registry.clone(),
-        upstream,
-        local: items.is_some(),
-        downstream,
-        batch: batch.max(1),
-        ..Kept::default()
-    };
-    let ended = kept.local;
-    Stage::retained(kept, items.unwrap_or_default().into(), ended, &Value::Unit)
-}
-
 /// Register the reactivation constructor for retained stages. Must be
 /// called (once per kernel) before any recoverable stage can come back from
 /// a crash; `registry` must contain every transform the pipelines will
@@ -405,13 +389,9 @@ pub fn install_recovery(kernel: &Kernel, registry: &TransformRegistry) {
 /// The record list lives in the checkpoint, so a reactivated source
 /// re-serves any unacknowledged suffix byte-for-byte.
 pub fn recoverable_source(items: Vec<Value>) -> Box<dyn EjectBehavior> {
-    let source = fresh(
-        "",
-        &TransformRegistry::default(),
-        (None, None),
-        1,
-        Some(items),
-    );
+    let supply = Input::Local(Box::new(VecSource::new(items)));
+    let identity = TransformRegistry::default();
+    let source = retain(supply, "", Output::Passive, 1, &identity);
     Box::new(source.expect("the identity transform is in every registry"))
 }
 
@@ -424,90 +404,62 @@ pub fn recoverable_filter(
     upstream: Uid,
     batch: usize,
 ) -> Result<Box<dyn EjectBehavior>> {
-    let peers = (Some(upstream), None);
-    Ok(Box::new(fresh(transform, registry, peers, batch, None)?))
+    let (input, output) = (Input::pull(upstream), Output::Passive);
+    Ok(Box::new(retain(input, transform, output, batch, registry)?))
 }
 
-/// Which communication discipline a recoverable pipeline uses: read-only
-/// (the driver pulls the tail filter), write-only (the source pumps through
-/// push filters into the acceptor) or conventional (pumps move records
-/// between passive buffers — n+1 extra Ejects, 2n+2 invocations per batch,
-/// §4's cost).
+/// Which communication discipline a recoverable pipeline uses: any
+/// [`DisciplineKind`], wired as [`PipelineSpec::retained`] plans it.
 pub type RecoveryDiscipline = DisciplineKind;
 
-/// The plan `discipline` needs to run `transforms`: a chain, head first.
-///
-/// A discipline is its filters' faces; the rest follows from joining each
-/// active face to a passive one. A source is pulled where the filters pull
-/// and pumps where they do not; filters that push need an acceptor to push
-/// into, and where they do not the driver itself is the chain's active sink;
-/// and where both faces are active a passive buffer sits between consecutive
-/// filters — and a single identity pump still has to move the records when
-/// there is no filter at all.
-fn plan(discipline: RecoveryDiscipline, transforms: &[&str]) -> Plan {
-    use Mode::{Active, Passive};
-    use NodeRole::{Buffer, Filter, Sink, Source};
-    let (input, output) = discipline.faces();
-    let pumps = (input, output) == (Active, Active);
-    let mut plan = Plan::new(WiringGraph::new(discipline), Vec::new());
-    let (source, pipe) = ((Passive, input.peer()), (Passive, Passive));
-    let mut prev = plan.add("source".into(), Source, source, Mount::Head(0), &[]);
-    let filters = if pumps && transforms.is_empty() {
-        &[""][..]
-    } else {
-        transforms
+/// A fresh retained stage running `registry`'s `transform` (empty: the
+/// identity) between the faces a row of the plan mounts: an active one's
+/// peer is its one port, and a local supply is loaded whole, its input
+/// closed — the checkpoint holds it.
+pub(crate) fn retain(
+    input: Input,
+    transform: &str,
+    output: Output,
+    batch: usize,
+    registry: &TransformRegistry,
+) -> Result<Stage> {
+    let mut items = None;
+    let upstream = match input {
+        Input::Active(puller) => Some(puller.port(0).uid),
+        Input::Local(mut supply) => loop {
+            let pulled = supply.pull(usize::MAX);
+            items.get_or_insert_with(Vec::new).extend(pulled.items);
+            if pulled.end {
+                break None;
+            }
+        },
+        _ => None,
     };
-    for (i, name) in filters.iter().enumerate() {
-        if pumps && i > 0 {
-            let label = format!("buf{}", i - 1);
-            prev = plan.add(label, Buffer, pipe, Mount::Copy, &[(prev, None)]);
-        }
-        let kind = if pumps { "pump" } else { "stage" };
-        let (shown, mount) = match name.is_empty() {
-            true => ("copy", Mount::Copy),
-            false => (*name, Mount::Filter(i)),
-        };
-        let label = format!("{kind}{i}:{shown}");
-        prev = plan.add(label, Filter, (input, output), mount, &[(prev, None)]);
-    }
-    let (sink, faces, mount) = match output {
-        Active => ("acceptor", pipe, Mount::Sink),
-        Passive => ("driver", (Active, Passive), Mount::Driver),
+    let kept = Kept {
+        transform: transform.to_owned(),
+        upstream,
+        local: items.is_some(),
+        downstream: match output {
+            Output::Active(wiring) => wiring.first(),
+            _ => None,
+        },
+        batch: batch.max(1),
+        ..Kept::default()
     };
-    plan.add(sink.into(), Sink, faces, mount, &[(prev, None)]);
-    plan
+    // Built now, so that a name the registry lacks fails at build.
+    let transform = registry.build(transform, &Value::Unit)?;
+    let (buf, ended) = (items.unwrap_or_default().into(), kept.local);
+    Ok(Stage::retained(kept, transform, buf, ended))
 }
 
-/// Render the wiring [`run_recoverable_pipeline`] would spawn for this
-/// discipline and transform chain, in the same [`WiringGraph`] form the
-/// non-recoverable [`crate::pipeline::PipelineSpec`] uses. The driver
-/// checks this graph before spawning anything, so a recoverable pipeline
-/// that would violate its discipline's shape rules fails statically.
-pub fn recovery_graph(discipline: RecoveryDiscipline, transforms: &[&str]) -> WiringGraph {
-    plan(discipline, transforms).graph
-}
-
-/// The result of a recoverable pipeline run.
-#[derive(Debug)]
-pub struct RecoveryRun {
-    /// The records that reached the end of the pipeline, in order.
-    pub output: Vec<Value>,
-    /// Every Eject the pipeline spawned (sources, filters, buffers, pumps,
-    /// acceptor), head first. Exposed so chaos tests can crash them.
-    pub stages: Vec<Uid>,
-    /// The trace id the run's spans carry — stable across retries and
-    /// checkpoint-driven reactivation, so the recovered replay is part of
-    /// the same causal tree as the first attempt.
-    pub trace: u64,
-}
-
-/// Build and run a recoverable pipeline of `transforms` over `items` and
-/// wait (up to `timeout`) for the complete output.
-///
-/// [`install_recovery`] must have been called on this kernel with a
-/// registry containing every named transform. The run rides out injected
-/// faults and crashes of any stage; it fails only if the kernel shuts
-/// down, a fatal (non-retryable) error surfaces, or `timeout` passes.
+/// Build and run a recoverable pipeline of `transforms` over `items`, each
+/// one `registry` builds by name, and wait (up to `timeout`) for the
+/// complete output: the [`PipelineSpec`] made
+/// [`retained`](PipelineSpec::retained) by `registry`, which
+/// [`install_recovery`] gave the kernel too. The run rides out injected
+/// faults and crashes of any stage; it fails only if the kernel shuts down,
+/// a fatal (non-retryable) error surfaces, or `timeout` passes. The run's
+/// `stages` are the Ejects it spawned, head first: chaos tests crash them.
 pub fn run_recoverable_pipeline(
     kernel: &Kernel,
     discipline: RecoveryDiscipline,
@@ -516,145 +468,77 @@ pub fn run_recoverable_pipeline(
     registry: &TransformRegistry,
     batch: usize,
     timeout: Duration,
-) -> Result<RecoveryRun> {
-    let plan = plan(discipline, transforms);
-    let violations = plan.graph.check();
-    if !violations.is_empty() {
-        let msgs: Vec<String> = violations.iter().map(ToString::to_string).collect();
-        return Err(EdenError::Discipline(msgs.join("; ")));
+) -> Result<PipelineRun> {
+    let discipline = match discipline {
+        DisciplineKind::ReadOnly => Discipline::ReadOnly { read_ahead: 0 },
+        DisciplineKind::WriteOnly => Discipline::WriteOnly { push_ahead: 0 },
+        DisciplineKind::Conventional => Discipline::Conventional { buffer_capacity: 0 },
+    };
+    let mut spec = PipelineSpec::new(discipline).source_vec(items).batch(batch);
+    for name in transforms {
+        let transform = registry.build(name, &Value::Unit)?;
+        spec = spec.stage(transform.ok_or_else(|| missing(name))?);
     }
-    let deadline = Instant::now() + timeout;
-    // One trace for the whole recoverable affair. Retries re-send under the
-    // span captured at first issue, and a reactivated stage's coordinator
-    // inherits the ambient of the invocation that woke it, so the trace id
-    // survives crash/reactivate cycles — the recovery replay and the first
-    // attempt reconstruct as one tree.
-    let root = eden_core::span::SpanContext::root();
-    let _ambient = eden_core::span::enter(Some(root));
-
-    let mut items = Some(items);
-    let uids = plan.spawn(|i, uids| {
-        // The rows are a chain, so the peer an active face holds is the
-        // neighbour on that side. `None`: a passive face. `Some(None)`: a
-        // peer not spawned yet.
-        let row = &plan.rows[i];
-        let upstream = (row.input == Mode::Active).then(|| uids[i - 1]);
-        let downstream = (row.output == Mode::Active).then(|| uids[i + 1]);
-        if upstream == Some(None) || downstream == Some(None) {
-            return Ok(None);
-        }
-        let name = match row.mount {
-            Mount::Filter(t) => transforms[t],
-            _ => "",
-        };
-        let peers = (upstream.flatten(), downstream.flatten());
-        let stage = fresh(name, registry, peers, batch, items.take_if(|_| i == 0))?;
-        Ok(Some(Some(kernel.spawn(Box::new(stage))?)))
-    })?;
-    let stages: Vec<Uid> = uids.into_iter().flatten().collect();
-
-    // A row more than was spawned: the driver is the chain's sink.
-    let pull = (plan.rows.len() > stages.len()).then_some(batch.max(1));
-    drive(kernel, &stages, pull, deadline).map(|output| RecoveryRun {
-        output,
-        stages,
-        trace: root.trace,
-    })
+    spec.retained(registry).build(kernel)?.run(timeout)
 }
 
-/// Resume a write-only or conventional pipeline on a **rebuilt kernel** —
-/// the process-restart shape of recovery. `stages` is the head-first list
-/// a previous [`RecoveryRun`] reported (its last element is the acceptor);
-/// every one of them now exists only as a passive representation replayed
-/// out of the durable store the new kernel was built over.
-///
-/// Nothing is respawned: the driver simply invokes the old UIDs.
-/// Activation-on-invocation rebuilds each stage from its checkpoint, a
-/// pump's `activate` restarts its process from the checkpointed
-/// positions, and the sequence arithmetic absorbs the replayed window — the
-/// same machinery that rides out a single-stage crash rides out losing the
-/// whole kernel.
-///
-/// [`install_recovery`] must have been called on the new kernel first.
+/// Resume a write-only or conventional pipeline on a **rebuilt kernel**,
+/// over the durable store the old one left: `stages` is a run's, head first
+/// (its last is the acceptor), each now a passive representation. Nothing
+/// is respawned: each stage is invoked once — a `Describe`, which
+/// reactivates it, and a pump's `activate` restarts its process from the
+/// checkpointed positions — and the acceptor is read as a run reads it. The
+/// sequence arithmetic absorbs the replayed window: what rides out one
+/// stage's crash rides out losing the whole kernel. [`install_recovery`]
+/// must have been called on the new kernel first.
 pub fn resume_recoverable_pipeline(
     kernel: &Kernel,
     stages: &[Uid],
     timeout: Duration,
 ) -> Result<Vec<Value>> {
-    drive(kernel, stages, None, Instant::now() + timeout)
-}
-
-/// What is left until `deadline`: the bound on every wait the driver makes.
-fn time_left(deadline: Instant) -> Result<Duration> {
-    deadline
-        .checked_duration_since(Instant::now())
-        .ok_or(EdenError::Timeout)
-}
-
-/// Collect the stream from the last of `stages` until it closes, each read
-/// from where the driver's own copy ends.
-///
-/// With `pull` (records per read) the chain has no acceptor and the driver
-/// is its active sink: positional `Transfer`s, which are stream traffic and
-/// ride out faults like any stage's. Otherwise the tail is the acceptor:
-/// poll it with [`READ_ALL`], and each round nudge every other stage with a
-/// fault-immune `Describe` so a crashed process-driven stage (which nobody
-/// else invokes) gets reactivated.
-fn drive(
-    kernel: &Kernel,
-    stages: &[Uid],
-    pull: Option<usize>,
-    deadline: Instant,
-) -> Result<Vec<Value>> {
-    let (&tail, nudge) = stages
+    let deadline = Instant::now() + timeout;
+    let (&acceptor, rest) = stages
         .split_last()
-        .ok_or_else(|| EdenError::Application("no stages to drive".into()))?;
-    let mut output = Vec::new();
-    loop {
-        let (op, max, how) = match pull {
-            Some(max) => (ops::TRANSFER, max, stream_opts()),
-            None => (READ_ALL, i64::MAX as usize, control_opts()),
-        };
-        let req = TransferRequest::primary(max).at(output.len() as u64);
-        let pending = kernel.invoke_with(tail, op, req.to_value(), how);
+        .ok_or_else(|| EdenError::Application("no stages to resume".into()))?;
+    for &stage in rest {
+        let woken = kernel.invoke_with(stage, ops::DESCRIBE, Value::Unit, control_opts());
         // eden-lint: timer(deadline)
-        let batch = Batch::from_value(pending.wait_timeout(time_left(deadline)?)?)?;
-        output.extend(batch.items);
-        if batch.end {
-            return Ok(output);
-        }
-        if pull.is_none() {
-            for stage in nudge {
-                // Reactivation-on-invocation is the point; the reply is not.
-                // eden-lint: timer(deadline)
-                let _ = kernel
-                    .invoke_with(*stage, ops::DESCRIBE, Value::Unit, control_opts())
-                    .wait_timeout(time_left(deadline)?);
-            }
-            // A retained passive output parks no reader: look again each round.
-            // eden-lint: timer(recovery-poll)
-            eden_kernel::blocking(|| std::thread::sleep(Duration::from_millis(2)));
-        }
+        woken.wait_timeout(deadline.saturating_duration_since(Instant::now()))?;
     }
+    read_kept(kernel, acceptor, None, deadline)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conform::EdgeMode;
-    use crate::transform::Identity;
+    use crate::conform::{EdgeMode, NodeRole, WiringGraph};
+    use crate::transform::{map_fn, Identity};
 
-    const DISCIPLINES: [RecoveryDiscipline; 3] = [
-        RecoveryDiscipline::ReadOnly,
-        RecoveryDiscipline::WriteOnly,
-        RecoveryDiscipline::Conventional,
+    const DISCIPLINES: [Discipline; 3] = [
+        Discipline::ReadOnly { read_ahead: 0 },
+        Discipline::WriteOnly { push_ahead: 0 },
+        Discipline::Conventional { buffer_capacity: 0 },
     ];
+
+    /// The graph a retained chain of `names` renders to.
+    fn graph(discipline: Discipline, names: &[&'static str]) -> WiringGraph {
+        let registry = TransformRegistry::new(&[]);
+        let spec = names
+            .iter()
+            .fold(PipelineSpec::new(discipline), |spec, name| {
+                spec.stage(Box::new(map_fn(name, |v| v)))
+            });
+        spec.source_vec(Vec::new())
+            .retained(&registry)
+            .graph()
+            .unwrap()
+    }
 
     #[test]
     fn recovery_wiring_conforms_in_every_discipline() {
         for discipline in DISCIPLINES {
             for chain in [&[][..], &["upcase"][..], &["upcase", "grep"][..]] {
-                let violations = recovery_graph(discipline, chain).check();
+                let violations = graph(discipline, chain).check();
                 assert!(
                     violations.is_empty(),
                     "{discipline:?} over {chain:?}: {violations:?}"
@@ -665,7 +549,7 @@ mod tests {
 
     #[test]
     fn conventional_recovery_graph_pairs_pumps_with_buffers() {
-        let graph = recovery_graph(RecoveryDiscipline::Conventional, &["a", "b", "c"]);
+        let graph = graph(DISCIPLINES[2], &["a", "b", "c"]);
         let count = |role| graph.nodes.values().filter(|r| **r == role).count();
         assert_eq!(count(NodeRole::Filter), 3);
         assert_eq!(count(NodeRole::Buffer), 2); // between consecutive pumps only
@@ -674,16 +558,13 @@ mod tests {
     #[test]
     fn edge_modes_are_read_off_the_faces_that_meet() {
         let modes = |discipline| -> Vec<EdgeMode> {
-            let graph = recovery_graph(discipline, &["a", "b"]);
+            let graph = graph(discipline, &["a", "b"]);
             graph.edges.iter().map(|e| e.mode).collect()
         };
         use EdgeMode::{Pull, Push};
-        assert_eq!(modes(RecoveryDiscipline::ReadOnly), [Pull, Pull, Pull]);
-        assert_eq!(modes(RecoveryDiscipline::WriteOnly), [Push, Push, Push]);
-        assert_eq!(
-            modes(RecoveryDiscipline::Conventional),
-            [Pull, Push, Pull, Push]
-        );
+        assert_eq!(modes(DISCIPLINES[0]), [Pull, Pull, Pull]);
+        assert_eq!(modes(DISCIPLINES[1]), [Push, Push, Push]);
+        assert_eq!(modes(DISCIPLINES[2]), [Pull, Push, Pull, Push]);
     }
 
     #[test]

@@ -12,12 +12,12 @@
 //! |---|---|---|---|---|
 //! | local | passive | source: "any Eject which responds to *Read* invocations" (§4) | `StreamSource` | source, its supply loaded into the buffer whole |
 //! | active | passive | read-only filter | `PullFilter` | read-only `stage{i}` |
-//! | active | local | the sink that pumps a read-only pipeline (§4): a collector, or a file opened for output | `StreamSink` | — (the driver is that sink) |
+//! | active | local | the sink that pumps a read-only pipeline (§4): a collector, or a file opened for output | `StreamSink` | — (the run itself pulls a read-only tail) |
 //! | local | active | the source that pumps a write-only pipeline (§5) | `PushSource` | write-only source; starts unasked |
 //! | passive | active | write-only filter | `PushFilter` | write-only `stage{i}` |
 //! | passive | local | acceptor: "always ready to accept" writes (§5) | `AcceptorSink` | — (the acceptor is the pipe below) |
-//! | passive | passive | the Unix pipe, Figure 1's passive buffer | `PassiveBuffer` | `buf{i}`; read by `ReadAll`, the acceptor |
-//! | active | active | the Unix filter: transforms *and pumps* (§3) | `PumpFilter` | conventional `pump{i}` |
+//! | passive | passive | the Unix pipe, Figure 1's passive buffer | `PassiveBuffer` | `buf{i}`; the acceptor, which answers `Close` once its stream has ended, and `ReadAll` |
+//! | active | active | the Unix filter: transforms *and pumps* (§3) | `PumpFilter` | conventional `stage{i}`, or the lone `pump`; starts unasked |
 //! | passive + one port read actively | active | §5's "secondary inputs, which are actively read" | `ZipPushFilter` | — |
 //! | program | passive | §4's standard IO module: a program that `write`s, as the read-ahead process ([`crate::stdio::program_source`]) | `ProgramSource` | — |
 //! | passive | program | its §5 dual: a program that `read`s, as the push-ahead process ([`crate::stdio::program_sink`]) | `ProgramSink` | — |
@@ -92,8 +92,9 @@
 //! (`Stage::retained`) counts, and differs at two kinds of site only.
 //! *When the buffer may forget:* not what it serves or sends but what the
 //! position of a later `Transfer`, or the reply to a `Write`, acknowledges —
-//! so it parks no reader and no writer, and holds everything between two
-//! passive faces that nobody reads by position. *What an acknowledgement
+//! so it parks no writer, and holds everything between two passive faces
+//! that nobody reads by position; a reader it parks as a volatile stage
+//! does, and a crash abandons to a retry. *What an acknowledgement
 //! waits for:* a durable write whenever the stage has taken or made something
 //! (`retain`, `save`) — of what changed, or of the stage whole — and nothing
 //! when a reader's position only lets it forget. It calls its peers as a
@@ -101,7 +102,6 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
 
 use eden_core::op::ops;
 use eden_core::{EdenError, OpName, Result, Uid, Value};
@@ -244,8 +244,8 @@ const CHUNKS_A_STEP: usize = 16;
 /// cache, under a retry policy if the face is retained; have a reply's
 /// outcome — a handler waits for it, a passive face answering only once its
 /// active face has; a step polls, and is posted once it is in; post the
-/// stage its next step, now or after a pause; and write its passive
-/// representation, whole or one entry more.
+/// stage its next step; and write its passive representation, whole or one
+/// entry more.
 pub(crate) trait Host: Caller {
     fn call(
         &self,
@@ -257,7 +257,6 @@ pub(crate) trait Host: Caller {
     ) -> PendingReply;
     fn poll(&self, pending: &mut PendingReply, wait: bool) -> Option<Result<Value>>;
     fn nudge(&self);
-    fn nudge_after(&self, pause: Duration);
     fn checkpoint(&self, state: &Value) -> Result<()>;
     fn journal(&self, entry: &Value) -> Result<()>;
 }
@@ -290,9 +289,6 @@ impl Host for EjectContext {
     }
     fn nudge(&self) {
         EjectContext::nudge(self)
-    }
-    fn nudge_after(&self, pause: Duration) {
-        EjectContext::nudge_after(self, pause)
     }
     fn checkpoint(&self, state: &Value) -> Result<()> {
         EjectContext::checkpoint(self, state)
@@ -710,13 +706,11 @@ fn retain(
     kept.save(host, input, buffer)
 }
 
-/// What a chunk of a step came to: it went through; nothing more can go
-/// until a reply that is out settles, a reader or a writer comes, or ever;
-/// or a retained stage made no progress, and pauses before it carries on.
+/// What a chunk of a step came to: it went through; or nothing more can go
+/// until a reply that is out settles, a reader or a writer comes, or ever.
 enum Flow {
     Moved,
     Stop,
-    Again,
 }
 
 /// Where a stage's process stands between two steps.
@@ -727,8 +721,7 @@ struct Process {
     started: bool,
     done: bool,
     start: Option<ReplyHandle>,
-    /// The next step is on its way: posted, now or by the timer, or to be
-    /// posted by a reply.
+    /// The next step is on its way: posted, or to be posted by a reply.
     next: bool,
     /// Its starter's span, which its invocations go out under.
     ambient: Option<eden_core::span::SpanContext>,
@@ -758,7 +751,8 @@ pub struct Stage {
     /// Deactivates once its stream has been read to the end, or has ended
     /// into its local output — and, never having checkpointed, disappears
     /// (§7). A reader answers `Close` at once; an acceptor parks it
-    /// (`closing`) until its stream has ended, and answers how (`ended`).
+    /// (`closing`) until its stream has ended, and answers how (`ended`), as
+    /// a retained passive input does too, and stays.
     disposable: bool,
     closing: Option<ReplyHandle>,
     ended: Option<Result<Value>>,
@@ -879,18 +873,17 @@ impl Stage {
         }
     }
 
-    /// A retained stage ([`crate::recovery`]) holding `buf` as its output so
-    /// far, `ended` if its input has closed. It stays what recovery can
-    /// prove correct: one primary port per active face, one channel, a fixed
-    /// batch, one write in flight, and no buffer but what it retains.
+    /// A retained stage ([`crate::recovery`]) running `transform`, holding
+    /// `buf` as its output so far, `ended` if its input has closed. It stays
+    /// what recovery can prove correct: one primary port per active face,
+    /// one channel, a fixed batch, one write in flight, and no buffer but
+    /// what it retains.
     pub(crate) fn retained(
         kept: Kept,
+        transform: Option<Box<dyn Transform>>,
         buf: VecDeque<Value>,
         ended: bool,
-        transform_state: &Value,
-    ) -> Result<Stage> {
-        // Built now so a typo fails at build, not mid-stream.
-        let transform = kept.transform(transform_state)?;
+    ) -> Stage {
         let input = match kept.upstream {
             Some(upstream) => Input::pull(upstream),
             None if kept.local => Input::Local(Box::new(VecSource::new(Vec::new()))),
@@ -908,7 +901,7 @@ impl Stage {
         });
         stage.readers = vec![VecDeque::new()];
         (stage.name, stage.kept) = (recovery::STAGE_TYPE, Some(Box::new(kept)));
-        Ok(stage)
+        stage
     }
 
     /// Checkpoint a retained stage, if anything changed since the last one.
@@ -971,16 +964,8 @@ impl Stage {
             .process
             .ambient
             .map(|ctx| eden_core::span::enter(Some(ctx)));
-        let retained = self.kept.is_some();
         for _ in 0..CHUNKS_A_STEP {
-            // Retries exhausted under heavy fault load: a retained stage
-            // carries on from the same positions rather than strand the
-            // stream (a write that may or may not have landed is re-sent with
-            // the same sequence; the receiver deduplicates).
-            match self
-                .advance(host)
-                .or_else(|e| if retained { Ok(Flow::Again) } else { Err(e) })
-            {
+            match self.advance(host) {
                 Ok(Flow::Moved) => {}
                 Ok(Flow::Stop) => {
                     // A reply that is out posts the next step as it settles.
@@ -989,12 +974,12 @@ impl Stage {
                     self.process.next = out;
                     return;
                 }
-                Ok(Flow::Again) => {
-                    // Nothing moved: the next step comes from the timer,
-                    // and this worker is free meanwhile.
-                    self.process.next = true;
-                    return host.nudge_after(recovery::POLL);
-                }
+                // Retries exhausted under heavy fault load: a retained stage
+                // carries on from the same positions in its next step rather
+                // than strand the stream (a write that may or may not have
+                // landed is re-sent with the same sequence; the receiver
+                // deduplicates).
+                Err(_) if self.kept.is_some() => break,
                 Err(e) => return self.finish(host, Err(e)),
             }
         }
@@ -1035,18 +1020,10 @@ impl Stage {
             // that only memory holds.
             Chunk::default()
         } else if to_face {
-            let at = kept.as_ref().map(|kept| kept.consumed);
-            let Some(chunk) = self.input.produce(host, self.batch, kept, false) else {
-                return Ok(Flow::Stop);
-            };
-            let chunk = chunk?;
-            let consumed = self.kept.as_ref().map(|kept| kept.consumed);
-            if at.is_some() && consumed == at && !self.input.flushed {
-                // A dry upstream buffer, and the stream still open: a
-                // retained passive output parks nobody, so poll.
-                return Ok(Flow::Again);
+            match self.input.produce(host, self.batch, kept, false) {
+                Some(chunk) => chunk?,
+                None => return Ok(Flow::Stop),
             }
-            chunk
         } else {
             if self.input.flushed {
                 self.finish(host, Ok(()));
@@ -1192,6 +1169,13 @@ impl Stage {
         if end && self.disposable {
             self.ended = Some(result.clone());
         }
+        // Durable through its end: a retained stage answers the `Close` it
+        // parked (what it holds stays, for `ReadAll`).
+        if self.kept.is_some() && self.input.flushed && result.is_ok() {
+            if let Some(closing) = self.closing.take() {
+                closing.reply(Ok(Value::Unit));
+            }
+        }
         reply.reply(result);
     }
 
@@ -1274,15 +1258,14 @@ impl Stage {
         // A prefetched primary reader is served whole batches (capped by
         // the stage's own): answering a 64-record ask with the 4 records
         // that happen to be buffered would turn one invocation into many.
-        let whole = idx == 0 && self.in_step();
-        // A retained output parks nobody — a parked reply would die with a
-        // crash anyway: it answers an empty batch, and its reader polls.
-        let keep = self.kept.is_some();
-        let fill = match (keep, whole) {
-            (true, _) => 0,
-            (_, true) => max.min(self.batch),
-            _ => 1,
+        let fill = match idx == 0 && self.in_step() {
+            true => max.min(self.batch),
+            false => 1,
         };
+        // A retained output keeps what it serves until a later position
+        // acknowledges it, so a reader it parks and a crash abandons asks
+        // again and is served the same records.
+        let keep = self.kept.is_some();
         self.meet.with(|buffer| buffer.read(idx, max, fill, keep))
     }
 
@@ -1338,6 +1321,12 @@ impl EjectBehavior for Stage {
     fn replies_last(&self) -> bool {
         let zipped = matches!(self.input.face, Input::Zipped(_));
         !(zipped && self.out_passive)
+    }
+
+    /// A retained stage whose process has not delivered its stream is
+    /// invoked by nobody: the kernel reactivates it should it crash.
+    fn drives_itself(&self) -> bool {
+        self.kept.is_some() && self.process.started && !self.process.done
     }
 
     fn redo(&mut self, entry: Value) -> Result<()> {
@@ -1400,6 +1389,17 @@ impl EjectBehavior for Stage {
                 reply.reply(Ok(Value::Unit));
                 ctx.request_deactivate();
             }
+            // A retained stage's passive input answers `Close` once its
+            // stream has ended there: how a run learns of its end, which is
+            // an event and no poll. A crash abandons the one parked, and the
+            // asker's retry asks the stage it reactivates.
+            ops::CLOSE if self.in_passive && self.kept.is_some() => match self.input.flushed {
+                true => reply.reply(Ok(Value::Unit)),
+                false => {
+                    reply.mark_deferred();
+                    self.closing = Some(reply);
+                }
+            },
             ops::GET_CHANNEL if self.out_passive => reply.reply(
                 GetChannelRequest::from_value(&inv.arg)
                     .and_then(|req| self.meet.with(|buffer| buffer.table.id_of(&req.name)))
@@ -2475,8 +2475,6 @@ mod tests {
 
         fn nudge(&self) {}
 
-        fn nudge_after(&self, _: Duration) {}
-
         fn checkpoint(&self, state: &Value) -> Result<()> {
             self.stored.borrow_mut().clear();
             self.store(Form::Whole, state)
@@ -2619,9 +2617,17 @@ mod tests {
     /// A retained stage of batch 3 running `transform`, the given faces
     /// active.
     fn retained(transform: &str, active_in: bool, active_out: bool) -> Stage {
-        let peer = |active: bool| active.then(Uid::fresh);
-        let peers = (peer(active_in), peer(active_out));
-        recovery::fresh(transform, &registry(), peers, 3, None).unwrap()
+        let input = if active_in {
+            Input::pull(Uid::fresh())
+        } else {
+            Input::Passive
+        };
+        let output = if active_out {
+            Output::push(Uid::fresh())
+        } else {
+            Output::Passive
+        };
+        recovery::retain(input, transform, output, 3, &registry()).unwrap()
     }
 
     fn write(seq: u64, items: std::ops::Range<i64>, end: bool) -> WriteRequest {
@@ -2800,7 +2806,8 @@ mod tests {
     #[test]
     fn a_source_read_to_its_end_checkpoints_once_and_reserves_from_birth() {
         let host = Fake::default();
-        let source = recovery::fresh("", &registry(), (None, None), 3, Some(ints(0..8))).unwrap();
+        let supply = Input::Local(Box::new(VecSource::new(ints(0..8))));
+        let source = recovery::retain(supply, "", Output::Passive, 3, &registry()).unwrap();
         let mut s = born(source, &host);
         // A reader may move on by any part of what it was served: every
         // position once, each acknowledging — and trimming — one record more.
@@ -2969,8 +2976,9 @@ mod tests {
     #[test]
     fn a_pushing_sources_acknowledgement_hands_the_store_a_position_and_no_record() {
         let host = Fake::default();
-        let peers = (None, Some(Uid::fresh()));
-        let source = recovery::fresh("", &registry(), peers, 3, Some(ints(0..48))).unwrap();
+        let supply = Input::Local(Box::new(VecSource::new(ints(0..48))));
+        let source = recovery::retain(supply, "", Output::push(Uid::fresh()), 3, &registry());
+        let source = source.unwrap();
         let mut s = born(source, &host);
         // One step of the worker pushes all there is, a batch at a time, and
         // saves after each acknowledgement.
@@ -3100,6 +3108,86 @@ mod tests {
         let forged = read_all(on(ChannelId::Cap(Uid::fresh())));
         let refused = matches!(forged, Err(EdenError::NotAuthorized(_)));
         assert!(refused, "{forged:?}");
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn an_idle_retained_reader_costs_nothing() {
+        // A pump over an empty, open pipe: its read parks there, and until a
+        // writer comes nothing moves — no read again, no post to itself.
+        let kernel = Kernel::new();
+        recovery::install_recovery(&kernel, &registry());
+        let pipe = kernel.spawn(Box::new(retained("", false, false))).unwrap();
+        let acceptor = kernel.spawn(Box::new(retained("", false, false))).unwrap();
+        let pump = recovery::retain(
+            Input::pull(pipe),
+            "",
+            Output::push(acceptor),
+            3,
+            &registry(),
+        );
+        let pump = pump.unwrap();
+        kernel.spawn(Box::new(pump)).unwrap();
+        let asked = std::time::Instant::now() + Duration::from_secs(10);
+        while kernel.metrics().snapshot().invocations == 0 {
+            assert!(std::time::Instant::now() < asked, "the pump never read");
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        let before = kernel.metrics().snapshot();
+        std::thread::sleep(Duration::from_millis(100));
+        let idle = kernel.metrics().snapshot().since(&before);
+        assert_eq!(
+            (idle.invocations, idle.internal_messages),
+            (0, 0),
+            "{idle:?}"
+        );
+        kernel.shutdown();
+    }
+
+    #[test]
+    fn a_transfer_at_an_empty_open_retained_output_parks_until_a_write() {
+        let kernel = Kernel::new();
+        recovery::install_recovery(&kernel, &registry());
+        let pipe = kernel.spawn(Box::new(retained("", false, false))).unwrap();
+        let read = |pos: u64| {
+            let req = TransferRequest::primary(8).at(pos).to_value();
+            kernel.invoke_with(pipe, ops::TRANSFER, req, recovery::stream_opts())
+        };
+        let send = |w: WriteRequest| kernel.invoke(pipe, ops::WRITE, w.to_value()).wait();
+        let batch = |reply: Result<Value>| Batch::from_value(reply.unwrap()).unwrap();
+        let parked = read(0);
+        std::thread::sleep(Duration::from_millis(20));
+        let Err(parked) = parked.try_wait() else {
+            panic!("an empty, open retained output answered at once");
+        };
+        send(write(0, 0..3, false)).unwrap();
+        let first = batch(parked.wait_timeout(Duration::from_secs(10)));
+        assert_eq!((first.items, first.end), (ints(0..3), false));
+
+        // Crashed while a reader is parked at it: the reader's retry (its
+        // wait drives it) reactivates the stage, which parks it again, and
+        // the next write answers it with each record once.
+        let parked = read(3);
+        std::thread::sleep(Duration::from_millis(20));
+        kernel.crash(pipe).unwrap();
+        let writer = std::thread::spawn({
+            let kernel = kernel.clone();
+            move || {
+                let woken = std::time::Instant::now() + Duration::from_secs(10);
+                while kernel.metrics().snapshot().reactivations == 0 {
+                    assert!(std::time::Instant::now() < woken, "no retry woke it");
+                    std::thread::yield_now();
+                }
+                let w = write(3, 3..6, true).to_value();
+                kernel.invoke(pipe, ops::WRITE, w).wait()
+            }
+        });
+        let second = batch(parked.wait_timeout(Duration::from_secs(10)));
+        writer.join().unwrap().unwrap();
+        assert_eq!((second.items, second.end), (ints(3..6), true));
+        let m = kernel.metrics().snapshot();
+        assert_eq!((m.crashes, m.reactivations), (1, 1));
         kernel.shutdown();
     }
 

@@ -521,13 +521,17 @@ fn a_resend_to_a_parked_declared_callee_runs_inline() {
         .scheduler(SchedulerConfig { workers: 1 })
         .build();
     let echo = kernel.spawn(Box::new(Echo)).unwrap();
-    // A callee runs inline only if the send is what wakes it: one still
-    // finishing its last resume is not parked yet, and that run is repeated.
+    // A callee runs inline only if the send is what wakes it, so each run
+    // waits for the echo to park: one still finishing its last resume, or
+    // not yet given the one worker (on a busy host), is not parked yet.
     let inline = (0..50).any(|_| {
-        let sched = kernel.metrics_snapshot().sched;
-        if sched.parked_ejects != sched.resident_ejects {
+        let parked_by = Instant::now() + Duration::from_secs(10);
+        while {
+            let sched = kernel.metrics_snapshot().sched;
+            sched.parked_ejects != sched.resident_ejects
+        } {
+            assert!(Instant::now() < parked_by, "the echo never parked");
             std::thread::yield_now();
-            return false;
         }
         let drop_first = FaultRule::new(FaultKind::Drop).on_op("Echo").nth(1);
         kernel.install_faults(FaultPlan::new(0).rule(drop_first));

@@ -580,12 +580,12 @@ fn recoverable_runs_keep_their_invocation_and_entity_counts() {
     };
     // A read-only run has no control-plane traffic, so fault-free its
     // invocation count is exact: 40 records at batch 7 are 6 batches, and
-    // each crosses n+1 hops (driver, `inc`, `double`, source).
+    // each crosses n+1 hops (the run, `inc`, `double`, source).
     let (run, invocations) = run_on_fresh_kernel(RecoveryDiscipline::ReadOnly, &["double", "inc"]);
     assert_eq!(run.output, expected(40));
     assert_eq!(invocations, 3 * 6);
-    // Entities for n transforms: source and filters (the driver is no
-    // Eject); those and an acceptor; source, n pumps, the n-1 buffers
+    // Entities for n transforms: source and filters (the run is the sink,
+    // no Eject); those and an acceptor; source, n pumps, the n-1 buffers
     // between them, acceptor.
     let chain = ["double", "inc", "double"];
     for n in 1..=chain.len() {
@@ -596,9 +596,34 @@ fn recoverable_runs_keep_their_invocation_and_entity_counts() {
     }
 }
 
+#[test]
+fn a_run_ends_on_one_parked_ask_and_one_read() {
+    // Where the chain ends in an acceptor, the run asks it to `Close` once,
+    // parked until the stream has ended there, then reads it once: two
+    // invocations beside the stream's own, however long the stream takes.
+    // 40 records at batch 7 are 6 batches: write-only pushes each across 3
+    // hops, conventional moves each by 4 (2n).
+    for (discipline, stream) in [
+        (RecoveryDiscipline::WriteOnly, 3 * 6),
+        (RecoveryDiscipline::Conventional, 4 * 6),
+    ] {
+        let kernel = Kernel::new();
+        let reg = registry();
+        install_recovery(&kernel, &reg);
+        let items: Vec<Value> = (0..40).map(Value::Int).collect();
+        let timeout = Duration::from_secs(30);
+        let chain = &["double", "inc"];
+        let run = run_recoverable_pipeline(&kernel, discipline, items, chain, &reg, 7, timeout);
+        assert_eq!(run.unwrap().output, expected(40), "{discipline:?}");
+        let invocations = kernel.metrics().snapshot().invocations;
+        assert_eq!(invocations, stream + 2, "{discipline:?}");
+        kernel.shutdown();
+    }
+}
+
 /// One fault-free run of a recoverable pipeline over 40 records: its hops
 /// from one stage to the next (every `Write`, and every `Transfer` but the
-/// driver's to the tail), and how many of all its invocations ran inline.
+/// run's to the tail), and how many of all its invocations ran inline.
 fn hops_and_inline_handoffs(discipline: RecoveryDiscipline) -> (u64, u64) {
     let kernel = Kernel::builder().observability(ObsConfig::full()).build();
     let reg = registry();
@@ -636,11 +661,10 @@ fn hops_and_inline_handoffs(discipline: RecoveryDiscipline) -> (u64, u64) {
 fn recoverable_hops_between_stages_are_inline_calls() {
     // A retained stage calls its peers as a volatile one does, under a retry
     // policy, so a hop that finds its callee parked runs it on the caller's
-    // stack. The driver's own invocations — the read-only tail's `Transfer`s,
-    // the acceptor's `ReadAll`, the `Describe` nudges — are sends it then
-    // waits for, never inline. A hop finds its callee busy only when
-    // something else got there first: a nudge, or the callee's own first
-    // activation on another worker. That run is correct, but says nothing of
+    // stack. The run's own invocations — the read-only tail's `Transfer`s,
+    // the acceptor's `Close` and `ReadAll` — are sends it then waits for,
+    // never inline. A hop finds its callee busy only when something else
+    // got there first: the callee's own first activation on another worker. That run is correct, but says nothing of
     // the call path, and is repeated.
     for discipline in [RecoveryDiscipline::ReadOnly, RecoveryDiscipline::WriteOnly] {
         let undisturbed = (0..50).any(|_| {
@@ -728,7 +752,7 @@ fn streams_recover_from_injected_crashes() {
 /// Run `chain` over `items` once per stage and discipline, crashing that
 /// stage directly (no fault plan) once `after` invocations have been made
 /// — including the active pumps that receive no stream invocations and are
-/// only brought back by the driver's nudge.
+/// brought back by the kernel as they crash.
 fn crash_each_stage_in_turn(
     reg: &TransformRegistry,
     chain: &'static [&'static str],
@@ -793,8 +817,8 @@ fn direct_crash_of_every_stage_recovers() {
 fn acceptor_crashed_behind_its_journal_returns_everything_once() {
     // The acceptor holds the whole output and journals each `Write`'s
     // records beside an early checkpoint. Crashed with entries behind it,
-    // it comes back as checkpoint plus journal, and the driver's `ReadAll`
-    // — which asks from where its own copy ends — misses and repeats nothing.
+    // it comes back as checkpoint plus journal, and the run's `ReadAll` —
+    // which asks from where its own copy ends — misses and repeats nothing.
     let run = |kernel: &Kernel, discipline, n: i64| {
         let (kernel, reg) = (kernel.clone(), registry());
         install_recovery(&kernel, &reg);
