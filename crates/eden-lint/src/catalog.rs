@@ -182,7 +182,7 @@ pub(crate) fn shapes(file: Uid) -> Vec<(String, PipelineSpec)> {
             Discipline::Conventional { buffer_capacity: 0 },
         ),
     ] {
-        let spec = || PipelineSpec::new(discipline).source_vec(items());
+        let spec = || PipelineSpec::new(discipline).source_vec(items()).batch(2);
         let chain = spec().stage(Box::new(Identity)).stage(Box::new(Identity));
         entries.push((label.to_owned(), chain.retained(&registry)));
         entries.push((format!("{label}/empty"), spec().retained(&registry)));
@@ -244,6 +244,12 @@ mod tests {
             let pulled = ["recovery/read-only", "recovery/conventional/empty"];
             let unspawned = redirected || pulled.iter().any(|p| name.starts_with(p));
             assert_eq!(run.entities + usize::from(unspawned), nodes, "{name}");
+            if name.starts_with("recovery/") {
+                // A retained run reads its output whole from the chain's
+                // tail, and reports the chain's every Eject.
+                assert_eq!(run.output, items(), "{name}");
+                assert_eq!(run.stages.len(), run.entities, "{name}");
+            }
             if redirected {
                 let held = kernel.invoke(file, "Length", Value::Unit).wait();
                 assert_eq!(held, Ok(Value::Int(items().len() as i64)), "{name}");

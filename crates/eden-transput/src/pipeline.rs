@@ -156,14 +156,15 @@ impl SinkEject {
 
 /// What a built pipeline's run ends on: its collector finishing, a sink
 /// Eject's reply once it has read the tail, or its acceptor's to `Close`;
-/// or a retained chain's tail, read whole ([`read_kept`]).
+/// or a retained chain's tail, the last Eject of its chain, read whole
+/// ([`read_kept`]) — pulled, so many records a `Transfer`, where the run is
+/// the sink.
 #[derive(Debug)]
 enum End {
     Collector(Collector),
     Pull(SinkEject, Option<Uid>),
     Close(Uid),
-    /// The tail, and the records a `Transfer` where the run pulls it.
-    Kept(Option<Uid>, Option<usize>),
+    Kept(Option<usize>),
 }
 
 /// The graph-label for an input port's channel.
@@ -303,8 +304,10 @@ impl PipelineSpec {
     }
 
     /// Retain every stage ([`crate::recovery`]), so that no crash loses or
-    /// repeats a record: each transform is rebuilt from `registry` by its
-    /// [`Transform::name`]. `build` refuses what recovery cannot honour.
+    /// repeats a record: each transform runs as given until a crash, and is
+    /// rebuilt after one from `registry` by its [`Transform::name`] — so it
+    /// must be what the registry builds by that name. `build` refuses what
+    /// recovery cannot honour, and a name the registry lacks.
     pub fn retained(mut self, registry: &TransformRegistry) -> Self {
         self.registry = Some(registry.clone());
         self
@@ -449,7 +452,7 @@ impl PipelineSpec {
                 return Err(EdenError::BadParameter(refused.into()));
             }
             for transform in &self.stages {
-                registry.build(transform.name(), &Value::Unit)?;
+                registry.factory(transform.name())?;
             }
         }
         // Validate taps up front: in the source-pumped disciplines an
@@ -503,9 +506,7 @@ impl PipelineSpec {
             .map(|row| row.input);
         let retained = self.registry.is_some();
         let mut end = match (self.sink.take(), sink_input) {
-            (None, input) if retained => {
-                End::Kept(None, (input == Some(Active)).then_some(self.batch))
-            }
+            (None, input) if retained => End::Kept((input == Some(Active)).then_some(self.batch)),
             (None, _) if self.keep_output => End::Collector(Collector::new()),
             (None, _) => End::Collector(Collector::null()),
             (Some(sink), Some(Passive)) => End::Close(sink.ask(kernel, None).wait()?.as_uid()?),
@@ -528,13 +529,13 @@ impl PipelineSpec {
                 // The sink Eject stands for the row: the acceptor the tail
                 // writes into, or what pulls from the tail.
                 (Mount::Sink, _, End::Close(acceptor)) => return Ok(Some(Some(*acceptor))),
-                (Mount::Sink, _, End::Pull(_, tail) | End::Kept(tail, Some(_))) => {
+                (Mount::Sink, _, End::Pull(_, tail)) => {
                     let feed = plan.edges.iter().find(|(_, to, _)| *to == i);
                     *tail = feed.and_then(|&(from, ..)| uids[from]);
                     return Ok(tail.map(|_| None));
                 }
-                // A retained acceptor, read whole at the end of the run.
-                (Mount::Sink, _, End::Kept(..)) => Output::Passive,
+                // The run itself pulls a retained tail.
+                (Mount::Sink, _, End::Kept(Some(_))) => return Ok(Some(None)),
                 (Mount::Tap(t), ..) => Output::local(self.taps[t].collector.clone()),
                 (_, Passive, _) => Output::Passive,
                 (_, Active, _) => match self.wiring_of(&plan.edges, i, uids) {
@@ -563,13 +564,7 @@ impl PipelineSpec {
                 Mount::Filter(t) => transforms[t].take(),
                 _ => None,
             };
-            let stage = match &self.registry {
-                Some(registry) => {
-                    let name = transform.map_or("", |t| t.name());
-                    recovery::retain(input, name, output, self.batch, registry)?
-                }
-                None => self.mount(row, input, transform, output),
-            };
+            let stage = self.mount(row, input, transform, output);
             let node = self.nodes.map(|n| NodeId(made % n));
             made = made.wrapping_add(1);
             let sink = matches!(row.mount, Mount::Sink | Mount::Tap(_));
@@ -591,10 +586,8 @@ impl PipelineSpec {
                 None => kernel.spawn(Box::new(stage))?,
             };
             ejects.push(uid);
-            match (row.mount, &mut end) {
-                (Mount::Sink, End::Kept(tail, _)) => *tail = Some(uid),
-                _ if starts => start_target = Some(uid),
-                _ => {}
+            if starts {
+                start_target = Some(uid);
             }
             Ok(Some(Some(uid)))
         });
@@ -613,7 +606,8 @@ impl PipelineSpec {
         spawned.map(|_| pipeline)
     }
 
-    /// The stage row `row` mounts between `input` and `output`.
+    /// The stage row `row` mounts between `input` and `output`: retained,
+    /// or tuned by the spec's knobs.
     fn mount(
         &self,
         row: &Row,
@@ -621,6 +615,10 @@ impl PipelineSpec {
         transform: Option<Box<dyn Transform>>,
         output: Output,
     ) -> Stage {
+        if self.registry.is_some() {
+            let name = transform.as_ref().map_or("", |t| t.name());
+            return Stage::retained(input, name, transform, output, self.batch);
+        }
         let depth = self.discipline.depth();
         let pumps = (row.input, row.output) == (Mode::Active, Mode::Active);
         let starts = matches!(row.mount, Mount::Head(_)) && row.output == Mode::Active;
@@ -907,8 +905,13 @@ impl Pipeline {
             End::Collector(collector) => return collector.wait_done(deadline),
             End::Pull(sink, tail) => sink.ask(&self.kernel, *tail),
             End::Close(acceptor) => self.kernel.invoke(*acceptor, ops::CLOSE, Value::Unit),
-            End::Kept(tail, pull) => {
-                let tail = tail.expect("a built chain has a tail");
+            End::Kept(pull) => {
+                let tail = *self
+                    .chain
+                    .iter()
+                    .flatten()
+                    .last()
+                    .expect("a chain has a tail");
                 return read_kept(&self.kernel, tail, *pull, Instant::now() + deadline);
             }
         };
@@ -923,7 +926,7 @@ impl Pipeline {
     pub(crate) fn teardown(&self, deadline: Duration) {
         let acceptor = match self.end {
             End::Close(acceptor) => Some(acceptor),
-            End::Kept(..) => return,
+            End::Kept(_) => return,
             _ => None,
         };
         let ejects: Vec<Uid> = self.ejects.iter().copied().chain(acceptor).collect();

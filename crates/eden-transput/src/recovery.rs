@@ -157,29 +157,29 @@ impl TransformRegistry {
         }
     }
 
+    /// The constructor of the transform named `name`; unknown names are an
+    /// error.
+    pub(crate) fn factory(&self, name: &str) -> Result<TransformFactory> {
+        self.map.get(name).copied().ok_or_else(|| {
+            EdenError::Application(format!(
+                "no transform named `{name}` in the recovery registry"
+            ))
+        })
+    }
+
     /// Construct a transform and put it in `state` (unit: a fresh one, or
     /// one with nothing worth saving). The empty name is the identity
-    /// (pass-through) transform; unknown names are an error.
+    /// (pass-through) transform.
     pub(crate) fn build(&self, name: &str, state: &Value) -> Result<Option<Box<dyn Transform>>> {
         if name.is_empty() {
             return Ok(None);
         }
-        let Some(factory) = self.map.get(name) else {
-            return Err(missing(name));
-        };
-        let mut transform = factory();
+        let mut transform = self.factory(name)?();
         if !matches!(state, Value::Unit) {
             transform.restore(state)?;
         }
         Ok(Some(transform))
     }
-}
-
-/// A name the registry builds no transform by.
-fn missing(name: &str) -> EdenError {
-    EdenError::Application(format!(
-        "no transform named `{name}` in the recovery registry"
-    ))
 }
 
 /// A passive face's refusal of a request that does not say where in the
@@ -194,7 +194,7 @@ fn unpositioned(op: &str, field: &str) -> EdenError {
 #[derive(Debug, Default)]
 pub(crate) struct Kept {
     /// The transform's registry name (empty = identity).
-    transform: String,
+    pub(crate) transform: String,
     /// `Some`: the input is active and pulls this Eject at `consumed`.
     /// `None`: it is passive and accepts `Write`s — or, with `local`, a
     /// local supply the buffer was loaded from whole, already closed.
@@ -220,7 +220,7 @@ pub(crate) struct Kept {
     /// not yet born, or the last write failed and may yet have landed.
     pub(crate) stored: Option<u64>,
     /// Records journaled and records forgotten since the last whole write.
-    moved: u64,
+    pub(crate) moved: u64,
 }
 
 impl Kept {
@@ -250,28 +250,29 @@ impl Kept {
         Value::record(fixed.into_iter().chain(self.entry(buffer, 0)))
     }
 
-    /// The stage a checkpoint describes: its entry, redone over nothing,
-    /// and its transform rebuilt by name in the state it held at `consumed`,
-    /// so that the input replayed from there lands on the one that saw it.
-    pub(crate) fn reactivate(v: &Value, registry: &TransformRegistry) -> Result<Stage> {
+    /// The stage a checkpoint describes: a fresh one between its faces,
+    /// its transform rebuilt by name in the state it held at `consumed` (so
+    /// that the input replayed from there lands on the one that saw it), and
+    /// the checkpoint's entry redone over it — what is left of a local
+    /// supply included.
+    pub(crate) fn reactivate(v: Value, registry: &TransformRegistry) -> Result<Stage> {
         // A UID is an active face's peer, unit a passive face.
         let peer = |name| match v.field(name)? {
             Value::Unit => Ok(None),
             peer => peer.as_uid().map(Some),
         };
-        let mut kept = Kept {
-            transform: v.field("transform")?.as_str()?.to_owned(),
-            upstream: peer("upstream")?,
-            local: v.field("local")?.as_bool()?,
-            downstream: peer("downstream")?,
-            batch: v.field("batch")?.as_int()?.max(1) as usize,
-            ..Kept::default()
+        let input = match peer("upstream")? {
+            Some(upstream) => Input::pull(upstream),
+            None if v.field("local")?.as_bool()? => Input::Local(Box::new(VecSource::new(vec![]))),
+            None => Input::Passive,
         };
-        let mut buf = VecDeque::new();
-        let in_end = kept.redo(v, &mut buf)?;
-        kept.moved = 0;
-        let transform = registry.build(&kept.transform, v.field("transform_state")?)?;
-        Ok(Stage::retained(kept, transform, buf, in_end))
+        let output = peer("downstream")?.map_or(Output::Passive, Output::push);
+        let name = v.field("transform")?.as_str()?;
+        let transform = registry.build(name, v.field("transform_state")?)?;
+        let batch = v.field("batch")?.as_int()?.max(1) as usize;
+        let mut stage = Stage::retained(input, name, transform, output, batch);
+        stage.redo(v)?;
+        Ok(stage)
     }
 
     /// Apply an entry to the state the ones before it came to. Returns
@@ -286,7 +287,11 @@ impl Kept {
         );
         let appended = entry.field("appended")?.as_list()?;
         buf.extend(appended.iter().cloned());
-        self.moved += appended.len() as u64;
+        // The checkpoint, the first entry redone, starts the count afresh.
+        self.moved = match self.stored {
+            Some(_) => self.moved + appended.len() as u64,
+            None => 0,
+        };
         (self.base, self.stored) = (base, Some(base + buf.len() as u64));
         entry.field("in_end")?.as_bool()
     }
@@ -375,7 +380,7 @@ impl Kept {
 pub fn install_recovery(kernel: &Kernel, registry: &TransformRegistry) {
     let registry = registry.clone();
     kernel.register_type(STAGE_TYPE, move |state| match state {
-        Some(v) => Ok(Box::new(Kept::reactivate(&v, &registry)?)),
+        Some(v) => Ok(Box::new(Kept::reactivate(v, &registry)?)),
         None => Err(EdenError::Application(
             "a recoverable stage needs a checkpoint".into(),
         )),
@@ -390,9 +395,7 @@ pub fn install_recovery(kernel: &Kernel, registry: &TransformRegistry) {
 /// re-serves any unacknowledged suffix byte-for-byte.
 pub fn recoverable_source(items: Vec<Value>) -> Box<dyn EjectBehavior> {
     let supply = Input::Local(Box::new(VecSource::new(items)));
-    let identity = TransformRegistry::default();
-    let source = retain(supply, "", Output::Passive, 1, &identity);
-    Box::new(source.expect("the identity transform is in every registry"))
+    Box::new(Stage::retained(supply, "", None, Output::Passive, 1))
 }
 
 /// A recoverable read-only filter, to be spawned by the caller: an (active,
@@ -405,55 +408,18 @@ pub fn recoverable_filter(
     batch: usize,
 ) -> Result<Box<dyn EjectBehavior>> {
     let (input, output) = (Input::pull(upstream), Output::Passive);
-    Ok(Box::new(retain(input, transform, output, batch, registry)?))
+    let built = registry.build(transform, &Value::Unit)?;
+    Ok(Box::new(Stage::retained(
+        input, transform, built, output, batch,
+    )))
 }
 
 /// Which communication discipline a recoverable pipeline uses: any
 /// [`DisciplineKind`], wired as [`PipelineSpec::retained`] plans it.
 pub type RecoveryDiscipline = DisciplineKind;
 
-/// A fresh retained stage running `registry`'s `transform` (empty: the
-/// identity) between the faces a row of the plan mounts: an active one's
-/// peer is its one port, and a local supply is loaded whole, its input
-/// closed — the checkpoint holds it.
-pub(crate) fn retain(
-    input: Input,
-    transform: &str,
-    output: Output,
-    batch: usize,
-    registry: &TransformRegistry,
-) -> Result<Stage> {
-    let mut items = None;
-    let upstream = match input {
-        Input::Active(puller) => Some(puller.port(0).uid),
-        Input::Local(mut supply) => loop {
-            let pulled = supply.pull(usize::MAX);
-            items.get_or_insert_with(Vec::new).extend(pulled.items);
-            if pulled.end {
-                break None;
-            }
-        },
-        _ => None,
-    };
-    let kept = Kept {
-        transform: transform.to_owned(),
-        upstream,
-        local: items.is_some(),
-        downstream: match output {
-            Output::Active(wiring) => wiring.first(),
-            _ => None,
-        },
-        batch: batch.max(1),
-        ..Kept::default()
-    };
-    // Built now, so that a name the registry lacks fails at build.
-    let transform = registry.build(transform, &Value::Unit)?;
-    let (buf, ended) = (items.unwrap_or_default().into(), kept.local);
-    Ok(Stage::retained(kept, transform, buf, ended))
-}
-
 /// Build and run a recoverable pipeline of `transforms` over `items`, each
-/// one `registry` builds by name, and wait (up to `timeout`) for the
+/// built by name from `registry`, and wait (up to `timeout`) for the
 /// complete output: the [`PipelineSpec`] made
 /// [`retained`](PipelineSpec::retained) by `registry`, which
 /// [`install_recovery`] gave the kernel too. The run rides out injected
@@ -476,8 +442,7 @@ pub fn run_recoverable_pipeline(
     };
     let mut spec = PipelineSpec::new(discipline).source_vec(items).batch(batch);
     for name in transforms {
-        let transform = registry.build(name, &Value::Unit)?;
-        spec = spec.stage(transform.ok_or_else(|| missing(name))?);
+        spec = spec.stage(registry.factory(name)?());
     }
     spec.retained(registry).build(kernel)?.run(timeout)
 }

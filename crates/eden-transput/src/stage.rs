@@ -116,7 +116,7 @@ use crate::protocol::{
     Batch, ChannelId, GetChannelRequest, TransferRequest, WriteRequest, OUTPUT_NAME,
 };
 use crate::recovery::{self, Kept, READ_ALL};
-use crate::source::{Caller, PullSource, PushSink, VecSource};
+use crate::source::{Caller, PullSource, PushSink};
 use crate::stdio::{Program, TransputReader, TransputWriter};
 use crate::transform::{self, Emitter, Transform};
 use parking_lot::{Condvar, Mutex};
@@ -752,7 +752,7 @@ pub struct Stage {
     /// into its local output — and, never having checkpointed, disappears
     /// (§7). A reader answers `Close` at once; an acceptor parks it
     /// (`closing`) until its stream has ended, and answers how (`ended`), as
-    /// a retained passive input does too, and stays.
+    /// a retained passive input does too.
     disposable: bool,
     closing: Option<ReplyHandle>,
     ended: Option<Result<Value>>,
@@ -873,25 +873,46 @@ impl Stage {
         }
     }
 
-    /// A retained stage ([`crate::recovery`]) running `transform`, holding
-    /// `buf` as its output so far, `ended` if its input has closed. It stays
+    /// A fresh retained stage ([`crate::recovery`]) running `transform`
+    /// (`None`: the identity), which the registry rebuilds by `name`, between
+    /// `input` and `output`, `batch` records a move: an active face's peer is
+    /// its one port, and a local supply is loaded whole, its input closed —
+    /// the checkpoint holds it. It stays
     /// what recovery can prove correct: one primary port per active face,
     /// one channel, a fixed batch, one write in flight, and no buffer but
     /// what it retains.
     pub(crate) fn retained(
-        kept: Kept,
+        mut input: Input,
+        name: &str,
         transform: Option<Box<dyn Transform>>,
-        buf: VecDeque<Value>,
-        ended: bool,
+        output: Output,
+        batch: usize,
     ) -> Stage {
-        let input = match kept.upstream {
-            Some(upstream) => Input::pull(upstream),
-            None if kept.local => Input::Local(Box::new(VecSource::new(Vec::new()))),
-            None => Input::Passive,
+        let mut buf = VecDeque::new();
+        let upstream = match &mut input {
+            Input::Active(puller) => Some(puller.port(0).uid),
+            Input::Local(supply) => loop {
+                let pulled = supply.pull(usize::MAX);
+                buf.extend(pulled.items);
+                if pulled.end {
+                    break None;
+                }
+            },
+            _ => None,
         };
-        let output = kept.downstream.map_or(Output::Passive, Output::push);
-        let config = StageConfig::batch(kept.batch);
-        let mut stage = Stage::assemble(input, transform, output, config);
+        let kept = Kept {
+            transform: name.to_owned(),
+            upstream,
+            local: matches!(input, Input::Local(_)),
+            downstream: match &output {
+                Output::Active(wiring) => wiring.first(),
+                _ => None,
+            },
+            batch: batch.max(1),
+            ..Kept::default()
+        };
+        let ended = kept.local;
+        let mut stage = Stage::assemble(input, transform, output, StageConfig::batch(batch));
         stage.input.flushed = ended;
         stage.meet = Meet::Own(Buffer {
             table: ChannelTable::single_output(),
@@ -978,8 +999,8 @@ impl Stage {
                 // carries on from the same positions in its next step rather
                 // than strand the stream (a write that may or may not have
                 // landed is re-sent with the same sequence; the receiver
-                // deduplicates).
-                Err(_) if self.kept.is_some() => break,
+                // deduplicates). A refusal no retry mends ends it.
+                Err(e) if self.kept.is_some() && e.is_retryable() => break,
                 Err(e) => return self.finish(host, Err(e)),
             }
         }
@@ -1169,13 +1190,6 @@ impl Stage {
         if end && self.disposable {
             self.ended = Some(result.clone());
         }
-        // Durable through its end: a retained stage answers the `Close` it
-        // parked (what it holds stays, for `ReadAll`).
-        if self.kept.is_some() && self.input.flushed && result.is_ok() {
-            if let Some(closing) = self.closing.take() {
-                closing.reply(Ok(Value::Unit));
-            }
-        }
         reply.reply(result);
     }
 
@@ -1232,20 +1246,16 @@ impl Stage {
                 Input::Local(_) => want - have,
                 _ => self.batch,
             };
-            let mut kept = self.kept.as_deref_mut();
-            let chunk = match kept.as_deref_mut() {
+            let chunk = match self.kept.as_deref_mut() {
                 None => self.input.produce_or_end(host, ask, true),
                 // A retained stage's reader gets the error, and asks again.
-                Some(kept) => self
-                    .input
-                    .produce(host, ask, Some(kept), true)
-                    .transpose()?,
+                kept => self.input.produce(host, ask, kept, true).transpose()?,
             };
             let chunk = chunk.expect("a wait comes back with the outcome");
             // And what it pulled is durable before the next pull's position
             // leaves, which tells the upstream to discard what only memory
             // would have otherwise.
-            let input = &self.input;
+            let (input, kept) = (&self.input, self.kept.as_deref_mut());
             have = self.meet.with(|buffer| {
                 retain(host, input, None, buffer, kept, chunk)?;
                 Ok::<_, EdenError>(buffer.occupancy())
@@ -1269,16 +1279,24 @@ impl Stage {
         self.meet.with(|buffer| buffer.read(idx, max, fill, keep))
     }
 
-    /// Deactivate a disposable stage whose stream is done: read out to its
+    /// Answer a parked `Close` once the stream has ended here, and
+    /// deactivate a disposable stage whose stream is done: read out to its
     /// end, delivered by its process, or ended into its output and closed.
+    /// A retained stage has ended once its end is durable, and stays.
     fn dispose(&mut self, ctx: &EjectContext) {
+        let ended = match &self.kept {
+            Some(kept) => (self.input.flushed && !kept.dirty).then_some(Ok(Value::Unit)),
+            None => self.ended.clone(),
+        };
         let done = |b: &mut Buffer| b.closed || (b.ended && b.occupancy() == 0);
-        if let (Some(_), Some(ended)) = (&self.closing, &self.ended) {
-            self.closing.take().expect("matched").reply(ended.clone());
+        if let (Some(_), Some(ended)) = (&self.closing, ended) {
+            self.closing.take().expect("matched").reply(ended);
         } else if self.closing.is_some() || !self.meet.with(done) {
             return;
         }
-        ctx.request_deactivate();
+        if self.disposable {
+            ctx.request_deactivate();
+        }
     }
 
     /// Move parked writes into the buffer while space allows and answer
@@ -1376,30 +1394,23 @@ impl EjectBehavior for Stage {
                 Ok(req) => self.serve(ctx, req, reply),
                 Err(e) => reply.reply(Err(e)),
             },
-            // An acceptor closes once its stream has ended into its output,
-            // and says so to the one `Close` it parked.
-            ops::CLOSE if self.disposable && self.in_passive && self.closing.is_some() => {
-                reply.reply(Err(EdenError::Application("already closing".into())));
-            }
-            ops::CLOSE if self.disposable && self.in_passive => {
-                reply.mark_deferred();
-                self.closing = Some(reply);
+            // An acceptor — disposable, or a retained passive input — parks
+            // one `Close` until its stream has ended there, and then says how
+            // (`dispose`): how a run learns of its end, an event and no poll.
+            // A crash abandons a retained one's to its asker's retry.
+            ops::CLOSE if self.in_passive && (self.disposable || self.kept.is_some()) => {
+                match self.closing {
+                    Some(_) => reply.reply(Err(EdenError::Application("already closing".into()))),
+                    None => {
+                        reply.mark_deferred();
+                        self.closing = Some(reply);
+                    }
+                }
             }
             ops::CLOSE if self.disposable => {
                 reply.reply(Ok(Value::Unit));
                 ctx.request_deactivate();
             }
-            // A retained stage's passive input answers `Close` once its
-            // stream has ended there: how a run learns of its end, which is
-            // an event and no poll. A crash abandons the one parked, and the
-            // asker's retry asks the stage it reactivates.
-            ops::CLOSE if self.in_passive && self.kept.is_some() => match self.input.flushed {
-                true => reply.reply(Ok(Value::Unit)),
-                false => {
-                    reply.mark_deferred();
-                    self.closing = Some(reply);
-                }
-            },
             ops::GET_CHANNEL if self.out_passive => reply.reply(
                 GetChannelRequest::from_value(&inv.arg)
                     .and_then(|req| self.meet.with(|buffer| buffer.table.id_of(&req.name)))
@@ -1417,14 +1428,14 @@ impl EjectBehavior for Stage {
                 let base = self.kept.as_ref().map_or(0, |kept| kept.base);
                 reply.reply(req.and_then(|req| {
                     let skip = req.pos.unwrap_or(0).saturating_sub(base) as usize;
-                    let all = self.meet.with(|buffer| {
-                        let idx = buffer.table.index_of(req.channel)?;
-                        Ok(Batch {
-                            items: buffer.queues[idx].iter().skip(skip).cloned().collect(),
+                    self.meet.with(|buffer| {
+                        let items = buffer.queues[buffer.table.index_of(req.channel)?].iter();
+                        let items = items.skip(skip).cloned().collect();
+                        Ok(Batch::to_value(Batch {
+                            items,
                             end: buffer.ended,
-                        })
-                    });
-                    all.map(|all| all.to_value())
+                        }))
+                    })
                 }));
             }
             START if self.awaits_start() && self.process.started => {
@@ -1446,7 +1457,7 @@ impl EjectBehavior for Stage {
         }
         // A reader may have made room, or a writer brought a chunk.
         self.kick(ctx);
-        if self.disposable {
+        if self.disposable || self.closing.is_some() {
             self.dispose(ctx);
         }
     }
@@ -1468,7 +1479,7 @@ mod tests {
     use super::*;
     use crate::collector::Collector;
     use crate::recovery::TransformRegistry;
-    use crate::source::FnSource;
+    use crate::source::{FnSource, VecSource};
     use crate::transform::tests::filter_fn;
     use crate::transform::{map_fn, Identity};
     use eden_core::{wire, Metrics};
@@ -2429,13 +2440,15 @@ mod tests {
     }
 
     /// Stands in for the kernel: serves pulls out of `upstream`,
-    /// acknowledges every push, keeps the bytes the stable store would hold
+    /// acknowledges every push (or answers it with `refuse`), keeps the
+    /// bytes the stable store would hold
     /// — the last checkpoint, then the entries journaled since — and logs it
     /// all: a durable write of either form is a `Checkpoint` event, and
     /// `carried` says which form each took and the records it was handed.
     #[derive(Default)]
     struct Fake {
         upstream: Vec<Value>,
+        refuse: Option<EdenError>,
         log: RefCell<Vec<Event>>,
         stored: RefCell<Vec<Vec<u8>>>,
         carried: RefCell<Vec<(Form, Vec<Value>)>>,
@@ -2511,7 +2524,7 @@ mod tests {
                 items: req.items,
                 end: req.end,
             });
-            Ok(Value::Unit)
+            self.refuse.clone().map_or(Ok(Value::Unit), Err)
         }
 
         fn store(&self, form: Form, state: &Value) -> Result<()> {
@@ -2558,7 +2571,7 @@ mod tests {
         fn reactivated(&self) -> Stage {
             let stored = self.stored.borrow();
             let mut states = stored.iter().map(|bytes| wire::decode(bytes).unwrap());
-            let mut stage = Kept::reactivate(&states.next().unwrap(), &registry()).unwrap();
+            let mut stage = Kept::reactivate(states.next().unwrap(), &registry()).unwrap();
             states.for_each(|entry| stage.redo(entry).unwrap());
             stage
         }
@@ -2627,7 +2640,8 @@ mod tests {
         } else {
             Output::Passive
         };
-        recovery::retain(input, transform, output, 3, &registry()).unwrap()
+        let built = registry().build(transform, &Value::Unit).unwrap();
+        Stage::retained(input, transform, built, output, 3)
     }
 
     fn write(seq: u64, items: std::ops::Range<i64>, end: bool) -> WriteRequest {
@@ -2807,7 +2821,7 @@ mod tests {
     fn a_source_read_to_its_end_checkpoints_once_and_reserves_from_birth() {
         let host = Fake::default();
         let supply = Input::Local(Box::new(VecSource::new(ints(0..8))));
-        let source = recovery::retain(supply, "", Output::Passive, 3, &registry()).unwrap();
+        let source = Stage::retained(supply, "", None, Output::Passive, 3);
         let mut s = born(source, &host);
         // A reader may move on by any part of what it was served: every
         // position once, each acknowledging — and trimming — one record more.
@@ -2977,8 +2991,7 @@ mod tests {
     fn a_pushing_sources_acknowledgement_hands_the_store_a_position_and_no_record() {
         let host = Fake::default();
         let supply = Input::Local(Box::new(VecSource::new(ints(0..48))));
-        let source = recovery::retain(supply, "", Output::push(Uid::fresh()), 3, &registry());
-        let source = source.unwrap();
+        let source = Stage::retained(supply, "", None, Output::push(Uid::fresh()), 3);
         let mut s = born(source, &host);
         // One step of the worker pushes all there is, a batch at a time, and
         // saves after each acknowledgement.
@@ -2998,6 +3011,38 @@ mod tests {
         let entries = after_birth.iter().filter(|(form, _)| *form == Form::Entry);
         assert!(entries.clone().all(|(_, records)| records.is_empty()));
         assert_eq!(entries.count(), 11);
+    }
+
+    #[test]
+    fn a_retained_step_carries_on_past_a_fault_and_ends_on_a_refusal() {
+        // A pushing source whose every `Write` fails, its retries spent: a
+        // fault a retry mends is sent again by the next step; a refusal no
+        // retry mends ends the process, which sends nothing more.
+        let gap = EdenError::BadParameter("write at 3 leaves a gap after 0".into());
+        for (refusal, again) in [
+            (EdenError::FaultInjected("drop".into()), true),
+            (gap, false),
+        ] {
+            let host = Fake {
+                refuse: Some(refusal.clone()),
+                ..Fake::default()
+            };
+            let supply = Input::Local(Box::new(VecSource::new(ints(0..6))));
+            let mut s = born(
+                Stage::retained(supply, "", None, Output::push(Uid::fresh()), 3),
+                &host,
+            );
+            s.start(&host, None);
+            for steps in 1..=3 {
+                s.process.next = false;
+                s.step(&host);
+                let sent = if again { steps } else { 1 };
+                assert_eq!(host.pushes().len(), sent, "{refusal}: step {steps}");
+                assert_eq!(s.process.done, !again, "{refusal}: step {steps}");
+                assert_eq!(s.process.next, again, "{refusal}: step {steps}");
+            }
+            assert_eq!(s.kept.as_ref().unwrap().base, 0, "{refusal}");
+        }
     }
 
     #[test]
@@ -3119,14 +3164,7 @@ mod tests {
         recovery::install_recovery(&kernel, &registry());
         let pipe = kernel.spawn(Box::new(retained("", false, false))).unwrap();
         let acceptor = kernel.spawn(Box::new(retained("", false, false))).unwrap();
-        let pump = recovery::retain(
-            Input::pull(pipe),
-            "",
-            Output::push(acceptor),
-            3,
-            &registry(),
-        );
-        let pump = pump.unwrap();
+        let pump = Stage::retained(Input::pull(pipe), "", None, Output::push(acceptor), 3);
         kernel.spawn(Box::new(pump)).unwrap();
         let asked = std::time::Instant::now() + Duration::from_secs(10);
         while kernel.metrics().snapshot().invocations == 0 {
