@@ -221,6 +221,9 @@ pub(crate) struct Kept {
     pub(crate) stored: Option<u64>,
     /// Records journaled and records forgotten since the last whole write.
     pub(crate) moved: u64,
+    /// An active output's batch out, as records and whether it ends the
+    /// stream, until its acknowledgement is in (`stage::push`).
+    pub(crate) sent: Option<(usize, bool)>,
 }
 
 impl Kept {
@@ -365,7 +368,7 @@ impl Kept {
 
     /// The downstream has acknowledged the first `n` records of `buf`. An
     /// active output's `base` is where it pushes next, so there a lagging
-    /// one would re-send writes: `stage::retain` marks the stage dirty.
+    /// one would re-send writes: `stage::push` marks the stage dirty.
     pub(crate) fn forget(&mut self, buf: &mut VecDeque<Value>, n: usize) {
         buf.drain(..n);
         self.base += n as u64;

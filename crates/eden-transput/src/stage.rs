@@ -242,10 +242,9 @@ const CHUNKS_A_STEP: usize = 16;
 /// What a face needs from whoever runs it — the Eject's coordinator, or a
 /// recording fake in the tests below: call a peer through the face's route
 /// cache, under a retry policy if the face is retained; have a reply's
-/// outcome — a handler waits for it, a passive face answering only once its
-/// active face has; a step polls, and is posted once it is in; post the
-/// stage its next step; and write its passive representation, whole or one
-/// entry more.
+/// outcome if it is in — nothing waits for one, and one that is not in posts
+/// the stage its next step as it settles; post the stage its next step; and
+/// write its passive representation, whole or one entry more.
 pub(crate) trait Host: Caller {
     fn call(
         &self,
@@ -255,7 +254,7 @@ pub(crate) trait Host: Caller {
         op: &'static str,
         arg: Value,
     ) -> PendingReply;
-    fn poll(&self, pending: &mut PendingReply, wait: bool) -> Option<Result<Value>>;
+    fn poll(&self, pending: &mut PendingReply) -> Option<Result<Value>>;
     fn nudge(&self);
     fn checkpoint(&self, state: &Value) -> Result<()>;
     fn journal(&self, entry: &Value) -> Result<()>;
@@ -279,13 +278,8 @@ impl Host for EjectContext {
         };
         self.begin_call(to, OpName::from_static(op), arg, opts.route_cache(cache))
     }
-    fn poll(&self, pending: &mut PendingReply, wait: bool) -> Option<Result<Value>> {
-        match wait {
-            true => Some(
-                std::mem::replace(pending, PendingReply::ready(Err(EdenError::Timeout))).wait(),
-            ),
-            false => self.poll_reply(pending),
-        }
+    fn poll(&self, pending: &mut PendingReply) -> Option<Result<Value>> {
+        self.poll_reply(pending)
     }
     fn nudge(&self) {
         EjectContext::nudge(self)
@@ -335,20 +329,23 @@ pub(crate) struct InFace {
     flushed: bool,
     /// Its calls (and, written to a zipped input, its secondary's).
     pulling: Pull,
+    /// Writes to a zipped input still to be paired, oldest first, and how
+    /// many records of the first are.
+    unpaired: VecDeque<WriteRequest>,
+    paired: usize,
 }
 
 impl Pull {
     /// One step of `puller`'s input: up to `max` records, from `pos` if the
     /// face keeps count, and whether it ended — `None` while a reply is out.
     /// Its `Transfer`s go out together, one a port under `Zip`, and are taken
-    /// in the order asked, so a step waits on one reply at a time.
+    /// in the order asked.
     fn next(
         &mut self,
         puller: &mut InputPuller,
         host: &impl Host,
         max: usize,
         pos: Option<u64>,
-        wait: bool,
     ) -> Option<Result<(Vec<Value>, bool)>> {
         if self.out.is_empty() {
             let (ports, max) = puller.asks(max);
@@ -365,7 +362,7 @@ impl Pull {
             }
         }
         while let Some(front) = self.out.front_mut() {
-            let batch = host.poll(front, wait)?.and_then(Batch::from_value);
+            let batch = host.poll(front)?.and_then(Batch::from_value);
             self.out.pop_front();
             match batch {
                 Ok(batch) => self.got.push(batch),
@@ -393,33 +390,38 @@ impl InFace {
         Chunk { out, end }
     }
 
-    /// The passive face: take what a `Write` carries.
-    fn accept(&mut self, host: &impl Host, mut w: WriteRequest, kept: Option<&mut Kept>) -> Chunk {
-        if let Input::Zipped(secondary) = &mut self.face {
-            for item in &mut w.items {
-                let read = self.pulling.next(secondary, host, 1, None, true);
-                let (read, _) = read
-                    .expect("a wait comes back with the outcome")
-                    .unwrap_or_else(|_| {
-                        secondary.done = true;
-                        (Vec::new(), true)
-                    });
-                let read = read.into_iter().next().unwrap_or(Value::Unit);
-                *item = Value::list(vec![std::mem::replace(item, Value::Unit), read]);
-            }
+    /// A zipped input's oldest write, every record paired with one read
+    /// from the secondary port — `Value::List([written, read])`, `Unit` once
+    /// the port runs dry — and through the transform. `None` while no write
+    /// waits, or a read is out: the pairs made so far wait with it.
+    fn zip(&mut self, host: &impl Host) -> Option<Chunk> {
+        let Input::Zipped(secondary) = &mut self.face else {
+            unreachable!("only a zipped input pairs");
+        };
+        let w = self.unpaired.front_mut()?;
+        while let Some(item) = w.items.get_mut(self.paired) {
+            let read = self.pulling.next(secondary, host, 1, None)?;
+            let (read, _) = read.unwrap_or_else(|_| {
+                secondary.done = true;
+                (Vec::new(), true)
+            });
+            let read = read.into_iter().next().unwrap_or(Value::Unit);
+            *item = Value::list(vec![std::mem::replace(item, Value::Unit), read]);
+            self.paired += 1;
         }
-        self.absorb(w.items, w.end, kept)
+        let w = self.unpaired.pop_front()?;
+        self.paired = 0;
+        Some(self.absorb(w.items, w.end, None))
     }
 
     /// The active face: one step of input, `ask` records of it — pulled at
     /// `kept`'s position, where the stage keeps one. `None` while a reply
-    /// it waits for is out.
+    /// is out.
     fn produce(
         &mut self,
         host: &impl Host,
         ask: usize,
         kept: Option<&mut Kept>,
-        wait: bool,
     ) -> Option<Result<Chunk>> {
         let (items, end) = match &mut self.face {
             Input::Local(source) => {
@@ -429,7 +431,7 @@ impl InFace {
             }
             Input::Active(puller) => {
                 let pos = kept.as_ref().map(|kept| kept.consumed);
-                match self.pulling.next(puller, host, ask, pos, wait)? {
+                match self.pulling.next(puller, host, ask, pos)? {
                     Ok(pulled) => pulled,
                     Err(e) => return Some(Err(e)),
                 }
@@ -438,14 +440,6 @@ impl InFace {
             Input::Program(_) => unreachable!("a program is its own process"),
         };
         Some(Ok(self.absorb(items, end, kept)))
-    }
-
-    /// As [`produce`](Self::produce) for a volatile stage's reader to be
-    /// served: an upstream failure ends the stream here, and the reader sees
-    /// a short one (the error also surfaced in metrics).
-    fn produce_or_end(&mut self, host: &impl Host, ask: usize, wait: bool) -> Option<Chunk> {
-        let produced = self.produce(host, ask, None, wait)?;
-        Some(produced.unwrap_or_else(|_| self.absorb(Vec::new(), true, None)))
     }
 }
 
@@ -466,15 +460,9 @@ struct OutFace {
 impl OutFace {
     /// The active face: deliver a chunk — at `seq`, where the stage keeps
     /// count. `end` is forwarded on every wired channel so downstream
-    /// streams close. Every `Write` is a call whose reply joins `in_flight`;
-    /// then [`reap`](Self::reap). A local output takes the chunk at once.
-    fn consume(
-        &mut self,
-        host: &impl Host,
-        mut chunk: Chunk,
-        seq: Option<u64>,
-        wait: bool,
-    ) -> Option<Result<()>> {
+    /// streams close. Every `Write` is a call whose reply joins `in_flight`,
+    /// for [`reap`](Self::reap). A local output takes the chunk at once.
+    fn consume(&mut self, host: &impl Host, mut chunk: Chunk, seq: Option<u64>) -> Result<()> {
         self.ended |= chunk.end;
         let wiring = match &mut self.face {
             Output::Active(wiring) => &*wiring,
@@ -483,7 +471,7 @@ impl OutFace {
                 if !items.is_empty() {
                     sink.push(items);
                 }
-                return Some(if chunk.end { sink.end(host) } else { Ok(()) });
+                return if chunk.end { sink.end(host) } else { Ok(()) };
             }
             Output::Passive => unreachable!("a passive output is read from"),
             Output::Program(_) => unreachable!("a program is its own process"),
@@ -492,16 +480,16 @@ impl OutFace {
         deliver(wiring, &mut chunk.out, chunk.end, seq, &mut |port, arg| {
             in_flight.push_back(host.call(cache, seq.is_some(), port.uid, ops::WRITE, arg));
         });
-        self.reap(host, wait)
+        Ok(())
     }
 
     /// Take acknowledgements in, oldest first, until fewer than `window`
     /// writes are out — none, once the end of the stream is. `None` while
     /// one that must be in is not.
-    fn reap(&mut self, host: &impl Host, wait: bool) -> Option<Result<()>> {
+    fn reap(&mut self, host: &impl Host) -> Option<Result<()>> {
         while self.in_flight.len() >= self.window || (self.ended && !self.in_flight.is_empty()) {
             let front = self.in_flight.front_mut().expect("non-empty checked");
-            let acknowledged = host.poll(front, wait)?;
+            let acknowledged = host.poll(front)?;
             self.in_flight.pop_front();
             if let Err(e) = acknowledged {
                 return Some(Err(e));
@@ -672,38 +660,65 @@ pub(crate) fn await_buffer<R>(
 }
 
 /// Put a chunk in the buffer, which is all a volatile stage does with it.
-/// A retained one (`kept`) then `Write`s what the buffer holds if its
-/// output is active — a batch at a time at `base`, each forgotten only once
-/// acknowledged — and checkpoints: after each acknowledgement, so that a
-/// crash resumes from the last acknowledged position and the receiver's
-/// sequence arithmetic absorbs the one batch that may be re-sent; and
-/// before whoever gave the chunk hears of it or is asked for more. A
-/// passive output has nothing to push: it delivers by retaining, and its
-/// reader will come.
+/// A retained one (`kept`) then pushes what the buffer holds if its output
+/// is active ([`push`]), and checkpoints: before whoever gave the chunk hears
+/// of it or is asked for more. A passive output has nothing to push: it
+/// delivers by retaining, and its reader will come.
 fn retain(
     host: &impl Host,
     input: &InFace,
-    mut output: Option<&mut OutFace>,
+    output: Option<&mut OutFace>,
     buffer: &mut Buffer,
     kept: Option<&mut Kept>,
     chunk: Chunk,
-) -> Result<()> {
+) -> Result<Flow> {
     buffer.put(chunk)?;
     let Some(kept) = kept else {
-        return Ok(());
+        return Ok(Flow::Moved);
     };
-    while let Some(output) = output.as_deref_mut().filter(|_| !kept.out_end) {
-        let Some(Batch { items, end }) = buffer.read(0, kept.batch, 1, true) else {
-            break;
+    if let Some(output) = output {
+        if let Flow::Stop = push(host, input, output, buffer, kept, true)? {
+            return Ok(Flow::Stop);
+        }
+    }
+    kept.save(host, input, buffer)?;
+    Ok(Flow::Moved)
+}
+
+/// A retained active output: take in the acknowledgement of the batch out,
+/// if one is, forget what it acknowledges and checkpoint — so that a crash
+/// resumes from the last acknowledged position, and the receiver's sequence
+/// arithmetic absorbs the one batch that may be re-sent; then, for `more`,
+/// `Write` the next batch the buffer holds, at `base`, and so on while each
+/// acknowledgement is in at once. `Stop` while one is not: nothing is
+/// forgotten or saved for a batch until its acknowledgement is in.
+fn push(
+    host: &impl Host,
+    input: &InFace,
+    output: &mut OutFace,
+    buffer: &mut Buffer,
+    kept: &mut Kept,
+    more: bool,
+) -> Result<Flow> {
+    loop {
+        if let Some((n, end)) = kept.sent {
+            let Some(acknowledged) = output.reap(host) else {
+                return Ok(Flow::Stop);
+            };
+            kept.sent = None;
+            acknowledged?;
+            kept.forget(&mut buffer.queues[0], n);
+            (kept.out_end, kept.dirty) = (end, true);
+            kept.save(host, input, buffer)?;
+        }
+        let next = buffer.read(0, kept.batch, 1, true);
+        let Some(Batch { items, end }) = next.filter(|_| more && !kept.out_end) else {
+            return Ok(Flow::Moved);
         };
         let (n, out) = (items.len(), Emitter::of(items));
-        let delivered = output.consume(host, Chunk { out, end }, Some(kept.base), true);
-        delivered.expect("a wait comes back with the outcome")?;
-        kept.forget(&mut buffer.queues[0], n);
-        (kept.out_end, kept.dirty) = (end, true);
-        kept.save(host, input, buffer)?;
+        output.consume(host, Chunk { out, end }, Some(kept.base))?;
+        kept.sent = Some((n, end));
     }
-    kept.save(host, input, buffer)
 }
 
 /// What a chunk of a step came to: it went through; or nothing more can go
@@ -716,14 +731,17 @@ enum Flow {
 /// Where a stage's process stands between two steps.
 #[derive(Debug, Default)]
 struct Process {
-    /// From activation, or from `Start` — whose reply waits for the stream
-    /// to be delivered whole — until the stream is through or has failed.
+    /// It runs ahead of its callers (module docs): from activation, or from
+    /// `Start` — whose reply waits for the stream to be delivered whole — it
+    /// is posted a step after every invocation, until the stream is through
+    /// or has failed.
     started: bool,
     done: bool,
     start: Option<ReplyHandle>,
     /// The next step is on its way: posted, or to be posted by a reply.
     next: bool,
-    /// Its starter's span, which its invocations go out under.
+    /// The span its posted steps' invocations go out under: its starter's,
+    /// or the last caller a handler took a step for.
     ambient: Option<eden_core::span::SpanContext>,
 }
 
@@ -745,6 +763,9 @@ pub struct Stage {
     readers: Vec<VecDeque<(usize, ReplyHandle)>>,
     /// Parked `Write`s: a passive input whose buffer is at capacity.
     writers: VecDeque<(WriteRequest, ReplyHandle)>,
+    /// Writers a rendezvous has taken in, answered once the stage has
+    /// delivered all it holds.
+    acks: VecDeque<ReplyHandle>,
     /// What a retained stage keeps beside all this ([`crate::recovery`]);
     /// `None` on a volatile one.
     kept: Option<Box<Kept>>,
@@ -829,9 +850,12 @@ impl Stage {
             0 if program => crate::stdio::BUFFER,
             depth => depth,
         };
-        // Windowing needs a single destination.
+        // Windowing needs a single destination, and a writer that waits for
+        // its write to be acknowledged waits for that one alone.
+        let in_passive = matches!(input, Input::Passive | Input::Zipped(_));
         let window = match &output {
             Output::Active(wiring) if wiring.fan_out() > 1 => 1,
+            _ if in_passive && depth == 0 => 1,
             _ => config.window.max(1),
         };
         let mut names = Vec::new();
@@ -841,13 +865,15 @@ impl Stage {
         }
         Stage {
             name,
-            in_passive: matches!(input, Input::Passive | Input::Zipped(_)),
+            in_passive,
             out_passive,
             input: InFace {
                 face: input,
                 transform,
                 flushed: false,
                 pulling: Pull::default(),
+                unpaired: VecDeque::new(),
+                paired: 0,
             },
             output: OutFace {
                 face: output,
@@ -866,6 +892,7 @@ impl Stage {
             }),
             process: Process::default(),
             writers: VecDeque::new(),
+            acks: VecDeque::new(),
             kept: None,
             disposable: false,
             closing: None,
@@ -934,14 +961,11 @@ impl Stage {
         self.meet.with(|buffer| kept.save(host, input, buffer))
     }
 
-    /// An active face runs in the stage's process when there is a buffer to
-    /// meet the handlers at, or no passive face whose handler could run it.
-    fn in_step(&self) -> bool {
-        !self.in_passive && (self.depth > 0 || !self.out_passive)
-    }
-
-    fn out_step(&self) -> bool {
-        !self.out_passive && (self.depth > 0 || !self.in_passive)
+    /// Whether its handlers take its steps: at depth 0, a stage with one
+    /// passive face parks the callers of that face, and moves on the spot
+    /// what they ask for (module docs).
+    fn on_demand(&self) -> bool {
+        self.depth == 0 && self.in_passive != self.out_passive
     }
 
     /// A pump over a local supply waits to be told to `Start`; every other
@@ -951,10 +975,16 @@ impl Stage {
         matches!(self.input.face, Input::Local(_)) && !self.out_passive && self.kept.is_none()
     }
 
-    /// Start the stage's process, if it has one: `start` is the deferred
-    /// reply to `Start`, answered when the stream has been delivered whole.
+    /// Start the stage's process: `start` is the deferred reply to `Start`,
+    /// answered when the stream has been delivered whole. It runs ahead of
+    /// its callers given a buffer between the faces, no passive face to
+    /// drive it, or as a zipped pipe, which answers its writers as it takes
+    /// them in and pairs their records later; two passive faces alone have
+    /// nothing to step.
     fn start(&mut self, host: &impl Host, start: Option<ReplyHandle>) {
-        let started = self.in_step() || self.out_step();
+        let zipped = matches!(self.input.face, Input::Zipped(_));
+        let faces = !(self.in_passive && self.out_passive) || zipped;
+        let started = faces && !self.on_demand();
         let ambient = eden_core::span::current();
         self.process = Process {
             started,
@@ -962,29 +992,34 @@ impl Stage {
             ambient,
             ..Process::default()
         };
-        self.kick(host);
+        if started {
+            self.post(host);
+        }
     }
 
     /// Post the process a step, unless the next is on its way already or it
-    /// does not run.
-    fn kick(&mut self, host: &impl Host) {
+    /// is through.
+    fn post(&mut self, host: &impl Host) {
         let p = &mut self.process;
-        if p.started && !p.done && !std::mem::replace(&mut p.next, true) {
+        if !p.done && !std::mem::replace(&mut p.next, true) {
             host.nudge();
         }
+    }
+
+    /// A step on the spot, under the invocation's own span — which the steps
+    /// its replies post go on under.
+    fn step_here(&mut self, host: &impl Host) {
+        self.process.ambient = eden_core::span::current();
+        self.step(host);
     }
 
     /// One step of the process (module docs): chunks while every call
     /// settles at once, up to `CHUNKS_A_STEP`, then the next step posted —
     /// unless a reply is out, which posts it, or there is nothing to do.
     fn step(&mut self, host: &impl Host) {
-        if !self.process.started || self.process.done {
+        if self.process.done {
             return;
         }
-        let _span = self
-            .process
-            .ambient
-            .map(|ctx| eden_core::span::enter(Some(ctx)));
         for _ in 0..CHUNKS_A_STEP {
             match self.advance(host) {
                 Ok(Flow::Moved) => {}
@@ -999,27 +1034,47 @@ impl Stage {
                 // carries on from the same positions in its next step rather
                 // than strand the stream (a write that may or may not have
                 // landed is re-sent with the same sequence; the receiver
-                // deduplicates). A refusal no retry mends ends it.
+                // deduplicates).
                 Err(e) if self.kept.is_some() && e.is_retryable() => break,
+                // A refusal the writers taken in wait for is theirs to hear,
+                // and the stage goes on to the next write.
+                Err(e) if !self.acks.is_empty() => self.answer(Err(e)),
+                // A refusal no retry mends ends it.
                 Err(e) => return self.finish(host, Err(e)),
             }
         }
-        self.kick(host);
+        self.post(host);
     }
 
-    /// One chunk of a step: from the input face, or the buffer if the
-    /// handlers run that face; to the output face, or the buffer if the
-    /// handlers run that one. What the last chunk left out comes in first.
+    /// One chunk of a step: the acknowledgements due come in first; then a
+    /// chunk from the input face, or from the buffer where a handler has
+    /// taken a write in; and it goes to the output face, or into the buffer
+    /// for a handler to serve.
     fn advance(&mut self, host: &impl Host) -> Result<Flow> {
-        let (from_face, to_face) = (self.in_step(), self.out_step());
+        let to_face = !self.out_passive;
         if to_face {
-            match self.output.reap(host, false) {
-                None => return Ok(Flow::Stop),
-                Some(acknowledged) => acknowledged?,
+            let acknowledged = match self.kept.as_deref_mut() {
+                Some(kept) => {
+                    let (input, output) = (&self.input, &mut self.output);
+                    self.meet
+                        .with(|b| push(host, input, output, b, kept, false))?
+                }
+                None => match self.output.reap(host) {
+                    Some(acknowledged) => acknowledged.map(|()| Flow::Moved)?,
+                    None => Flow::Stop,
+                },
+            };
+            if let Flow::Stop = acknowledged {
+                return Ok(Flow::Stop);
             }
             // The write in hand is delivered: it no longer counts against the
-            // depth, and a parked writer may now be admitted.
-            if !from_face && self.meet.with(|b| std::mem::take(&mut b.delivering)) {
+            // depth, and once its writers have heard so, a parked writer may
+            // be admitted.
+            let handed = self.in_passive && self.meet.with(|b| std::mem::take(&mut b.delivering));
+            if !self.acks.is_empty() && self.delivered() {
+                self.answer(Ok(Value::Unit));
+            }
+            if handed {
                 self.settle(host);
             }
             // A retained stage is through once its end is acknowledged, not
@@ -1029,58 +1084,105 @@ impl Stage {
                 return Ok(Flow::Stop);
             }
         }
+        let (occupancy, ended) = self.meet.with(|b| (b.occupancy(), b.ended));
         let kept = self.kept.as_deref_mut();
-        let chunk = if !from_face {
-            match self.meet.with(Buffer::take_write) {
+        let owed = |k: &Kept| k.dirty || !k.out_end && (occupancy > 0 || ended);
+        let chunk = if to_face && kept.as_deref().is_some_and(owed) {
+            // What a write, or a failed delivery, left in the buffer goes out
+            // (its end included) and what the stage has taken is saved before
+            // more comes in: the next pull's position would acknowledge
+            // records that only memory holds.
+            Chunk::default()
+        } else if self.in_passive {
+            let taken = match self.input.face {
+                Input::Zipped(_) => self.input.zip(host),
+                _ => self.meet.with(Buffer::take_write),
+            };
+            match taken {
                 Some(chunk) => chunk,
                 None => return Ok(Flow::Stop),
             }
-        } else if kept.is_some() && self.meet.with(|b| b.occupancy() > 0) {
-            // What a failed delivery left in the buffer goes out before more
-            // comes in: the next pull's position would acknowledge records
-            // that only memory holds.
-            Chunk::default()
         } else if to_face {
-            match self.input.produce(host, self.batch, kept, false) {
+            match self.input.produce(host, self.batch, kept) {
                 Some(chunk) => chunk?,
                 None => return Ok(Flow::Stop),
             }
         } else {
-            if self.input.flushed {
-                self.finish(host, Ok(()));
-                return Ok(Flow::Stop);
-            }
-            // The window holds at least one batch: pre-pulling less would
-            // starve the whole batches a reader is served. (A pull that is
-            // out was asked for when there was room.)
-            let room = self
-                .depth
-                .max(self.batch)
-                .saturating_sub(self.meet.with(|b| b.occupancy()));
+            // At depth 0, what the first parked reader wants and no more:
+            // "no computation need be done until the result is requested"
+            // (§4). Beyond it, the depth, and at least a batch: pre-pulling
+            // less would starve the whole batches a reader is served. (A
+            // pull that is out was asked for when there was room.)
+            let want = match self.depth {
+                0 => self.readers[0].front().map_or(0, |&(max, _)| max),
+                depth => depth.max(self.batch),
+            };
+            let room = want.saturating_sub(occupancy);
             if room == 0 && self.input.pulling.out.is_empty() {
                 return Ok(Flow::Stop);
             }
-            match self.input.produce_or_end(host, self.batch.min(room), false) {
-                Some(chunk) => chunk,
+            if self.input.flushed {
+                if self.depth > 0 {
+                    self.finish(host, Ok(()));
+                }
+                return Ok(Flow::Stop);
+            }
+            // A peer is asked for a batch; a local supply yields exactly
+            // what is asked for.
+            let ask = match (self.depth, &self.input.face) {
+                (0, Input::Local(_)) => room,
+                (0, _) => self.batch,
+                _ => self.batch.min(room),
+            };
+            let volatile = kept.is_none();
+            match self.input.produce(host, ask, kept) {
+                // A volatile stage's upstream failure ends the stream here:
+                // its reader sees a short one (the error surfaced in metrics).
+                Some(Err(_)) if volatile => self.input.absorb(Vec::new(), true, None),
+                // A retained stage's fails the step; the next asks again.
+                Some(chunk) => chunk?,
                 None => return Ok(Flow::Stop),
             }
         };
-        match (to_face, self.kept.as_deref_mut()) {
-            (true, Some(kept)) => {
-                let (input, output) = (&self.input, &mut self.output);
-                self.meet
-                    .with(|b| retain(host, input, Some(output), b, Some(kept), chunk))?;
+        if let (true, None) = (to_face, &self.kept) {
+            let end = chunk.end;
+            let delivered = self.output.consume(host, chunk, None);
+            if end && self.disposable {
+                self.ended = Some(delivered.clone().map(|()| Value::Unit));
             }
-            (true, None) => match self.output.consume(host, chunk, None, false) {
-                None => return Ok(Flow::Stop),
-                Some(delivered) => delivered?,
-            },
-            (false, _) => {
-                self.meet.with(|b| b.put(chunk))?;
-                self.settle(host);
-            }
+            delivered?;
+            return Ok(Flow::Moved);
         }
-        Ok(Flow::Moved)
+        let (input, kept) = (&self.input, self.kept.as_deref_mut());
+        let output = Some(&mut self.output).filter(|_| to_face);
+        let flow = self
+            .meet
+            .with(|b| retain(host, input, output, b, kept, chunk))?;
+        if !to_face {
+            self.settle(host);
+        }
+        Ok(flow)
+    }
+
+    /// Answer the writers a rendezvous has taken in.
+    fn answer(&mut self, outcome: Result<Value>) {
+        self.acks
+            .drain(..)
+            .for_each(|reply| reply.reply(outcome.clone()));
+    }
+
+    /// Whether everything the stage has taken in has been delivered, and
+    /// acknowledged — and, retained, saved.
+    fn delivered(&mut self) -> bool {
+        let idle = self.input.unpaired.is_empty() && self.output.in_flight.is_empty();
+        let kept = self.kept.as_deref();
+        idle && self.meet.with(|b| match kept {
+            None => b.writes.is_empty() && !b.delivering,
+            Some(kept) => {
+                let pushed = b.queues[0].is_empty() && (!b.ended || kept.out_end);
+                pushed && kept.sent.is_none() && !kept.dirty
+            }
+        })
     }
 
     /// The process is through: with the stream delivered whole, or failed.
@@ -1090,8 +1192,13 @@ impl Stage {
         self.process.done = true;
         self.input.pulling.out.clear();
         self.output.in_flight.clear();
-        if let (Err(e), Output::Local(sink)) = (&result, &mut self.output.face) {
-            sink.fail(e.clone());
+        if let Err(e) = &result {
+            self.answer(Err(e.clone()));
+            let readers = self.readers.iter_mut().flat_map(|q| q.drain(..));
+            readers.for_each(|(_, reply)| reply.reply(Err(e.clone())));
+            if let Output::Local(sink) = &mut self.output.face {
+                sink.fail(e.clone());
+            }
         }
         if result.is_err() || self.disposable {
             self.meet.with(|b| b.closed = true);
@@ -1104,8 +1211,10 @@ impl Stage {
 
     /// A program is the stage's process, on a thread of its own: what it
     /// writes goes into the buffer as a read-ahead step's chunks do, what it
-    /// reads comes out of it as a push-ahead step's writes do.
+    /// reads comes out of it as a push-ahead step's writes do. The
+    /// coordinator has no step to take.
     fn spawn_program(&mut self, ctx: &EjectContext) {
+        self.process.done = true;
         let meet = self.meet.share();
         // Room for whatever a reader may be waiting for whole.
         let room = self.depth.max(self.batch);
@@ -1135,17 +1244,27 @@ impl Stage {
 
     /// The passive input face: a `Write`.
     fn accept(&mut self, host: &impl Host, w: WriteRequest, reply: ReplyHandle) {
-        // With a buffer between the faces, a writer that finds it full (or
-        // finds others already waiting) is parked: passive input under
-        // backpressure. The reply is deferred; the coordinator never blocks.
-        // What a retained buffer holds is for its reader's acknowledgements
-        // to bound, not a capacity: it parks nobody.
-        let buffered = (self.out_passive || self.depth > 0) && self.kept.is_none();
-        if buffered && (!self.writers.is_empty() || self.full()) {
-            reply.mark_deferred();
+        // A writer that finds the buffer full (or finds others already
+        // waiting) is parked: passive input under backpressure. The reply is
+        // deferred; the coordinator never blocks. What a retained buffer
+        // holds is for its reader's acknowledgements to bound, not a
+        // capacity: it parks nobody.
+        let parked = if self.kept.is_none() && (!self.writers.is_empty() || self.full()) {
             self.writers.push_back((w, reply));
+            true
         } else {
-            self.admit(host, w, reply);
+            self.admit(host, w, reply)
+        };
+        if parked {
+            // A rendezvous delivers the write now, as far as every call
+            // settles at once.
+            if self.on_demand() {
+                self.step_here(host);
+            }
+            let waiting = self.writers.back().map(|(_, reply)| reply);
+            if let Some(reply) = waiting.or(self.acks.back()) {
+                reply.mark_deferred();
+            }
         }
         self.settle(host);
     }
@@ -1154,48 +1273,63 @@ impl Stage {
     /// write and refuses it).
     fn full(&mut self) -> bool {
         let depth = self.depth.max(1);
-        self.meet.with(|b| !b.closed && b.occupancy() >= depth)
+        let unpaired = self.input.unpaired.len();
+        self.meet
+            .with(|b| !b.closed && b.occupancy() + unpaired >= depth)
     }
 
-    /// Take a `Write`: through the transform, then into the output face if
-    /// it runs here (and the acknowledgement waits for its downstream's),
-    /// else into the buffer. A retained stage takes only what lies beyond
+    /// Take a `Write` in: through the transform — a zipped input's once its
+    /// step has paired it — and into the buffer. A rendezvous's writer waits
+    /// (`acks`) until the step has delivered what the write came to; any
+    /// other is answered now. A retained stage takes only what lies beyond
     /// the position it has accepted, and acknowledges what it has kept,
     /// passed on and checkpointed, so that every crash window resolves to a
-    /// re-send the sequence arithmetic deduplicates.
-    fn admit(&mut self, host: &impl Host, mut w: WriteRequest, reply: ReplyHandle) {
-        let here = !self.out_passive && !self.out_step();
+    /// re-send the sequence arithmetic deduplicates. Whether the writer
+    /// waits.
+    fn admit(&mut self, host: &impl Host, mut w: WriteRequest, reply: ReplyHandle) -> bool {
+        let waits = self.on_demand();
         let mut kept = self.kept.as_deref_mut();
         if let Some(Err(gap)) = kept.as_ref().map(|kept| kept.sequence(&mut w)) {
-            return reply.reply(Err(gap));
+            reply.reply(Err(gap));
+            return false;
         }
         // A re-sent end of stream is a no-op; a record beyond the closed
         // stream's end is a sender's bug.
         if self.input.flushed && !w.items.is_empty() {
             let refused = EdenError::Application("write after end of stream".into());
-            return reply.reply(Err(refused));
+            reply.reply(Err(refused));
+            return false;
         }
-        let chunk = self.input.accept(host, w, kept.as_deref_mut());
-        let end = chunk.end;
-        let (input, output) = (&self.input, &mut self.output);
-        let result = match (here, kept) {
-            (true, None) => output.consume(host, chunk, None, true).expect("waited"),
-            (here, kept) => {
-                let output = Some(output).filter(|_| here);
+        if self.input.flushed && self.process.done {
+            reply.reply(Ok(Value::Unit));
+            return false;
+        }
+        let taken = match self.input.face {
+            Input::Zipped(_) => {
+                self.input.unpaired.push_back(w);
+                Ok(Flow::Moved)
+            }
+            _ => {
+                let chunk = self.input.absorb(w.items, w.end, kept.as_deref_mut());
+                // A rendezvous's step pushes what it keeps, then saves it.
+                let (input, kept) = (&self.input, kept.filter(|_| !waits));
                 self.meet
-                    .with(|buffer| retain(host, input, output, buffer, kept, chunk))
+                    .with(|buffer| retain(host, input, None, buffer, kept, chunk))
             }
         };
-        let result = result.map(|()| Value::Unit);
-        if end && self.disposable {
-            self.ended = Some(result.clone());
+        match taken {
+            Ok(_) if waits => {
+                self.acks.push_back(reply);
+                return true;
+            }
+            taken => reply.reply(taken.map(|_| Value::Unit)),
         }
-        reply.reply(result);
+        false
     }
 
     /// The passive output face: a `Transfer`. A retained stage's buffer
     /// forgets what the request's position acknowledges, not what it serves
-    /// — in memory only; what is checkpointed here is what `fill` pulled.
+    /// — in memory only; what is checkpointed is what its steps pulled.
     fn serve(&mut self, host: &impl Host, req: TransferRequest, reply: ReplyHandle) {
         let kept = self.kept.as_deref_mut();
         let idx = self.meet.with(|b| {
@@ -1207,70 +1341,30 @@ impl Stage {
             Ok(idx) => idx,
             Err(e) => return reply.reply(Err(e)),
         };
-        if idx == 0 {
-            // Secondary channels fill only as a by-product of primary
-            // demand — §4's laziness means reports trail the main stream.
-            if let Err(e) = self.fill(host, req.max) {
-                return reply.reply(Err(e));
-            }
-        }
-        // Readers are served in the order they came: one that finds others
-        // parked waits behind them, even if the process has just put enough.
-        let first = self.readers[idx].is_empty();
-        match first.then(|| self.read(idx, req.max)).flatten() {
-            // Checkpoint before reply: the stable state must not claim less
-            // progress than the reader has seen.
-            Some(batch) => reply.reply(self.save(host).map(|()| batch.to_value())),
-            None => {
-                // Passive output with no data: park the reader — the
-                // "partial vacuum" of §4.
-                reply.mark_deferred();
-                self.readers[idx].push_back((req.max, reply));
-            }
-        }
+        // Readers are served in the order they came, and one that finds no
+        // data stays parked — the "partial vacuum" of §4 — pulled for at once
+        // at depth 0. Secondary channels fill only as a by-product of primary
+        // demand: §4's laziness means reports trail the main stream.
+        self.readers[idx].push_back((req.max, reply));
         self.settle(host);
-    }
-
-    /// Depth 0: run the input face here, now, until `want` primary records
-    /// wait or the input ends. (A no-op when the input face is passive or
-    /// the process runs it.) Only a retained stage's fails.
-    fn fill(&mut self, host: &impl Host, want: usize) -> Result<()> {
-        if self.in_passive || self.in_step() {
-            return Ok(());
+        if idx == 0 && self.on_demand() {
+            self.step_here(host);
         }
-        let mut have = self.meet.with(|buffer| buffer.occupancy());
-        while have < want && !self.input.flushed {
-            // A peer is asked for a batch; a local supply yields exactly
-            // what is asked for.
-            let ask = match self.input.face {
-                Input::Local(_) => want - have,
-                _ => self.batch,
-            };
-            let chunk = match self.kept.as_deref_mut() {
-                None => self.input.produce_or_end(host, ask, true),
-                // A retained stage's reader gets the error, and asks again.
-                kept => self.input.produce(host, ask, kept, true).transpose()?,
-            };
-            let chunk = chunk.expect("a wait comes back with the outcome");
-            // And what it pulled is durable before the next pull's position
-            // leaves, which tells the upstream to discard what only memory
-            // would have otherwise.
-            let (input, kept) = (&self.input, self.kept.as_deref_mut());
-            have = self.meet.with(|buffer| {
-                retain(host, input, None, buffer, kept, chunk)?;
-                Ok::<_, EdenError>(buffer.occupancy())
-            })?;
+        if let Some((_, reply)) = self.readers[idx].back() {
+            reply.mark_deferred();
         }
-        Ok(())
     }
 
     fn read(&mut self, idx: usize, max: usize) -> Option<Batch> {
-        // A prefetched primary reader is served whole batches (capped by
-        // the stage's own): answering a 64-record ask with the 4 records
-        // that happen to be buffered would turn one invocation into many.
-        let fill = match idx == 0 && self.in_step() {
-            true => max.min(self.batch),
-            false => 1,
+        // An active input's primary reader is served what it asked for, or
+        // the end: at depth 0 its step pulls until then; ahead of it, whole
+        // batches (capped by the stage's own) — answering a 64-record ask
+        // with the 4 records that happen to be buffered would turn one
+        // invocation into many.
+        let fill = match (idx, self.in_passive, self.depth) {
+            (0, false, 0) => max,
+            (0, false, _) => max.min(self.batch),
+            _ => 1,
         };
         // A retained output keeps what it serves until a later position
         // acknowledges it, so a reader it parks and a crash abandons asks
@@ -1281,8 +1375,9 @@ impl Stage {
 
     /// Answer a parked `Close` once the stream has ended here, and
     /// deactivate a disposable stage whose stream is done: read out to its
-    /// end, delivered by its process, or ended into its output and closed.
-    /// A retained stage has ended once its end is durable, and stays.
+    /// end, delivered by its process, or — an acceptor's — ended into its
+    /// output and closed. A retained stage has ended once its end is
+    /// durable, and stays.
     fn dispose(&mut self, ctx: &EjectContext) {
         let ended = match &self.kept {
             Some(kept) => (self.input.flushed && !kept.dirty).then_some(Ok(Value::Unit)),
@@ -1291,7 +1386,7 @@ impl Stage {
         let done = |b: &mut Buffer| b.closed || (b.ended && b.occupancy() == 0);
         if let (Some(_), Some(ended)) = (&self.closing, ended) {
             self.closing.take().expect("matched").reply(ended);
-        } else if self.closing.is_some() || !self.meet.with(done) {
+        } else if self.closing.is_some() || self.in_passive || !self.meet.with(done) {
             return;
         }
         if self.disposable {
@@ -1308,6 +1403,11 @@ impl Stage {
                 let (w, reply) = self.writers.pop_front().expect("non-empty checked");
                 self.admit(host, w, reply);
                 moved = true;
+            }
+            // Checkpoint before reply: no reader is served more than the
+            // stable state holds.
+            if self.save(host).is_err() {
+                break;
             }
             for idx in 0..self.readers.len() {
                 while let Some(&(max, _)) = self.readers[idx].front() {
@@ -1329,16 +1429,14 @@ impl EjectBehavior for Stage {
         self.name
     }
 
-    // Whatever the depth, a coordinator path (`accept`, `admit`, `serve`,
-    // `settle`) runs its active face first, then answers or parks the
-    // handle, and after that touches only its own buffer and posts its
-    // process a step: a write admitted from `settle` goes into the buffer,
-    // never downstream. The one pair of faces that breaks this is a zipped
-    // input behind a passive output: answering a `Transfer` makes room, and
-    // admitting the parked write that takes it reads the secondary port.
+    // Whatever the faces and the depth, a handler answers or parks its
+    // caller, and a call it makes is its own caller's: at depth 0 the step
+    // it takes runs the active face for the caller it has parked, and stops
+    // once that caller, the last it parked, has its reply. Anything else it
+    // leaves to a posted step — pairing a zipped pipe's records included —
+    // and after a reply touches only its own buffer.
     fn replies_last(&self) -> bool {
-        let zipped = matches!(self.input.face, Input::Zipped(_));
-        !(zipped && self.out_passive)
+        true
     }
 
     /// A retained stage whose process has not delivered its stream is
@@ -1456,19 +1554,23 @@ impl EjectBehavior for Stage {
             })),
         }
         // A reader may have made room, or a writer brought a chunk.
-        self.kick(ctx);
+        if self.process.started {
+            self.post(ctx);
+        }
         if self.disposable || self.closing.is_some() {
             self.dispose(ctx);
         }
     }
 
     fn internal(&mut self, ctx: &EjectContext, _event: Value) {
-        // A step was posted, a reply the process waits for is in, or a
-        // program has put or taken something, or is done.
+        // A step was posted, a reply a step left out is in, or a program has
+        // put or taken something, or is done.
         self.process.next = false;
         self.settle(ctx);
+        let ambient = self.process.ambient;
+        let _span = ambient.map(|ambient| eden_core::span::enter(Some(ambient)));
         self.step(ctx);
-        if self.disposable {
+        if self.disposable || self.closing.is_some() {
             self.dispose(ctx);
         }
     }
@@ -2347,11 +2449,12 @@ mod tests {
 
     #[test]
     fn zipped_pipe_reads_its_secondary_after_answering_a_transfer() {
-        // The one pair of faces that may wait after a reply: answering a
-        // `Transfer` makes room in a capacity-1 pipe, and admitting the
-        // parked `Write` that takes it reads the secondary port. Such a
-        // stage must not declare `replies_last` (a debug build would crash
-        // it at that read), and must still deliver the zipped stream.
+        // Answering a `Transfer` makes room in a capacity-1 pipe, and the
+        // parked `Write` admitted into it must have its records paired with
+        // the secondary port's. The handler leaves that read to a posted
+        // step, so the stage declares `replies_last` (a debug build would
+        // crash it at a read after its reply), and still delivers the
+        // zipped stream.
         let kernel = Kernel::new();
         let secondary = int_source(&kernel, 20);
         let pipe = Stage::new(
@@ -2365,7 +2468,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert!(!pipe.replies_last());
+        assert!(pipe.replies_last());
         let pipe = kernel.spawn(Box::new(pipe)).unwrap();
         let src = kernel
             .spawn(Box::new(Stage::new(
@@ -2440,8 +2543,9 @@ mod tests {
     }
 
     /// Stands in for the kernel: serves pulls out of `upstream`,
-    /// acknowledges every push (or answers it with `refuse`), keeps the
-    /// bytes the stable store would hold
+    /// acknowledges every push (or answers it with `refuse`) — at once, but
+    /// for the next one `hold` is set for, whose answer waits in `held` —
+    /// keeps the bytes the stable store would hold
     /// — the last checkpoint, then the entries journaled since — and logs it
     /// all: a durable write of either form is a `Checkpoint` event, and
     /// `carried` says which form each took and the records it was handed.
@@ -2449,6 +2553,8 @@ mod tests {
     struct Fake {
         upstream: Vec<Value>,
         refuse: Option<EdenError>,
+        hold: std::cell::Cell<bool>,
+        held: RefCell<Option<(ReplyHandle, Result<Value>)>>,
         log: RefCell<Vec<Event>>,
         stored: RefCell<Vec<Vec<u8>>>,
         carried: RefCell<Vec<(Form, Vec<Value>)>>,
@@ -2479,11 +2585,18 @@ mod tests {
             arg: Value,
         ) -> PendingReply {
             assert!(retained, "a retained face's calls retry");
-            PendingReply::ready(self.answer(op, arg))
+            let answer = self.answer(op, arg);
+            if op != ops::WRITE || !self.hold.take() {
+                return PendingReply::ready(answer);
+            }
+            let (reply, pending) = reply_pair(Uid::fresh(), Metrics::new());
+            *self.held.borrow_mut() = Some((reply, answer));
+            pending
         }
 
-        fn poll(&self, pending: &mut PendingReply, _: bool) -> Option<Result<Value>> {
-            Some(std::mem::replace(pending, PendingReply::ready(Err(EdenError::Timeout))).wait())
+        fn poll(&self, pending: &mut PendingReply) -> Option<Result<Value>> {
+            let polled = std::mem::replace(pending, PendingReply::ready(Err(EdenError::Timeout)));
+            polled.try_wait().map_err(|still| *pending = still).ok()
         }
 
         fn nudge(&self) {}
@@ -3043,6 +3156,48 @@ mod tests {
             }
             assert_eq!(s.kept.as_ref().unwrap().base, 0, "{refusal}");
         }
+    }
+
+    #[test]
+    fn a_retained_push_not_answered_at_once_ends_its_step_and_the_next_picks_it_up() {
+        let host = Fake {
+            hold: true.into(),
+            ..Fake::default()
+        };
+        let supply = Input::Local(Box::new(VecSource::new(ints(0..6))));
+        let source = Stage::retained(supply, "", None, Output::push(Uid::fresh()), 3);
+        let mut s = born(source, &host);
+        s.start(&host, None);
+        let forgotten_at = |base| {
+            let log = host.log.borrow();
+            let at = |e: &&Event| matches!(e, Event::Checkpoint { base: b, .. } if *b == base);
+            log.iter().filter(at).count()
+        };
+        // The step returns with the push out, and its reply is what posts
+        // the next; until it is in, a step sends nothing more, and nothing
+        // is forgotten or written beside what birth wrote.
+        for _ in 0..2 {
+            s.process.next = false;
+            s.step(&host);
+            assert_eq!((host.pushes().len(), host.checkpoints()), (1, 1));
+            assert_eq!(standing(&mut s).1, 0);
+            assert!(s.process.next && !s.process.done);
+        }
+        let (reply, answer) = host.held.take().expect("the push is out");
+        reply.reply(answer);
+        // Once it is in, the next step forgets the batch and saves that
+        // once, then pushes the rest of the stream, and is through.
+        s.process.next = false;
+        s.step(&host);
+        assert_eq!(forgotten_at(3), 1);
+        let pushed: Vec<_> = host
+            .pushes()
+            .into_iter()
+            .map(|(seq, _, end)| (seq, end))
+            .collect();
+        assert_eq!(pushed, [(0, false), (3, true)]);
+        assert_eq!(standing(&mut s).1, 6);
+        assert!(s.process.done);
     }
 
     #[test]

@@ -17,11 +17,11 @@ use eden::kernel::{
     EjectBehavior, EjectContext, FsyncPolicy, Invocation, InvokeOptions, Kernel, PendingReply,
     ReplyHandle, RetryPolicy, SchedulerConfig,
 };
-use eden::transput::protocol::{Batch, TransferRequest};
+use eden::transput::protocol::{Batch, TransferRequest, WriteRequest};
 use eden::transput::recovery::{install_recovery, TransformRegistry};
 use eden::transput::source::FnSource;
 use eden::transput::transform::{apply_chain_offline, Transform};
-use eden::transput::{ChannelPolicy, Discipline, PipelineSpec};
+use eden::transput::{ChannelPolicy, Discipline, Input, Output, PipelineSpec, Stage, StageConfig};
 
 /// A deliberately starved pool: every test here runs its whole cast on
 /// two workers, so any lost wakeup or unfair queue shows up as a hang
@@ -1769,6 +1769,99 @@ fn a_polled_retry_pauses_on_the_timer_not_on_its_worker() {
         let undisturbed = asked < arrivals[1] + base && sched.monitor_rescues == 0;
         if undisturbed {
             assert!(answered_at < arrivals[2], "answered only after the pause");
+            assert_eq!(sched.spares_spawned, 0, "{sched:?}");
+        }
+        undisturbed
+    });
+}
+
+/// A depth-0 read-only filter whose upstream parks its `Transfer` — a
+/// program source whose program has written nothing yet — parks its own
+/// reader and leaves the pull out: the reply's settle posts its next step,
+/// and no worker waits for it. So the one worker stays free, and the pool
+/// spawns no spare to make up for it.
+#[test]
+fn a_lazy_filter_whose_upstream_defers_costs_no_worker() {
+    until_undisturbed("a lazy filter over a silent program", || {
+        let kernel = one_worker_kernel();
+        let (go, wait) = std::sync::mpsc::channel::<()>();
+        let program = move |out: eden::transput::stdio::TransputWriter| {
+            if wait.recv().is_ok() {
+                out.write(Value::Int(7))
+                    .expect("the source takes the record");
+            }
+        };
+        let source = eden::transput::stdio::program_source(program, 1);
+        let source = kernel.spawn(Box::new(source)).expect("spawn");
+        let filter = Stage::filter(
+            Input::pull(source),
+            Box::new(eden::transput::transform::Identity),
+            Output::Passive,
+            StageConfig::batch(1),
+        );
+        let filter = kernel.spawn(Box::new(filter)).expect("spawn");
+        all_parked(&kernel);
+        let ask = TransferRequest::primary(1).to_value();
+        let read = kernel.invoke(filter, ops::TRANSFER, ask);
+        std::thread::sleep(Duration::from_millis(50));
+        let Err(read) = read.try_wait() else {
+            panic!("answered before the program wrote");
+        };
+        go.send(()).expect("the program waits");
+        let batch = Batch::from_value(read.wait().expect("answered")).expect("a batch");
+        assert_eq!(batch.items, [Value::Int(7)]);
+        let sched = kernel.metrics_snapshot().sched;
+        kernel.shutdown();
+        // A stall the monitor broke may have spawned a spare of its own.
+        let undisturbed = sched.monitor_rescues == 0;
+        if undisturbed {
+            assert_eq!(sched.spares_spawned, 0, "{sched:?}");
+        }
+        undisturbed
+    });
+}
+
+/// Its write-side twin: a depth-0 write-only filter whose `Write` finds its
+/// downstream pipe full parks its own writer, and answers it only once the
+/// pipe has taken the write — after a read made room — without a worker
+/// waiting meanwhile or a spare to stand in for one.
+#[test]
+fn a_rendezvous_filter_whose_downstream_is_full_costs_no_worker() {
+    until_undisturbed("a rendezvous filter over a full pipe", || {
+        let kernel = one_worker_kernel();
+        let depth_1 = StageConfig {
+            depth: 1,
+            ..StageConfig::batch(1)
+        };
+        let pipe = Stage::new(Input::Passive, Output::Passive, depth_1);
+        let pipe = kernel.spawn(Box::new(pipe)).expect("spawn");
+        let write = |to: Uid, i: i64| {
+            let w = WriteRequest::more(vec![Value::Int(i)]).to_value();
+            kernel.invoke(to, ops::WRITE, w)
+        };
+        write(pipe, 0).wait().expect("the pipe has room for one");
+        let filter = Stage::new(Input::Passive, Output::push(pipe), StageConfig::batch(1));
+        let filter = kernel.spawn(Box::new(filter)).expect("spawn");
+        all_parked(&kernel);
+        let written = write(filter, 1);
+        std::thread::sleep(Duration::from_millis(50));
+        let Err(written) = written.try_wait() else {
+            panic!("answered before the pipe took the write");
+        };
+        let read = |kernel: &Kernel| {
+            let ask = TransferRequest::primary(1).to_value();
+            let got = kernel.invoke(pipe, ops::TRANSFER, ask).wait();
+            Batch::from_value(got.expect("read"))
+                .expect("a batch")
+                .items
+        };
+        assert_eq!(read(&kernel), [Value::Int(0)]);
+        assert_eq!(written.wait(), Ok(Value::Unit));
+        assert_eq!(read(&kernel), [Value::Int(1)]);
+        let sched = kernel.metrics_snapshot().sched;
+        kernel.shutdown();
+        let undisturbed = sched.monitor_rescues == 0;
+        if undisturbed {
             assert_eq!(sched.spares_spawned, 0, "{sched:?}");
         }
         undisturbed
