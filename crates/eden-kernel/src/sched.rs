@@ -36,10 +36,13 @@
 //!
 //! # Blocking compensation
 //!
-//! Eden behaviours are allowed to block mid-dispatch — a lazy filter
-//! waits on its upstream reply, a bounded mailbox parks its sender. (A
-//! step waits for nothing: its retry backoff and its next look are arms on
-//! the kernel's [timer](crate::timer), which posts it its next step.) On
+//! Eden behaviours are allowed to block mid-dispatch — a handler that
+//! waits for the reply to its own call (a directory's nested lookup, a
+//! local sink's end), a durable write for its group commit, a bounded
+//! mailbox's sender for room. (A stream stage waits for nothing: its
+//! handler parks its caller, its step polls every call, and a reply's
+//! settle, a retry's pause and a deadline post it its next step, the last
+//! two as arms on the kernel's [timer](crate::timer).) On
 //! a cooperative pool those waits would eat workers and deadlock once the
 //! pool is exhausted. Every such rendezvous
 //! is therefore wrapped in [`blocking`]: a *worker* thread entering a

@@ -45,28 +45,35 @@
 //!   output is no face at all, just a [`PushSink`]: a collector that lands
 //!   the records where a test or a terminal can see them, or a file.
 //!
-//! ## Depth: who runs the active face
+//! ## Depth: how far the step runs ahead
 //!
-//! [`StageConfig::depth`] is the buffer between the faces, and decides who
-//! runs the active one.
+//! The active face is run by the stage's step, and only there: a handler of
+//! the passive face takes in what its request says, parks its caller, and
+//! leaves the rest to the step. Every call a step makes is polled, never
+//! waited for — "the sending of an invocation does not suspend the execution
+//! of the sending Eject" (§1): a reply that is not in ends the step, and its
+//! settle posts the next. [`StageConfig::depth`] is the buffer between the
+//! faces, and decides when the step runs and how far ahead.
 //!
-//! * **Depth 0** runs it inline, in the passive face's handler, on the same
-//!   thread, and the reply is the handler's last act. A read-only filter is
-//!   then *lazy* — "no computation need be done until the result is
-//!   requested" (§4): it pulls upstream only while serving a `Transfer`, so
-//!   no data moves anywhere until a sink starts reading. A write-only filter
-//!   is a *rendezvous*: it acknowledges a `Write` only after its downstream
-//!   has acknowledged what that write came to.
+//! * **Depth 0** runs it on demand: the handler takes a step on the spot,
+//!   under the invocation's own span, for the caller it has just parked. A
+//!   read-only filter is then *lazy* — "no computation need be done until
+//!   the result is requested" (§4): its step pulls what its first parked
+//!   reader wants, so no data moves anywhere until a sink starts reading. A
+//!   write-only filter is a *rendezvous*: its writer waits until the
+//!   downstream has acknowledged what the write came to. Where every call
+//!   settles at once — its callee run on this thread by the call election —
+//!   the caller is answered as the handler's last act and nothing is
+//!   posted, so a lazy chain of n stages is n + 1 nested calls on one stack.
 //! * **Depth > 0** is §4's "each Eject in a pipeline should read some input
 //!   and buffer-up some output, and then suspend processing pending a
 //!   request for output. In this way all the Ejects in a pipeline can run
-//!   concurrently" — and its dual for writers. The stage's process runs the
-//!   active face and meets the handlers at the buffer: a read-ahead process
-//!   fills it while fewer than `depth` records wait to be read; a push-ahead
-//!   process drains it, and a writer that finds `depth` writes still
-//!   undelivered is parked (its reply deferred), so no handler waits. A
-//!   pipe's depth is its capacity.
-//! * A stage with **no passive face** has nobody to drive it, so its process
+//!   concurrently" — and its dual for writers. The step runs ahead of the
+//!   handlers and meets them at the buffer: a read-ahead step fills it while
+//!   fewer than `depth` records wait to be read; a push-ahead step drains
+//!   it, and a writer that finds `depth` writes still undelivered is parked
+//!   (its reply deferred). A pipe's depth is its capacity.
+//! * A stage with **no passive face** has nobody to drive it, so its step
 //!   runs both faces whatever the depth: the sink's pump, the conventional
 //!   filter, and the pushing source, which waits for `Start` and answers it
 //!   when the last write has been acknowledged — `Start` is "run the
@@ -74,15 +81,15 @@
 //!
 //! ## The process: steps on the coordinator
 //!
-//! A stage's process is no thread: its own coordinator runs it from
-//! `internal`, a step at a time between the invocations it handles — up to
-//! `CHUNKS_A_STEP` chunks while every call settles at once, then the next
-//! step posted to its own mailbox. A reply that is not in is kept, and its
-//! settle posts the step that picks up from there; meanwhile the stage costs
-//! what a parked Eject costs. Only a **program** ([`crate::stdio`]) keeps a
-//! thread, and shares the buffer as a [`Shared`] one. The posts are internal
-//! events, metered as language-level IPC rather than as invocations — the
-//! distinction the paper's cost argument rests on.
+//! A stage's process is no thread: its own coordinator runs it a step at a
+//! time between the invocations it handles — in a handler at depth 0, else
+//! from `internal` — up to `CHUNKS_A_STEP` chunks while every call settles
+//! at once, then the next step posted to its own mailbox. A reply that is
+//! not in is kept, and its settle posts the step that picks up from there;
+//! meanwhile the stage costs what a parked Eject costs. Only a **program**
+//! ([`crate::stdio`]) keeps a thread, and shares the buffer as a [`Shared`]
+//! one. The posts are internal events, metered as language-level IPC rather
+//! than as invocations — the distinction the paper's cost argument rests on.
 //!
 //! ## Retention: what the stage has not been told to forget
 //!
@@ -92,13 +99,14 @@
 //! (`Stage::retained`) counts, and differs at two kinds of site only.
 //! *When the buffer may forget:* not what it serves or sends but what the
 //! position of a later `Transfer`, or the reply to a `Write`, acknowledges —
-//! so it parks no writer, and holds everything between two passive faces
-//! that nobody reads by position; a reader it parks as a volatile stage
-//! does, and a crash abandons to a retry. *What an acknowledgement
+//! so it parks no writer for room, and holds everything between two passive
+//! faces that nobody reads by position; a reader it parks as a volatile
+//! stage does, and a crash abandons to a retry. *What an acknowledgement
 //! waits for:* a durable write whenever the stage has taken or made something
 //! (`retain`, `save`) — of what changed, or of the stage whole — and nothing
-//! when a reader's position only lets it forget. It calls its peers as a
-//! volatile stage does (`Host::call`), under a retry policy.
+//! when a reader's position only lets it forget. Its step pushes a batch
+//! (`push`), and forgets and saves it once the reply is polled in. It calls
+//! its peers as a volatile stage does (`Host::call`), under a retry policy.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -211,9 +219,9 @@ pub struct StageConfig {
     /// Writes an active output keeps in flight: "the sending of an
     /// invocation does not suspend the execution of the sending Eject"
     /// (§1), exploited for pipelining. Acknowledgements are collected in
-    /// order; 1 is the synchronous rendezvous. Windowing needs a single
-    /// destination — fan-out wiring stays at 1 so every peer is in
-    /// lock-step.
+    /// order; 1 is the synchronous rendezvous, which a passive input at
+    /// depth 0 always is. Windowing needs a single destination — fan-out
+    /// wiring stays at 1 so every peer is in lock-step.
     pub window: usize,
 }
 

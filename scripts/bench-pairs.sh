@@ -47,7 +47,7 @@ change=$(git rev-parse --short=12 "$2^{commit}")
 dir=${BENCH_DIR:-${TMPDIR:-/tmp}/eden-bench-pairs}
 mkdir -p "$dir/runs"
 
-# The end-to-end metrics: name, and 1 where higher is better.
+# The end-to-end metrics: name, which way is better, and the bound.
 metrics=$(sed -n 's/.*{"name": "\([a-z_]*\)", "unit": "[^"]*", "better": "\([a-z]*\)", "bound": \([0-9.]*\)}.*/\1 \2 \3/p' BENCHMARK.json)
 
 for commit in "$parent" "$change"; do
@@ -120,7 +120,7 @@ for w in $workloads; do
                 if (pm != 0 && iqr / (pm < 0 ? -pm : pm) > bound) verdict = "unresolved: the parent spreads beyond the bound"
                 else if (size <= iqr) verdict = "inside the parent spread"
                 else verdict = ((better == "higher") == (diff > 0) ? "better" : "worse") " beyond the parent spread"
-                rel = pm != 0 ? sprintf(" (%+.1f%%)", 100 * diff / pm) : ""
+                rel = pm != 0 ? sprintf(" (%+.3g%%)", 100 * diff / pm) : ""
                 printf "%-24s %14.6g %14.6g %10.6g..%-10.6g %10.6g..%-10.6g %3d/%-2d  %s%s\n", \
                     name, pm, cm, quantile(p, n, 0.25), quantile(p, n, 0.75), \
                     quantile(c, n, 0.25), quantile(c, n, 0.75), ahead, n, verdict, rel
