@@ -12,62 +12,92 @@
 //! the counts through an explicit [`CostModel`]. Experiments can then sweep
 //! the invocation : internal-IPC cost ratio (experiment E8) instead of being
 //! hostage to one machine's timings.
+//!
+//! Counting must cost little beside what it counts: a thread adds, by a
+//! plain load and store, to a block of counters it owns until it exits and
+//! hands it on, counts and all. The last of 64 blocks is shared, through
+//! `fetch_add`, by threads past the 63 owned or whose hold is torn down.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Counter shards per `Metrics` instance. Power of two; indexed by a
-/// cheap per-thread id so concurrent recorders from different threads
-/// land on different cache lines.
-const METRIC_SHARDS: usize = 16;
+const BLOCKS: usize = 64;
+const SHARED: usize = BLOCKS - 1;
 
-static NEXT_METRIC_SLOT: AtomicUsize = AtomicUsize::new(0);
+/// Bit `i` is set while a live thread owns block `i` of every `Metrics`.
+static TAKEN: AtomicU64 = AtomicU64::new(0);
 
-thread_local! {
-    /// This thread's dense index, assigned on first use — one shared
-    /// `fetch_add` per thread lifetime, not per event.
-    static METRIC_SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
+/// A thread's hold on its block index, given back when the thread exits.
+struct Slot(usize);
+
+impl Slot {
+    fn take() -> Slot {
+        let owned = (1u64 << SHARED) - 1;
+        // Acquire: the last owner's Release hands its stores to this owner.
+        // eden-lint: ordering(owner-store)
+        let taken = TAKEN.fetch_update(Ordering::Acquire, Ordering::Acquire, |t| {
+            let free = !t & owned;
+            (free != 0).then(|| t | 1 << free.trailing_zeros())
+        });
+        let slot = taken.map_or(SHARED, |t| (!t & owned).trailing_zeros() as usize);
+        SLOT.set(slot);
+        Slot(slot)
+    }
 }
 
-fn metric_slot() -> usize {
-    METRIC_SLOT.with(|slot| {
-        let mut v = slot.get();
-        if v == usize::MAX {
-            v = NEXT_METRIC_SLOT.fetch_add(1, Ordering::Relaxed);
-            slot.set(v);
+impl Drop for Slot {
+    fn drop(&mut self) {
+        SLOT.set(SHARED);
+        if self.0 != SHARED {
+            TAKEN.fetch_and(!(1 << self.0), Ordering::Release);
         }
-        v
-    })
+    }
+}
+
+thread_local! {
+    /// The index every record reads (one load: no destructor), `MAX` until taken.
+    static SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
+    static HOLD: Slot = Slot::take();
+}
+
+#[cold]
+fn take_slot() -> usize {
+    HOLD.try_with(|hold| hold.0).unwrap_or(SHARED)
+}
+
+/// Add `by` to `counter`: its `owned` block has one writer, so a load and a
+/// store add exactly, with no locked read-modify-write.
+#[inline]
+fn bump(counter: &AtomicU64, by: u64, owned: bool) {
+    if owned {
+        // eden-lint: ordering(owner-store)
+        counter.store(counter.load(Ordering::Relaxed) + by, Ordering::Relaxed);
+    } else {
+        counter.fetch_add(by, Ordering::Relaxed);
+    }
 }
 
 /// Shared event counters. Cheap to clone (an `Arc` bump); updated with
-/// relaxed atomics — the counts are statistics, not synchronisation.
-///
-/// Counters are sharded across cache-line-aligned blocks keyed by a
-/// per-thread index: several counters fire on *every* delivery, and a
-/// single shared block would bounce its lines between all scheduler
-/// workers. [`snapshot`](Metrics::snapshot) folds the shards.
+/// relaxed atomics — the counts are statistics, not synchronisation — each
+/// thread in its own block (module docs), folded by [`Metrics::snapshot`].
 #[derive(Clone, Debug)]
 pub struct Metrics {
-    shards: Arc<[CounterShard]>,
+    blocks: Arc<[CounterBlock; BLOCKS]>,
 }
 
 impl Default for Metrics {
     fn default() -> Self {
         Metrics {
-            shards: (0..METRIC_SHARDS)
-                .map(|_| CounterShard::default())
-                .collect(),
+            blocks: Arc::new(std::array::from_fn(|_| CounterBlock::default())),
         }
     }
 }
 
-/// One cache-line-aligned block of counters (128 bytes covers x86's
-/// adjacent-line prefetch pairing).
+/// One block of counters, aligned to 128 bytes (x86 prefetches line pairs).
 #[repr(align(128))]
 #[derive(Default, Debug)]
-struct CounterShard(Counters);
+struct CounterBlock(Counters);
 
 /// The one declaration of the counters. A row is
 ///
@@ -99,11 +129,11 @@ macro_rules! counters {
         impl Metrics {
             $(counters!(@record $(#[$doc])* $field $($record)?);)*
 
-            /// Capture the current counter values, folded across every shard.
+            /// Capture the current counter values, folded across every block.
             pub fn snapshot(&self) -> MetricsSnapshot {
                 let mut s = MetricsSnapshot::default();
-                for shard in self.shards.iter() {
-                    $(s.$field += shard.0.$field.load(Ordering::Relaxed);)*
+                for block in self.blocks.iter() {
+                    $(s.$field += block.0.$field.load(Ordering::Relaxed);)*
                 }
                 s
             }
@@ -137,8 +167,10 @@ macro_rules! counters {
     (@record $(#[$doc:meta])* $field:ident) => {};
     (@record $(#[$doc:meta])* $field:ident $record:ident) => {
         $(#[$doc])*
+        #[inline]
         pub fn $record(&self) {
-            self.cell().$field.fetch_add(1, Ordering::Relaxed);
+            let (block, owned) = self.block();
+            bump(&block.$field, 1, owned);
         }
     };
     (@row $value:expr) => {
@@ -245,42 +277,49 @@ impl Metrics {
     }
 
     /// Record an invocation being sent, with its parameter payload size.
+    #[inline]
     pub fn record_invocation(&self, payload_bytes: usize) {
-        self.cell().invocations.fetch_add(1, Ordering::Relaxed);
-        self.cell()
-            .bytes_invoked
-            .fetch_add(payload_bytes as u64, Ordering::Relaxed);
+        let (block, owned) = self.block();
+        bump(&block.invocations, 1, owned);
+        bump(&block.bytes_invoked, payload_bytes as u64, owned);
     }
 
     /// Record a reply being delivered, with its payload size.
+    #[inline]
     pub fn record_reply(&self, payload_bytes: usize) {
-        self.cell().replies.fetch_add(1, Ordering::Relaxed);
-        self.cell()
-            .bytes_replied
-            .fetch_add(payload_bytes as u64, Ordering::Relaxed);
+        let (block, owned) = self.block();
+        bump(&block.replies, 1, owned);
+        bump(&block.bytes_replied, payload_bytes as u64, owned);
     }
 
     /// Record a durable write of `bytes` to the stable store: a whole
     /// checkpoint, or (`entry`) one journal entry beside it.
     pub fn record_checkpoint(&self, bytes: usize, entry: bool) {
-        let cell = self.cell();
-        cell.checkpoints.fetch_add(1, Ordering::Relaxed);
-        cell.checkpoint_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-        cell.journal_entries
-            .fetch_add(entry as u64, Ordering::Relaxed);
+        let (block, owned) = self.block();
+        bump(&block.checkpoints, 1, owned);
+        bump(&block.checkpoint_bytes, bytes as u64, owned);
+        bump(&block.journal_entries, entry as u64, owned);
+    }
+
+    /// The pickups alone, folded: the stall monitor's per-tick progress.
+    pub fn pickups(&self) -> u64 {
+        let blocks = self.blocks.iter();
+        blocks.map(|b| b.0.pickups.load(Ordering::Relaxed)).sum()
     }
 
     /// How many handles share these counters: what a hot path that clones
     /// none leaves unchanged.
     #[doc(hidden)]
     pub fn handle_count(&self) -> usize {
-        Arc::strong_count(&self.shards)
+        Arc::strong_count(&self.blocks)
     }
 
-    /// The calling thread's counter block.
-    fn cell(&self) -> &Counters {
-        &self.shards[metric_slot() & (METRIC_SHARDS - 1)].0
+    /// The calling thread's counter block, and whether the thread owns it.
+    #[inline]
+    fn block(&self) -> (&Counters, bool) {
+        let slot = SLOT.get();
+        let slot = if slot < BLOCKS { slot } else { take_slot() };
+        (&self.blocks[slot % BLOCKS].0, slot != SHARED)
     }
 }
 
@@ -568,6 +607,98 @@ mod tests {
         assert_eq!(s.invocations, THREADS * EACH);
         assert_eq!(s.bytes_invoked, 3 * THREADS * EACH);
         assert_eq!(s.retries, THREADS * EACH);
+    }
+
+    /// More threads alive at once than there are blocks: those past the
+    /// owned blocks add to the shared last one, and no add is lost.
+    #[test]
+    fn more_recording_threads_than_blocks_lose_no_count() {
+        const THREADS: usize = BLOCKS + 16;
+        const EACH: u64 = 200;
+        let m = Metrics::new();
+        let all_in = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    m.record_wake();
+                    all_in.wait();
+                    for _ in 0..EACH {
+                        m.record_invocation(2);
+                        m.record_park();
+                    }
+                });
+            }
+        });
+        let s = m.snapshot();
+        let n = THREADS as u64;
+        assert_eq!((s.wakes, s.invocations, s.parks), (n, n * EACH, n * EACH));
+        assert_eq!(s.bytes_invoked, 2 * n * EACH);
+        let shared = m.blocks[SHARED].0.wakes.load(Ordering::Relaxed);
+        assert!(shared >= n - SHARED as u64, "{shared} threads shared");
+        assert_eq!(m.pickups(), 0);
+    }
+
+    /// Waves of threads, each wave exiting before the next starts: a new
+    /// thread takes over an exited one's block and adds to what it holds.
+    #[test]
+    fn threads_that_take_over_a_block_keep_its_counts() {
+        const WAVES: u64 = 6;
+        const WIDTH: u64 = 8;
+        const EACH: u64 = 300;
+        let m = Metrics::new();
+        for _ in 0..WAVES {
+            std::thread::scope(|scope| {
+                for _ in 0..WIDTH {
+                    scope.spawn(|| {
+                        for _ in 0..EACH {
+                            m.record_pickup();
+                            m.record_reply(1);
+                        }
+                    });
+                }
+            });
+        }
+        let total = WAVES * WIDTH * EACH;
+        let s = m.snapshot();
+        assert_eq!(
+            (s.pickups, s.replies, s.bytes_replied),
+            (total, total, total)
+        );
+        assert_eq!(m.pickups(), total);
+    }
+
+    /// A snapshot taken while threads record reads each count no lower
+    /// than the one before it, and at rest the fold is the exact sum.
+    #[test]
+    fn snapshots_taken_while_threads_record_only_rise() {
+        const THREADS: u64 = 4;
+        const EACH: u64 = 20_000;
+        let m = Metrics::new();
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    for _ in 0..EACH {
+                        m.record_checkpoint(3, true);
+                    }
+                });
+            }
+            scope.spawn(|| {
+                let mut last = MetricsSnapshot::default();
+                for _ in 0..2_000 {
+                    let now = m.snapshot();
+                    assert!(now.checkpoints >= last.checkpoints);
+                    assert!(now.checkpoint_bytes >= last.checkpoint_bytes);
+                    assert!(now.checkpoints <= THREADS * EACH);
+                    last = now;
+                }
+            });
+        });
+        let s = m.snapshot();
+        let total = THREADS * EACH;
+        assert_eq!(
+            (s.checkpoints, s.checkpoint_bytes, s.journal_entries),
+            (total, 3 * total, total)
+        );
     }
 
     #[test]

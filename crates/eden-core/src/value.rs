@@ -608,6 +608,7 @@ impl Value {
     /// data volume moved by invocations. Exact for nested lists and
     /// records: each container contributes its elements plus a fixed
     /// 4-byte framing term, each field its name plus its value.
+    #[inline]
     pub fn size_hint(&self) -> usize {
         match self {
             Value::Unit => 1,

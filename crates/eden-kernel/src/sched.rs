@@ -92,8 +92,9 @@
 //!
 //! Nor does a hop write a line the pool shares: its counters — the calls
 //! run inline, the parks and wakes whose difference is the parked gauge,
-//! the pickups the stall monitor watches — are the kernel's sharded
-//! [`Metrics`] rows, summed when a snapshot is taken, and a reply cell a
+//! the pickups the stall monitor watches — are the kernel's [`Metrics`]
+//! rows, each added to in the recording thread's own block with a plain
+//! load and store and summed when a snapshot is taken, and a reply cell a
 //! worker makes meters through that worker's own handle on them
 //! ([`local_metrics`]).
 
@@ -605,7 +606,7 @@ pub(crate) struct Scheduler {
     blocked_workers: AtomicUsize,
     tasks_alive: AtomicU64,
     /// The kernel's counters: the per-hop ones (inline calls, parks, wakes,
-    /// pickups) are recorded here, on the recording thread's shard.
+    /// pickups) are recorded here, in the recording thread's own block.
     metrics: Metrics,
     /// What the backstops caught ([`SchedSnapshot`]'s last three fields).
     monitor_rescues: AtomicU64,
@@ -1187,7 +1188,7 @@ fn monitor_main(sched: Arc<Scheduler>) {
     let mut stalled_ticks = 0u32;
     let mut tick = MONITOR_TICK;
     while sched.timer.wait_until(Instant::now() + tick) {
-        let progress = sched.metrics.snapshot().pickups;
+        let progress = sched.metrics.pickups();
         let runnable = sched.has_runnable();
         // An idle pool needs no 1 kHz heartbeat; back off until work shows.
         tick = if runnable {

@@ -15,10 +15,17 @@
 //!
 //! * `Always` — a returned `store()` is on stable storage (the batch was
 //!   fsynced before any of its tickets completed).
-//! * `EveryN(n)` — the append has happened; an fsync lands at least every
-//!   `n` batches, so a crash loses at most the last `n` batches. No timer
-//!   syncs an idle tail: the next batch, an explicit `flush`, or dropping
-//!   the log does.
+//! * `EveryN(n)` — a returned `store()` has been appended: it is in the
+//!   host's page cache, and maybe not yet on stable storage. A batch is
+//!   synced with its segment when it is the `n`-th since the last sync of
+//!   the active segment, or when it fills its segment and seals it, so no
+//!   roll leaves a segment behind with batches no sync has covered. Hence
+//!   every completed batch but the last `n − 1` is on stable storage, and
+//!   a crash loses at most those. Only a sync of the active segment (the
+//!   committer's, or `flush`'s) restarts the count; the compactor's sync of
+//!   its own output does not. A segment sealed by a failed append is
+//!   synced then, on a best-effort basis. No timer syncs an idle tail: the
+//!   next batch, an explicit `flush`, or dropping the log does.
 //!
 //! In every policy the *index* is updated only after a successful append,
 //! so a failed `store()` can never be observed as durable by a later
@@ -150,7 +157,7 @@ impl LogInner {
         // race-free.
         let mut buf = Vec::new();
         let mut frames = Vec::with_capacity(batch.len());
-        let (seg, path) = {
+        let (seg, path, seals) = {
             let idx = self.index.lock();
             for i in 0..batch.len() {
                 let uid = batch[i].uid();
@@ -168,13 +175,15 @@ impl LogInner {
                 // buffer; the index keeps the shared buffer itself.
                 frames.push(log::encode_frame(&batch[i], &mut buf));
             }
-            (idx.active_seg, Arc::clone(&idx.active_name))
+            let seals = idx.active_len + buf.len() as u64 >= self.cfg.segment_bytes;
+            (idx.active_seg, Arc::clone(&idx.active_name), seals)
         };
 
         // The slow half runs outside every lock. The append only copies
         // into the page cache; the fsync waits on the device, so it alone
-        // runs under the scheduler's blocking compensation.
-        let sync_now = self.due_for_sync();
+        // runs under the scheduler's blocking compensation. A batch that
+        // seals its segment syncs it: no later sync covers a sealed file.
+        let sync_now = seals || self.due_for_sync();
         let io = self.fs.append(&path, &buf).and_then(|_| {
             if sync_now {
                 crate::sched::blocking(|| self.fs.sync(&path))
@@ -184,12 +193,18 @@ impl LogInner {
         });
         if let Err(e) = io {
             // The file may hold a torn region; seal it so the next batch
-            // starts a fresh segment. Replay tolerates the tear.
+            // starts a fresh segment. Replay tolerates the tear. The
+            // batches before this one are owed a sync, paid now if it can be.
+            if self.batches_since_sync.load(Ordering::Relaxed) > 0
+                && crate::sched::blocking(|| self.fs.sync(&path)).is_ok()
+            {
+                self.count_fsync(true);
+            }
             self.index.lock().roll();
             return Err(e);
         }
         if sync_now {
-            self.count_fsync();
+            self.count_fsync(true);
         } else {
             self.batches_since_sync.fetch_add(1, Ordering::Relaxed);
         }
@@ -278,7 +293,7 @@ impl LogInner {
         let path = Arc::clone(&self.index.lock().active_name);
         if self.fs.exists(&path) {
             crate::sched::blocking(|| self.fs.sync(&path))?;
-            self.count_fsync();
+            self.count_fsync(true);
         }
         drop(q);
         Ok(())

@@ -126,7 +126,7 @@ impl LogInner {
             self.fs.write(&out_path, &buf)?;
             // eden-lint: nonblocking(compactor thread or teardown flush, off the pool)
             self.fs.sync(&out_path)?;
-            self.count_fsync();
+            self.count_fsync(false);
         }
 
         // Phase 3 (brief index lock): re-point the frames that are still

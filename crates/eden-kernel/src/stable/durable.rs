@@ -216,9 +216,14 @@ pub(crate) struct LogInner {
 }
 
 impl LogInner {
-    pub(crate) fn count_fsync(&self) {
+    /// Count one fsync. Only a sync of the active segment (`active`)
+    /// restarts the `EveryN` count: the compactor's sync of its own output
+    /// covers none of the batches since the last one.
+    pub(crate) fn count_fsync(&self, active: bool) {
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
-        self.batches_since_sync.store(0, Ordering::Relaxed);
+        if active {
+            self.batches_since_sync.store(0, Ordering::Relaxed);
+        }
     }
 }
 
@@ -562,6 +567,130 @@ mod tests {
         }
         fn remove(&self, path: &str) -> Result<()> {
             self.inner.remove(path)
+        }
+    }
+
+    /// A filing system that delegates to a [`MemFs`] and records, in
+    /// order, every append (`'a'`) and sync (`'s'`) with its path.
+    struct RecordingFs {
+        inner: HostFsHandle,
+        ops: parking_lot::Mutex<Vec<(char, String)>>,
+    }
+
+    impl eden_core::HostFs for RecordingFs {
+        fn read(&self, path: &str) -> Result<Vec<u8>> {
+            self.inner.read(path)
+        }
+        fn write(&self, path: &str, bytes: &[u8]) -> Result<()> {
+            self.inner.write(path, bytes)
+        }
+        fn append(&self, path: &str, bytes: &[u8]) -> Result<u64> {
+            self.ops.lock().push(('a', path.to_owned()));
+            self.inner.append(path, bytes)
+        }
+        fn sync(&self, path: &str) -> Result<()> {
+            self.ops.lock().push(('s', path.to_owned()));
+            self.inner.sync(path)
+        }
+        fn rename(&self, from: &str, to: &str) -> Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn exists(&self, path: &str) -> bool {
+            self.inner.exists(path)
+        }
+        fn list(&self) -> Vec<String> {
+            self.inner.list()
+        }
+        fn remove(&self, path: &str) -> Result<()> {
+            self.inner.remove(path)
+        }
+    }
+
+    impl RecordingFs {
+        fn ops(&self) -> Vec<(char, String)> {
+            self.ops.lock().clone()
+        }
+    }
+
+    fn active_segment(log: &DurableLog) -> String {
+        log.inner.index.lock().active_name.to_string()
+    }
+
+    fn recording() -> (std::sync::Arc<RecordingFs>, HostFsHandle) {
+        let rec = std::sync::Arc::new(RecordingFs {
+            inner: MemFs::new(),
+            ops: parking_lot::Mutex::default(),
+        });
+        let fs = std::sync::Arc::clone(&rec) as HostFsHandle;
+        (rec, fs)
+    }
+
+    /// Under `EveryN(4)`, a compaction between batches syncs only its own
+    /// output: the active segment's 4th batch since its last sync still
+    /// syncs it.
+    #[test]
+    fn a_compaction_sync_does_not_restart_the_every_n_count() {
+        let (rec, fs) = recording();
+        let config = DurableConfig {
+            fsync: FsyncPolicy::EveryN(4),
+            segment_bytes: 512,
+            auto_compact: false,
+            ..DurableConfig::default()
+        };
+        let s = DurableLog::open(fs, config).unwrap();
+        let (x, y) = (Uid::fresh(), Uid::fresh());
+        // A small live frame, then a large one that fills and seals the
+        // segment; overwriting the large one leaves that segment half dead.
+        s.store(x, "X", Bytes::from(vec![1; 8])).unwrap();
+        s.store(y, "Y", Bytes::from(vec![0; 500])).unwrap();
+        s.store(y, "Y", Bytes::from(vec![1; 8])).unwrap();
+        s.inner.flush().unwrap();
+        let active = active_segment(&s);
+        let flushed = rec.ops().len();
+        let syncs_of_active = |rec: &RecordingFs| {
+            let ops = rec.ops().split_off(flushed);
+            ops.iter()
+                .filter(|op| **op == ('s', active.clone()))
+                .count()
+        };
+        for i in 2..=4u8 {
+            s.store(y, "Y", Bytes::from(vec![i; 8])).unwrap();
+        }
+        assert_eq!(syncs_of_active(&rec), 0, "three batches, no sync yet");
+        let before = rec.ops().len();
+        assert!(s.inner.compact_once(false).unwrap() > 0);
+        let ops = rec.ops().split_off(before);
+        assert!(
+            matches!(&ops[..], [('s', out)] if *out != active),
+            "the compaction synced its own output only: {ops:?}"
+        );
+        s.store(y, "Y", Bytes::from(vec![5; 8])).unwrap();
+        assert_eq!(active_segment(&s), active);
+        assert_eq!(syncs_of_active(&rec), 1, "the 4th batch syncs");
+    }
+
+    /// Under `EveryN(4)`, a batch that fills its segment syncs it as it
+    /// seals it: every segment appended to is synced after its last append,
+    /// before the log is flushed or dropped.
+    #[test]
+    fn a_segment_sealed_by_a_roll_is_synced() {
+        let (rec, fs) = recording();
+        let s = store_on(&fs, FsyncPolicy::EveryN(4));
+        let uid = Uid::fresh();
+        for i in 0..6u8 {
+            s.store(uid, "Big", Bytes::from(vec![i; 300])).unwrap();
+        }
+        let ops = rec.ops();
+        let appended: std::collections::BTreeSet<&String> = ops
+            .iter()
+            .filter(|op| op.0 == 'a')
+            .map(|op| &op.1)
+            .collect();
+        assert_eq!(appended.len(), 6, "each batch rolled: {ops:?}");
+        for path in appended {
+            let last_append = ops.iter().rposition(|op| *op == ('a', path.clone()));
+            let last_sync = ops.iter().rposition(|op| *op == ('s', path.clone()));
+            assert!(last_sync > last_append, "{path} left unsynced: {ops:?}");
         }
     }
 

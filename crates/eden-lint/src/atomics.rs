@@ -23,8 +23,10 @@
 //! The audit fails on: a site with no catalog entry, a method the entry
 //! does not list, an ordering outside the blessed set (the "silent
 //! downgrade" this pass exists for), a stale entry matching no site, a
-//! missing required annotation, or an annotation whose role disagrees
-//! with the catalog. Unknown sites print ready-to-paste catalog lines so
+//! missing required annotation, an annotation whose role disagrees
+//! with the catalog, or a `store` of a value `load`ed from the same atomic
+//! (`x.store(x.load(..) + 1, ..)`) outside the `owner-store` role: that
+//! read-modify-write loses a concurrent add unless one thread owns `x`. Unknown sites print ready-to-paste catalog lines so
 //! growing the tree is mechanical. As a belt-and-braces check the pass
 //! also proves every `Ordering::` token in non-test code landed in
 //! exactly one parsed site — zero unaudited sites, loudly.
@@ -135,6 +137,8 @@ pub(crate) struct AtomicSite {
     pub(crate) orderings: Vec<String>,
     /// Role from an `ordering(role)` annotation bound to this site.
     pub(crate) annotation: Option<String>,
+    /// A `store` whose value reads the same atomic: a load-store add.
+    pub(crate) reloads: bool,
 }
 
 impl AtomicSite {
@@ -270,6 +274,7 @@ pub(crate) fn extract_sites(scan: &FileScan) -> (Vec<AtomicSite>, usize, Vec<Str
             ));
             continue;
         };
+        let reloads = method == "store" && stores_own_load(&joined, open, &name);
         calls.insert(
             open,
             AtomicSite {
@@ -279,6 +284,7 @@ pub(crate) fn extract_sites(scan: &FileScan) -> (Vec<AtomicSite>, usize, Vec<Str
                 method,
                 orderings: vec![(*ord).to_owned()],
                 annotation: None,
+                reloads,
             },
         );
     }
@@ -299,6 +305,20 @@ pub(crate) fn extract_sites(scan: &FileScan) -> (Vec<AtomicSite>, usize, Vec<Str
         }
     }
     (sites, tokens, errors)
+}
+
+/// Whether the arguments of the call opened at `open` load `name`.
+fn stores_own_load(code: &str, open: usize, name: &str) -> bool {
+    let mut depth = 0usize;
+    let close = code[open..].char_indices().find(|&(_, c)| {
+        depth = match c {
+            '(' => depth + 1,
+            ')' => depth - 1,
+            _ => depth,
+        };
+        depth == 0
+    });
+    close.is_some_and(|(end, _)| code[open..open + end].contains(&format!("{name}.load(")))
 }
 
 /// Walk `roots`, extract every atomic site, and evaluate the catalog.
@@ -363,6 +383,12 @@ pub fn audit(catalog: &[CatalogEntry], roots: &[PathBuf]) -> Result<AtomicsRepor
                     ));
                 }
                 Some(_) => {}
+            }
+            if site.reloads && entry.role != "owner-store" {
+                report.findings.push(format!(
+                    "{}:{}: `{}.store` writes back its own load, which loses a concurrent add: only an atomic one thread owns (role=owner-store) may",
+                    site.file, site.line, site.name
+                ));
             }
             if let Some(role) = &site.annotation {
                 if *role != entry.role {
@@ -518,6 +544,17 @@ mod tests {
         );
         assert!(report.clean(), "{:?}", report.findings);
         assert_eq!(report.tokens, 1);
+    }
+
+    #[test]
+    fn a_store_of_its_own_load_is_blessed_only_for_an_owner() {
+        let source = "fn f(&self) {\n    self.n.store(self.n.load(Ordering::Relaxed) + 1, Ordering::Relaxed);\n    self.n.store(0, Ordering::Relaxed);\n}\n";
+        let counter = catalog("atomic mem.rs n role=stat-counter load=Relaxed store=Relaxed\n");
+        let report = run(&counter, source);
+        assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+        assert!(report.findings[0].contains("writes back its own load"));
+        let owner = catalog("atomic mem.rs n role=owner-store load=Relaxed store=Relaxed\n");
+        assert!(run(&owner, source).clean());
     }
 
     #[test]

@@ -22,9 +22,14 @@
 # spread wider than the metric's bound reads "unresolved". Every run's
 # `correct` and `failed` are checked and a run at fault is reported.
 #
+# Before each pair the host calibration figure (scripts/calibrate.rs, built
+# with rustc into $BENCH_DIR) is taken: a fixed single-thread spin and a
+# two-thread Condvar ping-pong. Its medians over a workload's pairs are
+# printed beside the table.
+#
 # Appended to BENCH_history.jsonl, one line per commit, workload and metric:
 # the median, the quartiles, the pair count, seed, seconds, `nproc`, the CPU
-# model and the commit.
+# model, the calibration medians and the commit.
 set -eu
 cd "$(dirname "$0")/.." || exit 1
 root=$(pwd)
@@ -60,6 +65,11 @@ for commit in "$parent" "$change"; do
     fi
 done
 
+calibrate="$dir/calibrate"
+rm -f "$calibrate"
+rustc -O --edition 2021 -o "$calibrate" scripts/calibrate.rs ||
+    echo "bench-pairs: scripts/calibrate.rs does not build; no calibration" >&2
+
 # run <commit> <workload> <pair>: one benchmark run, its output kept.
 run() {
     out="$dir/runs/$2-$1-$3.txt"
@@ -69,11 +79,23 @@ run() {
         echo "bench-pairs: $2 on $1, pair $3: a run at fault (see $out)" >&2
 }
 
+# calib <workload> <field>: the field's median over the workload's pairs, or
+# null.
+calib() {
+    i=1
+    while [ "$i" -le "$pairs" ]; do
+        sed -n "s/^$2 //p" "$dir/runs/$1-calib-$i.txt" 2>/dev/null
+        i=$((i + 1))
+    done | sort -g | awk '{ a[NR] = $1 } END { print NR ? (a[int((NR + 1) / 2)] + a[int(NR / 2) + 1]) / 2 : "null" }'
+}
+
 nproc=$(nproc)
 cpu=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -n 1)
 for w in $workloads; do
     i=1
     while [ "$i" -le "$pairs" ]; do
+        rm -f "$dir/runs/$w-calib-$i.txt"
+        [ ! -x "$calibrate" ] || "$calibrate" >"$dir/runs/$w-calib-$i.txt"
         if [ $((i % 2)) -eq 1 ]; then
             run "$parent" "$w" "$i"; run "$change" "$w" "$i"
         else
@@ -81,8 +103,11 @@ for w in $workloads; do
         fi
         i=$((i + 1))
     done
+    spin=$(calib "$w" calib_spin_ms) pingpong=$(calib "$w" calib_pingpong_us)
     printf '\n%s: %s -> %s, %s pairs, seed %s, %s s, nproc %s\n' \
         "$w" "$parent" "$change" "$pairs" "$seed" "$seconds" "$nproc"
+    printf 'host calibration (median of the pairs): spin %s ms, Condvar ping-pong %s us\n' \
+        "$spin" "$pingpong"
     printf '%-24s %14s %14s %22s %22s %6s  %s\n' metric parent change \
         "parent q1..q3" "change q1..q3" ahead verdict
     echo "$metrics" | while read -r name better bound; do
@@ -98,7 +123,8 @@ for w in $workloads; do
         [ -n "$values" ] || continue
         printf '%s' "$values" | awk -v name="$name" -v better="$better" -v bound="$bound" \
             -v parent="$parent" -v change="$change" -v w="$w" -v seed="$seed" \
-            -v seconds="$seconds" -v nproc="$nproc" -v cpu="$cpu" -v history="$history" '
+            -v seconds="$seconds" -v nproc="$nproc" -v cpu="$cpu" -v history="$history" \
+            -v spin="$spin" -v pingpong="$pingpong" '
             function quantile(a, n, q,   h, lo) {
                 h = (n - 1) * q + 1; lo = int(h)
                 return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
@@ -108,8 +134,8 @@ for w in $workloads; do
                     for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
             }
             function line(commit, a, n) {
-                printf "{\"commit\": \"%s\", \"workload\": \"%s\", \"metric\": \"%s\", \"median\": %.6g, \"q1\": %.6g, \"q3\": %.6g, \"pairs\": %d, \"seed\": %s, \"seconds\": %s, \"nproc\": %s, \"cpu\": \"%s\"}\n", \
-                    commit, w, name, quantile(a, n, 0.5), quantile(a, n, 0.25), quantile(a, n, 0.75), n, seed, seconds, nproc, cpu >> history
+                printf "{\"commit\": \"%s\", \"workload\": \"%s\", \"metric\": \"%s\", \"median\": %.6g, \"q1\": %.6g, \"q3\": %.6g, \"pairs\": %d, \"seed\": %s, \"seconds\": %s, \"nproc\": %s, \"cpu\": \"%s\", \"calib_spin_ms\": %s, \"calib_pingpong_us\": %s}\n", \
+                    commit, w, name, quantile(a, n, 0.5), quantile(a, n, 0.25), quantile(a, n, 0.75), n, seed, seconds, nproc, cpu, spin, pingpong >> history
             }
             { n++; p[n] = $1; c[n] = $2; if (better == "higher" ? $2 > $1 : $2 < $1) ahead++ }
             END {
