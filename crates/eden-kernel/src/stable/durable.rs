@@ -530,15 +530,16 @@ mod tests {
         assert!(lazy < always, "EveryN(4) syncs less: {lazy} vs {always}");
     }
 
-    /// A faulty filing system: delegates to a [`MemFs`] until
-    /// `fail_append` is set; then the next `append` fails and writes
-    /// nothing.
-    struct FailingFs {
+    /// A filing system that delegates to a [`MemFs`] and records, in
+    /// order, every append (`'a'`) and sync (`'s'`) with its path. Once
+    /// `fail_append` is set, the next `append` fails and writes nothing.
+    struct TestFs {
         inner: HostFsHandle,
         fail_append: std::sync::atomic::AtomicBool,
+        ops: parking_lot::Mutex<Vec<(char, String)>>,
     }
 
-    impl eden_core::HostFs for FailingFs {
+    impl eden_core::HostFs for TestFs {
         fn read(&self, path: &str) -> Result<Vec<u8>> {
             self.inner.read(path)
         }
@@ -551,40 +552,6 @@ mod tests {
                     "append {path}: disk full"
                 )));
             }
-            self.inner.append(path, bytes)
-        }
-        fn sync(&self, path: &str) -> Result<()> {
-            self.inner.sync(path)
-        }
-        fn rename(&self, from: &str, to: &str) -> Result<()> {
-            self.inner.rename(from, to)
-        }
-        fn exists(&self, path: &str) -> bool {
-            self.inner.exists(path)
-        }
-        fn list(&self) -> Vec<String> {
-            self.inner.list()
-        }
-        fn remove(&self, path: &str) -> Result<()> {
-            self.inner.remove(path)
-        }
-    }
-
-    /// A filing system that delegates to a [`MemFs`] and records, in
-    /// order, every append (`'a'`) and sync (`'s'`) with its path.
-    struct RecordingFs {
-        inner: HostFsHandle,
-        ops: parking_lot::Mutex<Vec<(char, String)>>,
-    }
-
-    impl eden_core::HostFs for RecordingFs {
-        fn read(&self, path: &str) -> Result<Vec<u8>> {
-            self.inner.read(path)
-        }
-        fn write(&self, path: &str, bytes: &[u8]) -> Result<()> {
-            self.inner.write(path, bytes)
-        }
-        fn append(&self, path: &str, bytes: &[u8]) -> Result<u64> {
             self.ops.lock().push(('a', path.to_owned()));
             self.inner.append(path, bytes)
         }
@@ -606,23 +573,24 @@ mod tests {
         }
     }
 
-    impl RecordingFs {
+    impl TestFs {
         fn ops(&self) -> Vec<(char, String)> {
             self.ops.lock().clone()
         }
     }
 
-    fn active_segment(log: &DurableLog) -> String {
-        log.inner.index.lock().active_name.to_string()
-    }
-
-    fn recording() -> (std::sync::Arc<RecordingFs>, HostFsHandle) {
-        let rec = std::sync::Arc::new(RecordingFs {
+    fn test_fs() -> (std::sync::Arc<TestFs>, HostFsHandle) {
+        let test = std::sync::Arc::new(TestFs {
             inner: MemFs::new(),
+            fail_append: std::sync::atomic::AtomicBool::new(false),
             ops: parking_lot::Mutex::default(),
         });
-        let fs = std::sync::Arc::clone(&rec) as HostFsHandle;
-        (rec, fs)
+        let fs = std::sync::Arc::clone(&test) as HostFsHandle;
+        (test, fs)
+    }
+
+    fn active_segment(log: &DurableLog) -> String {
+        log.inner.index.lock().active_name.to_string()
     }
 
     /// Under `EveryN(4)`, a compaction between batches syncs only its own
@@ -630,7 +598,7 @@ mod tests {
     /// syncs it.
     #[test]
     fn a_compaction_sync_does_not_restart_the_every_n_count() {
-        let (rec, fs) = recording();
+        let (rec, fs) = test_fs();
         let config = DurableConfig {
             fsync: FsyncPolicy::EveryN(4),
             segment_bytes: 512,
@@ -647,7 +615,7 @@ mod tests {
         s.inner.flush().unwrap();
         let active = active_segment(&s);
         let flushed = rec.ops().len();
-        let syncs_of_active = |rec: &RecordingFs| {
+        let syncs_of_active = |rec: &TestFs| {
             let ops = rec.ops().split_off(flushed);
             ops.iter()
                 .filter(|op| **op == ('s', active.clone()))
@@ -674,7 +642,7 @@ mod tests {
     /// before the log is flushed or dropped.
     #[test]
     fn a_segment_sealed_by_a_roll_is_synced() {
-        let (rec, fs) = recording();
+        let (rec, fs) = test_fs();
         let s = store_on(&fs, FsyncPolicy::EveryN(4));
         let uid = Uid::fresh();
         for i in 0..6u8 {
@@ -692,6 +660,22 @@ mod tests {
             let last_sync = ops.iter().rposition(|op| *op == ('s', path.clone()));
             assert!(last_sync > last_append, "{path} left unsynced: {ops:?}");
         }
+    }
+
+    /// Under `EveryN(4)`, an append the filing system refuses seals its
+    /// segment, and the batches already in it are synced as it is sealed.
+    #[test]
+    fn a_segment_sealed_by_a_failed_append_is_synced() {
+        let (test, fs) = test_fs();
+        let s = store_on(&fs, FsyncPolicy::EveryN(4));
+        let uid = Uid::fresh();
+        s.store(uid, "X", Bytes::from(vec![1])).unwrap();
+        s.store(uid, "X", Bytes::from(vec![2])).unwrap();
+        let sealed = active_segment(&s);
+        test.fail_append.store(true, Ordering::SeqCst);
+        assert!(s.store(uid, "X", Bytes::from(vec![3])).is_err());
+        assert_ne!(active_segment(&s), sealed);
+        assert_eq!(test.ops().last(), Some(&('s', sealed)));
     }
 
     #[test]
@@ -814,11 +798,7 @@ mod tests {
     /// was stored before it, and the next write starts a segment of its own.
     #[test]
     fn failed_write_is_not_reported_durable() {
-        let failing = std::sync::Arc::new(FailingFs {
-            inner: MemFs::new(),
-            fail_append: std::sync::atomic::AtomicBool::new(false),
-        });
-        let fs: HostFsHandle = std::sync::Arc::clone(&failing) as HostFsHandle;
+        let (failing, fs) = test_fs();
         let s = store_on(&fs, FsyncPolicy::Always);
         let uid = Uid::fresh();
         s.store(uid, "Counter", Bytes::from(vec![1])).unwrap();
