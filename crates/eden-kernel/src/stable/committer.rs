@@ -247,7 +247,7 @@ impl LogInner {
                 }
             }
             idx.active_len += appended;
-            if idx.active_len >= self.cfg.segment_bytes {
+            if seals {
                 idx.roll();
             }
             if self.cfg.auto_compact {
