@@ -98,7 +98,7 @@
 //! worker makes meters through that worker's own handle on them
 //! ([`local_metrics`]).
 
-use std::cell::RefCell;
+use std::cell::{RefCell, UnsafeCell};
 use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -255,10 +255,10 @@ pub(crate) struct Task {
     /// ([`EjectBehavior::replies_last`]): the whole of
     /// [`Woken::run_as_call`]'s test of a callee.
     replies_last: bool,
-    /// The behaviour and resume bookkeeping, exclusively owned by
-    /// whichever worker is running the task. Locked only for the take at
-    /// resume start and the put-back at park (`task-body` is a leaf).
-    body: Mutex<Option<TaskBody>>,
+    /// The behaviour and resume bookkeeping. No lock guards it: whoever
+    /// stored the park bit `QUEUED -> RUNNING` owns it, until a park-bit
+    /// Release hands it on (see `unsafe impl Sync for Task`).
+    body: UnsafeCell<Option<TaskBody>>,
     /// Dispatch enqueue time, nanoseconds since the scheduler epoch.
     /// Feeds the obs plane's `sched_wait` stage.
     rq_enq_ns: AtomicU64,
@@ -283,11 +283,19 @@ impl Task {
     }
 
     fn take_body(&self) -> Option<TaskBody> {
-        self.body.lock().take()
+        // SAFETY: the caller holds the park bit in RUNNING (see `impl Sync`).
+        unsafe { (*self.slot()).take() }
     }
 
     fn put_body(&self, body: TaskBody) {
-        *self.body.lock() = Some(body);
+        // SAFETY: as in `take_body`, before the Release that hands it on.
+        unsafe { *self.slot() = Some(body) };
+    }
+
+    fn slot(&self) -> *mut Option<TaskBody> {
+        let state = self.core.park_bit().load(Ordering::Relaxed);
+        debug_assert!(matches!(state, park::RUNNING | park::DIRTY));
+        self.body.get()
     }
 
     /// Set under the lock `wait_dead` reads it under, before the notify: a waiter
@@ -314,6 +322,14 @@ impl Task {
         })
     }
 }
+
+// SAFETY: `body`, the one field that is not `Sync`, has one accessor: the
+// thread that stored the park bit `QUEUED -> RUNNING`. It passes on only by
+// a park-bit Release made after the put: the `RUNNING -> PARKED` CAS, which
+// the waking sender's AcqRel `PARKED -> QUEUED` CAS acquires, or the `->
+// QUEUED` store of a spawn or requeue, which the worker that pops the task
+// acquires through the run-queue mutex. Other senders only mark it DIRTY.
+unsafe impl Sync for Task {}
 
 impl std::fmt::Debug for Task {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -703,7 +719,7 @@ impl Scheduler {
             ctx,
             incarnation,
             replies_last,
-            body: Mutex::new(Some(TaskBody {
+            body: UnsafeCell::new(Some(TaskBody {
                 behavior,
                 activated: false,
                 ambient,
@@ -983,12 +999,11 @@ impl Scheduler {
                 Some(Envelope::Crash) => return self.die(task, body, true),
                 Some(Envelope::Shutdown) => return self.die(task, body, false),
                 None => {
-                    // Publish the body BEFORE the CAS advertises PARKED: the
-                    // instant the CAS succeeds a sender may re-enqueue this
-                    // task and another worker resume it, and that worker
-                    // must find the body in place — parking after publishing
-                    // would let the wake race ahead of the state machine and
-                    // be lost. The park is counted after it, as only a won
+                    // Put the body back BEFORE the CAS advertises PARKED:
+                    // the CAS is the Release that hands it on. The instant
+                    // it succeeds a sender may wake this task and another
+                    // thread resume it, and that thread must find the body
+                    // in place. The park is counted after it, as only a won
                     // CAS is one; the wake may be counted first.
                     task.put_body(body);
                     if transition(bit, Op::Cas, &[park::RUNNING], park::PARKED) {
@@ -1009,15 +1024,15 @@ impl Scheduler {
         }
     }
 
-    /// End a resume with mail still queued: to the back of the run queue.
+    /// End a resume with mail still queued: body back, then to the back of the run queue.
     fn requeue(&self, task: &Arc<Task>, body: TaskBody) -> Resume {
+        task.put_body(body);
         transition(
             task.core.park_bit(),
             Op::Store,
             &[park::RUNNING, park::DIRTY],
             park::QUEUED,
         );
-        task.put_body(body);
         self.stamp_enqueue(task);
         self.push(Arc::clone(task));
         Resume::Yield
