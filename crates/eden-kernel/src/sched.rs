@@ -255,9 +255,8 @@ pub(crate) struct Task {
     /// ([`EjectBehavior::replies_last`]): the whole of
     /// [`Woken::run_as_call`]'s test of a callee.
     replies_last: bool,
-    /// The behaviour and resume bookkeeping. No lock guards it: whoever
-    /// stored the park bit `QUEUED -> RUNNING` owns it, until a park-bit
-    /// Release hands it on (see `unsafe impl Sync for Task`).
+    /// The behaviour and resume bookkeeping, owned without a lock by whoever
+    /// holds the park bit in RUNNING (see `unsafe impl Sync for Task`).
     body: UnsafeCell<Option<TaskBody>>,
     /// Dispatch enqueue time, nanoseconds since the scheduler epoch.
     /// Feeds the obs plane's `sched_wait` stage.
@@ -293,8 +292,10 @@ impl Task {
     }
 
     fn slot(&self) -> *mut Option<TaskBody> {
-        let state = self.core.park_bit().load(Ordering::Relaxed);
-        debug_assert!(matches!(state, park::RUNNING | park::DIRTY));
+        debug_assert!(matches!(
+            self.core.park_bit().load(Ordering::Relaxed),
+            park::RUNNING | park::DIRTY
+        ));
         self.body.get()
     }
 
@@ -1000,11 +1001,10 @@ impl Scheduler {
                 Some(Envelope::Shutdown) => return self.die(task, body, false),
                 None => {
                     // Put the body back BEFORE the CAS advertises PARKED:
-                    // the CAS is the Release that hands it on. The instant
-                    // it succeeds a sender may wake this task and another
-                    // thread resume it, and that thread must find the body
-                    // in place. The park is counted after it, as only a won
-                    // CAS is one; the wake may be counted first.
+                    // the CAS is the Release that hands it on, and the
+                    // instant it succeeds another thread may resume the
+                    // task. The park is counted after it, as only a won CAS
+                    // is one; the wake may be counted first.
                     task.put_body(body);
                     if transition(bit, Op::Cas, &[park::RUNNING], park::PARKED) {
                         self.metrics.record_park();

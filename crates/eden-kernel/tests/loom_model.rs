@@ -564,11 +564,15 @@ fn no_resend_after_expiry_and_attempts_stay_bounded() {
 // 1. every delivered message is eventually processed — a sender racing
 //    the consumer's park transition can never strand mail behind a
 //    PARKED bit with no run-queue entry (the lost-wakeup);
-// 2. whenever a wake is spent — a run-queue entry claimed by a worker, or
-//    the wake a calling sender's own push won, run by that sender — the
-//    behaviour body is in its slot: the consumer publishes the body
-//    *before* advertising PARKED, so a racing wake always finds something
-//    to resume;
+// 2. no two threads ever hold the behaviour body at once: whoever spends a
+//    wake — a worker that claimed a run-queue entry, or a calling sender
+//    that runs the wake its own push won — finds the body in its slot and
+//    nobody else holding it. This is the property `Task::body`'s
+//    `UnsafeCell` rests on: the body has no lock, and its owner is the
+//    holder of the park bit in RUNNING. So the consumer puts the body back
+//    *before* the park-bit write that hands it on — the `RUNNING ->
+//    PARKED` CAS, or a requeue's `-> QUEUED` store — and a racing wake
+//    always finds it free;
 // 3. the bit ends PARKED with the mailbox and run queue both empty, and
 //    mail was served in the order it was pushed;
 // 4. every bit transition the model performs is an edge of
@@ -576,22 +580,45 @@ fn no_resend_after_expiry_and_attempts_stay_bounded() {
 //    `eden-lint --protocol` checks the real code against. Stores learn
 //    their from-state via `swap`, so an off-spec edge (a pickup from
 //    PARKED, a reclaim from RUNNING) panics here instead of hiding.
+//
+// The `vendor/loom` shim repeats each model rather than exploring its
+// interleavings (ROADMAP item 2(a)), so the racing tests below sample the
+// schedules they reach, and the seeded-bug twin forces its one bad order
+// on a single thread.
 
 use std::collections::VecDeque;
 
 use eden_kernel::mailbox::park as pk;
 use eden_kernel::mailbox::spec;
 
-/// What the body slot holds: the behaviour box, reduced to a token.
-struct Body;
+/// The behaviour body's slot, reduced to whether somebody holds it. A take
+/// swaps the flag and asserts it was clear; a put clears it. The flag is
+/// `Relaxed`: it orders nothing, so whatever keeps two holders apart is the
+/// park bit's.
+struct BodySlot {
+    held: AtomicBool,
+}
+
+impl BodySlot {
+    fn take(&self) {
+        assert!(
+            !self.held.swap(true, Ordering::Relaxed),
+            "two threads hold the body: it was handed on before it was put back"
+        );
+    }
+
+    fn put(&self) {
+        self.held.store(false, Ordering::Relaxed);
+    }
+}
 
 struct ParkModel {
     bit: loom::sync::atomic::AtomicU8,
     /// Pending mail (the ring, reduced to envelope ids) and, beside it,
     /// every id ever pushed, in push order.
     mailq: Mutex<(VecDeque<u32>, Vec<u32>)>,
-    /// The behaviour body: present iff the task is parked or queued.
-    body: Mutex<Option<Body>>,
+    /// The behaviour body: free iff the task is parked or queued.
+    body: BodySlot,
     /// Run-queue entries naming this task.
     runq: Mutex<u32>,
     /// Envelope ids in the order they were served.
@@ -606,7 +633,9 @@ impl ParkModel {
         ParkModel {
             bit: loom::sync::atomic::AtomicU8::new(pk::PARKED),
             mailq: Mutex::new((VecDeque::new(), Vec::new())),
-            body: Mutex::new(Some(Body)),
+            body: BodySlot {
+                held: AtomicBool::new(false),
+            },
             runq: Mutex::new(0),
             served: Mutex::new(Vec::new()),
             wakes: AtomicU32::new(0),
@@ -693,36 +722,39 @@ impl ParkModel {
     /// ends as soon as that envelope has been served, requeueing FIFO
     /// whatever mail is behind it.
     fn resume(&self, awaited: Option<u32>) {
+        self.resume_putting_back_late(awaited, None);
+    }
+
+    /// [`resume`](Self::resume), or with `late` its seeded bug: the body
+    /// goes back only after the park CAS, and `late` runs in between.
+    fn resume_putting_back_late(&self, awaited: Option<u32>, late: Option<&dyn Fn()>) {
         let prev = self.bit.swap(pk::RUNNING, Ordering::AcqRel);
         spec::assert_transition(prev, pk::RUNNING);
-        // Invariant 2: a spent wake always finds the body in place.
-        let mut held = self
-            .body
-            .lock()
-            .unwrap()
-            .take()
-            .expect("wake with no body: park published too early, or a wake spent twice");
+        // Invariant 2: a spent wake finds the body free.
+        self.body.take();
         loop {
             let popped = self.mailq.lock().unwrap().0.pop_front();
             if let Some(id) = popped {
                 let settled =
                     awaited.is_some_and(|mine| self.served.lock().unwrap().contains(&mine));
                 if settled {
-                    // `unpop` + `requeue`: state, body, then the queue.
+                    // `unpop` + `requeue`: body, state, then the queue.
                     self.mailq.lock().unwrap().0.push_front(id);
+                    self.body.put();
                     let prev = self.bit.swap(pk::QUEUED, Ordering::AcqRel);
                     spec::assert_transition(prev, pk::QUEUED);
-                    *self.body.lock().unwrap() = Some(held);
                     *self.runq.lock().unwrap() += 1;
                     return;
                 }
                 self.served.lock().unwrap().push(id);
                 continue;
             }
-            // Publish the body BEFORE the CAS advertises PARKED; the
-            // swapped order is the lost-wakeup this model exists to rule
-            // out.
-            *self.body.lock().unwrap() = Some(held);
+            // Put the body back BEFORE the CAS advertises PARKED: the CAS
+            // hands it on, and the swapped order lets a racing wake take
+            // a body this thread still holds.
+            if late.is_none() {
+                self.body.put();
+            }
             match self.bit.compare_exchange(
                 pk::RUNNING,
                 pk::PARKED,
@@ -732,18 +764,19 @@ impl ParkModel {
                 Ok(_) => {
                     spec::assert_transition(pk::RUNNING, pk::PARKED);
                     self.parks.fetch_add(1, Ordering::SeqCst);
+                    if let Some(late) = late {
+                        late();
+                        self.body.put();
+                    }
                     return;
                 }
                 Err(_) => {
                     // A sender dirtied us: reclaim the body and drain on.
                     let prev = self.bit.swap(pk::RUNNING, Ordering::AcqRel);
                     spec::assert_transition(prev, pk::RUNNING);
-                    held = self
-                        .body
-                        .lock()
-                        .unwrap()
-                        .take()
-                        .expect("body stolen while RUNNING: task leaked into a run queue");
+                    if late.is_none() {
+                        self.body.take();
+                    }
                 }
             }
         }
@@ -780,7 +813,7 @@ impl ParkModel {
         );
         assert_eq!(*self.runq.lock().unwrap(), 0);
         assert_eq!(self.bit.load(Ordering::Acquire), pk::PARKED);
-        assert!(self.body.lock().unwrap().is_some());
+        assert!(!self.body.held.load(Ordering::Relaxed));
         // Every park was ended by exactly one wake: no two senders ever
         // won the same one.
         assert_eq!(
@@ -817,6 +850,29 @@ fn park_vs_deliver_loses_no_wakeups() {
         }
         worker.join().unwrap();
         model.assert_quiet((SENDERS * PER_SENDER) as usize);
+    });
+}
+
+/// The seeded bug must be found, every time: a consumer that parks before
+/// it puts the body back has handed on a body it still holds, and a sender
+/// whose wake lands in that gap gets it run at once — here on the same
+/// thread, the one order in which the gap cannot be missed.
+#[test]
+#[should_panic(expected = "two threads hold the body")]
+fn park_vs_deliver_catches_a_body_put_back_after_the_park() {
+    loom::model(|| {
+        let model = ParkModel::new();
+        model.send(1);
+        // A worker claims the wake, parks with the body in hand, and a
+        // second send's wake is spent before the body goes back.
+        *model.runq.lock().unwrap() -= 1;
+        model.resume_putting_back_late(
+            None,
+            Some(&|| {
+                model.send(2);
+                model.try_resume();
+            }),
+        );
     });
 }
 

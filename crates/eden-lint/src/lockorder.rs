@@ -20,9 +20,14 @@
 //!
 //! * a `let` binding whose initializer matches a *guard-returning*
 //!   pattern (one ending in `()`, like `.slots.write()`) holds that class
-//!   until its block closes or the guard is `drop`ped — patterns with
-//!   open arguments (`.stable.load(`) are methods that release their
-//!   internal lock before returning and count only for their statement;
+//!   until its block closes or the guard is `drop`ped — but only when the
+//!   binding is the guard: nothing but `;` or `?;` follows the call, or
+//!   the initializer borrows from it (`let q = &self.alpha.lock().q;`,
+//!   whose guard temporary lives as long as `q`). A by-value projection
+//!   (`let n = self.alpha.lock().len();`) drops the guard with its
+//!   statement. Patterns with open arguments (`.stable.load(`) are methods
+//!   that release their internal lock before returning and count only for
+//!   their statement;
 //! * an `if let` / `while let` pattern binding or a `match` scrutinee
 //!   whose initializer matches a guard-returning pattern holds the class
 //!   for the block it opens (the if/loop body, or every arm of the
@@ -32,17 +37,19 @@
 //!   callees like `Kernel::reactivate` that receive a guard from their
 //!   caller).
 //!
-//! The audit then fails on (a) any cycle in the acquisition graph and
-//! (b) any observed edge not derivable from the blessed partial order —
-//! so *every* nesting must be documented, and the documentation must stay
-//! acyclic. Everything else is reported, ranked by how many sites induce
-//! the edge.
+//! The audit then fails on (a) any cycle in the acquisition graph, (b)
+//! any observed edge not derivable from the blessed partial order — so
+//! *every* nesting must be documented, and the documentation must stay
+//! acyclic — and (c) any declared class no scanned site acquires, so a
+//! lock that is gone cannot linger in the order. Everything else is
+//! reported, ranked by how many sites induce the edge.
 //!
 //! Known limits (accepted for a lint that must not depend on rustc):
 //! braces inside string literals are skipped per line but multi-line
-//! string literals are not tracked, and a guard stored into a struct
-//! outlives what the scanner assumes. The classes are chosen so both
-//! cases stay far from the patterns.
+//! string literals are not tracked, a guard stored into a struct outlives
+//! what the scanner assumes, and a guard reached through a call on it
+//! (`.lock().unwrap()`) reads as a by-value projection. The classes are
+//! chosen so these cases stay far from the patterns.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -166,6 +173,8 @@ pub struct LockReport {
     pub cycles: Vec<Vec<String>>,
     /// Observed edges the blessed order does not derive.
     pub deviations: Vec<String>,
+    /// Declared classes no scanned site acquires.
+    pub unused: Vec<String>,
     /// Files scanned.
     pub files: usize,
     /// Acquisition sites seen.
@@ -175,7 +184,7 @@ pub struct LockReport {
 impl LockReport {
     /// Whether the audit passed.
     pub(crate) fn clean(&self) -> bool {
-        self.cycles.is_empty() && self.deviations.is_empty()
+        self.cycles.is_empty() && self.deviations.is_empty() && self.unused.is_empty()
     }
 
     /// Render the ranked human-readable report.
@@ -208,6 +217,9 @@ impl LockReport {
         }
         for deviation in &self.deviations {
             let _ = writeln!(out, "DEVIATION: {deviation}");
+        }
+        for class in &self.unused {
+            let _ = writeln!(out, "UNUSED: class {class} has no acquisition site");
         }
         if self.clean() {
             let _ = writeln!(out, "ok: acquisition graph is acyclic and blessed");
@@ -264,13 +276,25 @@ fn binding_of(stmt: &str) -> Option<Binding> {
     (!ident.is_empty()).then_some(Binding::Let(ident))
 }
 
-/// Scan one file's text, appending observed edges and counting sites.
+/// Whether a `let` whose guard-returning call ends at `end` of the
+/// statement `flat` binds the guard: nothing but `;` or `?;` follows the
+/// call, or the initializer starts with `&` (temporary lifetime extension
+/// keeps the guard alive as long as the borrow).
+fn let_keeps_guard(flat: &str, end: usize) -> bool {
+    let init = flat
+        .split_once('=')
+        .map_or("", |(_, init)| init.trim_start());
+    matches!(flat[end..].trim(), ";" | "?;") || init.starts_with('&')
+}
+
+/// Scan one file's text, appending observed edges and counting each
+/// class's sites.
 fn scan_text(
     spec: &LockSpec,
     file: &str,
     text: &str,
     edges: &mut BTreeMap<(String, String), Vec<String>>,
-    sites: &mut usize,
+    sites: &mut BTreeMap<String, usize>,
 ) {
     let mut depth: usize = 0;
     let mut held: Vec<Held> = Vec::new();
@@ -340,7 +364,7 @@ fn scan_text(
                 let binding = binding_of(&flat);
                 let mut stmt_held: Vec<String> = Vec::new();
                 for (_, class) in &matches {
-                    *sites += 1;
+                    *sites.entry(class.clone()).or_default() += 1;
                     for h in held.iter().map(|h| &h.class).chain(stmt_held.iter()) {
                         edges
                             .entry((h.clone(), class.clone()))
@@ -350,7 +374,8 @@ fn scan_text(
                     stmt_held.push(class.clone());
                 }
                 // A guard bound by `let` stays held until its block ends
-                // (or `drop(ident)`); an `if let`/`while let` binding or
+                // (or `drop(ident)`) if the binding is the guard (see
+                // `let_keeps_guard`); an `if let`/`while let` binding or
                 // a `match` scrutinee holds for the block the statement
                 // opens (the scrutinee temporary lives that long).
                 // Everything else was a temporary. Only guard-returning
@@ -360,14 +385,16 @@ fn scan_text(
                 // its result is not a guard.
                 if let Some(binding) = binding {
                     let (pos, class) = matches.last().expect("non-empty");
-                    let returns_guard = spec
+                    let guard_end = spec
                         .classes
                         .iter()
                         .filter(|c| c.name == *class)
                         .flat_map(|c| &c.patterns)
-                        .any(|p| p.ends_with("()") && flat[*pos..].starts_with(p.as_str()));
-                    if returns_guard {
+                        .find(|p| p.ends_with("()") && flat[*pos..].starts_with(p.as_str()))
+                        .map(|p| pos + p.len());
+                    if let Some(end) = guard_end {
                         match binding {
+                            Binding::Let(_) if !let_keeps_guard(&flat, end) => {}
                             Binding::Let(ident) => held.push(Held {
                                 class: class.clone(),
                                 ident: Some(ident),
@@ -419,7 +446,7 @@ pub fn audit(spec: &LockSpec, roots: &[PathBuf]) -> Result<LockReport> {
     files.sort();
 
     let mut edges: BTreeMap<(String, String), Vec<String>> = BTreeMap::new();
-    let mut sites = 0usize;
+    let mut sites = BTreeMap::new();
     for file in &files {
         let text = std::fs::read_to_string(file)
             .map_err(|e| EdenError::Application(format!("read {}: {e}", file.display())))?;
@@ -431,10 +458,26 @@ pub fn audit(spec: &LockSpec, roots: &[PathBuf]) -> Result<LockReport> {
             &mut sites,
         );
     }
+    Ok(evaluate(spec, edges, &sites, files.len()))
+}
 
+/// Rank the observed edges and judge them, and the classes' site counts,
+/// against the blessed order.
+fn evaluate(
+    spec: &LockSpec,
+    edges: BTreeMap<(String, String), Vec<String>>,
+    sites: &BTreeMap<String, usize>,
+    files: usize,
+) -> LockReport {
     let mut report = LockReport {
-        files: files.len(),
-        sites,
+        files,
+        sites: sites.values().sum(),
+        unused: spec
+            .classes
+            .iter()
+            .filter(|c| !sites.contains_key(&c.name))
+            .map(|c| c.name.clone())
+            .collect(),
         ..LockReport::default()
     };
     report.edges = edges
@@ -470,7 +513,7 @@ pub fn audit(spec: &LockSpec, roots: &[PathBuf]) -> Result<LockReport> {
             ));
         }
     }
-    Ok(report)
+    report
 }
 
 /// Every elementary cycle's member set (via DFS over the distinct edges);
@@ -532,28 +575,9 @@ mod tests {
     }
 
     fn run(spec: &LockSpec, source: &str) -> LockReport {
-        let mut edges = BTreeMap::new();
-        let mut sites = 0;
+        let (mut edges, mut sites) = (BTreeMap::new(), BTreeMap::new());
         scan_text(spec, "mem.rs", source, &mut edges, &mut sites);
-        let mut report = LockReport {
-            files: 1,
-            sites,
-            ..LockReport::default()
-        };
-        report.edges = edges
-            .into_iter()
-            .map(|((from, to), sites)| LockEdge { from, to, sites })
-            .collect();
-        report.cycles = find_cycles(&report.edges);
-        let blessed = spec.reachable();
-        for edge in &report.edges {
-            if edge.from != edge.to && !blessed.contains(&(edge.from.clone(), edge.to.clone())) {
-                report
-                    .deviations
-                    .push(format!("{} -> {}", edge.from, edge.to));
-            }
-        }
-        report
+        evaluate(spec, edges, &sites, 1)
     }
 
     #[test]
@@ -566,6 +590,38 @@ mod tests {
         assert_eq!(report.edges[0].from, "alpha");
         assert_eq!(report.edges[0].to, "beta");
         assert!(report.clean());
+    }
+
+    #[test]
+    fn a_by_value_projection_releases_the_guard() {
+        let report = run(
+            &two_class_spec(),
+            "fn f(&self) {\n    let n: String = self.inner.alpha.lock().name.to_string();\n    let m = self.alpha.lock().len();\n    let b = self.beta.lock();\n}\n",
+        );
+        assert!(report.edges.is_empty(), "{:?}", report.edges);
+        assert_eq!(report.sites, 3);
+    }
+
+    #[test]
+    fn a_borrow_of_the_guard_holds_it() {
+        let report = run(
+            &two_class_spec(),
+            "fn f(&self) {\n    let q = &self.alpha.lock().q;\n    let b = self.beta.lock();\n}\nfn g(&self) {\n    let a = self.alpha.lock()?;\n    let b = self.beta.lock();\n}\n",
+        );
+        assert_eq!(report.edges.len(), 1, "{:?}", report.edges);
+        assert_eq!(report.edges[0].sites.len(), 2);
+        assert!(report.clean());
+    }
+
+    #[test]
+    fn a_declared_class_with_no_site_is_reported() {
+        let report = run(
+            &two_class_spec(),
+            "fn f(&self) {\n    let b = self.beta.lock();\n}\n",
+        );
+        assert_eq!(report.unused, ["alpha"]);
+        assert!(!report.clean());
+        assert!(report.render().contains("UNUSED: class alpha"));
     }
 
     #[test]

@@ -230,6 +230,12 @@ fn run_lock_order(args: &Args) -> Result<PassReport, String> {
         .map(|c| format!("cycle: {}", c.join(" -> ")))
         .collect();
     findings.extend(report.deviations.iter().cloned());
+    findings.extend(
+        report
+            .unused
+            .iter()
+            .map(|c| format!("class {c} has no site")),
+    );
     Ok(PassReport {
         name: "lock-order",
         clean: findings.is_empty(),

@@ -8,7 +8,7 @@
 //! pipeline, at any record, and the output is byte-identical to the
 //! fault-free run.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use eden::core::{EdenError, Value};
@@ -813,14 +813,54 @@ fn direct_crash_of_every_stage_recovers() {
     crash_each_stage_in_turn(&registry(), &["double", "inc"], &items, 0, &expected(30));
 }
 
+/// Whether the second half of [`held_registry`]'s runs may go on.
+static RELEASED: Mutex<bool> = Mutex::new(false);
+static OPENED: Condvar = Condvar::new();
+/// The record at which [`held_registry`]'s `double` waits for [`RELEASED`].
+const HELD_AT: i64 = 1_000;
+
+/// [`registry`], but its `double` stops at [`HELD_AT`] until [`release`]:
+/// what happens before the release happens mid-run, however the run is
+/// scheduled.
+fn held_registry() -> TransformRegistry {
+    TransformRegistry::new(&[
+        ("double", || {
+            Box::new(map_fn("double", |v| {
+                let n = v.as_int().unwrap_or(0);
+                if n == HELD_AT {
+                    // A pool worker that waits says so, and the pool goes
+                    // on serving everything else.
+                    eden::kernel::blocking(|| {
+                        let mut released = RELEASED.lock().unwrap();
+                        while !*released {
+                            released = OPENED.wait(released).unwrap();
+                        }
+                    });
+                }
+                Value::Int(n * 2)
+            }))
+        }),
+        ("inc", || {
+            Box::new(map_fn("inc", |v| Value::Int(v.as_int().unwrap_or(0) + 1)))
+        }),
+    ])
+}
+
+fn release(go: bool) {
+    *RELEASED.lock().unwrap() = go;
+    OPENED.notify_all();
+}
+
 #[test]
 fn acceptor_crashed_behind_its_journal_returns_everything_once() {
     // The acceptor holds the whole output and journals each `Write`'s
     // records beside an early checkpoint. Crashed with entries behind it,
     // it comes back as checkpoint plus journal, and the run's `ReadAll` —
     // which asks from where its own copy ends — misses and repeats nothing.
+    // The run's second half waits for the crash, so the crash is always
+    // followed by records to deliver, and the acceptor by a reactivation.
     let run = |kernel: &Kernel, discipline, n: i64| {
-        let (kernel, reg) = (kernel.clone(), registry());
+        let (kernel, reg) = (kernel.clone(), held_registry());
         install_recovery(&kernel, &reg);
         let items: Vec<Value> = (0..n).map(Value::Int).collect();
         let timeout = Duration::from_secs(60);
@@ -855,7 +895,8 @@ fn acceptor_crashed_behind_its_journal_returns_everything_once() {
         kernel.shutdown();
 
         let kernel = Kernel::new();
-        let runner = run(&kernel, discipline, 2_000);
+        release(false);
+        let runner = run(&kernel, discipline, 2 * HELD_AT);
         let store = kernel.stable_store();
         let deadline = std::time::Instant::now() + Duration::from_secs(30);
         let acceptor = loop {
@@ -872,6 +913,7 @@ fn acceptor_crashed_behind_its_journal_returns_everything_once() {
             std::thread::yield_now();
         };
         kernel.crash(acceptor).unwrap();
+        release(true);
         let run = runner.join().unwrap().unwrap();
         assert_eq!(
             Some(&acceptor),

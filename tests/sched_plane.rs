@@ -783,6 +783,109 @@ fn reentrant_chain_never_runs_a_task_nested_in_itself() {
     kernel.shutdown();
 }
 
+/// Counts its `Hit`s in a plain field, and latches `inside` for as long as
+/// its handler runs: a handler entered while it is already inside panics,
+/// and two threads sharing the body would lose counts.
+struct Solo {
+    inside: Arc<AtomicBool>,
+    hits: i64,
+}
+
+impl EjectBehavior for Solo {
+    fn type_name(&self) -> &'static str {
+        "Solo"
+    }
+
+    fn replies_last(&self) -> bool {
+        true
+    }
+
+    fn handle(&mut self, _ctx: &EjectContext, _inv: Invocation, reply: ReplyHandle) {
+        assert!(
+            !self.inside.swap(true, Ordering::AcqRel),
+            "Solo entered while already inside"
+        );
+        self.hits += 1;
+        std::thread::yield_now();
+        self.inside.store(false, Ordering::Release);
+        reply.reply(Ok(Value::Int(self.hits)));
+    }
+}
+
+/// One stage of a fan-in: `Feed(n)` calls `Solo` `n` times from whichever
+/// pool worker runs it, and answers how many calls came back.
+struct Feeder {
+    solo: Uid,
+}
+
+impl EjectBehavior for Feeder {
+    fn type_name(&self) -> &'static str {
+        "Feeder"
+    }
+
+    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
+        let n = inv.arg.as_int().unwrap_or(0);
+        let answered = (0..n)
+            .filter(|_| matches!(ctx.call(self.solo, "Hit", Value::Unit), Ok(Value::Int(_))))
+            .count();
+        reply.reply(Ok(Value::Int(answered as i64)));
+    }
+}
+
+/// A `replies_last` Eject called at once from pool workers (four stages
+/// fanning in on it) and from four user threads, all with calls that run it
+/// on the caller's stack when they win its wake. Its body has no lock: only
+/// the park bit keeps two of those threads out of it at once. Its handler is
+/// never entered while inside, and no count is lost.
+#[test]
+fn a_callee_called_from_workers_and_user_threads_at_once_runs_on_one_at_a_time() {
+    const CALLS: i64 = 2_000;
+    const STAGES: usize = 4;
+    const THREADS: usize = 4;
+    let kernel = two_worker_kernel();
+    let inside = Arc::new(AtomicBool::new(false));
+    let solo = kernel
+        .spawn(Box::new(Solo {
+            inside: Arc::clone(&inside),
+            hits: 0,
+        }))
+        .expect("spawn solo");
+    let feeders: Vec<Uid> = (0..STAGES)
+        .map(|_| {
+            kernel
+                .spawn(Box::new(Feeder { solo }))
+                .expect("spawn feeder")
+        })
+        .collect();
+    let before = inline_handoffs(&kernel);
+    let fed: Vec<PendingReply> = feeders
+        .iter()
+        .map(|&feeder| kernel.invoke(feeder, "Feed", Value::Int(CALLS)))
+        .collect();
+    std::thread::scope(|scope| {
+        for _ in 0..THREADS {
+            scope.spawn(|| {
+                for _ in 0..CALLS {
+                    assert!(matches!(
+                        kernel.call(solo, "Hit", Value::Unit),
+                        Ok(Value::Int(_))
+                    ));
+                }
+            });
+        }
+    });
+    for reply in fed {
+        assert_eq!(reply.wait(), Ok(Value::Int(CALLS)));
+    }
+    let total = CALLS * (STAGES + THREADS) as i64;
+    assert_eq!(
+        kernel.call(solo, "Hit", Value::Unit),
+        Ok(Value::Int(total + 1))
+    );
+    assert!(inline_handoffs(&kernel) > before, "no call ran inline");
+    kernel.shutdown();
+}
+
 /// Answers `Ack` and only then takes its nap — a bare sleep, which the
 /// kernel cannot see.
 struct Lingerer {
