@@ -2,12 +2,12 @@
 //!
 //! Thread-per-Eject prices an idle Eject at a kernel thread (stack pages,
 //! a task struct, a scheduler slot) — a few thousand resident streams per
-//! box. This module replaces the coordinator *thread* with a coordinator
-//! *state machine*: an idle Eject is just its behaviour box parked on its
-//! mailbox's parking bit, costing zero threads. Delivery flips the bit
-//! (`PARKED -> QUEUED`, see [`crate::mailbox`]) and lands the task on the
-//! run queue below; a pool of workers resumes tasks, each resume draining
-//! its mailbox.
+//! box. Here a coordinator is a *state machine*: an idle Eject is its
+//! behaviour box parked on its mailbox's parking bit, costing no thread.
+//! Delivery flips the bit (`PARKED -> QUEUED`, see [`crate::mailbox`]) and
+//! lands the task on the run queue below; a worker resumes it, draining
+//! its mailbox, and the bit hands the box from owner to owner with no
+//! lock (`Task::body`).
 //!
 //! # One run queue
 //!

@@ -14,7 +14,9 @@
 # pointer and a frame-pointer chain.
 #
 # Each sample is attributed to its innermost frame that lies in an eden
-# crate (crates/eden-*), inline frames expanded with `addr2line -a -f -i -C`;
+# crate (crates/eden-*), inline frames expanded with `addr2line -a -f -i -C`
+# (llvm-addr2line where there is one: GNU addr2line names the innermost
+# inline frame after the function it is inlined into);
 # a leaf outside the benchmark binary (libc, the vDSO) is attributed up the
 # chain, and a sample with no eden frame at all reads "(no eden frame)". The
 # tables give the share of samples by file and by function, and, for the
@@ -92,7 +94,8 @@ for samples in "$out".*.samples; do
 done >"$out.chains"
 
 tr ' ' '\n' <"$out.chains" | grep '^0x' | sort -u >"$out.addrs"
-addr2line -e "$bin" -a -f -i -C <"$out.addrs" >"$out.frames"
+symbolize=$(command -v llvm-addr2line || command -v addr2line)
+"$symbolize" -e "$bin" -a -f -i -C <"$out.addrs" >"$out.frames"
 
 awk -v frames="$out.frames" '
     BEGIN {
@@ -100,7 +103,11 @@ awk -v frames="$out.frames" '
         # eden one, and the innermost one of all.
         while ((getline line < frames) > 0) {
             if (line ~ /^0x/) { addr = line; sub(/^0x0*/, "0x", addr); state = 0; continue }
-            if (state == 0) { fn = line; state = 1; continue }
+            if (state == 0) {
+                fn = line; state = 1
+                sub(/::h[0-9a-f]+( \(\.llvm\.[0-9]+\))?$/, "", fn)
+                continue
+            }
             state = 0
             if (!(addr in leaf)) leaf[addr] = fn
             if (!(addr in eden) && match(line, /crates\/eden-[a-z]+\/src\/[^:]*/)) {

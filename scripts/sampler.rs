@@ -106,7 +106,7 @@ extern "C" fn start() {
     // SAFETY: as above.
     PID.store(unsafe { getpid() } as usize, Ordering::Relaxed);
     let action = SigAction {
-        handler: on_prof as usize,
+        handler: on_prof as *const () as usize,
         mask: [0; 16],
         flags: SA_SIGINFO | SA_RESTART,
         restorer: 0,
