@@ -30,4 +30,4 @@ pub use op::OpName;
 pub use payload::PayloadSnapshot;
 pub use stream::StreamSnapshot;
 pub use uid::Uid;
-pub use value::{SharedList, SharedRecord, Text, Value};
+pub use value::{SharedList, SharedRecord, Shelf, Text, Value};

@@ -27,7 +27,10 @@
 //! [`crate::payload`] counters meter both worlds; [`Value::deep_copy`]
 //! reproduces the old copying behaviour for baseline comparisons.
 
+use std::cell::RefCell;
+use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
+use std::thread::LocalKey;
 
 use bytes::Bytes;
 
@@ -256,14 +259,85 @@ impl std::fmt::Display for Text {
     }
 }
 
+/// How many spent `Arc`s a thread keeps of one kind.
+const SHELF: usize = 16;
+
+/// A thread's shelf of spent `Arc`s of one kind (a list's spine here, a
+/// reply cell in `eden-kernel`), each the only reference to its value, kept
+/// for the thread's next one instead of freed. Keeping never allocates.
+#[derive(Debug)]
+pub struct Shelf<T>(RefCell<([Option<Arc<T>>; SHELF], usize)>);
+
+impl<T> Shelf<T> {
+    /// An empty shelf, for a `thread_local!`.
+    pub const fn empty() -> Shelf<T> {
+        Shelf(RefCell::new(([const { None }; SHELF], 0)))
+    }
+
+    /// If `arc` is the only reference to its value (a load of the count, not
+    /// `Arc::get_mut`'s locked compare-and-swap), `reset` the value and keep
+    /// it on this thread's `shelf`, unless full; otherwise `arc` back.
+    ///
+    /// # Safety
+    /// No `Weak` to a value of this kind is ever made, so a count of 1
+    /// cannot rise again.
+    pub unsafe fn retire(
+        shelf: &'static LocalKey<Shelf<T>>,
+        arc: Arc<T>,
+        reset: impl FnOnce(&mut T),
+    ) -> std::result::Result<(), Arc<T>> {
+        if Arc::strong_count(&arc) != 1 {
+            return Err(arc);
+        }
+        // What the last other owner wrote before its Release decrement.
+        // eden-lint: ordering(sole-owner)
+        fence(Ordering::Acquire);
+        // SAFETY: the only reference, and no `Weak` to make another from.
+        reset(unsafe { &mut *Arc::as_ptr(&arc).cast_mut() });
+        let _ = shelf.try_with(|shelf| match &mut *shelf.0.borrow_mut() {
+            (slots, len) if *len < SHELF => (slots[*len], *len) = (Some(arc), *len + 1),
+            _ => {}
+        });
+        Ok(())
+    }
+
+    /// The last value this thread's `shelf` kept, `fill`ed, if it `fits`; if
+    /// not, the thread has moved on (to another kernel) and all are freed.
+    pub fn reuse(
+        shelf: &'static LocalKey<Shelf<T>>,
+        fits: impl FnOnce(&T) -> bool,
+        fill: impl FnOnce(&mut T),
+    ) -> Option<Arc<T>> {
+        let kept = shelf.try_with(|shelf| {
+            let (slots, len) = &mut *shelf.0.borrow_mut();
+            let last = slots[len.checked_sub(1)?].take()?;
+            *len -= 1;
+            if !fits(&last) {
+                (*slots, *len) = ([const { None }; SHELF], 0);
+                return None;
+            }
+            Some(last)
+        });
+        let kept = kept.ok().flatten()?;
+        // SAFETY: `retire` kept it as the only reference, with no `Weak`
+        // ever made, and nothing has reached it on the shelf since.
+        fill(unsafe { &mut *Arc::as_ptr(&kept).cast_mut() });
+        Some(kept)
+    }
+}
+
+thread_local!(static SPINES: Shelf<Vec<Value>> = const { Shelf::empty() });
+
 /// A reference-counted sequence of values with make-mut copy-on-write.
 #[derive(Clone, Debug)]
 pub struct SharedList(Arc<Vec<Value>>);
 
 impl SharedList {
-    /// Wrap an owned vector (one allocation; never copies the elements).
-    pub fn new(items: Vec<Value>) -> SharedList {
-        SharedList(Arc::new(items))
+    /// Wrap an owned vector, in a spine this thread kept or in one
+    /// allocation (never copies the elements).
+    pub fn new(mut items: Vec<Value>) -> SharedList {
+        let kept = Shelf::reuse(&SPINES, |_| true, |spine| std::mem::swap(spine, &mut items));
+        SharedList(kept.unwrap_or_else(|| Arc::new(items)))
     }
 
     /// Mutable access to the elements. If the list is aliased this breaks
@@ -277,13 +351,14 @@ impl SharedList {
         Arc::make_mut(&mut self.0)
     }
 
-    /// Consume into an owned vector. Free when this is the only reference;
+    /// Consume into an owned vector. Free when this is the only reference,
+    /// and the spine is kept for this thread's next [`new`](Self::new);
     /// otherwise the spine is copied (elements are cheap-cloned).
     pub fn into_vec(self) -> Vec<Value> {
-        match Arc::try_unwrap(self.0) {
-            Ok(v) => v,
-            Err(shared) => (*shared).clone(),
-        }
+        let mut items = Vec::new();
+        // SAFETY: no `Weak` of a list's spine is ever made.
+        let spine = unsafe { Shelf::retire(&SPINES, self.0, |v| std::mem::swap(v, &mut items)) };
+        spine.map_or_else(|shared| (*shared).clone(), |()| items)
     }
 
     /// True if both lists share the same allocation.
@@ -822,6 +897,57 @@ mod tests {
         assert_eq!(v.as_list().unwrap().len(), 2);
         assert_eq!(v.into_list().unwrap().len(), 2);
         assert!(Value::Unit.into_list().is_err());
+    }
+
+    /// Runs `f` on a thread of its own: a shelf that starts empty.
+    fn on_a_fresh_thread(f: impl FnOnce() + Send + 'static) {
+        std::thread::spawn(f).join().unwrap();
+    }
+
+    fn spines_kept() -> usize {
+        SPINES.with(|shelf| shelf.0.borrow().1)
+    }
+
+    #[test]
+    fn a_reused_spine_holds_exactly_the_new_items() {
+        on_a_fresh_thread(|| {
+            let old = SharedList::new(vec![Value::Int(1), Value::str("two"), Value::Int(3)]);
+            let spine = Arc::as_ptr(&old.0);
+            assert_eq!(old.into_vec().len(), 3);
+            assert_eq!(spines_kept(), 1);
+            let new = SharedList::new(vec![Value::str("four")]);
+            assert_eq!(Arc::as_ptr(&new.0), spine, "the kept spine was not reused");
+            assert_eq!(spines_kept(), 0);
+            assert_eq!(&*new, &[Value::str("four")]);
+            assert_eq!(Arc::strong_count(&new.0), 1);
+        });
+    }
+
+    #[test]
+    fn into_vec_of_an_aliased_list_copies_and_keeps_nothing() {
+        on_a_fresh_thread(|| {
+            let list = SharedList::new(vec![Value::Int(1), Value::Int(2)]);
+            let alias = list.clone();
+            assert_eq!(alias.into_vec(), vec![Value::Int(1), Value::Int(2)]);
+            assert_eq!(spines_kept(), 0);
+            assert_eq!(&*list, &[Value::Int(1), Value::Int(2)]);
+            // The last reference is unique again: its spine is kept.
+            assert_eq!(list.into_vec().len(), 2);
+            assert_eq!(spines_kept(), 1);
+        });
+    }
+
+    #[test]
+    fn a_full_shelf_frees_what_it_cannot_keep() {
+        on_a_fresh_thread(|| {
+            let lists: Vec<SharedList> = (0..SHELF as i64 + 3)
+                .map(|i| SharedList::new(vec![Value::Int(i)]))
+                .collect();
+            for (i, list) in lists.into_iter().enumerate() {
+                assert_eq!(list.into_vec(), vec![Value::Int(i as i64)]);
+            }
+            assert_eq!(spines_kept(), SHELF);
+        });
     }
 
     #[test]

@@ -133,3 +133,26 @@ fn deep_copy_moves_every_payload_byte() {
         _ => unreachable!(),
     }
 }
+
+/// A spine kept by `into_vec` and reused by `SharedList::new` moves no
+/// payload: unwrapping a unique list and wrapping its items again meters
+/// nothing, and an aliased one meters the element shares its copy makes.
+#[test]
+fn a_reused_spine_meters_what_a_fresh_one_did() {
+    let _meter = PAYLOAD_METER.lock().unwrap();
+    let items = || vec![Value::str("a"), Value::Int(2), Value::str("c")];
+    let before = payload::snapshot();
+    for _ in 0..4 {
+        let list = SharedList::new(items());
+        assert_eq!(SharedList::new(list.into_vec()).into_vec(), items());
+    }
+    assert_eq!(payload::snapshot().since(&before), Default::default());
+
+    let list = SharedList::new(items());
+    let alias = list.clone();
+    let before = payload::snapshot();
+    assert_eq!(alias.into_vec(), items());
+    let delta = payload::snapshot().since(&before);
+    assert_eq!((delta.payload_shares, delta.payload_copies), (2, 0));
+    drop(list);
+}

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-use eden_core::{EdenError, Metrics, OpName, Result, Uid, Value};
+use eden_core::{EdenError, Metrics, OpName, Result, Shelf, Uid, Value};
 
 use crate::context::InternalSender;
 use crate::options::Step;
@@ -65,13 +65,14 @@ enum Waiter {
 }
 
 /// The one-shot rendezvous behind a reply pair: one allocation shared by
-/// a [`Settler`] and an [`Awaiter`], a state word, the value slot, and the
-/// [`Waiter`] — published, and told, only when the awaiting half has
-/// actually stopped to wait. A reply that is already there when the waiter
+/// a [`Settler`] and an [`Awaiter`] (and kept by the awaiting thread, once
+/// both are done with it, for its next pair), a state word, the value slot,
+/// and the [`Waiter`] — published, and told, only when the awaiting half
+/// has actually stopped to wait. A reply that is already there when the waiter
 /// looks costs one swap and one load. It also holds what settling needs to
 /// know about the invocation, written once when the pair is made, so the
 /// [`ReplyHandle`] that travels in the envelope is one pointer to it.
-struct ReplyCell {
+pub(crate) struct ReplyCell {
     state: AtomicU8,
     /// When true, settling meters the outcome ledger (`successes` /
     /// `fatal_failures`). The kernel sets it for plain invocations;
@@ -183,7 +184,7 @@ impl std::fmt::Debug for Settler {
 
 /// The awaiting half of a [`ReplyCell`] (the payload of
 /// [`PendingReply::Waiting`]).
-pub struct Awaiter(Arc<ReplyCell>);
+pub struct Awaiter(std::mem::ManuallyDrop<Arc<ReplyCell>>);
 
 impl Awaiter {
     /// Whether the outcome is known (replied or abandoned).
@@ -299,11 +300,22 @@ impl Awaiter {
 
 impl Drop for Awaiter {
     /// A mailbox nobody will ask again for is taken back: nothing is posted
-    /// to it, and the cell does not keep it.
+    /// to it, and the cell does not keep it. A cell the settler has let go
+    /// of is reset and kept for this thread's next pair.
     fn drop(&mut self) {
         self.withdraw();
+        // SAFETY: taken once, here, and `self.0` is not used again.
+        let cell = unsafe { std::mem::ManuallyDrop::take(&mut self.0) };
+        let reset = |c: &mut ReplyCell| {
+            (*c.state.get_mut(), *c.value.get_mut(), *c.waiter.get_mut()) =
+                (cell::EMPTY, None, None);
+        };
+        // SAFETY: no `Weak` of a reply cell is ever made.
+        let _ = unsafe { Shelf::retire(&CELLS, cell, reset) };
     }
 }
+
+thread_local!(static CELLS: Shelf<ReplyCell> = const { Shelf::empty() });
 
 impl std::fmt::Debug for Awaiter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -557,34 +569,44 @@ impl PendingReply {
 
 /// Create a connected reply pair for an invocation of `responder`.
 pub fn reply_pair(responder: Uid, metrics: Metrics) -> (ReplyHandle, PendingReply) {
-    reply_pair_with(responder, Arc::new(metrics), false, None, None)
+    reply_pair_with(reply_cell(responder, &Arc::new(metrics), false, None), None)
 }
 
-/// [`reply_pair`] as the kernel's dispatch path makes it: whether settling
-/// meters the outcome ledger (non-driver invocations), the invocation's
-/// absolute deadline, and the observability tag when the plane is enabled.
-pub(crate) fn reply_pair_with(
+/// The cell of a pair for an invocation of `responder`: one this thread
+/// retired, if that meters through `metrics` too, or a new one.
+pub(crate) fn reply_cell(
     responder: Uid,
-    metrics: Arc<Metrics>,
+    metrics: &Arc<Metrics>,
     meters_outcome: bool,
     admit_by: Option<Instant>,
+) -> Arc<ReplyCell> {
+    let fill = |c: &mut ReplyCell| {
+        (c.meters_outcome, c.responder, c.admit_by) = (meters_outcome, responder, admit_by);
+    };
+    Shelf::reuse(&CELLS, |c| Arc::ptr_eq(&c.metrics, metrics), fill).unwrap_or_else(|| {
+        Arc::new(ReplyCell {
+            state: AtomicU8::new(cell::EMPTY),
+            meters_outcome,
+            responder,
+            metrics: Arc::clone(metrics),
+            admit_by,
+            value: UnsafeCell::new(None),
+            waiter: UnsafeCell::new(None),
+        })
+    })
+}
+
+/// The two halves of `cell`, and the observability tag if there is one.
+pub(crate) fn reply_pair_with(
+    cell: Arc<ReplyCell>,
     obs: Option<Box<crate::obs::ObsTag>>,
 ) -> (ReplyHandle, PendingReply) {
-    let cell = Arc::new(ReplyCell {
-        state: AtomicU8::new(cell::EMPTY),
-        meters_outcome,
-        responder,
-        metrics,
-        admit_by,
-        value: UnsafeCell::new(None),
-        waiter: UnsafeCell::new(None),
-    });
     (
         ReplyHandle {
             tx: Some(Settler(Arc::clone(&cell))),
             obs,
         },
-        PendingReply::Waiting(Awaiter(cell)),
+        PendingReply::Waiting(Awaiter(std::mem::ManuallyDrop::new(cell))),
     )
 }
 
@@ -675,7 +697,12 @@ mod tests {
     #[test]
     fn the_ledger_settles_once_on_every_path() {
         let m = Metrics::new();
-        let pair = || reply_pair_with(Uid::fresh(), Arc::new(m.clone()), true, None, None);
+        let pair = || {
+            reply_pair_with(
+                reply_cell(Uid::fresh(), &Arc::new(m.clone()), true, None),
+                None,
+            )
+        };
         let (h, _p) = pair();
         h.reply(Ok(Value::Unit));
         let (h, _p) = pair();
@@ -763,6 +790,108 @@ mod tests {
             0,
             "the mailbox was posted after a thread took over"
         );
+    }
+
+    /// Runs `f` on a thread of its own: no cell retired on it yet.
+    fn on_a_fresh_thread(f: impl FnOnce() + Send + 'static) {
+        std::thread::spawn(f).join().unwrap();
+    }
+
+    /// A pair metering through `m` and its outcome ledger.
+    fn pair(m: &Arc<Metrics>) -> (ReplyHandle, PendingReply) {
+        reply_pair_with(reply_cell(Uid::fresh(), m, true, None), None)
+    }
+
+    /// A cell a thread keeps holds its kernel's handle: the holders of
+    /// `m` beyond the caller's own are the cells alive or kept.
+    fn cells_on(m: &Arc<Metrics>) -> usize {
+        Arc::strong_count(m) - 1
+    }
+
+    #[test]
+    fn a_retired_cell_with_an_unread_outcome_reads_only_the_next_one() {
+        on_a_fresh_thread(|| {
+            let m = Arc::new(Metrics::new());
+            let (h, p) = pair(&m);
+            let cell = h.cell_id();
+            h.reply(Ok(Value::from(1)));
+            drop(p);
+            assert_eq!(cells_on(&m), 1, "the settled cell was not kept");
+            let (h, p) = pair(&m);
+            assert_eq!(h.cell_id(), cell, "the kept cell was not reused");
+            let p = p.try_wait().expect_err("the old outcome was read again");
+            h.reply(Ok(Value::from(2)));
+            assert_eq!(p.wait(), Ok(Value::Int(2)));
+            assert_eq!(m.snapshot().successes, 2);
+        });
+    }
+
+    #[test]
+    fn a_reused_cell_posts_no_mailbox_withdrawn_before_it_was_retired() {
+        on_a_fresh_thread(|| {
+            let m = Arc::new(Metrics::new());
+            let (internal, ring) = mailbox();
+            let (h, mut p) = pair(&m);
+            let cell = h.cell_id();
+            assert!(p.post_when_settled(&internal).is_none());
+            let PendingReply::Waiting(rx) = &mut p else {
+                unreachable!("a reply pair's pending half waits")
+            };
+            assert!(rx.withdraw());
+            h.reply(Ok(Value::Unit));
+            drop(p);
+            let (h, p) = pair(&m);
+            assert_eq!(h.cell_id(), cell, "the kept cell was not reused");
+            h.reply(Ok(Value::from(3)));
+            assert_eq!(p.wait(), Ok(Value::Int(3)));
+            assert_eq!(ring.depth(), 0, "a withdrawn mailbox was posted");
+        });
+    }
+
+    #[test]
+    fn an_awaiter_dropped_before_its_settler_keeps_nothing() {
+        on_a_fresh_thread(|| {
+            let m = Arc::new(Metrics::new());
+            let (h, p) = pair(&m);
+            drop(p);
+            assert_eq!(cells_on(&m), 1, "the settler holds the cell");
+            std::thread::spawn(move || h.reply(Ok(Value::Unit)))
+                .join()
+                .unwrap();
+            assert_eq!(cells_on(&m), 0, "a cell was kept with its settler alive");
+            let s = m.snapshot();
+            assert_eq!((s.replies, s.successes), (1, 1));
+        });
+    }
+
+    #[test]
+    fn pairs_of_two_kernels_on_one_thread_meter_each_its_own() {
+        on_a_fresh_thread(|| {
+            let (a, b) = (Arc::new(Metrics::new()), Arc::new(Metrics::new()));
+            for round in 1..=3 {
+                for (m, ok) in [(&a, true), (&b, false)] {
+                    let (h, p) = pair(m);
+                    let result = if ok {
+                        Ok(Value::Unit)
+                    } else {
+                        Err(EdenError::EndOfStream)
+                    };
+                    h.reply(result.clone());
+                    assert_eq!(p.wait(), result);
+                }
+                // A thread that moved to the other kernel kept none of this one's.
+                assert_eq!((cells_on(&a), cells_on(&b)), (0, 1));
+                let (a, b) = (a.snapshot(), b.snapshot());
+                assert_eq!(
+                    (a.replies, a.successes, a.fatal_failures),
+                    (round, round, 0)
+                );
+                assert_eq!(
+                    (b.replies, b.successes, b.fatal_failures),
+                    (round, 0, round)
+                );
+            }
+        });
     }
 
     #[test]

@@ -43,7 +43,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::behavior::EjectBehavior;
 use crate::context::{EjectContext, InternalSender};
 use crate::fault::{FaultInjector, FaultKind, FaultPlan};
-use crate::invocation::{reply_pair_with, Invocation, PendingReply, ReplyHandle};
+use crate::invocation::{reply_cell, reply_pair_with, Invocation, PendingReply, ReplyHandle};
 use crate::mailbox::{mailbox, MailboxSender, SendError, SendOutcome, ShedCause, ShedPolicy};
 use crate::obs::{
     KernelSnapshot, Lifecycle, LifecycleRecord, MailboxSnapshot, ObsConfig, ObsPlane, ObsTag,
@@ -804,9 +804,11 @@ impl KernelInner {
                 route.node,
             ))
         });
-        let metrics =
-            crate::sched::local_metrics(&self.sched).unwrap_or_else(|| Arc::clone(&self.metrics));
-        reply_pair_with(target, metrics, attempt == Attempt::Plain, admit_by, obs)
+        let plain = attempt == Attempt::Plain;
+        let cell = crate::sched::local_metrics(&self.sched, |local| {
+            reply_cell(target, local.unwrap_or(&self.metrics), plain, admit_by)
+        });
+        reply_pair_with(cell, obs)
     }
 
     /// Make a fault-injected delivery visible to the observability plane.

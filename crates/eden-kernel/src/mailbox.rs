@@ -776,7 +776,7 @@ mod tests {
         spec::assert_transition(park::DEAD, park::QUEUED);
     }
 
-    use crate::invocation::{reply_pair_with, Invocation, PendingReply};
+    use crate::invocation::{reply_cell, reply_pair_with, Invocation, PendingReply};
     use eden_core::{Uid, Value};
     use std::time::Duration;
 
@@ -784,8 +784,10 @@ mod tests {
     /// pending reply to observe what admission control did with it.
     fn inv_envelope(deadline: Option<Duration>) -> (Envelope, PendingReply) {
         let admit_by = deadline.map(|d| Instant::now() + d);
-        let (handle, pending) =
-            reply_pair_with(Uid::fresh(), Arc::default(), false, admit_by, None);
+        let (handle, pending) = reply_pair_with(
+            reply_cell(Uid::fresh(), &Arc::default(), false, admit_by),
+            None,
+        );
         (
             Envelope::Invocation(
                 Invocation {

@@ -95,8 +95,8 @@
 //! the pickups the stall monitor watches — are the kernel's [`Metrics`]
 //! rows, each added to in the recording thread's own block with a plain
 //! load and store and summed when a snapshot is taken, and a reply cell a
-//! worker makes meters through that worker's own handle on them
-//! ([`local_metrics`]).
+//! worker makes meters through that worker's own handle on them, lent to a
+//! cell it keeps and reuses, not cloned ([`local_metrics`]).
 
 use std::cell::{RefCell, UnsafeCell};
 use std::collections::VecDeque;
@@ -383,16 +383,17 @@ struct Frame {
     replied: bool,
 }
 
-/// The calling thread's own handle on `sched`'s counters, if it is one of
-/// its workers: what a reply cell made here meters through, so the handle's
-/// count is a line only this thread writes, but for a cell settled elsewhere.
-pub(crate) fn local_metrics(sched: &Arc<Scheduler>) -> Option<Arc<Metrics>> {
-    WORKER.with(|w| {
-        let tls = w.borrow();
-        let worker = tls
-            .as_ref()
-            .filter(|worker| Arc::ptr_eq(&worker.sched, sched))?;
-        Some(Arc::clone(&worker.metrics))
+/// Lend `f` the calling thread's own handle on `sched`'s counters, if it is
+/// one of its workers: what a reply cell made here meters through, so no
+/// count is taken on it but for a new cell, and that on a line of its own.
+pub(crate) fn local_metrics<R>(
+    sched: &Arc<Scheduler>,
+    f: impl FnOnce(Option<&Arc<Metrics>>) -> R,
+) -> R {
+    WORKER.with(|tls| {
+        let tls = tls.borrow();
+        let worker = tls.as_ref().filter(|w| Arc::ptr_eq(&w.sched, sched));
+        f(worker.map(|worker| &worker.metrics))
     })
 }
 

@@ -26,7 +26,12 @@
 //!    poll_reply`): a registration that stands is posted exactly once, and
 //!    only after the outcome is published, so the step the post wakes sees
 //!    it; one that lost to the settle is never posted; and one withdrawn by
-//!    a dropped awaiter is posted by nobody and held by nobody.
+//!    a dropped awaiter is posted by nobody and held by nobody;
+//! 6. a cell the awaiting thread retires and pairs again from (`Awaiter`'s
+//!    drop and `reply_cell`, over `eden-core`'s `Shelf`) is kept only
+//!    once the settler has let go of it, so each round reads its own
+//!    outcome: never the last round's, and never a crash the last round's
+//!    settler reported into it.
 #![cfg(loom)]
 
 use loom::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU8, AtomicUsize, Ordering};
@@ -242,6 +247,22 @@ mod rc {
                 self.handle.store(0, Ordering::Relaxed);
             }
             withdrawn
+        }
+
+        /// `Awaiter`'s drop keeping the cell: back to `EMPTY`, both slots
+        /// clear. Plain writes in the real cell, hence `Relaxed` here.
+        pub fn reset(&self) {
+            self.state.store(EMPTY, Ordering::Relaxed);
+            self.value.store(0, Ordering::Relaxed);
+            self.handle.store(0, Ordering::Relaxed);
+        }
+
+        /// `Settler`'s drop: a relaxed look at its own earlier swap, and
+        /// the cell abandoned if it reads no terminal state.
+        pub fn drop_settler(&self) {
+            if self.state.load(Ordering::Relaxed) < SETTLED {
+                self.finish(None);
+            }
         }
 
         /// Whatever waiter is published (0: none).
@@ -480,6 +501,86 @@ fn reply_cell_catches_a_post_made_before_the_outcome() {
         settler.join().unwrap();
         seen.expect("the post woke a step that cannot see the outcome");
     });
+}
+
+// ---------------------------------------------------------------------
+// Retire and reuse (contract 6). The settling half settles, then its drop
+// looks at the state word, then its `Arc` goes; the awaiting half reads,
+// retires the cell — keeps it if the strong count reads 1, then an Acquire
+// fence and a reset — and pairs again from it, or from a new cell. A cell
+// kept while the settler still holds it is reset under the settler's drop,
+// which reads `EMPTY` and abandons the next round's cell.
+//
+// The `vendor/loom` shim repeats the model rather than exploring its
+// interleavings (ROADMAP item 2(a)): the racing form samples the schedules
+// it reaches, and the in-turn form forces the one order (the settler's drop
+// looks only after the retire) in which the seeded bug cannot be missed.
+
+/// `Awaiter`'s drop: `cell` kept for the next round if nobody else holds
+/// it, else `None` (it goes, and the round pairs from a new cell). With
+/// `unchecked` — the seeded bug — kept whatever the count.
+fn retire(cell: Arc<rc::Cell>, unchecked: bool) -> Option<Arc<rc::Cell>> {
+    if !unchecked && Arc::strong_count(&cell) != 1 {
+        return None;
+    }
+    fence(Ordering::Acquire);
+    cell.reset();
+    Some(cell)
+}
+
+fn retire_and_reuse_model(unchecked: bool, in_turn: bool) {
+    loom::model(move || {
+        let never = AtomicBool::new(false);
+        let mut cell = Arc::new(rc::Cell::new());
+        let mut settlers = Vec::new();
+        for round in 1..=2 {
+            // A cell paired again holds no outcome yet.
+            let stale = cell.try_take();
+            assert_eq!(stale, None, "a round read another round's outcome");
+            let retired = Arc::new(AtomicBool::new(false));
+            settlers.push({
+                let (cell, retired) = (cell.clone(), retired.clone());
+                thread::spawn(move || {
+                    cell.finish(Some(round));
+                    while in_turn && !retired.load(Ordering::SeqCst) {
+                        thread::yield_now();
+                    }
+                    cell.drop_settler();
+                })
+            });
+            let outcome = cell.wait(&never);
+            assert_eq!(
+                outcome,
+                Outcome::Replied(round),
+                "a round read another round's outcome"
+            );
+            cell = retire(cell, unchecked).unwrap_or_else(|| Arc::new(rc::Cell::new()));
+            retired.store(true, Ordering::SeqCst);
+            if in_turn {
+                settlers.pop().unwrap().join().unwrap();
+            }
+        }
+        for settler in settlers {
+            settler.join().unwrap();
+        }
+    });
+}
+
+/// The awaiting thread pairs twice, retiring its cell in between, while the
+/// first round's settler is still finishing: each round reads its own reply.
+#[test]
+fn a_retired_cell_reused_reads_each_round_its_own_outcome() {
+    retire_and_reuse_model(false, false);
+    retire_and_reuse_model(false, true);
+}
+
+/// The seeded bug must be found, every time: a cell kept without the count
+/// check is reset under a settler whose drop has yet to look, and that look
+/// abandons the next round's cell.
+#[test]
+#[should_panic(expected = "a round read another round's outcome")]
+fn retire_and_reuse_catches_a_cell_kept_while_its_settler_holds_it() {
+    retire_and_reuse_model(true, true);
 }
 
 #[test]

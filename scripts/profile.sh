@@ -21,7 +21,11 @@
 # chain, and a sample with no eden frame at all reads "(no eden frame)". The
 # tables give the share of samples by file and by function, and, for the
 # samples whose eden frame is in sched.rs, the leaf function they were
-# taken in (a lock's slow path shows there).
+# taken in (a lock's slow path shows there). Two shares close the report:
+# the samples whose leaf instruction follows a `lock`-prefixed or `xchg`
+# instruction (where a locked read-modify-write's cost lands), read from
+# `objdump -d` of the built binary and given by innermost eden function; and
+# the samples whose leaf lies in libc (the allocator, mostly).
 set -eu
 cd "$(dirname "$0")/.." || exit 1
 
@@ -60,7 +64,7 @@ echo "sampling $workload on $commit for ${seconds} s" >&2
 real=$(readlink -f "$bin")
 # Each process's samples as addresses in the binary (return addresses less
 # one, so that they name the call), innermost first; "-" for a leaf outside
-# the binary. One line a sample.
+# the binary, "-libc" for one in libc. One line a sample.
 for samples in "$out".*.samples; do
     awk -v bin="$real" -v maps="${samples%.samples}.maps" '
         function hex(s,   n, i, c) {
@@ -79,6 +83,13 @@ for samples in "$out".*.samples; do
                 lo[++n] = hex(range[1]); hi[n] = hex(range[2])
                 if (hex(f[3]) == 0) bias = lo[n]
             }
+            close(maps)
+            while ((getline line < maps) > 0) {
+                split(line, f, " ")
+                if (f[6] !~ /\/libc[.-][^\/]*$/) continue
+                split(f[1], range, "-")
+                libc_lo[++m] = hex(range[1]); libc_hi[m] = hex(range[2])
+            }
         }
         {
             line = ""
@@ -87,7 +98,11 @@ for samples in "$out".*.samples; do
                 inside = 0
                 for (k = 1; k <= n; k++) if (a >= lo[k] && a < hi[k]) inside = 1
                 if (inside) line = line " " sprintf("0x%x", a - bias)
-                else if (i == 1) line = line " -"
+                else if (i == 1) {
+                    libc = 0
+                    for (k = 1; k <= m; k++) if (a >= libc_lo[k] && a < libc_hi[k]) libc = 1
+                    line = line (libc ? " -libc" : " -")
+                }
             }
             print substr(line, 2)
         }' "$samples"
@@ -96,8 +111,16 @@ done >"$out.chains"
 tr ' ' '\n' <"$out.chains" | grep '^0x' | sort -u >"$out.addrs"
 symbolize=$(command -v llvm-addr2line || command -v addr2line)
 "$symbolize" -e "$bin" -a -f -i -C <"$out.addrs" >"$out.frames"
+# The address of every instruction that follows a locked one.
+objdump -d --no-show-raw-insn "$bin" | awk -F'\t' '
+    /^ *[0-9a-f]+:\t/ {
+        addr = $1; sub(/^ */, "", addr); sub(/:$/, "", addr)
+        if (locked) print "0x" addr
+        # An `xchg` with memory is locked; one of two registers is a no-op.
+        locked = ($2 ~ /^lock / || ($2 ~ /^xchg/ && $2 ~ /\(/))
+    }' >"$out.locked"
 
-awk -v frames="$out.frames" '
+awk -v frames="$out.frames" -v locked="$out.locked" '
     BEGIN {
         # For each address, its inline frames innermost first: the first
         # eden one, and the innermost one of all.
@@ -115,6 +138,7 @@ awk -v frames="$out.frames" '
                 eden_fn[addr] = fn
             }
         }
+        while ((getline line < locked) > 0) { sub(/^0x0*/, "0x", line); after_lock[line] = 1 }
     }
     {
         total++
@@ -126,9 +150,12 @@ awk -v frames="$out.frames" '
         by_file[file]++; by_fn[file "\t" fn]++
         if (file ~ /sched\.rs$/) {
             # The leaf, or the innermost binary frame under a leaf outside.
-            a = ($1 == "-") ? $2 : $1; sub(/^0x0*/, "0x", a)
-            sched_leaf[($1 == "-" ? "(libc) " : "") leaf[a]]++; sched_total++
+            a = ($1 ~ /^-/) ? $2 : $1; sub(/^0x0*/, "0x", a)
+            sched_leaf[($1 ~ /^-/ ? "(libc) " : "") leaf[a]]++; sched_total++
         }
+        leaf_ip = $1; sub(/^0x0*/, "0x", leaf_ip)
+        if (leaf_ip in after_lock) { locked_total++; locked_fn[file "\t" fn]++ }
+        if ($1 == "-libc") libc_total++
     }
     END {
         printf "%d samples\n\nby file (innermost eden frame)\n", total
@@ -140,4 +167,8 @@ awk -v frames="$out.frames" '
         printf "\nsched.rs samples (%.1f %%) by leaf function\n", 100 * sched_total / total
         for (k in sched_leaf) printf "%6.1f %%  %s\n", 100 * sched_leaf[k] / total, k | "sort -rn | head -n 15"
         close("sort -rn | head -n 15")
+        printf "\nleaf after a lock-prefixed or xchg instruction (%.1f %%) by innermost eden frame\n", 100 * locked_total / total
+        for (k in locked_fn) { split(k, p, "\t"); printf "%6.1f %%  %s  (%s)\n", 100 * locked_fn[k] / total, p[2], p[1] | "sort -rn | head -n 20" }
+        close("sort -rn | head -n 20")
+        printf "\nleaf in libc: %.1f %%\n", 100 * libc_total / total
     }' "$out.chains"
