@@ -61,15 +61,14 @@ pub enum EdenError {
     /// Raised at build time, before any Eject spawns.
     Discipline(String),
     /// Admission control shed this invocation: the target's bounded mailbox
-    /// was full and its shed policy turned the invocation away, or its
-    /// deadline ran out while it waited for room. Carries the target and the policy label that
-    /// fired, so overload tests can tell shed traffic from organic
+    /// was full and turned the invocation away. Carries the target and the
+    /// policy label, so overload tests can tell shed traffic from organic
     /// failures. Retryable by design — backing off and re-sending is
     /// exactly the client-side rate control an overloaded system wants.
     Overloaded {
         /// The Eject whose mailbox shed the invocation.
         target: Uid,
-        /// The shed-policy label (`"reject-newest"`, `"park-timeout"`).
+        /// The shed-policy label (`"reject-newest"`).
         policy: &'static str,
     },
 }
@@ -172,10 +171,10 @@ mod tests {
         let u = Uid::fresh();
         let msg = EdenError::Overloaded {
             target: u,
-            policy: "park-timeout",
+            policy: "reject-newest",
         }
         .to_string();
-        assert!(msg.contains("park-timeout"));
+        assert!(msg.contains("reject-newest"));
         assert!(msg.contains(&u.to_string()));
     }
 

@@ -251,13 +251,8 @@ counters! {
     /// error, retry exhaustion, deadline expiry, or abandonment.
     fatal_failures / record_fatal_failure
         => "eden_invocation_fatal_failures_total", "Logical invocations that terminally failed";
-    /// Record an arriving invocation turned away at a full bounded mailbox
-    /// (`ShedPolicy::RejectNewest`).
+    /// Record an arriving invocation turned away at a full bounded mailbox.
     sheds_newest / record_shed_newest;
-    /// Record a sender whose deadline-bounded park on a full mailbox timed
-    /// out before space freed (`ShedPolicy::Park` under an invocation
-    /// deadline).
-    sheds_park_timeout / record_shed_park_timeout;
     /// Record a call whose callee ran on its caller's stack.
     inline_handoffs / record_inline_handoff;
     /// Record a scheduler task parking on its mailbox. Parks less wakes is
@@ -324,9 +319,9 @@ impl Metrics {
 }
 
 impl MetricsSnapshot {
-    /// Total invocations shed by admission control, across every policy.
+    /// Total invocations shed by admission control.
     pub fn sheds_total(&self) -> u64 {
-        self.sheds_newest + self.sheds_park_timeout
+        self.sheds_newest
     }
 
     /// Total bytes moved in either direction.
@@ -493,16 +488,13 @@ mod tests {
         m.record_shed_newest();
         let before = m.snapshot();
         m.record_shed_newest();
-        m.record_shed_park_timeout();
-        m.record_shed_park_timeout();
+        m.record_shed_newest();
         let s = m.snapshot();
-        assert_eq!(s.sheds_newest, 2);
-        assert_eq!(s.sheds_park_timeout, 2);
-        assert_eq!(s.sheds_total(), 4);
+        assert_eq!(s.sheds_newest, 3);
+        assert_eq!(s.sheds_total(), 3);
         let delta = s.since(&before);
-        assert_eq!(delta.sheds_newest, 1);
-        assert_eq!(delta.sheds_park_timeout, 2);
-        assert_eq!(delta.sheds_total(), 3);
+        assert_eq!(delta.sheds_newest, 2);
+        assert_eq!(delta.sheds_total(), 2);
     }
 
     /// The table expands to what was written by hand: every recorder once,
@@ -529,7 +521,6 @@ mod tests {
         m.record_success();
         m.record_fatal_failure();
         m.record_shed_newest();
-        m.record_shed_park_timeout();
         m.record_inline_handoff();
         m.record_park();
         m.record_wake();
@@ -559,7 +550,6 @@ mod tests {
             successes: 1,
             fatal_failures: 1,
             sheds_newest: 1,
-            sheds_park_timeout: 1,
             inline_handoffs: 1,
             parks: 1,
             wakes: 1,

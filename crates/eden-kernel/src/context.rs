@@ -224,18 +224,15 @@ impl InternalSender {
         self.metrics.record_internal_message();
         self.tx
             .send(Envelope::Internal(event))
-            // Internal events are stream data, never shed: admission control
-            // parks the sender instead (see `mailbox::ShedPolicy`), so the
-            // outcome is always plain delivery.
+            // Internal events are stream data, never turned away: the
+            // mailbox bound counts invocations only.
             .map(|_| ())
             .map_err(|_| EdenError::KernelShutdown)
     }
 
-    /// Post `Value::Unit` past any mailbox bound: a coordinator posting to
-    /// itself, or a settler, must never park on it.
+    /// Post `Value::Unit`: a coordinator posting to itself, or a settler.
     pub(crate) fn wake(&self) {
-        self.metrics.record_internal_message();
-        let _ = self.tx.force_send(Envelope::Internal(Value::Unit));
+        let _ = self.send(Value::Unit);
     }
 }
 

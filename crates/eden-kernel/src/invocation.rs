@@ -85,11 +85,6 @@ pub(crate) struct ReplyCell {
     /// The handle settling meters through: the sending thread's own, where
     /// it has one, so taking and dropping it writes no shared line.
     metrics: Arc<Metrics>,
-    /// The invocation's overall deadline as an absolute instant, when one
-    /// was set via `InvokeOptions::deadline`. Admission control reads it on
-    /// the send path: a `Park` sender bounds its wait for mailbox space by
-    /// it.
-    admit_by: Option<Instant>,
     /// Written once by the settler before it publishes `SETTLED`; taken by
     /// the awaiter after it observes `SETTLED`.
     value: UnsafeCell<Option<Result<Value>>>,
@@ -375,11 +370,6 @@ impl ReplyHandle {
             .0
     }
 
-    /// The invocation's absolute deadline, if one was set.
-    pub(crate) fn admit_by(&self) -> Option<Instant> {
-        self.cell().admit_by
-    }
-
     /// Mark the moment a coordinator picked this invocation out of its
     /// mailbox: splits queue wait from service time, and returns a guard
     /// installing the invocation's span as the thread's ambient span (so
@@ -569,7 +559,7 @@ impl PendingReply {
 
 /// Create a connected reply pair for an invocation of `responder`.
 pub fn reply_pair(responder: Uid, metrics: Metrics) -> (ReplyHandle, PendingReply) {
-    reply_pair_with(reply_cell(responder, &Arc::new(metrics), false, None), None)
+    reply_pair_with(reply_cell(responder, &Arc::new(metrics), false), None)
 }
 
 /// The cell of a pair for an invocation of `responder`: one this thread
@@ -578,18 +568,14 @@ pub(crate) fn reply_cell(
     responder: Uid,
     metrics: &Arc<Metrics>,
     meters_outcome: bool,
-    admit_by: Option<Instant>,
 ) -> Arc<ReplyCell> {
-    let fill = |c: &mut ReplyCell| {
-        (c.meters_outcome, c.responder, c.admit_by) = (meters_outcome, responder, admit_by);
-    };
+    let fill = |c: &mut ReplyCell| (c.meters_outcome, c.responder) = (meters_outcome, responder);
     Shelf::reuse(&CELLS, |c| Arc::ptr_eq(&c.metrics, metrics), fill).unwrap_or_else(|| {
         Arc::new(ReplyCell {
             state: AtomicU8::new(cell::EMPTY),
             meters_outcome,
             responder,
             metrics: Arc::clone(metrics),
-            admit_by,
             value: UnsafeCell::new(None),
             waiter: UnsafeCell::new(None),
         })
@@ -697,12 +683,7 @@ mod tests {
     #[test]
     fn the_ledger_settles_once_on_every_path() {
         let m = Metrics::new();
-        let pair = || {
-            reply_pair_with(
-                reply_cell(Uid::fresh(), &Arc::new(m.clone()), true, None),
-                None,
-            )
-        };
+        let pair = || reply_pair_with(reply_cell(Uid::fresh(), &Arc::new(m.clone()), true), None);
         let (h, _p) = pair();
         h.reply(Ok(Value::Unit));
         let (h, _p) = pair();
@@ -799,7 +780,7 @@ mod tests {
 
     /// A pair metering through `m` and its outcome ledger.
     fn pair(m: &Arc<Metrics>) -> (ReplyHandle, PendingReply) {
-        reply_pair_with(reply_cell(Uid::fresh(), m, true, None), None)
+        reply_pair_with(reply_cell(Uid::fresh(), m, true), None)
     }
 
     /// A cell a thread keeps holds its kernel's handle: the holders of

@@ -44,7 +44,7 @@ use crate::behavior::EjectBehavior;
 use crate::context::{EjectContext, InternalSender};
 use crate::fault::{FaultInjector, FaultKind, FaultPlan};
 use crate::invocation::{reply_cell, reply_pair_with, Invocation, PendingReply, ReplyHandle};
-use crate::mailbox::{mailbox, MailboxSender, SendError, SendOutcome, ShedCause, ShedPolicy};
+use crate::mailbox::{mailbox, MailboxSender, SendError, SendOutcome};
 use crate::obs::{
     KernelSnapshot, Lifecycle, LifecycleRecord, MailboxSnapshot, ObsConfig, ObsPlane, ObsTag,
     SpanRecord, StageSummary,
@@ -66,16 +66,14 @@ const REGISTRY_SHARDS: usize = 16;
 /// Construction-time options for a [`Kernel`].
 #[derive(Debug, Clone, Default)]
 pub struct KernelConfig {
-    /// A bound on every Eject's mailbox, and what a full one does. `None`
-    /// (the default) keeps the historic unbounded mailboxes; `Some((n,
-    /// policy))` bounds each coordinator mailbox to `n` envelopes and runs
-    /// `policy` when full: under [`ShedPolicy::Park`] invocation becomes
-    /// flow-controlled rather than queue-growing, and a shed surfaces as
-    /// the retryable [`EdenError::Overloaded`], so `invoke_with`
-    /// retry/backoff composes as client-side rate control. Kernel control
-    /// messages (crash, shutdown) bypass the bound so a full mailbox can
-    /// never wedge teardown.
-    pub mailbox_bound: Option<(usize, ShedPolicy)>,
+    /// A bound on every Eject's mailbox. `None` (the default) keeps the
+    /// mailboxes unbounded; `Some(n)` turns away an invocation that finds
+    /// `n` envelopes queued, at once, with the retryable
+    /// [`EdenError::Overloaded`], so `invoke_with` retry/backoff composes as
+    /// client-side rate control. No sender ever waits for room: internal
+    /// events and kernel control messages (crash, shutdown) go in past the
+    /// bound.
+    pub mailbox_bound: Option<usize>,
     /// The observability plane: causal spans, Eject lifecycle events and
     /// per-stage latency histograms (see [`ObsConfig`]). Off by default — a
     /// disabled kernel carries no instrumentation state at all.
@@ -113,8 +111,8 @@ impl KernelBuilder {
     }
 
     /// See [`KernelConfig::mailbox_bound`].
-    pub fn bounded_mailboxes(mut self, capacity: usize, policy: ShedPolicy) -> Self {
-        self.config.mailbox_bound = Some((capacity, policy));
+    pub fn bounded_mailboxes(mut self, capacity: usize) -> Self {
+        self.config.mailbox_bound = Some(capacity);
         self
     }
 
@@ -265,14 +263,12 @@ impl KernelInner {
 /// sender release must precede the wait: a coordinator may be blocked
 /// waiting for an envelope queued at another (already exited) coordinator
 /// to be dropped, which happens only once every sender for that mailbox is
-/// gone. Shutdown envelopes bypass any mailbox bound (`force_send`): with
-/// bounded mailboxes a plain send could park forever behind a full mailbox
-/// whose coordinator is itself waiting to shut down. The entries are
+/// gone. Shutdown envelopes go in past any mailbox bound. The entries are
 /// awaited via the pool's death latch, which excuses the calling worker's
 /// own task (shutdown can be triggered from inside a coordinator).
 fn shutdown_entries(entries: Vec<(MailboxSender, Arc<Task>)>, sched: &Scheduler) {
     let send = |(tx, task): (MailboxSender, Arc<Task>)| {
-        let _ = tx.force_send(Envelope::Shutdown);
+        let _ = tx.send(Envelope::Shutdown);
         task
     };
     let tasks: Vec<Arc<Task>> = entries.into_iter().map(send).collect();
@@ -286,15 +282,14 @@ fn shutdown_entries(entries: Vec<(MailboxSender, Arc<Task>)>, sched: &Scheduler)
 /// An invocation as [`KernelInner::deliver`] sends it, and as a [`RetryState`]
 /// keeps it to send again: where it comes from and goes to, what it asks,
 /// whether the installed fault plan may select it, and its overall deadline
-/// as an absolute instant, which admission control reads (deadline-bounded
-/// parks) and every attempt carries.
+/// as an absolute instant, which a [`RetryState`] stops re-sending at.
 #[derive(Debug, Clone)]
 pub(crate) struct Request {
     pub(crate) from: NodeId,
     pub(crate) target: Uid,
     pub(crate) invocation: Invocation,
     pub(crate) subject_to_faults: bool,
-    pub(crate) admit_by: Option<Instant>,
+    pub(crate) deadline: Option<Instant>,
 }
 
 /// What one send is to the logical invocation it carries: whether it opens
@@ -656,7 +651,7 @@ impl KernelInner {
             target,
             invocation: Invocation { op, arg },
             subject_to_faults: opts.subject_to_faults(),
-            admit_by: opts.deadline.map(|d| Instant::now() + d),
+            deadline: opts.deadline.map(|d| Instant::now() + d),
         };
         let mut woken = None;
         let wake = wait.then_some(&mut woken);
@@ -703,7 +698,7 @@ impl KernelInner {
             target,
             invocation,
             subject_to_faults,
-            admit_by,
+            ..
         } = request;
         let metrics = &self.metrics;
         if attempt != Attempt::Resend {
@@ -725,8 +720,7 @@ impl KernelInner {
             }
         }
         if let Some(route) = cache.as_deref().and_then(|cache| cache.lookup(target)) {
-            let (handle, pending) =
-                self.reply_pair_for(&invocation.op, from, route, attempt, admit_by);
+            let (handle, pending) = self.reply_pair_for(&invocation.op, from, route, attempt);
             let envelope = Envelope::Invocation(invocation, handle);
             let envelope = match self.dispatch_route(from, route, envelope, wake) {
                 Ok(()) => {
@@ -756,8 +750,7 @@ impl KernelInner {
             Ok(route) => route,
             Err(e) => return fail(e),
         };
-        let (handle, pending) =
-            self.reply_pair_for(&invocation.op, from, &route, attempt, admit_by);
+        let (handle, pending) = self.reply_pair_for(&invocation.op, from, &route, attempt);
         // A bounce here means the coordinator exited since the route was
         // resolved; dropping the bounced envelope drops `handle`, which
         // resolves the pending reply with EjectCrashed — the correct
@@ -767,9 +760,8 @@ impl KernelInner {
     }
 
     /// Build the reply pair for a resolved dispatch, wiring in outcome
-    /// metering (a plain invocation settles the ledger at reply time),
-    /// the absolute deadline admission control reads, and the
-    /// observability tag (span coordinates + enqueue timestamp) when the
+    /// metering (a plain invocation settles the ledger at reply time) and
+    /// the observability tag (span coordinates + enqueue timestamp) when the
     /// plane is enabled. The cell meters through the calling thread's own
     /// handle on the counters, if it is one of this kernel's workers, so a
     /// hop takes and drops no count on a line every thread writes.
@@ -779,7 +771,6 @@ impl KernelInner {
         from: NodeId,
         route: &Route,
         attempt: Attempt,
-        admit_by: Option<Instant>,
     ) -> (ReplyHandle, PendingReply) {
         let target = route.target;
         let obs = self.obs.as_ref().map(|obs| {
@@ -806,7 +797,7 @@ impl KernelInner {
         });
         let plain = attempt == Attempt::Plain;
         let cell = crate::sched::local_metrics(&self.sched, |local| {
-            reply_cell(target, local.unwrap_or(&self.metrics), plain, admit_by)
+            reply_cell(target, local.unwrap_or(&self.metrics), plain)
         });
         reply_pair_with(cell, obs)
     }
@@ -857,29 +848,18 @@ impl KernelInner {
         }
     }
 
-    /// Resolve whatever admission control did on a successful send: count
-    /// each shed under its policy label and resolve its reply with the
-    /// retryable [`EdenError::Overloaded`], so waiters observe the shed as
-    /// overload (not as a crash) and retry drivers back off and re-send.
+    /// Resolve what a send did: an invocation a full mailbox turned away
+    /// counts as a shed, and its reply resolves with the retryable
+    /// [`EdenError::Overloaded`], so waiters observe the shed as overload
+    /// (not as a crash) and retry drivers back off and re-send.
     fn settle_send_outcome(&self, outcome: SendOutcome) {
-        match outcome {
-            SendOutcome::Delivered => {}
-            SendOutcome::Rejected(envelope, cause) => self.resolve_shed(envelope, cause),
-        }
-    }
-
-    fn resolve_shed(&self, envelope: Envelope, cause: ShedCause) {
-        match cause {
-            ShedCause::Newest => self.metrics.record_shed_newest(),
-            ShedCause::ParkTimeout => self.metrics.record_shed_park_timeout(),
-        }
-        // The mailbox only ever sheds invocations; anything else would be
-        // a protocol bug, and dropping it here is the safe failure mode.
-        if let Envelope::Invocation(_, handle) = envelope {
+        // The mailbox only ever turns invocations away.
+        if let SendOutcome::Rejected(Envelope::Invocation(_, handle)) = outcome {
+            self.metrics.record_shed_newest();
             let target = handle.responder();
             handle.resolve_silent(EdenError::Overloaded {
                 target,
-                policy: cause.policy_label(),
+                policy: "reject-newest",
             });
         }
     }
@@ -943,9 +923,8 @@ impl KernelInner {
     /// A call passes `wake`: if this push is what wakes the target, the wake
     /// is left there, un-enqueued, for the caller to spend
     /// ([`send`](Self::send)). `Err` hands back the envelope of a route whose
-    /// coordinator has exited. A successful send may still have shed
-    /// envelopes (admission control at a full bounded mailbox); those
-    /// resolve with `Overloaded`.
+    /// coordinator has exited. A full bounded mailbox may still turn the
+    /// invocation away; it resolves with `Overloaded`.
     fn dispatch_route(
         &self,
         from: NodeId,
@@ -1059,8 +1038,8 @@ impl KernelInner {
             }
         };
         self.metrics.record_crash();
-        // Crash must land even if the mailbox is bounded and full.
-        let _ = tx.force_send(Envelope::Crash);
+        // Crash goes in past any mailbox bound.
+        let _ = tx.send(Envelope::Crash);
         drop(tx);
         // A worker crashing a task it is resuming — its own, or a caller
         // further up its inline frame stack — cannot wait for that task to

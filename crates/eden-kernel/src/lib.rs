@@ -67,7 +67,6 @@ pub use context::{EjectContext, ProcessContext};
 pub use fault::{FaultKind, FaultPlan, FaultRule};
 pub use invocation::{reply_pair, Invocation, PendingReply, ReplyHandle};
 pub use kernel::{EjectInfo, EjectState, Kernel, KernelBuilder, KernelConfig, NodeId};
-pub use mailbox::ShedPolicy;
 pub use obs::{
     chrome_trace_json, json_text, prometheus_text, render_events, Histogram, KernelSnapshot,
     Lifecycle, LifecycleRecord, MailboxSnapshot, ObsConfig, SpanRecord, StageSummary,

@@ -720,15 +720,11 @@ fn counter_rows(snap: &KernelSnapshot) -> Vec<(&'static str, &'static str, u64)>
     snap.metrics.rows().chain(rest).collect()
 }
 
-/// The `eden_mailbox_sheds_total` family as (policy label, value) rows, one
-/// per shed cause. Rendered with a `policy` label rather than separate
-/// metric names so dashboards can sum and facet the family directly.
-fn shed_rows(snap: &KernelSnapshot) -> [(&'static str, u64); 2] {
-    let m = &snap.metrics;
-    [
-        ("park-timeout", m.sheds_park_timeout),
-        ("reject-newest", m.sheds_newest),
-    ]
+/// The `eden_mailbox_sheds_total` family as (policy label, value) rows.
+/// Rendered with a `policy` label rather than a bare metric name so
+/// dashboards keep the family's shape.
+fn shed_rows(snap: &KernelSnapshot) -> [(&'static str, u64); 1] {
+    [("reject-newest", snap.metrics.sheds_newest)]
 }
 
 fn gauge_rows(snap: &KernelSnapshot) -> Vec<(&'static str, &'static str, u64)> {

@@ -241,7 +241,7 @@ impl fmt::Debug for RetryState {
             .field("op", &self.request.invocation.op)
             .field("attempt", &self.attempt)
             .field("policy", &self.policy)
-            .field("deadline", &self.request.admit_by)
+            .field("deadline", &self.request.deadline)
             .finish_non_exhaustive()
     }
 }
@@ -276,7 +276,7 @@ impl RetryState {
     /// for. An attempt still out at either is a `Timeout`. `to`, if given,
     /// is posted when the attempt in flight is in, or its pause ends.
     pub(crate) fn step(&mut self, until: Option<Instant>, to: Option<&InternalSender>) -> Step {
-        let end = until.into_iter().chain(self.request.admit_by).min();
+        let end = until.into_iter().chain(self.request.deadline).min();
         let step = loop {
             let open = end.is_none_or(|end| Instant::now() < end);
             if let Some(at) = self.resend_at {

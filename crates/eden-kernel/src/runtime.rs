@@ -27,19 +27,6 @@ pub(crate) enum Envelope {
     Shutdown,
 }
 
-impl Envelope {
-    /// The admission deadline of an invocation envelope (`None` for
-    /// deadline-free invocations and for non-invocation traffic). Read by
-    /// the mailbox admission-control path: a `Park` sender bounds its wait
-    /// by it.
-    pub(crate) fn admit_by(&self) -> Option<std::time::Instant> {
-        match self {
-            Envelope::Invocation(_, reply) => reply.admit_by(),
-            _ => None,
-        }
-    }
-}
-
 /// Dispatch one invocation, intercepting the runtime-provided operations.
 pub(crate) fn dispatch(
     behavior: &mut dyn EjectBehavior,

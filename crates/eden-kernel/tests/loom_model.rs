@@ -1413,161 +1413,6 @@ fn group_commit_elects_one_leader_and_strands_no_ticket() {
 }
 
 // ---------------------------------------------------------------------
-// Park-vs-crash: a bounded mailbox's Park admission
-// (`crates/eden-kernel/src/mailbox.rs::push`/`admit`/`close`). A sender
-// parked on the `not_full` condvar races the consumer Eject crashing,
-// which closes the mailbox. The distilled contract:
-//
-// 1. a parked sender always terminates — `close()` sets `closed` under
-//    the ring lock *before* `notify_all`, and the parked sender re-checks
-//    `closed` under the same lock on every wake, so no interleaving
-//    strands the sender on the condvar (the park-forever bug);
-// 2. envelopes are conserved: everything delivered is either popped by
-//    the consumer or drained by `close()` — a send that raced the close
-//    and lost gets its envelope back (`SendError`), never half-queued;
-// 3. after `close()`, no send ever succeeds.
-//
-// The deadline-aware arm (`wait_for(ring, admit_by - now)`) cannot be
-// modelled here — the vendored loom has no timed condvar wait — so its
-// wall-clock behaviour is covered by the real-ring tests in `mailbox.rs`
-// (`park_with_deadline_sheds_on_timeout`). What loom adds is the
-// untimed arm: the only way out of a plain park is a notify, so the
-// close ordering above is load-bearing.
-
-/// Distilled bounded ring: occupancy count + closed flag under one lock,
-/// the same `not_full` condvar discipline as `MailboxCore`.
-struct BoundedModel {
-    ring: Mutex<(u32, bool)>,
-    not_full: loom::sync::Condvar,
-    cap: u32,
-}
-
-impl BoundedModel {
-    fn new(cap: u32) -> Self {
-        BoundedModel {
-            ring: Mutex::new((0, false)),
-            not_full: loom::sync::Condvar::new(),
-            cap,
-        }
-    }
-
-    /// Mirror of `push` under `ShedPolicy::Park` with no deadline:
-    /// re-check closed, park while full, deliver once space frees.
-    /// `Err` hands the envelope back, as `SendError` does.
-    fn send(&self) -> Result<(), ()> {
-        let mut ring = self.ring.lock().unwrap();
-        loop {
-            if ring.1 {
-                return Err(());
-            }
-            if ring.0 >= self.cap {
-                ring = self.not_full.wait(ring).unwrap();
-                continue;
-            }
-            ring.0 += 1;
-            return Ok(());
-        }
-    }
-
-    /// Mirror of `pop`: drain one, then notify a parked sender.
-    fn pop(&self) -> bool {
-        let popped = {
-            let mut ring = self.ring.lock().unwrap();
-            if ring.0 == 0 {
-                false
-            } else {
-                ring.0 -= 1;
-                true
-            }
-        };
-        if popped {
-            self.not_full.notify_one();
-        }
-        popped
-    }
-
-    /// Mirror of `close`: mark closed and drain under the lock, then
-    /// wake every parked sender so they observe the close.
-    fn close(&self) -> u32 {
-        let drained = {
-            let mut ring = self.ring.lock().unwrap();
-            ring.1 = true;
-            std::mem::replace(&mut ring.0, 0)
-        };
-        self.not_full.notify_all();
-        drained
-    }
-}
-
-#[test]
-fn parked_sender_observes_consumer_crash() {
-    loom::model(|| {
-        let m = Arc::new(BoundedModel::new(1));
-        // Fill the ring so the racing sender must park.
-        assert!(m.send().is_ok());
-
-        let sender = {
-            let m = Arc::clone(&m);
-            thread::spawn(move || m.send())
-        };
-        let crasher = {
-            let m = Arc::clone(&m);
-            thread::spawn(move || m.close())
-        };
-
-        // Invariant 1 is the joins themselves: loom flags any
-        // interleaving where the parked sender never wakes.
-        let sent = sender.join().unwrap();
-        let drained = crasher.join().unwrap();
-
-        // The ring was full for the whole race, so the parked sender can
-        // only ever observe the close (invariant 3).
-        assert!(sent.is_err(), "send succeeded past a full, closing ring");
-        assert_eq!(drained, 1, "close drained the wrong occupancy");
-        let ring = m.ring.lock().unwrap();
-        assert!(ring.1);
-        assert_eq!(ring.0, 0);
-    });
-}
-
-#[test]
-fn park_drain_crash_race_conserves_envelopes() {
-    loom::model(|| {
-        let m = Arc::new(BoundedModel::new(1));
-        assert!(m.send().is_ok());
-
-        // The parked sender races a consumer that drains once and then
-        // crashes — the sender may slip its envelope in through the
-        // freed slot, or lose to the close and get it back.
-        let sender = {
-            let m = Arc::clone(&m);
-            thread::spawn(move || m.send())
-        };
-        let consumer = {
-            let m = Arc::clone(&m);
-            thread::spawn(move || {
-                let popped = u32::from(m.pop());
-                (popped, m.close())
-            })
-        };
-
-        let sent = sender.join().unwrap();
-        let (popped, drained) = consumer.join().unwrap();
-
-        // Invariant 2: every delivery is popped or drained, exactly once.
-        let delivered = 1 + u32::from(sent.is_ok());
-        assert_eq!(
-            popped + drained,
-            delivered,
-            "envelope lost or duplicated across the crash"
-        );
-        let ring = m.ring.lock().unwrap();
-        assert!(ring.1);
-        assert_eq!(ring.0, 0, "close left mail behind");
-    });
-}
-
-// ---------------------------------------------------------------------
 // The death latch: `Task::mark_died` against `Task::wait_dead`, and the live
 // count `Scheduler::reap` lowers against `Scheduler::wait_all_dead`
 // (`crates/eden-kernel/src/sched.rs`). Neither wait looks again on a clock,

@@ -9,7 +9,7 @@ use std::time::Duration;
 use eden_core::{EdenError, Value};
 use eden_kernel::{
     EjectBehavior, EjectContext, Invocation, InvokeOptions, Kernel, ObsConfig, ReplyHandle,
-    ShedPolicy, StableStore,
+    StableStore,
 };
 
 /// A counter that checkpoints after every applied increment, so the
@@ -57,7 +57,7 @@ impl EjectBehavior for Ledger {
     }
 }
 
-/// RejectNewest turns arrivals away at a full mailbox. The ledger must
+/// A bounded mailbox turns arrivals away when full. The ledger must
 /// account for every request exactly once: an `Ok` reply means the
 /// increment was applied (and checkpointed), an `Overloaded` error means
 /// it never was — and recovery replay from the stable store must agree
@@ -67,14 +67,14 @@ fn exactly_once_under_reject_newest_with_recovery_replay() {
     const TOTAL: usize = 300;
     let store = StableStore::new();
     let kernel = Kernel::builder()
-        .bounded_mailboxes(4, ShedPolicy::RejectNewest)
+        .bounded_mailboxes(4)
         .stable_store(store.clone())
         .build();
     kernel.register_type("Ledger", Ledger::from_passive);
     let ledger = kernel.spawn(Box::new(Ledger { count: 0 })).unwrap();
 
-    // Open-loop flood: sends never block under RejectNewest, so the
-    // queue overruns and sheds.
+    // Open-loop flood: sends never block, so the queue overruns and
+    // sheds.
     let pendings: Vec<_> = (0..TOTAL)
         .map(|_| kernel.invoke(ledger, "Increment", Value::Unit))
         .collect();
@@ -169,7 +169,7 @@ impl EjectBehavior for Relay {
 #[test]
 fn span_tree_stays_well_formed_when_a_shed_lands_mid_pipeline() {
     let kernel = Kernel::builder()
-        .bounded_mailboxes(2, ShedPolicy::RejectNewest)
+        .bounded_mailboxes(2)
         .observability(ObsConfig::full())
         .build();
     let slow = kernel.spawn(Box::new(Slow)).unwrap();
@@ -253,7 +253,7 @@ impl EjectBehavior for Gate {
 }
 
 /// When the span ring wraps under an overload storm, the books must
-/// still balance, for both causes a shed can have: every request
+/// still balance, with or without an invocation deadline: every request
 /// (delivered or shed) records exactly one span, `spans_dropped` accounts
 /// for every eviction, and the shed counters match the client-observed
 /// `Overloaded` count bit for bit — losing telemetry capacity must never
@@ -262,18 +262,14 @@ impl EjectBehavior for Gate {
 fn shed_counters_stay_exact_when_the_span_ring_wraps() {
     const TOTAL: usize = 400;
     const SPAN_CAP: usize = 64;
-    // `RejectNewest` turns each arrival away at once; under `Park` a
-    // deadline-bearing arrival waits out its deadline for room and sheds.
-    for (policy, deadline, label) in [
-        (ShedPolicy::RejectNewest, None, "reject-newest"),
-        (
-            ShedPolicy::Park,
-            Some(Duration::from_millis(1)),
-            "park-timeout",
-        ),
+    // A full mailbox turns each arrival away at once, as `reject-newest`,
+    // whether or not the arrival bears a deadline: nobody waits for room.
+    for (deadline, label) in [
+        (None, "deadline-free"),
+        (Some(Duration::from_millis(1)), "deadline-bearing"),
     ] {
         let kernel = Kernel::builder()
-            .bounded_mailboxes(2, policy)
+            .bounded_mailboxes(2)
             .observability(ObsConfig {
                 spans: true,
                 histograms: true,
@@ -304,7 +300,7 @@ fn shed_counters_stay_exact_when_the_span_ring_wraps() {
             let pending = kernel.invoke_with(gate, "Echo", Value::Int(i as i64), opts);
             match pending.wait_timeout(Duration::from_secs(30)) {
                 Err(EdenError::Overloaded { target, policy }) => {
-                    assert_eq!((target, policy), (gate, label));
+                    assert_eq!((target, policy), (gate, "reject-newest"));
                     shed += 1;
                 }
                 other => panic!("{label}: an arrival at a full mailbox got {other:?}"),
@@ -319,11 +315,8 @@ fn shed_counters_stay_exact_when_the_span_ring_wraps() {
         let snap = kernel.metrics_snapshot();
         let m = &snap.metrics;
         assert_eq!(
-            (m.sheds_newest, m.sheds_park_timeout, m.sheds_total()),
-            match policy {
-                ShedPolicy::RejectNewest => (shed, 0, shed),
-                ShedPolicy::Park => (0, shed, shed),
-            },
+            (m.sheds_newest, m.sheds_total()),
+            (shed, shed),
             "{label}: shed counters lost count under span-ring pressure"
         );
         let held = kernel.spans().len() as u64;

@@ -8,13 +8,13 @@
 //! *scheduled* time, and goodput is taken over the nominal window, so a
 //! driver that slips its schedule shows as lost goodput.
 //!
-//! * Under `RejectNewest` a full mailbox turns the excess away in
-//!   microseconds, admitted work stays fresh, and on-time goodput at 2×
-//!   saturation keeps ≥ 90 % of its peak.
-//! * Under `Park` the driver wedges behind the full mailbox, the schedule
-//!   slips without bound, and on-time goodput at 2× falls under half of
-//!   the `RejectNewest` peak. This is the negative control: if `Park`
-//!   stops collapsing, the driver is no longer open loop.
+//! * A bounded mailbox turns the excess away in microseconds, admitted
+//!   work stays fresh, and on-time goodput at 2× saturation keeps ≥ 90 %
+//!   of its peak.
+//! * An unbounded mailbox queues the excess: the backlog grows without
+//!   bound, every request waits behind it, and on-time goodput at 2× falls
+//!   under half of the bounded peak. This is the negative control: if the
+//!   unbounded queue stops collapsing, the driver is no longer open loop.
 //!
 //! Rates are calibrated on the host, so only the shape is asserted. The
 //! test is alone in its binary so that nothing shares its CPUs.
@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use eden_core::Value;
 use eden_kernel::{
-    EjectBehavior, EjectContext, Invocation, Kernel, PendingReply, ReplyHandle, ShedPolicy,
+    EjectBehavior, EjectContext, Invocation, Kernel, KernelConfig, PendingReply, ReplyHandle,
 };
 
 /// Work per request inside the bottleneck: sets saturation near 2 k/s.
@@ -33,7 +33,7 @@ const SERVICE: Duration = Duration::from_micros(500);
 const SLA: Duration = Duration::from_millis(100);
 const MAILBOX: usize = 64;
 /// Open-loop arrivals a point. Comfortably above `2 · µ · SLA`, the
-/// requests a `Park` backlog serves before every completion is late.
+/// requests an unbounded backlog serves before every completion is late.
 const REQUESTS: usize = 2_500;
 const DRIVERS: usize = 2;
 const CALIBRATION_CLIENTS: usize = 4;
@@ -83,16 +83,19 @@ fn calibrate() -> f64 {
     rate
 }
 
-/// On-time goodput (rec/s) of one open-loop point at `rate` a second.
-fn goodput(policy: ShedPolicy, rate: f64) -> f64 {
-    let kernel = Kernel::builder().bounded_mailboxes(MAILBOX, policy).build();
+/// On-time goodput (rec/s) of one open-loop point at `rate` a second,
+/// against a mailbox of `bound` (`None`: unbounded).
+fn goodput(bound: Option<usize>, rate: f64) -> f64 {
+    let kernel = Kernel::with_config(KernelConfig {
+        mailbox_bound: bound,
+        ..KernelConfig::default()
+    });
     let target = kernel.spawn(Box::new(Bottleneck)).expect("spawn");
     let period = Duration::from_secs_f64(1.0 / rate);
     let start = Instant::now() + Duration::from_millis(20);
     // Each driver owns every `DRIVERS`-th slot of the schedule and hands
     // each pending reply to its own collector, so waiting for a reply
-    // never delays a send: only a `Park` inside the send slips the
-    // schedule, which is the effect under test.
+    // never delays a send, and the schedule never slips.
     let drivers: Vec<_> = (0..DRIVERS)
         .map(|d| {
             let kernel = kernel.clone();
@@ -129,24 +132,24 @@ fn goodput(policy: ShedPolicy, rate: f64) -> f64 {
 }
 
 #[test]
-fn shedding_keeps_the_knee_graceful_and_parking_collapses() {
+fn shedding_keeps_the_knee_graceful_and_an_unbounded_queue_collapses() {
     let saturation = calibrate();
-    let rn_1x = goodput(ShedPolicy::RejectNewest, saturation);
-    let rn_2x = goodput(ShedPolicy::RejectNewest, 2.0 * saturation);
-    let park_2x = goodput(ShedPolicy::Park, 2.0 * saturation);
-    let peak = rn_1x.max(rn_2x);
+    let bounded_1x = goodput(Some(MAILBOX), saturation);
+    let bounded_2x = goodput(Some(MAILBOX), 2.0 * saturation);
+    let unbounded_2x = goodput(None, 2.0 * saturation);
+    let peak = bounded_1x.max(bounded_2x);
     println!(
-        "saturation {saturation:.0} rec/s; reject-newest 1x {rn_1x:.0}, 2x {rn_2x:.0} \
-         ({:.1} % of peak); park 2x {park_2x:.0}",
-        100.0 * rn_2x / peak
+        "saturation {saturation:.0} rec/s; bounded 1x {bounded_1x:.0}, 2x {bounded_2x:.0} \
+         ({:.1} % of peak); unbounded 2x {unbounded_2x:.0}",
+        100.0 * bounded_2x / peak
     );
     assert!(
-        rn_2x >= 0.90 * peak,
-        "RejectNewest at 2x saturation ({rn_2x:.0} rec/s) fell below 90 % of its peak ({peak:.0})"
+        bounded_2x >= 0.90 * peak,
+        "bounded at 2x saturation ({bounded_2x:.0} rec/s) fell below 90 % of its peak ({peak:.0})"
     );
     assert!(
-        park_2x < 0.50 * peak,
-        "Park at 2x saturation ({park_2x:.0} rec/s) is at least half the RejectNewest peak \
-         ({peak:.0}): the driver is not open loop"
+        unbounded_2x < 0.50 * peak,
+        "unbounded at 2x saturation ({unbounded_2x:.0} rec/s) is at least half the bounded \
+         peak ({peak:.0}): the driver is not open loop"
     );
 }

@@ -38,10 +38,10 @@ use eden_core::{EdenError, Result};
 use crate::scan::{self, FileScan};
 
 /// Substrings that mark a rendezvous call — the callee can sleep until
-/// another thread acts.
+/// another thread acts (a `.wait(` / `.wait_for(` only if [`is_rendezvous`]).
 const RENDEZVOUS: [(&str, &str); 9] = [
-    (".wait(&mut", "condvar wait"),
-    (".wait_for(&mut", "condvar wait_for"),
+    (".wait(", "condvar wait"),
+    (".wait_for(", "condvar wait_for"),
     (".wait_while(&mut", "condvar wait_while"),
     (".recv()", "channel recv"),
     (".recv_timeout(", "channel recv_timeout"),
@@ -65,7 +65,7 @@ const WAITS: [&str; 7] = [
 /// Substrings that mark a timed wait: a rendezvous that a clock also ends.
 const TIMED: [&str; 5] = [
     "thread::sleep",
-    ".wait_for(&mut",
+    ".wait_for(",
     "::park_timeout(",
     ".recv_timeout(",
     ".wait_timeout(",
@@ -144,6 +144,30 @@ impl BlockingReport {
 /// `nonblocking(` contains `blocking(`.
 fn starts_word(code: &[u8], at: usize) -> bool {
     at == 0 || !(code[at - 1].is_ascii_alphanumeric() || code[at - 1] == b'_')
+}
+
+/// The identifier `code` ends with, if any.
+fn last_ident(code: &str) -> &str {
+    let start = code.trim_end_matches(|c: char| c.is_alphanumeric() || c == '_');
+    &code[start.len()..]
+}
+
+/// Whether the `pat` at `at` is a rendezvous: a `.wait(` / `.wait_for(` is
+/// one only with a `&mut` guard, or on a receiver declared `Condvar` in the
+/// same file (`name: Condvar`, `name: &path::Condvar`, `let name =
+/// Condvar::..`), whatever its guard — `PendingReply::wait()` is none.
+fn is_rendezvous(joined: &str, at: usize, pat: &str) -> bool {
+    if !matches!(pat, ".wait(" | ".wait_for(") || joined[at + pat.len()..].starts_with("&mut") {
+        return true;
+    }
+    let receiver = last_ident(&joined[..at]);
+    joined.match_indices("Condvar").any(|(decl, _)| {
+        let head =
+            joined[..decl].trim_end_matches(|c: char| c.is_alphanumeric() || "_:".contains(c));
+        let head = head.trim_end_matches([' ', '&']);
+        let name = head.strip_suffix(':').or(head.strip_suffix(" ="));
+        name.map(last_ident) == Some(receiver)
+    })
 }
 
 /// Byte ranges of `blocking(..)` regions in the joined code.
@@ -242,6 +266,9 @@ pub(crate) fn extract_sites(scan: &FileScan) -> (Vec<BlockingSite>, usize) {
         while let Some(rel) = joined[search..].find(pat) {
             let at = search + rel;
             search = at + pat.len();
+            if !is_rendezvous(&joined, at, pat) {
+                continue;
+            }
             let line = scan.line_of(&joined, at);
             let wrapped = regions
                 .iter()
@@ -289,7 +316,8 @@ pub fn timers(roots: &[PathBuf], report: &mut BlockingReport) -> Result<()> {
     for scan in &scan_roots(roots)? {
         let joined = scan.joined_code();
         for pat in TIMED {
-            for (at, _) in joined.match_indices(pat) {
+            let timed = joined.match_indices(pat);
+            for (at, _) in timed.filter(|&(at, _)| is_rendezvous(&joined, at, pat)) {
                 let line = scan.line_of(&joined, at);
                 let reason = bound_annotation(scan, "timer", line);
                 let counted = report.timers.iter_mut().find(|(r, _)| reason == Some(*r));

@@ -2,9 +2,9 @@
 //! that must make the linter fire (and exit non-zero) — discipline
 //! violations per rule, a lock-order cycle (including scoped-guard
 //! forms), an atomics downgrade plus unknown site, naked rendezvous
-//! calls, a timed wait that is no timer, and an off-spec parking-bit
-//! transition. The legal twins stay
-//! clean, and the real tree must pass every pass.
+//! calls, a timed wait that is no timer, condvar waits on a guard binding,
+//! and an off-spec parking-bit transition. The legal twins stay clean, and
+//! the real tree must pass every pass.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -203,6 +203,33 @@ fn timer_fixture_unannotated_and_unknown_waits_fail() {
     assert!(said("is no timer: reason patience"));
     let render = report.render();
     assert!(report.timers.contains(&("deadline", 1)), "{render}");
+
+    let status = bin().args(["--blocking", "--root"]).arg(&dir).status();
+    assert_eq!(status.unwrap().code(), Some(1));
+}
+
+#[test]
+fn a_condvar_wait_on_a_guard_binding_is_a_timed_rendezvous() {
+    let dir = fixtures_dir().join("blocking").join("by_binding");
+    let mut report = blocking::audit(std::slice::from_ref(&dir)).unwrap();
+    let render = report.render();
+    assert_eq!(report.findings.len(), 2, "{render}");
+    assert!(
+        report.findings[0].contains("condvar wait_for neither wrapped"),
+        "{render}"
+    );
+    assert!(
+        report.findings[1].contains("condvar wait neither wrapped"),
+        "{render}"
+    );
+    blocking::timers(std::slice::from_ref(&dir), &mut report).unwrap();
+    assert_eq!(report.findings.len(), 3, "{}", report.render());
+    let untimed = "`.wait_for(` is no timer: reason missing";
+    assert!(
+        report.findings.iter().any(|f| f.contains(untimed)),
+        "{}",
+        report.render()
+    );
 
     let status = bin().args(["--blocking", "--root"]).arg(&dir).status();
     assert_eq!(status.unwrap().code(), Some(1));

@@ -282,11 +282,8 @@ impl Session {
                 )
             },
             format!(
-                "sheds: {} (newest {}, park-timeout {}), \
-                 mailboxes: {} queued {} (deepest {})",
+                "sheds: {}, mailboxes: {} queued {} (deepest {})",
                 s.sheds_total(),
-                s.sheds_newest,
-                s.sheds_park_timeout,
                 snap.mailbox.mailboxes,
                 snap.mailbox.queued_total,
                 snap.mailbox.queued_max,
@@ -527,9 +524,9 @@ mod tests {
         assert!(stats
             .iter()
             .any(|l| l.contains("payload_bytes_moved") && l.contains("cow_breaks")));
-        assert!(stats.iter().any(|l| l.contains("sheds:")
-            && l.contains("park-timeout")
-            && l.contains("mailboxes:")));
+        assert!(stats
+            .iter()
+            .any(|l| l.contains("sheds:") && l.contains("mailboxes:")));
         assert!(stats.iter().any(|l| l.starts_with("sched:")
             && [
                 "inline handoffs:",

@@ -25,7 +25,11 @@
 # Before each pair the host calibration figure (scripts/calibrate.rs, built
 # with rustc into $BENCH_DIR) is taken: a fixed single-thread spin and a
 # two-thread Condvar ping-pong. Its medians over a workload's pairs are
-# printed beside the table.
+# printed beside the table, and each median of a rate or a time is also
+# printed divided by the spin, taken as the host's speed: a rate (`/s`)
+# times the spin in seconds, a time (`us`, `s`) over the spin in ms. Tables
+# from differently loaded hosts compare on that column (an offered rate,
+# such as invoke-open's, is the driver's and does not scale).
 #
 # Appended to BENCH_history.jsonl, one line per commit, workload and metric:
 # the median, the quartiles, the pair count, seed, seconds, `nproc`, the CPU
@@ -52,8 +56,8 @@ change=$(git rev-parse --short=12 "$2^{commit}")
 dir=${BENCH_DIR:-${TMPDIR:-/tmp}/eden-bench-pairs}
 mkdir -p "$dir/runs"
 
-# The end-to-end metrics: name, which way is better, and the bound.
-metrics=$(sed -n 's/.*{"name": "\([a-z_]*\)", "unit": "[^"]*", "better": "\([a-z]*\)", "bound": \([0-9.]*\)}.*/\1 \2 \3/p' BENCHMARK.json)
+# The end-to-end metrics: name, which way is better, the bound and the unit.
+metrics=$(sed -n 's/.*{"name": "\([a-z_]*\)", "unit": "\([^"]*\)", "better": "\([a-z]*\)", "bound": \([0-9.]*\)}.*/\1 \3 \4 \2/p' BENCHMARK.json)
 
 for commit in "$parent" "$change"; do
     tree="$dir/$commit"
@@ -108,9 +112,9 @@ for w in $workloads; do
         "$w" "$parent" "$change" "$pairs" "$seed" "$seconds" "$nproc"
     printf 'host calibration (median of the pairs): spin %s ms, Condvar ping-pong %s us\n' \
         "$spin" "$pingpong"
-    printf '%-24s %14s %14s %22s %22s %6s  %s\n' metric parent change \
-        "parent q1..q3" "change q1..q3" ahead verdict
-    echo "$metrics" | while read -r name better bound; do
+    printf '%-24s %14s %14s %22s %22s %22s %6s  %s\n' metric parent change \
+        "parent q1..q3" "change q1..q3" "per spin: p..c" ahead verdict
+    echo "$metrics" | while read -r name better bound unit; do
         # One line a pair: the parent's value, the change's.
         i=1 values=
         while [ "$i" -le "$pairs" ]; do
@@ -124,7 +128,7 @@ for w in $workloads; do
         printf '%s' "$values" | awk -v name="$name" -v better="$better" -v bound="$bound" \
             -v parent="$parent" -v change="$change" -v w="$w" -v seed="$seed" \
             -v seconds="$seconds" -v nproc="$nproc" -v cpu="$cpu" -v history="$history" \
-            -v spin="$spin" -v pingpong="$pingpong" '
+            -v spin="$spin" -v pingpong="$pingpong" -v unit="$unit" '
             function quantile(a, n, q,   h, lo) {
                 h = (n - 1) * q + 1; lo = int(h)
                 return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
@@ -147,9 +151,11 @@ for w in $workloads; do
                 else if (size <= iqr) verdict = "inside the parent spread"
                 else verdict = ((better == "higher") == (diff > 0) ? "better" : "worse") " beyond the parent spread"
                 rel = pm != 0 ? sprintf(" (%+.3g%%)", 100 * diff / pm) : ""
-                printf "%-24s %14.6g %14.6g %10.6g..%-10.6g %10.6g..%-10.6g %3d/%-2d  %s%s\n", \
+                f = spin == "null" || spin == 0 ? 0 : unit ~ /\/s$/ ? spin / 1000 : unit ~ /^u?s$/ ? 1 / spin : 0
+                scaled = f ? sprintf("%10.5g..%-10.5g", pm * f, cm * f) : sprintf("%22s", "-")
+                printf "%-24s %14.6g %14.6g %10.6g..%-10.6g %10.6g..%-10.6g %s %3d/%-2d  %s%s\n", \
                     name, pm, cm, quantile(p, n, 0.25), quantile(p, n, 0.75), \
-                    quantile(c, n, 0.25), quantile(c, n, 0.75), ahead, n, verdict, rel
+                    quantile(c, n, 0.25), quantile(c, n, 0.75), scaled, ahead, n, verdict, rel
                 if (history != "") { line(parent, p, n); line(change, c, n) }
             }'
     done

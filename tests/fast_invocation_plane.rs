@@ -17,7 +17,6 @@ use eden::fs::{register_fs_types, FileEject};
 use eden::kernel::{
     EjectBehavior, EjectContext, FaultKind, FaultPlan, FaultRule, Invocation, InvokeOptions,
     Kernel, KernelConfig, ObsConfig, ReplyHandle, RetryPolicy, RouteCache, SchedulerConfig,
-    ShedPolicy,
 };
 use eden::transput::protocol::{Batch, TransferRequest};
 use eden::transput::recovery::{install_recovery, recoverable_filter, TransformRegistry};
@@ -478,12 +477,13 @@ fn cached_and_registry_sends_cannot_be_told_apart() {
 
 #[test]
 fn bounded_mailboxes_deliver_everything_and_shut_down_cleanly() {
-    // A tiny mailbox with a slow consumer: senders block on the bound
-    // (backpressure), but every invocation is eventually served and the
-    // kernel still tears down without deadlock.
+    // A tiny mailbox with a slow consumer: a full mailbox turns senders
+    // away with `Overloaded` and they send again, but every invocation is
+    // eventually served, every shed is counted, and the kernel still
+    // tears down without deadlock.
     let served = Arc::new(AtomicUsize::new(0));
     let kernel = Kernel::with_config(KernelConfig {
-        mailbox_bound: Some((2, ShedPolicy::Park)),
+        mailbox_bound: Some(2),
         ..KernelConfig::default()
     });
     let slow = kernel
@@ -496,19 +496,29 @@ fn bounded_mailboxes_deliver_everything_and_shut_down_cleanly() {
     for t in 0..4i64 {
         let kernel = kernel.clone();
         senders.push(std::thread::spawn(move || {
+            let mut overloaded = 0u64;
             for i in 0..10i64 {
-                let got = kernel
-                    .invoke(slow, "Echo", Value::Int(t * 100 + i))
-                    .wait()
-                    .expect("echo");
-                assert_eq!(got, Value::Int(t * 100 + i));
+                let arg = Value::Int(t * 100 + i);
+                let got = loop {
+                    match kernel.invoke(slow, "Echo", arg.clone()).wait() {
+                        Err(EdenError::Overloaded { target, .. }) if target == slow => {
+                            overloaded += 1;
+                            std::thread::yield_now();
+                        }
+                        got => break got.expect("echo"),
+                    }
+                };
+                assert_eq!(got, arg);
             }
+            overloaded
         }));
     }
-    for s in senders {
-        s.join().expect("sender panicked");
-    }
+    let overloaded: u64 = senders
+        .into_iter()
+        .map(|s| s.join().expect("sender panicked"))
+        .sum();
     assert_eq!(served.load(Ordering::SeqCst), 40);
+    assert_eq!(kernel.metrics_snapshot().metrics.sheds_total(), overloaded);
     kernel.shutdown();
 }
 

@@ -643,6 +643,20 @@ fn hops_and_inline_handoffs(discipline: RecoveryDiscipline) -> (u64, u64) {
     assert_eq!(run.output, expected(40), "{discipline:?}");
     assert_eq!(kernel.spans_dropped(), 0, "{discipline:?}");
     let tail = *run.stages.last().expect("stages");
+    // The output is in before the last hops have settled and recorded
+    // their spans: count once every stage has parked, so a handoff
+    // already counted is never set against a span not yet recorded.
+    let quiet_by = Instant::now() + Duration::from_secs(10);
+    while {
+        let sched = kernel.metrics_snapshot().sched;
+        sched.parked_ejects != sched.resident_ejects
+    } {
+        assert!(
+            Instant::now() < quiet_by,
+            "{discipline:?}: the stages never parked"
+        );
+        std::thread::yield_now();
+    }
     let hops = kernel
         .spans()
         .iter()

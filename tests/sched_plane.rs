@@ -1128,7 +1128,8 @@ impl EjectBehavior for Forwarder {
 #[cfg(debug_assertions)]
 #[test]
 fn callee_that_declares_and_calls_after_its_reply_strands_nobody() {
-    // Never dropped: a stranded Eject would turn the failure into a hang.
+    // Not dropped on a failed check, where a stranded Eject would turn the
+    // failure into a hang; dropped once every check passed.
     let kernel = std::mem::ManuallyDrop::new(one_worker_kernel());
     let echo = kernel.spawn(Box::new(Echo)).expect("spawn echo");
     let liar = kernel
@@ -1149,6 +1150,7 @@ fn callee_that_declares_and_calls_after_its_reply_strands_nobody() {
         "the Eject the liar woke was left queued nowhere",
     );
     kernel.shutdown();
+    drop(std::mem::ManuallyDrop::into_inner(kernel));
 }
 
 /// A release build does not check the promise, so a behaviour that breaks it
