@@ -296,10 +296,14 @@ impl Metrics {
         bump(&block.journal_entries, entry as u64, owned);
     }
 
-    /// The pickups alone, folded: the stall monitor's per-tick progress.
-    pub fn pickups(&self) -> u64 {
-        let blocks = self.blocks.iter();
-        blocks.map(|b| b.0.pickups.load(Ordering::Relaxed)).sum()
+    /// Pickups and inline handoffs, folded in one pass: the stall monitor's
+    /// per-tick progress. A worker running a chain of inline calls picks
+    /// nothing up, and is making progress all the same.
+    pub fn progress(&self) -> u64 {
+        let fold = |CounterBlock(c): &CounterBlock| {
+            c.pickups.load(Ordering::Relaxed) + c.inline_handoffs.load(Ordering::Relaxed)
+        };
+        self.blocks.iter().map(fold).sum()
     }
 
     /// How many handles share these counters: what a hot path that clones
@@ -625,7 +629,7 @@ mod tests {
         assert_eq!(s.bytes_invoked, 2 * n * EACH);
         let shared = m.blocks[SHARED].0.wakes.load(Ordering::Relaxed);
         assert!(shared >= n - SHARED as u64, "{shared} threads shared");
-        assert_eq!(m.pickups(), 0);
+        assert_eq!(m.progress(), 0);
     }
 
     /// Waves of threads, each wave exiting before the next starts: a new
@@ -654,7 +658,7 @@ mod tests {
             (s.pickups, s.replies, s.bytes_replied),
             (total, total, total)
         );
-        assert_eq!(m.pickups(), total);
+        assert_eq!(m.progress(), total);
     }
 
     /// A snapshot taken while threads record reads each count no lower

@@ -937,6 +937,45 @@ mod tests {
         });
     }
 
+    /// A spine is kept only once no alias of its list is alive anywhere. An
+    /// alias held on another thread makes `into_vec` copy and keep nothing,
+    /// and the spines this thread then keeps and reuses leave the alias as
+    /// it was; an alias dropped there at the same time may go either way.
+    #[test]
+    fn a_spine_with_an_alias_alive_on_another_thread_is_not_kept() {
+        const ROUNDS: i64 = if cfg!(miri) { 50 } else { 2_000 };
+        on_a_fresh_thread(|| {
+            let (to_peer, aliases) = std::sync::mpsc::sync_channel::<(SharedList, bool)>(0);
+            let (release, released) = std::sync::mpsc::sync_channel::<()>(0);
+            let peer = std::thread::spawn(move || {
+                for (round, (alias, hold)) in (0..).zip(aliases) {
+                    if hold {
+                        released.recv().expect("the owner releases the alias");
+                    }
+                    assert_eq!(&*alias, &[Value::Int(round), Value::str("spine")]);
+                }
+            });
+            for round in 0..ROUNDS {
+                let hold = round % 2 == 0;
+                let list = SharedList::new(vec![Value::Int(round), Value::str("spine")]);
+                to_peer
+                    .send((list.clone(), hold))
+                    .expect("the peer takes it");
+                let kept = spines_kept();
+                let items = list.into_vec();
+                assert_eq!(items, vec![Value::Int(round), Value::str("spine")]);
+                if hold {
+                    assert_eq!(spines_kept(), kept, "a spine with a live alias was kept");
+                    let own = SharedList::new(vec![Value::Int(-round)]);
+                    assert_eq!(own.into_vec(), vec![Value::Int(-round)]);
+                    release.send(()).expect("the peer waits");
+                }
+            }
+            drop(to_peer);
+            peer.join().expect("every alias read as it was made");
+        });
+    }
+
     #[test]
     fn a_full_shelf_frees_what_it_cannot_keep() {
         on_a_fresh_thread(|| {

@@ -21,7 +21,7 @@ use parking_lot::Mutex;
 
 use crate::invocation::PendingReply;
 use crate::kernel::{Kernel, KernelInner, NodeId};
-use crate::mailbox::MailboxSender;
+use crate::mailbox::{MailboxSender, Pushed};
 use crate::options::InvokeOptions;
 use crate::routes::RouteCache;
 use crate::runtime::Envelope;
@@ -222,12 +222,12 @@ impl InternalSender {
     /// Post an internal event to the owning Eject's coordinator.
     pub(crate) fn send(&self, event: Value) -> Result<()> {
         self.metrics.record_internal_message();
-        self.tx
-            .send(Envelope::Internal(event))
+        match self.tx.send(Envelope::Internal(event)) {
+            Pushed::Closed(_) => Err(EdenError::KernelShutdown),
             // Internal events are stream data, never turned away: the
             // mailbox bound counts invocations only.
-            .map(|_| ())
-            .map_err(|_| EdenError::KernelShutdown)
+            _ => Ok(()),
+        }
     }
 
     /// Post `Value::Unit`: a coordinator posting to itself, or a settler.

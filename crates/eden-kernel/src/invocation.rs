@@ -845,6 +845,39 @@ mod tests {
         });
     }
 
+    /// Two threads make a pair each a round, hand the settling half to the
+    /// other, settle the one they are handed and wait for their own. A cell
+    /// is retired by its awaiter's thread when the settler let go first, and
+    /// freed by the settler's drop otherwise; kept cells are reused the next
+    /// round, and every cell is gone once both threads are.
+    #[test]
+    fn cells_retired_and_reused_across_ten_thousand_rounds_on_two_threads() {
+        const ROUNDS: i64 = if cfg!(miri) { 50 } else { 10_000 };
+        let m = Arc::new(Metrics::new());
+        let side = |to_peer: std::sync::mpsc::SyncSender<ReplyHandle>,
+                    from_peer: std::sync::mpsc::Receiver<ReplyHandle>| {
+            let m = Arc::clone(&m);
+            std::thread::spawn(move || {
+                for round in 0..ROUNDS {
+                    let (h, p) = pair(&m);
+                    to_peer.send(h).expect("the peer takes it");
+                    let handed = from_peer.recv().expect("the peer hands one");
+                    handed.reply(Ok(Value::Int(round)));
+                    assert_eq!(p.wait(), Ok(Value::Int(round)));
+                }
+            })
+        };
+        let (a_tx, a_rx) = std::sync::mpsc::sync_channel(1);
+        let (b_tx, b_rx) = std::sync::mpsc::sync_channel(1);
+        let (a, b) = (side(a_tx, b_rx), side(b_tx, a_rx));
+        a.join().unwrap();
+        b.join().unwrap();
+        let s = m.snapshot();
+        let settled = 2 * ROUNDS as u64;
+        assert_eq!((s.replies, s.successes), (settled, settled));
+        assert_eq!(cells_on(&m), 0, "a cell outlived both threads");
+    }
+
     #[test]
     fn pairs_of_two_kernels_on_one_thread_meter_each_its_own() {
         on_a_fresh_thread(|| {

@@ -44,7 +44,7 @@ use crate::behavior::EjectBehavior;
 use crate::context::{EjectContext, InternalSender};
 use crate::fault::{FaultInjector, FaultKind, FaultPlan};
 use crate::invocation::{reply_cell, reply_pair_with, Invocation, PendingReply, ReplyHandle};
-use crate::mailbox::{mailbox, MailboxSender, SendError, SendOutcome};
+use crate::mailbox::{mailbox, MailboxSender, Pushed};
 use crate::obs::{
     KernelSnapshot, Lifecycle, LifecycleRecord, MailboxSnapshot, ObsConfig, ObsPlane, ObsTag,
     SpanRecord, StageSummary,
@@ -722,19 +722,16 @@ impl KernelInner {
         if let Some(route) = cache.as_deref().and_then(|cache| cache.lookup(target)) {
             let (handle, pending) = self.reply_pair_for(&invocation.op, from, route, attempt);
             let envelope = Envelope::Invocation(invocation, handle);
-            let envelope = match self.dispatch_route(from, route, envelope, wake) {
-                Ok(()) => {
-                    metrics.record_route_cache_hit();
-                    return pending;
-                }
-                Err(SendError(stale)) => stale,
+            let Some(envelope) = self.dispatch_route(from, route, envelope, wake) else {
+                metrics.record_route_cache_hit();
+                return pending;
             };
             match self.resolve_missed(cache, target) {
                 // A second bounce means the fresh coordinator exited too;
                 // dropping the envelope resolves the reply with EjectCrashed.
                 Ok(fresh) => {
-                    if let Ok(outcome) = fresh.tx.send(envelope) {
-                        self.settle_send_outcome(outcome);
+                    if let Pushed::Rejected(envelope) = fresh.tx.send(envelope) {
+                        self.settle_rejected(envelope);
                     }
                 }
                 Err(e) => {
@@ -848,13 +845,13 @@ impl KernelInner {
         }
     }
 
-    /// Resolve what a send did: an invocation a full mailbox turned away
-    /// counts as a shed, and its reply resolves with the retryable
+    /// Resolve an invocation a full mailbox turned away: it counts as a
+    /// shed, and its reply resolves with the retryable
     /// [`EdenError::Overloaded`], so waiters observe the shed as overload
     /// (not as a crash) and retry drivers back off and re-send.
-    fn settle_send_outcome(&self, outcome: SendOutcome) {
+    fn settle_rejected(&self, envelope: Envelope) {
         // The mailbox only ever turns invocations away.
-        if let SendOutcome::Rejected(Envelope::Invocation(_, handle)) = outcome {
+        if let Envelope::Invocation(_, handle) = envelope {
             self.metrics.record_shed_newest();
             let target = handle.responder();
             handle.resolve_silent(EdenError::Overloaded {
@@ -922,29 +919,30 @@ impl KernelInner {
     ///
     /// A call passes `wake`: if this push is what wakes the target, the wake
     /// is left there, un-enqueued, for the caller to spend
-    /// ([`send`](Self::send)). `Err` hands back the envelope of a route whose
-    /// coordinator has exited. A full bounded mailbox may still turn the
-    /// invocation away; it resolves with `Overloaded`.
+    /// ([`send`](Self::send)); without one it is enqueued here. `Some` hands
+    /// back the envelope of a route whose coordinator has exited. A full
+    /// bounded mailbox may still turn the invocation away; it resolves with
+    /// `Overloaded`.
     fn dispatch_route(
         &self,
         from: NodeId,
         route: &Route,
         envelope: Envelope,
         wake: Option<&mut Option<Woken>>,
-    ) -> std::result::Result<(), SendError> {
+    ) -> Option<Envelope> {
         if route.node != from {
             self.metrics.record_remote_invocation();
         }
-        let outcome = match wake {
-            Some(wake) => {
-                let (outcome, woken) = route.tx.send_calling(envelope)?;
-                *wake = woken;
-                outcome
-            }
-            None => route.tx.send(envelope)?,
-        };
-        self.settle_send_outcome(outcome);
-        Ok(())
+        match route.tx.send_calling(envelope) {
+            Pushed::Delivered(None) => {}
+            Pushed::Delivered(Some(woken)) => match wake {
+                Some(wake) => *wake = Some(woken),
+                None => woken.enqueue(),
+            },
+            Pushed::Rejected(envelope) => self.settle_rejected(envelope),
+            Pushed::Closed(stale) => return Some(stale),
+        }
+        None
     }
 }
 
@@ -1303,5 +1301,63 @@ mod tests {
             .wait_timeout(Duration::from_secs(10));
         assert_eq!(answer, Ok(Value::Bool(false)));
         kernel.shutdown();
+    }
+
+    /// Answers an invocation once the test releases it, so the test can
+    /// push while the task is `RUNNING`.
+    struct Gate {
+        entered: std::sync::mpsc::Sender<()>,
+        release: std::sync::mpsc::Receiver<()>,
+    }
+
+    impl EjectBehavior for Gate {
+        fn type_name(&self) -> &'static str {
+            "Gate"
+        }
+        fn handle(&mut self, _ctx: &EjectContext, _inv: Invocation, reply: ReplyHandle) {
+            self.entered.send(()).expect("test waits");
+            self.release.recv().expect("test releases");
+            reply.reply(Ok(Value::Unit));
+        }
+    }
+
+    #[test]
+    fn a_push_carries_a_wake_only_when_it_flips_parked_to_queued() {
+        let kernel = Kernel::new();
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel();
+        let gate = Gate {
+            entered: entered_tx,
+            release: release_rx,
+        };
+        let uid = kernel.spawn(Box::new(gate)).unwrap();
+        let parked = || {
+            while kernel.metrics_snapshot().sched.parked_ejects != 1 {
+                std::thread::yield_now();
+            }
+        };
+        let route = kernel.inner.resolve_route(uid).unwrap();
+        let push = || route.tx.send_calling(Envelope::Internal(Value::Unit));
+        let stays_put = |pushed| assert!(matches!(pushed, Pushed::Delivered(None)));
+        parked();
+        let Pushed::Delivered(Some(woken)) = push() else {
+            panic!("the push onto a parked task wins its wake");
+        };
+        stays_put(push()); // QUEUED: the wake was won already.
+        woken.enqueue();
+        parked();
+        let pending = kernel.invoke(uid, "Go", Value::Unit);
+        entered.recv().unwrap();
+        stays_put(push()); // RUNNING -> DIRTY
+        stays_put(push()); // DIRTY
+        release.send(()).unwrap();
+        assert_eq!(pending.wait(), Ok(Value::Unit));
+        parked();
+        let Pushed::Delivered(Some(woken)) = push() else {
+            panic!("a task parked again is woken again");
+        };
+        woken.enqueue();
+        kernel.shutdown();
+        assert!(matches!(push(), Pushed::Closed(Envelope::Internal(_))));
     }
 }

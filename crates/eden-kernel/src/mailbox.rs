@@ -27,8 +27,8 @@
 //! turns into client-side rate control. No sender ever waits for room, and
 //! nothing admitted is evicted. Only invocations count: `Internal` events
 //! are stream data, and `Crash` and `Shutdown` must land, so both go in
-//! past the bound. A send still fails with the envelope returned once the
-//! mailbox closed — the staleness signal cached routes rely on.
+//! past the bound. Once the mailbox closed, a push answers `Closed` with
+//! the envelope — the staleness signal cached routes rely on.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -243,15 +243,20 @@ pub mod spec {
     }
 }
 
-/// What a successful `send` actually did. A rejected envelope carries a
-/// live [`ReplyHandle`](crate::ReplyHandle) the caller must resolve (the
-/// kernel resolves sheds with `EdenError::Overloaded` and counts them) —
-/// dropping one would misreport the shed as a crash.
-pub(crate) enum SendOutcome {
-    /// Admitted.
-    Delivered,
-    /// The arriving invocation was turned away and comes back to the caller.
+/// What a push did with its envelope, in one flat answer: the hop moves
+/// its envelope into the ring once, and a refused one comes straight back.
+/// A rejected envelope carries a live [`ReplyHandle`](crate::ReplyHandle)
+/// the caller must resolve (the kernel resolves sheds with
+/// `EdenError::Overloaded` and counts them) — dropping one would misreport
+/// the shed as a crash.
+pub(crate) enum Pushed {
+    /// In the ring, with the wake this push won, if it won one.
+    Delivered(Option<Woken>),
+    /// A full bounded ring turned the arriving invocation away.
     Rejected(Envelope),
+    /// The mailbox closed; the envelope comes back so the caller can
+    /// redeliver it (the stale-route fallback).
+    Closed(Envelope),
 }
 
 struct Ring {
@@ -355,32 +360,31 @@ impl MailboxCore {
 
     /// Land an envelope and hand the caller the wake it won, if it won one.
     /// An invocation that finds a bounded ring full comes back rejected.
-    fn push(&self, envelope: Envelope) -> Result<(SendOutcome, Option<Woken>), SendError> {
+    fn push(&self, envelope: Envelope) -> Pushed {
         {
             let mut ring = self.mailq.lock();
             if ring.closed {
-                return Err(SendError(envelope));
+                return Pushed::Closed(envelope);
             }
             let full = self.bound.is_some_and(|cap| ring.q.len() >= cap);
             if full && matches!(envelope, Envelope::Invocation(..)) {
-                return Ok((SendOutcome::Rejected(envelope), None));
+                return Pushed::Rejected(envelope);
             }
             ring.q.push_back(envelope);
         }
-        Ok((SendOutcome::Delivered, self.wake_after_push()))
+        Pushed::Delivered(self.wake_after_push())
     }
 
-    /// Pop one envelope, and say whether it was the last one queued. Shrinks
-    /// an oversized ring on drain.
-    pub(crate) fn pop(&self) -> Option<(Envelope, bool)> {
+    /// Pop one envelope, and set `emptied` exactly when this pop took the
+    /// last one queued. Shrinks an oversized ring on drain.
+    pub(crate) fn pop(&self, emptied: &mut bool) -> Option<Envelope> {
         let mut ring = self.mailq.lock();
-        let envelope = ring.q.pop_front()?;
-        let last = ring.q.is_empty();
-        if last && ring.q.capacity() >= SHRINK_CAPACITY {
+        let envelope = ring.q.pop_front();
+        *emptied = envelope.is_some() && ring.q.is_empty();
+        if *emptied && ring.q.capacity() >= SHRINK_CAPACITY {
             ring.q = VecDeque::new();
         }
-        drop(ring);
-        Some((envelope, last))
+        envelope
     }
 
     /// Put back the envelope [`pop`](Self::pop) just handed out, at the
@@ -412,16 +416,6 @@ impl std::fmt::Debug for MailboxCore {
     }
 }
 
-/// `send` failed because the mailbox closed; the envelope comes back so
-/// the caller can redeliver it (the stale-route fallback).
-pub(crate) struct SendError(pub(crate) Envelope);
-
-impl std::fmt::Debug for SendError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("SendError(..)")
-    }
-}
-
 /// The sending half of a mailbox; its owning task drains the
 /// [`MailboxCore`] directly.
 #[derive(Clone)]
@@ -430,24 +424,24 @@ pub(crate) struct MailboxSender {
 }
 
 impl MailboxSender {
-    /// Deliver an envelope, and enqueue the task if this push woke it.
-    /// `Err` only once the mailbox closed; `Ok` says whether a bounded
-    /// mailbox turned an invocation away, which the caller must resolve.
-    pub(crate) fn send(&self, envelope: Envelope) -> Result<SendOutcome, SendError> {
-        let (outcome, woken) = self.core.push(envelope)?;
-        if let Some(woken) = woken {
-            woken.enqueue();
+    /// Deliver an envelope, and enqueue the task if this push woke it: a
+    /// `Delivered` answer carries no wake, so discarding it strands nobody.
+    /// `Rejected` must still be resolved by the caller.
+    pub(crate) fn send(&self, envelope: Envelope) -> Pushed {
+        match self.core.push(envelope) {
+            Pushed::Delivered(Some(woken)) => {
+                woken.enqueue();
+                Pushed::Delivered(None)
+            }
+            pushed => pushed,
         }
-        Ok(outcome)
     }
 
-    /// As [`send`](Self::send), for a sender that is about to wait for the
-    /// reply: a wake its push won comes back un-enqueued, the sender's to
-    /// spend ([`Woken::run_as_call`]).
-    pub(crate) fn send_calling(
-        &self,
-        envelope: Envelope,
-    ) -> Result<(SendOutcome, Option<Woken>), SendError> {
+    /// As [`send`](Self::send), but a wake the push won comes back
+    /// un-enqueued, the sender's to spend: a call runs it
+    /// ([`Woken::run_as_call`]), the kernel's dispatch of a plain send
+    /// enqueues it.
+    pub(crate) fn send_calling(&self, envelope: Envelope) -> Pushed {
         self.core.push(envelope)
     }
 
@@ -486,15 +480,20 @@ mod tests {
         let _ = core.wake.set(Weak::new());
     }
 
+    /// A push with no live task to wake lands and wins nothing to spend.
+    fn delivered(pushed: Pushed) {
+        assert!(matches!(pushed, Pushed::Delivered(None)));
+    }
+
     #[test]
     fn deliver_to_parked_queues() {
         let (tx, core) = mailbox(None);
         sched_mode(&core);
         assert_eq!(core.park_state.load(Ordering::Acquire), park::PARKED);
-        tx.send(Envelope::Shutdown).unwrap();
+        delivered(tx.send(Envelope::Shutdown));
         assert_eq!(core.park_state.load(Ordering::Acquire), park::QUEUED);
         // A second delivery finds QUEUED and leaves it alone.
-        tx.send(Envelope::Shutdown).unwrap();
+        delivered(tx.send(Envelope::Shutdown));
         assert_eq!(core.park_state.load(Ordering::Acquire), park::QUEUED);
     }
 
@@ -503,10 +502,10 @@ mod tests {
         let (tx, core) = mailbox(None);
         sched_mode(&core);
         core.park_state.store(park::RUNNING, Ordering::Release);
-        tx.send(Envelope::Shutdown).unwrap();
+        delivered(tx.send(Envelope::Shutdown));
         assert_eq!(core.park_state.load(Ordering::Acquire), park::DIRTY);
         // Further deliveries leave DIRTY as-is.
-        tx.send(Envelope::Shutdown).unwrap();
+        delivered(tx.send(Envelope::Shutdown));
         assert_eq!(core.park_state.load(Ordering::Acquire), park::DIRTY);
     }
 
@@ -515,7 +514,7 @@ mod tests {
         let (tx, core) = mailbox(None);
         sched_mode(&core);
         core.park_state.store(park::DEAD, Ordering::Release);
-        tx.send(Envelope::Shutdown).unwrap();
+        delivered(tx.send(Envelope::Shutdown));
         assert_eq!(core.park_state.load(Ordering::Acquire), park::DEAD);
     }
 
@@ -553,7 +552,7 @@ mod tests {
                         // try again — still RUNNING, so without a second
                         // pickup.
                         loop {
-                            while core.pop().is_some() {
+                            while core.pop(&mut false).is_some() {
                                 drained += 1;
                             }
                             match core.park_state.compare_exchange(
@@ -581,7 +580,7 @@ mod tests {
                 .map(|_| {
                     let tx = tx.clone();
                     std::thread::spawn(move || {
-                        tx.send(Envelope::Shutdown).unwrap();
+                        delivered(tx.send(Envelope::Shutdown));
                     })
                 })
                 .collect();
@@ -648,10 +647,10 @@ mod tests {
     fn a_full_mailbox_turns_the_arrival_away() {
         let (tx, _core) = mailbox(Some(1));
         let (first, _p1) = inv_envelope();
-        assert!(matches!(tx.send(first), Ok(SendOutcome::Delivered)));
+        delivered(tx.send(first));
         let (second, _p2) = inv_envelope();
         match tx.send(second) {
-            Ok(SendOutcome::Rejected(Envelope::Invocation(..))) => {}
+            Pushed::Rejected(Envelope::Invocation(..)) => {}
             _ => panic!("a full mailbox must turn the arriving invocation away"),
         }
         assert_eq!(tx.depth(), 1, "the queued envelope stays put");
@@ -660,13 +659,78 @@ mod tests {
     #[test]
     fn the_bound_counts_invocations_only() {
         // Internal events are stream data and control traffic must land:
-        // a full ring takes both at once, and nobody waits for room.
+        // a full ring takes all three at once, and nobody waits for room.
         let (tx, _core) = mailbox(Some(1));
         let (first, _p1) = inv_envelope();
-        tx.send(first).unwrap();
-        for envelope in [Envelope::Internal(Value::Int(1)), Envelope::Crash] {
-            assert!(matches!(tx.send(envelope), Ok(SendOutcome::Delivered)));
+        delivered(tx.send(first));
+        let control = [
+            Envelope::Internal(Value::Int(1)),
+            Envelope::Crash,
+            Envelope::Shutdown,
+        ];
+        for envelope in control {
+            delivered(tx.send(envelope));
         }
-        assert_eq!(tx.depth(), 3);
+        assert_eq!(tx.depth(), 4);
+    }
+
+    #[test]
+    fn a_closed_mailbox_hands_the_envelope_back() {
+        let (tx, core) = mailbox(Some(1));
+        assert!(core.close().is_empty());
+        let (invocation, pending) = inv_envelope();
+        match tx.send_calling(invocation) {
+            Pushed::Closed(Envelope::Invocation(inv, _)) => assert_eq!(inv.op, "Transfer"),
+            _ => panic!("a closed mailbox must hand the invocation back"),
+        }
+        assert!(matches!(
+            tx.send(Envelope::Internal(Value::Int(7))),
+            Pushed::Closed(Envelope::Internal(Value::Int(7)))
+        ));
+        assert_eq!(tx.depth(), 0);
+        // The handed-back handle was dropped unanswered: a crash, not a shed.
+        assert!(matches!(
+            pending.wait(),
+            Err(eden_core::EdenError::EjectCrashed(_))
+        ));
+    }
+
+    /// Pop the next envelope as an `Internal` event's integer, and the flag.
+    fn pop_int(core: &MailboxCore) -> (Option<i64>, bool) {
+        // Preset: a pop must write the flag, not leave it.
+        let mut emptied = true;
+        let popped = core.pop(&mut emptied).map(|envelope| match envelope {
+            Envelope::Internal(Value::Int(n)) => n,
+            _ => panic!("only internal events were sent"),
+        });
+        (popped, emptied)
+    }
+
+    #[test]
+    fn pop_says_emptied_exactly_on_the_pop_that_takes_the_last() {
+        let (tx, core) = mailbox(None);
+        let send = |n| delivered(tx.send(Envelope::Internal(Value::Int(n))));
+        assert_eq!(
+            pop_int(&core),
+            (None, false),
+            "an empty ring emptied nothing"
+        );
+        send(1);
+        send(2);
+        assert_eq!(pop_int(&core), (Some(1), false));
+        assert_eq!(pop_int(&core), (Some(2), true));
+        assert_eq!(pop_int(&core), (None, false));
+        // An envelope put back is the ring's last again.
+        send(3);
+        assert_eq!(pop_int(&core), (Some(3), true));
+        core.unpop(Envelope::Internal(Value::Int(3)));
+        assert_eq!(pop_int(&core), (Some(3), true));
+        // Put back in front of one that landed meanwhile, it is not.
+        send(4);
+        assert_eq!(pop_int(&core), (Some(4), true));
+        send(5);
+        core.unpop(Envelope::Internal(Value::Int(4)));
+        assert_eq!(pop_int(&core), (Some(4), false));
+        assert_eq!(pop_int(&core), (Some(5), true));
     }
 }

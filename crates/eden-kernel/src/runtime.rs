@@ -13,8 +13,8 @@ use crate::behavior::EjectBehavior;
 use crate::context::EjectContext;
 use crate::invocation::{Invocation, ReplyHandle};
 
-/// A message in an Eject's mailbox. Envelopes live by value in the ring and
-/// are moved four times a hop, so the size is pinned by a test below.
+/// A message in an Eject's mailbox. Envelopes live by value in the ring,
+/// and a hop moves each into it and out of it, so the size is pinned below.
 pub(crate) enum Envelope {
     /// An invocation from another Eject (or from outside the kernel).
     Invocation(Invocation, ReplyHandle),
@@ -67,5 +67,11 @@ mod tests {
         // observability tag inline.
         assert!(std::mem::size_of::<Envelope>() <= 72);
         assert!(std::mem::size_of::<ReplyHandle>() <= 16);
+    }
+
+    #[test]
+    fn a_push_answers_an_envelope_and_a_tag() {
+        // A wake or an envelope handed back, never a nest of both.
+        assert!(std::mem::size_of::<crate::mailbox::Pushed>() <= 80);
     }
 }

@@ -91,12 +91,13 @@
 //! leaves no reference cycle behind.
 //!
 //! Nor does a hop write a line the pool shares: its counters — the calls
-//! run inline, the parks and wakes whose difference is the parked gauge,
-//! the pickups the stall monitor watches — are the kernel's [`Metrics`]
-//! rows, each added to in the recording thread's own block with a plain
-//! load and store and summed when a snapshot is taken, and a reply cell a
-//! worker makes meters through that worker's own handle on them, lent to a
-//! cell it keeps and reuses, not cloned ([`local_metrics`]).
+//! run inline and the pickups, which the stall monitor watches together,
+//! and the parks and wakes whose difference is the parked gauge — are the
+//! kernel's [`Metrics`] rows, each added to in the recording thread's own
+//! block with a plain load and store and summed when a snapshot is taken,
+//! and a reply cell a worker makes meters through that worker's own handle
+//! on them, lent to a cell it keeps and reuses, not cloned
+//! ([`local_metrics`]).
 
 use std::cell::{RefCell, UnsafeCell};
 use std::collections::VecDeque;
@@ -969,9 +970,12 @@ impl Scheduler {
             if task.ctx.deactivate_requested() {
                 return self.die(task, body, false);
             }
-            let popped = if drained { None } else { task.core.pop() };
-            drained = matches!(popped, Some((_, true)));
-            match popped.map(|(envelope, _)| envelope) {
+            let popped = if std::mem::take(&mut drained) {
+                None
+            } else {
+                task.core.pop(&mut drained)
+            };
+            match popped {
                 Some(envelope) if settled.is_some_and(|settled| settled()) => {
                     // An inline resume is over once the caller has its
                     // reply. With the mailbox empty that is the ordinary
@@ -1183,9 +1187,10 @@ fn worker_main(sched: Arc<Scheduler>, idx: usize) {
 /// The stall monitor. [`blocking`] compensates for every rendezvous the
 /// kernel controls, but a behaviour may also block a worker on a
 /// primitive the kernel cannot see — a bounded channel send to one of
-/// its own process threads, a bare sleep. This thread samples the
-/// pickup counter: runnable tasks plus two ticks with no pickup means
-/// every non-sleeping worker is stuck in such a rendezvous, so it wakes
+/// its own process threads, a bare sleep. This thread samples progress,
+/// pickups and inline calls alike ([`Metrics::progress`]): runnable tasks
+/// plus two ticks with neither means every non-sleeping worker is stuck
+/// in such a rendezvous, so it wakes
 /// a sleeper if one exists (the cheap rescue) and spawns a spare
 /// otherwise (which retires itself once the pool is over target again).
 /// The degenerate case — every resident Eject blocked at once —
@@ -1204,7 +1209,7 @@ fn monitor_main(sched: Arc<Scheduler>) {
     let mut stalled_ticks = 0u32;
     let mut tick = MONITOR_TICK;
     while sched.timer.wait_until(Instant::now() + tick) {
-        let progress = sched.metrics.pickups();
+        let progress = sched.metrics.progress();
         let runnable = sched.has_runnable();
         // An idle pool needs no 1 kHz heartbeat; back off until work shows.
         tick = if runnable {

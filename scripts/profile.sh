@@ -26,6 +26,12 @@
 # instruction (where a locked read-modify-write's cost lands), read from
 # `objdump -d` of the built binary and given by innermost eden function; and
 # the samples whose leaf lies in libc (the allocator, mostly).
+#
+# The report opens with the cost stack: every innermost eden function goes
+# to one layer of a datum's trip by the table below, and each layer's share
+# is printed with its nanoseconds a record (the share times the run's
+# cpu_us_per_record). Samples with no eden frame, and those whose function
+# no row names, are the residual; the unmapped functions are listed by name.
 set -eu
 cd "$(dirname "$0")/.." || exit 1
 
@@ -120,7 +126,41 @@ objdump -d --no-show-raw-insn "$bin" | awk -F'\t' '
         locked = ($2 ~ /^lock / || ($2 ~ /^xchg/ && $2 ~ /\(/))
     }' >"$out.locked"
 
-awk -v frames="$out.frames" -v locked="$out.locked" '
+# The layer map: one row a layer and file (under crates/) and the functions
+# of that file it takes, a regular expression over the function's own name
+# (no path, no generics: an inlined frame is named no more fully), the
+# columns two or more spaces apart. The first row that matches a sample's
+# innermost eden frame names its layer.
+cat >"$out.layers" <<'MAP'
+wire                   eden-core/src/wire.rs              .*
+wire                   eden-transput/src/protocol.rs      .*
+route lookup           eden-kernel/src/routes.rs          .*
+route lookup           eden-kernel/src/kernel.rs          resolve_route|resolve_missed|shard|reactivate
+mailbox push/pop/wake  eden-kernel/src/mailbox.rs         .*
+mailbox push/pop/wake  eden-kernel/src/sched.rs           enqueue|push|pop|maybe_wake|wake_sleeper|pop_sleeper|note_wake|stamp_enqueue|now_ns|has_runnable|requeue
+mailbox push/pop/wake  eden-kernel/src/context.rs         send|wake
+dispatch               eden-kernel/src/sched.rs           run_as_call|run_task|resume|die|take_body|put_body|slot|worker_main|transition|resuming_depth|is_resuming|set_serving|note_wait|note_settled|local_metrics|blocking|[{]closure#[0-9]+[}]
+dispatch               eden-kernel/src/kernel.rs          send|deliver|dispatch_route|apply_fault|invoke|invoke_with|call|call_routed
+dispatch               eden-kernel/src/context.rs         .*
+dispatch               eden-kernel/src/(runtime|behavior|options|fault).rs  .*
+reply pair/settle      eden-kernel/src/invocation.rs      .*
+reply pair/settle      eden-kernel/src/kernel.rs          reply_pair_for|settle_rejected
+span record            eden-kernel/src/obs.rs             .*
+span record            eden-core/src/span.rs              .*
+span record            eden-kernel/src/kernel.rs          record_faulted_span
+metering               eden-core/src/(metrics|payload).rs  .*
+metering               eden-core/src/stream.rs            note_.*
+stage and transform    eden-core/src/stream.rs            .*
+stage and transform    eden-(transput|filters)/src/       .*
+value                  eden-core/src/(value|uid|op|error).rs  .*
+durable store/fsync    eden-kernel/src/stable/            .*
+durable store/fsync    eden-kernel/src/kernel.rs          stable_write
+durable store/fsync    eden-fs/src/                       .*
+durable store/fsync    eden-core/src/hostfs.rs            .*
+MAP
+cpu_us=$(awk '$1 == "cpu_us_per_record" { print $3; exit }' "$out.run.txt")
+
+awk -v frames="$out.frames" -v locked="$out.locked" -v layers="$out.layers" -v cpu_us="${cpu_us:-0}" '
     BEGIN {
         # For each address, its inline frames innermost first: the first
         # eden one, and the innermost one of all.
@@ -139,6 +179,18 @@ awk -v frames="$out.frames" -v locked="$out.locked" '
             }
         }
         while ((getline line < locked) > 0) { sub(/^0x0*/, "0x", line); after_lock[line] = 1 }
+        while ((getline line < layers) > 0) {
+            split(line, f, /   */)
+            rows++; row_layer[rows] = f[1]; row_file[rows] = "^" f[2]; row_fn[rows] = f[3]
+        }
+    }
+    # The layer of an innermost eden frame, or "" if no row names it.
+    function layer_of(file, fn,   r) {
+        if (fn !~ /^</) sub(/<.*/, "", fn)
+        sub(/.*::/, "", fn)
+        for (r = 1; r <= rows; r++)
+            if (file ~ row_file[r] && fn ~ "^(" row_fn[r] ")$") return row_layer[r]
+        return ""
     }
     {
         total++
@@ -148,6 +200,12 @@ awk -v frames="$out.frames" -v locked="$out.locked" '
             if (a in eden) { file = eden[a]; fn = eden_fn[a]; break }
         }
         by_file[file]++; by_fn[file "\t" fn]++
+        if (file == "(no eden frame)") no_eden++
+        else {
+            k = file "\t" fn
+            if (!(k in layer)) layer[k] = layer_of(file, fn)
+            if (layer[k] == "") { unmapped++; unmapped_fn[k]++ } else by_layer[layer[k]]++
+        }
         if (file ~ /sched\.rs$/) {
             # The leaf, or the innermost binary frame under a leaf outside.
             a = ($1 ~ /^-/) ? $2 : $1; sub(/^0x0*/, "0x", a)
@@ -158,7 +216,16 @@ awk -v frames="$out.frames" -v locked="$out.locked" '
         if ($1 == "-libc") libc_total++
     }
     END {
-        printf "%d samples\n\nby file (innermost eden frame)\n", total
+        printf "%d samples, cpu_us_per_record %.3f\n\n", total, cpu_us
+        printf " share  ns/record  layer (of the innermost eden frame)\n"
+        for (k in by_layer)
+            printf "%6.1f %%  %8.1f  %s\n", 100 * by_layer[k] / total, 1000 * cpu_us * by_layer[k] / total, k | "sort -rn"
+        close("sort -rn")
+        printf "%6.1f %%  %8.1f  residual: no eden frame\n", 100 * no_eden / total, 1000 * cpu_us * no_eden / total
+        printf "%6.1f %%  %8.1f  residual: unmapped\n", 100 * unmapped / total, 1000 * cpu_us * unmapped / total
+        for (k in unmapped_fn) { split(k, p, "\t"); printf "%6.1f %%  unmapped  %s  (%s)\n", 100 * unmapped_fn[k] / total, p[2], p[1] | "sort -rn" }
+        close("sort -rn")
+        printf "\nby file (innermost eden frame)\n"
         for (k in by_file) printf "%6.1f %%  %s\n", 100 * by_file[k] / total, k | "sort -rn"
         close("sort -rn")
         printf "\nby function (innermost eden frame)\n"

@@ -1719,6 +1719,66 @@ mod one_cpu {
     }
 }
 
+/// Calls `callee`, which declares `replies_last` and so runs as a call on
+/// this worker's stack, until `INLINE_CHAIN` has passed; answers how many
+/// calls it made.
+struct InlineCaller {
+    callee: Uid,
+}
+
+/// Twenty stall-monitor ticks.
+const INLINE_CHAIN: Duration = Duration::from_millis(20);
+
+impl EjectBehavior for InlineCaller {
+    fn type_name(&self) -> &'static str {
+        "InlineCaller"
+    }
+
+    fn handle(&mut self, ctx: &EjectContext, _inv: Invocation, reply: ReplyHandle) {
+        let from = Instant::now();
+        let mut calls = 0;
+        while from.elapsed() < INLINE_CHAIN {
+            ctx.call(self.callee, "Echo", Value::Unit)
+                .expect("the callee answers");
+            calls += 1;
+        }
+        reply.reply(Ok(Value::Int(calls)));
+    }
+}
+
+/// A worker running a chain of inline calls picks nothing up, and is making
+/// progress all the same. So on a one-worker pool whose worker runs such a
+/// chain for twenty monitor ticks while another task waits in the run queue,
+/// the stall monitor rescues nothing and spawns no spare. (While progress was
+/// the pickups alone, every run counted a stall and spawned one.)
+#[test]
+fn an_inline_chain_is_progress_to_the_stall_monitor() {
+    until_undisturbed("an inline chain beside a queued task", || {
+        let kernel = Kernel::builder()
+            .scheduler(SchedulerConfig { workers: 1 })
+            .build();
+        let callee = kernel.spawn(Box::new(Echo)).expect("spawn callee");
+        let caller = kernel
+            .spawn(Box::new(InlineCaller { callee }))
+            .expect("spawn caller");
+        let waiting = kernel.spawn(Box::new(Echo)).expect("spawn waiting");
+        all_parked(&kernel);
+        let chain = kernel.invoke(caller, "Go", Value::Unit);
+        while inline_handoffs(&kernel) == 0 {
+            std::thread::yield_now();
+        }
+        // Runnable, with the one worker inside the chain.
+        let queued = kernel.invoke(waiting, "Echo", Value::Unit);
+        let calls = chain.wait().expect("the chain answers");
+        assert!(matches!(calls, Value::Int(n) if n > 0), "{calls:?}");
+        assert_eq!(queued.wait(), Ok(Value::Int(0)));
+        let sched = kernel.metrics_snapshot().sched;
+        kernel.shutdown();
+        // An OS preemption of the worker is a stall the monitor may break.
+        sched.monitor_rescues == 0 && sched.spares_spawned == 0
+    });
+}
+
 /// Checkpoints itself `CHECKPOINTS` times from one handler.
 struct Checkpointer;
 
