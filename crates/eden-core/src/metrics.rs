@@ -99,6 +99,47 @@ impl Default for Metrics {
 #[derive(Default, Debug)]
 struct CounterBlock(Counters);
 
+/// Declare a struct of `u64` figures, each exported (or not) once, beside
+/// its field. A row is
+///
+/// ```text
+/// /// doc
+/// vis field [=> "exported_name", "help"];
+/// ```
+///
+/// A field with no name is kept but not exported. It expands to the struct
+/// and its `rows()`, the (metric name, help, value) rows the text renderers
+/// iterate, in declaration order. No kind is declared: a name ending in
+/// `_total` is a counter, and any other name a gauge.
+#[macro_export]
+macro_rules! exported {
+    ($(#[$meta:meta])* $vis:vis struct $name:ident {$(
+        $(#[$doc:meta])*
+        $fvis:vis $field:ident $(=> $export:literal, $help:literal)?;
+    )*}) => {
+        $(#[$meta])*
+        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+        $vis struct $name {
+            $($(#[$doc])* $fvis $field: u64,)*
+        }
+
+        impl $name {
+            /// The exported fields as (metric name, help, value) rows.
+            pub fn rows(&self) -> impl Iterator<Item = (&'static str, &'static str, u64)> {
+                [$($crate::exported!(@row self.$field $(, $export, $help)?),)*]
+                    .into_iter()
+                    .flatten()
+            }
+        }
+    };
+    (@row $value:expr) => {
+        None
+    };
+    (@row $value:expr, $name:literal, $help:literal) => {
+        Some(($name, $help, $value))
+    };
+}
+
 /// The one declaration of the counters. A row is
 ///
 /// ```text
@@ -109,13 +150,12 @@ struct CounterBlock(Counters);
 /// and states a counter once: its doc comment (carried by the `Counters`
 /// field and by the method), the `record_*` method that adds one to it (a
 /// counter fed only by one of the three multi-counter recorders below has
-/// none), and the name and help it is exported under (the `sheds_*` rows
-/// have none: the renderers export them as one labelled family; nor have
-/// the scheduler's, which reach them folded into its own snapshot). It
-/// expands to `Counters`, the one-counter recorders, [`Metrics::snapshot`],
-/// [`MetricsSnapshot`] with [`since`](MetricsSnapshot::since) and
-/// [`rows`](MetricsSnapshot::rows) — so a new counter is one row, and it
-/// reaches the snapshot and every exporter by construction.
+/// none), and the name and help it is exported under (the rows the parked
+/// gauge is derived from have none). It expands to `Counters`, the
+/// one-counter recorders, [`Metrics::snapshot`], and [`MetricsSnapshot`]
+/// (an [`exported!`] struct) with [`since`](MetricsSnapshot::since) — so a
+/// new counter is one row, and it reaches the snapshot and every exporter
+/// by construction.
 macro_rules! counters {
     ($(
         $(#[$doc:meta])*
@@ -139,12 +179,13 @@ macro_rules! counters {
             }
         }
 
-        /// A point-in-time copy of the counters. Subtract two snapshots to
-        /// meter a region of execution.
-        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-        #[allow(missing_docs)] // Field names are self-describing counter names.
-        pub struct MetricsSnapshot {
-            $(pub $field: u64,)*
+        exported! {
+            /// A point-in-time copy of the counters. Subtract two snapshots to
+            /// meter a region of execution.
+            #[allow(missing_docs)] // Field names are self-describing counter names.
+            pub struct MetricsSnapshot {
+                $(pub $field $(=> $name, $help)?;)*
+            }
         }
 
         impl MetricsSnapshot {
@@ -153,14 +194,6 @@ macro_rules! counters {
                 MetricsSnapshot {
                     $($field: self.$field - earlier.$field,)*
                 }
-            }
-
-            /// The exported counters as (metric name, help, value) rows, in
-            /// declaration order — what the text renderers iterate.
-            pub fn rows(&self) -> impl Iterator<Item = (&'static str, &'static str, u64)> {
-                [$(counters!(@row self.$field $(, $name, $help)?),)*]
-                    .into_iter()
-                    .flatten()
             }
         }
     };
@@ -172,12 +205,6 @@ macro_rules! counters {
             let (block, owned) = self.block();
             bump(&block.$field, 1, owned);
         }
-    };
-    (@row $value:expr) => {
-        None
-    };
-    (@row $value:expr, $name:literal, $help:literal) => {
-        Some(($name, $help, $value))
     };
 }
 
@@ -252,9 +279,27 @@ counters! {
     fatal_failures / record_fatal_failure
         => "eden_invocation_fatal_failures_total", "Logical invocations that terminally failed";
     /// Record an arriving invocation turned away at a full bounded mailbox.
-    sheds_newest / record_shed_newest;
-    /// Record a call whose callee ran on its caller's stack.
-    inline_handoffs / record_inline_handoff;
+    sheds_newest / record_shed_newest
+        => "eden_mailbox_sheds_total", "Invocations shed by mailbox admission control";
+    /// Record a call whose callee ran on its caller's stack — a pool
+    /// worker's or any other thread's — instead of being queued for another
+    /// thread (see `Kernel::call`).
+    inline_handoffs / record_inline_handoff
+        => "eden_sched_inline_handoffs_total", "Callees resumed on their waiting caller's stack";
+    /// Record a stall the scheduler's monitor broke (runnable work, no pickup
+    /// for two ticks): a wake owed and not sent, or a worker stuck where the
+    /// kernel cannot see.
+    monitor_rescues / record_monitor_rescue => "eden_sched_monitor_rescues_total",
+        "Stalls broken by the stall monitor (runnable work, no pickup for two ticks)";
+    /// Record an idle-wait (10 ms) expiry that found runnable work — the
+    /// other backstop; also a sleeper surfacing while the active workers are
+    /// busy.
+    idle_timeouts_with_work / record_idle_timeout_with_work
+        => "eden_sched_idle_timeouts_with_work_total",
+            "Idle-wait expiries that found runnable work";
+    /// Record a spare worker spawned, by blocking compensation or the monitor.
+    spares_spawned / record_spare_spawned => "eden_sched_spares_spawned_total",
+        "Slotless workers spawned by blocking compensation or the monitor";
     /// Record a scheduler task parking on its mailbox. Parks less wakes is
     /// the parked gauge, exact at rest.
     parks / record_park;
@@ -526,6 +571,9 @@ mod tests {
         m.record_fatal_failure();
         m.record_shed_newest();
         m.record_inline_handoff();
+        m.record_monitor_rescue();
+        m.record_idle_timeout_with_work();
+        m.record_spare_spawned();
         m.record_park();
         m.record_wake();
         m.record_pickup();
@@ -555,6 +603,9 @@ mod tests {
             fatal_failures: 1,
             sheds_newest: 1,
             inline_handoffs: 1,
+            monitor_rescues: 1,
+            idle_timeouts_with_work: 1,
+            spares_spawned: 1,
             parks: 1,
             wakes: 1,
             pickups: 1,
@@ -564,11 +615,14 @@ mod tests {
 
         let rows: Vec<_> = s.rows().collect();
         let names: std::collections::BTreeSet<&str> = rows.iter().map(|r| r.0).collect();
+        // Every row but the three the parked gauge and the stall monitor
+        // read (parks, wakes, pickups) is exported, each under its own name.
         assert_eq!(
             (rows.len(), names.len()),
-            (22, 22),
-            "22 distinct exported names"
+            (27, 27),
+            "27 distinct exported names"
         );
+        // A counter's name says it is one: the renderers read the kind there.
         assert!(names
             .iter()
             .all(|n| n.starts_with("eden_") && n.ends_with("_total")));
@@ -579,7 +633,8 @@ mod tests {
         let value_of = |name: &str| rows.iter().find(|r| r.0 == name).map(|r| r.2);
         assert_eq!(value_of("eden_bytes_invoked_total"), Some(7));
         assert_eq!(value_of("eden_checkpoint_bytes_total"), Some(40));
-        assert_eq!(rows.iter().map(|r| r.2).sum::<u64>(), 19 + 7 + 5 + 40);
+        assert_eq!(value_of("eden_mailbox_sheds_total"), Some(1));
+        assert_eq!(rows.iter().map(|r| r.2).sum::<u64>(), 24 + 7 + 5 + 40);
     }
 
     #[test]

@@ -60,15 +60,17 @@ pub fn snapshot() -> PayloadSnapshot {
     }
 }
 
-/// A point-in-time copy of the data-plane counters. Subtract two snapshots
-/// (via [`PayloadSnapshot::since`]) to meter a region of execution.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)] // Field names are self-describing counter names.
-pub struct PayloadSnapshot {
-    pub payload_bytes_moved: u64,
-    pub payload_copies: u64,
-    pub cow_breaks: u64,
-    pub payload_shares: u64,
+crate::exported! {
+    /// A point-in-time copy of the data-plane counters. Subtract two snapshots
+    /// (via [`PayloadSnapshot::since`]) to meter a region of execution.
+    #[allow(missing_docs)] // Field names are self-describing counter names.
+    pub struct PayloadSnapshot {
+        pub payload_bytes_moved
+            => "eden_payload_bytes_moved_total", "Payload bytes physically copied";
+        pub payload_copies => "eden_payload_copies_total", "Deep-copy events";
+        pub cow_breaks => "eden_payload_cow_breaks_total", "Copy-on-write breaks";
+        pub payload_shares => "eden_payload_shares_total", "Reference-bump shares";
+    }
 }
 
 impl PayloadSnapshot {

@@ -55,18 +55,21 @@ pub fn snapshot() -> StreamSnapshot {
     }
 }
 
-/// A point-in-time copy of the stream gauges. Subtract two snapshots (via
-/// [`StreamSnapshot::since`]) for windowed rates; the level gauges
-/// ([`records_in_flight`](StreamSnapshot::records_in_flight),
-/// [`streams_active`](StreamSnapshot::streams_active)) are derived from the
-/// monotone totals so they can never go negative under racy reads.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)] // Field names are self-describing counter names.
-pub struct StreamSnapshot {
-    pub records_emitted: u64,
-    pub records_collected: u64,
-    pub(crate) streams_opened: u64,
-    pub(crate) streams_closed: u64,
+crate::exported! {
+    /// A point-in-time copy of the stream gauges. Subtract two snapshots (via
+    /// [`StreamSnapshot::since`]) for windowed rates; the level gauges
+    /// ([`records_in_flight`](StreamSnapshot::records_in_flight),
+    /// [`streams_active`](StreamSnapshot::streams_active)) are derived from the
+    /// monotone totals so they can never go negative under racy reads.
+    #[allow(missing_docs)] // Field names are self-describing counter names.
+    pub struct StreamSnapshot {
+        pub records_emitted
+            => "eden_stream_records_emitted_total", "Records that entered the stream fabric";
+        pub records_collected
+            => "eden_stream_records_collected_total", "Records that reached a sink collector";
+        pub(crate) streams_opened;
+        pub(crate) streams_closed;
+    }
 }
 
 impl StreamSnapshot {

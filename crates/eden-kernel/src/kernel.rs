@@ -579,10 +579,10 @@ impl Kernel {
     /// declares [`replies_last`](EjectBehavior::replies_last), it is resumed
     /// right here on the calling thread's stack — whatever thread that is —
     /// until the reply is in (counted in
-    /// [`SchedSnapshot::inline_handoffs`](crate::SchedSnapshot)), rather than
-    /// queued for a pool worker while this thread sleeps. Every other case —
-    /// an undeclared target, one that is running or already queued, a reply
-    /// it defers — is [`invoke`](Kernel::invoke) followed by
+    /// [`MetricsSnapshot::inline_handoffs`](eden_core::MetricsSnapshot)),
+    /// rather than queued for a pool worker while this thread sleeps. Every
+    /// other case — an undeclared target, one that is running or already
+    /// queued, a reply it defers — is [`invoke`](Kernel::invoke) followed by
     /// [`wait`](PendingReply::wait), which is what `call` always means.
     pub fn call(&self, target: Uid, op: impl Into<OpName>, arg: Value) -> Result<Value> {
         let opts = InvokeOptions::new();

@@ -36,15 +36,19 @@
 //!
 //! # Blocking compensation
 //!
-//! Eden behaviours are allowed to block mid-dispatch — a handler that
-//! waits for the reply to its own call (a directory's nested lookup, a
-//! local sink's end), a durable write for its group commit, a bounded
-//! mailbox's sender for room. (A stream stage waits for nothing: its
-//! handler parks its caller, its step polls every call, and a reply's
-//! settle, a retry's pause and a deadline post it its next step, the last
-//! two as arms on the kernel's [timer](crate::timer).) On
-//! a cooperative pool those waits would eat workers and deadlock once the
-//! pool is exhausted. Every such rendezvous
+//! Eden behaviours are allowed to block mid-dispatch. The waits the kernel
+//! itself still makes on a worker are, by caller: a durable write's
+//! follower waiting for its group commit; a crash waiting on its task's
+//! death latch; a handler that calls and waits for the reply (a local
+//! sink's end, a directory concatenator's nested `Lookup`); and a fault
+//! plan's injected `Delay`. Beyond those, any behaviour may still `wait()`
+//! on an invocation of its own mid-dispatch — a relay that answers by
+//! asking its neighbour does — and that is why the compensation stays. (A
+//! stream stage waits for nothing: its handler parks its caller, its step
+//! polls every call, and a reply's settle, a retry's pause and a deadline
+//! post it its next step, the last two as arms on the kernel's
+//! [timer](crate::timer).) On a cooperative pool those waits would eat
+//! workers and deadlock once the pool is exhausted. Every such rendezvous
 //! is therefore wrapped in [`blocking`]: a *worker* thread entering a
 //! blocking section goes idle the way a sleeper does — it counts itself
 //! blocked, and only then looks at the queue it leaves behind and decides
@@ -92,12 +96,12 @@
 //!
 //! Nor does a hop write a line the pool shares: its counters — the calls
 //! run inline and the pickups, which the stall monitor watches together,
-//! and the parks and wakes whose difference is the parked gauge — are the
-//! kernel's [`Metrics`] rows, each added to in the recording thread's own
-//! block with a plain load and store and summed when a snapshot is taken,
-//! and a reply cell a worker makes meters through that worker's own handle
-//! on them, lent to a cell it keeps and reuses, not cloned
-//! ([`local_metrics`]).
+//! the parks and wakes whose difference is the parked gauge, and what the
+//! backstops caught — are the kernel's [`Metrics`] rows, each added to in
+//! the recording thread's own block with a plain load and store and summed
+//! when a snapshot is taken, and a reply cell a worker makes meters through
+//! that worker's own handle on them, lent to a cell it keeps and reuses,
+//! not cloned ([`local_metrics`]).
 
 use std::cell::{RefCell, UnsafeCell};
 use std::collections::VecDeque;
@@ -209,37 +213,29 @@ impl Default for SchedulerConfig {
     }
 }
 
-/// Scheduler gauges and counters, embedded in
-/// [`KernelSnapshot`](crate::KernelSnapshot).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SchedSnapshot {
-    /// Live scheduler tasks (every active Eject, parked or not).
-    pub resident_ejects: u64,
-    /// Tasks currently parked on their mailbox (no thread, no queue slot).
-    pub parked_ejects: u64,
-    /// Always 0: every worker takes from the one run queue, so no task is
-    /// ever stolen. Kept because the benchmark reads it.
-    pub sched_steals: u64,
-    /// Callees resumed on their caller's stack — a pool worker's or any other
-    /// thread's — instead of being queued for another thread (see
-    /// [`Kernel::call`](crate::Kernel::call)).
-    pub inline_handoffs: u64,
-    /// Current worker-pool size (target plus live spares).
-    pub workers: u64,
-    /// Workers currently inside a blocking section.
-    pub workers_blocked: u64,
-    /// Workers registered in the sleep protocol (parked or re-checking).
-    pub workers_idle: u64,
-    /// The run queue's length hint (a relaxed read), exact at rest.
-    pub(crate) queued_tasks: u64,
-    /// Stalls the monitor broke (runnable work, no pickup for two ticks): a
-    /// wake owed and not sent, or a worker stuck where the kernel cannot see.
-    pub monitor_rescues: u64,
-    /// Idle-wait (10 ms) expiries that found runnable work — the other backstop;
-    /// also counts a sleeper surfacing while the active workers are busy.
-    pub idle_timeouts_with_work: u64,
-    /// Spare workers spawned, by blocking compensation or the monitor.
-    pub spares_spawned: u64,
+eden_core::exported! {
+    /// Scheduler gauges, embedded in [`KernelSnapshot`](crate::KernelSnapshot).
+    /// The scheduler's counters are rows of the kernel's [`Metrics`].
+    pub struct SchedSnapshot {
+        /// Live scheduler tasks (every active Eject, parked or not).
+        pub resident_ejects
+            => "eden_resident_ejects", "Ejects currently resident (parked or runnable)";
+        /// Tasks currently parked on their mailbox (no thread, no queue slot).
+        pub parked_ejects => "eden_parked_ejects", "Ejects parked on an empty mailbox";
+        /// Always 0: every worker takes from the one run queue, so no task is
+        /// ever stolen. Kept because the benchmark reads it.
+        pub sched_steals;
+        /// Current worker-pool size (target plus live spares).
+        pub workers => "eden_sched_workers", "Live scheduler worker threads";
+        /// Workers currently inside a blocking section.
+        pub workers_blocked
+            => "eden_sched_workers_blocked", "Scheduler workers inside a blocking rendezvous";
+        /// Workers registered in the sleep protocol (parked or re-checking).
+        pub workers_idle
+            => "eden_sched_workers_idle", "Scheduler workers registered in the sleep protocol";
+        /// The run queue's length hint (a relaxed read), exact at rest.
+        pub(crate) queued_tasks => "eden_sched_queued_tasks", "Tasks in the run queue";
+    }
 }
 
 /// The coordinator state of one Eject: its behaviour box,
@@ -625,12 +621,9 @@ pub(crate) struct Scheduler {
     blocked_workers: AtomicUsize,
     tasks_alive: AtomicU64,
     /// The kernel's counters: the per-hop ones (inline calls, parks, wakes,
-    /// pickups) are recorded here, in the recording thread's own block.
+    /// pickups) and what the backstops caught are recorded here, in the
+    /// recording thread's own block.
     metrics: Metrics,
-    /// What the backstops caught ([`SchedSnapshot`]'s last three fields).
-    monitor_rescues: AtomicU64,
-    idle_timeouts_with_work: AtomicU64,
-    spares_spawned: AtomicU64,
     worker_seq: AtomicUsize,
     stopping: AtomicBool,
     /// `wait_all_dead` sleeps here; signalled on every task death.
@@ -661,9 +654,6 @@ impl Scheduler {
             blocked_workers: AtomicUsize::new(0),
             tasks_alive: AtomicU64::new(0),
             metrics,
-            monitor_rescues: AtomicU64::new(0),
-            idle_timeouts_with_work: AtomicU64::new(0),
-            spares_spawned: AtomicU64::new(0),
             worker_seq: AtomicUsize::new(0),
             stopping: AtomicBool::new(false),
             death_mx: Mutex::new(()),
@@ -692,14 +682,10 @@ impl Scheduler {
             // difference dip below zero for a moment; at rest it is exact.
             parked_ejects: counts.parks.saturating_sub(counts.wakes),
             sched_steals: 0,
-            inline_handoffs: counts.inline_handoffs,
             workers: self.live_workers.load(Ordering::Relaxed) as u64,
             workers_blocked: self.blocked_workers.load(Ordering::Relaxed) as u64,
             workers_idle: self.idle_count.load(Ordering::Relaxed) as u64,
             queued_tasks: self.queued.load(Ordering::Relaxed) as u64,
-            monitor_rescues: self.monitor_rescues.load(Ordering::Relaxed),
-            idle_timeouts_with_work: self.idle_timeouts_with_work.load(Ordering::Relaxed),
-            spares_spawned: self.spares_spawned.load(Ordering::Relaxed),
         }
     }
 
@@ -846,7 +832,7 @@ impl Scheduler {
     fn spawn_worker(self: &Arc<Scheduler>) {
         let idx = self.worker_seq.fetch_add(1, Ordering::Relaxed);
         if idx >= self.target_workers {
-            self.spares_spawned.fetch_add(1, Ordering::Relaxed);
+            self.metrics.record_spare_spawned();
         }
         self.live_workers.fetch_add(1, Ordering::AcqRel);
         let sched = Arc::clone(self);
@@ -1171,9 +1157,7 @@ fn worker_main(sched: Arc<Scheduler>, idx: usize) {
             // The timeout is a backstop for what no notify reports (see
             // `monitor_main`); count the ones that found work waiting.
             if !parker.park(IDLE_WAIT) && sched.has_runnable() {
-                sched
-                    .idle_timeouts_with_work
-                    .fetch_add(1, Ordering::Relaxed);
+                sched.metrics.record_idle_timeout_with_work();
             }
         }
         sched.remove_sleeper(&parker);
@@ -1220,7 +1204,7 @@ fn monitor_main(sched: Arc<Scheduler>) {
         if runnable && progress == last_progress {
             stalled_ticks += 1;
             if stalled_ticks >= 2 && !sched.stopping.load(Ordering::Acquire) {
-                sched.monitor_rescues.fetch_add(1, Ordering::Relaxed);
+                sched.metrics.record_monitor_rescue();
                 if !sched.wake_sleeper() && sched.live_workers.load(Ordering::Acquire) < MAX_WORKERS
                 {
                     sched.spawn_worker();

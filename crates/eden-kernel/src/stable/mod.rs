@@ -70,22 +70,26 @@ impl PassiveRecord {
     }
 }
 
-/// Counters a backend exposes for the observability plane (all zero for
-/// backends without a log).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StableStats {
-    /// Checkpointed Ejects currently stored.
-    pub(crate) records: u64,
-    /// Bytes of checkpointed state (payload only).
-    pub(crate) bytes: u64,
-    /// Segment files currently on the filing system.
-    pub(crate) segments_live: u64,
-    /// Total bytes across all live segments (frames, not payloads).
-    pub log_bytes: u64,
-    /// Completed compaction passes.
-    pub(crate) compactions: u64,
-    /// fsync calls issued by the committer.
-    pub fsyncs: u64,
+eden_core::exported! {
+    /// Counters a backend exposes for the observability plane (all zero for
+    /// backends without a log).
+    pub struct StableStats {
+        /// Checkpointed Ejects currently stored.
+        pub(crate) records
+            => "eden_stable_records", "Passive representations currently in the stable store";
+        /// Bytes of checkpointed state (payload only).
+        pub(crate) bytes;
+        /// Segment files currently on the filing system.
+        pub(crate) segments_live
+            => "eden_stable_segments_live", "Stable-log segment files currently live";
+        /// Total bytes across all live segments (frames, not payloads).
+        pub log_bytes => "eden_stable_log_bytes", "Bytes across all live stable-log segments";
+        /// Completed compaction passes.
+        pub(crate) compactions
+            => "eden_stable_compactions_total", "Completed stable-log compaction passes";
+        /// fsync calls issued by the committer.
+        pub fsyncs => "eden_stable_fsyncs_total", "fsync calls issued by the stable-log committer";
+    }
 }
 
 /// The storage contract behind [`StableStore`].

@@ -786,9 +786,10 @@ fn an_in_flight_call_holds_no_kernel_wide_handle() {
     // read with the pool at its one worker and every Eject parked, and a run
     // the pool grew under is made again.
     let pool = || {
-        let sched = kernel.metrics_snapshot().sched;
+        let snap = kernel.metrics_snapshot();
+        let sched = snap.sched;
         let quiet = sched.workers == 1 && sched.parked_ejects == sched.resident_ejects;
-        (quiet, sched.spares_spawned)
+        (quiet, snap.metrics.spares_spawned)
     };
     let mut clean = 0;
     for _ in 0..200 {

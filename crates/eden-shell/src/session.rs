@@ -295,10 +295,10 @@ impl Session {
                 snap.sched.workers,
                 snap.sched.workers_blocked,
                 snap.sched.workers_idle,
-                snap.sched.spares_spawned,
-                snap.sched.inline_handoffs,
-                snap.sched.monitor_rescues,
-                snap.sched.idle_timeouts_with_work,
+                s.spares_spawned,
+                s.inline_handoffs,
+                s.monitor_rescues,
+                s.idle_timeouts_with_work,
                 snap.sched.parked_ejects,
                 snap.sched.resident_ejects,
             ),

@@ -116,7 +116,23 @@ done >"$out.chains"
 
 tr ' ' '\n' <"$out.chains" | grep '^0x' | sort -u >"$out.addrs"
 symbolize=$(command -v llvm-addr2line || command -v addr2line)
-"$symbolize" -e "$bin" -a -f -i -C <"$out.addrs" >"$out.frames"
+# Some inline frames come back with the legacy mangling's escapes left in
+# (`_$LT$eden_transput..stage..Stage$u20$as$u20$...$GT$::handle`); undo
+# them in the function lines, so that one function has one spelling.
+"$symbolize" -e "$bin" -a -f -i -C <"$out.addrs" | awk '
+    BEGIN { hex = "0123456789abcdef" }
+    /^0x/ { print; fn = 1; next }
+    fn {
+        gsub(/\.\./, "::"); gsub(/_[$]/, "$")
+        gsub(/[$]LT[$]/, "<"); gsub(/[$]GT[$]/, ">"); gsub(/[$]LP[$]/, "("); gsub(/[$]RP[$]/, ")")
+        gsub(/[$]C[$]/, ","); gsub(/[$]BP[$]/, "*"); gsub(/[$]SP[$]/, "@"); gsub(/[$]RF[$]/, "\\&")
+        # $uXX$ is the character whose code is hex XX: $u20$ a space, $u7b$ "{".
+        while (match($0, /[$]u[0-9a-f][0-9a-f][$]/)) {
+            c = 16 * index(hex, substr($0, RSTART + 2, 1)) + index(hex, substr($0, RSTART + 3, 1)) - 17
+            $0 = substr($0, 1, RSTART - 1) sprintf("%c", c) substr($0, RSTART + RLENGTH)
+        }
+    }
+    { print; fn = !fn }' >"$out.frames"
 # The address of every instruction that follows a locked one.
 objdump -d --no-show-raw-insn "$bin" | awk -F'\t' '
     /^ *[0-9a-f]+:\t/ {
@@ -184,9 +200,11 @@ awk -v frames="$out.frames" -v locked="$out.locked" -v layers="$out.layers" -v c
             rows++; row_layer[rows] = f[1]; row_file[rows] = "^" f[2]; row_fn[rows] = f[3]
         }
     }
-    # The layer of an innermost eden frame, or "" if no row names it.
+    # The layer of an innermost eden frame, or "" if no row names it. A
+    # closure in the legacy spelling goes where the function it is in goes.
     function layer_of(file, fn,   r) {
         if (fn !~ /^</) sub(/<.*/, "", fn)
+        sub(/(::[{][{]closure[}][}])+$/, "", fn)
         sub(/.*::/, "", fn)
         for (r = 1; r <= rows; r++)
             if (file ~ row_file[r] && fn ~ "^(" row_fn[r] ")$") return row_layer[r]

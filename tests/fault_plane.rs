@@ -666,7 +666,7 @@ fn hops_and_inline_handoffs(discipline: RecoveryDiscipline) -> (u64, u64) {
             _ => false,
         })
         .count() as u64;
-    let inline = kernel.metrics_snapshot().sched.inline_handoffs;
+    let inline = kernel.metrics_snapshot().metrics.inline_handoffs;
     kernel.shutdown();
     (hops, inline)
 }

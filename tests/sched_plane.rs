@@ -396,7 +396,7 @@ fn all_parked(kernel: &Kernel) {
 }
 
 fn inline_handoffs(kernel: &Kernel) -> u64 {
-    kernel.metrics_snapshot().sched.inline_handoffs
+    kernel.metrics_snapshot().metrics.inline_handoffs
 }
 
 /// Forwards `Relay` to `next` as a call and answers one more than it was
@@ -452,8 +452,8 @@ struct PipelineCalls {
 /// `kernel` (one worker) and check its output. `None`: the previous run's
 /// teardown spare had yet to retire.
 fn depth_4_pipeline_calls(kernel: &Kernel, discipline: Discipline) -> Option<PipelineCalls> {
-    let before = kernel.metrics_snapshot().sched;
-    if before.workers != 1 {
+    let before = kernel.metrics_snapshot();
+    if before.sched.workers != 1 {
         return None;
     }
     let workers_seen = Arc::new(std::sync::atomic::AtomicU64::new(0));
@@ -478,11 +478,11 @@ fn depth_4_pipeline_calls(kernel: &Kernel, discipline: Discipline) -> Option<Pip
         .expect("pipeline completes");
     let expected: Vec<_> = (0..RECORDS as i64).map(Value::Int).collect();
     assert_eq!(run.output, expected);
-    let after = kernel.metrics_snapshot().sched;
+    let after = kernel.metrics_snapshot();
     Some(PipelineCalls {
-        inline_handoffs: after.inline_handoffs - before.inline_handoffs,
+        inline_handoffs: after.metrics.inline_handoffs - before.metrics.inline_handoffs,
         workers_seen: workers_seen.load(Ordering::Relaxed),
-        workers_after: after.workers,
+        workers_after: after.sched.workers,
     })
 }
 
@@ -1474,7 +1474,7 @@ fn scheduler_counts_stay_exact_with_eight_pipelines_on_every_cpu() {
     let inline_made = inline.load(Ordering::Relaxed);
     assert!(inline_made > 0, "no call ran inline");
     assert_eq!(
-        after.sched.inline_handoffs - before.sched.inline_handoffs,
+        after.metrics.inline_handoffs - before.metrics.inline_handoffs,
         inline_made
     );
     let m = after.metrics.since(&before.metrics);
@@ -1696,7 +1696,7 @@ mod one_cpu {
                 format!("waiting chain, driven from a blocked handler: {from_blocked_handler}");
             until_undisturbed(&what, || {
                 all_parked(&kernel);
-                let rescues = || kernel.metrics_snapshot().sched.monitor_rescues;
+                let rescues = || kernel.metrics_snapshot().metrics.monitor_rescues;
                 let before = rescues();
                 let timings = match from_blocked_handler {
                     false => timed_chain_calls(|| kernel.invoke(head, "Go", Value::Unit).wait()),
@@ -1772,10 +1772,10 @@ fn an_inline_chain_is_progress_to_the_stall_monitor() {
         let calls = chain.wait().expect("the chain answers");
         assert!(matches!(calls, Value::Int(n) if n > 0), "{calls:?}");
         assert_eq!(queued.wait(), Ok(Value::Int(0)));
-        let sched = kernel.metrics_snapshot().sched;
+        let counts = kernel.metrics_snapshot().metrics;
         kernel.shutdown();
         // An OS preemption of the worker is a stall the monitor may break.
-        sched.monitor_rescues == 0 && sched.spares_spawned == 0
+        counts.monitor_rescues == 0 && counts.spares_spawned == 0
     });
 }
 
@@ -1818,12 +1818,12 @@ fn checkpoints_that_only_append_spawn_no_spare_worker() {
         all_parked(&kernel);
         let written = kernel.invoke(eject, "Go", Value::Unit).wait();
         assert_eq!(written, Ok(Value::Int(CHECKPOINTS)));
-        let sched = kernel.metrics_snapshot().sched;
+        let counts = kernel.metrics_snapshot().metrics;
         kernel.shutdown();
         // A stall the monitor broke may have spawned a spare of its own.
-        let undisturbed = sched.monitor_rescues == 0;
+        let undisturbed = counts.monitor_rescues == 0;
         if undisturbed {
-            assert_eq!(sched.spares_spawned, 0, "{sched:?}");
+            assert_eq!(counts.spares_spawned, 0, "{counts:?}");
         }
         undisturbed
     });
@@ -1920,7 +1920,7 @@ fn a_polled_retry_pauses_on_the_timer_not_on_its_worker() {
         let answered_at = Instant::now();
         assert_eq!(answered, Ok(Value::Int(1)));
         assert_eq!(go.wait(), Ok(Value::Int(5)));
-        let sched = kernel.metrics_snapshot().sched;
+        let counts = kernel.metrics_snapshot().metrics;
         kernel.shutdown();
         let arrivals = arrivals.lock().unwrap().clone();
         assert_eq!(arrivals.len(), 3);
@@ -1931,10 +1931,10 @@ fn a_polled_retry_pauses_on_the_timer_not_on_its_worker() {
         );
         // Asked after the pause had ended, or a stall the monitor broke:
         // the run says nothing of the pause.
-        let undisturbed = asked < arrivals[1] + base && sched.monitor_rescues == 0;
+        let undisturbed = asked < arrivals[1] + base && counts.monitor_rescues == 0;
         if undisturbed {
             assert!(answered_at < arrivals[2], "answered only after the pause");
-            assert_eq!(sched.spares_spawned, 0, "{sched:?}");
+            assert_eq!(counts.spares_spawned, 0, "{counts:?}");
         }
         undisturbed
     });
@@ -1975,12 +1975,12 @@ fn a_lazy_filter_whose_upstream_defers_costs_no_worker() {
         go.send(()).expect("the program waits");
         let batch = Batch::from_value(read.wait().expect("answered")).expect("a batch");
         assert_eq!(batch.items, [Value::Int(7)]);
-        let sched = kernel.metrics_snapshot().sched;
+        let counts = kernel.metrics_snapshot().metrics;
         kernel.shutdown();
         // A stall the monitor broke may have spawned a spare of its own.
-        let undisturbed = sched.monitor_rescues == 0;
+        let undisturbed = counts.monitor_rescues == 0;
         if undisturbed {
-            assert_eq!(sched.spares_spawned, 0, "{sched:?}");
+            assert_eq!(counts.spares_spawned, 0, "{counts:?}");
         }
         undisturbed
     });
@@ -2023,11 +2023,11 @@ fn a_rendezvous_filter_whose_downstream_is_full_costs_no_worker() {
         assert_eq!(read(&kernel), [Value::Int(0)]);
         assert_eq!(written.wait(), Ok(Value::Unit));
         assert_eq!(read(&kernel), [Value::Int(1)]);
-        let sched = kernel.metrics_snapshot().sched;
+        let counts = kernel.metrics_snapshot().metrics;
         kernel.shutdown();
-        let undisturbed = sched.monitor_rescues == 0;
+        let undisturbed = counts.monitor_rescues == 0;
         if undisturbed {
-            assert_eq!(sched.spares_spawned, 0, "{sched:?}");
+            assert_eq!(counts.spares_spawned, 0, "{counts:?}");
         }
         undisturbed
     });
